@@ -3,7 +3,7 @@
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: all ci build test test-short race vet fmt-check lint tools-test vuln bench bench-round bench-check bench-baseline crash-consistency fuzz-smoke soak experiments examples demo apidiff clean
+.PHONY: all ci build test test-short race vet fmt-check lint tools-test vuln bench bench-round bench-check bench-baseline benchmark-smoke crash-consistency fuzz-smoke soak experiments examples demo apidiff clean
 
 all: build vet test race lint
 
@@ -70,8 +70,9 @@ bench:
 
 # End-to-end round latency across worker counts plus the hot-path
 # micro-benches behind it (batch signature verification, incremental
-# Merkle, pooled per-tx encoding) and the store-reopen latency matrix
-# (replay vs snapshot recovery); raw `go test -json` output lands in
+# Merkle, pooled per-tx encoding), the store-reopen latency matrix
+# (replay vs snapshot recovery) and the transport's frame round trip
+# over loopback; raw `go test -json` output lands in
 # BENCH_round.json for the bench-check gate and dashboards. The second
 # invocation re-samples the tracing-overhead pair back-to-back twice
 # more: benchcheck averages repeated result lines, and the ≤1.05x
@@ -79,16 +80,17 @@ bench:
 # adjacent samples so machine drift cancels out of the ratio.
 bench-round:
 	$(GO) test -json -run '^$$' \
-		-bench 'BenchmarkFullProtocolRound|BenchmarkVerifyBatch|BenchmarkVerifySequential|BenchmarkMerkleIncremental|BenchmarkTxEncodeSigning|BenchmarkStoreReopen' \
-		-benchtime $(BENCHTIME) -benchmem . ./internal/crypto ./internal/tx ./internal/ledger > BENCH_round.json
+		-bench 'BenchmarkFullProtocolRound|BenchmarkVerifyBatch|BenchmarkVerifySequential|BenchmarkMerkleIncremental|BenchmarkTxEncodeSigning|BenchmarkStoreReopen|BenchmarkFrameRoundTrip|BenchmarkMulticast' \
+		-benchtime $(BENCHTIME) -benchmem . ./internal/crypto ./internal/tx ./internal/ledger ./internal/transport > BENCH_round.json
 	$(GO) test -json -run '^$$' \
 		-bench 'BenchmarkFullProtocolRound/(workers=1$$|tracing=on)' \
 		-benchtime $(BENCHTIME) -count 2 -benchmem . >> BENCH_round.json
 
 # Bench-regression gate (DESIGN.md §4f): compare the fresh
 # BENCH_round.json against the checked-in BENCH_baseline.json.
-# allocs/op growth is a hard failure; tx/s regression beyond 10% fails
-# too (override with BENCHCHECK_FLAGS='-txs-tol 0.5' on hardware that
+# allocs/op growth is a hard failure (any growth at all for the
+# benchmarks under exact_allocs); tx/s regression beyond 10% fails too
+# (override with BENCHCHECK_FLAGS='-txs-tol 0.5' on hardware that
 # differs from the baseline machine).
 BENCHCHECK_FLAGS ?=
 bench-check: bench-round
@@ -103,6 +105,14 @@ bench-baseline: bench-round
 		-current BENCH_round.json -benchtime $(BENCHTIME) -update \
 		-machine "$$(uname -sm), $$(nproc 2>/dev/null || echo '?') cores"
 
+# The benchmark harness (BENCHMARK.json, benchmark/) is its own module,
+# so `go build ./...` and `go test ./...` never compile it: this is the
+# step that notices a change breaking the transport/node/facade entry
+# points it calls. Mirrors the CI benchmark-smoke job.
+benchmark-smoke:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
+
 # Crash-consistency matrix (DESIGN.md §4g): torn-tail truncation,
 # mid-segment corruption, damaged indexes, kill-during-snapshot,
 # forged snapshots, and legacy-file migration, plus the engine-level
@@ -113,13 +123,14 @@ crash-consistency:
 	$(GO) test -count=1 ./internal/core -run 'Snapshot|Restart|Persist'
 	$(GO) test -count=1 ./internal/transport -run 'Persistence'
 
-# Short coverage-guided fuzz pass over the segment and snapshot
-# decoders. `go test -fuzz` accepts one target per invocation, hence
-# the loop. FUZZTIME=30s in CI; keep it short locally.
+# Short coverage-guided fuzz pass over the untrusted decoders: ledger
+# segments and snapshots, and the transport's frame receive path.
+# `go test -fuzz` accepts one target per invocation, hence the loop.
+# FUZZTIME=30s in CI; keep it short locally.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for target in FuzzSegmentOpen FuzzSnapshotLoad; do \
-		$(GO) test ./internal/ledger -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit 1; \
+	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzFrameReceive; do \
+		$(GO) test ./internal/$${target%/*} -run '^$$' -fuzz "^$${target#*/}$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 # Long-running segmented-store soak (nightly CI): many rounds against

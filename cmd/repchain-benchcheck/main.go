@@ -7,7 +7,8 @@
 //
 //   - allocs/op may not grow beyond baseline·(1+allocs-tol)+allocs-slack
 //     — a hard, machine-independent gate (allocation counts do not
-//     depend on CPU speed);
+//     depend on CPU speed); benchmarks the baseline lists under
+//     exact_allocs may not grow at all;
 //   - tx/s may not regress below baseline·(1−txs-tol) — hardware-
 //     dependent, so the tolerance is a flag and the baseline documents
 //     the machine it was captured on;
@@ -67,6 +68,11 @@ type baselineFile struct {
 	// current run. They are hand-written, survive -update, and fail the
 	// check when either side is missing.
 	Ratios []ratioGate `json:"ratios,omitempty"`
+	// ExactAllocs names benchmarks whose allocs/op gate has no
+	// tolerance and no slack: their counts are small and repeat
+	// exactly (one frame over loopback), so one more allocation is a
+	// regression. Hand-written; survives -update like Ratios.
+	ExactAllocs []string `json:"exact_allocs,omitempty"`
 }
 
 // ratioGate bounds the cur[Slow].ns/op / cur[Fast].ns/op ratio: Min
@@ -246,21 +252,20 @@ func main() {
 		fatal(err)
 	}
 	if *update {
-		// Ratio gates are hand-written policy, not measurements: carry
-		// them over from the existing baseline so -update cannot erode
-		// them.
-		var ratios []ratioGate
+		// Ratio gates and the exact-allocs list are hand-written policy,
+		// not measurements: carry them over from the existing baseline so
+		// -update cannot erode them.
+		var old baselineFile
 		if raw, err := os.ReadFile(*baselinePath); err == nil {
-			var old baselineFile
-			if err := json.Unmarshal(raw, &old); err == nil {
-				ratios = old.Ratios
+			if err := json.Unmarshal(raw, &old); err != nil {
+				old = baselineFile{}
 			}
 		}
-		if err := writeBaseline(*baselinePath, cur, ratios, *benchtime, *machine); err != nil {
+		if err := writeBaseline(*baselinePath, cur, old.Ratios, old.ExactAllocs, *benchtime, *machine); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("repchain-benchcheck: wrote %s (%d benchmarks, %d ratio gates, benchtime %s)\n",
-			*baselinePath, len(cur), len(ratios), *benchtime)
+			*baselinePath, len(cur), len(old.Ratios), *benchtime)
 		return
 	}
 
@@ -277,7 +282,7 @@ func main() {
 			base.Benchtime, *benchtime, base.Benchtime))
 	}
 
-	failures := check(base.Benchmarks, cur, *txsTol, *allocsTol, *allocsSlack)
+	failures := check(base.Benchmarks, cur, base.ExactAllocs, *txsTol, *allocsTol, *allocsSlack)
 	failures = append(failures, checkRatios(base.Ratios, cur, procs)...)
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -340,8 +345,15 @@ func checkRatios(ratios []ratioGate, cur map[string]map[string]float64, procs in
 
 // check applies the gates and returns human-readable failures.
 // Informational drift (ns/op, new benchmarks) goes straight to stdout.
-func check(base, cur map[string]map[string]float64, txsTol, allocsTol, allocsSlack float64) []string {
+func check(base, cur map[string]map[string]float64, exactAllocs []string, txsTol, allocsTol, allocsSlack float64) []string {
 	var failures []string
+	exact := make(map[string]bool, len(exactAllocs))
+	for _, name := range exactAllocs {
+		exact[name] = true
+		if _, ok := base[name]; !ok {
+			failures = append(failures, fmt.Sprintf("%s: listed under exact_allocs but absent from the baseline (gate erosion)", name))
+		}
+	}
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -358,11 +370,15 @@ func check(base, cur map[string]map[string]float64, txsTol, allocsTol, allocsSla
 		}
 		if bAllocs, ok := b["allocs/op"]; ok {
 			if cAllocs, ok := c["allocs/op"]; ok {
-				limit := bAllocs*(1+allocsTol) + allocsSlack
+				tol, slack := allocsTol, allocsSlack
+				if exact[name] {
+					tol, slack = 0, 0
+				}
+				limit := bAllocs*(1+tol) + slack
 				if cAllocs > limit {
 					failures = append(failures, fmt.Sprintf(
 						"%s: allocs/op %.0f exceeds limit %.1f (baseline %.0f, tol %.0f%% + %.0f slack)",
-						name, cAllocs, limit, bAllocs, allocsTol*100, allocsSlack))
+						name, cAllocs, limit, bAllocs, tol*100, slack))
 				}
 			}
 		}
@@ -391,8 +407,8 @@ func check(base, cur map[string]map[string]float64, txsTol, allocsTol, allocsSla
 	return failures
 }
 
-func writeBaseline(path string, cur map[string]map[string]float64, ratios []ratioGate, benchtime, machine string) error {
-	out := baselineFile{Machine: machine, Benchtime: benchtime, Benchmarks: cur, Ratios: ratios}
+func writeBaseline(path string, cur map[string]map[string]float64, ratios []ratioGate, exactAllocs []string, benchtime, machine string) error {
+	out := baselineFile{Machine: machine, Benchtime: benchtime, Benchmarks: cur, Ratios: ratios, ExactAllocs: exactAllocs}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err

@@ -120,14 +120,14 @@ func TestCheckGates(t *testing.T) {
 		// Small absolute growth on a tiny count is absorbed by the slack.
 		"BenchmarkB": {"ns/op": 400, "allocs/op": 9},
 	}
-	if f := check(base, ok, 0.10, 0.10, 8); len(f) != 0 {
+	if f := check(base, ok, nil, 0.10, 0.10, 8); len(f) != 0 {
 		t.Fatalf("boundary run failed: %v", f)
 	}
 
 	bad := map[string]map[string]float64{
 		"BenchmarkA": {"ns/op": 1000, "allocs/op": 200, "tx/s": 500},
 	}
-	f := check(base, bad, 0.10, 0.10, 8)
+	f := check(base, bad, nil, 0.10, 0.10, 8)
 	if len(f) != 3 {
 		t.Fatalf("got %d failures, want allocs + tx/s + missing BenchmarkB: %v", len(f), f)
 	}
@@ -136,6 +136,26 @@ func TestCheckGates(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("failures %v missing %q", f, want)
 		}
+	}
+}
+
+// TestCheckExactAllocs: a benchmark under exact_allocs fails on one
+// allocation more than its baseline and passes on as many or fewer.
+func TestCheckExactAllocs(t *testing.T) {
+	base := map[string]map[string]float64{"BenchmarkFrame": {"ns/op": 50000, "allocs/op": 10}}
+	exact := []string{"BenchmarkFrame"}
+	for allocs, want := range map[float64]string{9: "", 10: "", 11: "allocs/op 11 exceeds limit 10.0"} {
+		cur := map[string]map[string]float64{"BenchmarkFrame": {"ns/op": 90000, "allocs/op": allocs}}
+		f := check(base, cur, exact, 0.10, 0.10, 8)
+		switch {
+		case want == "" && len(f) != 0:
+			t.Fatalf("allocs %v failed: %v", allocs, f)
+		case want != "" && (len(f) != 1 || !strings.Contains(f[0], want)):
+			t.Fatalf("allocs %v: failures %v, want %q", allocs, f, want)
+		}
+	}
+	if f := check(base, base, []string{"BenchmarkGone"}, 0.10, 0.10, 8); len(f) != 1 || !strings.Contains(f[0], "gate erosion") {
+		t.Fatalf("exact_allocs entry without a baseline: %v", f)
 	}
 }
 
@@ -224,7 +244,8 @@ func TestUpdatePreservesRatios(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	ratios := []ratioGate{{Slow: "BenchmarkA", Fast: "BenchmarkB", Min: 10, Note: "reopen gate"}}
 	cur := map[string]map[string]float64{"BenchmarkA": {"ns/op": 100}}
-	if err := writeBaseline(path, cur, ratios, "1s", "test"); err != nil {
+	exact := []string{"BenchmarkA"}
+	if err := writeBaseline(path, cur, ratios, exact, "1s", "test"); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -237,6 +258,9 @@ func TestUpdatePreservesRatios(t *testing.T) {
 	}
 	if len(got.Ratios) != 1 || got.Ratios[0] != ratios[0] {
 		t.Fatalf("ratios did not survive rewrite: %+v", got.Ratios)
+	}
+	if len(got.ExactAllocs) != 1 || got.ExactAllocs[0] != exact[0] {
+		t.Fatalf("exact_allocs did not survive rewrite: %+v", got.ExactAllocs)
 	}
 	if got.Benchmarks["BenchmarkA"]["ns/op"] != 100 {
 		t.Fatalf("benchmarks lost: %+v", got.Benchmarks)

@@ -52,7 +52,7 @@ func main() {
 		committee  = flag.Int("committee", 0, "committee index this node's chain belongs to (published as the chain.committee gauge so fleet tooling scores height skew within, not across, committees)")
 		traceCap   = flag.Int("trace-cap", 8192, "lifecycle span ring-buffer capacity behind /traces (0 = tracing off)")
 		eventsCap  = flag.Int("events-cap", 8192, "consensus event ring-buffer capacity behind /events (0 = events off)")
-		propagate  = flag.Bool("trace-propagate", false, "stamp trace context onto outgoing frames so traces stitch across processes (v2 frames; off keeps the v1 wire format)")
+		propagate  = flag.Bool("trace-propagate", false, "stamp trace context onto outgoing frames so traces stitch across processes")
 		logFormat  = flag.String("log-format", "text", "structured log format: text or json")
 
 		retryMax     = flag.Int("retry-max", 0, "delivery attempts per frame (0 = default)")

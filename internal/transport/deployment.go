@@ -1,9 +1,9 @@
 // Package transport runs the protocol over real TCP sockets: a framed,
-// signed peer-to-peer message layer plus a wall-clock round runtime,
-// so an alliance can be deployed as one process per node. The
-// simulation bus (package network) and this package carry the same
-// protocol messages; the reputation, consensus, and ledger code is
-// shared unchanged.
+// pairwise-authenticated peer-to-peer message layer plus a wall-clock
+// round runtime, so an alliance can be deployed as one process per
+// node. The simulation bus (package network) and this package carry
+// the same protocol messages; the reputation, consensus, and ledger
+// code is shared unchanged.
 package transport
 
 import (
@@ -24,7 +24,7 @@ var (
 	ErrBadDeployment = errors.New("transport: invalid deployment")
 	// ErrUnknownPeer reports a message for or from an unknown node.
 	ErrUnknownPeer = errors.New("transport: unknown peer")
-	// ErrBadFrame reports an undecodable or unauthenticated frame.
+	// ErrBadFrame reports an undecodable frame or payload.
 	ErrBadFrame = errors.New("transport: bad frame")
 	// ErrClosed reports use of a closed endpoint.
 	ErrClosed = errors.New("transport: endpoint closed")

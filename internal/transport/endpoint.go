@@ -2,9 +2,12 @@ package transport
 
 import (
 	"context"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"log/slog"
 	"net"
@@ -19,7 +22,7 @@ import (
 	"repchain/internal/trace"
 )
 
-// Frame is one signed application message on the wire.
+// Frame is one authenticated application message.
 type Frame struct {
 	// From is the sender's node ID.
 	From identity.NodeID
@@ -27,25 +30,20 @@ type Frame struct {
 	Kind string
 	// Payload is the encoded protocol message.
 	Payload []byte
-	// Counter is the sender's monotone frame counter, preventing
-	// replay within and across connections.
+	// Counter is the sender's monotone frame counter, one value per
+	// Multicast, preventing replay within and across connections.
 	Counter uint64
-	// Sig is the sender's Ed25519 signature over the frame.
-	Sig []byte
-	// Trace is the optional v2 trace-propagation context. Nil frames
-	// encode and sign exactly as the v1 wire format did, so a
-	// deployment with tracing disabled is byte-identical to a legacy
-	// one (DESIGN.md §4h).
+	// Trace is the optional trace-propagation context (DESIGN.md §4h).
 	Trace *TraceCtx
 }
 
-// TraceCtx is the trace context a v2 frame carries across a transport
+// TraceCtx is the trace context a frame carries across a transport
 // hop: the transaction's trace ID, the sender's parent span sequence
 // number, and the sender's wall clock at send time (per-hop latency =
 // receiver wall − SentNS, under the deployment's loose clock-sync
 // assumption; see DESIGN.md §4h for the clock model). The context is
-// covered by the frame signature — a middlebox cannot strip or forge
-// it without invalidating the frame.
+// covered by the frame tag — a middlebox cannot strip or forge it
+// without invalidating the frame.
 type TraceCtx struct {
 	// Trace is the hex transaction hash (the trace ID).
 	Trace string
@@ -56,126 +54,98 @@ type TraceCtx struct {
 	SentNS int64
 }
 
-// Frame signing domains: v1 covers (from, kind, payload, counter); v2
-// additionally covers the trace context. The domain string is chosen
-// by presence, so a v1-signed frame can never be replayed as a v2
-// frame with attacker-chosen context or vice versa.
+// Wire format (DESIGN.md §4h): a 4-byte big-endian length, the body
+// (from, kind, payload, counter and, when present, the trace context),
+// then an HMAC-SHA256 tag over the body under the sender→recipient key.
 const (
-	frameDomainV1 = "repchain/frame/v1"
-	frameDomainV2 = "repchain/frame/v2"
+	lenSize        = 4
+	tagSize        = sha256.Size
+	frameMACDomain = "repchain/frame-mac/v1" // HKDF salt of the frame keys
+	maxFrameSize   = 8 << 20                 // 8 MiB: protects receivers from hostile length prefixes
 )
 
-func frameSigningBytes(from identity.NodeID, kind string, payload []byte, counter uint64, tc *TraceCtx) []byte {
-	e := codec.NewEncoder(64 + len(payload))
-	if tc == nil {
-		e.PutString(frameDomainV1)
-	} else {
-		e.PutString(frameDomainV2)
-	}
-	e.PutString(string(from))
-	e.PutString(kind)
-	e.PutBytes(payload)
-	e.PutUint64(counter)
-	if tc != nil {
-		e.PutString(tc.Trace)
-		e.PutUint64(tc.Parent)
-		e.PutVarint(tc.SentNS)
-	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-func encodeFrame(f Frame) []byte {
-	e := codec.NewEncoder(128 + len(f.Payload))
+// encodeWire writes f as it goes on the wire, tag slot still zero, into
+// a pooled encoder the caller releases; seal fills the slot per recipient.
+func encodeWire(f Frame) *codec.Encoder {
+	e := codec.GetEncoder(lenSize + 64 + len(f.Payload) + tagSize)
+	var zero [tagSize]byte
+	e.PutRaw(zero[:lenSize])
 	e.PutString(string(f.From))
 	e.PutString(f.Kind)
 	e.PutBytes(f.Payload)
 	e.PutUint64(f.Counter)
-	e.PutBytes(f.Sig)
-	// The trace context is a trailing optional section: absent, the
-	// encoding is byte-identical to the v1 format; present, a legacy
-	// decoder's full-consumption check rejects the frame rather than
-	// silently misreading it.
 	if f.Trace != nil {
 		e.PutString(f.Trace.Trace)
 		e.PutUint64(f.Trace.Parent)
 		e.PutVarint(f.Trace.SentNS)
 	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	e.PutRaw(zero[:])
+	binary.BigEndian.PutUint32(e.Bytes(), uint32(e.Len()-lenSize))
+	return e
 }
 
-func decodeFrame(b []byte) (Frame, error) {
-	d := codec.NewDecoder(b)
-	var f Frame
-	from, err := d.String()
-	if err != nil {
-		return f, fmt.Errorf("frame from: %w", ErrBadFrame)
-	}
-	f.From = identity.NodeID(from)
-	if f.Kind, err = d.String(); err != nil {
-		return f, fmt.Errorf("frame kind: %w", ErrBadFrame)
-	}
-	if f.Payload, err = d.Bytes(); err != nil {
-		return f, fmt.Errorf("frame payload: %w", ErrBadFrame)
-	}
-	if f.Counter, err = d.Uint64(); err != nil {
-		return f, fmt.Errorf("frame counter: %w", ErrBadFrame)
-	}
-	if f.Sig, err = d.Bytes(); err != nil {
-		return f, fmt.Errorf("frame sig: %w", ErrBadFrame)
-	}
+// decodeFrame decodes the rest of an authenticated body whose sender ID
+// has been read from d. Its caller wants a verdict, so no read stops it.
+func decodeFrame(d *codec.Decoder, f *Frame) error {
+	var errs [7]error
+	f.Kind, errs[0] = d.String()
+	f.Payload, errs[1] = d.Bytes()
+	f.Counter, errs[2] = d.Uint64()
 	if d.Remaining() > 0 {
-		var tc TraceCtx
-		if tc.Trace, err = d.String(); err != nil {
-			return f, fmt.Errorf("frame trace id: %w", ErrBadFrame)
-		}
-		if tc.Parent, err = d.Uint64(); err != nil {
-			return f, fmt.Errorf("frame trace parent: %w", ErrBadFrame)
-		}
-		if tc.SentNS, err = d.Varint(); err != nil {
-			return f, fmt.Errorf("frame trace sent: %w", ErrBadFrame)
-		}
-		f.Trace = &tc
+		f.Trace = new(TraceCtx)
+		f.Trace.Trace, errs[3] = d.String()
+		f.Trace.Parent, errs[4] = d.Uint64()
+		f.Trace.SentNS, errs[5] = d.Varint()
 	}
-	if err := d.Expect(); err != nil {
-		return f, fmt.Errorf("frame: %w", ErrBadFrame)
-	}
-	return f, nil
+	errs[6] = d.Expect()
+	return errors.Join(errs[:]...)
 }
 
-// maxFrameSize bounds a single frame, protecting receivers from
-// hostile length prefixes.
-const maxFrameSize = 8 << 20 // 8 MiB
+// peer is another member as this endpoint sees it: its address and the
+// two directional MAC keys, held as keyed HMAC states that Reset reuses.
+type peer struct {
+	addr    string
+	sendMu  sync.Mutex
+	sendMAC hash.Hash // guarded by sendMu
+	recvMu  sync.Mutex
+	recvMAC hash.Hash     // guarded by recvMu
+	recvSum [tagSize]byte // guarded by recvMu
+	lastCtr uint64        // guarded by recvMu
+}
+
+// seal fills wire's tag slot with the tag for this peer.
+func (p *peer) seal(wire []byte) {
+	body := wire[lenSize : len(wire)-tagSize]
+	p.sendMu.Lock()
+	defer p.sendMu.Unlock()
+	p.sendMAC.Reset()
+	p.sendMAC.Write(body)
+	p.sendMAC.Sum(body) // appends into the slot
+}
 
 // Endpoint is one node's TCP attachment: it listens on the node's
-// address, dials peers lazily, signs outgoing frames, and verifies
-// incoming frames against the deployment's keys.
+// address, dials peers lazily, tags outgoing frames under each
+// recipient's pairwise key, and authenticates incoming ones likewise.
 type Endpoint struct {
-	self identity.NodeID
-	key  crypto.PrivateKey
-	reg  *metrics.Registry
+	self  identity.NodeID
+	reg   *metrics.Registry
+	peers map[identity.NodeID]*peer // every other member; read-only after NewEndpoint
 
 	// Trace propagation (set once before traffic via
 	// EnableTracePropagation): tracer receives send/recv hop spans and
 	// traceID derives the trace ID from (kind, payload). Both nil by
-	// default — the wire format then stays v1 byte-identical.
+	// default — frames then carry no trace section.
 	tracer  *trace.Recorder
 	traceID func(kind string, payload []byte) string
 
-	// logger, when non-nil, receives structured diagnostics (auth
-	// failures, exhausted deliveries). Never wired into protocol
+	// logger, when non-nil, receives structured diagnostics (rejected
+	// frames, exhausted deliveries). Never wired into protocol
 	// decisions.
 	logger *slog.Logger
 
 	mu       sync.Mutex
-	peers    map[identity.NodeID]NodeSpec
-	pubs     map[identity.NodeID]crypto.PublicKey
 	conns    map[identity.NodeID]net.Conn
 	inbound  []net.Conn
-	lastCtr  map[identity.NodeID]uint64
 	counter  uint64
 	policy   RetryPolicy
 	closed   bool
@@ -190,7 +160,9 @@ type Endpoint struct {
 }
 
 // NewEndpoint creates and starts an endpoint for node id, listening on
-// the node's deployment address.
+// the node's deployment address. It derives the frame keys for every
+// other member here, once and with no message exchanged: static X25519
+// between the identity keys, then one HKDF output per direction.
 func NewEndpoint(d *Deployment, id identity.NodeID) (*Endpoint, error) {
 	spec, err := d.Node(string(id))
 	if err != nil {
@@ -201,22 +173,29 @@ func NewEndpoint(d *Deployment, id identity.NodeID) (*Endpoint, error) {
 		return nil, err
 	}
 	ep := &Endpoint{
-		self:    id,
-		key:     key,
-		reg:     metrics.NewRegistry(),
-		peers:   make(map[identity.NodeID]NodeSpec, len(d.Nodes)),
-		pubs:    make(map[identity.NodeID]crypto.PublicKey, len(d.Nodes)),
-		conns:   make(map[identity.NodeID]net.Conn),
-		lastCtr: make(map[identity.NodeID]uint64),
-		policy:  DefaultRetryPolicy(),
+		self:   id,
+		reg:    metrics.NewRegistry(),
+		peers:  make(map[identity.NodeID]*peer, len(d.Nodes)),
+		conns:  make(map[identity.NodeID]net.Conn),
+		policy: DefaultRetryPolicy(),
 	}
 	for _, n := range d.Nodes {
+		if n.ID == string(id) {
+			continue
+		}
 		pub, err := n.PublicKeyOf()
 		if err != nil {
 			return nil, err
 		}
-		ep.peers[identity.NodeID(n.ID)] = n
-		ep.pubs[identity.NodeID(n.ID)] = pub
+		secret, err := key.SharedSecret(pub)
+		if err != nil {
+			return nil, fmt.Errorf("node %q frame key: %w", n.ID, err)
+		}
+		ep.peers[identity.NodeID(n.ID)] = &peer{
+			addr:    n.Addr,
+			sendMAC: hmac.New(sha256.New, crypto.DeriveKey(secret, frameMACDomain, spec.ID, n.ID)),
+			recvMAC: hmac.New(sha256.New, crypto.DeriveKey(secret, frameMACDomain, n.ID, spec.ID)),
+		}
 	}
 	ln, err := net.Listen("tcp", spec.Addr)
 	if err != nil {
@@ -232,7 +211,8 @@ func NewEndpoint(d *Deployment, id identity.NodeID) (*Endpoint, error) {
 func (ep *Endpoint) ID() identity.NodeID { return ep.self }
 
 // Metrics exposes the endpoint's transport.* counters: frames_sent,
-// frames_received, dials, retries, send_failures, auth_failures.
+// frames_received, dials, retries, send_failures, inflight_dropped and
+// frames_rejected_total{reason}.
 func (ep *Endpoint) Metrics() *metrics.Registry { return ep.reg }
 
 // UseMetrics replaces the endpoint's registry with a shared one, so
@@ -261,27 +241,27 @@ func (ep *Endpoint) SetInflightLimit(n int) {
 }
 
 // deliver appends a frame to the inbox unless the sender is at the
-// inflight limit; it reports whether the frame was kept.
-func (ep *Endpoint) deliver(f Frame) bool {
+// inflight limit, in which case the frame is dropped and counted.
+func (ep *Endpoint) deliver(f Frame) {
 	ep.inboxMu.Lock()
 	defer ep.inboxMu.Unlock()
 	if ep.inflight > 0 && ep.inboxByPeer[f.From] >= ep.inflight {
-		return false
+		ep.reg.Counter("transport.inflight_dropped").Inc()
+		return
 	}
 	if ep.inboxByPeer == nil {
 		ep.inboxByPeer = make(map[identity.NodeID]int)
 	}
 	ep.inboxByPeer[f.From]++
 	ep.inbox = append(ep.inbox, f)
-	return true
 }
 
 // EnableTracePropagation turns on cross-process trace stitching: every
 // outgoing frame whose payload maps to a trace ID (per idOf) carries a
-// signed v2 trace context, and both sides of the hop emit send/recv
-// spans into rec with the per-hop wire latency. Call before any
-// traffic flows. With propagation off (the default) the wire format is
-// byte-identical to v1, so legacy peers interoperate unchanged.
+// trace context under the frame tag, and both sides of the hop emit
+// send/recv spans into rec with the per-hop wire latency. Call before
+// any traffic flows. With propagation off (the default) frames carry
+// no trace section.
 func (ep *Endpoint) EnableTracePropagation(rec *trace.Recorder, idOf func(kind string, payload []byte) string) {
 	ep.mu.Lock()
 	ep.tracer = rec
@@ -290,7 +270,7 @@ func (ep *Endpoint) EnableTracePropagation(rec *trace.Recorder, idOf func(kind s
 }
 
 // SetLogger attaches a structured logger for transport diagnostics
-// (auth failures, exhausted deliveries). Nil (the default) keeps the
+// (rejected frames, exhausted deliveries). Nil (the default) keeps the
 // endpoint silent.
 func (ep *Endpoint) SetLogger(l *slog.Logger) {
 	ep.mu.Lock()
@@ -333,38 +313,86 @@ func (ep *Endpoint) readLoop(conn net.Conn) {
 	defer ep.wg.Done()
 	defer func() { _ = conn.Close() }()
 	for {
-		var lenBuf [4]byte
+		var lenBuf [lenSize]byte
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
 		if n == 0 || n > maxFrameSize {
+			// The stream cannot be resynchronised past a bad length.
+			ep.reject(Frame{}, rejectDecode)
 			return
 		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(conn, buf); err != nil {
 			return
 		}
-		frame, err := decodeFrame(buf)
-		if err != nil {
-			ep.reg.Counter("transport.auth_failures").Inc()
-			ep.logWarn("frame rejected", slog.String("error", err.Error()))
-			continue
-		}
-		if err := ep.authenticate(frame); err != nil {
-			ep.reg.Counter("transport.auth_failures").Inc()
-			ep.logWarn("frame rejected",
-				slog.String("from", string(frame.From)),
-				slog.String("kind", frame.Kind),
-				slog.String("error", err.Error()))
+		frame, reason := ep.open(buf)
+		if reason != "" {
+			ep.reject(frame, reason)
 			continue
 		}
 		ep.reg.Counter("transport.frames_received").Inc()
 		ep.emitRecvSpan(frame)
-		if !ep.deliver(frame) {
-			ep.reg.Counter("transport.inflight_dropped").Inc()
-		}
+		ep.deliver(frame)
 	}
+}
+
+// Why a received frame is refused: transport.frames_rejected_total's labels.
+const (
+	rejectDecode      = "decode"       // malformed length, body or sender field
+	rejectSelf        = "self"         // claims to come from this node (reflection)
+	rejectUnknownPeer = "unknown_peer" // sender is not in the deployment
+	rejectBadTag      = "bad_tag"      // tag does not verify under the sender's key
+	rejectReplay      = "replay"       // counter not above the sender's last one
+)
+
+// reject counts and logs a refused frame; f is whatever open had read.
+func (ep *Endpoint) reject(f Frame, reason string) {
+	ep.reg.CounterVec("transport.frames_rejected_total", "reason").With(reason).Inc()
+	ep.logWarn("frame rejected",
+		slog.String("reason", reason),
+		slog.String("from", string(f.From)),
+		slog.String("kind", f.Kind))
+}
+
+// open authenticates one received frame (body, then tag) and decodes
+// it, or names the reason it is refused. The tag is verified over the
+// raw body before anything but the sender ID, which selects the key, is
+// parsed; the replay counter is read only from an authenticated body.
+func (ep *Endpoint) open(raw []byte) (f Frame, reason string) {
+	if len(raw) < tagSize {
+		return f, rejectDecode
+	}
+	body, tag := raw[:len(raw)-tagSize], raw[len(raw)-tagSize:]
+	d := codec.NewDecoder(body)
+	from, err := d.String()
+	if err != nil {
+		return f, rejectDecode
+	}
+	f.From = identity.NodeID(from)
+	if f.From == ep.self {
+		return f, rejectSelf
+	}
+	p, ok := ep.peers[f.From]
+	if !ok {
+		return f, rejectUnknownPeer
+	}
+	p.recvMu.Lock()
+	defer p.recvMu.Unlock()
+	p.recvMAC.Reset()
+	p.recvMAC.Write(body)
+	if !hmac.Equal(p.recvMAC.Sum(p.recvSum[:0]), tag) {
+		return f, rejectBadTag
+	}
+	if err := decodeFrame(d, &f); err != nil {
+		return f, rejectDecode
+	}
+	if f.Counter <= p.lastCtr {
+		return f, rejectReplay
+	}
+	p.lastCtr = f.Counter
+	return f, ""
 }
 
 // logWarn emits a structured warning when a logger is attached.
@@ -407,83 +435,80 @@ func (ep *Endpoint) emitRecvSpan(f Frame) {
 	})
 }
 
-// authenticate verifies the frame signature and replay counter.
-func (ep *Endpoint) authenticate(f Frame) error {
-	pub, ok := ep.pubs[f.From]
-	if !ok {
-		return fmt.Errorf("frame from %q: %w", f.From, ErrUnknownPeer)
-	}
-	msg := frameSigningBytes(f.From, f.Kind, f.Payload, f.Counter, f.Trace)
-	if err := pub.Verify(msg, f.Sig); err != nil {
-		return fmt.Errorf("frame from %q: %w", f.From, ErrBadFrame)
-	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if f.Counter <= ep.lastCtr[f.From] {
-		return fmt.Errorf("replayed frame %d from %q: %w", f.Counter, f.From, ErrBadFrame)
-	}
-	ep.lastCtr[f.From] = f.Counter
-	return nil
-}
-
-// Send delivers one signed frame to a peer, dialing lazily with a
-// bounded timeout, writing under a deadline, and retrying with capped
-// exponential backoff per the endpoint's RetryPolicy. A flapping peer
-// costs the sender bounded time per frame; a dead one fails the frame
-// after MaxAttempts without wedging the caller.
+// Multicast sends one frame to each recipient, best-effort: every
+// recipient gets its attempts even when an earlier one fails, and the
+// per-recipient errors come back joined, so one dead peer never blocks
+// delivery to the rest. The body is encoded once, under one counter;
+// only the tag differs per recipient. This node's own ID in to is
+// delivered locally.
 //
 // Concurrency: the endpoint's bookkeeping is mutex-guarded, but
-// concurrent Sends to the *same* peer may interleave partial TCP
+// concurrent sends to the *same* peer may interleave partial TCP
 // writes. The node runtimes are single-threaded per node (one
 // goroutine owns each endpoint), which is the supported usage.
-func (ep *Endpoint) Send(to identity.NodeID, kind string, payload []byte) error {
+func (ep *Endpoint) Multicast(to []identity.NodeID, kind string, payload []byte) error {
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
 		return ErrClosed
 	}
-	spec, ok := ep.peers[to]
-	if !ok {
-		ep.mu.Unlock()
-		return fmt.Errorf("send to %q: %w", to, ErrUnknownPeer)
-	}
 	ep.counter++
 	frame := Frame{From: ep.self, Kind: kind, Payload: payload, Counter: ep.counter}
-	rec, idOf := ep.tracer, ep.traceID
-	pol := ep.policy
+	rec, idOf, pol := ep.tracer, ep.traceID, ep.policy
 	ep.mu.Unlock()
 
 	// With propagation enabled and a per-transaction payload, stamp the
-	// signed v2 trace context and record the send half of the hop.
+	// trace context and record the send half of the hop.
 	if rec != nil && idOf != nil {
 		if id := idOf(kind, payload); id != "" {
 			parent := rec.Emit(trace.Span{
 				Trace: id,
 				Stage: trace.StageSend,
 				Node:  string(ep.self),
-				Attrs: []trace.Attr{
-					{Key: "to", Value: string(to)},
-					{Key: "kind", Value: kind},
-				},
+				Attrs: []trace.Attr{{Key: "to", Value: fmt.Sprint(to)}, {Key: "kind", Value: kind}},
 			})
-			//repchain:dettaint-ok SentNS is the signed v2 trace context (DESIGN §4h): hop-local send metadata the sender alone signs; the verifier checks the received bytes, so replicas never need to agree on the value
+			//repchain:dettaint-ok SentNS is the tagged trace context (DESIGN §4h): hop-local send metadata only the sender writes; the receiver checks the received bytes, so replicas never need to agree on the value
 			frame.Trace = &TraceCtx{Trace: id, Parent: parent, SentNS: time.Now().UnixNano()}
 		}
 	}
-	frame.Sig = ep.key.Sign(frameSigningBytes(frame.From, frame.Kind, frame.Payload, frame.Counter, frame.Trace))
+	e := encodeWire(frame)
+	defer e.Release()
 
-	enc := encodeFrame(frame)
-	msg := make([]byte, 4+len(enc))
-	binary.BigEndian.PutUint32(msg, uint32(len(enc)))
-	copy(msg[4:], enc)
+	var errs []error
+	for _, dst := range to {
+		if dst == ep.self {
+			ep.deliver(Frame{From: ep.self, Kind: kind, Payload: payload, Counter: frame.Counter})
+			continue
+		}
+		if err := ep.sendTo(dst, kind, e.Bytes(), pol); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
 
+// Send delivers one frame to one peer: a Multicast of one.
+func (ep *Endpoint) Send(to identity.NodeID, kind string, payload []byte) error {
+	return ep.Multicast([]identity.NodeID{to}, kind, payload)
+}
+
+// sendTo seals wire for one peer and delivers it under pol: lazy dial
+// with a timeout, write under a deadline, capped exponential backoff.
+// A flapping peer costs bounded time per frame; a dead one fails the
+// frame after MaxAttempts without wedging the caller.
+func (ep *Endpoint) sendTo(to identity.NodeID, kind string, wire []byte, pol RetryPolicy) error {
+	p, ok := ep.peers[to]
+	if !ok {
+		return fmt.Errorf("send to %q: %w", to, ErrUnknownPeer)
+	}
+	p.seal(wire)
 	var lastErr error
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			ep.reg.Counter("transport.retries").Inc()
 			time.Sleep(pol.Backoff(attempt - 1))
 		}
-		if err := ep.sendOnce(to, spec, msg, pol); err != nil {
+		if err := ep.sendOnce(to, p.addr, wire, pol); err != nil {
 			if errors.Is(err, ErrClosed) {
 				return err
 			}
@@ -506,7 +531,7 @@ func (ep *Endpoint) Send(to identity.NodeID, kind string, payload []byte) error 
 // connection if any, else dial fresh. Either path writes under
 // WriteTimeout; a failed cached connection is discarded so the next
 // attempt redials.
-func (ep *Endpoint) sendOnce(to identity.NodeID, spec NodeSpec, msg []byte, pol RetryPolicy) error {
+func (ep *Endpoint) sendOnce(to identity.NodeID, addr string, msg []byte, pol RetryPolicy) error {
 	write := func(c net.Conn) error {
 		if err := c.SetWriteDeadline(time.Now().Add(pol.WriteTimeout)); err != nil {
 			return err
@@ -532,7 +557,7 @@ func (ep *Endpoint) sendOnce(to identity.NodeID, spec NodeSpec, msg []byte, pol 
 		_ = conn.Close()
 	}
 	ep.reg.Counter("transport.dials").Inc()
-	fresh, err := net.DialTimeout("tcp", spec.Addr, pol.DialTimeout)
+	fresh, err := net.DialTimeout("tcp", addr, pol.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("dial %q: %w", to, err)
 	}
@@ -552,31 +577,6 @@ func (ep *Endpoint) sendOnce(to identity.NodeID, spec NodeSpec, msg []byte, pol 
 	ep.conns[to] = fresh
 	ep.mu.Unlock()
 	return nil
-}
-
-// Multicast sends one frame to each recipient, best-effort: every
-// recipient gets its attempts even when an earlier one fails, and the
-// per-recipient errors come back joined. One dead peer therefore
-// never blocks delivery to the rest of the alliance.
-func (ep *Endpoint) Multicast(to []identity.NodeID, kind string, payload []byte) error {
-	var errs []error
-	for _, dst := range to {
-		if dst == ep.self {
-			// Local delivery without the network.
-			ep.mu.Lock()
-			ep.counter++
-			frame := Frame{From: ep.self, Kind: kind, Payload: payload, Counter: ep.counter}
-			ep.mu.Unlock()
-			if !ep.deliver(frame) {
-				ep.reg.Counter("transport.inflight_dropped").Inc()
-			}
-			continue
-		}
-		if err := ep.Send(dst, kind, payload); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // Receive drains the inbox.

@@ -78,7 +78,7 @@ type frameSender struct {
 var _ node.Sender = frameSender{}
 
 // Multicast implements node.Sender; the from argument is implied by
-// the endpoint's identity (frames are signed with its key).
+// the endpoint's identity (frames are tagged under its pairwise keys).
 func (s frameSender) Multicast(_ identity.NodeID, to []identity.NodeID, kind string, payload []byte) error {
 	err := s.ep.Multicast(to, kind, payload)
 	if err == nil {
@@ -150,8 +150,8 @@ type RuntimeConfig struct {
 	Tracer *trace.Recorder
 	// PropagateTrace stamps per-transaction trace context (trace ID,
 	// parent span, send timestamp) onto outgoing frames and emits
-	// send/recv spans, so traces stitch across processes. Off keeps the
-	// v1 wire format byte-identical.
+	// send/recv spans, so traces stitch across processes. Off, frames
+	// carry no trace section.
 	PropagateTrace bool
 	// Events, when non-nil, receives the structured consensus event
 	// stream from this node (governors emit screening, block, and

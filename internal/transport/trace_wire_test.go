@@ -2,91 +2,84 @@ package transport
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 
 	"repchain/internal/codec"
-	"repchain/internal/crypto"
 	"repchain/internal/trace"
 )
 
-// TestFrameV1BytesUnchanged pins the wire-compat promise: a frame
-// without a trace context encodes to exactly the pre-v2 byte layout,
-// so a deployment with propagation off is indistinguishable from a
-// legacy one.
-func TestFrameV1BytesUnchanged(t *testing.T) {
-	f := Frame{From: "governor/0", Kind: "k", Payload: []byte("data"), Counter: 7, Sig: []byte("sig")}
-	e := codec.NewEncoder(64)
-	e.PutString(string(f.From))
-	e.PutString(f.Kind)
-	e.PutBytes(f.Payload)
-	e.PutUint64(f.Counter)
-	e.PutBytes(f.Sig)
-	if !bytes.Equal(encodeFrame(f), e.Bytes()) {
-		t.Fatal("nil-trace frame encoding diverged from the v1 layout")
-	}
-	got, err := decodeFrame(encodeFrame(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace != nil {
-		t.Fatal("v1 frame decoded with a trace context")
+// TestFrameWireLayout pins the envelope: a big-endian length, the body
+// fields in order with the trace section only when there is one, then
+// HMAC-SHA256 over exactly the body under the sender→recipient key.
+func TestFrameWireLayout(t *testing.T) {
+	d := testDeployment(t, 2, 2, 1, 2)
+	a := endpoints(t, d, "governor/0")[0]
+	key := frameKey(t, d, "governor/0", "governor/1")
+	for name, f := range authFrames {
+		body := codec.NewEncoder(64)
+		body.PutString(string(f.From))
+		body.PutString(f.Kind)
+		body.PutBytes(f.Payload)
+		body.PutUint64(f.Counter)
+		if f.Trace != nil {
+			body.PutString(f.Trace.Trace)
+			body.PutUint64(f.Trace.Parent)
+			body.PutVarint(f.Trace.SentNS)
+		}
+		want := binary.BigEndian.AppendUint32(nil, uint32(body.Len()+sha256.Size))
+		want = append(want, body.Bytes()...)
+		want = append(want, tagOf(hmac.New(sha256.New, key), body.Bytes())...)
+
+		e := encodeWire(f)
+		a.peers["governor/1"].seal(e.Bytes())
+		if got := e.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("%s frame on the wire:\n got %x\nwant %x", name, got, want)
+		}
+		e.Release()
 	}
 }
 
-func TestFrameV2RoundTrip(t *testing.T) {
-	seed := make([]byte, crypto.SeedSize)
-	pub, priv, err := crypto.KeyFromSeed(seed)
-	if err != nil {
-		t.Fatal(err)
+// TestTraceContextTamperEvident: the trace context rides under the
+// tag, so a middlebox can neither strip it, inject one, nor edit it.
+// Each attempt keeps the original tag, the best a party without the
+// key can do.
+func TestTraceContextTamperEvident(t *testing.T) {
+	d := testDeployment(t, 2, 2, 1, 2)
+	eps := endpoints(t, d, "governor/0", "governor/1")
+	a, b := eps[0], eps[1]
+	plain, traced := authFrames["plain"], authFrames["traced"]
+	rawPlain := sealed(t, a, "governor/1", plain)
+	rawTraced := sealed(t, a, "governor/1", traced)
+	retag := func(f Frame, tagFrom []byte) []byte {
+		e := encodeWire(f)
+		defer e.Release()
+		return append(bytes.Clone(e.Bytes()[lenSize:e.Len()-tagSize]), tagFrom[len(tagFrom)-tagSize:]...)
 	}
-	tc := &TraceCtx{Trace: "deadbeefdeadbeef", Parent: 42, SentNS: 123456789}
-	f := Frame{From: "governor/0", Kind: "k", Payload: []byte("data"), Counter: 7, Trace: tc}
-	f.Sig = priv.Sign(frameSigningBytes(f.From, f.Kind, f.Payload, f.Counter, f.Trace))
-	got, err := decodeFrame(encodeFrame(f))
-	if err != nil {
-		t.Fatal(err)
+	edited := traced
+	edited.Trace = &TraceCtx{Trace: traced.Trace.Trace, Parent: traced.Trace.Parent, SentNS: traced.Trace.SentNS + 1}
+	for name, raw := range map[string][]byte{
+		"stripped": retag(plain, rawTraced),
+		"injected": retag(traced, rawPlain),
+		"edited":   retag(edited, rawTraced),
+	} {
+		if _, reason := b.open(raw); reason != rejectBadTag {
+			t.Fatalf("%s trace context: reason %q, want %q", name, reason, rejectBadTag)
+		}
 	}
-	if got.Trace == nil || *got.Trace != *tc {
-		t.Fatalf("trace context = %+v, want %+v", got.Trace, tc)
-	}
-	msg := frameSigningBytes(got.From, got.Kind, got.Payload, got.Counter, got.Trace)
-	if err := pub.Verify(msg, got.Sig); err != nil {
-		t.Fatalf("v2 signature broken by round trip: %v", err)
-	}
-}
-
-// TestSigningDomainSeparation checks the anti-stripping argument: a
-// middlebox that removes (or injects) a trace context cannot keep the
-// signature valid, because the domain string is chosen by presence.
-func TestSigningDomainSeparation(t *testing.T) {
-	seed := make([]byte, crypto.SeedSize)
-	pub, priv, err := crypto.KeyFromSeed(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := &TraceCtx{Trace: "deadbeefdeadbeef", Parent: 1, SentNS: 99}
-	f := Frame{From: "governor/0", Kind: "k", Payload: []byte("data"), Counter: 7, Trace: tc}
-	f.Sig = priv.Sign(frameSigningBytes(f.From, f.Kind, f.Payload, f.Counter, f.Trace))
-
-	// Stripping the context invalidates the v2 signature.
-	stripped := frameSigningBytes(f.From, f.Kind, f.Payload, f.Counter, nil)
-	if err := pub.Verify(stripped, f.Sig); err == nil {
-		t.Fatal("signature survived trace-context stripping")
-	}
-
-	// A v1 signature cannot be upgraded to v2 with attacker-chosen context.
-	v1sig := priv.Sign(frameSigningBytes(f.From, f.Kind, f.Payload, f.Counter, nil))
-	v2msg := frameSigningBytes(f.From, f.Kind, f.Payload, f.Counter, tc)
-	if err := pub.Verify(v2msg, v1sig); err == nil {
-		t.Fatal("v1 signature verified under the v2 domain")
+	got, reason := b.open(rawTraced)
+	if reason != "" || got.Trace == nil || *got.Trace != *traced.Trace {
+		t.Fatalf("untouched traced frame: reason %q, context %+v", reason, got.Trace)
 	}
 }
 
 // TestEndpointTracePropagation sends a traced frame across a real TCP
-// hop and checks both halves: the sender's v2 context arrives intact,
-// the receiver records a recv span carrying the sender's parent seq
-// and a measured hop latency, and a payload with no trace ID stays on
-// the v1 wire format.
+// hop and checks both halves: the sender's context arrives intact, the
+// receiver records a recv span carrying the sender's parent seq and a
+// measured hop latency, and a payload with no trace ID carries no
+// trace section.
 func TestEndpointTracePropagation(t *testing.T) {
 	d := testDeployment(t, 2, 2, 1, 2)
 	a, err := NewEndpoint(d, "governor/0")
@@ -159,10 +152,9 @@ func TestEndpointTracePropagation(t *testing.T) {
 	}
 }
 
-// TestEndpointPropagationOffStaysV1 sends with propagation disabled on
-// both sides: frames arrive without a context and no spans are
-// recorded, matching a legacy deployment exactly.
-func TestEndpointPropagationOffStaysV1(t *testing.T) {
+// TestEndpointPropagationOff sends with propagation disabled on the
+// sender: frames arrive without a context and no spans are recorded.
+func TestEndpointPropagationOff(t *testing.T) {
 	d := testDeployment(t, 2, 2, 1, 2)
 	a, err := NewEndpoint(d, "governor/0")
 	if err != nil {
@@ -182,9 +174,9 @@ func TestEndpointPropagationOffStaysV1(t *testing.T) {
 	}
 	frames := waitFrames(t, b, 1)
 	if frames[0].Trace != nil {
-		t.Fatal("propagation-off sender produced a v2 frame")
+		t.Fatal("propagation-off sender produced a traced frame")
 	}
 	if got := recB.Len(); got != 0 {
-		t.Fatalf("receiver recorded %d spans for a v1 frame", got)
+		t.Fatalf("receiver recorded %d spans for an untraced frame", got)
 	}
 }
