@@ -124,12 +124,13 @@ crash-consistency:
 	$(GO) test -count=1 ./internal/transport -run 'Persistence'
 
 # Short coverage-guided fuzz pass over the untrusted decoders: ledger
-# segments and snapshots, and the transport's frame receive path.
+# segments and snapshots, the transport's frame receive path, and the
+# collector upload batch.
 # `go test -fuzz` accepts one target per invocation, hence the loop.
 # FUZZTIME=30s in CI; keep it short locally.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzFrameReceive; do \
+	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzFrameReceive tx/FuzzUploadBatchDecode; do \
 		$(GO) test ./internal/$${target%/*} -run '^$$' -fuzz "^$${target#*/}$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 

@@ -254,7 +254,8 @@ type RoundResult struct {
 	Leader int
 	// Block is the committed block.
 	Block ledger.Block
-	// Uploads counts collector uploads this round.
+	// Uploads counts the labeled transactions collectors uploaded this
+	// round (items, not batches).
 	Uploads int
 	// Argues counts provider argues issued after block publication.
 	Argues int
@@ -880,7 +881,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 			return nil
 		}
 		buf := &sendBuffer{}
-		n, err := e.collectors[i].ProcessRound(buf)
+		n, err := e.collectors[i].ProcessBatch(e.collectors[i].Endpoint().Receive(), buf)
 		uploadsBy[i], outBy[i] = n, buf
 		return err
 	})

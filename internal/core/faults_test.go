@@ -10,19 +10,17 @@ import (
 	"repchain/internal/tx"
 )
 
-// signLabelForTest produces a labeled-envelope encoding with the given
-// validity label, signed by the collector — used to inject
-// equivocation.
-func signLabelForTest(signed tx.SignedTx, valid bool, coll identity.Member) ([]byte, error) {
-	label := tx.LabelInvalid
-	if valid {
-		label = tx.LabelValid
-	}
-	lt, err := tx.SignLabel(signed, label, coll.ID, coll.PrivateKey)
+// equivocationForTest produces the encoding of one upload batch in
+// which the collector signs both labels for the same transaction.
+func equivocationForTest(signed tx.SignedTx, coll identity.Member) ([]byte, error) {
+	batch, err := tx.SignUploadBatch(coll.ID, []tx.UploadItem{
+		{Signed: signed, Label: tx.LabelValid},
+		{Signed: signed, Label: tx.LabelInvalid},
+	}, coll.PrivateKey)
 	if err != nil {
 		return nil, err
 	}
-	return lt.EncodeBytes(), nil
+	return batch.EncodeBytes(), nil
 }
 
 // TestIrregularTopology runs the engine over an explicit non-regular
@@ -73,7 +71,7 @@ func TestLossyUploadsToOneGovernor(t *testing.T) {
 	drop := 0
 	victim := e.Roster().Governors[2].ID
 	e.Bus().SetDropFunc(func(m network.Message, to identity.NodeID) bool {
-		if m.Kind == network.KindCollectorTx && to == victim {
+		if m.Kind == network.KindCollectorBatch && to == victim {
 			drop++
 			return drop%3 == 0
 		}
@@ -281,18 +279,11 @@ func TestEquivocatingCollectorPenalizedOnChain(t *testing.T) {
 	if !e.IdentityManager().Linked(e.Roster().Providers[0].ID, collMem.ID) {
 		t.Skip("collector 0 not linked with provider 0 in this topology")
 	}
-	lt1, err := signLabelForTest(signed, true, collMem)
+	batch, err := equivocationForTest(signed, collMem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt2, err := signLabelForTest(signed, false, collMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Bus().Multicast(collMem.ID, govIDs, network.KindCollectorTx, lt1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Bus().Multicast(collMem.ID, govIDs, network.KindCollectorTx, lt2); err != nil {
+	if err := e.Bus().Multicast(collMem.ID, govIDs, network.KindCollectorBatch, batch); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.RunRound(); err != nil {

@@ -45,7 +45,7 @@ func faultyTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 		return int(faultHash(m, to, 0x1111) % 3) // 0..Δ with Δ=2
 	})
 	e.Bus().SetDropFunc(func(m network.Message, to identity.NodeID) bool {
-		return m.Kind == network.KindCollectorTx && faultHash(m, to, 0x2222)%20 == 0
+		return m.Kind == network.KindCollectorBatch && faultHash(m, to, 0x2222)%20 == 0
 	})
 	var tr roundTrace
 	for r := 0; r < rounds; r++ {
@@ -103,7 +103,7 @@ func TestDropFuncDegradesUploads(t *testing.T) {
 	e := newTestEngine(t, cfg)
 	gov0 := identity.NodeID("governor/0")
 	e.Bus().SetDropFunc(func(m network.Message, to identity.NodeID) bool {
-		return m.Kind == network.KindCollectorTx && to == gov0
+		return m.Kind == network.KindCollectorBatch && to == gov0
 	})
 	submitRound(t, e, 8, 0, 0)
 	res, err := e.RunRound()

@@ -228,6 +228,13 @@ func TestE7ComplexityShape(t *testing.T) {
 			t.Fatalf("column %q not flat: min %v max %v", col, lo, hi)
 		}
 	}
+	// One upload batch per collector per governor per round, at any m
+	// and for all 24 transactions of the round.
+	for i := range tbl.Rows {
+		if v := cellF(t, tbl, i, "upload msgs/(n·m)"); v != 1 {
+			t.Fatalf("row %d: %v upload messages per collector per governor per round, want 1", i, v)
+		}
+	}
 	checkFlat("bytes/(b_limit·m)", 4)
 	checkFlat("stake msgs/m²", 6)
 }

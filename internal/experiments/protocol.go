@@ -125,9 +125,9 @@ func E7MessageComplexity(seed int64, scale int) (Table, error) {
 	t := Table{
 		ID:     "E7",
 		Title:  "Communication complexity — O(b_limit·m) ordinary, O(m²) stake blocks",
-		Header: []string{"m", "block msgs/round", "block bytes/round", "bytes/(b_limit·m)", "stake msgs/round", "stake msgs/m²"},
+		Header: []string{"m", "upload msgs/(n·m)", "block msgs/round", "block bytes/round", "bytes/(b_limit·m)", "stake msgs/round", "stake msgs/m²"},
 		Notes: []string{
-			fmt.Sprintf("%d rounds × %d tx, one stake transfer per round; block messages = block dissemination to governors+providers; stake messages = VRF+NEW_STATE+signature+stake-block traffic among governors", rounds, txPerRound),
+			fmt.Sprintf("%d rounds × %d tx, one stake transfer per round; upload messages = collector.batch multicasts, one per collector per governor per round whatever the round's transaction count; block messages = block dissemination to governors+providers; stake messages = VRF+NEW_STATE+signature+stake-block traffic among governors", rounds, txPerRound),
 			"expected shape: bytes/(b_limit·m) roughly constant in m (linear scaling); stake msgs/m² roughly constant (quadratic scaling)",
 		},
 	}
@@ -162,6 +162,7 @@ func E7MessageComplexity(seed int64, scale int) (Table, error) {
 			}
 		}
 		st := e.Bus().Stats()
+		uploadMsgs := st.SentByKind[network.KindCollectorBatch]
 		blockMsgs := st.SentByKind[network.KindBlock]
 		blockBytes := st.BytesByKind[network.KindBlock]
 		stakeMsgs := st.SentByKind[network.KindVRF] +
@@ -174,6 +175,7 @@ func E7MessageComplexity(seed int64, scale int) (Table, error) {
 		perRoundStake := float64(stakeMsgs) / float64(rounds)
 		t.Rows = append(t.Rows, []string{
 			d(m),
+			f3(float64(uploadMsgs) / float64(rounds*cfg.Spec.Collectors*m)),
 			f1(perRoundBlockMsgs),
 			f1(perRoundBlockBytes),
 			f3(perRoundBlockBytes / float64(txPerRound*m)),

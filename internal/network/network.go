@@ -40,8 +40,9 @@ import (
 const (
 	// KindProviderTx carries a provider's SignedTx to collectors.
 	KindProviderTx = "provider.tx"
-	// KindCollectorTx carries a collector's LabeledTx to governors.
-	KindCollectorTx = "collector.tx"
+	// KindCollectorBatch carries a collector's UploadBatch — one
+	// drain's labeled transactions under one signature — to governors.
+	KindCollectorBatch = "collector.batch"
 	// KindArgue carries a provider's argue(tx, s) to governors.
 	KindArgue = "provider.argue"
 	// KindVRF carries a governor's leader-election VRF evaluations.

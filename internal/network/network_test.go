@@ -86,7 +86,7 @@ func TestTotalOrderBroadcast(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		from := id(i % 2) // two interleaved senders (0 and 1)
 		payload := []byte{byte(i)}
-		if err := b.Multicast(from, recipients, KindCollectorTx, payload); err != nil {
+		if err := b.Multicast(from, recipients, KindCollectorBatch, payload); err != nil {
 			t.Fatal(err)
 		}
 	}

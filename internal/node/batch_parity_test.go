@@ -6,153 +6,315 @@ import (
 
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
+	"repchain/internal/metrics"
 	"repchain/internal/network"
 	"repchain/internal/tx"
 )
 
-// adversarialInbox builds a mixed message batch against the fixture's
-// roster: honest uploads, a forged collector signature, a sender
-// mismatch, an equivocation pair, an idempotent duplicate, a valid and
-// a malformed argue, and one message of a foreign kind.
-func adversarialInbox(t *testing.T, fx *fixture) []network.Message {
-	t.Helper()
+// parityTx signs a transaction from the fixture's provider 0.
+func parityTx(fx *fixture, seq uint64, valid bool) tx.SignedTx {
 	prov := fx.roster.Providers[0]
-	coll0 := fx.roster.Collectors[0]
-	coll1 := fx.roster.Collectors[1]
-
-	mkTx := func(seq uint64, valid bool) tx.SignedTx {
-		payload := []byte{0, byte(seq)}
-		if valid {
-			payload[0] = 1
-		}
-		return tx.Sign(tx.Transaction{
-			Provider: prov.ID, Seq: seq, Timestamp: int64(seq), Kind: "parity", Payload: payload,
-		}, prov.PrivateKey)
+	payload := []byte{0, byte(seq)}
+	if valid {
+		payload[0] = 1
 	}
-	upload := func(signed tx.SignedTx, label tx.Label, coll identity.Member, from identity.NodeID) network.Message {
-		labeled, err := tx.SignLabel(signed, label, coll.ID, coll.PrivateKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return network.Message{From: from, Kind: network.KindCollectorTx, Payload: labeled.EncodeBytes()}
+	return tx.Sign(tx.Transaction{
+		Provider: prov.ID, Seq: seq, Timestamp: int64(seq), Kind: "parity", Payload: payload,
+	}, prov.PrivateKey)
+}
+
+// adversarialUploads lists, per collector, the items of an adversarial
+// round: honest reports, an inner forgery (provider signature by the
+// wrong key), an equivocation pair and an idempotent duplicate.
+func adversarialUploads(fx *fixture) [][]tx.UploadItem {
+	prov := fx.roster.Providers[0]
+	tx1, tx2, tx3 := parityTx(fx, 1, true), parityTx(fx, 2, false), parityTx(fx, 3, true)
+	forged := tx.Sign(tx.Transaction{Provider: prov.ID, Seq: 9, Kind: "forged", Payload: []byte{1}},
+		fx.roster.Collectors[0].PrivateKey)
+	return [][]tx.UploadItem{
+		{
+			{Signed: tx1, Label: tx.LabelValid},
+			{Signed: forged, Label: tx.LabelValid}, // inner forgery
+			{Signed: tx2, Label: tx.LabelInvalid},
+			{Signed: tx2, Label: tx.LabelValid},   // equivocation: flipped label
+			{Signed: tx2, Label: tx.LabelInvalid}, // idempotent duplicate
+		},
+		{
+			{Signed: tx1, Label: tx.LabelValid}, // second reporter
+			{Signed: tx3, Label: tx.LabelValid},
+		},
 	}
+}
 
-	tx1, tx2, tx3 := mkTx(1, true), mkTx(2, false), mkTx(3, true)
-
-	forged := upload(tx1, tx.LabelValid, coll0, coll0.ID)
-	forged.Payload = append([]byte(nil), forged.Payload...)
-	forged.Payload[len(forged.Payload)-3] ^= 0x20 // corrupt the collector signature
-
-	return []network.Message{
-		upload(tx1, tx.LabelValid, coll0, coll0.ID), // honest
-		upload(tx1, tx.LabelValid, coll1, coll1.ID), // honest, second reporter
-		forged, // bad collector signature
-		upload(tx2, tx.LabelInvalid, coll0, coll1.ID), // sender != signer
-		upload(tx2, tx.LabelInvalid, coll0, coll0.ID), // honest
-		upload(tx2, tx.LabelValid, coll0, coll0.ID),   // equivocation: same collector, flipped label
-		upload(tx2, tx.LabelInvalid, coll0, coll0.ID), // idempotent duplicate
-		upload(tx3, tx.LabelValid, coll1, coll1.ID),   // honest
+// TestOneBatchMatchesBatchesOfOne feeds the same adversarial item
+// sequence to two identically-seeded governors — once as one batch per
+// collector, once as one batch per item — followed by a valid argue, a
+// malformed one and a foreign message. Stats, reputation tables, queued
+// argues, pass-through messages and the packed block must agree: the
+// governor's state depends on the item sequence, not on how it was cut
+// into batches (the attribution-parity gate of DESIGN.md §4f).
+func TestOneBatchMatchesBatchesOfOne(t *testing.T) {
+	wholeFx := newFixture(t, nil)
+	splitFx := newFixture(t, nil)
+	prov := wholeFx.roster.Providers[0]
+	var whole, split []network.Message
+	for c, items := range adversarialUploads(wholeFx) {
+		coll := wholeFx.roster.Collectors[c]
+		whole = append(whole, uploadMsg(t, coll, coll.ID, items...))
+		for _, it := range items {
+			split = append(split, uploadMsg(t, coll, coll.ID, it))
+		}
+	}
+	others := []network.Message{
 		{From: prov.ID, Kind: network.KindArgue,
-			Payload: NewArgue(tx3, 1, prov.PrivateKey).EncodeBytes()}, // valid argue
+			Payload: NewArgue(parityTx(wholeFx, 3, true), 1, prov.PrivateKey).EncodeBytes()}, // valid argue
 		{From: prov.ID, Kind: network.KindArgue, Payload: []byte{0xFF}}, // malformed argue
 		{From: prov.ID, Kind: network.KindBlock, Payload: []byte{1}},    // not ours: must pass through
 	}
-}
-
-// TestHandleBatchMatchesSequential feeds the same adversarial inbox to
-// two identically-seeded governors — one message at a time versus one
-// HandleBatch call — and requires identical stats, identical
-// reputation tables, identical queued argues, and the same pass-through
-// messages. This is the batch-verification attribution-parity gate of
-// DESIGN.md §4f.
-func TestHandleBatchMatchesSequential(t *testing.T) {
-	seqFx := newFixture(t, nil)
-	batchFx := newFixture(t, nil)
-	msgs := adversarialInbox(t, seqFx)
-
-	var seqRest []network.Message
-	for _, m := range msgs {
-		consumed, err := seqFx.governor.HandleMessage(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !consumed {
-			seqRest = append(seqRest, m)
-		}
+	wholeRest, err := wholeFx.governor.HandleBatch(append(whole, others...))
+	if err != nil {
+		t.Fatal(err)
 	}
-	batchRest, err := batchFx.governor.HandleBatch(msgs)
+	splitRest, err := splitFx.governor.HandleBatch(append(split, others...))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if seqStats, batchStats := seqFx.governor.Stats(), batchFx.governor.Stats(); seqStats != batchStats {
-		t.Fatalf("stats diverge:\nsequential %+v\nbatch      %+v", seqStats, batchStats)
+	st := wholeFx.governor.Stats()
+	if st != splitFx.governor.Stats() {
+		t.Fatalf("stats diverge:\nwhole %+v\nsplit %+v", st, splitFx.governor.Stats())
 	}
-	if !bytes.Equal(seqFx.governor.Table().Snapshot(), batchFx.governor.Table().Snapshot()) {
+	// The inner forgery and the equivocation, both collector 0's.
+	if st.ForgeriesDetected != 2 || st.ReportsReceived != 4 || st.ArguesRejected != 1 {
+		t.Fatalf("stats %+v, want 2 forgeries, 4 reports, 1 rejected argue", st)
+	}
+	if !bytes.Equal(wholeFx.governor.Table().Snapshot(), splitFx.governor.Table().Snapshot()) {
 		t.Fatal("reputation tables diverge")
 	}
-	if len(seqFx.governor.argues) != len(batchFx.governor.argues) {
-		t.Fatalf("queued argues: sequential %d, batch %d",
-			len(seqFx.governor.argues), len(batchFx.governor.argues))
+	if len(wholeFx.governor.argues) != 1 || len(splitFx.governor.argues) != 1 {
+		t.Fatalf("queued argues: whole %d, split %d, want 1",
+			len(wholeFx.governor.argues), len(splitFx.governor.argues))
 	}
-	if len(seqRest) != len(batchRest) {
-		t.Fatalf("pass-through: sequential %d, batch %d", len(seqRest), len(batchRest))
-	}
-	for i := range seqRest {
-		if seqRest[i].Kind != batchRest[i].Kind || !bytes.Equal(seqRest[i].Payload, batchRest[i].Payload) {
-			t.Fatalf("pass-through %d differs", i)
-		}
+	if len(wholeRest) != 1 || len(splitRest) != 1 || wholeRest[0].Kind != network.KindBlock || splitRest[0].Kind != network.KindBlock {
+		t.Fatalf("pass-through: whole %v, split %v, want the block message", wholeRest, splitRest)
 	}
 
 	// Screening the admitted groups must also agree byte for byte.
-	seqRecs, err := seqFx.governor.ScreenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchRecs, err := batchFx.governor.ScreenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqRecs) != len(batchRecs) {
-		t.Fatalf("records: sequential %d, batch %d", len(seqRecs), len(batchRecs))
-	}
-	seqBlock, err := seqFx.governor.BuildBlock(seqRecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchBlock, err := batchFx.governor.BuildBlock(batchRecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqBlock.Hash() != batchBlock.Hash() {
-		t.Fatal("blocks diverge between sequential and batched ingestion")
-	}
-	if seqBlock.TxRoot != batchBlock.TxRoot {
-		t.Fatal("tx roots diverge")
+	if a, b := screenAndPack(t, wholeFx), screenAndPack(t, splitFx); !bytes.Equal(a, b) {
+		t.Fatal("blocks diverge between one batch and batches of one")
 	}
 }
 
-// TestHandleBatchForgeryAttribution plants one forged upload among many
-// honest ones and checks the penalty lands on exactly the forging
-// collector, exactly once — same attribution as the per-message path.
-func TestHandleBatchForgeryAttribution(t *testing.T) {
-	fx := newFixture(t, nil)
-	msgs := adversarialInbox(t, fx)
-	if _, err := fx.governor.HandleBatch(msgs); err != nil {
+// screenAndPack screens the governor's pending uploads and returns the
+// encoding of the block it would propose.
+func screenAndPack(t *testing.T, fx *fixture) []byte {
+	t.Helper()
+	recs, err := fx.governor.ScreenRound()
+	if err != nil {
 		t.Fatal(err)
 	}
+	b, err := fx.governor.BuildBlock(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.EncodeBytes()
+}
+
+// TestUploadBatchTamperRejectsWholeBatch flips every byte of a signed
+// three-item batch in turn — items, count, collector ID and signature
+// alike. Each tampered copy must be refused whole: exactly one forge
+// penalty for the sender and no report admitted.
+func TestUploadBatchTamperRejectsWholeBatch(t *testing.T) {
+	fx := newFixture(t, nil)
+	coll := fx.roster.Collectors[0]
+	msg := uploadMsg(t, coll, coll.ID,
+		tx.UploadItem{Signed: parityTx(fx, 1, true), Label: tx.LabelValid},
+		tx.UploadItem{Signed: parityTx(fx, 2, false), Label: tx.LabelInvalid},
+		tx.UploadItem{Signed: parityTx(fx, 3, true), Label: tx.LabelValid})
+	penalties := 0
+	for i := range msg.Payload {
+		for _, mask := range []byte{0x01, 0x80} {
+			bad := msg
+			bad.Payload = append([]byte(nil), msg.Payload...)
+			bad.Payload[i] ^= mask
+			if _, err := fx.governor.HandleBatch([]network.Message{bad}); err != nil {
+				t.Fatal(err)
+			}
+			penalties++
+			st := fx.governor.Stats()
+			if st.ForgeriesDetected != penalties || st.ReportsReceived != 0 {
+				t.Fatalf("byte %d mask %#x: %d penalties (want %d), %d reports (want 0)",
+					i, mask, st.ForgeriesDetected, penalties, st.ReportsReceived)
+			}
+		}
+	}
+	// The untouched batch is still good.
+	if _, err := fx.governor.HandleBatch([]network.Message{msg}); err != nil {
+		t.Fatal(err)
+	}
+	if st := fx.governor.Stats(); st.ForgeriesDetected != penalties || st.ReportsReceived != 3 {
+		t.Fatalf("intact batch: %+v", st)
+	}
+}
+
+// TestUploadEnvelopeRejectReasons sends one upload per envelope- and
+// item-level refusal and checks the penalty count and the reason
+// counter each one lands on.
+func TestUploadEnvelopeRejectReasons(t *testing.T) {
+	reg := metrics.NewRegistry()
+	fx := newFixtureOpts(t, nil, func(cfg *GovernorConfig) { cfg.Metrics = reg })
+	coll0, coll1 := fx.roster.Collectors[0], fx.roster.Collectors[1]
+	prov := fx.roster.Providers[0]
+	good := tx.UploadItem{Signed: parityTx(fx, 1, true), Label: tx.LabelValid}
+	forged := tx.UploadItem{Signed: tx.Sign(tx.Transaction{Provider: prov.ID, Seq: 9, Kind: "forged", Payload: []byte{1}},
+		coll0.PrivateKey), Label: tx.LabelValid}
+	stranger := tx.UploadItem{Signed: tx.Sign(tx.Transaction{Provider: "provider/77", Seq: 1, Kind: "x", Payload: []byte{1}},
+		prov.PrivateKey), Label: tx.LabelValid}
+	unknown := identity.Member{ID: identity.MakeNodeID(identity.RoleCollector, 5), PrivateKey: coll0.PrivateKey}
+	wrongKey := identity.Member{ID: coll0.ID, PrivateKey: coll1.PrivateKey}
+
+	cases := []struct {
+		reason    string
+		msg       network.Message
+		penalties int
+		reports   int
+	}{
+		{"not_collector", uploadMsg(t, coll0, prov.ID, good), 0, 0},
+		{"decode", network.Message{From: coll0.ID, Kind: network.KindCollectorBatch, Payload: []byte{0xFF}}, 1, 0},
+		{"sender_mismatch", uploadMsg(t, coll0, coll1.ID, good), 1, 0},
+		{"unknown_key", uploadMsg(t, unknown, unknown.ID, good), 1, 0},
+		{"batch_sig", uploadMsg(t, wrongKey, coll0.ID, good), 1, 0},
+		{"item_provider_sig", uploadMsg(t, coll0, coll0.ID, good, forged), 1, 1},
+		{"item_provider_sig", uploadMsg(t, coll1, coll1.ID, stranger), 1, 0},
+	}
+	wantByReason := map[string]int64{}
+	for _, tc := range cases {
+		before := fx.governor.Stats()
+		if _, err := fx.governor.HandleBatch([]network.Message{tc.msg}); err != nil {
+			t.Fatal(err)
+		}
+		after := fx.governor.Stats()
+		if got := after.ForgeriesDetected - before.ForgeriesDetected; got != tc.penalties {
+			t.Errorf("%s: %d penalties, want %d", tc.reason, got, tc.penalties)
+		}
+		if got := after.ReportsReceived - before.ReportsReceived; got != tc.reports {
+			t.Errorf("%s: %d reports admitted, want %d", tc.reason, got, tc.reports)
+		}
+		wantByReason[tc.reason]++
+	}
+	rejected := reg.CounterVec("node.uploads_rejected_total", "reason")
+	for reason, want := range wantByReason {
+		if got := rejected.With(reason).Value(); got != want {
+			t.Errorf("node.uploads_rejected_total{reason=%q} = %d, want %d", reason, got, want)
+		}
+	}
+}
+
+// TestLateReportNotRerecorded is the TCP-shaped case the benchmark
+// counted as invalid_rerecorded: collector 0's report for a transaction
+// arrives in one round and the governor screens and commits it, then
+// collector 1's report for the same transaction straggles in a round
+// later. The late report must be dropped and counted, not screened into
+// a second record — whether the first screening checked the transaction
+// (committed valid) or left it (invalid, unchecked).
+func TestLateReportNotRerecorded(t *testing.T) {
+	reg := metrics.NewRegistry()
+	fx := newFixtureOpts(t, nil, func(cfg *GovernorConfig) { cfg.Metrics = reg })
+	gov := fx.roster.Governors[0]
+	const txs = 20
+	for seq := uint64(1); seq <= txs; seq++ {
+		// A valid transaction under a -1 label: screening either checks
+		// it (recorded valid) or leaves it unchecked.
+		item := tx.UploadItem{Signed: parityTx(fx, seq, true), Label: tx.LabelInvalid}
+		for _, coll := range fx.roster.Collectors {
+			if _, err := fx.governor.HandleBatch([]network.Message{uploadMsg(t, coll, coll.ID, item)}); err != nil {
+				t.Fatal(err)
+			}
+			recs, err := fx.governor.ScreenRound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fx.governor.BuildBlock(recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fx.governor.AcceptBlock(b, gov.ID, gov.Cert.PublicKey); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	recorded := map[string]int{}
+	for serial := uint64(1); serial <= fx.governor.Store().Height(); serial++ {
+		b, err := fx.governor.Store().Get(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range b.Records {
+			recorded[r.Signed.ID().String()]++
+		}
+	}
+	if len(recorded) != txs {
+		t.Fatalf("%d transactions recorded, want %d", len(recorded), txs)
+	}
+	for id, n := range recorded {
+		if n != 1 {
+			t.Errorf("transaction %s recorded %d times, want once", id[:8], n)
+		}
+	}
 	st := fx.governor.Stats()
-	// Three penalties in the inbox: the corrupted signature, the
-	// sender/signer mismatch, and the equivocation — all by collector 0's
-	// identity or against it.
-	if st.ForgeriesDetected != 3 {
-		t.Fatalf("ForgeriesDetected %d, want 3", st.ForgeriesDetected)
+	if st.Unchecked == 0 || st.ValidRecorded == 0 {
+		t.Fatalf("want both screening outcomes exercised, got %d unchecked and %d checked", st.Unchecked, st.ValidRecorded)
 	}
-	if st.ReportsReceived != 4 {
-		t.Fatalf("ReportsReceived %d, want 4", st.ReportsReceived)
+	if got := reg.CounterVec("node.uploads_rejected_total", "reason").With("late").Value(); got != txs {
+		t.Fatalf("node.uploads_rejected_total{reason=late} = %d, want %d", got, txs)
 	}
-	if st.ArguesRejected != 1 {
-		t.Fatalf("ArguesRejected %d, want 1", st.ArguesRejected)
+}
+
+// TestChunkInvariance runs the same round with the collectors' byte
+// budget forced to split their uploads after every item, after every
+// seventh, and not at all: the packed block and the reputation table
+// must be byte-identical, and only the number of batches may differ.
+func TestChunkInvariance(t *testing.T) {
+	const txs = 20
+	run := func(perBatch int) (block, table []byte, batches int64) {
+		fx := newFixture(t, []Behavior{ProbBehavior{Misreport: 0.3, Forge: 1}, nil})
+		for i := 0; i < txs; i++ {
+			if _, err := fx.providers[i%2].Submit("test", []byte{byte(i % 2), 0xAA}, i%2 == 1, 0, fx.bus); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c, coll := range fx.collectors {
+			if perBatch > 0 {
+				// Every honest item has the same size here, so this budget
+				// holds exactly perBatch of them.
+				sample := tx.UploadItem{Signed: parityTx(fx, 1, true)}
+				sample.Signed.Tx.Kind, sample.Signed.Tx.Payload = "test", []byte{0, 0xAA}
+				coll.budget = perBatch * sample.WireSizeBound()
+			}
+			fx.collect(t, c)
+		}
+		batches = fx.bus.Stats().SentByKind[network.KindCollectorBatch]
+		fx.drain(t)
+		if got := fx.governor.Stats().ReportsReceived; got != 2*txs {
+			t.Fatalf("perBatch=%d: %d reports, want %d", perBatch, got, 2*txs)
+		}
+		return screenAndPack(t, fx), fx.governor.Table().Snapshot(), batches
+	}
+	wantBlock, wantTable, whole := run(0)
+	if whole != 2 {
+		t.Fatalf("unsplit round sent %d batches, want one per collector", whole)
+	}
+	for _, perBatch := range []int{1, 7} {
+		block, table, batches := run(perBatch)
+		if batches <= whole {
+			t.Fatalf("perBatch=%d sent %d batches; the budget did not split", perBatch, batches)
+		}
+		if !bytes.Equal(block, wantBlock) {
+			t.Errorf("perBatch=%d: block differs from the unsplit round", perBatch)
+		}
+		if !bytes.Equal(table, wantTable) {
+			t.Errorf("perBatch=%d: reputation table differs from the unsplit round", perBatch)
+		}
 	}
 }
 

@@ -107,6 +107,10 @@ type Collector struct {
 	forged    int
 	forgeSeq  uint64
 
+	// budget is uploadBatchBudget; a field only so tests can force a
+	// split.
+	budget int
+
 	// tracer and round feed lifecycle spans (label, upload); optional.
 	tracer *trace.Recorder
 	round  uint64
@@ -141,6 +145,7 @@ func NewCollector(
 		governorIDs: append([]identity.NodeID(nil), governors...),
 		providerIDs: im.ProvidersOf(member.ID),
 		rng:         rand.New(rand.NewSource(seed)),
+		budget:      uploadBatchBudget,
 	}
 }
 
@@ -150,56 +155,24 @@ func (c *Collector) ID() identity.NodeID { return c.member.ID }
 // Index returns the collector's index i.
 func (c *Collector) Index() int { return c.member.Index }
 
-// HandleProviderTx processes one delivered provider transaction —
-// Algorithm 1 plus the behaviour model — uploading the labeled
-// envelope to every governor through sender. It reports whether an
-// upload happened.
-func (c *Collector) HandleProviderTx(m network.Message, sender Sender) (bool, error) {
-	if m.Kind != network.KindProviderTx {
-		return false, nil
-	}
-	signed, err := tx.DecodeSignedTxBytes(m.Payload)
-	if err != nil {
-		c.discarded++
-		return false, nil
-	}
-	c.received++
-	// verify(p_k, tx): the provider's signature must check out and
-	// the claimed provider must be the actual sender.
-	if signed.Tx.Provider != m.From {
-		c.discarded++
-		return false, nil
-	}
-	pub, err := c.im.PublicKeyOf(signed.Tx.Provider)
-	if err != nil {
-		c.discarded++
-		return false, nil
-	}
-	if err := signed.VerifyProvider(pub); err != nil {
-		c.discarded++
-		return false, nil
-	}
-	return c.uploadVerified(signed, sender)
-}
+// uploadBatchBudget bounds one upload batch's encoded items. It sits
+// well under the transport's 8 MiB frame limit, so a batch is split only
+// by a drain far larger than any block.
+const uploadBatchBudget = 1 << 20
 
-// uploadVerified runs the post-verification tail of Algorithm 1: the
-// behaviour reaction, labeling, and the multicast to every governor.
-func (c *Collector) uploadVerified(signed tx.SignedTx, sender Sender) (bool, error) {
+// label runs the post-verification step of Algorithm 1 for one
+// transaction: the behaviour reaction and the label. ok is false when
+// the collector conceals the transaction.
+func (c *Collector) label(signed tx.SignedTx) (item tx.UploadItem, ok bool) {
 	honest := tx.LabelFor(c.validator, signed.Tx)
 	reaction := c.behavior.React(honest, c.rng)
 	if !reaction.Report {
 		c.concealed++
-		return false, nil
+		return tx.UploadItem{}, false
 	}
-	labeled, err := tx.SignLabel(signed, reaction.Label, c.member.ID, c.member.PrivateKey)
-	if err != nil {
-		return false, fmt.Errorf("collector %s label: %w", c.member.ID, err)
-	}
-	var txID string
 	if c.tracer != nil {
-		txID = signed.ID().String()
 		c.tracer.Emit(trace.Span{
-			Trace: txID,
+			Trace: signed.ID().String(),
 			Stage: trace.StageLabel,
 			Node:  string(c.member.ID),
 			Round: c.round,
@@ -209,33 +182,17 @@ func (c *Collector) uploadVerified(signed tx.SignedTx, sender Sender) (bool, err
 			},
 		})
 	}
-	if err := sender.Multicast(c.member.ID, c.governorIDs, network.KindCollectorTx, labeled.EncodeBytes()); err != nil {
-		return false, fmt.Errorf("collector %s upload: %w", c.member.ID, err)
-	}
-	if c.tracer != nil {
-		c.tracer.Emit(trace.Span{
-			Trace: txID,
-			Stage: trace.StageUpload,
-			Node:  string(c.member.ID),
-			Round: c.round,
-			Attrs: []trace.Attr{{Key: "governors", Value: strconv.Itoa(len(c.governorIDs))}},
-		})
-	}
-	c.uploaded++
-	return true, nil
+	return tx.UploadItem{Signed: signed, Label: reaction.Label}, true
 }
 
-// ForgeRound injects the behaviour model's forged transactions for one
+// forge returns the behaviour model's forged transactions for one
 // round (misbehaviour class 3). The collector cannot produce a
 // provider signature, so it signs the inner transaction with its own
 // key — governors detect this except with negligible probability
-// (§4.2). It returns the number of forgeries sent.
-func (c *Collector) ForgeRound(sender Sender) (int, error) {
-	forged := 0
-	for n := c.behavior.ForgeCount(c.rng); n > 0; n-- {
-		if len(c.providerIDs) == 0 {
-			break
-		}
+// (§4.2).
+func (c *Collector) forge() []tx.UploadItem {
+	var items []tx.UploadItem
+	for n := c.behavior.ForgeCount(c.rng); n > 0 && len(c.providerIDs) > 0; n-- {
 		c.forgeSeq++
 		victim := c.providerIDs[c.rng.Intn(len(c.providerIDs))]
 		fake := tx.Transaction{
@@ -246,31 +203,37 @@ func (c *Collector) ForgeRound(sender Sender) (int, error) {
 			Payload:   []byte("fabricated"),
 		}
 		inner := tx.Sign(fake, c.member.PrivateKey) // wrong key on purpose
-		labeled, err := tx.SignLabel(inner, tx.LabelValid, c.member.ID, c.member.PrivateKey)
-		if err != nil {
-			return forged, fmt.Errorf("collector %s forge: %w", c.member.ID, err)
-		}
-		if err := sender.Multicast(c.member.ID, c.governorIDs, network.KindCollectorTx, labeled.EncodeBytes()); err != nil {
-			return forged, fmt.Errorf("collector %s forge upload: %w", c.member.ID, err)
-		}
-		c.forged++
-		forged++
+		items = append(items, tx.UploadItem{Signed: inner, Label: tx.LabelValid})
 	}
-	return forged, nil
+	return items
 }
 
-// ProcessRound drains the collector's bus inbox, uploads labeled
-// transactions through sender, and injects the round's forgeries. It
-// returns the number of uploads (including forgeries).
-//
-// Distinct collectors may run ProcessRound concurrently: each touches
-// only its own endpoint, RNG, and counters. The engine exploits this
-// by handing every collector a private buffering sender and replaying
-// the buffered uploads onto the bus in collector order, so the wire
-// ordering — and therefore every downstream screening decision — is
-// identical at any worker count. A single collector is not safe for
-// concurrent invocation.
-// Provider-tx phase-1 classes for ProcessRound.
+// upload signs items as one batch — split only where the next item
+// would pass the byte budget — and multicasts each batch to every
+// governor.
+func (c *Collector) upload(items []tx.UploadItem, sender Sender) error {
+	for done := 0; done < len(items); {
+		end, size := done, 0
+		for ; end < len(items); end++ {
+			w := items[end].WireSizeBound()
+			if end > done && size+w > c.budget {
+				break
+			}
+			size += w
+		}
+		batch, err := tx.SignUploadBatch(c.member.ID, items[done:end], c.member.PrivateKey)
+		if err != nil {
+			return fmt.Errorf("collector %s label: %w", c.member.ID, err)
+		}
+		if err := sender.Multicast(c.member.ID, c.governorIDs, network.KindCollectorBatch, batch.EncodeBytes()); err != nil {
+			return fmt.Errorf("collector %s upload: %w", c.member.ID, err)
+		}
+		done = end
+	}
+	return nil
+}
+
+// Provider-tx phase-1 classes for ProcessBatch.
 const (
 	ptSkip       uint8 = iota // not a provider transaction
 	ptDecodeFail              // malformed payload
@@ -278,9 +241,22 @@ const (
 	ptVerify                  // signature checked through the batch
 )
 
-func (c *Collector) ProcessRound(sender Sender) (int, error) {
-	msgs := c.ep.Receive()
-
+// ProcessBatch runs Algorithm 1 plus the behaviour model over one
+// drain of the collector's inbox: it verifies the provider
+// transactions in msgs, labels them, appends the round's forgeries,
+// and uploads the lot through sender as one signed batch. It returns
+// the number of items uploaded (including forgeries). Both drivers —
+// the engine's upload stage and the TCP runtime — call it once per
+// round.
+//
+// Distinct collectors may run ProcessBatch concurrently: each touches
+// only its own RNG and counters. The engine exploits this by handing
+// every collector a private buffering sender and replaying the
+// buffered uploads onto the bus in collector order, so the wire
+// ordering — and therefore every downstream screening decision — is
+// identical at any worker count. A single collector is not safe for
+// concurrent invocation.
+func (c *Collector) ProcessBatch(msgs []network.Message, sender Sender) (int, error) {
 	// Phase 1, in arrival order: decode and structurally screen every
 	// provider transaction, collecting the signature checks into one
 	// batch. Signing bytes go back to back into a pooled arena; spans
@@ -329,10 +305,10 @@ func (c *Collector) ProcessRound(sender Sender) (int, error) {
 	arena.Release()
 
 	// Phase 2 replays the verdicts in arrival order: counters advance
-	// and the behaviour RNG is consumed at exactly the positions the
-	// sequential per-message path would use, so labels and uploads are
-	// byte-identical to feeding each message through HandleProviderTx.
-	uploads := 0
+	// and the behaviour RNG is consumed once per verified transaction,
+	// then once for the forgeries, so labels are a function of arrival
+	// order alone.
+	var out []tx.UploadItem
 	for i := range msgs {
 		switch kinds[i] {
 		case ptSkip:
@@ -347,20 +323,30 @@ func (c *Collector) ProcessRound(sender Sender) (int, error) {
 				c.discarded++
 				continue
 			}
-			sent, err := c.uploadVerified(signeds[i], sender)
-			if err != nil {
-				return uploads, err
-			}
-			if sent {
-				uploads++
+			if item, ok := c.label(signeds[i]); ok {
+				out = append(out, item)
 			}
 		}
 	}
-	forged, err := c.ForgeRound(sender)
-	if err != nil {
-		return uploads, err
+	honest := len(out)
+	out = append(out, c.forge()...)
+	if err := c.upload(out, sender); err != nil {
+		return 0, err
 	}
-	return uploads + forged, nil
+	c.uploaded += honest
+	c.forged += len(out) - honest
+	if c.tracer != nil {
+		for _, item := range out[:honest] {
+			c.tracer.Emit(trace.Span{
+				Trace: item.Signed.ID().String(),
+				Stage: trace.StageUpload,
+				Node:  string(c.member.ID),
+				Round: c.round,
+				Attrs: []trace.Attr{{Key: "governors", Value: strconv.Itoa(len(c.governorIDs))}},
+			})
+		}
+	}
+	return len(out), nil
 }
 
 // CollectorStats reports a collector's activity counters.

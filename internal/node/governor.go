@@ -24,6 +24,10 @@ import (
 // interest is (0, 1] with resolution near the top.
 var drawWeightBuckets = []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
 
+// batchItemBuckets bound the items-per-upload-batch histogram: powers
+// of four up to the largest drain a block-limited round produces.
+var batchItemBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384}
+
 // GovernorConfig assembles a governor's dependencies.
 type GovernorConfig struct {
 	// Member is the governor's credential and signing key.
@@ -196,6 +200,10 @@ type Governor struct {
 	// Mempool admission counters; nil without a registry.
 	mpShed    *metrics.Counter
 	mpEvicted *metrics.Counter
+	// Upload-path refusals by reason and items per authenticated batch;
+	// nil without a registry.
+	upRejected *metrics.CounterVec
+	batchItems *metrics.Histogram
 
 	// merkle is the incremental transaction-root builder BuildBlock
 	// feeds while packing, so the root is ready the moment the record
@@ -251,6 +259,8 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		g.drawWeight = cfg.Metrics.Histogram("screen.draw_weight", drawWeightBuckets)
 		g.mpShed = cfg.Metrics.Counter("mempool.shed_total")
 		g.mpEvicted = cfg.Metrics.Counter("mempool.evicted_total")
+		g.upRejected = cfg.Metrics.CounterVec("node.uploads_rejected_total", "reason")
+		g.batchItems = cfg.Metrics.Histogram("node.upload_batch_items", batchItemBuckets)
 	}
 	return g, nil
 }
@@ -277,52 +287,33 @@ func (g *Governor) Stats() GovernorStats { return g.stats }
 // Endpoint returns the governor's bus endpoint.
 func (g *Governor) Endpoint() *network.Endpoint { return g.cfg.Endpoint }
 
-// HandleMessage routes one delivered message. Collector uploads and
-// provider argues are consumed (uploads run verify(c_i, Tx) per the
-// paper: the collector's signature, its certificate, and the inner
-// provider signature from a linked provider; failures penalize the
-// uploader's forge score, Algorithm 3 case 1). Messages of other
-// kinds are left to the caller; consumed reports whether the governor
-// took the message.
-func (g *Governor) HandleMessage(m network.Message) (consumed bool, err error) {
-	switch m.Kind {
-	case network.KindCollectorTx, network.KindArgue:
-		_, err := g.HandleBatch([]network.Message{m})
-		return true, err
-	default:
-		return false, nil
-	}
-}
-
-// DrainInbox consumes the round's uploads and argues, discarding
-// anything else.
-func (g *Governor) DrainInbox() error {
-	_, err := g.HandleBatch(g.cfg.Endpoint.Receive())
-	return err
-}
-
 // Phase-1 routing classes for HandleBatch.
 const (
 	pmRest uint8 = iota // not a governor message: hand back to caller
-	pmDrop              // consumed silently (upload from a non-collector)
 	pmUpload
 	pmArgue
 )
 
-// pendingUpload carries a classified collector upload between the
-// signature-batching phase and the in-order replay phase. Signature
-// item indices of -1 mark structural failures discovered before any
-// cryptography (bad payload, identity mismatch, unknown key).
-type pendingUpload struct {
-	labeled      tx.LabeledTx
+// pendingBatch carries one classified collector upload batch between
+// the signature-batching phase and the in-order replay phase.
+type pendingBatch struct {
 	collectorIdx int
-	providerIdx  int // -1 when the provider is not an indexed provider
-	collSig      int // batch-item index of the collector signature, -1 = structural failure
-	provSig      int // batch-item index of the inner provider signature, -1 = structural failure
-	linked       bool
+	// reject names an envelope failure found before any cryptography
+	// (an uploads_rejected_total reason); empty when there is none.
+	reject string
+	sig    int // batch-item index of the batch signature
+	items  []pendingItem
 }
 
-// pendingArgue is the argue counterpart of pendingUpload.
+// pendingItem is one labeled transaction of an authenticated batch.
+type pendingItem struct {
+	item        tx.UploadItem
+	providerIdx int // -1 when the provider is not an indexed provider
+	provSig     int // batch-item index of the provider signature, -1 = unknown provider key
+	linked      bool
+}
+
+// pendingArgue is the argue counterpart of pendingBatch.
 type pendingArgue struct {
 	msg      ArgueMsg
 	innerSig int // batch-item index of the inner provider signature
@@ -332,35 +323,49 @@ type pendingArgue struct {
 
 // HandleBatch ingests a batch of delivered messages through one
 // crypto.VerifyBatch pass and returns the messages it did not consume,
-// in arrival order.
+// in arrival order. It is the governor's only ingest path: collector
+// upload batches run verify(c_i, Tx) per the paper — the collector's
+// signature over the batch, its certificate, and each item's provider
+// signature from a linked provider — and provider argues are queued.
 //
-// Determinism (DESIGN.md §4f): phase 1 walks the batch in arrival
+// Attribution (Algorithm 3 case 1): a batch that fails as a whole —
+// undecodable, sender is not the claimed collector, unknown collector
+// key, bad batch signature — admits nothing and costs the sender one
+// forge penalty. Inside an authenticated batch each bad item (provider
+// key unknown, provider signature fails, provider not linked to the
+// collector) costs one penalty and the remaining items are admitted.
+//
+// Determinism (DESIGN.md §4f): phase 1 walks the messages in arrival
 // order doing only pure work — decoding, identity lookups, and
 // appending signature-check items into a pooled arena encoder. Phase 2
 // verifies every signature in one batch (cache hits skipped, in-batch
 // duplicates coalesced). Phase 3 replays the verdicts in arrival
-// order, applying exactly the state transitions the sequential
-// per-message path applies: forge penalties, admission shedding,
-// mempool insertion, report grouping, and argue queuing all happen in
-// the original order, so the governor's observable state is
-// byte-identical to feeding the messages through HandleMessage one at
-// a time. The only delta is cache-internal: a structurally valid
-// upload whose collector signature fails still gets its inner provider
-// signature verified (the sequential path short-circuits), which can
-// only add sigcache entries, never change a verdict.
+// order, batch by batch and item by item: forge penalties, admission
+// shedding, mempool insertion, report grouping, and argue queuing all
+// happen in that order, so the governor's state is a function of the
+// item sequence alone — one batch of N and N batches of one leave it
+// byte-identical.
 func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error) {
 	if len(msgs) == 0 {
 		return nil, nil
 	}
 	kinds := make([]uint8, len(msgs))
 	slots := make([]int, len(msgs))
-	var ups []pendingUpload
+	var ups []pendingBatch
 	var args []pendingArgue
 
 	// Signing messages are encoded back to back into one pooled arena;
 	// only (start, end) spans are recorded during encoding because the
 	// arena may still reallocate while growing.
-	arena := codec.GetEncoder(256 * len(msgs))
+	// The signing messages of an upload batch are shorter than its
+	// payload, so the governor-bound payload bytes size the arena.
+	size := 0
+	for _, m := range msgs {
+		if m.Kind == network.KindCollectorBatch || m.Kind == network.KindArgue {
+			size += len(m.Payload)
+		}
+	}
+	arena := codec.GetEncoder(size)
 	var items []crypto.BatchItem
 	var spans [][2]int
 	addItem := func(pub crypto.PublicKey, start int, sig []byte) int {
@@ -371,32 +376,36 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 
 	for i, m := range msgs {
 		switch m.Kind {
-		case network.KindCollectorTx:
-			collectorIdx, err := roleIndex(m.From, identity.RoleCollector)
-			if err != nil {
-				kinds[i] = pmDrop // not a collector: ignore
-				continue
-			}
-			u := pendingUpload{collectorIdx: collectorIdx, providerIdx: -1, collSig: -1, provSig: -1}
-			labeled, derr := tx.DecodeLabeledTxBytes(m.Payload)
-			// The upload must actually come from the collector that
-			// signed it.
-			if derr == nil && labeled.Collector == m.From {
-				if collPub, perr := g.cfg.IM.PublicKeyOf(labeled.Collector); perr == nil {
-					u.labeled = labeled
-					start := arena.Len()
-					labeled.EncodeSigning(arena)
-					u.collSig = addItem(collPub, start, labeled.Sig)
-					provID := labeled.Signed.Tx.Provider
+		case network.KindCollectorBatch:
+			u := pendingBatch{sig: -1}
+			var err error
+			if u.collectorIdx, err = roleIndex(m.From, identity.RoleCollector); err != nil {
+				u.reject = "not_collector"
+			} else if batch, derr := tx.DecodeUploadBatchBytes(m.Payload); derr != nil {
+				u.reject = "decode"
+			} else if batch.Collector != m.From {
+				// The upload must come from the collector that signed it.
+				u.reject = "sender_mismatch"
+			} else if collPub, perr := g.cfg.IM.PublicKeyOf(batch.Collector); perr != nil {
+				u.reject = "unknown_key"
+			} else {
+				start := arena.Len()
+				batch.EncodeSigning(arena)
+				u.sig = addItem(collPub, start, batch.Sig)
+				u.items = make([]pendingItem, len(batch.Items))
+				for k, it := range batch.Items {
+					pi := pendingItem{item: it, providerIdx: -1, provSig: -1}
+					provID := it.Signed.Tx.Provider
 					if provPub, perr := g.cfg.IM.PublicKeyOf(provID); perr == nil {
 						start = arena.Len()
-						labeled.Signed.Tx.EncodeSigning(arena)
-						u.provSig = addItem(provPub, start, labeled.Signed.Sig)
+						it.Signed.Tx.EncodeSigning(arena)
+						pi.provSig = addItem(provPub, start, it.Signed.Sig)
 					}
-					u.linked = g.cfg.IM.Linked(provID, labeled.Collector)
-					if pi, rerr := roleIndex(provID, identity.RoleProvider); rerr == nil {
-						u.providerIdx = pi
+					pi.linked = g.cfg.IM.Linked(provID, batch.Collector)
+					if idx, rerr := roleIndex(provID, identity.RoleProvider); rerr == nil {
+						pi.providerIdx = idx
 					}
+					u.items[k] = pi
 				}
 			}
 			kinds[i] = pmUpload
@@ -442,22 +451,38 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 		switch kinds[i] {
 		case pmRest:
 			rest = append(rest, m)
-		case pmDrop:
 		case pmUpload:
 			u := &ups[slots[i]]
-			// The verify(c_i, Tx) predicate chain, in the sequential
-			// path's order: decode, collector signature, provider key,
-			// provider signature, link, provider index.
-			if u.collSig < 0 || verdicts[u.collSig] != nil ||
-				u.provSig < 0 || verdicts[u.provSig] != nil ||
-				!u.linked || u.providerIdx < 0 {
-				if err := g.penalizeUpload(u.collectorIdx); err != nil {
-					return rest, err
+			if u.reject == "" && verdicts[u.sig] != nil {
+				u.reject = "batch_sig"
+			}
+			if u.reject != "" {
+				g.countRejected(u.reject)
+				// An uploader outside the collector role cannot be scored.
+				if u.reject != "not_collector" {
+					if err := g.penalizeUpload(u.collectorIdx); err != nil {
+						return rest, err
+					}
 				}
 				continue
 			}
-			if err := g.admitUpload(u.collectorIdx, u.providerIdx, u.labeled); err != nil {
-				return rest, err
+			if g.batchItems != nil {
+				g.batchItems.Observe(float64(len(u.items)))
+			}
+			for k := range u.items {
+				it := &u.items[k]
+				var err error
+				switch {
+				case it.provSig < 0 || verdicts[it.provSig] != nil:
+					err = g.rejectUpload("item_provider_sig", u.collectorIdx)
+				case !it.linked || it.providerIdx < 0:
+					err = g.rejectUpload("item_unlinked", u.collectorIdx)
+				default:
+					err = g.admitUpload(u.collectorIdx, it.providerIdx, it.item)
+				}
+				if err != nil {
+					return rest, err
+				}
 			}
 		case pmArgue:
 			a := &args[slots[i]]
@@ -469,6 +494,21 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 		}
 	}
 	return rest, nil
+}
+
+// countRejected records one refused upload (a whole batch or one item)
+// in node.uploads_rejected_total under reason.
+func (g *Governor) countRejected(reason string) {
+	if g.upRejected != nil {
+		g.upRejected.With(reason).Inc()
+	}
+}
+
+// rejectUpload counts a failed upload verification under reason and
+// applies the forge penalty for it.
+func (g *Governor) rejectUpload(reason string, collectorIdx int) error {
+	g.countRejected(reason)
+	return g.penalizeUpload(collectorIdx)
 }
 
 // penalizeUpload applies the Algorithm 3 case-1 forge penalty for a
@@ -490,7 +530,7 @@ func (g *Governor) penalizeUpload(collectorIdx int) error {
 
 // admitUpload runs the post-verification tail of upload ingestion:
 // admission control, mempool insertion, and report grouping.
-func (g *Governor) admitUpload(collectorIdx, providerIdx int, labeled tx.LabeledTx) error {
+func (g *Governor) admitUpload(collectorIdx, providerIdx int, labeled tx.UploadItem) error {
 	// Admission control: a verified upload from a collector this
 	// governor has learned to distrust for this provider is shed before
 	// it costs mempool space or screening work. The weight is the same
@@ -506,7 +546,14 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, labeled tx.Labeled
 		}
 	}
 
-	id := labeled.ID()
+	id := labeled.Signed.ID()
+	// A report for a transaction this governor has already screened —
+	// it straggled in a round late — must not open a second mempool
+	// group and put the transaction in a second block.
+	if _, open := g.uncheckedByID[id]; open || g.committedValid[id] {
+		g.countRejected("late")
+		return nil
+	}
 	grp, ok := g.groups[id]
 	if !ok {
 		// New pending transaction: take a mempool slot in the

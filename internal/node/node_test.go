@@ -116,15 +116,38 @@ func (fx *fixture) runUpload(t *testing.T, k int, valid bool) tx.SignedTx {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range fx.collectors {
-		if _, err := c.ProcessRound(fx.bus); err != nil {
-			t.Fatal(err)
-		}
+	for c := range fx.collectors {
+		fx.collect(t, c)
 	}
-	if err := fx.governor.DrainInbox(); err != nil {
+	fx.drain(t)
+	return signed
+}
+
+// collect runs collector c over its inbox, uploading onto the bus.
+func (fx *fixture) collect(t *testing.T, c int) {
+	t.Helper()
+	if _, err := fx.collectors[c].ProcessBatch(fx.collectors[c].Endpoint().Receive(), fx.bus); err != nil {
 		t.Fatal(err)
 	}
-	return signed
+}
+
+// drain feeds the governor its inbox.
+func (fx *fixture) drain(t *testing.T) {
+	t.Helper()
+	if _, err := fx.governor.HandleBatch(fx.governor.Endpoint().Receive()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// uploadMsg signs items as one batch from coll and wraps it as the
+// message a governor would receive from sender from.
+func uploadMsg(t *testing.T, coll identity.Member, from identity.NodeID, items ...tx.UploadItem) network.Message {
+	t.Helper()
+	batch, err := tx.SignUploadBatch(coll.ID, items, coll.PrivateKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return network.Message{From: from, Kind: network.KindCollectorBatch, Payload: batch.EncodeBytes()}
 }
 
 func TestRoleIndex(t *testing.T) {
@@ -246,9 +269,7 @@ func TestCollectorDiscardsBadProviderSignature(t *testing.T) {
 		network.KindProviderTx, forged.EncodeBytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fx.collectors[0].ProcessRound(fx.bus); err != nil {
-		t.Fatal(err)
-	}
+	fx.collect(t, 0)
 	st := fx.collectors[0].Stats()
 	if st.Discarded != 1 || st.Uploaded != 0 {
 		t.Fatalf("stats = %+v, want 1 discard", st)
@@ -268,9 +289,7 @@ func TestCollectorDiscardsSpoofedSender(t *testing.T) {
 		network.KindProviderTx, signed.EncodeBytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fx.collectors[0].ProcessRound(fx.bus); err != nil {
-		t.Fatal(err)
-	}
+	fx.collect(t, 0)
 	if fx.collectors[0].Stats().Discarded != 1 {
 		t.Fatal("spoofed relay not discarded")
 	}
@@ -299,26 +318,28 @@ func TestGovernorDetectsForgedUpload(t *testing.T) {
 }
 
 func TestGovernorDetectsEquivocation(t *testing.T) {
-	fx := newFixture(t, nil)
-	// Collector 0 signs two different labels for the same transaction.
-	prov := fx.roster.Providers[0]
-	coll := fx.roster.Collectors[0]
-	signed := tx.Sign(tx.Transaction{Provider: prov.ID, Seq: 1, Kind: "x", Payload: []byte{1}}, prov.PrivateKey)
-	govID := fx.roster.Governors[0].ID
-	for _, label := range []tx.Label{tx.LabelValid, tx.LabelInvalid} {
-		lt, err := tx.SignLabel(signed, label, coll.ID, coll.PrivateKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fx.bus.Multicast(coll.ID, []identity.NodeID{govID}, network.KindCollectorTx, lt.EncodeBytes()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fx.governor.DrainInbox(); err != nil {
-		t.Fatal(err)
-	}
-	if fx.governor.Stats().ForgeriesDetected != 1 {
-		t.Fatalf("equivocation detected %d times, want 1", fx.governor.Stats().ForgeriesDetected)
+	// Collector 0 signs two different labels for the same transaction,
+	// inside one batch or across two.
+	for _, name := range []string{"within a batch", "across batches"} {
+		t.Run(name, func(t *testing.T) {
+			fx := newFixture(t, nil)
+			prov := fx.roster.Providers[0]
+			coll := fx.roster.Collectors[0]
+			signed := tx.Sign(tx.Transaction{Provider: prov.ID, Seq: 1, Kind: "x", Payload: []byte{1}}, prov.PrivateKey)
+			a := tx.UploadItem{Signed: signed, Label: tx.LabelValid}
+			b := tx.UploadItem{Signed: signed, Label: tx.LabelInvalid}
+			msgs := []network.Message{uploadMsg(t, coll, coll.ID, a, b)}
+			if name == "across batches" {
+				msgs = []network.Message{uploadMsg(t, coll, coll.ID, a), uploadMsg(t, coll, coll.ID, b)}
+			}
+			if _, err := fx.governor.HandleBatch(msgs); err != nil {
+				t.Fatal(err)
+			}
+			st := fx.governor.Stats()
+			if st.ForgeriesDetected != 1 || st.ReportsReceived != 1 {
+				t.Fatalf("equivocation: %d penalties, %d reports, want 1 and 1", st.ForgeriesDetected, st.ReportsReceived)
+			}
+		})
 	}
 }
 
@@ -330,28 +351,18 @@ func TestGovernorRejectsUnlinkedUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outsiderID := identity.MakeNodeID(identity.RoleCollector, 9)
-	if _, err := fx.im.Register(outsiderID, identity.RoleCollector, pub); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fx.bus.Register(outsiderID); err != nil {
+	outsider := identity.Member{ID: identity.MakeNodeID(identity.RoleCollector, 9), PrivateKey: priv}
+	if _, err := fx.im.Register(outsider.ID, identity.RoleCollector, pub); err != nil {
 		t.Fatal(err)
 	}
 	prov := fx.roster.Providers[0]
 	signed := tx.Sign(tx.Transaction{Provider: prov.ID, Seq: 2, Kind: "x", Payload: []byte{1}}, prov.PrivateKey)
-	lt, err := tx.SignLabel(signed, tx.LabelValid, outsiderID, priv)
-	if err != nil {
+	msg := uploadMsg(t, outsider, outsider.ID, tx.UploadItem{Signed: signed, Label: tx.LabelValid})
+	if _, err := fx.governor.HandleBatch([]network.Message{msg}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.bus.Multicast(outsiderID, []identity.NodeID{fx.roster.Governors[0].ID},
-		network.KindCollectorTx, lt.EncodeBytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := fx.governor.DrainInbox(); err != nil {
-		t.Fatal(err)
-	}
-	if fx.governor.Stats().ForgeriesDetected != 1 {
-		t.Fatal("unlinked upload not penalized")
+	if st := fx.governor.Stats(); st.ForgeriesDetected != 1 || st.ReportsReceived != 0 {
+		t.Fatalf("unlinked upload: %d penalties, %d reports, want 1 and 0", st.ForgeriesDetected, st.ReportsReceived)
 	}
 }
 

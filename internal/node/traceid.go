@@ -8,10 +8,11 @@ import (
 // TraceIDOf derives the lifecycle trace ID carried by a protocol
 // payload: the hex hash of the inner signed transaction, the same ID
 // every node derives locally when it emits spans (DESIGN.md §4c). It
-// returns "" for kinds that aggregate many transactions (blocks,
-// tickets, stake traffic) or for payloads that fail to decode — the
-// transport layer uses it to stamp per-transaction trace context onto
-// frames without parsing anything it would not forward anyway.
+// returns "" for kinds that aggregate many transactions (upload
+// batches, blocks, tickets, stake traffic) or for payloads that fail to
+// decode — the transport layer uses it to stamp per-transaction trace
+// context onto frames without parsing anything it would not forward
+// anyway.
 func TraceIDOf(kind string, payload []byte) string {
 	switch kind {
 	case network.KindProviderTx:
@@ -20,12 +21,6 @@ func TraceIDOf(kind string, payload []byte) string {
 			return ""
 		}
 		return s.ID().String()
-	case network.KindCollectorTx:
-		lt, err := tx.DecodeLabeledTxBytes(payload)
-		if err != nil {
-			return ""
-		}
-		return lt.ID().String()
 	case network.KindArgue:
 		a, err := DecodeArgueBytes(payload)
 		if err != nil {

@@ -202,7 +202,7 @@ type Report struct {
 	Height uint64
 	// Stats holds governor screening counters (governors).
 	Stats node.GovernorStats
-	// Uploads counts collector uploads (collectors).
+	// Uploads counts uploaded labeled transactions (collectors).
 	Uploads int
 	// Submitted and SettledValid count provider activity (providers).
 	Submitted    int
@@ -373,15 +373,11 @@ func runCollector(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	for round := uint64(1); round <= uint64(cfg.Rounds); round++ {
 		coll.SetRound(round)
 		sleepUntil(cfg.Clock.at(round, phaseUpload))
-		for _, m := range toNetworkMessages(ep.Receive()) {
-			sent, err := coll.HandleProviderTx(m, sender)
-			if err != nil {
-				return report, err
-			}
-			if sent {
-				report.Uploads++
-			}
+		n, err := coll.ProcessBatch(toNetworkMessages(ep.Receive()), sender)
+		if err != nil {
+			return report, err
 		}
+		report.Uploads += n
 		report.Rounds++
 	}
 	return report, nil

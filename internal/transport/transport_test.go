@@ -13,7 +13,7 @@ import (
 
 	"repchain/internal/crypto"
 	"repchain/internal/identity"
-	"repchain/internal/network"
+	"repchain/internal/metrics"
 	"repchain/internal/reputation"
 	"repchain/internal/tx"
 )
@@ -264,9 +264,15 @@ func TestRuntimeFullAlliance(t *testing.T) {
 		reports = make(map[string]Report)
 		failed  error
 	)
+	collectorRegs := make(map[string]*metrics.Registry)
 	for _, spec := range d.Nodes {
 		cfg := base
 		cfg.ID = identity.NodeID(spec.ID)
+		if spec.Role == "collector" {
+			// A registry of its own, so the collector's frames can be counted.
+			cfg.Metrics = metrics.NewRegistry()
+			collectorRegs[spec.ID] = cfg.Metrics
+		}
 		wg.Add(1)
 		go func(id string, cfg RuntimeConfig) {
 			defer wg.Done()
@@ -298,11 +304,24 @@ func TestRuntimeFullAlliance(t *testing.T) {
 	if submitted != 2*rounds*base.TxPerRound {
 		t.Fatalf("submitted = %d", submitted)
 	}
-	uploads := reports["collector/0"].Uploads + reports["collector/1"].Uploads
-	if uploads == 0 {
-		t.Fatal("no uploads over TCP")
+	// Every transaction goes to both collectors and both upload it, but
+	// as one batch per round: a collector sends one frame per governor
+	// per round, however many labels the round carried.
+	uploads := 0
+	for id, reg := range collectorRegs {
+		uploads += reports[id].Uploads
+		if reports[id].Uploads != submitted {
+			t.Errorf("%s uploaded %d labels, want %d", id, reports[id].Uploads, submitted)
+		}
+		if frames := reg.Counter("transport.frames_sent").Value(); frames > 2*rounds {
+			t.Errorf("%s sent %d frames, want at most one per governor per round (%d)", id, frames, 2*rounds)
+		}
 	}
-	_ = network.KindBlock // keep import for documentation symmetry
+	for _, id := range []string{"governor/0", "governor/1"} {
+		if got := reports[id].Stats.ReportsReceived; got != uploads {
+			t.Errorf("%s received %d reports, want the %d labels uploaded", id, got, uploads)
+		}
+	}
 }
 
 // TestRuntimeGovernorPersistence restarts a whole TCP alliance with

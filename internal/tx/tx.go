@@ -7,8 +7,10 @@
 //     fabricating one" — the SignedTx type;
 //   - broadcast_collector carries "a transaction payload, a timestamp,
 //     a recorded provider's signature, a label (e.g. valid or invalid),
-//     and the collector's signature on all of them" — the LabeledTx
-//     type.
+//     and the collector's signature on all of them" — the UploadBatch
+//     type (upload.go), which puts one collector signature over every
+//     label of a round; LabeledTx is the single-label form of the same
+//     statement and is not sent on the wire.
 //
 // Transactions are identified by the hash of their canonical encoding.
 // Because the provider signs the timestamp along with the payload, a
@@ -251,8 +253,9 @@ func DecodeSignedTxBytes(b []byte) (SignedTx, error) {
 	return s, nil
 }
 
-// LabeledTx is the broadcast_collector envelope Tx of Algorithm 1:
-// Tx ← (tx, l, sig_ci(tx, l)).
+// LabeledTx is Algorithm 1's Tx ← (tx, l, sig_ci(tx, l)) for a single
+// label. Collectors upload UploadBatch envelopes instead; this form
+// stays as the one-label signing primitive.
 type LabeledTx struct {
 	// Signed is the provider envelope being forwarded.
 	Signed SignedTx
@@ -264,28 +267,14 @@ type LabeledTx struct {
 	Sig []byte
 }
 
-// EncodeLabelSigning appends the canonical byte string the collector
-// signs — the provider envelope, the label, and the collector identity
-// — to e. Batch verifiers use it to build many signing messages in one
-// shared buffer.
-func EncodeLabelSigning(e *codec.Encoder, s SignedTx, l Label, collector identity.NodeID) {
-	e.PutString("repchain/labeled/v1")
-	s.Encode(e)
-	e.PutVarint(int64(l))
-	e.PutString(string(collector))
-}
-
-// EncodeSigning appends the collector-signed byte string of lt to e.
+// EncodeSigning appends the canonical byte string the collector signs
+// — the provider envelope, the label, and the collector identity — to
+// e.
 func (lt LabeledTx) EncodeSigning(e *codec.Encoder) {
-	EncodeLabelSigning(e, lt.Signed, lt.Label, lt.Collector)
-}
-
-// labelSigningBytes returns the canonical byte string the collector
-// signs: the provider envelope, the label, and the collector identity.
-func labelSigningBytes(s SignedTx, l Label, collector identity.NodeID) []byte {
-	e := codec.Wrap(make([]byte, 0, 160+len(s.Tx.Payload)))
-	EncodeLabelSigning(&e, s, l, collector)
-	return e.Bytes()
+	e.PutString("repchain/labeled/v1")
+	lt.Signed.Encode(e)
+	e.PutVarint(int64(lt.Label))
+	e.PutString(string(lt.Collector))
 }
 
 // SignLabel produces the collector envelope for s with label l.
@@ -293,12 +282,11 @@ func SignLabel(s SignedTx, l Label, collector identity.NodeID, key crypto.Privat
 	if !l.Valid() {
 		return LabeledTx{}, fmt.Errorf("label %d: %w", l, ErrBadLabel)
 	}
-	return LabeledTx{
-		Signed:    s,
-		Label:     l,
-		Collector: collector,
-		Sig:       key.Sign(labelSigningBytes(s, l, collector)),
-	}, nil
+	lt := LabeledTx{Signed: s, Label: l, Collector: collector}
+	e := codec.Wrap(make([]byte, 0, 160+len(s.Tx.Payload)))
+	lt.EncodeSigning(&e)
+	lt.Sig = key.Sign(e.Bytes())
+	return lt, nil
 }
 
 // VerifyCollector checks the collector signature against pub. This is
@@ -320,62 +308,6 @@ func (lt LabeledTx) VerifyCollector(pub crypto.PublicKey) error {
 
 // ID returns the inner transaction's identifier.
 func (lt LabeledTx) ID() crypto.Hash { return lt.Signed.ID() }
-
-// Encode appends the wire encoding of lt to e.
-func (lt LabeledTx) Encode(e *codec.Encoder) {
-	lt.Signed.Encode(e)
-	e.PutVarint(int64(lt.Label))
-	e.PutString(string(lt.Collector))
-	e.PutBytes(lt.Sig)
-}
-
-// EncodeBytes returns the standalone wire encoding of lt.
-func (lt LabeledTx) EncodeBytes() []byte {
-	e := codec.GetEncoder(192 + len(lt.Signed.Tx.Payload))
-	lt.Encode(e)
-	out := e.AppendTo(nil)
-	e.Release()
-	return out
-}
-
-// DecodeLabeledTx reads one LabeledTx from d.
-func DecodeLabeledTx(d *codec.Decoder) (LabeledTx, error) {
-	s, err := DecodeSignedTx(d)
-	if err != nil {
-		return LabeledTx{}, fmt.Errorf("labeled tx: %w", err)
-	}
-	lv, err := d.Varint()
-	if err != nil {
-		return LabeledTx{}, fmt.Errorf("labeled tx label: %w", err)
-	}
-	l := Label(lv)
-	if !l.Valid() {
-		return LabeledTx{}, fmt.Errorf("labeled tx label %d: %w", lv, ErrBadLabel)
-	}
-	coll, err := d.String()
-	if err != nil {
-		return LabeledTx{}, fmt.Errorf("labeled tx collector: %w", err)
-	}
-	sig, err := d.Bytes()
-	if err != nil {
-		return LabeledTx{}, fmt.Errorf("labeled tx signature: %w", err)
-	}
-	return LabeledTx{Signed: s, Label: l, Collector: identity.NodeID(coll), Sig: sig}, nil
-}
-
-// DecodeLabeledTxBytes decodes a standalone LabeledTx encoding,
-// requiring full consumption of b.
-func DecodeLabeledTxBytes(b []byte) (LabeledTx, error) {
-	d := codec.NewDecoder(b)
-	lt, err := DecodeLabeledTx(d)
-	if err != nil {
-		return LabeledTx{}, err
-	}
-	if err := d.Expect(); err != nil {
-		return LabeledTx{}, fmt.Errorf("labeled tx: %w", err)
-	}
-	return lt, nil
-}
 
 // Validator is the paper's validate(tx) primitive: the
 // application-level rule deciding whether a transaction is valid.

@@ -11,7 +11,7 @@ import (
 	"repchain/internal/identity"
 )
 
-func testKey(t *testing.T, b byte) (crypto.PublicKey, crypto.PrivateKey) {
+func testKey(t testing.TB, b byte) (crypto.PublicKey, crypto.PrivateKey) {
 	t.Helper()
 	seed := make([]byte, crypto.SeedSize)
 	seed[0] = b
@@ -224,40 +224,6 @@ func TestVerifyCollectorRejectsCollectorSwap(t *testing.T) {
 	}
 }
 
-func TestLabeledTxRoundTrip(t *testing.T) {
-	_, providerKey := testKey(t, 1)
-	collPub, collKey := testKey(t, 2)
-	s := Sign(sampleTx(3), providerKey)
-	lt, err := SignLabel(s, LabelInvalid, "collector/1", collKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeLabeledTxBytes(lt.EncodeBytes())
-	if err != nil {
-		t.Fatalf("DecodeLabeledTxBytes() error = %v", err)
-	}
-	if got.Label != lt.Label || got.Collector != lt.Collector || got.ID() != lt.ID() {
-		t.Fatal("round trip mismatch")
-	}
-	// The decoded envelope must still verify.
-	if err := got.VerifyCollector(collPub); err != nil {
-		t.Fatalf("decoded envelope VerifyCollector() error = %v", err)
-	}
-}
-
-func TestDecodeLabeledTxRejectsBadLabel(t *testing.T) {
-	_, providerKey := testKey(t, 1)
-	s := Sign(sampleTx(1), providerKey)
-	e := codec.NewEncoder(0)
-	s.Encode(e)
-	e.PutVarint(3) // illegal label
-	e.PutString("collector/0")
-	e.PutBytes([]byte("sig"))
-	if _, err := DecodeLabeledTxBytes(e.Bytes()); !errors.Is(err, ErrBadLabel) {
-		t.Fatalf("error = %v, want ErrBadLabel", err)
-	}
-}
-
 func TestValidatorFunc(t *testing.T) {
 	v := ValidatorFunc(func(t Transaction) bool { return t.Seq%2 == 0 })
 	if LabelFor(v, sampleTx(2)) != LabelValid {
@@ -286,22 +252,6 @@ func TestQuickSignedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQuickTruncatedLabeledTxNeverPanics(t *testing.T) {
-	_, providerKey := testKey(t, 1)
-	_, collKey := testKey(t, 2)
-	s := Sign(sampleTx(1), providerKey)
-	lt, err := SignLabel(s, LabelValid, "collector/0", collKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := lt.EncodeBytes()
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeLabeledTxBytes(full[:cut]); err == nil {
-			t.Fatalf("truncated input of %d bytes decoded", cut)
-		}
-	}
-}
-
 func BenchmarkSignTx(b *testing.B) {
 	seed := make([]byte, crypto.SeedSize)
 	_, priv, err := crypto.KeyFromSeed(seed)
@@ -312,25 +262,5 @@ func BenchmarkSignTx(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Sign(t, priv)
-	}
-}
-
-func BenchmarkLabeledTxRoundTrip(b *testing.B) {
-	seed := make([]byte, crypto.SeedSize)
-	_, priv, err := crypto.KeyFromSeed(seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := Sign(sampleTx(1), priv)
-	lt, err := SignLabel(s, LabelValid, "collector/0", priv)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := lt.EncodeBytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeLabeledTxBytes(enc); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,0 +1,135 @@
+package tx
+
+import (
+	"fmt"
+
+	"repchain/internal/codec"
+	"repchain/internal/crypto"
+	"repchain/internal/identity"
+)
+
+// UploadItem is one labeled transaction inside an UploadBatch: the
+// provider envelope being forwarded and the collector's judgment.
+type UploadItem struct {
+	Signed SignedTx
+	Label  Label
+}
+
+// minUploadItemBytes is the shortest possible item encoding (the
+// 15-byte transaction tag plus one byte for each of provider, seq,
+// timestamp, kind, payload, signature and label). The decoder divides
+// the remaining input by it to bound the item count before allocating.
+const minUploadItemBytes = 22
+
+// WireSizeBound returns an upper bound on the item's encoded size, for
+// splitting a drain into batches under a byte budget without encoding
+// twice.
+func (it UploadItem) WireSizeBound() int {
+	t := it.Signed.Tx
+	return 64 + len(t.Provider) + len(t.Kind) + len(t.Payload) + len(it.Signed.Sig)
+}
+
+// UploadBatch is the broadcast_collector envelope: everything one
+// collector uploads from one drain of its inbox, under one signature.
+// Algorithm 1 has a collector "sign and upload" its labels; the
+// signature authenticates the upload hop and is never stored in a
+// block, so one per batch carries the same accountability as one per
+// label (DESIGN.md §2).
+type UploadBatch struct {
+	// Collector identifies the uploading collector.
+	Collector identity.NodeID
+	// Items are the labeled transactions, in the collector's order.
+	Items []UploadItem
+	// Sig is the collector's signature over EncodeSigning's bytes.
+	Sig []byte
+}
+
+func encodeUploadItems(e *codec.Encoder, items []UploadItem) {
+	for _, it := range items {
+		it.Signed.Encode(e)
+		e.PutVarint(int64(it.Label))
+	}
+}
+
+// EncodeSigning appends the byte string the collector signs: a domain
+// tag, the collector, the item count, and the SHA-256 of the items'
+// canonical encoding. Hashing the items keeps the signed message (and
+// the verification-cache key derived from it) small at any batch size.
+func (b UploadBatch) EncodeSigning(e *codec.Encoder) {
+	body := codec.GetEncoder(192 * len(b.Items))
+	encodeUploadItems(body, b.Items)
+	digest := crypto.Sum(body.Bytes())
+	body.Release()
+	e.PutString("repchain/upload-batch/v1")
+	e.PutString(string(b.Collector))
+	e.PutUvarint(uint64(len(b.Items)))
+	e.PutRaw(digest[:])
+}
+
+// SignUploadBatch produces the collector envelope for items.
+func SignUploadBatch(collector identity.NodeID, items []UploadItem, key crypto.PrivateKey) (UploadBatch, error) {
+	for _, it := range items {
+		if !it.Label.Valid() {
+			return UploadBatch{}, fmt.Errorf("label %d on %s: %w", it.Label, it.Signed.ID().Short(), ErrBadLabel)
+		}
+	}
+	b := UploadBatch{Collector: collector, Items: items}
+	e := codec.GetEncoder(128)
+	b.EncodeSigning(e)
+	b.Sig = key.Sign(e.Bytes())
+	e.Release()
+	return b, nil
+}
+
+// EncodeBytes returns the standalone wire encoding of b.
+func (b UploadBatch) EncodeBytes() []byte {
+	e := codec.GetEncoder(128 + 192*len(b.Items))
+	e.PutString(string(b.Collector))
+	e.PutUvarint(uint64(len(b.Items)))
+	encodeUploadItems(e, b.Items)
+	e.PutBytes(b.Sig)
+	out := e.AppendTo(nil)
+	e.Release()
+	return out
+}
+
+// DecodeUploadBatchBytes decodes a standalone UploadBatch encoding,
+// requiring full consumption of p. The input is untrusted: the item
+// count is checked against the bytes that remain before anything is
+// allocated for it.
+func DecodeUploadBatchBytes(p []byte) (UploadBatch, error) {
+	d := codec.NewDecoder(p)
+	coll, err := d.String()
+	if err != nil {
+		return UploadBatch{}, fmt.Errorf("upload batch collector: %w", err)
+	}
+	n, err := d.Uvarint()
+	if err != nil {
+		return UploadBatch{}, fmt.Errorf("upload batch count: %w", err)
+	}
+	if n > uint64(d.Remaining()/minUploadItemBytes) {
+		return UploadBatch{}, fmt.Errorf("upload batch count %d exceeds %d remaining bytes: %w", n, d.Remaining(), ErrDecode)
+	}
+	b := UploadBatch{Collector: identity.NodeID(coll), Items: make([]UploadItem, n)}
+	for i := range b.Items {
+		s, err := DecodeSignedTx(d)
+		if err != nil {
+			return UploadBatch{}, fmt.Errorf("upload batch item %d: %w", i, err)
+		}
+		lv, err := d.Varint()
+		if err != nil {
+			return UploadBatch{}, fmt.Errorf("upload batch item %d label: %w", i, err)
+		}
+		if !Label(lv).Valid() {
+			return UploadBatch{}, fmt.Errorf("upload batch item %d label %d: %w", i, lv, ErrBadLabel)
+		}
+		b.Items[i] = UploadItem{Signed: s, Label: Label(lv)}
+	}
+	if b.Sig, err = d.Bytes(); err != nil {
+		return UploadBatch{}, fmt.Errorf("upload batch signature: %w", err)
+	}
+	if err := d.Expect(); err != nil {
+		return UploadBatch{}, fmt.Errorf("upload batch: %w", err)
+	}
+	return b, nil
+}
