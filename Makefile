@@ -3,7 +3,7 @@
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: all ci build test test-short race vet fmt-check lint tools-test vuln bench bench-round bench-check bench-baseline benchmark-smoke crash-consistency fuzz-smoke soak experiments examples demo apidiff clean
+.PHONY: all ci build test test-short race vet fmt-check lint tools-test vuln bench bench-round bench-check bench-baseline benchmark-smoke crash-consistency fuzz-smoke soak loc experiments examples demo apidiff clean
 
 all: build vet test race lint
 
@@ -115,11 +115,11 @@ benchmark-smoke:
 
 # Crash-consistency matrix (DESIGN.md §4g): torn-tail truncation,
 # mid-segment corruption, damaged indexes, kill-during-snapshot,
-# forged snapshots, and legacy-file migration, plus the engine-level
+# forged snapshots, and a file at the chain path, plus the engine-level
 # restart-from-snapshot paths. Mirrors the CI crash-consistency job.
 crash-consistency:
 	$(GO) test -count=1 ./internal/ledger \
-		-run 'Torn|Truncated|Corrupt|KillDuring|Snapshot|Migration|Prune'
+		-run 'Torn|Truncated|Corrupt|KillDuring|Snapshot|RegularFile|Prune'
 	$(GO) test -count=1 ./internal/core -run 'Snapshot|Restart|Persist'
 	$(GO) test -count=1 ./internal/transport -run 'Persistence'
 
@@ -145,6 +145,12 @@ SOAK_OUT ?= $(CURDIR)/SOAK_metrics.json
 soak:
 	REPCHAIN_SOAK_ROUNDS=$(SOAK_ROUNDS) REPCHAIN_SOAK_OUT=$(SOAK_OUT) \
 		$(GO) test -count=1 -v ./internal/ledger -run TestSoakSegmentedStore
+
+# ROADMAP aim 2's number: non-test Go lines outside benchmark/ and
+# tools/, recorded per PR as go_loc_nontest in BENCH_history.jsonl.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './tools/*' -not -path './.*' \
+		| xargs wc -l | tail -n 1
 
 # Regenerate every evaluation table (EXPERIMENTS.md source).
 experiments:

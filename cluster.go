@@ -347,7 +347,7 @@ func buildOptions(opts []Option) (options, error) {
 	o := options{
 		cfg: core.Config{
 			Params:      reputation.DefaultParams(),
-			ArgueWindow: 64,
+			ArgueWindow: node.DefaultArgueWindow,
 			MaxDelay:    1,
 		},
 	}

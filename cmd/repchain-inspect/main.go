@@ -1,7 +1,6 @@
 // Command repchain-inspect audits and displays a persisted chain
 // (the `governor-<j>.chain` segment directories written under
-// WithChainDir / Config.ChainDir; pre-segmented single-file chains are
-// migrated on open). It recovers the segmented store, verifies serial
+// WithChainDir / Config.ChainDir). It recovers the store, verifies serial
 // ordering, hash links, transaction-root commitments, and — on pruned
 // chains — the snapshot anchor, and prints a block-by-block summary of
 // every retrievable block. It can also scrape
@@ -58,7 +57,7 @@ func main() {
 	}
 
 	var (
-		chainPath = flag.String("chain", "", "path to a governor-<j>.chain directory (or legacy single-file chain)")
+		chainPath = flag.String("chain", "", "path to a governor-<j>.chain directory")
 		blockNum  = flag.Uint64("block", 0, "print one block in detail (0 = summary of all)")
 		quiet     = flag.Bool("q", false, "verify only; print nothing but errors")
 	)

@@ -120,6 +120,32 @@ func DecodeTickets(b []byte) ([]Ticket, error) {
 	return out, nil
 }
 
+// EncodeRoundTickets is the wire envelope of one governor's ticket
+// batch: the round it was made for, then the batch, so a receiver can
+// tell a straggler from an earlier round without verifying a proof.
+func EncodeRoundTickets(round uint64, ts []Ticket) []byte {
+	inner := EncodeTickets(ts)
+	e := codec.Wrap(make([]byte, 0, 16+len(inner)))
+	e.PutUint64(round)
+	e.PutBytes(inner)
+	return e.Bytes()
+}
+
+// DecodeRoundTickets opens an EncodeRoundTickets envelope.
+func DecodeRoundTickets(b []byte) (uint64, []Ticket, error) {
+	d := codec.NewDecoder(b)
+	round, err := d.Uint64()
+	if err != nil {
+		return 0, nil, fmt.Errorf("ticket round: %w", ErrDecode)
+	}
+	inner, err := d.Bytes()
+	if err != nil || d.Expect() != nil {
+		return 0, nil, fmt.Errorf("ticket batch: %w", ErrDecode)
+	}
+	ts, err := DecodeTickets(inner)
+	return round, ts, err
+}
+
 // Election collects ticket submissions for one round and determines
 // the leader once every governor has reported. "When a governor
 // receives all the hash value from other governors, he first validates
@@ -135,7 +161,6 @@ type Election struct {
 	remaining int
 	best      Ticket
 	haveBest  bool
-	workers   int
 }
 
 // NewElection starts an election for the given round over the given
@@ -156,12 +181,6 @@ func NewElection(round uint64, prevHash crypto.Hash, pubs []crypto.PublicKey, st
 		remaining: len(pubs),
 	}, nil
 }
-
-// SetWorkers bounds the goroutines Submit may use for VRF proof
-// verification. Values ≤ 1 keep Submit single-threaded (the default).
-// Parallelism changes only the wall time, never the outcome: structural
-// checks and the best-ticket scan stay in submission order.
-func (e *Election) SetWorkers(w int) { e.workers = w }
 
 // Submit records governor j's ticket batch, verifying every proof and
 // that exactly one ticket per stake unit was produced. A governor with
@@ -207,12 +226,10 @@ func (e *Election) Submit(j int, tickets []Ticket) error {
 }
 
 // verifyTickets checks every VRF proof of a batch through one
-// crypto.VerifyBatchWorkers pass: proof checks are ordinary signature
-// checks over VRFProofMessage(alpha), so the whole batch is classified
-// against the verification cache under a single lock and the residual
-// misses fan out across at most e.workers goroutines. The returned
-// error is the one of the lowest-indexed failing ticket, keeping error
-// reporting deterministic under any schedule.
+// crypto.VerifyBatch pass: proof checks are ordinary signature checks
+// over VRFProofMessage(alpha), so the whole batch is classified against
+// the verification cache under a single lock. The returned error is the
+// one of the lowest-indexed failing ticket.
 func (e *Election) verifyTickets(j int, tickets []Ticket) error {
 	if len(tickets) == 0 {
 		return nil
@@ -225,7 +242,7 @@ func (e *Election) verifyTickets(j int, tickets []Ticket) error {
 		alpha := crypto.VRFAlpha(e.prevHash, e.round, t.Governor, t.Unit)
 		items[i] = crypto.BatchItem{Pub: e.pubs[j], Msg: crypto.VRFProofMessage(alpha), Sig: t.Proof}
 	}
-	errs := crypto.VerifyBatchWorkers(items, e.workers)
+	errs := crypto.VerifyBatch(items)
 	for i, t := range tickets {
 		if errs[i] != nil || crypto.Sum(t.Proof) != t.Output {
 			return fmt.Errorf("ticket g%d/u%d: %w", t.Governor, t.Unit, ErrBadTicket)

@@ -22,9 +22,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 
 	"repchain/internal/events"
 )
@@ -95,6 +95,7 @@ func (e *Engine) CrashGovernor(j int) error {
 	e.governorDown[j] = true
 	e.bus.SetDown(e.governorIDs[j], true)
 	e.governors[j].Endpoint().Purge()
+	e.rounds[j].Purge()
 	e.reg.Counter("chaos.governor_crashes").Inc()
 	e.emitNodeEvent(events.TypeNodeCrash, string(e.governorIDs[j]), "crash", true)
 	return nil
@@ -199,9 +200,9 @@ func (e *Engine) resyncGovernors() error {
 			if err != nil {
 				return fmt.Errorf("resync governor %d block %d: %w", j, serial, err)
 			}
-			proposer, err := decodeGovernorIndex(b.Proposer)
-			if err != nil {
-				return fmt.Errorf("resync governor %d block %d: %w", j, serial, err)
+			proposer := slices.Index(e.governorIDs, b.Proposer)
+			if proposer < 0 {
+				return fmt.Errorf("resync governor %d block %d: proposer %q is not a governor: %w", j, serial, b.Proposer, ErrBadConfig)
 			}
 			if err := g.AcceptBlock(b, b.Proposer, e.govPubs[proposer]); err != nil {
 				return fmt.Errorf("resync governor %d block %d: %w", j, serial, err)
@@ -226,11 +227,4 @@ func (e *Engine) publishChaosMetrics() {
 	e.reg.Gauge("chaos.bus_partition_dropped").Set(float64(st.PartitionDropped))
 	e.reg.Gauge("chaos.bus_down_dropped").Set(float64(st.DownDropped))
 	e.reg.Gauge("network.inflight_dropped").Set(float64(st.InflightDropped))
-}
-
-// abortable classifies an error from a round phase: message loss shows
-// up as an incomplete election or a block nobody received, which is a
-// recoverable abort, not a safety failure.
-func abortable(err error) bool {
-	return errors.Is(err, ErrRoundAborted)
 }

@@ -21,8 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"time"
 
@@ -104,8 +104,8 @@ type Config struct {
 	// (or a nil slice) mean honest.
 	Behaviors []node.Behavior
 	// ChainDir, when non-empty, backs every governor's ledger replica
-	// with an append-only file `governor-<j>.chain` in that directory,
-	// surviving restarts. Empty means in-memory replicas.
+	// with a segment directory `governor-<j>.chain` under it, so chain,
+	// reputation and stakes survive restarts. Empty means in memory.
 	ChainDir string
 	// Workers bounds the goroutines used to fan out per-collector and
 	// per-governor round work. Zero (or negative) means one worker per
@@ -175,6 +175,8 @@ type Engine struct {
 	providers  []*node.Provider
 	collectors []*node.Collector
 	governors  []*node.Governor
+	// rounds[j] steps governor j; the engine only sequences the steps.
+	rounds []*node.GovernorRound
 
 	stake    *consensus.StakeLedger
 	expelled []bool
@@ -418,6 +420,23 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.governors = append(e.governors, gov)
 	}
+	// Reload each governor's checkpointed reputation so a restart keeps
+	// its learned weights, and the stake vector saved with it: governor
+	// 0's is authoritative (replicas are byte-identical); the configured
+	// stakes only seed a chain that has none.
+	for j, g := range e.governors {
+		r := node.NewGovernorRound(g, e.governorIDs, e.govPubs, e.providerIDs)
+		saved, err := r.Restore()
+		if err != nil {
+			return nil, err
+		}
+		if j == 0 && len(saved) > 0 {
+			if err := e.stake.Apply(saved); err != nil {
+				return nil, fmt.Errorf("restore stake state: %w", err)
+			}
+		}
+		e.rounds = append(e.rounds, r)
+	}
 	// Resume the round counter from a persisted chain so leader
 	// election inputs stay unique across restarts.
 	e.round = e.governors[0].Store().Height()
@@ -425,134 +444,48 @@ func New(cfg Config) (*Engine, error) {
 	for _, p := range e.providers {
 		p.SetRound(e.round + 1)
 	}
-
-	// Reload persisted reputation state so a restarted governor keeps
-	// its learned weights instead of re-trusting every collector
-	// equally. The sidecar .rep file (rewritten at every Close and
-	// every snapshot) is preferred; when it is missing — e.g. a crash
-	// wiped it or only the chain dir was copied — the governor falls
-	// back to the GovernorState inside the chain's latest ledger
-	// snapshot. A present-but-corrupt .rep stays a hard error: silently
-	// re-trusting everyone would be a reputation reset.
-	if cfg.ChainDir != "" {
-		for j, g := range e.governors {
-			path := e.reputationPath(j)
-			data, err := os.ReadFile(path)
-			if err != nil && !errors.Is(err, os.ErrNotExist) {
-				return nil, fmt.Errorf("governor %d reputation state: %w", j, err)
-			}
-			if err == nil {
-				if err := g.Table().RestoreSnapshot(data); err != nil {
-					return nil, fmt.Errorf("governor %d reputation state: %w", j, err)
-				}
-				continue
-			}
-			fs, ok := g.Store().(*ledger.FileStore)
-			if !ok {
-				continue
-			}
-			snap, found := fs.LatestSnapshot()
-			if !found || len(snap.App) == 0 {
-				continue
-			}
-			st, err := node.DecodeGovernorState(snap.App)
-			if err != nil {
-				return nil, fmt.Errorf("governor %d ledger snapshot state: %w", j, err)
-			}
-			if err := g.Table().RestoreSnapshot(st.Reputation); err != nil {
-				return nil, fmt.Errorf("governor %d ledger snapshot state: %w", j, err)
-			}
-		}
-		// The stake vector travels in the same snapshots; the first
-		// governor's is authoritative (replicas are byte-identical).
-		// Configured initial stakes only seed a chain with no snapshot.
-		if fs, ok := e.governors[0].Store().(*ledger.FileStore); ok {
-			if snap, found := fs.LatestSnapshot(); found && len(snap.App) > 0 {
-				st, err := node.DecodeGovernorState(snap.App)
-				if err != nil {
-					return nil, fmt.Errorf("governor 0 ledger snapshot state: %w", err)
-				}
-				if len(st.Stakes) > 0 {
-					if err := e.stake.Apply(st.Stakes); err != nil {
-						return nil, fmt.Errorf("restore stake state: %w", err)
-					}
-				}
-			}
-		}
-	}
 	return e, nil
 }
 
-// maybeSnapshotLocked writes the per-governor recovery snapshots and
-// prunes segments behind them, at the SnapshotEvery cadence. Called at
-// the end of a committed round. The .rep sidecar is rewritten at the
-// same moment so both recovery sources stay equally fresh. Snapshot
-// failures are returned (durability was promised and not delivered);
-// prune failures only lose disk space, not data, so they are returned
-// too but after all governors were attempted.
-func (e *Engine) maybeSnapshot() error {
-	if e.cfg.SnapshotEvery <= 0 || e.cfg.ChainDir == "" {
-		return nil
+// checkpoint makes every governor's recovery state durable; see
+// node.GovernorRound.Checkpoint. reputation, when non-nil, overrides
+// the live tables governor by governor. All governors are attempted.
+func (e *Engine) checkpoint(reputation [][]byte, prune bool) error {
+	stakes := e.stake.Snapshot()
+	errs := make([]error, len(e.rounds))
+	for j, r := range e.rounds {
+		var rep []byte
+		if reputation != nil {
+			rep = reputation[j]
+		}
+		errs[j] = r.Checkpoint(rep, stakes, prune)
 	}
-	if e.round%uint64(e.cfg.SnapshotEvery) != 0 {
-		return nil
-	}
-	var firstErr error
-	for j, g := range e.governors {
-		fs, ok := g.Store().(*ledger.FileStore)
-		if !ok {
-			continue
-		}
-		app := node.GovernorState{
-			Round:      e.round,
-			Reputation: g.Table().Snapshot(),
-			Stakes:     e.stake.Snapshot(),
-		}.Encode()
-		if _, err := fs.WriteSnapshot(app); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("governor %d snapshot: %w", j, err)
-			}
-			continue
-		}
-		e.reg.Counter("ledger.snapshots_total").Inc()
-		if err := os.WriteFile(e.reputationPath(j), g.Table().Snapshot(), 0o644); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("governor %d reputation state: %w", j, err)
-		}
-		n, err := fs.Prune()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("governor %d prune: %w", j, err)
-		}
-		e.reg.Counter("ledger.segments_pruned_total").Add(int64(n))
-	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
-func (e *Engine) reputationPath(j int) string {
-	return filepath.Join(e.cfg.ChainDir, fmt.Sprintf("governor-%d.rep", j))
-}
+// Close checkpoints every file-backed governor and releases its store.
+// After Close, SubmitTx and RunRound fail with ErrClosed; Close itself
+// is idempotent.
+func (e *Engine) Close() error { return e.CloseMigrated(nil) }
 
-// Close persists reputation state (when ChainDir is set) and releases
-// any file-backed governor stores. After Close, SubmitTx and RunRound
-// fail with ErrClosed; Close itself is idempotent.
-func (e *Engine) Close() error {
+// CloseMigrated is Close with the final checkpoint carrying the given
+// per-governor reputation snapshots in place of the live tables': the
+// hand-off from shard.Rehome to the engine it rebuilds over the
+// post-move topology, whose tables no longer have this engine's shape.
+func (e *Engine) CloseMigrated(reputation [][]byte) error {
 	if e.closed {
 		return nil
 	}
 	e.closed = true
-	var firstErr error
+	errs := []error{e.checkpoint(reputation, false)}
 	for j, g := range e.governors {
-		if e.cfg.ChainDir != "" {
-			if err := os.WriteFile(e.reputationPath(j), g.Table().Snapshot(), 0o644); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("governor %d reputation state: %w", j, err)
-			}
-		}
 		if fs, ok := g.Store().(*ledger.FileStore); ok {
-			if err := fs.Close(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("governor %d: %w", j, err)
+			if err := fs.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("governor %d: %w", j, err))
 			}
 		}
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // Bus exposes the network for statistics and fault injection.
@@ -755,39 +688,31 @@ func (e *Engine) SubmitStakeTransfer(from, to int, amount uint64) error {
 	return nil
 }
 
-// pumpGovernors drains every live governor endpoint, routing collector
-// uploads and provider argues into the governors, and returns the
-// remaining messages per governor. Draining all endpoints before the
-// caller processes anything guarantees that messages sent while
-// processing (same tick) are seen by the next pump, not lost. Down
-// governors are skipped — their inbox was purged at crash time and the
-// bus drops anything new while they stay down.
-//
-// Governors are pumped in parallel: each drains only its own endpoint
-// (delivery order is fixed by bus sequence numbers, not by schedule)
-// and mutates only its own state, so per-governor results are
-// independent of the worker count. This is the round's hottest loop —
-// every governor verifies every upload's two signatures — and the
+// stepGovernors is the engine's lock-step drive of the round steppers:
+// every live governor ingests its drained endpoint and then runs step
+// (nil for a bare drain), in parallel — each touches only its own
+// endpoint, state and send buffer, so the outcome is independent of
+// the worker count. It returns, per governor, the messages the stepper
+// does not own: the stake-transform traffic. Down governors are
+// skipped; their inbox was purged at crash time and the bus drops
+// anything new while they stay down. Ingest is the round's hottest
+// call — every governor verifies every upload's signatures — and the
 // shared verification cache turns the m-fold duplicate checks into
 // hits.
-func (e *Engine) pumpGovernors() ([][]network.Message, error) {
+func (e *Engine) stepGovernors(step func(j int, r *node.GovernorRound, out node.Sender) error) ([][]network.Message, error) {
 	rest := make([][]network.Message, len(e.governors))
-	err := runIndexed(e.workers, len(e.governors), func(j int) error {
+	err := e.fanOut(len(e.governors), func(j int, out node.Sender) error {
 		if e.governorDown[j] {
 			return nil
 		}
-		g := e.governors[j]
-		r, err := g.HandleBatch(g.Endpoint().Receive())
-		if err != nil {
+		var err error
+		rest[j], err = e.rounds[j].Ingest(e.governors[j].Endpoint().Receive())
+		if err != nil || step == nil {
 			return err
 		}
-		rest[j] = r
-		return nil
+		return step(j, e.rounds[j], out)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rest, nil
+	return rest, err
 }
 
 // RunRound executes the uploading and processing phases over whatever
@@ -822,7 +747,7 @@ func (e *Engine) RunRoundCtx(ctx context.Context) (RoundResult, error) {
 		return RoundResult{}, fmt.Errorf("run round: %w", ErrClosed)
 	}
 	res, err := e.runRoundCtx(ctx)
-	if abortable(err) {
+	if errors.Is(err, ErrRoundAborted) {
 		e.reg.Counter("chaos.rounds_aborted").Inc()
 	}
 	return res, err
@@ -857,10 +782,10 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 		return RoundResult{}, err
 	}
 	e.round++
-	// Round attribution for spans only: setters touch one plain field
-	// per node, before any fan-out starts.
-	for _, g := range e.governors {
-		g.SetRound(e.round)
+	// Open the round on every node before any fan-out starts; for
+	// collectors and providers the round only attributes spans.
+	for _, r := range e.rounds {
+		r.Begin(e.round)
 	}
 	for _, c := range e.collectors {
 		c.SetRound(e.round)
@@ -873,27 +798,21 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	e.bus.AdvancePastDelay() // provider broadcasts land
 	missedRounds := e.reg.Counter("chaos.collector_missed_rounds")
 	uploadsBy := make([]int, len(e.collectors))
-	outBy := make([]*sendBuffer, len(e.collectors))
-	err := runIndexed(e.workers, len(e.collectors), func(i int) error {
+	err := e.fanOut(len(e.collectors), func(i int, out node.Sender) error {
 		if e.collectorDown[i] {
 			missedRounds.Inc()
-			outBy[i] = &sendBuffer{}
 			return nil
 		}
-		buf := &sendBuffer{}
-		n, err := e.collectors[i].ProcessBatch(e.collectors[i].Endpoint().Receive(), buf)
-		uploadsBy[i], outBy[i] = n, buf
+		var err error
+		uploadsBy[i], err = e.collectors[i].ProcessBatch(e.collectors[i].Endpoint().Receive(), out)
 		return err
 	})
 	if err != nil {
 		return RoundResult{}, err
 	}
 	uploads := 0
-	for i, buf := range outBy {
-		uploads += uploadsBy[i]
-		if err := buf.flush(e.bus); err != nil {
-			return RoundResult{}, err
-		}
+	for _, n := range uploadsBy {
+		uploads += n
 	}
 	e.bus.AdvancePastDelay() // collector uploads land
 	stageStart = e.observeStage("upload", stageStart)
@@ -904,26 +823,9 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	}
 
 	// --- Processing phase: screening ---
-	if _, err := e.pumpGovernors(); err != nil {
-		return RoundResult{}, err
-	}
-	recordsByGov := make([][]ledger.Record, len(e.governors))
-	err = runIndexed(e.workers, len(e.governors), func(j int) error {
-		if e.governorDown[j] {
-			return nil
-		}
-		g := e.governors[j]
-		if err := g.ProcessArgues(); err != nil {
-			return err
-		}
-		recs, err := g.ScreenRound()
-		if err != nil {
-			return err
-		}
-		recordsByGov[j] = recs
-		return nil
-	})
-	if err != nil {
+	if _, err := e.stepGovernors(func(_ int, r *node.GovernorRound, _ node.Sender) error {
+		return r.Screen()
+	}); err != nil {
 		return RoundResult{}, err
 	}
 	stageStart = e.observeStage("screen", stageStart)
@@ -945,15 +847,10 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 		slog.Int("leader", leader))
 
 	// --- Processing phase: block proposal ---
-	block, err := e.governors[leader].BuildBlock(recordsByGov[leader])
-	if err != nil {
-		return RoundResult{}, err
-	}
-	leaderID := e.governorIDs[leader]
 	// The leader broadcasts the block to all governors and providers
 	// (providers need it to argue; every node can retrieve it).
-	targets := append(append([]identity.NodeID(nil), e.governorIDs...), e.providerIDs...)
-	if err := e.bus.Multicast(leaderID, targets, network.KindBlock, block.EncodeBytes()); err != nil {
+	block, err := e.rounds[leader].Propose(e.bus)
+	if err != nil {
 		return RoundResult{}, err
 	}
 	e.bus.AdvancePastDelay()
@@ -965,43 +862,18 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	// block was lost to drops is not an error: it is counted, left one
 	// block behind, and resynced at the next round start. Only a round
 	// where no replica at all holds the block aborts.
-	rest, err := e.pumpGovernors()
-	if err != nil {
-		return RoundResult{}, err
-	}
 	missedBlock := e.reg.Counter("chaos.governor_missed_block")
-	acceptedBy := make([]bool, len(e.governors))
-	err = runIndexed(e.workers, len(e.governors), func(j int) error {
-		if e.governorDown[j] {
-			return nil
-		}
-		g := e.governors[j]
-		for _, m := range rest[j] {
-			if m.Kind != network.KindBlock {
-				continue
-			}
-			b, err := ledger.DecodeBlockBytes(m.Payload)
-			if err != nil {
-				return fmt.Errorf("governor %d block decode: %w", j, err)
-			}
-			if err := g.AcceptBlock(b, leaderID, e.govPubs[leader]); err != nil {
-				return err
-			}
-			acceptedBy[j] = true
-		}
-		if !acceptedBy[j] {
+	committedBy := make([]bool, len(e.governors))
+	if _, err := e.stepGovernors(func(j int, r *node.GovernorRound, _ node.Sender) error {
+		committed, err := r.Adopt()
+		if committedBy[j] = committed; !committed {
 			missedBlock.Inc()
 		}
-		return nil
-	})
-	if err != nil {
+		return err
+	}); err != nil {
 		return RoundResult{}, err
 	}
-	anyAccepted := false
-	for _, ok := range acceptedBy {
-		anyAccepted = anyAccepted || ok
-	}
-	if !anyAccepted {
+	if !slices.Contains(committedBy, true) {
 		return RoundResult{}, fmt.Errorf("block %d reached no replica: %w", block.Serial, ErrRoundAborted)
 	}
 	// Agreement check across the replicas that hold the block.
@@ -1014,11 +886,8 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	// provider and replayed in provider order so governors receive them
 	// in the same total order at any worker count.
 	arguesBy := make([]int, len(e.providers))
-	argueOut := make([]*sendBuffer, len(e.providers))
-	err = runIndexed(e.workers, len(e.providers), func(k int) error {
+	err = e.fanOut(len(e.providers), func(k int, out node.Sender) error {
 		p := e.providers[k]
-		buf := &sendBuffer{}
-		argueOut[k] = buf
 		for _, m := range p.Endpoint().Receive() {
 			if m.Kind != network.KindBlock {
 				continue
@@ -1027,7 +896,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 			if err != nil {
 				return fmt.Errorf("provider %s block decode: %w", p.ID(), err)
 			}
-			n, err := p.ObserveBlock(b, buf)
+			n, err := p.ObserveBlock(b, out)
 			if err != nil {
 				return err
 			}
@@ -1039,11 +908,8 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 		return RoundResult{}, err
 	}
 	argues := 0
-	for k, buf := range argueOut {
-		argues += arguesBy[k]
-		if err := buf.flush(e.bus); err != nil {
-			return RoundResult{}, err
-		}
+	for _, n := range arguesBy {
+		argues += n
 	}
 	e.observeStage("argue", stageStart)
 
@@ -1067,8 +933,12 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	e.publishCryptoMetrics()
 	e.publishChaosMetrics()
 	e.publishRoundMetrics(&result)
-	if err := e.maybeSnapshot(); err != nil {
-		return result, err
+	// Checkpoint and prune at the SnapshotEvery cadence. A failure is
+	// returned: durability was promised and not delivered.
+	if n := uint64(e.cfg.SnapshotEvery); n > 0 && e.round%n == 0 {
+		if err := e.checkpoint(nil, true); err != nil {
+			return result, err
+		}
 	}
 	return result, nil
 }
@@ -1076,8 +946,8 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 // electLeader runs the per-stake-unit VRF election of §3.4.3 over the
 // live governors. Every live governor broadcasts tickets; every live
 // governor independently verifies all tickets and computes the winner;
-// the engine checks they agree. Down governors are treated as holding
-// zero stake for the round — the paper's election already defines the
+// the engine checks they agree. Down and expelled governors are passed
+// stake zero for the round — the paper's election already defines the
 // zero-stake case (an empty batch), so the quorum's elections complete
 // without them. A live governor whose VRF batch was lost to drops
 // leaves every election incomplete; that is an ErrRoundAborted, not a
@@ -1087,124 +957,38 @@ func (e *Engine) electLeader() (int, error) {
 	if len(live) == 0 {
 		return 0, fmt.Errorf("no live governor: %w", ErrRoundAborted)
 	}
-	// resyncGovernors brought all live replicas to one head, so the
-	// first live governor's head is the common prev-hash.
-	prevHash := crypto.ZeroHash
-	if head, err := e.governors[live[0]].Store().Head(); err == nil {
-		prevHash = head.Hash()
-	}
 	stakes := e.stake.Snapshot()
 	for j := range stakes {
 		if e.expelled[j] || e.governorDown[j] {
 			stakes[j] = 0
 		}
 	}
-
-	// Each live governor evaluates its tickets; evaluation fans out
-	// across workers (the VRF costs one signature per stake unit) while
-	// the broadcasts replay in governor order so KindVRF sequence
-	// numbers match the sequential schedule.
-	payloads := make([][]byte, len(e.governors))
-	err := runIndexed(e.workers, len(e.governors), func(j int) error {
-		if e.governorDown[j] {
-			return nil
-		}
-		tickets := consensus.MakeTickets(e.roster.Governors[j].PrivateKey, prevHash, e.round, j, stakes[j])
-		payloads[j] = consensus.EncodeTickets(tickets)
-		return nil
-	})
-	if err != nil {
+	// resyncGovernors brought all live replicas to one head, so every
+	// governor makes its tickets over the same prev-hash.
+	if _, err := e.stepGovernors(func(j int, r *node.GovernorRound, out node.Sender) error {
+		return r.SendTickets(stakes[j], out)
+	}); err != nil {
 		return 0, err
-	}
-	for j := range e.governors {
-		if e.governorDown[j] {
-			continue
-		}
-		if err := e.bus.Multicast(e.governorIDs[j], e.governorIDs, network.KindVRF, payloads[j]); err != nil {
-			return 0, err
-		}
 	}
 	e.bus.AdvancePastDelay()
 
-	// Each live governor verifies every ticket and elects
-	// independently. The elections are disjoint, so they run one per
-	// worker; remaining workers split each election's proof checks.
-	// Messages from senders that do not decode as governors are dropped
-	// — as the sequential code always did — but counted, so an operator
-	// can see a misrouted or spoofed VRF stream instead of a silent
-	// skip. Redelivered batches (duplication faults) and stale batches
-	// from now-down governors are skipped the same way.
-	rest, err := e.pumpGovernors()
-	if err != nil {
-		return 0, err
-	}
-	unknownSender := e.reg.Counter("election.vrf_unknown_sender")
-	duplicateBatch := e.reg.Counter("election.vrf_duplicate_batch")
-	wPer := (e.workers + len(live) - 1) / len(live)
+	// An incomplete election is recorded, not returned, so every
+	// governor consumes its inbox whatever the schedule.
 	leaders := make([]int, len(e.governors))
-	incomplete := make([]bool, len(e.governors))
-	err = runIndexed(e.workers, len(e.governors), func(j int) error {
-		if e.governorDown[j] {
-			return nil
-		}
-		el, err := consensus.NewElection(e.round, prevHash, e.govPubs, stakes)
-		if err != nil {
-			return err
-		}
-		el.SetWorkers(wPer)
-		submitted := make([]bool, len(e.governors))
-		for _, m := range rest[j] {
-			if m.Kind != network.KindVRF {
-				continue
-			}
-			sender, err := decodeGovernorIndex(m.From)
-			if err != nil {
-				unknownSender.Inc()
-				continue
-			}
-			if sender < 0 || sender >= len(e.governors) || e.governorDown[sender] {
-				unknownSender.Inc()
-				continue
-			}
-			if submitted[sender] {
-				duplicateBatch.Inc()
-				continue
-			}
-			tickets, err := consensus.DecodeTickets(m.Payload)
-			if err != nil {
-				return fmt.Errorf("governor %d tickets from %d: %w", j, sender, err)
-			}
-			if err := el.Submit(sender, tickets); err != nil {
-				return err
-			}
-			submitted[sender] = true
-		}
-		// Down governors hold zero stake this round; submit their empty
-		// batches locally so the election over the live set completes.
-		for d := range e.governors {
-			if e.governorDown[d] && !submitted[d] {
-				if err := el.Submit(d, nil); err != nil {
-					return err
-				}
-			}
-		}
-		l, _, err := el.Leader()
+	incomplete := make([]error, len(e.governors))
+	if _, err := e.stepGovernors(func(j int, r *node.GovernorRound, _ node.Sender) error {
+		l, err := r.Elect(stakes)
 		if errors.Is(err, consensus.ErrIncompleteElection) {
-			incomplete[j] = true
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("governor %d election: %w", j, err)
+			incomplete[j], err = err, nil
 		}
 		leaders[j] = l
-		return nil
-	})
-	if err != nil {
+		return err
+	}); err != nil {
 		return 0, err
 	}
 	for _, j := range live {
-		if incomplete[j] {
-			return 0, fmt.Errorf("governor %d election incomplete (VRF batch lost): %w", j, ErrRoundAborted)
+		if incomplete[j] != nil {
+			return 0, fmt.Errorf("%w: %w", incomplete[j], ErrRoundAborted)
 		}
 	}
 	for _, j := range live[1:] {
@@ -1243,20 +1027,4 @@ func (e *Engine) checkAgreement(s uint64) error {
 		return fmt.Errorf("block %d on no replica: %w", s, ErrRoundAborted)
 	}
 	return nil
-}
-
-func decodeGovernorIndex(id identity.NodeID) (int, error) {
-	const prefix = "governor/"
-	s := string(id)
-	if len(s) <= len(prefix) || s[:len(prefix)] != prefix {
-		return 0, fmt.Errorf("%q is not a governor: %w", id, ErrBadConfig)
-	}
-	idx := 0
-	for _, ch := range s[len(prefix):] {
-		if ch < '0' || ch > '9' {
-			return 0, fmt.Errorf("%q: %w", id, ErrBadConfig)
-		}
-		idx = idx*10 + int(ch-'0')
-	}
-	return idx, nil
 }

@@ -61,6 +61,23 @@ func runIndexed(workers, n int, fn func(i int) error) error {
 	return nil
 }
 
+// fanOut runs fn(i, out) for every i in [0, n) across the worker pool,
+// each call writing to a private sendBuffer, and then replays the
+// buffers onto the bus in index order. Every parallel stage of a round
+// sends this way; sendBuffer says why that keeps it byte-identical.
+func (e *Engine) fanOut(n int, fn func(i int, out node.Sender) error) error {
+	out := make([]sendBuffer, n)
+	if err := runIndexed(e.workers, n, func(i int) error { return fn(i, &out[i]) }); err != nil {
+		return err
+	}
+	for i := range out {
+		if err := out[i].flush(e.bus); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // resolveWorkers turns a Config.Workers value into an effective pool
 // size: non-positive means one worker per logical CPU.
 func resolveWorkers(w int) int {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -138,10 +137,13 @@ func TestReputationSurvivesRestart(t *testing.T) {
 // contract: after Close and reopen, the round counter resumes from the
 // persisted height (so VRF election inputs stay unique) and every
 // governor's reputation snapshot is byte-identical to what was saved.
+// The cadence checkpoint of round 4 is a round stale by then: the one
+// Close writes must win.
 func TestRoundCounterAndSnapshotSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := defaultConfig()
 	cfg.ChainDir = dir
+	cfg.SnapshotEvery = 2
 
 	e1 := newTestEngine(t, cfg)
 	const rounds = 5
@@ -185,38 +187,36 @@ func TestRoundCounterAndSnapshotSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestCorruptReputationFileFailsRestart: a truncated or garbled
-// governor-<j>.rep file must fail engine construction with a wrapped
-// error naming the governor, not silently reset its learned weights.
-func TestCorruptReputationFileFailsRestart(t *testing.T) {
+// TestCorruptCheckpointFailsRestart: a CRC-valid ledger snapshot whose
+// application state does not decode must fail engine construction with
+// an error naming the governor, not silently reset its learned weights.
+func TestCorruptCheckpointFailsRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := defaultConfig()
 	cfg.ChainDir = dir
 
-	e1 := newTestEngine(t, cfg)
-	for r := 0; r < 3; r++ {
-		submitRound(t, e1, 8, r, 3)
-		if _, err := e1.RunRound(); err != nil {
-			t.Fatal(err)
-		}
+	if err := newTestEngine(t, cfg).Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := e1.Close(); err != nil {
+	fs, err := ledger.OpenFileStore(filepath.Join(dir, "governor-1.chain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, found := fs.LatestSnapshot(); !found {
+		t.Fatal("Close left no checkpoint")
+	}
+	if _, err := fs.WriteSnapshot([]byte("not a governor state")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	repPath := filepath.Join(dir, "governor-1.rep")
-	if _, err := os.Stat(repPath); err != nil {
-		t.Fatalf("expected persisted reputation file: %v", err)
-	}
-	if err := os.WriteFile(repPath, []byte("not a reputation snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err := New(cfg)
+	_, err = New(cfg)
 	if err == nil {
-		t.Fatal("New() accepted a corrupted reputation snapshot")
+		t.Fatal("New() accepted a corrupted checkpoint")
 	}
-	if !strings.Contains(err.Error(), "governor 1") {
+	if !strings.Contains(err.Error(), "governor/1") {
 		t.Fatalf("error %q does not name the corrupt governor", err)
 	}
 }
@@ -308,66 +308,6 @@ func TestSnapshotCadenceWritesAndPrunes(t *testing.T) {
 	}
 	if ms.Counters["ledger.segments_pruned_total"] == 0 {
 		t.Fatal("ledger.segments_pruned_total did not move")
-	}
-}
-
-// TestRestartFromSnapshotWithoutRepFile deletes the .rep sidecars
-// after a snapshotting run — the crash model where only the chain
-// directory survives — and verifies the restarted engine recovers
-// reputation from the ledger snapshot and continues committing rounds
-// identically to a node restored from .rep.
-func TestRestartFromSnapshotWithoutRepFile(t *testing.T) {
-	dir := t.TempDir()
-	cfg := defaultConfig()
-	cfg.ChainDir = dir
-	cfg.SnapshotEvery = 2
-
-	e1 := newTestEngine(t, cfg)
-	for r := 0; r < 4; r++ {
-		submitRound(t, e1, 8, r, 3)
-		if _, err := e1.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantRep := make([][]byte, e1.Governors())
-	for j := 0; j < e1.Governors(); j++ {
-		wantRep[j] = e1.Governor(j).Table().Snapshot()
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reps, err := filepath.Glob(filepath.Join(dir, "governor-*.rep"))
-	if err != nil || len(reps) == 0 {
-		t.Fatalf("no .rep files to delete (err=%v)", err)
-	}
-	for _, p := range reps {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	e2 := newTestEngine(t, cfg)
-	defer func() {
-		if err := e2.Close(); err != nil {
-			t.Errorf("Close() error = %v", err)
-		}
-	}()
-	for j := 0; j < e2.Governors(); j++ {
-		got := e2.Governor(j).Table().Snapshot()
-		if !bytes.Equal(got, wantRep[j]) {
-			t.Fatalf("governor %d reputation after snapshot-only restart differs from pre-restart state", j)
-		}
-	}
-	if e2.Round() != 4 {
-		t.Fatalf("restarted Round() = %d, want 4", e2.Round())
-	}
-	submitRound(t, e2, 6, 9, 0)
-	res, err := e2.RunRound()
-	if err != nil {
-		t.Fatalf("post-restart RunRound() error = %v", err)
-	}
-	if res.Serial != 5 {
-		t.Fatalf("post-restart serial = %d, want 5", res.Serial)
 	}
 }
 

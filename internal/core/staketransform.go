@@ -60,7 +60,7 @@ func (e *Engine) stakeTransformOnce(leader int) (*consensus.StakeBlock, bool, er
 	// Step 2: followers verify and endorse, or accuse.
 	var endorsements []consensus.Endorsement
 	accused := false
-	rest, err := e.pumpGovernors()
+	rest, err := e.stepGovernors(nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -91,7 +91,7 @@ func (e *Engine) stakeTransformOnce(leader int) (*consensus.StakeBlock, bool, er
 	e.bus.AdvancePastDelay()
 
 	// The leader (or any governor) drains evidence and endorsements.
-	rest, err = e.pumpGovernors()
+	rest, err = e.stepGovernors(nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -132,7 +132,7 @@ func (e *Engine) stakeTransformOnce(leader int) (*consensus.StakeBlock, bool, er
 		return nil, false, err
 	}
 	e.bus.AdvancePastDelay()
-	rest, err = e.pumpGovernors()
+	rest, err = e.stepGovernors(nil)
 	if err != nil {
 		return nil, false, err
 	}

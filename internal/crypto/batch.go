@@ -1,11 +1,5 @@
 package crypto
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
 // Batched Ed25519 verification (DESIGN.md §4f).
 //
 // A round presents signatures in natural batches — a drained mempool
@@ -15,14 +9,13 @@ import (
 // signature and gives the scheduler no batch to work with. VerifyBatch
 // classifies a whole batch under a single cache lock acquisition,
 // coalesces duplicate (key, msg, sig) triples inside the batch, and then
-// verifies only the residual unique misses — optionally across workers.
+// verifies only the residual unique misses.
 //
 // Determinism: the verdict slice is per-item and exactly what
 // CachedVerify would have returned item by item. There is no
 // probabilistic aggregate check to fall back from: every residual miss
 // is verified individually, so a bad signature is identified and
-// attributed to the same index as the per-sig path by construction,
-// at any worker count.
+// attributed to the same index as the per-sig path by construction.
 
 // BatchItem is one signature check submitted to VerifyBatch.
 type BatchItem struct {
@@ -53,14 +46,6 @@ const (
 // the batch are verified once, and fresh verdicts are inserted into the
 // cache for later callers. Safe for concurrent use.
 func (c *VerifyCache) VerifyBatch(items []BatchItem) []error {
-	return c.VerifyBatchWorkers(items, 1)
-}
-
-// VerifyBatchWorkers is VerifyBatch with the residual unique
-// verifications fanned out across up to workers goroutines. Verdicts
-// are written to disjoint indices, so the result is identical at any
-// worker count.
-func (c *VerifyCache) VerifyBatchWorkers(items []BatchItem, workers int) []error {
 	errs := make([]error, len(items))
 	if len(items) == 0 {
 		return errs
@@ -90,7 +75,7 @@ func (c *VerifyCache) VerifyBatchWorkers(items []BatchItem, workers int) []error
 	// Verify the residual unique misses, each filling the in-flight
 	// entry it installed. Counters match the per-sig path: every unique
 	// verification is one miss.
-	verifyOwned := func(i int) {
+	for _, i := range owned {
 		it := items[i]
 		ent := ents[i]
 		ent.ok = it.Pub.Verify(it.Msg, it.Sig) == nil
@@ -98,34 +83,6 @@ func (c *VerifyCache) VerifyBatchWorkers(items []BatchItem, workers int) []error
 		c.misses.Inc()
 		c.batchVerified.Inc()
 		errs[i] = ent.verdict()
-	}
-	if workers > len(owned) {
-		workers = len(owned)
-	}
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		for _, i := range owned {
-			verifyOwned(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					n := int(next.Add(1)) - 1
-					if n >= len(owned) {
-						return
-					}
-					verifyOwned(owned[n])
-				}
-			}()
-		}
-		wg.Wait()
 	}
 
 	// Collect hits and in-batch duplicates. Both count as hits, exactly
@@ -228,10 +185,4 @@ func (c *VerifyCache) BatchStats() BatchStats {
 // VerifyCache.VerifyBatch.
 func VerifyBatch(items []BatchItem) []error {
 	return DefaultVerifyCache.VerifyBatch(items)
-}
-
-// VerifyBatchWorkers checks items through DefaultVerifyCache with a
-// worker fan-out; see VerifyCache.VerifyBatchWorkers.
-func VerifyBatchWorkers(items []BatchItem, workers int) []error {
-	return DefaultVerifyCache.VerifyBatchWorkers(items, workers)
 }

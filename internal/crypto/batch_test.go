@@ -202,25 +202,6 @@ func TestVerifyBatchInsertsIntoCache(t *testing.T) {
 	}
 }
 
-// TestVerifyBatchWorkersDeterministic checks that the verdict vector is
-// identical at every worker count, including with planted failures.
-func TestVerifyBatchWorkersDeterministic(t *testing.T) {
-	items, _ := batchFixture(t, 128, 8)
-	for _, bad := range []int{3, 64, 127} {
-		items[bad].Sig = append([]byte(nil), items[bad].Sig...)
-		items[bad].Sig[0] ^= 0x80
-	}
-	ref := NewVerifyCache(512).VerifyBatchWorkers(items, 1)
-	for _, w := range []int{2, 4, 8, 16} {
-		got := NewVerifyCache(512).VerifyBatchWorkers(items, w)
-		for i := range items {
-			if (got[i] == nil) != (ref[i] == nil) {
-				t.Fatalf("workers=%d item %d: %v, sequential %v", w, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
 // TestVerifyBatchConcurrent hammers one cache from many goroutines with
 // overlapping batches; the race detector guards the locking discipline.
 func TestVerifyBatchConcurrent(t *testing.T) {

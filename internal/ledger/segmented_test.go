@@ -420,53 +420,19 @@ func TestPruneWithoutSnapshotIsNoop(t *testing.T) {
 	}
 }
 
-func TestLegacySingleFileMigration(t *testing.T) {
-	// Build a chain in the old single-file format: plain 4-byte
-	// big-endian length frames, no header, no CRC.
-	mem := NewMemoryStore()
-	blocks := buildChain(t, mem, 6, 2)
+// TestOpenRejectsRegularFile: a regular file at the chain path is
+// outside input, rejected by name instead of failing MkdirAll obscurely.
+func TestOpenRejectsRegularFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "chain.dat")
-	var raw []byte
-	for _, b := range blocks {
-		enc := b.EncodeBytes()
-		var lenBuf [4]byte
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(enc)))
-		raw = append(raw, lenBuf[:]...)
-		raw = append(raw, enc...)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("not a segment directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	fs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("OpenFileStore(legacy file) error = %v", err)
+	_, err := OpenFileStore(path)
+	if !errors.Is(err, ErrCorruptChain) {
+		t.Fatalf("OpenFileStore(file) error = %v, want ErrCorruptChain", err)
 	}
-	defer func() { _ = fs.Close() }()
-	if !fs.Recovery().MigratedLegacy {
-		t.Fatal("RecoveryInfo.MigratedLegacy = false after migrating a legacy chain")
-	}
-	if fs.Height() != 6 {
-		t.Fatalf("migrated Height() = %d, want 6", fs.Height())
-	}
-	for _, want := range blocks {
-		got, err := fs.Get(want.Serial)
-		if err != nil {
-			t.Fatalf("Get(%d) error = %v", want.Serial, err)
-		}
-		if got.Hash() != want.Hash() {
-			t.Fatalf("block %d changed in migration", want.Serial)
-		}
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fi.IsDir() {
-		t.Fatal("migration left the chain path as a file")
-	}
-	if err := VerifyChain(fs); err != nil {
-		t.Fatalf("VerifyChain(migrated) error = %v", err)
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %q does not name the path", err)
 	}
 }
 

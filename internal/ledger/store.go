@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -218,9 +217,6 @@ type RecoveryInfo struct {
 	// SegmentsScanned counts sealed segments that had to be re-scanned
 	// because their sidecar index was missing or invalid.
 	SegmentsScanned int
-	// MigratedLegacy reports that a pre-segmented single-file chain
-	// was converted to the segmented layout on open.
-	MigratedLegacy bool
 }
 
 // FileStore is the segmented append-only on-disk chain. The directory
@@ -229,10 +225,10 @@ type RecoveryInfo struct {
 // (chain-<first>.idx), and atomic state snapshots
 // (snapshot-<height>.snap).
 //
-// Unlike the pre-segmented store it replaces, FileStore does not keep
-// the chain in memory: it holds a bounded tail cache plus per-segment
-// offset indexes, reads older blocks from disk on demand, and on open
-// decodes only the log suffix above the latest valid snapshot.
+// FileStore does not keep the chain in memory: it holds a bounded tail
+// cache plus per-segment offset indexes, reads older blocks from disk on
+// demand, and on open decodes only the log suffix above the latest valid
+// snapshot.
 type FileStore struct {
 	mu   sync.RWMutex
 	dir  string
@@ -262,8 +258,7 @@ var (
 )
 
 // OpenFileStore opens or creates the segmented chain store at path
-// with default options. A pre-segmented single-file chain at path is
-// migrated to the segmented layout in place.
+// with default options.
 func OpenFileStore(path string) (*FileStore, error) {
 	return OpenFileStoreOptions(path, StoreOptions{})
 }
@@ -280,112 +275,21 @@ func OpenFileStore(path string) (*FileStore, error) {
 // the bad frame so an operator can inspect or truncate manually.
 func OpenFileStoreOptions(path string, opts StoreOptions) (*FileStore, error) {
 	opts = opts.withDefaults()
-	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
-		if err := migrateLegacyChain(path); err != nil {
-			return nil, err
-		}
+	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("chain path %s is a file, not a segment directory: %w", path, ErrCorruptChain)
 	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("open chain dir: %w", err)
-	}
-	migrated := false
-	if fi, err := os.Stat(filepath.Join(path, legacyBackupName)); err == nil && fi.Mode().IsRegular() {
-		// A parked legacy chain (fresh move-aside, or a crash before a
-		// previous migration finished): (re)build the segments from it.
-		if err := completeMigration(path, opts); err != nil {
-			return nil, err
-		}
-		migrated = true
 	}
 	fs := &FileStore{
 		dir:  path,
 		opts: opts,
 		tail: make([]Block, opts.TailBlocks),
 	}
-	fs.recovery.MigratedLegacy = migrated
 	if err := fs.load(); err != nil {
 		return nil, err
 	}
 	return fs, nil
-}
-
-// legacyBackupName is where migrateLegacyChain parks the original
-// single-file chain inside the new directory until the migration has
-// fully replayed, after which it is deleted.
-const legacyBackupName = "legacy-chain.migrating"
-
-// migrateLegacyChain parks a pre-segmented single-file chain inside a
-// fresh directory at the same path; completeMigration then rebuilds
-// the segments from it. Splitting the move from the rebuild makes the
-// migration crash-resumable: the parked file survives until the
-// segments fully exist.
-func migrateLegacyChain(path string) error {
-	if err := os.Rename(path, path+".migrating"); err != nil {
-		return fmt.Errorf("move legacy chain aside: %w", err)
-	}
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		return fmt.Errorf("create chain dir: %w", err)
-	}
-	if err := os.Rename(path+".migrating", filepath.Join(path, legacyBackupName)); err != nil {
-		return fmt.Errorf("park legacy chain: %w", err)
-	}
-	return nil
-}
-
-// completeMigration decodes the parked legacy chain (plain 4-byte
-// length frames, no header, no CRC), discards any partial segments a
-// previous interrupted attempt left behind, re-appends every block
-// through a fresh segmented store, and only then deletes the backup.
-func completeMigration(path string, opts StoreOptions) error {
-	backup := filepath.Join(path, legacyBackupName)
-	data, err := os.ReadFile(backup)
-	if err != nil {
-		return fmt.Errorf("read legacy chain file: %w", err)
-	}
-	var blocks []Block
-	for off := 0; off < len(data); {
-		if off+4 > len(data) {
-			return fmt.Errorf("legacy chain file %s truncated frame header at offset %d: %w", backup, off, ErrCorruptChain)
-		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		if n > maxFramePayload || off+4+n > len(data) {
-			return fmt.Errorf("legacy chain file %s truncated frame at offset %d: %w", backup, off, ErrCorruptChain)
-		}
-		b, err := DecodeBlockBytes(data[off+4 : off+4+n])
-		if err != nil {
-			return fmt.Errorf("legacy chain file %s block decode at offset %d: %w", backup, off, err)
-		}
-		blocks = append(blocks, b)
-		off += 4 + n
-	}
-	entries, err := os.ReadDir(path)
-	if err != nil {
-		return fmt.Errorf("read chain dir: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		_, isSeg := parseSegmentName(name)
-		_, isSnap := parseSnapshotName(name)
-		if isSeg || isSnap || strings.HasSuffix(name, ".idx") || strings.HasSuffix(name, ".tmp") {
-			if err := os.Remove(filepath.Join(path, name)); err != nil {
-				return fmt.Errorf("clear partial migration: %w", err)
-			}
-		}
-	}
-	fs := &FileStore{dir: path, opts: opts, tail: make([]Block, opts.TailBlocks)}
-	if err := fs.load(); err != nil {
-		return err
-	}
-	for _, b := range blocks {
-		if err := fs.Append(b); err != nil {
-			_ = fs.Close()
-			return fmt.Errorf("migrate legacy chain: %w", err)
-		}
-	}
-	if err := fs.Close(); err != nil {
-		return err
-	}
-	return os.Remove(backup)
 }
 
 //repchain:lockguard-ok construction-time only: load runs before the store is reachable by any other goroutine

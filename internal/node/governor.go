@@ -28,6 +28,10 @@ var drawWeightBuckets = []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
 // of four up to the largest drain a block-limited round produces.
 var batchItemBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384}
 
+// DefaultArgueWindow is U where a deployment does not choose one: the
+// facade's default and the TCP runtime's value.
+const DefaultArgueWindow = 64
+
 // GovernorConfig assembles a governor's dependencies.
 type GovernorConfig struct {
 	// Member is the governor's credential and signing key.
@@ -184,8 +188,8 @@ type Governor struct {
 	stats GovernorStats
 
 	// tracer, events, and round feed lifecycle spans and the structured
-	// event stream; the engine advances round via SetRound at each
-	// round start.
+	// event stream; GovernorRound.Begin advances round, for attribution
+	// only.
 	tracer *trace.Recorder
 	events *events.Log
 	round  uint64
@@ -218,7 +222,7 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		return nil, fmt.Errorf("governor %s: %w", cfg.Member.ID, err)
 	}
 	if cfg.ArgueWindow <= 0 {
-		cfg.ArgueWindow = 64
+		cfg.ArgueWindow = DefaultArgueWindow
 	}
 	store := cfg.Store
 	if store == nil {
@@ -264,10 +268,6 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	}
 	return g, nil
 }
-
-// SetRound tells the governor which protocol round is executing, for
-// span attribution only.
-func (g *Governor) SetRound(r uint64) { g.round = r }
 
 // ID returns the governor's node ID.
 func (g *Governor) ID() identity.NodeID { return g.cfg.Member.ID }
@@ -908,18 +908,6 @@ func (g *Governor) BuildBlock(records []ledger.Record) (ledger.Block, error) {
 		}
 	}
 	return b, nil
-}
-
-// StashRecords keeps a non-leading governor's screening output for
-// potential later proposals. In the paper the leader's screening
-// forms the block; other governors' screenings only feed their local
-// reputations, so the records are dropped — only argue re-validations
-// and overflow stay pending.
-func (g *Governor) StashRecords(records []ledger.Record) {
-	// Keep only records that must eventually appear: argue
-	// re-validations queued in pendingRecords already survive; the
-	// round's screening records are the leader's responsibility.
-	_ = records
 }
 
 // AcceptBlock verifies and appends a proposed block: the proposer must

@@ -1,0 +1,312 @@
+package node
+
+import (
+	"fmt"
+	"slices"
+
+	"repchain/internal/consensus"
+	"repchain/internal/crypto"
+	"repchain/internal/identity"
+	"repchain/internal/ledger"
+	"repchain/internal/metrics"
+	"repchain/internal/network"
+)
+
+// GovernorRound is the governor's half of a round (§3.1 processing
+// phase) as one stepper: screen the uploads, broadcast VRF tickets,
+// elect, propose when leading, adopt the block, checkpoint. It is the
+// protocol and nothing else — no I/O, no clock, no concurrency of its
+// own. A driver hands it the messages it drained and a Sender and
+// decides when each step runs: core.Engine steps a whole alliance in
+// lock-step on bus ticks, transport.RunNode one governor on the
+// wall-clock phase schedule.
+//
+//	Begin → Ingest* → Screen → SendTickets → Ingest* → Elect →
+//	[Propose] → Ingest* → Adopt → [Checkpoint]
+//
+// Ingest files ticket batches and block frames whenever they arrive and
+// the step that needs them consumes them, so a frame that lands in the
+// "wrong" drain is never lost.
+type GovernorRound struct {
+	gov         *Governor
+	governorIDs []identity.NodeID
+	pubs        []crypto.PublicKey
+	blockTo     []identity.NodeID // governors, then providers
+
+	round uint64
+	// prevHash and baseHeight are the chain head the round's tickets
+	// were made over; Adopt reports a commit once the chain outgrows it.
+	prevHash   crypto.Hash
+	baseHeight uint64
+	records    []ledger.Record
+	// tickets[j] is the first batch governor j sent for this round.
+	tickets [][]consensus.Ticket
+	filed   []bool
+	// blocks stashes block frames until the step that knows which
+	// leader's signature to demand of them.
+	blocks             [][]byte
+	leader, prevLeader int
+
+	reg *metrics.Registry
+}
+
+// NewGovernorRound wraps gov in a round stepper for an alliance of
+// governorIDs (public keys pubs, both in index order) and providerIDs,
+// the block's other recipients. Counters land in gov's Metrics registry.
+func NewGovernorRound(gov *Governor, governorIDs []identity.NodeID, pubs []crypto.PublicKey, providerIDs []identity.NodeID) *GovernorRound {
+	reg := gov.cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	return &GovernorRound{
+		gov:         gov,
+		governorIDs: governorIDs,
+		pubs:        pubs,
+		blockTo:     append(append([]identity.NodeID(nil), governorIDs...), providerIDs...),
+		round:       gov.store.Height(),
+		tickets:     make([][]consensus.Ticket, len(governorIDs)),
+		filed:       make([]bool, len(governorIDs)),
+		leader:      -1,
+		prevLeader:  -1,
+		reg:         reg,
+	}
+}
+
+// Begin opens round `round`. Ticket batches filed for the previous
+// round are dropped; stashed block frames are kept, because the
+// previous leader's block may still be among them.
+func (r *GovernorRound) Begin(round uint64) {
+	r.round = round
+	r.gov.round = round
+	r.prevLeader, r.leader = r.leader, -1
+	r.clearTickets()
+}
+
+// Purge forgets everything volatile a crash would lose: filed ticket
+// batches and stashed block frames.
+func (r *GovernorRound) Purge() {
+	r.clearTickets()
+	r.blocks = nil
+}
+
+func (r *GovernorRound) clearTickets() {
+	for j := range r.tickets {
+		r.tickets[j], r.filed[j] = nil, false
+	}
+}
+
+// Ingest consumes drained messages: uploads and argues pass through the
+// governor's HandleBatch, ticket batches are filed under their sender,
+// block frames are stashed. It returns the kinds the round does not own
+// (the stake-transform traffic), in arrival order. A ticket batch that
+// is not filed — unknown sender, undecodable, another round's, or a
+// sender's second (first wins) — bumps its election.vrf_* counter.
+func (r *GovernorRound) Ingest(msgs []network.Message) ([]network.Message, error) {
+	rest, err := r.gov.HandleBatch(msgs)
+	if err != nil {
+		return nil, err
+	}
+	other := rest[:0]
+	for _, m := range rest {
+		switch m.Kind {
+		case network.KindVRF:
+			r.fileTickets(m)
+		case network.KindBlock:
+			r.blocks = append(r.blocks, m.Payload)
+		default:
+			other = append(other, m)
+		}
+	}
+	return other, nil
+}
+
+func (r *GovernorRound) fileTickets(m network.Message) {
+	sender := slices.Index(r.governorIDs, m.From)
+	round, tickets, err := consensus.DecodeRoundTickets(m.Payload)
+	switch {
+	case sender < 0:
+		r.reg.Counter("election.vrf_unknown_sender").Inc()
+	case err != nil:
+		r.reg.Counter("election.vrf_malformed").Inc()
+	case round != r.round:
+		r.reg.Counter("election.vrf_stale_round").Inc()
+	case r.filed[sender]:
+		r.reg.Counter("election.vrf_duplicate_batch").Inc()
+	default:
+		r.tickets[sender], r.filed[sender] = tickets, true
+	}
+}
+
+// Screen runs the screening step over everything ingested so far. A
+// previous-round block that arrived after its Adopt gave up is
+// committed first, so this round's tickets are made over the head the
+// rest of the alliance already has.
+func (r *GovernorRound) Screen() error {
+	if err := r.adoptStashed(r.prevLeader); err != nil {
+		return err
+	}
+	if err := r.gov.ProcessArgues(); err != nil {
+		return err
+	}
+	records, err := r.gov.ScreenRound()
+	r.records = records
+	return err
+}
+
+// SendTickets evaluates the governor's VRF once per stake unit over the
+// current chain head and multicasts the round-tagged batch to every
+// governor (itself included). stake 0 sends an empty batch.
+func (r *GovernorRound) SendTickets(stake uint64, out Sender) error {
+	r.prevHash = crypto.ZeroHash
+	if head, err := r.gov.store.Head(); err == nil {
+		r.prevHash = head.Hash()
+	}
+	r.baseHeight = r.gov.store.Height()
+	tickets := consensus.MakeTickets(r.gov.cfg.Member.PrivateKey, r.prevHash, r.round, r.gov.Index(), stake)
+	return out.Multicast(r.gov.ID(), r.governorIDs, network.KindVRF, consensus.EncodeRoundTickets(r.round, tickets))
+}
+
+// TicketsComplete reports whether every governor holding stake has a
+// batch on file, i.e. whether Elect can succeed.
+func (r *GovernorRound) TicketsComplete(stakes []uint64) bool {
+	for j, s := range stakes {
+		if s > 0 && !r.filed[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// Elect verifies the filed ticket batches against stakes and returns
+// the leader (§3.4.3), consuming the batches. A governor with stake 0
+// has nothing to prove: its empty batch is submitted locally, whatever
+// it sent. A staked governor with no batch on file fails the election
+// with a wrapped consensus.ErrIncompleteElection naming it; a batch
+// that fails verification is a hard error.
+func (r *GovernorRound) Elect(stakes []uint64) (int, error) {
+	defer r.clearTickets()
+	el, err := consensus.NewElection(r.round, r.prevHash, r.pubs, stakes)
+	if err != nil {
+		return -1, err
+	}
+	var missing []identity.NodeID
+	for j, s := range stakes {
+		if s > 0 && !r.filed[j] {
+			missing = append(missing, r.governorIDs[j])
+			continue
+		}
+		var tickets []consensus.Ticket
+		if s > 0 {
+			tickets = r.tickets[j]
+		}
+		if err := el.Submit(j, tickets); err != nil {
+			return -1, fmt.Errorf("%s round %d tickets from %s: %w", r.gov.ID(), r.round, r.governorIDs[j], err)
+		}
+	}
+	leader, _, err := el.Leader()
+	if err != nil {
+		return -1, fmt.Errorf("%s round %d election, no ticket batch from %v: %w", r.gov.ID(), r.round, missing, err)
+	}
+	r.leader = leader
+	return leader, nil
+}
+
+// Propose is the leader's step: assemble B = (s, TXList, h) from the
+// round's screened records, sign it, and multicast it to every governor
+// and provider. Only the governor Elect named calls it.
+func (r *GovernorRound) Propose(out Sender) (ledger.Block, error) {
+	block, err := r.gov.BuildBlock(r.records)
+	r.records = nil
+	if err != nil {
+		return ledger.Block{}, err
+	}
+	return block, out.Multicast(r.gov.ID(), r.blockTo, network.KindBlock, block.EncodeBytes())
+}
+
+// Adopt commits the stashed block frames proposed by the round's
+// elected leader and reports whether the chain has grown past the head
+// the round started on. False is not an error — the frame may still be
+// in flight: ingest and call again, or leave it to the next Screen.
+func (r *GovernorRound) Adopt() (bool, error) {
+	if err := r.adoptStashed(r.leader); err != nil {
+		return false, err
+	}
+	return r.gov.store.Height() > r.baseHeight, nil
+}
+
+// adoptStashed empties the stash, accepting the blocks proposed by
+// governor `leader` (AcceptBlock is idempotent on a redelivery) and
+// counting the rest: undecodable frames, and frames from anyone else —
+// a stale duplicate, or a proposer who was not elected.
+func (r *GovernorRound) adoptStashed(leader int) error {
+	stash := r.blocks
+	r.blocks = nil
+	for _, payload := range stash {
+		b, err := ledger.DecodeBlockBytes(payload)
+		if err != nil {
+			r.reg.CounterVec("node.blocks_ignored_total", "reason").With("decode").Inc()
+			continue
+		}
+		if leader < 0 || b.Proposer != r.governorIDs[leader] {
+			r.reg.CounterVec("node.blocks_ignored_total", "reason").With("not_leader").Inc()
+			continue
+		}
+		if err := r.gov.AcceptBlock(b, r.governorIDs[leader], r.pubs[leader]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Checkpoint makes the governor's recovery state durable: a ledger
+// snapshot at the current head carrying GovernorState, after which —
+// when prune is set — chain segments wholly behind it are deleted. A
+// no-op for an in-memory replica. A nil reputation means the governor's
+// live table; shard re-homing passes the migrated one.
+func (r *GovernorRound) Checkpoint(reputation []byte, stakes []uint64, prune bool) error {
+	fs, ok := r.gov.store.(*ledger.FileStore)
+	if !ok {
+		return nil
+	}
+	if reputation == nil {
+		reputation = r.gov.table.Snapshot()
+	}
+	app := GovernorState{Round: r.round, Reputation: reputation, Stakes: stakes}.Encode()
+	if _, err := fs.WriteSnapshot(app); err != nil {
+		return fmt.Errorf("%s snapshot: %w", r.gov.ID(), err)
+	}
+	r.reg.Counter("ledger.snapshots_total").Inc()
+	if !prune {
+		return nil
+	}
+	n, err := fs.Prune()
+	r.reg.Counter("ledger.segments_pruned_total").Add(int64(n))
+	if err != nil {
+		return fmt.Errorf("%s prune: %w", r.gov.ID(), err)
+	}
+	return nil
+}
+
+// Restore loads the latest Checkpoint into the governor's reputation
+// table and returns the stake vector saved with it (nil without a
+// checkpoint). One that does not decode or does not fit the table is
+// an error: re-trusting every collector equally would be a silent
+// reputation reset.
+func (r *GovernorRound) Restore() ([]uint64, error) {
+	fs, ok := r.gov.store.(*ledger.FileStore)
+	if !ok {
+		return nil, nil
+	}
+	snap, found := fs.LatestSnapshot()
+	if !found || len(snap.App) == 0 {
+		return nil, nil
+	}
+	st, err := DecodeGovernorState(snap.App)
+	if err == nil {
+		err = r.gov.table.RestoreSnapshot(st.Reputation)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s ledger snapshot state: %w", r.gov.ID(), err)
+	}
+	return st.Stakes, nil
+}

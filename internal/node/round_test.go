@@ -1,0 +1,280 @@
+package node
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repchain/internal/consensus"
+	"repchain/internal/crypto"
+	"repchain/internal/identity"
+	"repchain/internal/ledger"
+	"repchain/internal/metrics"
+	"repchain/internal/network"
+	"repchain/internal/reputation"
+)
+
+// alliance is three governors' round steppers on a zero-delay bus: the
+// smallest driver there is. No sockets, no sleeps, no engine.
+type alliance struct {
+	t      *testing.T
+	bus    *network.Bus
+	ids    []identity.NodeID
+	govs   []*Governor
+	rounds []*GovernorRound
+	stakes []uint64
+	reg    *metrics.Registry
+	round  uint64
+}
+
+// newAlliance builds the alliance; store, when non-nil, supplies
+// governor j's ledger replica.
+func newAlliance(t *testing.T, store func(j int) ledger.Store) *alliance {
+	t.Helper()
+	a := &alliance{t: t, bus: network.NewBus(0), stakes: []uint64{1, 2, 1}, reg: metrics.NewRegistry()}
+	seed := make([]byte, crypto.SeedSize)
+	im, err := identity.NewManagerFromSeed(seed)
+	a.check(err)
+	topo, err := identity.NewRegularTopology(identity.TopologySpec{Providers: 1, Collectors: 1, Degree: 1})
+	a.check(err)
+	roster, err := identity.RegisterAll(im, topo, 3, seed)
+	a.check(err)
+	_, err = a.bus.Register(roster.Collectors[0].ID)
+	a.check(err)
+	var pubs []crypto.PublicKey
+	for _, mem := range roster.Governors {
+		a.ids = append(a.ids, mem.ID)
+		pubs = append(pubs, mem.Cert.PublicKey)
+	}
+	for j, mem := range roster.Governors {
+		ep, err := a.bus.Register(mem.ID)
+		a.check(err)
+		cfg := GovernorConfig{
+			Member: mem, Endpoint: ep, IM: im, Topology: topo,
+			Params: reputation.DefaultParams(), Validator: oracle, Seed: int64(j), Metrics: a.reg,
+		}
+		if store != nil {
+			cfg.Store = store(j)
+		}
+		gov, err := NewGovernor(cfg)
+		a.check(err)
+		a.govs = append(a.govs, gov)
+		a.rounds = append(a.rounds, NewGovernorRound(gov, a.ids, pubs, nil))
+	}
+	return a
+}
+
+func (a *alliance) check(err error) {
+	a.t.Helper()
+	if err != nil {
+		a.t.Fatal(err)
+	}
+}
+
+func (a *alliance) ingest(j int) {
+	a.t.Helper()
+	_, err := a.rounds[j].Ingest(a.govs[j].Endpoint().Receive())
+	a.check(err)
+}
+
+// open runs every governor through Begin, Screen and SendTickets.
+func (a *alliance) open() {
+	a.t.Helper()
+	a.round++
+	for j, r := range a.rounds {
+		r.Begin(a.round)
+		a.ingest(j)
+		a.check(r.Screen())
+		a.check(r.SendTickets(a.stakes[j], a.bus))
+	}
+}
+
+// elect has every governor in js ingest and elect; they must agree.
+func (a *alliance) elect(js ...int) int {
+	a.t.Helper()
+	leader := -1
+	for _, j := range js {
+		a.ingest(j)
+		l, err := a.rounds[j].Elect(a.stakes)
+		a.check(err)
+		if leader >= 0 && l != leader {
+			a.t.Fatalf("governor %d elected %d, others %d", j, l, leader)
+		}
+		leader = l
+	}
+	return leader
+}
+
+func (a *alliance) propose(j int) ledger.Block {
+	a.t.Helper()
+	b, err := a.rounds[j].Propose(a.bus)
+	a.check(err)
+	return b
+}
+
+func (a *alliance) adopt(j int) bool {
+	a.t.Helper()
+	a.ingest(j)
+	committed, err := a.rounds[j].Adopt()
+	a.check(err)
+	return committed
+}
+
+// runRound is the whole lock-step driver: one clean round.
+func (a *alliance) runRound() {
+	a.t.Helper()
+	a.open()
+	a.propose(a.elect(0, 1, 2))
+	for j := range a.rounds {
+		if !a.adopt(j) {
+			a.t.Fatalf("governor %d did not commit round %d", j, a.round)
+		}
+	}
+}
+
+func (a *alliance) ignored(reason string) int64 {
+	return a.reg.CounterVec("node.blocks_ignored_total", "reason").With(reason).Value()
+}
+
+// TestRoundAdoptsBlockFromWrongPhase is PR 8's fork as a unit test: a
+// block frame that lands in a drain other than the adopt drain must
+// still be committed.
+func TestRoundAdoptsBlockFromWrongPhase(t *testing.T) {
+	a := newAlliance(t, nil)
+
+	// Early: the leader proposes while a slower peer is still collecting
+	// tickets, so the peer's elect drain delivers the block before it
+	// has elected anyone.
+	a.open()
+	leader := a.elect(0)
+	slow := []int{1, 2}
+	if leader != 0 {
+		a.elect(leader)
+		slow = []int{3 - leader}
+	}
+	a.propose(leader)
+	a.elect(slow...) // tickets and block in one drain
+	for j := range a.rounds {
+		if !a.adopt(j) {
+			t.Fatalf("governor %d lost a block that arrived in its elect drain", j)
+		}
+	}
+
+	// Late: the victim's copy of round 2's block arrives only after its
+	// Adopt gave up. Round 3's Screen must commit it before SendTickets
+	// reads the head, or the victim's tickets fork it off for good.
+	a.open()
+	leader = a.elect(0, 1, 2)
+	victim := (leader + 1) % 3
+	a.bus.SetDropFunc(func(m network.Message, to identity.NodeID) bool {
+		return m.Kind == network.KindBlock && to == a.ids[victim]
+	})
+	block := a.propose(leader)
+	a.bus.SetDropFunc(nil)
+	for j := range a.rounds {
+		if got := a.adopt(j); got != (j != victim) {
+			t.Fatalf("governor %d Adopt() = %v", j, got)
+		}
+	}
+	late := network.Message{From: a.ids[leader], Kind: network.KindBlock, Payload: block.EncodeBytes()}
+	_, err := a.rounds[victim].Ingest([]network.Message{late})
+	a.check(err)
+	a.runRound()
+	for j, g := range a.govs {
+		if h := g.Store().Height(); h != 3 {
+			t.Fatalf("governor %d height = %d after round 3, want 3", j, h)
+		}
+	}
+	if n := a.ignored("decode") + a.ignored("not_leader"); n != 0 {
+		t.Fatalf("%d block frames ignored, want 0", n)
+	}
+
+	// A frame from a governor nobody elected, and one that is not a
+	// block at all, are skipped and counted.
+	a.open()
+	impostor := (a.elect(0, 1, 2) + 1) % 3
+	a.propose(impostor)
+	a.check(a.bus.Multicast(a.ids[impostor], a.ids[:1], network.KindBlock, []byte("junk")))
+	if a.adopt(0) {
+		t.Fatal("governor 0 committed a block from an unelected proposer")
+	}
+	if a.ignored("decode") != 1 || a.ignored("not_leader") != 1 {
+		t.Fatalf("ignored decode=%d not_leader=%d, want 1 and 1", a.ignored("decode"), a.ignored("not_leader"))
+	}
+}
+
+// TestRoundTicketBatches: a stale-round batch, a malformed one, a
+// duplicate and one from outside the governor list are each counted
+// under their own reason and none of them moves the election; a staked
+// governor's missing batch fails the election by name.
+func TestRoundTicketBatches(t *testing.T) {
+	a := newAlliance(t, nil)
+	a.runRound()
+	a.open()
+	for _, junk := range []struct {
+		from    identity.NodeID
+		payload []byte
+	}{
+		{a.ids[1], consensus.EncodeRoundTickets(a.round-1, nil)}, // stale
+		{a.ids[1], consensus.EncodeRoundTickets(a.round, nil)},   // duplicate: the real batch came first
+		{a.ids[2], []byte{0xff}},                                 // malformed
+		{"collector/0", consensus.EncodeRoundTickets(a.round, nil)},
+	} {
+		a.check(a.bus.Multicast(junk.from, a.ids[:1], network.KindVRF, junk.payload))
+	}
+	a.elect(0, 1, 2) // governor 0 got the junk, 1 and 2 did not: same leader
+	for _, reason := range []string{"stale_round", "duplicate_batch", "malformed", "unknown_sender"} {
+		if got := a.reg.Counter("election.vrf_" + reason).Value(); got != 1 {
+			t.Errorf("election.vrf_%s = %d, want 1", reason, got)
+		}
+	}
+
+	a.bus.SetDropFunc(func(m network.Message, to identity.NodeID) bool {
+		return m.Kind == network.KindVRF && m.From == a.ids[1] && to == a.ids[0]
+	})
+	a.open()
+	a.ingest(0)
+	if a.rounds[0].TicketsComplete(a.stakes) {
+		t.Fatal("TicketsComplete() with governor/1's batch dropped")
+	}
+	_, err := a.rounds[0].Elect(a.stakes)
+	if !errors.Is(err, consensus.ErrIncompleteElection) || !strings.Contains(fmt.Sprint(err), "governor/1") {
+		t.Fatalf("Elect() error = %v, want ErrIncompleteElection naming governor/1", err)
+	}
+}
+
+// TestRoundCheckpointRestoreRoundTrip: Checkpoint, reopen the store,
+// Restore — reputation and stakes come back bit for bit.
+func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	open := func(j int) ledger.Store {
+		fs, err := ledger.OpenFileStore(filepath.Join(dir, fmt.Sprint(j)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = fs.Close() })
+		return fs
+	}
+	a := newAlliance(t, open)
+	a.runRound()
+	a.check(a.govs[0].Table().RecordForgery(0))
+	want := a.govs[0].Table().Snapshot()
+	a.check(a.rounds[0].Checkpoint(nil, a.stakes, true))
+	a.check(a.govs[0].Store().(*ledger.FileStore).Close())
+
+	b := newAlliance(t, open)
+	if bytes.Equal(b.govs[0].Table().Snapshot(), want) {
+		t.Fatal("fresh table already equals the checkpointed one; test vacuous")
+	}
+	stakes, err := b.rounds[0].Restore()
+	b.check(err)
+	if !bytes.Equal(b.govs[0].Table().Snapshot(), want) {
+		t.Fatal("reputation changed across checkpoint and restore")
+	}
+	if fmt.Sprint(stakes) != fmt.Sprint(a.stakes) {
+		t.Fatalf("restored stakes %v, want %v", stakes, a.stakes)
+	}
+}

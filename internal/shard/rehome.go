@@ -2,8 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"repchain/internal/core"
@@ -190,10 +188,10 @@ func (cl *Cluster) rebuildHome() {
 }
 
 // rebuildCommittees closes the named committees and brings them back
-// with their migrated reputation snapshots. On-disk committees get the
-// snapshot written to the governor's .rep sidecar before construction
-// (core.New restores it and resumes the persisted chain); in-memory
-// committees restore the snapshot into the live tables after
+// with their migrated reputation snapshots. On-disk committees hand the
+// snapshots over in their closing checkpoint, which core.New restores
+// along with the persisted chain; in-memory committees have no
+// checkpoint, so the snapshots are restored into the live tables after
 // construction.
 func (cl *Cluster) rebuildCommittees(snaps map[int][][]byte) error {
 	committees := make([]int, 0, len(snaps))
@@ -202,7 +200,7 @@ func (cl *Cluster) rebuildCommittees(snaps map[int][][]byte) error {
 	}
 	sort.Ints(committees)
 	for _, i := range committees {
-		if err := cl.engines[i].Close(); err != nil {
+		if err := cl.engines[i].CloseMigrated(snaps[i]); err != nil {
 			return fmt.Errorf("close committee %d: %w", i, err)
 		}
 	}
@@ -210,14 +208,6 @@ func (cl *Cluster) rebuildCommittees(snaps map[int][][]byte) error {
 		ecfg, err := cl.committeeConfig(i)
 		if err != nil {
 			return err
-		}
-		if ecfg.ChainDir != "" {
-			for j, snap := range snaps[i] {
-				path := filepath.Join(ecfg.ChainDir, fmt.Sprintf("governor-%d.rep", j))
-				if err := os.WriteFile(path, snap, 0o644); err != nil {
-					return fmt.Errorf("write migrated reputation for committee %d governor %d: %w", i, j, err)
-				}
-			}
 		}
 		eng, err := core.New(ecfg)
 		if err != nil {

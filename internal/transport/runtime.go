@@ -1,16 +1,12 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"time"
 
-	"repchain/internal/codec"
-	"repchain/internal/consensus"
 	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/identity"
@@ -136,7 +132,7 @@ type RuntimeConfig struct {
 	// Seed drives local randomness.
 	Seed int64
 	// StateDir, when non-empty, persists a governor's chain replica
-	// (<id>.chain) and reputation state (<id>.rep) under this
+	// and checkpointed reputation state (governor-<j>.chain) under this
 	// directory across restarts.
 	StateDir string
 	// Retry tunes frame delivery; zero fields fall back to
@@ -403,7 +399,6 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		return Report{}, err
 	}
 	var store ledger.Store
-	var chainFS *ledger.FileStore
 	if cfg.StateDir != "" {
 		fs, err := ledger.OpenFileStoreOptions(
 			filepath.Join(cfg.StateDir, fmt.Sprintf("governor-%d.chain", spec.Index)),
@@ -412,7 +407,7 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		if err != nil {
 			return Report{}, fmt.Errorf("governor chain file: %w", err)
 		}
-		store, chainFS = fs, fs
+		store = fs
 		defer func() { _ = fs.Close() }()
 	}
 	gov, err := node.NewGovernor(node.GovernorConfig{
@@ -422,7 +417,7 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		Params:          cfg.Params,
 		Validator:       cfg.Validator,
 		BlockLimit:      cfg.BlockLimit,
-		ArgueWindow:     64,
+		ArgueWindow:     node.DefaultArgueWindow,
 		Seed:            cfg.Seed + int64(200+spec.Index),
 		Store:           store,
 		MempoolShards:   cfg.MempoolShards,
@@ -435,40 +430,9 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	repPath := ""
-	if cfg.StateDir != "" {
-		repPath = filepath.Join(cfg.StateDir, fmt.Sprintf("governor-%d.rep", spec.Index))
-		if data, err := os.ReadFile(repPath); err == nil {
-			if err := gov.Table().RestoreSnapshot(data); err != nil {
-				return Report{}, fmt.Errorf("governor reputation state: %w", err)
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return Report{}, fmt.Errorf("governor reputation state: %w", err)
-		} else if chainFS != nil {
-			// No .rep sidecar: fall back to the GovernorState inside
-			// the chain's latest ledger snapshot (§4g). Stake state in
-			// this runtime comes from the deployment spec, so only the
-			// reputation table is applied.
-			if snap, found := chainFS.LatestSnapshot(); found && len(snap.App) > 0 {
-				st, err := node.DecodeGovernorState(snap.App)
-				if err != nil {
-					return Report{}, fmt.Errorf("governor ledger snapshot state: %w", err)
-				}
-				if err := gov.Table().RestoreSnapshot(st.Reputation); err != nil {
-					return Report{}, fmt.Errorf("governor ledger snapshot state: %w", err)
-				}
-			}
-		}
-	}
-	defer func() {
-		if repPath != "" {
-			_ = os.WriteFile(repPath, gov.Table().Snapshot(), 0o644)
-		}
-	}()
 
 	governorSpecs := cfg.Deployment.NodesByRole("governor")
 	governorIDs := idsOf(governorSpecs)
-	providerIDs := idsOf(cfg.Deployment.NodesByRole("provider"))
 	govPubs := make([]crypto.PublicKey, len(governorSpecs))
 	stakes := make([]uint64, len(governorSpecs))
 	for i, gs := range governorSpecs {
@@ -482,6 +446,15 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 			stakes[i] = 1
 		}
 	}
+	// The round stepper is the protocol; this function only decides
+	// when each step runs. Stakes come from the deployment spec, so a
+	// restored checkpoint contributes only the reputation table.
+	rs := node.NewGovernorRound(gov, governorIDs, govPubs, idsOf(cfg.Deployment.NodesByRole("provider")))
+	if _, err := rs.Restore(); err != nil {
+		return Report{}, err
+	}
+	// Leave a checkpoint as fresh as the run (a no-op without StateDir).
+	defer func() { _ = rs.Checkpoint(nil, stakes, false) }()
 	instrumentEndpoint(ep, cfg)
 
 	// Resume round numbering from a persisted chain (all governors in
@@ -494,138 +467,71 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	// Stage latency histograms measure the active work between the
 	// schedule's sleeps, not the sleeps themselves. In demo mode the
 	// registry is shared, so samples from every governor merge.
-	var screenH, electH, packH, commitH *metrics.Histogram
-	var heightG *metrics.Gauge
-	if cfg.Metrics != nil {
-		stages := cfg.Metrics.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")
-		screenH = stages.With("screen")
-		electH = stages.With("elect")
-		packH = stages.With("pack")
-		commitH = stages.With("commit")
-		heightG = cfg.Metrics.Gauge("chain.height")
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
-	observe := func(h *metrics.Histogram, start time.Time) time.Time {
+	stages := reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")
+	heightG := reg.Gauge("chain.height")
+	observe := func(stage string, start time.Time) time.Time {
 		now := time.Now()
-		if h != nil {
-			h.Observe(now.Sub(start).Seconds())
-		}
+		stages.With(stage).Observe(now.Sub(start).Seconds())
 		return now
 	}
-	// Block frames can land in any drain: a fast leader multicasts its
-	// block while slower governors are still in their elect drain, and
-	// a slow network delivers it after the adopt drain already ran.
-	// Discarding those frames forks the governor off the alliance for
-	// good, so every drain stashes them here and adoptPending commits
-	// the ones signed by the round's (or, at the top of a round, the
-	// previous round's) leader.
-	var pendingBlocks [][]byte
-	prevLeader := -1
-	for r := uint64(1); r <= uint64(cfg.Rounds); r++ {
-		round := baseRound + r
-		gov.SetRound(round)
-		// Screen the round's uploads and argues.
-		sleepUntil(cfg.Clock.at(r, phaseScreen))
-		ticketsFrom := make(map[int][]consensus.Ticket)
-		drain := func() error {
-			// One HandleBatch call verifies every upload and argue
-			// signature of the drained inbox in a single batch pass.
-			rest, err := gov.HandleBatch(toNetworkMessages(ep.Receive()))
-			if err != nil {
+	ingest := func() error {
+		_, err := rs.Ingest(toNetworkMessages(ep.Receive()))
+		return err
+	}
+	// poll ingests the endpoint every 2 ms until done reports true or
+	// the deadline passes: a single drain at a phase boundary loses the
+	// round whenever a peer's frame lands a few milliseconds late. What
+	// a drain finds that its step does not need, the stepper keeps.
+	poll := func(deadline time.Time, done func() (bool, error)) error {
+		for {
+			if err := ingest(); err != nil {
 				return err
 			}
-			for _, m := range rest {
-				switch m.Kind {
-				case network.KindVRF:
-					senderIdx, err := governorIndexOf(m.From)
-					if err != nil {
-						continue
-					}
-					ticketRound, ts, err := decodeRoundTickets(m.Payload)
-					if err != nil || ticketRound != round {
-						continue // stale or malformed ticket batch
-					}
-					ticketsFrom[senderIdx] = ts
-				case network.KindBlock:
-					pendingBlocks = append(pendingBlocks, m.Payload)
-				}
-			}
-			return nil
-		}
-		adoptPending := func(leaderIdx int) error {
-			for _, p := range pendingBlocks {
-				b, err := ledger.DecodeBlockBytes(p)
-				if err != nil || leaderIdx < 0 || b.Proposer != governorIDs[leaderIdx] {
-					continue // malformed, or a stale duplicate from an older round
-				}
-				if err := gov.AcceptBlock(b, governorIDs[leaderIdx], govPubs[leaderIdx]); err != nil {
-					return err
-				}
-			}
-			pendingBlocks = pendingBlocks[:0]
-			return nil
-		}
-		stageStart := time.Now()
-		if err := drain(); err != nil {
-			return report, err
-		}
-		// Commit a previous-round block that arrived after its adopt
-		// window closed, before this round's tickets are made over the
-		// chain head.
-		if err := adoptPending(prevLeader); err != nil {
-			return report, err
-		}
-		if err := gov.ProcessArgues(); err != nil {
-			return report, err
-		}
-		records, err := gov.ScreenRound()
-		if err != nil {
-			return report, err
-		}
-		stageStart = observe(screenH, stageStart)
-
-		// Broadcast leader-election tickets over the previous block.
-		prevHash := crypto.ZeroHash
-		if head, err := gov.Store().Head(); err == nil {
-			prevHash = head.Hash()
-		}
-		myTickets := consensus.MakeTickets(mem.PrivateKey, prevHash, round, spec.Index, stakes[spec.Index])
-		if err := sender.Multicast(mem.ID, governorIDs, network.KindVRF, encodeRoundTickets(round, myTickets)); err != nil {
-			return report, err
-		}
-
-		// Collect tickets and elect. A single drain at the phase
-		// boundary loses the round whenever a peer's ticket frame lands
-		// a few milliseconds late (separate processes on a loaded
-		// machine), so poll until every governor's batch is in or the
-		// collection window closes — the leader still needs the rest of
-		// the window to pack and multicast before the adopt phase.
-		sleepUntil(cfg.Clock.at(r, phaseElect))
-		stageStart = time.Now()
-		ticketDeadline := cfg.Clock.at(r, (phaseElect+phaseAdopt)/2)
-		for {
-			if err := drain(); err != nil {
-				return report, err
-			}
-			if len(ticketsFrom) >= len(governorSpecs) || !time.Now().Before(ticketDeadline) {
-				break
+			if ok, err := done(); err != nil || ok || !time.Now().Before(deadline) {
+				return err
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		el, err := consensus.NewElection(round, prevHash, govPubs, stakes)
+	}
+	for r := uint64(1); r <= uint64(cfg.Rounds); r++ {
+		round := baseRound + r
+		rs.Begin(round)
+		// Screen the round's uploads and argues, then broadcast
+		// leader-election tickets over the chain head.
+		sleepUntil(cfg.Clock.at(r, phaseScreen))
+		stageStart := time.Now()
+		if err := ingest(); err != nil {
+			return report, err
+		}
+		if err := rs.Screen(); err != nil {
+			return report, err
+		}
+		observe("screen", stageStart)
+		if err := rs.SendTickets(stakes[spec.Index], sender); err != nil {
+			return report, err
+		}
+
+		// Collect tickets until every governor's batch is in or the
+		// collection window closes — the leader needs the rest of it to
+		// pack and multicast — and elect. A batch still missing fails the
+		// election and stops the node: rejoining needs state transfer.
+		sleepUntil(cfg.Clock.at(r, phaseElect))
+		stageStart = time.Now()
+		err := poll(cfg.Clock.at(r, (phaseElect+phaseAdopt)/2), func() (bool, error) {
+			return rs.TicketsComplete(stakes), nil
+		})
 		if err != nil {
 			return report, err
 		}
-		for j := range governorSpecs {
-			ts := ticketsFrom[j]
-			if err := el.Submit(j, ts); err != nil {
-				return report, fmt.Errorf("round %d tickets from governor %d: %w", round, j, err)
-			}
-		}
-		leader, _, err := el.Leader()
+		leader, err := rs.Elect(stakes)
 		if err != nil {
 			return report, err
 		}
-		stageStart = observe(electH, stageStart)
+		stageStart = observe("elect", stageStart)
 		if cfg.Tracer != nil {
 			cfg.Tracer.Emit(trace.Span{
 				Stage: trace.StageElect,
@@ -639,65 +545,26 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 
 		// The leader proposes; everyone adopts.
 		if leader == spec.Index {
-			block, err := gov.BuildBlock(records)
-			if err != nil {
+			if _, err := rs.Propose(sender); err != nil {
 				return report, err
 			}
-			targets := append(append([]identity.NodeID(nil), governorIDs...), providerIDs...)
-			if err := sender.Multicast(mem.ID, targets, network.KindBlock, block.EncodeBytes()); err != nil {
-				return report, err
-			}
-			observe(packH, stageStart)
+			observe("pack", stageStart)
 		}
 		// Adopt. Poll until this round's block is committed or the round
-		// ends: losing the leader's block frame to a late arrival would
-		// fork this governor off the alliance for good (every later
-		// ticket and block verifies against the wrong head).
+		// ends; a frame later than that is committed by the next round's
+		// Screen, before tickets are made over the head.
 		sleepUntil(cfg.Clock.at(r, phaseAdopt))
 		stageStart = time.Now()
-		adoptDeadline := cfg.Clock.at(r+1, 0)
-		for {
-			if err := drain(); err != nil {
-				return report, err
-			}
-			if err := adoptPending(leader); err != nil {
-				return report, err
-			}
-			if gov.Store().Height() >= round || !time.Now().Before(adoptDeadline) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
+		if err := poll(cfg.Clock.at(r+1, 0), rs.Adopt); err != nil {
+			return report, err
 		}
-		observe(commitH, stageStart)
-		prevLeader = leader
+		observe("commit", stageStart)
 		height := gov.Store().Height()
 		cfg.Health.SetHeight(string(cfg.ID), height)
-		if heightG != nil {
-			heightG.Set(float64(height))
-		}
-		if chainFS != nil && cfg.SnapshotEvery > 0 && height > 0 && height%uint64(cfg.SnapshotEvery) == 0 {
-			app := node.GovernorState{
-				Round:      height,
-				Reputation: gov.Table().Snapshot(),
-				Stakes:     stakes,
-			}.Encode()
-			if _, err := chainFS.WriteSnapshot(app); err != nil {
-				return report, fmt.Errorf("governor snapshot: %w", err)
-			}
-			if cfg.Metrics != nil {
-				cfg.Metrics.Counter("ledger.snapshots_total").Inc()
-			}
-			if repPath != "" {
-				if err := os.WriteFile(repPath, gov.Table().Snapshot(), 0o644); err != nil {
-					return report, fmt.Errorf("governor reputation state: %w", err)
-				}
-			}
-			pruned, err := chainFS.Prune()
-			if err != nil {
-				return report, fmt.Errorf("governor prune: %w", err)
-			}
-			if cfg.Metrics != nil {
-				cfg.Metrics.Counter("ledger.segments_pruned_total").Add(int64(pruned))
+		heightG.Set(float64(height))
+		if cfg.SnapshotEvery > 0 && height > 0 && height%uint64(cfg.SnapshotEvery) == 0 {
+			if err := rs.Checkpoint(nil, stakes, true); err != nil {
+				return report, err
 			}
 		}
 		report.Rounds++
@@ -705,49 +572,4 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	report.Height = gov.Store().Height()
 	report.Stats = gov.Stats()
 	return report, nil
-}
-
-// encodeRoundTickets tags a ticket batch with its round so receivers
-// can discard stale batches that straggle into the next round.
-func encodeRoundTickets(round uint64, ts []consensus.Ticket) []byte {
-	inner := consensus.EncodeTickets(ts)
-	e := codec.NewEncoder(16 + len(inner))
-	e.PutUint64(round)
-	e.PutBytes(inner)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
-}
-
-func decodeRoundTickets(b []byte) (uint64, []consensus.Ticket, error) {
-	d := codec.NewDecoder(b)
-	round, err := d.Uint64()
-	if err != nil {
-		return 0, nil, fmt.Errorf("ticket round: %w", ErrBadFrame)
-	}
-	inner, err := d.Bytes()
-	if err != nil {
-		return 0, nil, fmt.Errorf("ticket batch: %w", ErrBadFrame)
-	}
-	ts, err := consensus.DecodeTickets(inner)
-	if err != nil {
-		return 0, nil, err
-	}
-	return round, ts, nil
-}
-
-func governorIndexOf(id identity.NodeID) (int, error) {
-	const prefix = "governor/"
-	s := string(id)
-	if len(s) <= len(prefix) || s[:len(prefix)] != prefix {
-		return 0, fmt.Errorf("%q: %w", id, ErrUnknownPeer)
-	}
-	idx := 0
-	for _, ch := range s[len(prefix):] {
-		if ch < '0' || ch > '9' {
-			return 0, fmt.Errorf("%q: %w", id, ErrUnknownPeer)
-		}
-		idx = idx*10 + int(ch-'0')
-	}
-	return idx, nil
 }

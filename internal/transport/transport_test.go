@@ -1,19 +1,22 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repchain/internal/consensus"
 	"repchain/internal/crypto"
 	"repchain/internal/identity"
+	"repchain/internal/ledger"
 	"repchain/internal/metrics"
+	"repchain/internal/node"
 	"repchain/internal/reputation"
 	"repchain/internal/tx"
 )
@@ -392,17 +395,6 @@ func TestRuntimeGovernorPersistence(t *testing.T) {
 			t.Fatalf("%s: no ledger snapshots after run 1 (err=%v)", gid, err)
 		}
 	}
-	// Delete the .rep sidecars: the restart below must recover
-	// reputation from the ledger snapshots alone.
-	reps, err := filepath.Glob(filepath.Join(stateDir, "governor-*.rep"))
-	if err != nil || len(reps) == 0 {
-		t.Fatalf("no .rep files after run 1 (err=%v)", err)
-	}
-	for _, p := range reps {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Fresh ports for the restart (listeners from run 1 are closed,
 	// but avoid TIME_WAIT flakes).
 	ports := freePorts(t, len(d.Nodes))
@@ -415,6 +407,39 @@ func TestRuntimeGovernorPersistence(t *testing.T) {
 	}
 	if got := second["governor/1"].Height; got != 4 {
 		t.Fatalf("governor/1 height = %d, want 4", got)
+	}
+
+	// A governor restarted without its peer restores its checkpoint,
+	// misses the peer's ticket batch, and stops by that name; the
+	// checkpoint its exit path writes is the restored table, bit for bit.
+	checkpointed := func() []byte {
+		fs, err := ledger.OpenFileStore(filepath.Join(stateDir, "governor-0.chain"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = fs.Close() }()
+		snap, _ := fs.LatestSnapshot()
+		st, err := node.DecodeGovernorState(snap.App)
+		if err != nil {
+			t.Fatalf("governor/0 checkpoint: %v", err)
+		}
+		return st.Reputation
+	}
+	before := checkpointed()
+	_, err := RunNode(RuntimeConfig{
+		Deployment: d,
+		ID:         "governor/0",
+		Clock:      Clock{Epoch: time.Now(), Round: 200 * time.Millisecond},
+		Rounds:     1,
+		Params:     reputation.DefaultParams(),
+		Validator:  testOracle,
+		StateDir:   stateDir,
+	})
+	if !errors.Is(err, consensus.ErrIncompleteElection) {
+		t.Fatalf("lone governor error = %v, want ErrIncompleteElection", err)
+	}
+	if !bytes.Equal(checkpointed(), before) {
+		t.Fatal("reputation changed across checkpoint → restore → checkpoint")
 	}
 }
 

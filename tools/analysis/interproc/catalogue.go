@@ -94,9 +94,7 @@ var sinks = []sinkSpec{
 	{pkg: "repchain/internal/crypto", recv: "PrivateKey", name: "Sign", label: "crypto.Sign message bytes"},
 	{pkg: "repchain/internal/crypto", recv: "PublicKey", name: "Verify", args: []int{1}, label: "crypto.Verify message bytes"},
 	{pkg: "repchain/internal/crypto", recv: "VerifyCache", name: "VerifyBatch", label: "crypto batch-verify items"},
-	{pkg: "repchain/internal/crypto", recv: "VerifyCache", name: "VerifyBatchWorkers", args: []int{1}, label: "crypto batch-verify items"},
 	{pkg: "repchain/internal/crypto", name: "VerifyBatch", label: "crypto batch-verify items"},
-	{pkg: "repchain/internal/crypto", name: "VerifyBatchWorkers", args: []int{0}, label: "crypto batch-verify items"},
 	// Hash inputs: block hashes and Merkle roots must be replayable.
 	{pkg: "repchain/internal/crypto", recv: "MerkleBuilder", name: "Add", label: "Merkle leaf bytes"},
 	{pkg: "repchain/internal/crypto", name: "MerkleRoot", label: "Merkle leaf bytes"},
