@@ -150,22 +150,12 @@ func (c *Cluster) Submit(provider int, kind string, payload []byte, isValid bool
 
 // SubmitBatch stages a batch from one global provider, routed to its
 // home committee. Semantics match Chain.SubmitBatch: the admitted
-// prefix's IDs are always returned, with ErrBacklog (resume from
-// txs[len(ids)] after a round) or the context's error alongside when
-// admission stopped early.
+// prefix's IDs are always returned, with ErrBacklog alongside (resume
+// from txs[len(ids)] after a round) when admission stopped early; a
+// cancelled context admits nothing.
 func (c *Cluster) SubmitBatch(ctx context.Context, provider int, txs []Tx) ([]TxID, error) {
-	ids := make([]TxID, 0, len(txs))
-	for _, t := range txs {
-		if err := ctx.Err(); err != nil {
-			return ids, err
-		}
-		_, signed, err := c.cl.SubmitTx(provider, t.Kind, t.Payload, t.Valid)
-		if err != nil {
-			return ids, translateShardErr(err)
-		}
-		ids = append(ids, signed.ID())
-	}
-	return ids, nil
+	_, signed, err := c.cl.SubmitBatch(ctx, provider, submissions(txs))
+	return txIDs(signed), translateShardErr(err)
 }
 
 // SubmitCross stages a cross-shard transaction from provider `from` to

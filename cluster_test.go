@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repchain/internal/core"
 )
 
 func goldenOptions() []Option {
@@ -187,5 +189,102 @@ func TestNewRejectsClusterOptions(t *testing.T) {
 	}
 	if _, err := NewCluster(append(goldenOptions(), WithCommittees(0))...); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("WithCommittees(0): err = %v, want ErrBadOption", err)
+	}
+}
+
+// batchFacade is what TestSubmitBatchMatchesSubmit needs of a facade.
+type batchFacade struct {
+	submit func(k int, tx Tx) (TxID, error)
+	batch  func(k int, txs []Tx) ([]TxID, error)
+	round  func() error
+	// heads returns every committee's head block hash.
+	heads func() []string
+}
+
+func headHash(t *testing.T, e *core.Engine) string {
+	t.Helper()
+	b, err := e.Governor(0).Store().Head()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Hash().String()
+}
+
+func chainBatchFacade(t *testing.T) batchFacade {
+	c, err := New(goldenOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return batchFacade{
+		submit: func(k int, tx Tx) (TxID, error) { return c.Submit(k, tx.Kind, tx.Payload, tx.Valid) },
+		batch:  func(k int, txs []Tx) ([]TxID, error) { return c.SubmitBatch(context.Background(), k, txs) },
+		round:  func() error { _, err := c.RunRound(); return err },
+		heads:  func() []string { return []string{headHash(t, c.engine)} },
+	}
+}
+
+func clusterBatchFacade(t *testing.T) batchFacade {
+	c, err := NewCluster(append(goldenOptions(), WithCommittees(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return batchFacade{
+		submit: func(k int, tx Tx) (TxID, error) { return c.Submit(k, tx.Kind, tx.Payload, tx.Valid) },
+		batch:  func(k int, txs []Tx) ([]TxID, error) { return c.SubmitBatch(context.Background(), k, txs) },
+		round:  func() error { _, err := c.RunRound(); return err },
+		heads: func() []string {
+			var out []string
+			for i := 0; i < c.Committees(); i++ {
+				out = append(out, headHash(t, c.cl.Engine(i)))
+			}
+			return out
+		},
+	}
+}
+
+// TestSubmitBatchMatchesSubmit pins SubmitBatch, whose signatures are
+// computed in parallel, to N × Submit on both facades: the same IDs in
+// the same order, and after each round the same blocks.
+func TestSubmitBatchMatchesSubmit(t *testing.T) {
+	for name, build := range map[string]func(*testing.T) batchFacade{"chain": chainBatchFacade, "cluster": clusterBatchFacade} {
+		t.Run(name, func(t *testing.T) {
+			one, batch := build(t), build(t)
+			for r := 0; r < 3; r++ {
+				for k := 0; k < 8; k++ {
+					txs := make([]Tx, 20)
+					for i := range txs {
+						valid := i%3 != 2
+						txs[i] = Tx{Kind: "batch", Payload: append(goldenPayload(valid, byte(i), byte(r)), byte(k)), Valid: valid}
+					}
+					got, err := batch.batch(k, txs)
+					if err != nil || len(got) != len(txs) {
+						t.Fatalf("SubmitBatch admitted %d of %d: %v", len(got), len(txs), err)
+					}
+					for i, tx := range txs {
+						want, err := one.submit(k, tx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got[i] != want {
+							t.Fatalf("round %d provider %d item %d: batch ID %s, Submit ID %s", r, k, i, got[i], want)
+						}
+					}
+				}
+				if err := one.round(); err != nil {
+					t.Fatal(err)
+				}
+				if err := batch.round(); err != nil {
+					t.Fatal(err)
+				}
+				a, b := one.heads(), batch.heads()
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("round %d committee %d: batch head %s, Submit head %s", r, i, b[i], a[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -108,9 +108,11 @@ type Config struct {
 	// reputation and stakes survive restarts. Empty means in memory.
 	ChainDir string
 	// Workers bounds the goroutines used to fan out per-collector and
-	// per-governor round work. Zero (or negative) means one worker per
-	// logical CPU; 1 forces the fully sequential pipeline. Any value
-	// produces byte-identical rounds — per-node RNG streams are
+	// per-governor round work — the node fan-out only: within a node,
+	// a batch's signatures (VerifyBatch residuals, SignBatch) spread
+	// over GOMAXPROCS whatever this says. Zero (or negative) means one
+	// worker per logical CPU; 1 steps the nodes one after another. Any
+	// value produces byte-identical rounds — per-node RNG streams are
 	// consumed only by their owning node, and buffered sends are
 	// replayed onto the bus in node order — so Workers trades only
 	// wall time, never determinism. When Workers != 1 the Validator
@@ -199,8 +201,8 @@ type Engine struct {
 	collectorDown []bool
 	governorDown  []bool
 
-	// workers is the resolved fan-out bound (Config.Workers, with 0
-	// meaning GOMAXPROCS).
+	// workers is the resolved node fan-out bound (Config.Workers, with
+	// 0 meaning GOMAXPROCS).
 	workers int
 	// reg collects engine-level operational metrics: protocol anomaly
 	// counters and snapshots of the shared signature-cache statistics.
@@ -615,29 +617,47 @@ func (e *Engine) publishCryptoMetrics() {
 	e.reg.Gauge("merkle.incremental_roots").Set(float64(ms.Roots))
 }
 
-// SubmitTx has provider k sign a transaction and stage it in the
-// ingress mempool; the next round's collecting phase broadcasts it.
-// isValid is the provider's ground truth. When the provider's shard is
-// full the submission is rejected with ErrBacklog before anything is
-// signed or recorded, so a backpressured caller can simply run a round
-// and resubmit — no provider state leaks.
+// SubmitTx is SubmitBatch for one transaction.
 func (e *Engine) SubmitTx(k int, kind string, payload []byte, isValid bool) (tx.SignedTx, error) {
+	signed, err := e.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: isValid}})
+	if len(signed) == 0 {
+		return tx.SignedTx{}, err
+	}
+	return signed[0], nil
+}
+
+// SubmitBatch has provider k sign a batch of transactions and stage
+// them in the ingress mempool; the next round's collecting phase
+// broadcasts them. It admits exactly the prefix the provider's shard
+// has room for and returns it, with an ErrBacklog-wrapping error when
+// that is not the whole batch. The refused suffix is rejected before
+// anything is signed or recorded, so a backpressured caller can simply
+// run a round and resubmit it — no provider state leaks. ctx is
+// checked once, before signing: a cancelled batch admits nothing.
+func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission) ([]tx.SignedTx, error) {
 	if e.closed {
-		return tx.SignedTx{}, fmt.Errorf("submit: %w", ErrClosed)
+		return nil, fmt.Errorf("submit: %w", ErrClosed)
 	}
 	if k < 0 || k >= len(e.providers) {
-		return tx.SignedTx{}, fmt.Errorf("provider %d of %d: %w", k, len(e.providers), ErrUnknownProvider)
+		return nil, fmt.Errorf("provider %d of %d: %w", k, len(e.providers), ErrUnknownProvider)
 	}
-	if !e.ingress.HasRoom(k) {
-		return tx.SignedTx{}, fmt.Errorf("provider %d ingress shard full (cap %d): %w", k, e.ingress.Cap(), ErrBacklog)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	signed := e.providers[k].Sign(kind, payload, isValid, int64(e.bus.Now()))
-	if _, err := e.ingress.Add(k, ingressTx{provider: k, signed: signed}); err != nil {
-		return tx.SignedTx{}, err // unreachable after HasRoom; defensive
+	var backlog error
+	if room := e.ingress.Room(k); room < len(items) {
+		items = items[:room]
+		backlog = fmt.Errorf("provider %d ingress shard full (cap %d): %w", k, e.ingress.Cap(), ErrBacklog)
 	}
-	e.mpAdmitted.Inc()
+	signed := e.providers[k].SignBatch(items, int64(e.bus.Now()))
+	for _, s := range signed {
+		if _, err := e.ingress.Add(k, ingressTx{provider: k, signed: s}); err != nil {
+			return nil, err // unreachable within Room; defensive
+		}
+	}
+	e.mpAdmitted.Add(int64(len(signed)))
 	e.mpDepth.Set(float64(e.ingress.Len()))
-	return signed, nil
+	return signed, backlog
 }
 
 // MempoolDepth reports how many staged submissions await the next
@@ -695,10 +715,10 @@ func (e *Engine) SubmitStakeTransfer(from, to int, amount uint64) error {
 // the worker count. It returns, per governor, the messages the stepper
 // does not own: the stake-transform traffic. Down governors are
 // skipped; their inbox was purged at crash time and the bus drops
-// anything new while they stay down. Ingest is the round's hottest
-// call — every governor verifies every upload's signatures — and the
-// shared verification cache turns the m-fold duplicate checks into
-// hits.
+// anything new while they stay down. Every governor verifies every
+// upload's signatures in Ingest; the shared verification cache turns
+// the m-fold duplicate checks into hits, which is why the round's long
+// pole is the upload stage before it, not this.
 func (e *Engine) stepGovernors(step func(j int, r *node.GovernorRound, out node.Sender) error) ([][]network.Message, error) {
 	rest := make([][]network.Message, len(e.governors))
 	err := e.fanOut(len(e.governors), func(j int, out node.Sender) error {

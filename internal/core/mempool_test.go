@@ -32,6 +32,12 @@ func runMempoolTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 	var tr roundTrace
 	for r := 0; r < rounds; r++ {
 		submitRound(t, e, 12, r, 3)
+		// Provider 1's shard (cap 64) fills by round 3: the later
+		// batches exercise the admitted-prefix path at every worker
+		// count.
+		if _, err := e.SubmitBatch(context.Background(), 1, batchFor(r, 24)); err != nil && !errors.Is(err, ErrBacklog) {
+			t.Fatal(err)
+		}
 		res, err := e.RunRound()
 		if err != nil {
 			t.Fatalf("seed %d workers %d round %d: %v", seed, workers, r, err)
@@ -118,6 +124,90 @@ func TestMempoolBackpressure(t *testing.T) {
 	// a leak here would fork provider state across retry paths.
 	if signed.Tx.Seq != lastSeq+1 {
 		t.Fatalf("provider seq %d after rejected submit, want %d (no gap)", signed.Tx.Seq, lastSeq+1)
+	}
+}
+
+// TestSubmitBatchMatchesSubmitTx pins the batch path to N single
+// submissions: the same signed transactions (IDs, signatures, sequence
+// numbers) and, after a round, the same block.
+func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
+	one, batch := newTestEngine(t, defaultConfig()), newTestEngine(t, defaultConfig())
+	for r := 0; r < 2; r++ {
+		for k := 0; k < 4; k++ {
+			items := batchFor(r*4+k, 20)
+			got, err := batch.SubmitBatch(context.Background(), k, items)
+			if err != nil || len(got) != len(items) {
+				t.Fatalf("SubmitBatch admitted %d of %d: %v", len(got), len(items), err)
+			}
+			for i, it := range items {
+				want, err := one.SubmitTx(k, it.Kind, it.Payload, it.Valid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i].ID() != want.ID() || got[i].Tx.Seq != want.Tx.Seq || !bytes.Equal(got[i].Sig, want.Sig) {
+					t.Fatalf("round %d provider %d item %d differs from SubmitTx", r, k, i)
+				}
+			}
+		}
+		a, err := one.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := batch.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Block.Hash() != b.Block.Hash() || len(b.Block.Records) == 0 {
+			t.Fatalf("round %d: batch block %s (%d records), per-tx %s", r, b.Block.Hash().Short(), len(b.Block.Records), a.Block.Hash().Short())
+		}
+	}
+}
+
+// TestSubmitBatchAdmitsPrefix pins SubmitBatch's backpressure
+// contract: exactly the prefix the shard has room for is signed and
+// staged; the refused suffix consumes no sequence number and leaves no
+// pending entry; a cancelled context admits nothing.
+func TestSubmitBatchAdmitsPrefix(t *testing.T) {
+	cfg := mempoolConfig()
+	cfg.MempoolShardCap = 5
+	cfg.BlockLimit = 0
+	e := newTestEngine(t, cfg)
+	items := batchFor(0, 12)
+	for i := range items {
+		items[i].Valid, items[i].Payload[0] = true, 1
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := e.SubmitBatch(ctx, 0, items); !errors.Is(err, context.Canceled) || len(got) != 0 {
+		t.Fatalf("cancelled SubmitBatch admitted %d, err %v", len(got), err)
+	}
+	if e.MempoolDepth() != 0 || e.Provider(0).PendingValid() != 0 {
+		t.Fatal("cancelled batch left state behind")
+	}
+
+	got, err := e.SubmitBatch(context.Background(), 0, items)
+	if !errors.Is(err, ErrBacklog) || len(got) != 5 {
+		t.Fatalf("SubmitBatch admitted %d, err %v; want the 5-tx prefix and ErrBacklog", len(got), err)
+	}
+	for i, s := range got {
+		if s.Tx.Seq != uint64(i+1) || !bytes.Equal(s.Tx.Payload, items[i].Payload) {
+			t.Fatalf("admitted item %d has seq %d", i, s.Tx.Seq)
+		}
+	}
+	if e.MempoolDepth() != 5 || e.Provider(0).PendingValid() != 5 {
+		t.Fatalf("depth %d pending %d after a 5-tx prefix", e.MempoolDepth(), e.Provider(0).PendingValid())
+	}
+	// A full shard admits nothing, still without touching the provider.
+	if got, err := e.SubmitBatch(context.Background(), 0, items[5:]); !errors.Is(err, ErrBacklog) || len(got) != 0 {
+		t.Fatalf("full shard admitted %d, err %v", len(got), err)
+	}
+	if _, err := e.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := e.SubmitBatch(context.Background(), 0, items[5:10])
+	if err != nil || len(rest) != 5 || rest[0].Tx.Seq != 6 {
+		t.Fatalf("resumed batch: %d admitted, first seq %d, err %v; want 5 from seq 6", len(rest), rest[0].Tx.Seq, err)
 	}
 }
 

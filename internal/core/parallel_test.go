@@ -2,12 +2,12 @@ package core
 
 import (
 	"bytes"
-	"errors"
+	"context"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repchain/internal/crypto"
+	"repchain/internal/node"
 )
 
 // roundTrace captures everything observable about one run that could
@@ -19,6 +19,16 @@ type roundTrace struct {
 	leaders   []int
 	stakes    []uint64
 	snapshots [][]byte
+}
+
+// batchFor builds a round's n-transaction batch, every third invalid.
+func batchFor(round, n int) []node.Submission {
+	items := make([]node.Submission, n)
+	for i := range items {
+		valid := i%3 != 2
+		items[i] = node.Submission{Kind: "test/batch", Payload: payloadFor(valid, round*1000+500+i), Valid: valid}
+	}
+	return items
 }
 
 // runTrace executes `rounds` rounds with mixed valid/invalid traffic
@@ -36,6 +46,11 @@ func runTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 	var tr roundTrace
 	for r := 0; r < rounds; r++ {
 		submitRound(t, e, 12, r, 3)
+		// A batch big enough that SignBatch and the collectors'
+		// VerifyBatch residuals fan out across goroutines.
+		if _, err := e.SubmitBatch(context.Background(), r%4, batchFor(r, 24)); err != nil {
+			t.Fatal(err)
+		}
 		if r == 1 {
 			if err := e.SubmitStakeTransfer(0, 2, 1); err != nil {
 				t.Fatal(err)
@@ -118,73 +133,6 @@ func TestStakeNoncesSurviveRounds(t *testing.T) {
 		if bytes.Equal(sigs[i], sigs[0]) {
 			t.Fatalf("round %d transfer signs the same bytes as round 0", i)
 		}
-	}
-}
-
-func TestRunIndexedCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 16} {
-		const n = 100
-		var hits [n]int64
-		if err := runIndexed(workers, n, func(i int) error {
-			atomic.AddInt64(&hits[i], 1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d index %d ran %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestRunIndexedReturnsLowestIndexError(t *testing.T) {
-	errAt := func(bad ...int) func(int) error {
-		set := make(map[int]bool)
-		for _, b := range bad {
-			set[b] = true
-		}
-		return func(i int) error {
-			if set[i] {
-				return fmt.Errorf("index %d failed", i)
-			}
-			return nil
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		err := runIndexed(workers, 50, errAt(31, 7, 44))
-		if err == nil || err.Error() != "index 7 failed" {
-			t.Fatalf("workers=%d error = %v, want lowest failing index 7", workers, err)
-		}
-	}
-}
-
-func TestRunIndexedStopsEarlyOnFailure(t *testing.T) {
-	boom := errors.New("boom")
-	var ran int64
-	err := runIndexed(4, 10_000, func(i int) error {
-		atomic.AddInt64(&ran, 1)
-		if i == 0 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error = %v, want boom", err)
-	}
-	if got := atomic.LoadInt64(&ran); got == 10_000 {
-		t.Fatal("pool kept claiming indices after a failure")
-	}
-}
-
-func TestRunIndexedEmptyAndSingle(t *testing.T) {
-	if err := runIndexed(8, 0, func(int) error { return errors.New("must not run") }); err != nil {
-		t.Fatalf("n=0 error = %v", err)
-	}
-	ran := 0
-	if err := runIndexed(8, 1, func(i int) error { ran++; return nil }); err != nil || ran != 1 {
-		t.Fatalf("n=1 ran %d times, err %v", ran, err)
 	}
 }
 

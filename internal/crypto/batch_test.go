@@ -3,8 +3,10 @@ package crypto
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // batchFixture builds n distinct (key, msg, sig) items signed by a
@@ -224,6 +226,73 @@ func TestVerifyBatchConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestVerifyBatchOverlappingBatches submits fully-overlapping batches
+// (the shape two collectors linked to the same providers produce) and
+// half-overlapping ones to one cache from more goroutines than there
+// are processors, at GOMAXPROCS 1 and 4. Every verdict must equal the
+// per-signature path's, item by item — one bad signature lands on the
+// right index of every batch that holds it — and each unique triple is
+// verified exactly once. With every processor taken by a goroutine
+// that only waits on another batch's in-flight entries, the test
+// finishing at all is the caller-runs property: an owner never depends
+// on a helper being scheduled. No helper outlives its call.
+func TestVerifyBatchOverlappingBatches(t *testing.T) {
+	const window, bad, goroutines = 128, 100, 8
+	base, _ := batchFixture(t, 2*window, 8)
+	base[bad].Sig = append([]byte(nil), base[bad].Sig...)
+	base[bad].Sig[3] ^= 0x40
+	want := make([]error, len(base))
+	for i, it := range base {
+		want[i] = it.Pub.Verify(it.Msg, it.Sig)
+	}
+	if !errors.Is(want[bad], ErrBadSignature) {
+		t.Fatalf("planted signature verdict = %v", want[bad])
+	}
+	shapes := []struct {
+		name   string
+		stride int // offset between consecutive goroutines' windows
+		unique int
+	}{
+		{"full-overlap", 0, window},
+		{"half-overlap", window / 2, 2 * window},
+	}
+	for _, procs := range []int{1, 4} {
+		for _, shape := range shapes {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, shape.name), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				before := runtime.NumGoroutine()
+				c := NewVerifyCache(4 * window)
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(off int) {
+						defer wg.Done()
+						for i, err := range c.VerifyBatch(base[off : off+window]) {
+							if !errors.Is(err, want[off+i]) {
+								t.Errorf("window %d item %d: verdict %v, per-signature path %v", off, i, err, want[off+i])
+							}
+						}
+					}(g % 3 * shape.stride)
+				}
+				wg.Wait()
+				hits, misses := c.Stats()
+				if misses != int64(shape.unique) || hits+misses != goroutines*window {
+					t.Fatalf("%d misses %d hits, want %d unique triples verified once out of %d lookups",
+						misses, hits, shape.unique, goroutines*window)
+				}
+				if bs := c.BatchStats(); bs.Verified != misses || bs.Failed == 0 {
+					t.Fatalf("batch stats %+v, want %d verified and the bad batches counted", bs, misses)
+				}
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines outlive their VerifyBatch calls", runtime.NumGoroutine()-before)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestVerifyBatchEmpty(t *testing.T) {

@@ -17,6 +17,7 @@ package mempool
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrShardFull reports an Add to a bounded shard at capacity. Callers
@@ -66,9 +67,13 @@ func (p *Pool[T]) shardOf(key int) int {
 	return ((key % n) + n) % n
 }
 
-// HasRoom reports whether key's shard can take one more entry.
-func (p *Pool[T]) HasRoom(key int) bool {
-	return p.cap == 0 || len(p.shards[p.shardOf(key)]) < p.cap
+// Room returns how many more entries key's shard can take;
+// math.MaxInt when shards are unbounded.
+func (p *Pool[T]) Room(key int) int {
+	if p.cap == 0 {
+		return math.MaxInt
+	}
+	return p.cap - len(p.shards[p.shardOf(key)])
 }
 
 // Add appends v to key's shard and returns its arrival sequence

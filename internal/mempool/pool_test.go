@@ -2,6 +2,7 @@ package mempool
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -61,18 +62,24 @@ func TestBoundedShardRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.HasRoom(0) {
-		t.Fatal("HasRoom on a full shard")
+	if got := p.Room(0); got != 0 {
+		t.Fatalf("Room on a full shard = %d, want 0", got)
 	}
 	if _, err := p.Add(0, "overflow"); !errors.Is(err, ErrShardFull) {
 		t.Fatalf("Add to full shard = %v, want ErrShardFull", err)
 	}
 	// The sibling shard is unaffected.
-	if !p.HasRoom(1) {
-		t.Fatal("sibling shard reported full")
+	if got := p.Room(1); got != 2 {
+		t.Fatalf("empty sibling shard Room = %d, want 2", got)
 	}
 	if _, err := p.Add(1, "ok"); err != nil {
 		t.Fatal(err)
+	}
+	if got := p.Room(1); got != 1 {
+		t.Fatalf("Room after one Add = %d, want 1", got)
+	}
+	if got := New[string](2, 0).Room(0); got != math.MaxInt {
+		t.Fatalf("unbounded Room = %d, want math.MaxInt", got)
 	}
 	if p.Len() != 3 {
 		t.Fatalf("Len() = %d, want 3", p.Len())

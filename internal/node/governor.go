@@ -560,7 +560,7 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, labeled tx.UploadI
 		// provider's shard. A full shard evicts its oldest pending
 		// transaction (and that transaction's accumulated reports) to
 		// admit the newer arrival.
-		if !g.pool.HasRoom(providerIdx) {
+		if g.pool.Room(providerIdx) == 0 {
 			if old, ok := g.pool.EvictOldest(providerIdx); ok {
 				delete(g.groups, old)
 				g.stats.EvictedTxs++

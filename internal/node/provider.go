@@ -7,6 +7,7 @@ import (
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/network"
+	"repchain/internal/par"
 	"repchain/internal/trace"
 	"repchain/internal/tx"
 )
@@ -33,14 +34,12 @@ type Provider struct {
 	governorIDs  []identity.NodeID
 
 	seq uint64
-	// truth records the provider's own knowledge of each transaction's
-	// validity — used to decide whether to argue. The workload
-	// generator supplies it at submission time.
-	truth map[crypto.Hash]bool
-	// pending tracks transactions not yet seen valid in a block.
-	pending map[crypto.Hash]tx.SignedTx
-	// argued prevents duplicate argues for one transaction.
-	argued map[crypto.Hash]bool
+	// pending tracks transactions not yet settled by a block, each with
+	// the provider's own knowledge of its validity — supplied by the
+	// workload generator at submission time, used to decide whether to
+	// argue — and whether it has been argued already. One map, so a
+	// settled transaction leaves nothing behind.
+	pending map[crypto.Hash]pendingTx
 	// settled counts transactions observed in blocks with their final
 	// status (valid, or invalid-and-confirmed).
 	settledValid   int
@@ -50,6 +49,26 @@ type Provider struct {
 	tracer *trace.Recorder
 	round  uint64
 }
+
+// pendingTx is one unsettled submission.
+type pendingTx struct {
+	signed tx.SignedTx
+	valid  bool
+	argued bool
+}
+
+// Submission is one transaction handed to SignBatch: the application
+// kind and payload plus the provider's ground truth about validity.
+type Submission struct {
+	Kind    string
+	Payload []byte
+	Valid   bool
+}
+
+// parallelSignFloor is the batch size below which SignBatch stays on
+// the calling goroutine: under ~8 signatures (≈0.2 ms) the helper
+// hand-off costs more than it saves.
+const parallelSignFloor = 8
 
 // SetTracer attaches a span recorder; nil detaches.
 func (p *Provider) SetTracer(r *trace.Recorder) { p.tracer = r }
@@ -65,9 +84,7 @@ func NewProvider(member identity.Member, ep *network.Endpoint, collectors, gover
 		ep:           ep,
 		collectorIDs: append([]identity.NodeID(nil), collectors...),
 		governorIDs:  append([]identity.NodeID(nil), governors...),
-		truth:        make(map[crypto.Hash]bool),
-		pending:      make(map[crypto.Hash]tx.SignedTx),
-		argued:       make(map[crypto.Hash]bool),
+		pending:      make(map[crypto.Hash]pendingTx),
 	}
 }
 
@@ -77,34 +94,52 @@ func (p *Provider) ID() identity.NodeID { return p.member.ID }
 // Index returns the provider's index k.
 func (p *Provider) Index() int { return p.member.Index }
 
-// Sign builds and signs a transaction, recording the provider's ground
-// truth for later argue decisions, without broadcasting it. Callers
-// that stage transactions in a mempool sign at admission time and call
-// Broadcast at drain time, so the signature's timestamp reflects
-// submission while the network only sees drained batches.
+// Sign builds and signs one transaction: SignBatch for a single
+// submission.
 func (p *Provider) Sign(kind string, payload []byte, isValid bool, timestamp int64) tx.SignedTx {
-	p.seq++
-	t := tx.Transaction{
-		Provider:  p.member.ID,
-		Seq:       p.seq,
-		Timestamp: timestamp,
-		Kind:      kind,
-		Payload:   payload,
+	return p.SignBatch([]Submission{{Kind: kind, Payload: payload, Valid: isValid}}, timestamp)[0]
+}
+
+// SignBatch builds and signs a batch of transactions, recording the
+// provider's ground truth for later argue decisions, without
+// broadcasting them. Callers that stage transactions in a mempool sign
+// at admission time and call Broadcast at drain time, so the
+// signature's timestamp reflects submission while the network only
+// sees drained batches. Seq is assigned in order, the Ed25519 work is
+// spread over up to GOMAXPROCS goroutines (signatures are
+// deterministic, so the result is the per-transaction loop's, byte for
+// byte), and pending entries and sign spans follow in order after the
+// join.
+func (p *Provider) SignBatch(items []Submission, timestamp int64) []tx.SignedTx {
+	out := make([]tx.SignedTx, len(items))
+	for i, it := range items {
+		p.seq++
+		out[i].Tx = tx.Transaction{
+			Provider:  p.member.ID,
+			Seq:       p.seq,
+			Timestamp: timestamp,
+			Kind:      it.Kind,
+			Payload:   it.Payload,
+		}
 	}
-	signed := tx.Sign(t, p.member.PrivateKey)
-	id := signed.ID()
-	p.truth[id] = isValid
-	p.pending[id] = signed
-	if p.tracer != nil {
-		p.tracer.Emit(trace.Span{
-			Trace: id.String(),
-			Stage: trace.StageSign,
-			Node:  string(p.member.ID),
-			Round: p.round,
-			Attrs: []trace.Attr{{Key: "kind", Value: kind}},
-		})
+	_ = par.RunIndexed(par.Procs(len(items), parallelSignFloor), len(items), func(i int) error { // fn never fails
+		out[i] = tx.Sign(out[i].Tx, p.member.PrivateKey)
+		return nil
+	})
+	for i, signed := range out {
+		id := signed.ID()
+		p.pending[id] = pendingTx{signed: signed, valid: items[i].Valid}
+		if p.tracer != nil {
+			p.tracer.Emit(trace.Span{
+				Trace: id.String(),
+				Stage: trace.StageSign,
+				Node:  string(p.member.ID),
+				Round: p.round,
+				Attrs: []trace.Attr{{Key: "kind", Value: items[i].Kind}},
+			})
+		}
 	}
-	return signed
+	return out
 }
 
 // Broadcast multicasts an already-signed transaction to the provider's
@@ -138,41 +173,34 @@ func (p *Provider) ObserveBlock(b ledger.Block, sender Sender) (int, error) {
 			continue
 		}
 		id := rec.Signed.ID()
+		pt, ok := p.pending[id]
+		if !ok {
+			continue
+		}
 		switch {
 		case rec.Status == tx.StatusValid:
-			if _, ok := p.pending[id]; ok {
-				p.settledValid++
-				delete(p.pending, id)
+			p.settledValid++
+			delete(p.pending, id)
+		case rec.Status != tx.StatusInvalid:
+		case rec.Unchecked && pt.valid:
+			// Marked invalid without verification, and the provider
+			// knows it was valid: argue, once (the active-provider duty
+			// of the Validity property).
+			if pt.argued {
+				continue
 			}
-		case rec.Status == tx.StatusInvalid && rec.Unchecked:
-			// Marked invalid without verification. If the provider
-			// knows it was valid, argue (the active-provider duty of
-			// the Validity property).
-			if p.truth[id] && !p.argued[id] {
-				signed, ok := p.pending[id]
-				if !ok {
-					continue
-				}
-				msg := NewArgue(signed, b.Serial, p.member.PrivateKey)
-				if err := sender.Multicast(p.member.ID, p.governorIDs, network.KindArgue, msg.EncodeBytes()); err != nil {
-					return argues, fmt.Errorf("provider %s argue: %w", p.member.ID, err)
-				}
-				p.argued[id] = true
-				argues++
+			msg := NewArgue(pt.signed, b.Serial, p.member.PrivateKey)
+			if err := sender.Multicast(p.member.ID, p.governorIDs, network.KindArgue, msg.EncodeBytes()); err != nil {
+				return argues, fmt.Errorf("provider %s argue: %w", p.member.ID, err)
 			}
-			if !p.truth[id] {
-				// Invalid and recorded as such: settled.
-				if _, ok := p.pending[id]; ok {
-					p.settledInvalid++
-					delete(p.pending, id)
-				}
-			}
-		case rec.Status == tx.StatusInvalid:
-			// Checked invalid: the governor verified it; settled.
-			if _, ok := p.pending[id]; ok {
-				p.settledInvalid++
-				delete(p.pending, id)
-			}
+			pt.argued = true
+			p.pending[id] = pt
+			argues++
+		default:
+			// Checked invalid (the governor verified it), or unchecked
+			// and invalid by the provider's own account: settled.
+			p.settledInvalid++
+			delete(p.pending, id)
 		}
 	}
 	return argues, nil
@@ -183,8 +211,8 @@ func (p *Provider) ObserveBlock(b ledger.Block, sender Sender) (int, error) {
 // property drives to zero.
 func (p *Provider) PendingValid() int {
 	n := 0
-	for id := range p.pending {
-		if p.truth[id] {
+	for _, pt := range p.pending {
+		if pt.valid {
 			n++
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"repchain/internal/crypto"
 	"repchain/internal/identity"
 	"repchain/internal/metrics"
+	"repchain/internal/node"
 	"repchain/internal/tx"
 )
 
@@ -236,22 +237,30 @@ func (cl *Cluster) Members(i int) []int {
 
 // SubmitTx routes a same-shard submission from global provider k to
 // its home committee, returning that committee's index and the signed
-// transaction.
+// transaction: SubmitBatch for one transaction.
 func (cl *Cluster) SubmitTx(k int, kind string, payload []byte, valid bool) (int, tx.SignedTx, error) {
+	c, signed, err := cl.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: valid}})
+	if len(signed) == 0 {
+		return c, tx.SignedTx{}, err
+	}
+	return c, signed[0], nil
+}
+
+// SubmitBatch routes a batch of same-shard submissions from global
+// provider k to its home committee, returning that committee's index
+// and the admitted prefix (core.Engine.SubmitBatch).
+func (cl *Cluster) SubmitBatch(ctx context.Context, k int, items []node.Submission) (int, []tx.SignedTx, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return 0, tx.SignedTx{}, ErrClosed
+		return 0, nil, ErrClosed
 	}
 	slot, err := cl.homeLocked(k)
 	if err != nil {
-		return 0, tx.SignedTx{}, err
+		return 0, nil, err
 	}
-	signed, err := cl.engines[slot.Committee].SubmitTx(slot.Local, kind, payload, valid)
-	if err != nil {
-		return slot.Committee, tx.SignedTx{}, err
-	}
-	return slot.Committee, signed, nil
+	signed, err := cl.engines[slot.Committee].SubmitBatch(ctx, slot.Local, items)
+	return slot.Committee, signed, err
 }
 
 // RunRound runs one cluster round: due cross-shard receipts are

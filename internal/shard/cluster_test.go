@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repchain/internal/crypto"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
+	"repchain/internal/node"
 	"repchain/internal/reputation"
 	"repchain/internal/tx"
 )
@@ -130,6 +132,15 @@ func runCrossScenario(t *testing.T, seed int64, workers int) ([][]crypto.Hash, m
 			if _, _, err := cl.SubmitTx(j, "local", payload(valid, byte(j), byte(r)), valid); err != nil {
 				t.Fatal(err)
 			}
+		}
+		// One batch above the parallel sign/verify floors, its home
+		// committee alternating with the round.
+		batch := make([]node.Submission, 20)
+		for i := range batch {
+			batch[i] = node.Submission{Kind: "local", Payload: payload(i%4 != 3, byte(100+i), byte(r)), Valid: i%4 != 3}
+		}
+		if _, signed, err := cl.SubmitBatch(context.Background(), r%2+2, batch); err != nil || len(signed) != len(batch) {
+			t.Fatalf("SubmitBatch admitted %d of %d: %v", len(signed), len(batch), err)
 		}
 		if r < 6 {
 			// Providers 0 and 1 live on different committees under the

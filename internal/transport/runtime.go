@@ -300,14 +300,18 @@ func runProvider(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	for round := uint64(1); round <= uint64(cfg.Rounds); round++ {
 		prov.SetRound(round)
 		sleepUntil(cfg.Clock.at(round, 0))
-		for i := 0; i < cfg.TxPerRound; i++ {
+		items := make([]node.Submission, cfg.TxPerRound)
+		for i := range items {
 			valid := rng.Float64() < cfg.ValidFrac
 			payload := []byte{0, byte(i), byte(round)}
 			if valid {
 				payload[0] = 1
 			}
-			//repchain:dettaint-ok the submission timestamp is client input the provider signs into its own transaction; replicas treat it as opaque payload, not replica-derived state
-			if _, err := prov.Submit("tcp/demo", payload, valid, time.Now().UnixNano(), sender); err != nil {
+			items[i] = node.Submission{Kind: "tcp/demo", Payload: payload, Valid: valid}
+		}
+		//repchain:dettaint-ok the submission timestamp is client input the provider signs into its own transactions; replicas treat it as opaque payload, not replica-derived state
+		for _, signed := range prov.SignBatch(items, time.Now().UnixNano()) {
+			if err := prov.Broadcast(signed, sender); err != nil {
 				return report, err
 			}
 			report.Submitted++

@@ -290,8 +290,9 @@ func WithSeed(seed int64) Option {
 
 // WithWorkers bounds the goroutines used to fan out per-collector and
 // per-governor round work. Zero means one worker per logical CPU (the
-// default); 1 forces the fully sequential pipeline. Every setting
-// produces byte-identical rounds — parallelism trades only wall time.
+// default); 1 steps the nodes one after another (a batch's signatures
+// still spread over GOMAXPROCS within a node). Every setting produces
+// byte-identical rounds — parallelism trades only wall time.
 // With workers != 1 the Validator must be safe for concurrent use
 // (pure functions are).
 func WithWorkers(n int) Option {
@@ -440,22 +441,32 @@ func (c *Chain) Submit(provider int, kind string, payload []byte, isValid bool) 
 // as many leading transactions as the provider's shard holds, then
 // returns the admitted IDs together with an ErrBacklog-wrapping error;
 // callers resume from txs[len(ids)] after running a round. The context
-// is checked between transactions, so a cancelled batch also returns
-// the admitted prefix with the context's error. Admission is
-// all-or-nothing per transaction, never partial within one.
+// is checked once, before anything is signed: a cancelled batch admits
+// nothing and returns the context's error. Admission is all-or-nothing
+// per transaction, never partial within one. The batch's signatures
+// are computed on every available core; the result is exactly that of
+// submitting the transactions one by one.
 func (c *Chain) SubmitBatch(ctx context.Context, provider int, txs []Tx) ([]TxID, error) {
-	ids := make([]TxID, 0, len(txs))
-	for _, t := range txs {
-		if err := ctx.Err(); err != nil {
-			return ids, err
-		}
-		signed, err := c.engine.SubmitTx(provider, t.Kind, t.Payload, t.Valid)
-		if err != nil {
-			return ids, translateErr(err)
-		}
-		ids = append(ids, signed.ID())
+	signed, err := c.engine.SubmitBatch(ctx, provider, submissions(txs))
+	return txIDs(signed), translateErr(err)
+}
+
+// submissions converts a facade batch to the provider's input type.
+func submissions(txs []Tx) []node.Submission {
+	items := make([]node.Submission, len(txs))
+	for i, t := range txs {
+		items[i] = node.Submission(t)
 	}
-	return ids, nil
+	return items
+}
+
+// txIDs returns the IDs of an admitted batch.
+func txIDs(signed []tx.SignedTx) []TxID {
+	ids := make([]TxID, len(signed))
+	for i, s := range signed {
+		ids[i] = s.ID()
+	}
+	return ids
 }
 
 // TransferStake queues a stake transfer between governors for the next

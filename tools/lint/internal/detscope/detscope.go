@@ -18,6 +18,7 @@ var packages = []string{
 	"mempool",
 	"ledger",
 	"shard",
+	"par",
 }
 
 // Deterministic reports whether the import path belongs to the
