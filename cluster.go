@@ -2,10 +2,10 @@ package repchain
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repchain/internal/core"
+	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/metrics"
@@ -13,15 +13,6 @@ import (
 	"repchain/internal/reputation"
 	"repchain/internal/shard"
 	"repchain/internal/tx"
-)
-
-// Sentinel errors of the cluster API, matched with errors.Is.
-var (
-	// ErrUnknownCommittee reports a committee index outside [0, K).
-	ErrUnknownCommittee = errors.New("repchain: unknown committee")
-	// ErrRehome reports an unsupported provider re-home (shared
-	// collectors, emptied source committee, single-committee cluster).
-	ErrRehome = errors.New("repchain: cannot re-home provider")
 )
 
 // PartitionFunc assigns global provider indices to committees; it must
@@ -32,14 +23,14 @@ type PartitionFunc = identity.PartitionFunc
 // WithCommittees sets K, the number of sharded committees a cluster
 // runs (NewCluster only; New rejects it). Each committee runs the full
 // protocol — its own collectors, governors, VRF leader election, and
-// chain — over its slice of the provider set. K = 1 is byte-identical
-// to an unsharded Chain with the same options.
+// chain — over its slice of the provider set. K = 1, the default, is
+// what New builds.
 func WithCommittees(k int) Option {
 	return func(o *options) error {
 		if k <= 0 {
 			return fmt.Errorf("committees %d: %w", k, ErrBadOption)
 		}
-		o.committees = k
+		o.Committees = k
 		return nil
 	}
 }
@@ -52,20 +43,19 @@ func WithPartition(fn PartitionFunc) Option {
 		if fn == nil {
 			return fmt.Errorf("nil partition: %w", ErrBadOption)
 		}
-		o.partition = fn
+		o.Partition = fn
 		return nil
 	}
 }
 
 // Cluster is a committee-sharded alliance chain: K committees, each a
 // complete protocol instance over its slice of the provider set, plus
-// the two-phase cross-shard receipt relay between them. Committee 0 of
-// a K=1 cluster is byte-identical to a Chain built from the same
-// options — Chain remains the supported single-committee facade, and
-// Cluster is its multi-committee superset.
+// the two-phase cross-shard receipt relay between them. A Chain is the
+// K=1 Cluster: New and NewCluster share one constructor and one round.
+// Only K>1 derives per-committee seeds and committee-<i> chain
+// directories (shard's committeeConfig), so existing chains reopen.
 type Cluster struct {
-	cl         *shard.Cluster
-	committees []Committee
+	cl *shard.Cluster
 }
 
 // NewCluster assembles a sharded cluster from the same options as New
@@ -78,64 +68,33 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := o.committees
-	if k == 0 {
-		k = 1
-	}
-	cl, err := shard.New(shard.Config{
-		Base:       o.cfg,
-		Committees: k,
-		Partition:  o.partition,
-	})
-	if err != nil {
-		return nil, translateShardErr(err)
-	}
-	c := &Cluster{cl: cl}
-	c.committees = make([]Committee, k)
-	for i := range c.committees {
-		c.committees[i] = Committee{cl: cl, index: i}
-	}
-	return c, nil
+	return newCluster(o)
 }
 
-// translateShardErr maps shard sentinels onto the facade's.
-func translateShardErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, shard.ErrConfig):
-		return fmt.Errorf("%w: %v", ErrBadOption, err)
-	case errors.Is(err, shard.ErrClosed):
-		return fmt.Errorf("%w: %v", ErrClosed, err)
-	case errors.Is(err, shard.ErrUnknownProvider):
-		return fmt.Errorf("%w: %v", ErrUnknownProvider, err)
-	case errors.Is(err, shard.ErrUnknownCommittee):
-		return fmt.Errorf("%w: %v", ErrUnknownCommittee, err)
-	case errors.Is(err, shard.ErrRehome):
-		return fmt.Errorf("%w: %v", ErrRehome, err)
-	default:
-		return translateErr(err)
+// newCluster is the one constructor behind New and NewCluster.
+func newCluster(o options) (*Cluster, error) {
+	cl, err := shard.New(o.Config)
+	if err != nil {
+		return nil, err
 	}
+	return &Cluster{cl: cl}, nil
 }
 
 // Committees returns K.
-func (c *Cluster) Committees() int { return len(c.committees) }
+func (c *Cluster) Committees() int { return c.cl.Committees() }
 
 // Committee returns the view onto committee i.
 func (c *Cluster) Committee(i int) (*Committee, error) {
-	if i < 0 || i >= len(c.committees) {
-		return nil, fmt.Errorf("committee %d of %d: %w", i, len(c.committees), ErrUnknownCommittee)
+	if k := c.Committees(); i < 0 || i >= k {
+		return nil, fmt.Errorf("committee %d of %d: %w", i, k, ErrUnknownCommittee)
 	}
-	return &c.committees[i], nil
+	return &Committee{cl: c.cl, index: i}, nil
 }
 
 // Home returns the committee global provider k currently lives on.
 func (c *Cluster) Home(provider int) (int, error) {
 	slot, err := c.cl.Home(provider)
-	if err != nil {
-		return 0, translateShardErr(err)
-	}
-	return slot.Committee, nil
+	return slot.Committee, err
 }
 
 // Submit stages one transaction from global provider k, routed to its
@@ -143,7 +102,7 @@ func (c *Cluster) Home(provider int) (int, error) {
 func (c *Cluster) Submit(provider int, kind string, payload []byte, isValid bool) (TxID, error) {
 	_, signed, err := c.cl.SubmitTx(provider, kind, payload, isValid)
 	if err != nil {
-		return TxID{}, translateShardErr(err)
+		return TxID{}, err
 	}
 	return signed.ID(), nil
 }
@@ -154,8 +113,16 @@ func (c *Cluster) Submit(provider int, kind string, payload []byte, isValid bool
 // from txs[len(ids)] after a round) when admission stopped early; a
 // cancelled context admits nothing.
 func (c *Cluster) SubmitBatch(ctx context.Context, provider int, txs []Tx) ([]TxID, error) {
-	_, signed, err := c.cl.SubmitBatch(ctx, provider, submissions(txs))
-	return txIDs(signed), translateShardErr(err)
+	items := make([]node.Submission, len(txs))
+	for i, t := range txs {
+		items[i] = node.Submission(t)
+	}
+	_, signed, err := c.cl.SubmitBatch(ctx, provider, items)
+	ids := make([]TxID, len(signed))
+	for i, s := range signed {
+		ids[i] = s.ID()
+	}
+	return ids, err
 }
 
 // SubmitCross stages a cross-shard transaction from provider `from` to
@@ -168,7 +135,7 @@ func (c *Cluster) SubmitBatch(ctx context.Context, provider int, txs []Tx) ([]Tx
 func (c *Cluster) SubmitCross(from, to int, kind string, payload []byte, isValid bool) (TxID, error) {
 	signed, err := c.cl.SubmitCross(from, to, kind, payload, isValid)
 	if err != nil {
-		return TxID{}, translateShardErr(err)
+		return TxID{}, err
 	}
 	return signed.ID(), nil
 }
@@ -181,9 +148,7 @@ func (c *Cluster) SubmitCross(from, to int, kind string, payload []byte, isValid
 // provider exclusive collectors (collector degree 1). Re-home at a
 // round boundary; staged submissions on the two affected committees
 // are dropped as by a crash.
-func (c *Cluster) Rehome(provider, dst int) error {
-	return translateShardErr(c.cl.Rehome(provider, dst))
-}
+func (c *Cluster) Rehome(provider, dst int) error { return c.cl.Rehome(provider, dst) }
 
 // RunRound executes one protocol round on every committee concurrently
 // and relays cross-shard receipts, returning per-committee summaries in
@@ -199,9 +164,6 @@ func (c *Cluster) RunRoundCtx(ctx context.Context) ([]RoundSummary, error) {
 	results, err := c.cl.RunRoundCtx(ctx)
 	summaries := make([]RoundSummary, len(results))
 	for i, res := range results {
-		if res.Block.Serial == 0 && res.Serial == 0 {
-			continue
-		}
 		summaries[i] = RoundSummary{
 			Serial:         res.Serial,
 			Leader:         res.Leader,
@@ -211,7 +173,7 @@ func (c *Cluster) RunRoundCtx(ctx context.Context) ([]RoundSummary, error) {
 			StakeCommitted: res.StakeBlock != nil,
 		}
 	}
-	return summaries, translateShardErr(err)
+	return summaries, err
 }
 
 // PendingReceipts reports how many cross-shard receipts await
@@ -220,8 +182,8 @@ func (c *Cluster) PendingReceipts() int { return c.cl.PendingReceipts() }
 
 // VerifyChain audits every committee's replicated chain.
 func (c *Cluster) VerifyChain() error {
-	for i := range c.committees {
-		if err := c.committees[i].VerifyChain(); err != nil {
+	for i := 0; i < c.Committees(); i++ {
+		if err := (&Committee{cl: c.cl, index: i}).VerifyChain(); err != nil {
 			return fmt.Errorf("committee %d: %w", i, err)
 		}
 	}
@@ -231,23 +193,29 @@ func (c *Cluster) VerifyChain() error {
 // Metrics renders the cluster-level metrics — per-committee chain
 // heads (chain.height{committee="i"}) and the cross-shard relay
 // counters — one per line, sorted by name. Per-committee protocol
-// metrics live on each Committee's MetricsSnapshot.
+// metrics live on each Committee.
 func (c *Cluster) Metrics() string { return c.cl.Metrics().Dump() }
 
 // MetricsSnapshot returns the cluster-level metrics as a structured
 // snapshot.
 func (c *Cluster) MetricsSnapshot() metrics.Snapshot { return c.cl.Metrics().Snapshot() }
 
-// Close shuts every committee down, releasing any file-backed stores.
-func (c *Cluster) Close() error { return translateShardErr(c.cl.Close()) }
+// Close shuts every committee down, checkpointing and releasing any
+// file-backed stores. It is idempotent. After Close, submissions and
+// rounds fail with ErrClosed.
+func (c *Cluster) Close() error { return c.cl.Close() }
 
-// Committee is a read view onto one committee of a Cluster: its chain,
-// its traces, and its protocol metrics. Submissions go through the
-// Cluster, which owns the routing.
+// Committee is the view onto one committee of a Cluster: its chain,
+// stakes, traces, events and protocol metrics. A Chain embeds its only
+// committee, so these are Chain's reads too. Submissions and rounds go
+// through the Cluster (or Chain), which owns routing and the round;
+// provider, collector and governor indices here are committee-local.
 type Committee struct {
 	cl    *shard.Cluster
 	index int
 }
+
+func (cm *Committee) engine() *core.Engine { return cm.cl.Engine(cm.index) }
 
 // Index returns the committee's index within the cluster.
 func (cm *Committee) Index() int { return cm.index }
@@ -261,7 +229,7 @@ func (cm *Committee) Height() uint64 {
 	return cm.engine().Governor(0).Store().Height()
 }
 
-// Block retrieves the records of the committee's block s.
+// Block retrieves the records of block s (the paper's retrieve(s)).
 func (cm *Committee) Block(s uint64) ([]RecordStatus, error) {
 	b, err := cm.engine().Governor(0).Store().Get(s)
 	if err != nil {
@@ -281,8 +249,9 @@ func (cm *Committee) Block(s uint64) ([]RecordStatus, error) {
 	return out, nil
 }
 
-// VerifyChain audits the committee's replicated chain across all its
-// governors.
+// VerifyChain audits the chain replicated across all the committee's
+// governors: serial ordering, hash links, and transaction-root
+// commitments.
 func (cm *Committee) VerifyChain() error {
 	eng := cm.engine()
 	for j := 0; j < eng.Governors(); j++ {
@@ -293,71 +262,83 @@ func (cm *Committee) VerifyChain() error {
 	return nil
 }
 
-// Trace returns the committee-local lifecycle spans of one transaction
-// (WithTracing), oldest first.
-func (cm *Committee) Trace(id TxID) []Span {
-	return cm.engine().Tracer().ByTrace(id.String())
-}
-
-// Events returns the committee's consensus events (WithEventLog),
-// oldest first.
-func (cm *Committee) Events() []Event {
-	return cm.engine().Events().Events()
-}
-
-// Stats returns governor j's screening counters on this committee.
-func (cm *Committee) Stats(governor int) GovernorStats {
-	return cm.engine().Governor(governor).Stats()
-}
-
-// MetricsSnapshot returns the committee engine's protocol metrics.
-func (cm *Committee) MetricsSnapshot() metrics.Snapshot {
-	return cm.engine().Metrics().Snapshot()
-}
-
-// RevenueShares returns the committee's current revenue split across
-// its local collectors (governor 0's view), the incentive signal of
+// RevenueShares returns the current revenue split across the
+// committee's collectors (governor 0's view), the incentive signal of
 // §3.4.3.
 func (cm *Committee) RevenueShares() ([]float64, error) {
 	return cm.engine().Governor(0).Table().RevenueShares()
 }
 
-// CollectorReputation returns committee-local collector c's reputation
-// vector from governor 0's view.
+// CollectorReputation returns collector c's full reputation vector in
+// the paper's layout — s per-provider weights, then w_misreport and
+// w_forge — from governor 0's view.
 func (cm *Committee) CollectorReputation(collector int) ([]float64, error) {
 	return cm.engine().Governor(0).Table().Vector(collector)
 }
 
-func (cm *Committee) engine() *core.Engine { return cm.cl.Engine(cm.index) }
+// Stakes returns the governors' current stake vector.
+func (cm *Committee) Stakes() []uint64 { return cm.engine().StakeLedger().Snapshot() }
 
-// buildOptions folds the option list over the shared defaults; New and
-// NewCluster assemble configurations identically so a K=1 cluster and a
-// Chain built from the same options run the same engine byte for byte.
+// TransferStake queues a stake transfer between governors for the next
+// round's stake-transform block.
+func (cm *Committee) TransferStake(from, to int, amount uint64) error {
+	return cm.engine().SubmitStakeTransfer(from, to, amount)
+}
+
+// PendingValid returns how many of provider k's valid transactions
+// have not yet been recorded valid — zero once the Validity property
+// has caught up.
+func (cm *Committee) PendingValid(provider int) int {
+	return cm.engine().Provider(provider).PendingValid()
+}
+
+// MempoolDepth reports how many staged submissions await the next
+// round's drain (always zero right after a round without backpressure).
+func (cm *Committee) MempoolDepth() int { return cm.engine().MempoolDepth() }
+
+// Stats returns governor j's screening counters.
+func (cm *Committee) Stats(governor int) GovernorStats {
+	return cm.engine().Governor(governor).Stats()
+}
+
+// Metrics renders the committee's operational metrics — protocol
+// anomaly counters and signature-cache statistics — one per line,
+// sorted by name.
+func (cm *Committee) Metrics() string { return cm.engine().Metrics().Dump() }
+
+// MetricsSnapshot returns the committee's metrics as a structured,
+// JSON-serialisable snapshot (counters, gauges, histograms, series).
+func (cm *Committee) MetricsSnapshot() metrics.Snapshot { return cm.engine().Metrics().Snapshot() }
+
+// Trace returns the recorded lifecycle spans of one transaction,
+// oldest first. Empty without WithTracing, or if the spans have been
+// evicted from the ring buffer.
+func (cm *Committee) Trace(id TxID) []Span {
+	return cm.engine().Tracer().ByTrace(id.String())
+}
+
+// Spans returns every span currently in the trace ring buffer, oldest
+// first. Empty without WithTracing.
+func (cm *Committee) Spans() []Span { return cm.engine().Tracer().Spans() }
+
+// Events returns every event currently in the consensus event ring,
+// oldest first. Empty without WithEventLog.
+func (cm *Committee) Events() []Event { return cm.engine().Events().Events() }
+
+// EventLog exposes the structured event log for replay and filtered
+// export (see the events package). Nil without WithEventLog.
+func (cm *Committee) EventLog() *events.Log { return cm.engine().Events() }
+
+// buildOptions folds the option list over the defaults.
 func buildOptions(opts []Option) (options, error) {
-	o := options{
-		cfg: core.Config{
-			Params:      reputation.DefaultParams(),
-			ArgueWindow: node.DefaultArgueWindow,
-			MaxDelay:    1,
-		},
-	}
+	o := options{shard.Config{Base: core.Config{
+		Params:      reputation.DefaultParams(),
+		ArgueWindow: node.DefaultArgueWindow,
+		MaxDelay:    1,
+	}}}
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
 			return options{}, err
-		}
-	}
-	if o.behaviors != nil {
-		o.cfg.Behaviors = make([]node.Behavior, len(o.behaviors))
-		for i, b := range o.behaviors {
-			if b == (CollectorBehavior{}) {
-				o.cfg.Behaviors[i] = node.HonestBehavior{}
-				continue
-			}
-			o.cfg.Behaviors[i] = node.ProbBehavior{
-				Misreport: b.Misreport,
-				Conceal:   b.Conceal,
-				Forge:     b.Forge,
-			}
 		}
 	}
 	return o, nil

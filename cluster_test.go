@@ -39,62 +39,78 @@ var goldenHashes = []string{
 	"34483077efda13de224bc1f5de37295efe027d19381f3fb20c22301b1d65c271",
 }
 
-func runGolden(t *testing.T, submit func(k int, payload []byte, valid bool) error, round func() error) {
-	t.Helper()
-	for r := 0; r < len(goldenHashes); r++ {
-		for j := 0; j < 12; j++ {
-			valid := j%3 != 2
-			if err := submit(j%8, goldenPayload(valid, byte(j), byte(r)), valid); err != nil {
+// TestGoldenHashes runs the reference workload through every way in —
+// New, NewCluster, and NewCluster with an explicit WithCommittees(1) —
+// and demands the golden chain from each: K=1 identity holds because
+// all three are one constructor and one round.
+func TestGoldenHashes(t *testing.T) {
+	type facade struct {
+		submit func(k int, payload []byte, valid bool) error
+		round  func() error
+		view   *Committee
+		close  func() error
+	}
+	ofCluster := func(opts ...Option) (facade, error) {
+		cl, err := NewCluster(opts...)
+		if err != nil {
+			return facade{}, err
+		}
+		return facade{
+			submit: func(k int, p []byte, valid bool) error { _, err := cl.Submit(k, "golden", p, valid); return err },
+			round:  func() error { _, err := cl.RunRound(); return err },
+			view:   &Committee{cl: cl.cl},
+			close:  cl.Close,
+		}, nil
+	}
+	for _, tt := range []struct {
+		name  string
+		build func() (facade, error)
+	}{
+		{"New", func() (facade, error) {
+			c, err := New(goldenOptions()...)
+			if err != nil {
+				return facade{}, err
+			}
+			return facade{
+				submit: func(k int, p []byte, valid bool) error { _, err := c.Submit(k, "golden", p, valid); return err },
+				round:  func() error { _, err := c.RunRound(); return err },
+				view:   c.Committee,
+				close:  c.Close,
+			}, nil
+		}},
+		{"NewCluster", func() (facade, error) { return ofCluster(goldenOptions()...) }},
+		{"NewCluster/WithCommittees(1)", func() (facade, error) {
+			return ofCluster(append(goldenOptions(), WithCommittees(1))...)
+		}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			f, err := tt.build()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := round(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestChainMatchesGoldenHashes(t *testing.T) {
-	chain, err := New(goldenOptions()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer chain.Close()
-	runGolden(t,
-		func(k int, p []byte, valid bool) error { _, err := chain.Submit(k, "golden", p, valid); return err },
-		func() error { _, err := chain.RunRound(); return err },
-	)
-	st := chain.engine.Governor(0).Store()
-	for s, want := range goldenHashes {
-		b, err := st.Get(uint64(s + 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := b.Hash().String(); got != want {
-			t.Fatalf("block %d hash %s, want golden %s", s+1, got, want)
-		}
-	}
-}
-
-func TestClusterK1MatchesGoldenHashes(t *testing.T) {
-	cluster, err := NewCluster(append(goldenOptions(), WithCommittees(1))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	runGolden(t,
-		func(k int, p []byte, valid bool) error { _, err := cluster.Submit(k, "golden", p, valid); return err },
-		func() error { _, err := cluster.RunRound(); return err },
-	)
-	st := cluster.cl.Engine(0).Governor(0).Store()
-	for s, want := range goldenHashes {
-		b, err := st.Get(uint64(s + 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := b.Hash().String(); got != want {
-			t.Fatalf("K=1 cluster block %d hash %s, want golden %s", s+1, got, want)
-		}
+			defer f.close()
+			for r := 0; r < len(goldenHashes); r++ {
+				for j := 0; j < 12; j++ {
+					valid := j%3 != 2
+					if err := f.submit(j%8, goldenPayload(valid, byte(j), byte(r)), valid); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := f.round(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := f.view.engine().Governor(0).Store()
+			for s, want := range goldenHashes {
+				b, err := st.Get(uint64(s + 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := b.Hash().String(); got != want {
+					t.Fatalf("block %d hash %s, want golden %s", s+1, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -187,8 +203,17 @@ func TestNewRejectsClusterOptions(t *testing.T) {
 	if _, err := New(append(goldenOptions(), WithPartition(func(p, k int) int { return 0 }))...); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("New with WithPartition: err = %v, want ErrBadOption", err)
 	}
-	if _, err := NewCluster(append(goldenOptions(), WithCommittees(0))...); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("WithCommittees(0): err = %v, want ErrBadOption", err)
+	for name, opt := range map[string]Option{
+		"WithCommittees(0)":      WithCommittees(0),
+		"partition out of range": WithPartition(func(p, k int) int { return k }),
+		"empty committee":        WithPartition(func(p, k int) int { return 0 }),
+		"links with K=2":         WithLinks([][]int{{0}, {1}, {2}, {3}, {0}, {1}, {2}, {3}}),
+		"too few behaviours":     WithCollectorBehaviors(CollectorBehavior{}),
+		"indivisible committee":  WithPartition(func(p, k int) int { return min(p, 1) }),
+	} {
+		if _, err := NewCluster(append(goldenOptions(), WithCommittees(2), opt)...); !errors.Is(err, ErrBadOption) {
+			t.Errorf("NewCluster %s: err = %v, want ErrBadOption", name, err)
+		}
 	}
 }
 
@@ -220,7 +245,7 @@ func chainBatchFacade(t *testing.T) batchFacade {
 		submit: func(k int, tx Tx) (TxID, error) { return c.Submit(k, tx.Kind, tx.Payload, tx.Valid) },
 		batch:  func(k int, txs []Tx) ([]TxID, error) { return c.SubmitBatch(context.Background(), k, txs) },
 		round:  func() error { _, err := c.RunRound(); return err },
-		heads:  func() []string { return []string{headHash(t, c.engine)} },
+		heads:  func() []string { return []string{headHash(t, c.engine())} },
 	}
 }
 

@@ -63,6 +63,11 @@ func (t Ticket) Encode(e *codec.Encoder) {
 	e.PutBytes(t.Proof)
 }
 
+// minTicketBytes is the smallest encoded Ticket (an empty proof), the
+// bound on how many tickets a payload can hold: a count is checked
+// against it before anything is allocated.
+const minTicketBytes = 1 + 1 + crypto.HashSize + 1
+
 // DecodeTicket reads one Ticket from d.
 func DecodeTicket(d *codec.Decoder) (Ticket, error) {
 	var t Ticket
@@ -103,8 +108,8 @@ func DecodeTickets(b []byte) ([]Ticket, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ticket count: %w", err)
 	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("ticket count %d: %w", n, ErrDecode)
+	if n < 0 || n > d.Remaining()/minTicketBytes {
+		return nil, fmt.Errorf("ticket count %d in %d bytes: %w", n, d.Remaining(), ErrDecode)
 	}
 	out := make([]Ticket, 0, n)
 	for i := 0; i < n; i++ {

@@ -1,11 +1,50 @@
 package consensus
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
 	"repchain/internal/codec"
 )
+
+// FuzzRoundTicketsDecode feeds the governor-facing ticket envelope
+// arbitrary bytes: it must never panic, never produce more tickets than
+// the input could hold (the count is attacker-chosen and sizes an
+// allocation), and whatever it accepts must re-encode to itself.
+func FuzzRoundTicketsDecode(f *testing.F) {
+	_, priv := testKey(f, 61)
+	valid := EncodeRoundTickets(7, MakeTickets(priv, HashState([]uint64{1, 2}), 7, 1, 3))
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(EncodeRoundTickets(0, nil))
+	// A few bytes claiming half a million tickets.
+	count := codec.NewEncoder(0)
+	count.PutInt(1 << 19)
+	overstated := codec.NewEncoder(0)
+	overstated.PutUint64(1)
+	overstated.PutBytes(count.Bytes())
+	f.Add(overstated.Bytes())
+	f.Fuzz(func(t *testing.T, p []byte) {
+		round, ts, err := DecodeRoundTickets(p)
+		if err != nil {
+			return
+		}
+		if len(ts) > len(p)/minTicketBytes {
+			t.Fatalf("%d tickets decoded from %d bytes", len(ts), len(p))
+		}
+		r2, ts2, err := DecodeRoundTickets(EncodeRoundTickets(round, ts))
+		if err != nil || r2 != round || len(ts2) != len(ts) {
+			t.Fatalf("re-encoding of an accepted envelope decodes to round %d, %d tickets, %v", r2, len(ts2), err)
+		}
+		for i := range ts {
+			if ts[i].Governor != ts2[i].Governor || ts[i].Unit != ts2[i].Unit ||
+				ts[i].Output != ts2[i].Output || !bytes.Equal(ts[i].Proof, ts2[i].Proof) {
+				t.Fatalf("ticket %d changed across re-encoding", i)
+			}
+		}
+	})
+}
 
 // TestQuickDecodersNeverPanic feeds random bytes to every consensus
 // decoder.

@@ -9,7 +9,7 @@ import (
 	"repchain/internal/crypto"
 )
 
-func testKey(t *testing.T, b byte) (crypto.PublicKey, crypto.PrivateKey) {
+func testKey(t testing.TB, b byte) (crypto.PublicKey, crypto.PrivateKey) {
 	t.Helper()
 	seed := make([]byte, crypto.SeedSize)
 	seed[0] = b

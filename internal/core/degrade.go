@@ -151,11 +151,6 @@ func (e *Engine) CollectorDown(c int) bool {
 	return c >= 0 && c < len(e.collectorDown) && e.collectorDown[c]
 }
 
-// GovernorDown reports governor j's failure-detector state.
-func (e *Engine) GovernorDown(j int) bool {
-	return j >= 0 && j < len(e.governorDown) && e.governorDown[j]
-}
-
 // Collectors returns n, the collector count.
 func (e *Engine) Collectors() int { return len(e.collectors) }
 

@@ -20,10 +20,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"time"
 
 	"repchain/internal/codec"
@@ -285,7 +283,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("admission floor %v: %w", cfg.AdmissionFloor, ErrBadConfig)
 	}
 	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	var topo *identity.Topology
 	var err error
@@ -295,7 +293,7 @@ func New(cfg Config) (*Engine, error) {
 		topo, err = identity.NewRegularTopology(cfg.Spec)
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if cfg.Behaviors != nil && len(cfg.Behaviors) != topo.Collectors() {
 		return nil, fmt.Errorf("%d behaviours for %d collectors: %w", len(cfg.Behaviors), topo.Collectors(), ErrBadConfig)
@@ -505,9 +503,6 @@ func (e *Engine) Governor(j int) *node.Governor { return e.governors[j] }
 // Provider returns provider k.
 func (e *Engine) Provider(k int) *node.Provider { return e.providers[k] }
 
-// Collector returns collector c.
-func (e *Engine) Collector(c int) *node.Collector { return e.collectors[c] }
-
 // Governors returns m.
 func (e *Engine) Governors() int { return len(e.governors) }
 
@@ -533,7 +528,6 @@ func (e *Engine) Events() *events.Log { return e.events }
 // start. Purely observational — stage durations never feed back into
 // protocol decisions.
 func (e *Engine) observeStage(stage string, start time.Time) time.Time {
-	//repchain:wallclock-ok metrics-only stage timing; the duration feeds a histogram no protocol decision reads back (§4c determinism argument)
 	now := time.Now()
 	e.stageSeconds.With(stage).Observe(now.Sub(start).Seconds())
 	return now
@@ -781,7 +775,6 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	// pre-mempool engine broadcast them at submit time (the tick only
 	// advances inside rounds), so legacy configurations stay
 	// byte-identical on the wire.
-	//repchain:wallclock-ok metrics-only stage timing; observeStage folds it into round.stage_seconds, never into protocol state
 	stageStart := time.Now()
 	if err := e.drainIngress(); err != nil {
 		return RoundResult{}, err
@@ -856,15 +849,6 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 		return RoundResult{}, err
 	}
 	stageStart = e.observeStage("elect", stageStart)
-	if e.tracer != nil {
-		e.tracer.Emit(trace.Span{
-			Stage: trace.StageElect,
-			Round: e.round,
-			Attrs: []trace.Attr{{Key: "leader", Value: strconv.Itoa(leader)}},
-		})
-	}
-	e.events.Emit(events.TypeLeaderElected, e.round, string(e.governorIDs[leader]),
-		slog.Int("leader", leader))
 
 	// --- Processing phase: block proposal ---
 	// The leader broadcasts the block to all governors and providers

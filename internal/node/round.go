@@ -2,14 +2,17 @@ package node
 
 import (
 	"fmt"
+	"log/slog"
 	"slices"
 
 	"repchain/internal/consensus"
 	"repchain/internal/crypto"
+	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/metrics"
 	"repchain/internal/network"
+	"repchain/internal/trace"
 )
 
 // GovernorRound is the governor's half of a round (§3.1 processing
@@ -178,7 +181,8 @@ func (r *GovernorRound) TicketsComplete(stakes []uint64) bool {
 }
 
 // Elect verifies the filed ticket batches against stakes and returns
-// the leader (§3.4.3), consuming the batches. A governor with stake 0
+// the leader (§3.4.3), consuming the batches, and emits the governor's
+// elect span and leader.elected event. A governor with stake 0
 // has nothing to prove: its empty batch is submitted locally, whatever
 // it sent. A staked governor with no batch on file fails the election
 // with a wrapped consensus.ErrIncompleteElection naming it; a batch
@@ -208,6 +212,18 @@ func (r *GovernorRound) Elect(stakes []uint64) (int, error) {
 		return -1, fmt.Errorf("%s round %d election, no ticket batch from %v: %w", r.gov.ID(), r.round, missing, err)
 	}
 	r.leader = leader
+	// One shape whichever driver stepped: each governor reports, under
+	// its own ID, the node it elected.
+	elected := string(r.governorIDs[leader])
+	if r.gov.tracer != nil {
+		r.gov.tracer.Emit(trace.Span{
+			Stage: trace.StageElect,
+			Node:  string(r.gov.ID()),
+			Round: r.round,
+			Attrs: []trace.Attr{{Key: "leader", Value: elected}},
+		})
+	}
+	r.gov.events.Emit(events.TypeLeaderElected, r.round, string(r.gov.ID()), slog.String("leader", elected))
 	return leader, nil
 }
 

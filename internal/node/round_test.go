@@ -10,11 +10,13 @@ import (
 
 	"repchain/internal/consensus"
 	"repchain/internal/crypto"
+	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/metrics"
 	"repchain/internal/network"
 	"repchain/internal/reputation"
+	"repchain/internal/trace"
 )
 
 // alliance is three governors' round steppers on a zero-delay bus: the
@@ -27,6 +29,8 @@ type alliance struct {
 	rounds []*GovernorRound
 	stakes []uint64
 	reg    *metrics.Registry
+	log    *events.Log
+	spans  *trace.Recorder
 	round  uint64
 }
 
@@ -34,7 +38,8 @@ type alliance struct {
 // governor j's ledger replica.
 func newAlliance(t *testing.T, store func(j int) ledger.Store) *alliance {
 	t.Helper()
-	a := &alliance{t: t, bus: network.NewBus(0), stakes: []uint64{1, 2, 1}, reg: metrics.NewRegistry()}
+	a := &alliance{t: t, bus: network.NewBus(0), stakes: []uint64{1, 2, 1}, reg: metrics.NewRegistry(),
+		log: events.NewLog(256), spans: trace.NewRecorder(256)}
 	seed := make([]byte, crypto.SeedSize)
 	im, err := identity.NewManagerFromSeed(seed)
 	a.check(err)
@@ -55,6 +60,7 @@ func newAlliance(t *testing.T, store func(j int) ledger.Store) *alliance {
 		cfg := GovernorConfig{
 			Member: mem, Endpoint: ep, IM: im, Topology: topo,
 			Params: reputation.DefaultParams(), Validator: oracle, Seed: int64(j), Metrics: a.reg,
+			Events: a.log, Tracer: a.spans,
 		}
 		if store != nil {
 			cfg.Store = store(j)
@@ -243,6 +249,49 @@ func TestRoundTicketBatches(t *testing.T) {
 	_, err := a.rounds[0].Elect(a.stakes)
 	if !errors.Is(err, consensus.ErrIncompleteElection) || !strings.Contains(fmt.Sprint(err), "governor/1") {
 		t.Fatalf("Elect() error = %v, want ErrIncompleteElection naming governor/1", err)
+	}
+}
+
+// TestRoundElectReportsLeader: Elect is the one place the election's
+// outcome is reported, so both drivers emit the same thing — each
+// governor, under its own ID, names the node it elected; a failed
+// election reports nothing.
+func TestRoundElectReportsLeader(t *testing.T) {
+	a := newAlliance(t, nil)
+	a.open()
+	want := string(a.ids[a.elect(0, 1, 2)])
+	var evNodes, spanNodes []string
+	for _, e := range a.log.Events() {
+		if e.Type == events.TypeLeaderElected {
+			if e.Round != a.round || e.Attr("leader") != want {
+				t.Errorf("event %+v, want round %d leader %s", e, a.round, want)
+			}
+			evNodes = append(evNodes, e.Node)
+		}
+	}
+	for _, s := range a.spans.Spans() {
+		if s.Stage == trace.StageElect {
+			if s.Round != a.round || len(s.Attrs) != 1 || s.Attrs[0] != (trace.Attr{Key: "leader", Value: want}) {
+				t.Errorf("span %+v, want round %d leader %s", s, a.round, want)
+			}
+			spanNodes = append(spanNodes, s.Node)
+		}
+	}
+	nodes := fmt.Sprint(a.ids)
+	if fmt.Sprint(evNodes) != nodes || fmt.Sprint(spanNodes) != nodes {
+		t.Fatalf("elect events from %v, spans from %v; want one each from %v", evNodes, spanNodes, nodes)
+	}
+
+	a.bus.SetDropFunc(func(m network.Message, _ identity.NodeID) bool { return m.Kind == network.KindVRF })
+	a.open()
+	a.ingest(0)
+	if _, err := a.rounds[0].Elect(a.stakes); !errors.Is(err, consensus.ErrIncompleteElection) {
+		t.Fatalf("Elect() error = %v, want ErrIncompleteElection", err)
+	}
+	for _, e := range a.log.Events() {
+		if e.Type == events.TypeLeaderElected && e.Round == a.round {
+			t.Fatalf("a failed election reported a leader: %+v", e)
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ func MigrateInto(dst, src *Table, providerMap, collectorMap map[int]int) error {
 // applies in a deterministic sequence regardless of map layout.
 func sortedIntKeys(m map[int]int) []int {
 	keys := make([]int, 0, len(m))
-	for k := range m { //repchain:ordered-irrelevant keys are sorted before use
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)

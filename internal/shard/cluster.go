@@ -82,21 +82,22 @@ type Cluster struct {
 // New builds and starts a cluster. With Committees <= 1 the base
 // configuration reaches core.New untouched except for the cross-shard
 // validator wrapper (inert for ordinary transaction kinds), keeping
-// the single-committee chain byte-identical to an unsharded engine.
+// the single-committee chain — the facade's Chain — byte-identical to
+// a bare engine.
 func New(cfg Config) (*Cluster, error) {
 	k := cfg.Committees
 	if k < 0 {
-		return nil, fmt.Errorf("%d committees: %w", k, ErrConfig)
+		return nil, fmt.Errorf("%d committees: %w", k, core.ErrBadConfig)
 	}
 	if k == 0 {
 		k = 1
 	}
 	if cfg.Base.Spec.Providers <= 0 {
-		return nil, fmt.Errorf("global spec %+v: %w", cfg.Base.Spec, ErrConfig)
+		return nil, fmt.Errorf("global spec %+v: %w", cfg.Base.Spec, core.ErrBadConfig)
 	}
 	part, err := identity.NewPartition(cfg.Base.Spec.Providers, k, cfg.Partition)
 	if err != nil {
-		return nil, fmt.Errorf("shard: partition: %w", err)
+		return nil, fmt.Errorf("%w: partition: %w", core.ErrBadConfig, err)
 	}
 	retry := cfg.ReceiptRetry
 	if retry <= 0 {
@@ -147,8 +148,10 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // committeeConfig derives committee i's engine configuration from the
-// base. K=1 returns the base untouched (modulo the validator wrapper);
-// K>1 carves the committee's slice of the global topology.
+// base. It is the one place K=1 is special: a lone committee takes the
+// base as is (modulo the validator wrapper) — base seed, ChainDir
+// itself, explicit Links allowed — so a directory an unsharded chain
+// wrote reopens. K>1 carves its slice of the global topology.
 func (cl *Cluster) committeeConfig(i int) (core.Config, error) {
 	ecfg := cl.cfg.Base
 	ecfg.Validator = wrapValidator(cl.cfg.Base.Validator)
@@ -157,17 +160,17 @@ func (cl *Cluster) committeeConfig(i int) (core.Config, error) {
 	}
 	spec := cl.cfg.Base.Spec
 	if ecfg.Links != nil {
-		return core.Config{}, fmt.Errorf("explicit links are unsupported with multiple committees: %w", ErrConfig)
+		return core.Config{}, fmt.Errorf("explicit links are unsupported with multiple committees: %w", core.ErrBadConfig)
 	}
 	if err := spec.Validate(); err != nil {
-		return core.Config{}, fmt.Errorf("global spec: %w", err)
+		return core.Config{}, fmt.Errorf("%w: global spec: %w", core.ErrBadConfig, err)
 	}
 	s := spec.CollectorDegree()
 	li := len(cl.members[i])
 	if (li*spec.Degree)%s != 0 {
 		return core.Config{}, fmt.Errorf(
 			"committee %d: %d providers × degree %d not divisible by collector degree %d: %w",
-			i, li, spec.Degree, s, ErrConfig)
+			i, li, spec.Degree, s, core.ErrBadConfig)
 	}
 	ecfg.Spec = identity.TopologySpec{
 		Providers:  li,
@@ -181,7 +184,7 @@ func (cl *Cluster) committeeConfig(i int) (core.Config, error) {
 	if cl.cfg.Base.Behaviors != nil {
 		if len(cl.cfg.Base.Behaviors) != spec.Collectors {
 			return core.Config{}, fmt.Errorf("%d behaviours for %d global collectors: %w",
-				len(cl.cfg.Base.Behaviors), spec.Collectors, ErrConfig)
+				len(cl.cfg.Base.Behaviors), spec.Collectors, core.ErrBadConfig)
 		}
 		off := 0
 		for j := 0; j < i; j++ {
@@ -219,7 +222,7 @@ func (cl *Cluster) Home(k int) (identity.CommitteeSlot, error) {
 
 func (cl *Cluster) homeLocked(k int) (identity.CommitteeSlot, error) {
 	if k < 0 || k >= len(cl.home) {
-		return identity.CommitteeSlot{}, fmt.Errorf("provider %d: %w", k, ErrUnknownProvider)
+		return identity.CommitteeSlot{}, fmt.Errorf("provider %d: %w", k, core.ErrUnknownProvider)
 	}
 	return cl.home[k], nil
 }
@@ -253,7 +256,7 @@ func (cl *Cluster) SubmitBatch(ctx context.Context, k int, items []node.Submissi
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return 0, nil, ErrClosed
+		return 0, nil, core.ErrClosed
 	}
 	slot, err := cl.homeLocked(k)
 	if err != nil {
@@ -279,7 +282,7 @@ func (cl *Cluster) RunRoundCtx(ctx context.Context) ([]core.RoundResult, error) 
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return nil, ErrClosed
+		return nil, core.ErrClosed
 	}
 	cl.injectReceipts()
 
@@ -333,13 +336,13 @@ func (cl *Cluster) PendingReceipts() int {
 // metrics stay on each engine's own registry.
 func (cl *Cluster) Metrics() *metrics.Registry { return cl.reg }
 
-// Close shuts every committee down. The first call wins; later calls
-// return ErrClosed.
+// Close shuts every committee down. Like core.Engine.Close it is
+// idempotent: the first call wins, later calls return nil.
 func (cl *Cluster) Close() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return ErrClosed
+		return nil
 	}
 	cl.closed = true
 	var errs []error

@@ -305,8 +305,8 @@ func TestClusterConfigValidation(t *testing.T) {
 		// under modulo-2 gives 5 providers x 3 links = 15, not
 		// divisible by s=2.
 		cfg.Spec = identity.TopologySpec{Providers: 10, Collectors: 15, Degree: 3}
-		if _, err := New(Config{Base: cfg, Committees: 2}); !errors.Is(err, ErrConfig) {
-			t.Fatalf("err = %v, want ErrConfig", err)
+		if _, err := New(Config{Base: cfg, Committees: 2}); !errors.Is(err, core.ErrBadConfig) {
+			t.Fatalf("err = %v, want core.ErrBadConfig", err)
 		}
 	})
 	t.Run("links unsupported", func(t *testing.T) {
@@ -314,13 +314,13 @@ func TestClusterConfigValidation(t *testing.T) {
 		cfg.Links = [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}
 		cfg.Spec.Degree = 1
 		cfg.Spec.Collectors = 8
-		if _, err := New(Config{Base: cfg, Committees: 2}); !errors.Is(err, ErrConfig) {
-			t.Fatalf("err = %v, want ErrConfig", err)
+		if _, err := New(Config{Base: cfg, Committees: 2}); !errors.Is(err, core.ErrBadConfig) {
+			t.Fatalf("err = %v, want core.ErrBadConfig", err)
 		}
 	})
 	t.Run("negative committees", func(t *testing.T) {
-		if _, err := New(Config{Base: baseConfig(1, 1), Committees: -1}); !errors.Is(err, ErrConfig) {
-			t.Fatalf("err = %v, want ErrConfig", err)
+		if _, err := New(Config{Base: baseConfig(1, 1), Committees: -1}); !errors.Is(err, core.ErrBadConfig) {
+			t.Fatalf("err = %v, want core.ErrBadConfig", err)
 		}
 	})
 	t.Run("routing", func(t *testing.T) {
@@ -338,8 +338,8 @@ func TestClusterConfigValidation(t *testing.T) {
 				t.Fatalf("provider %d on committee %d, want %d", j, slot.Committee, j%4)
 			}
 		}
-		if _, err := cl.Home(8); !errors.Is(err, ErrUnknownProvider) {
-			t.Fatalf("err = %v, want ErrUnknownProvider", err)
+		if _, err := cl.Home(8); !errors.Is(err, core.ErrUnknownProvider) {
+			t.Fatalf("err = %v, want core.ErrUnknownProvider", err)
 		}
 	})
 }

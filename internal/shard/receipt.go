@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repchain/internal/codec"
+	"repchain/internal/core"
 	"repchain/internal/crypto"
 	"repchain/internal/ledger"
 	"repchain/internal/tx"
@@ -54,7 +55,7 @@ func decodeLock(b []byte) (lockEnvelope, error) {
 	var env lockEnvelope
 	tag, err := d.String()
 	if err != nil || tag != lockTag {
-		return env, fmt.Errorf("lock tag %q: %w", tag, ErrConfig)
+		return env, fmt.Errorf("lock tag %q: %w", tag, codec.ErrCorrupt)
 	}
 	if env.DstProvider, err = d.Int(); err != nil {
 		return env, fmt.Errorf("lock destination: %w", err)
@@ -103,7 +104,7 @@ func decodeReceipt(b []byte) (receiptEnvelope, error) {
 	var env receiptEnvelope
 	tag, err := d.String()
 	if err != nil || tag != receiptTag {
-		return env, fmt.Errorf("receipt tag %q: %w", tag, ErrConfig)
+		return env, fmt.Errorf("receipt tag %q: %w", tag, codec.ErrCorrupt)
 	}
 	if env.SrcCommittee, err = d.Int(); err != nil {
 		return env, fmt.Errorf("receipt source committee: %w", err)
@@ -116,7 +117,7 @@ func decodeReceipt(b []byte) (receiptEnvelope, error) {
 		return env, fmt.Errorf("receipt lock id: %w", err)
 	}
 	if len(id) != len(env.LockID) {
-		return env, fmt.Errorf("receipt lock id length %d: %w", len(id), ErrConfig)
+		return env, fmt.Errorf("receipt lock id length %d: %w", len(id), codec.ErrCorrupt)
 	}
 	copy(env.LockID[:], id)
 	if env.Kind, err = d.String(); err != nil {
@@ -195,7 +196,7 @@ func (cl *Cluster) SubmitCross(from, to int, kind string, payload []byte, valid 
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return tx.SignedTx{}, ErrClosed
+		return tx.SignedTx{}, core.ErrClosed
 	}
 	src, err := cl.homeLocked(from)
 	if err != nil {

@@ -41,7 +41,7 @@ func (cl *Cluster) Rehome(k, dst int) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return ErrClosed
+		return core.ErrClosed
 	}
 	if len(cl.engines) == 1 {
 		return fmt.Errorf("single-committee cluster: %w", ErrRehome)
@@ -195,7 +195,7 @@ func (cl *Cluster) rebuildHome() {
 // construction.
 func (cl *Cluster) rebuildCommittees(snaps map[int][][]byte) error {
 	committees := make([]int, 0, len(snaps))
-	for i := range snaps { //repchain:ordered-irrelevant keys are sorted before use
+	for i := range snaps {
 		committees = append(committees, i)
 	}
 	sort.Ints(committees)

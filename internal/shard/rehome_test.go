@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repchain/internal/core"
 	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
@@ -196,8 +197,8 @@ func TestRehomeRejectsUnsupportedShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		if err := cl.Rehome(99, 1); !errors.Is(err, ErrUnknownProvider) {
-			t.Fatalf("err = %v, want ErrUnknownProvider", err)
+		if err := cl.Rehome(99, 1); !errors.Is(err, core.ErrUnknownProvider) {
+			t.Fatalf("err = %v, want core.ErrUnknownProvider", err)
 		}
 		if err := cl.Rehome(0, 5); !errors.Is(err, ErrUnknownCommittee) {
 			t.Fatalf("err = %v, want ErrUnknownCommittee", err)

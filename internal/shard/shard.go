@@ -31,20 +31,15 @@
 //
 // The single-committee case (Committees <= 1) passes the base
 // configuration through untouched, so a K=1 cluster is byte-identical
-// to a bare engine run.
+// to a bare engine run; the facade's Chain is exactly that cluster.
 package shard
 
 import "errors"
 
-// Sentinel errors. Callers match with errors.Is.
+// Sentinel errors of the cluster layer, matched with errors.Is. A bad
+// configuration, use after Close and an out-of-range provider are
+// core's ErrBadConfig, ErrClosed and ErrUnknownProvider.
 var (
-	// ErrConfig reports an unusable cluster configuration.
-	ErrConfig = errors.New("shard: invalid cluster config")
-	// ErrClosed reports use after Close.
-	ErrClosed = errors.New("shard: cluster closed")
-	// ErrUnknownProvider reports an out-of-range global provider
-	// index.
-	ErrUnknownProvider = errors.New("shard: unknown provider")
 	// ErrUnknownCommittee reports an out-of-range committee index.
 	ErrUnknownCommittee = errors.New("shard: unknown committee")
 	// ErrRehome reports an unsupported re-home request.

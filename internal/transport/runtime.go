@@ -536,16 +536,6 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 			return report, err
 		}
 		stageStart = observe("elect", stageStart)
-		if cfg.Tracer != nil {
-			cfg.Tracer.Emit(trace.Span{
-				Stage: trace.StageElect,
-				Node:  string(mem.ID),
-				Round: round,
-				Attrs: []trace.Attr{{Key: "leader", Value: string(governorIDs[leader])}},
-			})
-		}
-		cfg.Events.Emit(events.TypeLeaderElected, round, string(mem.ID),
-			slog.String("leader", string(governorIDs[leader])))
 
 		// The leader proposes; everyone adopts.
 		if leader == spec.Index {

@@ -38,53 +38,40 @@ package repchain
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repchain/internal/core"
 	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/identity"
-	"repchain/internal/ledger"
-	"repchain/internal/metrics"
 	"repchain/internal/node"
 	"repchain/internal/reputation"
+	"repchain/internal/shard"
 	"repchain/internal/trace"
 	"repchain/internal/tx"
 )
 
-// ErrBadOption reports an invalid configuration option.
-var ErrBadOption = errors.New("repchain: invalid option")
-
-// Sentinel errors for the submission and round APIs. Match them with
-// errors.Is; the wrapped message carries the specifics.
+// Sentinel errors, matched with errors.Is; the wrapped message carries
+// the specifics. They are the internal layers' own values — one
+// vocabulary from facade to engine, nothing translated on the way up.
 var (
+	// ErrBadOption reports an invalid configuration: a bad option value,
+	// a missing required option, or options that do not fit together.
+	ErrBadOption = core.ErrBadConfig
 	// ErrBacklog reports that a provider's mempool shard is full (see
 	// WithMempool). Backpressure, not loss: nothing was signed or
 	// queued, so run a round to drain the backlog and resubmit.
-	ErrBacklog = errors.New("repchain: mempool backlog")
-	// ErrClosed reports an operation on a closed chain.
-	ErrClosed = errors.New("repchain: chain closed")
+	ErrBacklog = core.ErrBacklog
+	// ErrClosed reports a submission or round on a closed chain.
+	ErrClosed = core.ErrClosed
 	// ErrUnknownProvider reports a provider index outside the topology.
-	ErrUnknownProvider = errors.New("repchain: unknown provider")
+	ErrUnknownProvider = core.ErrUnknownProvider
+	// ErrUnknownCommittee reports a committee index outside [0, K).
+	ErrUnknownCommittee = shard.ErrUnknownCommittee
+	// ErrRehome reports an unsupported provider re-home (shared
+	// collectors, emptied source committee, single-committee cluster).
+	ErrRehome = shard.ErrRehome
 )
-
-// translateErr maps engine sentinels onto the facade's, so callers
-// match repchain.Err* without importing internal packages.
-func translateErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, core.ErrBacklog):
-		return fmt.Errorf("%w: %v", ErrBacklog, err)
-	case errors.Is(err, core.ErrClosed):
-		return fmt.Errorf("%w: %v", ErrClosed, err)
-	case errors.Is(err, core.ErrUnknownProvider):
-		return fmt.Errorf("%w: %v", ErrUnknownProvider, err)
-	default:
-		return err
-	}
-}
 
 // Validator re-exports the validate(tx) contract: applications decide
 // what a valid transaction is.
@@ -111,20 +98,15 @@ type CollectorBehavior struct {
 // Option configures a chain.
 type Option func(*options) error
 
-type options struct {
-	cfg       core.Config
-	behaviors []CollectorBehavior
-
-	// Cluster-only options (see cluster.go); New rejects them.
-	committees int
-	partition  identity.PartitionFunc
-}
+// options is the cluster configuration the option list folds into;
+// New rejects the cluster-only Committees and Partition.
+type options struct{ shard.Config }
 
 // WithTopology sets l providers, n collectors, and r collectors per
 // provider (r·l must be divisible by n).
 func WithTopology(providers, collectors, degree int) Option {
 	return func(o *options) error {
-		o.cfg.Spec = identity.TopologySpec{
+		o.Base.Spec = identity.TopologySpec{
 			Providers:  providers,
 			Collectors: collectors,
 			Degree:     degree,
@@ -139,9 +121,9 @@ func WithTopology(providers, collectors, degree int) Option {
 // ignored.
 func WithLinks(links [][]int) Option {
 	return func(o *options) error {
-		o.cfg.Links = make([][]int, len(links))
+		o.Base.Links = make([][]int, len(links))
 		for i, l := range links {
-			o.cfg.Links[i] = append([]int(nil), l...)
+			o.Base.Links[i] = append([]int(nil), l...)
 		}
 		return nil
 	}
@@ -154,7 +136,7 @@ func WithChainDir(dir string) Option {
 		if dir == "" {
 			return fmt.Errorf("empty chain dir: %w", ErrBadOption)
 		}
-		o.cfg.ChainDir = dir
+		o.Base.ChainDir = dir
 		return nil
 	}
 }
@@ -170,7 +152,7 @@ func WithSnapshotEvery(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("snapshot cadence %d: %w", n, ErrBadOption)
 		}
-		o.cfg.SnapshotEvery = n
+		o.Base.SnapshotEvery = n
 		return nil
 	}
 }
@@ -183,7 +165,7 @@ func WithSegmentBytes(n int64) Option {
 		if n <= 0 {
 			return fmt.Errorf("segment bytes %d: %w", n, ErrBadOption)
 		}
-		o.cfg.SegmentBytes = n
+		o.Base.SegmentBytes = n
 		return nil
 	}
 }
@@ -194,7 +176,7 @@ func WithGovernors(m int) Option {
 		if m <= 0 {
 			return fmt.Errorf("governors %d: %w", m, ErrBadOption)
 		}
-		o.cfg.Governors = m
+		o.Base.Governors = m
 		return nil
 	}
 }
@@ -203,7 +185,7 @@ func WithGovernors(m int) Option {
 // unit each).
 func WithStakes(stakes ...uint64) Option {
 	return func(o *options) error {
-		o.cfg.Stakes = append([]uint64(nil), stakes...)
+		o.Base.Stakes = append([]uint64(nil), stakes...)
 		return nil
 	}
 }
@@ -212,7 +194,7 @@ func WithStakes(stakes ...uint64) Option {
 // f ∈ (0,1) efficiency, µ,ν > 1 revenue bases.
 func WithReputationParams(beta, f, mu, nu float64) Option {
 	return func(o *options) error {
-		o.cfg.Params = reputation.Params{Beta: beta, F: f, Mu: mu, Nu: nu}
+		o.Base.Params = reputation.Params{Beta: beta, F: f, Mu: mu, Nu: nu}
 		return nil
 	}
 }
@@ -224,7 +206,7 @@ func WithBlockLimit(limit int) Option {
 		if limit < 0 {
 			return fmt.Errorf("block limit %d: %w", limit, ErrBadOption)
 		}
-		o.cfg.BlockLimit = limit
+		o.Base.BlockLimit = limit
 		return nil
 	}
 }
@@ -245,8 +227,8 @@ func WithMempool(shardCount, shardCap int) Option {
 		if shardCap < 0 {
 			return fmt.Errorf("mempool shard cap %d must be non-negative: %w", shardCap, ErrBadOption)
 		}
-		o.cfg.MempoolShards = shardCount
-		o.cfg.MempoolShardCap = shardCap
+		o.Base.MempoolShards = shardCount
+		o.Base.MempoolShardCap = shardCap
 		return nil
 	}
 }
@@ -263,7 +245,7 @@ func WithAdmissionFloor(w float64) Option {
 		if w < 0 || w > 1 {
 			return fmt.Errorf("admission floor %v outside [0, 1]: %w", w, ErrBadOption)
 		}
-		o.cfg.AdmissionFloor = w
+		o.Base.AdmissionFloor = w
 		return nil
 	}
 }
@@ -275,7 +257,7 @@ func WithArgueWindow(u int) Option {
 		if u <= 0 {
 			return fmt.Errorf("argue window %d: %w", u, ErrBadOption)
 		}
-		o.cfg.ArgueWindow = u
+		o.Base.ArgueWindow = u
 		return nil
 	}
 }
@@ -283,7 +265,7 @@ func WithArgueWindow(u int) Option {
 // WithSeed fixes all randomness for reproducible runs.
 func WithSeed(seed int64) Option {
 	return func(o *options) error {
-		o.cfg.Seed = seed
+		o.Base.Seed = seed
 		return nil
 	}
 }
@@ -300,7 +282,7 @@ func WithWorkers(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("workers %d: %w", n, ErrBadOption)
 		}
-		o.cfg.Workers = n
+		o.Base.Workers = n
 		return nil
 	}
 }
@@ -312,7 +294,7 @@ func WithWorkers(n int) Option {
 // misreport score — only an actively wrong label does.
 func WithSilenceDecay() Option {
 	return func(o *options) error {
-		o.cfg.SilenceDecay = true
+		o.Base.SilenceDecay = true
 		return nil
 	}
 }
@@ -327,7 +309,7 @@ func WithTracing(capacity int) Option {
 		if capacity < 0 {
 			return fmt.Errorf("trace capacity %d: %w", capacity, ErrBadOption)
 		}
-		o.cfg.TraceCapacity = capacity
+		o.Base.TraceCapacity = capacity
 		return nil
 	}
 }
@@ -343,7 +325,7 @@ func WithEventLog(capacity int) Option {
 		if capacity < 0 {
 			return fmt.Errorf("event capacity %d: %w", capacity, ErrBadOption)
 		}
-		o.cfg.EventCapacity = capacity
+		o.Base.EventCapacity = capacity
 		return nil
 	}
 }
@@ -354,7 +336,7 @@ func WithValidator(v Validator) Option {
 		if v == nil {
 			return fmt.Errorf("nil validator: %w", ErrBadOption)
 		}
-		o.cfg.Validator = v
+		o.Base.Validator = v
 		return nil
 	}
 }
@@ -365,7 +347,7 @@ func WithNetworkDelay(maxDelay int) Option {
 		if maxDelay < 0 {
 			return fmt.Errorf("delay %d: %w", maxDelay, ErrBadOption)
 		}
-		o.cfg.MaxDelay = maxDelay
+		o.Base.MaxDelay = maxDelay
 		return nil
 	}
 }
@@ -374,22 +356,28 @@ func WithNetworkDelay(maxDelay int) Option {
 // with the topology's collectors.
 func WithCollectorBehaviors(behaviors ...CollectorBehavior) Option {
 	return func(o *options) error {
-		o.behaviors = append([]CollectorBehavior(nil), behaviors...)
+		o.Base.Behaviors = nil
+		for _, b := range behaviors {
+			if b == (CollectorBehavior{}) {
+				o.Base.Behaviors = append(o.Base.Behaviors, node.HonestBehavior{})
+			} else {
+				o.Base.Behaviors = append(o.Base.Behaviors, node.ProbBehavior(b))
+			}
+		}
 		return nil
 	}
 }
 
-// Chain is a running alliance chain: the single-committee facade.
-//
-// Chain remains fully supported and is exactly a one-committee Cluster:
-// NewCluster with the same options (and WithCommittees(1) or no
-// committee option at all) produces a byte-identical chain, reachable
-// through Cluster.Committee(0). New applications that may ever need
-// more than one committee should start from NewCluster; existing Chain
-// code keeps working unchanged and can migrate mechanically (see the
-// README's migration notes).
+// Chain is a running alliance chain: the single-committee facade. It is
+// the K=1 Cluster by construction — New builds what NewCluster builds
+// without WithCommittees, Chain's own methods forward to that cluster,
+// and every read is the embedded Committee's — so there is one stack,
+// facade → shard.Cluster → core.Engine. Code that may ever need more
+// than one committee starts from NewCluster.
 type Chain struct {
-	engine *core.Engine
+	// Committee is the chain's only committee, Cluster.Committee(0).
+	*Committee
+	cluster *Cluster
 }
 
 // New assembles a chain. Required options: WithTopology,
@@ -400,14 +388,14 @@ func New(opts ...Option) (*Chain, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.committees != 0 || o.partition != nil {
+	if o.Committees != 0 || o.Partition != nil {
 		return nil, fmt.Errorf("WithCommittees/WithPartition require NewCluster: %w", ErrBadOption)
 	}
-	engine, err := core.New(o.cfg)
+	cl, err := newCluster(o)
 	if err != nil {
 		return nil, err
 	}
-	return &Chain{engine: engine}, nil
+	return &Chain{Committee: &Committee{cl: cl.cl}, cluster: cl}, nil
 }
 
 // TxID identifies a submitted transaction.
@@ -429,11 +417,7 @@ type Tx struct {
 // ErrClosed after Close. Submit is SubmitBatch for a single
 // transaction without a context.
 func (c *Chain) Submit(provider int, kind string, payload []byte, isValid bool) (TxID, error) {
-	signed, err := c.engine.SubmitTx(provider, kind, payload, isValid)
-	if err != nil {
-		return TxID{}, translateErr(err)
-	}
-	return signed.ID(), nil
+	return c.cluster.Submit(provider, kind, payload, isValid)
 }
 
 // SubmitBatch stages a batch of transactions from one provider,
@@ -447,32 +431,7 @@ func (c *Chain) Submit(provider int, kind string, payload []byte, isValid bool) 
 // are computed on every available core; the result is exactly that of
 // submitting the transactions one by one.
 func (c *Chain) SubmitBatch(ctx context.Context, provider int, txs []Tx) ([]TxID, error) {
-	signed, err := c.engine.SubmitBatch(ctx, provider, submissions(txs))
-	return txIDs(signed), translateErr(err)
-}
-
-// submissions converts a facade batch to the provider's input type.
-func submissions(txs []Tx) []node.Submission {
-	items := make([]node.Submission, len(txs))
-	for i, t := range txs {
-		items[i] = node.Submission(t)
-	}
-	return items
-}
-
-// txIDs returns the IDs of an admitted batch.
-func txIDs(signed []tx.SignedTx) []TxID {
-	ids := make([]TxID, len(signed))
-	for i, s := range signed {
-		ids[i] = s.ID()
-	}
-	return ids
-}
-
-// TransferStake queues a stake transfer between governors for the next
-// round's stake-transform block.
-func (c *Chain) TransferStake(from, to int, amount uint64) error {
-	return c.engine.SubmitStakeTransfer(from, to, amount)
+	return c.cluster.SubmitBatch(ctx, provider, txs)
 }
 
 // RoundSummary reports one committed round.
@@ -505,24 +464,17 @@ func (c *Chain) RunRound() (RoundSummary, error) {
 // completion. A cancelled round returns the context's error, commits
 // nothing, and leaves staged traffic intact for the next round.
 func (c *Chain) RunRoundCtx(ctx context.Context) (RoundSummary, error) {
-	res, err := c.engine.RunRoundCtx(ctx)
+	summaries, err := c.cluster.RunRoundCtx(ctx)
 	if err != nil {
-		return RoundSummary{}, translateErr(err)
+		return RoundSummary{}, err
 	}
-	return RoundSummary{
-		Serial:         res.Serial,
-		Leader:         res.Leader,
-		Records:        len(res.Block.Records),
-		Uploads:        res.Uploads,
-		Argues:         res.Argues,
-		StakeCommitted: res.StakeBlock != nil,
-	}, nil
+	return summaries[0], nil
 }
 
-// Height returns the chain height.
-func (c *Chain) Height() uint64 {
-	return c.engine.Governor(0).Store().Height()
-}
+// Close checkpoints and releases any file-backed governor stores
+// (WithChainDir); chains with in-memory replicas need no Close. It is
+// idempotent. After Close, submissions and rounds fail with ErrClosed.
+func (c *Chain) Close() error { return c.cluster.Close() }
 
 // RecordStatus is one committed transaction's judgment.
 type RecordStatus struct {
@@ -540,118 +492,11 @@ type RecordStatus struct {
 	Unchecked bool
 }
 
-// Block retrieves the records of block s (the paper's retrieve(s)).
-func (c *Chain) Block(s uint64) ([]RecordStatus, error) {
-	b, err := c.engine.Governor(0).Store().Get(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RecordStatus, 0, len(b.Records))
-	for _, r := range b.Records {
-		out = append(out, RecordStatus{
-			ID:        r.Signed.ID(),
-			Provider:  string(r.Signed.Tx.Provider),
-			Kind:      r.Signed.Tx.Kind,
-			Payload:   append([]byte(nil), r.Signed.Tx.Payload...),
-			Valid:     r.Status == tx.StatusValid,
-			Unchecked: r.Unchecked,
-		})
-	}
-	return out, nil
-}
-
-// VerifyChain audits the full replicated chain: serial ordering, hash
-// links, and transaction-root commitments.
-func (c *Chain) VerifyChain() error {
-	for j := 0; j < c.engine.Governors(); j++ {
-		if err := ledger.VerifyChain(c.engine.Governor(j).Store()); err != nil {
-			return fmt.Errorf("governor %d: %w", j, err)
-		}
-	}
-	return nil
-}
-
-// RevenueShares returns the current revenue split across collectors
-// (governor 0's view), the incentive signal of §3.4.3.
-func (c *Chain) RevenueShares() ([]float64, error) {
-	return c.engine.Governor(0).Table().RevenueShares()
-}
-
-// CollectorReputation returns collector c's full reputation vector in
-// the paper's layout — s per-provider weights, then w_misreport and
-// w_forge — from governor 0's view.
-func (c *Chain) CollectorReputation(collector int) ([]float64, error) {
-	return c.engine.Governor(0).Table().Vector(collector)
-}
-
-// Stakes returns the governors' current stake vector.
-func (c *Chain) Stakes() []uint64 {
-	return c.engine.StakeLedger().Snapshot()
-}
-
-// PendingValid returns how many of provider k's valid transactions
-// have not yet been recorded valid — zero once the Validity property
-// has caught up.
-func (c *Chain) PendingValid(provider int) int {
-	return c.engine.Provider(provider).PendingValid()
-}
-
 // GovernorStats reports a governor's screening counters.
 type GovernorStats = node.GovernorStats
-
-// Stats returns governor j's screening counters.
-func (c *Chain) Stats(governor int) GovernorStats {
-	return c.engine.Governor(governor).Stats()
-}
-
-// Close releases any file-backed governor stores (WithChainDir).
-// Chains with in-memory replicas need no Close.
-func (c *Chain) Close() error { return c.engine.Close() }
-
-// Metrics renders the chain's operational metrics — protocol anomaly
-// counters and signature-cache statistics — one per line, sorted by
-// name.
-func (c *Chain) Metrics() string { return c.engine.Metrics().Dump() }
-
-// MetricsSnapshot returns the chain's metrics as a structured,
-// JSON-serialisable snapshot (counters, gauges, histograms, series).
-func (c *Chain) MetricsSnapshot() metrics.Snapshot { return c.engine.Metrics().Snapshot() }
 
 // Span re-exports one recorded lifecycle event (see WithTracing).
 type Span = trace.Span
 
-// Trace returns the recorded lifecycle spans of one transaction,
-// oldest first. Empty without WithTracing, or if the spans have been
-// evicted from the ring buffer.
-func (c *Chain) Trace(id TxID) []Span {
-	return c.engine.Tracer().ByTrace(id.String())
-}
-
-// Spans returns every span currently in the trace ring buffer, oldest
-// first. Empty without WithTracing.
-func (c *Chain) Spans() []Span { return c.engine.Tracer().Spans() }
-
 // Event re-exports one recorded consensus event (see WithEventLog).
 type Event = events.Event
-
-// Events returns every event currently in the consensus event ring,
-// oldest first. Empty without WithEventLog.
-func (c *Chain) Events() []Event { return c.engine.Events().Events() }
-
-// EventLog exposes the chain's structured event log for replay and
-// filtered export (see the events package). Nil without WithEventLog.
-func (c *Chain) EventLog() *events.Log { return c.engine.Events() }
-
-// MempoolDepth reports how many staged submissions await the next
-// round's drain (always zero right after a round without backpressure).
-func (c *Chain) MempoolDepth() int { return c.engine.MempoolDepth() }
-
-// Engine exposes the underlying engine for advanced use (experiments,
-// fault injection).
-//
-// Deprecated: the facade now covers batching (SubmitBatch),
-// cancellation (RunRoundCtx), backpressure (WithMempool, ErrBacklog),
-// and observability (Metrics, Trace) directly; internal/core's API has
-// no compatibility promise. Reach for Engine only in experiments that
-// inject faults, and expect it to change underneath you.
-func (c *Chain) Engine() *core.Engine { return c.engine }

@@ -45,8 +45,11 @@ func TestNewRequiresValidOptions(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := New(tt.opts...); err == nil {
-				t.Fatal("New() accepted invalid options")
+			if _, err := New(tt.opts...); !errors.Is(err, ErrBadOption) {
+				t.Fatalf("New() error = %v, want ErrBadOption", err)
+			}
+			if _, err := NewCluster(tt.opts...); !errors.Is(err, ErrBadOption) {
+				t.Fatalf("NewCluster() error = %v, want ErrBadOption", err)
 			}
 		})
 	}
@@ -308,16 +311,63 @@ func TestRunRoundCtxCancelled(t *testing.T) {
 	}
 }
 
-func TestChainClosed(t *testing.T) {
-	c := newTestChain(t)
-	if err := c.Close(); err != nil {
+// TestClosed: Close is idempotent on both facades, submissions and
+// rounds after it fail with ErrClosed, and a committee's reads still
+// answer from the replicas' memory.
+func TestClosed(t *testing.T) {
+	chain := newTestChain(t)
+	cluster, err := NewCluster(append(goldenOptions(), WithCommittees(2))...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(0, "t", []byte{1}, true); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close error = %v, want ErrClosed", err)
+	view, err := cluster.Committee(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.RunRound(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RunRound after Close error = %v, want ErrClosed", err)
+	for _, f := range []struct {
+		name   string
+		submit func() error
+		round  func() error
+		close  func() error
+		view   *Committee
+	}{
+		{"Chain",
+			func() error { _, err := chain.Submit(0, "t", []byte{1}, true); return err },
+			func() error { _, err := chain.RunRound(); return err },
+			chain.Close, chain.Committee},
+		{"Cluster",
+			func() error { _, err := cluster.Submit(1, "t", []byte{1}, true); return err },
+			func() error { _, err := cluster.RunRound(); return err },
+			cluster.Close, view},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			if err := f.submit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.round(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := f.close(); err != nil {
+					t.Fatalf("Close #%d error = %v, want nil", i+1, err)
+				}
+			}
+			if err := f.submit(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Submit after Close error = %v, want ErrClosed", err)
+			}
+			if err := f.round(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("RunRound after Close error = %v, want ErrClosed", err)
+			}
+			if h := f.view.Height(); h != 1 {
+				t.Fatalf("Height after Close = %d, want 1", h)
+			}
+			if recs, err := f.view.Block(1); err != nil || len(recs) != 1 {
+				t.Fatalf("Block(1) after Close = %d records, %v; want 1, nil", len(recs), err)
+			}
+			if err := f.view.VerifyChain(); err != nil {
+				t.Fatalf("VerifyChain after Close: %v", err)
+			}
+		})
 	}
 }
 

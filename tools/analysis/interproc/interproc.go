@@ -86,12 +86,6 @@ type Program struct {
 	// can assert memoization across packages.
 	computations int
 
-	// orderedIrrelevant marks file:line positions carrying a reasoned
-	// //repchain:ordered-irrelevant annotation; map ranges there are
-	// already argued commutative for detrange, so dettaint does not
-	// seed order taint from them.
-	orderedIrrelevant map[string]bool
-
 	// sourceArgued marks file:line positions carrying a reasoned
 	// //repchain:dettaint-ok annotation. A source call on such a line
 	// seeds no origin: the flow is argued harmless once, at the read,
@@ -144,18 +138,17 @@ func (p *Program) Computations() int { return p.computations }
 // build constructs the index, callgraph, SCC order, and summaries.
 func build(fset *token.FileSet, pkgs []*analysis.Package) *Program {
 	p := &Program{
-		Fset:              fset,
-		pkgs:              pkgs,
-		universe:          map[string]bool{},
-		fns:               map[string]*FuncInfo{},
-		methods:           map[string][]*FuncInfo{},
-		summaries:         map[string]*Summary{},
-		fieldTaint:        map[string]*Origin{},
-		origins:           map[string]*Origin{},
-		atomicFields:      map[string]token.Pos{},
-		atomicUses:        map[*ast.SelectorExpr]bool{},
-		orderedIrrelevant: map[string]bool{},
-		sourceArgued:      map[string]bool{},
+		Fset:         fset,
+		pkgs:         pkgs,
+		universe:     map[string]bool{},
+		fns:          map[string]*FuncInfo{},
+		methods:      map[string][]*FuncInfo{},
+		summaries:    map[string]*Summary{},
+		fieldTaint:   map[string]*Origin{},
+		origins:      map[string]*Origin{},
+		atomicFields: map[string]token.Pos{},
+		atomicUses:   map[*ast.SelectorExpr]bool{},
+		sourceArgued: map[string]bool{},
 	}
 	for _, pkg := range pkgs {
 		p.universe[pkg.Path] = true
@@ -174,16 +167,11 @@ func build(fset *token.FileSet, pkgs []*analysis.Package) *Program {
 }
 
 // indexPackage records the package's function declarations and its
-// reasoned ordered-irrelevant annotation lines.
+// reasoned dettaint-ok annotation lines.
 func (p *Program) indexPackage(pkg *analysis.Package) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				const pfx = "//repchain:ordered-irrelevant "
-				if strings.HasPrefix(c.Text, pfx) && strings.TrimSpace(strings.TrimPrefix(c.Text, pfx)) != "" {
-					posn := p.Fset.Position(c.Pos())
-					p.orderedIrrelevant[fmt.Sprintf("%s:%d", posn.Filename, posn.Line)] = true
-				}
 				const srcPfx = "//repchain:dettaint-ok "
 				if strings.HasPrefix(c.Text, srcPfx) && strings.TrimSpace(strings.TrimPrefix(c.Text, srcPfx)) != "" {
 					posn := p.Fset.Position(c.Pos())

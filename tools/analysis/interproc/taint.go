@@ -615,7 +615,7 @@ func (a *fnAnalysis) rangeStmt(s *ast.RangeStmt) {
 	t := a.exprTaint(s.X)
 	tv, ok := a.fi.Pkg.Info.Types[s.X]
 	if ok && tv.Type != nil {
-		if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !a.rangeOrderArgued(s) && !a.sourceArgued(s.For) {
+		if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !a.sourceArgued(s.For) {
 			t.ensure()
 			t.add(a.p.origin("map iteration order", s.For, true))
 		}
@@ -628,10 +628,6 @@ func (a *fnAnalysis) rangeStmt(s *ast.RangeStmt) {
 	}
 }
 
-// rangeOrderArgued reports whether the range line (or the line above)
-// carries a reasoned //repchain:ordered-irrelevant annotation — the
-// site is already argued commutative for detrange, so seeding order
-// taint from it would demand the same justification twice.
 // sourceArgued reports whether the line (or the line above) carries a
 // reasoned //repchain:dettaint-ok annotation.
 func (a *fnAnalysis) sourceArgued(pos token.Pos) bool {
@@ -640,14 +636,6 @@ func (a *fnAnalysis) sourceArgued(pos token.Pos) bool {
 		return true
 	}
 	return a.p.sourceArgued[fmt.Sprintf("%s:%d", posn.Filename, posn.Line-1)]
-}
-
-func (a *fnAnalysis) rangeOrderArgued(s *ast.RangeStmt) bool {
-	posn := a.p.Fset.Position(s.For)
-	if a.p.orderedIrrelevant[fmt.Sprintf("%s:%d", posn.Filename, posn.Line)] {
-		return true
-	}
-	return a.p.orderedIrrelevant[fmt.Sprintf("%s:%d", posn.Filename, posn.Line-1)]
 }
 
 func (a *fnAnalysis) selectStmt(s *ast.SelectStmt) {

@@ -1,14 +1,14 @@
 // Command repchain-lint is the multichecker for RepChain's written
-// determinism and concurrency invariants. It runs eight custom
+// determinism and concurrency invariants. It runs six custom
 // analyzers over the main module:
 //
-//	detrange     no range over maps in deterministic packages
-//	wallclock    no time.Now/Since/Until or global math/rand there
 //	lockguard    `// guarded by mu` fields only touched under mu
 //	metricname   metric names are constants from the DESIGN.md §4c catalogue
 //	errwrapcheck sentinel errors compared with errors.Is, wrapped with %w
-//	dettaint     no nondeterminism source flows into a consensus sink,
-//	             through any call chain (interprocedural, DESIGN.md §4j)
+//	dettaint     no nondeterminism source (wall clock, unseeded
+//	             math/rand, map or select order, host probes) flows
+//	             into a consensus sink, through any call chain in any
+//	             package (interprocedural, DESIGN.md §4j)
 //	goroleak     no goroutine without a join or cancellation path
 //	atomicmix    no field accessed both via sync/atomic and plainly
 //
@@ -37,13 +37,11 @@ import (
 	"repchain/internal/designdoc"
 	"repchain/tools/analysis"
 	"repchain/tools/lint/atomicmix"
-	"repchain/tools/lint/detrange"
 	"repchain/tools/lint/dettaint"
 	"repchain/tools/lint/errwrapcheck"
 	"repchain/tools/lint/goroleak"
 	"repchain/tools/lint/lockguard"
 	"repchain/tools/lint/metricname"
-	"repchain/tools/lint/wallclock"
 )
 
 func main() {
@@ -87,8 +85,6 @@ func run(root string, patterns []string, jsonOut, timing bool, deadline time.Dur
 		return err
 	}
 	analyzers := []*analysis.Analyzer{
-		detrange.Analyzer,
-		wallclock.Analyzer,
 		lockguard.Analyzer,
 		metricname.New(catalogue, "DESIGN.md §4c"),
 		errwrapcheck.Analyzer,

@@ -6,12 +6,11 @@
 // frames, wire payloads, and reputation updates (the catalogue lives
 // in tools/analysis/interproc). The flow is tracked through any call
 // chain, struct field, or return value by the summary-based
-// interprocedural engine, which is what lets this analyzer replace
-// detscope's package-allowlist model with a whole-module proof:
-// instead of trusting that listed packages never touch a clock, every
-// path from a source to a sink is enumerated and must be either
-// absent, laundered (sorting strips order-only taint), or annotated
-// //repchain:dettaint-ok <reason>.
+// interprocedural engine, a whole-module proof with no package
+// allowlist: every path from a source to a sink is enumerated and must
+// be either absent, laundered (sorting strips order-only taint), or
+// annotated //repchain:dettaint-ok <reason>. It is the suite's one
+// determinism pass.
 package dettaint
 
 import (

@@ -107,6 +107,33 @@ func SignWithArguedSource(key crypto.PrivateKey) []byte {
 	return key.Sign(append(b, h[:]...))
 }
 
+// HashArguedNonce, SignKeysArgued and SignArguedArrival are the
+// suppressed counterparts of HashNonce, SignKeysUnsorted and
+// SignFirstArrival: each source kind is argued once, at the read (for
+// map order this is what detrange's site annotation used to say).
+// Silent.
+func HashArguedNonce() [4]byte {
+	n := rand.Uint64() //repchain:dettaint-ok fixture: salt for a process-local table, never replicated
+	return crypto.Sum([]byte{byte(n)})
+}
+
+func SignKeysArgued(key crypto.PrivateKey, m map[string]int) []byte {
+	total := 0
+	for _, v := range m { //repchain:dettaint-ok fixture: commutative sum, order cannot matter
+		total += v
+	}
+	return key.Sign([]byte{byte(total)})
+}
+
+func SignArguedArrival(key crypto.PrivateKey, a, b chan []byte) []byte {
+	var msg []byte
+	select { //repchain:dettaint-ok fixture: both channels carry the same bytes
+	case msg = <-a:
+	case msg = <-b:
+	}
+	return key.Sign(msg)
+}
+
 // SignHeight is fully deterministic: silent.
 func SignHeight(key crypto.PrivateKey, height uint64) []byte {
 	return key.Sign([]byte{byte(height)})

@@ -3,8 +3,8 @@
 // compare them with errors.Is — never == / != / switch-case equality,
 // which breaks as soon as a layer wraps the error — and propagate them
 // with fmt.Errorf("...%w...") so errors.Is keeps working one layer up.
-// The facade's translateErr chain (core sentinel → %w-wrapped public
-// sentinel) only functions if every hop obeys both halves.
+// The facade re-exports core's sentinel values untranslated, so a match
+// at the top only works if every hop below obeys both halves.
 package errwrapcheck
 
 import (
