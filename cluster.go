@@ -206,7 +206,7 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot { return c.cl.Metrics().Sna
 func (c *Cluster) Close() error { return c.cl.Close() }
 
 // Committee is the view onto one committee of a Cluster: its chain,
-// stakes, traces, events and protocol metrics. A Chain embeds its only
+// stakes, events and protocol metrics. A Chain embeds its only
 // committee, so these are Chain's reads too. Submissions and rounds go
 // through the Cluster (or Chain), which owns routing and the round;
 // provider, collector and governor indices here are committee-local.
@@ -307,22 +307,18 @@ func (cm *Committee) Stats(governor int) GovernorStats {
 func (cm *Committee) Metrics() string { return cm.engine().Metrics().Dump() }
 
 // MetricsSnapshot returns the committee's metrics as a structured,
-// JSON-serialisable snapshot (counters, gauges, histograms, series).
+// JSON-serialisable snapshot (counters, gauges, histograms).
 func (cm *Committee) MetricsSnapshot() metrics.Snapshot { return cm.engine().Metrics().Snapshot() }
 
-// Trace returns the recorded lifecycle spans of one transaction,
-// oldest first. Empty without WithTracing, or if the spans have been
-// evicted from the ring buffer.
-func (cm *Committee) Trace(id TxID) []Span {
-	return cm.engine().Tracer().ByTrace(id.String())
+// Trace returns the recorded events of one transaction, oldest first.
+// Empty without WithEventLog, or once they have been evicted from the
+// ring.
+func (cm *Committee) Trace(id TxID) []Event {
+	return cm.engine().Events().Select(events.Filter{Trace: id.String()})
 }
 
-// Spans returns every span currently in the trace ring buffer, oldest
-// first. Empty without WithTracing.
-func (cm *Committee) Spans() []Span { return cm.engine().Tracer().Spans() }
-
-// Events returns every event currently in the consensus event ring,
-// oldest first. Empty without WithEventLog.
+// Events returns every event currently in the event ring, oldest
+// first. Empty without WithEventLog.
 func (cm *Committee) Events() []Event { return cm.engine().Events().Events() }
 
 // EventLog exposes the structured event log for replay and filtered

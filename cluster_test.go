@@ -121,7 +121,7 @@ func TestClusterFacade(t *testing.T) {
 		WithCommittees(2),
 		WithSeed(7),
 		WithBlockLimit(32),
-		WithTracing(1024),
+		WithEventLog(1024),
 		WithValidator(ValidatorFunc(func(t Transaction) bool {
 			return len(t.Payload) > 0 && t.Payload[0] == 1
 		})),
@@ -181,8 +181,8 @@ func TestClusterFacade(t *testing.T) {
 	if got := cm0.Providers(); len(got) != 4 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("committee 0 providers = %v, want the evens", got)
 	}
-	if spans := cm0.Trace(crossID); len(spans) == 0 {
-		t.Fatal("no trace spans for the cross-shard lock on its source committee")
+	if evs := cm0.Trace(crossID); len(evs) == 0 {
+		t.Fatal("no trace events for the cross-shard lock on its source committee")
 	}
 	snap := cluster.MetricsSnapshot()
 	if snap.Gauges[`chain.height{committee="0"}`] == 0 {

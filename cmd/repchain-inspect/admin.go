@@ -1,19 +1,19 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
+	"repchain/internal/events"
 	"repchain/internal/metrics"
-	"repchain/internal/trace"
 )
 
 // adminGet fetches a path from a node's -admin-addr endpoint.
@@ -92,8 +92,8 @@ func sortedNames[V any](m map[string]V) []string {
 }
 
 // runTrace implements `repchain-inspect trace <txhash>`: fetch the
-// transaction's lifecycle spans from /traces and print them
-// sign-to-commit in recording order.
+// transaction's events from /events?trace= and print them sign to
+// commit in recording order.
 func runTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	admin := fs.String("admin", "127.0.0.1:9180", "admin endpoint of a running repchain-node")
@@ -104,39 +104,36 @@ func runTrace(args []string) error {
 		return fmt.Errorf("usage: repchain-inspect trace [-admin host:port] <txhash-or-prefix>")
 	}
 	txID := fs.Arg(0)
-	body, err := adminGet(*admin, "/traces?tx="+txID)
+	body, err := adminGet(*admin, "/events?trace="+url.QueryEscape(txID))
 	if err != nil {
 		return err
 	}
 	defer body.Close()
-
-	var spans []trace.Span
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var s trace.Span
-		if err := json.Unmarshal([]byte(line), &s); err != nil {
-			return fmt.Errorf("decode span %q: %w", line, err)
-		}
-		spans = append(spans, s)
-	}
-	if err := sc.Err(); err != nil {
+	evs, err := events.Replay(body)
+	if err != nil {
 		return err
 	}
-	if len(spans) == 0 {
-		return fmt.Errorf("no spans recorded for %q (is tracing enabled, and the hash at least 8 hex chars?)", txID)
+	if len(evs) == 0 {
+		return fmt.Errorf("no events recorded for %q (is the event log on, and the hash at least 8 hex chars?)", txID)
 	}
-	fmt.Printf("trace %s: %d spans\n", spans[0].Trace, len(spans))
-	for _, s := range spans {
-		attrs := make([]string, 0, len(s.Attrs))
-		for _, a := range s.Attrs {
-			attrs = append(attrs, a.Key+"="+a.Value)
-		}
-		fmt.Printf("  round %-4d %-10s %-14s %s\n", s.Round, s.Stage, s.Node, strings.Join(attrs, " "))
+	fmt.Printf("trace %s: %d events\n", evs[0].Trace, len(evs))
+	for _, e := range evs {
+		printEvent("  ", e)
 	}
 	return nil
+}
+
+// printEvent prints one event on one line: wall clock when recorded,
+// seq, round, type, node and attrs.
+func printEvent(indent string, e events.Event) {
+	attrs := make([]string, 0, len(e.Attrs))
+	for _, a := range e.Attrs {
+		attrs = append(attrs, a.Key+"="+a.Value)
+	}
+	wall := ""
+	if e.Wall != 0 {
+		wall = time.Unix(0, e.Wall).Format("15:04:05.000000") + " "
+	}
+	fmt.Printf("%s%sseq %-6d round %-4d %-20s %-22s %s\n",
+		indent, wall, e.Seq, e.Round, e.Type, e.Node, strings.Join(attrs, " "))
 }

@@ -109,23 +109,15 @@ func runCluster(args []string) error {
 
 func printMergedTrace(cluster *fleet.Cluster, id string, asJSON bool) error {
 	mt := cluster.MergedTrace(id)
-	if len(mt.Spans) == 0 {
-		return fmt.Errorf("no spans for trace %q anywhere in the fleet (propagation enabled, and the hash at least 8 hex chars?)", id)
+	if len(mt.Events) == 0 {
+		return fmt.Errorf("no events for trace %q anywhere in the fleet (propagation enabled, and the hash at least 8 hex chars?)", id)
 	}
 	if asJSON {
 		return json.NewEncoder(os.Stdout).Encode(mt)
 	}
-	fmt.Printf("trace %s: %d spans across the fleet\n", mt.Trace, len(mt.Spans))
-	for _, s := range mt.Spans {
-		attrs := make([]string, 0, len(s.Attrs))
-		for _, a := range s.Attrs {
-			attrs = append(attrs, a.Key+"="+a.Value)
-		}
-		wall := ""
-		if s.Wall != 0 {
-			wall = time.Unix(0, s.Wall).Format("15:04:05.000000") + " "
-		}
-		fmt.Printf("  %sround %-4d %-10s %-22s %s\n", wall, s.Round, s.Stage, s.Node, strings.Join(attrs, " "))
+	fmt.Printf("trace %s: %d events across the fleet\n", mt.Trace, len(mt.Events))
+	for _, e := range mt.Events {
+		printEvent("  ", e)
 	}
 	if len(mt.Hops) > 0 {
 		fmt.Println("transport hops:")
@@ -171,16 +163,7 @@ func runEvents(args []string) error {
 			if e.Seq > after {
 				after = e.Seq
 			}
-			attrs := make([]string, 0, len(e.Attrs))
-			for _, a := range e.Attrs {
-				attrs = append(attrs, a.Key+"="+a.Value)
-			}
-			wall := ""
-			if e.Wall != 0 {
-				wall = time.Unix(0, e.Wall).Format("15:04:05.000000") + " "
-			}
-			fmt.Printf("%sseq %-6d round %-4d %-20s %-22s %s\n",
-				wall, e.Seq, e.Round, e.Type, e.Node, strings.Join(attrs, " "))
+			printEvent("", e)
 		}
 		if !*follow {
 			return nil

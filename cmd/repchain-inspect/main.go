@@ -11,10 +11,10 @@
 //	repchain-inspect -chain data/governor-0.chain
 //	repchain-inspect -chain data/governor-0.chain -block 7   # one block in detail
 //	repchain-inspect metrics -admin 127.0.0.1:9180           # live metrics snapshot
-//	repchain-inspect trace -admin 127.0.0.1:9180 <txhash>    # tx lifecycle spans
+//	repchain-inspect trace -admin 127.0.0.1:9180 <txhash>    # one tx's lifecycle events
 //	repchain-inspect cluster -admins host:p1,host:p2         # fleet health + merged metrics
 //	repchain-inspect cluster -admins ... trace <txhash>      # cross-node stitched trace
-//	repchain-inspect events -admin 127.0.0.1:9180 -follow    # tail the consensus event stream
+//	repchain-inspect events -admin 127.0.0.1:9180 -follow    # tail the event stream
 package main
 
 import (

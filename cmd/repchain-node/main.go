@@ -28,7 +28,6 @@ import (
 	"repchain/internal/identity"
 	"repchain/internal/metrics"
 	"repchain/internal/reputation"
-	"repchain/internal/trace"
 	"repchain/internal/transport"
 	"repchain/internal/tx"
 )
@@ -48,11 +47,10 @@ func main() {
 		txPerRound = flag.Int("tx", 4, "transactions per provider per round")
 		seed       = flag.Int64("seed", 1, "seed for workload randomness")
 		stateDir   = flag.String("state", "", "directory persisting governor chain + reputation state across restarts")
-		adminAddr  = flag.String("admin-addr", "", "serve /metrics, /healthz, /readyz, /traces, /events, and pprof on this address (e.g. 127.0.0.1:9180; empty = off)")
+		adminAddr  = flag.String("admin-addr", "", "serve /metrics, /healthz, /readyz, /events, and pprof on this address (e.g. 127.0.0.1:9180; empty = off)")
 		committee  = flag.Int("committee", 0, "committee index this node's chain belongs to (published as the chain.committee gauge so fleet tooling scores height skew within, not across, committees)")
-		traceCap   = flag.Int("trace-cap", 8192, "lifecycle span ring-buffer capacity behind /traces (0 = tracing off)")
-		eventsCap  = flag.Int("events-cap", 8192, "consensus event ring-buffer capacity behind /events (0 = events off)")
-		propagate  = flag.Bool("trace-propagate", false, "stamp trace context onto outgoing frames so traces stitch across processes")
+		eventsCap  = flag.Int("events-cap", 8192, "event ring capacity behind /events, transaction traces included (0 = events off)")
+		propagate  = flag.Bool("trace-propagate", false, "stamp trace context onto outgoing frames so traces stitch across processes (needs -events-cap > 0)")
 		logFormat  = flag.String("log-format", "text", "structured log format: text or json")
 
 		retryMax     = flag.Int("retry-max", 0, "delivery attempts per frame (0 = default)")
@@ -97,7 +95,6 @@ func main() {
 	obs := obsOptions{
 		adminAddr: *adminAddr,
 		committee: *committee,
-		traceCap:  *traceCap,
 		eventsCap: *eventsCap,
 		propagate: *propagate,
 		logger:    logger,
@@ -135,7 +132,6 @@ type poolOptions struct {
 type obsOptions struct {
 	adminAddr string
 	committee int
-	traceCap  int
 	eventsCap int
 	propagate bool
 	logger    *slog.Logger
@@ -190,18 +186,15 @@ func run(rosterPath, id string, demo bool, rounds int, roundDur time.Duration, e
 		SegmentBytes:    pool.segmentBytes,
 	}
 
-	// One shared registry/tracer/event-log/health for the process. In
-	// demo mode that aggregates the whole alliance; in single-node mode
+	// One shared registry/event-log/health for the process. In demo
+	// mode that aggregates the whole alliance; in single-node mode
 	// readiness only tracks what this process can see — its own
-	// governor height, if it is a governor at all. The tracer and
-	// event log are wired even without an admin endpoint so -trace-
-	// propagate works standalone; wall clocks are on because this is
-	// the TCP runtime, not a deterministic simulation.
-	rec := trace.NewRecorder(obs.traceCap)
-	rec.EnableWallClock()
+	// governor height, if it is a governor at all. The event log is
+	// wired even without an admin endpoint so -trace-propagate works
+	// standalone; its wall clock is on because this is the TCP runtime,
+	// not a deterministic simulation.
 	evlog := events.NewLog(obs.eventsCap)
 	evlog.EnableWallClock()
-	base.Tracer = rec
 	base.Events = evlog
 	base.PropagateTrace = obs.propagate
 
@@ -232,7 +225,6 @@ func run(rosterPath, id string, demo bool, rounds int, roundDur time.Duration, e
 		srv, err := admin.Start(admin.Config{
 			Addr:       obs.adminAddr,
 			Registries: []*metrics.Registry{reg},
-			Tracer:     rec,
 			Events:     evlog,
 			Ready:      ready,
 		})
@@ -242,7 +234,7 @@ func run(rosterPath, id string, demo bool, rounds int, roundDur time.Duration, e
 		defer srv.Close()
 		logger.Info("admin endpoint up",
 			slog.String("addr", srv.Addr()),
-			slog.String("paths", "/metrics /healthz /readyz /traces /events /debug/pprof"))
+			slog.String("paths", "/metrics /healthz /readyz /events /debug/pprof"))
 	}
 
 	if !demo {

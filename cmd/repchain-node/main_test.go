@@ -10,11 +10,10 @@ import (
 )
 
 // quietObs builds obsOptions with a discarding logger for tests.
-func quietObs(adminAddr string, traceCap int) obsOptions {
+func quietObs(adminAddr string, eventsCap int) obsOptions {
 	return obsOptions{
 		adminAddr: adminAddr,
-		traceCap:  traceCap,
-		eventsCap: traceCap,
+		eventsCap: eventsCap,
 		logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 }

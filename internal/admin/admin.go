@@ -1,6 +1,6 @@
 // Package admin serves a node's live telemetry over HTTP: Prometheus
 // text metrics, a JSON metrics snapshot, health and readiness probes,
-// transaction traces, the structured consensus event stream, and
+// the event stream (a transaction's trace is its events), and
 // net/http/pprof. It is read-only and stdlib-only; repchain-node binds
 // it behind -admin-addr and repchain-inspect scrapes it.
 package admin
@@ -16,7 +16,6 @@ import (
 
 	"repchain/internal/events"
 	"repchain/internal/metrics"
-	"repchain/internal/trace"
 )
 
 // Config assembles an admin server.
@@ -28,12 +27,10 @@ type Config struct {
 	// histogram buckets with identical names sum across registries;
 	// in practice registries carry disjoint name families.
 	Registries []*metrics.Registry
-	// Tracer backs /traces; nil serves an empty trace set. Its ring
-	// occupancy is published as trace.spans / trace.capacity /
-	// trace.dropped_total gauges at every metrics scrape, so silently
-	// truncated traces are detectable from /metrics.
-	Tracer *trace.Recorder
-	// Events backs /events; nil serves an empty stream.
+	// Events backs /events; nil serves an empty stream. Its ring
+	// occupancy is published as events.len / events.capacity /
+	// events.dropped_total gauges at every metrics scrape, so a
+	// silently truncated stream is detectable from /metrics.
 	Events *events.Log
 	// Ready backs /readyz: return ok plus a short status line. Nil
 	// means always ready.
@@ -53,21 +50,15 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("admin: listen %s: %w", cfg.Addr, err)
 	}
 	// Ring-occupancy gauges live on the first registry and are
-	// refreshed at scrape time, so they track the recorders without a
+	// refreshed at scrape time, so they track the ring without a
 	// background goroutine.
-	publishRings := func() {}
+	publishRing := func() {}
 	if len(cfg.Registries) > 0 && cfg.Registries[0] != nil {
 		reg := cfg.Registries[0]
-		traceSpans := reg.Gauge("trace.spans")
-		traceCap := reg.Gauge("trace.capacity")
-		traceDropped := reg.Gauge("trace.dropped_total")
 		eventsLen := reg.Gauge("events.len")
 		eventsCap := reg.Gauge("events.capacity")
 		eventsDropped := reg.Gauge("events.dropped_total")
-		publishRings = func() {
-			traceSpans.Set(float64(cfg.Tracer.Len()))
-			traceCap.Set(float64(cfg.Tracer.Cap()))
-			traceDropped.Set(float64(cfg.Tracer.Dropped()))
+		publishRing = func() {
 			eventsLen.Set(float64(cfg.Events.Len()))
 			eventsCap.Set(float64(cfg.Events.Cap()))
 			eventsDropped.Set(float64(cfg.Events.Dropped()))
@@ -75,12 +66,12 @@ func Start(cfg Config) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		publishRings()
+		publishRing()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		metrics.WritePrometheusSnapshot(w, mergedSnapshot(cfg.Registries))
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		publishRings()
+		publishRing()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(mergedSnapshot(cfg.Registries))
 	})
@@ -99,14 +90,9 @@ func Start(cfg Config) (*Server, error) {
 		}
 		fmt.Fprintln(w, detail)
 	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		cfg.Tracer.WriteJSONL(w, r.URL.Query().Get("tx"))
-	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
-		var f events.Filter
-		f.Node = q.Get("node")
+		f := events.Filter{Node: q.Get("node"), Trace: q.Get("trace")}
 		if v := q.Get("round"); v != "" {
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {

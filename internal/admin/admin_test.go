@@ -10,7 +10,6 @@ import (
 
 	"repchain/internal/events"
 	"repchain/internal/metrics"
-	"repchain/internal/trace"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -31,14 +30,11 @@ func TestServerEndpoints(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("engine.rounds_total").Add(3)
 	reg.CounterVec("screen.checked_total", "collector").With("0").Inc()
-	rec := trace.NewRecorder(16)
-	rec.Emit(trace.Span{Trace: "aaaabbbbcccc", Stage: trace.StageSign, Node: "provider/0"})
 	var ready atomic.Bool
 
 	srv, err := Start(Config{
 		Addr:       "127.0.0.1:0",
 		Registries: []*metrics.Registry{reg},
-		Tracer:     rec,
 		Ready:      func() (bool, string) { return ready.Load(), "waiting for quorum" },
 	})
 	if err != nil {
@@ -73,10 +69,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics.json = %d %q", code, body)
 	}
 
-	if code, body := get(t, base+"/traces?tx=aaaabbbb"); code != 200 || !strings.Contains(body, `"stage":"sign"`) {
-		t.Fatalf("/traces = %d %q", code, body)
-	}
-
 	if code, _ := get(t, base+"/debug/pprof/cmdline"); code != 200 {
 		t.Fatalf("pprof = %d", code)
 	}
@@ -84,9 +76,10 @@ func TestServerEndpoints(t *testing.T) {
 
 func TestServerEventsEndpoint(t *testing.T) {
 	evlog := events.NewLog(16)
-	evlog.Emit(events.TypeBlockCommitted, 1, "governor/0", slog.Uint64("serial", 1))
-	evlog.Emit(events.TypeBlockCommitted, 2, "governor/1", slog.Uint64("serial", 2))
-	evlog.Emit(events.TypeLeaderElected, 2, "governor/0")
+	evlog.Emit(events.TypeBlockCommitted, "", 1, "governor/0", slog.Uint64("serial", 1))
+	evlog.Emit(events.TypeBlockCommitted, "", 2, "governor/1", slog.Uint64("serial", 2))
+	evlog.Emit(events.TypeLeaderElected, "", 2, "governor/0")
+	evlog.Emit(events.TypeTxSigned, "aaaabbbbcccc", 2, "provider/0", slog.String("kind", "k"))
 
 	srv, err := Start(Config{Addr: "127.0.0.1:0", Events: evlog})
 	if err != nil {
@@ -103,18 +96,21 @@ func TestServerEventsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != 3 {
-		t.Fatalf("replayed %d events, want 3", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("replayed %d events, want 4", len(evs))
 	}
 
 	if code, body := get(t, base+"/events?node=governor/1"); code != 200 || strings.Count(body, "\n") != 1 {
 		t.Fatalf("node filter = %d %q", code, body)
 	}
-	if code, body := get(t, base+"/events?round=2"); code != 200 || strings.Count(body, "\n") != 2 {
+	if code, body := get(t, base+"/events?round=2"); code != 200 || strings.Count(body, "\n") != 3 {
 		t.Fatalf("round filter = %d %q", code, body)
 	}
-	if code, body := get(t, base+"/events?after=2"); code != 200 || strings.Count(body, "\n") != 1 {
+	if code, body := get(t, base+"/events?after=2"); code != 200 || strings.Count(body, "\n") != 2 {
 		t.Fatalf("after filter = %d %q", code, body)
+	}
+	if code, body := get(t, base+"/events?trace=aaaabbbb"); code != 200 || strings.Count(body, "\n") != 1 || !strings.Contains(body, `"type":"tx.signed"`) {
+		t.Fatalf("trace filter = %d %q", code, body)
 	}
 	if code, _ := get(t, base+"/events?after=zz"); code != http.StatusBadRequest {
 		t.Fatalf("bad after param = %d, want 400", code)
@@ -125,20 +121,17 @@ func TestServerEventsEndpoint(t *testing.T) {
 }
 
 // TestServerRingGauges checks that each /metrics scrape publishes the
-// observability rings' occupancy and drop gauges.
+// event ring's occupancy and drop gauges.
 func TestServerRingGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec := trace.NewRecorder(2)
-	rec.Emit(trace.Span{Trace: "aaaabbbbcccc", Stage: trace.StageSign})
-	rec.Emit(trace.Span{Trace: "aaaabbbbcccc", Stage: trace.StageUpload})
-	rec.Emit(trace.Span{Trace: "aaaabbbbcccc", Stage: trace.StageScreen}) // evicts one
-	evlog := events.NewLog(8)
-	evlog.Emit(events.TypeLeaderElected, 1, "governor/0")
+	evlog := events.NewLog(2)
+	evlog.Emit(events.TypeTxSigned, "aaaabbbbcccc", 1, "provider/0")
+	evlog.Emit(events.TypeTxLabeled, "aaaabbbbcccc", 1, "collector/0")
+	evlog.Emit(events.TypeLeaderElected, "", 1, "governor/0") // evicts one
 
 	srv, err := Start(Config{
 		Addr:       "127.0.0.1:0",
 		Registries: []*metrics.Registry{reg},
-		Tracer:     rec,
 		Events:     evlog,
 	})
 	if err != nil {
@@ -152,12 +145,9 @@ func TestServerRingGauges(t *testing.T) {
 		t.Fatalf("/metrics = %d", code)
 	}
 	for _, want := range []string{
-		"trace_spans 2",
-		"trace_capacity 2",
-		"trace_dropped_total 1",
-		"events_len 1",
-		"events_capacity 8",
-		"events_dropped_total 0",
+		"events_len 2",
+		"events_capacity 2",
+		"events_dropped_total 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -165,7 +155,7 @@ func TestServerRingGauges(t *testing.T) {
 	}
 }
 
-func TestServerNilTracerAndReady(t *testing.T) {
+func TestServerNilEventsAndReady(t *testing.T) {
 	srv, err := Start(Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +165,8 @@ func TestServerNilTracerAndReady(t *testing.T) {
 	if code, _ := get(t, base+"/readyz"); code != 200 {
 		t.Fatalf("nil Ready should default to ready, got %d", code)
 	}
-	if code, body := get(t, base+"/traces"); code != 200 || strings.TrimSpace(body) != "" {
-		t.Fatalf("nil tracer /traces = %d %q", code, body)
+	if code, body := get(t, base+"/events?trace=aaaabbbb"); code != 200 || strings.TrimSpace(body) != "" {
+		t.Fatalf("nil log /events = %d %q", code, body)
 	}
 	if code, _ := get(t, base+"/metrics"); code != 200 {
 		t.Fatal("empty registries should still expose /metrics")

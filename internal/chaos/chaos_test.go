@@ -14,7 +14,6 @@ import (
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/reputation"
-	tracepkg "repchain/internal/trace"
 	"repchain/internal/tx"
 )
 
@@ -38,12 +37,11 @@ func config(seed int64, workers int) core.Config {
 		Seed:        seed,
 		Validator:   oracle,
 		Workers:     workers,
-		// Tracing and the event log stay on through the whole fault
-		// matrix: spans and events must never perturb recovery or
-		// determinism. Capacities are sized so a full run never wraps —
-		// runTrace asserts Dropped() == 0 for both rings, making the
-		// canonical comparisons below total rather than windowed.
-		TraceCapacity: 8192,
+		// The event log stays on through the whole fault matrix: events
+		// must never perturb recovery or determinism. The capacity is
+		// sized so a full run never wraps — runTrace asserts
+		// Dropped() == 0, making the canonical comparison below total
+		// rather than windowed.
 		EventCapacity: 8192,
 	}
 }
@@ -56,41 +54,20 @@ type trace struct {
 	rounds []string
 	reps   [][]byte
 	heads  []string
-	// spans is the canonical span-tree rendering (sorted, with the
-	// scheduling-dependent Seq and the always-zero Wall stripped) and
-	// events the canonical per-node event subsequences; both must be
+	// events is the canonical merged event stream; it must be
 	// byte-identical across worker counts.
-	spans  string
 	events string
-}
-
-// canonicalSpans renders the recorder's spans with Seq and Wall
-// stripped (Seq depends on goroutine interleaving, Wall is zero in
-// deterministic mode) and sorts the lines: the span *tree* must be
-// identical across worker counts even though emission order is not.
-func canonicalSpans(spans []tracepkg.Span) string {
-	lines := make([]string, 0, len(spans))
-	for _, s := range spans {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s|%s|%s|%d", s.Trace, s.Stage, s.Node, s.Round)
-		for _, a := range s.Attrs {
-			fmt.Fprintf(&b, "|%s=%s", a.Key, a.Value)
-		}
-		lines = append(lines, b.String())
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }
 
 // canonicalEvents renders each node's event subsequence in emission
 // order (each node is single-threaded, so its order is deterministic)
-// with the globally-interleaved Seq stripped, then concatenates the
-// nodes sorted by name.
+// with the globally-interleaved Seq and the always-zero Wall stripped,
+// then concatenates the nodes sorted by name.
 func canonicalEvents(evs []events.Event) string {
 	byNode := make(map[string][]string)
 	for _, e := range evs {
 		var b strings.Builder
-		fmt.Fprintf(&b, "%s|%d", e.Type, e.Round)
+		fmt.Fprintf(&b, "%s|%s|%d", e.Type, e.Trace, e.Round)
 		for _, a := range e.Attrs {
 			fmt.Fprintf(&b, "|%s=%s", a.Key, a.Value)
 		}
@@ -186,15 +163,11 @@ func runTrace(t *testing.T, plan chaos.Plan, seed int64, workers int) trace {
 		}
 	}
 
-	// Neither ring may have wrapped, or the canonical comparisons and
+	// The ring may not have wrapped, or the canonical comparison and
 	// the replay below would silently run on a truncated window.
-	if d := e.Tracer().Dropped(); d != 0 {
-		t.Fatalf("trace ring dropped %d spans; raise TraceCapacity", d)
-	}
 	if d := e.Events().Dropped(); d != 0 {
 		t.Fatalf("event ring dropped %d events; raise EventCapacity", d)
 	}
-	tr.spans = canonicalSpans(e.Tracer().Spans())
 	tr.events = canonicalEvents(e.Events().Events())
 
 	// The event log alone must reconstruct every governor's reputation
@@ -233,8 +206,9 @@ func runTrace(t *testing.T, plan chaos.Plan, seed int64, workers int) trace {
 // TestChaosMatrix is the acceptance matrix: seeds {1, 7, 42} × the
 // five standard fault plans, each run at workers 1 and 4. Per (seed,
 // plan) the two runs must agree byte-for-byte on the round-by-round
-// commit/abort pattern, every block hash, every replica head, and
-// every governor's serialized reputation table.
+// commit/abort pattern, every block hash, every replica head, every
+// governor's serialized reputation table, and the canonical event
+// stream.
 func TestChaosMatrix(t *testing.T) {
 	for _, plan := range chaos.Plans() {
 		for _, seed := range []int64{1, 7, 42} {
@@ -257,11 +231,8 @@ func TestChaosMatrix(t *testing.T) {
 						t.Fatalf("governor %d reputation snapshot diverges across workers", j)
 					}
 				}
-				if t1.spans != t4.spans {
-					t.Fatal("canonical span tree diverges across workers")
-				}
 				if t1.events != t4.events {
-					t.Fatal("canonical per-node event streams diverge across workers")
+					t.Fatal("canonical event stream diverges across workers")
 				}
 			})
 		}

@@ -29,16 +29,16 @@ import (
 	"repchain/internal/events"
 )
 
-// emitQuorum records a node.crash/node.restart transition plus the
-// resulting governor quorum in the structured event stream. Collector
+// emitNodeEvent records a node.crash/node.restart transition plus the
+// resulting governor quorum in the event stream. Collector
 // transitions change no quorum, so they emit only the node event.
 func (e *Engine) emitNodeEvent(typ, node, cause string, quorum bool) {
 	if e.events == nil {
 		return
 	}
-	e.events.Emit(typ, e.round, node, slog.String("cause", cause))
+	e.events.Emit(typ, "", e.round, node, slog.String("cause", cause))
 	if quorum {
-		e.events.Emit(events.TypeQuorumChange, e.round, node,
+		e.events.Emit(events.TypeQuorumChange, "", e.round, node,
 			slog.Int("live", len(e.liveGovernors())),
 			slog.Int("total", len(e.governors)),
 			slog.String("cause", cause))

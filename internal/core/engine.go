@@ -35,7 +35,6 @@ import (
 	"repchain/internal/network"
 	"repchain/internal/node"
 	"repchain/internal/reputation"
-	"repchain/internal/trace"
 	"repchain/internal/tx"
 )
 
@@ -116,24 +115,15 @@ type Config struct {
 	// wall time, never determinism. When Workers != 1 the Validator
 	// must be safe for concurrent use (pure functions are).
 	Workers int
-	// SilenceDecay makes every governor β-decay linked collectors that
-	// stayed silent on a checked transaction, so silence costs
-	// reputation on both disclosure paths instead of only at unchecked
-	// reveals. See node.GovernorConfig.SilenceDecay.
-	SilenceDecay bool
-	// TraceCapacity, when positive, enables end-to-end transaction
-	// tracing: every node emits lifecycle spans into a shared ring
-	// buffer holding the most recent TraceCapacity spans. Tracing is
-	// purely observational — it consumes no protocol randomness and
-	// changes no ordering — so any run stays byte-identical with it on
-	// or off. Zero disables tracing at zero hot-path cost.
-	TraceCapacity int
-	// EventCapacity, when positive, enables the structured consensus
-	// event log: every node appends consensus-significant events
-	// (upload screened, leader elected, block packed/committed,
-	// reputation deltas with their arguments, quorum changes) into a
-	// shared ring holding the most recent EventCapacity events. Like
-	// tracing it is purely observational; zero disables it entirely.
+	// EventCapacity, when positive, enables the event log: every node
+	// appends its protocol facts — each transaction's sign, label,
+	// upload, screen, pack and commit under its trace ID, leader
+	// elections, reputation deltas with their arguments, quorum changes
+	// — into a shared ring holding the most recent EventCapacity
+	// events. The log is purely observational — it consumes no protocol
+	// randomness and changes no ordering — so any run stays
+	// byte-identical with it on or off. Zero disables it at zero
+	// hot-path cost.
 	EventCapacity int
 	// MempoolShards enables the sharded ingress mempool: submissions
 	// are signed and staged in per-provider-shard bounded queues, and
@@ -205,11 +195,8 @@ type Engine struct {
 	// reg collects engine-level operational metrics: protocol anomaly
 	// counters and snapshots of the shared signature-cache statistics.
 	reg *metrics.Registry
-	// tracer is the shared lifecycle span ring buffer; nil when
-	// Config.TraceCapacity is zero.
-	tracer *trace.Recorder
-	// events is the shared structured consensus event log; nil when
-	// Config.EventCapacity is zero.
+	// events is the shared event log; nil when Config.EventCapacity is
+	// zero.
 	events *events.Log
 	// stageSeconds is the per-stage round latency histogram family
 	// (label "stage"). Wall-clock observations only — never fed back
@@ -332,7 +319,6 @@ func New(cfg Config) (*Engine, error) {
 		stakeNonces: make([]uint64, cfg.Governors),
 		workers:     resolveWorkers(cfg.Workers),
 		reg:         metrics.NewRegistry(),
-		tracer:      trace.NewRecorder(cfg.TraceCapacity),
 		events:      events.NewLog(cfg.EventCapacity),
 	}
 	e.ingress = mempool.New[ingressTx](cfg.MempoolShards, cfg.MempoolShardCap)
@@ -361,7 +347,7 @@ func New(cfg Config) (*Engine, error) {
 			collectorIDs = append(collectorIDs, roster.Collectors[c].ID)
 		}
 		p := node.NewProvider(mem, ep, collectorIDs, e.governorIDs)
-		p.SetTracer(e.tracer)
+		p.SetEvents(e.events)
 		e.providers = append(e.providers, p)
 	}
 	// Collectors.
@@ -376,7 +362,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		col := node.NewCollector(
 			mem, ep, im, cfg.Validator, behavior, e.governorIDs, cfg.Seed+int64(1000+c))
-		col.SetTracer(e.tracer)
+		col.SetEvents(e.events)
 		e.collectors = append(e.collectors, col)
 	}
 	// Governors.
@@ -407,12 +393,10 @@ func New(cfg Config) (*Engine, error) {
 			ArgueWindow:     cfg.ArgueWindow,
 			Seed:            cfg.Seed + int64(2000+j),
 			Store:           store,
-			SilenceDecay:    cfg.SilenceDecay,
 			MempoolShards:   cfg.MempoolShards,
 			MempoolShardCap: cfg.MempoolShardCap,
 			AdmissionFloor:  cfg.AdmissionFloor,
 			Metrics:         e.reg,
-			Tracer:          e.tracer,
 			Events:          e.events,
 		})
 		if err != nil {
@@ -515,12 +499,8 @@ func (e *Engine) Round() uint64 { return e.round }
 // Workers returns the engine's resolved fan-out bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// Tracer exposes the engine's lifecycle span recorder; nil when
-// Config.TraceCapacity is zero.
-func (e *Engine) Tracer() *trace.Recorder { return e.tracer }
-
-// Events exposes the engine's structured consensus event log; nil when
-// Config.EventCapacity is zero.
+// Events exposes the engine's event log; nil when Config.EventCapacity
+// is zero.
 func (e *Engine) Events() *events.Log { return e.events }
 
 // observeStage records the wall-clock duration of one round stage into
@@ -796,7 +776,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	}
 	e.round++
 	// Open the round on every node before any fan-out starts; for
-	// collectors and providers the round only attributes spans.
+	// collectors and providers the round only attributes events.
 	for _, r := range e.rounds {
 		r.Begin(e.round)
 	}

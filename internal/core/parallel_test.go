@@ -39,9 +39,9 @@ func runTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 	cfg.Seed = seed
 	cfg.Workers = workers
 	cfg.Stakes = []uint64{3, 2, 1}
-	// Tracing on: the determinism gate must hold with the span
-	// recorder active, proving instrumentation is purely observational.
-	cfg.TraceCapacity = 4096
+	// Event log on: the determinism gate must hold with the ring
+	// recording, proving instrumentation is purely observational.
+	cfg.EventCapacity = 4096
 	e := newTestEngine(t, cfg)
 	var tr roundTrace
 	for r := 0; r < rounds; r++ {

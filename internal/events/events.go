@@ -1,23 +1,28 @@
-// Package events records consensus-significant happenings — uploads
-// screened, tickets drawn, blocks packed and committed, reputation
-// deltas with their causes, quorum changes, crash/restart — as an
-// append-only structured stream built on log/slog. Every event carries
-// (round, seq) ordering and the emitting node's identity, so streams
+// Package events is the one observation ring: every protocol fact a
+// node records — a transaction signed, labelled, uploaded, screened,
+// packed and committed, a leader elected, a reputation delta with its
+// cause, a transport hop, a crash or quorum change — is one Event in a
+// bounded ring. Every event carries (node, round, seq) ordering and, for
+// a per-transaction fact, the transaction's trace ID, so streams
 // scraped from different processes merge into one causally ordered
-// cluster history, and a stream replayed offline reconstructs the
-// exact reputation state the ledger recorded (see ReplayReputation).
+// cluster history, one transaction's lifecycle is a Filter away, and a
+// stream replayed offline reconstructs the exact reputation state the
+// ledger recorded (see ReplayReputation).
 //
-// Like the span recorder in package trace, the log is deliberately
-// passive: it never consumes protocol randomness, never blocks the
-// round pipeline (one mutex-guarded ring append per event), and in
-// deterministic mode never reads the wall clock — so enabling it
-// cannot perturb the byte-identical replay guarantees the parallel
-// pipeline and the chaos matrix enforce.
+// A trace ID is the hex hash of the signed transaction: each node
+// derives it locally from the bytes it already holds, so following a
+// transaction across the provider → collector → governor hops needs no
+// coordination.
+//
+// The log is deliberately passive: it never consumes protocol
+// randomness, never blocks the round pipeline (one mutex-guarded ring
+// append per event), and in deterministic mode never reads the wall
+// clock — so enabling it cannot perturb the byte-identical replay
+// guarantees the parallel pipeline and the chaos matrix enforce.
 package events
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,31 +36,47 @@ import (
 	"repchain/internal/tx"
 )
 
-// Event type names. The set mirrors the consensus-significant moments
-// of the protocol; reputation.* events carry enough arguments to
-// re-apply the delta to a fresh table (ReplayReputation).
+// Event type names. The set mirrors the protocol's data path and its
+// consensus-significant moments; reputation.* events carry enough
+// arguments to re-apply the delta to a fresh table (ReplayReputation).
 const (
+	// TypeTxSigned is a provider signing one transaction.
+	TypeTxSigned = "tx.signed"
+	// TypeTxLabeled is a collector labelling one verified transaction.
+	TypeTxLabeled = "tx.labeled"
+	// TypeTxUploaded is a collector uploading one labelled transaction
+	// to the governors.
+	TypeTxUploaded = "tx.uploaded"
 	// TypeUploadScreened is a governor's screening decision for one
 	// upload: the drawn collector (the paper's ticket draw), whether
 	// the draw checked, and the adopted label.
 	TypeUploadScreened = "upload.screened"
+	// TypeTxArgued is a governor taking up a provider's argue.
+	TypeTxArgued = "tx.argued"
 	// TypeLeaderElected is the round's VRF leader election outcome.
 	TypeLeaderElected = "leader.elected"
-	// TypeBlockPacked is the leader packing a block proposal.
+	// TypeBlockPacked is the leader packing a block proposal, and
+	// TypeTxPacked one record in it.
 	TypeBlockPacked = "block.packed"
-	// TypeBlockCommitted is a replica committing a block.
+	TypeTxPacked    = "tx.packed"
+	// TypeBlockCommitted is a replica committing a block, and
+	// TypeTxCommitted one record in it.
 	TypeBlockCommitted = "block.committed"
+	TypeTxCommitted    = "tx.committed"
 	// TypeReputationForge is an Algorithm 3 case-1 forge penalty.
 	TypeReputationForge = "reputation.forge"
 	// TypeReputationChecked is an Algorithm 3 case-2 update after a
 	// checked screening.
 	TypeReputationChecked = "reputation.checked"
 	// TypeReputationReveal is an Algorithm 3 case-3 reveal after an
-	// accepted argue.
+	// accepted argue or an argue-window expiry.
 	TypeReputationReveal = "reputation.reveal"
-	// TypeReputationSilence is a silence decay of linked collectors
-	// that skipped a checked transaction (WithSilenceDecay).
-	TypeReputationSilence = "reputation.silence"
+	// TypeHopSent and TypeHopReceived bracket one transport hop: the
+	// TCP endpoint emits them when trace propagation is enabled, so a
+	// cross-process trace carries per-hop wire latency. The in-process
+	// bus never emits them.
+	TypeHopSent     = "hop.sent"
+	TypeHopReceived = "hop.received"
 	// TypeNodeCrash and TypeNodeRestart are failure-detector
 	// transitions for one node.
 	TypeNodeCrash   = "node.crash"
@@ -72,11 +93,13 @@ type Attr struct {
 	Value string `json:"v"`
 }
 
-// Event is one recorded happening. Seq is a log-assigned monotone
+// Event is one recorded fact. Trace is the hex transaction hash, ""
+// for round- or block-scoped facts. Seq is a log-assigned monotone
 // sequence number; Wall is unix nanoseconds and stays 0 in
 // deterministic mode (only the TCP runtime enables the wall clock).
 type Event struct {
 	Type  string `json:"type"`
+	Trace string `json:"trace,omitempty"`
 	Node  string `json:"node,omitempty"`
 	Round uint64 `json:"round"`
 	Seq   uint64 `json:"seq"`
@@ -94,12 +117,9 @@ func (e Event) Attr(key string) string {
 	return ""
 }
 
-// Log is a fixed-capacity ring of events fronted by a log/slog
-// pipeline: every Emit flows through an slog.Record into the ring
-// handler, and an optional mirror handler (SetMirror) receives the
-// same records for process-level logging. A nil *Log is a valid
-// disabled log: every method is nil-safe, so instrumented code needs
-// no guards.
+// Log is a fixed-capacity ring of events. A nil *Log is a valid
+// disabled log: every method is nil-safe, so instrumented code needs no
+// guards beyond skipping the work of building an event.
 type Log struct {
 	mu      sync.Mutex
 	buf     []Event // guarded by mu
@@ -108,9 +128,6 @@ type Log struct {
 	seq     uint64  // guarded by mu
 	dropped uint64  // guarded by mu
 	wall    bool
-	mirror  slog.Handler
-
-	logger *slog.Logger
 }
 
 // NewLog returns a log holding at most capacity events; older events
@@ -120,9 +137,7 @@ func NewLog(capacity int) *Log {
 	if capacity <= 0 {
 		return nil
 	}
-	l := &Log{buf: make([]Event, capacity)}
-	l.logger = slog.New(ringHandler{log: l})
-	return l
+	return &Log{buf: make([]Event, capacity)}
 }
 
 // EnableWallClock makes subsequent events carry wall-clock timestamps.
@@ -137,46 +152,24 @@ func (l *Log) EnableWallClock() {
 	l.mu.Unlock()
 }
 
-// SetMirror forwards every emitted event to h (e.g. the process's
-// slog text/JSON handler) in addition to the ring. Nil disables
-// mirroring.
-func (l *Log) SetMirror(h slog.Handler) {
+// Emit records one event and returns the sequence number it assigned
+// (0 on a nil log). trace is the transaction's trace ID, "" for a
+// round- or block-scoped fact. The variadic attrs use slog's vocabulary
+// so call sites read like structured log lines. The sequence number
+// doubles as the parent reference a transport hop carries.
+func (l *Log) Emit(typ, trace string, round uint64, node string, attrs ...slog.Attr) uint64 {
 	if l == nil {
-		return
+		return 0
+	}
+	ev := Event{Type: typ, Trace: trace, Node: node, Round: round}
+	if len(attrs) > 0 {
+		ev.Attrs = make([]Attr, len(attrs))
+		for i, a := range attrs {
+			ev.Attrs[i] = Attr{Key: a.Key, Value: attrValue(a.Value)}
+		}
 	}
 	l.mu.Lock()
-	l.mirror = h
-	l.mu.Unlock()
-}
-
-// ringHandler is the slog.Handler backing a Log: it converts each
-// record into an Event and appends it to the ring. The message is the
-// event type; "node" and "round" attrs map onto the Event fields.
-type ringHandler struct{ log *Log }
-
-func (h ringHandler) Enabled(context.Context, slog.Level) bool { return true }
-func (h ringHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
-func (h ringHandler) WithGroup(string) slog.Handler            { return h }
-
-func (h ringHandler) Handle(_ context.Context, rec slog.Record) error {
-	ev := Event{Type: rec.Message}
-	rec.Attrs(func(a slog.Attr) bool {
-		switch a.Key {
-		case "node":
-			ev.Node = a.Value.String()
-		case "round":
-			ev.Round = a.Value.Uint64()
-		default:
-			ev.Attrs = append(ev.Attrs, Attr{Key: a.Key, Value: a.Value.String()})
-		}
-		return true
-	})
-	h.log.append(ev)
-	return nil
-}
-
-func (l *Log) append(ev Event) {
-	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.seq++
 	ev.Seq = l.seq
 	if l.wall {
@@ -191,47 +184,7 @@ func (l *Log) append(ev Event) {
 		l.start = (l.start + 1) % len(l.buf)
 		l.dropped++
 	}
-	mirror := l.mirror
-	l.mu.Unlock()
-	if mirror != nil {
-		rec := slog.NewRecord(time.Time{}, slog.LevelInfo, ev.Type, 0)
-		rec.AddAttrs(slog.String("node", ev.Node), slog.Uint64("round", ev.Round), slog.Uint64("seq", ev.Seq))
-		for _, a := range ev.Attrs {
-			rec.AddAttrs(slog.String(a.Key, a.Value))
-		}
-		_ = mirror.Handle(context.Background(), rec)
-	}
-}
-
-// Emit records one event. The variadic attrs use slog's vocabulary so
-// call sites read like structured log lines. Safe on a nil log.
-//
-// Without a mirror the event is built directly (the ring is the hot
-// path of every screening decision); with one, the record flows
-// through the full slog pipeline so the mirror sees standard handler
-// semantics.
-func (l *Log) Emit(typ string, round uint64, node string, attrs ...slog.Attr) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	mirrored := l.mirror != nil
-	l.mu.Unlock()
-	if mirrored {
-		all := make([]slog.Attr, 0, len(attrs)+2)
-		all = append(all, slog.String("node", node), slog.Uint64("round", round))
-		all = append(all, attrs...)
-		l.logger.LogAttrs(context.Background(), slog.LevelInfo, typ, all...)
-		return
-	}
-	ev := Event{Type: typ, Node: node, Round: round}
-	if len(attrs) > 0 {
-		ev.Attrs = make([]Attr, len(attrs))
-		for i, a := range attrs {
-			ev.Attrs[i] = Attr{Key: a.Key, Value: attrValue(a.Value)}
-		}
-	}
-	l.append(ev)
+	return l.seq
 }
 
 // attrValue renders an slog value as the event's string form. The
@@ -288,21 +241,26 @@ func (l *Log) Dropped() uint64 {
 }
 
 // Events returns a copy of the buffered events, oldest first.
-func (l *Log) Events() []Event {
+func (l *Log) Events() []Event { return l.Select(Filter{}) }
+
+// Select returns the buffered events f matches, oldest first.
+func (l *Log) Select(f Filter) []Event {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, 0, l.n)
+	var out []Event
 	for i := 0; i < l.n; i++ {
-		out = append(out, l.buf[(l.start+i)%len(l.buf)])
+		if e := l.buf[(l.start+i)%len(l.buf)]; f.Match(e) {
+			out = append(out, e)
+		}
 	}
 	return out
 }
 
-// Filter selects events for WriteJSONL and the /events endpoint. The
-// zero value matches everything.
+// Filter selects events for Select, WriteJSONL and the /events
+// endpoint. The zero value matches everything.
 type Filter struct {
 	// Node, when non-empty, matches only that node's events.
 	Node string
@@ -311,13 +269,23 @@ type Filter struct {
 	// AfterSeq matches only events with Seq > AfterSeq — the tailing
 	// cursor for `repchain-inspect events --follow`.
 	AfterSeq uint64
+	// Trace, when non-empty, matches only events of that transaction:
+	// by exact trace ID, or by prefix when it is at least 8 hex chars
+	// but shorter than the ID. Round-scoped events ("" trace) never
+	// match.
+	Trace string
 }
 
-func (f Filter) match(e Event) bool {
+// Match reports whether f selects e.
+func (f Filter) Match(e Event) bool {
 	if f.Node != "" && e.Node != f.Node {
 		return false
 	}
 	if f.Round != 0 && e.Round != f.Round {
+		return false
+	}
+	if f.Trace != "" && e.Trace != f.Trace &&
+		(len(f.Trace) < 8 || !strings.HasPrefix(e.Trace, f.Trace)) {
 		return false
 	}
 	return e.Seq > f.AfterSeq
@@ -326,10 +294,7 @@ func (f Filter) match(e Event) bool {
 // WriteJSONL writes matching events as JSON Lines, oldest first.
 func (l *Log) WriteJSONL(w io.Writer, f Filter) error {
 	enc := json.NewEncoder(w)
-	for _, e := range l.Events() {
-		if !f.match(e) {
-			continue
-		}
+	for _, e := range l.Select(f) {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}
@@ -424,7 +389,7 @@ func ReplayReputation(evs []Event, node string, table *reputation.Table) error {
 			if err := table.RecordForgery(c); err != nil {
 				return fmt.Errorf("events: seq %d: %w", e.Seq, err)
 			}
-		case TypeReputationChecked, TypeReputationReveal, TypeReputationSilence:
+		case TypeReputationChecked, TypeReputationReveal:
 			provider, err := strconv.Atoi(e.Attr("provider"))
 			if err != nil {
 				return fmt.Errorf("events: seq %d provider: %w", e.Seq, err)
@@ -433,25 +398,17 @@ func ReplayReputation(evs []Event, node string, table *reputation.Table) error {
 			if err != nil {
 				return fmt.Errorf("events: seq %d: %w", e.Seq, err)
 			}
-			switch e.Type {
-			case TypeReputationSilence:
-				if err := table.RecordSilence(provider, reports); err != nil {
-					return fmt.Errorf("events: seq %d: %w", e.Seq, err)
-				}
-				continue
-			}
 			status, err := strconv.Atoi(e.Attr("status"))
 			if err != nil {
 				return fmt.Errorf("events: seq %d status: %w", e.Seq, err)
 			}
 			if e.Type == TypeReputationChecked {
-				if err := table.RecordChecked(provider, reports, tx.Status(status)); err != nil {
-					return fmt.Errorf("events: seq %d: %w", e.Seq, err)
-				}
+				err = table.RecordChecked(provider, reports, tx.Status(status))
 			} else {
-				if _, err := table.RecordRevealed(provider, reports, tx.Status(status)); err != nil {
-					return fmt.Errorf("events: seq %d: %w", e.Seq, err)
-				}
+				_, err = table.RecordRevealed(provider, reports, tx.Status(status))
+			}
+			if err != nil {
+				return fmt.Errorf("events: seq %d: %w", e.Seq, err)
 			}
 		}
 	}

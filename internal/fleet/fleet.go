@@ -1,10 +1,11 @@
 // Package fleet aggregates telemetry scraped from several nodes' admin
-// endpoints into one cluster-wide view: merged cross-node traces with
-// per-hop transport latency, a cluster health report (height skew,
-// per-peer lag, slow-round detection against a rolling p95), and a
-// merged metrics snapshot. It is the library behind
-// `repchain-inspect cluster` and the first place where commit latency
-// is measured across real processes instead of inside one.
+// endpoints into one cluster-wide view: merged cross-node traces (a
+// transaction's events from every node) with per-hop transport
+// latency, a cluster health report (height skew, per-peer lag,
+// slow-round detection against a rolling p95), and a merged metrics
+// snapshot. It is the library behind `repchain-inspect cluster` and
+// the first place where commit latency is measured across real
+// processes instead of inside one.
 //
 // Everything here is read-only and stdlib-only. A node that fails to
 // scrape degrades the view (recorded in its NodeState.Err) instead of
@@ -13,7 +14,6 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,7 +25,6 @@ import (
 
 	"repchain/internal/events"
 	"repchain/internal/metrics"
-	"repchain/internal/trace"
 )
 
 // Node names one admin endpoint to scrape. Name is the operator's
@@ -42,7 +41,6 @@ type NodeState struct {
 	Node    Node              `json:"node"`
 	Err     string            `json:"err,omitempty"`
 	Metrics metrics.Snapshot  `json:"metrics"`
-	Spans   []trace.Span      `json:"-"`
 	Events  []events.Event    `json:"-"`
 	Healthz map[string]string `json:"-"`
 }
@@ -65,7 +63,7 @@ func (s Scraper) client() *http.Client {
 	return &http.Client{Timeout: 5 * time.Second}
 }
 
-// Scrape pulls /metrics.json, /traces, and /events from every node,
+// Scrape pulls /metrics.json and /events from every node,
 // sequentially and in order (deterministic output for a handful of
 // endpoints matters more than scrape parallelism).
 func (s Scraper) Scrape(nodes []Node) *Cluster {
@@ -79,11 +77,6 @@ func (s Scraper) Scrape(nodes []Node) *Cluster {
 		if err := s.getJSON(n.URL+"/metrics.json", &st.Metrics); err != nil {
 			errs = append(errs, err.Error())
 		}
-		spans, err := s.getSpans(n.URL + "/traces")
-		if err != nil {
-			errs = append(errs, err.Error())
-		}
-		st.Spans = spans
 		evs, err := s.getEvents(n.URL + "/events")
 		if err != nil {
 			errs = append(errs, err.Error())
@@ -107,53 +100,17 @@ func (s Scraper) getJSON(url string, out any) error {
 	return nil
 }
 
-func (s Scraper) getSpans(url string) ([]trace.Span, error) {
-	var out []trace.Span
-	err := s.eachLine(url, func(line []byte) error {
-		var sp trace.Span
-		if err := json.Unmarshal(line, &sp); err != nil {
-			return err
-		}
-		out = append(out, sp)
-		return nil
-	})
-	return out, err
-}
-
 func (s Scraper) getEvents(url string) ([]events.Event, error) {
-	var out []events.Event
-	err := s.eachLine(url, func(line []byte) error {
-		var e events.Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return err
-		}
-		out = append(out, e)
-		return nil
-	})
-	return out, err
-}
-
-func (s Scraper) eachLine(url string, fn func([]byte) error) error {
 	body, err := s.get(url)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer body.Close()
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if err := fn([]byte(line)); err != nil {
-			return fmt.Errorf("%s: %w", url, err)
-		}
+	evs, err := events.Replay(body)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", url, err)
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("%s: %w", url, err)
-	}
-	return nil
+	return evs, nil
 }
 
 func (s Scraper) get(url string) (io.ReadCloser, error) {
@@ -181,10 +138,10 @@ func (c *Cluster) MergedMetrics() metrics.Snapshot {
 	return snap
 }
 
-// Hop is one transport edge in a merged trace: the receiver's recv
-// span names the sender, the message kind, and the wire latency it
-// measured (receive wall clock minus the sender's embedded send
-// timestamp; see DESIGN.md §4h for the clock model).
+// Hop is one transport edge in a merged trace: the receiver's
+// hop.received event names the sender, the message kind, and the wire
+// latency it measured (receive wall clock minus the sender's embedded
+// send timestamp; see DESIGN.md §4h for the clock model).
 type Hop struct {
 	From      string `json:"from"`
 	To        string `json:"to"`
@@ -192,35 +149,36 @@ type Hop struct {
 	LatencyNS int64  `json:"latency_ns"`
 }
 
-// MergedTrace is one transaction's cluster-wide span tree.
+// MergedTrace is one transaction's cluster-wide event sequence.
 type MergedTrace struct {
-	Trace string       `json:"trace"`
-	Spans []trace.Span `json:"spans"`
-	Hops  []Hop        `json:"hops"`
+	Trace  string         `json:"trace"`
+	Events []events.Event `json:"events"`
+	Hops   []Hop          `json:"hops"`
 }
 
-// MergedTrace stitches every node's spans for one trace ID (full or
-// ≥8-char prefix) into a single ordered list. Spans sort by wall clock
+// MergedTrace stitches every node's events for one trace ID (full or
+// ≥8-char prefix) into a single ordered list. Events sort by wall clock
 // when present (cross-process runs), falling back to (node, seq) so
 // deterministic in-process traces stay stably ordered too.
 func (c *Cluster) MergedTrace(id string) MergedTrace {
-	var spans []trace.Span
+	if id == "" {
+		return MergedTrace{}
+	}
+	var evs []events.Event
 	full := id
+	match := events.Filter{Trace: id}
 	for _, n := range c.Nodes {
-		for _, sp := range n.Spans {
-			if sp.Trace == "" {
-				continue
-			}
-			if sp.Trace == id || (len(id) >= 8 && len(id) < len(sp.Trace) && sp.Trace[:len(id)] == id) {
-				if len(sp.Trace) > len(full) {
-					full = sp.Trace
+		for _, e := range n.Events {
+			if match.Match(e) {
+				if len(e.Trace) > len(full) {
+					full = e.Trace
 				}
-				spans = append(spans, sp)
+				evs = append(evs, e)
 			}
 		}
 	}
-	sort.SliceStable(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
+	sort.SliceStable(evs, func(i, j int) bool {
+		a, b := evs[i], evs[j]
 		if a.Wall != b.Wall {
 			return a.Wall < b.Wall
 		}
@@ -229,23 +187,13 @@ func (c *Cluster) MergedTrace(id string) MergedTrace {
 		}
 		return a.Seq < b.Seq
 	})
-	mt := MergedTrace{Trace: full, Spans: spans}
-	for _, sp := range spans {
-		if sp.Stage != trace.StageRecv {
+	mt := MergedTrace{Trace: full, Events: evs}
+	for _, e := range evs {
+		if e.Type != events.TypeHopReceived {
 			continue
 		}
-		hop := Hop{To: sp.Node}
-		for _, a := range sp.Attrs {
-			switch a.Key {
-			case "from":
-				hop.From = a.Value
-			case "kind":
-				hop.Kind = a.Value
-			case "latency_ns":
-				hop.LatencyNS, _ = strconv.ParseInt(a.Value, 10, 64)
-			}
-		}
-		mt.Hops = append(mt.Hops, hop)
+		latency, _ := strconv.ParseInt(e.Attr("latency_ns"), 10, 64)
+		mt.Hops = append(mt.Hops, Hop{From: e.Attr("from"), To: e.Node, Kind: e.Attr("kind"), LatencyNS: latency})
 	}
 	return mt
 }
@@ -255,9 +203,9 @@ func (c *Cluster) MergedTrace(id string) MergedTrace {
 func (c *Cluster) TraceIDs() []string {
 	seen := make(map[string]bool)
 	for _, n := range c.Nodes {
-		for _, sp := range n.Spans {
-			if sp.Trace != "" {
-				seen[sp.Trace] = true
+		for _, e := range n.Events {
+			if e.Trace != "" {
+				seen[e.Trace] = true
 			}
 		}
 	}
@@ -270,7 +218,7 @@ func (c *Cluster) TraceIDs() []string {
 }
 
 // PeerLag summarizes the wire latency observed on one directed peer
-// edge, computed from the receiver's recv spans.
+// edge, computed from the receiver's hop.received events.
 type PeerLag struct {
 	From  string `json:"from"`
 	To    string `json:"to"`
@@ -420,8 +368,8 @@ func (c *Cluster) Health() HealthReport {
 	return rep
 }
 
-// peerLags folds every recv span across the fleet into per-directed-
-// edge latency summaries, sorted by (from, to).
+// peerLags folds every hop.received event across the fleet into
+// per-directed-edge latency summaries, sorted by (from, to).
 func (c *Cluster) peerLags() []PeerLag {
 	type acc struct {
 		count int
@@ -430,28 +378,16 @@ func (c *Cluster) peerLags() []PeerLag {
 	}
 	edges := make(map[[2]string]*acc)
 	for _, n := range c.Nodes {
-		for _, sp := range n.Spans {
-			if sp.Stage != trace.StageRecv {
+		for _, e := range n.Events {
+			if e.Type != events.TypeHopReceived {
 				continue
 			}
-			var from string
-			var lat int64
-			var hasLat bool
-			for _, a := range sp.Attrs {
-				switch a.Key {
-				case "from":
-					from = a.Value
-				case "latency_ns":
-					v, err := strconv.ParseInt(a.Value, 10, 64)
-					if err == nil {
-						lat, hasLat = v, true
-					}
-				}
-			}
-			if from == "" || !hasLat {
+			from := e.Attr("from")
+			lat, err := strconv.ParseInt(e.Attr("latency_ns"), 10, 64)
+			if from == "" || err != nil {
 				continue
 			}
-			key := [2]string{from, sp.Node}
+			key := [2]string{from, e.Node}
 			a := edges[key]
 			if a == nil {
 				a = &acc{max: lat}

@@ -10,24 +10,15 @@ import (
 
 	"repchain/internal/events"
 	"repchain/internal/metrics"
-	"repchain/internal/trace"
 )
 
-// fakeAdmin serves the three scraped endpoints from canned data.
-func fakeAdmin(t *testing.T, snap metrics.Snapshot, spans []trace.Span, evs []events.Event) *httptest.Server {
+// fakeAdmin serves the two scraped endpoints from canned data.
+func fakeAdmin(t *testing.T, snap metrics.Snapshot, evs []events.Event) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		if err := json.NewEncoder(w).Encode(snap); err != nil {
 			t.Error(err)
-		}
-	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, _ *http.Request) {
-		enc := json.NewEncoder(w)
-		for _, s := range spans {
-			if err := enc.Encode(s); err != nil {
-				t.Error(err)
-			}
 		}
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, _ *http.Request) {
@@ -47,15 +38,15 @@ const testTrace = "deadbeefdeadbeefdeadbeefdeadbeef"
 
 func twoNodeCluster(t *testing.T) *Cluster {
 	t.Helper()
-	send := trace.Span{
-		Trace: testTrace, Stage: trace.StageSend, Node: "governor/0",
+	send := events.Event{
+		Type: events.TypeHopSent, Trace: testTrace, Node: "governor/0",
 		Seq: 1, Wall: 1000,
-		Attrs: []trace.Attr{{Key: "to", Value: "governor/1"}, {Key: "kind", Value: "block"}},
+		Attrs: []events.Attr{{Key: "to", Value: "governor/1"}, {Key: "kind", Value: "block"}},
 	}
-	recv := trace.Span{
-		Trace: testTrace, Stage: trace.StageRecv, Node: "governor/1",
+	recv := events.Event{
+		Type: events.TypeHopReceived, Trace: testTrace, Node: "governor/1",
 		Seq: 1, Wall: 2500,
-		Attrs: []trace.Attr{
+		Attrs: []events.Attr{
 			{Key: "from", Value: "governor/0"},
 			{Key: "kind", Value: "block"},
 			{Key: "parent", Value: "1"},
@@ -68,13 +59,13 @@ func twoNodeCluster(t *testing.T) *Cluster {
 			Counters: map[string]int64{"transport.frames_sent": 10},
 			Gauges:   map[string]float64{"chain.height": 5},
 		},
-		[]trace.Span{send}, nil)
+		[]events.Event{send})
 	b := fakeAdmin(t,
 		metrics.Snapshot{
 			Counters: map[string]int64{"transport.frames_sent": 7},
 			Gauges:   map[string]float64{"chain.height": 5},
 		},
-		[]trace.Span{recv}, nil)
+		[]events.Event{recv})
 	return Scraper{}.Scrape([]Node{
 		{Name: "governor/0", URL: a.URL},
 		{Name: "governor/1", URL: b.URL},
@@ -103,11 +94,11 @@ func TestMergedTraceStitchesAcrossNodes(t *testing.T) {
 	if mt.Trace != testTrace {
 		t.Fatalf("trace = %q, want full id from prefix", mt.Trace)
 	}
-	if len(mt.Spans) != 2 {
-		t.Fatalf("spans = %d, want 2 (one per node)", len(mt.Spans))
+	if len(mt.Events) != 2 {
+		t.Fatalf("events = %d, want 2 (one per node)", len(mt.Events))
 	}
-	if mt.Spans[0].Stage != trace.StageSend || mt.Spans[1].Stage != trace.StageRecv {
-		t.Fatalf("wall ordering broken: %s then %s", mt.Spans[0].Stage, mt.Spans[1].Stage)
+	if mt.Events[0].Type != events.TypeHopSent || mt.Events[1].Type != events.TypeHopReceived {
+		t.Fatalf("wall ordering broken: %s then %s", mt.Events[0].Type, mt.Events[1].Type)
 	}
 	if len(mt.Hops) != 1 {
 		t.Fatalf("hops = %d, want 1", len(mt.Hops))
@@ -119,7 +110,7 @@ func TestMergedTraceStitchesAcrossNodes(t *testing.T) {
 	if ids := c.TraceIDs(); len(ids) != 1 || ids[0] != testTrace {
 		t.Fatalf("TraceIDs() = %v", ids)
 	}
-	if short := c.MergedTrace("dead"); len(short.Spans) != 0 {
+	if short := c.MergedTrace("dead"); len(short.Events) != 0 {
 		t.Fatal("sub-8-char prefix must not match")
 	}
 }
@@ -146,10 +137,10 @@ func TestHealthPenalties(t *testing.T) {
 	a := fakeAdmin(t, metrics.Snapshot{
 		Gauges:   map[string]float64{"chain.height": 10},
 		Counters: map[string]int64{"transport.send_failures": 3},
-	}, nil, nil)
+	}, nil)
 	b := fakeAdmin(t, metrics.Snapshot{
 		Gauges: map[string]float64{"chain.height": 8},
-	}, nil, nil)
+	}, nil)
 	c := Scraper{}.Scrape([]Node{
 		{Name: "g0", URL: a.URL},
 		{Name: "g1", URL: b.URL},
@@ -189,7 +180,7 @@ func TestHealthSkewPerCommittee(t *testing.T) {
 	} {
 		srv := fakeAdmin(t, metrics.Snapshot{
 			Gauges: map[string]float64{"chain.height": n.height, "chain.committee": n.committee},
-		}, nil, nil)
+		}, nil)
 		nodes = append(nodes, Node{Name: n.name, URL: srv.URL})
 	}
 	rep := Scraper{}.Scrape(nodes).Health()
@@ -229,7 +220,7 @@ func TestHealthSlowRounds(t *testing.T) {
 		Type: events.TypeBlockCommitted, Node: "governor/0",
 		Round: 11, Seq: 11, Wall: wall + 900, // gap = 1000
 	})
-	srv := fakeAdmin(t, metrics.Snapshot{Gauges: map[string]float64{"chain.height": 11}}, nil, evs)
+	srv := fakeAdmin(t, metrics.Snapshot{Gauges: map[string]float64{"chain.height": 11}}, evs)
 	c := Scraper{}.Scrape([]Node{{Name: "governor/0", URL: srv.URL}})
 	rep := c.Health()
 	if len(rep.SlowRounds) != 1 {

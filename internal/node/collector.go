@@ -2,14 +2,14 @@ package node
 
 import (
 	"fmt"
+	"log/slog"
 	"math/rand"
-	"strconv"
 
 	"repchain/internal/codec"
 	"repchain/internal/crypto"
+	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/network"
-	"repchain/internal/trace"
 	"repchain/internal/tx"
 )
 
@@ -111,15 +111,16 @@ type Collector struct {
 	// split.
 	budget int
 
-	// tracer and round feed lifecycle spans (label, upload); optional.
-	tracer *trace.Recorder
+	// events and round feed the tx.labeled and tx.uploaded events;
+	// optional.
+	events *events.Log
 	round  uint64
 }
 
-// SetTracer attaches a span recorder; nil detaches.
-func (c *Collector) SetTracer(r *trace.Recorder) { c.tracer = r }
+// SetEvents attaches the event log; nil detaches.
+func (c *Collector) SetEvents(l *events.Log) { c.events = l }
 
-// SetRound tells the collector which round is executing, for span
+// SetRound tells the collector which round is executing, for event
 // attribution only.
 func (c *Collector) SetRound(r uint64) { c.round = r }
 
@@ -170,17 +171,10 @@ func (c *Collector) label(signed tx.SignedTx) (item tx.UploadItem, ok bool) {
 		c.concealed++
 		return tx.UploadItem{}, false
 	}
-	if c.tracer != nil {
-		c.tracer.Emit(trace.Span{
-			Trace: signed.ID().String(),
-			Stage: trace.StageLabel,
-			Node:  string(c.member.ID),
-			Round: c.round,
-			Attrs: []trace.Attr{
-				{Key: "label", Value: strconv.Itoa(int(reaction.Label))},
-				{Key: "honest", Value: strconv.Itoa(int(honest))},
-			},
-		})
+	if c.events != nil {
+		c.events.Emit(events.TypeTxLabeled, signed.ID().String(), c.round, string(c.member.ID),
+			slog.Int("label", int(reaction.Label)),
+			slog.Int("honest", int(honest)))
 	}
 	return tx.UploadItem{Signed: signed, Label: reaction.Label}, true
 }
@@ -335,15 +329,10 @@ func (c *Collector) ProcessBatch(msgs []network.Message, sender Sender) (int, er
 	}
 	c.uploaded += honest
 	c.forged += len(out) - honest
-	if c.tracer != nil {
+	if c.events != nil {
 		for _, item := range out[:honest] {
-			c.tracer.Emit(trace.Span{
-				Trace: item.Signed.ID().String(),
-				Stage: trace.StageUpload,
-				Node:  string(c.member.ID),
-				Round: c.round,
-				Attrs: []trace.Attr{{Key: "governors", Value: strconv.Itoa(len(c.governorIDs))}},
-			})
+			c.events.Emit(events.TypeTxUploaded, item.Signed.ID().String(), c.round, string(c.member.ID),
+				slog.Int("governors", len(c.governorIDs)))
 		}
 	}
 	return len(out), nil

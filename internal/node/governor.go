@@ -15,7 +15,6 @@ import (
 	"repchain/internal/metrics"
 	"repchain/internal/network"
 	"repchain/internal/reputation"
-	"repchain/internal/trace"
 	"repchain/internal/tx"
 )
 
@@ -53,13 +52,6 @@ type GovernorConfig struct {
 	ArgueWindow int
 	// Seed drives the governor's local screening randomness.
 	Seed int64
-	// SilenceDecay, when set, applies the β decay to linked collectors
-	// that stayed silent on a checked transaction (Table.RecordSilence)
-	// so silence costs reputation on both disclosure paths. Unchecked
-	// transactions already decay absent collectors at reveal time
-	// (case 3), so no double penalty arises. Off by default to preserve
-	// the paper's exact update rule.
-	SilenceDecay bool
 	// Store overrides the governor's ledger replica; nil means a
 	// fresh in-memory store. Pass a ledger.FileStore for a persistent
 	// replica that survives restarts.
@@ -84,15 +76,13 @@ type GovernorConfig struct {
 	// metrics. All governors of one engine share a registry, so the
 	// per-collector counters aggregate alliance-wide.
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, receives lifecycle spans (screen, pack,
-	// commit, argue, reputation). A nil tracer is free: every emission
-	// site guards on it before building a span.
-	Tracer *trace.Recorder
-	// Events, when non-nil, receives the structured consensus event
-	// stream (upload screened, block packed/committed, reputation
-	// deltas with their arguments). Reputation events carry enough to
-	// re-apply the delta offline (events.ReplayReputation), so the
-	// stream is an audit trail, not just a log. Nil is free.
+	// Events, when non-nil, receives the governor's event stream
+	// (uploads screened, argues, leader elected, blocks and their
+	// records packed/committed, reputation deltas with their
+	// arguments). Reputation events carry enough to re-apply the delta
+	// offline (events.ReplayReputation), so the stream is an audit
+	// trail, not just a log. Nil is free: every emission site checks it
+	// before building anything.
 	Events *events.Log
 }
 
@@ -187,10 +177,8 @@ type Governor struct {
 
 	stats GovernorStats
 
-	// tracer, events, and round feed lifecycle spans and the structured
-	// event stream; GovernorRound.Begin advances round, for attribution
-	// only.
-	tracer *trace.Recorder
+	// events and round feed the event stream; GovernorRound.Begin
+	// advances round, for attribution only.
 	events *events.Log
 	round  uint64
 
@@ -245,7 +233,6 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		uncheckedByID:   make(map[crypto.Hash]*uncheckedEntry),
 		committedValid:  make(map[crypto.Hash]bool),
 		processedArgues: make(map[crypto.Hash]bool),
-		tracer:          cfg.Tracer,
 		events:          cfg.Events,
 		merkle:          crypto.NewMerkleBuilder(64),
 	}
@@ -523,8 +510,10 @@ func (g *Governor) penalizeUpload(collectorIdx int) error {
 	if err := g.table.RecordForgery(collectorIdx); err != nil {
 		return fmt.Errorf("governor %s forge penalty: %w", g.cfg.Member.ID, err)
 	}
-	g.events.Emit(events.TypeReputationForge, g.round, string(g.cfg.Member.ID),
-		slog.Int("collector", collectorIdx))
+	if g.events != nil {
+		g.events.Emit(events.TypeReputationForge, "", g.round, string(g.cfg.Member.ID),
+			slog.Int("collector", collectorIdx))
+	}
 	return nil
 }
 
@@ -609,14 +598,11 @@ func (g *Governor) ProcessArgues() error {
 			continue
 		}
 		g.processedArgues[id] = true
-		if g.tracer != nil {
-			g.tracer.Emit(trace.Span{
-				Trace: id.String(),
-				Stage: trace.StageArgue,
-				Node:  string(g.cfg.Member.ID),
-				Round: g.round,
-				Attrs: []trace.Attr{{Key: "serial", Value: strconv.FormatUint(a.Serial, 10)}},
-			})
+		var txID string
+		if g.events != nil {
+			txID = id.String()
+			g.events.Emit(events.TypeTxArgued, txID, g.round, string(g.cfg.Member.ID),
+				slog.Uint64("serial", a.Serial))
 		}
 
 		status := tx.StatusInvalid
@@ -640,25 +626,14 @@ func (g *Governor) ProcessArgues() error {
 				if err != nil {
 					return fmt.Errorf("governor %s argue reveal: %w", g.cfg.Member.ID, err)
 				}
-				g.events.Emit(events.TypeReputationReveal, g.round, string(g.cfg.Member.ID),
-					slog.Int("provider", entry.provider),
-					slog.String("reports", events.FormatReports(entry.reports)),
-					slog.Int("status", int(status)),
-					slog.String("tx", id.String()),
-					slog.String("gamma", strconv.FormatFloat(res.Gamma, 'g', 6, 64)),
-					slog.String("loss", strconv.FormatFloat(res.Loss, 'g', 6, 64)))
-				if g.tracer != nil {
-					g.tracer.Emit(trace.Span{
-						Trace: id.String(),
-						Stage: trace.StageReputation,
-						Node:  string(g.cfg.Member.ID),
-						Round: g.round,
-						Attrs: []trace.Attr{
-							{Key: "kind", Value: "reveal"},
-							{Key: "gamma", Value: strconv.FormatFloat(res.Gamma, 'g', 6, 64)},
-							{Key: "loss", Value: strconv.FormatFloat(res.Loss, 'g', 6, 64)},
-						},
-					})
+				if g.events != nil {
+					g.events.Emit(events.TypeReputationReveal, txID, g.round, string(g.cfg.Member.ID),
+						slog.Int("provider", entry.provider),
+						slog.String("reports", events.FormatReports(entry.reports)),
+						slog.Int("status", int(status)),
+						slog.String("tx", txID),
+						slog.String("gamma", strconv.FormatFloat(res.Gamma, 'g', 6, 64)),
+						slog.String("loss", strconv.FormatFloat(res.Loss, 'g', 6, 64)))
 				}
 			}
 			entry.revealed = true
@@ -714,28 +689,17 @@ func (g *Governor) ScreenRound() ([]ledger.Record, error) {
 				g.scrUnchecked[dec.Collector].Inc()
 			}
 		}
-		// One hex encode per transaction: the ID string feeds the span
-		// and up to two events below.
-		txID := grp.signed.ID().String()
-		if g.tracer != nil {
-			g.tracer.Emit(trace.Span{
-				Trace: txID,
-				Stage: trace.StageScreen,
-				Node:  string(g.cfg.Member.ID),
-				Round: g.round,
-				Attrs: []trace.Attr{
-					{Key: "collector", Value: strconv.Itoa(dec.Collector)},
-					{Key: "checked", Value: strconv.FormatBool(dec.Check)},
-					{Key: "prob", Value: strconv.FormatFloat(dec.Prob, 'g', 6, 64)},
-					{Key: "label", Value: strconv.Itoa(int(dec.Label))},
-				},
-			})
+		// One hex encode per transaction, and none with the log off: the
+		// ID string feeds up to two events below.
+		var txID string
+		if g.events != nil {
+			txID = grp.signed.ID().String()
+			g.events.Emit(events.TypeUploadScreened, txID, g.round, string(g.cfg.Member.ID),
+				slog.String("tx", txID),
+				slog.Int("collector", dec.Collector),
+				slog.Bool("checked", dec.Check),
+				slog.Int("label", int(dec.Label)))
 		}
-		g.events.Emit(events.TypeUploadScreened, g.round, string(g.cfg.Member.ID),
-			slog.String("tx", txID),
-			slog.Int("collector", dec.Collector),
-			slog.Bool("checked", dec.Check),
-			slog.Int("label", int(dec.Label)))
 		if dec.Check {
 			g.stats.Checked++
 			valid := g.cfg.Validator.Validate(grp.signed.Tx)
@@ -743,31 +707,12 @@ func (g *Governor) ScreenRound() ([]ledger.Record, error) {
 			if err := g.table.RecordChecked(grp.provider, grp.reports, status); err != nil {
 				return nil, fmt.Errorf("governor %s checked update: %w", g.cfg.Member.ID, err)
 			}
-			g.events.Emit(events.TypeReputationChecked, g.round, string(g.cfg.Member.ID),
-				slog.Int("provider", grp.provider),
-				slog.String("reports", events.FormatReports(grp.reports)),
-				slog.Int("status", int(status)),
-				slog.String("tx", txID))
-			if g.tracer != nil {
-				g.tracer.Emit(trace.Span{
-					Trace: txID,
-					Stage: trace.StageReputation,
-					Node:  string(g.cfg.Member.ID),
-					Round: g.round,
-					Attrs: []trace.Attr{
-						{Key: "kind", Value: "checked"},
-						{Key: "status", Value: strconv.Itoa(int(status))},
-						{Key: "reports", Value: strconv.Itoa(len(grp.reports))},
-					},
-				})
-			}
-			if g.cfg.SilenceDecay {
-				if err := g.table.RecordSilence(grp.provider, grp.reports); err != nil {
-					return nil, fmt.Errorf("governor %s silence update: %w", g.cfg.Member.ID, err)
-				}
-				g.events.Emit(events.TypeReputationSilence, g.round, string(g.cfg.Member.ID),
+			if g.events != nil {
+				g.events.Emit(events.TypeReputationChecked, txID, g.round, string(g.cfg.Member.ID),
 					slog.Int("provider", grp.provider),
-					slog.String("reports", events.FormatReports(grp.reports)))
+					slog.String("reports", events.FormatReports(grp.reports)),
+					slog.Int("status", int(status)),
+					slog.String("tx", txID))
 			}
 			if valid {
 				records = append(records, ledger.Record{
@@ -826,12 +771,15 @@ func (g *Governor) expireOld(k int) error {
 			if _, err := g.table.RecordRevealed(entry.provider, entry.reports, tx.StatusInvalid); err != nil {
 				return fmt.Errorf("governor %s expiry reveal: %w", g.cfg.Member.ID, err)
 			}
-			g.events.Emit(events.TypeReputationReveal, g.round, string(g.cfg.Member.ID),
-				slog.Int("provider", entry.provider),
-				slog.String("reports", events.FormatReports(entry.reports)),
-				slog.Int("status", int(tx.StatusInvalid)),
-				slog.String("tx", entry.signed.ID().String()),
-				slog.String("cause", "window_expiry"))
+			if g.events != nil {
+				txID := entry.signed.ID().String()
+				g.events.Emit(events.TypeReputationReveal, txID, g.round, string(g.cfg.Member.ID),
+					slog.Int("provider", entry.provider),
+					slog.String("reports", events.FormatReports(entry.reports)),
+					slog.Int("status", int(tx.StatusInvalid)),
+					slog.String("tx", txID),
+					slog.String("cause", "window_expiry"))
+			}
 		}
 		entry.revealed = true
 		delete(g.uncheckedByID, entry.signed.ID())
@@ -887,24 +835,17 @@ func (g *Governor) BuildBlock(records []ledger.Record) (ledger.Block, error) {
 		return ledger.Block{}, fmt.Errorf("governor %s build block: %w", g.cfg.Member.ID, err)
 	}
 	b.SignAs(g.cfg.Member.ID, g.cfg.Member.PrivateKey)
-	g.events.Emit(events.TypeBlockPacked, g.round, string(g.cfg.Member.ID),
-		slog.Uint64("serial", b.Serial),
-		slog.Int("records", len(b.Records)),
-		slog.String("hash", b.Hash().Short()))
-	if g.tracer != nil {
-		serial := strconv.FormatUint(b.Serial, 10)
+	if g.events != nil {
+		node := string(g.cfg.Member.ID)
+		g.events.Emit(events.TypeBlockPacked, "", g.round, node,
+			slog.Uint64("serial", b.Serial),
+			slog.Int("records", len(b.Records)),
+			slog.String("hash", b.Hash().Short()))
 		for _, rec := range b.Records {
-			g.tracer.Emit(trace.Span{
-				Trace: rec.Signed.ID().String(),
-				Stage: trace.StagePack,
-				Node:  string(g.cfg.Member.ID),
-				Round: g.round,
-				Attrs: []trace.Attr{
-					{Key: "serial", Value: serial},
-					{Key: "status", Value: strconv.Itoa(int(rec.Status))},
-					{Key: "unchecked", Value: strconv.FormatBool(rec.Unchecked)},
-				},
-			})
+			g.events.Emit(events.TypeTxPacked, rec.Signed.ID().String(), g.round, node,
+				slog.Uint64("serial", b.Serial),
+				slog.Int("status", int(rec.Status)),
+				slog.Bool("unchecked", rec.Unchecked))
 		}
 	}
 	return b, nil
@@ -939,30 +880,22 @@ func (g *Governor) AcceptBlock(b ledger.Block, leader identity.NodeID, leaderPub
 	if err := g.store.Append(b); err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
 	}
-	g.events.Emit(events.TypeBlockCommitted, g.round, string(g.cfg.Member.ID),
-		slog.Uint64("serial", b.Serial),
-		slog.Int("records", len(b.Records)),
-		slog.String("proposer", string(b.Proposer)),
-		slog.String("hash", b.Hash().Short()))
-	var serial string
-	if g.tracer != nil {
-		serial = strconv.FormatUint(b.Serial, 10)
-	}
 	for _, rec := range b.Records {
 		if rec.Status == tx.StatusValid {
 			g.committedValid[rec.Signed.ID()] = true
 		}
-		if g.tracer != nil {
-			g.tracer.Emit(trace.Span{
-				Trace: rec.Signed.ID().String(),
-				Stage: trace.StageCommit,
-				Node:  string(g.cfg.Member.ID),
-				Round: g.round,
-				Attrs: []trace.Attr{
-					{Key: "serial", Value: serial},
-					{Key: "status", Value: strconv.Itoa(int(rec.Status))},
-				},
-			})
+	}
+	if g.events != nil {
+		node := string(g.cfg.Member.ID)
+		g.events.Emit(events.TypeBlockCommitted, "", g.round, node,
+			slog.Uint64("serial", b.Serial),
+			slog.Int("records", len(b.Records)),
+			slog.String("proposer", string(b.Proposer)),
+			slog.String("hash", b.Hash().Short()))
+		for _, rec := range b.Records {
+			g.events.Emit(events.TypeTxCommitted, rec.Signed.ID().String(), g.round, node,
+				slog.Uint64("serial", b.Serial),
+				slog.Int("status", int(rec.Status)))
 		}
 	}
 	return nil

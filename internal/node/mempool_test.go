@@ -58,14 +58,14 @@ func TestGovernorAdmissionFloorSheds(t *testing.T) {
 	if got := fx.governor.MempoolDepth(); got != 1 {
 		t.Fatalf("MempoolDepth() = %d, want 1", got)
 	}
-	// Decay provider 0's collector weights below the floor: a
-	// RecordSilence multiplies every absent linked collector by β=0.9,
-	// and 0.9^7 ≈ 0.478 < 0.5. Alternate the present reporter so both
-	// collectors decay.
+	// Decay provider 0's collector weights below the floor: a reveal
+	// multiplies every absent linked collector by β=0.9 (a correct
+	// reporter keeps its weight), and 0.9^7 ≈ 0.478 < 0.5. Alternate the
+	// present reporter so both collectors decay.
 	for i := 0; i < 7; i++ {
 		for c := 0; c < 2; c++ {
 			present := []reputation.Report{{Collector: 1 - c, Label: tx.LabelValid}}
-			if err := fx.governor.Table().RecordSilence(0, present); err != nil {
+			if _, err := fx.governor.Table().RecordRevealed(0, present, tx.StatusValid); err != nil {
 				t.Fatal(err)
 			}
 		}

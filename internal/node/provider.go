@@ -2,13 +2,14 @@ package node
 
 import (
 	"fmt"
+	"log/slog"
 
 	"repchain/internal/crypto"
+	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/network"
 	"repchain/internal/par"
-	"repchain/internal/trace"
 	"repchain/internal/tx"
 )
 
@@ -45,8 +46,8 @@ type Provider struct {
 	settledValid   int
 	settledInvalid int
 
-	// tracer and round feed lifecycle spans (sign); both are optional.
-	tracer *trace.Recorder
+	// events and round feed the tx.signed event; both are optional.
+	events *events.Log
 	round  uint64
 }
 
@@ -70,11 +71,11 @@ type Submission struct {
 // hand-off costs more than it saves.
 const parallelSignFloor = 8
 
-// SetTracer attaches a span recorder; nil detaches.
-func (p *Provider) SetTracer(r *trace.Recorder) { p.tracer = r }
+// SetEvents attaches the event log; nil detaches.
+func (p *Provider) SetEvents(l *events.Log) { p.events = l }
 
 // SetRound tells the provider which round its next submissions belong
-// to, for span attribution only.
+// to, for event attribution only.
 func (p *Provider) SetRound(r uint64) { p.round = r }
 
 // NewProvider wires a provider node to the bus.
@@ -108,8 +109,8 @@ func (p *Provider) Sign(kind string, payload []byte, isValid bool, timestamp int
 // sees drained batches. Seq is assigned in order, the Ed25519 work is
 // spread over up to GOMAXPROCS goroutines (signatures are
 // deterministic, so the result is the per-transaction loop's, byte for
-// byte), and pending entries and sign spans follow in order after the
-// join.
+// byte), and pending entries and tx.signed events follow in order
+// after the join.
 func (p *Provider) SignBatch(items []Submission, timestamp int64) []tx.SignedTx {
 	out := make([]tx.SignedTx, len(items))
 	for i, it := range items {
@@ -129,14 +130,9 @@ func (p *Provider) SignBatch(items []Submission, timestamp int64) []tx.SignedTx 
 	for i, signed := range out {
 		id := signed.ID()
 		p.pending[id] = pendingTx{signed: signed, valid: items[i].Valid}
-		if p.tracer != nil {
-			p.tracer.Emit(trace.Span{
-				Trace: id.String(),
-				Stage: trace.StageSign,
-				Node:  string(p.member.ID),
-				Round: p.round,
-				Attrs: []trace.Attr{{Key: "kind", Value: items[i].Kind}},
-			})
+		if p.events != nil {
+			p.events.Emit(events.TypeTxSigned, id.String(), p.round, string(p.member.ID),
+				slog.String("kind", items[i].Kind))
 		}
 	}
 	return out

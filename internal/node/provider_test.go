@@ -4,15 +4,15 @@ import (
 	"bytes"
 	"testing"
 
+	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
-	"repchain/internal/trace"
 	"repchain/internal/tx"
 )
 
 // TestSignBatchMatchesSign pins the batch path to the per-transaction
 // one: same Seq run, same IDs, same signatures, same pending ground
-// truth and the same sign spans in the same order — at a batch size
+// truth and the same tx.signed events in the same order — at a batch size
 // above the parallel floor.
 func TestSignBatchMatchesSign(t *testing.T) {
 	const n = 4 * parallelSignFloor
@@ -25,9 +25,9 @@ func TestSignBatchMatchesSign(t *testing.T) {
 		}
 	}
 	one, batch := newFixture(t, nil).providers[0], newFixture(t, nil).providers[0]
-	recOne, recBatch := trace.NewRecorder(2*n), trace.NewRecorder(2*n)
-	one.SetTracer(recOne)
-	batch.SetTracer(recBatch)
+	logOne, logBatch := events.NewLog(2*n), events.NewLog(2*n)
+	one.SetEvents(logOne)
+	batch.SetEvents(logBatch)
 
 	// A first signature each, so the batch does not start at Seq 1.
 	one.Sign("warm", []byte{1}, true, 5)
@@ -51,13 +51,13 @@ func TestSignBatchMatchesSign(t *testing.T) {
 	if one.PendingValid() != batch.PendingValid() || len(one.pending) != len(batch.pending) {
 		t.Fatalf("pending %d/%d valid %d/%d", len(batch.pending), len(one.pending), batch.PendingValid(), one.PendingValid())
 	}
-	a, b := recOne.Spans(), recBatch.Spans()
+	a, b := logOne.Events(), logBatch.Events()
 	if len(a) != n+1 || len(b) != n+1 {
-		t.Fatalf("sign spans %d/%d, want %d", len(b), len(a), n+1)
+		t.Fatalf("sign events %d/%d, want %d", len(b), len(a), n+1)
 	}
 	for i := range a {
-		if a[i].Trace != b[i].Trace || a[i].Stage != b[i].Stage {
-			t.Fatalf("span %d: batch %s/%s, per-tx %s/%s", i, b[i].Stage, b[i].Trace, a[i].Stage, a[i].Trace)
+		if a[i].Trace != b[i].Trace || a[i].Type != b[i].Type {
+			t.Fatalf("event %d: batch %s/%s, per-tx %s/%s", i, b[i].Type, b[i].Trace, a[i].Type, a[i].Trace)
 		}
 	}
 }

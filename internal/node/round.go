@@ -12,7 +12,6 @@ import (
 	"repchain/internal/ledger"
 	"repchain/internal/metrics"
 	"repchain/internal/network"
-	"repchain/internal/trace"
 )
 
 // GovernorRound is the governor's half of a round (§3.1 processing
@@ -182,7 +181,7 @@ func (r *GovernorRound) TicketsComplete(stakes []uint64) bool {
 
 // Elect verifies the filed ticket batches against stakes and returns
 // the leader (§3.4.3), consuming the batches, and emits the governor's
-// elect span and leader.elected event. A governor with stake 0
+// leader.elected event. A governor with stake 0
 // has nothing to prove: its empty batch is submitted locally, whatever
 // it sent. A staked governor with no batch on file fails the election
 // with a wrapped consensus.ErrIncompleteElection naming it; a batch
@@ -214,16 +213,10 @@ func (r *GovernorRound) Elect(stakes []uint64) (int, error) {
 	r.leader = leader
 	// One shape whichever driver stepped: each governor reports, under
 	// its own ID, the node it elected.
-	elected := string(r.governorIDs[leader])
-	if r.gov.tracer != nil {
-		r.gov.tracer.Emit(trace.Span{
-			Stage: trace.StageElect,
-			Node:  string(r.gov.ID()),
-			Round: r.round,
-			Attrs: []trace.Attr{{Key: "leader", Value: elected}},
-		})
+	if r.gov.events != nil {
+		r.gov.events.Emit(events.TypeLeaderElected, "", r.round, string(r.gov.ID()),
+			slog.String("leader", string(r.governorIDs[leader])))
 	}
-	r.gov.events.Emit(events.TypeLeaderElected, r.round, string(r.gov.ID()), slog.String("leader", elected))
 	return leader, nil
 }
 

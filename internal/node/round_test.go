@@ -16,7 +16,6 @@ import (
 	"repchain/internal/metrics"
 	"repchain/internal/network"
 	"repchain/internal/reputation"
-	"repchain/internal/trace"
 )
 
 // alliance is three governors' round steppers on a zero-delay bus: the
@@ -30,7 +29,6 @@ type alliance struct {
 	stakes []uint64
 	reg    *metrics.Registry
 	log    *events.Log
-	spans  *trace.Recorder
 	round  uint64
 }
 
@@ -39,7 +37,7 @@ type alliance struct {
 func newAlliance(t *testing.T, store func(j int) ledger.Store) *alliance {
 	t.Helper()
 	a := &alliance{t: t, bus: network.NewBus(0), stakes: []uint64{1, 2, 1}, reg: metrics.NewRegistry(),
-		log: events.NewLog(256), spans: trace.NewRecorder(256)}
+		log: events.NewLog(256)}
 	seed := make([]byte, crypto.SeedSize)
 	im, err := identity.NewManagerFromSeed(seed)
 	a.check(err)
@@ -60,7 +58,7 @@ func newAlliance(t *testing.T, store func(j int) ledger.Store) *alliance {
 		cfg := GovernorConfig{
 			Member: mem, Endpoint: ep, IM: im, Topology: topo,
 			Params: reputation.DefaultParams(), Validator: oracle, Seed: int64(j), Metrics: a.reg,
-			Events: a.log, Tracer: a.spans,
+			Events: a.log,
 		}
 		if store != nil {
 			cfg.Store = store(j)
@@ -260,26 +258,17 @@ func TestRoundElectReportsLeader(t *testing.T) {
 	a := newAlliance(t, nil)
 	a.open()
 	want := string(a.ids[a.elect(0, 1, 2)])
-	var evNodes, spanNodes []string
+	var evNodes []string
 	for _, e := range a.log.Events() {
 		if e.Type == events.TypeLeaderElected {
-			if e.Round != a.round || e.Attr("leader") != want {
+			if e.Round != a.round || e.Trace != "" || len(e.Attrs) != 1 || e.Attrs[0] != (events.Attr{Key: "leader", Value: want}) {
 				t.Errorf("event %+v, want round %d leader %s", e, a.round, want)
 			}
 			evNodes = append(evNodes, e.Node)
 		}
 	}
-	for _, s := range a.spans.Spans() {
-		if s.Stage == trace.StageElect {
-			if s.Round != a.round || len(s.Attrs) != 1 || s.Attrs[0] != (trace.Attr{Key: "leader", Value: want}) {
-				t.Errorf("span %+v, want round %d leader %s", s, a.round, want)
-			}
-			spanNodes = append(spanNodes, s.Node)
-		}
-	}
-	nodes := fmt.Sprint(a.ids)
-	if fmt.Sprint(evNodes) != nodes || fmt.Sprint(spanNodes) != nodes {
-		t.Fatalf("elect events from %v, spans from %v; want one each from %v", evNodes, spanNodes, nodes)
+	if nodes := fmt.Sprint(a.ids); fmt.Sprint(evNodes) != nodes {
+		t.Fatalf("elect events from %v; want one each from %v", evNodes, nodes)
 	}
 
 	a.bus.SetDropFunc(func(m network.Message, _ identity.NodeID) bool { return m.Kind == network.KindVRF })

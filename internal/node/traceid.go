@@ -7,7 +7,7 @@ import (
 
 // TraceIDOf derives the lifecycle trace ID carried by a protocol
 // payload: the hex hash of the inner signed transaction, the same ID
-// every node derives locally when it emits spans (DESIGN.md §4c). It
+// every node derives locally when it emits events (DESIGN.md §4c). It
 // returns "" for kinds that aggregate many transactions (upload
 // batches, blocks, tickets, stake traffic) or for payloads that fail to
 // decode — the transport layer uses it to stamp per-transaction trace

@@ -383,38 +383,6 @@ func (t *Table) RecordChecked(k int, reports []Report, status tx.Status) error {
 	return nil
 }
 
-// RecordSilence penalizes the linked collectors of provider k that
-// stayed silent on a checked transaction: each absent collector's
-// weight is multiplied by β, exactly the decay an absent collector
-// receives when an unchecked transaction is revealed (case 3's
-// OutcomeAbsent). Reporters are untouched — on a checked transaction
-// their accuracy is already settled by RecordChecked — and no loss is
-// accrued, because a silent collector expresses no label the governor
-// could have been misled by. This keeps the two disclosure paths
-// symmetric: silence costs β per transaction whether or not the
-// governor checked it, while misreporting additionally moves
-// w_misreport.
-func (t *Table) RecordSilence(k int, reports []Report) error {
-	positions, err := t.validateReports(k, reports)
-	if err != nil {
-		return err
-	}
-	in := t.perProvider[k]
-	reported := make([]bool, in.Experts())
-	for _, pos := range positions {
-		reported[pos] = true
-	}
-	for pos := range reported {
-		if !reported[pos] {
-			in.SetWeight(pos, in.Weight(pos)*t.params.Beta)
-			if t.m.betaDecays != nil {
-				t.m.betaDecays.Inc()
-			}
-		}
-	}
-	return nil
-}
-
 // RevealResult reports the effect of RecordRevealed.
 type RevealResult struct {
 	// Loss is L_tx, the governor's expected loss on the transaction.

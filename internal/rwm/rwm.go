@@ -187,8 +187,7 @@ func (in *Instance) Weights() []float64 {
 	return out
 }
 
-// SetWeight overrides expert i's weight. The reputation layer uses it
-// to apply external penalties; weights are clamped to be positive.
+// SetWeight overrides expert i's weight, clamped to be positive.
 func (in *Instance) SetWeight(i int, w float64) {
 	if w < minWeight {
 		w = minWeight

@@ -11,15 +11,14 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
 	"repchain/internal/codec"
 	"repchain/internal/crypto"
+	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/metrics"
-	"repchain/internal/trace"
 )
 
 // Frame is one authenticated application message.
@@ -38,8 +37,8 @@ type Frame struct {
 }
 
 // TraceCtx is the trace context a frame carries across a transport
-// hop: the transaction's trace ID, the sender's parent span sequence
-// number, and the sender's wall clock at send time (per-hop latency =
+// hop: the transaction's trace ID, the sequence number of the sender's
+// hop.sent event, and the sender's wall clock at send time (per-hop latency =
 // receiver wall − SentNS, under the deployment's loose clock-sync
 // assumption; see DESIGN.md §4h for the clock model). The context is
 // covered by the frame tag — a middlebox cannot strip or forge it
@@ -47,8 +46,8 @@ type Frame struct {
 type TraceCtx struct {
 	// Trace is the hex transaction hash (the trace ID).
 	Trace string
-	// Parent is the sender's span sequence number for this hop's send
-	// span, scoped to the sender's recorder.
+	// Parent is the seq of the sender's hop.sent event for this hop,
+	// scoped to the sender's event log.
 	Parent uint64
 	// SentNS is the sender's wall clock at send, unix nanoseconds.
 	SentNS int64
@@ -132,10 +131,10 @@ type Endpoint struct {
 	peers map[identity.NodeID]*peer // every other member; read-only after NewEndpoint
 
 	// Trace propagation (set once before traffic via
-	// EnableTracePropagation): tracer receives send/recv hop spans and
-	// traceID derives the trace ID from (kind, payload). Both nil by
-	// default — frames then carry no trace section.
-	tracer  *trace.Recorder
+	// EnableTracePropagation): events receives hop.sent/hop.received
+	// events and traceID derives the trace ID from (kind, payload).
+	// Both nil by default — frames then carry no trace section.
+	events  *events.Log
 	traceID func(kind string, payload []byte) string
 
 	// logger, when non-nil, receives structured diagnostics (rejected
@@ -259,12 +258,12 @@ func (ep *Endpoint) deliver(f Frame) {
 // EnableTracePropagation turns on cross-process trace stitching: every
 // outgoing frame whose payload maps to a trace ID (per idOf) carries a
 // trace context under the frame tag, and both sides of the hop emit
-// send/recv spans into rec with the per-hop wire latency. Call before
-// any traffic flows. With propagation off (the default) frames carry
-// no trace section.
-func (ep *Endpoint) EnableTracePropagation(rec *trace.Recorder, idOf func(kind string, payload []byte) string) {
+// hop.sent/hop.received events into evs with the per-hop wire latency.
+// Call before any traffic flows. With propagation off (the default)
+// frames carry no trace section.
+func (ep *Endpoint) EnableTracePropagation(evs *events.Log, idOf func(kind string, payload []byte) string) {
 	ep.mu.Lock()
-	ep.tracer = rec
+	ep.events = evs
 	ep.traceID = idOf
 	ep.mu.Unlock()
 }
@@ -333,7 +332,7 @@ func (ep *Endpoint) readLoop(conn net.Conn) {
 			continue
 		}
 		ep.reg.Counter("transport.frames_received").Inc()
-		ep.emitRecvSpan(frame)
+		ep.emitHopReceived(frame)
 		ep.deliver(frame)
 	}
 }
@@ -405,34 +404,28 @@ func (ep *Endpoint) logWarn(msg string, attrs ...slog.Attr) {
 	}
 }
 
-// emitRecvSpan records the receive half of a traced transport hop:
-// the span carries the remote parent seq and the measured hop latency
-// (receiver wall − sender SentNS; meaningful to the deployment's
-// clock-sync bound, negative values are reported as-is so skew is
-// visible rather than hidden).
-func (ep *Endpoint) emitRecvSpan(f Frame) {
+// emitHopReceived records the receive half of a traced transport hop:
+// the event carries the sender's hop.sent seq as parent and the
+// measured hop latency (receiver wall − sender SentNS; meaningful to
+// the deployment's clock-sync bound, negative values are reported
+// as-is so skew is visible rather than hidden).
+func (ep *Endpoint) emitHopReceived(f Frame) {
 	if f.Trace == nil {
 		return
 	}
 	ep.mu.Lock()
-	rec := ep.tracer
+	evs := ep.events
 	ep.mu.Unlock()
-	if rec == nil {
+	if evs == nil {
 		return
 	}
 	latency := time.Now().UnixNano() - f.Trace.SentNS
-	rec.Emit(trace.Span{
-		Trace: f.Trace.Trace,
-		Stage: trace.StageRecv,
-		Node:  string(ep.self),
-		Attrs: []trace.Attr{
-			{Key: "from", Value: string(f.From)},
-			{Key: "kind", Value: f.Kind},
-			{Key: "parent", Value: strconv.FormatUint(f.Trace.Parent, 10)},
-			{Key: "sent_ns", Value: strconv.FormatInt(f.Trace.SentNS, 10)},
-			{Key: "latency_ns", Value: strconv.FormatInt(latency, 10)},
-		},
-	})
+	evs.Emit(events.TypeHopReceived, f.Trace.Trace, 0, string(ep.self),
+		slog.String("from", string(f.From)),
+		slog.String("kind", f.Kind),
+		slog.Uint64("parent", f.Trace.Parent),
+		slog.Int64("sent_ns", f.Trace.SentNS),
+		slog.Int64("latency_ns", latency))
 }
 
 // Multicast sends one frame to each recipient, best-effort: every
@@ -454,19 +447,16 @@ func (ep *Endpoint) Multicast(to []identity.NodeID, kind string, payload []byte)
 	}
 	ep.counter++
 	frame := Frame{From: ep.self, Kind: kind, Payload: payload, Counter: ep.counter}
-	rec, idOf, pol := ep.tracer, ep.traceID, ep.policy
+	evs, idOf, pol := ep.events, ep.traceID, ep.policy
 	ep.mu.Unlock()
 
 	// With propagation enabled and a per-transaction payload, stamp the
 	// trace context and record the send half of the hop.
-	if rec != nil && idOf != nil {
+	if evs != nil && idOf != nil {
 		if id := idOf(kind, payload); id != "" {
-			parent := rec.Emit(trace.Span{
-				Trace: id,
-				Stage: trace.StageSend,
-				Node:  string(ep.self),
-				Attrs: []trace.Attr{{Key: "to", Value: fmt.Sprint(to)}, {Key: "kind", Value: kind}},
-			})
+			parent := evs.Emit(events.TypeHopSent, id, 0, string(ep.self),
+				slog.String("to", fmt.Sprint(to)),
+				slog.String("kind", kind))
 			//repchain:dettaint-ok SentNS is the tagged trace context (DESIGN §4h): hop-local send metadata only the sender writes; the receiver checks the received bytes, so replicas never need to agree on the value
 			frame.Trace = &TraceCtx{Trace: id, Parent: parent, SentNS: time.Now().UnixNano()}
 		}

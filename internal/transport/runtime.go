@@ -15,7 +15,6 @@ import (
 	"repchain/internal/network"
 	"repchain/internal/node"
 	"repchain/internal/reputation"
-	"repchain/internal/trace"
 	"repchain/internal/tx"
 )
 
@@ -98,7 +97,7 @@ func instrumentEndpoint(ep *Endpoint, cfg RuntimeConfig) {
 	ep.SetInflightLimit(cfg.InflightLimit)
 	ep.SetLogger(cfg.Logger)
 	if cfg.PropagateTrace {
-		ep.EnableTracePropagation(cfg.Tracer, node.TraceIDOf)
+		ep.EnableTracePropagation(cfg.Events, node.TraceIDOf)
 	}
 }
 
@@ -142,16 +141,14 @@ type RuntimeConfig struct {
 	// and receives node-level metrics, so one admin endpoint can expose
 	// every node a process hosts.
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, receives lifecycle spans from this node.
-	Tracer *trace.Recorder
 	// PropagateTrace stamps per-transaction trace context (trace ID,
-	// parent span, send timestamp) onto outgoing frames and emits
-	// send/recv spans, so traces stitch across processes. Off, frames
-	// carry no trace section.
+	// parent event seq, send timestamp) onto outgoing frames and emits
+	// hop.sent/hop.received events into Events, so traces stitch across
+	// processes. Off, or with Events nil, frames carry no trace section.
 	PropagateTrace bool
-	// Events, when non-nil, receives the structured consensus event
-	// stream from this node (governors emit screening, block, and
-	// reputation events; the runtime adds leader elections).
+	// Events, when non-nil, receives this node's event stream: its
+	// transactions' lifecycle facts under their trace IDs, and for a
+	// governor the screening, election, block and reputation events.
 	Events *events.Log
 	// Logger, when non-nil, receives structured warnings from the
 	// endpoint (decode/auth failures, exhausted deliveries) instead of
@@ -291,8 +288,11 @@ func runProvider(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	}
 	governorIDs := idsOf(cfg.Deployment.NodesByRole("governor"))
 	prov := node.NewProvider(mem, nil, linked, governorIDs)
-	prov.SetTracer(cfg.Tracer)
+	prov.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
+	// A block frame that does not decode is skipped, and counted the
+	// way the governor stepper counts one.
+	undecodable := ep.Metrics().CounterVec("node.blocks_ignored_total", "reason").With("decode")
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(spec.Index)))
 
 	report := Report{Role: "provider"}
@@ -329,6 +329,7 @@ func runProvider(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 				}
 				b, err := ledger.DecodeBlockBytes(f.Payload)
 				if err != nil {
+					undecodable.Inc()
 					continue
 				}
 				if _, err := prov.ObserveBlock(b, sender); err != nil {
@@ -365,7 +366,7 @@ func runCollector(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	}
 	governorIDs := idsOf(cfg.Deployment.NodesByRole("governor"))
 	coll := node.NewCollector(mem, nil, im, cfg.Validator, node.HonestBehavior{}, governorIDs, cfg.Seed+int64(100+spec.Index))
-	coll.SetTracer(cfg.Tracer)
+	coll.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
 
 	report := Report{Role: "collector"}
@@ -428,7 +429,6 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		MempoolShardCap: cfg.MempoolShardCap,
 		AdmissionFloor:  cfg.AdmissionFloor,
 		Metrics:         cfg.Metrics,
-		Tracer:          cfg.Tracer,
 		Events:          cfg.Events,
 	})
 	if err != nil {

@@ -5,10 +5,11 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repchain/internal/codec"
-	"repchain/internal/trace"
+	"repchain/internal/events"
 )
 
 // TestFrameWireLayout pins the envelope: a big-endian length, the body
@@ -77,9 +78,9 @@ func TestTraceContextTamperEvident(t *testing.T) {
 
 // TestEndpointTracePropagation sends a traced frame across a real TCP
 // hop and checks both halves: the sender's context arrives intact, the
-// receiver records a recv span carrying the sender's parent seq and a
-// measured hop latency, and a payload with no trace ID carries no
-// trace section.
+// receiver records a hop.received event naming the sender's hop.sent
+// seq as parent with a measured hop latency, and a payload with no
+// trace ID carries no trace section.
 func TestEndpointTracePropagation(t *testing.T) {
 	d := testDeployment(t, 2, 2, 1, 2)
 	a, err := NewEndpoint(d, "governor/0")
@@ -100,10 +101,10 @@ func TestEndpointTracePropagation(t *testing.T) {
 		}
 		return ""
 	}
-	recA := trace.NewRecorder(16)
-	recB := trace.NewRecorder(16)
-	a.EnableTracePropagation(recA, idOf)
-	b.EnableTracePropagation(recB, idOf)
+	logA := events.NewLog(16)
+	logB := events.NewLog(16)
+	a.EnableTracePropagation(logA, idOf)
+	b.EnableTracePropagation(logB, idOf)
 
 	if err := a.Send("governor/1", "traced", []byte("x")); err != nil {
 		t.Fatal(err)
@@ -127,33 +128,33 @@ func TestEndpointTracePropagation(t *testing.T) {
 		t.Fatalf("untraced frame carried a context: %+v", plain.Trace)
 	}
 
-	sends := recA.ByTrace(traceID)
-	if len(sends) != 1 || sends[0].Stage != trace.StageSend {
-		t.Fatalf("sender spans = %+v", sends)
+	sends := logA.Select(events.Filter{Trace: traceID})
+	if len(sends) != 1 || sends[0].Type != events.TypeHopSent {
+		t.Fatalf("sender events = %+v", sends)
 	}
 	if traced.Trace.Parent != sends[0].Seq {
-		t.Fatalf("wire parent %d != send span seq %d", traced.Trace.Parent, sends[0].Seq)
+		t.Fatalf("wire parent %d != hop.sent seq %d", traced.Trace.Parent, sends[0].Seq)
 	}
-	recvs := recB.ByTrace(traceID)
-	if len(recvs) != 1 || recvs[0].Stage != trace.StageRecv {
-		t.Fatalf("receiver spans = %+v", recvs)
+	recvs := logB.Select(events.Filter{Trace: traceID})
+	if len(recvs) != 1 || recvs[0].Type != events.TypeHopReceived {
+		t.Fatalf("receiver events = %+v", recvs)
 	}
-	attrs := map[string]string{}
-	for _, at := range recvs[0].Attrs {
-		attrs[at.Key] = at.Value
+	recv := recvs[0]
+	if recv.Attr("from") != "governor/0" || recv.Attr("kind") != "traced" {
+		t.Fatalf("hop.received attrs = %v", recv.Attrs)
 	}
-	if attrs["from"] != "governor/0" || attrs["kind"] != "traced" {
-		t.Fatalf("recv span attrs = %v", attrs)
+	if want := fmt.Sprint(sends[0].Seq); recv.Attr("parent") != want {
+		t.Fatalf("hop.received parent %q, want the hop.sent seq %s", recv.Attr("parent"), want)
 	}
-	for _, k := range []string{"parent", "sent_ns", "latency_ns"} {
-		if attrs[k] == "" {
-			t.Fatalf("recv span missing %q attr: %v", k, attrs)
+	for _, k := range []string{"sent_ns", "latency_ns"} {
+		if recv.Attr(k) == "" {
+			t.Fatalf("hop.received missing %q attr: %v", k, recv.Attrs)
 		}
 	}
 }
 
 // TestEndpointPropagationOff sends with propagation disabled on the
-// sender: frames arrive without a context and no spans are recorded.
+// sender: frames arrive without a context and no events are recorded.
 func TestEndpointPropagationOff(t *testing.T) {
 	d := testDeployment(t, 2, 2, 1, 2)
 	a, err := NewEndpoint(d, "governor/0")
@@ -166,8 +167,8 @@ func TestEndpointPropagationOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = b.Close() }()
-	recB := trace.NewRecorder(16)
-	b.EnableTracePropagation(recB, func(string, []byte) string { return "" })
+	logB := events.NewLog(16)
+	b.EnableTracePropagation(logB, func(string, []byte) string { return "" })
 
 	if err := a.Send("governor/1", "traced", []byte("x")); err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestEndpointPropagationOff(t *testing.T) {
 	if frames[0].Trace != nil {
 		t.Fatal("propagation-off sender produced a traced frame")
 	}
-	if got := recB.Len(); got != 0 {
-		t.Fatalf("receiver recorded %d spans for an untraced frame", got)
+	if got := logB.Len(); got != 0 {
+		t.Fatalf("receiver recorded %d events for an untraced frame", got)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/metrics"
+	"repchain/internal/network"
 	"repchain/internal/node"
 	"repchain/internal/reputation"
 	"repchain/internal/tx"
@@ -440,6 +441,47 @@ func TestRuntimeGovernorPersistence(t *testing.T) {
 	}
 	if !bytes.Equal(checkpointed(), before) {
 		t.Fatal("reputation changed across checkpoint → restore → checkpoint")
+	}
+}
+
+// TestRuntimeProviderCountsUndecodableBlock: a block frame a provider
+// cannot decode is skipped and counted under
+// node.blocks_ignored_total{reason="decode"}, never dropped silently.
+func TestRuntimeProviderCountsUndecodableBlock(t *testing.T) {
+	d := testDeployment(t, 1, 1, 1, 1)
+	gov, err := NewEndpoint(d, "governor/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = gov.Close() }()
+	reg := metrics.NewRegistry()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunNode(RuntimeConfig{
+			Deployment: d,
+			ID:         "provider/0",
+			Clock:      Clock{Epoch: time.Now().Add(300 * time.Millisecond), Round: 400 * time.Millisecond},
+			Rounds:     1,
+			Metrics:    reg,
+		})
+		done <- err
+	}()
+	// The provider's listener comes up inside RunNode: retry until the
+	// junk frame is delivered, well before the round's adopt phase.
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		err := gov.Send("provider/0", network.KindBlock, []byte("junk"))
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("junk block never delivered: %v", err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.CounterVec("node.blocks_ignored_total", "reason").With("decode").Value(); got != 1 {
+		t.Fatalf("node.blocks_ignored_total{reason=decode} = %d, want 1", got)
 	}
 }
 

@@ -47,7 +47,6 @@ import (
 	"repchain/internal/node"
 	"repchain/internal/reputation"
 	"repchain/internal/shard"
-	"repchain/internal/trace"
 	"repchain/internal/tx"
 )
 
@@ -287,39 +286,14 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithSilenceDecay makes governors β-decay linked collectors that
-// stayed silent on a checked transaction, so withholding a report
-// costs reputation on both disclosure paths (checked and unchecked)
-// instead of only at unchecked reveals. Silence never moves the
-// misreport score — only an actively wrong label does.
-func WithSilenceDecay() Option {
-	return func(o *options) error {
-		o.Base.SilenceDecay = true
-		return nil
-	}
-}
-
-// WithTracing records every transaction's lifecycle — sign, label,
-// upload, screen, elect, pack, commit, argue, reputation update — into
-// an in-memory ring buffer of the given span capacity. Tracing is
-// purely observational: it consumes no protocol randomness and rounds
-// stay byte-identical with it on or off. Zero capacity disables it.
-func WithTracing(capacity int) Option {
-	return func(o *options) error {
-		if capacity < 0 {
-			return fmt.Errorf("trace capacity %d: %w", capacity, ErrBadOption)
-		}
-		o.Base.TraceCapacity = capacity
-		return nil
-	}
-}
-
-// WithEventLog records consensus-significant events — uploads
-// screened, leaders elected, blocks packed and committed, reputation
-// deltas with the arguments needed to re-apply them offline, quorum
-// changes — into an in-memory ring of the given capacity. Like
-// tracing, the log is purely observational: rounds stay byte-identical
-// with it on or off. Zero capacity disables it.
+// WithEventLog records every protocol fact into an in-memory ring of
+// the given capacity: each transaction's lifecycle — sign, label,
+// upload, screen, argue, pack, commit, reputation update — under its
+// trace ID (see Committee.Trace), leader elections, blocks packed and
+// committed, reputation deltas with the arguments needed to re-apply
+// them offline, quorum changes. The log is purely observational: it
+// consumes no protocol randomness and rounds stay byte-identical with
+// it on or off. Zero capacity disables it.
 func WithEventLog(capacity int) Option {
 	return func(o *options) error {
 		if capacity < 0 {
@@ -495,8 +469,5 @@ type RecordStatus struct {
 // GovernorStats reports a governor's screening counters.
 type GovernorStats = node.GovernorStats
 
-// Span re-exports one recorded lifecycle event (see WithTracing).
-type Span = trace.Span
-
-// Event re-exports one recorded consensus event (see WithEventLog).
+// Event re-exports one recorded protocol fact (see WithEventLog).
 type Event = events.Event

@@ -109,7 +109,6 @@ var sinks = []sinkSpec{
 	{pkg: "repchain/internal/transport", recv: "Endpoint", name: "Multicast", args: []int{3}, label: "wire payload"},
 	// Reputation accounting: scores feed leader election.
 	{pkg: "repchain/internal/reputation", recv: "Table", name: "RecordChecked", label: "reputation update"},
-	{pkg: "repchain/internal/reputation", recv: "Table", name: "RecordSilence", label: "reputation update"},
 	{pkg: "repchain/internal/reputation", recv: "Table", name: "RecordRevealed", label: "reputation update"},
 	{pkg: "repchain/internal/reputation", recv: "Table", name: "RecordForgery", label: "reputation update"},
 }

@@ -24,9 +24,9 @@ type Origin struct {
 // Taint is the lattice element: a set of source occurrences plus a set
 // of input bits. An input bit is "3" (the whole of input 3, receiver
 // at 0) or "3.buf" (one first-level field of input 3). Field bits are
-// what keep the analysis usable: a tracer that stores a wall timestamp
-// into its ring buffer taints the engine's tracer field, not the whole
-// engine object every consensus value hangs off.
+// what keep the analysis usable: an event log that stores a wall
+// timestamp into its ring taints the engine's events field, not the
+// whole engine object every consensus value hangs off.
 type Taint struct {
 	origins map[*Origin]bool
 	params  map[string]bool
@@ -1006,7 +1006,7 @@ func (a *fnAnalysis) evalCall(call *ast.CallExpr) []Taint {
 				if root, rf := a.rootOf(argExprs[pf.To]); root != nil {
 					// The callee taints its input's field; locate that
 					// state in the caller. When the argument is itself
-					// a field of a local (e.tracer), one level of
+					// a field of a local (e.events), one level of
 					// precision is kept by landing on that field.
 					target := pf.Field
 					if rf != "" {
