@@ -92,7 +92,7 @@ func clusterRound(tb testing.TB) func(i int) {
 
 // TestRoundAllocBudgets pins the allocations of one round on each
 // distinct path: plain, with the event ring recording, fed
-// from the sharded mempool, and four committees with a cross transfer.
+// from bounded mempools, and four committees with a cross transfer.
 // Each budget is the count measured when it was introduced ×1.10 + 8.
 // testing.AllocsPerRun pins GOMAXPROCS to 1 while it counts;
 // re-measure with -v, which logs every count. Under -race sync.Pool
@@ -110,7 +110,7 @@ func TestRoundAllocBudgets(t *testing.T) {
 			return chainRound(tb, repchain.WithWorkers(1), repchain.WithEventLog(1<<16))
 		}},
 		{"mempool", 6608, func(tb testing.TB) func(int) {
-			return chainRound(tb, repchain.WithMempool(4, 256), repchain.WithBlockLimit(64))
+			return chainRound(tb, repchain.WithMempool(256), repchain.WithBlockLimit(64))
 		}},
 		{"committees=4", 7523, clusterRound},
 	}

@@ -321,10 +321,6 @@ func (cm *Committee) Trace(id TxID) []Event {
 // first. Empty without WithEventLog.
 func (cm *Committee) Events() []Event { return cm.engine().Events().Events() }
 
-// EventLog exposes the structured event log for replay and filtered
-// export (see the events package). Nil without WithEventLog.
-func (cm *Committee) EventLog() *events.Log { return cm.engine().Events() }
-
 // buildOptions folds the option list over the defaults.
 func buildOptions(opts []Option) (options, error) {
 	o := options{shard.Config{Base: core.Config{

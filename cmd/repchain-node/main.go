@@ -59,8 +59,7 @@ func main() {
 		dialTimeout  = flag.Duration("dial-timeout", 0, "per-dial timeout (0 = default)")
 		writeTimeout = flag.Duration("write-timeout", 0, "per-write timeout (0 = default)")
 
-		mempoolShards  = flag.Int("mempool-shards", 0, "governor mempool shards by provider (0 = legacy unbounded queue)")
-		mempoolCap     = flag.Int("mempool-cap", 0, "per-shard mempool capacity (0 = unbounded; full shards evict oldest)")
+		mempoolCap     = flag.Int("mempool-cap", 0, "governor mempool capacity per provider (0 = unbounded; a provider at its cap loses its oldest)")
 		admissionFloor = flag.Float64("admission-floor", 0, "shed uploads from collectors whose reputation weight is below this floor (0 = off)")
 		blockLimit     = flag.Int("block-limit", 0, "transactions per block, b_limit (0 = unlimited)")
 		inflightLimit  = flag.Int("inflight-limit", 0, "max undrained frames held per peer (0 = unbounded)")
@@ -84,7 +83,6 @@ func main() {
 		WriteTimeout: *writeTimeout,
 	}
 	pool := poolOptions{
-		mempoolShards:  *mempoolShards,
 		mempoolCap:     *mempoolCap,
 		admissionFloor: *admissionFloor,
 		blockLimit:     *blockLimit,
@@ -119,7 +117,6 @@ func buildLogger(format string) (*slog.Logger, error) {
 
 // poolOptions bundles the mempool / backpressure / storage flags.
 type poolOptions struct {
-	mempoolShards  int
 	mempoolCap     int
 	admissionFloor float64
 	blockLimit     int
@@ -177,13 +174,12 @@ func run(rosterPath, id string, demo bool, rounds int, roundDur time.Duration, e
 		Retry:      retry,
 		Logger:     logger,
 
-		MempoolShards:   pool.mempoolShards,
-		MempoolShardCap: pool.mempoolCap,
-		AdmissionFloor:  pool.admissionFloor,
-		BlockLimit:      pool.blockLimit,
-		InflightLimit:   pool.inflightLimit,
-		SnapshotEvery:   pool.snapshotEvery,
-		SegmentBytes:    pool.segmentBytes,
+		MempoolCap:     pool.mempoolCap,
+		AdmissionFloor: pool.admissionFloor,
+		BlockLimit:     pool.blockLimit,
+		InflightLimit:  pool.inflightLimit,
+		SnapshotEvery:  pool.snapshotEvery,
+		SegmentBytes:   pool.segmentBytes,
 	}
 
 	// One shared registry/event-log/health for the process. In demo

@@ -44,7 +44,7 @@ func run(ctx context.Context) error {
 			repchain.CollectorBehavior{},
 			repchain.CollectorBehavior{Misreport: 0.5},
 		),
-		repchain.WithMempool(6, 32), // one bounded shard per user
+		repchain.WithMempool(32), // at most 32 pending per user
 		repchain.WithSeed(7),
 	)
 	if err != nil {

@@ -42,7 +42,7 @@ func run(ctx context.Context) error {
 		repchain.WithCommittees(2),
 		repchain.WithValidator(validator),
 		repchain.WithReputationParams(0.9, 0.5, 1.1, 2.0), // β, f, µ, ν — the paper's defaults
-		repchain.WithMempool(4, 64),                       // bounded per-provider shards; full = ErrBacklog
+		repchain.WithMempool(64),                          // at most 64 pending per provider; full = ErrBacklog
 		repchain.WithSeed(2024),
 	)
 	if err != nil {

@@ -58,9 +58,9 @@ var (
 	// restart that does not apply (already down, already live, index out
 	// of range).
 	ErrNodeDown = errors.New("core: node down")
-	// ErrBacklog reports a submission rejected because the provider's
-	// ingress mempool shard is full — backpressure, not loss. Run a
-	// round to drain the backlog and resubmit.
+	// ErrBacklog reports a submission rejected because the provider is
+	// at its ingress mempool cap — backpressure, not loss. Run a round to
+	// drain the backlog and resubmit.
 	ErrBacklog = errors.New("core: mempool backlog")
 	// ErrClosed reports an operation on a closed engine.
 	ErrClosed = errors.New("core: engine closed")
@@ -86,7 +86,10 @@ type Config struct {
 	Stakes []uint64
 	// Params tunes the reputation mechanism.
 	Params reputation.Params
-	// BlockLimit is b_limit; zero means unlimited.
+	// BlockLimit is b_limit; zero means unlimited. Every pool — the
+	// ingress mempool and each governor's — drains at most BlockLimit
+	// entries per round, oldest first, so overflow waits for the next
+	// block on every node alike.
 	BlockLimit int
 	// ArgueWindow is U, the argue latency bound in unchecked
 	// transactions per provider.
@@ -125,20 +128,12 @@ type Config struct {
 	// byte-identical with it on or off. Zero disables it at zero
 	// hot-path cost.
 	EventCapacity int
-	// MempoolShards enables the sharded ingress mempool: submissions
-	// are signed and staged in per-provider-shard bounded queues, and
-	// each round's collecting phase drains them in (shard, seq) order —
-	// capped at BlockLimit per round when a limit is set — before
-	// broadcasting. Zero keeps the legacy path (one unbounded queue,
-	// drained fully), which is byte-identical to broadcasting at
-	// submission time. The same setting shards every governor's upload
-	// mempool.
-	MempoolShards int
-	// MempoolShardCap bounds each ingress shard; a full shard rejects
-	// submissions with ErrBacklog. Governor-side shards instead evict
-	// their oldest pending transaction (counted, never silent). Zero
-	// means unbounded.
-	MempoolShardCap int
+	// MempoolCap bounds every mempool per provider. A provider at its
+	// cap in the ingress mempool has submissions rejected with
+	// ErrBacklog; a governor's mempool instead evicts that provider's
+	// oldest pending transaction (counted, never silent). Zero means
+	// unbounded.
+	MempoolCap int
 	// AdmissionFloor makes every governor shed verified uploads from
 	// collectors whose draw-time reputation weight for the submitting
 	// provider is below the floor. Zero admits everything.
@@ -208,7 +203,7 @@ type Engine struct {
 	stakeCorruptor proposalCorruptor
 
 	// ingress stages signed-but-unbroadcast submissions; each round's
-	// collecting phase drains it in (shard, seq) order. closed gates
+	// collecting phase drains it in arrival order. closed gates
 	// SubmitTx and RunRound after Close.
 	ingress *mempool.Pool[ingressTx]
 	closed  bool
@@ -225,10 +220,6 @@ type ingressTx struct {
 	provider int
 	signed   tx.SignedTx
 }
-
-// mempoolEnabled reports whether the sharded ingress path was
-// explicitly configured (versus the byte-identical legacy default).
-func (e *Engine) mempoolEnabled() bool { return e.cfg.MempoolShards > 0 }
 
 // drainBatchBuckets bound the mempool.drain_batch histogram:
 // powers-of-two batch sizes from single transactions up past any
@@ -260,11 +251,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Validator == nil {
 		return nil, fmt.Errorf("nil validator: %w", ErrBadConfig)
 	}
-	if cfg.MempoolShards < 0 {
-		return nil, fmt.Errorf("mempool shards %d: %w", cfg.MempoolShards, ErrBadConfig)
-	}
-	if cfg.MempoolShardCap < 0 {
-		return nil, fmt.Errorf("mempool shard cap %d: %w", cfg.MempoolShardCap, ErrBadConfig)
+	if cfg.MempoolCap < 0 {
+		return nil, fmt.Errorf("mempool cap %d: %w", cfg.MempoolCap, ErrBadConfig)
 	}
 	if cfg.AdmissionFloor < 0 || cfg.AdmissionFloor > 1 {
 		return nil, fmt.Errorf("admission floor %v: %w", cfg.AdmissionFloor, ErrBadConfig)
@@ -321,7 +309,7 @@ func New(cfg Config) (*Engine, error) {
 		reg:         metrics.NewRegistry(),
 		events:      events.NewLog(cfg.EventCapacity),
 	}
-	e.ingress = mempool.New[ingressTx](cfg.MempoolShards, cfg.MempoolShardCap)
+	e.ingress = mempool.New[ingressTx](topo.Providers(), cfg.MempoolCap)
 	e.stageSeconds = e.reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")
 	e.mpDepth = e.reg.Gauge("mempool.depth")
 	e.mpAdmitted = e.reg.Counter("mempool.admitted_total")
@@ -383,21 +371,20 @@ func New(cfg Config) (*Engine, error) {
 			store = fs
 		}
 		gov, err := node.NewGovernor(node.GovernorConfig{
-			Member:          mem,
-			Endpoint:        ep,
-			IM:              im,
-			Topology:        topo,
-			Params:          cfg.Params,
-			Validator:       cfg.Validator,
-			BlockLimit:      cfg.BlockLimit,
-			ArgueWindow:     cfg.ArgueWindow,
-			Seed:            cfg.Seed + int64(2000+j),
-			Store:           store,
-			MempoolShards:   cfg.MempoolShards,
-			MempoolShardCap: cfg.MempoolShardCap,
-			AdmissionFloor:  cfg.AdmissionFloor,
-			Metrics:         e.reg,
-			Events:          e.events,
+			Member:         mem,
+			Endpoint:       ep,
+			IM:             im,
+			Topology:       topo,
+			Params:         cfg.Params,
+			Validator:      cfg.Validator,
+			BlockLimit:     cfg.BlockLimit,
+			ArgueWindow:    cfg.ArgueWindow,
+			Seed:           cfg.Seed + int64(2000+j),
+			Store:          store,
+			MempoolCap:     cfg.MempoolCap,
+			AdmissionFloor: cfg.AdmissionFloor,
+			Metrics:        e.reg,
+			Events:         e.events,
 		})
 		if err != nil {
 			return nil, err
@@ -536,30 +523,6 @@ func (e *Engine) publishRoundMetrics(res *RoundResult) {
 	}
 }
 
-// Health summarizes the engine's liveness view for readiness probes:
-// the failure detector's live-governor count against the majority
-// quorum, and the tallest replica height.
-type Health struct {
-	Round     uint64 `json:"round"`
-	Height    uint64 `json:"height"`
-	Governors int    `json:"governors"`
-	Live      int    `json:"live"`
-	QuorumOK  bool   `json:"quorum_ok"`
-}
-
-// Health reports the engine's current degradation state.
-func (e *Engine) Health() Health {
-	h := Health{Round: e.round, Governors: len(e.governors)}
-	for _, g := range e.governors {
-		if height := g.Store().Height(); height > h.Height {
-			h.Height = height
-		}
-	}
-	h.Live = len(e.liveGovernors())
-	h.QuorumOK = h.Live > len(e.governors)/2
-	return h
-}
-
 // Metrics exposes the engine's operational metrics registry:
 // "election.vrf_unknown_sender" counts dropped VRF messages from
 // undecodable senders; "sigcache.hits", "sigcache.misses", and
@@ -602,8 +565,8 @@ func (e *Engine) SubmitTx(k int, kind string, payload []byte, isValid bool) (tx.
 
 // SubmitBatch has provider k sign a batch of transactions and stage
 // them in the ingress mempool; the next round's collecting phase
-// broadcasts them. It admits exactly the prefix the provider's shard
-// has room for and returns it, with an ErrBacklog-wrapping error when
+// broadcasts them. It admits exactly the prefix the provider's cap has
+// room for and returns it, with an ErrBacklog-wrapping error when
 // that is not the whole batch. The refused suffix is rejected before
 // anything is signed or recorded, so a backpressured caller can simply
 // run a round and resubmit it — no provider state leaks. ctx is
@@ -621,7 +584,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission
 	var backlog error
 	if room := e.ingress.Room(k); room < len(items) {
 		items = items[:room]
-		backlog = fmt.Errorf("provider %d ingress shard full (cap %d): %w", k, e.ingress.Cap(), ErrBacklog)
+		backlog = fmt.Errorf("provider %d ingress mempool full (cap %d): %w", k, e.ingress.Cap(), ErrBacklog)
 	}
 	signed := e.providers[k].SignBatch(items, int64(e.bus.Now()))
 	for _, s := range signed {
@@ -638,19 +601,12 @@ func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission
 // round's drain.
 func (e *Engine) MempoolDepth() int { return e.ingress.Len() }
 
-// drainIngress broadcasts a batch of staged submissions in (shard,
-// seq) order — the same total order at any worker count, and with the
-// legacy single-shard configuration exactly the submission order, so
-// bus sequence numbers match the old broadcast-at-submit path byte for
-// byte. With the sharded mempool enabled and a block limit set, the
-// batch is capped at BlockLimit; the rest stays queued for later
-// rounds.
+// drainIngress broadcasts the oldest staged submissions, at most
+// BlockLimit of them (all with no limit), in submission order — the
+// same total order at any worker count. The rest stays queued for
+// later rounds.
 func (e *Engine) drainIngress() error {
-	max := 0
-	if e.mempoolEnabled() {
-		max = e.cfg.BlockLimit
-	}
-	batch := e.ingress.Drain(max)
+	batch := e.ingress.Drain(e.cfg.BlockLimit)
 	for _, it := range batch {
 		if err := e.providers[it.provider].Broadcast(it.signed, e.bus); err != nil {
 			return err
@@ -751,10 +707,9 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundResult{}, err
 	}
-	// Broadcast staged submissions first, at the same bus tick the
-	// pre-mempool engine broadcast them at submit time (the tick only
-	// advances inside rounds), so legacy configurations stay
-	// byte-identical on the wire.
+	// Broadcast staged submissions first: the bus tick only advances
+	// inside rounds, so they go out at the tick a broadcast at submit
+	// time would have used.
 	stageStart := time.Now()
 	if err := e.drainIngress(); err != nil {
 		return RoundResult{}, err

@@ -8,20 +8,19 @@ import (
 	"testing"
 )
 
-// mempoolConfig enables the sharded mempool with a block limit small
-// enough that multi-round carryover actually happens in the traces.
+// mempoolConfig bounds the mempools with a block limit small enough
+// that multi-round carryover actually happens in the traces.
 func mempoolConfig() Config {
 	cfg := defaultConfig()
-	cfg.MempoolShards = 4
-	cfg.MempoolShardCap = 64
+	cfg.MempoolCap = 64
 	cfg.BlockLimit = 8
 	return cfg
 }
 
-// runMempoolTrace mirrors runTrace with the sharded mempool enabled:
-// submissions are staged, drained in (shard, seq) order, and capped at
-// BlockLimit per round, so every round after the first screens a mix of
-// fresh and carried-over transactions.
+// runMempoolTrace mirrors runTrace with bounded mempools: submissions
+// are staged, drained in arrival order, and capped at BlockLimit per
+// round, so every round after the first screens a mix of fresh and
+// carried-over transactions.
 func runMempoolTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 	t.Helper()
 	cfg := mempoolConfig()
@@ -32,7 +31,7 @@ func runMempoolTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 	var tr roundTrace
 	for r := 0; r < rounds; r++ {
 		submitRound(t, e, 12, r, 3)
-		// Provider 1's shard (cap 64) fills by round 3: the later
+		// Provider 1's cap of 64 fills by round 3: the later
 		// batches exercise the admitted-prefix path at every worker
 		// count.
 		if _, err := e.SubmitBatch(context.Background(), 1, batchFor(r, 24)); err != nil && !errors.Is(err, ErrBacklog) {
@@ -53,7 +52,7 @@ func runMempoolTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 }
 
 // TestMempoolParallelDeterminism extends the determinism gate to the
-// sharded, block-limited configuration: drain order is a pure function
+// bounded, block-limited configuration: drain order is a pure function
 // of the submission sequence, so traces stay byte-identical at any
 // worker count even while the mempool carries backlog across rounds.
 func TestMempoolParallelDeterminism(t *testing.T) {
@@ -82,16 +81,16 @@ func TestMempoolParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestMempoolBackpressure pins the ErrBacklog contract: a full shard
-// rejects before the provider signs anything, a round drains the shard,
+// TestMempoolBackpressure pins the ErrBacklog contract: a provider at
+// its cap is rejected before it signs anything, a round drains it,
 // and the retried submission then succeeds — with no gap or reuse in
 // the provider's sequence numbers.
 func TestMempoolBackpressure(t *testing.T) {
 	cfg := mempoolConfig()
-	cfg.MempoolShardCap = 2
+	cfg.MempoolCap = 2
 	e := newTestEngine(t, cfg)
 	providers := e.Roster().Topology.Providers()
-	// With 4 providers and 4 shards, provider 0 alone fills shard 0.
+	// Provider 0 fills its cap.
 	var lastSeq uint64
 	for i := 0; i < 2; i++ {
 		signed, err := e.SubmitTx(0, "test/tx", payloadFor(true, i), true)
@@ -102,12 +101,12 @@ func TestMempoolBackpressure(t *testing.T) {
 	}
 	_, err := e.SubmitTx(0, "test/tx", payloadFor(true, 99), true)
 	if !errors.Is(err, ErrBacklog) {
-		t.Fatalf("submit to full shard error = %v, want ErrBacklog", err)
+		t.Fatalf("submit over the cap error = %v, want ErrBacklog", err)
 	}
-	// Sibling shards are unaffected.
+	// Other providers are unaffected.
 	if providers > 1 {
 		if _, err := e.SubmitTx(1, "test/tx", payloadFor(true, 3), true); err != nil {
-			t.Fatalf("sibling shard submit: %v", err)
+			t.Fatalf("other provider's submit: %v", err)
 		}
 	}
 	if _, err := e.RunRound(); err != nil {
@@ -164,12 +163,12 @@ func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
 }
 
 // TestSubmitBatchAdmitsPrefix pins SubmitBatch's backpressure
-// contract: exactly the prefix the shard has room for is signed and
+// contract: exactly the prefix the cap has room for is signed and
 // staged; the refused suffix consumes no sequence number and leaves no
 // pending entry; a cancelled context admits nothing.
 func TestSubmitBatchAdmitsPrefix(t *testing.T) {
 	cfg := mempoolConfig()
-	cfg.MempoolShardCap = 5
+	cfg.MempoolCap = 5
 	cfg.BlockLimit = 0
 	e := newTestEngine(t, cfg)
 	items := batchFor(0, 12)
@@ -198,9 +197,9 @@ func TestSubmitBatchAdmitsPrefix(t *testing.T) {
 	if e.MempoolDepth() != 5 || e.Provider(0).PendingValid() != 5 {
 		t.Fatalf("depth %d pending %d after a 5-tx prefix", e.MempoolDepth(), e.Provider(0).PendingValid())
 	}
-	// A full shard admits nothing, still without touching the provider.
+	// A full provider admits nothing, still without touching its state.
 	if got, err := e.SubmitBatch(context.Background(), 0, items[5:]); !errors.Is(err, ErrBacklog) || len(got) != 0 {
-		t.Fatalf("full shard admitted %d, err %v", len(got), err)
+		t.Fatalf("full provider admitted %d, err %v", len(got), err)
 	}
 	if _, err := e.RunRound(); err != nil {
 		t.Fatal(err)
@@ -291,8 +290,7 @@ func TestNewMempoolValidation(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"negative shards", func(c *Config) { c.MempoolShards = -1 }},
-		{"negative shard cap", func(c *Config) { c.MempoolShardCap = -8 }},
+		{"negative shard cap", func(c *Config) { c.MempoolCap = -8 }},
 		{"floor below zero", func(c *Config) { c.AdmissionFloor = -0.1 }},
 		{"floor above one", func(c *Config) { c.AdmissionFloor = 1.5 }},
 	}

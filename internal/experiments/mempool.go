@@ -9,20 +9,19 @@ import (
 	"repchain/internal/reputation"
 )
 
-// E13MempoolBackpressure measures the sharded-mempool ingestion tier
+// E13MempoolBackpressure measures the mempool ingestion tier
 // (DESIGN.md §4d): a burst far larger than one block is submitted
 // up front with a retry-on-backlog loop, and the table reports how the
 // backlog drains round by round — staged depth, drained batch size,
 // committed records — until the burst fully commits. The claim under
-// test: bounded shards + BlockLimit-capped drains give backpressure
+// test: per-provider caps + BlockLimit-capped drains give backpressure
 // without loss (every burst transaction eventually commits) at a
 // steady one-block-per-round pace.
 func E13MempoolBackpressure(seed int64, scale int) (Table, error) {
 	const (
-		providers  = 8
-		shards     = 4
-		shardCap   = 64
-		blockLimit = 64
+		providers      = 8
+		capPerProvider = 32
+		blockLimit     = 64
 	)
 	burst := 512 * scale
 	t := Table{
@@ -30,20 +29,19 @@ func E13MempoolBackpressure(seed int64, scale int) (Table, error) {
 		Title:  "Mempool backpressure — burst drains at b_limit per round, no loss",
 		Header: []string{"round", "staged", "drained", "committed", "backlogged submits"},
 		Notes: []string{
-			fmt.Sprintf("burst of %d tx from %d providers into a %d-shard mempool (cap %d/shard, b_limit %d)", burst, providers, shards, shardCap, blockLimit),
-			"backlogged submits = ErrBacklog rejections retried after the next round; expected shape: staged ≤ shards·cap, drained = b_limit until the tail, total committed = burst",
+			fmt.Sprintf("burst of %d tx from %d providers into a mempool capped at %d per provider (b_limit %d)", burst, providers, capPerProvider, blockLimit),
+			"backlogged submits = ErrBacklog rejections retried after the next round; expected shape: staged ≤ providers·cap, drained = b_limit until the tail, total committed = burst",
 		},
 	}
 	cfg := core.Config{
-		Spec:            identity.TopologySpec{Providers: providers, Collectors: 4, Degree: 2},
-		Governors:       3,
-		Params:          reputation.DefaultParams(),
-		BlockLimit:      blockLimit,
-		MempoolShards:   shards,
-		MempoolShardCap: shardCap,
-		ArgueWindow:     64,
-		Seed:            seed,
-		Validator:       engineValidator,
+		Spec:        identity.TopologySpec{Providers: providers, Collectors: 4, Degree: 2},
+		Governors:   3,
+		Params:      reputation.DefaultParams(),
+		BlockLimit:  blockLimit,
+		MempoolCap:  capPerProvider,
+		ArgueWindow: 64,
+		Seed:        seed,
+		Validator:   engineValidator,
 	}
 	e, err := core.New(cfg)
 	if err != nil {
@@ -56,7 +54,7 @@ func E13MempoolBackpressure(seed int64, scale int) (Table, error) {
 	committed := 0
 	round := 0
 	for len(pending) > 0 || e.MempoolDepth() > 0 {
-		// Submit as much of the remaining burst as the shards accept.
+		// Submit as much of the remaining burst as the caps accept.
 		backlogged := 0
 		rest := pending[:0]
 		for _, i := range pending {

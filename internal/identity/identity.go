@@ -239,15 +239,6 @@ func (m *Manager) PublicKeyOf(id NodeID) (crypto.PublicKey, error) {
 	return cert.PublicKey, nil
 }
 
-// RoleOf returns the certified role of id.
-func (m *Manager) RoleOf(id NodeID) (Role, error) {
-	cert, err := m.Lookup(id)
-	if err != nil {
-		return 0, err
-	}
-	return cert.Role, nil
-}
-
 // Revoke withdraws a node's credential. Subsequent lookups and
 // verifications fail with ErrRevoked.
 func (m *Manager) Revoke(id NodeID) error {

@@ -1,149 +1,116 @@
-// Package mempool provides the sharded ingestion queue in front of the
-// round pipeline. A Pool partitions entries by a caller-supplied key
-// (provider index) into a fixed number of shards, each a bounded FIFO,
-// and drains them in strict (shard, seq) order: shard 0's entries in
-// arrival order, then shard 1's, and so on. Because the drain order is
-// a pure function of the Add call sequence — never of goroutine
-// schedule, map iteration, or time — a pool-fed pipeline stays
-// byte-identical at any worker count.
+// Package mempool provides the ingestion queue in front of the round
+// pipeline. A Pool is one FIFO in arrival order, bounded per key (the
+// provider index): a provider at its cap is refused while every other
+// provider still gets in, and Drain always hands out the oldest entries
+// first. Because the drain order is the Add call order — never
+// goroutine schedule, map iteration, or time — a pool-fed pipeline
+// stays byte-identical at any worker count.
 //
-// The pool is deliberately policy-free: it reports overflow via
-// ErrShardFull and exposes EvictOldest, leaving shed/evict/backpressure
-// decisions (and their metrics) to the caller. RepChain-sharding
-// (arXiv:1901.05741) motivates the partitioning; admission policy on
-// top of it lives in the governor (see node.GovernorConfig).
+// The pool is deliberately policy-free: it reports overflow via ErrFull
+// and exposes EvictOldest, leaving shed/evict/backpressure decisions
+// (and their metrics) to the caller; admission policy on top of it
+// lives in the governor (see node.GovernorConfig).
 package mempool
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// ErrShardFull reports an Add to a bounded shard at capacity. Callers
-// decide the policy: reject (backpressure) or EvictOldest and retry.
-var ErrShardFull = errors.New("mempool: shard full")
+// ErrFull reports an Add for a key already at the pool's per-key cap.
+// Callers decide the policy: reject (backpressure) or EvictOldest and
+// retry.
+var ErrFull = errors.New("mempool: key at capacity")
 
-// item is one queued entry: the value plus its pool-wide arrival
-// sequence number, which makes drain order auditable in tests.
+// item is one queued entry and the key it counts against.
 type item[T any] struct {
-	seq uint64
+	key int
 	val T
 }
 
-// Pool is a sharded FIFO. Not safe for concurrent use: the engine and
-// governors drive their pools single-threaded, which is also what
-// determinism requires.
+// Pool is a FIFO bounded per key. Not safe for concurrent use: the
+// engine and governors drive their pools single-threaded, which is also
+// what determinism requires.
 type Pool[T any] struct {
-	shards [][]item[T]
-	cap    int // per-shard bound; 0 = unbounded
-	seq    uint64
-	length int
+	fifo []item[T]
+	cap  int         // per-key bound; 0 = unbounded
+	per  map[int]int // queued entries per key; nil when unbounded
+	seq  uint64
 }
 
-// New creates a pool with the given shard count and per-shard capacity
-// (0 = unbounded). Shard counts below 1 are treated as 1, so the
-// zero-configuration pool degenerates to a single unbounded FIFO —
-// exactly the pre-mempool ingestion behavior.
-func New[T any](shards, shardCap int) *Pool[T] {
-	if shards < 1 {
-		shards = 1
+// New creates a pool for the given number of keys (the provider count)
+// holding at most keyCap entries per key; keyCap <= 0 means unbounded,
+// the zero-configuration pool.
+func New[T any](keys, keyCap int) *Pool[T] {
+	p := &Pool[T]{}
+	if keyCap > 0 {
+		p.cap = keyCap
+		p.per = make(map[int]int, max(keys, 0))
 	}
-	if shardCap < 0 {
-		shardCap = 0
-	}
-	return &Pool[T]{shards: make([][]item[T], shards), cap: shardCap}
+	return p
 }
 
-// Shards returns the shard count.
-func (p *Pool[T]) Shards() int { return len(p.shards) }
-
-// Cap returns the per-shard capacity (0 = unbounded).
+// Cap returns the per-key capacity (0 = unbounded).
 func (p *Pool[T]) Cap() int { return p.cap }
 
-// shardOf maps a key to its shard, tolerating negative keys.
-func (p *Pool[T]) shardOf(key int) int {
-	n := len(p.shards)
-	return ((key % n) + n) % n
-}
-
-// Room returns how many more entries key's shard can take;
-// math.MaxInt when shards are unbounded.
+// Room returns how many more entries key can take; math.MaxInt when
+// the pool is unbounded.
 func (p *Pool[T]) Room(key int) int {
 	if p.cap == 0 {
 		return math.MaxInt
 	}
-	return p.cap - len(p.shards[p.shardOf(key)])
+	return p.cap - p.per[key]
 }
 
-// Add appends v to key's shard and returns its arrival sequence
-// number. A bounded shard at capacity fails with ErrShardFull and
-// leaves the pool unchanged.
+// Add appends v for key and returns its arrival sequence number. A key
+// at capacity fails with ErrFull and leaves the pool unchanged.
 func (p *Pool[T]) Add(key int, v T) (uint64, error) {
-	s := p.shardOf(key)
-	if p.cap != 0 && len(p.shards[s]) >= p.cap {
-		return 0, fmt.Errorf("shard %d at %d: %w", s, p.cap, ErrShardFull)
+	if p.Room(key) <= 0 {
+		return 0, fmt.Errorf("key %d at %d: %w", key, p.cap, ErrFull)
 	}
 	p.seq++
-	p.shards[s] = append(p.shards[s], item[T]{seq: p.seq, val: v})
-	p.length++
+	p.fifo = append(p.fifo, item[T]{key: key, val: v})
+	if p.per != nil {
+		p.per[key]++
+	}
 	return p.seq, nil
 }
 
-// Len returns the total queued entries across all shards.
-func (p *Pool[T]) Len() int { return p.length }
+// Len returns the number of queued entries.
+func (p *Pool[T]) Len() int { return len(p.fifo) }
 
-// ShardLen returns the queue depth of key's shard.
-func (p *Pool[T]) ShardLen(key int) int { return len(p.shards[p.shardOf(key)]) }
-
-// Drain removes and returns up to max entries in (shard, seq) order —
-// all of shard 0's backlog (oldest first), then shard 1's, and so on.
-// max <= 0 drains everything. The strict order favors determinism over
-// cross-shard fairness; a capped drain leaves later shards queued for
-// the next call, which rotates naturally as earlier shards empty.
+// Drain removes and returns up to max entries, oldest first; max <= 0
+// drains everything.
 func (p *Pool[T]) Drain(max int) []T {
-	if max <= 0 || max > p.length {
-		max = p.length
+	if max <= 0 || max > len(p.fifo) {
+		max = len(p.fifo)
 	}
-	out := make([]T, 0, max)
-	for s := range p.shards {
-		if len(out) == max {
-			break
-		}
-		take := max - len(out)
-		if take > len(p.shards[s]) {
-			take = len(p.shards[s])
-		}
-		for _, it := range p.shards[s][:take] {
-			out = append(out, it.val)
-		}
-		rest := p.shards[s][take:]
-		if len(rest) == 0 {
-			p.shards[s] = nil
-		} else {
-			p.shards[s] = append([]item[T](nil), rest...)
+	out := make([]T, max)
+	for i, it := range p.fifo[:max] {
+		out[i] = it.val
+		if p.per != nil {
+			p.per[it.key]--
 		}
 	}
-	p.length -= len(out)
+	p.fifo = slices.Delete(p.fifo, 0, max)
 	return out
 }
 
-// EvictOldest removes and returns the oldest entry of key's shard,
-// reporting false when the shard is empty. Callers use it to implement
-// evict-oldest overflow policies on top of ErrShardFull.
+// EvictOldest removes and returns key's oldest entry, reporting false
+// when key has none. Callers use it to implement evict-oldest overflow
+// policies on top of ErrFull.
 func (p *Pool[T]) EvictOldest(key int) (T, bool) {
-	s := p.shardOf(key)
-	var zero T
-	if len(p.shards[s]) == 0 {
+	i := slices.IndexFunc(p.fifo, func(it item[T]) bool { return it.key == key })
+	if i < 0 {
+		var zero T
 		return zero, false
 	}
-	v := p.shards[s][0].val
-	rest := p.shards[s][1:]
-	if len(rest) == 0 {
-		p.shards[s] = nil
-	} else {
-		p.shards[s] = append([]item[T](nil), rest...)
+	v := p.fifo[i].val
+	p.fifo = slices.Delete(p.fifo, i, i+1)
+	if p.per != nil {
+		p.per[key]--
 	}
-	p.length--
 	return v, true
 }

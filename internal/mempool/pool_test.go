@@ -6,24 +6,22 @@ import (
 	"testing"
 )
 
-func TestDrainShardSeqOrder(t *testing.T) {
+// TestDrainArrivalOrder: whatever the keys, entries come out in the
+// order they were added.
+func TestDrainArrivalOrder(t *testing.T) {
 	p := New[int](4, 0)
-	// Interleave keys so arrival order differs from (shard, seq) order.
 	for i, key := range []int{3, 0, 1, 0, 2, 3, 1, 0} {
 		if _, err := p.Add(key, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := p.Drain(0)
-	// shard 0 gets arrivals 1, 3, 7; shard 1 gets 2, 6; shard 2 gets 4;
-	// shard 3 gets 0, 5.
-	want := []int{1, 3, 7, 2, 6, 4, 0, 5}
-	if len(got) != len(want) {
-		t.Fatalf("Drain returned %d entries, want %d", len(got), len(want))
+	if len(got) != 8 {
+		t.Fatalf("Drain returned %d entries, want 8", len(got))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Drain order %v, want %v", got, want)
+	for i := range got {
+		if got[i] != i {
+			t.Fatalf("Drain order %v, want arrival order", got)
 		}
 	}
 	if p.Len() != 0 {
@@ -39,8 +37,7 @@ func TestDrainCapLeavesTail(t *testing.T) {
 		}
 	}
 	first := p.Drain(4)
-	// (shard, seq): shard 0 holds 0,2,4; shard 1 holds 1,3,5.
-	want := []int{0, 2, 4, 1}
+	want := []int{0, 1, 2, 3}
 	for i := range want {
 		if first[i] != want[i] {
 			t.Fatalf("capped drain %v, want %v", first, want)
@@ -50,12 +47,12 @@ func TestDrainCapLeavesTail(t *testing.T) {
 		t.Fatalf("Len() = %d, want 2", p.Len())
 	}
 	second := p.Drain(0)
-	if second[0] != 3 || second[1] != 5 {
-		t.Fatalf("second drain %v, want [3 5]", second)
+	if second[0] != 4 || second[1] != 5 {
+		t.Fatalf("second drain %v, want [4 5]", second)
 	}
 }
 
-func TestBoundedShardRejects(t *testing.T) {
+func TestBoundedKeyRejects(t *testing.T) {
 	p := New[string](2, 2)
 	for i := 0; i < 2; i++ {
 		if _, err := p.Add(0, "x"); err != nil {
@@ -63,14 +60,14 @@ func TestBoundedShardRejects(t *testing.T) {
 		}
 	}
 	if got := p.Room(0); got != 0 {
-		t.Fatalf("Room on a full shard = %d, want 0", got)
+		t.Fatalf("Room on a full key = %d, want 0", got)
 	}
-	if _, err := p.Add(0, "overflow"); !errors.Is(err, ErrShardFull) {
-		t.Fatalf("Add to full shard = %v, want ErrShardFull", err)
+	if _, err := p.Add(0, "overflow"); !errors.Is(err, ErrFull) {
+		t.Fatalf("Add to full key = %v, want ErrFull", err)
 	}
-	// The sibling shard is unaffected.
+	// Another key is unaffected.
 	if got := p.Room(1); got != 2 {
-		t.Fatalf("empty sibling shard Room = %d, want 2", got)
+		t.Fatalf("empty key Room = %d, want 2", got)
 	}
 	if _, err := p.Add(1, "ok"); err != nil {
 		t.Fatal(err)
@@ -84,46 +81,53 @@ func TestBoundedShardRejects(t *testing.T) {
 	if p.Len() != 3 {
 		t.Fatalf("Len() = %d, want 3", p.Len())
 	}
+	// Draining frees the drained entries' keys.
+	p.Drain(1)
+	if got := p.Room(0); got != 1 {
+		t.Fatalf("Room after draining one entry = %d, want 1", got)
+	}
 }
 
 func TestEvictOldest(t *testing.T) {
 	p := New[int](2, 2)
-	for _, v := range []int{10, 20} {
-		if _, err := p.Add(0, v); err != nil {
+	for i, v := range []int{10, 11, 20, 21} {
+		if _, err := p.Add(i%2, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	old, ok := p.EvictOldest(0)
-	if !ok || old != 10 {
-		t.Fatalf("EvictOldest = (%d, %v), want (10, true)", old, ok)
+	// Key 1's oldest is 11, queued behind key 0's 10.
+	old, ok := p.EvictOldest(1)
+	if !ok || old != 11 {
+		t.Fatalf("EvictOldest = (%d, %v), want (11, true)", old, ok)
 	}
-	if _, err := p.Add(0, 30); err != nil {
+	if _, err := p.Add(1, 30); err != nil {
 		t.Fatalf("Add after evict: %v", err)
 	}
 	got := p.Drain(0)
-	if len(got) != 2 || got[0] != 20 || got[1] != 30 {
-		t.Fatalf("Drain = %v, want [20 30]", got)
+	if len(got) != 4 || got[0] != 10 || got[1] != 20 || got[2] != 21 || got[3] != 30 {
+		t.Fatalf("Drain = %v, want [10 20 21 30]", got)
 	}
 	if _, ok := p.EvictOldest(0); ok {
-		t.Fatal("EvictOldest on empty shard reported true")
+		t.Fatal("EvictOldest on an empty pool reported true")
 	}
 }
 
 func TestNegativeKeysAndDegenerateConfig(t *testing.T) {
-	p := New[int](0, -1) // clamps to 1 unbounded shard
-	if p.Shards() != 1 || p.Cap() != 0 {
-		t.Fatalf("Shards() = %d, Cap() = %d, want 1, 0", p.Shards(), p.Cap())
+	p := New[int](0, -1) // no keys declared, negative cap: unbounded
+	if p.Cap() != 0 {
+		t.Fatalf("Cap() = %d, want 0", p.Cap())
 	}
 	for i, key := range []int{-3, 5, -1} {
 		if _, err := p.Add(key, i); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if v, ok := p.EvictOldest(-1); !ok || v != 2 {
+		t.Fatalf("EvictOldest(-1) = (%d, %v), want (2, true)", v, ok)
+	}
 	got := p.Drain(0)
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("single-shard drain %v, want FIFO", got)
-		}
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("drain %v, want FIFO [0 1]", got)
 	}
 }
 

@@ -27,9 +27,6 @@ func newCounterVec(name string, labels []string) *CounterVec {
 	return &CounterVec{name: name, labels: labels, kids: make(map[string]*Counter)}
 }
 
-// Labels returns the family's ordered label names.
-func (v *CounterVec) Labels() []string { return v.labels }
-
 // With returns the child counter for the given label values (in label
 // order), creating it on first use. The number of values must match
 // the number of label names; a mismatch panics, as it is always a
@@ -92,9 +89,6 @@ func newGaugeVec(name string, labels []string) *GaugeVec {
 	return &GaugeVec{name: name, labels: labels, kids: make(map[string]*Gauge)}
 }
 
-// Labels returns the family's ordered label names.
-func (v *GaugeVec) Labels() []string { return v.labels }
-
 // With returns the child gauge for the given label values (in label
 // order), creating it on first use. Panics on arity mismatch.
 func (v *GaugeVec) With(values ...string) *Gauge {
@@ -150,9 +144,6 @@ type HistogramVec struct {
 func newHistogramVec(name string, bounds []float64, labels []string) *HistogramVec {
 	return &HistogramVec{name: name, labels: labels, bounds: bounds, kids: make(map[string]*Histogram)}
 }
-
-// Labels returns the family's ordered label names.
-func (v *HistogramVec) Labels() []string { return v.labels }
 
 // With returns the child histogram for the given label values,
 // creating it on first use. Panics on arity mismatch.

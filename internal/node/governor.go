@@ -45,7 +45,9 @@ type GovernorConfig struct {
 	Params reputation.Params
 	// Validator is validate(tx).
 	Validator tx.Validator
-	// BlockLimit is b_limit; zero means unlimited.
+	// BlockLimit is b_limit; zero means unlimited. ScreenRound yields at
+	// most BlockLimit records a round and AcceptBlock refuses a block
+	// with more.
 	BlockLimit int
 	// ArgueWindow is U: an unchecked transaction may be argued until
 	// U newer unchecked transactions from the same provider exist.
@@ -56,14 +58,11 @@ type GovernorConfig struct {
 	// fresh in-memory store. Pass a ledger.FileStore for a persistent
 	// replica that survives restarts.
 	Store ledger.Store
-	// MempoolShards shards the governor's upload mempool by provider
-	// index. Zero keeps the legacy single unbounded queue, which drains
-	// fully every round — byte-identical to the pre-mempool pipeline.
-	MempoolShards int
-	// MempoolShardCap bounds each mempool shard (0 = unbounded). A full
-	// shard evicts its oldest pending transaction to admit the new one;
-	// evictions are counted in mempool.evicted_total.
-	MempoolShardCap int
+	// MempoolCap bounds the governor's upload mempool per provider (0 =
+	// unbounded). A provider at its cap has its oldest pending
+	// transaction evicted to admit the new one; evictions are counted in
+	// mempool.evicted_total.
+	MempoolCap int
 	// AdmissionFloor sheds uploads whose (provider, collector)
 	// reputation weight — the same signal the screen.draw_weight
 	// histogram observes — has decayed below the floor. Zero admits
@@ -119,8 +118,8 @@ type GovernorStats struct {
 	// floor (the uploader's weight for that provider was below
 	// AdmissionFloor).
 	ShedReports int
-	// EvictedTxs counts pending transactions evicted from a full
-	// mempool shard to admit newer arrivals.
+	// EvictedTxs counts pending transactions evicted because their
+	// provider was at its mempool cap, to admit its newer arrivals.
 	EvictedTxs int
 }
 
@@ -135,7 +134,7 @@ type uncheckedEntry struct {
 
 // groupedTx accumulates the pending reports for one transaction. The
 // screening order lives in the governor's mempool, not here: the pool
-// holds each pending transaction's ID in (shard, seq) position.
+// holds each pending transaction's ID in arrival order.
 type groupedTx struct {
 	signed   tx.SignedTx
 	provider int
@@ -154,13 +153,14 @@ type Governor struct {
 	rng   *rand.Rand
 
 	// pending ingestion state: transactions grouped by ID, with the
-	// deterministic (shard, seq) screening order kept in pool.
+	// screening order — arrival order — kept in pool.
 	groups map[crypto.Hash]*groupedTx
 	pool   *mempool.Pool[crypto.Hash]
 	argues []ArgueMsg
 
-	// pendingRecords carries argue re-validations and block-limit
-	// overflow into subsequent blocks.
+	// pendingRecords carries argue re-validations that did not fit the
+	// round's BlockLimit into later rounds. Every governor processes
+	// every argue, so the carry is the same on every governor.
 	pendingRecords []ledger.Record
 
 	// unchecked is the per-provider argue window (U) queue.
@@ -216,8 +216,8 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	if store == nil {
 		store = ledger.NewMemoryStore()
 	}
-	if cfg.MempoolShards < 0 {
-		return nil, fmt.Errorf("governor %s: mempool shards %d must be non-negative", cfg.Member.ID, cfg.MempoolShards)
+	if cfg.MempoolCap < 0 {
+		return nil, fmt.Errorf("governor %s: mempool cap %d must be non-negative", cfg.Member.ID, cfg.MempoolCap)
 	}
 	if cfg.AdmissionFloor < 0 || cfg.AdmissionFloor > 1 {
 		return nil, fmt.Errorf("governor %s: admission floor %v outside [0, 1]", cfg.Member.ID, cfg.AdmissionFloor)
@@ -228,7 +228,7 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		store:           store,
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
 		groups:          make(map[crypto.Hash]*groupedTx),
-		pool:            mempool.New[crypto.Hash](cfg.MempoolShards, cfg.MempoolShardCap),
+		pool:            mempool.New[crypto.Hash](cfg.Topology.Providers(), cfg.MempoolCap),
 		unchecked:       make(map[int][]*uncheckedEntry),
 		uncheckedByID:   make(map[crypto.Hash]*uncheckedEntry),
 		committedValid:  make(map[crypto.Hash]bool),
@@ -545,10 +545,10 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, labeled tx.UploadI
 	}
 	grp, ok := g.groups[id]
 	if !ok {
-		// New pending transaction: take a mempool slot in the
-		// provider's shard. A full shard evicts its oldest pending
-		// transaction (and that transaction's accumulated reports) to
-		// admit the newer arrival.
+		// New pending transaction: take one of the provider's mempool
+		// slots. A provider at its cap has its oldest pending
+		// transaction (and that transaction's accumulated reports)
+		// evicted to admit the newer arrival.
 		if g.pool.Room(providerIdx) == 0 {
 			if old, ok := g.pool.EvictOldest(providerIdx); ok {
 				delete(g.groups, old)
@@ -646,27 +646,28 @@ func (g *Governor) ProcessArgues() error {
 
 // ScreenRound runs Algorithm 2 over a batch drained from the
 // governor's mempool and returns the records destined for the next
-// block, including any pending carryover. Reputation updates (cases 2
-// and 3) happen inline.
+// block: pending argue re-validations first, then the screened uploads,
+// at most BlockLimit in all. Whatever does not fit stays queued — the
+// re-validations in pendingRecords, the uploads in the pool — on every
+// governor alike, so the next leader, whoever it is, commits it.
+// Reputation updates (cases 2 and 3) happen inline.
 //
-// The drain is the determinism pivot: entries come out in (shard, seq)
-// order — a pure function of upload arrival order, which the bus fixes
-// by sequence number — so screening consumes the governor's RNG stream
-// identically at any worker count. With an explicitly sharded mempool
-// and a block limit, the drain is capped at BlockLimit so each round
-// screens one block-sized batch and the backlog carries over; the
-// legacy configuration drains everything, exactly as the pre-mempool
-// pipeline did.
+// The drain is the determinism pivot: entries come out in upload
+// arrival order, which the bus fixes by sequence number, so screening
+// consumes the governor's RNG stream identically at any worker count.
 func (g *Governor) ScreenRound() ([]ledger.Record, error) {
-	max := 0
-	if g.cfg.MempoolShards > 0 {
-		max = g.cfg.BlockLimit
-	}
-	batch := g.pool.Drain(max)
 	records := g.pendingRecords
 	g.pendingRecords = nil
+	uploads := 0 // Drain(0) takes everything
+	if limit := g.cfg.BlockLimit; limit > 0 {
+		if len(records) >= limit {
+			g.pendingRecords = records[limit:]
+			return records[:limit:limit], nil
+		}
+		uploads = limit - len(records)
+	}
 
-	for _, id := range batch {
+	for _, id := range g.pool.Drain(uploads) {
 		grp, ok := g.groups[id]
 		if !ok {
 			continue
@@ -793,38 +794,31 @@ func (g *Governor) expireOld(k int) error {
 	return nil
 }
 
-// BuildBlock assembles and signs the round's block from records when
-// this governor leads. Records already committed valid elsewhere in
-// the chain are dropped (several governors may hold the same argue
-// re-validation pending); records beyond BlockLimit are carried over
-// to the next block.
+// BuildBlock assembles and signs the round's block from records (a
+// ScreenRound result, so at most BlockLimit of them) when this governor
+// leads. Records already committed valid elsewhere in the chain are
+// dropped (several governors may hold the same argue re-validation
+// pending).
 func (g *Governor) BuildBlock(records []ledger.Record) (ledger.Block, error) {
 	// The transaction root is built incrementally while the block is
-	// packed: each record that survives the duplicate filter (up to the
-	// block limit) is hashed into the Merkle builder as it is placed,
-	// so the root is ready the moment the record list is final and the
-	// records are never re-walked for hashing (DESIGN.md §4f).
+	// packed: each record that survives the duplicate filter is hashed
+	// into the Merkle builder as it is placed, so the root is ready the
+	// moment the record list is final and the records are never
+	// re-walked for hashing (DESIGN.md §4f).
 	g.merkle.Reset()
 	enc := codec.GetEncoder(256)
-	limit := g.cfg.BlockLimit
 	fresh := records[:0]
 	for _, r := range records {
 		if r.Status == tx.StatusValid && g.committedValid[r.Signed.ID()] {
 			continue
 		}
 		fresh = append(fresh, r)
-		if limit <= 0 || len(fresh) <= limit {
-			enc.Reset()
-			r.Encode(enc)
-			g.merkle.Add(enc.Bytes())
-		}
+		enc.Reset()
+		r.Encode(enc)
+		g.merkle.Add(enc.Bytes())
 	}
 	enc.Release()
 	records = fresh
-	if limit > 0 && len(records) > limit {
-		g.pendingRecords = append(records[limit:], g.pendingRecords...)
-		records = records[:limit]
-	}
 	head, err := g.store.Head()
 	var prev *ledger.Block
 	if err == nil {
@@ -852,7 +846,8 @@ func (g *Governor) BuildBlock(records []ledger.Record) (ledger.Block, error) {
 }
 
 // AcceptBlock verifies and appends a proposed block: the proposer must
-// be the elected leader, the signature must verify, and the chain
+// be the elected leader, the signature must verify, the block must hold
+// at most BlockLimit records (ledger.ErrBlockTooLarge), and the chain
 // links must hold (the store enforces serial order and the previous
 // hash). A redelivery of an already-committed block (same serial, same
 // hash — a duplicated network message) is accepted idempotently; a
@@ -865,6 +860,10 @@ func (g *Governor) AcceptBlock(b ledger.Block, leader identity.NodeID, leaderPub
 	}
 	if err := b.VerifyProposer(leaderPub); err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
+	}
+	if limit := g.cfg.BlockLimit; limit > 0 && len(b.Records) > limit {
+		return fmt.Errorf("governor %s: block %d has %d records with b_limit %d: %w",
+			g.cfg.Member.ID, b.Serial, len(b.Records), limit, ledger.ErrBlockTooLarge)
 	}
 	if b.Serial >= 1 && b.Serial <= g.store.Height() {
 		committed, err := g.store.Get(b.Serial)

@@ -9,12 +9,12 @@ import (
 )
 
 // TestGovernorEvictOldestOnFullShard drives the eviction path directly:
-// with one-slot shards, a second transaction from the same provider
-// evicts the first (and its accumulated reports) instead of blocking.
+// with a cap of one per provider, a second transaction from the same
+// provider evicts the first (and its accumulated reports) instead of
+// blocking.
 func TestGovernorEvictOldestOnFullShard(t *testing.T) {
 	fx := newFixtureOpts(t, nil, func(cfg *GovernorConfig) {
-		cfg.MempoolShards = 2
-		cfg.MempoolShardCap = 1
+		cfg.MempoolCap = 1
 	})
 	first := fx.runUpload(t, 0, true)
 	if got := fx.governor.MempoolDepth(); got != 1 {
@@ -47,7 +47,6 @@ func TestGovernorEvictOldestOnFullShard(t *testing.T) {
 // distrusted collectors are shed — counted, never queued.
 func TestGovernorAdmissionFloorSheds(t *testing.T) {
 	fx := newFixtureOpts(t, nil, func(cfg *GovernorConfig) {
-		cfg.MempoolShards = 2
 		cfg.AdmissionFloor = 0.5
 	})
 	// Fresh weights are 1, so nothing sheds at floor 0.5.
@@ -103,7 +102,7 @@ func TestGovernorMempoolConfigValidation(t *testing.T) {
 		mutate func(*GovernorConfig)
 		want   string
 	}{
-		{"negative shards", func(c *GovernorConfig) { c.MempoolShards = -1 }, "mempool shards"},
+		{"negative cap", func(c *GovernorConfig) { c.MempoolCap = -1 }, "mempool cap"},
 		{"floor above one", func(c *GovernorConfig) { c.AdmissionFloor = 1.01 }, "admission floor"},
 		{"negative floor", func(c *GovernorConfig) { c.AdmissionFloor = -0.5 }, "admission floor"},
 	}
@@ -137,33 +136,11 @@ func tryNewGovernor(t *testing.T, mutate func(*GovernorConfig)) error {
 	return err
 }
 
-// TestGovernorLegacyDrainsFully pins the backward-compatible default:
-// with MempoolShards zero the pool is one unbounded shard and
-// ScreenRound drains it completely regardless of BlockLimit.
-func TestGovernorLegacyDrainsFully(t *testing.T) {
-	fx := newFixtureOpts(t, nil, func(cfg *GovernorConfig) {
-		cfg.BlockLimit = 1
-	})
-	fx.runUpload(t, 0, true)
-	fx.runUpload(t, 1, true)
-	fx.runUpload(t, 0, false)
-	recs, err := fx.governor.ScreenRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("legacy ScreenRound returned %d records, want all 3", len(recs))
-	}
-	if fx.governor.MempoolDepth() != 0 {
-		t.Fatalf("MempoolDepth() = %d after legacy drain, want 0", fx.governor.MempoolDepth())
-	}
-}
-
-// TestGovernorShardedDrainCapped pins the sharded behavior: the drain
-// is capped at BlockLimit and the backlog carries to the next round.
+// TestGovernorShardedDrainCapped pins the drain cap: ScreenRound
+// drains at most BlockLimit uploads and the backlog carries to the next
+// round.
 func TestGovernorShardedDrainCapped(t *testing.T) {
 	fx := newFixtureOpts(t, nil, func(cfg *GovernorConfig) {
-		cfg.MempoolShards = 2
 		cfg.BlockLimit = 2
 	})
 	for i := 0; i < 4; i++ {

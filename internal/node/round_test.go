@@ -16,25 +16,27 @@ import (
 	"repchain/internal/metrics"
 	"repchain/internal/network"
 	"repchain/internal/reputation"
+	"repchain/internal/tx"
 )
 
 // alliance is three governors' round steppers on a zero-delay bus: the
 // smallest driver there is. No sockets, no sleeps, no engine.
 type alliance struct {
-	t      *testing.T
-	bus    *network.Bus
-	ids    []identity.NodeID
-	govs   []*Governor
-	rounds []*GovernorRound
-	stakes []uint64
-	reg    *metrics.Registry
-	log    *events.Log
-	round  uint64
+	t        *testing.T
+	bus      *network.Bus
+	ids      []identity.NodeID
+	govs     []*Governor
+	rounds   []*GovernorRound
+	stakes   []uint64
+	reg      *metrics.Registry
+	log      *events.Log
+	round    uint64
+	provider identity.Member
 }
 
-// newAlliance builds the alliance; store, when non-nil, supplies
-// governor j's ledger replica.
-func newAlliance(t *testing.T, store func(j int) ledger.Store) *alliance {
+// newAlliance builds the alliance; configure, when non-nil, adjusts
+// governor j's configuration before the governor is built.
+func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alliance {
 	t.Helper()
 	a := &alliance{t: t, bus: network.NewBus(0), stakes: []uint64{1, 2, 1}, reg: metrics.NewRegistry(),
 		log: events.NewLog(256)}
@@ -45,6 +47,7 @@ func newAlliance(t *testing.T, store func(j int) ledger.Store) *alliance {
 	a.check(err)
 	roster, err := identity.RegisterAll(im, topo, 3, seed)
 	a.check(err)
+	a.provider = roster.Providers[0]
 	_, err = a.bus.Register(roster.Collectors[0].ID)
 	a.check(err)
 	var pubs []crypto.PublicKey
@@ -60,8 +63,8 @@ func newAlliance(t *testing.T, store func(j int) ledger.Store) *alliance {
 			Params: reputation.DefaultParams(), Validator: oracle, Seed: int64(j), Metrics: a.reg,
 			Events: a.log,
 		}
-		if store != nil {
-			cfg.Store = store(j)
+		if configure != nil {
+			configure(j, &cfg)
 		}
 		gov, err := NewGovernor(cfg)
 		a.check(err)
@@ -288,13 +291,13 @@ func TestRoundElectReportsLeader(t *testing.T) {
 // Restore — reputation and stakes come back bit for bit.
 func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	open := func(j int) ledger.Store {
+	open := func(j int, cfg *GovernorConfig) {
 		fs, err := ledger.OpenFileStore(filepath.Join(dir, fmt.Sprint(j)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = fs.Close() })
-		return fs
+		cfg.Store = fs
 	}
 	a := newAlliance(t, open)
 	a.runRound()
@@ -314,5 +317,80 @@ func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	if fmt.Sprint(stakes) != fmt.Sprint(a.stakes) {
 		t.Fatalf("restored stakes %v, want %v", stakes, a.stakes)
+	}
+}
+
+// signedTx is the alliance provider's valid transaction number seq.
+func (a *alliance) signedTx(seq int) tx.SignedTx {
+	return tx.Sign(tx.Transaction{Provider: a.provider.ID, Seq: uint64(seq), Kind: "x", Payload: []byte{1, byte(seq)}},
+		a.provider.PrivateKey)
+}
+
+// TestRoundArgueCarryCrossesLeaders: argue re-validations beyond
+// b_limit wait on every governor, so whichever governor leads next
+// commits them — here a different one each round.
+func TestRoundArgueCarryCrossesLeaders(t *testing.T) {
+	const limit, argues = 2, 5
+	a := newAlliance(t, func(_ int, cfg *GovernorConfig) { cfg.BlockLimit = limit })
+	pending := make(map[crypto.Hash]bool, argues)
+	var msgs []network.Message
+	for i := 1; i <= argues; i++ {
+		signed := a.signedTx(i)
+		pending[signed.ID()] = true
+		msgs = append(msgs, network.Message{From: a.provider.ID, Kind: network.KindArgue,
+			Payload: NewArgue(signed, 1, a.provider.PrivateKey).EncodeBytes()})
+	}
+	for _, r := range a.rounds {
+		_, err := r.Ingest(msgs)
+		a.check(err)
+	}
+	for len(pending) > 0 {
+		if a.round == 3 {
+			t.Fatalf("%d argued transactions still uncommitted after 3 rounds", len(pending))
+		}
+		a.open()
+		leader := a.elect(0, 1, 2)
+		block := a.propose(leader)
+		for j := range a.rounds {
+			if !a.adopt(j) {
+				t.Fatalf("governor %d did not commit round %d", j, a.round)
+			}
+		}
+		if len(block.Records) != min(limit, len(pending)) {
+			t.Fatalf("round %d block has %d records, want %d", a.round, len(block.Records), min(limit, len(pending)))
+		}
+		for _, rec := range block.Records {
+			if rec.Status != tx.StatusValid || !pending[rec.Signed.ID()] {
+				t.Fatalf("round %d committed %+v, want a pending re-validation", a.round, rec)
+			}
+			delete(pending, rec.Signed.ID())
+		}
+		a.stakes[leader] = 0 // the next round goes to a governor that has not led
+	}
+}
+
+// TestRoundAdoptRefusesOversizedBlock: a replica refuses a block over
+// b_limit even when the elected leader signed it, so |TXList| ≤ b_limit
+// holds on every replica, not only in the leader's packing.
+func TestRoundAdoptRefusesOversizedBlock(t *testing.T) {
+	const limit = 2
+	a := newAlliance(t, func(_ int, cfg *GovernorConfig) { cfg.BlockLimit = limit })
+	a.open()
+	leader := a.elect(0, 1, 2)
+	follower := (leader + 1) % 3
+	records := make([]ledger.Record, limit+1)
+	for i := range records {
+		records[i] = ledger.Record{Signed: a.signedTx(i + 1), Label: tx.LabelValid, Status: tx.StatusValid}
+	}
+	block, err := ledger.NewBlock(nil, records, 0)
+	a.check(err)
+	block.SignAs(a.ids[leader], a.govs[leader].cfg.Member.PrivateKey)
+	a.check(a.bus.Multicast(a.ids[leader], a.ids[follower:follower+1], network.KindBlock, block.EncodeBytes()))
+	a.ingest(follower)
+	if _, err := a.rounds[follower].Adopt(); !errors.Is(err, ledger.ErrBlockTooLarge) {
+		t.Fatalf("Adopt() of a %d-record block with b_limit %d = %v, want ErrBlockTooLarge", len(records), limit, err)
+	}
+	if h := a.govs[follower].Store().Height(); h != 0 {
+		t.Fatalf("height %d after refusing the block, want 0", h)
 	}
 }

@@ -4,7 +4,7 @@
 // paper's single-committee protocol.
 //
 // Each committee is a complete, self-contained core.Engine: its own
-// mempool shards, governor set, VRF leader election, ledger segment
+// mempools, governor set, VRF leader election, ledger segment
 // directory, and chain head. Providers are assigned to committees by a
 // deterministic identity.PartitionFunc; collectors follow their
 // providers so every committee is again a regular bipartite topology

@@ -157,18 +157,16 @@ type RuntimeConfig struct {
 	// Health, when non-nil, receives governor chain heights after each
 	// round for the /readyz probe.
 	Health *Health
-	// MempoolShards shards each governor's upload mempool by provider
-	// index; zero keeps the legacy single unbounded queue.
-	MempoolShards int
-	// MempoolShardCap bounds each governor mempool shard (0 =
-	// unbounded; full shards evict their oldest pending transaction).
-	MempoolShardCap int
+	// MempoolCap bounds each governor's upload mempool per provider (0 =
+	// unbounded; a provider at its cap has its oldest pending
+	// transaction evicted).
+	MempoolCap int
 	// AdmissionFloor sheds verified uploads whose collector reputation
 	// weight has decayed below the floor (0 admits everything).
 	AdmissionFloor float64
-	// BlockLimit caps transactions per block for governors (0 =
-	// unlimited; with MempoolShards set, it also caps each round's
-	// mempool drain).
+	// BlockLimit is b_limit for governors (0 = unlimited): each round a
+	// governor drains at most BlockLimit transactions from its mempool,
+	// the rest waiting for later blocks, and refuses a block with more.
 	BlockLimit int
 	// InflightLimit caps received-but-undrained frames held per peer on
 	// every node's endpoint (0 = unbounded). Overflow frames are
@@ -416,20 +414,19 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		defer func() { _ = fs.Close() }()
 	}
 	gov, err := node.NewGovernor(node.GovernorConfig{
-		Member:          mem,
-		IM:              im,
-		Topology:        topo,
-		Params:          cfg.Params,
-		Validator:       cfg.Validator,
-		BlockLimit:      cfg.BlockLimit,
-		ArgueWindow:     node.DefaultArgueWindow,
-		Seed:            cfg.Seed + int64(200+spec.Index),
-		Store:           store,
-		MempoolShards:   cfg.MempoolShards,
-		MempoolShardCap: cfg.MempoolShardCap,
-		AdmissionFloor:  cfg.AdmissionFloor,
-		Metrics:         cfg.Metrics,
-		Events:          cfg.Events,
+		Member:         mem,
+		IM:             im,
+		Topology:       topo,
+		Params:         cfg.Params,
+		Validator:      cfg.Validator,
+		BlockLimit:     cfg.BlockLimit,
+		ArgueWindow:    node.DefaultArgueWindow,
+		Seed:           cfg.Seed + int64(200+spec.Index),
+		Store:          store,
+		MempoolCap:     cfg.MempoolCap,
+		AdmissionFloor: cfg.AdmissionFloor,
+		Metrics:        cfg.Metrics,
+		Events:         cfg.Events,
 	})
 	if err != nil {
 		return Report{}, err

@@ -18,7 +18,7 @@
 //		repchain.WithTopology(8, 4, 2), // 8 providers, 4 collectors, 2 collectors/provider
 //		repchain.WithGovernors(3),
 //		repchain.WithValidator(myValidator),
-//		repchain.WithMempool(4, 256), // sharded ingestion with backpressure
+//		repchain.WithMempool(256), // bounded ingestion with backpressure
 //	)
 //	...
 //	ids, err := chain.SubmitBatch(ctx, 0, txs)
@@ -57,7 +57,7 @@ var (
 	// ErrBadOption reports an invalid configuration: a bad option value,
 	// a missing required option, or options that do not fit together.
 	ErrBadOption = core.ErrBadConfig
-	// ErrBacklog reports that a provider's mempool shard is full (see
+	// ErrBacklog reports that a provider is at its mempool cap (see
 	// WithMempool). Backpressure, not loss: nothing was signed or
 	// queued, so run a round to drain the backlog and resubmit.
 	ErrBacklog = core.ErrBacklog
@@ -199,7 +199,8 @@ func WithReputationParams(beta, f, mu, nu float64) Option {
 }
 
 // WithBlockLimit sets b_limit, the per-block transaction cap (0 =
-// unlimited; overflow carries to the next block).
+// unlimited). Every mempool drains at most b_limit transactions per
+// round, oldest first, so overflow carries to the next block.
 func WithBlockLimit(limit int) Option {
 	return func(o *options) error {
 		if limit < 0 {
@@ -210,24 +211,19 @@ func WithBlockLimit(limit int) Option {
 	}
 }
 
-// WithMempool shards the ingestion mempool by provider index into
-// shardCount bounded queues of shardCap entries each (shardCap 0 =
-// unbounded). A full shard rejects Submit with ErrBacklog before
-// anything is signed — backpressure, never silent loss — and each
-// round broadcasts at most one WithBlockLimit-sized batch, drained in
-// deterministic (shard, submission) order, carrying the backlog over.
-// Without this option the chain keeps the legacy single unbounded
-// queue that drains fully every round.
-func WithMempool(shardCount, shardCap int) Option {
+// WithMempool bounds every mempool at capPerProvider pending
+// transactions per provider. A provider at its cap gets ErrBacklog from
+// Submit before anything is signed — backpressure, never silent loss —
+// while a governor evicts that provider's oldest pending upload
+// (counted in mempool.evicted_total). Bounded or not (the default),
+// every mempool is one queue in arrival order, drained at most
+// WithBlockLimit transactions per round.
+func WithMempool(capPerProvider int) Option {
 	return func(o *options) error {
-		if shardCount <= 0 {
-			return fmt.Errorf("mempool shard count %d must be positive: %w", shardCount, ErrBadOption)
+		if capPerProvider <= 0 {
+			return fmt.Errorf("mempool cap %d must be positive: %w", capPerProvider, ErrBadOption)
 		}
-		if shardCap < 0 {
-			return fmt.Errorf("mempool shard cap %d must be non-negative: %w", shardCap, ErrBadOption)
-		}
-		o.Base.MempoolShards = shardCount
-		o.Base.MempoolShardCap = shardCap
+		o.Base.MempoolCap = capPerProvider
 		return nil
 	}
 }
@@ -386,7 +382,7 @@ type Tx struct {
 
 // Submit stages one transaction from provider k for the next round's
 // collecting phase. isValid is the provider's own ground truth.
-// Fails with ErrBacklog when the provider's mempool shard is full
+// Fails with ErrBacklog when the provider is at its mempool cap
 // (WithMempool), ErrUnknownProvider for an out-of-range index, or
 // ErrClosed after Close. Submit is SubmitBatch for a single
 // transaction without a context.
@@ -396,8 +392,8 @@ func (c *Chain) Submit(provider int, kind string, payload []byte, isValid bool) 
 
 // SubmitBatch stages a batch of transactions from one provider,
 // returning the IDs of the admitted prefix. On backpressure it admits
-// as many leading transactions as the provider's shard holds, then
-// returns the admitted IDs together with an ErrBacklog-wrapping error;
+// as many leading transactions as the provider's cap has room for,
+// then returns the admitted IDs together with an ErrBacklog-wrapping error;
 // callers resume from txs[len(ids)] after running a round. The context
 // is checked once, before anything is signed: a cancelled batch admits
 // nothing and returns the context's error. Admission is all-or-nothing

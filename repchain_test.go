@@ -218,9 +218,8 @@ func TestWithMempoolValidation(t *testing.T) {
 		opt  Option
 		want string
 	}{
-		{"zero shards", WithMempool(0, 16), "shard count"},
-		{"negative shards", WithMempool(-2, 16), "shard count"},
-		{"negative cap", WithMempool(4, -1), "shard cap"},
+		{"zero cap", WithMempool(0), "mempool cap"},
+		{"negative cap", WithMempool(-1), "mempool cap"},
 		{"floor below zero", WithAdmissionFloor(-0.2), "admission floor"},
 		{"floor above one", WithAdmissionFloor(1.2), "admission floor"},
 		{"zero snapshot cadence", WithSnapshotEvery(0), "snapshot cadence"},
@@ -241,8 +240,8 @@ func TestWithMempoolValidation(t *testing.T) {
 }
 
 func TestSubmitBatchAndBacklog(t *testing.T) {
-	c := newTestChain(t, WithMempool(4, 2), WithBlockLimit(0))
-	// Provider 0's shard holds 2: a batch of 4 admits a 2-tx prefix and
+	c := newTestChain(t, WithMempool(2), WithBlockLimit(0))
+	// Provider 0's cap is 2: a batch of 4 admits a 2-tx prefix and
 	// reports backpressure.
 	txs := make([]Tx, 4)
 	for i := range txs {
@@ -258,7 +257,7 @@ func TestSubmitBatchAndBacklog(t *testing.T) {
 	if c.MempoolDepth() != 2 {
 		t.Fatalf("MempoolDepth() = %d, want 2", c.MempoolDepth())
 	}
-	// A round drains the shard; the rest of the batch then fits.
+	// A round drains the mempool; the rest of the batch then fits.
 	if _, err := c.RunRound(); err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +370,10 @@ func TestClosed(t *testing.T) {
 	}
 }
 
-// TestMempoolBurstCommitsFully is the acceptance gate for the sharded
-// mempool: a 10k-transaction burst from 8 providers through a 4-shard,
-// 256-cap mempool commits completely under backpressure, and without an
-// admission floor nothing is shed.
+// TestMempoolBurstCommitsFully is the acceptance gate for the bounded
+// mempool: a 10k-transaction burst from 8 providers through a mempool
+// capped at 128 per provider commits completely under backpressure, and
+// without an admission floor nothing is shed.
 func TestMempoolBurstCommitsFully(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-tx burst skipped in -short mode")
@@ -385,7 +384,7 @@ func TestMempoolBurstCommitsFully(t *testing.T) {
 		WithGovernors(3),
 		WithValidator(testValidator),
 		WithSeed(7),
-		WithMempool(4, 256),
+		WithMempool(128),
 		WithBlockLimit(512),
 	)
 	if err != nil {
@@ -396,7 +395,7 @@ func TestMempoolBurstCommitsFully(t *testing.T) {
 		for submitted < burst {
 			_, err := c.Submit(submitted%8, "burst", []byte{1, byte(submitted), byte(submitted >> 8)}, true)
 			if errors.Is(err, ErrBacklog) {
-				break // shard full: run a round, then resume
+				break // provider at its cap: run a round, then resume
 			}
 			if err != nil {
 				t.Fatalf("submit %d: %v", submitted, err)
@@ -426,6 +425,60 @@ func TestMempoolBurstCommitsFully(t *testing.T) {
 	if err := c.VerifyChain(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMempoolOverloadIsFair offers the chain four times what it can
+// commit — 8 providers × 32 transactions a round against a 64-record
+// block, for 20 rounds — through mempools capped at 64 per provider.
+// One arrival-order queue with a per-provider cap shares the blocks
+// out: no provider's committed count trails another's by more than one
+// block.
+func TestMempoolOverloadIsFair(t *testing.T) {
+	const providers, perRound, rounds, limit = 8, 32, 20, 64
+	c, err := New(
+		WithTopology(providers, 4, 2),
+		WithGovernors(3),
+		WithValidator(testValidator),
+		WithSeed(7),
+		WithMempool(64),
+		WithBlockLimit(limit),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < providers; k++ {
+			txs := make([]Tx, perRound)
+			for i := range txs {
+				txs[i] = Tx{Kind: "load", Payload: []byte{1, byte(k), byte(r), byte(i)}, Valid: true}
+			}
+			if _, err := c.SubmitBatch(context.Background(), k, txs); err != nil && !errors.Is(err, ErrBacklog) {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed := make(map[string]int, providers)
+	for s := uint64(1); s <= c.Height(); s++ {
+		recs, err := c.Block(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			committed[rec.Provider]++
+		}
+	}
+	lo, hi := rounds*limit, 0
+	for k := 0; k < providers; k++ {
+		n := committed[fmt.Sprintf("provider/%d", k)]
+		lo, hi = min(lo, n), max(hi, n)
+	}
+	if hi-lo > limit {
+		t.Fatalf("committed per provider %v: spread %d, want at most %d", committed, hi-lo, limit)
+	}
+	t.Logf("committed per provider: %v", committed)
 }
 
 func TestChainIrregularLinks(t *testing.T) {
