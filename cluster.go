@@ -191,9 +191,9 @@ func (c *Cluster) VerifyChain() error {
 }
 
 // Metrics renders the cluster-level metrics — per-committee chain
-// heads (chain.height{committee="i"}) and the cross-shard relay
-// counters — one per line, sorted by name. Per-committee protocol
-// metrics live on each Committee.
+// heads (chain.height{committee="i"}), cross-shard locks and rehomes —
+// one per line, sorted by name. Per-committee protocol metrics live on
+// each Committee.
 func (c *Cluster) Metrics() string { return c.cl.Metrics().Dump() }
 
 // MetricsSnapshot returns the cluster-level metrics as a structured
@@ -302,8 +302,8 @@ func (cm *Committee) Stats(governor int) GovernorStats {
 }
 
 // Metrics renders the committee's operational metrics — protocol
-// anomaly counters and signature-cache statistics — one per line,
-// sorted by name.
+// counters, signature-cache statistics and round-stage histograms —
+// one per line, sorted by name.
 func (cm *Committee) Metrics() string { return cm.engine().Metrics().Dump() }
 
 // MetricsSnapshot returns the committee's metrics as a structured,

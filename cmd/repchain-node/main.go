@@ -219,10 +219,10 @@ func run(rosterPath, id string, demo bool, rounds int, roundDur time.Duration, e
 		base.Metrics = reg
 		base.Health = health
 		srv, err := admin.Start(admin.Config{
-			Addr:       obs.adminAddr,
-			Registries: []*metrics.Registry{reg},
-			Events:     evlog,
-			Ready:      ready,
+			Addr:     obs.adminAddr,
+			Registry: reg,
+			Events:   evlog,
+			Ready:    ready,
 		})
 		if err != nil {
 			return err

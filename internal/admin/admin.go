@@ -23,14 +23,12 @@ type Config struct {
 	// Addr is the listen address, e.g. "127.0.0.1:9180". A ":0" port
 	// picks a free one; read it back from Server.Addr.
 	Addr string
-	// Registries are merged into one exposition. Counters and
-	// histogram buckets with identical names sum across registries;
-	// in practice registries carry disjoint name families.
-	Registries []*metrics.Registry
-	// Events backs /events; nil serves an empty stream. Its ring
-	// occupancy is published as events.len / events.capacity /
-	// events.dropped_total gauges at every metrics scrape, so a
-	// silently truncated stream is detectable from /metrics.
+	// Registry backs /metrics and /metrics.json; nil serves an empty
+	// exposition.
+	Registry *metrics.Registry
+	// Events backs /events; nil serves an empty stream. Its evictions
+	// are published as the events.dropped_total gauge at every metrics
+	// scrape, so a truncated stream is detectable from /metrics.
 	Events *events.Log
 	// Ready backs /readyz: return ok plus a short status line. Nil
 	// means always ready.
@@ -49,31 +47,24 @@ func Start(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("admin: listen %s: %w", cfg.Addr, err)
 	}
-	// Ring-occupancy gauges live on the first registry and are
-	// refreshed at scrape time, so they track the ring without a
-	// background goroutine.
-	publishRing := func() {}
-	if len(cfg.Registries) > 0 && cfg.Registries[0] != nil {
-		reg := cfg.Registries[0]
-		eventsLen := reg.Gauge("events.len")
-		eventsCap := reg.Gauge("events.capacity")
-		eventsDropped := reg.Gauge("events.dropped_total")
-		publishRing = func() {
-			eventsLen.Set(float64(cfg.Events.Len()))
-			eventsCap.Set(float64(cfg.Events.Cap()))
-			eventsDropped.Set(float64(cfg.Events.Dropped()))
+	// The drop gauge is refreshed at scrape time, so it tracks the ring
+	// without a background goroutine.
+	snapshot := func() metrics.Snapshot { return metrics.Snapshot{} }
+	if reg := cfg.Registry; reg != nil {
+		dropped := reg.Gauge("events.dropped_total")
+		snapshot = func() metrics.Snapshot {
+			dropped.Set(float64(cfg.Events.Dropped()))
+			return reg.Snapshot()
 		}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		publishRing()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		metrics.WritePrometheusSnapshot(w, mergedSnapshot(cfg.Registries))
+		metrics.WritePrometheusSnapshot(w, snapshot())
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		publishRing()
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(mergedSnapshot(cfg.Registries))
+		json.NewEncoder(w).Encode(snapshot())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -134,14 +125,3 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the listener down.
 func (s *Server) Close() error { return s.srv.Close() }
-
-func mergedSnapshot(regs []*metrics.Registry) metrics.Snapshot {
-	var snap metrics.Snapshot
-	snap.Merge(metrics.Snapshot{}) // allocate maps
-	for _, r := range regs {
-		if r != nil {
-			snap.Merge(r.Snapshot())
-		}
-	}
-	return snap
-}

@@ -33,9 +33,9 @@ func TestServerEndpoints(t *testing.T) {
 	var ready atomic.Bool
 
 	srv, err := Start(Config{
-		Addr:       "127.0.0.1:0",
-		Registries: []*metrics.Registry{reg},
-		Ready:      func() (bool, string) { return ready.Load(), "waiting for quorum" },
+		Addr:     "127.0.0.1:0",
+		Registry: reg,
+		Ready:    func() (bool, string) { return ready.Load(), "waiting for quorum" },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestServerEventsEndpoint(t *testing.T) {
 }
 
 // TestServerRingGauges checks that each /metrics scrape publishes the
-// event ring's occupancy and drop gauges.
+// event ring's drop gauge.
 func TestServerRingGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
 	evlog := events.NewLog(2)
@@ -130,9 +130,9 @@ func TestServerRingGauges(t *testing.T) {
 	evlog.Emit(events.TypeLeaderElected, "", 1, "governor/0") // evicts one
 
 	srv, err := Start(Config{
-		Addr:       "127.0.0.1:0",
-		Registries: []*metrics.Registry{reg},
-		Events:     evlog,
+		Addr:     "127.0.0.1:0",
+		Registry: reg,
+		Events:   evlog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,14 +144,8 @@ func TestServerRingGauges(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	for _, want := range []string{
-		"events_len 2",
-		"events_capacity 2",
-		"events_dropped_total 1",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, body)
-		}
+	if !strings.Contains(body, "events_dropped_total 1") {
+		t.Fatalf("/metrics missing events_dropped_total 1:\n%s", body)
 	}
 }
 

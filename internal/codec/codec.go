@@ -113,7 +113,6 @@ const (
 
 var (
 	poolGets   atomic.Int64
-	poolPuts   atomic.Int64
 	poolMisses atomic.Int64
 
 	encoderPool = sync.Pool{New: func() any {
@@ -146,7 +145,6 @@ func (e *Encoder) Release() {
 		e.buf = make([]byte, 0, pooledEncoderCap)
 	}
 	e.buf = e.buf[:0]
-	poolPuts.Add(1)
 	encoderPool.Put(e)
 }
 
@@ -155,8 +153,6 @@ func (e *Encoder) Release() {
 type PoolStats struct {
 	// Gets counts GetEncoder calls.
 	Gets int64
-	// Puts counts Release calls.
-	Puts int64
 	// Misses counts pool misses that allocated a fresh encoder.
 	Misses int64
 }
@@ -165,7 +161,6 @@ type PoolStats struct {
 func EncoderPoolStats() PoolStats {
 	return PoolStats{
 		Gets:   poolGets.Load(),
-		Puts:   poolPuts.Load(),
 		Misses: poolMisses.Load(),
 	}
 }

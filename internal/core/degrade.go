@@ -70,7 +70,6 @@ func (e *Engine) RestartCollector(c int) error {
 	e.collectorDown[c] = false
 	e.bus.SetDown(e.roster.Collectors[c].ID, false)
 	e.collectors[c].Endpoint().Purge()
-	e.reg.Counter("chaos.collector_restarts").Inc()
 	e.emitNodeEvent(events.TypeNodeRestart, string(e.roster.Collectors[c].ID), "restart", false)
 	return nil
 }
@@ -96,7 +95,6 @@ func (e *Engine) CrashGovernor(j int) error {
 	e.bus.SetDown(e.governorIDs[j], true)
 	e.governors[j].Endpoint().Purge()
 	e.rounds[j].Purge()
-	e.reg.Counter("chaos.governor_crashes").Inc()
 	e.emitNodeEvent(events.TypeNodeCrash, string(e.governorIDs[j]), "crash", true)
 	return nil
 }
@@ -112,7 +110,6 @@ func (e *Engine) RestartGovernor(j int) error {
 	e.governorDown[j] = false
 	e.bus.SetDown(e.governorIDs[j], false)
 	e.governors[j].Endpoint().Purge()
-	e.reg.Counter("chaos.governor_restarts").Inc()
 	e.emitNodeEvent(events.TypeNodeRestart, string(e.governorIDs[j]), "restart", true)
 	return nil
 }
@@ -127,7 +124,6 @@ func (e *Engine) IsolateGovernor(j int) error {
 		return fmt.Errorf("isolate governor %d: %w", j, ErrNodeDown)
 	}
 	e.governorDown[j] = true
-	e.reg.Counter("chaos.governor_isolations").Inc()
 	e.emitNodeEvent(events.TypeNodeCrash, string(e.governorIDs[j]), "partition", true)
 	return nil
 }
@@ -141,7 +137,6 @@ func (e *Engine) ReconnectGovernor(j int) error {
 	}
 	e.governorDown[j] = false
 	e.governors[j].Endpoint().Purge()
-	e.reg.Counter("chaos.governor_reconnects").Inc()
 	e.emitNodeEvent(events.TypeNodeRestart, string(e.governorIDs[j]), "reconnect", true)
 	return nil
 }
@@ -206,19 +201,4 @@ func (e *Engine) resyncGovernors() error {
 		}
 	}
 	return nil
-}
-
-// publishChaosMetrics snapshots fault-related per-node counters into
-// the registry after each round.
-func (e *Engine) publishChaosMetrics() {
-	silent := 0
-	for _, g := range e.governors {
-		silent += g.Stats().SilentReports
-	}
-	e.reg.Gauge("chaos.silent_reports").Set(float64(silent))
-	st := e.bus.Stats()
-	e.reg.Gauge("chaos.bus_dropped").Set(float64(st.Dropped))
-	e.reg.Gauge("chaos.bus_duplicated").Set(float64(st.Duplicated))
-	e.reg.Gauge("chaos.bus_partition_dropped").Set(float64(st.PartitionDropped))
-	e.reg.Gauge("chaos.bus_down_dropped").Set(float64(st.DownDropped))
 }

@@ -205,13 +205,9 @@ type Engine struct {
 	// ingress stages signed-but-unbroadcast submissions; each round's
 	// collecting phase drains it in arrival order. closed gates
 	// SubmitTx and RunRound after Close.
-	ingress *mempool.Pool[ingressTx]
-	closed  bool
-	// Ingress mempool observability: queue depth, admissions, and the
-	// per-round drain batch size.
-	mpDepth      *metrics.Gauge
-	mpAdmitted   *metrics.Counter
-	mpDrainBatch *metrics.Histogram
+	ingress    *mempool.Pool[ingressTx]
+	closed     bool
+	mpAdmitted *metrics.Counter
 }
 
 // ingressTx is one staged submission: the signing provider and the
@@ -220,11 +216,6 @@ type ingressTx struct {
 	provider int
 	signed   tx.SignedTx
 }
-
-// drainBatchBuckets bound the mempool.drain_batch histogram:
-// powers-of-two batch sizes from single transactions up past any
-// realistic b_limit.
-var drainBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // RoundResult summarizes one protocol round.
 type RoundResult struct {
@@ -311,9 +302,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.ingress = mempool.New[ingressTx](topo.Providers(), cfg.MempoolCap)
 	e.stageSeconds = e.reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")
-	e.mpDepth = e.reg.Gauge("mempool.depth")
 	e.mpAdmitted = e.reg.Counter("mempool.admitted_total")
-	e.mpDrainBatch = e.reg.Histogram("mempool.drain_batch", drainBatchBuckets)
 	e.collectorDown = make([]bool, topo.Collectors())
 	e.governorDown = make([]bool, cfg.Governors)
 	for _, g := range roster.Governors {
@@ -500,58 +489,33 @@ func (e *Engine) observeStage(stage string, start time.Time) time.Time {
 	return now
 }
 
-// publishRoundMetrics updates the per-round operational gauges and
-// counters after a committed round.
-func (e *Engine) publishRoundMetrics(res *RoundResult) {
-	e.reg.Counter("engine.rounds_total").Inc()
-	e.reg.Counter("block.records_total").Add(int64(len(res.Block.Records)))
-	height := uint64(0)
-	for _, g := range e.governors {
-		if h := g.Store().Height(); h > height {
-			height = h
-		}
-	}
-	e.reg.Gauge("chain.height").Set(float64(height))
-	checked, unchecked := 0, 0
-	for _, g := range e.governors {
-		st := g.Stats()
-		checked += st.Checked
-		unchecked += st.Unchecked
-	}
-	if total := checked + unchecked; total > 0 {
-		e.reg.Gauge("screen.check_fraction").Set(float64(checked) / float64(total))
-	}
-}
-
-// Metrics exposes the engine's operational metrics registry:
-// "election.vrf_unknown_sender" counts dropped VRF messages from
-// undecodable senders; "sigcache.hits", "sigcache.misses", and
-// "sigcache.hit_rate" are per-round snapshots of the process-wide
-// signature-verification cache.
+// Metrics exposes the engine's operational metrics registry: the
+// DESIGN.md §4c catalogue's protocol, screening, mempool and chaos
+// series, plus per-round snapshots of the process-wide
+// signature-verification cache and encoder pool.
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
-// publishCryptoMetrics snapshots the shared verification-cache
-// counters into the engine registry. The cache is process-wide, so
-// under several live engines the gauges reflect combined activity.
-func (e *Engine) publishCryptoMetrics() {
+// publishRoundMetrics updates the per-round gauges and counters after a
+// committed round. The verification cache and encoder pool are
+// process-wide, so under several live engines their gauges reflect
+// combined activity.
+func (e *Engine) publishRoundMetrics() {
+	e.reg.Counter("engine.rounds_total").Inc()
+	height := uint64(0)
+	for _, g := range e.governors {
+		height = max(height, g.Store().Height())
+	}
+	e.reg.Gauge("chain.height").Set(float64(height))
 	hits, misses := crypto.DefaultVerifyCache.Stats()
 	e.reg.Gauge("sigcache.hits").Set(float64(hits))
 	e.reg.Gauge("sigcache.misses").Set(float64(misses))
-	e.reg.Gauge("sigcache.hit_rate").Set(crypto.DefaultVerifyCache.HitRate())
 	bs := crypto.DefaultVerifyCache.BatchStats()
-	e.reg.Gauge("sigcache.batch_calls").Set(float64(bs.Calls))
-	e.reg.Gauge("sigcache.batch_items").Set(float64(bs.Items))
 	e.reg.Gauge("sigcache.batch_hits").Set(float64(bs.Hits))
 	e.reg.Gauge("sigcache.batch_deduped").Set(float64(bs.Deduped))
 	e.reg.Gauge("sigcache.batch_verified").Set(float64(bs.Verified))
-	e.reg.Gauge("sigcache.batch_failed").Set(float64(bs.Failed))
 	ps := codec.EncoderPoolStats()
 	e.reg.Gauge("codec.pool_gets").Set(float64(ps.Gets))
-	e.reg.Gauge("codec.pool_puts").Set(float64(ps.Puts))
 	e.reg.Gauge("codec.pool_misses").Set(float64(ps.Misses))
-	ms := crypto.MerkleBuildStats()
-	e.reg.Gauge("merkle.incremental_leaves").Set(float64(ms.Leaves))
-	e.reg.Gauge("merkle.incremental_roots").Set(float64(ms.Roots))
 }
 
 // SubmitTx is SubmitBatch for one transaction.
@@ -593,7 +557,6 @@ func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission
 		}
 	}
 	e.mpAdmitted.Add(int64(len(signed)))
-	e.mpDepth.Set(float64(e.ingress.Len()))
 	return signed, backlog
 }
 
@@ -612,8 +575,6 @@ func (e *Engine) drainIngress() error {
 			return err
 		}
 	}
-	e.mpDrainBatch.Observe(float64(len(batch)))
-	e.mpDepth.Set(float64(e.ingress.Len()))
 	return nil
 }
 
@@ -869,9 +830,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 		result.StakeBlock = sb
 		e.pendingStakeTxs = nil
 	}
-	e.publishCryptoMetrics()
-	e.publishChaosMetrics()
-	e.publishRoundMetrics(&result)
+	e.publishRoundMetrics()
 	// Checkpoint and prune at the SnapshotEvery cadence. A failure is
 	// returned: durability was promised and not delivered.
 	if n := uint64(e.cfg.SnapshotEvery); n > 0 && e.round%n == 0 {

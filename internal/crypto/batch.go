@@ -60,8 +60,6 @@ func (c *VerifyCache) VerifyBatch(items []BatchItem) []error {
 	if len(items) == 0 {
 		return errs
 	}
-	c.batchCalls.Inc()
-	c.batchItems.Add(int64(len(items)))
 
 	kinds := make([]batchSlot, len(items))
 	ents := make([]*verifyEntry, len(items))
@@ -114,13 +112,6 @@ func (c *VerifyCache) VerifyBatch(items []BatchItem) []error {
 			errs[i] = errs[alias[i]]
 		}
 	}
-
-	for _, err := range errs {
-		if err != nil {
-			c.batchFailed.Inc()
-			break
-		}
-	}
 	return errs
 }
 
@@ -168,10 +159,6 @@ func (c *VerifyCache) classifyBatch(kinds []batchSlot, ents []*verifyEntry, alia
 
 // BatchStats is a snapshot of the batch-path counters.
 type BatchStats struct {
-	// Calls counts VerifyBatch invocations with at least one item.
-	Calls int64
-	// Items counts signatures submitted through batches.
-	Items int64
 	// Hits counts batch items answered by an existing cache entry.
 	Hits int64
 	// Deduped counts duplicate triples coalesced within a single batch.
@@ -179,19 +166,14 @@ type BatchStats struct {
 	// Verified counts unique signatures actually verified by batch
 	// passes.
 	Verified int64
-	// Failed counts batches containing at least one failing item.
-	Failed int64
 }
 
 // BatchStats returns the cumulative batch-path counters.
 func (c *VerifyCache) BatchStats() BatchStats {
 	return BatchStats{
-		Calls:    c.batchCalls.Value(),
-		Items:    c.batchItems.Value(),
 		Hits:     c.batchHits.Value(),
 		Deduped:  c.batchDeduped.Value(),
 		Verified: c.batchVerified.Value(),
-		Failed:   c.batchFailed.Value(),
 	}
 }
 

@@ -1,27 +1,13 @@
 package crypto
 
-import (
-	"errors"
-	"fmt"
-	"sync/atomic"
-)
-
 // Merkle tree over transaction lists. The paper's block carries
 // h = H(B_prev) for chain integrity; we additionally commit to the
-// transaction list with a Merkle root so that light verification of a
-// single transaction's inclusion is possible (documented extension,
-// DESIGN.md §5).
+// transaction list with a Merkle root (documented extension, DESIGN.md
+// §5).
 //
 // The tree uses domain-separated hashing (distinct leaf and node tags)
 // to prevent second-preimage attacks that splice interior nodes in as
 // leaves, and duplicates the final node on odd levels (Bitcoin-style).
-
-var (
-	// ErrEmptyTree reports a Merkle operation over zero leaves.
-	ErrEmptyTree = errors.New("crypto: merkle tree has no leaves")
-	// ErrBadProofIndex reports an out-of-range leaf index.
-	ErrBadProofIndex = errors.New("crypto: merkle proof index out of range")
-)
 
 const (
 	merkleLeafTag = 0x00
@@ -68,56 +54,6 @@ func MerkleRoot(leaves [][]byte) Hash {
 	return level[0]
 }
 
-// MerkleProof is an inclusion proof for one leaf: the sibling hashes
-// from leaf to root and, per step, whether the sibling sits on the
-// right.
-type MerkleProof struct {
-	// Siblings lists the sibling hash at each level, leaf-most first.
-	Siblings []Hash
-	// RightSibling[i] reports whether Siblings[i] is the right child at
-	// level i.
-	RightSibling []bool
-	// Index is the leaf position the proof covers.
-	Index int
-}
-
-// BuildMerkleProof constructs an inclusion proof for leaves[index]. It
-// feeds the leaves through a MerkleBuilder and derives the proof from
-// the builder's stored levels.
-func BuildMerkleProof(leaves [][]byte, index int) (MerkleProof, error) {
-	if len(leaves) == 0 {
-		return MerkleProof{}, ErrEmptyTree
-	}
-	b := NewMerkleBuilder(len(leaves))
-	for _, l := range leaves {
-		b.Add(l)
-	}
-	return b.Proof(index)
-}
-
-// Incremental-builder accounting, exported as the merkle.incremental_*
-// gauges.
-var (
-	merkleIncrementalLeaves atomic.Int64
-	merkleIncrementalRoots  atomic.Int64
-)
-
-// MerkleStats is a snapshot of the incremental-builder counters.
-type MerkleStats struct {
-	// Leaves counts leaves fed through MerkleBuilder.Add.
-	Leaves int64
-	// Roots counts MerkleBuilder.Root computations.
-	Roots int64
-}
-
-// MerkleBuildStats returns the cumulative incremental-builder counters.
-func MerkleBuildStats() MerkleStats {
-	return MerkleStats{
-		Leaves: merkleIncrementalLeaves.Load(),
-		Roots:  merkleIncrementalRoots.Load(),
-	}
-}
-
 // MerkleBuilder computes the same commitment as MerkleRoot but
 // incrementally: leaves are appended one at a time while a block is
 // being packed, and the root is available in O(log n) once packing
@@ -130,7 +66,7 @@ func MerkleBuildStats() MerkleStats {
 // subtrees in order. Root folds the at-most-one dangling node per level
 // with the odd-duplication rule, which reproduces MerkleRoot exactly
 // (equivalence sketch in DESIGN.md §4f, exhaustive test in
-// merkle_test.go).
+// merkle_builder_test.go).
 //
 // After a Reset the builder reuses its level and scratch storage, so
 // steady-state Add performs no heap allocation. A builder is not safe
@@ -173,7 +109,6 @@ func (b *MerkleBuilder) Add(leaf []byte) {
 	b.scratch = append(b.scratch, leaf...)
 	b.push(0, Sum(b.scratch))
 	b.n++
-	merkleIncrementalLeaves.Add(1)
 }
 
 // push appends a completed node to the given level, combining upward
@@ -198,7 +133,6 @@ func (b *MerkleBuilder) push(level int, h Hash) {
 // for an empty builder. It does not modify the builder; more leaves may
 // be added afterwards.
 func (b *MerkleBuilder) Root() Hash {
-	merkleIncrementalRoots.Add(1)
 	if b.n == 0 {
 		return ZeroHash
 	}
@@ -226,87 +160,4 @@ func (b *MerkleBuilder) Root() Hash {
 		}
 	}
 	return carry
-}
-
-// Proof returns an inclusion proof for the index-th leaf over the
-// current builder contents, reusing the stored levels. The proof
-// verifies against Root with VerifyMerkleProof.
-func (b *MerkleBuilder) Proof(index int) (MerkleProof, error) {
-	if b.n == 0 {
-		return MerkleProof{}, ErrEmptyTree
-	}
-	if index < 0 || index >= b.n {
-		return MerkleProof{}, fmt.Errorf("index %d of %d leaves: %w", index, b.n, ErrBadProofIndex)
-	}
-	// Replay the Root fold, recording per level the derived node — the
-	// trailing-subtree root that a full level-by-level rebuild would
-	// append after the stored nodes.
-	derived := make([]Hash, len(b.levels))
-	haveDerived := make([]bool, len(b.levels))
-	var carry Hash
-	have := false
-	for lvl, stored := range b.levels {
-		if have {
-			derived[lvl] = carry
-			haveDerived[lvl] = true
-		}
-		odd := len(stored)%2 == 1
-		switch {
-		case odd && have:
-			carry = merkleNode(stored[len(stored)-1], carry)
-		case odd && lvl == len(b.levels)-1:
-			// Root is stored; nothing to derive above.
-		case odd:
-			last := stored[len(stored)-1]
-			carry = merkleNode(last, last)
-			have = true
-		case have:
-			carry = merkleNode(carry, carry)
-		}
-	}
-	effLen := func(lvl int) int {
-		if lvl >= len(b.levels) {
-			return 1
-		}
-		n := len(b.levels[lvl])
-		if haveDerived[lvl] {
-			n++
-		}
-		return n
-	}
-	nodeAt := func(lvl, i int) Hash {
-		if i < len(b.levels[lvl]) {
-			return b.levels[lvl][i]
-		}
-		return derived[lvl]
-	}
-	proof := MerkleProof{Index: index}
-	pos := index
-	for lvl := 0; effLen(lvl) > 1; lvl++ {
-		n := effLen(lvl)
-		sib := pos ^ 1
-		if sib >= n {
-			sib = pos // odd level: duplicated node
-		}
-		proof.Siblings = append(proof.Siblings, nodeAt(lvl, sib))
-		proof.RightSibling = append(proof.RightSibling, sib >= pos)
-		pos /= 2
-	}
-	return proof, nil
-}
-
-// VerifyMerkleProof checks that leaf sits at proof.Index under root.
-func VerifyMerkleProof(root Hash, leaf []byte, proof MerkleProof) bool {
-	if len(proof.Siblings) != len(proof.RightSibling) {
-		return false
-	}
-	h := merkleLeaf(leaf)
-	for i, sib := range proof.Siblings {
-		if proof.RightSibling[i] {
-			h = merkleNode(h, sib)
-		} else {
-			h = merkleNode(sib, h)
-		}
-	}
-	return h == root
 }

@@ -5,50 +5,6 @@ import (
 	"testing"
 )
 
-// refBuildProof is the pre-builder proof construction: rebuild every
-// level from the leaves and walk sibling positions. The incremental
-// builder must reproduce it bit for bit.
-func refBuildProof(leaves [][]byte, index int) MerkleProof {
-	level := make([]Hash, len(leaves))
-	for i, l := range leaves {
-		level[i] = merkleLeaf(l)
-	}
-	proof := MerkleProof{Index: index}
-	pos := index
-	for len(level) > 1 {
-		sib := pos ^ 1
-		if sib >= len(level) {
-			sib = pos
-		}
-		proof.Siblings = append(proof.Siblings, level[sib])
-		proof.RightSibling = append(proof.RightSibling, sib >= pos)
-
-		next := make([]Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, merkleNode(level[i], level[i+1]))
-			} else {
-				next = append(next, merkleNode(level[i], level[i]))
-			}
-		}
-		level = next
-		pos /= 2
-	}
-	return proof
-}
-
-func proofsEqual(a, b MerkleProof) bool {
-	if a.Index != b.Index || len(a.Siblings) != len(b.Siblings) || len(a.RightSibling) != len(b.RightSibling) {
-		return false
-	}
-	for i := range a.Siblings {
-		if a.Siblings[i] != b.Siblings[i] || a.RightSibling[i] != b.RightSibling[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestMerkleBuilderMatchesMerkleRoot(t *testing.T) {
 	for n := 0; n <= 65; n++ {
 		leaves := makeLeaves(n)
@@ -72,42 +28,6 @@ func TestMerkleBuilderRootIsNonDestructive(t *testing.T) {
 		b.Add(l)
 		if got, want := b.Root(), MerkleRoot(leaves[:i+1]); got != want {
 			t.Fatalf("after %d leaves: root %s, want %s", i+1, got.Short(), want.Short())
-		}
-	}
-}
-
-func TestMerkleBuilderProofMatchesReference(t *testing.T) {
-	for n := 1; n <= 33; n++ {
-		leaves := makeLeaves(n)
-		b := NewMerkleBuilder(n)
-		for _, l := range leaves {
-			b.Add(l)
-		}
-		root := b.Root()
-		for idx := 0; idx < n; idx++ {
-			got, err := b.Proof(idx)
-			if err != nil {
-				t.Fatalf("n=%d idx=%d: %v", n, idx, err)
-			}
-			if want := refBuildProof(leaves, idx); !proofsEqual(got, want) {
-				t.Fatalf("n=%d idx=%d: builder proof differs from reference", n, idx)
-			}
-			if !VerifyMerkleProof(root, leaves[idx], got) {
-				t.Fatalf("n=%d idx=%d: proof does not verify", n, idx)
-			}
-		}
-	}
-}
-
-func TestMerkleBuilderProofErrors(t *testing.T) {
-	b := NewMerkleBuilder(0)
-	if _, err := b.Proof(0); err != ErrEmptyTree {
-		t.Fatalf("empty builder: %v", err)
-	}
-	b.Add([]byte("x"))
-	for _, idx := range []int{-1, 1, 100} {
-		if _, err := b.Proof(idx); err == nil {
-			t.Fatalf("index %d: expected error", idx)
 		}
 	}
 }
@@ -148,21 +68,6 @@ func TestMerkleBuilderAddNoAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("MerkleBuilder.Add allocates %.1f per op in steady state, want 0", allocs)
-	}
-}
-
-func TestMerkleBuildStatsAdvance(t *testing.T) {
-	before := MerkleBuildStats()
-	b := NewMerkleBuilder(0)
-	b.Add([]byte("a"))
-	b.Add([]byte("b"))
-	_ = b.Root()
-	after := MerkleBuildStats()
-	if after.Leaves-before.Leaves < 2 {
-		t.Fatalf("leaf counter advanced %d, want >= 2", after.Leaves-before.Leaves)
-	}
-	if after.Roots-before.Roots < 1 {
-		t.Fatalf("root counter advanced %d, want >= 1", after.Roots-before.Roots)
 	}
 }
 

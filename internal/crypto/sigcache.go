@@ -27,7 +27,7 @@ import (
 //     block until the verdict is published and count as hits, so the
 //     crypto work is paid exactly once even under full parallelism.
 //   - Accounted: hit/miss counters are metrics.Counter values exposed
-//     via Stats and HitRate.
+//     via Stats.
 type VerifyCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -39,12 +39,9 @@ type VerifyCache struct {
 
 	// Batch-path accounting (DESIGN.md §4f), exposed via BatchStats as
 	// the sigcache.batch_* gauges.
-	batchCalls    metrics.Counter
-	batchItems    metrics.Counter
 	batchHits     metrics.Counter
 	batchDeduped  metrics.Counter
 	batchVerified metrics.Counter
-	batchFailed   metrics.Counter
 }
 
 // verifyEntry is one cached verdict. ready is closed once ok holds the
@@ -132,15 +129,6 @@ func (c *VerifyCache) evictLocked() {
 // counts as a hit: it performed no verification of its own.
 func (c *VerifyCache) Stats() (hits, misses int64) {
 	return c.hits.Value(), c.misses.Value()
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *VerifyCache) HitRate() float64 {
-	h, m := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }
 
 // Len returns the current number of cached verdicts.

@@ -210,26 +210,6 @@ func attrValue(v slog.Value) string {
 	}
 }
 
-// Len returns the number of buffered events.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Cap returns the ring capacity (0 for a nil log).
-func (l *Log) Cap() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}
-
 // Dropped returns how many events were evicted by ring wraparound.
 func (l *Log) Dropped() uint64 {
 	if l == nil {

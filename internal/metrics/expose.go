@@ -16,71 +16,9 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot captures every metric in the registry. Like Dump, the
-// registry lock is released before individual metrics are read.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	histograms := make(map[string]*Histogram, len(r.histograms))
-	for n, h := range r.histograms {
-		histograms[n] = h
-	}
-	counterVecs := make(map[string]*CounterVec, len(r.counterVecs))
-	for n, v := range r.counterVecs {
-		counterVecs[n] = v
-	}
-	gaugeVecs := make(map[string]*GaugeVec, len(r.gaugeVecs))
-	for n, v := range r.gaugeVecs {
-		gaugeVecs[n] = v
-	}
-	histogramVecs := make(map[string]*HistogramVec, len(r.histogramVecs))
-	for n, v := range r.histogramVecs {
-		histogramVecs[n] = v
-	}
-	r.mu.Unlock()
-
-	snap := Snapshot{
-		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]float64, len(gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(histograms)),
-	}
-	for n, c := range counters {
-		snap.Counters[n] = c.Value()
-	}
-	for n, g := range gauges {
-		snap.Gauges[n] = g.Value()
-	}
-	for n, h := range histograms {
-		snap.Histograms[n] = h.Snapshot()
-	}
-	for n, v := range counterVecs {
-		for _, child := range v.children() {
-			snap.Counters[n+"{"+child.labels+"}"] = child.counter.Value()
-		}
-	}
-	for n, v := range gaugeVecs {
-		for _, child := range v.children() {
-			snap.Gauges[n+"{"+child.labels+"}"] = child.gauge.Value()
-		}
-	}
-	for n, v := range histogramVecs {
-		for _, child := range v.children() {
-			snap.Histograms[n+"{"+child.labels+"}"] = child.hist.Snapshot()
-		}
-	}
-	return snap
-}
-
 // Merge folds other into s: counters and histogram buckets with the
-// same name are summed and gauges are overwritten. Used by the admin
-// endpoint when a process hosts several registries.
+// same name are summed and gauges are overwritten. Fleet views and the
+// benchmark use it to combine several nodes' or committees' snapshots.
 func (s *Snapshot) Merge(other Snapshot) {
 	if s.Counters == nil {
 		s.Counters = make(map[string]int64)
@@ -119,25 +57,29 @@ func (s *Snapshot) Merge(other Snapshot) {
 	}
 }
 
-// WritePrometheus renders the registry in the Prometheus text
-// exposition format (version 0.0.4). Metric names are sanitized
-// (`.` and `-` become `_`); histograms emit cumulative `_bucket{le=}`
-// lines plus `_sum`/`_count`.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return writePrometheusSnapshot(w, r.Snapshot())
-}
-
-// WritePrometheusSnapshot renders an already-captured (possibly
-// merged) snapshot in the Prometheus text format.
-func WritePrometheusSnapshot(w io.Writer, s Snapshot) error {
-	return writePrometheusSnapshot(w, s)
-}
-
-func writePrometheusSnapshot(w io.Writer, s Snapshot) error {
+func dump(s Snapshot) string {
 	var b strings.Builder
+	for _, n := range sortedKeys(s.Counters) {
+		fmt.Fprintf(&b, "%-40s %d\n", n, s.Counters[n])
+	}
+	for _, n := range sortedKeys(s.Gauges) {
+		fmt.Fprintf(&b, "%-40s %g\n", n, s.Gauges[n])
+	}
+	for _, n := range sortedKeys(s.Histograms) {
+		h := s.Histograms[n]
+		fmt.Fprintf(&b, "%-40s n=%d sum=%.4g p50=%.4g p95=%.4g\n",
+			n, h.Count, h.Sum, h.Quantile(0.50), h.Quantile(0.95))
+	}
+	return b.String()
+}
 
-	counterNames := sortedKeys(s.Counters)
-	for _, n := range counterNames {
+// WritePrometheusSnapshot renders a snapshot in the Prometheus text
+// exposition format (version 0.0.4). Metric names are sanitized (`.`
+// and `-` become `_`); histograms emit cumulative `_bucket{le=}` lines
+// plus `_sum`/`_count`.
+func WritePrometheusSnapshot(w io.Writer, s Snapshot) error {
+	var b strings.Builder
+	for _, n := range sortedKeys(s.Counters) {
 		base, labels := splitLabels(n)
 		fmt.Fprintf(&b, "%s%s %d\n", promName(base), labels, s.Counters[n])
 	}
@@ -186,24 +128,20 @@ func withLE(labels, le string) string {
 func promName(n string) string {
 	var b strings.Builder
 	for i, r := range n {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9' && i > 0)
-		if r >= '0' && r <= '9' && i == 0 {
+		switch {
+		case r >= '0' && r <= '9' && i == 0:
 			b.WriteByte('_')
 			b.WriteRune(r)
-			continue
-		}
-		if ok {
+		case r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9'):
 			b.WriteRune(r)
-		} else {
+		default:
 			b.WriteByte('_')
 		}
 	}
 	return b.String()
 }
 
-func sortedKeys[M ~map[string]V, V any](m M) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -55,7 +55,7 @@ func TestWritePrometheus(t *testing.T) {
 	r.Histogram("lat", nil).Observe(1.5)
 	r.CounterVec("screen.checked_total", "collector").With("0").Inc()
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheusSnapshot(&sb, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -7,10 +7,8 @@
 package metrics
 
 import (
-	"fmt"
+	"maps"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -37,10 +35,10 @@ func (c *Counter) Add(delta int64) {
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a point-in-time level that can move both ways — the shape
-// for republished snapshots of external state (cache sizes, hit rates,
-// queue depths). The zero value is ready to use. Safe for concurrent
-// use; the float64 value is stored as atomic bits, so Set and Value
-// are lock-free and Add is a CAS loop.
+// for republished snapshots of external state (cache traffic, chain
+// heads). The zero value is ready to use. Safe for concurrent use; the
+// float64 value is stored as atomic bits, so Set and Value are
+// lock-free and Add is a CAS loop.
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -62,180 +60,107 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current level.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Registry is a named collection of counters, gauges, histograms, and
-// labeled families. The zero value is not usable; call
-// NewRegistry. Safe for concurrent use. The registry lock guards only
-// the name → metric maps; each metric synchronizes its own updates, so
-// hot-path Inc/Observe calls on an already-created metric never touch
-// the registry lock.
+// Registry is a named collection of metric families, one map per kind.
+// The zero value is not usable; call NewRegistry. Safe for concurrent
+// use. The registry lock guards only the name → family maps; each
+// metric synchronizes its own updates, so hot-path Inc/Observe calls on
+// an already-resolved metric never touch the registry lock.
+//
+// The first registration of a name fixes its label names (and, for a
+// histogram, its bucket layout); later calls return that family
+// whatever they pass, since a layout cannot change mid-flight.
 type Registry struct {
-	mu            sync.Mutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	histograms    map[string]*Histogram
-	counterVecs   map[string]*CounterVec
-	gaugeVecs     map[string]*GaugeVec
-	histogramVecs map[string]*HistogramVec
+	mu         sync.Mutex
+	counters   map[string]*CounterVec
+	gauges     map[string]*GaugeVec
+	histograms map[string]*HistogramVec
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:      make(map[string]*Counter),
-		gauges:        make(map[string]*Gauge),
-		histograms:    make(map[string]*Histogram),
-		counterVecs:   make(map[string]*CounterVec),
-		gaugeVecs:     make(map[string]*GaugeVec),
-		histogramVecs: make(map[string]*HistogramVec),
+		counters:   make(map[string]*CounterVec),
+		gauges:     make(map[string]*GaugeVec),
+		histograms: make(map[string]*HistogramVec),
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
+// family returns the named family from m, creating it on first use.
+func family[M any](r *Registry, m map[string]*Vec[M], name string, labels []string, newM func() *M) *Vec[M] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = newVec(name, labels, newM)
+		m[name] = v
+	}
+	return v
+}
+
+func newCounter() *Counter { return &Counter{} }
+func newGauge() *Gauge     { return &Gauge{} }
+
+// Counter returns the named unlabeled counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return family(r, r.counters, name, nil, newCounter).With()
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named unlabeled gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return family(r, r.gauges, name, nil, newGauge).With()
 }
 
-// Histogram returns the named fixed-bucket histogram, creating it with
-// the given ascending upper bounds on first use. Later calls return
-// the existing histogram regardless of bounds — first registration
-// wins, as bucket layouts cannot change mid-flight.
+// Histogram returns the named unlabeled histogram, creating it with the
+// given ascending upper bounds on first use.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(bounds)
-		r.histograms[name] = h
-	}
-	return h
+	return r.HistogramVec(name, bounds).With()
 }
 
-// CounterVec returns the named labeled counter family, creating it
-// with the given label names on first use. Later calls return the
-// existing family regardless of label names — first registration wins.
+// CounterVec returns the named counter family, creating it with the
+// given label names on first use.
 func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.counterVecs[name]
-	if !ok {
-		v = newCounterVec(name, labels)
-		r.counterVecs[name] = v
-	}
-	return v
+	return family(r, r.counters, name, labels, newCounter)
 }
 
-// GaugeVec returns the named labeled gauge family, creating it with
-// the given label names on first use. Later calls return the existing
-// family regardless of label names — first registration wins.
+// GaugeVec returns the named gauge family, creating it with the given
+// label names on first use.
 func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		v = newGaugeVec(name, labels)
-		r.gaugeVecs[name] = v
-	}
-	return v
+	return family(r, r.gauges, name, labels, newGauge)
 }
 
-// HistogramVec returns the named labeled histogram family, creating it
-// with the given bounds and label names on first use.
+// HistogramVec returns the named histogram family, creating it with the
+// given bounds and label names on first use; every child shares the
+// bucket layout.
 func (r *Registry) HistogramVec(name string, bounds []float64, labels ...string) *HistogramVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.histogramVecs[name]
-	if !ok {
-		v = newHistogramVec(name, bounds, labels)
-		r.histogramVecs[name] = v
-	}
-	return v
+	return family(r, r.histograms, name, labels, func() *Histogram { return NewHistogram(bounds) })
 }
 
-// Dump renders every metric in sorted name order, one per line. The
-// registry lock is held only long enough to snapshot the metric maps —
-// formatting happens outside it, so a slow dump can never stall
-// hot-path metric creation.
-func (r *Registry) Dump() string {
+// Snapshot captures every metric in the registry — the one walk over
+// it. The registry lock is held only to copy the family maps, so a slow
+// reader never stalls metric creation on a hot path.
+func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	histograms := make(map[string]*Histogram, len(r.histograms))
-	for n, h := range r.histograms {
-		histograms[n] = h
-	}
-	counterVecs := make(map[string]*CounterVec, len(r.counterVecs))
-	for n, v := range r.counterVecs {
-		counterVecs[n] = v
-	}
-	gaugeVecs := make(map[string]*GaugeVec, len(r.gaugeVecs))
-	for n, v := range r.gaugeVecs {
-		gaugeVecs[n] = v
-	}
+	counters, gauges, histograms := maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.histograms)
 	r.mu.Unlock()
 
-	names := make([]string, 0, len(counters)+len(gauges)+len(histograms)+len(counterVecs)+len(gaugeVecs))
-	for n := range counters {
-		names = append(names, "c:"+n)
+	s := Snapshot{
+		Counters:   make(map[string]int64, len(counters)),
+		Gauges:     make(map[string]float64, len(gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(histograms)),
 	}
-	for n := range gauges {
-		names = append(names, "g:"+n)
+	for _, v := range counters {
+		v.each(func(key string, c *Counter) { s.Counters[key] = c.Value() })
 	}
-	for n := range histograms {
-		names = append(names, "h:"+n)
+	for _, v := range gauges {
+		v.each(func(key string, g *Gauge) { s.Gauges[key] = g.Value() })
 	}
-	for n := range counterVecs {
-		names = append(names, "v:"+n)
+	for _, v := range histograms {
+		v.each(func(key string, h *Histogram) { s.Histograms[key] = h.Snapshot() })
 	}
-	for n := range gaugeVecs {
-		names = append(names, "w:"+n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		kind, name := n[:1], n[2:]
-		switch kind {
-		case "c":
-			fmt.Fprintf(&b, "%-40s %d\n", name, counters[name].Value())
-		case "g":
-			fmt.Fprintf(&b, "%-40s %g\n", name, gauges[name].Value())
-		case "h":
-			snap := histograms[name].Snapshot()
-			fmt.Fprintf(&b, "%-40s n=%d sum=%.4g p50=%.4g p95=%.4g\n",
-				name, snap.Count, snap.Sum, snap.Quantile(0.50), snap.Quantile(0.95))
-		case "v":
-			for _, child := range counterVecs[name].children() {
-				fmt.Fprintf(&b, "%-40s %d\n", name+"{"+child.labels+"}", child.counter.Value())
-			}
-		case "w":
-			for _, child := range gaugeVecs[name].children() {
-				fmt.Fprintf(&b, "%-40s %g\n", name+"{"+child.labels+"}", child.gauge.Value())
-			}
-		}
-	}
-	return b.String()
+	return s
 }
+
+// Dump renders a snapshot of the registry for humans, one metric per
+// line: counters, then gauges, then histograms (count, sum, p50, p95),
+// each sorted by key.
+func (r *Registry) Dump() string { return dump(r.Snapshot()) }

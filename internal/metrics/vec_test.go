@@ -53,9 +53,10 @@ func TestCounterVecWith(t *testing.T) {
 	if r.CounterVec("screen.checked_total", "collector") != v {
 		t.Fatal("registry did not reuse vec")
 	}
-	kids := v.children()
-	if len(kids) != 2 || kids[0].labels != `collector="0"` || kids[1].labels != `collector="1"` {
-		t.Fatalf("children = %+v", kids)
+	var keys []string
+	v.each(func(key string, _ *Counter) { keys = append(keys, key) })
+	if len(keys) != 2 || keys[0] != `screen.checked_total{collector="0"}` || keys[1] != `screen.checked_total{collector="1"}` {
+		t.Fatalf("children = %q", keys)
 	}
 }
 
@@ -96,9 +97,10 @@ func TestDumpIncludesVecChildren(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("checked", "collector").With("2").Inc()
 	r.Histogram("lat", []float64{1}).Observe(0.5)
+	r.HistogramVec("stage", []float64{1}, "stage").With("commit").Observe(0.5)
 	r.Gauge("height").Set(7)
 	dump := r.Dump()
-	for _, want := range []string{`checked{collector="2"}`, "lat", "height"} {
+	for _, want := range []string{`checked{collector="2"}`, "lat", "height", `stage{stage="commit"}`} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("Dump() missing %q:\n%s", want, dump)
 		}
@@ -153,7 +155,7 @@ func TestGaugeVec(t *testing.T) {
 		t.Fatalf("snapshot committee 1 = %g, want 9", got)
 	}
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheusSnapshot(&sb, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `chain_height{committee="0"} 7`) {

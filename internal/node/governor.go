@@ -18,15 +18,6 @@ import (
 	"repchain/internal/tx"
 )
 
-// drawWeightBuckets bound the screening draw-weight histogram. RWM
-// weights start at 1 and only decay multiplicatively, so the mass of
-// interest is (0, 1] with resolution near the top.
-var drawWeightBuckets = []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
-
-// batchItemBuckets bound the items-per-upload-batch histogram: powers
-// of four up to the largest drain a block-limited round produces.
-var batchItemBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384}
-
 // DefaultArgueWindow is U where a deployment does not choose one: the
 // facade's default and the TCP runtime's value.
 const DefaultArgueWindow = 64
@@ -64,9 +55,9 @@ type GovernorConfig struct {
 	// mempool.evicted_total.
 	MempoolCap int
 	// AdmissionFloor sheds uploads whose (provider, collector)
-	// reputation weight — the same signal the screen.draw_weight
-	// histogram observes — has decayed below the floor. Zero admits
-	// everything. Weights live in (0, 1] and start at 1, so a fresh
+	// reputation weight — the weight the screening draw samples by —
+	// has decayed below the floor. Zero admits everything. Weights
+	// live in (0, 1] and start at 1, so a fresh
 	// table sheds nothing at any floor ≤ 1; the floor only bites once
 	// the mechanism has learned to distrust a collector. Shed decisions
 	// depend solely on deterministic table state, never on schedule.
@@ -182,20 +173,14 @@ type Governor struct {
 	events *events.Log
 	round  uint64
 
-	// Pre-resolved per-collector screening counters (indexed by global
-	// collector index) and the draw-weight histogram; nil when no
-	// registry is configured, so the hot screening loop pays only a nil
-	// check with metrics off.
-	scrChecked   []*metrics.Counter
-	scrUnchecked []*metrics.Counter
-	drawWeight   *metrics.Histogram
-	// Mempool admission counters; nil without a registry.
-	mpShed    *metrics.Counter
-	mpEvicted *metrics.Counter
-	// Upload-path refusals by reason and items per authenticated batch;
-	// nil without a registry.
+	// Pre-resolved per-collector checked-screening counters (indexed by
+	// global collector index), mempool admission counters and upload
+	// refusals by reason; nil when no registry is configured, so the hot
+	// screening loop pays only a nil check with metrics off.
+	scrChecked []*metrics.Counter
+	mpShed     *metrics.Counter
+	mpEvicted  *metrics.Counter
 	upRejected *metrics.CounterVec
-	batchItems *metrics.Histogram
 
 	// merkle is the incremental transaction-root builder BuildBlock
 	// feeds while packing, so the root is ready the moment the record
@@ -239,19 +224,13 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	if cfg.Metrics != nil {
 		table.SetMetrics(cfg.Metrics)
 		checked := cfg.Metrics.CounterVec("screen.checked_total", "collector")
-		unchecked := cfg.Metrics.CounterVec("screen.unchecked_total", "collector")
-		n := cfg.Topology.Collectors()
-		g.scrChecked = make([]*metrics.Counter, n)
-		g.scrUnchecked = make([]*metrics.Counter, n)
-		for c := 0; c < n; c++ {
+		g.scrChecked = make([]*metrics.Counter, cfg.Topology.Collectors())
+		for c := range g.scrChecked {
 			g.scrChecked[c] = checked.With(strconv.Itoa(c))
-			g.scrUnchecked[c] = unchecked.With(strconv.Itoa(c))
 		}
-		g.drawWeight = cfg.Metrics.Histogram("screen.draw_weight", drawWeightBuckets)
 		g.mpShed = cfg.Metrics.Counter("mempool.shed_total")
 		g.mpEvicted = cfg.Metrics.Counter("mempool.evicted_total")
 		g.upRejected = cfg.Metrics.CounterVec("node.uploads_rejected_total", "reason")
-		g.batchItems = cfg.Metrics.Histogram("node.upload_batch_items", batchItemBuckets)
 	}
 	return g, nil
 }
@@ -452,9 +431,6 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 					}
 				}
 				continue
-			}
-			if g.batchItems != nil {
-				g.batchItems.Observe(float64(len(u.items)))
 			}
 			for k := range u.items {
 				it := &u.items[k]
@@ -680,15 +656,8 @@ func (g *Governor) ScreenRound() ([]ledger.Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("governor %s screen: %w", g.cfg.Member.ID, err)
 		}
-		if g.drawWeight != nil {
-			if w, werr := g.table.Weight(grp.provider, dec.Collector); werr == nil {
-				g.drawWeight.Observe(w)
-			}
-			if dec.Check {
-				g.scrChecked[dec.Collector].Inc()
-			} else {
-				g.scrUnchecked[dec.Collector].Inc()
-			}
+		if g.scrChecked != nil && dec.Check {
+			g.scrChecked[dec.Collector].Inc()
 		}
 		// One hex encode per transaction, and none with the log off: the
 		// ID string feeds up to two events below.

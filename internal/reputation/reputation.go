@@ -141,7 +141,6 @@ type tableMetrics struct {
 	forgePenalties *metrics.Counter
 	misreportUp    *metrics.Counter
 	misreportDown  *metrics.Counter
-	reveals        *metrics.Counter
 	betaDecays     *metrics.Counter
 	gammaDecays    *metrics.Counter
 	revealLoss     *metrics.Histogram
@@ -161,7 +160,6 @@ func (t *Table) SetMetrics(reg *metrics.Registry) {
 		forgePenalties: reg.Counter("reputation.forge_penalties_total"),
 		misreportUp:    reg.Counter("reputation.misreport_up_total"),
 		misreportDown:  reg.Counter("reputation.misreport_down_total"),
-		reveals:        reg.Counter("reputation.reveals_total"),
 		betaDecays:     reg.Counter("reputation.beta_decays_total"),
 		gammaDecays:    reg.Counter("reputation.gamma_decays_total"),
 		// L_tx ∈ [0, 2] and γ_tx ∈ [β², 1] (rwm.Gamma), so the
@@ -417,8 +415,7 @@ func (t *Table) RecordRevealed(k int, reports []Report, status tx.Status) (Revea
 	if err != nil {
 		return RevealResult{}, fmt.Errorf("provider %d reveal: %w", k, err)
 	}
-	if t.m.reveals != nil {
-		t.m.reveals.Inc()
+	if t.m.revealLoss != nil {
 		for _, o := range outcomes {
 			switch o {
 			case rwm.OutcomeWrong:

@@ -71,12 +71,10 @@ type Cluster struct {
 	scanned   []uint64
 	retry     int
 
-	reg               *metrics.Registry
-	heightVec         *metrics.GaugeVec
-	crossTx           *metrics.Counter
-	receiptsPending   *metrics.Gauge
-	receiptsCommitted *metrics.Counter
-	rehomes           *metrics.Counter
+	reg       *metrics.Registry
+	heightVec *metrics.GaugeVec
+	crossTx   *metrics.Counter
+	rehomes   *metrics.Counter
 }
 
 // New builds and starts a cluster. With Committees <= 1 the base
@@ -120,8 +118,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	cl.heightVec = cl.reg.GaugeVec("chain.height", "committee")
 	cl.crossTx = cl.reg.Counter("shard.cross_tx_total")
-	cl.receiptsPending = cl.reg.Gauge("shard.receipts_pending")
-	cl.receiptsCommitted = cl.reg.Counter("shard.receipts_committed_total")
 	cl.rehomes = cl.reg.Counter("shard.rehomes_total")
 
 	cl.engines = make([]*core.Engine, k)
@@ -312,7 +308,6 @@ func (cl *Cluster) RunRoundCtx(ctx context.Context) ([]core.RoundResult, error) 
 		cl.scanCommitted()
 	}
 	cl.publishHeights()
-	cl.receiptsPending.Set(float64(len(cl.pending)))
 	return results, errors.Join(roundErrs...)
 }
 
@@ -332,7 +327,7 @@ func (cl *Cluster) PendingReceipts() int {
 }
 
 // Metrics returns the cluster-level registry: per-committee chain
-// heads and the cross-shard relay counters. Per-committee engine
+// heads, cross-shard locks and rehomes. Per-committee engine
 // metrics stay on each engine's own registry.
 func (cl *Cluster) Metrics() *metrics.Registry { return cl.reg }
 

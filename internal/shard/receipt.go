@@ -302,7 +302,6 @@ func (cl *Cluster) scanBlock(i int, b ledger.Block) {
 			for n, pr := range cl.pending {
 				if pr.env.LockID == env.LockID {
 					cl.pending = append(cl.pending[:n], cl.pending[n+1:]...)
-					cl.receiptsCommitted.Inc()
 					break
 				}
 			}

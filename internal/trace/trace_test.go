@@ -19,7 +19,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Fatalf("nil Emit seq = %d, want 0", seq)
 	}
 	l.EnableWallClock()
-	if l.Len() != 0 || l.Dropped() != 0 || l.Events() != nil || l.Select(events.Filter{Trace: "deadbeef"}) != nil {
+	if l.Dropped() != 0 || l.Events() != nil || l.Select(events.Filter{Trace: "deadbeef"}) != nil {
 		t.Fatal("nil ring should be inert")
 	}
 	if events.NewLog(0) != nil || events.NewLog(-1) != nil {
@@ -54,9 +54,6 @@ func TestRecorderRingEvicts(t *testing.T) {
 	l := events.NewLog(3)
 	for i := 0; i < 5; i++ {
 		l.Emit(events.TypeTxSigned, "t", uint64(i), "provider/0")
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
 	}
 	if l.Dropped() != 2 {
 		t.Fatalf("Dropped = %d, want 2", l.Dropped())

@@ -24,8 +24,6 @@ var (
 	ErrBadDeployment = errors.New("transport: invalid deployment")
 	// ErrUnknownPeer reports a message for or from an unknown node.
 	ErrUnknownPeer = errors.New("transport: unknown peer")
-	// ErrBadFrame reports an undecodable frame or payload.
-	ErrBadFrame = errors.New("transport: bad frame")
 	// ErrClosed reports use of a closed endpoint.
 	ErrClosed = errors.New("transport: endpoint closed")
 )

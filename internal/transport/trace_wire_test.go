@@ -177,7 +177,7 @@ func TestEndpointPropagationOff(t *testing.T) {
 	if frames[0].Trace != nil {
 		t.Fatal("propagation-off sender produced a traced frame")
 	}
-	if got := logB.Len(); got != 0 {
+	if got := len(logB.Events()); got != 0 {
 		t.Fatalf("receiver recorded %d events for an untraced frame", got)
 	}
 }

@@ -102,6 +102,24 @@ func TestChainLifecycle(t *testing.T) {
 	}
 }
 
+// TestChainMetricsDumpsHistogramFamilies checks that the text dump
+// renders every snapshot series, labeled histograms included.
+func TestChainMetricsDumpsHistogramFamilies(t *testing.T) {
+	c := newTestChain(t)
+	if _, err := c.Submit(0, "test/tx", []byte{1}, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	dump := c.Metrics()
+	for _, want := range []string{`round.stage_seconds{stage="commit"}`, "engine.rounds_total", `screen.checked_total{collector=`} {
+		if !strings.Contains(dump, want) {
+			t.Errorf("Chain.Metrics() lacks %s:\n%s", want, dump)
+		}
+	}
+}
+
 func TestChainRevenueAndReputationAccessors(t *testing.T) {
 	c := newTestChain(t)
 	for r := 0; r < 3; r++ {

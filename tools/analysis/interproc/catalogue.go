@@ -98,7 +98,6 @@ var sinks = []sinkSpec{
 	// Hash inputs: block hashes and Merkle roots must be replayable.
 	{pkg: "repchain/internal/crypto", recv: "MerkleBuilder", name: "Add", label: "Merkle leaf bytes"},
 	{pkg: "repchain/internal/crypto", name: "MerkleRoot", label: "Merkle leaf bytes"},
-	{pkg: "repchain/internal/crypto", name: "BuildMerkleProof", args: []int{0}, label: "Merkle leaf bytes"},
 	{pkg: "repchain/internal/crypto", name: "Sum", label: "block-hash input bytes"},
 	{pkg: "repchain/internal/crypto", name: "SumParts", label: "block-hash input bytes"},
 	// Durable ledger frames.
