@@ -72,7 +72,6 @@ func clusterRound(tb testing.TB) func(i int) {
 		repchain.WithCommittees(4),
 		repchain.WithValidator(benchValidator),
 		repchain.WithSeed(1),
-		repchain.WithWorkers(1),
 	)
 	if err != nil {
 		tb.Fatal(err)
@@ -104,10 +103,10 @@ func TestRoundAllocBudgets(t *testing.T) {
 		round    func(testing.TB) func(int)
 	}{
 		{"plain", 6532, func(tb testing.TB) func(int) {
-			return chainRound(tb, repchain.WithWorkers(1))
+			return chainRound(tb)
 		}},
 		{"tracing", 7975, func(tb testing.TB) func(int) {
-			return chainRound(tb, repchain.WithWorkers(1), repchain.WithEventLog(1<<16))
+			return chainRound(tb, repchain.WithEventLog(1<<16))
 		}},
 		{"mempool", 6608, func(tb testing.TB) func(int) {
 			return chainRound(tb, repchain.WithMempool(256), repchain.WithBlockLimit(64))
@@ -137,7 +136,7 @@ func TestRoundAllocBudgets(t *testing.T) {
 // whole stack — signatures, bus, screening, election, block
 // replication — kept ungated for -cpuprofile/-memprofile work.
 func BenchmarkFullProtocolRound(b *testing.B) {
-	round := chainRound(b, repchain.WithWorkers(1))
+	round := chainRound(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

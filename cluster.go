@@ -6,7 +6,6 @@ import (
 
 	"repchain/internal/core"
 	"repchain/internal/events"
-	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/metrics"
 	"repchain/internal/node"
@@ -14,11 +13,6 @@ import (
 	"repchain/internal/shard"
 	"repchain/internal/tx"
 )
-
-// PartitionFunc assigns global provider indices to committees; it must
-// be a pure function of its arguments. See identity.ModuloPartition for
-// the default.
-type PartitionFunc = identity.PartitionFunc
 
 // WithCommittees sets K, the number of sharded committees a cluster
 // runs (NewCluster only; New rejects it). Each committee runs the full
@@ -35,19 +29,6 @@ func WithCommittees(k int) Option {
 	}
 }
 
-// WithPartition overrides how providers map onto committees
-// (NewCluster only; default identity.ModuloPartition). The function
-// must be deterministic: the mapping is part of the replicated state.
-func WithPartition(fn PartitionFunc) Option {
-	return func(o *options) error {
-		if fn == nil {
-			return fmt.Errorf("nil partition: %w", ErrBadOption)
-		}
-		o.Partition = fn
-		return nil
-	}
-}
-
 // Cluster is a committee-sharded alliance chain: K committees, each a
 // complete protocol instance over its slice of the provider set, plus
 // the two-phase cross-shard receipt relay between them. A Chain is the
@@ -59,10 +40,10 @@ type Cluster struct {
 }
 
 // NewCluster assembles a sharded cluster from the same options as New
-// plus WithCommittees and WithPartition. WithTopology describes the
-// GLOBAL provider/collector population; per-committee topologies are
-// carved from it along the partition. WithLinks and explicit
-// per-collector behaviours are incompatible with K > 1.
+// plus WithCommittees. WithTopology describes the GLOBAL
+// provider/collector population; per-committee topologies are carved
+// from it along the partition (provider index modulo K). WithLinks and
+// explicit per-collector behaviours are incompatible with K > 1.
 func NewCluster(opts ...Option) (*Cluster, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
@@ -332,6 +313,9 @@ func buildOptions(opts []Option) (options, error) {
 		if err := opt(&o); err != nil {
 			return options{}, err
 		}
+	}
+	if o.Base.ChainDir == "" && (o.Base.SnapshotEvery != 0 || o.Base.SegmentBytes != 0) {
+		return options{}, fmt.Errorf("WithSnapshotEvery/WithSegmentBytes need WithChainDir: %w", ErrBadOption)
 	}
 	return o, nil
 }

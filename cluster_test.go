@@ -200,16 +200,12 @@ func TestNewRejectsClusterOptions(t *testing.T) {
 	if _, err := New(append(goldenOptions(), WithCommittees(2))...); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("New with WithCommittees: err = %v, want ErrBadOption", err)
 	}
-	if _, err := New(append(goldenOptions(), WithPartition(func(p, k int) int { return 0 }))...); !errors.Is(err, ErrBadOption) {
-		t.Fatalf("New with WithPartition: err = %v, want ErrBadOption", err)
-	}
 	for name, opt := range map[string]Option{
-		"WithCommittees(0)":      WithCommittees(0),
-		"partition out of range": WithPartition(func(p, k int) int { return k }),
-		"empty committee":        WithPartition(func(p, k int) int { return 0 }),
-		"links with K=2":         WithLinks([][]int{{0}, {1}, {2}, {3}, {0}, {1}, {2}, {3}}),
-		"too few behaviours":     WithCollectorBehaviors(CollectorBehavior{}),
-		"indivisible committee":  WithPartition(func(p, k int) int { return min(p, 1) }),
+		"WithCommittees(0)":     WithCommittees(0),
+		"empty committee":       WithCommittees(16),
+		"links with K=2":        WithLinks([][]int{{0}, {1}, {2}, {3}, {0}, {1}, {2}, {3}}),
+		"too few behaviours":    WithCollectorBehaviors(CollectorBehavior{}),
+		"indivisible committee": WithCommittees(3),
 	} {
 		if _, err := NewCluster(append(goldenOptions(), WithCommittees(2), opt)...); !errors.Is(err, ErrBadOption) {
 			t.Errorf("NewCluster %s: err = %v, want ErrBadOption", name, err)

@@ -49,23 +49,14 @@ func main() {
 		stateDir   = flag.String("state", "", "directory persisting governor chain + reputation state across restarts")
 		adminAddr  = flag.String("admin-addr", "", "serve /metrics, /healthz, /readyz, /events, and pprof on this address (e.g. 127.0.0.1:9180; empty = off)")
 		committee  = flag.Int("committee", 0, "committee index this node's chain belongs to (published as the chain.committee gauge so fleet tooling scores height skew within, not across, committees)")
-		eventsCap  = flag.Int("events-cap", 8192, "event ring capacity behind /events, transaction traces included (0 = events off)")
-		propagate  = flag.Bool("trace-propagate", false, "stamp trace context onto outgoing frames so traces stitch across processes (needs -events-cap > 0)")
+		eventsCap  = flag.Int("events-cap", 8192, "event ring capacity behind /events, transaction traces included; > 0 also stamps trace context onto outgoing frames so traces stitch across processes (0 = events off)")
 		logFormat  = flag.String("log-format", "text", "structured log format: text or json")
 
-		retryMax     = flag.Int("retry-max", 0, "delivery attempts per frame (0 = default)")
-		retryBase    = flag.Duration("retry-base", 0, "backoff before the first retry (0 = default)")
-		retryCap     = flag.Duration("retry-cap", 0, "backoff ceiling (0 = default)")
-		dialTimeout  = flag.Duration("dial-timeout", 0, "per-dial timeout (0 = default)")
-		writeTimeout = flag.Duration("write-timeout", 0, "per-write timeout (0 = default)")
-
-		mempoolCap     = flag.Int("mempool-cap", 0, "governor mempool capacity per provider (0 = unbounded; a provider at its cap loses its oldest)")
-		admissionFloor = flag.Float64("admission-floor", 0, "shed uploads from collectors whose reputation weight is below this floor (0 = off)")
-		blockLimit     = flag.Int("block-limit", 0, "transactions per block, b_limit (0 = unlimited)")
-		inflightLimit  = flag.Int("inflight-limit", 0, "max undrained frames held per peer (0 = unbounded)")
+		mempoolCap = flag.Int("mempool-cap", 0, "governor mempool capacity per provider (0 = unbounded; a provider at its cap loses its oldest)")
+		blockLimit = flag.Int("block-limit", 0, "transactions per block, b_limit (0 = unlimited)")
 
 		snapshotEvery = flag.Int("snapshot-every", 0, "write a recovery snapshot and prune chain segments every N rounds (0 = off; needs -state)")
-		segmentBytes  = flag.Int64("segment-bytes", 0, "chain segment roll threshold in bytes (0 = 4 MiB default)")
+		segmentBytes  = flag.Int64("segment-bytes", 0, "chain segment roll threshold in bytes (0 = 4 MiB default; needs -state)")
 	)
 	flag.Parse()
 
@@ -75,29 +66,19 @@ func main() {
 		os.Exit(1)
 	}
 
-	retry := transport.RetryPolicy{
-		MaxAttempts:  *retryMax,
-		BaseBackoff:  *retryBase,
-		MaxBackoff:   *retryCap,
-		DialTimeout:  *dialTimeout,
-		WriteTimeout: *writeTimeout,
-	}
 	pool := poolOptions{
-		mempoolCap:     *mempoolCap,
-		admissionFloor: *admissionFloor,
-		blockLimit:     *blockLimit,
-		inflightLimit:  *inflightLimit,
-		snapshotEvery:  *snapshotEvery,
-		segmentBytes:   *segmentBytes,
+		mempoolCap:    *mempoolCap,
+		blockLimit:    *blockLimit,
+		snapshotEvery: *snapshotEvery,
+		segmentBytes:  *segmentBytes,
 	}
 	obs := obsOptions{
 		adminAddr: *adminAddr,
 		committee: *committee,
 		eventsCap: *eventsCap,
-		propagate: *propagate,
 		logger:    logger,
 	}
-	if err := run(*rosterPath, *id, *demo, *rounds, *roundDur, *epoch, *txPerRound, *seed, *stateDir, obs, retry, pool); err != nil {
+	if err := run(*rosterPath, *id, *demo, *rounds, *roundDur, *epoch, *txPerRound, *seed, *stateDir, obs, pool); err != nil {
 		logger.Error("exiting", slog.String("err", err.Error()))
 		os.Exit(1)
 	}
@@ -117,12 +98,10 @@ func buildLogger(format string) (*slog.Logger, error) {
 
 // poolOptions bundles the mempool / backpressure / storage flags.
 type poolOptions struct {
-	mempoolCap     int
-	admissionFloor float64
-	blockLimit     int
-	inflightLimit  int
-	snapshotEvery  int
-	segmentBytes   int64
+	mempoolCap    int
+	blockLimit    int
+	snapshotEvery int
+	segmentBytes  int64
 }
 
 // obsOptions bundles the observability flags.
@@ -130,12 +109,21 @@ type obsOptions struct {
 	adminAddr string
 	committee int
 	eventsCap int
-	propagate bool
 	logger    *slog.Logger
 }
 
-func run(rosterPath, id string, demo bool, rounds int, roundDur time.Duration, epochStr string, txPerRound int, seed int64, stateDir string, obs obsOptions, retry transport.RetryPolicy, pool poolOptions) error {
+func run(rosterPath, id string, demo bool, rounds int, roundDur time.Duration, epochStr string, txPerRound int, seed int64, stateDir string, obs obsOptions, pool poolOptions) error {
 	logger := obs.logger
+	if stateDir == "" {
+		// Both only shape the on-disk chain; without one they would be
+		// silently dropped.
+		if pool.snapshotEvery != 0 {
+			return fmt.Errorf("-snapshot-every needs -state")
+		}
+		if pool.segmentBytes != 0 {
+			return fmt.Errorf("-segment-bytes needs -state")
+		}
+	}
 	var deployment *transport.Deployment
 	if demo {
 		d, err := demoDeployment(seed)
@@ -171,28 +159,24 @@ func run(rosterPath, id string, demo bool, rounds int, roundDur time.Duration, e
 		ValidFrac:  0.75,
 		Seed:       seed,
 		StateDir:   stateDir,
-		Retry:      retry,
 		Logger:     logger,
 
-		MempoolCap:     pool.mempoolCap,
-		AdmissionFloor: pool.admissionFloor,
-		BlockLimit:     pool.blockLimit,
-		InflightLimit:  pool.inflightLimit,
-		SnapshotEvery:  pool.snapshotEvery,
-		SegmentBytes:   pool.segmentBytes,
+		MempoolCap:    pool.mempoolCap,
+		BlockLimit:    pool.blockLimit,
+		SnapshotEvery: pool.snapshotEvery,
+		SegmentBytes:  pool.segmentBytes,
 	}
 
 	// One shared registry/event-log/health for the process. In demo
 	// mode that aggregates the whole alliance; in single-node mode
 	// readiness only tracks what this process can see — its own
 	// governor height, if it is a governor at all. The event log is
-	// wired even without an admin endpoint so -trace-propagate works
-	// standalone; its wall clock is on because this is the TCP runtime,
-	// not a deterministic simulation.
+	// wired even without an admin endpoint so frames carry trace
+	// context standalone; its wall clock is on because this is the TCP
+	// runtime, not a deterministic simulation.
 	evlog := events.NewLog(obs.eventsCap)
 	evlog.EnableWallClock()
 	base.Events = evlog
-	base.PropagateTrace = obs.propagate
 
 	if obs.adminAddr != "" {
 		governors := 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ var oracle = tx.ValidatorFunc(func(t tx.Transaction) bool {
 	return len(t.Payload) > 0 && t.Payload[0] == 1
 })
 
-func config(seed int64, workers int) core.Config {
+func config(seed int64) core.Config {
 	return core.Config{
 		Spec:        identity.TopologySpec{Providers: 4, Collectors: 4, Degree: 2},
 		Governors:   3,
@@ -36,7 +37,6 @@ func config(seed int64, workers int) core.Config {
 		MaxDelay:    2,
 		Seed:        seed,
 		Validator:   oracle,
-		Workers:     workers,
 		// The event log stays on through the whole fault matrix: events
 		// must never perturb recovery or determinism. The capacity is
 		// sized so a full run never wraps — runTrace asserts
@@ -49,13 +49,13 @@ func config(seed int64, workers int) core.Config {
 // trace is the observable outcome of one chaos run: a per-round
 // commit/abort record, each governor's final reputation snapshot, and
 // each replica's final head. Two runs of the same (seed, plan) must
-// produce equal traces at any worker count.
+// produce equal traces at any GOMAXPROCS.
 type trace struct {
 	rounds []string
 	reps   [][]byte
 	heads  []string
 	// events is the canonical merged event stream; it must be
-	// byte-identical across worker counts.
+	// byte-identical across GOMAXPROCS settings.
 	events string
 }
 
@@ -89,9 +89,11 @@ func canonicalEvents(evs []events.Event) string {
 // properties: only recoverable aborts, no forked prefix between any
 // two replicas, every chain verifiable, and a commit within healBy
 // rounds of the faults clearing.
-func runTrace(t *testing.T, plan chaos.Plan, seed int64, workers int) trace {
+func runTrace(t *testing.T, plan chaos.Plan, seed int64, procs int) trace {
 	t.Helper()
-	e, err := core.New(config(seed, workers))
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	e, err := core.New(config(seed))
 	if err != nil {
 		t.Fatalf("New() error = %v", err)
 	}
@@ -204,7 +206,7 @@ func runTrace(t *testing.T, plan chaos.Plan, seed int64, workers int) trace {
 }
 
 // TestChaosMatrix is the acceptance matrix: seeds {1, 7, 42} × the
-// five standard fault plans, each run at workers 1 and 4. Per (seed,
+// five standard fault plans, each run at GOMAXPROCS 1 and 4. Per (seed,
 // plan) the two runs must agree byte-for-byte on the round-by-round
 // commit/abort pattern, every block hash, every replica head, every
 // governor's serialized reputation table, and the canonical event
@@ -218,21 +220,21 @@ func TestChaosMatrix(t *testing.T) {
 				t4 := runTrace(t, plan, seed, 4)
 				for r := range t1.rounds {
 					if t1.rounds[r] != t4.rounds[r] {
-						t.Fatalf("round %d diverges across workers: %q vs %q", r, t1.rounds[r], t4.rounds[r])
+						t.Fatalf("round %d diverges across GOMAXPROCS: %q vs %q", r, t1.rounds[r], t4.rounds[r])
 					}
 				}
 				for j := range t1.heads {
 					if t1.heads[j] != t4.heads[j] {
-						t.Fatalf("governor %d head diverges across workers: %s vs %s", j, t1.heads[j], t4.heads[j])
+						t.Fatalf("governor %d head diverges across GOMAXPROCS: %s vs %s", j, t1.heads[j], t4.heads[j])
 					}
 				}
 				for j := range t1.reps {
 					if !bytes.Equal(t1.reps[j], t4.reps[j]) {
-						t.Fatalf("governor %d reputation snapshot diverges across workers", j)
+						t.Fatalf("governor %d reputation snapshot diverges across GOMAXPROCS", j)
 					}
 				}
 				if t1.events != t4.events {
-					t.Fatal("canonical event stream diverges across workers")
+					t.Fatal("canonical event stream diverges across GOMAXPROCS")
 				}
 			})
 		}
@@ -245,7 +247,7 @@ func TestChaosMatrix(t *testing.T) {
 func TestPlansInjectFaults(t *testing.T) {
 	check := func(plan chaos.Plan, stat func(e *core.Engine) int64) {
 		t.Helper()
-		e, err := core.New(config(42, 1))
+		e, err := core.New(config(42))
 		if err != nil {
 			t.Fatal(err)
 		}

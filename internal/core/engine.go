@@ -107,17 +107,6 @@ type Config struct {
 	// with a segment directory `governor-<j>.chain` under it, so chain,
 	// reputation and stakes survive restarts. Empty means in memory.
 	ChainDir string
-	// Workers bounds the goroutines used to fan out per-collector and
-	// per-governor round work — the node fan-out only: within a node,
-	// a batch's signatures (VerifyBatch residuals, SignBatch) spread
-	// over GOMAXPROCS whatever this says. Zero (or negative) means one
-	// worker per logical CPU; 1 steps the nodes one after another. Any
-	// value produces byte-identical rounds — per-node RNG streams are
-	// consumed only by their owning node, and buffered sends are
-	// replayed onto the bus in node order — so Workers trades only
-	// wall time, never determinism. When Workers != 1 the Validator
-	// must be safe for concurrent use (pure functions are).
-	Workers int
 	// EventCapacity, when positive, enables the event log: every node
 	// appends its protocol facts — each transaction's sign, label,
 	// upload, screen, pack and commit under its trace ID, leader
@@ -134,10 +123,6 @@ type Config struct {
 	// oldest pending transaction (counted, never silent). Zero means
 	// unbounded.
 	MempoolCap int
-	// AdmissionFloor makes every governor shed verified uploads from
-	// collectors whose draw-time reputation weight for the submitting
-	// provider is below the floor. Zero admits everything.
-	AdmissionFloor float64
 	// SnapshotEvery, with ChainDir set, writes an atomic snapshot of
 	// each governor's recovery state (round counter, reputation table,
 	// stake vector) every N committed rounds and prunes chain segments
@@ -184,9 +169,6 @@ type Engine struct {
 	collectorDown []bool
 	governorDown  []bool
 
-	// workers is the resolved node fan-out bound (Config.Workers, with
-	// 0 meaning GOMAXPROCS).
-	workers int
 	// reg collects engine-level operational metrics: protocol anomaly
 	// counters and snapshots of the shared signature-cache statistics.
 	reg *metrics.Registry
@@ -245,9 +227,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MempoolCap < 0 {
 		return nil, fmt.Errorf("mempool cap %d: %w", cfg.MempoolCap, ErrBadConfig)
 	}
-	if cfg.AdmissionFloor < 0 || cfg.AdmissionFloor > 1 {
-		return nil, fmt.Errorf("admission floor %v: %w", cfg.AdmissionFloor, ErrBadConfig)
-	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
@@ -296,7 +275,6 @@ func New(cfg Config) (*Engine, error) {
 		stake:       consensus.NewStakeLedger(stakes),
 		expelled:    make([]bool, cfg.Governors),
 		stakeNonces: make([]uint64, cfg.Governors),
-		workers:     resolveWorkers(cfg.Workers),
 		reg:         metrics.NewRegistry(),
 		events:      events.NewLog(cfg.EventCapacity),
 	}
@@ -360,20 +338,19 @@ func New(cfg Config) (*Engine, error) {
 			store = fs
 		}
 		gov, err := node.NewGovernor(node.GovernorConfig{
-			Member:         mem,
-			Endpoint:       ep,
-			IM:             im,
-			Topology:       topo,
-			Params:         cfg.Params,
-			Validator:      cfg.Validator,
-			BlockLimit:     cfg.BlockLimit,
-			ArgueWindow:    cfg.ArgueWindow,
-			Seed:           cfg.Seed + int64(2000+j),
-			Store:          store,
-			MempoolCap:     cfg.MempoolCap,
-			AdmissionFloor: cfg.AdmissionFloor,
-			Metrics:        e.reg,
-			Events:         e.events,
+			Member:      mem,
+			Endpoint:    ep,
+			IM:          im,
+			Topology:    topo,
+			Params:      cfg.Params,
+			Validator:   cfg.Validator,
+			BlockLimit:  cfg.BlockLimit,
+			ArgueWindow: cfg.ArgueWindow,
+			Seed:        cfg.Seed + int64(2000+j),
+			Store:       store,
+			MempoolCap:  cfg.MempoolCap,
+			Metrics:     e.reg,
+			Events:      e.events,
 		})
 		if err != nil {
 			return nil, err
@@ -471,9 +448,6 @@ func (e *Engine) StakeLedger() *consensus.StakeLedger { return e.stake }
 
 // Round returns the number of completed rounds.
 func (e *Engine) Round() uint64 { return e.round }
-
-// Workers returns the engine's resolved fan-out bound.
-func (e *Engine) Workers() int { return e.workers }
 
 // Events exposes the engine's event log; nil when Config.EventCapacity
 // is zero.
@@ -630,7 +604,7 @@ func (e *Engine) stepGovernors(step func(j int, r *node.GovernorRound, out node.
 // the collecting phase submitted, commits one block, and resolves
 // provider argues triggered by the new block.
 //
-// Every fan-out below is deterministic at any Workers setting: nodes
+// Every fan-out below is deterministic at any GOMAXPROCS: nodes
 // own their RNG streams and state, parallel stages buffer their
 // outbound messages, and the engine replays the buffers onto the bus
 // in node-index order — the exact order the sequential pipeline sends

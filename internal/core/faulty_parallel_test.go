@@ -13,7 +13,7 @@ import (
 
 // faultHash is a tiny pure hash over a message's identity, so delay
 // and drop decisions are functions of (message, recipient) only —
-// deterministic at any worker count, exactly the discipline the bus
+// deterministic at any GOMAXPROCS, exactly the discipline the bus
 // hooks document.
 func faultHash(m network.Message, to identity.NodeID, salt uint64) uint64 {
 	h := uint64(14695981039346656037)
@@ -35,11 +35,11 @@ func faultHash(m network.Message, to identity.NodeID, salt uint64) uint64 {
 // deliveries across [0, Δ]) and a deterministic DropFunc (loses ~5% of
 // upload traffic) installed together, and records every per-round
 // outcome.
-func faultyTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
+func faultyTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
 	t.Helper()
 	cfg := defaultConfig()
 	cfg.Seed = seed
-	cfg.Workers = workers
+	setProcs(t, procs)
 	e := newTestEngine(t, cfg)
 	e.Bus().SetDelayFunc(func(m network.Message, to identity.NodeID) int {
 		return int(faultHash(m, to, 0x1111) % 3) // 0..Δ with Δ=2
@@ -57,7 +57,7 @@ func faultyTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 				tr.leaders = append(tr.leaders, -1)
 				continue
 			}
-			t.Fatalf("seed %d workers %d round %d: %v", seed, workers, r, err)
+			t.Fatalf("seed %d GOMAXPROCS %d round %d: %v", seed, procs, r, err)
 		}
 		tr.hashes = append(tr.hashes, res.Block.Hash())
 		tr.leaders = append(tr.leaders, res.Leader)
@@ -79,17 +79,15 @@ func TestParallelMatchesSequentialUnderFaults(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			want := faultyTrace(t, seed, 1, rounds)
-			for _, workers := range []int{4} {
-				got := faultyTrace(t, seed, workers, rounds)
-				for r := range want.hashes {
-					if got.hashes[r] != want.hashes[r] || got.leaders[r] != want.leaders[r] {
-						t.Fatalf("workers=%d round %d diverges under faults", workers, r)
-					}
+			got := faultyTrace(t, seed, 4, rounds)
+			for r := range want.hashes {
+				if got.hashes[r] != want.hashes[r] || got.leaders[r] != want.leaders[r] {
+					t.Fatalf("GOMAXPROCS=4 round %d diverges under faults", r)
 				}
-				for j := range want.snapshots {
-					if !bytes.Equal(got.snapshots[j], want.snapshots[j]) {
-						t.Fatalf("workers=%d governor %d reputation diverges under faults", workers, j)
-					}
+			}
+			for j := range want.snapshots {
+				if !bytes.Equal(got.snapshots[j], want.snapshots[j]) {
+					t.Fatalf("GOMAXPROCS=4 governor %d reputation diverges under faults", j)
 				}
 			}
 		})

@@ -21,25 +21,25 @@ func mempoolConfig() Config {
 // are staged, drained in arrival order, and capped at BlockLimit per
 // round, so every round after the first screens a mix of fresh and
 // carried-over transactions.
-func runMempoolTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
+func runMempoolTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
 	t.Helper()
 	cfg := mempoolConfig()
 	cfg.Seed = seed
-	cfg.Workers = workers
+	setProcs(t, procs)
 	cfg.Stakes = []uint64{3, 2, 1}
 	e := newTestEngine(t, cfg)
 	var tr roundTrace
 	for r := 0; r < rounds; r++ {
 		submitRound(t, e, 12, r, 3)
 		// Provider 1's cap of 64 fills by round 3: the later
-		// batches exercise the admitted-prefix path at every worker
-		// count.
+		// batches exercise the admitted-prefix path at either
+		// GOMAXPROCS.
 		if _, err := e.SubmitBatch(context.Background(), 1, batchFor(r, 24)); err != nil && !errors.Is(err, ErrBacklog) {
 			t.Fatal(err)
 		}
 		res, err := e.RunRound()
 		if err != nil {
-			t.Fatalf("seed %d workers %d round %d: %v", seed, workers, r, err)
+			t.Fatalf("seed %d GOMAXPROCS %d round %d: %v", seed, procs, r, err)
 		}
 		tr.hashes = append(tr.hashes, res.Block.Hash())
 		tr.leaders = append(tr.leaders, res.Leader)
@@ -54,7 +54,7 @@ func runMempoolTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 // TestMempoolParallelDeterminism extends the determinism gate to the
 // bounded, block-limited configuration: drain order is a pure function
 // of the submission sequence, so traces stay byte-identical at any
-// worker count even while the mempool carries backlog across rounds.
+// GOMAXPROCS even while the mempool carries backlog across rounds.
 func TestMempoolParallelDeterminism(t *testing.T) {
 	const rounds = 5
 	for _, seed := range []int64{1, 7, 42} {
@@ -64,17 +64,17 @@ func TestMempoolParallelDeterminism(t *testing.T) {
 			got := runMempoolTrace(t, seed, 4, rounds)
 			for r := range want.hashes {
 				if got.hashes[r] != want.hashes[r] {
-					t.Fatalf("workers=4 round %d block hash %s, sequential %s",
+					t.Fatalf("GOMAXPROCS=4 round %d block hash %s, sequential %s",
 						r, got.hashes[r].Short(), want.hashes[r].Short())
 				}
 				if got.leaders[r] != want.leaders[r] {
-					t.Fatalf("workers=4 round %d leader %d, sequential %d",
+					t.Fatalf("GOMAXPROCS=4 round %d leader %d, sequential %d",
 						r, got.leaders[r], want.leaders[r])
 				}
 			}
 			for j := range want.snapshots {
 				if !bytes.Equal(got.snapshots[j], want.snapshots[j]) {
-					t.Fatalf("workers=4 governor %d reputation snapshot diverged", j)
+					t.Fatalf("GOMAXPROCS=4 governor %d reputation snapshot diverged", j)
 				}
 			}
 		})
@@ -291,8 +291,6 @@ func TestNewMempoolValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"negative shard cap", func(c *Config) { c.MempoolCap = -8 }},
-		{"floor below zero", func(c *Config) { c.AdmissionFloor = -0.1 }},
-		{"floor above one", func(c *Config) { c.AdmissionFloor = 1.5 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

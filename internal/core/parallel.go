@@ -7,13 +7,16 @@ import (
 	"repchain/internal/par"
 )
 
-// fanOut runs fn(i, out) for every i in [0, n) across the worker pool,
-// each call writing to a private sendBuffer, and then replays the
-// buffers onto the bus in index order. Every parallel stage of a round
-// sends this way; sendBuffer says why that keeps it byte-identical.
+// fanOut runs fn(i, out) for every i in [0, n) across one goroutine
+// per logical CPU, each call writing to a private sendBuffer, and then
+// replays the buffers onto the bus in index order. Every parallel stage
+// of a round sends this way; sendBuffer says why that keeps it
+// byte-identical at any GOMAXPROCS. The Validator must therefore be
+// safe for concurrent use (pure functions are).
 func (e *Engine) fanOut(n int, fn func(i int, out node.Sender) error) error {
 	out := make([]sendBuffer, n)
-	if err := par.RunIndexed(e.workers, n, func(i int) error { return fn(i, &out[i]) }); err != nil {
+	// No floor: a node step is always worth a goroutine.
+	if err := par.RunIndexed(par.Procs(0, 0), n, func(i int) error { return fn(i, &out[i]) }); err != nil {
 		return err
 	}
 	for i := range out {
@@ -22,15 +25,6 @@ func (e *Engine) fanOut(n int, fn func(i int, out node.Sender) error) error {
 		}
 	}
 	return nil
-}
-
-// resolveWorkers turns a Config.Workers value into an effective pool
-// size: non-positive means one worker per logical CPU.
-func resolveWorkers(w int) int {
-	if w <= 0 {
-		return par.Procs(0, 0) // no floor: a node step is always worth a goroutine
-	}
-	return w
 }
 
 // bufferedSend is one queued Multicast call.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repchain/internal/crypto"
@@ -32,12 +33,12 @@ func batchFor(round, n int) []node.Submission {
 }
 
 // runTrace executes `rounds` rounds with mixed valid/invalid traffic
-// and one stake transfer, under the given seed and worker count.
-func runTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
+// and one stake transfer, under the given seed and GOMAXPROCS.
+func runTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
 	t.Helper()
 	cfg := defaultConfig()
 	cfg.Seed = seed
-	cfg.Workers = workers
+	setProcs(t, procs)
 	cfg.Stakes = []uint64{3, 2, 1}
 	// Event log on: the determinism gate must hold with the ring
 	// recording, proving instrumentation is purely observational.
@@ -58,7 +59,7 @@ func runTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 		}
 		res, err := e.RunRound()
 		if err != nil {
-			t.Fatalf("seed %d workers %d round %d: %v", seed, workers, r, err)
+			t.Fatalf("seed %d GOMAXPROCS %d round %d: %v", seed, procs, r, err)
 		}
 		tr.hashes = append(tr.hashes, res.Block.Hash())
 		tr.leaders = append(tr.leaders, res.Leader)
@@ -71,7 +72,7 @@ func runTrace(t *testing.T, seed int64, workers, rounds int) roundTrace {
 }
 
 // TestParallelMatchesSequential is the tentpole's determinism gate: the
-// pipeline must be byte-identical at every worker count. Block hashes
+// pipeline must be byte-identical at GOMAXPROCS 1 and 4. Block hashes
 // transitively commit to screening decisions and records; leaders to
 // the VRF election; reputation snapshots to every weight update.
 func TestParallelMatchesSequential(t *testing.T) {
@@ -80,31 +81,37 @@ func TestParallelMatchesSequential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			want := runTrace(t, seed, 1, rounds)
-			for _, workers := range []int{4, 8} {
-				got := runTrace(t, seed, workers, rounds)
-				for r := range want.hashes {
-					if got.hashes[r] != want.hashes[r] {
-						t.Fatalf("workers=%d round %d block hash %s, sequential %s",
-							workers, r, got.hashes[r].Short(), want.hashes[r].Short())
-					}
-					if got.leaders[r] != want.leaders[r] {
-						t.Fatalf("workers=%d round %d leader %d, sequential %d",
-							workers, r, got.leaders[r], want.leaders[r])
-					}
+			got := runTrace(t, seed, 4, rounds)
+			for r := range want.hashes {
+				if got.hashes[r] != want.hashes[r] {
+					t.Fatalf("GOMAXPROCS=4 round %d block hash %s, sequential %s",
+						r, got.hashes[r].Short(), want.hashes[r].Short())
 				}
-				for j := range want.stakes {
-					if got.stakes[j] != want.stakes[j] {
-						t.Fatalf("workers=%d stakes %v, sequential %v", workers, got.stakes, want.stakes)
-					}
+				if got.leaders[r] != want.leaders[r] {
+					t.Fatalf("GOMAXPROCS=4 round %d leader %d, sequential %d",
+						r, got.leaders[r], want.leaders[r])
 				}
-				for j := range want.snapshots {
-					if !bytes.Equal(got.snapshots[j], want.snapshots[j]) {
-						t.Fatalf("workers=%d governor %d reputation snapshot diverged from sequential", workers, j)
-					}
+			}
+			for j := range want.stakes {
+				if got.stakes[j] != want.stakes[j] {
+					t.Fatalf("GOMAXPROCS=4 stakes %v, sequential %v", got.stakes, want.stakes)
+				}
+			}
+			for j := range want.snapshots {
+				if !bytes.Equal(got.snapshots[j], want.snapshots[j]) {
+					t.Fatalf("GOMAXPROCS=4 governor %d reputation snapshot diverged from sequential", j)
 				}
 			}
 		})
 	}
+}
+
+// setProcs runs the rest of the test at GOMAXPROCS n — the one
+// concurrency setting the round fan-outs read — and restores the
+// previous value when the test ends.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestStakeNoncesSurviveRounds pins the nonce-reuse fix: identical
@@ -133,20 +140,5 @@ func TestStakeNoncesSurviveRounds(t *testing.T) {
 		if bytes.Equal(sigs[i], sigs[0]) {
 			t.Fatalf("round %d transfer signs the same bytes as round 0", i)
 		}
-	}
-}
-
-func TestWorkersAccessorAndResolve(t *testing.T) {
-	cfg := defaultConfig()
-	cfg.Workers = 3
-	e := newTestEngine(t, cfg)
-	if e.Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", e.Workers())
-	}
-	if resolveWorkers(0) < 1 || resolveWorkers(-5) < 1 {
-		t.Fatal("resolveWorkers must return at least one worker")
-	}
-	if resolveWorkers(7) != 7 {
-		t.Fatal("resolveWorkers must pass positive values through")
 	}
 }

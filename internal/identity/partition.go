@@ -2,17 +2,11 @@ package identity
 
 import "fmt"
 
-// PartitionFunc deterministically assigns a global provider index to a
-// committee in [0, committees). The same (provider, committees) pair
-// must always map to the same committee: the cluster round loop, the
-// cross-shard router, and event replay all re-evaluate the function
-// independently and rely on agreement.
-type PartitionFunc func(provider, committees int) int
-
-// ModuloPartition is the default provider partition: provider index
-// modulo the committee count. It keeps committees balanced whenever the
+// ModuloPartition is the provider partition: provider index modulo
+// the committee count. It keeps committees balanced whenever the
 // provider count is a multiple of the committee count, which is also
-// the shape the regular circulant topology needs per committee.
+// the shape the regular circulant topology needs per committee. It is
+// a pure function, so every replica derives the same assignment.
 func ModuloPartition(provider, committees int) int {
 	if committees <= 0 {
 		return 0
@@ -39,21 +33,18 @@ type Partition struct {
 	home       []CommitteeSlot // global provider -> slot
 }
 
-// NewPartition evaluates fn over every global provider index and
-// materializes the committee membership tables. fn nil means
-// ModuloPartition. Every committee must end up non-empty: an empty
+// NewPartition evaluates ModuloPartition over every global provider
+// index and materializes the committee membership tables. Every
+// committee must end up non-empty (providers ≥ committees): an empty
 // committee has no providers to elect stake from and cannot run the
 // protocol, so it is rejected here rather than failing later inside
 // engine construction.
-func NewPartition(providers, committees int, fn PartitionFunc) (*Partition, error) {
+func NewPartition(providers, committees int) (*Partition, error) {
 	if providers <= 0 {
 		return nil, fmt.Errorf("partition over %d providers: %w", providers, ErrBadTopology)
 	}
 	if committees <= 0 {
 		return nil, fmt.Errorf("partition into %d committees: %w", committees, ErrBadTopology)
-	}
-	if fn == nil {
-		fn = ModuloPartition
 	}
 	p := &Partition{
 		committees: committees,
@@ -61,11 +52,7 @@ func NewPartition(providers, committees int, fn PartitionFunc) (*Partition, erro
 		home:       make([]CommitteeSlot, providers),
 	}
 	for k := 0; k < providers; k++ {
-		i := fn(k, committees)
-		if i < 0 || i >= committees {
-			return nil, fmt.Errorf("partition maps provider %d to committee %d of %d: %w",
-				k, i, committees, ErrBadTopology)
-		}
+		i := ModuloPartition(k, committees)
 		p.home[k] = CommitteeSlot{Committee: i, Local: len(p.members[i])}
 		p.members[i] = append(p.members[i], k)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestModuloPartitionBalanced(t *testing.T) {
-	p, err := NewPartition(8, 4, nil)
+	p, err := NewPartition(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestModuloPartitionBalanced(t *testing.T) {
 }
 
 func TestPartitionHomeGlobalRoundTrip(t *testing.T) {
-	p, err := NewPartition(10, 3, nil)
+	p, err := NewPartition(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,13 @@ func TestPartitionHomeGlobalRoundTrip(t *testing.T) {
 }
 
 func TestPartitionLocalIndicesAscending(t *testing.T) {
-	// A custom partition that reverses the modulo assignment still
-	// assigns local indices by ascending global index.
-	rev := func(k, committees int) int { return (committees - 1) - k%committees }
-	p, err := NewPartition(6, 2, rev)
+	// Local indices follow ascending global index within each
+	// committee, whatever the stride between members.
+	p, err := NewPartition(7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		ms := p.Members(i)
 		for j := 1; j < len(ms); j++ {
 			if ms[j] <= ms[j-1] {
@@ -88,17 +87,15 @@ func TestPartitionRejectsBadShapes(t *testing.T) {
 		name       string
 		providers  int
 		committees int
-		fn         PartitionFunc
 	}{
-		{"no providers", 0, 1, nil},
-		{"no committees", 4, 0, nil},
-		{"out of range", 4, 2, func(k, committees int) int { return committees }},
-		{"negative", 4, 2, func(k, committees int) int { return -1 }},
-		{"empty committee", 4, 2, func(k, committees int) int { return 0 }},
+		{"no providers", 0, 1},
+		{"no committees", 4, 0},
+		{"negative", -4, 2},
+		{"empty committee", 2, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewPartition(tc.providers, tc.committees, tc.fn); !errors.Is(err, ErrBadTopology) {
+			if _, err := NewPartition(tc.providers, tc.committees); !errors.Is(err, ErrBadTopology) {
 				t.Fatalf("err = %v, want ErrBadTopology", err)
 			}
 		})

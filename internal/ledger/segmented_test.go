@@ -13,15 +13,20 @@ import (
 // smallOpts forces frequent segment rolls so a handful of blocks spans
 // several files.
 func smallOpts() StoreOptions {
-	return StoreOptions{SegmentBytes: 1024, TailBlocks: 4, SnapshotKeep: 2}
+	return StoreOptions{SegmentBytes: 1024}
 }
 
+// openSmall opens dir with smallOpts and a 4-slot tail cache, so a
+// handful of blocks already exercises disk reads.
 func openSmall(t *testing.T, dir string) *FileStore {
 	t.Helper()
 	fs, err := OpenFileStoreOptions(dir, smallOpts())
 	if err != nil {
 		t.Fatalf("OpenFileStoreOptions() error = %v", err)
 	}
+	fs.mu.Lock()
+	fs.tail = make([]Block, 4)
+	fs.mu.Unlock()
 	return fs
 }
 
@@ -471,7 +476,7 @@ func TestSnapshotAheadOfLogFailsOpen(t *testing.T) {
 
 func TestGetBeyondTailReadsDisk(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "chain")
-	fs := openSmall(t, dir) // TailBlocks = 4
+	fs := openSmall(t, dir) // 4-slot tail
 	defer func() { _ = fs.Close() }()
 	blocks := buildChain(t, fs, 24, 2)
 	// Serial 1 left the 4-slot tail ring long ago; this must hit disk.

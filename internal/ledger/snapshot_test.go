@@ -137,7 +137,7 @@ func TestKillDuringSnapshotKeepsPrevious(t *testing.T) {
 
 func TestSnapshotKeepTrimsOldGenerations(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "chain")
-	fs, err := OpenFileStoreOptions(dir, StoreOptions{SegmentBytes: 1024, SnapshotKeep: 2})
+	fs, err := OpenFileStoreOptions(dir, StoreOptions{SegmentBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,8 @@ func TestSnapshotKeepTrimsOldGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 2 {
-		t.Fatalf("%d snapshot files on disk, want SnapshotKeep=2", len(snaps))
+	if len(snaps) != snapshotKeep {
+		t.Fatalf("%d snapshot files on disk, want snapshotKeep=%d", len(snaps), snapshotKeep)
 	}
 	// The newest generation is the one recovery reports.
 	snap, ok := fs.LatestSnapshot()

@@ -35,7 +35,7 @@ func TestSoakSegmentedStore(t *testing.T) {
 		segmentBytes  = 256 << 10
 	)
 	dir := filepath.Join(t.TempDir(), "chain")
-	fs, err := OpenFileStoreOptions(dir, StoreOptions{SegmentBytes: segmentBytes, TailBlocks: 128})
+	fs, err := OpenFileStoreOptions(dir, StoreOptions{SegmentBytes: segmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,31 +167,22 @@ type StoreOptions struct {
 	// 4 MiB default. A single oversized block still gets written — a
 	// segment always holds at least one frame.
 	SegmentBytes int64
-	// TailBlocks caps the in-memory cache of most recent blocks that
-	// serves Head, resync, and recent Get calls without disk reads.
-	// Zero means the 256 default.
-	TailBlocks int
-	// SnapshotKeep is how many snapshot generations WriteSnapshot
-	// retains (older ones are deleted). Zero means the 2 default —
-	// the newest plus one fallback.
-	SnapshotKeep int
 }
 
 const (
 	defaultSegmentBytes = 4 << 20
-	defaultTailBlocks   = 256
-	defaultSnapshotKeep = 2
+	// tailBlocks is the size of the in-memory cache of most recent
+	// blocks that serves Head, resync, and recent Get calls without
+	// disk reads.
+	tailBlocks = 256
+	// snapshotKeep is how many snapshot generations WriteSnapshot
+	// retains: the newest plus one fallback.
+	snapshotKeep = 2
 )
 
 func (o StoreOptions) withDefaults() StoreOptions {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
-	}
-	if o.TailBlocks <= 0 {
-		o.TailBlocks = defaultTailBlocks
-	}
-	if o.SnapshotKeep <= 0 {
-		o.SnapshotKeep = defaultSnapshotKeep
 	}
 	return o
 }
@@ -244,7 +235,7 @@ type FileStore struct {
 	headOK   bool        // guarded by mu; headBlk holds a real block
 	pruned   uint64      // guarded by mu; serials ≤ pruned are gone
 
-	tail []Block // guarded by mu; ring keyed by serial % TailBlocks
+	tail []Block // guarded by mu; ring keyed by serial % len(tail)
 
 	snap     Snapshot // guarded by mu; latest durable snapshot
 	haveSnap bool     // guarded by mu
@@ -284,7 +275,7 @@ func OpenFileStoreOptions(path string, opts StoreOptions) (*FileStore, error) {
 	fs := &FileStore{
 		dir:  path,
 		opts: opts,
-		tail: make([]Block, opts.TailBlocks),
+		tail: make([]Block, tailBlocks),
 	}
 	if err := fs.load(); err != nil {
 		return nil, err
@@ -770,7 +761,7 @@ func (fs *FileStore) Recovery() RecoveryInfo { return fs.recovery }
 // fsynced first so the snapshot never claims a height the log could
 // lose, then the snapshot file is written atomically (temp + fsync +
 // rename + directory fsync). Older snapshot generations beyond
-// StoreOptions.SnapshotKeep are deleted.
+// snapshotKeep are deleted.
 func (fs *FileStore) WriteSnapshot(app []byte) (Snapshot, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -795,7 +786,7 @@ func (fs *FileStore) WriteSnapshot(app []byte) (Snapshot, error) {
 	return snap, nil
 }
 
-// gcSnapshotsLocked deletes snapshot generations beyond SnapshotKeep.
+// gcSnapshotsLocked deletes snapshot generations beyond snapshotKeep.
 // Deletion failures are ignored: stale snapshots are harmless, newer
 // ones always win at open. Callers hold mu.
 func (fs *FileStore) gcSnapshotsLocked() {
@@ -810,7 +801,7 @@ func (fs *FileStore) gcSnapshotsLocked() {
 		}
 	}
 	sort.Slice(heights, func(i, j int) bool { return heights[i] > heights[j] })
-	for _, h := range heights[min(len(heights), fs.opts.SnapshotKeep-1):] {
+	for _, h := range heights[min(len(heights), snapshotKeep-1):] {
 		_ = os.Remove(filepath.Join(fs.dir, snapshotName(h)))
 	}
 }

@@ -54,14 +54,6 @@ type GovernorConfig struct {
 	// transaction evicted to admit the new one; evictions are counted in
 	// mempool.evicted_total.
 	MempoolCap int
-	// AdmissionFloor sheds uploads whose (provider, collector)
-	// reputation weight — the weight the screening draw samples by —
-	// has decayed below the floor. Zero admits everything. Weights
-	// live in (0, 1] and start at 1, so a fresh
-	// table sheds nothing at any floor ≤ 1; the floor only bites once
-	// the mechanism has learned to distrust a collector. Shed decisions
-	// depend solely on deterministic table state, never on schedule.
-	AdmissionFloor float64
 	// Metrics, when non-nil, receives screening and reputation-delta
 	// metrics. All governors of one engine share a registry, so the
 	// per-collector counters aggregate alliance-wide.
@@ -105,10 +97,6 @@ type GovernorStats struct {
 	// the collector uploaded nothing — silence, as distinct from the
 	// misreports counted through the reputation table.
 	SilentReports int
-	// ShedReports counts verified uploads rejected by the admission
-	// floor (the uploader's weight for that provider was below
-	// AdmissionFloor).
-	ShedReports int
 	// EvictedTxs counts pending transactions evicted because their
 	// provider was at its mempool cap, to admit its newer arrivals.
 	EvictedTxs int
@@ -178,7 +166,6 @@ type Governor struct {
 	// refusals by reason; nil when no registry is configured, so the hot
 	// screening loop pays only a nil check with metrics off.
 	scrChecked []*metrics.Counter
-	mpShed     *metrics.Counter
 	mpEvicted  *metrics.Counter
 	upRejected *metrics.CounterVec
 
@@ -204,9 +191,6 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	if cfg.MempoolCap < 0 {
 		return nil, fmt.Errorf("governor %s: mempool cap %d must be non-negative", cfg.Member.ID, cfg.MempoolCap)
 	}
-	if cfg.AdmissionFloor < 0 || cfg.AdmissionFloor > 1 {
-		return nil, fmt.Errorf("governor %s: admission floor %v outside [0, 1]", cfg.Member.ID, cfg.AdmissionFloor)
-	}
 	g := &Governor{
 		cfg:             cfg,
 		table:           table,
@@ -228,7 +212,6 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		for c := range g.scrChecked {
 			g.scrChecked[c] = checked.With(strconv.Itoa(c))
 		}
-		g.mpShed = cfg.Metrics.Counter("mempool.shed_total")
 		g.mpEvicted = cfg.Metrics.Counter("mempool.evicted_total")
 		g.upRejected = cfg.Metrics.CounterVec("node.uploads_rejected_total", "reason")
 	}
@@ -494,23 +477,8 @@ func (g *Governor) penalizeUpload(collectorIdx int) error {
 }
 
 // admitUpload runs the post-verification tail of upload ingestion:
-// admission control, mempool insertion, and report grouping.
+// mempool insertion and report grouping.
 func (g *Governor) admitUpload(collectorIdx, providerIdx int, labeled tx.UploadItem) error {
-	// Admission control: a verified upload from a collector this
-	// governor has learned to distrust for this provider is shed before
-	// it costs mempool space or screening work. The weight is the same
-	// draw-time signal screening observes; the comparison reads only
-	// deterministic table state.
-	if g.cfg.AdmissionFloor > 0 && collectorIdx >= 0 && collectorIdx < g.table.Collectors() {
-		if w, werr := g.table.Weight(providerIdx, collectorIdx); werr == nil && w < g.cfg.AdmissionFloor {
-			g.stats.ShedReports++
-			if g.mpShed != nil {
-				g.mpShed.Inc()
-			}
-			return nil
-		}
-	}
-
 	id := labeled.Signed.ID()
 	// A report for a transaction this governor has already screened —
 	// it straggled in a round late — must not open a second mempool

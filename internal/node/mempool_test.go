@@ -3,9 +3,6 @@ package node
 import (
 	"strings"
 	"testing"
-
-	"repchain/internal/reputation"
-	"repchain/internal/tx"
 )
 
 // TestGovernorEvictOldestOnFullShard drives the eviction path directly:
@@ -42,58 +39,6 @@ func TestGovernorEvictOldestOnFullShard(t *testing.T) {
 	}
 }
 
-// TestGovernorAdmissionFloorSheds decays a (provider, collector) weight
-// below the floor and checks that subsequent verified uploads from the
-// distrusted collectors are shed — counted, never queued.
-func TestGovernorAdmissionFloorSheds(t *testing.T) {
-	fx := newFixtureOpts(t, nil, func(cfg *GovernorConfig) {
-		cfg.AdmissionFloor = 0.5
-	})
-	// Fresh weights are 1, so nothing sheds at floor 0.5.
-	fx.runUpload(t, 0, true)
-	if s := fx.governor.Stats(); s.ShedReports != 0 {
-		t.Fatalf("ShedReports = %d on fresh table, want 0", s.ShedReports)
-	}
-	if got := fx.governor.MempoolDepth(); got != 1 {
-		t.Fatalf("MempoolDepth() = %d, want 1", got)
-	}
-	// Decay provider 0's collector weights below the floor: a reveal
-	// multiplies every absent linked collector by β=0.9 (a correct
-	// reporter keeps its weight), and 0.9^7 ≈ 0.478 < 0.5. Alternate the
-	// present reporter so both collectors decay.
-	for i := 0; i < 7; i++ {
-		for c := 0; c < 2; c++ {
-			present := []reputation.Report{{Collector: 1 - c, Label: tx.LabelValid}}
-			if _, err := fx.governor.Table().RecordRevealed(0, present, tx.StatusValid); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	w, err := fx.governor.Table().Weight(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w >= 0.5 {
-		t.Fatalf("decayed weight %v not below floor", w)
-	}
-	fx.runUpload(t, 0, true)
-	s := fx.governor.Stats()
-	if s.ShedReports != 2 { // both linked collectors' uploads shed
-		t.Fatalf("ShedReports = %d after decay, want 2", s.ShedReports)
-	}
-	if got := fx.governor.MempoolDepth(); got != 1 {
-		t.Fatalf("MempoolDepth() = %d, want 1 (shed tx never queued)", got)
-	}
-	// Provider 1's weights are untouched: its uploads still admit.
-	fx.runUpload(t, 1, true)
-	if got := fx.governor.Stats().ShedReports; got != 2 {
-		t.Fatalf("ShedReports = %d after trusted upload, want still 2", got)
-	}
-	if got := fx.governor.MempoolDepth(); got != 2 {
-		t.Fatalf("MempoolDepth() = %d, want 2", got)
-	}
-}
-
 // TestGovernorMempoolConfigValidation checks the constructor rejects
 // out-of-range mempool settings with errors naming the field.
 func TestGovernorMempoolConfigValidation(t *testing.T) {
@@ -103,8 +48,6 @@ func TestGovernorMempoolConfigValidation(t *testing.T) {
 		want   string
 	}{
 		{"negative cap", func(c *GovernorConfig) { c.MempoolCap = -1 }, "mempool cap"},
-		{"floor above one", func(c *GovernorConfig) { c.AdmissionFloor = 1.01 }, "admission floor"},
-		{"negative floor", func(c *GovernorConfig) { c.AdmissionFloor = -0.5 }, "admission floor"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

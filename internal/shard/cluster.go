@@ -24,9 +24,9 @@ import (
 // base config through untouched).
 const seedStride = int64(1) << 32
 
-// defaultReceiptRetry is how many destination-committee rounds a
-// submitted receipt may stay uncommitted before it is resubmitted.
-const defaultReceiptRetry = 4
+// receiptRetry is how many destination-committee rounds a submitted
+// receipt may stay uncommitted before it is resubmitted.
+const receiptRetry = 4
 
 // Config describes a committee-sharded cluster.
 type Config struct {
@@ -36,13 +36,6 @@ type Config struct {
 	Base core.Config
 	// Committees is K. Zero or one runs the base config unsharded.
 	Committees int
-	// Partition assigns global provider indices to committees; nil
-	// means identity.ModuloPartition.
-	Partition identity.PartitionFunc
-	// ReceiptRetry overrides the resubmission patience for
-	// cross-shard receipts, in destination rounds. Zero keeps the
-	// default (4).
-	ReceiptRetry int
 }
 
 // Cluster is K committees running the protocol in parallel over a
@@ -69,7 +62,6 @@ type Cluster struct {
 	pending   []*pendingReceipt
 	seenLocks map[crypto.Hash]bool
 	scanned   []uint64
-	retry     int
 
 	reg       *metrics.Registry
 	heightVec *metrics.GaugeVec
@@ -93,20 +85,15 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Base.Spec.Providers <= 0 {
 		return nil, fmt.Errorf("global spec %+v: %w", cfg.Base.Spec, core.ErrBadConfig)
 	}
-	part, err := identity.NewPartition(cfg.Base.Spec.Providers, k, cfg.Partition)
+	part, err := identity.NewPartition(cfg.Base.Spec.Providers, k)
 	if err != nil {
 		return nil, fmt.Errorf("%w: partition: %w", core.ErrBadConfig, err)
-	}
-	retry := cfg.ReceiptRetry
-	if retry <= 0 {
-		retry = defaultReceiptRetry
 	}
 	cl := &Cluster{
 		cfg:       cfg,
 		members:   make([][]int, k),
 		home:      make([]identity.CommitteeSlot, cfg.Base.Spec.Providers),
 		seenLocks: make(map[crypto.Hash]bool),
-		retry:     retry,
 		reg:       metrics.NewRegistry(),
 	}
 	for i := 0; i < k; i++ {

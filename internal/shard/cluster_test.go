@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repchain/internal/core"
@@ -24,7 +25,7 @@ func (validator) Validate(t tx.Transaction) bool {
 
 // baseConfig is the shared 8-provider, s=1 global topology: every
 // committee slice keeps collector degree 1 so re-homes are legal.
-func baseConfig(seed int64, workers int) core.Config {
+func baseConfig(seed int64) core.Config {
 	return core.Config{
 		Spec:          identity.TopologySpec{Providers: 8, Collectors: 16, Degree: 2},
 		Governors:     3,
@@ -32,7 +33,6 @@ func baseConfig(seed int64, workers int) core.Config {
 		BlockLimit:    32,
 		ArgueWindow:   4,
 		Seed:          seed,
-		Workers:       workers,
 		Validator:     validator{},
 		EventCapacity: 1 << 16,
 	}
@@ -72,7 +72,7 @@ func TestClusterK1MatchesBareEngine(t *testing.T) {
 		}
 	}
 
-	eng, err := core.New(baseConfig(42, 1))
+	eng, err := core.New(baseConfig(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestClusterK1MatchesBareEngine(t *testing.T) {
 		bare = append(bare, res.Block.Hash())
 	}
 
-	cl, err := New(Config{Base: baseConfig(42, 1), Committees: 1})
+	cl, err := New(Config{Base: baseConfig(42), Committees: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,12 @@ func TestClusterK1MatchesBareEngine(t *testing.T) {
 
 // runCrossScenario drives a K=2 cluster through a deterministic mix of
 // local and cross-shard submissions and returns the per-committee
-// chain hashes plus the set of lock IDs issued.
-func runCrossScenario(t *testing.T, seed int64, workers int) ([][]crypto.Hash, map[crypto.Hash]bool) {
+// chain hashes plus the set of lock IDs issued, at GOMAXPROCS procs.
+func runCrossScenario(t *testing.T, seed int64, procs int) ([][]crypto.Hash, map[crypto.Hash]bool) {
 	t.Helper()
-	cl, err := New(Config{Base: baseConfig(seed, workers), Committees: 2})
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	cl, err := New(Config{Base: baseConfig(seed), Committees: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +178,11 @@ func TestCrossShardReceiptDeterminism(t *testing.T) {
 			other, _ := runCrossScenario(t, seed, 4)
 			for i := range base {
 				if len(base[i]) != len(other[i]) {
-					t.Fatalf("committee %d: %d blocks at workers=1, %d at workers=4", i, len(base[i]), len(other[i]))
+					t.Fatalf("committee %d: %d blocks at GOMAXPROCS=1, %d at GOMAXPROCS=4", i, len(base[i]), len(other[i]))
 				}
 				for s := range base[i] {
 					if base[i][s] != other[i][s] {
-						t.Fatalf("committee %d block %d differs between workers=1 and workers=4", i, s+1)
+						t.Fatalf("committee %d block %d differs between GOMAXPROCS=1 and GOMAXPROCS=4", i, s+1)
 					}
 				}
 			}
@@ -214,7 +216,7 @@ func receiptLockIDs(t *testing.T, cl *Cluster, i int) map[crypto.Hash]int {
 }
 
 func TestK4CrossShardCommitsWithoutForks(t *testing.T) {
-	cl, err := New(Config{Base: baseConfig(42, 1), Committees: 4})
+	cl, err := New(Config{Base: baseConfig(42), Committees: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,7 @@ func TestK4CrossShardCommitsWithoutForks(t *testing.T) {
 
 func TestClusterConfigValidation(t *testing.T) {
 	t.Run("indivisible committee slice", func(t *testing.T) {
-		cfg := baseConfig(1, 1)
+		cfg := baseConfig(1)
 		// 10 providers, degree 3 over 15 collectors: s=2; a 4/6 split
 		// under modulo-2 gives 5 providers x 3 links = 15, not
 		// divisible by s=2.
@@ -310,7 +312,7 @@ func TestClusterConfigValidation(t *testing.T) {
 		}
 	})
 	t.Run("links unsupported", func(t *testing.T) {
-		cfg := baseConfig(1, 1)
+		cfg := baseConfig(1)
 		cfg.Links = [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}
 		cfg.Spec.Degree = 1
 		cfg.Spec.Collectors = 8
@@ -319,12 +321,12 @@ func TestClusterConfigValidation(t *testing.T) {
 		}
 	})
 	t.Run("negative committees", func(t *testing.T) {
-		if _, err := New(Config{Base: baseConfig(1, 1), Committees: -1}); !errors.Is(err, core.ErrBadConfig) {
+		if _, err := New(Config{Base: baseConfig(1), Committees: -1}); !errors.Is(err, core.ErrBadConfig) {
 			t.Fatalf("err = %v, want core.ErrBadConfig", err)
 		}
 	})
 	t.Run("routing", func(t *testing.T) {
-		cl, err := New(Config{Base: baseConfig(1, 1), Committees: 4})
+		cl, err := New(Config{Base: baseConfig(1), Committees: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -215,7 +215,7 @@ func (cl *Cluster) SubmitCross(from, to int, kind string, payload []byte, valid 
 
 // injectReceipts submits every due pending receipt to its destination
 // committee: fresh receipts immediately, unacknowledged ones again
-// once the destination has advanced ReceiptRetry rounds past the last
+// once the destination has advanced receiptRetry rounds past the last
 // attempt. Submission failures (backlog, crashed ingress) leave the
 // receipt pending for the next round — at-least-once delivery over
 // the same lossy paths as any other transaction. Called with cl.mu
@@ -228,7 +228,7 @@ func (cl *Cluster) injectReceipts() {
 			continue
 		}
 		eng := cl.engines[slot.Committee]
-		if pr.submitted && eng.Round() < pr.submittedAt+uint64(cl.retry) {
+		if pr.submitted && eng.Round() < pr.submittedAt+receiptRetry {
 			continue
 		}
 		if _, err := eng.SubmitTx(slot.Local, KindReceipt, encodeReceipt(pr.env), true); err != nil {

@@ -19,7 +19,7 @@ func TestNoReceiptLossUnderChaos(t *testing.T) {
 	plans := []chaos.Plan{chaos.Drop10(), chaos.PartitionThenHeal()}
 	for _, plan := range plans {
 		t.Run(plan.Name, func(t *testing.T) {
-			cl, err := New(Config{Base: baseConfig(42, 1), Committees: 2})
+			cl, err := New(Config{Base: baseConfig(42), Committees: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

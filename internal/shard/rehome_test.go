@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repchain/internal/core"
@@ -88,7 +89,7 @@ func requireColumnsEqual(t *testing.T, what string, a, b column) {
 func TestRehomeWeightPortabilityBitwise(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		t.Run(fmt.Sprintf("disk=%v", disk), func(t *testing.T) {
-			cfg := baseConfig(42, 1)
+			cfg := baseConfig(42)
 			if disk {
 				cfg.ChainDir = t.TempDir()
 			}
@@ -182,7 +183,7 @@ func TestRehomeWeightPortabilityBitwise(t *testing.T) {
 
 func TestRehomeRejectsUnsupportedShapes(t *testing.T) {
 	t.Run("single committee", func(t *testing.T) {
-		cl, err := New(Config{Base: baseConfig(1, 1), Committees: 1})
+		cl, err := New(Config{Base: baseConfig(1), Committees: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +193,7 @@ func TestRehomeRejectsUnsupportedShapes(t *testing.T) {
 		}
 	})
 	t.Run("bad indices and same committee", func(t *testing.T) {
-		cl, err := New(Config{Base: baseConfig(1, 1), Committees: 2})
+		cl, err := New(Config{Base: baseConfig(1), Committees: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func TestRehomeRejectsUnsupportedShapes(t *testing.T) {
 		}
 	})
 	t.Run("shared collectors", func(t *testing.T) {
-		cfg := baseConfig(1, 1)
+		cfg := baseConfig(1)
 		cfg.Spec = identity.TopologySpec{Providers: 8, Collectors: 8, Degree: 2} // s = 2
 		cl, err := New(Config{Base: cfg, Committees: 2})
 		if err != nil {
@@ -220,22 +221,15 @@ func TestRehomeRejectsUnsupportedShapes(t *testing.T) {
 		}
 	})
 	t.Run("would empty the source", func(t *testing.T) {
-		cl, err := New(Config{
-			Base:       baseConfig(1, 1),
-			Committees: 2,
-			Partition: func(p, k int) int {
-				if p == 0 {
-					return 0
-				}
-				return 1
-			},
-		})
+		cfg := baseConfig(1)
+		cfg.Spec = identity.TopologySpec{Providers: 2, Collectors: 4, Degree: 2} // one provider per committee
+		cl, err := New(Config{Base: cfg, Committees: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		if err := cl.Rehome(0, 1); !errors.Is(err, ErrRehome) {
-			t.Fatalf("err = %v, want ErrRehome", err)
+		if err := cl.Rehome(0, 1); !errors.Is(err, ErrRehome) || !strings.Contains(err.Error(), "without providers") {
+			t.Fatalf("err = %v, want ErrRehome for an emptied committee", err)
 		}
 	})
 }

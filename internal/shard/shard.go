@@ -5,8 +5,8 @@
 //
 // Each committee is a complete, self-contained core.Engine: its own
 // mempools, governor set, VRF leader election, ledger segment
-// directory, and chain head. Providers are assigned to committees by a
-// deterministic identity.PartitionFunc; collectors follow their
+// directory, and chain head. Providers are assigned to committees by
+// identity.ModuloPartition; collectors follow their
 // providers so every committee is again a regular bipartite topology
 // with the global collector degree s.
 //
@@ -17,7 +17,7 @@
 // (kind shard.KindReceipt) on the destination committee, keyed by the
 // lock's transaction ID. Delivery is at-least-once with idempotent
 // receipts: an unacknowledged receipt is resubmitted after
-// ReceiptRetry rounds, and duplicate receipt records deduplicate by
+// receiptRetry rounds, and duplicate receipt records deduplicate by
 // lock ID. Both phases are ordinary signed transactions flowing
 // through the existing codec, screening, and CRC-framed ledger paths.
 //

@@ -146,14 +146,16 @@ type Endpoint struct {
 	conns    map[identity.NodeID]net.Conn
 	inbound  []net.Conn
 	counter  uint64
-	policy   RetryPolicy
+	policy   retryPolicy
 	closed   bool
 	listener net.Listener
 
 	inboxMu     sync.Mutex
 	inbox       []Frame
 	inboxByPeer map[identity.NodeID]int
-	inflight    int
+	// inflight is the per-peer inbox bound, maxInflightPerPeer outside
+	// tests.
+	inflight int
 
 	wg sync.WaitGroup
 }
@@ -172,11 +174,12 @@ func NewEndpoint(d *Deployment, id identity.NodeID) (*Endpoint, error) {
 		return nil, err
 	}
 	ep := &Endpoint{
-		self:   id,
-		reg:    metrics.NewRegistry(),
-		peers:  make(map[identity.NodeID]*peer, len(d.Nodes)),
-		conns:  make(map[identity.NodeID]net.Conn),
-		policy: DefaultRetryPolicy(),
+		self:     id,
+		reg:      metrics.NewRegistry(),
+		peers:    make(map[identity.NodeID]*peer, len(d.Nodes)),
+		conns:    make(map[identity.NodeID]net.Conn),
+		policy:   defaultRetryPolicy,
+		inflight: maxInflightPerPeer,
 	}
 	for _, n := range d.Nodes {
 		if n.ID == string(id) {
@@ -225,26 +228,20 @@ func (ep *Endpoint) UseMetrics(reg *metrics.Registry) {
 	}
 }
 
-// SetInflightLimit caps the number of received-but-undrained frames
-// held per peer; a frame arriving while its sender already has n
-// frames queued is dropped and counted in transport.inflight_dropped.
-// This bounds a slow consumer's memory against a fast or hostile peer.
-// Zero (the default) keeps the inbox unbounded.
-func (ep *Endpoint) SetInflightLimit(n int) {
-	ep.inboxMu.Lock()
-	if n < 0 {
-		n = 0
-	}
-	ep.inflight = n
-	ep.inboxMu.Unlock()
-}
+// maxInflightPerPeer bounds the received-but-undrained frames held
+// per peer, so a fast or hostile peer cannot grow a slow consumer's
+// inbox without limit. It is far above any legitimate backlog: at a
+// few hundred transactions a second, one peer queues at most a few
+// hundred frames between two phases of a round.
+const maxInflightPerPeer = 1 << 16
 
 // deliver appends a frame to the inbox unless the sender is at the
-// inflight limit, in which case the frame is dropped and counted.
+// inflight bound, in which case the frame is dropped and counted in
+// transport.inflight_dropped.
 func (ep *Endpoint) deliver(f Frame) {
 	ep.inboxMu.Lock()
 	defer ep.inboxMu.Unlock()
-	if ep.inflight > 0 && ep.inboxByPeer[f.From] >= ep.inflight {
+	if ep.inboxByPeer[f.From] >= ep.inflight {
 		ep.reg.Counter("transport.inflight_dropped").Inc()
 		return
 	}
@@ -274,14 +271,6 @@ func (ep *Endpoint) EnableTracePropagation(evs *events.Log, idOf func(kind strin
 func (ep *Endpoint) SetLogger(l *slog.Logger) {
 	ep.mu.Lock()
 	ep.logger = l
-	ep.mu.Unlock()
-}
-
-// SetRetryPolicy replaces the delivery policy (zero fields fall back
-// to the default). Call before the first Send.
-func (ep *Endpoint) SetRetryPolicy(p RetryPolicy) {
-	ep.mu.Lock()
-	ep.policy = p.normalized()
 	ep.mu.Unlock()
 }
 
@@ -485,18 +474,18 @@ func (ep *Endpoint) Send(to identity.NodeID, kind string, payload []byte) error 
 // sendTo seals wire for one peer and delivers it under pol: lazy dial
 // with a timeout, write under a deadline, capped exponential backoff.
 // A flapping peer costs bounded time per frame; a dead one fails the
-// frame after MaxAttempts without wedging the caller.
-func (ep *Endpoint) sendTo(to identity.NodeID, kind string, wire []byte, pol RetryPolicy) error {
+// frame after maxAttempts without wedging the caller.
+func (ep *Endpoint) sendTo(to identity.NodeID, kind string, wire []byte, pol retryPolicy) error {
 	p, ok := ep.peers[to]
 	if !ok {
 		return fmt.Errorf("send to %q: %w", to, ErrUnknownPeer)
 	}
 	p.seal(wire)
 	var lastErr error
-	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= pol.maxAttempts; attempt++ {
 		if attempt > 1 {
 			ep.reg.Counter("transport.retries").Inc()
-			time.Sleep(pol.Backoff(attempt - 1))
+			time.Sleep(pol.backoff(attempt - 1))
 		}
 		if err := ep.sendOnce(to, p.addr, wire, pol); err != nil {
 			if errors.Is(err, ErrClosed) {
@@ -512,18 +501,18 @@ func (ep *Endpoint) sendTo(to identity.NodeID, kind string, wire []byte, pol Ret
 	ep.logWarn("delivery exhausted",
 		slog.String("to", string(to)),
 		slog.String("kind", kind),
-		slog.Int("attempts", pol.MaxAttempts),
+		slog.Int("attempts", pol.maxAttempts),
 		slog.String("error", fmt.Sprint(lastErr)))
-	return fmt.Errorf("send to %q after %d attempts: %w", to, pol.MaxAttempts, lastErr)
+	return fmt.Errorf("send to %q after %d attempts: %w", to, pol.maxAttempts, lastErr)
 }
 
 // sendOnce makes a single delivery attempt: reuse the cached
 // connection if any, else dial fresh. Either path writes under
-// WriteTimeout; a failed cached connection is discarded so the next
+// writeTimeout; a failed cached connection is discarded so the next
 // attempt redials.
-func (ep *Endpoint) sendOnce(to identity.NodeID, addr string, msg []byte, pol RetryPolicy) error {
+func (ep *Endpoint) sendOnce(to identity.NodeID, addr string, msg []byte, pol retryPolicy) error {
 	write := func(c net.Conn) error {
-		if err := c.SetWriteDeadline(time.Now().Add(pol.WriteTimeout)); err != nil {
+		if err := c.SetWriteDeadline(time.Now().Add(pol.writeTimeout)); err != nil {
 			return err
 		}
 		_, err := c.Write(msg)
@@ -547,7 +536,7 @@ func (ep *Endpoint) sendOnce(to identity.NodeID, addr string, msg []byte, pol Re
 		_ = conn.Close()
 	}
 	ep.reg.Counter("transport.dials").Inc()
-	fresh, err := net.DialTimeout("tcp", addr, pol.DialTimeout)
+	fresh, err := net.DialTimeout("tcp", addr, pol.dialTimeout)
 	if err != nil {
 		return fmt.Errorf("dial %q: %w", to, err)
 	}

@@ -2,76 +2,51 @@ package transport
 
 import "time"
 
-// RetryPolicy bounds how hard an endpoint works to deliver one frame:
+// retryPolicy bounds how hard an endpoint works to deliver one frame:
 // per-hop dial and write timeouts so a black-holed peer cannot stall
 // the sender indefinitely, and capped exponential backoff between
-// attempts so a flapping peer is retried without being hammered. The
-// zero value of any field falls back to the default.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of delivery attempts per frame
+// attempts so a flapping peer is retried without being hammered.
+type retryPolicy struct {
+	// maxAttempts is the total number of delivery attempts per frame
 	// (first try included).
-	MaxAttempts int
-	// BaseBackoff is the pause before the first retry; each further
+	maxAttempts int
+	// baseBackoff is the pause before the first retry; each further
 	// retry doubles it.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth.
-	MaxBackoff time.Duration
-	// DialTimeout bounds each TCP dial.
-	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write.
-	WriteTimeout time.Duration
+	baseBackoff time.Duration
+	// maxBackoff caps the exponential growth.
+	maxBackoff time.Duration
+	// dialTimeout bounds each TCP dial.
+	dialTimeout time.Duration
+	// writeTimeout bounds each frame write.
+	writeTimeout time.Duration
 }
 
-// DefaultRetryPolicy matches the wall-clock runtime's phase gaps: three
-// attempts spanning well under the slack between two phases of a
-// 400 ms round.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:  3,
-		BaseBackoff:  10 * time.Millisecond,
-		MaxBackoff:   160 * time.Millisecond,
-		DialTimeout:  time.Second,
-		WriteTimeout: time.Second,
-	}
+// defaultRetryPolicy is every endpoint's policy, sized to the
+// wall-clock runtime's phase gaps: three attempts spanning well under
+// the slack between two phases of a 400 ms round.
+var defaultRetryPolicy = retryPolicy{
+	maxAttempts:  3,
+	baseBackoff:  10 * time.Millisecond,
+	maxBackoff:   160 * time.Millisecond,
+	dialTimeout:  time.Second,
+	writeTimeout: time.Second,
 }
 
-// normalized fills zero fields from the default so callers can set
-// only what they care about.
-func (p RetryPolicy) normalized() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = d.BaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = d.MaxBackoff
-	}
-	if p.DialTimeout <= 0 {
-		p.DialTimeout = d.DialTimeout
-	}
-	if p.WriteTimeout <= 0 {
-		p.WriteTimeout = d.WriteTimeout
-	}
-	return p
-}
-
-// Backoff returns the pause before retry number retry (1-based):
-// BaseBackoff·2^(retry-1), capped at MaxBackoff.
-func (p RetryPolicy) Backoff(retry int) time.Duration {
+// backoff returns the pause before retry number retry (1-based):
+// baseBackoff·2^(retry-1), capped at maxBackoff.
+func (p retryPolicy) backoff(retry int) time.Duration {
 	if retry < 1 {
 		return 0
 	}
-	b := p.BaseBackoff
+	b := p.baseBackoff
 	for i := 1; i < retry; i++ {
 		b *= 2
-		if b >= p.MaxBackoff {
-			return p.MaxBackoff
+		if b >= p.maxBackoff {
+			return p.maxBackoff
 		}
 	}
-	if b > p.MaxBackoff {
-		return p.MaxBackoff
+	if b > p.maxBackoff {
+		return p.maxBackoff
 	}
 	return b
 }

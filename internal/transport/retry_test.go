@@ -11,7 +11,7 @@ import (
 )
 
 func TestBackoffCapsExponentialGrowth(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 45 * time.Millisecond}
+	p := retryPolicy{baseBackoff: 10 * time.Millisecond, maxBackoff: 45 * time.Millisecond}
 	wants := []time.Duration{
 		0,                     // retry 0: no pause
 		10 * time.Millisecond, // 10ms
@@ -21,30 +21,18 @@ func TestBackoffCapsExponentialGrowth(t *testing.T) {
 		45 * time.Millisecond, // stays capped (no overflow)
 	}
 	for retry, want := range wants {
-		if got := p.Backoff(retry); got != want {
-			t.Fatalf("Backoff(%d) = %v, want %v", retry, got, want)
+		if got := p.backoff(retry); got != want {
+			t.Fatalf("backoff(%d) = %v, want %v", retry, got, want)
 		}
 	}
 	// A pathological retry count must not overflow past the cap.
-	if got := p.Backoff(200); got != 45*time.Millisecond {
-		t.Fatalf("Backoff(200) = %v, want cap", got)
-	}
-}
-
-func TestNormalizedFillsZeroFields(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 7}.normalized()
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts != 7 {
-		t.Fatalf("MaxAttempts = %d, want 7 preserved", p.MaxAttempts)
-	}
-	if p.BaseBackoff != d.BaseBackoff || p.MaxBackoff != d.MaxBackoff ||
-		p.DialTimeout != d.DialTimeout || p.WriteTimeout != d.WriteTimeout {
-		t.Fatalf("zero fields not defaulted: %+v", p)
+	if got := p.backoff(200); got != 45*time.Millisecond {
+		t.Fatalf("backoff(200) = %v, want cap", got)
 	}
 }
 
 // TestSendRetriesDeadPeer: a peer that never listens costs exactly
-// MaxAttempts dials and one send failure, and the call returns instead
+// maxAttempts dials and one send failure, and the call returns instead
 // of wedging.
 func TestSendRetriesDeadPeer(t *testing.T) {
 	d := testDeployment(t, 2, 2, 1, 2)
@@ -53,11 +41,13 @@ func TestSendRetriesDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = ep.Close() }()
-	ep.SetRetryPolicy(RetryPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-	})
+	ep.policy = retryPolicy{
+		maxAttempts:  3,
+		baseBackoff:  time.Millisecond,
+		maxBackoff:   2 * time.Millisecond,
+		dialTimeout:  time.Second,
+		writeTimeout: time.Second,
+	}
 
 	// collector/0 exists in the deployment but never started.
 	err = ep.Send(identity.NodeID("collector/0"), "test/kind", []byte("x"))
@@ -92,11 +82,13 @@ func TestSendRecoversFlappingPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = sender.Close() }()
-	sender.SetRetryPolicy(RetryPolicy{
-		MaxAttempts: 10,
-		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-	})
+	sender.policy = retryPolicy{
+		maxAttempts:  10,
+		baseBackoff:  5 * time.Millisecond,
+		maxBackoff:   20 * time.Millisecond,
+		dialTimeout:  time.Second,
+		writeTimeout: time.Second,
+	}
 
 	// Bring the receiver up only after the sender has begun retrying.
 	up := make(chan *Endpoint, 1)
@@ -149,11 +141,13 @@ func TestMulticastBestEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = sender.Close() }()
-	sender.SetRetryPolicy(RetryPolicy{
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  time.Millisecond,
-	})
+	sender.policy = retryPolicy{
+		maxAttempts:  2,
+		baseBackoff:  time.Millisecond,
+		maxBackoff:   time.Millisecond,
+		dialTimeout:  time.Second,
+		writeTimeout: time.Second,
+	}
 	alive, err := NewEndpoint(d, identity.NodeID("governor/1"))
 	if err != nil {
 		t.Fatal(err)

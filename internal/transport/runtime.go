@@ -63,7 +63,7 @@ func sleepUntil(t time.Time) {
 // failure counter attached it is tolerant: delivery errors are counted
 // and swallowed instead of aborting the node's round loop, so an
 // unreachable peer degrades throughput rather than wedging the
-// alliance (the endpoint has already retried per its RetryPolicy, and
+// alliance (the endpoint has already retried per its retry policy, and
 // Multicast is best-effort across recipients).
 type frameSender struct {
 	ep       *Endpoint
@@ -87,16 +87,13 @@ func (s frameSender) Multicast(_ identity.NodeID, to []identity.NodeID, kind str
 }
 
 // instrumentEndpoint applies the runtime's observability configuration
-// to a freshly dialed endpoint: metrics, retries, inflight bounds,
-// structured warnings, and — when PropagateTrace is set — per-frame
-// trace-context stamping with node.TraceIDOf as the local trace-ID
-// derivation.
+// to a freshly dialed endpoint: metrics, structured warnings, and —
+// when the node records events — per-frame trace-context stamping with
+// node.TraceIDOf as the local trace-ID derivation.
 func instrumentEndpoint(ep *Endpoint, cfg RuntimeConfig) {
 	ep.UseMetrics(cfg.Metrics)
-	ep.SetRetryPolicy(cfg.Retry)
-	ep.SetInflightLimit(cfg.InflightLimit)
 	ep.SetLogger(cfg.Logger)
-	if cfg.PropagateTrace {
+	if cfg.Events != nil {
 		ep.EnableTracePropagation(cfg.Events, node.TraceIDOf)
 	}
 }
@@ -134,21 +131,18 @@ type RuntimeConfig struct {
 	// and checkpointed reputation state (governor-<j>.chain) under this
 	// directory across restarts.
 	StateDir string
-	// Retry tunes frame delivery; zero fields fall back to
-	// DefaultRetryPolicy.
-	Retry RetryPolicy
 	// Metrics, when non-nil, replaces the endpoint's private registry
 	// and receives node-level metrics, so one admin endpoint can expose
 	// every node a process hosts.
 	Metrics *metrics.Registry
-	// PropagateTrace stamps per-transaction trace context (trace ID,
-	// parent event seq, send timestamp) onto outgoing frames and emits
-	// hop.sent/hop.received events into Events, so traces stitch across
-	// processes. Off, or with Events nil, frames carry no trace section.
-	PropagateTrace bool
 	// Events, when non-nil, receives this node's event stream: its
 	// transactions' lifecycle facts under their trace IDs, and for a
 	// governor the screening, election, block and reputation events.
+	// It also turns on trace propagation: outgoing frames carry
+	// per-transaction trace context (trace ID, parent event seq, send
+	// timestamp) and both ends of a hop emit hop.sent/hop.received, so
+	// traces stitch across processes. When nil, frames carry no
+	// trace section.
 	Events *events.Log
 	// Logger, when non-nil, receives structured warnings from the
 	// endpoint (decode/auth failures, exhausted deliveries) instead of
@@ -161,17 +155,10 @@ type RuntimeConfig struct {
 	// unbounded; a provider at its cap has its oldest pending
 	// transaction evicted).
 	MempoolCap int
-	// AdmissionFloor sheds verified uploads whose collector reputation
-	// weight has decayed below the floor (0 admits everything).
-	AdmissionFloor float64
 	// BlockLimit is b_limit for governors (0 = unlimited): each round a
 	// governor drains at most BlockLimit transactions from its mempool,
 	// the rest waiting for later blocks, and refuses a block with more.
 	BlockLimit int
-	// InflightLimit caps received-but-undrained frames held per peer on
-	// every node's endpoint (0 = unbounded). Overflow frames are
-	// dropped and counted in transport.inflight_dropped.
-	InflightLimit int
 	// SnapshotEvery, with StateDir set, writes an atomic recovery
 	// snapshot (round counter, reputation table, stake vector) into a
 	// governor's chain directory every N rounds and prunes segments
@@ -414,19 +401,18 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		defer func() { _ = fs.Close() }()
 	}
 	gov, err := node.NewGovernor(node.GovernorConfig{
-		Member:         mem,
-		IM:             im,
-		Topology:       topo,
-		Params:         cfg.Params,
-		Validator:      cfg.Validator,
-		BlockLimit:     cfg.BlockLimit,
-		ArgueWindow:    node.DefaultArgueWindow,
-		Seed:           cfg.Seed + int64(200+spec.Index),
-		Store:          store,
-		MempoolCap:     cfg.MempoolCap,
-		AdmissionFloor: cfg.AdmissionFloor,
-		Metrics:        cfg.Metrics,
-		Events:         cfg.Events,
+		Member:      mem,
+		IM:          im,
+		Topology:    topo,
+		Params:      cfg.Params,
+		Validator:   cfg.Validator,
+		BlockLimit:  cfg.BlockLimit,
+		ArgueWindow: node.DefaultArgueWindow,
+		Seed:        cfg.Seed + int64(200+spec.Index),
+		Store:       store,
+		MempoolCap:  cfg.MempoolCap,
+		Metrics:     cfg.Metrics,
+		Events:      cfg.Events,
 	})
 	if err != nil {
 		return Report{}, err

@@ -505,7 +505,9 @@ func TestEndpointInflightLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = b.Close() }()
-	b.SetInflightLimit(2)
+	b.inboxMu.Lock()
+	b.inflight = 2
+	b.inboxMu.Unlock()
 
 	for i := 0; i < 5; i++ {
 		if err := a.Send("governor/1", "test", []byte{byte(i)}); err != nil {
@@ -538,5 +540,44 @@ func TestEndpointInflightLimit(t *testing.T) {
 	frames = waitFrames(t, b, 1)
 	if frames[0].Payload[0] != 9 {
 		t.Fatalf("post-drain frame payload = %d, want 9", frames[0].Payload[0])
+	}
+}
+
+// TestEndpointInflightDefaultBound floods an endpoint at its default
+// configuration: a peer that sends past maxInflightPerPeer frames
+// without the receiver draining leaves exactly the bound in the inbox,
+// and every excess frame is counted in transport.inflight_dropped.
+func TestEndpointInflightDefaultBound(t *testing.T) {
+	d := testDeployment(t, 2, 2, 1, 2)
+	a, err := NewEndpoint(d, "governor/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	b, err := NewEndpoint(d, "governor/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b.Close() }()
+
+	const excess = 100
+	total := maxInflightPerPeer + excess
+	for i := 0; i < total; i++ {
+		if err := a.Send("governor/1", "test", []byte{byte(i)}); err != nil {
+			t.Fatalf("Send(%d) error = %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for b.Metrics().Counter("transport.frames_received").Value() < int64(total) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d frames arrived", b.Metrics().Counter("transport.frames_received").Value(), total)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := len(b.Receive()); got != maxInflightPerPeer {
+		t.Fatalf("inbox held %d frames, want the bound %d", got, maxInflightPerPeer)
+	}
+	if got := b.Metrics().Counter("transport.inflight_dropped").Value(); got != excess {
+		t.Fatalf("transport.inflight_dropped = %d, want %d", got, excess)
 	}
 }

@@ -98,7 +98,7 @@ type CollectorBehavior struct {
 type Option func(*options) error
 
 // options is the cluster configuration the option list folds into;
-// New rejects the cluster-only Committees and Partition.
+// New rejects the cluster-only Committees.
 type options struct{ shard.Config }
 
 // WithTopology sets l providers, n collectors, and r collectors per
@@ -144,8 +144,8 @@ func WithChainDir(dir string) Option {
 // reputation tables, stake vector) into every governor's chain
 // directory each n committed rounds and prunes chain segments fully
 // behind the snapshot, so restart cost scales with n instead of chain
-// height and disk stays bounded. Requires WithChainDir to have any
-// effect.
+// height and disk stays bounded. Without WithChainDir, New and
+// NewCluster reject it.
 func WithSnapshotEvery(n int) Option {
 	return func(o *options) error {
 		if n <= 0 {
@@ -158,7 +158,8 @@ func WithSnapshotEvery(n int) Option {
 
 // WithSegmentBytes overrides the chain segment roll threshold for
 // file-backed governor stores (default 4 MiB). Smaller segments prune
-// at a finer grain; larger ones mean fewer files.
+// at a finer grain; larger ones mean fewer files. Without
+// WithChainDir, New and NewCluster reject it.
 func WithSegmentBytes(n int64) Option {
 	return func(o *options) error {
 		if n <= 0 {
@@ -228,23 +229,6 @@ func WithMempool(capPerProvider int) Option {
 	}
 }
 
-// WithAdmissionFloor makes governors shed verified uploads from
-// collectors whose reputation weight for the submitting provider has
-// decayed below w ∈ [0, 1] — the same draw-time signal screening uses.
-// Weights start at 1 and only decay, so a fresh chain sheds nothing;
-// the floor bites only after the mechanism learns to distrust a
-// collector. Shed uploads are counted in mempool.shed_total and the
-// governor's ShedReports stat. Zero (the default) admits everything.
-func WithAdmissionFloor(w float64) Option {
-	return func(o *options) error {
-		if w < 0 || w > 1 {
-			return fmt.Errorf("admission floor %v outside [0, 1]: %w", w, ErrBadOption)
-		}
-		o.Base.AdmissionFloor = w
-		return nil
-	}
-}
-
 // WithArgueWindow sets U: an unchecked transaction may be argued until
 // U newer unchecked transactions from the same provider exist.
 func WithArgueWindow(u int) Option {
@@ -261,23 +245,6 @@ func WithArgueWindow(u int) Option {
 func WithSeed(seed int64) Option {
 	return func(o *options) error {
 		o.Base.Seed = seed
-		return nil
-	}
-}
-
-// WithWorkers bounds the goroutines used to fan out per-collector and
-// per-governor round work. Zero means one worker per logical CPU (the
-// default); 1 steps the nodes one after another (a batch's signatures
-// still spread over GOMAXPROCS within a node). Every setting produces
-// byte-identical rounds — parallelism trades only wall time.
-// With workers != 1 the Validator must be safe for concurrent use
-// (pure functions are).
-func WithWorkers(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("workers %d: %w", n, ErrBadOption)
-		}
-		o.Base.Workers = n
 		return nil
 	}
 }
@@ -351,15 +318,15 @@ type Chain struct {
 }
 
 // New assembles a chain. Required options: WithTopology,
-// WithGovernors, WithValidator. The cluster-only options
-// WithCommittees and WithPartition are rejected here — use NewCluster.
+// WithGovernors, WithValidator. The cluster-only option
+// WithCommittees is rejected here — use NewCluster.
 func New(opts ...Option) (*Chain, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	if o.Committees != 0 || o.Partition != nil {
-		return nil, fmt.Errorf("WithCommittees/WithPartition require NewCluster: %w", ErrBadOption)
+	if o.Committees != 0 {
+		return nil, fmt.Errorf("WithCommittees requires NewCluster: %w", ErrBadOption)
 	}
 	cl, err := newCluster(o)
 	if err != nil {

@@ -238,8 +238,6 @@ func TestWithMempoolValidation(t *testing.T) {
 	}{
 		{"zero cap", WithMempool(0), "mempool cap"},
 		{"negative cap", WithMempool(-1), "mempool cap"},
-		{"floor below zero", WithAdmissionFloor(-0.2), "admission floor"},
-		{"floor above one", WithAdmissionFloor(1.2), "admission floor"},
 		{"zero snapshot cadence", WithSnapshotEvery(0), "snapshot cadence"},
 		{"negative snapshot cadence", WithSnapshotEvery(-3), "snapshot cadence"},
 		{"zero segment bytes", WithSegmentBytes(0), "segment bytes"},
@@ -254,6 +252,32 @@ func TestWithMempoolValidation(t *testing.T) {
 				t.Fatalf("error %q does not name the bad field %q", err, tt.want)
 			}
 		})
+	}
+}
+
+// TestStorageOptionsNeedChainDir: WithSnapshotEvery and WithSegmentBytes
+// only shape the on-disk chain, so without WithChainDir both
+// constructors refuse them instead of silently ignoring them.
+func TestStorageOptionsNeedChainDir(t *testing.T) {
+	base := []Option{WithTopology(2, 2, 1), WithGovernors(2), WithValidator(testValidator)}
+	for name, opt := range map[string]Option{
+		"WithSnapshotEvery": WithSnapshotEvery(4),
+		"WithSegmentBytes":  WithSegmentBytes(1 << 16),
+	} {
+		opts := append(append([]Option(nil), base...), opt)
+		if _, err := New(opts...); !errors.Is(err, ErrBadOption) || !strings.Contains(err.Error(), "WithChainDir") {
+			t.Fatalf("New(%s) without WithChainDir: err = %v, want ErrBadOption naming WithChainDir", name, err)
+		}
+		if _, err := NewCluster(opts...); !errors.Is(err, ErrBadOption) {
+			t.Fatalf("NewCluster(%s) without WithChainDir: err = %v, want ErrBadOption", name, err)
+		}
+		c, err := New(append(opts, WithChainDir(t.TempDir()))...)
+		if err != nil {
+			t.Fatalf("New(%s, WithChainDir) error = %v", name, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -390,8 +414,7 @@ func TestClosed(t *testing.T) {
 
 // TestMempoolBurstCommitsFully is the acceptance gate for the bounded
 // mempool: a 10k-transaction burst from 8 providers through a mempool
-// capped at 128 per provider commits completely under backpressure, and
-// without an admission floor nothing is shed.
+// capped at 128 per provider commits completely under backpressure.
 func TestMempoolBurstCommitsFully(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-tx burst skipped in -short mode")
@@ -434,9 +457,6 @@ func TestMempoolBurstCommitsFully(t *testing.T) {
 		t.Fatalf("committed %d of %d burst transactions", committed, burst)
 	}
 	snap := c.MetricsSnapshot()
-	if shed := snap.Counters["mempool.shed_total"]; shed != 0 {
-		t.Fatalf("mempool.shed_total = %v without an admission floor, want 0", shed)
-	}
 	if admitted := snap.Counters["mempool.admitted_total"]; admitted != burst {
 		t.Fatalf("mempool.admitted_total = %v, want %d", admitted, burst)
 	}
