@@ -88,19 +88,21 @@ crash-consistency:
 	$(GO) test -count=1 ./internal/ledger \
 		-run 'Torn|Truncated|Corrupt|KillDuring|Snapshot|RegularFile|Prune'
 	$(GO) test -count=1 ./internal/core -run 'Snapshot|Restart|Persist'
-	$(GO) test -count=1 ./internal/transport -run 'Persistence'
+	$(GO) test -count=1 ./internal/transport -run 'Persistence|StakeTransfer'
 
 # Short coverage-guided fuzz pass over the untrusted decoders: ledger
 # segments and snapshots, the transport's frame receive path, the
 # collector upload batch, the round-ticket envelope, block frames, the
-# governor-to-governor stake-transform messages, and the cross-shard
-# lock/receipt payloads behind the validator wrapper.
+# governor-to-governor stake-transform messages, the governor checkpoint
+# state, and the cross-shard lock/receipt payloads behind the validator
+# wrapper.
 # `go test -fuzz` accepts one target per invocation, hence the loop.
 # FUZZTIME=30s in CI; keep it short locally.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzFrameReceive tx/FuzzUploadBatchDecode \
-		consensus/FuzzRoundTicketsDecode ledger/FuzzBlockDecode core/FuzzStakeTransformDecode shard/FuzzXShardValidate; do \
+		consensus/FuzzRoundTicketsDecode ledger/FuzzBlockDecode consensus/FuzzStakeTransformDecode \
+		node/FuzzGovernorStateDecode shard/FuzzXShardValidate; do \
 		$(GO) test ./internal/$${target%/*} -run '^$$' -fuzz "^$${target#*/}$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 

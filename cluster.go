@@ -258,10 +258,11 @@ func (cm *Committee) CollectorReputation(collector int) ([]float64, error) {
 }
 
 // Stakes returns the governors' current stake vector.
-func (cm *Committee) Stakes() []uint64 { return cm.engine().StakeLedger().Snapshot() }
+func (cm *Committee) Stakes() []uint64 { return cm.engine().Stakes() }
 
 // TransferStake queues a stake transfer between governors for the next
-// round's stake-transform block.
+// round's stake-transform block. A transfer beyond what the payer's
+// stake and its pending transfers leave is refused.
 func (cm *Committee) TransferStake(from, to int, amount uint64) error {
 	return cm.engine().SubmitStakeTransfer(from, to, amount)
 }

@@ -45,9 +45,6 @@ var (
 	// ErrDisagreement reports replicas disagreeing on a round's
 	// outcome — a violated Agreement property.
 	ErrDisagreement = errors.New("core: replica disagreement")
-	// ErrExpelled reports that the round's leader was expelled for a
-	// provably bad stake proposal.
-	ErrExpelled = errors.New("core: leader expelled")
 	// ErrRoundAborted reports a round that could not commit a block
 	// because message loss left the live governors without a complete
 	// election or any copy of the proposed block. The abort is
@@ -145,23 +142,15 @@ type Engine struct {
 	providers  []*node.Provider
 	collectors []*node.Collector
 	governors  []*node.Governor
-	// rounds[j] steps governor j; the engine only sequences the steps.
+	// rounds[j] steps governor j, stake transform included; the engine
+	// only sequences the steps.
 	rounds []*node.GovernorRound
-
-	stake    *consensus.StakeLedger
-	expelled []bool
 
 	governorIDs []identity.NodeID
 	providerIDs []identity.NodeID
 	govPubs     []crypto.PublicKey
 
-	pendingStakeTxs []consensus.StakeTx
-	// stakeNonces are persistent per-governor counters so every signed
-	// stake transfer a governor ever issues carries a fresh nonce —
-	// nonces derived from the per-round pending queue length would
-	// repeat every round and make signed transfers replayable.
-	stakeNonces []uint64
-	round       uint64
+	round uint64
 
 	// collectorDown and governorDown are the engine's failure-detector
 	// view: a down node is excluded from round fan-outs and quorums
@@ -179,10 +168,6 @@ type Engine struct {
 	// (label "stage"). Wall-clock observations only — never fed back
 	// into protocol decisions, so determinism is untouched.
 	stageSeconds *metrics.HistogramVec
-
-	// stakeCorruptor is a test hook making the next stake proposal
-	// lie; see CorruptNextStakeProposal.
-	stakeCorruptor proposalCorruptor
 
 	// ingress stages signed-but-unbroadcast submissions; each round's
 	// collecting phase drains it in arrival order. closed gates
@@ -268,15 +253,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		cfg:         cfg,
-		im:          im,
-		roster:      roster,
-		bus:         network.NewBus(cfg.MaxDelay),
-		stake:       consensus.NewStakeLedger(stakes),
-		expelled:    make([]bool, cfg.Governors),
-		stakeNonces: make([]uint64, cfg.Governors),
-		reg:         metrics.NewRegistry(),
-		events:      events.NewLog(cfg.EventCapacity),
+		cfg:    cfg,
+		im:     im,
+		roster: roster,
+		bus:    network.NewBus(cfg.MaxDelay),
+		reg:    metrics.NewRegistry(),
+		events: events.NewLog(cfg.EventCapacity),
 	}
 	e.ingress = mempool.New[ingressTx](topo.Providers(), cfg.MempoolCap)
 	e.stageSeconds = e.reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")
@@ -357,20 +339,13 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.governors = append(e.governors, gov)
 	}
-	// Reload each governor's checkpointed reputation so a restart keeps
-	// its learned weights, and the stake vector saved with it: governor
-	// 0's is authoritative (replicas are byte-identical); the configured
-	// stakes only seed a chain that has none.
-	for j, g := range e.governors {
-		r := node.NewGovernorRound(g, e.governorIDs, e.govPubs, e.providerIDs)
-		saved, err := r.Restore()
-		if err != nil {
+	// Reload each governor's checkpoint so a restart keeps its learned
+	// weights, stakes and nonces; the configured stakes only seed a chain
+	// that has none.
+	for _, g := range e.governors {
+		r := node.NewGovernorRound(g, e.governorIDs, e.govPubs, e.providerIDs, stakes)
+		if err := r.Restore(); err != nil {
 			return nil, err
-		}
-		if j == 0 && len(saved) > 0 {
-			if err := e.stake.Apply(saved); err != nil {
-				return nil, fmt.Errorf("restore stake state: %w", err)
-			}
 		}
 		e.rounds = append(e.rounds, r)
 	}
@@ -388,14 +363,13 @@ func New(cfg Config) (*Engine, error) {
 // node.GovernorRound.Checkpoint. reputation, when non-nil, overrides
 // the live tables governor by governor. All governors are attempted.
 func (e *Engine) checkpoint(reputation [][]byte, prune bool) error {
-	stakes := e.stake.Snapshot()
 	errs := make([]error, len(e.rounds))
 	for j, r := range e.rounds {
 		var rep []byte
 		if reputation != nil {
 			rep = reputation[j]
 		}
-		errs[j] = r.Checkpoint(rep, stakes, prune)
+		errs[j] = r.Checkpoint(rep, prune)
 	}
 	return errors.Join(errs...)
 }
@@ -443,8 +417,12 @@ func (e *Engine) Provider(k int) *node.Provider { return e.providers[k] }
 // Governors returns m.
 func (e *Engine) Governors() int { return len(e.governors) }
 
-// StakeLedger exposes the governors' stake state.
-func (e *Engine) StakeLedger() *consensus.StakeLedger { return e.stake }
+// Stakes returns the stake vector the next election runs on, expelled
+// governors at zero, as the first live governor (or, none live,
+// governor 0) holds it.
+func (e *Engine) Stakes() []uint64 {
+	return e.rounds[max(slices.Index(e.governorDown, false), 0)].Stakes()
+}
 
 // Round returns the number of completed rounds.
 func (e *Engine) Round() uint64 { return e.round }
@@ -552,52 +530,36 @@ func (e *Engine) drainIngress() error {
 	return nil
 }
 
-// SubmitStakeTransfer queues a signed stake transfer from governor
-// `from` for the next round's stake-transform block. The nonce comes
-// from a monotone per-governor counter, never reused across rounds, so
-// two transfers with identical (from, to, amount) still sign distinct
-// bytes and a captured transfer cannot be replayed later.
+// SubmitStakeTransfer is governor `from`'s TransferStake step: "governors
+// related to the transaction should broadcast the signed transaction to
+// all governors". An overdraft is refused here, wrapping
+// consensus.ErrInsufficientStake.
 func (e *Engine) SubmitStakeTransfer(from, to int, amount uint64) error {
 	if from < 0 || from >= len(e.governors) || to < 0 || to >= len(e.governors) {
 		return fmt.Errorf("transfer %d→%d: %w", from, to, ErrBadConfig)
 	}
-	nonce := e.stakeNonces[from]
-	e.stakeNonces[from]++
-	stx := consensus.SignStakeTx(from, to, amount, nonce, e.roster.Governors[from].PrivateKey)
-	// "governors related to the transaction should broadcast the
-	// signed transaction to all governors"
-	if err := e.bus.Multicast(e.governorIDs[from], e.governorIDs, network.KindStakeTx, encodeStakeTx(stx)); err != nil {
-		return err
-	}
-	e.pendingStakeTxs = append(e.pendingStakeTxs, stx)
-	return nil
+	return e.rounds[from].TransferStake(to, amount, e.bus)
 }
 
 // stepGovernors is the engine's lock-step drive of the round steppers:
-// every live governor ingests its drained endpoint and then runs step
-// (nil for a bare drain), in parallel — each touches only its own
-// endpoint, state and send buffer, so the outcome is independent of
-// the worker count. It returns, per governor, the messages the stepper
-// does not own: the stake-transform traffic. Down governors are
-// skipped; their inbox was purged at crash time and the bus drops
-// anything new while they stay down. Every governor verifies every
-// upload's signatures in Ingest; the shared verification cache turns
-// the m-fold duplicate checks into hits, which is why the round's long
-// pole is the upload stage before it, not this.
-func (e *Engine) stepGovernors(step func(j int, r *node.GovernorRound, out node.Sender) error) ([][]network.Message, error) {
-	rest := make([][]network.Message, len(e.governors))
-	err := e.fanOut(len(e.governors), func(j int, out node.Sender) error {
+// every live governor ingests its drained endpoint and then runs step,
+// in parallel — each touches only its own endpoint, state and send
+// buffer, so the outcome is independent of the worker count. Down
+// governors are skipped; their inbox was purged at crash time and the
+// bus drops anything new while they stay down. Every governor verifies
+// every upload's signatures in Ingest; the shared verification cache
+// turns the m-fold duplicate checks into hits, which is why the round's
+// long pole is the upload stage before it, not this.
+func (e *Engine) stepGovernors(step func(j int, r *node.GovernorRound, out node.Sender) error) error {
+	return e.fanOut(len(e.governors), func(j int, out node.Sender) error {
 		if e.governorDown[j] {
 			return nil
 		}
-		var err error
-		rest[j], err = e.rounds[j].Ingest(e.governors[j].Endpoint().Receive())
-		if err != nil || step == nil {
+		if err := e.rounds[j].Ingest(e.governors[j].Endpoint().Receive()); err != nil {
 			return err
 		}
 		return step(j, e.rounds[j], out)
 	})
-	return rest, err
 }
 
 // RunRound executes the uploading and processing phases over whatever
@@ -706,7 +668,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	}
 
 	// --- Processing phase: screening ---
-	if _, err := e.stepGovernors(func(_ int, r *node.GovernorRound, _ node.Sender) error {
+	if err := e.stepGovernors(func(_ int, r *node.GovernorRound, _ node.Sender) error {
 		return r.Screen()
 	}); err != nil {
 		return RoundResult{}, err
@@ -738,7 +700,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	// where no replica at all holds the block aborts.
 	missedBlock := e.reg.Counter("chaos.governor_missed_block")
 	committedBy := make([]bool, len(e.governors))
-	if _, err := e.stepGovernors(func(j int, r *node.GovernorRound, _ node.Sender) error {
+	if err := e.stepGovernors(func(j int, r *node.GovernorRound, _ node.Sender) error {
 		committed, err := r.Adopt()
 		if committedBy[j] = committed; !committed {
 			missedBlock.Inc()
@@ -795,14 +757,27 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 		Argues:  argues,
 	}
 
-	// --- Stake-transform block, when transfers are pending ---
-	if len(e.pendingStakeTxs) > 0 {
-		sb, err := e.runStakeTransform(leader)
-		if err != nil {
+	// --- Stake transform: tick until every live stepper is done, for at
+	// most its four steps (propose, answer, assemble, apply). What is left
+	// waits for the next round, or a lost block for the next resync.
+	done := slices.Clone(e.governorDown)
+	for step := 0; step < 4; step++ {
+		if err := e.stepGovernors(func(j int, r *node.GovernorRound, out node.Sender) error {
+			var err error
+			done[j], err = r.StakeStep(out)
+			return err
+		}); err != nil {
 			return result, err
 		}
-		result.StakeBlock = sb
-		e.pendingStakeTxs = nil
+		if !slices.Contains(done, false) {
+			break
+		}
+		e.bus.AdvancePastDelay()
+	}
+	for _, r := range e.rounds {
+		if sb := r.StakeBlock(); sb != nil && sb.Round == e.round {
+			result.StakeBlock = sb
+		}
 	}
 	e.publishRoundMetrics()
 	// Checkpoint and prune at the SnapshotEvery cadence. A failure is
@@ -829,15 +804,15 @@ func (e *Engine) electLeader() (int, error) {
 	if len(live) == 0 {
 		return 0, fmt.Errorf("no live governor: %w", ErrRoundAborted)
 	}
-	stakes := e.stake.Snapshot()
-	for j := range stakes {
-		if e.expelled[j] || e.governorDown[j] {
+	stakes := e.Stakes()
+	for j, down := range e.governorDown {
+		if down {
 			stakes[j] = 0
 		}
 	}
 	// resyncGovernors brought all live replicas to one head, so every
 	// governor makes its tickets over the same prev-hash.
-	if _, err := e.stepGovernors(func(j int, r *node.GovernorRound, out node.Sender) error {
+	if err := e.stepGovernors(func(j int, r *node.GovernorRound, out node.Sender) error {
 		return r.SendTickets(stakes[j], out)
 	}); err != nil {
 		return 0, err
@@ -848,7 +823,7 @@ func (e *Engine) electLeader() (int, error) {
 	// governor consumes its inbox whatever the schedule.
 	leaders := make([]int, len(e.governors))
 	incomplete := make([]error, len(e.governors))
-	if _, err := e.stepGovernors(func(j int, r *node.GovernorRound, _ node.Sender) error {
+	if err := e.stepGovernors(func(j int, r *node.GovernorRound, _ node.Sender) error {
 		l, err := r.Elect(stakes)
 		if errors.Is(err, consensus.ErrIncompleteElection) {
 			incomplete[j], err = err, nil

@@ -368,7 +368,7 @@ func TestStakeTransform(t *testing.T) {
 		t.Fatal("no stake block committed")
 	}
 	want := []uint64{3, 3, 4}
-	got := e.StakeLedger().Snapshot()
+	got := e.Stakes()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("stake state = %v, want %v", got, want)
@@ -379,11 +379,23 @@ func TestStakeTransform(t *testing.T) {
 	}
 }
 
+// TestLeaderExpulsion: a round leader whose stake proposal lies is
+// expelled by every governor; the transfer commits exactly once, by the
+// following round, and the expelled governor never leads again.
 func TestLeaderExpulsion(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.Stakes = []uint64{4, 4, 4}
+	// Rounds are deterministic: a dry run names round 1's leader.
+	dry := newTestEngine(t, cfg)
+	submitRound(t, dry, 5, 0, 0)
+	first, err := dry.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar := first.Leader
+
 	e := newTestEngine(t, cfg)
-	e.CorruptNextStakeProposal()
+	e.rounds[liar].CorruptNextStakeProposal()
 	if err := e.SubmitStakeTransfer(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -392,42 +404,35 @@ func TestLeaderExpulsion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunRound() error = %v", err)
 	}
-	// The transform must still commit (under a re-elected leader) and
-	// the transfer must have applied exactly once.
-	if res.StakeBlock == nil {
-		t.Fatal("stake transform did not recover from expulsion")
+	if res.Leader != liar || res.StakeBlock != nil {
+		t.Fatalf("round 1 led by %d (want %d), stake block %v (want none)", res.Leader, liar, res.StakeBlock)
 	}
-	got := e.StakeLedger().Snapshot()
-	if got[1] != 3 || got[2] != 5 {
-		t.Fatalf("stake state = %v", got)
-	}
-	// Exactly one governor is expelled: the corrupt round-leader.
-	expelledCount := 0
-	for _, ex := range e.expelled {
-		if ex {
-			expelledCount++
+	for j, r := range e.rounds {
+		if got := r.Stakes(); got[liar] != 0 {
+			t.Fatalf("governor %d stakes %v: governor %d not expelled", j, got, liar)
 		}
 	}
-	if expelledCount != 1 {
-		t.Fatalf("%d governors expelled, want 1", expelledCount)
-	}
-	// Subsequent rounds still work, and the expelled governor never
-	// leads again.
-	var expelledIdx int
-	for j, ex := range e.expelled {
-		if ex {
-			expelledIdx = j
-		}
-	}
+	// The next election excludes the liar, and its leader commits the
+	// transfer; no later round commits it again.
+	committed := 0
 	for r := 0; r < 8; r++ {
 		submitRound(t, e, 4, r+1, 0)
 		res, err := e.RunRound()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Leader == expelledIdx {
-			t.Fatalf("expelled governor %d led round %d", expelledIdx, res.Serial)
+		if res.Leader == liar {
+			t.Fatalf("expelled governor %d led round %d", liar, res.Serial)
 		}
+		if res.StakeBlock != nil {
+			committed++
+			if r != 0 || fmt.Sprint(res.StakeBlock.NewState) != "[4 3 5]" {
+				t.Fatalf("round %d stake block %v, want [4 3 5] in round 2 only", res.Serial, res.StakeBlock.NewState)
+			}
+		}
+	}
+	if committed != 1 {
+		t.Fatalf("transfer committed %d times, want once", committed)
 	}
 }
 

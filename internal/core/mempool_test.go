@@ -44,7 +44,7 @@ func runMempoolTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
 		tr.hashes = append(tr.hashes, res.Block.Hash())
 		tr.leaders = append(tr.leaders, res.Leader)
 	}
-	tr.stakes = e.StakeLedger().Snapshot()
+	tr.stakes = e.Stakes()
 	for j := 0; j < e.Governors(); j++ {
 		tr.snapshots = append(tr.snapshots, e.Governor(j).Table().Snapshot())
 	}

@@ -50,7 +50,7 @@ func TestSoakHundredRounds(t *testing.T) {
 		if r%5 == 2 {
 			from := r % 4
 			to := (r + 1) % 4
-			if s, err := e.StakeLedger().Of(from); err == nil && s > 0 {
+			if e.Stakes()[from] > 0 {
 				if err := e.SubmitStakeTransfer(from, to, 1); err != nil {
 					t.Fatal(err)
 				}
@@ -113,7 +113,11 @@ func TestSoakHundredRounds(t *testing.T) {
 		}
 	}
 	// Stake conservation.
-	if total := e.StakeLedger().Total(); total != 10 {
+	var total uint64
+	for _, s := range e.Stakes() {
+		total += s
+	}
+	if total != 10 {
 		t.Fatalf("stake total = %d, want 10", total)
 	}
 	// Leadership rotated (4 governors, stake-weighted).

@@ -55,6 +55,9 @@ const (
 	TypeTxArgued = "tx.argued"
 	// TypeLeaderElected is the round's VRF leader election outcome.
 	TypeLeaderElected = "leader.elected"
+	// TypeLeaderExpelled is a governor expelling the round's leader on
+	// verified stake-transform evidence.
+	TypeLeaderExpelled = "leader.expelled"
 	// TypeBlockPacked is the leader packing a block proposal, and
 	// TypeTxPacked one record in it.
 	TypeBlockPacked = "block.packed"

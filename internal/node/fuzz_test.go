@@ -1,10 +1,16 @@
 package node
 
 import (
+	"bytes"
+	"fmt"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repchain/internal/codec"
 	"repchain/internal/crypto"
+	"repchain/internal/ledger"
 	"repchain/internal/tx"
 )
 
@@ -49,5 +55,60 @@ func TestQuickMutatedArgueRejected(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzGovernorStateDecode feeds the checkpoint decoder — whose input a
+// peer will supply once catch-up serves checkpoints — arbitrary bytes:
+// it must never panic, never return more stakes and nonces than the
+// input could hold (each count sizes an allocation), and whatever it
+// accepts must re-encode to a state that decodes the same.
+func FuzzGovernorStateDecode(f *testing.F) {
+	f.Add(GovernorState{Round: 7, Reputation: []byte("rep"), Stakes: []uint64{3, 2}, Nonces: []uint64{1, 0}}.Encode())
+	f.Add(GovernorState{Round: 7, Reputation: []byte("rep"), Stakes: []uint64{3, 2}}.Encode()) // no nonces kept
+	f.Add(GovernorState{}.Encode())
+	hostile := codec.NewEncoder(0)
+	hostile.PutString(govStateTag)
+	hostile.PutUint64(1)
+	hostile.PutBytes(nil)
+	hostile.PutUvarint(1 << 20)
+	f.Add(hostile.Bytes())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeGovernorState(b)
+		if err != nil {
+			return
+		}
+		if len(s.Stakes)+len(s.Nonces) > len(b) {
+			t.Fatalf("%d stakes and %d nonces decoded from %d bytes", len(s.Stakes), len(s.Nonces), len(b))
+		}
+		again, err := DecodeGovernorState(s.Encode())
+		if err != nil || again.Round != s.Round || !bytes.Equal(again.Reputation, s.Reputation) ||
+			!slices.Equal(again.Stakes, s.Stakes) || !slices.Equal(again.Nonces, s.Nonces) {
+			t.Fatalf("re-encoding of an accepted state decodes to %+v, %v; want %+v", again, err, s)
+		}
+	})
+}
+
+// TestRestoreWithoutNonces: a checkpoint from before next nonces were
+// kept restores its stakes with every next nonce 0.
+func TestRestoreWithoutNonces(t *testing.T) {
+	dir := t.TempDir()
+	open := func(j int, cfg *GovernorConfig) {
+		fs, err := ledger.OpenFileStore(filepath.Join(dir, fmt.Sprint(j)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = fs.Close() })
+		cfg.Store = fs
+	}
+	a := newAlliance(t, open)
+	a.runRound()
+	fs := a.govs[0].Store().(*ledger.FileStore)
+	_, err := fs.WriteSnapshot(GovernorState{Round: 1, Reputation: a.govs[0].Table().Snapshot(), Stakes: []uint64{5, 0, 1}}.Encode())
+	a.check(err)
+	a.rounds[0].nextNonce[2] = 9
+	a.check(a.rounds[0].Restore())
+	if got := fmt.Sprint(a.rounds[0].Stakes(), a.rounds[0].nextNonce); got != "[5 0 1] [0 0 0]" {
+		t.Fatalf("restored stakes and next nonces %s, want [5 0 1] [0 0 0]", got)
 	}
 }

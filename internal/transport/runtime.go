@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repchain/internal/consensus"
 	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/identity"
@@ -189,6 +190,9 @@ type Report struct {
 	// SendFailures counts multicasts that exhausted their delivery
 	// attempts to at least one recipient (all roles).
 	SendFailures int
+	// StakeBlock is the last stake-transform block applied (governors;
+	// nil if none).
+	StakeBlock *consensus.StakeBlock
 }
 
 // RunNode runs one node to completion of cfg.Rounds rounds.
@@ -434,14 +438,14 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		}
 	}
 	// The round stepper is the protocol; this function only decides
-	// when each step runs. Stakes come from the deployment spec, so a
-	// restored checkpoint contributes only the reputation table.
-	rs := node.NewGovernorRound(gov, governorIDs, govPubs, idsOf(cfg.Deployment.NodesByRole("provider")))
-	if _, err := rs.Restore(); err != nil {
+	// when each step runs. The deployment spec's stakes seed a chain
+	// with no checkpoint; a restart resumes the checkpointed ones.
+	rs := node.NewGovernorRound(gov, governorIDs, govPubs, idsOf(cfg.Deployment.NodesByRole("provider")), stakes)
+	if err := rs.Restore(); err != nil {
 		return Report{}, err
 	}
 	// Leave a checkpoint as fresh as the run (a no-op without StateDir).
-	defer func() { _ = rs.Checkpoint(nil, stakes, false) }()
+	defer func() { _ = rs.Checkpoint(nil, false) }()
 	instrumentEndpoint(ep, cfg)
 
 	// Resume round numbering from a persisted chain (all governors in
@@ -466,8 +470,7 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		return now
 	}
 	ingest := func() error {
-		_, err := rs.Ingest(toNetworkMessages(ep.Receive()))
-		return err
+		return rs.Ingest(toNetworkMessages(ep.Receive()))
 	}
 	// poll ingests the endpoint every 2 ms until done reports true or
 	// the deadline passes: a single drain at a phase boundary loses the
@@ -498,6 +501,7 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 			return report, err
 		}
 		observe("screen", stageStart)
+		stakes := rs.Stakes()
 		if err := rs.SendTickets(stakes[spec.Index], sender); err != nil {
 			return report, err
 		}
@@ -536,11 +540,15 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 			return report, err
 		}
 		observe("commit", stageStart)
+		// The stake transform, for what the round has left of its time.
+		if err := poll(cfg.Clock.at(r+1, 0), func() (bool, error) { return rs.StakeStep(sender) }); err != nil {
+			return report, err
+		}
 		height := gov.Store().Height()
 		cfg.Health.SetHeight(string(cfg.ID), height)
 		heightG.Set(float64(height))
 		if cfg.SnapshotEvery > 0 && height > 0 && height%uint64(cfg.SnapshotEvery) == 0 {
-			if err := rs.Checkpoint(nil, stakes, true); err != nil {
+			if err := rs.Checkpoint(nil, true); err != nil {
 				return report, err
 			}
 		}
@@ -548,5 +556,6 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	}
 	report.Height = gov.Store().Height()
 	report.Stats = gov.Stats()
+	report.StakeBlock = rs.StakeBlock()
 	return report, nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repchain/internal/consensus"
+	"repchain/internal/core"
 	"repchain/internal/crypto"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
@@ -441,6 +442,148 @@ func TestRuntimeGovernorPersistence(t *testing.T) {
 	}
 	if !bytes.Equal(checkpointed(), before) {
 		t.Fatal("reputation changed across checkpoint → restore → checkpoint")
+	}
+}
+
+// TestRuntimeStakeTransfer: a stake transfer broadcast as a frame like
+// any other commits on every governor of a TCP fleet, to the stake
+// vector the in-process engine reaches from the same stakes and
+// transfer, with one stake block; a restart with StateDir keeps the
+// moved stakes. The test plays provider/0 and relays the payer's signed
+// transfer from that endpoint.
+func TestRuntimeStakeTransfer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second wall-clock run")
+	}
+	d := testDeployment(t, 2, 2, 2, 2)
+	initial := []uint64{3, 2}
+	var payerKey crypto.PrivateKey
+	for i, n := range d.Nodes {
+		if n.Role == "governor" {
+			d.Nodes[i].Stake = initial[n.Index]
+		}
+		if n.ID == "governor/0" {
+			key, err := n.PrivateKeyOf()
+			if err != nil {
+				t.Fatal(err)
+			}
+			payerKey = key
+		}
+	}
+	transfer := consensus.EncodeStakeTx(consensus.SignStakeTx(0, 1, 2, 0, payerKey))
+	stateDir := t.TempDir()
+	run := func(rounds int, relay bool) map[string]Report {
+		t.Helper()
+		ep, err := NewEndpoint(d, "provider/0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = ep.Close() }()
+		base := RuntimeConfig{
+			Deployment: d,
+			Clock:      Clock{Epoch: time.Now().Add(500 * time.Millisecond), Round: 800 * time.Millisecond},
+			Rounds:     rounds,
+			Params:     reputation.DefaultParams(),
+			Validator:  testOracle,
+			TxPerRound: 2,
+			ValidFrac:  0.8,
+			Seed:       7,
+			StateDir:   stateDir,
+		}
+		var (
+			wg      sync.WaitGroup
+			mu      sync.Mutex
+			reports = make(map[string]Report)
+			failed  error
+		)
+		for _, spec := range d.Nodes {
+			if spec.ID == "provider/0" {
+				continue
+			}
+			cfg := base
+			cfg.ID = identity.NodeID(spec.ID)
+			wg.Add(1)
+			go func(id string, cfg RuntimeConfig) {
+				defer wg.Done()
+				r, err := RunNode(cfg)
+				mu.Lock()
+				defer mu.Unlock()
+				if err != nil && failed == nil {
+					failed = fmt.Errorf("node %s: %w", id, err)
+				}
+				reports[id] = r
+			}(spec.ID, cfg)
+		}
+		for _, g := range d.NodesByRole("governor") {
+			for deadline := time.Now().Add(3 * time.Second); relay; time.Sleep(10 * time.Millisecond) {
+				err := ep.Send(identity.NodeID(g.ID), network.KindStakeTx, transfer)
+				if err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("transfer never reached %s: %v", g.ID, err)
+				}
+			}
+		}
+		wg.Wait()
+		if failed != nil {
+			t.Fatal(failed)
+		}
+		return reports
+	}
+	checkpointed := func(j int) string {
+		t.Helper()
+		fs, err := ledger.OpenFileStore(filepath.Join(stateDir, fmt.Sprintf("governor-%d.chain", j)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = fs.Close() }()
+		snap, _ := fs.LatestSnapshot()
+		st, err := node.DecodeGovernorState(snap.App)
+		if err != nil {
+			t.Fatalf("governor/%d checkpoint: %v", j, err)
+		}
+		return fmt.Sprint(st.Stakes, st.Nonces)
+	}
+
+	eng, err := core.New(core.Config{
+		Spec:      identity.TopologySpec{Providers: 2, Collectors: 2, Degree: 2},
+		Governors: 2, Stakes: initial, Params: reputation.DefaultParams(), Validator: testOracle,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SubmitStakeTransfer(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(eng.Stakes(), []uint64{1, 0})
+
+	first := run(3, true)
+	sb0, sb1 := first["governor/0"].StakeBlock, first["governor/1"].StakeBlock
+	if sb0 == nil || sb1 == nil || !bytes.Equal(consensus.EncodeStakeBlock(*sb0), consensus.EncodeStakeBlock(*sb1)) {
+		t.Fatalf("governors hold stake blocks %v and %v, want one and the same", sb0, sb1)
+	}
+	for j := range initial {
+		if got := checkpointed(j); got != want {
+			t.Fatalf("governor/%d stakes and next nonces %s, want the engine's %s", j, got, want)
+		}
+	}
+
+	ports := freePorts(t, len(d.Nodes))
+	for i := range d.Nodes {
+		d.Nodes[i].Addr = fmt.Sprintf("127.0.0.1:%d", ports[i])
+	}
+	second := run(2, false)
+	for j := range initial {
+		if h := second[fmt.Sprintf("governor/%d", j)].Height; h != 5 {
+			t.Fatalf("restarted governor/%d height %d, want 5", j, h)
+		}
+		if got := checkpointed(j); got != want {
+			t.Fatalf("restarted governor/%d stakes and next nonces %s, want %s", j, got, want)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repchain/internal/consensus"
 )
 
 var testValidator = ValidatorFunc(func(t Transaction) bool {
@@ -168,6 +170,31 @@ func TestChainStakeTransfer(t *testing.T) {
 	stakes := c.Stakes()
 	if stakes[0] != 2 || stakes[1] != 5 {
 		t.Fatalf("stakes = %v", stakes)
+	}
+}
+
+// TestTransferStakeOverdraft: a transfer beyond the payer's stake is
+// refused at the call through a Chain and through a Cluster's
+// committee, matching consensus.ErrInsufficientStake, and moves nothing.
+func TestTransferStakeOverdraft(t *testing.T) {
+	chain := newTestChain(t, WithStakes(4, 3, 3))
+	cluster, err := NewCluster(append(goldenOptions(), WithCommittees(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cluster.Close() })
+	view, err := cluster.Committee(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cm := range []*Committee{chain.Committee, view} {
+		before := fmt.Sprint(cm.Stakes())
+		if err := cm.TransferStake(0, 1, 50); !errors.Is(err, consensus.ErrInsufficientStake) {
+			t.Fatalf("facade %d: TransferStake(50) error = %v, want ErrInsufficientStake", i, err)
+		}
+		if after := fmt.Sprint(cm.Stakes()); after != before {
+			t.Fatalf("facade %d: stakes %s after a refused transfer, want %s", i, after, before)
+		}
 	}
 }
 
