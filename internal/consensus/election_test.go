@@ -3,6 +3,7 @@ package consensus
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repchain/internal/crypto"
@@ -46,6 +47,18 @@ func (fx *electionFixture) run(t *testing.T, round uint64) (int, Ticket) {
 	return leader, best
 }
 
+// submitTickets offers ts as the batch of governor `governor` (key
+// pub, one stake unit per ticket) to a fresh election of round `round`.
+func submitTickets(pub crypto.PublicKey, prev crypto.Hash, round uint64, governor int, ts []Ticket) error {
+	pubs, stakes := make([]crypto.PublicKey, governor+1), make([]uint64, governor+1)
+	pubs[governor], stakes[governor] = pub, uint64(len(ts))
+	el, err := NewElection(round, prev, pubs, stakes)
+	if err != nil {
+		return err
+	}
+	return el.Submit(governor, ts)
+}
+
 func TestMakeAndVerifyTickets(t *testing.T) {
 	pub, priv := testKey(t, 50)
 	prev := crypto.Sum([]byte("p"))
@@ -53,25 +66,23 @@ func TestMakeAndVerifyTickets(t *testing.T) {
 	if len(tickets) != 4 {
 		t.Fatalf("MakeTickets produced %d, want 4", len(tickets))
 	}
-	for _, tk := range tickets {
-		if err := VerifyTicket(pub, prev, 3, tk); err != nil {
-			t.Fatalf("VerifyTicket() error = %v", err)
-		}
+	if err := submitTickets(pub, prev, 3, 1, tickets); err != nil {
+		t.Fatalf("Submit() error = %v", err)
 	}
 	// Tampered output rejected.
-	tk := tickets[0]
-	tk.Output[0] ^= 0xff
-	if err := VerifyTicket(pub, prev, 3, tk); !errors.Is(err, ErrBadTicket) {
+	tampered := slices.Clone(tickets)
+	tampered[0].Output[0] ^= 0xff
+	if err := submitTickets(pub, prev, 3, 1, tampered); !errors.Is(err, ErrBadTicket) {
 		t.Fatalf("tampered ticket error = %v, want ErrBadTicket", err)
 	}
 	// Wrong round rejected.
-	if err := VerifyTicket(pub, prev, 4, tickets[0]); !errors.Is(err, ErrBadTicket) {
+	if err := submitTickets(pub, prev, 4, 1, tickets); !errors.Is(err, ErrBadTicket) {
 		t.Fatalf("wrong round error = %v, want ErrBadTicket", err)
 	}
 	// Negative unit rejected.
-	neg := tickets[0]
-	neg.Unit = -1
-	if err := VerifyTicket(pub, prev, 3, neg); !errors.Is(err, ErrBadTicket) {
+	neg := slices.Clone(tickets)
+	neg[0].Unit = -1
+	if err := submitTickets(pub, prev, 3, 1, neg); !errors.Is(err, ErrBadTicket) {
 		t.Fatalf("negative unit error = %v, want ErrBadTicket", err)
 	}
 }
