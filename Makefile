@@ -94,15 +94,17 @@ crash-consistency:
 # segments and snapshots, the transport's frame receive path, the
 # collector upload batch, the round-ticket envelope, block frames, the
 # governor-to-governor stake-transform messages, the governor checkpoint
-# state, and the cross-shard lock/receipt payloads behind the validator
-# wrapper.
+# state and the reputation table inside it, the provider's argue
+# message, and the cross-shard lock/receipt payloads behind the
+# validator wrapper.
 # `go test -fuzz` accepts one target per invocation, hence the loop.
 # FUZZTIME=30s in CI; keep it short locally.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzFrameReceive tx/FuzzUploadBatchDecode \
 		consensus/FuzzRoundTicketsDecode ledger/FuzzBlockDecode consensus/FuzzStakeTransformDecode \
-		node/FuzzGovernorStateDecode shard/FuzzXShardValidate; do \
+		node/FuzzGovernorStateDecode reputation/FuzzReputationRestore node/FuzzArgueDecode \
+		shard/FuzzXShardValidate; do \
 		$(GO) test ./internal/$${target%/*} -run '^$$' -fuzz "^$${target#*/}$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
@@ -126,7 +128,7 @@ loc:
 
 # Regenerate every evaluation table (EXPERIMENTS.md source).
 experiments:
-	$(GO) run ./cmd/repchain-bench -seed 42
+	$(GO) run ./cmd/repchain-sim tables -seed 42
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -17,12 +17,13 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
+	"net/http"
 	"os"
 	"strings"
 	"sync"
 	"time"
 
-	"repchain/internal/admin"
 	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/identity"
@@ -202,18 +203,15 @@ func run(rosterPath, id string, demo bool, rounds int, roundDur time.Duration, e
 		}
 		base.Metrics = reg
 		base.Health = health
-		srv, err := admin.Start(admin.Config{
-			Addr:     obs.adminAddr,
-			Registry: reg,
-			Events:   evlog,
-			Ready:    ready,
-		})
+		ln, err := net.Listen("tcp", obs.adminAddr)
 		if err != nil {
-			return err
+			return fmt.Errorf("admin: listen %s: %w", obs.adminAddr, err)
 		}
+		srv := &http.Server{Handler: adminMux(reg, evlog, ready), ReadHeaderTimeout: 5 * time.Second}
+		go srv.Serve(ln)
 		defer srv.Close()
 		logger.Info("admin endpoint up",
-			slog.String("addr", srv.Addr()),
+			slog.String("addr", ln.Addr().String()),
 			slog.String("paths", "/metrics /healthz /readyz /events /debug/pprof"))
 	}
 

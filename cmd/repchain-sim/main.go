@@ -1,17 +1,26 @@
 // Command repchain-sim runs a configurable policy-level simulation of
-// the reputation mechanism and prints the aggregate metrics — the fast
-// harness behind the statistical experiments.
+// the reputation mechanism and prints the aggregate metrics, or, with
+// the tables subcommand, regenerates the evaluation tables recorded in
+// EXPERIMENTS.md (DESIGN.md §3 maps each paper claim to an experiment
+// ID).
 //
 // Usage:
 //
 //	repchain-sim -t 100000 -f 0.7 -liars 3
 //	repchain-sim -policy uniform-random -t 50000
+//	repchain-sim tables                   # every experiment, E1..E13
+//	repchain-sim tables -run E1,E5        # selected experiments
+//	repchain-sim tables -seed 7 -scale 2  # bigger workloads, fixed seed
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
+	"time"
 
 	"repchain/internal/identity"
 	"repchain/internal/reputation"
@@ -20,6 +29,13 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "tables" {
+		if err := tables(os.Args[2:], os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "repchain-sim:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	var (
 		t          = flag.Int("t", 50_000, "number of transactions")
 		providers  = flag.Int("providers", 4, "providers (l)")
@@ -42,6 +58,40 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repchain-sim:", err)
 		os.Exit(1)
 	}
+}
+
+// tables runs the experiments named by -run, printing each table and
+// its wall time to w. It runs every requested ID and reports all the
+// failures together.
+func tables(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
+	runFlag := fs.String("run", "all", "comma-separated experiment IDs (E1..E13) or 'all'")
+	seed := fs.Int64("seed", 42, "random seed for reproducible tables")
+	scale := fs.Int("scale", 1, "workload multiplier (>=1)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var ids []string
+	if *runFlag == "all" {
+		for _, e := range sim.Experiments {
+			ids = append(ids, e.ID)
+		}
+	} else {
+		ids = strings.Split(*runFlag, ",")
+	}
+	var errs []error
+	for _, id := range ids {
+		id = strings.TrimSpace(id)
+		start := time.Now()
+		table, err := sim.RunTable(id, *seed, *scale)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", id, err))
+			continue
+		}
+		fmt.Fprintln(w, table.Render())
+		fmt.Fprintf(w, "(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+	}
+	return errors.Join(errs...)
 }
 
 func run(t, providers, collectors, degree int, policy string, beta, f, validFrac float64,

@@ -1,6 +1,32 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"io"
+	"strings"
+	"testing"
+
+	"repchain/internal/sim"
+)
+
+// TestTables: the tables subcommand prints a selected experiment with
+// its timing line, and a bad ID fails with an error naming the valid
+// IDs after the good ones have run.
+func TestTables(t *testing.T) {
+	var out strings.Builder
+	if err := tables([]string{"-run", "E2", "-seed", "7"}, &out); err != nil {
+		t.Fatalf("tables -run E2: %v", err)
+	}
+	for _, want := range []string{"== E2: Lemma 2", "(E2 completed in "} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("tables -run E2 output lacks %q:\n%s", want, out.String())
+		}
+	}
+	err := tables([]string{"-run", "E99"}, io.Discard)
+	if !errors.Is(err, sim.ErrUnknown) || !strings.Contains(err.Error(), "E99") || !strings.Contains(err.Error(), "E13") {
+		t.Fatalf("tables -run E99: err = %v, want ErrUnknown naming E99 and the valid IDs", err)
+	}
+}
 
 func TestRunAllPolicies(t *testing.T) {
 	for _, policy := range []string{"reputation-rwm", "check-all", "uniform-random", "majority-vote"} {

@@ -234,10 +234,14 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 // Done reports whether the input has been fully consumed.
 func (d *Decoder) Done() bool { return d.off >= len(d.buf) }
 
-// Uvarint decodes an unsigned varint.
+// Uvarint decodes an unsigned varint. Only the shortest encoding of a
+// value is accepted — its last byte is non-zero unless it is the only
+// one — so every accepted input re-encodes to the same bytes.
 func (d *Decoder) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.off:])
 	switch {
+	case n > 1 && d.buf[d.off+n-1] == 0:
+		return 0, fmt.Errorf("overlong varint at offset %d: %w", d.off, ErrCorrupt)
 	case n > 0:
 		d.off += n
 		return v, nil
@@ -250,16 +254,12 @@ func (d *Decoder) Uvarint() (uint64, error) {
 
 // Varint decodes a zig-zag signed varint.
 func (d *Decoder) Varint() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
-	switch {
-	case n > 0:
-		d.off += n
-		return v, nil
-	case n == 0:
-		return 0, ErrTruncated
-	default:
-		return 0, fmt.Errorf("varint overflow at offset %d: %w", d.off, ErrCorrupt)
+	ux, err := d.Uvarint()
+	v := int64(ux >> 1)
+	if ux&1 != 0 {
+		v = ^v
 	}
+	return v, err
 }
 
 // errCount refuses an element count the remaining input cannot hold.

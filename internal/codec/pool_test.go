@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 )
@@ -67,6 +68,16 @@ func TestUvarintExtremes(t *testing.T) {
 		}
 		if got != v {
 			t.Fatalf("value %d: got %d, want %d", i, got, v)
+		}
+	}
+	// Overlong encodings of 0 and 1 would decode to values that
+	// re-encode to other bytes.
+	for _, b := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}} {
+		if _, err := NewDecoder(b).Uvarint(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Uvarint(% x) error = %v, want ErrCorrupt", b, err)
+		}
+		if _, err := NewDecoder(b).Varint(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Varint(% x) error = %v, want ErrCorrupt", b, err)
 		}
 	}
 }

@@ -58,6 +58,27 @@ func TestQuickMutatedArgueRejected(t *testing.T) {
 	}
 }
 
+// FuzzArgueDecode feeds the argue decoder — whose input any provider
+// can send a governor — arbitrary bytes: it must never panic, and
+// whatever it accepts must re-encode to the same bytes.
+func FuzzArgueDecode(f *testing.F) {
+	_, priv, err := crypto.KeyFromSeed(make([]byte, crypto.SeedSize))
+	if err != nil {
+		f.Fatal(err)
+	}
+	signed := tx.Sign(tx.Transaction{Provider: "provider/0", Seq: 1, Kind: "k", Payload: []byte{1, 2, 3}}, priv)
+	f.Add(NewArgue(signed, 3, priv).EncodeBytes())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		a, err := DecodeArgueBytes(b)
+		if err != nil {
+			return
+		}
+		if again := a.EncodeBytes(); !bytes.Equal(again, b) {
+			t.Fatalf("accepted argue re-encodes to\n% x\nwant\n% x", again, b)
+		}
+	})
+}
+
 // FuzzGovernorStateDecode feeds the checkpoint decoder — whose input a
 // peer will supply once catch-up serves checkpoints — arbitrary bytes:
 // it must never panic, never return more stakes and nonces than the

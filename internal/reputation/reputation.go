@@ -322,25 +322,25 @@ func (t *Table) Screen(rng *rand.Rand, k int, reports []Report) (Decision, error
 //	P_checked = 1 − f · Σ_{-1 reporters} w² / W²
 //
 // (Lemma 2 shows P_checked ≥ 1 − f.) Benchmarks compare the empirical
-// unchecked fraction against 1 minus this value.
+// unchecked fraction against 1 minus this value. The sum runs over the
+// draw probabilities w/W, not w² and W², which underflow to 0/0 once
+// every reporter's weight is below about 1e-154.
 func (t *Table) CheckProbability(k int, reports []Report) (float64, error) {
 	positions, err := t.validateReports(k, reports)
 	if err != nil {
 		return 0, err
 	}
-	in := t.perProvider[k]
-	var total, sumSqInvalid float64
-	for i, pos := range positions {
-		w := in.Weight(pos)
-		total += w
+	probs, err := t.perProvider[k].Probabilities(positions)
+	if err != nil {
+		return 0, fmt.Errorf("provider %d: %w", k, err)
+	}
+	var sumSqInvalid float64
+	for i, p := range probs {
 		if reports[i].Label == tx.LabelInvalid {
-			sumSqInvalid += w * w
+			sumSqInvalid += p * p
 		}
 	}
-	if total <= 0 {
-		return 0, fmt.Errorf("provider %d zero reporting weight: %w", k, ErrNoReports)
-	}
-	return 1 - t.params.F*sumSqInvalid/(total*total), nil
+	return 1 - t.params.F*sumSqInvalid, nil
 }
 
 // RecordForgery applies Algorithm 3 case 1: a transaction with an

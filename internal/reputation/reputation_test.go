@@ -32,7 +32,7 @@ func newTestTable(t *testing.T, params Params) *Table {
 
 // fullTable builds a single-provider table with r collectors, the
 // Theorem 1 setting.
-func fullTable(t *testing.T, r int, params Params) *Table {
+func fullTable(t testing.TB, r int, params Params) *Table {
 	t.Helper()
 	topo, err := identity.NewRegularTopology(identity.TopologySpec{
 		Providers: 1, Collectors: r, Degree: r,

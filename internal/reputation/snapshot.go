@@ -2,6 +2,7 @@ package reputation
 
 import (
 	"fmt"
+	"math"
 
 	"repchain/internal/codec"
 )
@@ -46,7 +47,11 @@ func (t *Table) Snapshot() []byte {
 
 // RestoreSnapshot loads a Snapshot into a freshly built table. The
 // table's topology and parameters must match the snapshot's origin;
-// mismatches are rejected.
+// mismatches are rejected, as is state the update rules cannot reach:
+// weights start at 1 and are only ever multiplied by γ_tx or β, so a
+// weight outside (0, 1] is refused, as are negative or non-finite
+// losses and non-finite scores. A refused snapshot leaves the table
+// unchanged.
 func (t *Table) RestoreSnapshot(b []byte) error {
 	d := codec.NewDecoder(b)
 	tag, err := d.String()
@@ -69,36 +74,49 @@ func (t *Table) RestoreSnapshot(b []byte) error {
 	if np != len(t.perProvider) {
 		return fmt.Errorf("snapshot has %d providers, table has %d: %w", np, len(t.perProvider), ErrBadParams)
 	}
-	for k := 0; k < np; k++ {
+	type column struct {
+		weights, losses []float64
+		govLoss         float64
+		rounds          int
+	}
+	columns := make([]column, np)
+	for k := range columns {
 		ne, err := d.Int()
 		if err != nil {
 			return fmt.Errorf("snapshot provider %d expert count: %w", k, err)
 		}
-		in := t.perProvider[k]
-		if ne != in.Experts() {
+		if ne != t.perProvider[k].Experts() {
 			return fmt.Errorf("snapshot provider %d has %d experts, table has %d: %w",
-				k, ne, in.Experts(), ErrBadParams)
+				k, ne, t.perProvider[k].Experts(), ErrBadParams)
 		}
-		weights := make([]float64, ne)
-		losses := make([]float64, ne)
+		col := &columns[k]
+		col.weights = make([]float64, ne)
+		col.losses = make([]float64, ne)
 		for pos := 0; pos < ne; pos++ {
-			if weights[pos], err = d.Float64(); err != nil {
+			if col.weights[pos], err = d.Float64(); err != nil {
 				return fmt.Errorf("snapshot weight: %w", err)
 			}
-			if losses[pos], err = d.Float64(); err != nil {
+			if w := col.weights[pos]; !(w > 0 && w <= 1) {
+				return fmt.Errorf("snapshot provider %d weight %v not in (0, 1]: %w", k, w, ErrBadParams)
+			}
+			if col.losses[pos], err = d.Float64(); err != nil {
 				return fmt.Errorf("snapshot expert loss: %w", err)
 			}
+			if err := checkLoss("expert", col.losses[pos]); err != nil {
+				return fmt.Errorf("snapshot provider %d: %w", k, err)
+			}
 		}
-		govLoss, err := d.Float64()
-		if err != nil {
+		if col.govLoss, err = d.Float64(); err != nil {
 			return fmt.Errorf("snapshot governor loss: %w", err)
 		}
-		rounds, err := d.Int()
-		if err != nil {
+		if err := checkLoss("governor", col.govLoss); err != nil {
+			return fmt.Errorf("snapshot provider %d: %w", k, err)
+		}
+		if col.rounds, err = d.Int(); err != nil {
 			return fmt.Errorf("snapshot rounds: %w", err)
 		}
-		if err := in.Restore(weights, losses, govLoss, rounds); err != nil {
-			return fmt.Errorf("snapshot provider %d: %w", k, err)
+		if col.rounds < 0 {
+			return fmt.Errorf("snapshot provider %d: %d rounds: %w", k, col.rounds, ErrBadParams)
 		}
 	}
 	nc, err := d.Int()
@@ -108,16 +126,34 @@ func (t *Table) RestoreSnapshot(b []byte) error {
 	if nc != len(t.misreport) {
 		return fmt.Errorf("snapshot has %d collectors, table has %d: %w", nc, len(t.misreport), ErrBadParams)
 	}
-	for c := 0; c < nc; c++ {
-		if t.misreport[c], err = d.Float64(); err != nil {
-			return fmt.Errorf("snapshot misreport: %w", err)
+	scores := make([]float64, 2*nc) // misreport, forge per collector
+	for i := range scores {
+		if scores[i], err = d.Float64(); err != nil {
+			return fmt.Errorf("snapshot score: %w", err)
 		}
-		if t.forge[c], err = d.Float64(); err != nil {
-			return fmt.Errorf("snapshot forge: %w", err)
+		if math.IsNaN(scores[i]) || math.IsInf(scores[i], 0) {
+			return fmt.Errorf("snapshot collector %d score %v: %w", i/2, scores[i], ErrBadParams)
 		}
 	}
 	if err := d.Expect(); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
+	}
+	for k, col := range columns {
+		if err := t.perProvider[k].Restore(col.weights, col.losses, col.govLoss, col.rounds); err != nil {
+			return fmt.Errorf("snapshot provider %d: %w", k, err)
+		}
+	}
+	for c := 0; c < nc; c++ {
+		t.misreport[c], t.forge[c] = scores[2*c], scores[2*c+1]
+	}
+	return nil
+}
+
+// checkLoss refuses a loss the update rules cannot produce: losses
+// only ever accumulate L_tx ∈ [0, 2].
+func checkLoss(what string, l float64) error {
+	if !(l >= 0) || math.IsInf(l, 1) {
+		return fmt.Errorf("%s loss %v: %w", what, l, ErrBadParams)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package reputation
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 
 // buildDirtyTable creates a table and runs enough traffic that every
 // state component is non-trivial.
-func buildDirtyTable(t *testing.T) *Table {
+func buildDirtyTable(t testing.TB) *Table {
 	t.Helper()
 	tab := fullTable(t, 4, DefaultParams())
 	rng := rand.New(rand.NewSource(9))
@@ -158,6 +160,47 @@ func TestRestoreSnapshotRejectsMismatches(t *testing.T) {
 	if err := fresh.RestoreSnapshot(append(snap, 0)); err == nil {
 		t.Fatal("padded snapshot restored")
 	}
+}
+
+// FuzzReputationRestore feeds the checkpoint restore — whose input is a
+// file a crash or an attacker may have written — arbitrary bytes. It
+// must never panic; a refused input must leave the table as built; an
+// accepted one must re-snapshot to the same bytes and keep Lemma 2:
+// every set of -1 reports is checked with probability at least 1 − f.
+func FuzzReputationRestore(f *testing.F) {
+	f.Add(buildDirtyTable(f).Snapshot())
+	nan := fullTable(f, 4, DefaultParams())
+	in, err := nan.Instance(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	in.SetWeight(1, math.NaN())
+	f.Add(nan.Snapshot())
+	fresh := fullTable(f, 4, DefaultParams()).Snapshot()
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tab := fullTable(t, 4, DefaultParams())
+		if err := tab.RestoreSnapshot(b); err != nil {
+			if !bytes.Equal(tab.Snapshot(), fresh) {
+				t.Fatalf("refused snapshot (%v) changed the table", err)
+			}
+			return
+		}
+		if again := tab.Snapshot(); !bytes.Equal(again, b) {
+			t.Fatalf("accepted snapshot re-encodes to\n% x\nwant\n% x", again, b)
+		}
+		floor := 1 - tab.Params().F
+		for set := 1; set < 1<<4; set++ {
+			var reports []Report
+			for c := 0; c < 4; c++ {
+				if set&(1<<c) != 0 {
+					reports = append(reports, Report{Collector: c, Label: tx.LabelInvalid})
+				}
+			}
+			if p, err := tab.CheckProbability(0, reports); err != nil || !(p >= floor) {
+				t.Fatalf("collectors %04b all -1: check probability %v, %v; Lemma 2 floor %v", set, p, err, floor)
+			}
+		}
+	})
 }
 
 func TestSnapshotDeterministic(t *testing.T) {

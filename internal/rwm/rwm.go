@@ -305,7 +305,9 @@ func (in *Instance) Reveal(outcomes []Outcome) (RevealResult, error) {
 
 // Restore overwrites the instance's full mutable state — weights,
 // per-expert losses, accumulated governor loss, and round count — from
-// a snapshot. Weights are clamped positive.
+// a snapshot. The caller checks the values are reachable, weights in
+// (0, 1] above all; they are copied verbatim so a restored instance
+// snapshots to the same bytes.
 func (in *Instance) Restore(weights, expertLoss []float64, govLoss float64, rounds int) error {
 	if len(weights) != len(in.weights) || len(expertLoss) != len(in.expertLoss) {
 		return fmt.Errorf("restore %d weights / %d losses into %d experts: %w",
@@ -314,12 +316,7 @@ func (in *Instance) Restore(weights, expertLoss []float64, govLoss float64, roun
 	if rounds < 0 {
 		return fmt.Errorf("restore %d rounds: %w", rounds, ErrBadOutcomes)
 	}
-	for i, w := range weights {
-		if w < minWeight {
-			w = minWeight
-		}
-		in.weights[i] = w
-	}
+	copy(in.weights, weights)
 	copy(in.expertLoss, expertLoss)
 	in.govLoss = govLoss
 	in.rounds = rounds

@@ -1,13 +1,16 @@
-// Package sim is the deterministic policy-level simulation harness
-// behind the experiment suite. It drives a screening policy (the
-// paper's reputation mechanism or one of the baselines) over a
-// synthetic transaction stream at a rate of millions of transactions
-// per second — no crypto or networking — so statistical claims
-// (Theorems 1, 3, 4; Lemma 2) can be measured at their natural scale.
+// Package sim regenerates every evaluation table recorded in
+// EXPERIMENTS.md. The poster has no measured tables — its evaluation is
+// Figure 1 (architecture) plus four analytical results — so each
+// analytical claim becomes one experiment (DESIGN.md §3), E1–E13.
 //
-// The full-protocol engine (package core) exercises the identical
-// reputation code with real signatures and message passing; this
-// harness isolates the mechanism.
+// Most experiments run on Sim, a deterministic policy-level simulator:
+// it drives a screening policy (the paper's reputation mechanism or one
+// of three baselines) over a synthetic transaction stream at millions
+// of transactions per second — no crypto or networking — so the
+// statistical claims (Theorems 1, 3, 4; Lemma 2) can be measured at
+// their natural scale. E4, E7 and E13 drive the full protocol
+// (core.Engine), which runs the identical reputation code with real
+// signatures and message passing.
 package sim
 
 import (
@@ -15,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repchain/internal/baseline"
 	"repchain/internal/identity"
 	"repchain/internal/reputation"
 	"repchain/internal/tx"
@@ -62,8 +64,12 @@ type Config struct {
 	Spec identity.TopologySpec
 	// Params tunes the reputation mechanism (β, f, µ, ν).
 	Params reputation.Params
-	// Policy names the screening policy (baseline.ForName names);
-	// empty means "reputation-rwm".
+	// Policy names the screening policy: "reputation-rwm" (the paper's
+	// Algorithm 2; empty means this one) or a baseline for experiment
+	// E5 — "check-all" verifies everything, "uniform-random" draws a
+	// reporter uniformly and applies the same f-coin with Pr = 1/x, and
+	// "majority-vote" adopts the unweighted majority label, verifying a
+	// majority-invalid transaction with probability 1−f.
 	Policy string
 	// Models assigns a behaviour per collector; nil means all honest.
 	Models []CollectorModel
@@ -98,6 +104,11 @@ func (c Config) validate() error {
 	}
 	if c.RevealDelay < 0 {
 		return fmt.Errorf("reveal delay %d: %w", c.RevealDelay, ErrBadConfig)
+	}
+	switch c.Policy {
+	case "", "reputation-rwm", "check-all", "uniform-random", "majority-vote":
+	default:
+		return fmt.Errorf("policy %q: %w", c.Policy, ErrBadConfig)
 	}
 	if c.Models != nil && len(c.Models) != c.Spec.Collectors {
 		return fmt.Errorf("%d models for %d collectors: %w", len(c.Models), c.Spec.Collectors, ErrBadConfig)
@@ -148,20 +159,20 @@ type Result struct {
 
 // pendingReveal is one unchecked transaction awaiting its reveal.
 type pendingReveal struct {
-	provider int
-	reports  []reputation.Report
-	valid    bool
+	reports []reputation.Report
+	valid   bool
 }
 
 // Sim is a running simulation. It is not safe for concurrent use.
 type Sim struct {
-	cfg    Config
-	topo   *identity.Topology
-	table  *reputation.Table // nil unless the reputation policy runs
-	policy baseline.Policy
-	rng    *rand.Rand
+	cfg   Config
+	topo  *identity.Topology
+	table *reputation.Table // nil unless the reputation policy runs
+	rng   *rand.Rand
 
-	pending map[int][]pendingReveal
+	// pending[k] queues provider k's unchecked transactions awaiting
+	// their reveal.
+	pending [][]pendingReveal
 
 	// seen counts transactions observed per collector, driving the
 	// turncoat switch.
@@ -180,28 +191,19 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	name := cfg.Policy
-	if name == "" {
-		name = "reputation-rwm"
-	}
 	var table *reputation.Table
-	if name == "reputation-rwm" {
+	if cfg.Policy == "" || cfg.Policy == "reputation-rwm" {
 		table, err = reputation.NewTable(topo, cfg.Params)
 		if err != nil {
 			return nil, err
 		}
 	}
-	policy, err := baseline.ForName(name, table, cfg.Params.F)
-	if err != nil {
-		return nil, err
-	}
 	return &Sim{
 		cfg:     cfg,
 		topo:    topo,
 		table:   table,
-		policy:  policy,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		pending: make(map[int][]pendingReveal),
+		pending: make([][]pendingReveal, topo.Providers()),
 		seen:    make([]int, topo.Collectors()),
 	}, nil
 }
@@ -210,8 +212,38 @@ func New(cfg Config) (*Sim, error) {
 // else nil.
 func (s *Sim) Table() *reputation.Table { return s.table }
 
-// Policy exposes the active policy.
-func (s *Sim) Policy() baseline.Policy { return s.policy }
+// screen decides whether the governor validates a transaction with the
+// given (non-empty) reports. Only the paper's policy learns; the
+// baselines are stateless. The order of RNG calls is part of every
+// table's output.
+func (s *Sim) screen(k int, reports []reputation.Report) (bool, error) {
+	switch s.cfg.Policy {
+	case "", "reputation-rwm":
+		d, err := s.table.Screen(s.rng, k, reports)
+		return d.Check, err
+	case "check-all":
+		return true, nil
+	case "uniform-random":
+		if reports[s.rng.Intn(len(reports))].Label == tx.LabelValid {
+			return true, nil
+		}
+		prob := 1.0 / float64(len(reports))
+		return s.rng.Float64() < 1-s.cfg.Params.F*prob, nil
+	default: // majority-vote; ties break to invalid
+		votes := 0
+		for _, r := range reports {
+			if r.Label == tx.LabelValid {
+				votes++
+			} else {
+				votes--
+			}
+		}
+		if votes > 0 {
+			return true, nil
+		}
+		return s.rng.Float64() < 1-s.cfg.Params.F, nil
+	}
+}
 
 // Step screens one synthetic transaction end to end.
 func (s *Sim) Step() error {
@@ -256,15 +288,16 @@ func (s *Sim) Step() error {
 		return nil
 	}
 
-	d, err := s.policy.Screen(s.rng, k, reports)
+	check, err := s.screen(k, reports)
 	if err != nil {
 		return fmt.Errorf("step %d: %w", s.res.Transactions, err)
 	}
-	if d.Check {
+	if check {
 		s.res.Checked++
-		status := tx.StatusFor(valid)
-		if err := s.policy.RecordChecked(k, reports, status); err != nil {
-			return fmt.Errorf("step %d checked feedback: %w", s.res.Transactions, err)
+		if s.table != nil {
+			if err := s.table.RecordChecked(k, reports, tx.StatusFor(valid)); err != nil {
+				return fmt.Errorf("step %d checked feedback: %w", s.res.Transactions, err)
+			}
 		}
 		return nil
 	}
@@ -276,7 +309,7 @@ func (s *Sim) Step() error {
 		s.res.Mistakes++
 		s.res.Loss += 2
 	}
-	s.pending[k] = append(s.pending[k], pendingReveal{provider: k, reports: reports, valid: valid})
+	s.pending[k] = append(s.pending[k], pendingReveal{reports: reports, valid: valid})
 	return s.drainReveals(k, s.cfg.RevealDelay)
 }
 
@@ -294,26 +327,29 @@ func (s *Sim) drainReveals(k, keep int) error {
 		if p.valid && s.rng.Float64() < s.cfg.ArgueProb {
 			status = tx.StatusValid
 		}
-		before := 0.0
-		if s.table != nil {
-			if l, err := s.table.GovernorLoss(p.provider); err == nil {
-				before = l
-			}
+		if s.table == nil {
+			continue
 		}
-		if err := s.policy.RecordRevealed(p.provider, p.reports, status); err != nil {
+		before, err := s.table.GovernorLoss(k)
+		if err != nil {
+			return err
+		}
+		if _, err := s.table.RecordRevealed(k, p.reports, status); err != nil {
 			return fmt.Errorf("reveal feedback: %w", err)
 		}
-		if s.table != nil {
-			if after, err := s.table.GovernorLoss(p.provider); err == nil {
-				s.res.ExpectedLoss += after - before
-			}
+		after, err := s.table.GovernorLoss(k)
+		if err != nil {
+			return err
 		}
+		s.res.ExpectedLoss += after - before
 	}
 	s.pending[k] = q
 	return nil
 }
 
-// FlushReveals forces every pending reveal, as at the end of a run.
+// FlushReveals forces every pending reveal, as at the end of a run, in
+// provider order so one seed always sums the same floats in the same
+// order and hands out the same argue draws.
 func (s *Sim) FlushReveals() error {
 	for k := range s.pending {
 		if err := s.drainReveals(k, 0); err != nil {

@@ -2,7 +2,8 @@ package sim
 
 import (
 	"errors"
-	"math"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repchain/internal/identity"
@@ -225,21 +226,36 @@ func TestRevenueSharesReflectBehaviour(t *testing.T) {
 	}
 }
 
+// TestDeterministicBySeed: one seed gives bitwise-equal results, also
+// when several providers still hold reveals at the final flush and
+// providers argue only half the time.
 func TestDeterministicBySeed(t *testing.T) {
-	run := func() Result {
-		s := mustSim(t, baseConfig())
-		res, err := s.Run(2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	delayed := baseConfig()
+	delayed.Spec = identity.TopologySpec{Providers: 4, Collectors: 8, Degree: 8}
+	delayed.Models = []CollectorModel{
+		{}, {Misreport: 0.4}, {Misreport: 0.3, Conceal: 0.2}, {Misreport: 0.5},
+		{Conceal: 0.5}, {Misreport: 0.2}, {Misreport: 0.6}, {Conceal: 0.3},
 	}
-	a, b := run(), run()
-	if a.Checked != b.Checked || a.Unchecked != b.Unchecked || a.Mistakes != b.Mistakes {
-		t.Fatal("same seed produced different results")
-	}
-	if math.Abs(a.ExpectedLoss-b.ExpectedLoss) > 1e-12 {
-		t.Fatal("expected loss differs across identical runs")
+	delayed.ValidFrac = 0.5
+	delayed.RevealDelay = 64
+	delayed.ArgueProb = 0.5
+	delayed.Seed = 3
+	for _, cfg := range []Config{baseConfig(), delayed} {
+		t.Run(fmt.Sprintf("providers=%d", cfg.Spec.Providers), func(t *testing.T) {
+			var first Result
+			for i := 0; i < 20; i++ {
+				s := mustSim(t, cfg)
+				res, err := s.Run(2000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					first = res
+				} else if !reflect.DeepEqual(res, first) {
+					t.Fatalf("run %d: %+v, run 0: %+v", i, res, first)
+				}
+			}
+		})
 	}
 }
 
