@@ -81,7 +81,7 @@ benchmark-smoke:
 	$(GO) test -C benchmark .
 
 # Crash-consistency matrix (DESIGN.md §4g): torn-tail truncation,
-# mid-segment corruption, damaged indexes, kill-during-snapshot,
+# torn segment creation, mid-segment corruption, kill-during-snapshot,
 # forged snapshots, and a file at the chain path, plus the engine-level
 # restart-from-snapshot paths. Mirrors the CI crash-consistency job.
 crash-consistency:

@@ -122,10 +122,11 @@ type Config struct {
 	MempoolCap int
 	// SnapshotEvery, with ChainDir set, writes an atomic snapshot of
 	// each governor's recovery state (round counter, reputation table,
-	// stake vector) every N committed rounds and prunes chain segments
-	// fully behind the snapshot horizon. Restart cost then scales with
-	// N, not with chain height, and disk usage stays bounded. Zero
-	// disables snapshots (full-suffix replay, no pruning).
+	// stake vector) each time its chain has grown N blocks past the last
+	// one, and prunes chain segments fully behind the snapshot horizon.
+	// Restart cost then scales with N, not with chain height, and disk
+	// usage stays bounded. Zero disables snapshots (full-suffix replay,
+	// no pruning).
 	SnapshotEvery int
 	// SegmentBytes overrides the chain segment roll threshold (bytes)
 	// for file-backed stores. Zero keeps the ledger default (4 MiB).
@@ -359,21 +360,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// checkpoint makes every governor's recovery state durable; see
-// node.GovernorRound.Checkpoint. reputation, when non-nil, overrides
-// the live tables governor by governor. All governors are attempted.
-func (e *Engine) checkpoint(reputation [][]byte, prune bool) error {
-	errs := make([]error, len(e.rounds))
-	for j, r := range e.rounds {
-		var rep []byte
-		if reputation != nil {
-			rep = reputation[j]
-		}
-		errs[j] = r.Checkpoint(rep, prune)
-	}
-	return errors.Join(errs...)
-}
-
 // Close checkpoints every file-backed governor and releases its store.
 // After Close, SubmitTx and RunRound fail with ErrClosed; Close itself
 // is idempotent.
@@ -388,7 +374,14 @@ func (e *Engine) CloseMigrated(reputation [][]byte) error {
 		return nil
 	}
 	e.closed = true
-	errs := []error{e.checkpoint(reputation, false)}
+	var errs []error
+	for j, r := range e.rounds {
+		var rep []byte
+		if reputation != nil {
+			rep = reputation[j]
+		}
+		errs = append(errs, r.Checkpoint(rep, false))
+	}
 	for j, g := range e.governors {
 		if fs, ok := g.Store().(*ledger.FileStore); ok {
 			if err := fs.Close(); err != nil {
@@ -782,12 +775,11 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	e.publishRoundMetrics()
 	// Checkpoint and prune at the SnapshotEvery cadence. A failure is
 	// returned: durability was promised and not delivered.
-	if n := uint64(e.cfg.SnapshotEvery); n > 0 && e.round%n == 0 {
-		if err := e.checkpoint(nil, true); err != nil {
-			return result, err
-		}
+	errs := make([]error, len(e.rounds))
+	for j, r := range e.rounds {
+		errs[j] = r.MaybeCheckpoint(e.cfg.SnapshotEvery)
 	}
-	return result, nil
+	return result, errors.Join(errs...)
 }
 
 // electLeader runs the per-stake-unit VRF election of §3.4.3 over the

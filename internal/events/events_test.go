@@ -81,6 +81,26 @@ func TestEnableWallClock(t *testing.T) {
 	}
 }
 
+// TestByTracePrefix: Filter.Trace matches a trace ID exactly or by a
+// prefix of at least 8 characters; a shorter prefix matches nothing.
+func TestByTracePrefix(t *testing.T) {
+	l := NewLog(8)
+	full := "0123456789abcdef0123456789abcdef"
+	l.Emit(TypeTxSigned, full, 1, "provider/0")
+	l.Emit(TypeLeaderElected, "", 1, "governor/0") // round-scoped, no trace
+	l.Emit(TypeTxSigned, "ffff56789abcdef0", 1, "provider/1")
+
+	if got := l.Select(Filter{Trace: full}); len(got) != 1 {
+		t.Fatalf("exact match found %d events", len(got))
+	}
+	if got := l.Select(Filter{Trace: full[:8]}); len(got) != 1 || got[0].Trace != full {
+		t.Fatalf("8-char prefix found %v", got)
+	}
+	if got := l.Select(Filter{Trace: full[:4]}); got != nil {
+		t.Fatalf("4-char prefix should not match, found %v", got)
+	}
+}
+
 func TestWriteJSONLFilterAndReplay(t *testing.T) {
 	l := NewLog(16)
 	l.Emit(TypeBlockPacked, "", 1, "governor/0")

@@ -114,49 +114,80 @@ func TestDecodeBlockRejectsHostileCount(t *testing.T) {
 }
 
 // FuzzSegmentOpen throws arbitrary bytes on disk as the newest chain
-// segment and opens the store over it. Whatever the bytes are, open
-// must either recover to a consistent store (verifiable chain, working
-// Head/Get/Append) or fail with an error — never panic, never serve a
-// chain that fails verification.
+// segment — the only one, or the one after a genuine sealed chain-1
+// holding blocks 1..sealedBlocks — and opens the store over it.
+// Whatever the bytes are, open must either recover to a consistent
+// store (verifiable chain at no less than the sealed height, working
+// Head/Get) or fail with an error — never panic, never serve a chain
+// that fails verification. Bytes shorter than a header, or all zero,
+// are a segment whose creation never reached disk: open must drop
+// them and recover the sealed height exactly.
 func FuzzSegmentOpen(f *testing.F) {
-	// Seed with a genuine one-block segment, plus truncations and
-	// header-only shapes.
+	const sealedBlocks = 3
+	// Blocks 1..3 fill chain-1; a one-byte roll threshold then seals it
+	// and starts chain-4 for block 4.
 	dir := f.TempDir()
-	fs, err := OpenFileStoreOptions(dir, StoreOptions{SegmentBytes: 1 << 20})
+	var prev *Block
+	for _, segBytes := range []int64{1 << 20, 1 << 20, 1 << 20, 1} {
+		fs, err := OpenFileStoreOptions(dir, StoreOptions{SegmentBytes: segBytes})
+		if err != nil {
+			f.Fatal(err)
+		}
+		b, err := NewBlock(prev, nil, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := fs.Append(b); err != nil {
+			f.Fatal(err)
+		}
+		if err := fs.Close(); err != nil {
+			f.Fatal(err)
+		}
+		prev = &b
+	}
+	sealed, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	recs := []Record{}
-	b, err := NewBlock(nil, recs, 0)
+	newest, err := os.ReadFile(filepath.Join(dir, segmentName(sealedBlocks+1)))
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := fs.Append(b); err != nil {
-		f.Fatal(err)
+	for _, afterSealed := range []bool{false, true} {
+		seed := newest
+		if !afterSealed {
+			seed = sealed
+		}
+		f.Add(seed, afterSealed)
+		f.Add(seed[:len(seed)-3], afterSealed)
+		f.Add(seed[:segHeaderSize], afterSealed)
+		f.Add([]byte(segMagic), afterSealed)
+		f.Add(seed[:5], afterSealed)
+		f.Add([]byte{}, afterSealed)
+		f.Add(make([]byte, 300), afterSealed)
 	}
-	if err := fs.Close(); err != nil {
-		f.Fatal(err)
-	}
-	seed, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-3])
-	f.Add(seed[:segHeaderSize])
-	f.Add([]byte(segMagic))
-	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, afterSealed bool) {
 		dir := filepath.Join(t.TempDir(), "chain")
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data, 0o644); err != nil {
+		base := uint64(0)
+		if afterSealed {
+			base = sealedBlocks
+			if err := os.WriteFile(filepath.Join(dir, segmentName(1)), sealed, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, segmentName(base+1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		torn := len(data) < segHeaderSize || allZero(data)
 		fs, err := OpenFileStoreOptions(dir, StoreOptions{SegmentBytes: 1 << 20})
 		if err != nil {
+			if torn {
+				t.Fatalf("open refused a segment whose creation never reached disk: %v", err)
+			}
 			return // rejected: fine
 		}
 		defer func() { _ = fs.Close() }()
@@ -164,6 +195,9 @@ func FuzzSegmentOpen(f *testing.F) {
 			t.Fatalf("open accepted a segment whose chain fails verification: %v", err)
 		}
 		h := fs.Height()
+		if h < base || torn && h != base {
+			t.Fatalf("Height() = %d over %d sealed blocks (torn creation %v)", h, base, torn)
+		}
 		if h > 0 {
 			if _, err := fs.Head(); err != nil {
 				t.Fatalf("Head() failed at height %d: %v", h, err)

@@ -65,7 +65,7 @@ func TestStoreReopenAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		mode     string
 		measured float64
-	}{{"replay", 6050}, {"snapshot", 1074}} {
+	}{{"replay", 5042}, {"snapshot", 65}} {
 		t.Run(tc.mode, func(t *testing.T) {
 			if raceEnabled {
 				t.Skip("sync.Pool drops items at random under -race")

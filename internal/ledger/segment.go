@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -21,23 +20,9 @@ import (
 // zero-padded serial of its first block, so a lexical directory sort
 // is also the serial sort. Frames are appended strictly in serial
 // order; frame i of a segment holds block first+i, which is why the
-// offset index needs no per-frame serial field.
-//
-// Sealed segments (every segment except the newest) carry a sidecar
-// chain-<first>.idx offset index:
-//
-//	header:  8-byte magic "RPIX0001"
-//	body:    uint64 first serial | uint64 segment byte size |
-//	         uint32 frame count | count × uint64 frame offsets
-//	footer:  uint32 CRC-32 (IEEE) of the body
-//
-// The index is advisory: it only lets open skip re-scanning a sealed
-// segment. A missing, corrupt, or size-mismatched index falls back to
-// a frame scan and is rewritten at the next seal.
+// offset index open builds needs no per-frame serial field.
 const (
-	segMagic = "RPSG0001"
-	idxMagic = "RPIX0001"
-
+	segMagic        = "RPSG0001"
 	segHeaderSize   = 16 // magic + first serial
 	frameHeadSize   = 8  // length + CRC
 	maxFramePayload = 1 << 28
@@ -47,10 +32,6 @@ const (
 // has the given serial.
 func segmentName(first uint64) string {
 	return fmt.Sprintf("chain-%020d.seg", first)
-}
-
-func indexName(first uint64) string {
-	return fmt.Sprintf("chain-%020d.idx", first)
 }
 
 // parseSegmentName extracts the first serial from a chain-<first>.seg
@@ -70,13 +51,14 @@ func parseSegmentName(name string) (uint64, bool) {
 	return first, true
 }
 
-// segmentInfo is the in-memory per-segment offset index.
+// segmentInfo is the in-memory per-segment offset index. Every segment
+// but the store's last is sealed: fsynced, closed and never written
+// again.
 type segmentInfo struct {
 	path    string
 	first   uint64  // serial of the first frame
 	offsets []int64 // byte offset of each frame header, in serial order
 	size    int64   // current byte size of the segment file
-	sealed  bool
 }
 
 func (s *segmentInfo) count() int { return len(s.offsets) }
@@ -128,19 +110,22 @@ const (
 	scanBadFrame                         // CRC or decode failure
 )
 
-// readFrame reads one frame. On success it returns the payload;
-// payloadErr distinguishes a CRC mismatch from a clean read so the
-// caller can apply its torn-tail policy.
+// readFrame reads one frame. On success it returns the payload (nil
+// when verify is off); res distinguishes a truncated or bad frame from
+// a clean read so the caller can apply its torn-tail policy.
 func readFrame(r *bufio.Reader, verify bool) (payload []byte, n int64, res frameScanResult) {
-	var hdr [frameHeadSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
+	// Peek reads the header in place, so the header-only walk of a long
+	// segment allocates nothing per frame; Discard then cannot fail.
+	hdr, err := r.Peek(frameHeadSize)
+	if len(hdr) < frameHeadSize {
+		if len(hdr) == 0 && err == io.EOF {
 			return nil, 0, scanEOF
 		}
 		return nil, 0, scanTruncated
 	}
 	length := binary.BigEndian.Uint32(hdr[:4])
 	sum := binary.BigEndian.Uint32(hdr[4:])
+	_, _ = r.Discard(frameHeadSize)
 	if length > maxFramePayload {
 		return nil, frameHeadSize, scanBadFrame
 	}
@@ -162,81 +147,4 @@ func readFrame(r *bufio.Reader, verify bool) (payload []byte, n int64, res frame
 		return nil, frameHeadSize + int64(length), scanBadFrame
 	}
 	return payload, frameHeadSize + int64(length), scanEOF
-}
-
-// writeIndexFile writes the sidecar offset index for a sealed segment
-// (tmp + rename so a crash never leaves a half-written index to trust).
-func writeIndexFile(dir string, seg *segmentInfo) error {
-	body := make([]byte, 0, 8+8+4+8*len(seg.offsets))
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], seg.first)
-	body = append(body, u64[:]...)
-	binary.BigEndian.PutUint64(u64[:], uint64(seg.size))
-	body = append(body, u64[:]...)
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(seg.offsets)))
-	body = append(body, u32[:]...)
-	for _, off := range seg.offsets {
-		binary.BigEndian.PutUint64(u64[:], uint64(off))
-		body = append(body, u64[:]...)
-	}
-	binary.BigEndian.PutUint32(u32[:], crc32.ChecksumIEEE(body))
-
-	path := filepath.Join(dir, indexName(seg.first))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte(idxMagic)); err == nil {
-		if _, err2 := f.Write(body); err2 == nil {
-			_, err = f.Write(u32[:])
-		} else {
-			err = err2
-		}
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// loadIndexFile reads a sealed segment's sidecar index. Any
-// inconsistency — bad magic, CRC mismatch, first-serial mismatch, or a
-// recorded size that disagrees with the segment file on disk — returns
-// ok=false so the caller falls back to a frame scan.
-func loadIndexFile(dir string, first uint64, segSize int64) (offsets []int64, ok bool) {
-	data, err := os.ReadFile(filepath.Join(dir, indexName(first)))
-	if err != nil || len(data) < 8+8+8+4+4 || string(data[:8]) != idxMagic {
-		return nil, false
-	}
-	body, foot := data[8:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(foot) {
-		return nil, false
-	}
-	if binary.BigEndian.Uint64(body[:8]) != first {
-		return nil, false
-	}
-	if int64(binary.BigEndian.Uint64(body[8:16])) != segSize {
-		return nil, false
-	}
-	count := int(binary.BigEndian.Uint32(body[16:20]))
-	if count < 0 || len(body) != 20+8*count {
-		return nil, false
-	}
-	offsets = make([]int64, count)
-	prev := int64(segHeaderSize) - 1
-	for i := 0; i < count; i++ {
-		off := int64(binary.BigEndian.Uint64(body[20+8*i:]))
-		if off <= prev || off >= segSize {
-			return nil, false
-		}
-		offsets[i] = off
-		prev = off
-	}
-	return offsets, true
 }

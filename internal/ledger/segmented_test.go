@@ -16,17 +16,13 @@ func smallOpts() StoreOptions {
 	return StoreOptions{SegmentBytes: 1024}
 }
 
-// openSmall opens dir with smallOpts and a 4-slot tail cache, so a
-// handful of blocks already exercises disk reads.
+// openSmall opens dir with smallOpts.
 func openSmall(t *testing.T, dir string) *FileStore {
 	t.Helper()
 	fs, err := OpenFileStoreOptions(dir, smallOpts())
 	if err != nil {
 		t.Fatalf("OpenFileStoreOptions() error = %v", err)
 	}
-	fs.mu.Lock()
-	fs.tail = make([]Block, 4)
-	fs.mu.Unlock()
 	return fs
 }
 
@@ -43,15 +39,30 @@ func TestSegmentRollAndReopen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "chain")
 	fs := openSmall(t, dir)
 	blocks := buildChain(t, fs, 24, 2)
-	if fs.Segments() < 3 {
-		t.Fatalf("Segments() = %d after 24 blocks at 1 KiB roll, want ≥ 3", fs.Segments())
+	if len(fs.segments) < 3 {
+		t.Fatalf("%d segments after 24 blocks at 1 KiB roll, want ≥ 3", len(fs.segments))
 	}
 	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// An offset index file older stores wrote beside a sealed segment
+	// is deleted at open.
+	if err := os.WriteFile(filepath.Join(dir, "chain-00000000000000000001.idx"), []byte("RPIX0001"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	fs2 := openSmall(t, dir)
 	defer func() { _ = fs2.Close() }()
+	// The segments are the only index: no other file kind sits beside them.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != ".seg" && filepath.Ext(e.Name()) != ".snap" {
+			t.Fatalf("chain directory holds %s, want only .seg and .snap files", e.Name())
+		}
+	}
 	if fs2.Height() != 24 {
 		t.Fatalf("reopened Height() = %d, want 24", fs2.Height())
 	}
@@ -77,32 +88,26 @@ func TestSegmentRollAndReopen(t *testing.T) {
 	}
 }
 
-func TestSealedSegmentsHaveIndexes(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "chain")
-	fs := openSmall(t, dir)
-	buildChain(t, fs, 24, 2)
-	segs := fs.Segments()
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := filepath.Glob(filepath.Join(dir, "chain-*.idx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != segs-1 {
-		t.Fatalf("%d sidecar indexes for %d segments, want one per sealed segment (%d)", len(idx), segs, segs-1)
-	}
-}
-
-// Torn-write matrix: each variant damages the tail of the newest
-// segment the way a crash mid-write can, and recovery must truncate
-// the tear and keep every block before it.
+// Torn-write matrix: each variant damages the newest segment of a
+// 9-block chain the way a crash mid-write can — its tail, or its whole
+// creation — and recovery must drop the tear, keep every block before
+// it, and take appends that survive another reopen.
 func TestTornTailRecovery(t *testing.T) {
+	// created writes data as a tenth-block segment whose header never
+	// fully reached disk.
+	created := func(data []byte) func(*testing.T, string) {
+		return func(t *testing.T, seg string) {
+			if err := os.WriteFile(filepath.Join(filepath.Dir(seg), segmentName(10)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	cases := []struct {
-		name string
-		tear func(t *testing.T, seg string)
+		name   string
+		height uint64 // recovered
+		tear   func(t *testing.T, seg string)
 	}{
-		{"truncated-frame", func(t *testing.T, seg string) {
+		{"truncated-frame", 8, func(t *testing.T, seg string) {
 			fi, err := os.Stat(seg)
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +116,7 @@ func TestTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"bad-crc-final-frame", func(t *testing.T, seg string) {
+		{"bad-crc-final-frame", 8, func(t *testing.T, seg string) {
 			fi, err := os.Stat(seg)
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +125,7 @@ func TestTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"zero-filled-tail", func(t *testing.T, seg string) {
+		{"zero-filled-tail", 9, func(t *testing.T, seg string) {
 			// A crash after metadata allocation but before the data
 			// write can leave a zero-filled extent.
 			f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -134,7 +139,7 @@ func TestTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"partial-frame-header", func(t *testing.T, seg string) {
+		{"partial-frame-header", 9, func(t *testing.T, seg string) {
 			f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -146,6 +151,9 @@ func TestTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"torn-creation-empty", 9, created(nil)},
+		{"torn-creation-partial-header", 9, created([]byte(segMagic[:5]))},
+		{"torn-creation-zero-filled", 9, created(make([]byte, 300))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,11 +169,8 @@ func TestTornTailRecovery(t *testing.T) {
 			fs2 := openSmall(t, dir)
 			defer func() { _ = fs2.Close() }()
 			h := fs2.Height()
-			if h == 0 || h > 9 {
-				t.Fatalf("recovered Height() = %d, want in (0, 9]", h)
-			}
-			if tc.name != "zero-filled-tail" && tc.name != "partial-frame-header" && h == 9 {
-				t.Fatalf("tear dropped no block (height still 9)")
+			if h != tc.height {
+				t.Fatalf("recovered Height() = %d, want %d", h, tc.height)
 			}
 			for s := uint64(1); s <= h; s++ {
 				got, err := fs2.Get(s)
@@ -179,18 +184,57 @@ func TestTornTailRecovery(t *testing.T) {
 			if err := VerifyChain(fs2); err != nil {
 				t.Fatalf("VerifyChain() error = %v", err)
 			}
-			// The chain must accept appends at the recovered head.
-			var prev *Block
-			if h > 0 {
-				p := blocks[h-1]
-				prev = &p
-			}
-			next, err := NewBlock(prev, testRecords(t, 1, 900), 0)
+			// The chain must accept appends at the recovered head and
+			// keep them across a reopen.
+			next, err := NewBlock(&blocks[h-1], testRecords(t, 1, 900), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := fs2.Append(next); err != nil {
 				t.Fatalf("Append() after tail recovery error = %v", err)
+			}
+			if err := fs2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fs3 := openSmall(t, dir)
+			defer func() { _ = fs3.Close() }()
+			if fs3.Height() != h+1 {
+				t.Fatalf("Height() = %d after appending and reopening, want %d", fs3.Height(), h+1)
+			}
+		})
+	}
+}
+
+// TestDamagedHeaderIsNotTorn: only a newest segment with no header
+// reached disk is a torn creation. A full header that is wrong, or a
+// sealed segment's short header, is corruption and fails open.
+func TestDamagedHeaderIsNotTorn(t *testing.T) {
+	header := func(magic string, first uint64) []byte {
+		b := binary.BigEndian.AppendUint64([]byte(magic), first)
+		return append(b, make([]byte, 40)...)
+	}
+	cases := []struct {
+		name string
+		seg  func(segs []string) string // the file to write
+		data []byte
+	}{
+		{"newest-wrong-magic", func([]string) string { return segmentName(10) }, header("RPSG9999", 10)},
+		{"newest-wrong-serial", func([]string) string { return segmentName(10) }, header(segMagic, 11)},
+		{"sealed-partial-header", func(segs []string) string { return filepath.Base(segs[0]) }, []byte(segMagic[:5])},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "chain")
+			fs := openSmall(t, dir)
+			buildChain(t, fs, 9, 2)
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, tc.seg(segFiles(t, dir))), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenFileStoreOptions(dir, smallOpts()); !errors.Is(err, ErrCorruptChain) {
+				t.Fatalf("open error = %v, want ErrCorruptChain", err)
 			}
 		})
 	}
@@ -200,8 +244,8 @@ func TestTruncatedSealedSegmentFailsOpen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "chain")
 	fs := openSmall(t, dir)
 	buildChain(t, fs, 24, 2)
-	if fs.Segments() < 3 {
-		t.Fatalf("need ≥ 3 segments, got %d", fs.Segments())
+	if len(fs.segments) < 3 {
+		t.Fatalf("need ≥ 3 segments, got %d", len(fs.segments))
 	}
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
@@ -215,7 +259,6 @@ func TestTruncatedSealedSegmentFailsOpen(t *testing.T) {
 	if err := os.Truncate(victim, fi.Size()-5); err != nil {
 		t.Fatal(err)
 	}
-	// The stale sidecar index (size mismatch) must not mask the damage.
 	_, err = OpenFileStoreOptions(dir, smallOpts())
 	if err == nil {
 		t.Fatal("open accepted a truncated sealed segment")
@@ -248,10 +291,6 @@ func TestCorruptionErrorNamesSegmentAndOffset(t *testing.T) {
 	if err := flipByte(victim, second+frameHeadSize+3); err != nil {
 		t.Fatal(err)
 	}
-	// Drop the sidecar index so the scan actually touches the frames.
-	base := strings.TrimSuffix(victim, ".seg")
-	_ = os.Remove(base + ".idx")
-
 	_, err = OpenFileStoreOptions(dir, smallOpts())
 	if err == nil {
 		t.Fatal("open accepted mid-segment corruption")
@@ -262,41 +301,6 @@ func TestCorruptionErrorNamesSegmentAndOffset(t *testing.T) {
 	}
 	if !strings.Contains(msg, fmt.Sprintf("offset %d", second)) {
 		t.Fatalf("error %q does not report offset %d of the corrupt frame", msg, second)
-	}
-}
-
-func TestCorruptIndexFallsBackToScan(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "chain")
-	fs := openSmall(t, dir)
-	blocks := buildChain(t, fs, 24, 2)
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := filepath.Glob(filepath.Join(dir, "chain-*.idx"))
-	if err != nil || len(idx) == 0 {
-		t.Fatalf("no sidecar indexes (err=%v)", err)
-	}
-	for _, p := range idx {
-		if err := flipByte(p, 12); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs2 := openSmall(t, dir)
-	defer func() { _ = fs2.Close() }()
-	if fs2.Height() != 24 {
-		t.Fatalf("Height() = %d after index corruption, want 24 via frame scan", fs2.Height())
-	}
-	if fs2.Recovery().SegmentsScanned == 0 {
-		t.Fatal("RecoveryInfo.SegmentsScanned = 0, want rescans after index corruption")
-	}
-	for _, want := range blocks {
-		got, err := fs2.Get(want.Serial)
-		if err != nil {
-			t.Fatalf("Get(%d) error = %v", want.Serial, err)
-		}
-		if got.Hash() != want.Hash() {
-			t.Fatalf("block %d corrupted", want.Serial)
-		}
 	}
 }
 
@@ -362,15 +366,15 @@ func TestPruneBehindSnapshot(t *testing.T) {
 	if _, err := fs.WriteSnapshot([]byte("state")); err != nil {
 		t.Fatal(err)
 	}
-	before := fs.Segments()
+	before := len(fs.segments)
 	removed, err := fs.Prune()
 	if err != nil {
 		t.Fatalf("Prune() error = %v", err)
 	}
-	if removed == 0 || fs.Segments() != before-removed {
+	if removed == 0 || len(fs.segments) != before-removed {
 		t.Fatalf("Prune() removed %d of %d segments", removed, before)
 	}
-	if fs.Segments() < 1 {
+	if len(fs.segments) < 1 {
 		t.Fatal("Prune() removed the active segment")
 	}
 	first := fs.FirstAvailable()
@@ -476,10 +480,11 @@ func TestSnapshotAheadOfLogFailsOpen(t *testing.T) {
 
 func TestGetBeyondTailReadsDisk(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "chain")
-	fs := openSmall(t, dir) // 4-slot tail
+	fs := openSmall(t, dir)
 	defer func() { _ = fs.Close() }()
 	blocks := buildChain(t, fs, 24, 2)
-	// Serial 1 left the 4-slot tail ring long ago; this must hit disk.
+	// Only the head is held in memory; serial 1, in a sealed segment,
+	// is read from disk.
 	got, err := fs.Get(1)
 	if err != nil {
 		t.Fatalf("Get(1) error = %v", err)

@@ -12,8 +12,8 @@ import (
 
 // TestSoakSegmentedStore drives many rounds of append + periodic
 // snapshot + prune against one store and asserts the two bounds that
-// make million-block chains viable: heap stays flat (the tail ring is
-// the only in-memory block state) and the segment count stays pinned
+// make million-block chains viable: heap stays flat (the head is the
+// only in-memory block) and the segment count stays pinned
 // near the snapshot horizon (pruning keeps up).
 //
 // Defaults are sized for tier-1 CI; the nightly soak workflow scales
@@ -68,7 +68,7 @@ func TestSoakSegmentedStore(t *testing.T) {
 				t.Fatalf("Prune at %d: %v", i, err)
 			}
 			pruned += n
-			if s := fs.Segments(); s > maxSegments {
+			if s := len(fs.segments); s > maxSegments {
 				maxSegments = s
 			}
 			runtime.GC()
@@ -83,7 +83,7 @@ func TestSoakSegmentedStore(t *testing.T) {
 	}
 
 	// Bounded RSS: the per-block cost must not accumulate. Allow a
-	// fixed envelope (tail ring + offset indexes + test noise) that
+	// fixed envelope (head block + offset indexes + test noise) that
 	// does not scale with the round count.
 	const heapEnvelope = 64 << 20
 	if heapPeak > baseHeap+heapEnvelope {
@@ -111,7 +111,7 @@ func TestSoakSegmentedStore(t *testing.T) {
 			"height":          fs.Height(),
 			"first_available": fs.FirstAvailable(),
 			"segments_peak":   maxSegments,
-			"segments_final":  fs.Segments(),
+			"segments_final":  len(fs.segments),
 			"segments_pruned": pruned,
 			"heap_base":       baseHeap,
 			"heap_peak":       heapPeak,

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -162,19 +163,15 @@ func VerifyChain(store Store) error {
 // StoreOptions tunes the segmented FileStore.
 type StoreOptions struct {
 	// SegmentBytes is the roll threshold: once the active segment
-	// exceeds it, the segment is sealed (fsynced, sidecar index
-	// written) and the next append starts a new one. Zero means the
-	// 4 MiB default. A single oversized block still gets written — a
-	// segment always holds at least one frame.
+	// exceeds it, the segment is sealed (flushed, fsynced, closed) and
+	// the next append starts a new one. Zero means the 4 MiB default.
+	// A single oversized block still gets written — a segment always
+	// holds at least one frame.
 	SegmentBytes int64
 }
 
 const (
 	defaultSegmentBytes = 4 << 20
-	// tailBlocks is the size of the in-memory cache of most recent
-	// blocks that serves Head, resync, and recent Get calls without
-	// disk reads.
-	tailBlocks = 256
 	// snapshotKeep is how many snapshot generations WriteSnapshot
 	// retains: the newest plus one fallback.
 	snapshotKeep = 2
@@ -195,31 +192,27 @@ type RecoveryInfo struct {
 	// SnapshotsSkipped counts snapshot files that failed validation
 	// and were passed over for an older generation.
 	SnapshotsSkipped int
-	// BlocksIndexed counts frames indexed without decoding (at or
-	// below the snapshot horizon, or covered by a sealed-segment
-	// sidecar index).
+	// BlocksIndexed counts frames at or below the snapshot horizon,
+	// indexed from their frame headers without a CRC check or decode.
 	BlocksIndexed int
 	// BlocksReplayed counts blocks decoded and link-verified (the log
 	// suffix above the snapshot horizon).
 	BlocksReplayed int
-	// TornBytesDropped is how many trailing bytes of the newest
-	// segment were discarded as a torn write.
+	// TornBytesDropped is how many bytes of the newest segment were
+	// discarded as a torn write: a torn tail, or the whole file when
+	// its creation never reached disk.
 	TornBytesDropped int64
-	// SegmentsScanned counts sealed segments that had to be re-scanned
-	// because their sidecar index was missing or invalid.
-	SegmentsScanned int
 }
 
 // FileStore is the segmented append-only on-disk chain. The directory
 // holds fixed-size segments of length+CRC framed block encodings
-// (chain-<first>.seg), sidecar offset indexes for sealed segments
-// (chain-<first>.idx), and atomic state snapshots
+// (chain-<first>.seg) and atomic state snapshots
 // (snapshot-<height>.snap).
 //
-// FileStore does not keep the chain in memory: it holds a bounded tail
-// cache plus per-segment offset indexes, reads older blocks from disk on
-// demand, and on open decodes only the log suffix above the latest valid
-// snapshot.
+// FileStore does not keep the chain in memory: it holds the head block
+// plus the per-segment frame offsets its open scan builds, reads every
+// other block from disk on demand, and on open decodes only the log
+// suffix above the latest valid snapshot.
 type FileStore struct {
 	mu   sync.RWMutex
 	dir  string
@@ -234,8 +227,6 @@ type FileStore struct {
 	headBlk  Block       // guarded by mu; the block at height
 	headOK   bool        // guarded by mu; headBlk holds a real block
 	pruned   uint64      // guarded by mu; serials ≤ pruned are gone
-
-	tail []Block // guarded by mu; ring keyed by serial % len(tail)
 
 	snap     Snapshot // guarded by mu; latest durable snapshot
 	haveSnap bool     // guarded by mu
@@ -256,14 +247,16 @@ func OpenFileStore(path string) (*FileStore, error) {
 
 // OpenFileStoreOptions is OpenFileStore with explicit tuning.
 //
-// Recovery procedure: load the newest snapshot that validates, index
-// every surviving segment (sealed ones through their sidecar index
-// when possible), and decode only the frames above the snapshot
-// height, verifying their hash links from the snapshot's head hash. A
-// torn tail — an incomplete or checksum-failing final frame of the
-// newest segment — is truncated and recovery proceeds; corruption
-// anywhere else fails open with the segment file and byte offset of
-// the bad frame so an operator can inspect or truncate manually.
+// Recovery procedure: load the newest snapshot that validates, walk
+// every surviving segment's frame headers to index it, and decode only
+// the frames above the snapshot height, verifying their hash links
+// from the snapshot's head hash. A torn tail — an incomplete or
+// checksum-failing final frame of the newest segment — is truncated,
+// and a newest segment whose creation never reached disk (shorter than
+// its header, or nothing but zero bytes) is removed; recovery then
+// proceeds. Corruption anywhere else fails open with the segment file
+// and byte offset of the bad frame so an operator can inspect or
+// truncate manually.
 func OpenFileStoreOptions(path string, opts StoreOptions) (*FileStore, error) {
 	opts = opts.withDefaults()
 	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
@@ -272,11 +265,7 @@ func OpenFileStoreOptions(path string, opts StoreOptions) (*FileStore, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("open chain dir: %w", err)
 	}
-	fs := &FileStore{
-		dir:  path,
-		opts: opts,
-		tail: make([]Block, tailBlocks),
-	}
+	fs := &FileStore{dir: path, opts: opts}
 	if err := fs.load(); err != nil {
 		return nil, err
 	}
@@ -292,8 +281,10 @@ func (fs *FileStore) load() error {
 	var segFirsts, snapHeights []uint64
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			_ = os.Remove(filepath.Join(fs.dir, name)) // interrupted atomic write
+		// An interrupted atomic write, or an offset index file older
+		// stores kept beside sealed segments.
+		if strings.HasSuffix(name, ".tmp") || strings.HasPrefix(name, "chain-") && strings.HasSuffix(name, ".idx") {
+			_ = os.Remove(filepath.Join(fs.dir, name))
 			continue
 		}
 		if first, ok := parseSegmentName(name); ok {
@@ -334,41 +325,16 @@ func (fs *FileStore) load() error {
 
 	for i, first := range segFirsts {
 		lastSeg := i == len(segFirsts)-1
-		seg := &segmentInfo{
-			path:   filepath.Join(fs.dir, segmentName(first)),
-			first:  first,
-			sealed: !lastSeg,
-		}
+		seg := &segmentInfo{path: filepath.Join(fs.dir, segmentName(first)), first: first}
 		if first != fs.height+1 {
 			return fmt.Errorf("segment %s starts at %d, previous segment ends at %d: %w",
 				filepath.Base(seg.path), first, fs.height, ErrCorruptChain)
 		}
-		fi, err := os.Stat(seg.path)
-		if err != nil {
-			return fmt.Errorf("segment %s: %w", filepath.Base(seg.path), err)
-		}
-		seg.size = fi.Size()
-		// A sealed segment entirely behind the horizon can load its
-		// sidecar index and skip the scan; anything above the horizon
-		// must be decoded and link-verified, so it always scans.
-		if seg.sealed {
-			if offsets, ok := loadIndexFile(fs.dir, first, seg.size); ok && first+uint64(len(offsets))-1 <= horizon {
-				seg.offsets = offsets
-				fs.height = seg.last()
-				fs.recovery.BlocksIndexed += seg.count()
-				fs.segments = append(fs.segments, seg)
-				continue
-			}
-			fs.recovery.SegmentsScanned++
-		}
 		if err := fs.scanSegment(seg, horizon, lastSeg); err != nil {
+			if lastSeg && fs.dropTornCreation(seg.path) {
+				break // the previous segment, if any, is the active one
+			}
 			return err
-		}
-		if seg.count() == 0 && lastSeg && len(fs.segments) > 0 {
-			// The newest segment lost its only frames to a torn write;
-			// drop the empty file so the previous segment becomes
-			// active again on the next open. For this session, keep it
-			// as the (empty) active segment — appends continue into it.
 		}
 		fs.segments = append(fs.segments, seg)
 	}
@@ -376,6 +342,9 @@ func (fs *FileStore) load() error {
 	if fs.haveSnap && fs.height < fs.snap.Height {
 		return fmt.Errorf("chain dir %s: log height %d behind snapshot height %d (snapshots are only written over fsynced logs): %w",
 			fs.dir, fs.height, fs.snap.Height, ErrCorruptChain)
+	}
+	if len(fs.segments) == 0 {
+		return nil // the only segment was a torn creation
 	}
 
 	// Reopen the newest segment for appending.
@@ -407,9 +376,10 @@ func (fs *FileStore) load() error {
 }
 
 // scanSegment walks a segment's frames, indexing every frame and
-// decoding + link-verifying those above the snapshot horizon. In the
-// newest segment a torn tail is truncated; everywhere else any bad
-// frame is fatal, reported with its segment and offset.
+// decoding + link-verifying those above the snapshot horizon; frames
+// at or below it are skipped by their headers alone. In the newest
+// segment a torn tail is truncated; everywhere else any bad frame is
+// fatal, reported with its segment and offset.
 //
 //repchain:lockguard-ok construction-time only: called from load before the store is shared
 func (fs *FileStore) scanSegment(seg *segmentInfo, horizon uint64, lastSeg bool) error {
@@ -419,10 +389,7 @@ func (fs *FileStore) scanSegment(seg *segmentInfo, horizon uint64, lastSeg bool)
 	}
 	defer func() { _ = f.Close() }()
 	r := bufio.NewReaderSize(f, 1<<16)
-	if _, err := readSegmentHeader(r, seg.path); err != nil {
-		return err
-	}
-	first, err := fileHeaderSerial(seg.path)
+	first, err := readSegmentHeader(r, seg.path)
 	if err != nil {
 		return err
 	}
@@ -436,7 +403,8 @@ func (fs *FileStore) scanSegment(seg *segmentInfo, horizon uint64, lastSeg bool)
 		verify := serial > horizon
 		payload, n, res := readFrame(r, verify)
 		if res == scanEOF && payload == nil && n == 0 {
-			return nil // clean end of segment
+			seg.size = off // clean end of segment
+			return nil
 		}
 		bad := res != scanEOF
 		var blk Block
@@ -456,6 +424,7 @@ func (fs *FileStore) scanSegment(seg *segmentInfo, horizon uint64, lastSeg bool)
 				if torn, terr := fs.tornTail(f, off, n, res); terr != nil {
 					return terr
 				} else if torn {
+					seg.size = off
 					return nil
 				}
 			}
@@ -499,13 +468,7 @@ func (fs *FileStore) tornTail(f *os.File, off, n int64, res frameScanResult) (bo
 		if _, err := f.ReadAt(rest, off); err != nil {
 			return false, err
 		}
-		torn = true
-		for _, b := range rest {
-			if b != 0 {
-				torn = false
-				break
-			}
-		}
+		torn = allZero(rest)
 	}
 	if !torn {
 		return false, nil
@@ -517,15 +480,25 @@ func (fs *FileStore) tornTail(f *os.File, off, n int64, res frameScanResult) (bo
 	return true, nil
 }
 
-// fileHeaderSerial re-reads just the header serial of a segment file.
-func fileHeaderSerial(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
+// dropTornCreation removes a newest segment whose creation never
+// reached disk — shorter than its header, or nothing but zero bytes —
+// and reports whether it did. A full header with the wrong magic or
+// serial is corruption, not a tear, and is left for open to refuse.
+//
+//repchain:lockguard-ok construction-time only: called from load
+func (fs *FileStore) dropTornCreation(path string) bool {
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) >= segHeaderSize && !allZero(data) {
+		return false
 	}
-	defer func() { _ = f.Close() }()
-	return readSegmentHeader(f, path)
+	if os.Remove(path) != nil {
+		return false
+	}
+	fs.recovery.TornBytesDropped += int64(len(data))
+	return true
 }
+
+func allZero(b []byte) bool { return len(bytes.TrimLeft(b, "\x00")) == 0 }
 
 // linkBlock verifies a replayed block against the running head state
 // and adopts it as the new head.
@@ -545,13 +518,7 @@ func (fs *FileStore) linkBlock(b Block) error {
 	fs.height = b.Serial
 	fs.headHash = b.Hash()
 	fs.headBlk, fs.headOK = b, true
-	fs.cacheTail(b)
 	return nil
-}
-
-//repchain:lockguard-ok callers hold mu (Append) or run construction-time (load path)
-func (fs *FileStore) cacheTail(b Block) {
-	fs.tail[b.Serial%uint64(len(fs.tail))] = b
 }
 
 // Append implements Store, persisting the block before indexing it.
@@ -591,7 +558,6 @@ func (fs *FileStore) Append(b Block) error {
 	fs.height = b.Serial
 	fs.headHash = b.Hash()
 	fs.headBlk, fs.headOK = b, true
-	fs.cacheTail(b)
 	return nil
 }
 
@@ -627,8 +593,8 @@ func (fs *FileStore) activeSegmentLocked(frameLen int64, serial uint64) (*segmen
 	return seg, nil
 }
 
-// sealActiveLocked flushes, fsyncs, and closes the active segment and
-// writes its sidecar offset index. Callers hold mu.
+// sealActiveLocked flushes, fsyncs, and closes the active segment.
+// Callers hold mu.
 func (fs *FileStore) sealActiveLocked() error {
 	if fs.active == nil {
 		return nil
@@ -643,17 +609,12 @@ func (fs *FileStore) sealActiveLocked() error {
 		return fmt.Errorf("close segment: %w", err)
 	}
 	fs.active, fs.w = nil, nil
-	seg := fs.segments[len(fs.segments)-1]
-	seg.sealed = true
-	if err := writeIndexFile(fs.dir, seg); err != nil {
-		return fmt.Errorf("write segment index: %w", err)
-	}
 	return nil
 }
 
-// Get implements Store. Recent blocks come from the tail cache; older
-// ones are read from their segment through the offset index. Serials
-// at or below the prune horizon fail with ErrPruned.
+// Get implements Store. The head comes from memory; every other block
+// is read from its segment at the frame offset open or Append recorded.
+// Serials at or below the prune horizon fail with ErrPruned.
 func (fs *FileStore) Get(serial uint64) (Block, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -663,8 +624,8 @@ func (fs *FileStore) Get(serial uint64) (Block, error) {
 	if serial <= fs.pruned {
 		return Block{}, fmt.Errorf("serial %d at or below prune horizon %d: %w", serial, fs.pruned, ErrPruned)
 	}
-	if b := fs.tail[serial%uint64(len(fs.tail))]; b.Serial == serial {
-		return b, nil
+	if serial == fs.height {
+		return fs.headBlk, nil
 	}
 	return fs.readBlockAt(serial)
 }
@@ -806,20 +767,13 @@ func (fs *FileStore) gcSnapshotsLocked() {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Prune deletes sealed segments that lie entirely at or below the
-// latest snapshot height, along with their sidecar indexes, and
-// returns how many segments were removed. The active segment is never
-// pruned — it holds the head block — so Head and every Get above the
-// horizon keep working. Safety invariant: a block is only ever deleted
-// once a durable snapshot at or above it exists, so the recovery state
-// (snapshot + surviving suffix) always reproduces the chain head.
+// latest snapshot height and returns how many were removed. The active
+// segment is never pruned — it holds the head block — so Head and
+// every Get above the horizon keep working. Safety invariant: a block
+// is only ever deleted once a durable snapshot at or above it exists,
+// so the recovery state (snapshot + surviving suffix) always
+// reproduces the chain head.
 func (fs *FileStore) Prune() (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -829,13 +783,12 @@ func (fs *FileStore) Prune() (int, error) {
 	removed := 0
 	for len(fs.segments) > 1 {
 		seg := fs.segments[0]
-		if !seg.sealed || seg.count() == 0 || seg.last() > fs.snap.Height {
+		if seg.count() == 0 || seg.last() > fs.snap.Height {
 			break
 		}
 		if err := os.Remove(seg.path); err != nil {
 			return removed, fmt.Errorf("prune segment: %w", err)
 		}
-		_ = os.Remove(filepath.Join(fs.dir, indexName(seg.first)))
 		fs.pruned = seg.last()
 		fs.segments = fs.segments[1:]
 		removed++
@@ -846,13 +799,6 @@ func (fs *FileStore) Prune() (int, error) {
 		}
 	}
 	return removed, nil
-}
-
-// Segments reports how many segment files the store currently holds.
-func (fs *FileStore) Segments() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return len(fs.segments)
 }
 
 // Close flushes, fsyncs, and closes the active segment.

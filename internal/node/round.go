@@ -17,14 +17,14 @@ import (
 // GovernorRound is the governor's half of a round (§3.1 processing
 // phase) as one stepper: screen the uploads, broadcast VRF tickets,
 // elect, propose when leading, adopt the block, run the stake transform
-// (stake.go), checkpoint. It is the protocol and nothing else — no I/O,
+// (stake.go), checkpoint on the snapshot cadence. It is the protocol and nothing else — no I/O,
 // no clock, no concurrency of its own. A driver hands it the messages it drained and a Sender and
 // decides when each step runs: core.Engine steps a whole alliance in
 // lock-step on bus ticks, transport.RunNode one governor on the
 // wall-clock phase schedule.
 //
 //	Begin → Ingest* → Screen → SendTickets → Ingest* → Elect →
-//	[Propose] → Ingest* → Adopt → (Ingest* → StakeStep)* → [Checkpoint]
+//	[Propose] → Ingest* → Adopt → (Ingest* → StakeStep)* → MaybeCheckpoint
 //
 // Ingest files ticket batches, block frames and stake messages whenever
 // they arrive and the step that needs them consumes them, so a frame
@@ -322,6 +322,22 @@ func (r *GovernorRound) Checkpoint(reputation []byte, prune bool) error {
 		return fmt.Errorf("%s prune: %w", r.gov.ID(), err)
 	}
 	return nil
+}
+
+// MaybeCheckpoint is the snapshot cadence, called after every round:
+// once the chain has grown every blocks past the latest snapshot, it
+// checkpoints and prunes. A round that committed nothing leaves the
+// height, and so the decision, unchanged. A no-op when every ≤ 0 or
+// the replica is in memory.
+func (r *GovernorRound) MaybeCheckpoint(every int) error {
+	fs, ok := r.gov.store.(*ledger.FileStore)
+	if !ok || every <= 0 {
+		return nil
+	}
+	if anchor, _, _ := fs.SnapshotAnchor(); fs.Height() < anchor+uint64(every) {
+		return nil
+	}
+	return r.Checkpoint(nil, true)
 }
 
 // Restore loads the latest Checkpoint into the governor's reputation

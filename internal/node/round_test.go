@@ -309,11 +309,10 @@ func TestRoundElectReportsLeader(t *testing.T) {
 	}
 }
 
-// TestRoundCheckpointRestoreRoundTrip: Checkpoint, reopen the store,
-// Restore — reputation, stakes and next nonces come back bit for bit.
-func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	open := func(j int, cfg *GovernorConfig) {
+// fileStores is a newAlliance configure that backs governor j's
+// ledger with a file store in dir/j.
+func fileStores(t *testing.T, dir string) func(j int, cfg *GovernorConfig) {
+	return func(j int, cfg *GovernorConfig) {
 		fs, err := ledger.OpenFileStore(filepath.Join(dir, fmt.Sprint(j)))
 		if err != nil {
 			t.Fatal(err)
@@ -321,6 +320,31 @@ func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Cleanup(func() { _ = fs.Close() })
 		cfg.Store = fs
 	}
+}
+
+// TestRoundCheckpointCadence: MaybeCheckpoint snapshots once the chain
+// has grown the cadence past the last snapshot, and a second call at
+// an unchanged height — a round that committed nothing — writes none.
+func TestRoundCheckpointCadence(t *testing.T) {
+	a := newAlliance(t, fileStores(t, t.TempDir()))
+	snapshots := a.reg.Counter("ledger.snapshots_total")
+	for round, want := range []int64{0, 1, 1, 2} {
+		a.runRound()
+		a.check(a.rounds[0].MaybeCheckpoint(2))
+		if got := snapshots.Value(); got != want {
+			t.Fatalf("after round %d: ledger.snapshots_total = %d, want %d", round+1, got, want)
+		}
+	}
+	a.check(a.rounds[0].MaybeCheckpoint(2))
+	if got := snapshots.Value(); got != 2 {
+		t.Fatalf("second call at height 4: ledger.snapshots_total = %d, want 2", got)
+	}
+}
+
+// TestRoundCheckpointRestoreRoundTrip: Checkpoint, reopen the store,
+// Restore — reputation, stakes and next nonces come back bit for bit.
+func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
+	open := fileStores(t, t.TempDir())
 	a := newAlliance(t, open)
 	a.check(a.rounds[1].TransferStake(0, 1, a.bus))
 	a.runRound()

@@ -162,9 +162,10 @@ type RuntimeConfig struct {
 	BlockLimit int
 	// SnapshotEvery, with StateDir set, writes an atomic recovery
 	// snapshot (round counter, reputation table, stake vector) into a
-	// governor's chain directory every N rounds and prunes segments
-	// behind it, bounding both restart replay and disk usage. Zero
-	// disables snapshots.
+	// governor's chain directory each time its chain has grown N
+	// blocks past the last one, and prunes segments behind it,
+	// bounding both restart replay and disk usage. Zero disables
+	// snapshots.
 	SnapshotEvery int
 	// SegmentBytes overrides the chain segment roll threshold in
 	// bytes; zero keeps the ledger default (4 MiB).
@@ -547,10 +548,8 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		height := gov.Store().Height()
 		cfg.Health.SetHeight(string(cfg.ID), height)
 		heightG.Set(float64(height))
-		if cfg.SnapshotEvery > 0 && height > 0 && height%uint64(cfg.SnapshotEvery) == 0 {
-			if err := rs.Checkpoint(nil, true); err != nil {
-				return report, err
-			}
+		if err := rs.MaybeCheckpoint(cfg.SnapshotEvery); err != nil {
+			return report, err
 		}
 		report.Rounds++
 	}

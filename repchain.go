@@ -142,8 +142,8 @@ func WithChainDir(dir string) Option {
 
 // WithSnapshotEvery writes an atomic recovery snapshot (round counter,
 // reputation tables, stake vector) into every governor's chain
-// directory each n committed rounds and prunes chain segments fully
-// behind the snapshot, so restart cost scales with n instead of chain
+// directory each time its chain grows n blocks past the last one and
+// prunes chain segments fully behind the snapshot, so restart cost scales with n instead of chain
 // height and disk stays bounded. Without WithChainDir, New and
 // NewCluster reject it.
 func WithSnapshotEvery(n int) Option {
