@@ -17,7 +17,7 @@ import (
 // equivocationForTest produces the encoding of one upload batch in
 // which the collector signs both labels for the same transaction.
 func equivocationForTest(signed tx.SignedTx, coll identity.Member) ([]byte, error) {
-	batch, err := tx.SignUploadBatch(coll.ID, []tx.UploadItem{
+	batch, err := tx.SignUploadBatch(coll.ID, 1, []tx.UploadItem{
 		{Signed: signed, Label: tx.LabelValid},
 		{Signed: signed, Label: tx.LabelInvalid},
 	}, coll.PrivateKey)

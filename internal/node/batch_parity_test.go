@@ -121,9 +121,9 @@ func screenAndPack(t *testing.T, fx *fixture) []byte {
 }
 
 // TestUploadBatchTamperRejectsWholeBatch flips every byte of a signed
-// three-item batch in turn — items, count, collector ID and signature
-// alike. Each tampered copy must be refused whole: exactly one forge
-// penalty for the sender and no report admitted.
+// three-item batch in turn — items, count, round, collector ID and
+// signature alike. Each tampered copy must be refused whole: exactly one
+// forge penalty for the sender and no report admitted.
 func TestUploadBatchTamperRejectsWholeBatch(t *testing.T) {
 	fx := newFixture(t, nil)
 	coll := fx.roster.Collectors[0]

@@ -111,8 +111,8 @@ type Collector struct {
 	// split.
 	budget int
 
-	// events and round feed the tx.labeled and tx.uploaded events;
-	// optional.
+	// events is optional and feeds the tx.labeled and tx.uploaded
+	// events; round attributes them and stamps the upload batches.
 	events *events.Log
 	round  uint64
 }
@@ -120,8 +120,8 @@ type Collector struct {
 // SetEvents attaches the event log; nil detaches.
 func (c *Collector) SetEvents(l *events.Log) { c.events = l }
 
-// SetRound tells the collector which round is executing, for event
-// attribution only.
+// SetRound tells the collector which round is executing: its upload
+// batches carry it, and its events are attributed to it.
 func (c *Collector) SetRound(r uint64) { c.round = r }
 
 // NewCollector wires a collector node to the bus.
@@ -204,9 +204,10 @@ func (c *Collector) forge() []tx.UploadItem {
 
 // upload signs items as one batch — split only where the next item
 // would pass the byte budget — and multicasts each batch to every
-// governor.
+// governor. No items still make one empty batch, so a governor can tell
+// a collector with nothing to upload this round from a late one.
 func (c *Collector) upload(items []tx.UploadItem, sender Sender) error {
-	for done := 0; done < len(items); {
+	for done := 0; ; {
 		end, size := done, 0
 		for ; end < len(items); end++ {
 			w := items[end].WireSizeBound()
@@ -215,16 +216,17 @@ func (c *Collector) upload(items []tx.UploadItem, sender Sender) error {
 			}
 			size += w
 		}
-		batch, err := tx.SignUploadBatch(c.member.ID, items[done:end], c.member.PrivateKey)
+		batch, err := tx.SignUploadBatch(c.member.ID, c.round, items[done:end], c.member.PrivateKey)
 		if err != nil {
 			return fmt.Errorf("collector %s label: %w", c.member.ID, err)
 		}
 		if err := sender.Multicast(c.member.ID, c.governorIDs, network.KindCollectorBatch, batch.EncodeBytes()); err != nil {
 			return fmt.Errorf("collector %s upload: %w", c.member.ID, err)
 		}
-		done = end
+		if done = end; done == len(items) {
+			return nil
+		}
 	}
-	return nil
 }
 
 // Provider-tx phase-1 classes for ProcessBatch.

@@ -136,6 +136,9 @@ type Governor struct {
 	groups map[crypto.Hash]*groupedTx
 	pool   *mempool.Pool[crypto.Hash]
 	argues []ArgueMsg
+	// uploadRound[c] is the latest round collector c's verified upload
+	// batches were tagged with.
+	uploadRound []uint64
 
 	// pendingRecords carries argue re-validations that did not fit the
 	// round's BlockLimit into later rounds. Every governor processes
@@ -202,6 +205,7 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		uncheckedByID:   make(map[crypto.Hash]*uncheckedEntry),
 		committedValid:  make(map[crypto.Hash]bool),
 		processedArgues: make(map[crypto.Hash]bool),
+		uploadRound:     make([]uint64, cfg.Topology.Collectors()),
 		events:          cfg.Events,
 		merkle:          crypto.NewMerkleBuilder(64),
 	}
@@ -250,7 +254,8 @@ type pendingBatch struct {
 	// reject names an envelope failure found before any cryptography
 	// (an uploads_rejected_total reason); empty when there is none.
 	reject string
-	sig    int // batch-item index of the batch signature
+	sig    int    // batch-item index of the batch signature
+	round  uint64 // the round the batch is tagged with
 	items  []pendingItem
 }
 
@@ -283,6 +288,8 @@ type pendingArgue struct {
 // forge penalty. Inside an authenticated batch each bad item (provider
 // key unknown, provider signature fails, provider not linked to the
 // collector) costs one penalty and the remaining items are admitted.
+// An authenticated batch, empty or not, files its round under its
+// collector for GovernorRound.UploadsComplete.
 //
 // Determinism (DESIGN.md §4f): phase 1 walks the messages in arrival
 // order doing only pure work — decoding, identity lookups, and
@@ -341,6 +348,7 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 				start := arena.Len()
 				batch.EncodeSigning(arena)
 				u.sig = addItem(collPub, start, batch.Sig)
+				u.round = batch.Round
 				u.items = make([]pendingItem, len(batch.Items))
 				for k, it := range batch.Items {
 					pi := pendingItem{item: it, providerIdx: -1, provSig: -1}
@@ -414,6 +422,9 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 					}
 				}
 				continue
+			}
+			if c := u.collectorIdx; c < len(g.uploadRound) {
+				g.uploadRound[c] = max(g.uploadRound[c], u.round)
 			}
 			for k := range u.items {
 				it := &u.items[k]

@@ -139,11 +139,18 @@ func (fx *fixture) drain(t *testing.T) {
 	}
 }
 
-// uploadMsg signs items as one batch from coll and wraps it as the
-// message a governor would receive from sender from.
+// uploadMsg signs items as one round-300 batch from coll (a round two
+// varint bytes long) and wraps it as the message a governor would
+// receive from sender from.
 func uploadMsg(t *testing.T, coll identity.Member, from identity.NodeID, items ...tx.UploadItem) network.Message {
 	t.Helper()
-	batch, err := tx.SignUploadBatch(coll.ID, items, coll.PrivateKey)
+	return roundUploadMsg(t, coll, from, 300, items...)
+}
+
+// roundUploadMsg is uploadMsg for a batch tagged with round.
+func roundUploadMsg(t *testing.T, coll identity.Member, from identity.NodeID, round uint64, items ...tx.UploadItem) network.Message {
+	t.Helper()
+	batch, err := tx.SignUploadBatch(coll.ID, round, items, coll.PrivateKey)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,9 @@ import (
 // (stake.go), checkpoint on the snapshot cadence. It is the protocol and nothing else — no I/O,
 // no clock, no concurrency of its own. A driver hands it the messages it drained and a Sender and
 // decides when each step runs: core.Engine steps a whole alliance in
-// lock-step on bus ticks, transport.RunNode one governor on the
-// wall-clock phase schedule.
+// lock-step on bus ticks, transport.RunNode one governor as soon as each
+// step's inputs are on file (UploadsComplete, TicketsComplete, Adopt),
+// with a wall-clock deadline for a missing one.
 //
 //	Begin → Ingest* → Screen → SendTickets → Ingest* → Elect →
 //	[Propose] → Ingest* → Adopt → (Ingest* → StakeStep)* → MaybeCheckpoint
@@ -41,9 +42,10 @@ type GovernorRound struct {
 	prevHash   crypto.Hash
 	baseHeight uint64
 	records    []ledger.Record
-	// tickets[j] is the first batch governor j sent for this round.
-	tickets [][]consensus.Ticket
-	filed   []bool
+	// tickets[j] is the first batch governor j sent for this round, and
+	// next[j] the first for the round after, from a peer already there.
+	tickets, next    [][]consensus.Ticket
+	filed, nextFiled []bool
 	// blocks stashes block frames until the step that knows which
 	// leader's signature to demand of them.
 	blocks             [][]byte
@@ -85,7 +87,9 @@ func NewGovernorRound(gov *Governor, governorIDs []identity.NodeID, pubs []crypt
 		blockTo:      append(append([]identity.NodeID(nil), governorIDs...), providerIDs...),
 		round:        gov.store.Height(),
 		tickets:      make([][]consensus.Ticket, len(governorIDs)),
+		next:         make([][]consensus.Ticket, len(governorIDs)),
 		filed:        make([]bool, len(governorIDs)),
+		nextFiled:    make([]bool, len(governorIDs)),
 		leader:       -1,
 		prevLeader:   -1,
 		stakes:       slices.Clone(stakes),
@@ -97,40 +101,49 @@ func NewGovernorRound(gov *Governor, governorIDs []identity.NodeID, pubs []crypt
 }
 
 // Begin opens round `round`. Ticket batches and the stake messages
-// filed for the previous round are dropped; stashed block frames are
-// kept, because the previous leader's block may still be among them.
+// filed for the previous round are dropped, and the batches filed ahead
+// for this one become its own; stashed block frames are kept, because
+// the previous leader's block may still be among them.
 func (r *GovernorRound) Begin(round uint64) {
+	ahead := round == r.round+1
 	r.round = round
 	r.gov.round = round
 	r.prevLeader, r.leader = r.leader, -1
 	r.clearRound()
+	if ahead {
+		r.tickets, r.next = r.next, r.tickets
+		r.filed, r.nextFiled = r.nextFiled, r.filed
+	} else {
+		clearTickets(r.next, r.nextFiled)
+	}
 }
 
 // Purge forgets everything volatile a crash would lose: filed ticket
 // batches and stake messages, and stashed block frames.
 func (r *GovernorRound) Purge() {
 	r.clearRound()
+	clearTickets(r.next, r.nextFiled)
 	r.blocks = nil
 }
 
 func (r *GovernorRound) clearRound() {
-	r.clearTickets()
+	clearTickets(r.tickets, r.filed)
 	r.proposal, r.proposed, r.answered, r.assembled = nil, false, false, false
 	clear(r.endorsements)
 }
 
-func (r *GovernorRound) clearTickets() {
-	for j := range r.tickets {
-		r.tickets[j], r.filed[j] = nil, false
-	}
+func clearTickets(tickets [][]consensus.Ticket, filed []bool) {
+	clear(tickets)
+	clear(filed)
 }
 
 // Ingest consumes drained messages: uploads and argues pass through the
-// governor's HandleBatch, ticket batches are filed under their sender,
-// block frames are stashed, stake messages are filed or, for a stake
-// block, applied (stake.go). A ticket batch that is not filed — unknown
-// sender, undecodable, another round's, or a sender's second (first
-// wins) — bumps its election.vrf_* counter; an unused stake message,
+// governor's HandleBatch, ticket batches are filed under their sender and
+// round (this one or the next), block frames are stashed, stake messages
+// are filed or, for a stake block, applied (stake.go). A ticket batch
+// that is not filed — unknown sender, undecodable, for any other round,
+// or a sender's second for its round (first wins) — bumps its
+// election.vrf_* counter; an unused stake message,
 // node.stake_ignored_total.
 func (r *GovernorRound) Ingest(msgs []network.Message) error {
 	rest, err := r.gov.HandleBatch(msgs)
@@ -153,18 +166,38 @@ func (r *GovernorRound) Ingest(msgs []network.Message) error {
 func (r *GovernorRound) fileTickets(m network.Message) {
 	sender := slices.Index(r.governorIDs, m.From)
 	round, tickets, err := consensus.DecodeRoundTickets(m.Payload)
+	// A peer that finished this round first may already send the next
+	// round's batch; it waits in next until Begin.
+	batches, filed := r.tickets, r.filed
+	if round == r.round+1 {
+		batches, filed = r.next, r.nextFiled
+	}
 	switch {
 	case sender < 0:
 		r.reg.Counter("election.vrf_unknown_sender").Inc()
 	case err != nil:
 		r.reg.Counter("election.vrf_malformed").Inc()
-	case round != r.round:
+	case round != r.round && round != r.round+1:
 		r.reg.Counter("election.vrf_stale_round").Inc()
-	case r.filed[sender]:
+	case filed[sender]:
 		r.reg.Counter("election.vrf_duplicate_batch").Inc()
 	default:
-		r.tickets[sender], r.filed[sender] = tickets, true
+		batches[sender], filed[sender] = tickets, true
 	}
+}
+
+// UploadsComplete reports whether every collector has a verified upload
+// batch tagged with this round or a later one on file, i.e. whether
+// Screen would see the whole round. A collector with nothing to upload
+// still sends an empty batch, so only a late or lost one keeps this
+// false.
+func (r *GovernorRound) UploadsComplete() bool {
+	for _, got := range r.gov.uploadRound {
+		if got < r.round {
+			return false
+		}
+	}
+	return true
 }
 
 // Screen runs the screening step over everything ingested so far. A
@@ -215,7 +248,7 @@ func (r *GovernorRound) TicketsComplete(stakes []uint64) bool {
 // with a wrapped consensus.ErrIncompleteElection naming it; a batch
 // that fails verification is a hard error.
 func (r *GovernorRound) Elect(stakes []uint64) (int, error) {
-	defer r.clearTickets()
+	defer clearTickets(r.tickets, r.filed)
 	el, err := consensus.NewElection(r.round, r.prevHash, r.pubs, stakes)
 	if err != nil {
 		return -1, err

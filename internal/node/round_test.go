@@ -625,3 +625,105 @@ func TestRoundLateStakeBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundTicketLookahead: governors are not phase-locked, so a peer
+// that finished round r first sends its round r+1 batch to a governor
+// still in round r. The batch is kept and becomes round r+1's at Begin;
+// a second one from the same peer is a duplicate, and batches for any
+// other round are stale.
+func TestRoundTicketLookahead(t *testing.T) {
+	a := newAlliance(t, nil)
+	a.runRound()
+	a.round++
+	for _, j := range []int{1, 2} {
+		r := a.rounds[j]
+		r.Begin(a.round)
+		a.ingest(j)
+		a.check(r.Screen())
+		a.check(r.SendTickets(a.stakes[j], a.bus))
+	}
+	for _, junk := range [][]byte{
+		consensus.EncodeRoundTickets(a.round, nil),   // duplicate of governor/1's round-2 batch
+		consensus.EncodeRoundTickets(a.round+1, nil), // two rounds ahead
+	} {
+		a.check(a.bus.Multicast(a.ids[1], a.ids[:1], network.KindVRF, junk))
+	}
+	a.ingest(0) // governor/0 is still in round 1
+	slow := a.rounds[0]
+	slow.Begin(a.round)
+	if !slow.TicketsComplete([]uint64{0, a.stakes[1], a.stakes[2]}) {
+		t.Fatal("Begin dropped the peers' batches filed one round early")
+	}
+	a.check(slow.Screen())
+	a.check(slow.SendTickets(a.stakes[0], a.bus))
+	a.ingest(0)
+	if !slow.TicketsComplete(a.stakes) {
+		t.Fatal("TicketsComplete() false with every batch filed")
+	}
+	a.propose(a.elect(0, 1, 2))
+	for j := range a.rounds {
+		if !a.adopt(j) {
+			t.Fatalf("governor %d did not commit round %d", j, a.round)
+		}
+	}
+	for reason, want := range map[string]int64{"stale_round": 1, "duplicate_batch": 1} {
+		if got := a.reg.Counter("election.vrf_" + reason).Value(); got != want {
+			t.Errorf("election.vrf_%s = %d, want %d", reason, got, want)
+		}
+	}
+}
+
+// TestRoundUploadsComplete: a collector with nothing to upload still
+// sends one signed empty batch for its round. A verified batch admits
+// nothing when empty and counts toward UploadsComplete for its round and
+// every earlier one; a batch whose signature fails does not count.
+func TestRoundUploadsComplete(t *testing.T) {
+	fx := newFixture(t, nil)
+	gov := fx.roster.Governors[0]
+	r := NewGovernorRound(fx.governor, []identity.NodeID{gov.ID}, []crypto.PublicKey{gov.Cert.PublicKey}, nil, []uint64{1})
+	coll0, coll1 := fx.roster.Collectors[0], fx.roster.Collectors[1]
+	ingest := func(msgs ...network.Message) {
+		t.Helper()
+		if err := r.Ingest(msgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Begin(1)
+	if r.UploadsComplete() {
+		t.Fatal("UploadsComplete() before any upload")
+	}
+	fx.collectors[0].SetRound(1)
+	if n, err := fx.collectors[0].ProcessBatch(nil, fx.bus); err != nil || n != 0 {
+		t.Fatalf("ProcessBatch(nil) = %d, %v", n, err)
+	}
+	if got := fx.bus.Stats().SentByKind[network.KindCollectorBatch]; got != 1 {
+		t.Fatalf("an empty drain sent %d batches, want 1", got)
+	}
+	ingest(fx.governor.Endpoint().Receive()...)
+	if st := fx.governor.Stats(); st.ForgeriesDetected != 0 || st.ReportsReceived != 0 || fx.governor.MempoolDepth() != 0 {
+		t.Fatalf("empty batch: %+v, mempool %d; want nothing admitted or penalized", st, fx.governor.MempoolDepth())
+	}
+	if r.UploadsComplete() {
+		t.Fatal("UploadsComplete() with collector/1's batch missing")
+	}
+	forgedSig := identity.Member{ID: coll1.ID, PrivateKey: coll0.PrivateKey}
+	ingest(roundUploadMsg(t, forgedSig, coll1.ID, 1))
+	if st := fx.governor.Stats(); st.ForgeriesDetected != 1 {
+		t.Fatalf("bad-signature batch: %d penalties, want 1", st.ForgeriesDetected)
+	}
+	if r.UploadsComplete() {
+		t.Fatal("a batch that fails its signature counted toward UploadsComplete()")
+	}
+	ingest(roundUploadMsg(t, coll1, coll1.ID, 1))
+	if !r.UploadsComplete() {
+		t.Fatal("UploadsComplete() false with both round-1 batches verified")
+	}
+	r.Begin(2)
+	if r.UploadsComplete() {
+		t.Fatal("round-1 batches counted for round 2")
+	}
+	ingest(roundUploadMsg(t, coll0, coll0.ID, 3), roundUploadMsg(t, coll1, coll1.ID, 2))
+	if !r.UploadsComplete() {
+		t.Fatal("UploadsComplete() false with batches for round 2 and later")
+	}
+}

@@ -156,6 +156,9 @@ type Endpoint struct {
 	// inflight is the per-peer inbox bound, maxInflightPerPeer outside
 	// tests.
 	inflight int
+	// arrived holds one pending wake-up for a driver waiting on the
+	// inbox; deliver fills it without blocking.
+	arrived chan struct{}
 
 	wg sync.WaitGroup
 }
@@ -180,6 +183,7 @@ func NewEndpoint(d *Deployment, id identity.NodeID) (*Endpoint, error) {
 		conns:    make(map[identity.NodeID]net.Conn),
 		policy:   defaultRetryPolicy,
 		inflight: maxInflightPerPeer,
+		arrived:  make(chan struct{}, 1),
 	}
 	for _, n := range d.Nodes {
 		if n.ID == string(id) {
@@ -230,14 +234,17 @@ func (ep *Endpoint) UseMetrics(reg *metrics.Registry) {
 
 // maxInflightPerPeer bounds the received-but-undrained frames held
 // per peer, so a fast or hostile peer cannot grow a slow consumer's
-// inbox without limit. It is far above any legitimate backlog: at a
-// few hundred transactions a second, one peer queues at most a few
-// hundred frames between two phases of a round.
+// inbox without limit. It is far above any legitimate backlog, which
+// one round's arrivals from one peer bound: a collector drains its inbox
+// once a round, at the upload cutoff, and a governor on every arrival
+// while it waits. From a provider that is one frame per transaction it
+// sent in the round; from a collector or a governor, a handful of
+// frames.
 const maxInflightPerPeer = 1 << 16
 
 // deliver appends a frame to the inbox unless the sender is at the
 // inflight bound, in which case the frame is dropped and counted in
-// transport.inflight_dropped.
+// transport.inflight_dropped. An appended frame wakes a waiting driver.
 func (ep *Endpoint) deliver(f Frame) {
 	ep.inboxMu.Lock()
 	defer ep.inboxMu.Unlock()
@@ -250,7 +257,17 @@ func (ep *Endpoint) deliver(f Frame) {
 	}
 	ep.inboxByPeer[f.From]++
 	ep.inbox = append(ep.inbox, f)
+	select {
+	case ep.arrived <- struct{}{}:
+	default:
+	}
 }
+
+// Arrived signals that a frame has reached the inbox since the signal
+// was last taken. Any number of arrivals leave at most one signal
+// pending, so a driver takes it, then drains everything with Receive;
+// a frame that lands after that Receive raises the signal again.
+func (ep *Endpoint) Arrived() <-chan struct{} { return ep.arrived }
 
 // EnableTracePropagation turns on cross-process trace stitching: every
 // outgoing frame whose payload maps to a trace ID (per idOf) carries a

@@ -20,18 +20,22 @@ import (
 )
 
 // The wall-clock round runtime. Under the paper's synchrony assumption
-// every node owns a loosely synchronized clock, so the three phases of
-// a round run at fixed offsets within a shared round duration:
+// every node owns a loosely synchronized clock. Two marks of a shared
+// round duration R pace the round; the others are deadlines:
 //
-//	t0 + 0.00·R   providers broadcast the round's transactions
-//	t0 + 0.30·R   collectors label and upload what arrived
-//	t0 + 0.55·R   governors screen, then broadcast VRF tickets
-//	t0 + 0.75·R   governors elect; the leader broadcasts the block
-//	t0 + 0.92·R   everyone adopts the block; providers argue
-//	t0 + 1.00·R   next round
+//	t0 + 0.00·R    pace: providers broadcast the round's transactions
+//	t0 + 0.30·R    pace: collectors label and upload what arrived
+//	t0 + 0.55·R    deadline: governors screen, then broadcast VRF tickets
+//	t0 + 0.835·R   deadline: governors elect; the leader broadcasts the block
+//	t0 + 1.00·R    deadline: governors adopt the block and run the stake
+//	               transform; providers adopt it and argue; next round
 //
-// Each phase gap exceeds the network's delivery bound Δ provided the
-// round duration is chosen accordingly.
+// A governor takes each step the moment its inputs are on file — every
+// collector's upload batch for the round, every staked governor's ticket
+// batch, the leader's block — so in the common case the block follows
+// the uploads by the work alone. A deadline only bounds the wait for an
+// input that is late or lost; the gap before each exceeds the network's
+// delivery bound Δ provided the round duration is chosen accordingly.
 
 // Clock fixes the shared round schedule.
 type Clock struct {
@@ -41,12 +45,13 @@ type Clock struct {
 	Round time.Duration
 }
 
-// phase offsets as fractions of the round duration.
+// Offsets within a round, as fractions of its duration: phaseUpload
+// paces the collectors, the other two are governor deadlines. The third
+// deadline is the next round's start.
 const (
-	phaseUpload = 0.30
-	phaseScreen = 0.55
-	phaseElect  = 0.75
-	phaseAdopt  = 0.92
+	phaseUpload    = 0.30
+	deadlineScreen = 0.55
+	deadlineElect  = 0.835
 )
 
 func (c Clock) at(round uint64, frac float64) time.Time {
@@ -55,8 +60,29 @@ func (c Clock) at(round uint64, frac float64) time.Time {
 }
 
 func sleepUntil(t time.Time) {
-	if d := time.Until(t); d > 0 {
-		time.Sleep(d)
+	<-time.After(time.Until(t))
+}
+
+// await calls step, which drains ep and reports whether what it waits
+// for is in, until step says so or the deadline passes; in between it
+// blocks until a frame reaches ep or the deadline does. It returns the
+// time spent in step, not blocked.
+func await(ep *Endpoint, deadline time.Time, step func() (bool, error)) (time.Duration, error) {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	var busy time.Duration
+	for {
+		start := time.Now()
+		done, err := step()
+		now := time.Now()
+		busy += now.Sub(start)
+		if err != nil || done || !now.Before(deadline) {
+			return busy, err
+		}
+		select {
+		case <-ep.Arrived():
+		case <-timer.C:
+		}
 	}
 }
 
@@ -306,13 +332,10 @@ func runProvider(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 			}
 			report.Submitted++
 		}
-		// Adopt the round's block and argue. Poll until a block shows up
-		// or the round ends; a single drain misses blocks that arrive a
-		// few milliseconds after the phase boundary and silently skews
-		// the settled/pending accounting.
-		sleepUntil(cfg.Clock.at(round, phaseAdopt))
-		adoptDeadline := cfg.Clock.at(round+1, 0)
-		for observed := false; ; {
+		// Adopt the round's block and argue: from the broadcast until a
+		// block shows up or the round ends.
+		_, err := await(ep, cfg.Clock.at(round+1, 0), func() (bool, error) {
+			observed := false
 			for _, f := range ep.Receive() {
 				if f.Kind != network.KindBlock {
 					continue
@@ -323,14 +346,14 @@ func runProvider(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 					continue
 				}
 				if _, err := prov.ObserveBlock(b, sender); err != nil {
-					return report, err
+					return false, err
 				}
 				observed = true
 			}
-			if observed || !time.Now().Before(adoptDeadline) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
+			return observed, nil
+		})
+		if err != nil {
+			return report, err
 		}
 		report.Rounds++
 	}
@@ -456,93 +479,91 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	report := Report{Role: "governor"}
 	sender := frameSender{ep: ep, failures: &report.SendFailures}
 
-	// Stage latency histograms measure the active work between the
-	// schedule's sleeps, not the sleeps themselves. In demo mode the
-	// registry is shared, so samples from every governor merge.
+	// Stage latency histograms measure each step's work — ingesting its
+	// inputs as they arrive, then the step — not the wait for them. In
+	// demo mode the registry is shared, so samples from every governor
+	// merge.
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	stages := reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")
 	heightG := reg.Gauge("chain.height")
-	observe := func(stage string, start time.Time) time.Time {
-		now := time.Now()
-		stages.With(stage).Observe(now.Sub(start).Seconds())
-		return now
-	}
-	ingest := func() error {
-		return rs.Ingest(toNetworkMessages(ep.Receive()))
-	}
-	// poll ingests the endpoint every 2 ms until done reports true or
-	// the deadline passes: a single drain at a phase boundary loses the
-	// round whenever a peer's frame lands a few milliseconds late. What
-	// a drain finds that its step does not need, the stepper keeps.
-	poll := func(deadline time.Time, done func() (bool, error)) error {
-		for {
-			if err := ingest(); err != nil {
-				return err
+	// wait ingests every arrival until done reports true or the deadline
+	// passes, and returns the time spent ingesting and testing. What an
+	// arrival holds that the step does not need, the stepper keeps.
+	wait := func(deadline time.Time, done func() (bool, error)) (time.Duration, error) {
+		return await(ep, deadline, func() (bool, error) {
+			if err := rs.Ingest(toNetworkMessages(ep.Receive())); err != nil {
+				return false, err
 			}
-			if ok, err := done(); err != nil || ok || !time.Now().Before(deadline) {
-				return err
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+			return done()
+		})
+	}
+	// observe records a step that began at start, after busy spent
+	// ingesting its inputs.
+	observe := func(stage string, busy time.Duration, start time.Time) {
+		stages.With(stage).Observe((busy + time.Since(start)).Seconds())
 	}
 	for r := uint64(1); r <= uint64(cfg.Rounds); r++ {
 		round := baseRound + r
 		rs.Begin(round)
-		// Screen the round's uploads and argues, then broadcast
-		// leader-election tickets over the chain head.
-		sleepUntil(cfg.Clock.at(r, phaseScreen))
-		stageStart := time.Now()
-		if err := ingest(); err != nil {
+		// Screen the round's uploads and argues once every collector's
+		// batch is in, then broadcast leader-election tickets over the
+		// chain head. After a restart on a persisted chain this governor
+		// numbers its rounds past the collectors', so the deadline screens.
+		busy, err := wait(cfg.Clock.at(r, deadlineScreen), func() (bool, error) {
+			return rs.UploadsComplete(), nil
+		})
+		if err != nil {
 			return report, err
 		}
+		start := time.Now()
 		if err := rs.Screen(); err != nil {
 			return report, err
 		}
-		observe("screen", stageStart)
+		observe("screen", busy, start)
 		stakes := rs.Stakes()
 		if err := rs.SendTickets(stakes[spec.Index], sender); err != nil {
 			return report, err
 		}
 
-		// Collect tickets until every governor's batch is in or the
-		// collection window closes — the leader needs the rest of it to
-		// pack and multicast — and elect. A batch still missing fails the
-		// election and stops the node: rejoining needs state transfer.
-		sleepUntil(cfg.Clock.at(r, phaseElect))
-		stageStart = time.Now()
-		err := poll(cfg.Clock.at(r, (phaseElect+phaseAdopt)/2), func() (bool, error) {
+		// Elect once every staked governor's ticket batch is in, or at the
+		// deadline, which leaves the leader the rest of the round to pack
+		// and multicast. A batch still missing fails the election and
+		// stops the node: rejoining needs state transfer.
+		busy, err = wait(cfg.Clock.at(r, deadlineElect), func() (bool, error) {
 			return rs.TicketsComplete(stakes), nil
 		})
 		if err != nil {
 			return report, err
 		}
+		start = time.Now()
 		leader, err := rs.Elect(stakes)
 		if err != nil {
 			return report, err
 		}
-		stageStart = observe("elect", stageStart)
+		observe("elect", busy, start)
 
 		// The leader proposes; everyone adopts.
 		if leader == spec.Index {
+			start = time.Now()
 			if _, err := rs.Propose(sender); err != nil {
 				return report, err
 			}
-			observe("pack", stageStart)
+			observe("pack", 0, start)
 		}
-		// Adopt. Poll until this round's block is committed or the round
-		// ends; a frame later than that is committed by the next round's
-		// Screen, before tickets are made over the head.
-		sleepUntil(cfg.Clock.at(r, phaseAdopt))
-		stageStart = time.Now()
-		if err := poll(cfg.Clock.at(r+1, 0), rs.Adopt); err != nil {
+		// Adopt once this round's block is committed, or give up at the
+		// round's end; a frame later than that is committed by the next
+		// round's Screen, before tickets are made over the head.
+		roundEnd := cfg.Clock.at(r+1, 0)
+		busy, err = wait(roundEnd, rs.Adopt)
+		stages.With("commit").Observe(busy.Seconds())
+		if err != nil {
 			return report, err
 		}
-		observe("commit", stageStart)
 		// The stake transform, for what the round has left of its time.
-		if err := poll(cfg.Clock.at(r+1, 0), func() (bool, error) { return rs.StakeStep(sender) }); err != nil {
+		if _, err := wait(roundEnd, func() (bool, error) { return rs.StakeStep(sender) }); err != nil {
 			return report, err
 		}
 		height := gov.Store().Height()

@@ -211,6 +211,71 @@ func waitFrames(t testing.TB, ep *Endpoint, n int) []Frame {
 	return nil
 }
 
+// TestEndpointArrivalWakes: a driver blocked on Arrived wakes on a
+// Send; any number of deliveries leave at most one wake pending; the
+// Receive after a wake returns every frame delivered.
+func TestEndpointArrivalWakes(t *testing.T) {
+	d := testDeployment(t, 2, 2, 1, 2)
+	a, err := NewEndpoint(d, "governor/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	b, err := NewEndpoint(d, "governor/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b.Close() }()
+
+	woke := make(chan struct{})
+	go func() {
+		<-b.Arrived()
+		close(woke)
+	}()
+	select {
+	case <-woke:
+		t.Fatal("woke with no frame delivered")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := a.Send("governor/1", "test", []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-woke:
+	case <-time.After(3 * time.Second):
+		t.Fatal("a blocked waiter did not wake on a Send")
+	}
+	if got := len(b.Receive()); got != 1 {
+		t.Fatalf("Receive after the wake returned %d frames, want 1", got)
+	}
+
+	const n = 50
+	for i := 1; i <= n; i++ {
+		if err := a.Send("governor/1", "test", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	received := b.Metrics().Counter("transport.frames_received")
+	for deadline := time.Now().Add(3 * time.Second); received.Value() < 1+n; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d frames arrived", received.Value(), 1+n)
+		}
+	}
+	select {
+	case <-b.Arrived():
+	default:
+		t.Fatalf("no wake pending after %d deliveries", n)
+	}
+	select {
+	case <-b.Arrived():
+		t.Fatalf("%d deliveries left more than one wake pending", n)
+	default:
+	}
+	if got := len(b.Receive()); got != n {
+		t.Fatalf("Receive after the wake returned %d frames, want %d", got, n)
+	}
+}
+
 func TestEndpointUnknownPeer(t *testing.T) {
 	d := testDeployment(t, 2, 2, 1, 2)
 	a, err := NewEndpoint(d, "governor/0")
@@ -237,6 +302,45 @@ func TestEndpointClosedSend(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Fatalf("double Close() error = %v", err)
+	}
+}
+
+// startNodes runs RunNode for every node of base.Deployment but skip,
+// each in its own goroutine, and returns a wait that joins them, fails
+// the test on the first node error and returns the reports by node.
+func startNodes(t *testing.T, base RuntimeConfig, skip identity.NodeID) (wait func() map[string]Report) {
+	t.Helper()
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		reports = make(map[string]Report)
+		failed  error
+	)
+	for _, spec := range base.Deployment.Nodes {
+		if identity.NodeID(spec.ID) == skip {
+			continue
+		}
+		cfg := base
+		cfg.ID = identity.NodeID(spec.ID)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := RunNode(cfg)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil && failed == nil {
+				failed = fmt.Errorf("node %s: %w", cfg.ID, err)
+			}
+			reports[string(cfg.ID)] = r
+		}()
+	}
+	return func() map[string]Report {
+		t.Helper()
+		wg.Wait()
+		if failed != nil {
+			t.Fatal(failed)
+		}
+		return reports
 	}
 }
 
@@ -355,33 +459,7 @@ func TestRuntimeGovernorPersistence(t *testing.T) {
 			SnapshotEvery: 1,
 			SegmentBytes:  512,
 		}
-		var (
-			wg      sync.WaitGroup
-			mu      sync.Mutex
-			reports = make(map[string]Report)
-			failed  error
-		)
-		for _, spec := range d.Nodes {
-			cfg := base
-			cfg.ID = identity.NodeID(spec.ID)
-			wg.Add(1)
-			go func(id string, cfg RuntimeConfig) {
-				defer wg.Done()
-				r, err := RunNode(cfg)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil && failed == nil {
-					failed = fmt.Errorf("node %s: %w", id, err)
-					return
-				}
-				reports[id] = r
-			}(spec.ID, cfg)
-		}
-		wg.Wait()
-		if failed != nil {
-			t.Fatal(failed)
-		}
-		return reports
+		return startNodes(t, base, "")()
 	}
 
 	d := testDeployment(t, 2, 2, 2, 2)
@@ -490,30 +568,7 @@ func TestRuntimeStakeTransfer(t *testing.T) {
 			Seed:       7,
 			StateDir:   stateDir,
 		}
-		var (
-			wg      sync.WaitGroup
-			mu      sync.Mutex
-			reports = make(map[string]Report)
-			failed  error
-		)
-		for _, spec := range d.Nodes {
-			if spec.ID == "provider/0" {
-				continue
-			}
-			cfg := base
-			cfg.ID = identity.NodeID(spec.ID)
-			wg.Add(1)
-			go func(id string, cfg RuntimeConfig) {
-				defer wg.Done()
-				r, err := RunNode(cfg)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil && failed == nil {
-					failed = fmt.Errorf("node %s: %w", id, err)
-				}
-				reports[id] = r
-			}(spec.ID, cfg)
-		}
+		wait := startNodes(t, base, "provider/0")
 		for _, g := range d.NodesByRole("governor") {
 			for deadline := time.Now().Add(3 * time.Second); relay; time.Sleep(10 * time.Millisecond) {
 				err := ep.Send(identity.NodeID(g.ID), network.KindStakeTx, transfer)
@@ -525,11 +580,7 @@ func TestRuntimeStakeTransfer(t *testing.T) {
 				}
 			}
 		}
-		wg.Wait()
-		if failed != nil {
-			t.Fatal(failed)
-		}
-		return reports
+		return wait()
 	}
 	checkpointed := func(j int) string {
 		t.Helper()
@@ -587,6 +638,76 @@ func TestRuntimeStakeTransfer(t *testing.T) {
 	}
 }
 
+// TestRuntimeRoundIsWorkBound: governors step as soon as their inputs
+// are in, so each round's block follows the collectors' upload cutoff
+// (0.30 R) by the work alone — well before the screen deadline's 0.55 R,
+// let alone the 0.75 R a phase-locked election would wait for. The test
+// plays provider/0 and timestamps each block's arrival at its endpoint.
+func TestRuntimeRoundIsWorkBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second wall-clock run")
+	}
+	d := testDeployment(t, 2, 2, 2, 2)
+	ep, err := NewEndpoint(d, "provider/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ep.Close() }()
+	const rounds = 3
+	clock := Clock{Epoch: time.Now().Add(500 * time.Millisecond), Round: 2 * time.Second}
+	base := RuntimeConfig{
+		Deployment: d,
+		Clock:      clock,
+		Rounds:     rounds,
+		Params:     reputation.DefaultParams(),
+		Validator:  testOracle,
+		TxPerRound: 3,
+		ValidFrac:  0.8,
+		Seed:       8,
+	}
+	wait := startNodes(t, base, "provider/0")
+	arrived := make(map[uint64]time.Time)
+	timeout := time.NewTimer(time.Until(clock.at(rounds+1, 0)))
+	defer timeout.Stop()
+	for len(arrived) < rounds {
+		select {
+		case <-ep.Arrived():
+		case <-timeout.C:
+			t.Fatalf("blocks %v of %d arrived by the last round's end", arrived, rounds)
+		}
+		now := time.Now()
+		for _, f := range ep.Receive() {
+			if f.Kind != network.KindBlock {
+				continue
+			}
+			b, err := ledger.DecodeBlockBytes(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, seen := arrived[b.Serial]; !seen {
+				arrived[b.Serial] = now
+			}
+		}
+	}
+	reports := wait()
+	for r := uint64(1); r <= rounds; r++ {
+		at, ok := arrived[r]
+		if !ok {
+			t.Fatalf("no block %d; arrived %v", r, arrived)
+		}
+		t.Logf("block %d arrived %v into its round", r, at.Sub(clock.at(r, 0)))
+		if bound := clock.at(r, 0.45); !at.Before(bound) {
+			t.Errorf("block %d arrived %v into its round, want before 0.45 R = %v",
+				r, at.Sub(clock.at(r, 0)), bound.Sub(clock.at(r, 0)))
+		}
+	}
+	for _, g := range d.NodesByRole("governor") {
+		if h := reports[g.ID].Height; h != rounds {
+			t.Errorf("%s ended at height %d, want %d", g.ID, h, rounds)
+		}
+	}
+}
+
 // TestRuntimeProviderCountsUndecodableBlock: a block frame a provider
 // cannot decode is skipped and counted under
 // node.blocks_ignored_total{reason="decode"}, never dropped silently.
@@ -610,7 +731,7 @@ func TestRuntimeProviderCountsUndecodableBlock(t *testing.T) {
 		done <- err
 	}()
 	// The provider's listener comes up inside RunNode: retry until the
-	// junk frame is delivered, well before the round's adopt phase.
+	// junk frame is delivered, well before the round ends.
 	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		err := gov.Send("provider/0", network.KindBlock, []byte("junk"))
 		if err == nil {

@@ -36,6 +36,10 @@ func (it UploadItem) WireSizeBound() int {
 type UploadBatch struct {
 	// Collector identifies the uploading collector.
 	Collector identity.NodeID
+	// Round is the round the collector uploaded in. It lets a governor
+	// tell a collector with nothing to upload (an empty batch for the
+	// round) from one whose batch is still in flight.
+	Round uint64
 	// Items are the labeled transactions, in the collector's order.
 	Items []UploadItem
 	// Sig is the collector's signature over EncodeSigning's bytes.
@@ -50,28 +54,31 @@ func encodeUploadItems(e *codec.Encoder, items []UploadItem) {
 }
 
 // EncodeSigning appends the byte string the collector signs: a domain
-// tag, the collector, the item count, and the SHA-256 of the items'
-// canonical encoding. Hashing the items keeps the signed message (and
-// the verification-cache key derived from it) small at any batch size.
+// tag, the collector, the round, the item count, and the SHA-256 of the
+// items' canonical encoding. Hashing the items keeps the signed message
+// (and the verification-cache key derived from it) small at any batch
+// size.
 func (b UploadBatch) EncodeSigning(e *codec.Encoder) {
 	body := codec.GetEncoder(192 * len(b.Items))
 	encodeUploadItems(body, b.Items)
 	digest := crypto.Sum(body.Bytes())
 	body.Release()
-	e.PutString("repchain/upload-batch/v1")
+	e.PutString("repchain/upload-batch/v2")
 	e.PutString(string(b.Collector))
+	e.PutUvarint(b.Round)
 	e.PutUvarint(uint64(len(b.Items)))
 	e.PutRaw(digest[:])
 }
 
-// SignUploadBatch produces the collector envelope for items.
-func SignUploadBatch(collector identity.NodeID, items []UploadItem, key crypto.PrivateKey) (UploadBatch, error) {
+// SignUploadBatch produces the collector envelope for items uploaded in
+// round.
+func SignUploadBatch(collector identity.NodeID, round uint64, items []UploadItem, key crypto.PrivateKey) (UploadBatch, error) {
 	for _, it := range items {
 		if !it.Label.Valid() {
 			return UploadBatch{}, fmt.Errorf("label %d on %s: %w", it.Label, it.Signed.ID().Short(), ErrBadLabel)
 		}
 	}
-	b := UploadBatch{Collector: collector, Items: items}
+	b := UploadBatch{Collector: collector, Round: round, Items: items}
 	e := codec.GetEncoder(128)
 	b.EncodeSigning(e)
 	b.Sig = key.Sign(e.Bytes())
@@ -83,6 +90,7 @@ func SignUploadBatch(collector identity.NodeID, items []UploadItem, key crypto.P
 func (b UploadBatch) EncodeBytes() []byte {
 	e := codec.GetEncoder(128 + 192*len(b.Items))
 	e.PutString(string(b.Collector))
+	e.PutUvarint(b.Round)
 	e.PutUvarint(uint64(len(b.Items)))
 	encodeUploadItems(e, b.Items)
 	e.PutBytes(b.Sig)
@@ -101,11 +109,15 @@ func DecodeUploadBatchBytes(p []byte) (UploadBatch, error) {
 	if err != nil {
 		return UploadBatch{}, fmt.Errorf("upload batch collector: %w", err)
 	}
+	round, err := d.Uvarint()
+	if err != nil {
+		return UploadBatch{}, fmt.Errorf("upload batch round: %w", err)
+	}
 	n, err := d.UvarintCount(minUploadItemBytes)
 	if err != nil {
 		return UploadBatch{}, fmt.Errorf("upload batch count: %v: %w", err, ErrDecode)
 	}
-	b := UploadBatch{Collector: identity.NodeID(coll), Items: make([]UploadItem, n)}
+	b := UploadBatch{Collector: identity.NodeID(coll), Round: round, Items: make([]UploadItem, n)}
 	for i := range b.Items {
 		s, err := DecodeSignedTx(d)
 		if err != nil {

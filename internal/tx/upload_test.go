@@ -8,7 +8,8 @@ import (
 	"repchain/internal/crypto"
 )
 
-// sampleBatch signs n items from provider key 1 as collector/1 (key 2).
+// sampleBatch signs n items from provider key 1 as collector/1 (key 2)
+// in round 7.
 func sampleBatch(t testing.TB, n int) (UploadBatch, crypto.PublicKey) {
 	t.Helper()
 	_, providerKey := testKey(t, 1)
@@ -20,7 +21,7 @@ func sampleBatch(t testing.TB, n int) (UploadBatch, crypto.PublicKey) {
 			items[i].Label = LabelInvalid
 		}
 	}
-	b, err := SignUploadBatch("collector/1", items, collKey)
+	b, err := SignUploadBatch("collector/1", 7, items, collKey)
 	if err != nil {
 		t.Fatalf("SignUploadBatch() error = %v", err)
 	}
@@ -42,8 +43,8 @@ func TestUploadBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: DecodeUploadBatchBytes() error = %v", n, err)
 		}
-		if got.Collector != b.Collector || len(got.Items) != n {
-			t.Fatalf("n=%d: decoded collector %q with %d items", n, got.Collector, len(got.Items))
+		if got.Collector != b.Collector || got.Round != b.Round || len(got.Items) != n {
+			t.Fatalf("n=%d: decoded collector %q round %d with %d items", n, got.Collector, got.Round, len(got.Items))
 		}
 		for i := range got.Items {
 			if got.Items[i].Label != b.Items[i].Label || got.Items[i].Signed.ID() != b.Items[i].Signed.ID() {
@@ -67,6 +68,7 @@ func TestUploadBatchSignatureCoversEverything(t *testing.T) {
 		"item dropped":   func(b *UploadBatch) { b.Items = b.Items[:2] },
 		"items swapped":  func(b *UploadBatch) { b.Items[0], b.Items[1] = b.Items[1], b.Items[0] },
 		"collector swap": func(b *UploadBatch) { b.Collector = "collector/9" },
+		"round edit":     func(b *UploadBatch) { b.Round++ },
 	}
 	for name, edit := range edits {
 		got, err := DecodeUploadBatchBytes(b.EncodeBytes())
@@ -83,7 +85,7 @@ func TestUploadBatchSignatureCoversEverything(t *testing.T) {
 func TestSignUploadBatchRejectsBadLabel(t *testing.T) {
 	_, key := testKey(t, 1)
 	items := []UploadItem{{Signed: Sign(sampleTx(1), key), Label: Label(0)}}
-	if _, err := SignUploadBatch("collector/0", items, key); !errors.Is(err, ErrBadLabel) {
+	if _, err := SignUploadBatch("collector/0", 1, items, key); !errors.Is(err, ErrBadLabel) {
 		t.Fatalf("SignUploadBatch() error = %v, want ErrBadLabel", err)
 	}
 }
@@ -92,6 +94,7 @@ func TestDecodeUploadBatchRejectsBadLabel(t *testing.T) {
 	_, key := testKey(t, 1)
 	e := codec.NewEncoder(0)
 	e.PutString("collector/0")
+	e.PutUvarint(1) // round
 	e.PutUvarint(1)
 	Sign(sampleTx(1), key).Encode(e)
 	e.PutVarint(3) // illegal label
@@ -105,6 +108,7 @@ func TestDecodeUploadBatchRejectsBadLabel(t *testing.T) {
 func overstatedBatch(count uint64) []byte {
 	e := codec.NewEncoder(0)
 	e.PutString("collector/0")
+	e.PutUvarint(1) // round
 	e.PutUvarint(count)
 	e.PutBytes(make([]byte, 64))
 	return e.Bytes()
@@ -162,8 +166,10 @@ func TestWireSizeBoundCoversEncoding(t *testing.T) {
 func FuzzUploadBatchDecode(f *testing.F) {
 	b, _ := sampleBatch(f, 3)
 	valid := b.EncodeBytes()
+	empty, _ := sampleBatch(f, 0)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	f.Add(empty.EncodeBytes())
 	f.Add(overstatedBatch(1 << 40))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		got, err := DecodeUploadBatchBytes(p)
