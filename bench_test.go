@@ -92,7 +92,7 @@ func clusterRound(tb testing.TB) func(i int) {
 // TestRoundAllocBudgets pins the allocations of one round on each
 // distinct path: plain, with the event ring recording, fed
 // from bounded mempools, and four committees with a cross transfer.
-// Each budget is the count measured when it was introduced ×1.10 + 8.
+// Each budget is the count measured when it was last pinned ×1.10 + 8.
 // testing.AllocsPerRun pins GOMAXPROCS to 1 while it counts;
 // re-measure with -v, which logs every count. Under -race sync.Pool
 // drops items at random, so the counts mean nothing there.
@@ -102,16 +102,16 @@ func TestRoundAllocBudgets(t *testing.T) {
 		measured float64
 		round    func(testing.TB) func(int)
 	}{
-		{"plain", 6532, func(tb testing.TB) func(int) {
+		{"plain", 6238, func(tb testing.TB) func(int) {
 			return chainRound(tb)
 		}},
-		{"tracing", 7975, func(tb testing.TB) func(int) {
+		{"tracing", 7620, func(tb testing.TB) func(int) {
 			return chainRound(tb, repchain.WithEventLog(1<<16))
 		}},
-		{"mempool", 6608, func(tb testing.TB) func(int) {
+		{"mempool", 6236, func(tb testing.TB) func(int) {
 			return chainRound(tb, repchain.WithMempool(256), repchain.WithBlockLimit(64))
 		}},
-		{"committees=4", 7523, clusterRound},
+		{"committees=4", 7346, clusterRound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

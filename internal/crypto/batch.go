@@ -4,27 +4,43 @@ package crypto
 //
 // A round presents signatures in natural batches — a drained mempool
 // batch, one inbox of collector uploads, the endorsement set of a stake
-// block, a governor's VRF ticket bundle. Verifying them one CachedVerify
-// call at a time pays one cache lock round-trip and one key hash per
-// signature, one after another on one core. VerifyBatch classifies a
-// whole batch under a single cache lock acquisition, coalesces duplicate
-// (key, msg, sig) triples inside the batch, and then verifies only the
-// residual unique misses — spread over the cores, since each is
-// independent of the rest.
+// block, a governor's VRF ticket bundle. VerifyBatch classifies a whole
+// batch under a single cache lock acquisition, coalesces duplicate
+// (key, msg, sig) triples inside the batch, and splits the residual
+// unique misses into one contiguous chunk per core. Each chunk is
+// checked with one cofactored equation over random-looking linear
+// coefficients zᵢ (128 bits each):
+//
+//	[8]( −(Σ zᵢsᵢ)·B + Σ zᵢ·Rᵢ + Σ_A (Σ_{i:Aᵢ=A} zᵢkᵢ)·A ) = 0
+//
+// computed as one multi-scalar multiplication in which each distinct
+// public key is one term — a collector's batch holds its few linked
+// providers' transactions. The zᵢ are SHA-512 of the chunk's own keys,
+// signatures and length-prefixed messages plus the index, so verdicts
+// use no randomness source and replay bit for bit.
 //
 // Determinism: the verdict slice is per-item and exactly what
-// CachedVerify would have returned item by item. There is no
-// probabilistic aggregate check to fall back from: every residual miss
-// is verified individually, so a bad signature is identified and
-// attributed to the same index as the per-sig path by construction.
-// Intra-batch order is immaterial: helpers write verdicts by index,
+// PublicKey.Verify would return item by item. A chunk in which every
+// signature holds passes the equation; a chunk holding a failing one
+// passes it with probability at most 2⁻¹²⁸, and otherwise each of its
+// signatures is re-checked alone, so a bad signature is attributed to
+// its own index. Verify and the equation apply the same cofactored rule
+// (verify.go), so no verdict depends on which chunk, batch or
+// GOMAXPROCS a signature lands in. Helpers write verdicts by index,
 // counters are atomic, and LRU order was fixed under the classify lock.
 
-import "repchain/internal/par"
+import (
+	"crypto/sha512"
+	"encoding/binary"
+
+	"repchain/internal/crypto/internal/edwards25519"
+	"repchain/internal/par"
+)
 
 // parallelVerifyFloor is the residual-miss count below which a batch
-// stays on the calling goroutine: under ~16 verifications (≈1 ms) the
-// helper hand-off costs more than it saves.
+// stays on the calling goroutine as one chunk: splitting fewer than 16
+// signatures costs more in hand-off and in per-chunk fixed work (the
+// basepoint and key terms, one doubling chain) than it saves.
 const parallelVerifyFloor = 16
 
 // BatchItem is one signature check submitted to VerifyBatch.
@@ -53,8 +69,9 @@ const (
 // order. Each verdict is exactly what Verify(pub, msg, sig) would
 // return: nil, ErrBadSignature, or a structural ErrBadInput error.
 // Cache hits are answered without crypto work, duplicate triples within
-// the batch are verified once, and fresh verdicts are inserted into the
-// cache for later callers. Safe for concurrent use.
+// the batch are verified once, the rest are checked a chunk at a time,
+// and fresh verdicts are inserted into the cache for later callers.
+// Safe for concurrent use.
 func (c *VerifyCache) VerifyBatch(items []BatchItem) []error {
 	errs := make([]error, len(items))
 	if len(items) == 0 {
@@ -80,18 +97,22 @@ func (c *VerifyCache) VerifyBatch(items []BatchItem) []error {
 
 	owned := c.classifyBatch(kinds, ents, alias, keys)
 
-	// Verify the residual unique misses, each filling the in-flight
-	// entry it installed, on up to GOMAXPROCS goroutines — this one
-	// included, so waiters on these entries (the other collector linked
-	// to the same providers) are released ~1/P as late. Counters match
-	// the per-sig path: every unique verification is one miss.
-	_ = par.RunIndexed(par.Procs(len(owned), parallelVerifyFloor), len(owned), func(k int) error { // fn never fails
-		i := owned[k]
-		it := items[i]
-		ent := ents[i]
-		ent.ok = it.Pub.Verify(it.Msg, it.Sig) == nil
-		close(ent.ready)
-		errs[i] = ent.verdict()
+	// Verify the residual unique misses as one chunk per goroutine, up
+	// to GOMAXPROCS of them — this one included, so waiters on these
+	// entries (the other collector linked to the same providers) are
+	// released ~1/P as late. Counters match the per-sig path: every
+	// unique verification is one miss.
+	ok := make([]bool, len(owned))
+	chunks := min(par.Procs(len(owned), parallelVerifyFloor), len(owned))
+	_ = par.RunIndexed(chunks, chunks, func(ch int) error { // fn never fails
+		lo, hi := ch*len(owned)/chunks, (ch+1)*len(owned)/chunks
+		verifyChunk(items, owned[lo:hi], ok[lo:hi])
+		for k := lo; k < hi; k++ {
+			ent := ents[owned[k]]
+			ent.ok = ok[k]
+			close(ent.ready)
+			errs[owned[k]] = ent.verdict()
+		}
 		return nil
 	})
 	c.misses.Add(int64(len(owned)))
@@ -113,6 +134,113 @@ func (c *VerifyCache) VerifyBatch(items []BatchItem) []error {
 		}
 	}
 	return errs
+}
+
+// chunkKey is one distinct public key of a chunk: its point and the
+// coefficient Σ zᵢkᵢ of its term.
+type chunkKey struct {
+	point edwards25519.Point
+	sum   edwards25519.Scalar
+	ok    bool // the key decoded
+	used  bool // some signature under it reached the equation
+}
+
+// verifyChunk checks the signatures items[idx[0]], items[idx[1]], … —
+// each with a PublicKeySize key and a SignatureSize signature — as one
+// batch and writes each verdict to ok[k]: exactly PublicKey.Verify's,
+// whatever else the chunk holds. Signatures whose key, S or R fail to
+// parse fail on their own; the rest go into the batch equation, and if
+// it does not hold they are re-checked one by one.
+func verifyChunk(items []BatchItem, idx []int, ok []bool) {
+	checks := make([]sigCheck, len(idx))
+	keyOf := make([]int, len(idx))
+	live := make([]int, 0, len(idx))
+	var keys []chunkKey
+	keyIndex := make(map[[PublicKeySize]byte]int) // lookup only; keys holds first-occurrence order
+	for k, i := range idx {
+		it := items[i]
+		j, seen := keyIndex[[PublicKeySize]byte(it.Pub.k)]
+		if !seen {
+			j = len(keys)
+			keyIndex[[PublicKeySize]byte(it.Pub.k)] = j
+			keys = append(keys, chunkKey{})
+			_, err := keys[j].point.SetBytes(it.Pub.k)
+			keys[j].ok = err == nil
+		}
+		keyOf[k] = j
+		if ok[k] = keys[j].ok && checks[k].parse(it.Pub.k, it.Msg, it.Sig); ok[k] {
+			keys[j].used = true
+			live = append(live, k)
+		}
+	}
+	if len(live) > 1 && batchHolds(items, idx, live, checks, keyOf, keys) {
+		return
+	}
+	for _, k := range live {
+		ok[k] = checks[k].holds(&keys[keyOf[k]].point)
+	}
+}
+
+// batchHolds evaluates the chunk equation over the live signatures:
+// [8](−(Σ zᵢsᵢ)·B + Σ zᵢ·Rᵢ + Σ_A (Σ_{i:Aᵢ=A} zᵢkᵢ)·A) = 0.
+func batchHolds(items []BatchItem, idx, live []int, checks []sigCheck, keyOf []int, keys []chunkKey) bool {
+	z := batchCoefficients(items, idx, live)
+	scalars := make([]edwards25519.Scalar, len(live), len(live)+len(keys))
+	points := make([]*edwards25519.Point, len(live), len(live)+len(keys))
+	var bSum edwards25519.Scalar
+	for n, k := range live {
+		c, key := &checks[k], &keys[keyOf[k]]
+		scalars[n], points[n] = z[n], &c.r
+		bSum.MultiplyAdd(&z[n], &c.s, &bSum)
+		key.sum.MultiplyAdd(&z[n], &c.k, &key.sum)
+	}
+	for j := range keys {
+		if keys[j].used {
+			scalars = append(scalars, keys[j].sum)
+			points = append(points, &keys[j].point)
+		}
+	}
+	var p edwards25519.Point
+	p.VarTimeMultiScalarBaseMult(bSum.Negate(&bSum), scalars, points)
+	return p.MultByCofactor(&p).Equal(edwards25519.NewIdentityPoint()) == 1
+}
+
+// batchDomain separates the coefficient transcript from every other
+// SHA-512 input in the protocol.
+const batchDomain = "repchain/batch-verify/v1\x00"
+
+// batchCoefficients derives the chunk's 128-bit coefficients from the
+// chunk itself: seed = SHA-512(domain ‖ each live item's key, signature,
+// message length and message), zₙ = the low 16 bytes of
+// SHA-512(seed ‖ n). Every input an attacker controls is in the seed,
+// so a forged signature cannot be chosen after its coefficient.
+func batchCoefficients(items []BatchItem, idx, live []int) []edwards25519.Scalar {
+	h := sha512.New()
+	h.Write([]byte(batchDomain))
+	var word [8]byte
+	for _, k := range live {
+		it := items[idx[k]]
+		h.Write(it.Pub.k)
+		h.Write(it.Sig)
+		binary.LittleEndian.PutUint64(word[:], uint64(len(it.Msg)))
+		h.Write(word[:])
+		h.Write(it.Msg)
+	}
+	var seed, digest [sha512.Size]byte
+	h.Sum(seed[:0])
+	z := make([]edwards25519.Scalar, len(live))
+	for n := range z {
+		h.Reset()
+		h.Write(seed[:])
+		binary.LittleEndian.PutUint64(word[:], uint64(n))
+		h.Write(word[:])
+		h.Sum(digest[:0])
+		var wide [32]byte
+		copy(wide[:16], digest[:16])
+		// Below 2^128 < ℓ, so the encoding is canonical and cannot fail.
+		_, _ = z[n].SetCanonicalBytes(wide[:])
+	}
+	return z
 }
 
 // classifyBatch runs the single locked classification pass: each

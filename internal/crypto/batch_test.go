@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -303,10 +304,11 @@ func TestVerifyBatchEmpty(t *testing.T) {
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
 
-// allMissBatch returns one VerifyBatch of m signatures that all miss:
-// the cache is purged first, so every call performs m verifications.
-func allMissBatch(tb testing.TB, m int) func() {
-	items, _ := batchFixture(tb, m, 8)
+// allMissBatch returns one VerifyBatch of m signatures under the given
+// number of keys that all miss: the cache is purged first, so every
+// call performs m verifications.
+func allMissBatch(tb testing.TB, m, keys int) func() {
+	items, _ := batchFixture(tb, m, keys)
 	c := NewVerifyCache(m * 2)
 	return func() {
 		c.Purge()
@@ -317,8 +319,8 @@ func allMissBatch(tb testing.TB, m int) func() {
 }
 
 // allMissSequential is allMissBatch's per-signature loop.
-func allMissSequential(tb testing.TB, m int) func() {
-	items, _ := batchFixture(tb, m, 8)
+func allMissSequential(tb testing.TB, m, keys int) func() {
+	items, _ := batchFixture(tb, m, keys)
 	c := NewVerifyCache(m * 2)
 	return func() {
 		c.Purge()
@@ -330,20 +332,20 @@ func allMissSequential(tb testing.TB, m int) func() {
 	}
 }
 
-// TestVerifyAllocBudgets pins the classification overhead of the batch
-// path (the per-round shape: m uploads drained at once) and of the
-// sequential loop. Each budget is the count measured when it was
-// introduced ×1.10 + 8; re-measure with -v.
+// TestVerifyAllocBudgets pins the allocations of the batch path (the
+// per-round shape: m uploads drained at once, over 8 keys) and of the
+// sequential loop. Each budget is the count measured when it was last
+// pinned ×1.10 + 8; re-measure with -v.
 func TestVerifyAllocBudgets(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		measured float64
-		verify   func(testing.TB, int) func()
+		verify   func(testing.TB, int, int) func()
 		m        int
 	}{
-		{"batch/m=8", 36, allMissBatch, 8},
-		{"batch/m=64", 209, allMissBatch, 64},
-		{"batch/m=512", 1556, allMissBatch, 512},
+		{"batch/m=8", 49, allMissBatch, 8},
+		{"batch/m=64", 222, allMissBatch, 64},
+		{"batch/m=512", 1569, allMissBatch, 512},
 		{"sequential/m=8", 24, allMissSequential, 8},
 		{"sequential/m=64", 192, allMissSequential, 64},
 	} {
@@ -351,7 +353,7 @@ func TestVerifyAllocBudgets(t *testing.T) {
 			if raceEnabled {
 				t.Skip("sync.Pool drops items at random under -race")
 			}
-			got := testing.AllocsPerRun(10, tc.verify(t, tc.m))
+			got := testing.AllocsPerRun(10, tc.verify(t, tc.m, 8))
 			budget := tc.measured*1.10 + 8
 			if got > budget {
 				t.Fatalf("%v allocs per call, budget %v", got, budget)
@@ -361,31 +363,29 @@ func TestVerifyAllocBudgets(t *testing.T) {
 	}
 }
 
-// BenchmarkVerifyBatch times all-miss batches of m signatures.
-func BenchmarkVerifyBatch(b *testing.B) {
-	for _, m := range []int{8, 64, 512} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			verify := allMissBatch(b, m)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				verify()
-			}
-		})
+// benchmarkVerify times verify over all-miss batches of n signatures
+// over 4 keys — a collector's batch of its linked providers'
+// transactions — and over n distinct keys, and reports the cost per
+// signature.
+func benchmarkVerify(b *testing.B, verify func(testing.TB, int, int) func()) {
+	for _, n := range []int{1, 4, 16, 64, 256} {
+		for _, keys := range slices.Compact([]int{min(4, n), n}) {
+			b.Run(fmt.Sprintf("n=%d/keys=%d", n, keys), func(b *testing.B) {
+				run := verify(b, n, keys)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sig")
+			})
+		}
 	}
 }
 
+// BenchmarkVerifyBatch times all-miss VerifyBatch calls.
+func BenchmarkVerifyBatch(b *testing.B) { benchmarkVerify(b, allMissBatch) }
+
 // BenchmarkVerifySequential is the per-signature loop over the same
-// all-miss workload.
-func BenchmarkVerifySequential(b *testing.B) {
-	for _, m := range []int{8, 64} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			verify := allMissSequential(b, m)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				verify()
-			}
-		})
-	}
-}
+// all-miss shapes.
+func BenchmarkVerifySequential(b *testing.B) { benchmarkVerify(b, allMissSequential) }

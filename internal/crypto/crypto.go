@@ -7,7 +7,9 @@
 // interaction, a public collision-resistant hash function H for chain
 // integrity, and a VRF [Micali–Rabin–Vadhan] for stake-unit leader
 // election. This package supplies all three from the Go standard
-// library alone.
+// library alone: crypto/ed25519 generates keys and signs, and
+// verification runs on a copy of Go's own edwards25519 arithmetic
+// (internal/edwards25519), which the standard library does not export.
 package crypto
 
 import (
@@ -19,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repchain/internal/crypto/internal/edwards25519"
 )
 
 // HashSize is the byte length of protocol hashes (SHA-256).
@@ -177,8 +181,9 @@ func (priv PrivateKey) Sign(msg []byte) []byte {
 // IsZero reports whether the key is uninitialized.
 func (priv PrivateKey) IsZero() bool { return len(priv.k) == 0 }
 
-// Verify checks sig over msg. It returns ErrBadSignature when the
-// signature is invalid and ErrBadInput when the material is malformed.
+// Verify checks sig over msg by the tree's one verification rule
+// (verify.go). It returns ErrBadSignature when the signature is invalid
+// and ErrBadInput when the material is malformed.
 func (pub PublicKey) Verify(msg, sig []byte) error {
 	if len(pub.k) != PublicKeySize {
 		return fmt.Errorf("public key length %d: %w", len(pub.k), ErrBadInput)
@@ -186,7 +191,9 @@ func (pub PublicKey) Verify(msg, sig []byte) error {
 	if len(sig) != SignatureSize {
 		return fmt.Errorf("signature length %d: %w", len(sig), ErrBadInput)
 	}
-	if !ed25519.Verify(pub.k, msg, sig) {
+	var a edwards25519.Point
+	var c sigCheck
+	if _, err := a.SetBytes(pub.k); err != nil || !c.parse(pub.k, msg, sig) || !c.holds(&a) {
 		return ErrBadSignature
 	}
 	return nil

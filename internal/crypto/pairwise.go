@@ -7,8 +7,8 @@ import (
 	"crypto/sha512"
 	"encoding/binary"
 	"fmt"
-	"math/big"
-	"slices"
+
+	"repchain/internal/crypto/internal/edwards25519/field"
 )
 
 // Pairwise symmetric keys from the identity keys members already hold.
@@ -20,9 +20,6 @@ import (
 // public key to a Montgomery u-coordinate, and both arrive at the same
 // X25519 output. The transport derives its per-peer frame MAC keys
 // this way, once per peer (DESIGN.md §4h).
-
-// curveP is the field prime 2^255 − 19.
-var curveP = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
 
 // x25519 returns the X25519 private key that shares priv's scalar: the
 // clamped low half of SHA-512(seed), exactly the scalar Ed25519 signs
@@ -42,21 +39,18 @@ func (pub PublicKey) x25519() (*ecdh.PublicKey, error) {
 	if len(pub.k) != PublicKeySize {
 		return nil, fmt.Errorf("public key length %d: %w", len(pub.k), ErrBadInput)
 	}
-	be := slices.Clone([]byte(pub.k))
-	slices.Reverse(be) // y, big-endian for math/big
-	be[0] &= 0x7f
-	y := new(big.Int).SetBytes(be)
-	one := big.NewInt(1)
-	den := new(big.Int).Sub(one, y)
-	den.Mod(den, curveP)
-	if den.ModInverse(den, curveP) == nil {
+	var y, one, num, den field.Element
+	// SetBytes ignores the sign bit, and fails only on a length that is
+	// not 32 bytes.
+	_, _ = y.SetBytes(pub.k)
+	one.One()
+	if y.Equal(&one) == 1 {
 		// y = 1 is the Edwards identity; it has no Montgomery image.
 		return nil, fmt.Errorf("public key has no X25519 form: %w", ErrBadInput)
 	}
-	u := y.Add(y, one)
-	u.Mul(u, den).Mod(u, curveP)
-	slices.Reverse(u.FillBytes(be)) // back to little-endian
-	return ecdh.X25519().NewPublicKey(be)
+	num.Add(&one, &y)
+	den.Subtract(&one, &y)
+	return ecdh.X25519().NewPublicKey(num.Multiply(&num, den.Invert(&den)).Bytes())
 }
 
 // SharedSecret runs static X25519 between priv and peer's identity

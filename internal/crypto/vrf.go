@@ -20,7 +20,11 @@ import "fmt"
 // unpredictable without the secret key because they are hashes of an
 // unforgeable signature. Ed25519 is not a strictly *unique* signature
 // scheme — a signer with a modified implementation could grind
-// non-canonical nonces — but the paper's threat model (§3.4.3) assumes
+// non-canonical nonces — and the cofactored verification rule
+// (verify.go) leaves that as it was: the further proofs it accepts for
+// a key (the nonce point shifted by a small-order point, S recomputed
+// for it) also need the secret scalar, so still only the key holder can
+// make a second proof for an input. The paper's threat model (§3.4.3) assumes
 // governors "will not perform malicious behaviors rather than hiding
 // transactions", under which determinism suffices. DESIGN.md records
 // this substitution.
