@@ -20,7 +20,7 @@ func Procs(n, floor int) int {
 	if n < floor {
 		return 1
 	}
-	//repchain:dettaint-ok the count only sets concurrency; every fan-out writes results by index and the engine replays sends in node order, so bytes are identical for any value
+	//repchain:dettaint-ok every fan-out writes results by index and the engine replays sends in node order; VerifyBatch also chunks by this count, so which batch equations run depends on it, but its verdicts do not, up to the 2^-128-per-chunk bound of DESIGN §4f (TestVerifyBatchSplitInvariant)
 	return runtime.GOMAXPROCS(0)
 }
 
