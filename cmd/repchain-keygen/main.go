@@ -1,7 +1,8 @@
 // Command repchain-keygen generates a deployment roster for a TCP
-// alliance: node identities, Ed25519 keys, IM-signed certificates, and
-// the provider–collector topology, written as JSON consumed by
-// repchain-node.
+// alliance: node identities, roles and indices, Ed25519 keys, addresses,
+// and the provider–collector topology, written as JSON consumed by
+// repchain-node. The file is the alliance's membership; there is no
+// certificate authority beside it.
 //
 // Usage:
 //
@@ -48,24 +49,17 @@ func run(providers, collectors, degree, governors int, seedFlag int64, basePort 
 		return err
 	}
 	var seed []byte
-	var im *identity.Manager
 	if seedFlag != 0 {
 		seed = make([]byte, crypto.SeedSize)
 		for i := 0; i < 8; i++ {
 			seed[i] = byte(seedFlag >> (8 * i))
 		}
-		im, err = identity.NewManagerFromSeed(seed)
-	} else {
-		im, err = identity.NewManager()
 	}
+	roster, err := identity.NewRoster(topo, governors, seed)
 	if err != nil {
 		return err
 	}
-	roster, err := identity.RegisterAll(im, topo, governors, seed)
-	if err != nil {
-		return err
-	}
-	deployment, err := transport.NewDeployment(im, roster, host, basePort)
+	deployment, err := transport.NewDeployment(nil, roster, host, basePort)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -16,9 +18,22 @@ func TestRunWritesLoadableRoster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDeployment() error = %v", err)
 	}
-	l, n, m := d.Counts()
-	if l != 4 || n != 4 || m != 3 {
-		t.Fatalf("Counts() = %d/%d/%d", l, n, m)
+	r, err := d.Roster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Providers) != 4 || len(r.Collectors) != 4 || len(r.Governors) != 3 {
+		t.Fatalf("roster sizes %d/%d/%d", len(r.Providers), len(r.Collectors), len(r.Governors))
+	}
+	// The file is the membership: no certificate authority fields.
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"root_public_key", "cert_signature"} {
+		if bytes.Contains(data, []byte(field)) {
+			t.Fatalf("roster file carries %q", field)
+		}
 	}
 	// Keys must be usable: sign/verify round trip for one node.
 	spec, err := d.Node("governor/0")

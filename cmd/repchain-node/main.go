@@ -306,13 +306,9 @@ func demoDeployment(seed int64) (*transport.Deployment, error) {
 	for i := 0; i < 8; i++ {
 		seedBytes[i] = byte(seed >> (8 * i))
 	}
-	im, err := identity.NewManagerFromSeed(seedBytes)
+	roster, err := identity.NewRoster(topo, 3, seedBytes)
 	if err != nil {
 		return nil, err
 	}
-	roster, err := identity.RegisterAll(im, topo, 3, seedBytes)
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewDeployment(im, roster, "127.0.0.1", 19701)
+	return transport.NewDeployment(nil, roster, "127.0.0.1", 19701)
 }

@@ -136,7 +136,6 @@ type Config struct {
 // Engine is a running alliance chain.
 type Engine struct {
 	cfg    Config
-	im     *identity.Manager
 	roster *identity.Roster
 	bus    *network.Bus
 
@@ -244,18 +243,13 @@ func New(cfg Config) (*Engine, error) {
 	for i := 0; i < 8; i++ {
 		seed[i] = byte(cfg.Seed >> (8 * i))
 	}
-	im, err := identity.NewManagerFromSeed(seed)
-	if err != nil {
-		return nil, err
-	}
-	roster, err := identity.RegisterAll(im, topo, cfg.Governors, seed)
+	roster, err := identity.NewRoster(topo, cfg.Governors, seed)
 	if err != nil {
 		return nil, err
 	}
 
 	e := &Engine{
 		cfg:    cfg,
-		im:     im,
 		roster: roster,
 		bus:    network.NewBus(cfg.MaxDelay),
 		reg:    metrics.NewRegistry(),
@@ -266,12 +260,10 @@ func New(cfg Config) (*Engine, error) {
 	e.mpAdmitted = e.reg.Counter("mempool.admitted_total")
 	e.collectorDown = make([]bool, topo.Collectors())
 	e.governorDown = make([]bool, cfg.Governors)
+	e.governorIDs = identity.IDs(roster.Governors)
+	e.providerIDs = identity.IDs(roster.Providers)
 	for _, g := range roster.Governors {
-		e.governorIDs = append(e.governorIDs, g.ID)
-		e.govPubs = append(e.govPubs, g.Cert.PublicKey)
-	}
-	for _, p := range roster.Providers {
-		e.providerIDs = append(e.providerIDs, p.ID)
+		e.govPubs = append(e.govPubs, g.PublicKey)
 	}
 
 	// Providers.
@@ -298,8 +290,7 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Behaviors != nil {
 			behavior = cfg.Behaviors[c]
 		}
-		col := node.NewCollector(
-			mem, ep, im, cfg.Validator, behavior, e.governorIDs, cfg.Seed+int64(1000+c))
+		col := node.NewCollector(mem, ep, roster, cfg.Validator, behavior, cfg.Seed+int64(1000+c))
 		col.SetEvents(e.events)
 		e.collectors = append(e.collectors, col)
 	}
@@ -323,8 +314,7 @@ func New(cfg Config) (*Engine, error) {
 		gov, err := node.NewGovernor(node.GovernorConfig{
 			Member:      mem,
 			Endpoint:    ep,
-			IM:          im,
-			Topology:    topo,
+			Roster:      roster,
 			Params:      cfg.Params,
 			Validator:   cfg.Validator,
 			BlockLimit:  cfg.BlockLimit,
@@ -397,9 +387,6 @@ func (e *Engine) Bus() *network.Bus { return e.bus }
 
 // Roster exposes the deployment membership.
 func (e *Engine) Roster() *identity.Roster { return e.roster }
-
-// IdentityManager exposes the IM.
-func (e *Engine) IdentityManager() *identity.Manager { return e.im }
 
 // Governor returns governor j.
 func (e *Engine) Governor(j int) *node.Governor { return e.governors[j] }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
 	"repchain/internal/consensus"
+	"repchain/internal/crypto"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/network"
@@ -194,11 +196,11 @@ func TestNoDuplicateValidRecords(t *testing.T) {
 	}
 }
 
-// TestRevokedCollectorRejected revokes a collector's credential
-// mid-run: its subsequent uploads must be rejected (and penalized as
-// unattributable-forge attempts), while the rest of the alliance keeps
-// committing blocks.
-func TestRevokedCollectorRejected(t *testing.T) {
+// TestForeignKeyCollectorRejected: from round 2 collector 0 signs its
+// upload batches with a key outside the roster. Every such batch is
+// refused (batch_sig) and penalized, while the rest of the alliance
+// keeps committing blocks.
+func TestForeignKeyCollectorRejected(t *testing.T) {
 	cfg := defaultConfig()
 	e := newTestEngine(t, cfg)
 	for r := 0; r < 2; r++ {
@@ -208,19 +210,25 @@ func TestRevokedCollectorRejected(t *testing.T) {
 		}
 	}
 	before := e.Governor(0).Stats().ForgeriesDetected
-	if err := e.IdentityManager().Revoke(e.Roster().Collectors[0].ID); err != nil {
+	_, foreign, err := crypto.KeyFromSeed(bytes.Repeat([]byte{0xF0}, crypto.SeedSize))
+	if err != nil {
 		t.Fatal(err)
 	}
+	rogue := e.Roster().Collectors[0]
+	rogue.PrivateKey = foreign
+	e.collectors[0] = node.NewCollector(rogue, e.collectors[0].Endpoint(), e.Roster(), cfg.Validator, nil, 1)
 	for r := 2; r < 4; r++ {
 		submitRound(t, e, 8, r, 0)
 		if _, err := e.RunRound(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The revoked collector kept uploading; every upload was rejected.
-	after := e.Governor(0).Stats().ForgeriesDetected
-	if after <= before {
-		t.Fatal("revoked collector's uploads were not rejected")
+	// The collector kept uploading; every upload was rejected.
+	if after := e.Governor(0).Stats().ForgeriesDetected; after <= before {
+		t.Fatal("foreign-key collector's uploads were not rejected")
+	}
+	if got := e.reg.CounterVec("node.uploads_rejected_total", "reason").With("batch_sig").Value(); got == 0 {
+		t.Fatal("no upload refused as batch_sig")
 	}
 	// Chain still advances and verifies.
 	if e.Governor(0).Store().Height() != 4 {
@@ -229,16 +237,44 @@ func TestRevokedCollectorRejected(t *testing.T) {
 	if err := ledger.VerifyChain(e.Governor(0).Store()); err != nil {
 		t.Fatal(err)
 	}
-	// No transaction may carry only the revoked collector's voice: all
+	// No transaction may carry only the refused collector's voice: all
 	// committed valid transactions survived through the remaining
 	// collectors.
 	for k := 0; k < e.Roster().Topology.Providers(); k++ {
 		if pending := e.Provider(k).PendingValid(); pending > 0 {
-			// Providers linked solely to the revoked collector can
+			// Providers linked solely to the refused collector can
 			// legitimately stall; the default topology links each
 			// provider to 2 collectors, so nothing should stall here.
-			t.Fatalf("provider %d stalled after revocation", k)
+			t.Fatalf("provider %d stalled behind the refused collector", k)
 		}
+	}
+}
+
+// TestUnlinkedProviderCannotFrameCollector: a validly signed transaction
+// sent by a provider to a collector it is not linked with must not reach
+// the governors, who would charge that honest collector Algorithm 3's
+// forge penalty for uploading it. The collector discards it.
+func TestUnlinkedProviderCannotFrameCollector(t *testing.T) {
+	e := newTestEngine(t, defaultConfig())
+	prov := e.Roster().Providers[0]
+	victim := e.Roster().Collectors[2]
+	if e.Roster().Linked(prov.Index, victim.Index) {
+		t.Fatal("fixture: provider 0 is linked with collector 2")
+	}
+	signed := tx.Sign(tx.Transaction{Provider: prov.ID, Seq: 1, Kind: "frame", Payload: payloadFor(true, 1)}, prov.PrivateKey)
+	if err := e.Bus().Multicast(prov.ID, []identity.NodeID{victim.ID}, network.KindProviderTx, signed.EncodeBytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < e.Governors(); j++ {
+		if got := e.Governor(j).Stats().ForgeriesDetected; got != 0 {
+			t.Errorf("governor %d detected %d forgeries by honest collector 2", j, got)
+		}
+	}
+	if got := e.collectors[victim.Index].Stats().Discarded; got != 1 {
+		t.Fatalf("collector 2 discarded %d transactions, want 1", got)
 	}
 }
 
@@ -429,7 +465,7 @@ func TestEquivocatingCollectorPenalizedOnChain(t *testing.T) {
 		govIDs[j] = e.Roster().Governors[j].ID
 	}
 	// The collector is linked with provider 0? Ensure linkage first.
-	if !e.IdentityManager().Linked(e.Roster().Providers[0].ID, collMem.ID) {
+	if !e.Roster().Linked(0, collMem.Index) {
 		t.Skip("collector 0 not linked with provider 0 in this topology")
 	}
 	batch, err := equivocationForTest(signed, collMem)

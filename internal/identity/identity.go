@@ -1,27 +1,19 @@
-// Package identity implements the Identity Manager (IM) of the paper's
-// §3.1: the component "responsible for recording the members of the
-// chain as well as their roles" and "in charge of providing nodes
-// credentials that are used for authenticating and authorizing".
-//
-// The IM plays the Certificate Authority role of a standard PKI: it
-// holds a root signing key and issues role certificates binding a node
-// identifier to a public key and a role. Every protocol message is
-// verified against a certificate chain ending at the IM root.
-//
-// The package also records the bipartite provider–collector topology
-// (each provider is linked with r collectors, each collector with s
-// providers, r·l = s·n), because the paper's verify() primitive rejects
-// a collector upload whose inner provider signature comes from a
-// provider the collector is not linked with.
+// Package identity is the Identity Manager (IM) of the paper's §3.1,
+// which records "the members of the chain as well as their roles" and
+// provides the credentials they authenticate with. In a permissioned
+// alliance that record is the deployment: a Roster lists every member by
+// role in index order with its Ed25519 keys, plus the bipartite
+// provider–collector topology (each provider linked with r collectors,
+// each collector with s providers, r·l = s·n) that the paper's verify()
+// checks an upload's provider against.
 package identity
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
-	"repchain/internal/codec"
 	"repchain/internal/crypto"
 )
 
@@ -39,27 +31,27 @@ const (
 	RoleGovernor
 )
 
+var roleNames = [...]string{RoleProvider: "provider", RoleCollector: "collector", RoleGovernor: "governor"}
+
 // String returns the lowercase role name.
 func (r Role) String() string {
-	switch r {
-	case RoleProvider:
-		return "provider"
-	case RoleCollector:
-		return "collector"
-	case RoleGovernor:
-		return "governor"
-	default:
+	if !r.Valid() {
 		return fmt.Sprintf("role(%d)", int(r))
 	}
+	return roleNames[r]
 }
 
 // Valid reports whether r is a known role.
 func (r Role) Valid() bool {
-	return r == RoleProvider || r == RoleCollector || r == RoleGovernor
+	return r >= RoleProvider && r <= RoleGovernor
 }
 
-// NodeID names a registered node, e.g. "provider/3". IDs are assigned
-// by the IM at registration and are unique chain-wide.
+// RoleNamed returns the role whose String is name; any other name gives
+// an invalid role.
+func RoleNamed(name string) Role { return Role(slices.Index(roleNames[:], name)) }
+
+// NodeID names a member, e.g. "provider/3": MakeNodeID of its role and
+// index, unique chain-wide.
 type NodeID string
 
 // MakeNodeID builds the canonical identifier for the index-th node of a
@@ -70,264 +62,133 @@ func MakeNodeID(role Role, index int) NodeID {
 
 // Sentinel errors. Callers match with errors.Is.
 var (
-	// ErrUnknownNode reports a lookup for an unregistered node.
-	ErrUnknownNode = errors.New("identity: unknown node")
-	// ErrDuplicateNode reports a registration under an existing ID.
-	ErrDuplicateNode = errors.New("identity: node already registered")
-	// ErrRevoked reports use of a revoked credential.
-	ErrRevoked = errors.New("identity: credential revoked")
-	// ErrBadCertificate reports a certificate that fails verification.
-	ErrBadCertificate = errors.New("identity: bad certificate")
-	// ErrRoleMismatch reports a node acting outside its certified role.
-	ErrRoleMismatch = errors.New("identity: role mismatch")
-	// ErrNotLinked reports a provider–collector pair with no link in
-	// the registered topology.
-	ErrNotLinked = errors.New("identity: provider and collector not linked")
 	// ErrBadTopology reports an inconsistent topology specification.
 	ErrBadTopology = errors.New("identity: invalid topology")
+	// ErrBadRoster reports a member list that is not a roster: an
+	// unknown role, an ID other than MakeNodeID(role, index), per-role
+	// indices other than 0…k−1, a missing key, or no governor.
+	ErrBadRoster = errors.New("identity: invalid roster")
 )
 
-// Certificate binds a node ID and role to a public key, signed by the
-// IM root key. It is the credential of §3.1.
-type Certificate struct {
-	// ID is the subject node.
+// Member is one node of the roster: its credential and signing key.
+type Member struct {
+	// ID is MakeNodeID(Role, Index).
 	ID NodeID
-	// Role is the subject's tier.
+	// Role is the member's tier.
 	Role Role
-	// PublicKey is the subject's Ed25519 verifying key.
+	// Index is the member's position within its role.
+	Index int
+	// PublicKey is the member's Ed25519 verifying key.
 	PublicKey crypto.PublicKey
-	// Signature is the IM root signature over the canonical encoding
-	// of (ID, Role, PublicKey).
-	Signature []byte
+	// PrivateKey signs on behalf of the member; zero when this process
+	// does not hold it.
+	PrivateKey crypto.PrivateKey
 }
 
-// signingBytes returns the canonical byte string the IM signs.
-func (c Certificate) signingBytes() []byte {
-	e := codec.NewEncoder(64)
-	e.PutString("repchain/cert/v1")
-	e.PutString(string(c.ID))
-	e.PutInt(int(c.Role))
-	e.PutBytes(c.PublicKey.Bytes())
-	return e.Bytes()
+// Roster is the full membership of a deployment: the members of each
+// role in index order and the provider–collector topology. It is
+// immutable after construction; callers must not modify its slices.
+type Roster struct {
+	Providers  []Member
+	Collectors []Member
+	Governors  []Member
+	Topology   *Topology
+
+	byID map[NodeID]Member
 }
 
-// Manager is the Identity Manager. It is safe for concurrent use.
-type Manager struct {
-	mu      sync.RWMutex
-	rootPub crypto.PublicKey
-	rootKey crypto.PrivateKey
-
-	nodes   map[NodeID]*record
-	byRole  map[Role][]NodeID
-	links   map[NodeID]map[NodeID]bool // provider -> set of collectors
-	rlinks  map[NodeID]map[NodeID]bool // collector -> set of providers
-	revoked map[NodeID]bool
+// NewRoster builds the roster of topo's providers and collectors plus
+// governors governors. Member keys are derived from seed in the order
+// providers, collectors, governors, so one seed reproduces every
+// identity of a deployment; a nil seed draws random keys.
+func NewRoster(topo *Topology, governors int, seed []byte) (*Roster, error) {
+	var members []Member
+	counts := [...]int{topo.Providers(), topo.Collectors(), governors}
+	for i, role := range [...]Role{RoleProvider, RoleCollector, RoleGovernor} {
+		for idx := 0; idx < counts[i]; idx++ {
+			pub, priv, err := memberKey(seed, len(members))
+			if err != nil {
+				return nil, fmt.Errorf("key for %s %d: %w", role, idx, err)
+			}
+			members = append(members, Member{ID: MakeNodeID(role, idx), Role: role, Index: idx, PublicKey: pub, PrivateKey: priv})
+		}
+	}
+	return RosterOf(topo, members)
 }
 
-type record struct {
-	cert Certificate
+// memberKey derives the n-th member's key from seed, or draws a random
+// one for a nil seed.
+func memberKey(seed []byte, n int) (crypto.PublicKey, crypto.PrivateKey, error) {
+	if seed == nil {
+		return crypto.GenerateKey(nil)
+	}
+	var ctr [8]byte
+	binary.LittleEndian.PutUint64(ctr[:], uint64(n))
+	derived := crypto.SumParts(seed, ctr[:])
+	return crypto.KeyFromSeed(derived[:])
 }
 
-// NewManager creates an IM with a fresh root key. A nil rng uses the
-// cryptographic source.
-func NewManager() (*Manager, error) {
-	pub, priv, err := crypto.GenerateKey(nil)
-	if err != nil {
-		return nil, fmt.Errorf("identity manager root key: %w", err)
+// RosterOf indexes members, in any order, over topo. It checks what
+// every lookup relies on: each ID is MakeNodeID(Role, Index) and has a
+// public key, each role's indices are exactly 0…k−1, the provider and
+// collector counts are topo's, and there is a governor.
+func RosterOf(topo *Topology, members []Member) (*Roster, error) {
+	r := &Roster{Topology: topo, byID: make(map[NodeID]Member, len(members))}
+	for _, m := range members {
+		_, dup := r.byID[m.ID]
+		if dup || !m.Role.Valid() || m.ID != MakeNodeID(m.Role, m.Index) || m.PublicKey.IsZero() {
+			return nil, fmt.Errorf("member %q as %s %d: %w", m.ID, m.Role, m.Index, ErrBadRoster)
+		}
+		r.byID[m.ID] = m
 	}
-	return newManagerWithKey(pub, priv), nil
+	lists := [...]*[]Member{RoleProvider: &r.Providers, RoleCollector: &r.Collectors, RoleGovernor: &r.Governors}
+	for role := RoleProvider; role <= RoleGovernor; role++ {
+		for m, ok := r.byID[MakeNodeID(role, 0)]; ok; m, ok = r.byID[MakeNodeID(role, m.Index+1)] {
+			*lists[role] = append(*lists[role], m)
+		}
+	}
+	if len(r.Providers)+len(r.Collectors)+len(r.Governors) != len(members) {
+		return nil, fmt.Errorf("per-role indices are not 0…k−1: %w", ErrBadRoster)
+	}
+	if len(r.Providers) != topo.Providers() || len(r.Collectors) != topo.Collectors() || len(r.Governors) == 0 {
+		return nil, fmt.Errorf("%d providers, %d collectors and %d governors over a %d×%d topology: %w",
+			len(r.Providers), len(r.Collectors), len(r.Governors), topo.Providers(), topo.Collectors(), ErrBadRoster)
+	}
+	return r, nil
 }
 
-// NewManagerFromSeed creates an IM with a deterministic root key for
-// reproducible simulations.
-func NewManagerFromSeed(seed []byte) (*Manager, error) {
-	pub, priv, err := crypto.KeyFromSeed(seed)
-	if err != nil {
-		return nil, fmt.Errorf("identity manager root key: %w", err)
+// Member returns the member id names if it holds role; ok is false for
+// an ID outside the roster or a member of another role.
+func (r *Roster) Member(id NodeID, role Role) (Member, bool) {
+	m, ok := r.byID[id]
+	if !ok || m.Role != role {
+		return Member{}, false
 	}
-	return newManagerWithKey(pub, priv), nil
+	return m, true
 }
 
-func newManagerWithKey(pub crypto.PublicKey, priv crypto.PrivateKey) *Manager {
-	return &Manager{
-		rootPub: pub,
-		rootKey: priv,
-		nodes:   make(map[NodeID]*record),
-		byRole:  make(map[Role][]NodeID),
-		links:   make(map[NodeID]map[NodeID]bool),
-		rlinks:  make(map[NodeID]map[NodeID]bool),
-		revoked: make(map[NodeID]bool),
-	}
-}
-
-// RootPublicKey returns the IM's root verifying key. Nodes embed it to
-// verify certificates offline.
-func (m *Manager) RootPublicKey() crypto.PublicKey {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.rootPub
-}
-
-// Register issues a certificate binding id to pub under role. It
-// returns ErrDuplicateNode if id is taken.
-func (m *Manager) Register(id NodeID, role Role, pub crypto.PublicKey) (Certificate, error) {
-	if !role.Valid() {
-		return Certificate{}, fmt.Errorf("register %q: %w", id, ErrRoleMismatch)
-	}
-	if pub.IsZero() {
-		return Certificate{}, fmt.Errorf("register %q: zero public key: %w", id, ErrBadCertificate)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.nodes[id]; ok {
-		return Certificate{}, fmt.Errorf("register %q: %w", id, ErrDuplicateNode)
-	}
-	cert := Certificate{ID: id, Role: role, PublicKey: pub}
-	cert.Signature = m.rootKey.Sign(cert.signingBytes())
-	m.nodes[id] = &record{cert: cert}
-	m.byRole[role] = append(m.byRole[role], id)
-	return cert, nil
-}
-
-// VerifyCertificate checks that cert was issued by this IM and is not
-// revoked.
-func (m *Manager) VerifyCertificate(cert Certificate) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.verifyCertLocked(cert)
-}
-
-func (m *Manager) verifyCertLocked(cert Certificate) error {
-	if m.revoked[cert.ID] {
-		return fmt.Errorf("certificate for %q: %w", cert.ID, ErrRevoked)
-	}
-	if err := m.rootPub.Verify(cert.signingBytes(), cert.Signature); err != nil {
-		return fmt.Errorf("certificate for %q: %w", cert.ID, ErrBadCertificate)
-	}
-	return nil
-}
-
-// VerifyCertificateAgainst checks cert against an explicit root key.
-// Nodes that hold only the root public key (not the Manager) use this.
-func VerifyCertificateAgainst(root crypto.PublicKey, cert Certificate) error {
-	if err := root.Verify(cert.signingBytes(), cert.Signature); err != nil {
-		return fmt.Errorf("certificate for %q: %w", cert.ID, ErrBadCertificate)
-	}
-	return nil
-}
-
-// Lookup returns the certificate registered under id.
-func (m *Manager) Lookup(id NodeID) (Certificate, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	rec, ok := m.nodes[id]
-	if !ok {
-		return Certificate{}, fmt.Errorf("lookup %q: %w", id, ErrUnknownNode)
-	}
-	if m.revoked[id] {
-		return Certificate{}, fmt.Errorf("lookup %q: %w", id, ErrRevoked)
-	}
-	return rec.cert, nil
-}
-
-// PublicKeyOf returns the verifying key of a registered node.
-func (m *Manager) PublicKeyOf(id NodeID) (crypto.PublicKey, error) {
-	cert, err := m.Lookup(id)
-	if err != nil {
-		return crypto.PublicKey{}, err
-	}
-	return cert.PublicKey, nil
-}
-
-// Revoke withdraws a node's credential. Subsequent lookups and
-// verifications fail with ErrRevoked.
-func (m *Manager) Revoke(id NodeID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.nodes[id]; !ok {
-		return fmt.Errorf("revoke %q: %w", id, ErrUnknownNode)
-	}
-	m.revoked[id] = true
-	return nil
-}
-
-// Members returns the sorted IDs registered under role.
-func (m *Manager) Members(role Role) []NodeID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]NodeID, len(m.byRole[role]))
-	copy(out, m.byRole[role])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Count returns how many nodes are registered under role.
-func (m *Manager) Count(role Role) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.byRole[role])
-}
-
-// Link records that provider p submits transactions to collector c.
-// Both must be registered under the matching roles.
-func (m *Manager) Link(p, c NodeID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.requireRoleLocked(p, RoleProvider); err != nil {
-		return err
-	}
-	if err := m.requireRoleLocked(c, RoleCollector); err != nil {
-		return err
-	}
-	if m.links[p] == nil {
-		m.links[p] = make(map[NodeID]bool)
-	}
-	if m.rlinks[c] == nil {
-		m.rlinks[c] = make(map[NodeID]bool)
-	}
-	m.links[p][c] = true
-	m.rlinks[c][p] = true
-	return nil
-}
-
-func (m *Manager) requireRoleLocked(id NodeID, want Role) error {
-	rec, ok := m.nodes[id]
-	if !ok {
-		return fmt.Errorf("node %q: %w", id, ErrUnknownNode)
-	}
-	if rec.cert.Role != want {
-		return fmt.Errorf("node %q has role %s, want %s: %w", id, rec.cert.Role, want, ErrRoleMismatch)
-	}
-	return nil
-}
-
-// Linked reports whether provider p is linked with collector c, the
+// Linked reports whether provider k is linked with collector c, the
 // check the paper's verify() applies to collector uploads.
-func (m *Manager) Linked(p, c NodeID) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.links[p][c]
-}
+func (r *Roster) Linked(k, c int) bool { return r.Topology.Linked(k, c) }
 
-// CollectorsOf returns the sorted collectors linked with provider p.
-func (m *Manager) CollectorsOf(p NodeID) []NodeID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return sortedKeys(m.links[p])
-}
-
-// ProvidersOf returns the sorted providers linked with collector c.
-func (m *Manager) ProvidersOf(c NodeID) []NodeID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return sortedKeys(m.rlinks[c])
-}
-
-func sortedKeys(set map[NodeID]bool) []NodeID {
-	out := make([]NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
+// IDs returns the IDs of members, in order.
+func IDs(members []Member) []NodeID {
+	out := make([]NodeID, len(members))
+	for i, m := range members {
+		out[i] = m.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Manager, NewManagerFromSeed and RegisterAll are the benchmark
+// harness's seam onto NewRoster, kept under the names it calls: the
+// Manager holds nothing.
+type Manager struct{}
+
+// NewManagerFromSeed returns an empty Manager (benchmark seam).
+func NewManagerFromSeed([]byte) (*Manager, error) { return &Manager{}, nil }
+
+// RegisterAll is NewRoster (benchmark seam).
+func RegisterAll(_ *Manager, topo *Topology, governors int, seed []byte) (*Roster, error) {
+	return NewRoster(topo, governors, seed)
 }

@@ -7,32 +7,28 @@ import (
 	"repchain/internal/crypto"
 )
 
-func newTestManager(t *testing.T) *Manager {
+// testRoster builds a seeded roster over a regular topology.
+func testRoster(t *testing.T, spec TopologySpec, governors int) *Roster {
 	t.Helper()
+	topo, err := NewRegularTopology(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seed := make([]byte, crypto.SeedSize)
 	seed[0] = 0x1A
-	m, err := NewManagerFromSeed(seed)
+	r, err := NewRoster(topo, governors, seed)
 	if err != nil {
-		t.Fatalf("NewManagerFromSeed() error = %v", err)
+		t.Fatalf("NewRoster() error = %v", err)
 	}
-	return m
+	return r
 }
 
-func registerNode(t *testing.T, m *Manager, role Role, idx int) (Certificate, crypto.PrivateKey) {
-	t.Helper()
-	seed := make([]byte, crypto.SeedSize)
-	seed[0] = byte(role)
-	seed[1] = byte(idx)
-	seed[2] = byte(idx >> 8)
-	pub, priv, err := crypto.KeyFromSeed(seed)
-	if err != nil {
-		t.Fatalf("KeyFromSeed() error = %v", err)
-	}
-	cert, err := m.Register(MakeNodeID(role, idx), role, pub)
-	if err != nil {
-		t.Fatalf("Register() error = %v", err)
-	}
-	return cert, priv
+// members flattens a roster back into the member list RosterOf takes.
+func members(r *Roster) []Member {
+	var out []Member
+	out = append(out, r.Providers...)
+	out = append(out, r.Collectors...)
+	return append(out, r.Governors...)
 }
 
 func TestRoleString(t *testing.T) {
@@ -50,168 +46,130 @@ func TestRoleString(t *testing.T) {
 		if got := tt.role.String(); got != tt.want {
 			t.Errorf("Role(%d).String() = %q, want %q", tt.role, got, tt.want)
 		}
+		if got := RoleNamed(tt.want); (got == tt.role) != (tt.role >= RoleProvider && tt.role <= RoleGovernor) {
+			t.Errorf("RoleNamed(%q) = %v", tt.want, got)
+		}
 	}
 }
 
 func TestRegisterAndLookup(t *testing.T) {
-	m := newTestManager(t)
-	cert, _ := registerNode(t, m, RoleProvider, 0)
-	got, err := m.Lookup(cert.ID)
-	if err != nil {
-		t.Fatalf("Lookup() error = %v", err)
+	r := testRoster(t, TopologySpec{Providers: 2, Collectors: 2, Degree: 1}, 1)
+	want := r.Collectors[1]
+	got, ok := r.Member(want.ID, RoleCollector)
+	if !ok {
+		t.Fatalf("Member(%q) absent", want.ID)
 	}
-	if got.ID != cert.ID || got.Role != RoleProvider || !got.PublicKey.Equal(cert.PublicKey) {
-		t.Fatal("Lookup() returned a different certificate")
+	if got.ID != want.ID || got.Role != RoleCollector || got.Index != 1 || !got.PublicKey.Equal(want.PublicKey) {
+		t.Fatalf("Member(%q) = %+v, want %+v", want.ID, got, want)
+	}
+	if _, ok := r.Member("collector/7", RoleCollector); ok {
+		t.Fatal("Member() found an ID outside the roster")
 	}
 }
 
 func TestRegisterDuplicate(t *testing.T) {
-	m := newTestManager(t)
-	cert, _ := registerNode(t, m, RoleProvider, 0)
-	_, err := m.Register(cert.ID, RoleProvider, cert.PublicKey)
-	if !errors.Is(err, ErrDuplicateNode) {
-		t.Fatalf("Register() error = %v, want ErrDuplicateNode", err)
+	r := testRoster(t, TopologySpec{Providers: 2, Collectors: 2, Degree: 1}, 1)
+	ms := append(members(r), r.Providers[0])
+	if _, err := RosterOf(r.Topology, ms); !errors.Is(err, ErrBadRoster) {
+		t.Fatalf("RosterOf(duplicate) error = %v, want ErrBadRoster", err)
 	}
 }
 
 func TestRegisterRejectsInvalidRole(t *testing.T) {
-	m := newTestManager(t)
-	pub, _, err := crypto.GenerateKey(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Register("x", Role(42), pub); !errors.Is(err, ErrRoleMismatch) {
-		t.Fatalf("Register() error = %v, want ErrRoleMismatch", err)
+	r := testRoster(t, TopologySpec{Providers: 2, Collectors: 2, Degree: 1}, 1)
+	ms := members(r)
+	ms[len(ms)-1].Role = Role(42)
+	if _, err := RosterOf(r.Topology, ms); !errors.Is(err, ErrBadRoster) {
+		t.Fatalf("RosterOf(invalid role) error = %v, want ErrBadRoster", err)
 	}
 }
 
 func TestRegisterRejectsZeroKey(t *testing.T) {
-	m := newTestManager(t)
-	if _, err := m.Register("x", RoleProvider, crypto.PublicKey{}); !errors.Is(err, ErrBadCertificate) {
-		t.Fatalf("Register() error = %v, want ErrBadCertificate", err)
+	r := testRoster(t, TopologySpec{Providers: 2, Collectors: 2, Degree: 1}, 1)
+	ms := members(r)
+	ms[0].PublicKey = crypto.PublicKey{}
+	if _, err := RosterOf(r.Topology, ms); !errors.Is(err, ErrBadRoster) {
+		t.Fatalf("RosterOf(zero key) error = %v, want ErrBadRoster", err)
 	}
 }
 
-func TestVerifyCertificate(t *testing.T) {
-	m := newTestManager(t)
-	cert, _ := registerNode(t, m, RoleCollector, 1)
-	if err := m.VerifyCertificate(cert); err != nil {
-		t.Fatalf("VerifyCertificate() error = %v", err)
+// TestRosterOfRejectsBadIndices covers the index rules every lookup
+// relies on: the ID must name the role and index, and each role's
+// indices must be exactly 0…k−1.
+func TestRosterOfRejectsBadIndices(t *testing.T) {
+	tests := []struct {
+		name   string
+		mutate func([]Member)
+	}{
+		{"id not role/index", func(ms []Member) { ms[0].ID = "provider/9" }},
+		{"gap", func(ms []Member) { ms[0].Index, ms[0].ID = 2, "provider/2" }},
+		{"negative", func(ms []Member) { ms[0].Index, ms[0].ID = -1, "provider/-1" }},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			r := testRoster(t, TopologySpec{Providers: 2, Collectors: 2, Degree: 1}, 1)
+			ms := members(r)
+			tt.mutate(ms)
+			if _, err := RosterOf(r.Topology, ms); !errors.Is(err, ErrBadRoster) {
+				t.Fatalf("RosterOf() error = %v, want ErrBadRoster", err)
+			}
+		})
 	}
 }
 
-func TestVerifyCertificateRejectsTampering(t *testing.T) {
-	m := newTestManager(t)
-	cert, _ := registerNode(t, m, RoleCollector, 1)
-
-	tampered := cert
-	tampered.Role = RoleGovernor // privilege escalation attempt
-	if err := m.VerifyCertificate(tampered); !errors.Is(err, ErrBadCertificate) {
-		t.Fatalf("VerifyCertificate(tampered role) error = %v, want ErrBadCertificate", err)
+// TestMembersSorted: a role's members are listed by index, whatever the
+// order they were given in — provider/10 after provider/9, not between
+// provider/1 and provider/2 as a sort by ID would put it.
+func TestMembersSorted(t *testing.T) {
+	r := testRoster(t, TopologySpec{Providers: 11, Collectors: 11, Degree: 1}, 1)
+	ms := members(r)
+	for i, j := 0, len(ms)-1; i < j; i, j = i+1, j-1 {
+		ms[i], ms[j] = ms[j], ms[i]
 	}
-
-	tampered = cert
-	tampered.ID = "governor/0"
-	if err := m.VerifyCertificate(tampered); !errors.Is(err, ErrBadCertificate) {
-		t.Fatalf("VerifyCertificate(tampered id) error = %v, want ErrBadCertificate", err)
-	}
-}
-
-func TestVerifyCertificateAgainstRoot(t *testing.T) {
-	m := newTestManager(t)
-	cert, _ := registerNode(t, m, RoleGovernor, 0)
-	if err := VerifyCertificateAgainst(m.RootPublicKey(), cert); err != nil {
-		t.Fatalf("VerifyCertificateAgainst() error = %v", err)
-	}
-	other := newTestManagerWithSeedByte(t, 99)
-	if err := VerifyCertificateAgainst(other.RootPublicKey(), cert); !errors.Is(err, ErrBadCertificate) {
-		t.Fatalf("foreign root accepted certificate: %v", err)
-	}
-}
-
-func newTestManagerWithSeedByte(t *testing.T, b byte) *Manager {
-	t.Helper()
-	seed := make([]byte, crypto.SeedSize)
-	seed[0] = b
-	m, err := NewManagerFromSeed(seed)
+	got, err := RosterOf(r.Topology, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
-}
-
-func TestRevoke(t *testing.T) {
-	m := newTestManager(t)
-	cert, _ := registerNode(t, m, RoleCollector, 2)
-	if err := m.Revoke(cert.ID); err != nil {
-		t.Fatalf("Revoke() error = %v", err)
+	if len(got.Providers) != 11 || len(got.Collectors) != 11 || len(got.Governors) != 1 {
+		t.Fatalf("roster sizes %d/%d/%d", len(got.Providers), len(got.Collectors), len(got.Governors))
 	}
-	if _, err := m.Lookup(cert.ID); !errors.Is(err, ErrRevoked) {
-		t.Fatalf("Lookup(revoked) error = %v, want ErrRevoked", err)
-	}
-	if err := m.VerifyCertificate(cert); !errors.Is(err, ErrRevoked) {
-		t.Fatalf("VerifyCertificate(revoked) error = %v, want ErrRevoked", err)
-	}
-}
-
-func TestRevokeUnknown(t *testing.T) {
-	m := newTestManager(t)
-	if err := m.Revoke("nobody"); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("Revoke() error = %v, want ErrUnknownNode", err)
-	}
-}
-
-func TestMembersSorted(t *testing.T) {
-	m := newTestManager(t)
-	for i := 10; i >= 0; i-- {
-		registerNode(t, m, RoleProvider, i)
-	}
-	got := m.Members(RoleProvider)
-	if len(got) != 11 {
-		t.Fatalf("Members() returned %d, want 11", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("Members() not sorted: %v", got)
+	for k, m := range got.Providers {
+		if m.Index != k || m.ID != MakeNodeID(RoleProvider, k) {
+			t.Fatalf("Providers[%d] = %s (index %d)", k, m.ID, m.Index)
 		}
-	}
-	if m.Count(RoleProvider) != 11 || m.Count(RoleGovernor) != 0 {
-		t.Fatal("Count() wrong")
 	}
 }
 
 func TestLinkAndLinked(t *testing.T) {
-	m := newTestManager(t)
-	p, _ := registerNode(t, m, RoleProvider, 0)
-	c, _ := registerNode(t, m, RoleCollector, 0)
-	if m.Linked(p.ID, c.ID) {
-		t.Fatal("Linked() true before Link()")
+	topo, err := NewTopologyFromLinks(2, 2, [][]int{{0}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := m.Link(p.ID, c.ID); err != nil {
-		t.Fatalf("Link() error = %v", err)
+	r, err := NewRoster(topo, 1, make([]byte, crypto.SeedSize))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !m.Linked(p.ID, c.ID) {
-		t.Fatal("Linked() false after Link()")
-	}
-	if got := m.CollectorsOf(p.ID); len(got) != 1 || got[0] != c.ID {
-		t.Fatalf("CollectorsOf() = %v", got)
-	}
-	if got := m.ProvidersOf(c.ID); len(got) != 1 || got[0] != p.ID {
-		t.Fatalf("ProvidersOf() = %v", got)
+	for _, tt := range []struct {
+		k, c int
+		want bool
+	}{{0, 0, true}, {0, 1, false}, {1, 0, true}, {1, 1, true}, {2, 0, false}, {-1, 0, false}, {0, 5, false}} {
+		if got := r.Linked(tt.k, tt.c); got != tt.want {
+			t.Errorf("Linked(%d, %d) = %v, want %v", tt.k, tt.c, got, tt.want)
+		}
 	}
 }
 
+// TestLinkRoleEnforcement: a lookup resolves a member only under its own
+// role, so a provider's ID never yields a collector or governor.
 func TestLinkRoleEnforcement(t *testing.T) {
-	m := newTestManager(t)
-	p, _ := registerNode(t, m, RoleProvider, 0)
-	g, _ := registerNode(t, m, RoleGovernor, 0)
-	if err := m.Link(p.ID, g.ID); !errors.Is(err, ErrRoleMismatch) {
-		t.Fatalf("Link(provider, governor) error = %v, want ErrRoleMismatch", err)
+	r := testRoster(t, TopologySpec{Providers: 2, Collectors: 2, Degree: 1}, 1)
+	p, g := r.Providers[0], r.Governors[0]
+	for _, role := range []Role{RoleCollector, RoleGovernor} {
+		if _, ok := r.Member(p.ID, role); ok {
+			t.Errorf("provider %s resolved as a %s", p.ID, role)
+		}
 	}
-	if err := m.Link(g.ID, p.ID); !errors.Is(err, ErrRoleMismatch) {
-		t.Fatalf("Link(governor, provider) error = %v, want ErrRoleMismatch", err)
-	}
-	if err := m.Link("ghost", p.ID); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("Link(unknown, _) error = %v, want ErrUnknownNode", err)
+	if _, ok := r.Member(g.ID, RoleProvider); ok {
+		t.Errorf("governor %s resolved as a provider", g.ID)
 	}
 }

@@ -2,9 +2,7 @@ package identity
 
 import (
 	"fmt"
-	"sort"
-
-	"repchain/internal/crypto"
+	"slices"
 )
 
 // TopologySpec describes the regular bipartite provider–collector graph
@@ -44,10 +42,8 @@ func (t TopologySpec) CollectorDegree() int {
 // Topology is a concrete bipartite linking between provider and
 // collector indices. It is immutable after construction.
 type Topology struct {
-	spec         TopologySpec
-	byProvider   [][]int // provider index -> sorted collector indices
-	byCollector  [][]int // collector index -> sorted provider indices
-	providerRank []map[int]int
+	byProvider  [][]int // provider index -> sorted collector indices
+	byCollector [][]int // collector index -> sorted provider indices
 }
 
 // NewRegularTopology builds the circulant regular topology: provider k
@@ -57,31 +53,17 @@ func NewRegularTopology(spec TopologySpec) (*Topology, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	topo := &Topology{
-		spec:        spec,
-		byProvider:  make([][]int, spec.Providers),
-		byCollector: make([][]int, spec.Collectors),
-	}
-	for k := 0; k < spec.Providers; k++ {
-		links := make([]int, 0, spec.Degree)
+	links := make([][]int, spec.Providers)
+	for k := range links {
 		for t := 0; t < spec.Degree; t++ {
-			c := (k*spec.Degree + t) % spec.Collectors
-			links = append(links, c)
-			topo.byCollector[c] = append(topo.byCollector[c], k)
+			links[k] = append(links[k], (k*spec.Degree+t)%spec.Collectors)
 		}
-		sort.Ints(links)
-		topo.byProvider[k] = links
 	}
-	for c := range topo.byCollector {
-		sort.Ints(topo.byCollector[c])
-	}
-	topo.buildRanks()
-	return topo, nil
+	return NewTopologyFromLinks(spec.Providers, spec.Collectors, links)
 }
 
 // NewTopologyFromLinks builds a topology from explicit adjacency
 // lists (provider index -> collector indices), for irregular networks.
-// spec.Degree is ignored except for bounds checking of indices.
 func NewTopologyFromLinks(providers, collectors int, links [][]int) (*Topology, error) {
 	if providers <= 0 || collectors <= 0 {
 		return nil, fmt.Errorf("providers %d collectors %d: %w", providers, collectors, ErrBadTopology)
@@ -90,47 +72,27 @@ func NewTopologyFromLinks(providers, collectors int, links [][]int) (*Topology, 
 		return nil, fmt.Errorf("links for %d providers, want %d: %w", len(links), providers, ErrBadTopology)
 	}
 	topo := &Topology{
-		spec:        TopologySpec{Providers: providers, Collectors: collectors},
 		byProvider:  make([][]int, providers),
 		byCollector: make([][]int, collectors),
 	}
+	// Providers are visited in ascending order, so every collector's
+	// provider list comes out sorted.
 	for k, cs := range links {
-		seen := make(map[int]bool, len(cs))
-		sorted := make([]int, 0, len(cs))
-		for _, c := range cs {
+		sorted := slices.Clone(cs)
+		slices.Sort(sorted)
+		for i, c := range sorted {
 			if c < 0 || c >= collectors {
 				return nil, fmt.Errorf("provider %d links to collector %d of %d: %w", k, c, collectors, ErrBadTopology)
 			}
-			if seen[c] {
+			if i > 0 && sorted[i-1] == c {
 				return nil, fmt.Errorf("provider %d links to collector %d twice: %w", k, c, ErrBadTopology)
 			}
-			seen[c] = true
-			sorted = append(sorted, c)
 			topo.byCollector[c] = append(topo.byCollector[c], k)
 		}
-		sort.Ints(sorted)
 		topo.byProvider[k] = sorted
 	}
-	for c := range topo.byCollector {
-		sort.Ints(topo.byCollector[c])
-	}
-	topo.buildRanks()
 	return topo, nil
 }
-
-func (t *Topology) buildRanks() {
-	t.providerRank = make([]map[int]int, len(t.byCollector))
-	for c, ps := range t.byCollector {
-		m := make(map[int]int, len(ps))
-		for rank, p := range ps {
-			m[p] = rank
-		}
-		t.providerRank[c] = m
-	}
-}
-
-// Spec returns the originating specification.
-func (t *Topology) Spec() TopologySpec { return t.spec }
 
 // Providers returns l.
 func (t *Topology) Providers() int { return len(t.byProvider) }
@@ -158,111 +120,6 @@ func (t *Topology) ProvidersOf(c int) []int {
 
 // Linked reports whether provider k and collector c are connected.
 func (t *Topology) Linked(k, c int) bool {
-	if c < 0 || c >= len(t.providerRank) {
-		return false
-	}
-	_, ok := t.providerRank[c][k]
-	return ok
-}
-
-// ProviderRank returns the position of provider k within collector c's
-// sorted provider list. The reputation vector's first s entries are
-// indexed by this rank. The second result is false when the pair is
-// not linked.
-func (t *Topology) ProviderRank(c, k int) (int, bool) {
-	if c < 0 || c >= len(t.providerRank) {
-		return 0, false
-	}
-	rank, ok := t.providerRank[c][k]
-	return rank, ok
-}
-
-// RegisterAll registers l providers, n collectors, and m governors with
-// the IM under canonical IDs, records the topology links, and returns
-// the issued certificates grouped by role. Key material is derived from
-// the given seed for reproducibility; pass nil for random keys.
-func RegisterAll(m *Manager, topo *Topology, governors int, seed []byte) (*Roster, error) {
-	if governors <= 0 {
-		return nil, fmt.Errorf("governors %d: %w", governors, ErrBadTopology)
-	}
-	roster := &Roster{
-		Providers:  make([]Member, topo.Providers()),
-		Collectors: make([]Member, topo.Collectors()),
-		Governors:  make([]Member, governors),
-		Topology:   topo,
-	}
-	counter := 0
-	newMember := func(role Role, idx int) (Member, error) {
-		id := MakeNodeID(role, idx)
-		var (
-			pub  crypto.PublicKey
-			priv crypto.PrivateKey
-			err  error
-		)
-		if seed != nil {
-			derived := deriveSeed(seed, counter)
-			pub, priv, err = keyFromSeed(derived)
-		} else {
-			pub, priv, err = generateKey()
-		}
-		counter++
-		if err != nil {
-			return Member{}, fmt.Errorf("key for %q: %w", id, err)
-		}
-		cert, err := m.Register(id, role, pub)
-		if err != nil {
-			return Member{}, err
-		}
-		return Member{ID: id, Index: idx, Cert: cert, PrivateKey: priv}, nil
-	}
-
-	for k := range roster.Providers {
-		mem, err := newMember(RoleProvider, k)
-		if err != nil {
-			return nil, err
-		}
-		roster.Providers[k] = mem
-	}
-	for c := range roster.Collectors {
-		mem, err := newMember(RoleCollector, c)
-		if err != nil {
-			return nil, err
-		}
-		roster.Collectors[c] = mem
-	}
-	for g := range roster.Governors {
-		mem, err := newMember(RoleGovernor, g)
-		if err != nil {
-			return nil, err
-		}
-		roster.Governors[g] = mem
-	}
-	for k := 0; k < topo.Providers(); k++ {
-		for _, c := range topo.CollectorsOf(k) {
-			if err := m.Link(roster.Providers[k].ID, roster.Collectors[c].ID); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return roster, nil
-}
-
-// Member bundles a registered node's credential and signing key.
-type Member struct {
-	// ID is the canonical node identifier.
-	ID NodeID
-	// Index is the node's position within its role.
-	Index int
-	// Cert is the IM-issued certificate.
-	Cert Certificate
-	// PrivateKey signs on behalf of the member.
-	PrivateKey crypto.PrivateKey
-}
-
-// Roster is the full membership of a deployment.
-type Roster struct {
-	Providers  []Member
-	Collectors []Member
-	Governors  []Member
-	Topology   *Topology
+	_, found := slices.BinarySearch(t.CollectorsOf(k), c)
+	return found
 }

@@ -80,28 +80,6 @@ func TestTopologyLinkedConsistent(t *testing.T) {
 	}
 }
 
-func TestProviderRank(t *testing.T) {
-	topo, err := NewRegularTopology(TopologySpec{Providers: 8, Collectors: 4, Degree: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < topo.Collectors(); c++ {
-		ps := topo.ProvidersOf(c)
-		for want, p := range ps {
-			rank, ok := topo.ProviderRank(c, p)
-			if !ok || rank != want {
-				t.Fatalf("ProviderRank(%d,%d) = %d,%v want %d,true", c, p, rank, ok, want)
-			}
-		}
-	}
-	if _, ok := topo.ProviderRank(0, 9999); ok {
-		t.Fatal("ProviderRank accepted unlinked provider")
-	}
-	if _, ok := topo.ProviderRank(-1, 0); ok {
-		t.Fatal("ProviderRank accepted negative collector")
-	}
-}
-
 func TestTopologyFromLinks(t *testing.T) {
 	topo, err := NewTopologyFromLinks(3, 2, [][]int{{0, 1}, {0}, {1}})
 	if err != nil {
@@ -166,37 +144,43 @@ func TestQuickRegularTopologyHandshake(t *testing.T) {
 }
 
 func TestRegisterAll(t *testing.T) {
-	m := newTestManager(t)
 	topo, err := NewRegularTopology(TopologySpec{Providers: 6, Collectors: 3, Degree: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := make([]byte, crypto.SeedSize)
-	roster, err := RegisterAll(m, topo, 4, seed)
+	roster, err := NewRoster(topo, 4, make([]byte, crypto.SeedSize))
 	if err != nil {
-		t.Fatalf("RegisterAll() error = %v", err)
+		t.Fatalf("NewRoster() error = %v", err)
 	}
 	if len(roster.Providers) != 6 || len(roster.Collectors) != 3 || len(roster.Governors) != 4 {
 		t.Fatalf("roster sizes wrong: %d/%d/%d", len(roster.Providers), len(roster.Collectors), len(roster.Governors))
 	}
-	// Every certificate verifies and every topological link is recorded
-	// in the IM.
-	for _, mem := range roster.Providers {
-		if err := m.VerifyCertificate(mem.Cert); err != nil {
-			t.Fatalf("provider cert: %v", err)
-		}
-	}
-	for k := 0; k < topo.Providers(); k++ {
-		for _, c := range topo.CollectorsOf(k) {
-			if !m.Linked(roster.Providers[k].ID, roster.Collectors[c].ID) {
-				t.Fatalf("link %d-%d missing in IM", k, c)
+	// Every member resolves by ID under its role and index, and under no
+	// other role.
+	for role, ms := range [][]Member{RoleProvider: roster.Providers, RoleCollector: roster.Collectors, RoleGovernor: roster.Governors} {
+		role := Role(role)
+		for idx, want := range ms {
+			got, ok := roster.Member(MakeNodeID(role, idx), role)
+			if !ok || got.ID != want.ID || got.Index != idx || !got.PublicKey.Equal(want.PublicKey) {
+				t.Fatalf("Member(%s %d) = %+v, %v", role, idx, got, ok)
+			}
+			if _, ok := roster.Member(want.ID, role%RoleGovernor+1); ok {
+				t.Fatalf("%s resolved under role %s", want.ID, role%RoleGovernor+1)
 			}
 		}
 	}
-	// Signing keys must work with the issued certificates.
+	// Every topological link is a roster link.
+	for k := 0; k < topo.Providers(); k++ {
+		for _, c := range topo.CollectorsOf(k) {
+			if !roster.Linked(k, c) {
+				t.Fatalf("link %d-%d missing in roster", k, c)
+			}
+		}
+	}
+	// Signing keys must match the public keys.
 	msg := []byte("probe")
 	sig := roster.Governors[0].PrivateKey.Sign(msg)
-	if err := roster.Governors[0].Cert.PublicKey.Verify(msg, sig); err != nil {
+	if err := roster.Governors[0].PublicKey.Verify(msg, sig); err != nil {
 		t.Fatalf("roster key mismatch: %v", err)
 	}
 }
@@ -208,29 +192,32 @@ func TestRegisterAllDeterministic(t *testing.T) {
 	}
 	seed := make([]byte, crypto.SeedSize)
 	seed[5] = 7
-
-	m1 := newTestManager(t)
-	r1, err := RegisterAll(m1, topo, 1, seed)
+	r1, err := NewRoster(topo, 1, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := newTestManager(t)
-	r2, err := RegisterAll(m2, topo, 1, seed)
+	r2, err := NewRoster(topo, 1, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r1.Providers[0].Cert.PublicKey.Equal(r2.Providers[0].Cert.PublicKey) {
+	if !r1.Providers[0].PublicKey.Equal(r2.Providers[0].PublicKey) {
 		t.Fatal("same seed produced different member keys")
+	}
+	r3, err := NewRoster(topo, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Providers[0].PublicKey.Equal(r3.Providers[0].PublicKey) {
+		t.Fatal("nil seed reproduced the seeded key")
 	}
 }
 
 func TestRegisterAllRejectsNoGovernors(t *testing.T) {
-	m := newTestManager(t)
 	topo, err := NewRegularTopology(TopologySpec{Providers: 2, Collectors: 2, Degree: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RegisterAll(m, topo, 0, nil); !errors.Is(err, ErrBadTopology) {
-		t.Fatalf("RegisterAll() error = %v, want ErrBadTopology", err)
+	if _, err := NewRoster(topo, 0, nil); !errors.Is(err, ErrBadRoster) {
+		t.Fatalf("NewRoster() error = %v, want ErrBadRoster", err)
 	}
 }

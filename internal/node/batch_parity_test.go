@@ -170,7 +170,7 @@ func TestUploadEnvelopeRejectReasons(t *testing.T) {
 		coll0.PrivateKey), Label: tx.LabelValid}
 	stranger := tx.UploadItem{Signed: tx.Sign(tx.Transaction{Provider: "provider/77", Seq: 1, Kind: "x", Payload: []byte{1}},
 		prov.PrivateKey), Label: tx.LabelValid}
-	unknown := identity.Member{ID: identity.MakeNodeID(identity.RoleCollector, 5), PrivateKey: coll0.PrivateKey}
+	outsider := identity.Member{ID: identity.MakeNodeID(identity.RoleCollector, 5), PrivateKey: coll0.PrivateKey}
 	wrongKey := identity.Member{ID: coll0.ID, PrivateKey: coll1.PrivateKey}
 
 	cases := []struct {
@@ -182,7 +182,7 @@ func TestUploadEnvelopeRejectReasons(t *testing.T) {
 		{"not_collector", uploadMsg(t, coll0, prov.ID, good), 0, 0},
 		{"decode", network.Message{From: coll0.ID, Kind: network.KindCollectorBatch, Payload: []byte{0xFF}}, 1, 0},
 		{"sender_mismatch", uploadMsg(t, coll0, coll1.ID, good), 1, 0},
-		{"unknown_key", uploadMsg(t, unknown, unknown.ID, good), 1, 0},
+		{"not_collector", uploadMsg(t, outsider, outsider.ID, good), 0, 0},
 		{"batch_sig", uploadMsg(t, wrongKey, coll0.ID, good), 1, 0},
 		{"item_provider_sig", uploadMsg(t, coll0, coll0.ID, good, forged), 1, 1},
 		{"item_provider_sig", uploadMsg(t, coll1, coll1.ID, stranger), 1, 0},
@@ -238,7 +238,7 @@ func TestLateReportNotRerecorded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fx.governor.AcceptBlock(b, gov.ID, gov.Cert.PublicKey); err != nil {
+			if err := fx.governor.AcceptBlock(b, gov.ID, gov.PublicKey); err != nil {
 				t.Fatal(err)
 			}
 		}

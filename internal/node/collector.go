@@ -89,7 +89,7 @@ func (b ProbBehavior) ForgeCount(rng *rand.Rand) int {
 type Collector struct {
 	member      identity.Member
 	ep          *network.Endpoint
-	im          *identity.Manager
+	roster      *identity.Roster
 	validator   tx.Validator
 	behavior    Behavior
 	governorIDs []identity.NodeID
@@ -124,27 +124,31 @@ func (c *Collector) SetEvents(l *events.Log) { c.events = l }
 // batches carry it, and its events are attributed to it.
 func (c *Collector) SetRound(r uint64) { c.round = r }
 
-// NewCollector wires a collector node to the bus.
+// NewCollector wires collector member of roster to the bus; it uploads
+// to every governor of the roster.
 func NewCollector(
 	member identity.Member,
 	ep *network.Endpoint,
-	im *identity.Manager,
+	roster *identity.Roster,
 	validator tx.Validator,
 	behavior Behavior,
-	governors []identity.NodeID,
 	seed int64,
 ) *Collector {
 	if behavior == nil {
 		behavior = HonestBehavior{}
 	}
+	var providerIDs []identity.NodeID
+	for _, k := range roster.Topology.ProvidersOf(member.Index) {
+		providerIDs = append(providerIDs, roster.Providers[k].ID)
+	}
 	return &Collector{
 		member:      member,
 		ep:          ep,
-		im:          im,
+		roster:      roster,
 		validator:   validator,
 		behavior:    behavior,
-		governorIDs: append([]identity.NodeID(nil), governors...),
-		providerIDs: im.ProvidersOf(member.ID),
+		governorIDs: identity.IDs(roster.Governors),
+		providerIDs: providerIDs,
 		rng:         rand.New(rand.NewSource(seed)),
 		budget:      uploadBatchBudget,
 	}
@@ -233,7 +237,7 @@ func (c *Collector) upload(items []tx.UploadItem, sender Sender) error {
 const (
 	ptSkip       uint8 = iota // not a provider transaction
 	ptDecodeFail              // malformed payload
-	ptMismatch                // claimed provider is not the sender, or key unknown
+	ptMismatch                // claimed provider is not the sender, or not a provider linked with this collector
 	ptVerify                  // signature checked through the batch
 )
 
@@ -274,14 +278,13 @@ func (c *Collector) ProcessBatch(msgs []network.Message, sender Sender) (int, er
 			kinds[i] = ptDecodeFail
 			continue
 		}
-		// verify(p_k, tx): the provider's signature must check out and
-		// the claimed provider must be the actual sender.
-		if signed.Tx.Provider != m.From {
-			kinds[i] = ptMismatch
-			continue
-		}
-		pub, err := c.im.PublicKeyOf(signed.Tx.Provider)
-		if err != nil {
+		// verify(p_k, tx): the claimed provider must be the actual
+		// sender and a provider linked with this collector, and its
+		// signature must check out. A transaction from an unlinked
+		// provider would cost this collector the governors' forge
+		// penalty, since they check the link on upload.
+		prov, ok := c.roster.Member(signed.Tx.Provider, identity.RoleProvider)
+		if signed.Tx.Provider != m.From || !ok || !c.roster.Linked(prov.Index, c.member.Index) {
 			kinds[i] = ptMismatch
 			continue
 		}
@@ -290,7 +293,7 @@ func (c *Collector) ProcessBatch(msgs []network.Message, sender Sender) (int, er
 		itemOf[i] = len(items)
 		start := arena.Len()
 		signed.Tx.EncodeSigning(arena)
-		items = append(items, crypto.BatchItem{Pub: pub, Sig: signed.Sig})
+		items = append(items, crypto.BatchItem{Pub: prov.PublicKey, Sig: signed.Sig})
 		spans = append(spans, [2]int{start, arena.Len()})
 	}
 	buf := arena.Bytes()

@@ -28,10 +28,9 @@ type GovernorConfig struct {
 	Member identity.Member
 	// Endpoint is the governor's bus attachment.
 	Endpoint *network.Endpoint
-	// IM is the identity manager used for verify().
-	IM *identity.Manager
-	// Topology is the provider–collector graph.
-	Topology *identity.Topology
+	// Roster is the alliance's membership: every key, role, index and
+	// provider–collector link verify() consults.
+	Roster *identity.Roster
 	// Params tunes the reputation mechanism.
 	Params reputation.Params
 	// Validator is validate(tx).
@@ -180,7 +179,7 @@ type Governor struct {
 
 // NewGovernor builds a governor from its configuration.
 func NewGovernor(cfg GovernorConfig) (*Governor, error) {
-	table, err := reputation.NewTable(cfg.Topology, cfg.Params)
+	table, err := reputation.NewTable(cfg.Roster.Topology, cfg.Params)
 	if err != nil {
 		return nil, fmt.Errorf("governor %s: %w", cfg.Member.ID, err)
 	}
@@ -200,19 +199,19 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		store:           store,
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
 		groups:          make(map[crypto.Hash]*groupedTx),
-		pool:            mempool.New[crypto.Hash](cfg.Topology.Providers(), cfg.MempoolCap),
+		pool:            mempool.New[crypto.Hash](cfg.Roster.Topology.Providers(), cfg.MempoolCap),
 		unchecked:       make(map[int][]*uncheckedEntry),
 		uncheckedByID:   make(map[crypto.Hash]*uncheckedEntry),
 		committedValid:  make(map[crypto.Hash]bool),
 		processedArgues: make(map[crypto.Hash]bool),
-		uploadRound:     make([]uint64, cfg.Topology.Collectors()),
+		uploadRound:     make([]uint64, cfg.Roster.Topology.Collectors()),
 		events:          cfg.Events,
 		merkle:          crypto.NewMerkleBuilder(64),
 	}
 	if cfg.Metrics != nil {
 		table.SetMetrics(cfg.Metrics)
 		checked := cfg.Metrics.CounterVec("screen.checked_total", "collector")
-		g.scrChecked = make([]*metrics.Counter, cfg.Topology.Collectors())
+		g.scrChecked = make([]*metrics.Counter, cfg.Roster.Topology.Collectors())
 		for c := range g.scrChecked {
 			g.scrChecked[c] = checked.With(strconv.Itoa(c))
 		}
@@ -262,8 +261,8 @@ type pendingBatch struct {
 // pendingItem is one labeled transaction of an authenticated batch.
 type pendingItem struct {
 	item        tx.UploadItem
-	providerIdx int // -1 when the provider is not an indexed provider
-	provSig     int // batch-item index of the provider signature, -1 = unknown provider key
+	providerIdx int
+	provSig     int // batch-item index of the provider signature, -1 = not a roster provider
 	linked      bool
 }
 
@@ -279,14 +278,16 @@ type pendingArgue struct {
 // crypto.VerifyBatch pass and returns the messages it did not consume,
 // in arrival order. It is the governor's only ingest path: collector
 // upload batches run verify(c_i, Tx) per the paper — the collector's
-// signature over the batch, its certificate, and each item's provider
-// signature from a linked provider — and provider argues are queued.
+// signature over the batch under its roster key, and each item's
+// provider signature from a linked provider — and provider argues are
+// queued.
 //
-// Attribution (Algorithm 3 case 1): a batch that fails as a whole —
-// undecodable, sender is not the claimed collector, unknown collector
-// key, bad batch signature — admits nothing and costs the sender one
-// forge penalty. Inside an authenticated batch each bad item (provider
-// key unknown, provider signature fails, provider not linked to the
+// Attribution (Algorithm 3 case 1): a batch from a sender that is not a
+// roster collector is refused unscored. Any other batch that fails as a
+// whole — undecodable, sender is not the claimed collector, bad batch
+// signature — admits nothing and costs the sender one forge penalty.
+// Inside an authenticated batch each bad item (provider not in the
+// roster, provider signature fails, provider not linked to the
 // collector) costs one penalty and the remaining items are admitted.
 // An authenticated batch, empty or not, files its round under its
 // collector for GovernorRound.UploadsComplete.
@@ -334,33 +335,29 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 		switch m.Kind {
 		case network.KindCollectorBatch:
 			u := pendingBatch{sig: -1}
-			var err error
-			if u.collectorIdx, err = roleIndex(m.From, identity.RoleCollector); err != nil {
+			coll, isCollector := g.cfg.Roster.Member(m.From, identity.RoleCollector)
+			u.collectorIdx = coll.Index
+			if !isCollector {
 				u.reject = "not_collector"
 			} else if batch, derr := tx.DecodeUploadBatchBytes(m.Payload); derr != nil {
 				u.reject = "decode"
 			} else if batch.Collector != m.From {
 				// The upload must come from the collector that signed it.
 				u.reject = "sender_mismatch"
-			} else if collPub, perr := g.cfg.IM.PublicKeyOf(batch.Collector); perr != nil {
-				u.reject = "unknown_key"
 			} else {
 				start := arena.Len()
 				batch.EncodeSigning(arena)
-				u.sig = addItem(collPub, start, batch.Sig)
+				u.sig = addItem(coll.PublicKey, start, batch.Sig)
 				u.round = batch.Round
 				u.items = make([]pendingItem, len(batch.Items))
 				for k, it := range batch.Items {
-					pi := pendingItem{item: it, providerIdx: -1, provSig: -1}
-					provID := it.Signed.Tx.Provider
-					if provPub, perr := g.cfg.IM.PublicKeyOf(provID); perr == nil {
+					pi := pendingItem{item: it, provSig: -1}
+					if prov, ok := g.cfg.Roster.Member(it.Signed.Tx.Provider, identity.RoleProvider); ok {
 						start = arena.Len()
 						it.Signed.Tx.EncodeSigning(arena)
-						pi.provSig = addItem(provPub, start, it.Signed.Sig)
-					}
-					pi.linked = g.cfg.IM.Linked(provID, batch.Collector)
-					if idx, rerr := roleIndex(provID, identity.RoleProvider); rerr == nil {
-						pi.providerIdx = idx
+						pi.provSig = addItem(prov.PublicKey, start, it.Signed.Sig)
+						pi.providerIdx = prov.Index
+						pi.linked = g.cfg.Roster.Linked(prov.Index, coll.Index)
 					}
 					u.items[k] = pi
 				}
@@ -373,15 +370,15 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 			msg, derr := DecodeArgueBytes(m.Payload)
 			// Only the authoring provider may argue its own transaction.
 			if derr == nil && msg.Signed.Tx.Provider == m.From {
-				if pub, perr := g.cfg.IM.PublicKeyOf(msg.Signed.Tx.Provider); perr == nil {
+				if prov, ok := g.cfg.Roster.Member(m.From, identity.RoleProvider); ok {
 					a.msg = msg
 					a.rejected = false
 					start := arena.Len()
 					msg.Signed.Tx.EncodeSigning(arena)
-					a.innerSig = addItem(pub, start, msg.Signed.Sig)
+					a.innerSig = addItem(prov.PublicKey, start, msg.Signed.Sig)
 					start = arena.Len()
 					encodeArgueSigning(arena, msg.Signed.ID(), msg.Serial)
-					a.argueSig = addItem(pub, start, msg.Sig)
+					a.argueSig = addItem(prov.PublicKey, start, msg.Sig)
 				}
 			}
 			kinds[i] = pmArgue
@@ -423,16 +420,14 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 				}
 				continue
 			}
-			if c := u.collectorIdx; c < len(g.uploadRound) {
-				g.uploadRound[c] = max(g.uploadRound[c], u.round)
-			}
+			g.uploadRound[u.collectorIdx] = max(g.uploadRound[u.collectorIdx], u.round)
 			for k := range u.items {
 				it := &u.items[k]
 				var err error
 				switch {
 				case it.provSig < 0 || verdicts[it.provSig] != nil:
 					err = g.rejectUpload("item_provider_sig", u.collectorIdx)
-				case !it.linked || it.providerIdx < 0:
+				case !it.linked:
 					err = g.rejectUpload("item_unlinked", u.collectorIdx)
 				default:
 					err = g.admitUpload(u.collectorIdx, it.providerIdx, it.item)
@@ -472,11 +467,6 @@ func (g *Governor) rejectUpload(reason string, collectorIdx int) error {
 // failed upload verification.
 func (g *Governor) penalizeUpload(collectorIdx int) error {
 	g.stats.ForgeriesDetected++
-	if collectorIdx < 0 || collectorIdx >= g.table.Collectors() {
-		// An uploader outside the known collector set cannot be
-		// scored, only rejected.
-		return nil
-	}
 	if err := g.table.RecordForgery(collectorIdx); err != nil {
 		return fmt.Errorf("governor %s forge penalty: %w", g.cfg.Member.ID, err)
 	}
@@ -628,7 +618,7 @@ func (g *Governor) ScreenRound() ([]ledger.Record, error) {
 			continue
 		}
 		delete(g.groups, id)
-		if silent := len(g.cfg.Topology.CollectorsOf(grp.provider)) - len(grp.reports); silent > 0 {
+		if silent := len(g.cfg.Roster.Topology.CollectorsOf(grp.provider)) - len(grp.reports); silent > 0 {
 			g.stats.SilentReports += silent
 		}
 		dec, err := g.table.Screen(g.rng, grp.provider, grp.reports)

@@ -11,7 +11,6 @@ import (
 
 	"repchain/internal/codec"
 	"repchain/internal/crypto"
-	"repchain/internal/identity"
 	"repchain/internal/tx"
 )
 
@@ -20,8 +19,6 @@ var (
 	// ErrBadMessage reports an undecodable or unauthenticated
 	// protocol message.
 	ErrBadMessage = errors.New("node: bad message")
-	// ErrUnknownSender reports a message from an unregistered node.
-	ErrUnknownSender = errors.New("node: unknown sender")
 	// ErrFork reports a block whose serial is already occupied by a
 	// different block — a safety violation, never expected under any
 	// injected fault.
@@ -109,22 +106,4 @@ func DecodeArgueBytes(b []byte) (ArgueMsg, error) {
 		return ArgueMsg{}, fmt.Errorf("argue: %w", err)
 	}
 	return ArgueMsg{Signed: signed, Serial: serial, Sig: sig}, nil
-}
-
-// roleIndex parses the numeric index out of a canonical node ID like
-// "collector/3". It returns an error for foreign ID shapes.
-func roleIndex(id identity.NodeID, role identity.Role) (int, error) {
-	var idx int
-	prefix := role.String() + "/"
-	s := string(id)
-	if len(s) <= len(prefix) || s[:len(prefix)] != prefix {
-		return 0, fmt.Errorf("node id %q is not a %s: %w", id, role, ErrUnknownSender)
-	}
-	for _, ch := range s[len(prefix):] {
-		if ch < '0' || ch > '9' {
-			return 0, fmt.Errorf("node id %q: %w", id, ErrUnknownSender)
-		}
-		idx = idx*10 + int(ch-'0')
-	}
-	return idx, nil
 }

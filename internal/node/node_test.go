@@ -15,8 +15,6 @@ import (
 // fixture wires a 2-provider / 2-collector / 1-governor deployment on
 // an in-memory bus.
 type fixture struct {
-	im     *identity.Manager
-	topo   *identity.Topology
 	roster *identity.Roster
 	bus    *network.Bus
 
@@ -38,23 +36,25 @@ func newFixture(t *testing.T, behaviors []Behavior) *fixture {
 // configuration before construction.
 func newFixtureOpts(t *testing.T, behaviors []Behavior, mutate func(*GovernorConfig)) *fixture {
 	t.Helper()
-	seed := make([]byte, crypto.SeedSize)
-	seed[0] = 0x77
-	im, err := identity.NewManagerFromSeed(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	topo, err := identity.NewRegularTopology(identity.TopologySpec{
 		Providers: 2, Collectors: 2, Degree: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	roster, err := identity.RegisterAll(im, topo, 1, seed)
+	return newFixtureOn(t, topo, behaviors, mutate)
+}
+
+// newFixtureOn is newFixtureOpts over an explicit topology.
+func newFixtureOn(t *testing.T, topo *identity.Topology, behaviors []Behavior, mutate func(*GovernorConfig)) *fixture {
+	t.Helper()
+	seed := make([]byte, crypto.SeedSize)
+	seed[0] = 0x77
+	roster, err := identity.NewRoster(topo, 1, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &fixture{im: im, topo: topo, roster: roster, bus: network.NewBus(0)}
+	fx := &fixture{roster: roster, bus: network.NewBus(0)}
 
 	govIDs := []identity.NodeID{roster.Governors[0].ID}
 	for k, mem := range roster.Providers {
@@ -77,7 +77,7 @@ func newFixtureOpts(t *testing.T, behaviors []Behavior, mutate func(*GovernorCon
 		if behaviors != nil {
 			b = behaviors[c]
 		}
-		fx.collectors = append(fx.collectors, NewCollector(mem, ep, im, oracle, b, govIDs, int64(100+c)))
+		fx.collectors = append(fx.collectors, NewCollector(mem, ep, roster, oracle, b, int64(100+c)))
 	}
 	ep, err := fx.bus.Register(roster.Governors[0].ID)
 	if err != nil {
@@ -86,8 +86,7 @@ func newFixtureOpts(t *testing.T, behaviors []Behavior, mutate func(*GovernorCon
 	cfg := GovernorConfig{
 		Member:      roster.Governors[0],
 		Endpoint:    ep,
-		IM:          im,
-		Topology:    topo,
+		Roster:      roster,
 		Params:      reputation.DefaultParams(),
 		Validator:   oracle,
 		ArgueWindow: 4,
@@ -155,33 +154,6 @@ func roundUploadMsg(t *testing.T, coll identity.Member, from identity.NodeID, ro
 		t.Fatal(err)
 	}
 	return network.Message{From: from, Kind: network.KindCollectorBatch, Payload: batch.EncodeBytes()}
-}
-
-func TestRoleIndex(t *testing.T) {
-	tests := []struct {
-		id      identity.NodeID
-		role    identity.Role
-		want    int
-		wantErr bool
-	}{
-		{"collector/3", identity.RoleCollector, 3, false},
-		{"provider/0", identity.RoleProvider, 0, false},
-		{"governor/12", identity.RoleGovernor, 12, false},
-		{"collector/3", identity.RoleProvider, 0, true},
-		{"collector/", identity.RoleCollector, 0, true},
-		{"collector/x1", identity.RoleCollector, 0, true},
-		{"bogus", identity.RoleCollector, 0, true},
-	}
-	for _, tt := range tests {
-		got, err := roleIndex(tt.id, tt.role)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("roleIndex(%q, %v) error = %v, wantErr %v", tt.id, tt.role, err, tt.wantErr)
-			continue
-		}
-		if err == nil && got != tt.want {
-			t.Errorf("roleIndex(%q, %v) = %d, want %d", tt.id, tt.role, got, tt.want)
-		}
-	}
 }
 
 func TestArgueRoundTripAndVerify(t *testing.T) {
@@ -351,18 +323,13 @@ func TestGovernorDetectsEquivocation(t *testing.T) {
 }
 
 func TestGovernorRejectsUnlinkedUpload(t *testing.T) {
-	fx := newFixture(t, nil)
-	// With degree 2 over 2 collectors every pair is linked; build an
-	// extra unlinked collector manually.
-	pub, priv, err := crypto.KeyFromSeed(append(make([]byte, crypto.SeedSize-1), 0xEE))
+	// Provider 0 is linked with collector 0 only.
+	topo, err := identity.NewTopologyFromLinks(2, 2, [][]int{{0}, {0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outsider := identity.Member{ID: identity.MakeNodeID(identity.RoleCollector, 9), PrivateKey: priv}
-	if _, err := fx.im.Register(outsider.ID, identity.RoleCollector, pub); err != nil {
-		t.Fatal(err)
-	}
-	prov := fx.roster.Providers[0]
+	fx := newFixtureOn(t, topo, nil, nil)
+	prov, outsider := fx.roster.Providers[0], fx.roster.Collectors[1]
 	signed := tx.Sign(tx.Transaction{Provider: prov.ID, Seq: 2, Kind: "x", Payload: []byte{1}}, prov.PrivateKey)
 	msg := uploadMsg(t, outsider, outsider.ID, tx.UploadItem{Signed: signed, Label: tx.LabelValid})
 	if _, err := fx.governor.HandleBatch([]network.Message{msg}); err != nil {
@@ -370,6 +337,9 @@ func TestGovernorRejectsUnlinkedUpload(t *testing.T) {
 	}
 	if st := fx.governor.Stats(); st.ForgeriesDetected != 1 || st.ReportsReceived != 0 {
 		t.Fatalf("unlinked upload: %d penalties, %d reports, want 1 and 0", st.ForgeriesDetected, st.ReportsReceived)
+	}
+	if got := fx.governor.Table().Forge(1); got >= 0 {
+		t.Fatalf("unlinked uploader's forge score = %v, want negative", got)
 	}
 }
 
@@ -504,10 +474,10 @@ func TestGovernorAcceptBlockChecksProposer(t *testing.T) {
 	}
 	blk.SignAs(govMem.ID, govMem.PrivateKey)
 	// Claiming a different leader is rejected.
-	if err := gov.AcceptBlock(blk, "governor/9", govMem.Cert.PublicKey); !errors.Is(err, ErrBadMessage) {
+	if err := gov.AcceptBlock(blk, "governor/9", govMem.PublicKey); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("wrong leader error = %v, want ErrBadMessage", err)
 	}
-	if err := gov.AcceptBlock(blk, govMem.ID, govMem.Cert.PublicKey); err != nil {
+	if err := gov.AcceptBlock(blk, govMem.ID, govMem.PublicKey); err != nil {
 		t.Fatalf("AcceptBlock() error = %v", err)
 	}
 }

@@ -42,11 +42,9 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 	a := &alliance{t: t, bus: network.NewBus(0), stakes: []uint64{1, 2, 1}, reg: metrics.NewRegistry(),
 		log: events.NewLog(256)}
 	seed := make([]byte, crypto.SeedSize)
-	im, err := identity.NewManagerFromSeed(seed)
-	a.check(err)
 	topo, err := identity.NewRegularTopology(identity.TopologySpec{Providers: 1, Collectors: 1, Degree: 1})
 	a.check(err)
-	roster, err := identity.RegisterAll(im, topo, 3, seed)
+	roster, err := identity.NewRoster(topo, 3, seed)
 	a.check(err)
 	a.provider = roster.Providers[0]
 	_, err = a.bus.Register(roster.Collectors[0].ID)
@@ -54,13 +52,13 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 	var pubs []crypto.PublicKey
 	for _, mem := range roster.Governors {
 		a.ids = append(a.ids, mem.ID)
-		pubs = append(pubs, mem.Cert.PublicKey)
+		pubs = append(pubs, mem.PublicKey)
 	}
 	for j, mem := range roster.Governors {
 		ep, err := a.bus.Register(mem.ID)
 		a.check(err)
 		cfg := GovernorConfig{
-			Member: mem, Endpoint: ep, IM: im, Topology: topo,
+			Member: mem, Endpoint: ep, Roster: roster,
 			Params: reputation.DefaultParams(), Validator: oracle, Seed: int64(j), Metrics: a.reg,
 			Events: a.log,
 		}
@@ -680,7 +678,7 @@ func TestRoundTicketLookahead(t *testing.T) {
 func TestRoundUploadsComplete(t *testing.T) {
 	fx := newFixture(t, nil)
 	gov := fx.roster.Governors[0]
-	r := NewGovernorRound(fx.governor, []identity.NodeID{gov.ID}, []crypto.PublicKey{gov.Cert.PublicKey}, nil, []uint64{1})
+	r := NewGovernorRound(fx.governor, []identity.NodeID{gov.ID}, []crypto.PublicKey{gov.PublicKey}, nil, []uint64{1})
 	coll0, coll1 := fx.roster.Collectors[0], fx.roster.Collectors[1]
 	ingest := func(msgs ...network.Message) {
 		t.Helper()

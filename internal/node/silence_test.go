@@ -57,11 +57,11 @@ func TestAcceptBlockIdempotentOnRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	blk.SignAs(govMem.ID, govMem.PrivateKey)
-	if err := gov.AcceptBlock(blk, govMem.ID, govMem.Cert.PublicKey); err != nil {
+	if err := gov.AcceptBlock(blk, govMem.ID, govMem.PublicKey); err != nil {
 		t.Fatal(err)
 	}
 	// A duplicated delivery of the committed block is a no-op.
-	if err := gov.AcceptBlock(blk, govMem.ID, govMem.Cert.PublicKey); err != nil {
+	if err := gov.AcceptBlock(blk, govMem.ID, govMem.PublicKey); err != nil {
 		t.Fatalf("redelivered block error = %v, want idempotent accept", err)
 	}
 	if h := gov.Store().Height(); h != 1 {
@@ -78,7 +78,7 @@ func TestAcceptBlockIdempotentOnRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	fork.SignAs(govMem.ID, govMem.PrivateKey)
-	if err := gov.AcceptBlock(fork, govMem.ID, govMem.Cert.PublicKey); !errors.Is(err, ErrFork) {
+	if err := gov.AcceptBlock(fork, govMem.ID, govMem.PublicKey); !errors.Is(err, ErrFork) {
 		t.Fatalf("conflicting block error = %v, want ErrFork", err)
 	}
 }

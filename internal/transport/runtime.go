@@ -228,88 +228,42 @@ func RunNode(cfg RuntimeConfig) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	switch spec.Role {
-	case "provider":
-		return runProvider(cfg, spec)
-	case "collector":
-		return runCollector(cfg, spec)
-	case "governor":
-		return runGovernor(cfg, spec)
-	default:
-		return Report{}, fmt.Errorf("node %q role %q: %w", cfg.ID, spec.Role, ErrBadDeployment)
-	}
-}
-
-func memberOf(spec NodeSpec) (identity.Member, error) {
-	key, err := spec.PrivateKeyOf()
+	roster, err := cfg.Deployment.Roster()
 	if err != nil {
-		return identity.Member{}, err
+		return Report{}, err
 	}
-	pub, err := spec.PublicKeyOf()
-	if err != nil {
-		return identity.Member{}, err
-	}
-	return identity.Member{
-		ID:    identity.NodeID(spec.ID),
-		Index: spec.Index,
-		Cert: identity.Certificate{
-			ID:        identity.NodeID(spec.ID),
-			Role:      roleFromString(spec.Role),
-			PublicKey: pub,
-		},
-		PrivateKey: key,
-	}, nil
-}
-
-func roleFromString(s string) identity.Role {
-	switch s {
-	case "provider":
-		return identity.RoleProvider
-	case "collector":
-		return identity.RoleCollector
-	case "governor":
-		return identity.RoleGovernor
+	// The roster holds every deployment node under its role, so the
+	// lookup cannot miss.
+	role := identity.RoleNamed(spec.Role)
+	me, _ := roster.Member(cfg.ID, role)
+	switch role {
+	case identity.RoleProvider:
+		return runProvider(cfg, roster, me)
+	case identity.RoleCollector:
+		return runCollector(cfg, roster, me)
 	default:
-		return 0
+		return runGovernor(cfg, roster, me)
 	}
 }
 
-func idsOf(specs []NodeSpec) []identity.NodeID {
-	out := make([]identity.NodeID, len(specs))
-	for i, s := range specs {
-		out[i] = identity.NodeID(s.ID)
-	}
-	return out
-}
-
-func runProvider(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
+func runProvider(cfg RuntimeConfig, roster *identity.Roster, me identity.Member) (Report, error) {
 	ep, err := NewEndpoint(cfg.Deployment, cfg.ID)
 	if err != nil {
 		return Report{}, err
 	}
 	defer func() { _ = ep.Close() }()
 
-	mem, err := memberOf(spec)
-	if err != nil {
-		return Report{}, err
-	}
-	topo, err := cfg.Deployment.Topology()
-	if err != nil {
-		return Report{}, err
-	}
-	collectors := cfg.Deployment.NodesByRole("collector")
 	var linked []identity.NodeID
-	for _, c := range topo.CollectorsOf(spec.Index) {
-		linked = append(linked, identity.NodeID(collectors[c].ID))
+	for _, c := range roster.Topology.CollectorsOf(me.Index) {
+		linked = append(linked, roster.Collectors[c].ID)
 	}
-	governorIDs := idsOf(cfg.Deployment.NodesByRole("governor"))
-	prov := node.NewProvider(mem, nil, linked, governorIDs)
+	prov := node.NewProvider(me, nil, linked, identity.IDs(roster.Governors))
 	prov.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
 	// A block frame that does not decode is skipped, and counted the
 	// way the governor stepper counts one.
 	undecodable := ep.Metrics().CounterVec("node.blocks_ignored_total", "reason").With("decode")
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(spec.Index)))
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(me.Index)))
 
 	report := Report{Role: "provider"}
 	sender := frameSender{ep: ep, failures: &report.SendFailures}
@@ -362,23 +316,14 @@ func runProvider(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	return report, nil
 }
 
-func runCollector(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
+func runCollector(cfg RuntimeConfig, roster *identity.Roster, me identity.Member) (Report, error) {
 	ep, err := NewEndpoint(cfg.Deployment, cfg.ID)
 	if err != nil {
 		return Report{}, err
 	}
 	defer func() { _ = ep.Close() }()
 
-	mem, err := memberOf(spec)
-	if err != nil {
-		return Report{}, err
-	}
-	im, err := cfg.Deployment.BuildIdentityManager()
-	if err != nil {
-		return Report{}, err
-	}
-	governorIDs := idsOf(cfg.Deployment.NodesByRole("governor"))
-	coll := node.NewCollector(mem, nil, im, cfg.Validator, node.HonestBehavior{}, governorIDs, cfg.Seed+int64(100+spec.Index))
+	coll := node.NewCollector(me, nil, roster, cfg.Validator, node.HonestBehavior{}, cfg.Seed+int64(100+me.Index))
 	coll.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
 
@@ -397,29 +342,17 @@ func runCollector(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 	return report, nil
 }
 
-func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
+func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member) (Report, error) {
 	ep, err := NewEndpoint(cfg.Deployment, cfg.ID)
 	if err != nil {
 		return Report{}, err
 	}
 	defer func() { _ = ep.Close() }()
 
-	mem, err := memberOf(spec)
-	if err != nil {
-		return Report{}, err
-	}
-	im, err := cfg.Deployment.BuildIdentityManager()
-	if err != nil {
-		return Report{}, err
-	}
-	topo, err := cfg.Deployment.Topology()
-	if err != nil {
-		return Report{}, err
-	}
 	var store ledger.Store
 	if cfg.StateDir != "" {
 		fs, err := ledger.OpenFileStoreOptions(
-			filepath.Join(cfg.StateDir, fmt.Sprintf("governor-%d.chain", spec.Index)),
+			filepath.Join(cfg.StateDir, fmt.Sprintf("governor-%d.chain", me.Index)),
 			ledger.StoreOptions{SegmentBytes: cfg.SegmentBytes},
 		)
 		if err != nil {
@@ -429,14 +362,13 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		defer func() { _ = fs.Close() }()
 	}
 	gov, err := node.NewGovernor(node.GovernorConfig{
-		Member:      mem,
-		IM:          im,
-		Topology:    topo,
+		Member:      me,
+		Roster:      roster,
 		Params:      cfg.Params,
 		Validator:   cfg.Validator,
 		BlockLimit:  cfg.BlockLimit,
 		ArgueWindow: node.DefaultArgueWindow,
-		Seed:        cfg.Seed + int64(200+spec.Index),
+		Seed:        cfg.Seed + int64(200+me.Index),
 		Store:       store,
 		MempoolCap:  cfg.MempoolCap,
 		Metrics:     cfg.Metrics,
@@ -446,25 +378,17 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		return Report{}, err
 	}
 
-	governorSpecs := cfg.Deployment.NodesByRole("governor")
-	governorIDs := idsOf(governorSpecs)
-	govPubs := make([]crypto.PublicKey, len(governorSpecs))
-	stakes := make([]uint64, len(governorSpecs))
-	for i, gs := range governorSpecs {
-		pub, err := gs.PublicKeyOf()
-		if err != nil {
-			return Report{}, err
-		}
-		govPubs[i] = pub
-		stakes[i] = gs.Stake
-		if stakes[i] == 0 {
-			stakes[i] = 1
-		}
+	govPubs := make([]crypto.PublicKey, len(roster.Governors))
+	stakes := make([]uint64, len(roster.Governors))
+	for i, g := range roster.Governors {
+		govPubs[i] = g.PublicKey
+		spec, _ := cfg.Deployment.Node(string(g.ID)) // the roster came from these specs
+		stakes[i] = max(spec.Stake, 1)
 	}
 	// The round stepper is the protocol; this function only decides
 	// when each step runs. The deployment spec's stakes seed a chain
 	// with no checkpoint; a restart resumes the checkpointed ones.
-	rs := node.NewGovernorRound(gov, governorIDs, govPubs, idsOf(cfg.Deployment.NodesByRole("provider")), stakes)
+	rs := node.NewGovernorRound(gov, identity.IDs(roster.Governors), govPubs, identity.IDs(roster.Providers), stakes)
 	if err := rs.Restore(); err != nil {
 		return Report{}, err
 	}
@@ -524,7 +448,7 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		}
 		observe("screen", busy, start)
 		stakes := rs.Stakes()
-		if err := rs.SendTickets(stakes[spec.Index], sender); err != nil {
+		if err := rs.SendTickets(stakes[me.Index], sender); err != nil {
 			return report, err
 		}
 
@@ -546,7 +470,7 @@ func runGovernor(cfg RuntimeConfig, spec NodeSpec) (Report, error) {
 		observe("elect", busy, start)
 
 		// The leader proposes; everyone adopts.
-		if leader == spec.Index {
+		if leader == me.Index {
 			start = time.Now()
 			if _, err := rs.Propose(sender); err != nil {
 				return report, err

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -64,15 +66,11 @@ func testDeployment(t testing.TB, providers, collectors, degree, governors int) 
 	}
 	seed := make([]byte, crypto.SeedSize)
 	seed[0] = 0x42
-	im, err := identity.NewManagerFromSeed(seed)
+	roster, err := identity.NewRoster(topo, governors, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	roster, err := identity.RegisterAll(im, topo, governors, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDeployment(im, roster, "127.0.0.1", 0)
+	d, err := NewDeployment(nil, roster, "127.0.0.1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +79,16 @@ func testDeployment(t testing.TB, providers, collectors, degree, governors int) 
 		d.Nodes[i].Addr = fmt.Sprintf("127.0.0.1:%d", ports[i])
 	}
 	return d
+}
+
+// mustRoster is d.Roster for a deployment the test built.
+func mustRoster(t testing.TB, d *Deployment) *identity.Roster {
+	t.Helper()
+	r, err := d.Roster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestDeploymentJSONRoundTrip(t *testing.T) {
@@ -96,9 +104,9 @@ func TestDeploymentJSONRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("Validate() error = %v", err)
 	}
-	l, n, m := got.Counts()
-	if l != 2 || n != 2 || m != 2 {
-		t.Fatalf("Counts() = %d, %d, %d", l, n, m)
+	r := mustRoster(t, &got)
+	if len(r.Providers) != 2 || len(r.Collectors) != 2 || len(r.Governors) != 2 {
+		t.Fatalf("roster sizes %d/%d/%d", len(r.Providers), len(r.Collectors), len(r.Governors))
 	}
 }
 
@@ -107,12 +115,15 @@ func TestDeploymentValidateRejects(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Deployment)
+		// raw edits the file's bytes after mutate.
+		raw func([]byte) []byte
+		ok  bool
 	}{
-		{"no nodes", func(d *Deployment) { d.Nodes = nil }},
-		{"duplicate id", func(d *Deployment) { d.Nodes[1].ID = d.Nodes[0].ID }},
-		{"missing addr", func(d *Deployment) { d.Nodes[0].Addr = "" }},
-		{"bad key hex", func(d *Deployment) { d.Nodes[0].PublicKey = "zz" }},
-		{"no governors", func(d *Deployment) {
+		{name: "no nodes", mutate: func(d *Deployment) { d.Nodes = nil }},
+		{name: "duplicate id", mutate: func(d *Deployment) { d.Nodes[1].ID = d.Nodes[0].ID }},
+		{name: "missing addr", mutate: func(d *Deployment) { d.Nodes[0].Addr = "" }},
+		{name: "bad key hex", mutate: func(d *Deployment) { d.Nodes[0].PublicKey = "zz" }},
+		{name: "no governors", mutate: func(d *Deployment) {
 			var keep []NodeSpec
 			for _, n := range d.Nodes {
 				if n.Role != "governor" {
@@ -121,8 +132,19 @@ func TestDeploymentValidateRejects(t *testing.T) {
 			}
 			d.Nodes = keep
 		}},
-		{"bad link", func(d *Deployment) { d.Links[0] = []int{99} }},
-		{"link count", func(d *Deployment) { d.Links = d.Links[:1] }},
+		{name: "bad link", mutate: func(d *Deployment) { d.Links[0] = []int{99} }},
+		{name: "link count", mutate: func(d *Deployment) { d.Links = d.Links[:1] }},
+		// The roster's own rules: a known role, an ID naming the role and
+		// index, and each role's indices exactly 0…k−1.
+		{name: "unknown role", mutate: func(d *Deployment) { d.Nodes[4].Role = "observer" }},
+		{name: "id not role/index", mutate: func(d *Deployment) { d.Nodes[2].ID = "collector/7" }},
+		{name: "index gap", mutate: func(d *Deployment) { d.Nodes[3].Index, d.Nodes[3].ID = 5, "collector/5" }},
+		// A file written before the certificate authority was removed
+		// still loads: the two fields are ignored.
+		{name: "legacy certificate fields", ok: true, raw: func(b []byte) []byte {
+			b = bytes.Replace(b, []byte(`{"nodes":`), []byte(`{"root_public_key":"ab","nodes":`), 1)
+			return bytes.ReplaceAll(b, []byte(`"public_key":`), []byte(`"cert_signature":"cd","public_key":`))
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -134,9 +156,25 @@ func TestDeploymentValidateRejects(t *testing.T) {
 			if err := json.Unmarshal(data, &d); err != nil {
 				t.Fatal(err)
 			}
-			tt.mutate(&d)
-			if err := d.Validate(); !errors.Is(err, ErrBadDeployment) {
-				t.Fatalf("Validate() error = %v, want ErrBadDeployment", err)
+			if tt.mutate != nil {
+				tt.mutate(&d)
+			}
+			if data, err = json.Marshal(&d); err != nil {
+				t.Fatal(err)
+			}
+			if tt.raw != nil {
+				data = tt.raw(data)
+			}
+			path := filepath.Join(t.TempDir(), "roster.json")
+			if err := os.WriteFile(path, data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			_, err = LoadDeployment(path)
+			if tt.ok && err != nil {
+				t.Fatalf("LoadDeployment() error = %v", err)
+			}
+			if !tt.ok && !errors.Is(err, ErrBadDeployment) {
+				t.Fatalf("LoadDeployment() error = %v, want ErrBadDeployment", err)
 			}
 		})
 	}
@@ -154,24 +192,54 @@ func TestDeploymentAccessors(t *testing.T) {
 	if _, err := d.Node("ghost"); !errors.Is(err, ErrUnknownPeer) {
 		t.Fatalf("Node(ghost) error = %v", err)
 	}
-	govs := d.NodesByRole("governor")
-	if len(govs) != 2 || govs[0].Index != 0 || govs[1].Index != 1 {
-		t.Fatalf("NodesByRole() = %+v", govs)
+	r := mustRoster(t, d)
+	if len(r.Governors) != 2 || r.Governors[1].ID != "governor/1" || r.Topology.Providers() != 2 || r.Topology.Collectors() != 2 {
+		t.Fatalf("Roster() = %+v", r)
 	}
-	topo, err := d.Topology()
+	if _, ok := r.Member("governor/1", identity.RoleGovernor); !ok {
+		t.Fatal("Roster() lacks governor/1")
+	}
+}
+
+// FuzzDeploymentRoster writes arbitrary bytes as a deployment file and
+// loads it. Either LoadDeployment refuses the file, or its roster
+// resolves every node under its role and index and links exactly the
+// pairs Links lists. Nothing panics.
+func FuzzDeploymentRoster(f *testing.F) {
+	valid, err := json.Marshal(testDeployment(f, 2, 2, 1, 2))
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	if topo.Providers() != 2 || topo.Collectors() != 2 {
-		t.Fatal("Topology() dimensions wrong")
-	}
-	im, err := d.BuildIdentityManager()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.Count(identity.RoleProvider) != 2 {
-		t.Fatal("IM reconstruction wrong")
-	}
+	f.Add(valid)
+	f.Add([]byte(`{"nodes":[{"id":"governor/0","role":"governor","index":0,"addr":"a","public_key":"00"}],"links":[]}`))
+	f.Add([]byte(`{"nodes":[],"links":[[0,0]]}`))
+	// A worker runs its inputs one at a time, so they share one file.
+	path := filepath.Join(f.TempDir(), "roster.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		d, err := LoadDeployment(path)
+		if err != nil {
+			return
+		}
+		r, err := d.Roster()
+		if err != nil {
+			t.Fatalf("loaded deployment has no roster: %v", err)
+		}
+		for _, n := range d.Nodes {
+			if m, ok := r.Member(identity.NodeID(n.ID), identity.RoleNamed(n.Role)); !ok || m.Index != n.Index {
+				t.Fatalf("node %q (%s %d) resolves to %+v, %v", n.ID, n.Role, n.Index, m, ok)
+			}
+		}
+		for k := range r.Topology.Providers() {
+			for c := range r.Topology.Collectors() {
+				if r.Linked(k, c) != slices.Contains(d.Links[k], c) {
+					t.Fatalf("Linked(%d, %d) = %v, links %v", k, c, r.Linked(k, c), d.Links[k])
+				}
+			}
+		}
+	})
 }
 
 func TestEndpointSendReceive(t *testing.T) {
@@ -569,7 +637,7 @@ func TestRuntimeStakeTransfer(t *testing.T) {
 			StateDir:   stateDir,
 		}
 		wait := startNodes(t, base, "provider/0")
-		for _, g := range d.NodesByRole("governor") {
+		for _, g := range mustRoster(t, d).Governors {
 			for deadline := time.Now().Add(3 * time.Second); relay; time.Sleep(10 * time.Millisecond) {
 				err := ep.Send(identity.NodeID(g.ID), network.KindStakeTx, transfer)
 				if err == nil {
@@ -701,8 +769,8 @@ func TestRuntimeRoundIsWorkBound(t *testing.T) {
 				r, at.Sub(clock.at(r, 0)), bound.Sub(clock.at(r, 0)))
 		}
 	}
-	for _, g := range d.NodesByRole("governor") {
-		if h := reports[g.ID].Height; h != rounds {
+	for _, g := range mustRoster(t, d).Governors {
+		if h := reports[string(g.ID)].Height; h != rounds {
 			t.Errorf("%s ended at height %d, want %d", g.ID, h, rounds)
 		}
 	}

@@ -297,7 +297,7 @@ func SignLabel(s SignedTx, l Label, collector identity.NodeID, key crypto.Privat
 
 // VerifyCollector checks the collector signature against pub. This is
 // the collector half of the paper's verify(d, m); link membership is
-// checked separately against the identity manager.
+// checked separately against the roster.
 func (lt LabeledTx) VerifyCollector(pub crypto.PublicKey) error {
 	if !lt.Label.Valid() {
 		return fmt.Errorf("label %d on %s: %w", lt.Label, lt.ID().Short(), ErrBadLabel)
