@@ -92,7 +92,8 @@ crash-consistency:
 
 # Short coverage-guided fuzz pass over the untrusted decoders: ledger
 # segments and snapshots, the deployment file and the roster built from
-# it, the transport's frame receive path, the
+# it, the transport's frame receive path, the provider frame (a list of
+# signed transactions and their provider batches), the
 # collector upload batch, the round-ticket envelope, block frames, the
 # governor-to-governor stake-transform messages, the governor checkpoint
 # state and the reputation table inside it, the provider's argue
@@ -103,7 +104,7 @@ crash-consistency:
 # FUZZTIME=30s in CI; keep it short locally.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzDeploymentRoster transport/FuzzFrameReceive tx/FuzzUploadBatchDecode \
+	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzDeploymentRoster transport/FuzzFrameReceive tx/FuzzUploadBatchDecode tx/FuzzProviderBatchDecode \
 		consensus/FuzzRoundTicketsDecode ledger/FuzzBlockDecode consensus/FuzzStakeTransformDecode \
 		node/FuzzGovernorStateDecode reputation/FuzzReputationRestore node/FuzzArgueDecode \
 		shard/FuzzXShardValidate crypto/FuzzVerifyBatch; do \

@@ -3,9 +3,12 @@ package repchain
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repchain/internal/core"
+	"repchain/internal/crypto"
+	"repchain/internal/tx"
 )
 
 func goldenOptions() []Option {
@@ -28,27 +31,67 @@ func goldenPayload(valid bool, a, b byte) []byte {
 	return p
 }
 
-// goldenHashes are the block hashes of the reference K=1 run, captured
-// on the pre-cluster engine. They pin the byte-identity guarantee: a
-// one-committee cluster must still produce this exact chain.
+// goldenHashes are the block hashes of the reference K=1 run, with
+// every transaction submitted alone: a provider batch of one each. They
+// pin the byte-identity guarantee: a one-committee cluster must still
+// produce this exact chain.
 var goldenHashes = []string{
-	"00f2202a4d16f68122926edd6dcfa9237c71ed3cb91e748347d54d5f1f011cb1",
-	"83fba54558ce3800ff441bd066927e28cad7b57f9cb471b6a671d1d025bfa288",
-	"d6578f2d01d52c055521bc4d47d0daff1a9a47d1cb853e61a4f39550677fd808",
-	"a990a0c9954123163899badc34b496e4e1ca1f4c2c48cacac62b664a0cab1bc6",
-	"34483077efda13de224bc1f5de37295efe027d19381f3fb20c22301b1d65c271",
+	"fc2b8ffe458f56caf0d3637afdbd02d2a73856d2aa83c10defe5ea5508b789db",
+	"ba4ad5180212bf0ba986f2e369fa5f5fb14fd0b1c0a799be4a939c1ed821954d",
+	"1940ea141740341e8faecfdde600504f09371b39ee83261c3b982029a2a72c4b",
+	"20ceeba247f2b8840d8d6c34ed8eb6946e263d86fd732fe0e8b4cd39501d5156",
+	"aedcbe40259b848759d8936690c246f0db264181aaa0cc21c1140a89363f7215",
+}
+
+// goldenBatchHashes are the block hashes of the same run with each
+// round's submissions handed over one SubmitBatch per provider, so
+// blocks carry multi-leaf provider batches.
+var goldenBatchHashes = []string{
+	"c3c9cea8273a8bb959369cf58096740721ce5f8ce792eef045f999b832dd68c6",
+	"91d61a0a558dfac57d18f4981c5180825db2060e47911573115e2b91a318cc72",
+	"f9c5646e6dd8cdf9dcbd77983312a0c58f4826eed1c47cb9b2db54d9e2da2f73",
+	"2357d27461a300533576b1332e399d628a82c7b988187b4154a10e47fc5e97ed",
+	"a54b665194d122434e25dab3dbda7ffcd3e237b8c6d0389b223bac4a80bfcf35",
 }
 
 // TestGoldenHashes runs the reference workload through every way in —
 // New, NewCluster, and NewCluster with an explicit WithCommittees(1) —
 // and demands the golden chain from each: K=1 identity holds because
-// all three are one constructor and one round.
+// all three are one constructor and one round. The SubmitBatch facade
+// hands each provider's share of a round over as one batch.
 func TestGoldenHashes(t *testing.T) {
 	type facade struct {
-		submit func(k int, payload []byte, valid bool) error
+		// submit hands provider k's share of a round over.
+		submit func(k int, txs []Tx) error
 		round  func() error
 		view   *Committee
 		close  func() error
+	}
+	oneByOne := func(submit func(k int, kind string, payload []byte, valid bool) (TxID, error)) func(int, []Tx) error {
+		return func(k int, txs []Tx) error {
+			for _, tx := range txs {
+				if _, err := submit(k, tx.Kind, tx.Payload, tx.Valid); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	ofChain := func(batched bool) (facade, error) {
+		c, err := New(goldenOptions()...)
+		if err != nil {
+			return facade{}, err
+		}
+		f := facade{
+			submit: oneByOne(c.Submit),
+			round:  func() error { _, err := c.RunRound(); return err },
+			view:   c.Committee,
+			close:  c.Close,
+		}
+		if batched {
+			f.submit = func(k int, txs []Tx) error { _, err := c.SubmitBatch(context.Background(), k, txs); return err }
+		}
+		return f, nil
 	}
 	ofCluster := func(opts ...Option) (facade, error) {
 		cl, err := NewCluster(opts...)
@@ -56,32 +99,23 @@ func TestGoldenHashes(t *testing.T) {
 			return facade{}, err
 		}
 		return facade{
-			submit: func(k int, p []byte, valid bool) error { _, err := cl.Submit(k, "golden", p, valid); return err },
+			submit: oneByOne(cl.Submit),
 			round:  func() error { _, err := cl.RunRound(); return err },
 			view:   &Committee{cl: cl.cl},
 			close:  cl.Close,
 		}, nil
 	}
 	for _, tt := range []struct {
-		name  string
-		build func() (facade, error)
+		name    string
+		batched bool
+		build   func() (facade, error)
 	}{
-		{"New", func() (facade, error) {
-			c, err := New(goldenOptions()...)
-			if err != nil {
-				return facade{}, err
-			}
-			return facade{
-				submit: func(k int, p []byte, valid bool) error { _, err := c.Submit(k, "golden", p, valid); return err },
-				round:  func() error { _, err := c.RunRound(); return err },
-				view:   c.Committee,
-				close:  c.Close,
-			}, nil
-		}},
-		{"NewCluster", func() (facade, error) { return ofCluster(goldenOptions()...) }},
-		{"NewCluster/WithCommittees(1)", func() (facade, error) {
+		{"New", false, func() (facade, error) { return ofChain(false) }},
+		{"NewCluster", false, func() (facade, error) { return ofCluster(goldenOptions()...) }},
+		{"NewCluster/WithCommittees(1)", false, func() (facade, error) {
 			return ofCluster(append(goldenOptions(), WithCommittees(1))...)
 		}},
+		{"New/SubmitBatch", true, func() (facade, error) { return ofChain(true) }},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			f, err := tt.build()
@@ -89,11 +123,30 @@ func TestGoldenHashes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.close()
-			for r := 0; r < len(goldenHashes); r++ {
+			want := goldenHashes
+			if tt.batched {
+				want = goldenBatchHashes
+			}
+			for r := 0; r < len(want); r++ {
+				// Twelve transactions over the 8 providers, in j order:
+				// one after another, or each provider's share at once.
+				shares := make([][]Tx, 8)
 				for j := 0; j < 12; j++ {
 					valid := j%3 != 2
-					if err := f.submit(j%8, goldenPayload(valid, byte(j), byte(r)), valid); err != nil {
-						t.Fatal(err)
+					tx := Tx{Kind: "golden", Payload: goldenPayload(valid, byte(j), byte(r)), Valid: valid}
+					if !tt.batched {
+						if err := f.submit(j%8, []Tx{tx}); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
+					shares[j%8] = append(shares[j%8], tx)
+				}
+				for k, share := range shares {
+					if len(share) > 0 {
+						if err := f.submit(k, share); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				if err := f.round(); err != nil {
@@ -101,13 +154,13 @@ func TestGoldenHashes(t *testing.T) {
 				}
 			}
 			st := f.view.engine().Governor(0).Store()
-			for s, want := range goldenHashes {
+			for s, w := range want {
 				b, err := st.Get(uint64(s + 1))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := b.Hash().String(); got != want {
-					t.Fatalf("block %d hash %s, want golden %s", s+1, got, want)
+				if got := b.Hash().String(); got != w {
+					t.Errorf("block %d hash %s, want golden %s", s+1, got, w)
 				}
 			}
 		})
@@ -218,17 +271,58 @@ type batchFacade struct {
 	submit func(k int, tx Tx) (TxID, error)
 	batch  func(k int, txs []Tx) ([]TxID, error)
 	round  func() error
-	// heads returns every committee's head block hash.
-	heads func() []string
+	// engines returns every committee's engine.
+	engines func() []*core.Engine
 }
 
-func headHash(t *testing.T, e *core.Engine) string {
+// headRoot is the transaction root of e's head block: its records,
+// without the provider batches that sign them.
+func headRoot(t *testing.T, e *core.Engine) crypto.Hash {
 	t.Helper()
 	b, err := e.Governor(0).Store().Head()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Hash().String()
+	return b.TxRoot
+}
+
+// settled reports whether every engine has drained its ingress and has
+// no valid transaction left unsettled.
+func settled(engines []*core.Engine) bool {
+	for _, e := range engines {
+		if e.MempoolDepth() > 0 {
+			return false
+		}
+		for k := 0; k < len(e.Roster().Providers); k++ {
+			if e.Provider(k).PendingValid() > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// committedValid lists the transactions governor 0 of each engine holds
+// committed valid, sorted.
+func committedValid(t *testing.T, engines []*core.Engine) []string {
+	t.Helper()
+	var ids []string
+	for _, e := range engines {
+		st := e.Governor(0).Store()
+		for s := uint64(1); s <= st.Height(); s++ {
+			b, err := st.Get(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range b.Records {
+				if r.Status == tx.StatusValid {
+					ids = append(ids, r.Signed.ID().String())
+				}
+			}
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 func chainBatchFacade(t *testing.T) batchFacade {
@@ -238,10 +332,10 @@ func chainBatchFacade(t *testing.T) batchFacade {
 	}
 	t.Cleanup(func() { c.Close() })
 	return batchFacade{
-		submit: func(k int, tx Tx) (TxID, error) { return c.Submit(k, tx.Kind, tx.Payload, tx.Valid) },
-		batch:  func(k int, txs []Tx) ([]TxID, error) { return c.SubmitBatch(context.Background(), k, txs) },
-		round:  func() error { _, err := c.RunRound(); return err },
-		heads:  func() []string { return []string{headHash(t, c.engine())} },
+		submit:  func(k int, tx Tx) (TxID, error) { return c.Submit(k, tx.Kind, tx.Payload, tx.Valid) },
+		batch:   func(k int, txs []Tx) ([]TxID, error) { return c.SubmitBatch(context.Background(), k, txs) },
+		round:   func() error { _, err := c.RunRound(); return err },
+		engines: func() []*core.Engine { return []*core.Engine{c.engine()} },
 	}
 }
 
@@ -255,19 +349,23 @@ func clusterBatchFacade(t *testing.T) batchFacade {
 		submit: func(k int, tx Tx) (TxID, error) { return c.Submit(k, tx.Kind, tx.Payload, tx.Valid) },
 		batch:  func(k int, txs []Tx) ([]TxID, error) { return c.SubmitBatch(context.Background(), k, txs) },
 		round:  func() error { _, err := c.RunRound(); return err },
-		heads: func() []string {
-			var out []string
+		engines: func() []*core.Engine {
+			var out []*core.Engine
 			for i := 0; i < c.Committees(); i++ {
-				out = append(out, headHash(t, c.cl.Engine(i)))
+				out = append(out, c.cl.Engine(i))
 			}
 			return out
 		},
 	}
 }
 
-// TestSubmitBatchMatchesSubmit pins SubmitBatch, whose signatures are
-// computed in parallel, to N × Submit on both facades: the same IDs in
-// the same order, and after each round the same blocks.
+// TestSubmitBatchMatchesSubmit pins SubmitBatch, one provider batch
+// under one signature, to N × Submit, N batches of one, on both
+// facades: the same IDs in the same order, the same first block's
+// records (its transaction root), and, once both settle, the same
+// transactions committed valid. Blocks after the first may differ:
+// block hashes cover the batch table, and the next leader is drawn
+// from the previous hash.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	for name, build := range map[string]func(*testing.T) batchFacade{"chain": chainBatchFacade, "cluster": clusterBatchFacade} {
 		t.Run(name, func(t *testing.T) {
@@ -299,12 +397,28 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 				if err := batch.round(); err != nil {
 					t.Fatal(err)
 				}
-				a, b := one.heads(), batch.heads()
+				if r > 0 {
+					continue
+				}
+				a, b := one.engines(), batch.engines()
 				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("round %d committee %d: batch head %s, Submit head %s", r, i, b[i], a[i])
+					if ra, rb := headRoot(t, a[i]), headRoot(t, b[i]); ra != rb {
+						t.Fatalf("committee %d: first batch block root %s, Submit block root %s", i, rb.Short(), ra.Short())
 					}
 				}
+			}
+			for _, f := range []batchFacade{one, batch} {
+				for n := 0; !settled(f.engines()); n++ {
+					if n == 100 {
+						t.Fatal("chain did not settle in 100 rounds")
+					}
+					if err := f.round(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if a, b := committedValid(t, one.engines()), committedValid(t, batch.engines()); !slices.Equal(a, b) || len(a) == 0 {
+				t.Fatalf("batch chain committed %d valid, Submit chain %d, or not the same ones", len(b), len(a))
 			}
 		})
 	}

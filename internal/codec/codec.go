@@ -338,9 +338,8 @@ func (d *Decoder) Float64() (float64, error) {
 	return math.Float64frombits(bits), nil
 }
 
-// Bytes decodes a length-prefixed byte slice. The result is a copy and
-// safe to retain.
-func (d *Decoder) Bytes() ([]byte, error) {
+// field returns the next length-prefixed field, uncopied.
+func (d *Decoder) field() ([]byte, error) {
 	n, err := d.Uvarint()
 	if err != nil {
 		return nil, err
@@ -351,17 +350,42 @@ func (d *Decoder) Bytes() ([]byte, error) {
 	if uint64(d.Remaining()) < n {
 		return nil, ErrTruncated
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
+	return b, nil
+}
+
+// Bytes decodes a length-prefixed byte slice. The result is a copy and
+// safe to retain.
+func (d *Decoder) Bytes() ([]byte, error) {
+	b, err := d.field()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out, nil
 }
 
 // String decodes a length-prefixed string.
 func (d *Decoder) String() (string, error) {
-	b, err := d.Bytes()
+	b, err := d.field()
 	if err != nil {
 		return "", err
+	}
+	return string(b), nil
+}
+
+// StringLike is String for a field that often repeats a string the
+// caller already holds: it returns like itself, allocating nothing,
+// when the field equals it.
+func (d *Decoder) StringLike(like string) (string, error) {
+	b, err := d.field()
+	if err != nil {
+		return "", err
+	}
+	if string(b) == like {
+		return like, nil
 	}
 	return string(b), nil
 }
@@ -371,13 +395,20 @@ func (d *Decoder) Raw(n int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("negative length %d: %w", n, ErrCorrupt)
 	}
-	if d.Remaining() < n {
-		return nil, ErrTruncated
-	}
 	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
-	d.off += n
+	if err := d.RawInto(out); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// RawInto decodes len(dst) bytes with no length prefix into dst.
+func (d *Decoder) RawInto(dst []byte) error {
+	if d.Remaining() < len(dst) {
+		return ErrTruncated
+	}
+	d.off += copy(dst, d.buf[d.off:])
+	return nil
 }
 
 // Expect verifies that the input is fully consumed, returning ErrCorrupt

@@ -498,14 +498,24 @@ func (e *Engine) MempoolDepth() int { return e.ingress.Len() }
 
 // drainIngress broadcasts the oldest staged submissions, at most
 // BlockLimit of them (all with no limit), in submission order — the
-// same total order at any worker count. The rest stays queued for
-// later rounds.
+// same total order at any worker count — one frame per run of a
+// provider batch. A batch the limit splits ships its header with each
+// part. The rest stays queued for later rounds.
 func (e *Engine) drainIngress() error {
-	batch := e.ingress.Drain(e.cfg.BlockLimit)
-	for _, it := range batch {
-		if err := e.providers[it.provider].Broadcast(it.signed, e.bus); err != nil {
+	drained := e.ingress.Drain(e.cfg.BlockLimit)
+	for start := 0; start < len(drained); {
+		end := start + 1
+		for end < len(drained) && drained[end].signed.Batch == drained[start].signed.Batch {
+			end++
+		}
+		run := make([]tx.SignedTx, end-start)
+		for i := range run {
+			run[i] = drained[start+i].signed
+		}
+		if err := e.providers[drained[start].provider].Broadcast(run, e.bus); err != nil {
 			return err
 		}
+		start = end
 	}
 	return nil
 }

@@ -127,8 +127,10 @@ func TestMempoolBackpressure(t *testing.T) {
 }
 
 // TestSubmitBatchMatchesSubmitTx pins the batch path to N single
-// submissions: the same signed transactions (IDs, signatures, sequence
-// numbers) and, after a round, the same block.
+// submissions: the same transactions (IDs, sequence numbers), each
+// verifying under its provider batch, and, after a round, the same
+// records — the same transaction root. The block hashes differ: one
+// provider batch, or N batches of one, fill the batch table.
 func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
 	one, batch := newTestEngine(t, defaultConfig()), newTestEngine(t, defaultConfig())
 	for r := 0; r < 2; r++ {
@@ -143,8 +145,11 @@ func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got[i].ID() != want.ID() || got[i].Tx.Seq != want.Tx.Seq || !bytes.Equal(got[i].Sig, want.Sig) {
+				if got[i].ID() != want.ID() || got[i].Tx.Seq != want.Tx.Seq || got[i].Batch != got[0].Batch {
 					t.Fatalf("round %d provider %d item %d differs from SubmitTx", r, k, i)
+				}
+				if err := got[i].VerifyProvider(batch.Roster().Providers[k].PublicKey); err != nil {
+					t.Fatalf("round %d provider %d item %d: %v", r, k, i, err)
 				}
 			}
 		}
@@ -156,8 +161,8 @@ func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Block.Hash() != b.Block.Hash() || len(b.Block.Records) == 0 {
-			t.Fatalf("round %d: batch block %s (%d records), per-tx %s", r, b.Block.Hash().Short(), len(b.Block.Records), a.Block.Hash().Short())
+		if a.Block.TxRoot != b.Block.TxRoot || len(b.Block.Records) == 0 {
+			t.Fatalf("round %d: batch block root %s (%d records), per-tx %s", r, b.Block.TxRoot.Short(), len(b.Block.Records), a.Block.TxRoot.Short())
 		}
 	}
 }

@@ -15,9 +15,9 @@ const (
 )
 
 func merkleLeaf(data []byte) Hash {
-	buf := make([]byte, 1+len(data))
-	buf[0] = merkleLeafTag
-	copy(buf[1:], data)
+	var small [1 + 2*HashSize]byte // a hash-sized leaf needs no heap buffer
+	buf := append(small[:0], merkleLeafTag)
+	buf = append(buf, data...)
 	return Sum(buf)
 }
 
@@ -33,8 +33,11 @@ func merkleNode(left, right Hash) Hash {
 // An empty list yields ZeroHash, the conventional root of an empty
 // block.
 func MerkleRoot(leaves [][]byte) Hash {
-	if len(leaves) == 0 {
+	switch len(leaves) {
+	case 0:
 		return ZeroHash
+	case 1:
+		return merkleLeaf(leaves[0])
 	}
 	level := make([]Hash, len(leaves))
 	for i, l := range leaves {

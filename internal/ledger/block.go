@@ -62,28 +62,34 @@ type Record struct {
 	// reporting collector; the full report set is replayed from
 	// governor state).
 	Label tx.Label
-	// Status is the governor's recorded judgment.
-	Status tx.Status
 	// Unchecked reports that the governor skipped verification and the
 	// status is the conservative invalid marking of Algorithm 2
 	// line 32.
 	Unchecked bool
+	// Status is the governor's recorded judgment.
+	Status tx.Status
 }
 
-// Encode appends the canonical encoding of r to e.
-func (r Record) Encode(e *codec.Encoder) {
-	r.Signed.Encode(e)
+// EncodeLeaf appends r's transaction-root leaf to e: the transaction,
+// the label, the status and the unchecked flag. The leaf leaves out
+// the record's batch reference; the block hash covers the batch table
+// and every reference (DESIGN.md §4g).
+func (r Record) EncodeLeaf(e *codec.Encoder) {
+	r.Signed.Tx.EncodeSigning(e)
+	encodeJudgment(e, &r)
+}
+
+// encodeJudgment appends the governor's fields of r: the fields a block
+// stores after each record's transaction.
+func encodeJudgment(e *codec.Encoder, r *Record) {
 	e.PutVarint(int64(r.Label))
 	e.PutInt(int(r.Status))
 	e.PutBool(r.Unchecked)
 }
 
-// DecodeRecord reads one Record from d.
-func DecodeRecord(d *codec.Decoder) (Record, error) {
-	s, err := tx.DecodeSignedTx(d)
-	if err != nil {
-		return Record{}, fmt.Errorf("record: %w", err)
-	}
+// decodeJudgment reads the fields encodeJudgment writes into a record
+// for s.
+func decodeJudgment(d *codec.Decoder, s tx.SignedTx) (Record, error) {
 	lv, err := d.Varint()
 	if err != nil {
 		return Record{}, fmt.Errorf("record label: %w", err)
@@ -114,7 +120,8 @@ type Block struct {
 	Records []Record
 	// PrevHash is h = H(B_prev); ZeroHash in the genesis block.
 	PrevHash crypto.Hash
-	// TxRoot is the Merkle root over the encoded Records.
+	// TxRoot is the Merkle root over the Records' leaf encodings
+	// (Record.EncodeLeaf).
 	TxRoot crypto.Hash
 	// Proposer is the leading governor that assembled the block.
 	Proposer identity.NodeID
@@ -122,14 +129,14 @@ type Block struct {
 	Signature []byte
 }
 
-// AppendTxRoot feeds each record's canonical encoding into mb in
-// order. Proposers call it with the builder they fill while packing so
+// AppendTxRoot feeds each record's leaf encoding (EncodeLeaf) into mb
+// in order. Proposers call it with the builder they fill while packing so
 // the root is ready at commit time; enc is a scratch encoder reused
 // across records.
 func AppendTxRoot(mb *crypto.MerkleBuilder, enc *codec.Encoder, records []Record) {
 	for _, r := range records {
 		enc.Reset()
-		r.Encode(enc)
+		r.EncodeLeaf(enc)
 		mb.Add(enc.Bytes())
 	}
 }
@@ -144,15 +151,14 @@ func ComputeTxRoot(records []Record) crypto.Hash {
 }
 
 // encodeHashable appends the canonical encoding of everything the block
-// hash covers: serial, records, previous hash, transaction root, and
-// proposer — but not the proposer signature, which signs the hash.
+// hash covers: serial, records — a list (tx.EncodeList) whose batch
+// table carries each provider batch once, each record followed by its
+// label, status and unchecked flag — previous hash, transaction root,
+// and proposer; but not the proposer signature, which signs the hash.
 func (b Block) encodeHashable(e *codec.Encoder) {
-	e.PutString("repchain/block/v1")
+	e.PutString("repchain/block/v2")
 	e.PutUint64(b.Serial)
-	e.PutInt(len(b.Records))
-	for _, r := range b.Records {
-		r.Encode(e)
-	}
+	tx.EncodeList(e, b.Records, func(r *Record) *tx.SignedTx { return &r.Signed }, encodeJudgment)
 	e.PutRaw(b.PrevHash[:])
 	e.PutRaw(b.TxRoot[:])
 	e.PutString(string(b.Proposer))
@@ -201,9 +207,9 @@ func (b Block) EncodeBytes() []byte {
 	return out
 }
 
-// minRecordBytes is the shortest Record encoding: a signed transaction
-// and one byte each for label, status and the unchecked flag.
-const minRecordBytes = tx.MinSignedTxBytes + 3
+// minJudgmentBytes is the shortest encodeJudgment output: one byte
+// each for label, status and the unchecked flag.
+const minJudgmentBytes = 3
 
 // DecodeBlock reads one Block from d.
 func DecodeBlock(d *codec.Decoder) (Block, error) {
@@ -212,23 +218,15 @@ func DecodeBlock(d *codec.Decoder) (Block, error) {
 	if err != nil {
 		return b, err
 	}
-	if tag != "repchain/block/v1" {
+	if tag != "repchain/block/v2" {
 		return b, fmt.Errorf("block tag %q: %w", tag, ErrDecode)
 	}
 	if b.Serial, err = d.Uint64(); err != nil {
 		return b, err
 	}
-	n, err := d.Count(minRecordBytes)
+	b.Records, err = tx.DecodeList(d, minJudgmentBytes, func(s tx.SignedTx) (Record, error) { return decodeJudgment(d, s) })
 	if err != nil {
-		return b, fmt.Errorf("block record count: %w", err)
-	}
-	b.Records = make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		r, err := DecodeRecord(d)
-		if err != nil {
-			return b, fmt.Errorf("block record %d: %w", i, err)
-		}
-		b.Records = append(b.Records, r)
+		return b, fmt.Errorf("block records: %w", err)
 	}
 	prev, err := d.Raw(crypto.HashSize)
 	if err != nil {

@@ -87,12 +87,18 @@ func FuzzBlockDecode(f *testing.F) {
 	})
 }
 
-// hostileBlockFrame is 23 bytes claiming 2^20 records.
+// minRecordBytes is the shortest record in a block: a transaction
+// list element (batch position, leaf index, transaction: 22 bytes) and
+// the governor's judgment.
+const minRecordBytes = 22 + minJudgmentBytes
+
+// hostileBlockFrame is 24 bytes claiming 2^20 records.
 func hostileBlockFrame() []byte {
 	e := codec.NewEncoder(0)
-	e.PutString("repchain/block/v1")
+	e.PutString("repchain/block/v2")
 	e.PutUint64(1)
-	e.PutInt(1 << 20)
+	e.PutUvarint(0) // no batches
+	e.PutUvarint(1 << 20)
 	return e.Bytes()
 }
 

@@ -60,12 +60,12 @@ func reopenOnce(tb testing.TB, dir string, height int) {
 // height 1000: mode=replay decodes and link-verifies every frame,
 // mode=snapshot only indexes (TestSnapshotSuffixOnlyReplay checks the
 // replayed-block counts). Each budget is the count measured when it was
-// introduced ×1.10 + 8; re-measure with -v.
+// last pinned ×1.10 + 8; re-measure with -v.
 func TestStoreReopenAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		mode     string
 		measured float64
-	}{{"replay", 5042}, {"snapshot", 65}} {
+	}{{"replay", 4042}, {"snapshot", 64}} {
 		t.Run(tc.mode, func(t *testing.T) {
 			if raceEnabled {
 				t.Skip("sync.Pool drops items at random under -race")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repchain/internal/crypto"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/metrics"
@@ -24,8 +25,8 @@ func parityTx(fx *fixture, seq uint64, valid bool) tx.SignedTx {
 }
 
 // adversarialUploads lists, per collector, the items of an adversarial
-// round: honest reports, an inner forgery (provider signature by the
-// wrong key), an equivocation pair and an idempotent duplicate.
+// round: honest reports, an inner forgery (a provider batch signed by
+// the wrong key), an equivocation pair and an idempotent duplicate.
 func adversarialUploads(fx *fixture) [][]tx.UploadItem {
 	prov := fx.roster.Providers[0]
 	tx1, tx2, tx3 := parityTx(fx, 1, true), parityTx(fx, 2, false), parityTx(fx, 3, true)
@@ -338,5 +339,91 @@ func TestBuildBlockIncrementalRootMatchesRecompute(t *testing.T) {
 	}
 	if want := ledger.ComputeTxRoot(b.Records); b.TxRoot != want {
 		t.Fatalf("incremental root %s, recomputed %s", b.TxRoot.Short(), want.Short())
+	}
+}
+
+// TestGovernorBatchPenaltyParity: in an authenticated upload, the k
+// items of one bad provider batch cost exactly k forge penalties — what
+// k bad batches of one cost — and the upload's other items are
+// admitted. The governor submits one signature check per distinct
+// batch, and a collector discards each item of a bad batch.
+func TestGovernorBatchPenaltyParity(t *testing.T) {
+	const k = 3
+	type outcome struct {
+		stats    GovernorStats
+		table    []byte
+		rejected int64
+		checks   int64
+	}
+	run := func(bad func(fx *fixture, txs []tx.Transaction) []tx.SignedTx) outcome {
+		reg := metrics.NewRegistry()
+		fx := newFixtureOpts(t, nil, func(cfg *GovernorConfig) { cfg.Metrics = reg })
+		prov, coll := fx.roster.Providers[0], fx.roster.Collectors[0]
+		txs := func(from uint64, n int) []tx.Transaction {
+			out := make([]tx.Transaction, n)
+			for i := range out {
+				seq := from + uint64(i)
+				out[i] = tx.Transaction{Provider: prov.ID, Seq: seq, Timestamp: int64(seq), Kind: "parity", Payload: []byte{1, byte(seq)}}
+			}
+			return out
+		}
+		good := tx.SignBatch(txs(1, 5), prov.PrivateKey)
+		forged := bad(fx, txs(100, k))
+		var items []tx.UploadItem
+		for i := range good {
+			items = append(items, tx.UploadItem{Signed: good[i], Label: tx.LabelValid})
+			if i < k {
+				items = append(items, tx.UploadItem{Signed: forged[i], Label: tx.LabelValid})
+			}
+		}
+		before := crypto.DefaultVerifyCache.BatchStats()
+		if _, err := fx.governor.HandleBatch([]network.Message{uploadMsg(t, coll, coll.ID, items...)}); err != nil {
+			t.Fatal(err)
+		}
+		after := crypto.DefaultVerifyCache.BatchStats()
+
+		// The collector side: the same transactions in provider frames.
+		frames := []network.Message{
+			{From: prov.ID, Kind: network.KindProviderTx, Payload: tx.EncodeListBytes(good)},
+			{From: prov.ID, Kind: network.KindProviderTx, Payload: tx.EncodeListBytes(forged)},
+		}
+		uploaded, err := fx.collectors[0].ProcessBatch(frames, &countingSender{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := fx.collectors[0].Stats(); uploaded != len(good) || st.Discarded != k || st.Received != len(good)+k {
+			t.Fatalf("collector uploaded %d, stats %+v; want %d uploaded and %d discarded", uploaded, st, len(good), k)
+		}
+		return outcome{
+			stats:    fx.governor.Stats(),
+			table:    fx.governor.Table().Snapshot(),
+			rejected: reg.CounterVec("node.uploads_rejected_total", "reason").With("item_provider_sig").Value(),
+			checks:   (after.Hits + after.Deduped + after.Verified) - (before.Hits + before.Deduped + before.Verified),
+		}
+	}
+	// One batch of k under the collector's key, claiming the provider.
+	oneBad := run(func(fx *fixture, txs []tx.Transaction) []tx.SignedTx {
+		return tx.SignBatch(txs, fx.roster.Collectors[0].PrivateKey)
+	})
+	// k batches of one, each under the collector's key.
+	kBad := run(func(fx *fixture, txs []tx.Transaction) []tx.SignedTx {
+		out := make([]tx.SignedTx, len(txs))
+		for i, t := range txs {
+			out[i] = tx.Sign(t, fx.roster.Collectors[0].PrivateKey)
+		}
+		return out
+	})
+	for name, o := range map[string]outcome{"one bad batch": oneBad, "bad batches of one": kBad} {
+		if o.stats.ForgeriesDetected != k || o.rejected != k || o.stats.ReportsReceived != 5 {
+			t.Errorf("%s: %d penalties, %d item_provider_sig refusals, %d reports; want %d, %d, 5",
+				name, o.stats.ForgeriesDetected, o.rejected, o.stats.ReportsReceived, k, k)
+		}
+	}
+	if oneBad.stats != kBad.stats || !bytes.Equal(oneBad.table, kBad.table) {
+		t.Fatalf("one bad batch and bad batches of one diverge:\n%+v\n%+v", oneBad.stats, kBad.stats)
+	}
+	// The upload's signature, then one check per distinct provider batch.
+	if oneBad.checks != 1+2 || kBad.checks != 1+1+k {
+		t.Fatalf("signature checks: %d and %d, want %d and %d", oneBad.checks, kBad.checks, 3, 2+k)
 	}
 }

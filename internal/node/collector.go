@@ -5,8 +5,6 @@ import (
 	"log/slog"
 	"math/rand"
 
-	"repchain/internal/codec"
-	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/network"
@@ -185,9 +183,9 @@ func (c *Collector) label(signed tx.SignedTx) (item tx.UploadItem, ok bool) {
 
 // forge returns the behaviour model's forged transactions for one
 // round (misbehaviour class 3). The collector cannot produce a
-// provider signature, so it signs the inner transaction with its own
-// key — governors detect this except with negligible probability
-// (§4.2).
+// provider signature, so it signs each forgery as a batch of one under
+// its own key — governors detect this except with negligible
+// probability (§4.2).
 func (c *Collector) forge() []tx.UploadItem {
 	var items []tx.UploadItem
 	for n := c.behavior.ForgeCount(c.rng); n > 0 && len(c.providerIDs) > 0; n-- {
@@ -215,6 +213,11 @@ func (c *Collector) upload(items []tx.UploadItem, sender Sender) error {
 		end, size := done, 0
 		for ; end < len(items); end++ {
 			w := items[end].WireSizeBound()
+			// A batch's table entry is counted where a run of its items
+			// starts: at most once per run, so never less than encoded.
+			if b := items[end].Signed.Batch; end == done || b != items[end-1].Signed.Batch {
+				w += b.WireSizeBound()
+			}
 			if end > done && size+w > c.budget {
 				break
 			}
@@ -235,11 +238,19 @@ func (c *Collector) upload(items []tx.UploadItem, sender Sender) error {
 
 // Provider-tx phase-1 classes for ProcessBatch.
 const (
-	ptSkip       uint8 = iota // not a provider transaction
-	ptDecodeFail              // malformed payload
+	ptDecodeFail uint8 = iota // malformed frame
 	ptMismatch                // claimed provider is not the sender, or not a provider linked with this collector
-	ptVerify                  // signature checked through the batch
+	ptBadLeaf                 // not the leaf its batch says it is
+	ptVerify                  // batch signature checked through the batch
 )
+
+// providerEntry is one phase-1 outcome: a provider transaction, or a
+// frame that did not decode.
+type providerEntry struct {
+	class  uint8
+	signed tx.SignedTx
+	sig    int // batch-item index of its batch's signature (ptVerify)
+}
 
 // ProcessBatch runs Algorithm 1 plus the behaviour model over one
 // drain of the collector's inbox: it verifies the provider
@@ -257,72 +268,61 @@ const (
 // identical at any worker count. A single collector is not safe for
 // concurrent invocation.
 func (c *Collector) ProcessBatch(msgs []network.Message, sender Sender) (int, error) {
-	// Phase 1, in arrival order: decode and structurally screen every
-	// provider transaction, collecting the signature checks into one
-	// batch. Signing bytes go back to back into a pooled arena; spans
-	// are materialized only after all encoding since the arena may
-	// still reallocate while growing (DESIGN.md §4f).
-	kinds := make([]uint8, len(msgs))
-	itemOf := make([]int, len(msgs))
-	signeds := make([]tx.SignedTx, len(msgs))
-	arena := codec.GetEncoder(256 * len(msgs))
-	var items []crypto.BatchItem
-	var spans [][2]int
-	for i, m := range msgs {
+	// Phase 1, in arrival order: decode every provider frame and
+	// structurally screen its transactions, gathering one signature
+	// check per distinct provider batch and checking each transaction's
+	// leaf. Phase 2 runs the checks as one batch.
+	var entries []providerEntry
+	checks := newSigChecks(96 * len(msgs))
+	for _, m := range msgs {
 		if m.Kind != network.KindProviderTx {
-			kinds[i] = ptSkip
 			continue
 		}
-		signed, err := tx.DecodeSignedTxBytes(m.Payload)
+		list, err := tx.DecodeListBytes(m.Payload)
 		if err != nil {
-			kinds[i] = ptDecodeFail
+			entries = append(entries, providerEntry{class: ptDecodeFail})
 			continue
 		}
-		// verify(p_k, tx): the claimed provider must be the actual
-		// sender and a provider linked with this collector, and its
-		// signature must check out. A transaction from an unlinked
-		// provider would cost this collector the governors' forge
-		// penalty, since they check the link on upload.
-		prov, ok := c.roster.Member(signed.Tx.Provider, identity.RoleProvider)
-		if signed.Tx.Provider != m.From || !ok || !c.roster.Linked(prov.Index, c.member.Index) {
-			kinds[i] = ptMismatch
-			continue
+		for _, signed := range list {
+			// verify(p_k, tx): the claimed provider must be the actual
+			// sender and a provider linked with this collector, and the
+			// transaction must be its batch's leaf under a good batch
+			// signature. A transaction from an unlinked provider would
+			// cost this collector the governors' forge penalty, since
+			// they check the link on upload.
+			e := providerEntry{class: ptMismatch, signed: signed}
+			prov, ok := c.roster.Member(signed.Tx.Provider, identity.RoleProvider)
+			if signed.Tx.Provider == m.From && ok && c.roster.Linked(prov.Index, c.member.Index) {
+				e.class = ptVerify
+				e.sig, _ = checks.provider(signed, prov.PublicKey)
+				if e.sig < 0 {
+					e.class = ptBadLeaf
+				}
+			}
+			entries = append(entries, e)
 		}
-		kinds[i] = ptVerify
-		signeds[i] = signed
-		itemOf[i] = len(items)
-		start := arena.Len()
-		signed.Tx.EncodeSigning(arena)
-		items = append(items, crypto.BatchItem{Pub: prov.PublicKey, Sig: signed.Sig})
-		spans = append(spans, [2]int{start, arena.Len()})
 	}
-	buf := arena.Bytes()
-	for k := range items {
-		items[k].Msg = buf[spans[k][0]:spans[k][1]]
-	}
-	verdicts := crypto.VerifyBatch(items)
-	arena.Release()
+	verdicts := checks.verify()
 
 	// Phase 2 replays the verdicts in arrival order: counters advance
 	// and the behaviour RNG is consumed once per verified transaction,
 	// then once for the forgeries, so labels are a function of arrival
 	// order alone.
 	var out []tx.UploadItem
-	for i := range msgs {
-		switch kinds[i] {
-		case ptSkip:
+	for _, e := range entries {
+		switch e.class {
 		case ptDecodeFail:
 			c.discarded++
-		case ptMismatch:
+		case ptMismatch, ptBadLeaf:
 			c.received++
 			c.discarded++
 		case ptVerify:
 			c.received++
-			if verdicts[itemOf[i]] != nil {
+			if verdicts[e.sig] != nil {
 				c.discarded++
 				continue
 			}
-			if item, ok := c.label(signeds[i]); ok {
+			if item, ok := c.label(e.signed); ok {
 				out = append(out, item)
 			}
 		}

@@ -261,15 +261,16 @@ type pendingBatch struct {
 // pendingItem is one labeled transaction of an authenticated batch.
 type pendingItem struct {
 	item        tx.UploadItem
+	id          crypto.Hash
 	providerIdx int
-	provSig     int // batch-item index of the provider signature, -1 = not a roster provider
+	provSig     int // batch-item index of its provider batch's signature, -1 = not a roster provider or not the batch's leaf
 	linked      bool
 }
 
 // pendingArgue is the argue counterpart of pendingBatch.
 type pendingArgue struct {
 	msg      ArgueMsg
-	innerSig int // batch-item index of the inner provider signature
+	innerSig int // batch-item index of the inner transaction's provider batch signature
 	argueSig int // batch-item index of the argue signature
 	rejected bool
 }
@@ -278,8 +279,9 @@ type pendingArgue struct {
 // crypto.VerifyBatch pass and returns the messages it did not consume,
 // in arrival order. It is the governor's only ingest path: collector
 // upload batches run verify(c_i, Tx) per the paper — the collector's
-// signature over the batch under its roster key, and each item's
-// provider signature from a linked provider — and provider argues are
+// signature over the batch under its roster key, and for each item its
+// leaf in its provider batch, that batch's signature (checked once per
+// distinct batch) and the provider's link — and provider argues are
 // queued.
 //
 // Attribution (Algorithm 3 case 1): a batch from a sender that is not a
@@ -287,8 +289,9 @@ type pendingArgue struct {
 // whole — undecodable, sender is not the claimed collector, bad batch
 // signature — admits nothing and costs the sender one forge penalty.
 // Inside an authenticated batch each bad item (provider not in the
-// roster, provider signature fails, provider not linked to the
-// collector) costs one penalty and the remaining items are admitted.
+// roster, not its batch's leaf, its batch's signature fails, provider
+// not linked to the collector) costs one penalty and the remaining
+// items are admitted.
 // An authenticated batch, empty or not, files its round under its
 // collector for GovernorRound.UploadsComplete.
 //
@@ -311,9 +314,6 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 	var ups []pendingBatch
 	var args []pendingArgue
 
-	// Signing messages are encoded back to back into one pooled arena;
-	// only (start, end) spans are recorded during encoding because the
-	// arena may still reallocate while growing.
 	// The signing messages of an upload batch are shorter than its
 	// payload, so the governor-bound payload bytes size the arena.
 	size := 0
@@ -322,14 +322,7 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 			size += len(m.Payload)
 		}
 	}
-	arena := codec.GetEncoder(size)
-	var items []crypto.BatchItem
-	var spans [][2]int
-	addItem := func(pub crypto.PublicKey, start int, sig []byte) int {
-		items = append(items, crypto.BatchItem{Pub: pub, Sig: sig})
-		spans = append(spans, [2]int{start, arena.Len()})
-		return len(items) - 1
-	}
+	checks := newSigChecks(size)
 
 	for i, m := range msgs {
 		switch m.Kind {
@@ -345,17 +338,15 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 				// The upload must come from the collector that signed it.
 				u.reject = "sender_mismatch"
 			} else {
-				start := arena.Len()
-				batch.EncodeSigning(arena)
-				u.sig = addItem(coll.PublicKey, start, batch.Sig)
+				start := checks.arena.Len()
+				batch.EncodeSigning(checks.arena)
+				u.sig = checks.add(coll.PublicKey, start, batch.Sig)
 				u.round = batch.Round
 				u.items = make([]pendingItem, len(batch.Items))
 				for k, it := range batch.Items {
 					pi := pendingItem{item: it, provSig: -1}
 					if prov, ok := g.cfg.Roster.Member(it.Signed.Tx.Provider, identity.RoleProvider); ok {
-						start = arena.Len()
-						it.Signed.Tx.EncodeSigning(arena)
-						pi.provSig = addItem(prov.PublicKey, start, it.Signed.Sig)
+						pi.provSig, pi.id = checks.provider(it.Signed, prov.PublicKey)
 						pi.providerIdx = prov.Index
 						pi.linked = g.cfg.Roster.Linked(prov.Index, coll.Index)
 					}
@@ -372,13 +363,13 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 			if derr == nil && msg.Signed.Tx.Provider == m.From {
 				if prov, ok := g.cfg.Roster.Member(m.From, identity.RoleProvider); ok {
 					a.msg = msg
-					a.rejected = false
-					start := arena.Len()
-					msg.Signed.Tx.EncodeSigning(arena)
-					a.innerSig = addItem(prov.PublicKey, start, msg.Signed.Sig)
-					start = arena.Len()
-					encodeArgueSigning(arena, msg.Signed.ID(), msg.Serial)
-					a.argueSig = addItem(prov.PublicKey, start, msg.Sig)
+					var id crypto.Hash
+					a.innerSig, id = checks.provider(msg.Signed, prov.PublicKey)
+					if a.rejected = a.innerSig < 0; !a.rejected {
+						start := checks.arena.Len()
+						encodeArgueSigning(checks.arena, id, msg.Serial)
+						a.argueSig = checks.add(prov.PublicKey, start, msg.Sig)
+					}
 				}
 			}
 			kinds[i] = pmArgue
@@ -389,16 +380,7 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 		}
 	}
 
-	// All encoding is done: the arena is stable, so the spans can be
-	// materialized into message slices and verified in one pass. The
-	// batch hashes every message during classification, so the arena
-	// can go back to the pool right after.
-	buf := arena.Bytes()
-	for k := range items {
-		items[k].Msg = buf[spans[k][0]:spans[k][1]]
-	}
-	verdicts := crypto.VerifyBatch(items)
-	arena.Release()
+	verdicts := checks.verify()
 
 	var rest []network.Message
 	for i, m := range msgs {
@@ -430,7 +412,7 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 				case !it.linked:
 					err = g.rejectUpload("item_unlinked", u.collectorIdx)
 				default:
-					err = g.admitUpload(u.collectorIdx, it.providerIdx, it.item)
+					err = g.admitUpload(u.collectorIdx, it.providerIdx, it.id, it.item)
 				}
 				if err != nil {
 					return rest, err
@@ -477,10 +459,10 @@ func (g *Governor) penalizeUpload(collectorIdx int) error {
 	return nil
 }
 
-// admitUpload runs the post-verification tail of upload ingestion:
-// mempool insertion and report grouping.
-func (g *Governor) admitUpload(collectorIdx, providerIdx int, labeled tx.UploadItem) error {
-	id := labeled.Signed.ID()
+// admitUpload runs the post-verification tail of upload ingestion for
+// the item whose transaction is id: mempool insertion and report
+// grouping.
+func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, labeled tx.UploadItem) error {
 	// A report for a transaction this governor has already screened —
 	// it straggled in a round late — must not open a second mempool
 	// group and put the transaction in a second block.
@@ -752,7 +734,7 @@ func (g *Governor) BuildBlock(records []ledger.Record) (ledger.Block, error) {
 		}
 		fresh = append(fresh, r)
 		enc.Reset()
-		r.Encode(enc)
+		r.EncodeLeaf(enc)
 		g.merkle.Add(enc.Bytes())
 	}
 	enc.Release()

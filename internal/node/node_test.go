@@ -238,8 +238,8 @@ func TestCollectorMisreport(t *testing.T) {
 
 func TestCollectorDiscardsBadProviderSignature(t *testing.T) {
 	fx := newFixture(t, nil)
-	// Craft a transaction whose provider signature is wrong and send
-	// it from the provider's endpoint.
+	// Craft a transaction whose provider batch is signed by the wrong
+	// key and send it from the provider's endpoint.
 	prov := fx.roster.Providers[0]
 	forged := tx.Sign(tx.Transaction{
 		Provider: prov.ID, Seq: 99, Kind: "x", Payload: []byte{1},

@@ -9,7 +9,6 @@ import (
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
 	"repchain/internal/network"
-	"repchain/internal/par"
 	"repchain/internal/tx"
 )
 
@@ -66,11 +65,6 @@ type Submission struct {
 	Valid   bool
 }
 
-// parallelSignFloor is the batch size below which SignBatch stays on
-// the calling goroutine: under ~8 signatures (≈0.2 ms) the helper
-// hand-off costs more than it saves.
-const parallelSignFloor = 8
-
 // SetEvents attaches the event log; nil detaches.
 func (p *Provider) SetEvents(l *events.Log) { p.events = l }
 
@@ -101,21 +95,19 @@ func (p *Provider) Sign(kind string, payload []byte, isValid bool, timestamp int
 	return p.SignBatch([]Submission{{Kind: kind, Payload: payload, Valid: isValid}}, timestamp)[0]
 }
 
-// SignBatch builds and signs a batch of transactions, recording the
-// provider's ground truth for later argue decisions, without
-// broadcasting them. Callers that stage transactions in a mempool sign
-// at admission time and call Broadcast at drain time, so the
-// signature's timestamp reflects submission while the network only
-// sees drained batches. Seq is assigned in order, the Ed25519 work is
-// spread over up to GOMAXPROCS goroutines (signatures are
-// deterministic, so the result is the per-transaction loop's, byte for
-// byte), and pending entries and tx.signed events follow in order
-// after the join.
+// SignBatch builds a batch of transactions and signs it once — one
+// Ed25519 signature over the Merkle root of the batch's transaction
+// IDs (tx.SignBatch) — recording the provider's ground truth for later
+// argue decisions, without broadcasting. Callers that stage
+// transactions in a mempool sign at admission time and call Broadcast
+// at drain time, so the signature's timestamp reflects submission
+// while the network only sees drained batches. Seq is assigned in
+// order, and pending entries and tx.signed events follow in order.
 func (p *Provider) SignBatch(items []Submission, timestamp int64) []tx.SignedTx {
-	out := make([]tx.SignedTx, len(items))
+	txs := make([]tx.Transaction, len(items))
 	for i, it := range items {
 		p.seq++
-		out[i].Tx = tx.Transaction{
+		txs[i] = tx.Transaction{
 			Provider:  p.member.ID,
 			Seq:       p.seq,
 			Timestamp: timestamp,
@@ -123,12 +115,9 @@ func (p *Provider) SignBatch(items []Submission, timestamp int64) []tx.SignedTx 
 			Payload:   it.Payload,
 		}
 	}
-	_ = par.RunIndexed(par.Procs(len(items), parallelSignFloor), len(items), func(i int) error { // fn never fails
-		out[i] = tx.Sign(out[i].Tx, p.member.PrivateKey)
-		return nil
-	})
+	out := tx.SignBatch(txs, p.member.PrivateKey)
 	for i, signed := range out {
-		id := signed.ID()
+		id := signed.Batch.Leaves[i]
 		p.pending[id] = pendingTx{signed: signed, valid: items[i].Valid}
 		if p.events != nil {
 			p.events.Emit(events.TypeTxSigned, id.String(), p.round, string(p.member.ID),
@@ -138,22 +127,27 @@ func (p *Provider) SignBatch(items []Submission, timestamp int64) []tx.SignedTx 
 	return out
 }
 
-// Broadcast multicasts an already-signed transaction to the provider's
-// linked collectors (broadcast_provider).
-func (p *Provider) Broadcast(signed tx.SignedTx, sender Sender) error {
-	if err := sender.Multicast(p.member.ID, p.collectorIDs, network.KindProviderTx, signed.EncodeBytes()); err != nil {
+// Broadcast multicasts already-signed transactions to the provider's
+// linked collectors as one frame per collector (broadcast_provider).
+// The frame carries each of their batches once.
+func (p *Provider) Broadcast(signed []tx.SignedTx, sender Sender) error {
+	if len(signed) == 0 {
+		return nil
+	}
+	if err := sender.Multicast(p.member.ID, p.collectorIDs, network.KindProviderTx, tx.EncodeListBytes(signed)); err != nil {
 		return fmt.Errorf("provider %s broadcast: %w", p.member.ID, err)
 	}
 	return nil
 }
 
 // Submit signs and immediately broadcasts a transaction to the
-// provider's linked collectors. isValid is the provider's own ground
-// truth, used later to decide argues. timestamp is the logical or wall
-// clock reading. Sign + Broadcast fused — the TCP runtime's path.
+// provider's linked collectors: a batch of one. isValid is the
+// provider's own ground truth, used later to decide argues. timestamp
+// is the logical or wall clock reading. Sign + Broadcast fused — the
+// path of a client that submits one transaction at a time.
 func (p *Provider) Submit(kind string, payload []byte, isValid bool, timestamp int64, sender Sender) (tx.SignedTx, error) {
 	signed := p.Sign(kind, payload, isValid, timestamp)
-	if err := p.Broadcast(signed, sender); err != nil {
+	if err := p.Broadcast([]tx.SignedTx{signed}, sender); err != nil {
 		return tx.SignedTx{}, err
 	}
 	return signed, nil

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bytes"
 	"testing"
 
 	"repchain/internal/events"
@@ -11,11 +10,11 @@ import (
 )
 
 // TestSignBatchMatchesSign pins the batch path to the per-transaction
-// one: same Seq run, same IDs, same signatures, same pending ground
-// truth and the same tx.signed events in the same order — at a batch size
-// above the parallel floor.
+// one: same Seq run, same IDs, same pending ground truth and the same
+// tx.signed events in the same order. The batch is signed once: every
+// envelope shares one batch and verifies under the provider's key.
 func TestSignBatchMatchesSign(t *testing.T) {
-	const n = 4 * parallelSignFloor
+	const n = 32
 	items := make([]Submission, n)
 	for i := range items {
 		valid := i%3 != 2
@@ -44,8 +43,11 @@ func TestSignBatchMatchesSign(t *testing.T) {
 		if got[i].Tx.Seq != want[i].Tx.Seq || got[i].Tx.Seq != uint64(i+2) {
 			t.Fatalf("item %d seq %d, per-tx path %d", i, got[i].Tx.Seq, want[i].Tx.Seq)
 		}
-		if got[i].ID() != want[i].ID() || !bytes.Equal(got[i].Sig, want[i].Sig) {
+		if got[i].ID() != want[i].ID() || got[i].Batch != got[0].Batch || got[i].Index != i {
 			t.Fatalf("item %d differs from the per-tx path", i)
+		}
+		if err := got[i].VerifyProvider(batch.member.PublicKey); err != nil {
+			t.Fatalf("item %d: %v", i, err)
 		}
 	}
 	if one.PendingValid() != batch.PendingValid() || len(one.pending) != len(batch.pending) {

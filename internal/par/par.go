@@ -1,9 +1,8 @@
 // Package par is the one indexed fan-out every parallel stage runs on:
-// the engine's per-node round steps (core.Engine.fanOut), the residual
-// misses of a signature batch (crypto.VerifyCache.VerifyBatch) and a
-// provider's batch signing (node.Provider.SignBatch). A leaf package so
-// all three layers can import it; there is no pool to size or stop —
-// helpers live for one call.
+// the engine's per-node round steps (core.Engine.fanOut) and the
+// residual misses of a signature batch (crypto.VerifyCache.VerifyBatch).
+// A leaf package so both layers can import it; there is no pool to size
+// or stop — helpers live for one call.
 package par
 
 import (

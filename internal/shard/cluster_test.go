@@ -135,8 +135,8 @@ func runCrossScenario(t *testing.T, seed int64, procs int) ([][]crypto.Hash, map
 				t.Fatal(err)
 			}
 		}
-		// One batch above the parallel sign/verify floors, its home
-		// committee alternating with the round.
+		// One multi-transaction provider batch, its home committee
+		// alternating with the round.
 		batch := make([]node.Submission, 20)
 		for i := range batch {
 			batch[i] = node.Submission{Kind: "local", Payload: payload(i%4 != 3, byte(100+i), byte(r)), Valid: i%4 != 3}

@@ -280,12 +280,11 @@ func runProvider(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 			items[i] = node.Submission{Kind: "tcp/demo", Payload: payload, Valid: valid}
 		}
 		//repchain:dettaint-ok the submission timestamp is client input the provider signs into its own transactions; replicas treat it as opaque payload, not replica-derived state
-		for _, signed := range prov.SignBatch(items, time.Now().UnixNano()) {
-			if err := prov.Broadcast(signed, sender); err != nil {
-				return report, err
-			}
-			report.Submitted++
+		signed := prov.SignBatch(items, time.Now().UnixNano())
+		if err := prov.Broadcast(signed, sender); err != nil {
+			return report, err
 		}
+		report.Submitted += len(signed)
 		// Adopt the round's block and argue: from the broadcast until a
 		// block shows up or the round ends.
 		_, err := await(ep, cfg.Clock.at(round+1, 0), func() (bool, error) {

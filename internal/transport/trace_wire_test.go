@@ -10,6 +10,9 @@ import (
 
 	"repchain/internal/codec"
 	"repchain/internal/events"
+	"repchain/internal/network"
+	"repchain/internal/node"
+	"repchain/internal/tx"
 )
 
 // TestFrameWireLayout pins the envelope: a big-endian length, the body
@@ -179,5 +182,31 @@ func TestEndpointPropagationOff(t *testing.T) {
 	}
 	if got := len(logB.Events()); got != 0 {
 		t.Fatalf("receiver recorded %d events for an untraced frame", got)
+	}
+}
+
+// TestTraceIDOfProviderFrame pins the trace ID the runtime stamps on a
+// provider frame: the transaction's ID when the frame carries one, none
+// when it carries a batch of several or does not decode.
+func TestTraceIDOfProviderFrame(t *testing.T) {
+	prov := mustRoster(t, testDeployment(t, 1, 1, 1, 1)).Providers[0]
+	txs := make([]tx.Transaction, 3)
+	for i := range txs {
+		txs[i] = tx.Transaction{Provider: prov.ID, Seq: uint64(i + 1), Kind: "k", Payload: []byte{1}}
+	}
+	signed := tx.SignBatch(txs, prov.PrivateKey)
+	one := tx.SignBatch(txs[:1], prov.PrivateKey)
+	for name, c := range map[string]struct {
+		payload []byte
+		want    string
+	}{
+		"one transaction":  {tx.EncodeListBytes(one), one[0].ID().String()},
+		"three of a batch": {tx.EncodeListBytes(signed), ""},
+		"one of three":     {tx.EncodeListBytes(signed[1:2]), signed[1].ID().String()},
+		"undecodable":      {[]byte{0xFF}, ""},
+	} {
+		if got := node.TraceIDOf(network.KindProviderTx, c.payload); got != c.want {
+			t.Errorf("%s: trace ID %q, want %q", name, got, c.want)
+		}
 	}
 }

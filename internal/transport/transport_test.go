@@ -817,6 +817,68 @@ func TestRuntimeProviderCountsUndecodableBlock(t *testing.T) {
 	}
 }
 
+// TestRuntimeProviderOneFramePerCollector: a provider signs each
+// round's submissions as one batch and sends each linked collector one
+// frame carrying all of them, whatever TxPerRound is. A one-transaction
+// frame carries that transaction's trace ID; a larger one carries none,
+// like any frame that aggregates transactions.
+func TestRuntimeProviderOneFramePerCollector(t *testing.T) {
+	const rounds = 3
+	for _, perRound := range []int{1, 5} {
+		d := testDeployment(t, 1, 2, 2, 1)
+		var colls []*Endpoint
+		for _, id := range []identity.NodeID{"collector/0", "collector/1"} {
+			ep, err := NewEndpoint(d, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = ep.Close() }()
+			colls = append(colls, ep)
+		}
+		reg := metrics.NewRegistry()
+		report, err := RunNode(RuntimeConfig{
+			Deployment: d,
+			ID:         "provider/0",
+			Clock:      Clock{Epoch: time.Now().Add(300 * time.Millisecond), Round: 200 * time.Millisecond},
+			Rounds:     rounds,
+			Params:     reputation.DefaultParams(),
+			Validator:  testOracle,
+			TxPerRound: perRound,
+			ValidFrac:  1,
+			Seed:       3,
+			Metrics:    reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Submitted != rounds*perRound || report.SendFailures != 0 {
+			t.Fatalf("TxPerRound %d: submitted %d with %d send failures", perRound, report.Submitted, report.SendFailures)
+		}
+		if sent := reg.Counter("transport.frames_sent").Value(); sent != int64(rounds*len(colls)) {
+			t.Fatalf("TxPerRound %d: provider sent %d frames, want %d", perRound, sent, rounds*len(colls))
+		}
+		for c, ep := range colls {
+			frames := waitFrames(t, ep, rounds)
+			if len(frames) != rounds {
+				t.Fatalf("TxPerRound %d: collector %d got %d frames, want %d", perRound, c, len(frames), rounds)
+			}
+			for _, f := range frames {
+				list, err := tx.DecodeListBytes(f.Payload)
+				if f.Kind != network.KindProviderTx || err != nil || len(list) != perRound {
+					t.Fatalf("TxPerRound %d: frame %s of %d transactions (%v)", perRound, f.Kind, len(list), err)
+				}
+				want := ""
+				if perRound == 1 {
+					want = list[0].ID().String()
+				}
+				if got := node.TraceIDOf(f.Kind, f.Payload); got != want {
+					t.Fatalf("TxPerRound %d: trace ID %q, want %q", perRound, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRuntimeUnknownNode(t *testing.T) {
 	d := testDeployment(t, 2, 2, 1, 2)
 	_, err := RunNode(RuntimeConfig{Deployment: d, ID: "ghost"})

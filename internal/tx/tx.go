@@ -4,7 +4,9 @@
 //   - broadcast_provider carries a Transaction "contain[ing] a
 //     transaction payload, the current timestamp, as well as the
 //     provider's signature on them, to prevent a collector from
-//     fabricating one" — the SignedTx type;
+//     fabricating one" — the SignedTx type. The provider signs a
+//     batch of transactions at once, over the Merkle root of their IDs
+//     (batch.go), which signs each of them;
 //   - broadcast_collector carries "a transaction payload, a timestamp,
 //     a recorded provider's signature, a label (e.g. valid or invalid),
 //     and the collector's signature on all of them" — the UploadBatch
@@ -13,11 +15,11 @@
 //     statement and is not sent on the wire.
 //
 // Transactions are identified by the hash of their canonical encoding.
-// Because the provider signs the timestamp along with the payload, a
-// malicious collector can neither forge a new transaction nor replay an
-// old one under a fresh identity (paper §4.2: "A malicious collector
-// cannot simply replicate a transaction as well since the transaction
-// is signed together with the timestamp").
+// Because the provider signs the timestamp along with the payload (the
+// ID covers both), a malicious collector can neither forge a new
+// transaction nor replay an old one under a fresh identity (paper
+// §4.2: "A malicious collector cannot simply replicate a transaction as
+// well since the transaction is signed together with the timestamp").
 package tx
 
 import (
@@ -109,10 +111,10 @@ type Transaction struct {
 	Payload []byte
 }
 
-// encode appends the canonical encoding of t (the bytes the provider
-// signs) to e.
+// encode appends the canonical encoding of t (the bytes its ID
+// hashes) to e.
 func (t Transaction) encode(e *codec.Encoder) {
-	e.PutString("repchain/tx/v1")
+	e.PutString(txTag)
 	e.PutString(string(t.Provider))
 	e.PutUint64(t.Seq)
 	e.PutVarint(t.Timestamp)
@@ -120,23 +122,16 @@ func (t Transaction) encode(e *codec.Encoder) {
 	e.PutBytes(t.Payload)
 }
 
-// EncodeSigning appends the canonical signing encoding of t to e — the
-// same bytes SigningBytes returns. Batch verifiers use it to build many
-// signing messages in one shared buffer.
+// EncodeSigning appends the canonical encoding of t to e — the bytes
+// its ID hashes, and so the bytes its provider batch's signature
+// covers — the same bytes SigningBytes returns.
 func (t Transaction) EncodeSigning(e *codec.Encoder) { t.encode(e) }
 
-// AppendSigningBytes appends the canonical signing bytes of t to dst
-// and returns the extended slice, allocating only if dst lacks
-// capacity.
-func (t Transaction) AppendSigningBytes(dst []byte) []byte {
-	e := codec.Wrap(dst)
+// SigningBytes returns the canonical encoding of t (EncodeSigning).
+func (t Transaction) SigningBytes() []byte {
+	e := codec.Wrap(make([]byte, 0, 64+len(t.Payload)))
 	t.encode(&e)
 	return e.Bytes()
-}
-
-// SigningBytes returns the canonical byte string the provider signs.
-func (t Transaction) SigningBytes() []byte {
-	return t.AppendSigningBytes(make([]byte, 0, 64+len(t.Payload)))
 }
 
 // ID returns the transaction identifier: the hash of the canonical
@@ -149,16 +144,22 @@ func (t Transaction) ID() crypto.Hash {
 	return h
 }
 
-func decodeTransaction(d *codec.Decoder) (Transaction, error) {
+// txTag heads every transaction encoding.
+const txTag = "repchain/tx/v1"
+
+// decodeTransaction reads one transaction from d. A provider or kind
+// equal to the hint passed for it reuses the hint's string: a list's
+// transactions mostly repeat both.
+func decodeTransaction(d *codec.Decoder, provider identity.NodeID, kind string) (Transaction, error) {
 	var t Transaction
-	tag, err := d.String()
+	tag, err := d.StringLike(txTag)
 	if err != nil {
 		return t, err
 	}
-	if tag != "repchain/tx/v1" {
+	if tag != txTag {
 		return t, fmt.Errorf("transaction tag %q: %w", tag, ErrDecode)
 	}
-	prov, err := d.String()
+	prov, err := d.StringLike(string(provider))
 	if err != nil {
 		return t, err
 	}
@@ -169,7 +170,7 @@ func decodeTransaction(d *codec.Decoder) (Transaction, error) {
 	if t.Timestamp, err = d.Varint(); err != nil {
 		return t, err
 	}
-	if t.Kind, err = d.String(); err != nil {
+	if t.Kind, err = d.StringLike(kind); err != nil {
 		return t, err
 	}
 	if t.Payload, err = d.Bytes(); err != nil {
@@ -179,70 +180,80 @@ func decodeTransaction(d *codec.Decoder) (Transaction, error) {
 }
 
 // SignedTx is the broadcast_provider envelope: a transaction plus the
-// provider's signature over its canonical encoding.
+// provider batch that signs it. The provider signs its batch once, over
+// the Merkle root of the batch's transaction IDs; the transaction is
+// leaf Index of that batch (DESIGN.md §2).
 type SignedTx struct {
 	// Tx is the signed transaction.
 	Tx Transaction
-	// Sig is the provider's Ed25519 signature over Tx.SigningBytes().
-	Sig []byte
+	// Batch is the provider batch Tx belongs to. The transactions of one
+	// batch share it.
+	Batch *Batch
+	// Index is Tx's position among Batch.Leaves.
+	Index int
 }
 
-// Sign produces the provider envelope for t.
+// Sign produces the provider envelope for t: a batch of one.
 func Sign(t Transaction, key crypto.PrivateKey) SignedTx {
-	return SignedTx{Tx: t, Sig: key.Sign(t.SigningBytes())}
+	return SignBatch([]Transaction{t}, key)[0]
 }
 
-// VerifyProvider checks the provider signature against pub. This is
-// the provider half of the paper's verify(d, m). It runs through the
-// shared verification cache: every governor re-verifies the same inner
-// provider signature on every upload, and the first check pays for
-// all m.
-func (s SignedTx) VerifyProvider(pub crypto.PublicKey) error {
-	e := codec.GetEncoder(64 + len(s.Tx.Payload))
-	s.Tx.encode(e)
-	err := crypto.CachedVerify(pub, e.Bytes(), s.Sig)
-	e.Release()
-	if err != nil {
-		return fmt.Errorf("provider signature on %s: %w", s.Tx.ID().Short(), ErrBadSignature)
+// CheckLeaf reports whether s is the leaf it claims to be — its batch
+// is its provider's, Index is in range, and the leaf there is s's ID —
+// and returns that ID. Together with the batch signature
+// (Batch.Verify) it is the provider half of the paper's verify(d, m);
+// batch verifiers check the signature once per batch and CheckLeaf
+// once per transaction.
+func (s SignedTx) CheckLeaf() (crypto.Hash, error) {
+	id := s.Tx.ID()
+	b := s.Batch
+	if b == nil || b.Provider != s.Tx.Provider || s.Index < 0 || s.Index >= len(b.Leaves) || b.Leaves[s.Index] != id {
+		return id, fmt.Errorf("provider batch leaf for %s: %w", id.Short(), ErrBadSignature)
 	}
-	return nil
+	return id, nil
+}
+
+// VerifyProvider checks s against its provider's key pub: the leaf,
+// then the batch signature through the shared verification cache.
+func (s SignedTx) VerifyProvider(pub crypto.PublicKey) error {
+	if _, err := s.CheckLeaf(); err != nil {
+		return err
+	}
+	return s.Batch.Verify(pub)
 }
 
 // ID returns the inner transaction's identifier.
 func (s SignedTx) ID() crypto.Hash { return s.Tx.ID() }
 
-// Encode appends the wire encoding of s to e.
+// Encode appends the wire encoding of s to e: the list encoding of one
+// element (EncodeList).
 func (s SignedTx) Encode(e *codec.Encoder) {
-	s.Tx.encode(e)
-	e.PutBytes(s.Sig)
+	e.PutUvarint(1)
+	batchOrEmpty(s.Batch).encode(e)
+	e.PutUvarint(1)
+	s.encodeRef(e, 0)
 }
 
 // EncodeBytes returns the standalone wire encoding of s.
 func (s SignedTx) EncodeBytes() []byte {
-	e := codec.GetEncoder(128 + len(s.Tx.Payload))
+	e := codec.GetEncoder(192 + len(s.Tx.Payload))
 	s.Encode(e)
 	out := e.AppendTo(nil)
 	e.Release()
 	return out
 }
 
-// MinSignedTxBytes is the shortest SignedTx encoding: the 15-byte
-// transaction tag plus one byte for each of provider, seq, timestamp,
-// kind, payload and signature. Decoders of SignedTx lists bound the
-// list's count with it (codec.Decoder.Count).
-const MinSignedTxBytes = 21
-
-// DecodeSignedTx reads one SignedTx from d.
+// DecodeSignedTx reads one SignedTx, a list of exactly one element,
+// from d.
 func DecodeSignedTx(d *codec.Decoder) (SignedTx, error) {
-	t, err := decodeTransaction(d)
+	list, err := DecodeList(d, 0, decodeSigned)
 	if err != nil {
-		return SignedTx{}, fmt.Errorf("signed tx: %w", err)
+		return SignedTx{}, err
 	}
-	sig, err := d.Bytes()
-	if err != nil {
-		return SignedTx{}, fmt.Errorf("signed tx signature: %w", err)
+	if len(list) != 1 {
+		return SignedTx{}, fmt.Errorf("signed tx: list of %d: %w", len(list), ErrDecode)
 	}
-	return SignedTx{Tx: t, Sig: sig}, nil
+	return list[0], nil
 }
 
 // DecodeSignedTxBytes decodes a standalone SignedTx encoding,
@@ -289,7 +300,7 @@ func SignLabel(s SignedTx, l Label, collector identity.NodeID, key crypto.Privat
 		return LabeledTx{}, fmt.Errorf("label %d: %w", l, ErrBadLabel)
 	}
 	lt := LabeledTx{Signed: s, Label: l, Collector: collector}
-	e := codec.Wrap(make([]byte, 0, 160+len(s.Tx.Payload)))
+	e := codec.Wrap(make([]byte, 0, 192+len(s.Tx.Payload)))
 	lt.EncodeSigning(&e)
 	lt.Sig = key.Sign(e.Bytes())
 	return lt, nil

@@ -145,7 +145,7 @@ func TestSignedTxRoundTrip(t *testing.T) {
 	}
 	if got.Tx.Provider != s.Tx.Provider || got.Tx.Seq != s.Tx.Seq ||
 		got.Tx.Timestamp != s.Tx.Timestamp || got.Tx.Kind != s.Tx.Kind ||
-		!bytes.Equal(got.Tx.Payload, s.Tx.Payload) || !bytes.Equal(got.Sig, s.Sig) {
+		!bytes.Equal(got.Tx.Payload, s.Tx.Payload) || !got.Batch.equal(s.Batch) || got.Index != s.Index {
 		t.Fatal("round trip mismatch")
 	}
 	if got.ID() != s.ID() {

@@ -15,16 +15,12 @@ type UploadItem struct {
 	Label  Label
 }
 
-// minUploadItemBytes is the shortest item encoding: a signed
-// transaction and a one-byte label.
-const minUploadItemBytes = MinSignedTxBytes + 1
-
-// WireSizeBound returns an upper bound on the item's encoded size, for
-// splitting a drain into batches under a byte budget without encoding
-// twice.
+// WireSizeBound returns an upper bound on the item's encoded size
+// without its batch's table entry (Batch.WireSizeBound), for splitting
+// a drain into batches under a byte budget without encoding twice.
 func (it UploadItem) WireSizeBound() int {
 	t := it.Signed.Tx
-	return 64 + len(t.Provider) + len(t.Kind) + len(t.Payload) + len(it.Signed.Sig)
+	return 64 + len(t.Provider) + len(t.Kind) + len(t.Payload)
 }
 
 // UploadBatch is the broadcast_collector envelope: everything one
@@ -46,11 +42,11 @@ type UploadBatch struct {
 	Sig []byte
 }
 
+// encodeUploadItems appends items as a list (EncodeList), each
+// element followed by its label.
 func encodeUploadItems(e *codec.Encoder, items []UploadItem) {
-	for _, it := range items {
-		it.Signed.Encode(e)
-		e.PutVarint(int64(it.Label))
-	}
+	EncodeList(e, items, func(it *UploadItem) *SignedTx { return &it.Signed },
+		func(e *codec.Encoder, it *UploadItem) { e.PutVarint(int64(it.Label)) })
 }
 
 // EncodeSigning appends the byte string the collector signs: a domain
@@ -63,7 +59,7 @@ func (b UploadBatch) EncodeSigning(e *codec.Encoder) {
 	encodeUploadItems(body, b.Items)
 	digest := crypto.Sum(body.Bytes())
 	body.Release()
-	e.PutString("repchain/upload-batch/v2")
+	e.PutString("repchain/upload-batch/v3")
 	e.PutString(string(b.Collector))
 	e.PutUvarint(b.Round)
 	e.PutUvarint(uint64(len(b.Items)))
@@ -91,7 +87,6 @@ func (b UploadBatch) EncodeBytes() []byte {
 	e := codec.GetEncoder(128 + 192*len(b.Items))
 	e.PutString(string(b.Collector))
 	e.PutUvarint(b.Round)
-	e.PutUvarint(uint64(len(b.Items)))
 	encodeUploadItems(e, b.Items)
 	e.PutBytes(b.Sig)
 	out := e.AppendTo(nil)
@@ -113,25 +108,20 @@ func DecodeUploadBatchBytes(p []byte) (UploadBatch, error) {
 	if err != nil {
 		return UploadBatch{}, fmt.Errorf("upload batch round: %w", err)
 	}
-	n, err := d.UvarintCount(minUploadItemBytes)
-	if err != nil {
-		return UploadBatch{}, fmt.Errorf("upload batch count: %v: %w", err, ErrDecode)
-	}
-	b := UploadBatch{Collector: identity.NodeID(coll), Round: round, Items: make([]UploadItem, n)}
-	for i := range b.Items {
-		s, err := DecodeSignedTx(d)
-		if err != nil {
-			return UploadBatch{}, fmt.Errorf("upload batch item %d: %w", i, err)
-		}
+	items, err := DecodeList(d, 1, func(s SignedTx) (UploadItem, error) {
 		lv, err := d.Varint()
 		if err != nil {
-			return UploadBatch{}, fmt.Errorf("upload batch item %d label: %w", i, err)
+			return UploadItem{}, fmt.Errorf("label: %w", err)
 		}
 		if !Label(lv).Valid() {
-			return UploadBatch{}, fmt.Errorf("upload batch item %d label %d: %w", i, lv, ErrBadLabel)
+			return UploadItem{}, fmt.Errorf("label %d: %w", lv, ErrBadLabel)
 		}
-		b.Items[i] = UploadItem{Signed: s, Label: Label(lv)}
+		return UploadItem{Signed: s, Label: Label(lv)}, nil
+	})
+	if err != nil {
+		return UploadBatch{}, fmt.Errorf("upload batch items: %w", err)
 	}
+	b := UploadBatch{Collector: identity.NodeID(coll), Round: round, Items: items}
 	if b.Sig, err = d.Bytes(); err != nil {
 		return UploadBatch{}, fmt.Errorf("upload batch signature: %w", err)
 	}

@@ -64,7 +64,7 @@ func TestUploadBatchSignatureCoversEverything(t *testing.T) {
 	edits := map[string]func(*UploadBatch){
 		"label flip":     func(b *UploadBatch) { b.Items[1].Label = b.Items[1].Label.Opposite() },
 		"payload edit":   func(b *UploadBatch) { b.Items[0].Signed.Tx.Payload = []byte("other") },
-		"provider sig":   func(b *UploadBatch) { b.Items[2].Signed.Sig[0] ^= 1 },
+		"provider sig":   func(b *UploadBatch) { b.Items[2].Signed.Batch.Sig[0] ^= 1 },
 		"item dropped":   func(b *UploadBatch) { b.Items = b.Items[:2] },
 		"items swapped":  func(b *UploadBatch) { b.Items[0], b.Items[1] = b.Items[1], b.Items[0] },
 		"collector swap": func(b *UploadBatch) { b.Collector = "collector/9" },
@@ -94,10 +94,8 @@ func TestDecodeUploadBatchRejectsBadLabel(t *testing.T) {
 	_, key := testKey(t, 1)
 	e := codec.NewEncoder(0)
 	e.PutString("collector/0")
-	e.PutUvarint(1) // round
-	e.PutUvarint(1)
-	Sign(sampleTx(1), key).Encode(e)
-	e.PutVarint(3) // illegal label
+	e.PutUvarint(1)                                                                // round
+	encodeUploadItems(e, []UploadItem{{Signed: Sign(sampleTx(1), key), Label: 3}}) // illegal label
 	e.PutBytes([]byte("sig"))
 	if _, err := DecodeUploadBatchBytes(e.Bytes()); !errors.Is(err, ErrBadLabel) {
 		t.Fatalf("error = %v, want ErrBadLabel", err)
@@ -109,6 +107,7 @@ func overstatedBatch(count uint64) []byte {
 	e := codec.NewEncoder(0)
 	e.PutString("collector/0")
 	e.PutUvarint(1) // round
+	e.PutUvarint(0) // no provider batches
 	e.PutUvarint(count)
 	e.PutBytes(make([]byte, 64))
 	return e.Bytes()
@@ -153,8 +152,8 @@ func TestWireSizeBoundCoversEncoding(t *testing.T) {
 		it := UploadItem{Signed: Sign(tr, key), Label: LabelInvalid}
 		e := codec.NewEncoder(0)
 		encodeUploadItems(e, []UploadItem{it})
-		if e.Len() > it.WireSizeBound() {
-			t.Fatalf("payload %d bytes: encoded %d > bound %d", len(payload), e.Len(), it.WireSizeBound())
+		if bound := it.WireSizeBound() + it.Signed.Batch.WireSizeBound(); e.Len() > bound {
+			t.Fatalf("payload %d bytes: encoded %d > bound %d", len(payload), e.Len(), bound)
 		}
 	}
 }
@@ -176,7 +175,7 @@ func FuzzUploadBatchDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(got.Items) > len(p)/minUploadItemBytes {
+		if len(got.Items) > len(p)/(minRefBytes+1) {
 			t.Fatalf("%d items decoded from %d bytes", len(got.Items), len(p))
 		}
 		for _, it := range got.Items {

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repchain/internal/consensus"
+	"repchain/internal/ledger"
+	"repchain/internal/tx"
 )
 
 var testValidator = ValidatorFunc(func(t Transaction) bool {
@@ -693,4 +695,102 @@ func Example() {
 	}
 	fmt.Printf("block %d with %d record(s)\n", sum.Serial, sum.Records)
 	// Output: block 1 with 1 record(s)
+}
+
+// TestProviderBatchSplitAcrossBlocks: one 32-transaction provider batch
+// under a 10-record block limit drains over several rounds, each part's
+// frame carrying the batch's header. The chain verifies, every record
+// verifies against its provider from its own block's bytes alone, and
+// every valid transaction settles.
+func TestProviderBatchSplitAcrossBlocks(t *testing.T) {
+	c := newTestChain(t, WithBlockLimit(10))
+	defer c.Close()
+	txs := make([]Tx, 32)
+	for i := range txs {
+		txs[i] = Tx{Kind: "split", Payload: []byte{1, byte(i)}, Valid: true}
+	}
+	if ids, err := c.SubmitBatch(context.Background(), 0, txs); err != nil || len(ids) != len(txs) {
+		t.Fatalf("SubmitBatch admitted %d: %v", len(ids), err)
+	}
+	for n := 0; c.PendingValid(0) > 0 || c.MempoolDepth() > 0; n++ {
+		if n == 40 {
+			t.Fatalf("%d valid transactions still pending after 40 rounds", c.PendingValid(0))
+		}
+		if _, err := c.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.VerifyChain(); err != nil {
+		t.Fatal(err)
+	}
+	e := c.engine()
+	pub := e.Roster().Providers[0].PublicKey
+	st := e.Governor(0).Store()
+	blocks, records := 0, 0
+	for s := uint64(1); s <= st.Height(); s++ {
+		b, err := st.Get(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := ledger.DecodeBlockBytes(b.EncodeBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(alone.Records) > 0 {
+			blocks++
+		}
+		for i, r := range alone.Records {
+			if err := r.Signed.VerifyProvider(pub); err != nil {
+				t.Fatalf("block %d record %d: %v", s, i, err)
+			}
+			if len(r.Signed.Batch.Leaves) != len(txs) {
+				t.Fatalf("block %d record %d: batch of %d leaves, want %d", s, i, len(r.Signed.Batch.Leaves), len(txs))
+			}
+		}
+		records += len(alone.Records)
+	}
+	if blocks < 4 || records < len(txs) {
+		t.Fatalf("%d records over %d blocks, want all %d over at least 4", records, blocks, len(txs))
+	}
+}
+
+// TestSteadyRoundSignsOncePerProvider: a round of eight 32-transaction
+// SubmitBatch calls carries eight provider signatures — its block's
+// batch table holds one batch per provider, each with all 32 leaves.
+func TestSteadyRoundSignsOncePerProvider(t *testing.T) {
+	c, err := New(WithTopology(8, 4, 2), WithGovernors(3), WithValidator(testValidator), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for k := 0; k < 8; k++ {
+		txs := make([]Tx, 32)
+		for i := range txs {
+			txs[i] = Tx{Kind: "steady", Payload: []byte{1, byte(i), byte(k)}, Valid: true}
+		}
+		if _, err := c.SubmitBatch(context.Background(), k, txs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.engine().Governor(0).Store().Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := ledger.DecodeBlockBytes(b.EncodeBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := map[*tx.Batch]bool{}
+	for _, r := range alone.Records {
+		batches[r.Signed.Batch] = true
+		if len(r.Signed.Batch.Leaves) != 32 {
+			t.Fatalf("a batch of %d leaves, want 32", len(r.Signed.Batch.Leaves))
+		}
+	}
+	if len(alone.Records) != 256 || len(batches) != 8 {
+		t.Fatalf("%d records under %d provider signatures, want 256 under 8", len(alone.Records), len(batches))
+	}
 }
