@@ -102,16 +102,16 @@ func TestRoundAllocBudgets(t *testing.T) {
 		measured float64
 		round    func(testing.TB) func(int)
 	}{
-		{"plain", 3953, func(tb testing.TB) func(int) {
+		{"plain", 3061, func(tb testing.TB) func(int) {
 			return chainRound(tb)
 		}},
-		{"tracing", 5345, func(tb testing.TB) func(int) {
+		{"tracing", 4450, func(tb testing.TB) func(int) {
 			return chainRound(tb, repchain.WithEventLog(1<<16))
 		}},
-		{"mempool", 3952, func(tb testing.TB) func(int) {
+		{"mempool", 3061, func(tb testing.TB) func(int) {
 			return chainRound(tb, repchain.WithMempool(256), repchain.WithBlockLimit(64))
 		}},
-		{"committees=4", 5715, clusterRound},
+		{"committees=4", 4921, clusterRound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

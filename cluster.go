@@ -81,11 +81,11 @@ func (c *Cluster) Home(provider int) (int, error) {
 // Submit stages one transaction from global provider k, routed to its
 // home committee by the partition.
 func (c *Cluster) Submit(provider int, kind string, payload []byte, isValid bool) (TxID, error) {
-	_, signed, err := c.cl.SubmitTx(provider, kind, payload, isValid)
+	_, staged, err := c.cl.SubmitTx(provider, kind, payload, isValid)
 	if err != nil {
 		return TxID{}, err
 	}
-	return signed.ID(), nil
+	return staged.ID(), nil
 }
 
 // SubmitBatch stages a batch from one global provider, routed to its
@@ -98,9 +98,9 @@ func (c *Cluster) SubmitBatch(ctx context.Context, provider int, txs []Tx) ([]Tx
 	for i, t := range txs {
 		items[i] = node.Submission(t)
 	}
-	_, signed, err := c.cl.SubmitBatch(ctx, provider, items)
-	ids := make([]TxID, len(signed))
-	for i, s := range signed {
+	_, staged, err := c.cl.SubmitBatch(ctx, provider, items)
+	ids := make([]TxID, len(staged))
+	for i, s := range staged {
 		ids[i] = s.ID()
 	}
 	return ids, err
@@ -114,11 +114,11 @@ func (c *Cluster) SubmitBatch(ctx context.Context, provider int, txs []Tx) ([]Tx
 // to a plain submission. The returned ID is the lock's (or the direct
 // transaction's); receipts reference it.
 func (c *Cluster) SubmitCross(from, to int, kind string, payload []byte, isValid bool) (TxID, error) {
-	signed, err := c.cl.SubmitCross(from, to, kind, payload, isValid)
+	staged, err := c.cl.SubmitCross(from, to, kind, payload, isValid)
 	if err != nil {
 		return TxID{}, err
 	}
-	return signed.ID(), nil
+	return staged.ID(), nil
 }
 
 // Rehome moves global provider k — with its linked collectors and

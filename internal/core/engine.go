@@ -5,9 +5,10 @@
 //
 // A round follows §3.1's three phases:
 //
-//	Collecting  — providers broadcast signed transactions to their
-//	              linked collectors (callers invoke SubmitTx before
-//	              RunRound);
+//	Collecting  — providers stage transactions (callers invoke
+//	              SubmitTx before RunRound); the round drains them,
+//	              and each provider signs what it drained once and
+//	              broadcasts it to its linked collectors;
 //	Uploading   — collectors label and upload to all governors;
 //	Processing  — governors screen with the reputation mechanism,
 //	              elect a leader by per-stake-unit VRF, and the leader
@@ -169,19 +170,20 @@ type Engine struct {
 	// into protocol decisions, so determinism is untouched.
 	stageSeconds *metrics.HistogramVec
 
-	// ingress stages signed-but-unbroadcast submissions; each round's
-	// collecting phase drains it in arrival order. closed gates
-	// SubmitTx and RunRound after Close.
+	// ingress holds staged, still unsigned submissions; each round's
+	// collecting phase drains it in arrival order and signs what it
+	// drained. closed gates SubmitTx and RunRound after Close.
 	ingress    *mempool.Pool[ingressTx]
 	closed     bool
 	mpAdmitted *metrics.Counter
 }
 
-// ingressTx is one staged submission: the signing provider and the
-// signed transaction awaiting broadcast.
+// ingressTx is one staged submission: the provider, the transaction
+// awaiting its signature and broadcast, and its ID.
 type ingressTx struct {
 	provider int
-	signed   tx.SignedTx
+	tx       tx.Transaction
+	id       crypto.Hash
 }
 
 // RoundResult summarizes one protocol round.
@@ -451,23 +453,24 @@ func (e *Engine) publishRoundMetrics() {
 }
 
 // SubmitTx is SubmitBatch for one transaction.
-func (e *Engine) SubmitTx(k int, kind string, payload []byte, isValid bool) (tx.SignedTx, error) {
-	signed, err := e.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: isValid}})
-	if len(signed) == 0 {
-		return tx.SignedTx{}, err
+func (e *Engine) SubmitTx(k int, kind string, payload []byte, isValid bool) (tx.Transaction, error) {
+	staged, err := e.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: isValid}})
+	if len(staged) == 0 {
+		return tx.Transaction{}, err
 	}
-	return signed[0], nil
+	return staged[0], nil
 }
 
-// SubmitBatch has provider k sign a batch of transactions and stage
-// them in the ingress mempool; the next round's collecting phase
+// SubmitBatch has provider k stage a batch of transactions in the
+// ingress mempool; the next round's collecting phase signs and
 // broadcasts them. It admits exactly the prefix the provider's cap has
 // room for and returns it, with an ErrBacklog-wrapping error when
 // that is not the whole batch. The refused suffix is rejected before
-// anything is signed or recorded, so a backpressured caller can simply
-// run a round and resubmit it — no provider state leaks. ctx is
-// checked once, before signing: a cancelled batch admits nothing.
-func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission) ([]tx.SignedTx, error) {
+// anything is staged, so a backpressured caller can simply run a round
+// and resubmit it — no seq is consumed and nothing is recorded for it.
+// ctx is checked once, before staging: a cancelled batch admits
+// nothing.
+func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission) ([]tx.Transaction, error) {
 	if e.closed {
 		return nil, fmt.Errorf("submit: %w", ErrClosed)
 	}
@@ -482,42 +485,57 @@ func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission
 		items = items[:room]
 		backlog = fmt.Errorf("provider %d ingress mempool full (cap %d): %w", k, e.ingress.Cap(), ErrBacklog)
 	}
-	signed := e.providers[k].SignBatch(items, int64(e.bus.Now()))
-	for _, s := range signed {
-		if _, err := e.ingress.Add(k, ingressTx{provider: k, signed: s}); err != nil {
+	txs, ids := e.providers[k].Stage(items, int64(e.bus.Now()))
+	for i := range txs {
+		if _, err := e.ingress.Add(k, ingressTx{provider: k, tx: txs[i], id: ids[i]}); err != nil {
 			return nil, err // unreachable within Room; defensive
 		}
 	}
-	e.mpAdmitted.Add(int64(len(signed)))
-	return signed, backlog
+	e.mpAdmitted.Add(int64(len(txs)))
+	return txs, backlog
 }
 
 // MempoolDepth reports how many staged submissions await the next
 // round's drain.
 func (e *Engine) MempoolDepth() int { return e.ingress.Len() }
 
-// drainIngress broadcasts the oldest staged submissions, at most
-// BlockLimit of them (all with no limit), in submission order — the
-// same total order at any worker count — one frame per run of a
-// provider batch. A batch the limit splits ships its header with each
-// part. The rest stays queued for later rounds.
+// drainIngress takes the oldest staged submissions, at most BlockLimit
+// of them (all with no limit), groups them by provider in order of
+// first appearance, each provider's in its own order, and has every
+// provider sign its group as one batch and broadcast it as one frame,
+// in that order. Signing runs on the fan-out; the frames reach the bus
+// in group order at any worker count. However a client split its
+// submissions, a round costs one signature per provider that has any
+// drained. The rest stays queued for later rounds.
 func (e *Engine) drainIngress() error {
 	drained := e.ingress.Drain(e.cfg.BlockLimit)
-	for start := 0; start < len(drained); {
-		end := start + 1
-		for end < len(drained) && drained[end].signed.Batch == drained[start].signed.Batch {
-			end++
-		}
-		run := make([]tx.SignedTx, end-start)
-		for i := range run {
-			run[i] = drained[start+i].signed
-		}
-		if err := e.providers[drained[start].provider].Broadcast(run, e.bus); err != nil {
-			return err
-		}
-		start = end
+	if len(drained) == 0 {
+		return nil
 	}
-	return nil
+	rank := make([]int, len(e.providers)) // 1 + group index; 0 unseen
+	groups := 0
+	for _, d := range drained {
+		if rank[d.provider] == 0 {
+			groups++
+			rank[d.provider] = groups
+		}
+	}
+	slices.SortStableFunc(drained, func(a, b ingressTx) int { return rank[a.provider] - rank[b.provider] })
+	txs := make([]tx.Transaction, len(drained))
+	ids := make([]crypto.Hash, len(drained))
+	starts := make([]int, 0, groups+1)
+	for i, d := range drained {
+		txs[i], ids[i] = d.tx, d.id
+		if i == 0 || d.provider != drained[i-1].provider {
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(drained))
+	return e.fanOut(groups, func(g int, out node.Sender) error {
+		lo, hi := starts[g], starts[g+1]
+		p := e.providers[drained[lo].provider]
+		return p.Broadcast(p.SignStaged(txs[lo:hi], ids[lo:hi]), out)
+	})
 }
 
 // SubmitStakeTransfer is governor `from`'s TransferStake step: "governors
@@ -594,9 +612,9 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundResult{}, err
 	}
-	// Broadcast staged submissions first: the bus tick only advances
-	// inside rounds, so they go out at the tick a broadcast at submit
-	// time would have used.
+	// Sign and broadcast staged submissions first: the bus tick only
+	// advances inside rounds, so they go out at the tick a broadcast at
+	// submit time would have used.
 	stageStart := time.Now()
 	if err := e.drainIngress(); err != nil {
 		return RoundResult{}, err
@@ -737,7 +755,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	for _, n := range arguesBy {
 		argues += n
 	}
-	e.observeStage("argue", stageStart)
+	stageStart = e.observeStage("argue", stageStart)
 
 	result := RoundResult{
 		Serial:  block.Serial,
@@ -769,6 +787,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 			result.StakeBlock = sb
 		}
 	}
+	stageStart = e.observeStage("stake", stageStart)
 	e.publishRoundMetrics()
 	// Checkpoint and prune at the SnapshotEvery cadence. A failure is
 	// returned: durability was promised and not delivered.
@@ -776,6 +795,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	for j, r := range e.rounds {
 		errs[j] = r.MaybeCheckpoint(e.cfg.SnapshotEvery)
 	}
+	e.observeStage("checkpoint", stageStart)
 	return result, errors.Join(errs...)
 }
 

@@ -265,8 +265,13 @@ func TestArgueRestoresTransactionsAndPunishesLiars(t *testing.T) {
 		node.ProbBehavior{Misreport: 1},
 		nil, // honest
 	}
+	// Only transactions governor 0's own screening left unchecked reveal
+	// to it, and which those are is a draw: over 300 seeds, six
+	// submission rounds ended with some provider's liars not yet below
+	// the honest collector on governor 0 for about one seed in four,
+	// twelve for one in thirty to fifty.
 	e := newTestEngine(t, cfg)
-	for r := 0; r < 6; r++ {
+	for r := 0; r < 12; r++ {
 		submitRound(t, e, 10, r, 0)
 		if _, err := e.RunRound(); err != nil {
 			t.Fatal(err)

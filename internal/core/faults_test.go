@@ -453,12 +453,14 @@ func TestEvidenceLossResyncs(t *testing.T) {
 func TestEquivocatingCollectorPenalizedOnChain(t *testing.T) {
 	cfg := defaultConfig()
 	e := newTestEngine(t, cfg)
-	// Submit one transaction and capture the provider envelope by
-	// re-signing an equivocating label pair from collector 0.
-	signed, err := e.SubmitTx(0, "equiv", []byte{1, 1}, true)
+	// Submit one transaction and build the envelope its drain signs (a
+	// batch of one: deterministic Ed25519 gives the same bytes), then an
+	// equivocating label pair on it from collector 0.
+	staged, err := e.SubmitTx(0, "equiv", []byte{1, 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	signed := tx.Sign(staged, e.Roster().Providers[0].PrivateKey)
 	collMem := e.Roster().Collectors[0]
 	govIDs := make([]identity.NodeID, e.Governors())
 	for j := range govIDs {

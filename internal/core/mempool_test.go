@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
+
+	"repchain/internal/identity"
 )
 
 // mempoolConfig bounds the mempools with a block limit small enough
@@ -93,11 +96,11 @@ func TestMempoolBackpressure(t *testing.T) {
 	// Provider 0 fills its cap.
 	var lastSeq uint64
 	for i := 0; i < 2; i++ {
-		signed, err := e.SubmitTx(0, "test/tx", payloadFor(true, i), true)
+		staged, err := e.SubmitTx(0, "test/tx", payloadFor(true, i), true)
 		if err != nil {
 			t.Fatalf("fill submit %d: %v", i, err)
 		}
-		lastSeq = signed.Tx.Seq
+		lastSeq = staged.Seq
 	}
 	_, err := e.SubmitTx(0, "test/tx", payloadFor(true, 99), true)
 	if !errors.Is(err, ErrBacklog) {
@@ -115,22 +118,22 @@ func TestMempoolBackpressure(t *testing.T) {
 	if e.MempoolDepth() != 0 {
 		t.Fatalf("MempoolDepth() = %d after drain, want 0", e.MempoolDepth())
 	}
-	signed, err := e.SubmitTx(0, "test/tx", payloadFor(true, 100), true)
+	staged, err := e.SubmitTx(0, "test/tx", payloadFor(true, 100), true)
 	if err != nil {
 		t.Fatalf("retry after drain: %v", err)
 	}
 	// The rejected submission must not have consumed a sequence number:
 	// a leak here would fork provider state across retry paths.
-	if signed.Tx.Seq != lastSeq+1 {
-		t.Fatalf("provider seq %d after rejected submit, want %d (no gap)", signed.Tx.Seq, lastSeq+1)
+	if staged.Seq != lastSeq+1 {
+		t.Fatalf("provider seq %d after rejected submit, want %d (no gap)", staged.Seq, lastSeq+1)
 	}
 }
 
 // TestSubmitBatchMatchesSubmitTx pins the batch path to N single
-// submissions: the same transactions (IDs, sequence numbers), each
-// verifying under its provider batch, and, after a round, the same
-// records — the same transaction root. The block hashes differ: one
-// provider batch, or N batches of one, fill the batch table.
+// submissions: the same transactions (IDs, sequence numbers) and, after
+// a round, the same block byte for byte — the drain signs each
+// provider's share once however it was submitted — whose records each
+// verify under their provider batch.
 func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
 	one, batch := newTestEngine(t, defaultConfig()), newTestEngine(t, defaultConfig())
 	for r := 0; r < 2; r++ {
@@ -145,11 +148,8 @@ func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got[i].ID() != want.ID() || got[i].Tx.Seq != want.Tx.Seq || got[i].Batch != got[0].Batch {
+				if got[i].ID() != want.ID() || got[i].Seq != want.Seq {
 					t.Fatalf("round %d provider %d item %d differs from SubmitTx", r, k, i)
-				}
-				if err := got[i].VerifyProvider(batch.Roster().Providers[k].PublicKey); err != nil {
-					t.Fatalf("round %d provider %d item %d: %v", r, k, i, err)
 				}
 			}
 		}
@@ -161,8 +161,14 @@ func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Block.TxRoot != b.Block.TxRoot || len(b.Block.Records) == 0 {
-			t.Fatalf("round %d: batch block root %s (%d records), per-tx %s", r, b.Block.TxRoot.Short(), len(b.Block.Records), a.Block.TxRoot.Short())
+		if a.Block.Hash() != b.Block.Hash() || len(b.Block.Records) == 0 {
+			t.Fatalf("round %d: batch block %s (%d records), per-tx %s", r, b.Block.Hash().Short(), len(b.Block.Records), a.Block.Hash().Short())
+		}
+		for i, rec := range b.Block.Records {
+			k := slices.IndexFunc(batch.Roster().Providers, func(m identity.Member) bool { return m.ID == rec.Signed.Tx.Provider })
+			if err := rec.Signed.VerifyProvider(batch.Roster().Providers[k].PublicKey); err != nil {
+				t.Fatalf("round %d record %d: %v", r, i, err)
+			}
 		}
 	}
 }
@@ -195,8 +201,8 @@ func TestSubmitBatchAdmitsPrefix(t *testing.T) {
 		t.Fatalf("SubmitBatch admitted %d, err %v; want the 5-tx prefix and ErrBacklog", len(got), err)
 	}
 	for i, s := range got {
-		if s.Tx.Seq != uint64(i+1) || !bytes.Equal(s.Tx.Payload, items[i].Payload) {
-			t.Fatalf("admitted item %d has seq %d", i, s.Tx.Seq)
+		if s.Seq != uint64(i+1) || !bytes.Equal(s.Payload, items[i].Payload) {
+			t.Fatalf("admitted item %d has seq %d", i, s.Seq)
 		}
 	}
 	if e.MempoolDepth() != 5 || e.Provider(0).PendingValid() != 5 {
@@ -210,8 +216,8 @@ func TestSubmitBatchAdmitsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	rest, err := e.SubmitBatch(context.Background(), 0, items[5:10])
-	if err != nil || len(rest) != 5 || rest[0].Tx.Seq != 6 {
-		t.Fatalf("resumed batch: %d admitted, first seq %d, err %v; want 5 from seq 6", len(rest), rest[0].Tx.Seq, err)
+	if err != nil || len(rest) != 5 || rest[0].Seq != 6 {
+		t.Fatalf("resumed batch: %d admitted, first seq %d, err %v; want 5 from seq 6", len(rest), rest[0].Seq, err)
 	}
 }
 

@@ -36,11 +36,19 @@ func batchFor(round, n int) []node.Submission {
 }
 
 // runTrace executes `rounds` rounds with mixed valid/invalid traffic
-// and one stake transfer, under the given seed and GOMAXPROCS.
-func runTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
+// and one stake transfer, under the given seed and GOMAXPROCS. The
+// mixed shape submits a round one transaction at a time over the
+// providers plus one 24-transaction batch; the one-by-one shape
+// submits 36 transactions one at a time under a block limit of 20, so
+// every drain signs several providers' shares concurrently and the
+// limit splits one of them.
+func runTrace(t *testing.T, seed int64, procs, rounds int, oneByOne bool) roundTrace {
 	t.Helper()
 	cfg := defaultConfig()
 	cfg.Seed = seed
+	if oneByOne {
+		cfg.BlockLimit = 20
+	}
 	setProcs(t, procs)
 	cfg.Stakes = []uint64{3, 2, 1}
 	// Event log on: the determinism gate must hold with the ring
@@ -49,11 +57,15 @@ func runTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
 	e := newTestEngine(t, cfg)
 	var tr roundTrace
 	for r := 0; r < rounds; r++ {
-		submitRound(t, e, 12, r, 3)
-		// A batch big enough that SignBatch and the collectors'
-		// VerifyBatch residuals fan out across goroutines.
-		if _, err := e.SubmitBatch(context.Background(), r%4, batchFor(r, 24)); err != nil {
-			t.Fatal(err)
+		if oneByOne {
+			submitRound(t, e, 36, r, 3)
+		} else {
+			submitRound(t, e, 12, r, 3)
+			// A batch big enough that the collectors' VerifyBatch
+			// residuals fan out across goroutines.
+			if _, err := e.SubmitBatch(context.Background(), r%4, batchFor(r, 24)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if r == 1 {
 			if err := e.SubmitStakeTransfer(0, 2, 1); err != nil {
@@ -80,11 +92,18 @@ func runTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
 // the VRF election; reputation snapshots to every weight update.
 func TestParallelMatchesSequential(t *testing.T) {
 	const rounds = 5
-	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			want := runTrace(t, seed, 1, rounds)
-			got := runTrace(t, seed, 4, rounds)
+	for _, tc := range []struct {
+		seed     int64
+		oneByOne bool
+	}{{1, false}, {7, false}, {42, false}, {1, true}, {42, true}} {
+		seed := tc.seed
+		name := fmt.Sprintf("seed=%d", seed)
+		if tc.oneByOne {
+			name += "/one-by-one"
+		}
+		t.Run(name, func(t *testing.T) {
+			want := runTrace(t, seed, 1, rounds, tc.oneByOne)
+			got := runTrace(t, seed, 4, rounds, tc.oneByOne)
 			for r := range want.hashes {
 				if got.hashes[r] != want.hashes[r] {
 					t.Fatalf("GOMAXPROCS=4 round %d block hash %s, sequential %s",

@@ -40,7 +40,8 @@ import (
 // consensus-significant moments; reputation.* events carry enough
 // arguments to re-apply the delta to a fresh table (ReplayReputation).
 const (
-	// TypeTxSigned is a provider signing one transaction.
+	// TypeTxSigned is a provider signing one transaction; in process,
+	// when the round that drains it signs its provider's batch.
 	TypeTxSigned = "tx.signed"
 	// TypeTxLabeled is a collector labelling one verified transaction.
 	TypeTxLabeled = "tx.labeled"

@@ -50,15 +50,18 @@ type Provider struct {
 	round  uint64
 }
 
-// pendingTx is one unsettled submission.
+// pendingTx is one unsettled submission. signed is its envelope, set
+// once SignStaged has signed it; only a signed transaction can reach a
+// block, so only those are argued.
 type pendingTx struct {
 	signed tx.SignedTx
 	valid  bool
 	argued bool
 }
 
-// Submission is one transaction handed to SignBatch: the application
-// kind and payload plus the provider's ground truth about validity.
+// Submission is one transaction handed to Stage or SignBatch: the
+// application kind and payload plus the provider's ground truth about
+// validity.
 type Submission struct {
 	Kind    string
 	Payload []byte
@@ -97,14 +100,20 @@ func (p *Provider) Sign(kind string, payload []byte, isValid bool, timestamp int
 
 // SignBatch builds a batch of transactions and signs it once — one
 // Ed25519 signature over the Merkle root of the batch's transaction
-// IDs (tx.SignBatch) — recording the provider's ground truth for later
-// argue decisions, without broadcasting. Callers that stage
-// transactions in a mempool sign at admission time and call Broadcast
-// at drain time, so the signature's timestamp reflects submission
-// while the network only sees drained batches. Seq is assigned in
-// order, and pending entries and tx.signed events follow in order.
+// IDs (tx.SignLeaves) — without broadcasting: Stage, then SignStaged.
 func (p *Provider) SignBatch(items []Submission, timestamp int64) []tx.SignedTx {
+	return p.SignStaged(p.Stage(items, timestamp))
+}
+
+// Stage builds one transaction per item under the provider's next
+// seqs and timestamp, hashes each once and records it pending with the
+// provider's ground truth, without signing. It returns the
+// transactions and their IDs, in order, for a later SignStaged: a
+// caller that queues submissions stages them at admission, so the
+// timestamp reflects submission, and signs whatever one drain takes.
+func (p *Provider) Stage(items []Submission, timestamp int64) ([]tx.Transaction, []crypto.Hash) {
 	txs := make([]tx.Transaction, len(items))
+	ids := make([]crypto.Hash, len(items))
 	for i, it := range items {
 		p.seq++
 		txs[i] = tx.Transaction{
@@ -114,14 +123,25 @@ func (p *Provider) SignBatch(items []Submission, timestamp int64) []tx.SignedTx 
 			Kind:      it.Kind,
 			Payload:   it.Payload,
 		}
+		ids[i] = txs[i].ID()
+		p.pending[ids[i]] = pendingTx{valid: it.Valid}
 	}
-	out := tx.SignBatch(txs, p.member.PrivateKey)
+	return txs, ids
+}
+
+// SignStaged signs staged transactions as one batch — ids are their
+// IDs as Stage returned them, in the provider's own order — and
+// emits their tx.signed events in that order. Providers are
+// independent: distinct providers may sign concurrently.
+func (p *Provider) SignStaged(txs []tx.Transaction, ids []crypto.Hash) []tx.SignedTx {
+	out := tx.SignLeaves(txs, ids, p.member.PrivateKey)
 	for i, signed := range out {
-		id := signed.Batch.Leaves[i]
-		p.pending[id] = pendingTx{signed: signed, valid: items[i].Valid}
+		pt := p.pending[ids[i]]
+		pt.signed = signed
+		p.pending[ids[i]] = pt
 		if p.events != nil {
-			p.events.Emit(events.TypeTxSigned, id.String(), p.round, string(p.member.ID),
-				slog.String("kind", items[i].Kind))
+			p.events.Emit(events.TypeTxSigned, ids[i].String(), p.round, string(p.member.ID),
+				slog.String("kind", txs[i].Kind))
 		}
 	}
 	return out
@@ -144,7 +164,7 @@ func (p *Provider) Broadcast(signed []tx.SignedTx, sender Sender) error {
 // provider's linked collectors: a batch of one. isValid is the
 // provider's own ground truth, used later to decide argues. timestamp
 // is the logical or wall clock reading. Sign + Broadcast fused — the
-// path of a client that submits one transaction at a time.
+// path of a client over TCP that submits one transaction at a time.
 func (p *Provider) Submit(kind string, payload []byte, isValid bool, timestamp int64, sender Sender) (tx.SignedTx, error) {
 	signed := p.Sign(kind, payload, isValid, timestamp)
 	if err := p.Broadcast([]tx.SignedTx{signed}, sender); err != nil {

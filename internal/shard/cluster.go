@@ -222,20 +222,20 @@ func (cl *Cluster) Members(i int) []int {
 }
 
 // SubmitTx routes a same-shard submission from global provider k to
-// its home committee, returning that committee's index and the signed
+// its home committee, returning that committee's index and the staged
 // transaction: SubmitBatch for one transaction.
-func (cl *Cluster) SubmitTx(k int, kind string, payload []byte, valid bool) (int, tx.SignedTx, error) {
-	c, signed, err := cl.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: valid}})
-	if len(signed) == 0 {
-		return c, tx.SignedTx{}, err
+func (cl *Cluster) SubmitTx(k int, kind string, payload []byte, valid bool) (int, tx.Transaction, error) {
+	c, staged, err := cl.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: valid}})
+	if len(staged) == 0 {
+		return c, tx.Transaction{}, err
 	}
-	return c, signed[0], nil
+	return c, staged[0], nil
 }
 
 // SubmitBatch routes a batch of same-shard submissions from global
 // provider k to its home committee, returning that committee's index
 // and the admitted prefix (core.Engine.SubmitBatch).
-func (cl *Cluster) SubmitBatch(ctx context.Context, k int, items []node.Submission) (int, []tx.SignedTx, error) {
+func (cl *Cluster) SubmitBatch(ctx context.Context, k int, items []node.Submission) (int, []tx.Transaction, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
@@ -245,8 +245,8 @@ func (cl *Cluster) SubmitBatch(ctx context.Context, k int, items []node.Submissi
 	if err != nil {
 		return 0, nil, err
 	}
-	signed, err := cl.engines[slot.Committee].SubmitBatch(ctx, slot.Local, items)
-	return slot.Committee, signed, err
+	staged, err := cl.engines[slot.Committee].SubmitBatch(ctx, slot.Local, items)
+	return slot.Committee, staged, err
 }
 
 // RunRound runs one cluster round: due cross-shard receipts are

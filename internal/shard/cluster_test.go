@@ -141,22 +141,22 @@ func runCrossScenario(t *testing.T, seed int64, procs int) ([][]crypto.Hash, map
 		for i := range batch {
 			batch[i] = node.Submission{Kind: "local", Payload: payload(i%4 != 3, byte(100+i), byte(r)), Valid: i%4 != 3}
 		}
-		if _, signed, err := cl.SubmitBatch(context.Background(), r%2+2, batch); err != nil || len(signed) != len(batch) {
-			t.Fatalf("SubmitBatch admitted %d of %d: %v", len(signed), len(batch), err)
+		if _, staged, err := cl.SubmitBatch(context.Background(), r%2+2, batch); err != nil || len(staged) != len(batch) {
+			t.Fatalf("SubmitBatch admitted %d of %d: %v", len(staged), len(batch), err)
 		}
 		if r < 6 {
 			// Providers 0 and 1 live on different committees under the
 			// modulo partition; 3 and 6 likewise.
-			signed, err := cl.SubmitCross(0, 1, "wire", payload(true, byte(r), 1), true)
+			lock, err := cl.SubmitCross(0, 1, "wire", payload(true, byte(r), 1), true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			locks[signed.Tx.ID()] = true
-			signed, err = cl.SubmitCross(3, 6, "wire", payload(true, byte(r), 2), true)
+			locks[lock.ID()] = true
+			lock, err = cl.SubmitCross(3, 6, "wire", payload(true, byte(r), 2), true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			locks[signed.Tx.ID()] = true
+			locks[lock.ID()] = true
 		}
 		if _, err := cl.RunRound(); err != nil {
 			t.Fatal(err)
@@ -233,7 +233,7 @@ func TestK4CrossShardCommitsWithoutForks(t *testing.T) {
 			// round: provider j -> provider (j+1)%8 hops committees
 			// under the modulo partition.
 			for j := 0; j < 4; j++ {
-				signed, err := cl.SubmitCross(j, (j+1)%8, "wire", payload(true, byte(j), byte(r)), true)
+				lock, err := cl.SubmitCross(j, (j+1)%8, "wire", payload(true, byte(j), byte(r)), true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -241,7 +241,7 @@ func TestK4CrossShardCommitsWithoutForks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				locks[signed.Tx.ID()] = slot.Committee
+				locks[lock.ID()] = slot.Committee
 			}
 		}
 		if _, err := cl.RunRound(); err != nil {

@@ -191,20 +191,20 @@ type pendingReceipt struct {
 // `from` locks it on its home committee for delivery to global
 // provider `to`'s committee. When both live on the same committee the
 // inner transaction is submitted directly — there is nothing to lock.
-// It returns the signed phase-one (or direct) transaction.
-func (cl *Cluster) SubmitCross(from, to int, kind string, payload []byte, valid bool) (tx.SignedTx, error) {
+// It returns the staged phase-one (or direct) transaction.
+func (cl *Cluster) SubmitCross(from, to int, kind string, payload []byte, valid bool) (tx.Transaction, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return tx.SignedTx{}, core.ErrClosed
+		return tx.Transaction{}, core.ErrClosed
 	}
 	src, err := cl.homeLocked(from)
 	if err != nil {
-		return tx.SignedTx{}, err
+		return tx.Transaction{}, err
 	}
 	dst, err := cl.homeLocked(to)
 	if err != nil {
-		return tx.SignedTx{}, err
+		return tx.Transaction{}, err
 	}
 	if src.Committee == dst.Committee {
 		return cl.engines[src.Committee].SubmitTx(src.Local, kind, payload, valid)

@@ -74,6 +74,23 @@ func SignBatch(txs []Transaction, key crypto.PrivateKey) []SignedTx {
 	for i, t := range txs {
 		b.Leaves[i] = t.ID()
 	}
+	return b.sign(txs, key)
+}
+
+// SignLeaves is SignBatch for a caller that already holds the IDs:
+// ids[i] must be txs[i].ID(). Neither slice is retained.
+func SignLeaves(txs []Transaction, ids []crypto.Hash, key crypto.PrivateKey) []SignedTx {
+	if len(txs) == 0 {
+		return nil
+	}
+	b := newBatch(txs[0].Provider, len(txs))
+	copy(b.Leaves, ids)
+	return b.sign(txs, key)
+}
+
+// sign sets b's signature under key and wraps txs, b's leaves, in
+// envelopes sharing b.
+func (b *Batch) sign(txs []Transaction, key crypto.PrivateKey) []SignedTx {
 	e := codec.GetEncoder(96)
 	b.EncodeSigning(e)
 	copy(b.Sig[:], key.Sign(e.Bytes()))

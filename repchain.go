@@ -214,7 +214,7 @@ func WithBlockLimit(limit int) Option {
 
 // WithMempool bounds every mempool at capPerProvider pending
 // transactions per provider. A provider at its cap gets ErrBacklog from
-// Submit before anything is signed — backpressure, never silent loss —
+// Submit before anything is staged — backpressure, never silent loss —
 // while a governor evicts that provider's oldest pending upload
 // (counted in mempool.evicted_total). Bounded or not (the default),
 // every mempool is one queue in arrival order, drained at most
@@ -362,11 +362,12 @@ func (c *Chain) Submit(provider int, kind string, payload []byte, isValid bool) 
 // as many leading transactions as the provider's cap has room for,
 // then returns the admitted IDs together with an ErrBacklog-wrapping error;
 // callers resume from txs[len(ids)] after running a round. The context
-// is checked once, before anything is signed: a cancelled batch admits
+// is checked once, before anything is staged: a cancelled batch admits
 // nothing and returns the context's error. Admission is all-or-nothing
-// per transaction, never partial within one. The batch's signatures
-// are computed on every available core; the result is exactly that of
-// submitting the transactions one by one.
+// per transaction, never partial within one. Nothing is signed here:
+// the round that drains the batch signs each provider's share once, so
+// the result is exactly, byte for byte, that of submitting the
+// transactions one by one.
 func (c *Chain) SubmitBatch(ctx context.Context, provider int, txs []Tx) ([]TxID, error) {
 	return c.cluster.SubmitBatch(ctx, provider, txs)
 }

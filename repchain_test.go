@@ -697,11 +697,11 @@ func Example() {
 	// Output: block 1 with 1 record(s)
 }
 
-// TestProviderBatchSplitAcrossBlocks: one 32-transaction provider batch
-// under a 10-record block limit drains over several rounds, each part's
-// frame carrying the batch's header. The chain verifies, every record
-// verifies against its provider from its own block's bytes alone, and
-// every valid transaction settles.
+// TestProviderBatchSplitAcrossBlocks: one 32-transaction SubmitBatch
+// under a 10-record block limit drains over several rounds, and each
+// drained part is signed as its own batch of at most 10 leaves. The
+// chain verifies, every record verifies against its provider from its
+// own block's bytes alone, and every valid transaction settles.
 func TestProviderBatchSplitAcrossBlocks(t *testing.T) {
 	c := newTestChain(t, WithBlockLimit(10))
 	defer c.Close()
@@ -727,6 +727,7 @@ func TestProviderBatchSplitAcrossBlocks(t *testing.T) {
 	pub := e.Roster().Providers[0].PublicKey
 	st := e.Governor(0).Store()
 	blocks, records := 0, 0
+	parts := map[[64]byte]bool{}
 	for s := uint64(1); s <= st.Height(); s++ {
 		b, err := st.Get(s)
 		if err != nil {
@@ -743,14 +744,16 @@ func TestProviderBatchSplitAcrossBlocks(t *testing.T) {
 			if err := r.Signed.VerifyProvider(pub); err != nil {
 				t.Fatalf("block %d record %d: %v", s, i, err)
 			}
-			if len(r.Signed.Batch.Leaves) != len(txs) {
-				t.Fatalf("block %d record %d: batch of %d leaves, want %d", s, i, len(r.Signed.Batch.Leaves), len(txs))
+			if n := len(r.Signed.Batch.Leaves); n > 10 {
+				t.Fatalf("block %d record %d: batch of %d leaves, want at most the limit 10", s, i, n)
 			}
+			parts[r.Signed.Batch.Sig] = true
 		}
 		records += len(alone.Records)
 	}
-	if blocks < 4 || records < len(txs) {
-		t.Fatalf("%d records over %d blocks, want all %d over at least 4", records, blocks, len(txs))
+	if blocks < 4 || records < len(txs) || len(parts) < 4 {
+		t.Fatalf("%d records over %d blocks under %d batches, want all %d over at least 4 blocks and 4 batches",
+			records, blocks, len(parts), len(txs))
 	}
 }
 
@@ -758,19 +761,52 @@ func TestProviderBatchSplitAcrossBlocks(t *testing.T) {
 // SubmitBatch calls carries eight provider signatures — its block's
 // batch table holds one batch per provider, each with all 32 leaves.
 func TestSteadyRoundSignsOncePerProvider(t *testing.T) {
+	assertOneBatchPerProvider(t, func(c *Chain, shares [][]Tx) error {
+		for k, share := range shares {
+			if _, err := c.SubmitBatch(context.Background(), k, share); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// TestOneByOneRoundSignsOncePerProvider is its sibling with every
+// transaction submitted alone, interleaved across the providers: the
+// drain still signs once per provider, so the block is the same eight
+// batches of 32 leaves.
+func TestOneByOneRoundSignsOncePerProvider(t *testing.T) {
+	assertOneBatchPerProvider(t, func(c *Chain, shares [][]Tx) error {
+		for i := range shares[0] {
+			for k, share := range shares {
+				if _, err := c.Submit(k, share[i].Kind, share[i].Payload, share[i].Valid); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// assertOneBatchPerProvider has submit hand over eight providers' 32
+// transactions each, runs one round, and checks the block: 256 records
+// under 8 provider signatures of 32 leaves each.
+func assertOneBatchPerProvider(t *testing.T, submit func(c *Chain, shares [][]Tx) error) {
+	t.Helper()
 	c, err := New(WithTopology(8, 4, 2), WithGovernors(3), WithValidator(testValidator), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for k := 0; k < 8; k++ {
-		txs := make([]Tx, 32)
-		for i := range txs {
-			txs[i] = Tx{Kind: "steady", Payload: []byte{1, byte(i), byte(k)}, Valid: true}
+	shares := make([][]Tx, 8)
+	for k := range shares {
+		shares[k] = make([]Tx, 32)
+		for i := range shares[k] {
+			shares[k][i] = Tx{Kind: "steady", Payload: []byte{1, byte(i), byte(k)}, Valid: true}
 		}
-		if _, err := c.SubmitBatch(context.Background(), k, txs); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := submit(c, shares); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := c.RunRound(); err != nil {
 		t.Fatal(err)
