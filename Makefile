@@ -82,11 +82,13 @@ benchmark-smoke:
 
 # Crash-consistency matrix (DESIGN.md §4g): torn-tail truncation,
 # torn segment creation, mid-segment corruption, kill-during-snapshot,
-# forged snapshots, and a file at the chain path, plus the engine-level
-# restart-from-snapshot paths. Mirrors the CI crash-consistency job.
+# forged snapshots, and a file at the chain path, plus the governor's
+# checkpoint round trip and the engine-level restart-from-snapshot
+# paths. Mirrors the CI crash-consistency job.
 crash-consistency:
 	$(GO) test -count=1 ./internal/ledger \
 		-run 'Torn|Truncated|Corrupt|KillDuring|Snapshot|RegularFile|Prune'
+	$(GO) test -count=1 ./internal/node -run 'Checkpoint|Restore'
 	$(GO) test -count=1 ./internal/core -run 'Snapshot|Restart|Persist'
 	$(GO) test -count=1 ./internal/transport -run 'Persistence|StakeTransfer'
 

@@ -95,10 +95,11 @@ func (e *Engine) CrashGovernor(j int) error {
 		return fmt.Errorf("crash governor %d: no live governor would remain: %w", j, ErrBadConfig)
 	}
 	e.governorDown[j] = true
-	e.bus.SetDown(e.governorIDs[j], true)
-	e.governors[j].Endpoint().Purge()
-	e.rounds[j].Purge()
-	e.emitNodeEvent(events.TypeNodeCrash, string(e.governorIDs[j]), "crash", true)
+	g := e.governors[j]
+	e.bus.SetDown(g.ID(), true)
+	g.Endpoint().Purge()
+	g.Purge()
+	e.emitNodeEvent(events.TypeNodeCrash, string(g.ID()), "crash", true)
 	return nil
 }
 
@@ -111,9 +112,9 @@ func (e *Engine) RestartGovernor(j int) error {
 		return fmt.Errorf("restart governor %d: %w", j, ErrNodeDown)
 	}
 	e.governorDown[j] = false
-	e.bus.SetDown(e.governorIDs[j], false)
+	e.bus.SetDown(e.governors[j].ID(), false)
 	e.governors[j].Endpoint().Purge()
-	e.emitNodeEvent(events.TypeNodeRestart, string(e.governorIDs[j]), "restart", true)
+	e.emitNodeEvent(events.TypeNodeRestart, string(e.governors[j].ID()), "restart", true)
 	return nil
 }
 
@@ -127,7 +128,7 @@ func (e *Engine) IsolateGovernor(j int) error {
 		return fmt.Errorf("isolate governor %d: %w", j, ErrNodeDown)
 	}
 	e.governorDown[j] = true
-	e.emitNodeEvent(events.TypeNodeCrash, string(e.governorIDs[j]), "partition", true)
+	e.emitNodeEvent(events.TypeNodeCrash, string(e.governors[j].ID()), "partition", true)
 	return nil
 }
 
@@ -140,7 +141,7 @@ func (e *Engine) ReconnectGovernor(j int) error {
 	}
 	e.governorDown[j] = false
 	e.governors[j].Endpoint().Purge()
-	e.emitNodeEvent(events.TypeNodeRestart, string(e.governorIDs[j]), "reconnect", true)
+	e.emitNodeEvent(events.TypeNodeRestart, string(e.governors[j].ID()), "reconnect", true)
 	return nil
 }
 
@@ -194,11 +195,7 @@ func (e *Engine) resyncGovernors() error {
 			if err != nil {
 				return fmt.Errorf("resync governor %d block %d: %w", j, serial, err)
 			}
-			proposer := slices.Index(e.governorIDs, b.Proposer)
-			if proposer < 0 {
-				return fmt.Errorf("resync governor %d block %d: proposer %q is not a governor: %w", j, serial, b.Proposer, ErrBadConfig)
-			}
-			if err := g.AcceptBlock(b, b.Proposer, e.govPubs[proposer]); err != nil {
+			if err := g.AcceptBlock(b); err != nil {
 				return fmt.Errorf("resync governor %d block %d: %w", j, serial, err)
 			}
 			blocksSynced.Inc()
@@ -210,15 +207,15 @@ func (e *Engine) resyncGovernors() error {
 	var newest *consensus.StakeBlock
 	evidence := make([]*consensus.Evidence, len(e.governors))
 	for _, j := range live {
-		if sb := e.rounds[j].StakeBlock(); sb != nil && (newest == nil || sb.Round > newest.Round) {
+		if sb := e.governors[j].StakeBlock(); sb != nil && (newest == nil || sb.Round > newest.Round) {
 			newest = sb
 		}
 		for l := range evidence {
-			evidence[l] = cmp.Or(evidence[l], e.rounds[j].Expulsion(l))
+			evidence[l] = cmp.Or(evidence[l], e.governors[j].Expulsion(l))
 		}
 	}
 	for _, j := range live {
-		r, ref := e.rounds[j], e.rounds[live[0]]
+		r, ref := e.governors[j], e.governors[live[0]]
 		var lost []network.Message
 		if sb := r.StakeBlock(); newest != nil && (sb == nil || sb.Round < newest.Round) {
 			lost = append(lost, network.Message{Kind: network.KindStakeBlock, Payload: consensus.EncodeStakeBlock(*newest)})

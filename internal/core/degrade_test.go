@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repchain/internal/identity"
+	"repchain/internal/ledger"
 	"repchain/internal/network"
+	"repchain/internal/node"
 )
 
 func TestCrashedCollectorRoundProceeds(t *testing.T) {
@@ -179,5 +181,32 @@ func TestDuplicateBlockDeliveryIdempotent(t *testing.T) {
 	}
 	if got := e.Metrics().Counter("election.vrf_duplicate_batch").Value(); got == 0 {
 		t.Fatal("duplicated VRF batches not counted")
+	}
+}
+
+// TestResyncRefusesNonGovernorProposer: a block on the tallest replica
+// whose proposer is not a roster governor is refused when a lagging
+// replica is resynced from it, with the error AcceptBlock gives.
+func TestResyncRefusesNonGovernorProposer(t *testing.T) {
+	e := newTestEngine(t, defaultConfig())
+	submitRound(t, e, 4, 0, 0)
+	if _, err := e.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	src := e.Governor(0).Store()
+	head, err := src.Head()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ledger.NewBlock(&head, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SignAs("governor/9", e.Roster().Governors[0].PrivateKey)
+	if err := src.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunRound(); !errors.Is(err, node.ErrBadMessage) {
+		t.Fatalf("RunRound() error = %v, want node.ErrBadMessage", err)
 	}
 }

@@ -1,5 +1,5 @@
-// Package core wires the paper's full protocol together: the identity
-// manager, the synchronous bus, provider/collector/governor nodes, the
+// Package core wires the paper's full protocol together: the roster,
+// the synchronous bus, provider/collector/governor nodes, the
 // reputation mechanism, PoS/VRF leader election, block production, and
 // the stake-transform sub-protocol. One Engine is one alliance chain.
 //
@@ -142,14 +142,9 @@ type Engine struct {
 
 	providers  []*node.Provider
 	collectors []*node.Collector
-	governors  []*node.Governor
-	// rounds[j] steps governor j, stake transform included; the engine
-	// only sequences the steps.
-	rounds []*node.GovernorRound
-
-	governorIDs []identity.NodeID
-	providerIDs []identity.NodeID
-	govPubs     []crypto.PublicKey
+	// governors[j] runs governor j's round steps, stake transform
+	// included; the engine only sequences them.
+	governors []*node.Governor
 
 	round uint64
 
@@ -203,8 +198,9 @@ type RoundResult struct {
 	StakeBlock *consensus.StakeBlock
 }
 
-// New builds and wires an engine.
-func New(cfg Config) (*Engine, error) {
+// New builds and wires an engine. On an error, every chain store it
+// opened is closed again.
+func New(cfg Config) (_ *Engine, err error) {
 	if cfg.Governors <= 0 {
 		return nil, fmt.Errorf("governors %d: %w", cfg.Governors, ErrBadConfig)
 	}
@@ -218,7 +214,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	var topo *identity.Topology
-	var err error
 	if cfg.Links != nil {
 		topo, err = identity.NewTopologyFromLinks(cfg.Spec.Providers, cfg.Spec.Collectors, cfg.Links)
 	} else {
@@ -230,15 +225,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Behaviors != nil && len(cfg.Behaviors) != topo.Collectors() {
 		return nil, fmt.Errorf("%d behaviours for %d collectors: %w", len(cfg.Behaviors), topo.Collectors(), ErrBadConfig)
 	}
-	stakes := cfg.Stakes
-	if stakes == nil {
-		stakes = make([]uint64, cfg.Governors)
-		for i := range stakes {
-			stakes[i] = 1
-		}
-	}
-	if len(stakes) != cfg.Governors {
-		return nil, fmt.Errorf("%d stakes for %d governors: %w", len(stakes), cfg.Governors, ErrBadConfig)
+	if cfg.Stakes != nil && len(cfg.Stakes) != cfg.Governors {
+		return nil, fmt.Errorf("%d stakes for %d governors: %w", len(cfg.Stakes), cfg.Governors, ErrBadConfig)
 	}
 
 	seed := make([]byte, crypto.SeedSize)
@@ -262,11 +250,7 @@ func New(cfg Config) (*Engine, error) {
 	e.mpAdmitted = e.reg.Counter("mempool.admitted_total")
 	e.collectorDown = make([]bool, topo.Collectors())
 	e.governorDown = make([]bool, cfg.Governors)
-	e.governorIDs = identity.IDs(roster.Governors)
-	e.providerIDs = identity.IDs(roster.Providers)
-	for _, g := range roster.Governors {
-		e.govPubs = append(e.govPubs, g.PublicKey)
-	}
+	governorIDs := identity.IDs(roster.Governors)
 
 	// Providers.
 	for k, mem := range roster.Providers {
@@ -278,7 +262,7 @@ func New(cfg Config) (*Engine, error) {
 		for _, c := range topo.CollectorsOf(k) {
 			collectorIDs = append(collectorIDs, roster.Collectors[c].ID)
 		}
-		p := node.NewProvider(mem, ep, collectorIDs, e.governorIDs)
+		p := node.NewProvider(mem, ep, collectorIDs, governorIDs)
 		p.SetEvents(e.events)
 		e.providers = append(e.providers, p)
 	}
@@ -296,7 +280,17 @@ func New(cfg Config) (*Engine, error) {
 		col.SetEvents(e.events)
 		e.collectors = append(e.collectors, col)
 	}
-	// Governors.
+	// Governors. Each reloads its checkpoint as it is built, so a restart
+	// keeps its learned weights, stakes and nonces; the configured stakes
+	// only seed a chain that has none.
+	var stores []*ledger.FileStore
+	defer func() {
+		if err != nil {
+			for _, fs := range stores {
+				_ = fs.Close()
+			}
+		}
+	}()
 	for j, mem := range roster.Governors {
 		ep, err := e.bus.Register(mem.ID)
 		if err != nil {
@@ -311,6 +305,7 @@ func New(cfg Config) (*Engine, error) {
 			if err != nil {
 				return nil, fmt.Errorf("governor %d chain file: %w", j, err)
 			}
+			stores = append(stores, fs)
 			store = fs
 		}
 		gov, err := node.NewGovernor(node.GovernorConfig{
@@ -322,6 +317,7 @@ func New(cfg Config) (*Engine, error) {
 			BlockLimit:  cfg.BlockLimit,
 			ArgueWindow: cfg.ArgueWindow,
 			Seed:        cfg.Seed + int64(2000+j),
+			Stakes:      cfg.Stakes,
 			Store:       store,
 			MempoolCap:  cfg.MempoolCap,
 			Metrics:     e.reg,
@@ -331,16 +327,6 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		e.governors = append(e.governors, gov)
-	}
-	// Reload each governor's checkpoint so a restart keeps its learned
-	// weights, stakes and nonces; the configured stakes only seed a chain
-	// that has none.
-	for _, g := range e.governors {
-		r := node.NewGovernorRound(g, e.governorIDs, e.govPubs, e.providerIDs, stakes)
-		if err := r.Restore(); err != nil {
-			return nil, err
-		}
-		e.rounds = append(e.rounds, r)
 	}
 	// Resume the round counter from a persisted chain so leader
 	// election inputs stay unique across restarts.
@@ -367,12 +353,12 @@ func (e *Engine) CloseMigrated(reputation [][]byte) error {
 	}
 	e.closed = true
 	var errs []error
-	for j, r := range e.rounds {
+	for j, g := range e.governors {
 		var rep []byte
 		if reputation != nil {
 			rep = reputation[j]
 		}
-		errs = append(errs, r.Checkpoint(rep, false))
+		errs = append(errs, g.Checkpoint(rep, false))
 	}
 	for j, g := range e.governors {
 		if fs, ok := g.Store().(*ledger.FileStore); ok {
@@ -403,7 +389,7 @@ func (e *Engine) Governors() int { return len(e.governors) }
 // governors at zero, as the first live governor (or, none live,
 // governor 0) holds it.
 func (e *Engine) Stakes() []uint64 {
-	return e.rounds[max(slices.Index(e.governorDown, false), 0)].Stakes()
+	return e.governors[max(slices.Index(e.governorDown, false), 0)].Stakes()
 }
 
 // Round returns the number of completed rounds.
@@ -546,10 +532,10 @@ func (e *Engine) SubmitStakeTransfer(from, to int, amount uint64) error {
 	if from < 0 || from >= len(e.governors) || to < 0 || to >= len(e.governors) {
 		return fmt.Errorf("transfer %d→%d: %w", from, to, ErrBadConfig)
 	}
-	return e.rounds[from].TransferStake(to, amount, e.bus)
+	return e.governors[from].TransferStake(to, amount, e.bus)
 }
 
-// stepGovernors is the engine's lock-step drive of the round steppers:
+// stepGovernors is the engine's lock-step drive of the governors' steps:
 // every live governor ingests its drained endpoint and then runs step,
 // in parallel — each touches only its own endpoint, state and send
 // buffer, so the outcome is independent of the worker count. Down
@@ -558,15 +544,16 @@ func (e *Engine) SubmitStakeTransfer(from, to int, amount uint64) error {
 // every upload's signatures in Ingest; the shared verification cache
 // turns the m-fold duplicate checks into hits, which is why the round's
 // long pole is the upload stage before it, not this.
-func (e *Engine) stepGovernors(step func(j int, r *node.GovernorRound, out node.Sender) error) error {
+func (e *Engine) stepGovernors(step func(j int, g *node.Governor, out node.Sender) error) error {
 	return e.fanOut(len(e.governors), func(j int, out node.Sender) error {
 		if e.governorDown[j] {
 			return nil
 		}
-		if err := e.rounds[j].Ingest(e.governors[j].Endpoint().Receive()); err != nil {
+		g := e.governors[j]
+		if err := g.Ingest(g.Endpoint().Receive()); err != nil {
 			return err
 		}
-		return step(j, e.rounds[j], out)
+		return step(j, g, out)
 	})
 }
 
@@ -637,8 +624,8 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	e.round++
 	// Open the round on every node before any fan-out starts; for
 	// collectors and providers the round only attributes events.
-	for _, r := range e.rounds {
-		r.Begin(e.round)
+	for _, g := range e.governors {
+		g.Begin(e.round)
 	}
 	for _, c := range e.collectors {
 		c.SetRound(e.round)
@@ -676,8 +663,8 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	}
 
 	// --- Processing phase: screening ---
-	if err := e.stepGovernors(func(_ int, r *node.GovernorRound, _ node.Sender) error {
-		return r.Screen()
+	if err := e.stepGovernors(func(_ int, g *node.Governor, _ node.Sender) error {
+		return g.Screen()
 	}); err != nil {
 		return RoundResult{}, err
 	}
@@ -693,7 +680,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	// --- Processing phase: block proposal ---
 	// The leader broadcasts the block to all governors and providers
 	// (providers need it to argue; every node can retrieve it).
-	block, err := e.rounds[leader].Propose(e.bus)
+	block, err := e.governors[leader].Propose(e.bus)
 	if err != nil {
 		return RoundResult{}, err
 	}
@@ -708,8 +695,8 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	// where no replica at all holds the block aborts.
 	missedBlock := e.reg.Counter("chaos.governor_missed_block")
 	committedBy := make([]bool, len(e.governors))
-	if err := e.stepGovernors(func(j int, r *node.GovernorRound, _ node.Sender) error {
-		committed, err := r.Adopt()
+	if err := e.stepGovernors(func(j int, g *node.Governor, _ node.Sender) error {
+		committed, err := g.Adopt()
 		if committedBy[j] = committed; !committed {
 			missedBlock.Inc()
 		}
@@ -765,14 +752,14 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 		Argues:  argues,
 	}
 
-	// --- Stake transform: tick until every live stepper is done, for at
+	// --- Stake transform: tick until every live governor is done, for at
 	// most its four steps (propose, answer, assemble, apply). What is left
 	// waits for the next round, or a lost block for the next resync.
 	done := slices.Clone(e.governorDown)
 	for step := 0; step < 4; step++ {
-		if err := e.stepGovernors(func(j int, r *node.GovernorRound, out node.Sender) error {
+		if err := e.stepGovernors(func(j int, g *node.Governor, out node.Sender) error {
 			var err error
-			done[j], err = r.StakeStep(out)
+			done[j], err = g.StakeStep(out)
 			return err
 		}); err != nil {
 			return result, err
@@ -782,8 +769,8 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 		}
 		e.bus.AdvancePastDelay()
 	}
-	for _, r := range e.rounds {
-		if sb := r.StakeBlock(); sb != nil && sb.Round == e.round {
+	for _, g := range e.governors {
+		if sb := g.StakeBlock(); sb != nil && sb.Round == e.round {
 			result.StakeBlock = sb
 		}
 	}
@@ -791,9 +778,9 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	e.publishRoundMetrics()
 	// Checkpoint and prune at the SnapshotEvery cadence. A failure is
 	// returned: durability was promised and not delivered.
-	errs := make([]error, len(e.rounds))
-	for j, r := range e.rounds {
-		errs[j] = r.MaybeCheckpoint(e.cfg.SnapshotEvery)
+	errs := make([]error, len(e.governors))
+	for j, g := range e.governors {
+		errs[j] = g.MaybeCheckpoint(e.cfg.SnapshotEvery)
 	}
 	e.observeStage("checkpoint", stageStart)
 	return result, errors.Join(errs...)
@@ -821,8 +808,8 @@ func (e *Engine) electLeader() (int, error) {
 	}
 	// resyncGovernors brought all live replicas to one head, so every
 	// governor makes its tickets over the same prev-hash.
-	if err := e.stepGovernors(func(j int, r *node.GovernorRound, out node.Sender) error {
-		return r.SendTickets(stakes[j], out)
+	if err := e.stepGovernors(func(j int, g *node.Governor, out node.Sender) error {
+		return g.SendTickets(stakes[j], out)
 	}); err != nil {
 		return 0, err
 	}
@@ -832,8 +819,8 @@ func (e *Engine) electLeader() (int, error) {
 	// governor consumes its inbox whatever the schedule.
 	leaders := make([]int, len(e.governors))
 	incomplete := make([]error, len(e.governors))
-	if err := e.stepGovernors(func(j int, r *node.GovernorRound, _ node.Sender) error {
-		l, err := r.Elect(stakes)
+	if err := e.stepGovernors(func(j int, g *node.Governor, _ node.Sender) error {
+		l, err := g.Elect(stakes)
 		if errors.Is(err, consensus.ErrIncompleteElection) {
 			incomplete[j], err = err, nil
 		}

@@ -400,7 +400,7 @@ func TestLeaderExpulsion(t *testing.T) {
 	liar := first.Leader
 
 	e := newTestEngine(t, cfg)
-	e.rounds[liar].CorruptNextStakeProposal()
+	e.governors[liar].CorruptNextStakeProposal()
 	if err := e.SubmitStakeTransfer(1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestLeaderExpulsion(t *testing.T) {
 	if res.Leader != liar || res.StakeBlock != nil {
 		t.Fatalf("round 1 led by %d (want %d), stake block %v (want none)", res.Leader, liar, res.StakeBlock)
 	}
-	for j, r := range e.rounds {
+	for j, r := range e.governors {
 		if got := r.Stakes(); got[liar] != 0 {
 			t.Fatalf("governor %d stakes %v: governor %d not expelled", j, got, liar)
 		}

@@ -357,14 +357,14 @@ func TestStakeBlockDropResyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StakeBlock == nil || e.rounds[1].StakeBlock() != nil {
-		t.Fatalf("stake block %v, governor 1 holds %v: want it committed and governor 1 without it", res.StakeBlock, e.rounds[1].StakeBlock())
+	if res.StakeBlock == nil || e.governors[1].StakeBlock() != nil {
+		t.Fatalf("stake block %v, governor 1 holds %v: want it committed and governor 1 without it", res.StakeBlock, e.governors[1].StakeBlock())
 	}
 	e.Bus().SetDropFunc(nil)
 	if _, err := e.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	for j, r := range e.rounds {
+	for j, r := range e.governors {
 		if got := fmt.Sprint(r.Stakes()); got != "[2 3 4]" {
 			t.Fatalf("governor %d stakes %s after resync, want [2 3 4]", j, got)
 		}
@@ -404,7 +404,7 @@ func TestEvidenceLossResyncs(t *testing.T) {
 			payer := 3 - liar - victim
 
 			e := start(victim)
-			e.rounds[liar].CorruptNextStakeProposal()
+			e.governors[liar].CorruptNextStakeProposal()
 			if err := e.SubmitStakeTransfer(payer, victim, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -416,7 +416,7 @@ func TestEvidenceLossResyncs(t *testing.T) {
 			if res, err := e.RunRound(); err != nil || res.Leader != liar {
 				t.Fatalf("round 1 led by %d (want %d): %v", res.Leader, liar, err)
 			}
-			if e.rounds[victim].Expulsion(liar) != nil || e.rounds[payer].Expulsion(liar) == nil {
+			if e.governors[victim].Expulsion(liar) != nil || e.governors[payer].Expulsion(liar) == nil {
 				t.Fatalf("governor %d should lack the evidence governor %d holds", victim, payer)
 			}
 			e.Bus().SetDropFunc(nil)
@@ -438,7 +438,7 @@ func TestEvidenceLossResyncs(t *testing.T) {
 			if !down && (res.StakeBlock == nil || !slices.Equal(res.StakeBlock.NewState, want)) {
 				t.Fatalf("round 2 stake block %v, want NEW_STATE %v", res.StakeBlock, want)
 			}
-			for j, r := range e.rounds {
+			for j, r := range e.governors {
 				if r.Expulsion(liar) == nil {
 					t.Fatalf("governor %d has not expelled governor %d", j, liar)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -189,13 +190,20 @@ func TestRoundCounterAndSnapshotSurviveRestart(t *testing.T) {
 
 // TestCorruptCheckpointFailsRestart: a CRC-valid ledger snapshot whose
 // application state does not decode must fail engine construction with
-// an error naming the governor, not silently reset its learned weights.
+// an error naming the governor, not silently reset its learned weights,
+// and leave no chain store open.
 func TestCorruptCheckpointFailsRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := defaultConfig()
 	cfg.ChainDir = dir
 
-	if err := newTestEngine(t, cfg).Close(); err != nil {
+	// One block gives every governor an open chain segment.
+	e := newTestEngine(t, cfg)
+	submitRound(t, e, 4, 0, 3)
+	if _, err := e.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	fs, err := ledger.OpenFileStore(filepath.Join(dir, "governor-1.chain"))
@@ -212,6 +220,7 @@ func TestCorruptCheckpointFailsRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := openFiles(t)
 	_, err = New(cfg)
 	if err == nil {
 		t.Fatal("New() accepted a corrupted checkpoint")
@@ -219,6 +228,20 @@ func TestCorruptCheckpointFailsRestart(t *testing.T) {
 	if !strings.Contains(err.Error(), "governor/1") {
 		t.Fatalf("error %q does not name the corrupt governor", err)
 	}
+	if after := openFiles(t); after != before {
+		t.Fatalf("%d open files after the failed New, %d before: its chain stores were left open", after, before)
+	}
+}
+
+// openFiles counts this process's open file descriptors; it skips the
+// test where /proc/self/fd does not exist.
+func openFiles(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(fds)
 }
 
 // TestPersistentChainDeterministicAcrossBackends: the same seed and

@@ -221,10 +221,6 @@ func (pub PublicKey) Bytes() []byte {
 // String returns the public key as lowercase hex.
 func (pub PublicKey) String() string { return hex.EncodeToString(pub.k) }
 
-// Fingerprint returns the SHA-256 hash of the public key, used as a
-// stable node identifier.
-func (pub PublicKey) Fingerprint() Hash { return Sum(pub.k) }
-
 // PublicKeyFromBytes parses a raw 32-byte Ed25519 public key.
 func PublicKeyFromBytes(b []byte) (PublicKey, error) {
 	if len(b) != PublicKeySize {

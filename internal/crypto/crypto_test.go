@@ -170,17 +170,6 @@ func TestHashFromBytes(t *testing.T) {
 	}
 }
 
-func TestFingerprintStable(t *testing.T) {
-	pub, _ := mustKey(t, 9)
-	if pub.Fingerprint() != pub.Fingerprint() {
-		t.Fatal("fingerprint not stable")
-	}
-	other, _ := mustKey(t, 10)
-	if pub.Fingerprint() == other.Fingerprint() {
-		t.Fatal("distinct keys share a fingerprint")
-	}
-}
-
 func TestQuickSignVerify(t *testing.T) {
 	_, priv := mustKey(t, 11)
 	pub := priv.Public()

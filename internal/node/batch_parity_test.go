@@ -72,11 +72,11 @@ func TestOneBatchMatchesBatchesOfOne(t *testing.T) {
 		{From: prov.ID, Kind: network.KindArgue, Payload: []byte{0xFF}}, // malformed argue
 		{From: prov.ID, Kind: network.KindBlock, Payload: []byte{1}},    // not ours: must pass through
 	}
-	wholeRest, err := wholeFx.governor.HandleBatch(append(whole, others...))
+	wholeRest, err := wholeFx.governor.handleBatch(append(whole, others...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	splitRest, err := splitFx.governor.HandleBatch(append(split, others...))
+	splitRest, err := splitFx.governor.handleBatch(append(split, others...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestOneBatchMatchesBatchesOfOne(t *testing.T) {
 // encoding of the block it would propose.
 func screenAndPack(t *testing.T, fx *fixture) []byte {
 	t.Helper()
-	recs, err := fx.governor.ScreenRound()
+	recs, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fx.governor.BuildBlock(recs)
+	b, err := fx.governor.buildBlock(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestUploadBatchTamperRejectsWholeBatch(t *testing.T) {
 			bad := msg
 			bad.Payload = append([]byte(nil), msg.Payload...)
 			bad.Payload[i] ^= mask
-			if _, err := fx.governor.HandleBatch([]network.Message{bad}); err != nil {
+			if _, err := fx.governor.handleBatch([]network.Message{bad}); err != nil {
 				t.Fatal(err)
 			}
 			penalties++
@@ -150,7 +150,7 @@ func TestUploadBatchTamperRejectsWholeBatch(t *testing.T) {
 		}
 	}
 	// The untouched batch is still good.
-	if _, err := fx.governor.HandleBatch([]network.Message{msg}); err != nil {
+	if _, err := fx.governor.handleBatch([]network.Message{msg}); err != nil {
 		t.Fatal(err)
 	}
 	if st := fx.governor.Stats(); st.ForgeriesDetected != penalties || st.ReportsReceived != 3 {
@@ -191,7 +191,7 @@ func TestUploadEnvelopeRejectReasons(t *testing.T) {
 	wantByReason := map[string]int64{}
 	for _, tc := range cases {
 		before := fx.governor.Stats()
-		if _, err := fx.governor.HandleBatch([]network.Message{tc.msg}); err != nil {
+		if _, err := fx.governor.handleBatch([]network.Message{tc.msg}); err != nil {
 			t.Fatal(err)
 		}
 		after := fx.governor.Stats()
@@ -221,25 +221,24 @@ func TestUploadEnvelopeRejectReasons(t *testing.T) {
 func TestLateReportNotRerecorded(t *testing.T) {
 	reg := metrics.NewRegistry()
 	fx := newFixtureOpts(t, nil, func(cfg *GovernorConfig) { cfg.Metrics = reg })
-	gov := fx.roster.Governors[0]
 	const txs = 20
 	for seq := uint64(1); seq <= txs; seq++ {
 		// A valid transaction under a -1 label: screening either checks
 		// it (recorded valid) or leaves it unchecked.
 		item := tx.UploadItem{Signed: parityTx(fx, seq, true), Label: tx.LabelInvalid}
 		for _, coll := range fx.roster.Collectors {
-			if _, err := fx.governor.HandleBatch([]network.Message{uploadMsg(t, coll, coll.ID, item)}); err != nil {
+			if _, err := fx.governor.handleBatch([]network.Message{uploadMsg(t, coll, coll.ID, item)}); err != nil {
 				t.Fatal(err)
 			}
-			recs, err := fx.governor.ScreenRound()
+			recs, err := fx.governor.screenRound()
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := fx.governor.BuildBlock(recs)
+			b, err := fx.governor.buildBlock(recs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fx.governor.AcceptBlock(b, gov.ID, gov.PublicKey); err != nil {
+			if err := fx.governor.AcceptBlock(b); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -326,14 +325,14 @@ func TestBuildBlockIncrementalRootMatchesRecompute(t *testing.T) {
 	for seq := uint64(0); seq < 5; seq++ {
 		fx.runUpload(t, int(seq%2), seq%2 == 0)
 	}
-	recs, err := fx.governor.ScreenRound()
+	recs, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) == 0 {
 		t.Fatal("no records screened")
 	}
-	b, err := fx.governor.BuildBlock(recs)
+	b, err := fx.governor.buildBlock(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +376,7 @@ func TestGovernorBatchPenaltyParity(t *testing.T) {
 			}
 		}
 		before := crypto.DefaultVerifyCache.BatchStats()
-		if _, err := fx.governor.HandleBatch([]network.Message{uploadMsg(t, coll, coll.ID, items...)}); err != nil {
+		if _, err := fx.governor.handleBatch([]network.Message{uploadMsg(t, coll, coll.ID, items...)}); err != nil {
 			t.Fatal(err)
 		}
 		after := crypto.DefaultVerifyCache.BatchStats()

@@ -3,7 +3,6 @@ package node
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -111,25 +110,24 @@ func FuzzGovernorStateDecode(f *testing.F) {
 }
 
 // TestRestoreWithoutNonces: a checkpoint from before next nonces were
-// kept restores its stakes with every next nonce 0.
+// kept restores its stakes with every next nonce 0 into a governor built
+// over it.
 func TestRestoreWithoutNonces(t *testing.T) {
-	dir := t.TempDir()
-	open := func(j int, cfg *GovernorConfig) {
-		fs, err := ledger.OpenFileStore(filepath.Join(dir, fmt.Sprint(j)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = fs.Close() })
-		cfg.Store = fs
-	}
+	open := fileStores(t, t.TempDir())
 	a := newAlliance(t, open)
+	a.check(a.govs[1].TransferStake(0, 1, a.bus))
 	a.runRound()
+	a.stake()
+	if got := fmt.Sprint(a.govs[0].nextNonce); got != "[0 1 0]" {
+		t.Fatalf("next nonces %s after one transfer, want [0 1 0]", got)
+	}
 	fs := a.govs[0].Store().(*ledger.FileStore)
 	_, err := fs.WriteSnapshot(GovernorState{Round: 1, Reputation: a.govs[0].Table().Snapshot(), Stakes: []uint64{5, 0, 1}}.Encode())
 	a.check(err)
-	a.rounds[0].nextNonce[2] = 9
-	a.check(a.rounds[0].Restore())
-	if got := fmt.Sprint(a.rounds[0].Stakes(), a.rounds[0].nextNonce); got != "[5 0 1] [0 0 0]" {
+	a.check(fs.Close())
+
+	b := newAlliance(t, open)
+	if got := fmt.Sprint(b.govs[0].Stakes(), b.govs[0].nextNonce); got != "[5 0 1] [0 0 0]" {
 		t.Fatalf("restored stakes and next nonces %s, want [5 0 1] [0 0 0]", got)
 	}
 }

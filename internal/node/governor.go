@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"repchain/internal/codec"
+	"repchain/internal/consensus"
 	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/identity"
@@ -35,7 +37,7 @@ type GovernorConfig struct {
 	Params reputation.Params
 	// Validator is validate(tx).
 	Validator tx.Validator
-	// BlockLimit is b_limit; zero means unlimited. ScreenRound yields at
+	// BlockLimit is b_limit; zero means unlimited. screenRound yields at
 	// most BlockLimit records a round and AcceptBlock refuses a block
 	// with more.
 	BlockLimit int
@@ -44,6 +46,10 @@ type GovernorConfig struct {
 	ArgueWindow int
 	// Seed drives the governor's local screening randomness.
 	Seed int64
+	// Stakes are the governors' stake units, in roster order, for a chain
+	// with no checkpoint; nil means one unit each. A checkpoint's stakes
+	// win over these.
+	Stakes []uint64
 	// Store overrides the governor's ledger replica; nil means a
 	// fresh in-memory store. Pass a ledger.FileStore for a persistent
 	// replica that survives restarts.
@@ -53,9 +59,10 @@ type GovernorConfig struct {
 	// transaction evicted to admit the new one; evictions are counted in
 	// mempool.evicted_total.
 	MempoolCap int
-	// Metrics, when non-nil, receives screening and reputation-delta
-	// metrics. All governors of one engine share a registry, so the
-	// per-collector counters aggregate alliance-wide.
+	// Metrics receives screening, reputation-delta, election, stake and
+	// checkpoint metrics; nil means a private registry. All governors of
+	// one engine share a registry, so the per-collector counters
+	// aggregate alliance-wide.
 	Metrics *metrics.Registry
 	// Events, when non-nil, receives the governor's event stream
 	// (uploads screened, argues, leader elected, blocks and their
@@ -122,13 +129,21 @@ type groupedTx struct {
 
 // Governor is a governor g_j: it screens uploaded transactions with
 // the reputation mechanism (Algorithm 2), updates reputations
-// (Algorithm 3), assembles blocks when leading, and maintains a full
-// replica of the ledger.
+// (Algorithm 3), elects, leads and adopts blocks, runs the stake
+// transform, and maintains a full replica of the ledger. Its round
+// steps are in round.go, the stake transform's in stake.go.
 type Governor struct {
 	cfg   GovernorConfig
 	table *reputation.Table
 	store ledger.Store
 	rng   *rand.Rand
+	reg   *metrics.Registry
+
+	// The roster's governors in index order — their IDs and keys — and a
+	// block's recipients: the governors, then the providers.
+	governorIDs []identity.NodeID
+	pubs        []crypto.PublicKey
+	blockTo     []identity.NodeID
 
 	// pending ingestion state: transactions grouped by ID, with the
 	// screening order — arrival order — kept in pool.
@@ -156,28 +171,58 @@ type Governor struct {
 	// by several providers or rounds.
 	processedArgues map[crypto.Hash]bool
 
-	stats GovernorStats
-
-	// events and round feed the event stream; GovernorRound.Begin
-	// advances round, for attribution only.
+	stats  GovernorStats
 	events *events.Log
-	round  uint64
 
 	// Pre-resolved per-collector checked-screening counters (indexed by
-	// global collector index), mempool admission counters and upload
-	// refusals by reason; nil when no registry is configured, so the hot
-	// screening loop pays only a nil check with metrics off.
+	// global collector index), mempool evictions and upload refusals by
+	// reason.
 	scrChecked []*metrics.Counter
 	mpEvicted  *metrics.Counter
 	upRejected *metrics.CounterVec
 
-	// merkle is the incremental transaction-root builder BuildBlock
+	// merkle is the incremental transaction-root builder buildBlock
 	// feeds while packing, so the root is ready the moment the record
 	// list is final (DESIGN.md §4f).
 	merkle *crypto.MerkleBuilder
+
+	// round is the round Begin opened; it also attributes events.
+	round uint64
+	// prevHash and baseHeight are the chain head the round's tickets
+	// were made over; Adopt reports a commit once the chain outgrows it.
+	prevHash   crypto.Hash
+	baseHeight uint64
+	records    []ledger.Record
+	// tickets[j] is the first batch governor j sent for this round, and
+	// next[j] the first for the round after, from a peer already there.
+	tickets, next    [][]consensus.Ticket
+	filed, nextFiled []bool
+	// blocks stashes block frames until the step that knows which
+	// leader's signature to demand of them.
+	blocks             [][]byte
+	leader, prevLeader int
+
+	// Stake state (stake.go): the committed vector and each payer's next
+	// nonce, both checkpointed; expelled[j], the evidence that expelled
+	// governor j; the filed transfers, sorted by (payer, nonce); settled,
+	// the round of the last stake block applied or checkpoint restored.
+	stakes, nextNonce []uint64
+	expelled          []*consensus.Evidence
+	transfers         []consensus.StakeTx
+	settled           uint64
+	// This round's transform: the leader's proposal as filed, what this
+	// governor did with it, the endorsements filed by governor (leader
+	// only). endorsed is the last proposal it endorsed and has no block
+	// for; applied is the last block it applied.
+	proposal, endorsed                     *consensus.StateProposal
+	proposed, answered, assembled, corrupt bool
+	endorsements                           []consensus.Endorsement
+	applied                                *consensus.StakeBlock
 }
 
-// NewGovernor builds a governor from its configuration.
+// NewGovernor builds a governor from its configuration and restores
+// its store's latest checkpoint, if any: reputation, stakes and next
+// nonces resume where they were left.
 func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	table, err := reputation.NewTable(cfg.Roster.Topology, cfg.Params)
 	if err != nil {
@@ -193,11 +238,30 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	if cfg.MempoolCap < 0 {
 		return nil, fmt.Errorf("governor %s: mempool cap %d must be non-negative", cfg.Member.ID, cfg.MempoolCap)
 	}
+	m := len(cfg.Roster.Governors)
+	stakes := slices.Clone(cfg.Stakes)
+	if stakes == nil {
+		stakes = make([]uint64, m)
+		for j := range stakes {
+			stakes[j] = 1
+		}
+	}
+	if len(stakes) != m {
+		return nil, fmt.Errorf("governor %s: %d stakes for %d governors", cfg.Member.ID, len(stakes), m)
+	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
 	g := &Governor{
 		cfg:             cfg,
 		table:           table,
 		store:           store,
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
+		reg:             reg,
+		governorIDs:     identity.IDs(cfg.Roster.Governors),
+		pubs:            make([]crypto.PublicKey, m),
+		blockTo:         append(identity.IDs(cfg.Roster.Governors), identity.IDs(cfg.Roster.Providers)...),
 		groups:          make(map[crypto.Hash]*groupedTx),
 		pool:            mempool.New[crypto.Hash](cfg.Roster.Topology.Providers(), cfg.MempoolCap),
 		unchecked:       make(map[int][]*uncheckedEntry),
@@ -206,17 +270,32 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		processedArgues: make(map[crypto.Hash]bool),
 		uploadRound:     make([]uint64, cfg.Roster.Topology.Collectors()),
 		events:          cfg.Events,
+		scrChecked:      make([]*metrics.Counter, cfg.Roster.Topology.Collectors()),
+		mpEvicted:       reg.Counter("mempool.evicted_total"),
+		upRejected:      reg.CounterVec("node.uploads_rejected_total", "reason"),
 		merkle:          crypto.NewMerkleBuilder(64),
+		round:           store.Height(),
+		tickets:         make([][]consensus.Ticket, m),
+		next:            make([][]consensus.Ticket, m),
+		filed:           make([]bool, m),
+		nextFiled:       make([]bool, m),
+		leader:          -1,
+		prevLeader:      -1,
+		stakes:          stakes,
+		nextNonce:       make([]uint64, m),
+		expelled:        make([]*consensus.Evidence, m),
+		endorsements:    make([]consensus.Endorsement, m),
 	}
-	if cfg.Metrics != nil {
-		table.SetMetrics(cfg.Metrics)
-		checked := cfg.Metrics.CounterVec("screen.checked_total", "collector")
-		g.scrChecked = make([]*metrics.Counter, cfg.Roster.Topology.Collectors())
-		for c := range g.scrChecked {
-			g.scrChecked[c] = checked.With(strconv.Itoa(c))
-		}
-		g.mpEvicted = cfg.Metrics.Counter("mempool.evicted_total")
-		g.upRejected = cfg.Metrics.CounterVec("node.uploads_rejected_total", "reason")
+	for j, mem := range cfg.Roster.Governors {
+		g.pubs[j] = mem.PublicKey
+	}
+	table.SetMetrics(reg)
+	checked := reg.CounterVec("screen.checked_total", "collector")
+	for c := range g.scrChecked {
+		g.scrChecked[c] = checked.With(strconv.Itoa(c))
+	}
+	if err := g.restore(); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -239,7 +318,7 @@ func (g *Governor) Stats() GovernorStats { return g.stats }
 // Endpoint returns the governor's bus endpoint.
 func (g *Governor) Endpoint() *network.Endpoint { return g.cfg.Endpoint }
 
-// Phase-1 routing classes for HandleBatch.
+// Phase-1 routing classes for handleBatch.
 const (
 	pmRest uint8 = iota // not a governor message: hand back to caller
 	pmUpload
@@ -275,7 +354,7 @@ type pendingArgue struct {
 	rejected bool
 }
 
-// HandleBatch ingests a batch of delivered messages through one
+// handleBatch ingests a batch of delivered messages through one
 // crypto.VerifyBatch pass and returns the messages it did not consume,
 // in arrival order. It is the governor's only ingest path: collector
 // upload batches run verify(c_i, Tx) per the paper — the collector's
@@ -293,7 +372,7 @@ type pendingArgue struct {
 // not linked to the collector) costs one penalty and the remaining
 // items are admitted.
 // An authenticated batch, empty or not, files its round under its
-// collector for GovernorRound.UploadsComplete.
+// collector for UploadsComplete.
 //
 // Determinism (DESIGN.md §4f): phase 1 walks the messages in arrival
 // order doing only pure work — decoding, identity lookups, and
@@ -305,7 +384,7 @@ type pendingArgue struct {
 // happen in that order, so the governor's state is a function of the
 // item sequence alone — one batch of N and N batches of one leave it
 // byte-identical.
-func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error) {
+func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error) {
 	if len(msgs) == 0 {
 		return nil, nil
 	}
@@ -433,9 +512,7 @@ func (g *Governor) HandleBatch(msgs []network.Message) ([]network.Message, error
 // countRejected records one refused upload (a whole batch or one item)
 // in node.uploads_rejected_total under reason.
 func (g *Governor) countRejected(reason string) {
-	if g.upRejected != nil {
-		g.upRejected.With(reason).Inc()
-	}
+	g.upRejected.With(reason).Inc()
 }
 
 // rejectUpload counts a failed upload verification under reason and
@@ -480,9 +557,7 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, la
 			if old, ok := g.pool.EvictOldest(providerIdx); ok {
 				delete(g.groups, old)
 				g.stats.EvictedTxs++
-				if g.mpEvicted != nil {
-					g.mpEvicted.Inc()
-				}
+				g.mpEvicted.Inc()
 			}
 		}
 		if _, err := g.pool.Add(providerIdx, id); err != nil {
@@ -509,7 +584,7 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, la
 	return nil
 }
 
-// ProcessArgues resolves queued argues (Algorithm 2 lines 34–39): the
+// processArgues resolves queued argues (Algorithm 2 lines 34–39): the
 // governor re-validates the disputed transaction; a valid one is
 // appended (tx, valid) to a later block. When the governor itself
 // left the transaction unchecked, the reveal also updates reputations
@@ -517,7 +592,7 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, la
 // records the leader's screening, so a governor that happened to check
 // the transaction locally must still be ready to re-include it when it
 // next leads.
-func (g *Governor) ProcessArgues() error {
+func (g *Governor) processArgues() error {
 	for _, a := range g.argues {
 		id := a.Signed.ID()
 		if g.processedArgues[id] || g.committedValid[id] {
@@ -571,7 +646,7 @@ func (g *Governor) ProcessArgues() error {
 	return nil
 }
 
-// ScreenRound runs Algorithm 2 over a batch drained from the
+// screenRound runs Algorithm 2 over a batch drained from the
 // governor's mempool and returns the records destined for the next
 // block: pending argue re-validations first, then the screened uploads,
 // at most BlockLimit in all. Whatever does not fit stays queued — the
@@ -582,7 +657,7 @@ func (g *Governor) ProcessArgues() error {
 // The drain is the determinism pivot: entries come out in upload
 // arrival order, which the bus fixes by sequence number, so screening
 // consumes the governor's RNG stream identically at any worker count.
-func (g *Governor) ScreenRound() ([]ledger.Record, error) {
+func (g *Governor) screenRound() ([]ledger.Record, error) {
 	records := g.pendingRecords
 	g.pendingRecords = nil
 	uploads := 0 // Drain(0) takes everything
@@ -607,7 +682,7 @@ func (g *Governor) ScreenRound() ([]ledger.Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("governor %s screen: %w", g.cfg.Member.ID, err)
 		}
-		if g.scrChecked != nil && dec.Check {
+		if dec.Check {
 			g.scrChecked[dec.Collector].Inc()
 		}
 		// One hex encode per transaction, and none with the log off: the
@@ -672,9 +747,9 @@ func (g *Governor) ScreenRound() ([]ledger.Record, error) {
 	return records, nil
 }
 
-// MempoolDepth reports how many transactions await screening in the
+// mempoolDepth reports how many transactions await screening in the
 // governor's mempool.
-func (g *Governor) MempoolDepth() int { return g.pool.Len() }
+func (g *Governor) mempoolDepth() int { return g.pool.Len() }
 
 // expireOld reveals-as-invalid any unchecked transaction of provider k
 // buried under more than ArgueWindow newer unchecked transactions:
@@ -714,12 +789,12 @@ func (g *Governor) expireOld(k int) error {
 	return nil
 }
 
-// BuildBlock assembles and signs the round's block from records (a
-// ScreenRound result, so at most BlockLimit of them) when this governor
+// buildBlock assembles and signs the round's block from records (a
+// screenRound result, so at most BlockLimit of them) when this governor
 // leads. Records already committed valid elsewhere in the chain are
 // dropped (several governors may hold the same argue re-validation
 // pending).
-func (g *Governor) BuildBlock(records []ledger.Record) (ledger.Block, error) {
+func (g *Governor) buildBlock(records []ledger.Record) (ledger.Block, error) {
 	// The transaction root is built incrementally while the block is
 	// packed: each record that survives the duplicate filter is hashed
 	// into the Merkle builder as it is placed, so the root is ready the
@@ -766,19 +841,21 @@ func (g *Governor) BuildBlock(records []ledger.Record) (ledger.Block, error) {
 }
 
 // AcceptBlock verifies and appends a proposed block: the proposer must
-// be the elected leader, the signature must verify, the block must hold
-// at most BlockLimit records (ledger.ErrBlockTooLarge), and the chain
-// links must hold (the store enforces serial order and the previous
-// hash). A redelivery of an already-committed block (same serial, same
-// hash — a duplicated network message) is accepted idempotently; a
-// different block at a committed serial is a fork and fails with
-// ErrFork.
-func (g *Governor) AcceptBlock(b ledger.Block, leader identity.NodeID, leaderPub crypto.PublicKey) error {
-	if b.Proposer != leader {
-		return fmt.Errorf("governor %s: block %d proposed by %s, leader is %s: %w",
-			g.cfg.Member.ID, b.Serial, b.Proposer, leader, ErrBadMessage)
+// be a roster governor (ErrBadMessage otherwise) and the signature must
+// verify under its roster key, the block must hold at most BlockLimit
+// records (ledger.ErrBlockTooLarge), and the chain links must hold (the
+// store enforces serial order and the previous hash). Whether the
+// proposer was the round's elected leader is the caller's check. A
+// redelivery of an already-committed block (same serial, same hash — a
+// duplicated network message) is accepted idempotently; a different
+// block at a committed serial is a fork and fails with ErrFork.
+func (g *Governor) AcceptBlock(b ledger.Block) error {
+	proposer, ok := g.cfg.Roster.Member(b.Proposer, identity.RoleGovernor)
+	if !ok {
+		return fmt.Errorf("governor %s: block %d proposed by %q, not a governor: %w",
+			g.cfg.Member.ID, b.Serial, b.Proposer, ErrBadMessage)
 	}
-	if err := b.VerifyProposer(leaderPub); err != nil {
+	if err := b.VerifyProposer(proposer.PublicKey); err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
 	}
 	if limit := g.cfg.BlockLimit; limit > 0 && len(b.Records) > limit {
@@ -820,9 +897,9 @@ func (g *Governor) AcceptBlock(b ledger.Block, leader identity.NodeID, leaderPub
 	return nil
 }
 
-// PendingUnchecked reports how many unchecked transactions await
+// pendingUnchecked reports how many unchecked transactions await
 // reveal for provider k.
-func (g *Governor) PendingUnchecked(k int) int {
+func (g *Governor) pendingUnchecked(k int) int {
 	n := 0
 	for _, e := range g.unchecked[k] {
 		if !e.revealed {

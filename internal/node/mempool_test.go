@@ -14,24 +14,24 @@ func TestGovernorEvictOldestOnFullShard(t *testing.T) {
 		cfg.MempoolCap = 1
 	})
 	first := fx.runUpload(t, 0, true)
-	if got := fx.governor.MempoolDepth(); got != 1 {
-		t.Fatalf("MempoolDepth() = %d after first upload, want 1", got)
+	if got := fx.governor.mempoolDepth(); got != 1 {
+		t.Fatalf("mempoolDepth() = %d after first upload, want 1", got)
 	}
 	second := fx.runUpload(t, 0, true)
 	stats := fx.governor.Stats()
 	if stats.EvictedTxs != 1 {
 		t.Fatalf("EvictedTxs = %d, want 1", stats.EvictedTxs)
 	}
-	if got := fx.governor.MempoolDepth(); got != 1 {
-		t.Fatalf("MempoolDepth() = %d after eviction, want 1", got)
+	if got := fx.governor.mempoolDepth(); got != 1 {
+		t.Fatalf("mempoolDepth() = %d after eviction, want 1", got)
 	}
 	// Screening sees only the survivor.
-	recs, err := fx.governor.ScreenRound()
+	recs, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 {
-		t.Fatalf("ScreenRound returned %d records, want 1", len(recs))
+		t.Fatalf("screenRound returned %d records, want 1", len(recs))
 	}
 	if id := recs[0].Signed.ID(); id != second.ID() {
 		t.Fatalf("screened %s, want the surviving tx %s (evicted %s)",
@@ -79,7 +79,7 @@ func tryNewGovernor(t *testing.T, mutate func(*GovernorConfig)) error {
 	return err
 }
 
-// TestGovernorShardedDrainCapped pins the drain cap: ScreenRound
+// TestGovernorShardedDrainCapped pins the drain cap: screenRound
 // drains at most BlockLimit uploads and the backlog carries to the next
 // round.
 func TestGovernorShardedDrainCapped(t *testing.T) {
@@ -89,22 +89,22 @@ func TestGovernorShardedDrainCapped(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		fx.runUpload(t, i%2, true)
 	}
-	recs, err := fx.governor.ScreenRound()
+	recs, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 {
-		t.Fatalf("capped ScreenRound returned %d records, want 2", len(recs))
+		t.Fatalf("capped screenRound returned %d records, want 2", len(recs))
 	}
-	if fx.governor.MempoolDepth() != 2 {
-		t.Fatalf("MempoolDepth() = %d, want 2 carried over", fx.governor.MempoolDepth())
+	if fx.governor.mempoolDepth() != 2 {
+		t.Fatalf("mempoolDepth() = %d, want 2 carried over", fx.governor.mempoolDepth())
 	}
-	recs, err = fx.governor.ScreenRound()
+	recs, err = fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || fx.governor.MempoolDepth() != 0 {
-		t.Fatalf("second ScreenRound returned %d records, depth %d; want 2 and 0",
-			len(recs), fx.governor.MempoolDepth())
+	if len(recs) != 2 || fx.governor.mempoolDepth() != 0 {
+		t.Fatalf("second screenRound returned %d records, depth %d; want 2 and 0",
+			len(recs), fx.governor.mempoolDepth())
 	}
 }

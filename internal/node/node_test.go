@@ -133,7 +133,7 @@ func (fx *fixture) collect(t *testing.T, c int) {
 // drain feeds the governor its inbox.
 func (fx *fixture) drain(t *testing.T) {
 	t.Helper()
-	if _, err := fx.governor.HandleBatch(fx.governor.Endpoint().Receive()); err != nil {
+	if _, err := fx.governor.handleBatch(fx.governor.Endpoint().Receive()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -212,7 +212,7 @@ func TestCollectorConcealment(t *testing.T) {
 func TestCollectorMisreport(t *testing.T) {
 	fx := newFixture(t, []Behavior{ProbBehavior{Misreport: 1}, nil})
 	fx.runUpload(t, 0, true)
-	recs, err := fx.governor.ScreenRound()
+	recs, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCollectorMisreport(t *testing.T) {
 	// and the misreporter's score drops.
 	for i := 0; i < 30; i++ {
 		fx.runUpload(t, 0, true)
-		if _, err := fx.governor.ScreenRound(); err != nil {
+		if _, err := fx.governor.screenRound(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestGovernorDetectsForgedUpload(t *testing.T) {
 		t.Fatalf("forger's forge score = %v, want negative", fx.governor.Table().Forge(0))
 	}
 	// The forged transaction must not be grouped for screening.
-	recs, err := fx.governor.ScreenRound()
+	recs, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestGovernorDetectsEquivocation(t *testing.T) {
 			if name == "across batches" {
 				msgs = []network.Message{uploadMsg(t, coll, coll.ID, a), uploadMsg(t, coll, coll.ID, b)}
 			}
-			if _, err := fx.governor.HandleBatch(msgs); err != nil {
+			if _, err := fx.governor.handleBatch(msgs); err != nil {
 				t.Fatal(err)
 			}
 			st := fx.governor.Stats()
@@ -332,7 +332,7 @@ func TestGovernorRejectsUnlinkedUpload(t *testing.T) {
 	prov, outsider := fx.roster.Providers[0], fx.roster.Collectors[1]
 	signed := tx.Sign(tx.Transaction{Provider: prov.ID, Seq: 2, Kind: "x", Payload: []byte{1}}, prov.PrivateKey)
 	msg := uploadMsg(t, outsider, outsider.ID, tx.UploadItem{Signed: signed, Label: tx.LabelValid})
-	if _, err := fx.governor.HandleBatch([]network.Message{msg}); err != nil {
+	if _, err := fx.governor.handleBatch([]network.Message{msg}); err != nil {
 		t.Fatal(err)
 	}
 	if st := fx.governor.Stats(); st.ForgeriesDetected != 1 || st.ReportsReceived != 0 {
@@ -347,7 +347,7 @@ func TestGovernorScreeningRecordsShape(t *testing.T) {
 	fx := newFixture(t, nil)
 	validTx := fx.runUpload(t, 0, true)
 	invalidTx := fx.runUpload(t, 1, false)
-	recs, err := fx.governor.ScreenRound()
+	recs, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestGovernorArgueWindowExpiry(t *testing.T) {
 	// roughly half the -1 draws skip verification.
 	for i := 0; i < 60; i++ {
 		fx.runUpload(t, 0, true)
-		if _, err := fx.governor.ScreenRound(); err != nil {
+		if _, err := fx.governor.screenRound(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -393,7 +393,7 @@ func TestGovernorArgueWindowExpiry(t *testing.T) {
 	if st.Expired == 0 {
 		t.Fatalf("argue window (%d) never expired despite %d unchecked", 4, st.Unchecked)
 	}
-	if got := fx.governor.PendingUnchecked(0); got > 4 {
+	if got := fx.governor.pendingUnchecked(0); got > 4 {
 		t.Fatalf("pending unchecked %d exceeds window 4", got)
 	}
 }
@@ -464,6 +464,8 @@ func TestProviderDoesNotArgueInvalidTx(t *testing.T) {
 	}
 }
 
+// TestGovernorAcceptBlockChecksProposer: a block whose proposer is not
+// a roster governor is refused, one a roster governor signed is taken.
 func TestGovernorAcceptBlockChecksProposer(t *testing.T) {
 	fx := newFixture(t, nil)
 	gov := fx.governor
@@ -472,12 +474,13 @@ func TestGovernorAcceptBlockChecksProposer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk.SignAs(govMem.ID, govMem.PrivateKey)
-	// Claiming a different leader is rejected.
-	if err := gov.AcceptBlock(blk, "governor/9", govMem.PublicKey); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("wrong leader error = %v, want ErrBadMessage", err)
+	stranger := blk
+	stranger.SignAs("governor/9", govMem.PrivateKey)
+	if err := gov.AcceptBlock(stranger); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("proposer outside the roster: error = %v, want ErrBadMessage", err)
 	}
-	if err := gov.AcceptBlock(blk, govMem.ID, govMem.PublicKey); err != nil {
+	blk.SignAs(govMem.ID, govMem.PrivateKey)
+	if err := gov.AcceptBlock(blk); err != nil {
 		t.Fatalf("AcceptBlock() error = %v", err)
 	}
 }

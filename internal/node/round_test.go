@@ -20,14 +20,13 @@ import (
 	"repchain/internal/tx"
 )
 
-// alliance is three governors' round steppers on a zero-delay bus: the
-// smallest driver there is. No sockets, no sleeps, no engine.
+// alliance is three governors on a zero-delay bus, stepped round by
+// round: the smallest driver there is. No sockets, no sleeps, no engine.
 type alliance struct {
 	t        *testing.T
 	bus      *network.Bus
 	ids      []identity.NodeID
 	govs     []*Governor
-	rounds   []*GovernorRound
 	stakes   []uint64
 	reg      *metrics.Registry
 	log      *events.Log
@@ -47,18 +46,16 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 	roster, err := identity.NewRoster(topo, 3, seed)
 	a.check(err)
 	a.provider = roster.Providers[0]
-	_, err = a.bus.Register(roster.Collectors[0].ID)
-	a.check(err)
-	var pubs []crypto.PublicKey
-	for _, mem := range roster.Governors {
-		a.ids = append(a.ids, mem.ID)
-		pubs = append(pubs, mem.PublicKey)
+	a.ids = identity.IDs(roster.Governors)
+	for _, id := range []identity.NodeID{a.provider.ID, roster.Collectors[0].ID} {
+		_, err = a.bus.Register(id)
+		a.check(err)
 	}
 	for j, mem := range roster.Governors {
 		ep, err := a.bus.Register(mem.ID)
 		a.check(err)
 		cfg := GovernorConfig{
-			Member: mem, Endpoint: ep, Roster: roster,
+			Member: mem, Endpoint: ep, Roster: roster, Stakes: a.stakes,
 			Params: reputation.DefaultParams(), Validator: oracle, Seed: int64(j), Metrics: a.reg,
 			Events: a.log,
 		}
@@ -68,7 +65,6 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 		gov, err := NewGovernor(cfg)
 		a.check(err)
 		a.govs = append(a.govs, gov)
-		a.rounds = append(a.rounds, NewGovernorRound(gov, a.ids, pubs, nil, a.stakes))
 	}
 	return a
 }
@@ -82,14 +78,14 @@ func (a *alliance) check(err error) {
 
 func (a *alliance) ingest(j int) {
 	a.t.Helper()
-	a.check(a.rounds[j].Ingest(a.govs[j].Endpoint().Receive()))
+	a.check(a.govs[j].Ingest(a.govs[j].Endpoint().Receive()))
 }
 
 // open runs every governor through Begin, Screen and SendTickets.
 func (a *alliance) open() {
 	a.t.Helper()
 	a.round++
-	for j, r := range a.rounds {
+	for j, r := range a.govs {
 		r.Begin(a.round)
 		a.ingest(j)
 		a.check(r.Screen())
@@ -103,7 +99,7 @@ func (a *alliance) elect(js ...int) int {
 	leader := -1
 	for _, j := range js {
 		a.ingest(j)
-		l, err := a.rounds[j].Elect(a.stakes)
+		l, err := a.govs[j].Elect(a.stakes)
 		a.check(err)
 		if leader >= 0 && l != leader {
 			a.t.Fatalf("governor %d elected %d, others %d", j, l, leader)
@@ -115,7 +111,7 @@ func (a *alliance) elect(js ...int) int {
 
 func (a *alliance) propose(j int) ledger.Block {
 	a.t.Helper()
-	b, err := a.rounds[j].Propose(a.bus)
+	b, err := a.govs[j].Propose(a.bus)
 	a.check(err)
 	return b
 }
@@ -123,7 +119,7 @@ func (a *alliance) propose(j int) ledger.Block {
 func (a *alliance) adopt(j int) bool {
 	a.t.Helper()
 	a.ingest(j)
-	committed, err := a.rounds[j].Adopt()
+	committed, err := a.govs[j].Adopt()
 	a.check(err)
 	return committed
 }
@@ -133,7 +129,7 @@ func (a *alliance) runRound() {
 	a.t.Helper()
 	a.open()
 	a.propose(a.elect(0, 1, 2))
-	for j := range a.rounds {
+	for j := range a.govs {
 		if !a.adopt(j) {
 			a.t.Fatalf("governor %d did not commit round %d", j, a.round)
 		}
@@ -146,7 +142,7 @@ func (a *alliance) stake() {
 	a.t.Helper()
 	for step := 0; step < 6; step++ {
 		done := true
-		for j, r := range a.rounds {
+		for j, r := range a.govs {
 			a.ingest(j)
 			d, err := r.StakeStep(a.bus)
 			a.check(err)
@@ -185,7 +181,7 @@ func TestRoundAdoptsBlockFromWrongPhase(t *testing.T) {
 	}
 	a.propose(leader)
 	a.elect(slow...) // tickets and block in one drain
-	for j := range a.rounds {
+	for j := range a.govs {
 		if !a.adopt(j) {
 			t.Fatalf("governor %d lost a block that arrived in its elect drain", j)
 		}
@@ -202,13 +198,13 @@ func TestRoundAdoptsBlockFromWrongPhase(t *testing.T) {
 	})
 	block := a.propose(leader)
 	a.bus.SetDropFunc(nil)
-	for j := range a.rounds {
+	for j := range a.govs {
 		if got := a.adopt(j); got != (j != victim) {
 			t.Fatalf("governor %d Adopt() = %v", j, got)
 		}
 	}
 	late := network.Message{From: a.ids[leader], Kind: network.KindBlock, Payload: block.EncodeBytes()}
-	a.check(a.rounds[victim].Ingest([]network.Message{late}))
+	a.check(a.govs[victim].Ingest([]network.Message{late}))
 	a.runRound()
 	for j, g := range a.govs {
 		if h := g.Store().Height(); h != 3 {
@@ -264,10 +260,10 @@ func TestRoundTicketBatches(t *testing.T) {
 	})
 	a.open()
 	a.ingest(0)
-	if a.rounds[0].TicketsComplete(a.stakes) {
+	if a.govs[0].TicketsComplete(a.stakes) {
 		t.Fatal("TicketsComplete() with governor/1's batch dropped")
 	}
-	_, err := a.rounds[0].Elect(a.stakes)
+	_, err := a.govs[0].Elect(a.stakes)
 	if !errors.Is(err, consensus.ErrIncompleteElection) || !strings.Contains(fmt.Sprint(err), "governor/1") {
 		t.Fatalf("Elect() error = %v, want ErrIncompleteElection naming governor/1", err)
 	}
@@ -297,7 +293,7 @@ func TestRoundElectReportsLeader(t *testing.T) {
 	a.bus.SetDropFunc(func(m network.Message, _ identity.NodeID) bool { return m.Kind == network.KindVRF })
 	a.open()
 	a.ingest(0)
-	if _, err := a.rounds[0].Elect(a.stakes); !errors.Is(err, consensus.ErrIncompleteElection) {
+	if _, err := a.govs[0].Elect(a.stakes); !errors.Is(err, consensus.ErrIncompleteElection) {
 		t.Fatalf("Elect() error = %v, want ErrIncompleteElection", err)
 	}
 	for _, e := range a.log.Events() {
@@ -328,39 +324,41 @@ func TestRoundCheckpointCadence(t *testing.T) {
 	snapshots := a.reg.Counter("ledger.snapshots_total")
 	for round, want := range []int64{0, 1, 1, 2} {
 		a.runRound()
-		a.check(a.rounds[0].MaybeCheckpoint(2))
+		a.check(a.govs[0].MaybeCheckpoint(2))
 		if got := snapshots.Value(); got != want {
 			t.Fatalf("after round %d: ledger.snapshots_total = %d, want %d", round+1, got, want)
 		}
 	}
-	a.check(a.rounds[0].MaybeCheckpoint(2))
+	a.check(a.govs[0].MaybeCheckpoint(2))
 	if got := snapshots.Value(); got != 2 {
 		t.Fatalf("second call at height 4: ledger.snapshots_total = %d, want 2", got)
 	}
 }
 
 // TestRoundCheckpointRestoreRoundTrip: Checkpoint, reopen the store,
-// Restore — reputation, stakes and next nonces come back bit for bit.
+// build a governor over it — reputation, stakes and next nonces come
+// back bit for bit, with no call but the constructor.
 func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
 	open := fileStores(t, t.TempDir())
 	a := newAlliance(t, open)
-	a.check(a.rounds[1].TransferStake(0, 1, a.bus))
+	a.check(a.govs[1].TransferStake(0, 1, a.bus))
 	a.runRound()
 	a.stake()
 	a.check(a.govs[0].Table().RecordForgery(0))
 	want := a.govs[0].Table().Snapshot()
-	a.check(a.rounds[0].Checkpoint(nil, true))
+	fresh, err := reputation.NewTable(a.govs[0].cfg.Roster.Topology, reputation.DefaultParams())
+	a.check(err)
+	if bytes.Equal(fresh.Snapshot(), want) {
+		t.Fatal("a fresh table already equals the checkpointed one; test vacuous")
+	}
+	a.check(a.govs[0].Checkpoint(nil, true))
 	a.check(a.govs[0].Store().(*ledger.FileStore).Close())
 
 	b := newAlliance(t, open)
-	if bytes.Equal(b.govs[0].Table().Snapshot(), want) {
-		t.Fatal("fresh table already equals the checkpointed one; test vacuous")
-	}
-	b.check(b.rounds[0].Restore())
 	if !bytes.Equal(b.govs[0].Table().Snapshot(), want) {
-		t.Fatal("reputation changed across checkpoint and restore")
+		t.Fatal("reputation changed across checkpoint and restart")
 	}
-	if got := fmt.Sprint(b.rounds[0].Stakes(), b.rounds[0].nextNonce); got != "[2 1 1] [0 1 0]" {
+	if got := fmt.Sprint(b.govs[0].Stakes(), b.govs[0].nextNonce); got != "[2 1 1] [0 1 0]" {
 		t.Fatalf("restored stakes and next nonces %s, want [2 1 1] [0 1 0]", got)
 	}
 }
@@ -385,7 +383,7 @@ func TestRoundArgueCarryCrossesLeaders(t *testing.T) {
 		msgs = append(msgs, network.Message{From: a.provider.ID, Kind: network.KindArgue,
 			Payload: NewArgue(signed, 1, a.provider.PrivateKey).EncodeBytes()})
 	}
-	for _, r := range a.rounds {
+	for _, r := range a.govs {
 		a.check(r.Ingest(msgs))
 	}
 	for len(pending) > 0 {
@@ -395,7 +393,7 @@ func TestRoundArgueCarryCrossesLeaders(t *testing.T) {
 		a.open()
 		leader := a.elect(0, 1, 2)
 		block := a.propose(leader)
-		for j := range a.rounds {
+		for j := range a.govs {
 			if !a.adopt(j) {
 				t.Fatalf("governor %d did not commit round %d", j, a.round)
 			}
@@ -431,7 +429,7 @@ func TestRoundAdoptRefusesOversizedBlock(t *testing.T) {
 	block.SignAs(a.ids[leader], a.govs[leader].cfg.Member.PrivateKey)
 	a.check(a.bus.Multicast(a.ids[leader], a.ids[follower:follower+1], network.KindBlock, block.EncodeBytes()))
 	a.ingest(follower)
-	if _, err := a.rounds[follower].Adopt(); !errors.Is(err, ledger.ErrBlockTooLarge) {
+	if _, err := a.govs[follower].Adopt(); !errors.Is(err, ledger.ErrBlockTooLarge) {
 		t.Fatalf("Adopt() of a %d-record block with b_limit %d = %v, want ErrBlockTooLarge", len(records), limit, err)
 	}
 	if h := a.govs[follower].Store().Height(); h != 0 {
@@ -451,12 +449,12 @@ func TestRoundStakeExpulsion(t *testing.T) {
 	a.open()
 	liar := a.elect(0, 1, 2)
 	a.propose(liar)
-	for j := range a.rounds {
+	for j := range a.govs {
 		a.adopt(j)
 	}
 	payer, payee := (liar+1)%3, (liar+2)%3
-	a.rounds[liar].CorruptNextStakeProposal()
-	a.check(a.rounds[payer].TransferStake(payee, 1, a.bus))
+	a.govs[liar].CorruptNextStakeProposal()
+	a.check(a.govs[payer].TransferStake(payee, 1, a.bus))
 	a.stake()
 	var expelledBy []string
 	for _, e := range a.log.Events() {
@@ -470,28 +468,28 @@ func TestRoundStakeExpulsion(t *testing.T) {
 	if len(expelledBy) != 3 {
 		t.Fatalf("leader.expelled from %v, want one from each governor", expelledBy)
 	}
-	for j, r := range a.rounds {
+	for j, r := range a.govs {
 		if r.Stakes()[liar] != 0 || !slices.Equal(r.stakes, initial) || r.StakeBlock() != nil {
 			t.Fatalf("governor %d: stakes %v (committed %v) after expelling governor %d", j, r.Stakes(), r.stakes, liar)
 		}
 	}
 
 	// The next election excludes the liar; its leader commits the transfer.
-	a.stakes = a.rounds[0].Stakes()
+	a.stakes = a.govs[0].Stakes()
 	a.open()
 	leader := a.elect(0, 1, 2)
 	if leader == liar {
 		t.Fatalf("expelled governor %d led round %d", liar, a.round)
 	}
 	a.propose(leader)
-	for j := range a.rounds {
+	for j := range a.govs {
 		a.adopt(j)
 	}
 	a.stake()
 	want := slices.Clone(initial)
 	want[payer]--
 	want[payee]++
-	for j, r := range a.rounds {
+	for j, r := range a.govs {
 		if sb := r.StakeBlock(); sb == nil || sb.Round != a.round || !slices.Equal(r.stakes, want) || r.nextNonce[payer] != 1 {
 			t.Fatalf("governor %d: committed %v, next nonces %v; want %v and payer %d at nonce 1", j, r.stakes, r.nextNonce, want, payer)
 		}
@@ -499,18 +497,18 @@ func TestRoundStakeExpulsion(t *testing.T) {
 
 	replayed := consensus.SignStakeTx(payer, payee, 1, 0, a.govs[payer].cfg.Member.PrivateKey)
 	a.check(a.bus.Multicast(a.ids[payer], a.ids, network.KindStakeTx, consensus.EncodeStakeTx(replayed)))
-	a.stakes = a.rounds[0].Stakes()
+	a.stakes = a.govs[0].Stakes()
 	a.runRound()
 	if n := a.stakeIgnored("stale_nonce"); n != 3 {
 		t.Fatalf("replayed transfer frame: stale_nonce = %d, want 3", n)
 	}
-	leader = a.rounds[0].leader
+	leader = a.govs[0].leader
 	key := a.govs[leader].cfg.Member.PrivateKey
 	p := consensus.ResignProposal(consensus.StateProposal{Round: a.round, Leader: leader, NewState: want,
 		Txs: []consensus.StakeTx{replayed}}, key)
 	a.check(a.bus.Multicast(a.ids[leader], a.ids, network.KindStakeState, consensus.EncodeProposal(p)))
 	a.stake()
-	for j, r := range a.rounds {
+	for j, r := range a.govs {
 		if r.Stakes()[leader] != 0 || !slices.Equal(r.stakes, want) {
 			t.Fatalf("governor %d: stakes %v (committed %v) after governor %d re-proposed a committed transfer", j, r.Stakes(), r.stakes, leader)
 		}
@@ -522,8 +520,8 @@ func TestRoundStakeExpulsion(t *testing.T) {
 // is dropped by every governor, never filed; each is counted.
 func TestRoundStakeOverdraftRefused(t *testing.T) {
 	a := newAlliance(t, nil) // stakes 1, 2, 1
-	a.check(a.rounds[1].TransferStake(0, 2, a.bus))
-	if err := a.rounds[1].TransferStake(2, 1, a.bus); !errors.Is(err, consensus.ErrInsufficientStake) {
+	a.check(a.govs[1].TransferStake(0, 2, a.bus))
+	if err := a.govs[1].TransferStake(2, 1, a.bus); !errors.Is(err, consensus.ErrInsufficientStake) {
 		t.Fatalf("second transfer error = %v, want ErrInsufficientStake", err)
 	}
 	over := consensus.SignStakeTx(0, 1, 5, 0, a.govs[0].cfg.Member.PrivateKey)
@@ -533,7 +531,7 @@ func TestRoundStakeOverdraftRefused(t *testing.T) {
 	if n := a.stakeIgnored("insufficient"); n != 1+3 {
 		t.Fatalf("refused transfer and foreign overdraft: insufficient = %d, want 1+3", n)
 	}
-	for j, r := range a.rounds {
+	for j, r := range a.govs {
 		if got := fmt.Sprint(r.stakes, len(r.transfers)); got != "[3 0 1] 0" {
 			t.Fatalf("governor %d: stakes and filed transfers %s, want [3 0 1] 0", j, got)
 		}
@@ -551,7 +549,7 @@ func TestRoundStakeForgeries(t *testing.T) {
 	a.open()
 	leader := a.elect(0, 1, 2)
 	a.propose(leader)
-	for j := range a.rounds {
+	for j := range a.govs {
 		a.adopt(j)
 	}
 	other := (leader + 1) % 3
@@ -560,13 +558,13 @@ func TestRoundStakeForgeries(t *testing.T) {
 	a.check(a.bus.Multicast(a.ids[other], a.ids, network.KindStakeState, consensus.EncodeProposal(forged)))
 	framed := consensus.AccuseLeader(other, forged, errors.New("framed"), key)
 	a.check(a.bus.Multicast(a.ids[other], a.ids, network.KindEvidence, consensus.EncodeEvidence(framed)))
-	a.check(a.rounds[other].TransferStake(leader, 1, a.bus))
+	a.check(a.govs[other].TransferStake(leader, 1, a.bus))
 	a.stake()
 	if n := a.stakeIgnored("bad_sig"); n != 2*3 {
 		t.Fatalf("forged proposal and its evidence: bad_sig = %d, want 2*3", n)
 	}
-	committed := *a.rounds[other].proposal
-	for j, r := range a.rounds {
+	committed := *a.govs[other].proposal
+	for j, r := range a.govs {
 		if sb := r.StakeBlock(); sb == nil || sb.Round != a.round || r.Expulsion(leader) != nil {
 			t.Fatalf("governor %d: stake block %v, expelled leader %d: %v", j, sb, leader, r.Expulsion(leader) != nil)
 		}
@@ -581,7 +579,7 @@ func TestRoundStakeForgeries(t *testing.T) {
 	if n := a.stakeIgnored("stale_round"); n != 3 {
 		t.Fatalf("replayed committed proposal: stale_round = %d, want 3", n)
 	}
-	for j, r := range a.rounds {
+	for j, r := range a.govs {
 		if r.Expulsion(leader) != nil {
 			t.Fatalf("governor %d expelled leader %d on a replayed proposal", j, leader)
 		}
@@ -594,7 +592,7 @@ func TestRoundStakeForgeries(t *testing.T) {
 func TestRoundLateStakeBlock(t *testing.T) {
 	a := newAlliance(t, nil)
 	a.runRound()
-	victim := (a.rounds[0].leader + 1) % 3
+	victim := (a.govs[0].leader + 1) % 3
 	var late []network.Message
 	a.bus.SetDropFunc(func(m network.Message, to identity.NodeID) bool {
 		if m.Kind == network.KindStakeBlock && to == a.ids[victim] {
@@ -603,21 +601,21 @@ func TestRoundLateStakeBlock(t *testing.T) {
 		}
 		return false
 	})
-	a.check(a.rounds[1].TransferStake(0, 1, a.bus))
+	a.check(a.govs[1].TransferStake(0, 1, a.bus))
 	for step := 0; step < 4; step++ {
-		for j, r := range a.rounds {
+		for j, r := range a.govs {
 			a.ingest(j)
 			_, err := r.StakeStep(a.bus)
 			a.check(err)
 		}
 	}
 	a.bus.SetDropFunc(nil)
-	if len(late) != 1 || a.rounds[victim].StakeBlock() != nil || a.rounds[(victim+1)%3].StakeBlock() == nil {
+	if len(late) != 1 || a.govs[victim].StakeBlock() != nil || a.govs[(victim+1)%3].StakeBlock() == nil {
 		t.Fatalf("%d stake blocks held back; the victim should lack the one the others applied", len(late))
 	}
 	a.check(a.bus.Multicast(late[0].From, a.ids[victim:victim+1], network.KindStakeBlock, late[0].Payload))
 	a.runRound() // the victim ingests it after Begin, before Screen
-	for j, r := range a.rounds {
+	for j, r := range a.govs {
 		if got := fmt.Sprint(r.Stakes()); got != "[2 1 1]" {
 			t.Fatalf("governor %d stakes %s, want [2 1 1]", j, got)
 		}
@@ -634,7 +632,7 @@ func TestRoundTicketLookahead(t *testing.T) {
 	a.runRound()
 	a.round++
 	for _, j := range []int{1, 2} {
-		r := a.rounds[j]
+		r := a.govs[j]
 		r.Begin(a.round)
 		a.ingest(j)
 		a.check(r.Screen())
@@ -647,7 +645,7 @@ func TestRoundTicketLookahead(t *testing.T) {
 		a.check(a.bus.Multicast(a.ids[1], a.ids[:1], network.KindVRF, junk))
 	}
 	a.ingest(0) // governor/0 is still in round 1
-	slow := a.rounds[0]
+	slow := a.govs[0]
 	slow.Begin(a.round)
 	if !slow.TicketsComplete([]uint64{0, a.stakes[1], a.stakes[2]}) {
 		t.Fatal("Begin dropped the peers' batches filed one round early")
@@ -659,7 +657,7 @@ func TestRoundTicketLookahead(t *testing.T) {
 		t.Fatal("TicketsComplete() false with every batch filed")
 	}
 	a.propose(a.elect(0, 1, 2))
-	for j := range a.rounds {
+	for j := range a.govs {
 		if !a.adopt(j) {
 			t.Fatalf("governor %d did not commit round %d", j, a.round)
 		}
@@ -677,8 +675,7 @@ func TestRoundTicketLookahead(t *testing.T) {
 // every earlier one; a batch whose signature fails does not count.
 func TestRoundUploadsComplete(t *testing.T) {
 	fx := newFixture(t, nil)
-	gov := fx.roster.Governors[0]
-	r := NewGovernorRound(fx.governor, []identity.NodeID{gov.ID}, []crypto.PublicKey{gov.PublicKey}, nil, []uint64{1})
+	r := fx.governor
 	coll0, coll1 := fx.roster.Collectors[0], fx.roster.Collectors[1]
 	ingest := func(msgs ...network.Message) {
 		t.Helper()
@@ -698,8 +695,8 @@ func TestRoundUploadsComplete(t *testing.T) {
 		t.Fatalf("an empty drain sent %d batches, want 1", got)
 	}
 	ingest(fx.governor.Endpoint().Receive()...)
-	if st := fx.governor.Stats(); st.ForgeriesDetected != 0 || st.ReportsReceived != 0 || fx.governor.MempoolDepth() != 0 {
-		t.Fatalf("empty batch: %+v, mempool %d; want nothing admitted or penalized", st, fx.governor.MempoolDepth())
+	if st := fx.governor.Stats(); st.ForgeriesDetected != 0 || st.ReportsReceived != 0 || fx.governor.mempoolDepth() != 0 {
+		t.Fatalf("empty batch: %+v, mempool %d; want nothing admitted or penalized", st, fx.governor.mempoolDepth())
 	}
 	if r.UploadsComplete() {
 		t.Fatal("UploadsComplete() with collector/1's batch missing")

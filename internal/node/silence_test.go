@@ -16,7 +16,7 @@ func TestGovernorCountsSilentReports(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		fx.runUpload(t, 0, true)
 	}
-	if _, err := fx.governor.ScreenRound(); err != nil {
+	if _, err := fx.governor.screenRound(); err != nil {
 		t.Fatal(err)
 	}
 	st := fx.governor.Stats()
@@ -36,7 +36,7 @@ func TestGovernorCountsSilentReports(t *testing.T) {
 func TestSilenceDecayOffByDefault(t *testing.T) {
 	fx := newFixture(t, []Behavior{HonestBehavior{}, ProbBehavior{Conceal: 1}})
 	fx.runUpload(t, 0, true)
-	if _, err := fx.governor.ScreenRound(); err != nil {
+	if _, err := fx.governor.screenRound(); err != nil {
 		t.Fatal(err)
 	}
 	w, err := fx.governor.Table().Weight(0, 1)
@@ -57,11 +57,11 @@ func TestAcceptBlockIdempotentOnRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	blk.SignAs(govMem.ID, govMem.PrivateKey)
-	if err := gov.AcceptBlock(blk, govMem.ID, govMem.PublicKey); err != nil {
+	if err := gov.AcceptBlock(blk); err != nil {
 		t.Fatal(err)
 	}
 	// A duplicated delivery of the committed block is a no-op.
-	if err := gov.AcceptBlock(blk, govMem.ID, govMem.PublicKey); err != nil {
+	if err := gov.AcceptBlock(blk); err != nil {
 		t.Fatalf("redelivered block error = %v, want idempotent accept", err)
 	}
 	if h := gov.Store().Height(); h != 1 {
@@ -78,7 +78,7 @@ func TestAcceptBlockIdempotentOnRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	fork.SignAs(govMem.ID, govMem.PrivateKey)
-	if err := gov.AcceptBlock(fork, govMem.ID, govMem.PublicKey); !errors.Is(err, ErrFork) {
+	if err := gov.AcceptBlock(fork); !errors.Is(err, ErrFork) {
 		t.Fatalf("conflicting block error = %v, want ErrFork", err)
 	}
 }

@@ -24,9 +24,9 @@ func transferOrder(a, b consensus.StakeTx) int {
 
 // Stakes returns the committed stake vector with expelled governors at
 // zero: the stakes the next election runs on.
-func (r *GovernorRound) Stakes() []uint64 {
-	out := slices.Clone(r.stakes)
-	for j, ev := range r.expelled {
+func (g *Governor) Stakes() []uint64 {
+	out := slices.Clone(g.stakes)
+	for j, ev := range g.expelled {
 		if ev != nil {
 			out[j] = 0
 		}
@@ -35,98 +35,98 @@ func (r *GovernorRound) Stakes() []uint64 {
 }
 
 // StakeBlock returns the last stake block applied, nil before the first.
-func (r *GovernorRound) StakeBlock() *consensus.StakeBlock { return r.applied }
+func (g *Governor) StakeBlock() *consensus.StakeBlock { return g.applied }
 
 // Expulsion returns the evidence that made this governor expel j, or nil.
-func (r *GovernorRound) Expulsion(j int) *consensus.Evidence { return r.expelled[j] }
+func (g *Governor) Expulsion(j int) *consensus.Evidence { return g.expelled[j] }
 
 // CorruptNextStakeProposal makes this governor's next proposal mint
 // stake, exercising expulsion. Testing hook; not part of the protocol.
-func (r *GovernorRound) CorruptNextStakeProposal() { r.corrupt = true }
+func (g *Governor) CorruptNextStakeProposal() { g.corrupt = true }
 
 // TransferStake is the payer's step: sign a transfer of amount units to
 // governor `to` with its next unused nonce, file it, and multicast it to
 // every governor (itself included). More than its stake less its filed
 // transfers is refused with a wrapped consensus.ErrInsufficientStake.
-func (r *GovernorRound) TransferStake(to int, amount uint64, out Sender) error {
-	me := r.gov.Index()
-	nonce := r.nextNonce[me]
-	if i, _ := slices.BinarySearchFunc(r.transfers, consensus.StakeTx{From: me + 1}, transferOrder); i > 0 && r.transfers[i-1].From == me {
-		nonce = r.transfers[i-1].Nonce + 1
+func (g *Governor) TransferStake(to int, amount uint64, out Sender) error {
+	me := g.Index()
+	nonce := g.nextNonce[me]
+	if i, _ := slices.BinarySearchFunc(g.transfers, consensus.StakeTx{From: me + 1}, transferOrder); i > 0 && g.transfers[i-1].From == me {
+		nonce = g.transfers[i-1].Nonce + 1
 	}
-	t := consensus.SignStakeTx(me, to, amount, nonce, r.gov.cfg.Member.PrivateKey)
+	t := consensus.SignStakeTx(me, to, amount, nonce, g.cfg.Member.PrivateKey)
 	b := consensus.EncodeStakeTx(t)
-	if r.fileTransfer(b) != "" {
-		return fmt.Errorf("%s transfer of %d to governor %d: %w", r.gov.ID(), amount, to, consensus.ErrBadStake)
+	if g.fileTransfer(b) != "" {
+		return fmt.Errorf("%s transfer of %d to governor %d: %w", g.ID(), amount, to, consensus.ErrBadStake)
 	}
-	if _, filed := slices.BinarySearchFunc(r.transfers, t, transferOrder); !filed {
-		return fmt.Errorf("%s transfer of %d: %w", r.gov.ID(), amount, consensus.ErrInsufficientStake)
+	if _, filed := slices.BinarySearchFunc(g.transfers, t, transferOrder); !filed {
+		return fmt.Errorf("%s transfer of %d: %w", g.ID(), amount, consensus.ErrInsufficientStake)
 	}
-	return out.Multicast(r.gov.ID(), r.governorIDs, network.KindStakeTx, b)
+	return out.Multicast(g.ID(), g.governorIDs, network.KindStakeTx, b)
 }
 
 // fileTransfer files a broadcast transfer under (payer, nonce) and
 // returns why not, "" when it did. The payer's signature authenticates
 // it, whoever relayed it; a copy of a filed transfer is a no-op. Filed,
 // it is settled at once: one the payer cannot fund is dropped there.
-func (r *GovernorRound) fileTransfer(b []byte) string {
+func (g *Governor) fileTransfer(b []byte) string {
 	t, err := consensus.DecodeStakeTx(b)
 	switch {
 	case err != nil:
 		return "decode"
-	case t.From < 0 || t.From >= len(r.pubs):
+	case t.From < 0 || t.From >= len(g.pubs):
 		return "unknown_payer"
-	case t.To < 0 || t.To >= len(r.pubs) || t.To == t.From || t.Amount == 0:
+	case t.To < 0 || t.To >= len(g.pubs) || t.To == t.From || t.Amount == 0:
 		return "invalid"
-	case t.Nonce < r.nextNonce[t.From]:
+	case t.Nonce < g.nextNonce[t.From]:
 		return "stale_nonce"
 	}
-	i, found := slices.BinarySearchFunc(r.transfers, t, transferOrder)
+	i, found := slices.BinarySearchFunc(g.transfers, t, transferOrder)
 	switch {
-	case found && r.transfers[i].To == t.To && r.transfers[i].Amount == t.Amount && bytes.Equal(r.transfers[i].Sig, t.Sig):
+	case found && g.transfers[i].To == t.To && g.transfers[i].Amount == t.Amount && bytes.Equal(g.transfers[i].Sig, t.Sig):
 		return ""
 	case found:
 		return "duplicate"
-	case t.Verify(r.pubs[t.From]) != nil:
+	case t.Verify(g.pubs[t.From]) != nil:
 		return "bad_sig"
 	}
-	r.transfers = slices.Insert(r.transfers, i, t)
-	r.settle(nil)
+	g.transfers = slices.Insert(g.transfers, i, t)
+	g.settle(nil)
 	return ""
 }
 
 // fileStake files one stake-transform message, counting it under
 // node.stake_ignored_total{reason} when it is of no use.
-func (r *GovernorRound) fileStake(m network.Message) {
+func (g *Governor) fileStake(m network.Message) {
 	var reason string
 	switch m.Kind {
 	case network.KindStakeTx:
-		reason = r.fileTransfer(m.Payload)
+		reason = g.fileTransfer(m.Payload)
 	case network.KindStakeState:
 		// Only the round leader's signature files a proposal, whoever sent it.
 		p, err := consensus.DecodeProposal(m.Payload)
-		switch reason = r.roundReason(err, p.Round, p.Leader); {
+		switch reason = g.roundReason(err, p.Round, p.Leader); {
 		case reason != "":
-		case consensus.VerifyProposalSig(p, r.pubs[p.Leader]) != nil:
+		case consensus.VerifyProposalSig(p, g.pubs[p.Leader]) != nil:
 			reason = "bad_sig"
-		case r.proposal != nil:
+		case g.proposal != nil:
 			reason = "duplicate"
 		default:
-			r.proposal = &p
+			g.proposal = &p
 		}
 	case network.KindStakeSig:
 		en, err := consensus.DecodeEndorsement(m.Payload)
-		switch reason = r.roundReason(err, en.Round, r.gov.Index()); {
+		switch reason = g.roundReason(err, en.Round, g.Index()); {
 		case reason != "":
-		case r.proposal == nil:
+		case g.proposal == nil:
 			reason = "not_leader"
-		case en.Governor < 0 || en.Governor >= len(r.pubs) ||
-			consensus.VerifyEndorsement(en, r.pubs[en.Governor], consensus.HashState(r.proposal.NewState)) != nil:
+		case en.Governor < 0 || en.Governor >= len(g.pubs) ||
+			consensus.VerifyEndorsement(en, g.pubs[en.Governor], consensus.HashState(g.proposal.NewState)) != nil:
 			reason = "bad_sig"
-		case r.endorsements[en.Governor].Sig != nil:
+		case g.endorsements[en.Governor].Sig != nil:
 			reason = "duplicate"
 		default:
-			r.endorsements[en.Governor] = en
+			g.endorsements[en.Governor] = en
 		}
 	case network.KindStakeBlock:
 		// One that missed its round is applied in the next, before Screen.
@@ -134,10 +134,10 @@ func (r *GovernorRound) fileStake(m network.Message) {
 		switch {
 		case err != nil:
 			reason = "decode"
-		case sb.Round+1 == r.round:
-			reason = r.applyStakeBlock(sb, sb.Round, r.prevLeader)
+		case sb.Round+1 == g.round:
+			reason = g.applyStakeBlock(sb, sb.Round, g.prevLeader)
 		default:
-			reason = r.applyStakeBlock(sb, r.round, r.leader)
+			reason = g.applyStakeBlock(sb, g.round, g.leader)
 		}
 	case network.KindEvidence:
 		// About a proposal of a round since the stakes last settled, late or
@@ -147,44 +147,44 @@ func (r *GovernorRound) fileStake(m network.Message) {
 		switch {
 		case err != nil:
 			reason = "decode"
-		case ev.Proposal.Round <= r.settled || ev.Proposal.Round > r.round:
+		case ev.Proposal.Round <= g.settled || ev.Proposal.Round > g.round:
 			reason = "stale_round"
-		case min(leader, ev.Accuser) < 0 || max(leader, ev.Accuser) >= len(r.pubs):
+		case min(leader, ev.Accuser) < 0 || max(leader, ev.Accuser) >= len(g.pubs):
 			reason = "bad_sig"
-		case r.expelled[leader] != nil:
+		case g.expelled[leader] != nil:
 			reason = "duplicate"
 		default:
-			err := consensus.VerifyEvidence(ev, r.pubs[ev.Accuser], r.pubs[leader], r.pubs, r.stakes, r.nextNonce)
+			err := consensus.VerifyEvidence(ev, g.pubs[ev.Accuser], g.pubs[leader], g.pubs, g.stakes, g.nextNonce)
 			if errors.Is(err, consensus.ErrBadSignature) {
 				reason = "bad_sig"
 			} else if err != nil {
 				reason = "unfounded"
 			} else {
-				r.expelled[leader] = &ev
-				r.gov.events.Emit(events.TypeLeaderExpelled, "", r.round, string(r.gov.ID()),
-					slog.String("leader", string(r.governorIDs[leader])),
-					slog.String("accuser", string(r.governorIDs[ev.Accuser])), slog.String("reason", ev.Reason))
+				g.expelled[leader] = &ev
+				g.events.Emit(events.TypeLeaderExpelled, "", g.round, string(g.ID()),
+					slog.String("leader", string(g.governorIDs[leader])),
+					slog.String("accuser", string(g.governorIDs[ev.Accuser])), slog.String("reason", ev.Reason))
 			}
 		}
 	}
-	r.ignore(reason)
+	g.ignore(reason)
 }
 
-func (r *GovernorRound) ignore(reason string) {
+func (g *Governor) ignore(reason string) {
 	if reason != "" {
-		r.reg.CounterVec("node.stake_ignored_total", "reason").With(reason).Inc()
+		g.reg.CounterVec("node.stake_ignored_total", "reason").With(reason).Inc()
 	}
 }
 
 // roundReason is why a message about round's proposal by leader is of
 // no use: it did not decode, or concerns another round or leader.
-func (r *GovernorRound) roundReason(err error, round uint64, leader int) string {
+func (g *Governor) roundReason(err error, round uint64, leader int) string {
 	switch {
 	case err != nil:
 		return "decode"
-	case round != r.round:
+	case round != g.round:
 		return "stale_round"
-	case r.leader < 0 || leader != r.leader:
+	case g.leader < 0 || leader != g.leader:
 		return "not_leader"
 	}
 	return ""
@@ -195,76 +195,76 @@ func (r *GovernorRound) roundReason(err error, round uint64, leader int) string 
 // lead: assemble once every endorsement is filed — and reports whether
 // this governor is done for the round (a round with nothing filed is,
 // at once, sending nothing).
-func (r *GovernorRound) StakeStep(out Sender) (bool, error) {
-	if r.leader < 0 || r.expelled[r.leader] != nil || r.applied != nil && r.applied.Round == r.round {
+func (g *Governor) StakeStep(out Sender) (bool, error) {
+	if g.leader < 0 || g.expelled[g.leader] != nil || g.applied != nil && g.applied.Round == g.round {
 		return true, nil
 	}
-	me, key, id := r.gov.Index(), r.gov.cfg.Member.PrivateKey, r.gov.ID()
-	if me == r.leader && !r.proposed && len(r.transfers) > 0 {
-		p, err := consensus.ProposeState(r.round, me, r.stakes, r.transfers, key)
+	me, key, id := g.Index(), g.cfg.Member.PrivateKey, g.ID()
+	if me == g.leader && !g.proposed && len(g.transfers) > 0 {
+		p, err := consensus.ProposeState(g.round, me, g.stakes, g.transfers, key)
 		if err != nil {
 			return false, err
 		}
-		if r.corrupt {
-			r.corrupt = false
+		if g.corrupt {
+			g.corrupt = false
 			p.NewState[0] += 1000
 			p = consensus.ResignProposal(p, key)
 		}
-		r.proposed = true
-		if err := out.Multicast(id, r.governorIDs, network.KindStakeState, consensus.EncodeProposal(p)); err != nil {
+		g.proposed = true
+		if err := out.Multicast(id, g.governorIDs, network.KindStakeState, consensus.EncodeProposal(p)); err != nil {
 			return false, err
 		}
 	}
-	if p := r.proposal; p != nil && !r.answered {
-		r.answered = true
-		err := consensus.VerifyProposal(*p, r.pubs[r.leader], r.pubs, r.stakes, r.nextNonce)
+	if p := g.proposal; p != nil && !g.answered {
+		g.answered = true
+		err := consensus.VerifyProposal(*p, g.pubs[g.leader], g.pubs, g.stakes, g.nextNonce)
 		if err != nil {
-			err = out.Multicast(id, r.governorIDs, network.KindEvidence, consensus.EncodeEvidence(consensus.AccuseLeader(me, *p, err, key)))
+			err = out.Multicast(id, g.governorIDs, network.KindEvidence, consensus.EncodeEvidence(consensus.AccuseLeader(me, *p, err, key)))
 		} else {
-			r.endorsed = p
-			err = out.Multicast(id, r.governorIDs[r.leader:r.leader+1], network.KindStakeSig, consensus.EncodeEndorsement(consensus.Endorse(*p, me, key)))
+			g.endorsed = p
+			err = out.Multicast(id, g.governorIDs[g.leader:g.leader+1], network.KindStakeSig, consensus.EncodeEndorsement(consensus.Endorse(*p, me, key)))
 		}
 		if err != nil {
 			return false, err
 		}
 	}
-	if r.proposed && !r.assembled && !slices.ContainsFunc(r.endorsements, func(en consensus.Endorsement) bool { return en.Sig == nil }) {
-		sb, err := consensus.AssembleStakeBlock(*r.proposal, r.endorsements, r.pubs)
+	if g.proposed && !g.assembled && !slices.ContainsFunc(g.endorsements, func(en consensus.Endorsement) bool { return en.Sig == nil }) {
+		sb, err := consensus.AssembleStakeBlock(*g.proposal, g.endorsements, g.pubs)
 		if err != nil {
 			return false, err
 		}
-		r.assembled = true
-		if err := out.Multicast(id, r.governorIDs, network.KindStakeBlock, consensus.EncodeStakeBlock(sb)); err != nil {
+		g.assembled = true
+		if err := out.Multicast(id, g.governorIDs, network.KindStakeBlock, consensus.EncodeStakeBlock(sb)); err != nil {
 			return false, err
 		}
 	}
 	// Waiting on a proposal it made or answered, or for one to come.
-	return !r.proposed && !r.answered && len(r.transfers) == 0, nil
+	return !g.proposed && !g.answered && len(g.transfers) == 0, nil
 }
 
 // applyStakeBlock applies sb, if it is round's block by leader over the
 // state this governor endorsed, and returns why not otherwise: the
 // stakes become NEW_STATE, and each payer's next nonce moves past the
 // highest the endorsed proposal spent.
-func (r *GovernorRound) applyStakeBlock(sb consensus.StakeBlock, round uint64, leader int) string {
+func (g *Governor) applyStakeBlock(sb consensus.StakeBlock, round uint64, leader int) string {
 	switch {
 	case sb.Round != round:
 		return "stale_round"
-	case r.applied != nil && r.applied.Round == round:
+	case g.applied != nil && g.applied.Round == round:
 		return "duplicate"
 	case sb.Leader != leader:
 		return "not_leader"
-	case r.endorsed == nil || r.endorsed.Round != round || !slices.Equal(r.endorsed.NewState, sb.NewState) ||
-		consensus.VerifyStakeBlock(sb, r.pubs) != nil:
+	case g.endorsed == nil || g.endorsed.Round != round || !slices.Equal(g.endorsed.NewState, sb.NewState) ||
+		consensus.VerifyStakeBlock(sb, g.pubs) != nil:
 		return "bad_sig"
 	}
-	r.stakes = slices.Clone(sb.NewState)
-	for _, t := range r.endorsed.Txs {
-		r.nextNonce[t.From] = max(r.nextNonce[t.From], t.Nonce+1)
+	g.stakes = slices.Clone(sb.NewState)
+	for _, t := range g.endorsed.Txs {
+		g.nextNonce[t.From] = max(g.nextNonce[t.From], t.Nonce+1)
 	}
-	committed := r.endorsed.Txs
-	r.endorsed, r.applied, r.settled = nil, &sb, round
-	r.settle(committed)
+	committed := g.endorsed.Txs
+	g.endorsed, g.applied, g.settled = nil, &sb, round
+	g.settle(committed)
 	return ""
 }
 
@@ -272,14 +272,14 @@ func (r *GovernorRound) applyStakeBlock(sb consensus.StakeBlock, round uint64, l
 // those in committed; counted, any below its payer's next nonce or
 // beyond what the payer can still fund, in (payer, nonce) order — so
 // every transfer left on file can be proposed.
-func (r *GovernorRound) settle(committed []consensus.StakeTx) {
-	left := slices.Clone(r.stakes)
-	r.transfers = slices.DeleteFunc(r.transfers, func(t consensus.StakeTx) bool {
+func (g *Governor) settle(committed []consensus.StakeTx) {
+	left := slices.Clone(g.stakes)
+	g.transfers = slices.DeleteFunc(g.transfers, func(t consensus.StakeTx) bool {
 		reason := ""
 		switch {
 		case slices.ContainsFunc(committed, func(c consensus.StakeTx) bool { return transferOrder(c, t) == 0 }):
 			return true
-		case t.Nonce < r.nextNonce[t.From]:
+		case t.Nonce < g.nextNonce[t.From]:
 			reason = "stale_nonce"
 		case t.Amount > left[t.From]:
 			reason = "insufficient"
@@ -287,7 +287,7 @@ func (r *GovernorRound) settle(committed []consensus.StakeTx) {
 			left[t.From] -= t.Amount
 			return false
 		}
-		r.ignore(reason)
+		g.ignore(reason)
 		return true
 	})
 }

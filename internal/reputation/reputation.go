@@ -456,17 +456,6 @@ func (t *Table) LogRevenue(c int) (float64, error) {
 	return logSum, nil
 }
 
-// Revenue returns collector c's revenue coefficient. It saturates to
-// +Inf/0 for extreme scores; use LogRevenue or RevenueShares for
-// numerically robust comparisons.
-func (t *Table) Revenue(c int) (float64, error) {
-	lr, err := t.LogRevenue(c)
-	if err != nil {
-		return 0, err
-	}
-	return math.Exp(lr), nil
-}
-
 // RevenueShares returns every collector's revenue coefficient
 // normalized to sum to 1 — the proportional split of the constant
 // profit share. Computed in log space (softmax) so arbitrarily large

@@ -432,19 +432,19 @@ func TestRevenueMonotoneInBehaviour(t *testing.T) {
 	if err := tab.RecordForgery(1); err != nil {
 		t.Fatal(err)
 	}
-	good, err := tab.Revenue(0)
+	good, err := tab.LogRevenue(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := tab.Revenue(1)
+	bad, err := tab.LogRevenue(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bad >= good {
-		t.Fatalf("misbehaving collector revenue %v ≥ honest revenue %v", bad, good)
+		t.Fatalf("misbehaving collector log revenue %v ≥ honest log revenue %v", bad, good)
 	}
-	if _, err := tab.Revenue(99); !errors.Is(err, ErrUnknownCollector) {
-		t.Fatalf("Revenue(99) error = %v", err)
+	if _, err := tab.LogRevenue(99); !errors.Is(err, ErrUnknownCollector) {
+		t.Fatalf("LogRevenue(99) error = %v", err)
 	}
 }
 

@@ -174,7 +174,14 @@ func FuzzReputationRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	in.SetWeight(1, math.NaN())
+	weights := make([]float64, in.Experts())
+	for i := range weights {
+		weights[i] = 1
+	}
+	weights[1] = math.NaN()
+	if err := in.Restore(weights, make([]float64, in.Experts()), 0, 0); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(nan.Snapshot())
 	fresh := fullTable(f, 4, DefaultParams()).Snapshot()
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -180,34 +180,10 @@ func (in *Instance) Rounds() int { return in.rounds }
 // Weight returns expert i's current weight.
 func (in *Instance) Weight(i int) float64 { return in.weights[i] }
 
-// Weights returns a copy of the weight vector.
-func (in *Instance) Weights() []float64 {
-	out := make([]float64, len(in.weights))
-	copy(out, in.weights)
-	return out
-}
-
-// SetWeight overrides expert i's weight, clamped to be positive.
-func (in *Instance) SetWeight(i int, w float64) {
-	if w < minWeight {
-		w = minWeight
-	}
-	in.weights[i] = w
-}
-
 // minWeight keeps weights strictly positive so probabilities stay
 // defined; 1e-300 is far below any reachable multiplicative decay for
 // realistic horizons yet comfortably above the smallest subnormal.
 const minWeight = 1e-300
-
-// TotalWeight returns Σ_i w_i.
-func (in *Instance) TotalWeight() float64 {
-	var s float64
-	for _, w := range in.weights {
-		s += w
-	}
-	return s
-}
 
 // Probabilities returns the draw distribution over the given
 // participating experts (those that reported the transaction),

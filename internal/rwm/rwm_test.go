@@ -49,9 +49,6 @@ func TestInitialWeightsAreOne(t *testing.T) {
 			t.Fatalf("Weight(%d) = %v, want 1", i, in.Weight(i))
 		}
 	}
-	if in.TotalWeight() != 5 {
-		t.Fatalf("TotalWeight() = %v, want 5 (W_0 = r)", in.TotalWeight())
-	}
 }
 
 func TestOutcomeLoss(t *testing.T) {
@@ -235,8 +232,9 @@ func TestWeightsStayPositive(t *testing.T) {
 
 func TestProbabilities(t *testing.T) {
 	in := mustNew(t, 4, 0.9)
-	in.SetWeight(0, 3)
-	in.SetWeight(1, 1)
+	if err := in.Restore([]float64{3, 1, 1, 1}, make([]float64, 4), 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	probs, err := in.Probabilities([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -251,9 +249,9 @@ func TestProbabilities(t *testing.T) {
 
 func TestPickDistribution(t *testing.T) {
 	in := mustNew(t, 3, 0.9)
-	in.SetWeight(0, 8)
-	in.SetWeight(1, 1)
-	in.SetWeight(2, 1)
+	if err := in.Restore([]float64{8, 1, 1}, make([]float64, 3), 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(42))
 	counts := make([]int, 3)
 	const trials = 20000
@@ -286,14 +284,6 @@ func TestPickSubset(t *testing.T) {
 		if idx != 2 && idx != 4 {
 			t.Fatalf("Pick() returned non-participant %d", idx)
 		}
-	}
-}
-
-func TestSetWeightClampsPositive(t *testing.T) {
-	in := mustNew(t, 1, 0.9)
-	in.SetWeight(0, -5)
-	if in.Weight(0) <= 0 {
-		t.Fatal("SetWeight allowed non-positive weight")
 	}
 }
 

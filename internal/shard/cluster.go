@@ -73,8 +73,8 @@ type Cluster struct {
 // configuration reaches core.New untouched except for the cross-shard
 // validator wrapper (inert for ordinary transaction kinds), keeping
 // the single-committee chain — the facade's Chain — byte-identical to
-// a bare engine.
-func New(cfg Config) (*Cluster, error) {
+// a bare engine. On an error, the committees already built are closed.
+func New(cfg Config) (_ *Cluster, err error) {
 	k := cfg.Committees
 	if k < 0 {
 		return nil, fmt.Errorf("%d committees: %w", k, core.ErrBadConfig)
@@ -107,7 +107,14 @@ func New(cfg Config) (*Cluster, error) {
 	cl.crossTx = cl.reg.Counter("shard.cross_tx_total")
 	cl.rehomes = cl.reg.Counter("shard.rehomes_total")
 
-	cl.engines = make([]*core.Engine, k)
+	cl.engines = make([]*core.Engine, 0, k)
+	defer func() {
+		if err != nil {
+			for _, eng := range cl.engines {
+				_ = eng.Close()
+			}
+		}
+	}()
 	for i := 0; i < k; i++ {
 		ecfg, err := cl.committeeConfig(i)
 		if err != nil {
@@ -117,7 +124,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: committee %d: %w", i, err)
 		}
-		cl.engines[i] = eng
+		cl.engines = append(cl.engines, eng)
 	}
 	// Start the relay scan at the resumed chain heads: locks committed
 	// before a restart re-enter via fresh submissions, not a re-walk of

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -344,4 +346,45 @@ func TestClusterConfigValidation(t *testing.T) {
 			t.Fatalf("err = %v, want core.ErrUnknownProvider", err)
 		}
 	})
+}
+
+// TestNewClosesBuiltCommitteesOnError: when committee 1 cannot be
+// rebuilt — its checkpoint is corrupt — New fails and leaves committee
+// 0's chain stores closed.
+func TestNewClosesBuiltCommitteesOnError(t *testing.T) {
+	cfg := Config{Base: baseConfig(1), Committees: 2}
+	cfg.Base.ChainDir = t.TempDir()
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One block gives every governor an open chain segment.
+	if _, err := cl.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := ledger.OpenFileStore(filepath.Join(cfg.Base.ChainDir, "committee-1", "governor-0.chain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.WriteSnapshot([]byte("not a governor state")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New() accepted a corrupted checkpoint")
+	}
+	after, _ := os.ReadDir("/proc/self/fd")
+	if len(after) != len(fds) {
+		t.Fatalf("%d open files after the failed New, %d before: committee 0's chain stores were left open", len(after), len(fds))
+	}
 }

@@ -47,12 +47,13 @@ func readColumn(t *testing.T, table *reputation.Table, local, degree int) column
 		t.Fatal(err)
 	}
 	col := column{
-		weights: in.Weights(),
+		weights: make([]float64, in.Experts()),
 		losses:  make([]float64, in.Experts()),
 		govLoss: in.GovernorLoss(),
 		rounds:  in.Rounds(),
 	}
 	for i := range col.losses {
+		col.weights[i] = in.Weight(i)
 		col.losses[i] = in.ExpertLoss(i)
 	}
 	for tt := 0; tt < degree; tt++ {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repchain/internal/consensus"
-	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
@@ -261,7 +260,7 @@ func runProvider(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	prov.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
 	// A block frame that does not decode is skipped, and counted the
-	// way the governor stepper counts one.
+	// way a governor counts one.
 	undecodable := ep.Metrics().CounterVec("node.blocks_ignored_total", "reason").With("decode")
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(me.Index)))
 
@@ -360,6 +359,15 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 		store = fs
 		defer func() { _ = fs.Close() }()
 	}
+	// The deployment spec's stakes seed a chain with no checkpoint; a
+	// restart resumes the checkpointed ones.
+	stakes := make([]uint64, len(roster.Governors))
+	for i, g := range roster.Governors {
+		spec, _ := cfg.Deployment.Node(string(g.ID)) // the roster came from these specs
+		stakes[i] = max(spec.Stake, 1)
+	}
+	// The governor is the protocol; this function only decides when each
+	// step runs.
 	gov, err := node.NewGovernor(node.GovernorConfig{
 		Member:      me,
 		Roster:      roster,
@@ -368,6 +376,7 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 		BlockLimit:  cfg.BlockLimit,
 		ArgueWindow: node.DefaultArgueWindow,
 		Seed:        cfg.Seed + int64(200+me.Index),
+		Stakes:      stakes,
 		Store:       store,
 		MempoolCap:  cfg.MempoolCap,
 		Metrics:     cfg.Metrics,
@@ -376,23 +385,8 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	if err != nil {
 		return Report{}, err
 	}
-
-	govPubs := make([]crypto.PublicKey, len(roster.Governors))
-	stakes := make([]uint64, len(roster.Governors))
-	for i, g := range roster.Governors {
-		govPubs[i] = g.PublicKey
-		spec, _ := cfg.Deployment.Node(string(g.ID)) // the roster came from these specs
-		stakes[i] = max(spec.Stake, 1)
-	}
-	// The round stepper is the protocol; this function only decides
-	// when each step runs. The deployment spec's stakes seed a chain
-	// with no checkpoint; a restart resumes the checkpointed ones.
-	rs := node.NewGovernorRound(gov, identity.IDs(roster.Governors), govPubs, identity.IDs(roster.Providers), stakes)
-	if err := rs.Restore(); err != nil {
-		return Report{}, err
-	}
 	// Leave a checkpoint as fresh as the run (a no-op without StateDir).
-	defer func() { _ = rs.Checkpoint(nil, false) }()
+	defer func() { _ = gov.Checkpoint(nil, false) }()
 	instrumentEndpoint(ep, cfg)
 
 	// Resume round numbering from a persisted chain (all governors in
@@ -414,10 +408,10 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	heightG := reg.Gauge("chain.height")
 	// wait ingests every arrival until done reports true or the deadline
 	// passes, and returns the time spent ingesting and testing. What an
-	// arrival holds that the step does not need, the stepper keeps.
+	// arrival holds that the step does not need, the governor keeps.
 	wait := func(deadline time.Time, done func() (bool, error)) (time.Duration, error) {
 		return await(ep, deadline, func() (bool, error) {
-			if err := rs.Ingest(toNetworkMessages(ep.Receive())); err != nil {
+			if err := gov.Ingest(toNetworkMessages(ep.Receive())); err != nil {
 				return false, err
 			}
 			return done()
@@ -430,24 +424,24 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	}
 	for r := uint64(1); r <= uint64(cfg.Rounds); r++ {
 		round := baseRound + r
-		rs.Begin(round)
+		gov.Begin(round)
 		// Screen the round's uploads and argues once every collector's
 		// batch is in, then broadcast leader-election tickets over the
 		// chain head. After a restart on a persisted chain this governor
 		// numbers its rounds past the collectors', so the deadline screens.
 		busy, err := wait(cfg.Clock.at(r, deadlineScreen), func() (bool, error) {
-			return rs.UploadsComplete(), nil
+			return gov.UploadsComplete(), nil
 		})
 		if err != nil {
 			return report, err
 		}
 		start := time.Now()
-		if err := rs.Screen(); err != nil {
+		if err := gov.Screen(); err != nil {
 			return report, err
 		}
 		observe("screen", busy, start)
-		stakes := rs.Stakes()
-		if err := rs.SendTickets(stakes[me.Index], sender); err != nil {
+		stakes := gov.Stakes()
+		if err := gov.SendTickets(stakes[me.Index], sender); err != nil {
 			return report, err
 		}
 
@@ -456,13 +450,13 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 		// and multicast. A batch still missing fails the election and
 		// stops the node: rejoining needs state transfer.
 		busy, err = wait(cfg.Clock.at(r, deadlineElect), func() (bool, error) {
-			return rs.TicketsComplete(stakes), nil
+			return gov.TicketsComplete(stakes), nil
 		})
 		if err != nil {
 			return report, err
 		}
 		start = time.Now()
-		leader, err := rs.Elect(stakes)
+		leader, err := gov.Elect(stakes)
 		if err != nil {
 			return report, err
 		}
@@ -471,7 +465,7 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 		// The leader proposes; everyone adopts.
 		if leader == me.Index {
 			start = time.Now()
-			if _, err := rs.Propose(sender); err != nil {
+			if _, err := gov.Propose(sender); err != nil {
 				return report, err
 			}
 			observe("pack", 0, start)
@@ -480,25 +474,25 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 		// round's end; a frame later than that is committed by the next
 		// round's Screen, before tickets are made over the head.
 		roundEnd := cfg.Clock.at(r+1, 0)
-		busy, err = wait(roundEnd, rs.Adopt)
+		busy, err = wait(roundEnd, gov.Adopt)
 		stages.With("commit").Observe(busy.Seconds())
 		if err != nil {
 			return report, err
 		}
 		// The stake transform, for what the round has left of its time.
-		if _, err := wait(roundEnd, func() (bool, error) { return rs.StakeStep(sender) }); err != nil {
+		if _, err := wait(roundEnd, func() (bool, error) { return gov.StakeStep(sender) }); err != nil {
 			return report, err
 		}
 		height := gov.Store().Height()
 		cfg.Health.SetHeight(string(cfg.ID), height)
 		heightG.Set(float64(height))
-		if err := rs.MaybeCheckpoint(cfg.SnapshotEvery); err != nil {
+		if err := gov.MaybeCheckpoint(cfg.SnapshotEvery); err != nil {
 			return report, err
 		}
 		report.Rounds++
 	}
 	report.Height = gov.Store().Height()
 	report.Stats = gov.Stats()
-	report.StakeBlock = rs.StakeBlock()
+	report.StakeBlock = gov.StakeBlock()
 	return report, nil
 }
