@@ -88,7 +88,7 @@ benchmark-smoke:
 crash-consistency:
 	$(GO) test -count=1 ./internal/ledger \
 		-run 'Torn|Truncated|Corrupt|KillDuring|Snapshot|RegularFile|Prune'
-	$(GO) test -count=1 ./internal/node -run 'Checkpoint|Restore'
+	$(GO) test -count=1 ./internal/node -run 'Checkpoint|Restore|Replica'
 	$(GO) test -count=1 ./internal/core -run 'Snapshot|Restart|Persist'
 	$(GO) test -count=1 ./internal/transport -run 'Persistence|StakeTransfer'
 

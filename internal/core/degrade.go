@@ -145,11 +145,6 @@ func (e *Engine) ReconnectGovernor(j int) error {
 	return nil
 }
 
-// CollectorDown reports collector c's failure-detector state.
-func (e *Engine) CollectorDown(c int) bool {
-	return c >= 0 && c < len(e.collectorDown) && e.collectorDown[c]
-}
-
 // Collectors returns n, the collector count.
 func (e *Engine) Collectors() int { return len(e.collectors) }
 

@@ -20,8 +20,8 @@ func TestCrashedCollectorRoundProceeds(t *testing.T) {
 	if err := e.CrashCollector(1); err != nil {
 		t.Fatal(err)
 	}
-	if !e.CollectorDown(1) {
-		t.Fatal("CollectorDown(1) = false after crash")
+	if !e.collectorDown[1] {
+		t.Fatal("collector 1 not marked down after crash")
 	}
 	submitRound(t, e, 8, 1, 0)
 	res, err := e.RunRound()

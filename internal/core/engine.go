@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"time"
 
@@ -127,10 +126,11 @@ type Config struct {
 	// one, and prunes chain segments fully behind the snapshot horizon.
 	// Restart cost then scales with N, not with chain height, and disk
 	// usage stays bounded. Zero disables snapshots (full-suffix replay,
-	// no pruning).
+	// no pruning). New refuses it without ChainDir.
 	SnapshotEvery int
 	// SegmentBytes overrides the chain segment roll threshold (bytes)
 	// for file-backed stores. Zero keeps the ledger default (4 MiB).
+	// New refuses it without ChainDir.
 	SegmentBytes int64
 }
 
@@ -198,8 +198,8 @@ type RoundResult struct {
 	StakeBlock *consensus.StakeBlock
 }
 
-// New builds and wires an engine. On an error, every chain store it
-// opened is closed again.
+// New builds and wires an engine. On an error, every governor it built
+// is closed again.
 func New(cfg Config) (_ *Engine, err error) {
 	if cfg.Governors <= 0 {
 		return nil, fmt.Errorf("governors %d: %w", cfg.Governors, ErrBadConfig)
@@ -264,6 +264,7 @@ func New(cfg Config) (_ *Engine, err error) {
 		}
 		p := node.NewProvider(mem, ep, collectorIDs, governorIDs)
 		p.SetEvents(e.events)
+		p.SetMetrics(e.reg)
 		e.providers = append(e.providers, p)
 	}
 	// Collectors.
@@ -276,52 +277,42 @@ func New(cfg Config) (_ *Engine, err error) {
 		if cfg.Behaviors != nil {
 			behavior = cfg.Behaviors[c]
 		}
-		col := node.NewCollector(mem, ep, roster, cfg.Validator, behavior, cfg.Seed+int64(1000+c))
+		col := node.NewCollector(mem, ep, roster, cfg.Validator, behavior, node.Seed(cfg.Seed, mem))
 		col.SetEvents(e.events)
 		e.collectors = append(e.collectors, col)
 	}
-	// Governors. Each reloads its checkpoint as it is built, so a restart
-	// keeps its learned weights, stakes and nonces; the configured stakes
-	// only seed a chain that has none.
-	var stores []*ledger.FileStore
+	// Governors. Each opens its replica under ChainDir and reloads its
+	// checkpoint as it is built, so a restart keeps its learned weights,
+	// stakes and nonces; the configured stakes only seed a chain that has
+	// none.
 	defer func() {
 		if err != nil {
-			for _, fs := range stores {
-				_ = fs.Close()
+			for _, g := range e.governors {
+				_ = g.Close()
 			}
 		}
 	}()
-	for j, mem := range roster.Governors {
+	for _, mem := range roster.Governors {
 		ep, err := e.bus.Register(mem.ID)
 		if err != nil {
 			return nil, err
 		}
-		var store ledger.Store
-		if cfg.ChainDir != "" {
-			fs, err := ledger.OpenFileStoreOptions(
-				filepath.Join(cfg.ChainDir, fmt.Sprintf("governor-%d.chain", j)),
-				ledger.StoreOptions{SegmentBytes: cfg.SegmentBytes},
-			)
-			if err != nil {
-				return nil, fmt.Errorf("governor %d chain file: %w", j, err)
-			}
-			stores = append(stores, fs)
-			store = fs
-		}
 		gov, err := node.NewGovernor(node.GovernorConfig{
-			Member:      mem,
-			Endpoint:    ep,
-			Roster:      roster,
-			Params:      cfg.Params,
-			Validator:   cfg.Validator,
-			BlockLimit:  cfg.BlockLimit,
-			ArgueWindow: cfg.ArgueWindow,
-			Seed:        cfg.Seed + int64(2000+j),
-			Stakes:      cfg.Stakes,
-			Store:       store,
-			MempoolCap:  cfg.MempoolCap,
-			Metrics:     e.reg,
-			Events:      e.events,
+			Member:        mem,
+			Endpoint:      ep,
+			Roster:        roster,
+			Params:        cfg.Params,
+			Validator:     cfg.Validator,
+			BlockLimit:    cfg.BlockLimit,
+			ArgueWindow:   cfg.ArgueWindow,
+			Seed:          node.Seed(cfg.Seed, mem),
+			Stakes:        cfg.Stakes,
+			StateDir:      cfg.ChainDir,
+			SegmentBytes:  cfg.SegmentBytes,
+			SnapshotEvery: cfg.SnapshotEvery,
+			MempoolCap:    cfg.MempoolCap,
+			Metrics:       e.reg,
+			Events:        e.events,
 		})
 		if err != nil {
 			return nil, err
@@ -360,12 +351,8 @@ func (e *Engine) CloseMigrated(reputation [][]byte) error {
 		}
 		errs = append(errs, g.Checkpoint(rep, false))
 	}
-	for j, g := range e.governors {
-		if fs, ok := g.Store().(*ledger.FileStore); ok {
-			if err := fs.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("governor %d: %w", j, err))
-			}
-		}
+	for _, g := range e.governors {
+		errs = append(errs, g.Close())
 	}
 	return errors.Join(errs...)
 }
@@ -718,22 +705,9 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	// in the same total order at any worker count.
 	arguesBy := make([]int, len(e.providers))
 	err = e.fanOut(len(e.providers), func(k int, out node.Sender) error {
-		p := e.providers[k]
-		for _, m := range p.Endpoint().Receive() {
-			if m.Kind != network.KindBlock {
-				continue
-			}
-			b, err := ledger.DecodeBlockBytes(m.Payload)
-			if err != nil {
-				return fmt.Errorf("provider %s block decode: %w", p.ID(), err)
-			}
-			n, err := p.ObserveBlock(b, out)
-			if err != nil {
-				return err
-			}
-			arguesBy[k] += n
-		}
-		return nil
+		var err error
+		_, arguesBy[k], err = e.providers[k].Ingest(e.providers[k].Endpoint().Receive(), out)
+		return err
 	})
 	if err != nil {
 		return RoundResult{}, err
@@ -780,7 +754,7 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	// returned: durability was promised and not delivered.
 	errs := make([]error, len(e.governors))
 	for j, g := range e.governors {
-		errs[j] = g.MaybeCheckpoint(e.cfg.SnapshotEvery)
+		errs[j] = g.MaybeCheckpoint()
 	}
 	e.observeStage("checkpoint", stageStart)
 	return result, errors.Join(errs...)

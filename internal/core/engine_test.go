@@ -8,6 +8,7 @@ import (
 	"repchain/internal/crypto"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
+	"repchain/internal/network"
 	"repchain/internal/node"
 	"repchain/internal/reputation"
 	"repchain/internal/tx"
@@ -79,6 +80,8 @@ func TestNewValidation(t *testing.T) {
 		{"bad topology", func(c *Config) { c.Spec.Degree = 99 }},
 		{"behaviour count", func(c *Config) { c.Behaviors = []node.Behavior{nil} }},
 		{"stake count", func(c *Config) { c.Stakes = []uint64{1} }},
+		{"snapshot cadence without chain dir", func(c *Config) { c.SnapshotEvery = 2 }},
+		{"segment bytes without chain dir", func(c *Config) { c.SegmentBytes = 512 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -88,6 +91,23 @@ func TestNewValidation(t *testing.T) {
 				t.Fatal("New() accepted invalid config")
 			}
 		})
+	}
+}
+
+// TestProviderSkipsUndecodableBlock: a block frame a provider cannot
+// decode is skipped and counted, as over TCP; the round still commits.
+func TestProviderSkipsUndecodableBlock(t *testing.T) {
+	e := newTestEngine(t, defaultConfig())
+	submitRound(t, e, 8, 0, 4)
+	from, to := e.Roster().Governors[0].ID, e.Roster().Providers[0].ID
+	if err := e.Bus().Send(from, to, network.KindBlock, []byte("junk")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunRound(); err != nil {
+		t.Fatalf("RunRound() with a junk block frame at a provider: %v", err)
+	}
+	if got := e.Metrics().CounterVec("node.blocks_ignored_total", "reason").With("decode").Value(); got != 1 {
+		t.Fatalf("node.blocks_ignored_total{reason=decode} = %d, want 1", got)
 	}
 }
 

@@ -84,16 +84,3 @@ func (p *Partition) Home(k int) (CommitteeSlot, bool) {
 	}
 	return p.home[k], true
 }
-
-// Global maps a (committee, local) slot back to the global provider
-// index. The second result is false when the slot does not exist.
-func (p *Partition) Global(committee, local int) (int, bool) {
-	if committee < 0 || committee >= len(p.members) {
-		return 0, false
-	}
-	ms := p.members[committee]
-	if local < 0 || local >= len(ms) {
-		return 0, false
-	}
-	return ms[local], true
-}

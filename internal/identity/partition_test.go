@@ -27,38 +27,6 @@ func TestModuloPartitionBalanced(t *testing.T) {
 	}
 }
 
-func TestPartitionHomeGlobalRoundTrip(t *testing.T) {
-	p, err := NewPartition(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 10; k++ {
-		slot, ok := p.Home(k)
-		if !ok {
-			t.Fatalf("Home(%d) not found", k)
-		}
-		if slot.Committee != k%3 {
-			t.Fatalf("Home(%d).Committee = %d, want %d", k, slot.Committee, k%3)
-		}
-		back, ok := p.Global(slot.Committee, slot.Local)
-		if !ok || back != k {
-			t.Fatalf("Global(%d, %d) = %d, %v; want %d", slot.Committee, slot.Local, back, ok, k)
-		}
-	}
-	if _, ok := p.Home(-1); ok {
-		t.Fatal("Home(-1) should not resolve")
-	}
-	if _, ok := p.Home(10); ok {
-		t.Fatal("Home(10) should not resolve")
-	}
-	if _, ok := p.Global(3, 0); ok {
-		t.Fatal("Global(3, 0) should not resolve")
-	}
-	if _, ok := p.Global(0, 99); ok {
-		t.Fatal("Global(0, 99) should not resolve")
-	}
-}
-
 func TestPartitionLocalIndicesAscending(t *testing.T) {
 	// Local indices follow ascending global index within each
 	// committee, whatever the stride between members.
@@ -75,9 +43,14 @@ func TestPartitionLocalIndicesAscending(t *testing.T) {
 		}
 		for local, k := range ms {
 			slot, _ := p.Home(k)
-			if slot.Local != local {
-				t.Fatalf("provider %d local = %d, want %d", k, slot.Local, local)
+			if slot.Committee != i || slot.Local != local {
+				t.Fatalf("provider %d home = %+v, want committee %d local %d", k, slot, i, local)
 			}
+		}
+	}
+	for _, k := range []int{-1, 7} {
+		if _, ok := p.Home(k); ok {
+			t.Fatalf("Home(%d) resolved out of range", k)
 		}
 	}
 }

@@ -12,6 +12,15 @@ import (
 	"repchain/internal/tx"
 )
 
+// signLeaves signs txs as one batch under key.
+func signLeaves(txs []tx.Transaction, key crypto.PrivateKey) []tx.SignedTx {
+	ids := make([]crypto.Hash, len(txs))
+	for i, t := range txs {
+		ids[i] = t.ID()
+	}
+	return tx.SignLeaves(txs, ids, key)
+}
+
 // parityTx signs a transaction from the fixture's provider 0.
 func parityTx(fx *fixture, seq uint64, valid bool) tx.SignedTx {
 	prov := fx.roster.Providers[0]
@@ -366,7 +375,7 @@ func TestGovernorBatchPenaltyParity(t *testing.T) {
 			}
 			return out
 		}
-		good := tx.SignBatch(txs(1, 5), prov.PrivateKey)
+		good := signLeaves(txs(1, 5), prov.PrivateKey)
 		forged := bad(fx, txs(100, k))
 		var items []tx.UploadItem
 		for i := range good {
@@ -402,7 +411,7 @@ func TestGovernorBatchPenaltyParity(t *testing.T) {
 	}
 	// One batch of k under the collector's key, claiming the provider.
 	oneBad := run(func(fx *fixture, txs []tx.Transaction) []tx.SignedTx {
-		return tx.SignBatch(txs, fx.roster.Collectors[0].PrivateKey)
+		return signLeaves(txs, fx.roster.Collectors[0].PrivateKey)
 	})
 	// k batches of one, each under the collector's key.
 	kBad := run(func(fx *fixture, txs []tx.Transaction) []tx.SignedTx {

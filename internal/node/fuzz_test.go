@@ -113,7 +113,7 @@ func FuzzGovernorStateDecode(f *testing.F) {
 // kept restores its stakes with every next nonce 0 into a governor built
 // over it.
 func TestRestoreWithoutNonces(t *testing.T) {
-	open := fileStores(t, t.TempDir())
+	open := onDisk(t.TempDir())
 	a := newAlliance(t, open)
 	a.check(a.govs[1].TransferStake(0, 1, a.bus))
 	a.runRound()
@@ -124,7 +124,7 @@ func TestRestoreWithoutNonces(t *testing.T) {
 	fs := a.govs[0].Store().(*ledger.FileStore)
 	_, err := fs.WriteSnapshot(GovernorState{Round: 1, Reputation: a.govs[0].Table().Snapshot(), Stakes: []uint64{5, 0, 1}}.Encode())
 	a.check(err)
-	a.check(fs.Close())
+	a.check(a.govs[0].Close())
 
 	b := newAlliance(t, open)
 	if got := fmt.Sprint(b.govs[0].Stakes(), b.govs[0].nextNonce); got != "[5 0 1] [0 0 0]" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strconv"
 
@@ -23,6 +24,21 @@ import (
 // DefaultArgueWindow is U where a deployment does not choose one: the
 // facade's default and the TCP runtime's value.
 const DefaultArgueWindow = 64
+
+// Seed derives member's RNG seed from the alliance seed: collector i
+// draws from seed+1000+i, governor j from seed+2000+j and provider k's
+// workload from seed+k. core.Engine and transport.RunNode both call it,
+// so one alliance seed gives every node the same stream in process and
+// over TCP.
+func Seed(alliance int64, m identity.Member) int64 {
+	switch m.Role {
+	case identity.RoleCollector:
+		return alliance + 1000 + int64(m.Index)
+	case identity.RoleGovernor:
+		return alliance + 2000 + int64(m.Index)
+	}
+	return alliance + int64(m.Index)
+}
 
 // GovernorConfig assembles a governor's dependencies.
 type GovernorConfig struct {
@@ -50,10 +66,18 @@ type GovernorConfig struct {
 	// with no checkpoint; nil means one unit each. A checkpoint's stakes
 	// win over these.
 	Stakes []uint64
-	// Store overrides the governor's ledger replica; nil means a
-	// fresh in-memory store. Pass a ledger.FileStore for a persistent
-	// replica that survives restarts.
-	Store ledger.Store
+	// StateDir, when non-empty, holds the governor's ledger replica:
+	// NewGovernor opens the segment directory governor-<j>.chain under it
+	// and restores its checkpoint, Close releases it. Empty means a fresh
+	// in-memory replica.
+	StateDir string
+	// SegmentBytes overrides the replica's segment roll threshold in
+	// bytes; zero keeps the ledger default. Needs StateDir.
+	SegmentBytes int64
+	// SnapshotEvery is MaybeCheckpoint's cadence: a checkpoint each time
+	// the chain has grown this many blocks past the last one; zero means
+	// none. Needs StateDir.
+	SnapshotEvery int
 	// MempoolCap bounds the governor's upload mempool per provider (0 =
 	// unbounded). A provider at its cap has its oldest pending
 	// transaction evicted to admit the new one; evictions are counted in
@@ -136,8 +160,10 @@ type Governor struct {
 	cfg   GovernorConfig
 	table *reputation.Table
 	store ledger.Store
-	rng   *rand.Rand
-	reg   *metrics.Registry
+	// fs is store when the replica is on disk; nil in memory.
+	fs  *ledger.FileStore
+	rng *rand.Rand
+	reg *metrics.Registry
 
 	// The roster's governors in index order — their IDs and keys — and a
 	// block's recipients: the governors, then the providers.
@@ -220,9 +246,10 @@ type Governor struct {
 	applied                                *consensus.StakeBlock
 }
 
-// NewGovernor builds a governor from its configuration and restores
-// its store's latest checkpoint, if any: reputation, stakes and next
-// nonces resume where they were left.
+// NewGovernor builds a governor from its configuration, opens its
+// replica and restores the replica's latest checkpoint, if any:
+// reputation, stakes and next nonces resume where they were left. On
+// an error the replica is closed again.
 func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	table, err := reputation.NewTable(cfg.Roster.Topology, cfg.Params)
 	if err != nil {
@@ -230,10 +257,6 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	}
 	if cfg.ArgueWindow <= 0 {
 		cfg.ArgueWindow = DefaultArgueWindow
-	}
-	store := cfg.Store
-	if store == nil {
-		store = ledger.NewMemoryStore()
 	}
 	if cfg.MempoolCap < 0 {
 		return nil, fmt.Errorf("governor %s: mempool cap %d must be non-negative", cfg.Member.ID, cfg.MempoolCap)
@@ -249,14 +272,33 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	if len(stakes) != m {
 		return nil, fmt.Errorf("governor %s: %d stakes for %d governors", cfg.Member.ID, len(stakes), m)
 	}
+	if cfg.StateDir == "" && (cfg.SnapshotEvery != 0 || cfg.SegmentBytes != 0) {
+		return nil, fmt.Errorf("governor %s: snapshot cadence %d and segment bytes %d need a state directory",
+			cfg.Member.ID, cfg.SnapshotEvery, cfg.SegmentBytes)
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
+	}
+	var store ledger.Store
+	var fs *ledger.FileStore
+	if cfg.StateDir == "" {
+		store = ledger.NewMemoryStore()
+	} else {
+		fs, err = ledger.OpenFileStoreOptions(
+			filepath.Join(cfg.StateDir, fmt.Sprintf("governor-%d.chain", cfg.Member.Index)),
+			ledger.StoreOptions{SegmentBytes: cfg.SegmentBytes},
+		)
+		if err != nil {
+			return nil, fmt.Errorf("governor %s chain file: %w", cfg.Member.ID, err)
+		}
+		store = fs
 	}
 	g := &Governor{
 		cfg:             cfg,
 		table:           table,
 		store:           store,
+		fs:              fs,
 		rng:             rand.New(rand.NewSource(cfg.Seed)),
 		reg:             reg,
 		governorIDs:     identity.IDs(cfg.Roster.Governors),
@@ -295,9 +337,23 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		g.scrChecked[c] = checked.With(strconv.Itoa(c))
 	}
 	if err := g.restore(); err != nil {
+		_ = g.Close()
 		return nil, err
 	}
 	return g, nil
+}
+
+// Close releases the governor's replica without checkpointing it;
+// Checkpoint first to make the run durable. Idempotent, and a no-op in
+// memory.
+func (g *Governor) Close() error {
+	if g.fs == nil {
+		return nil
+	}
+	if err := g.fs.Close(); err != nil {
+		return fmt.Errorf("%s: %w", g.ID(), err)
+	}
+	return nil
 }
 
 // ID returns the governor's node ID.

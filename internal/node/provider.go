@@ -8,6 +8,7 @@ import (
 	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
+	"repchain/internal/metrics"
 	"repchain/internal/network"
 	"repchain/internal/tx"
 )
@@ -48,6 +49,8 @@ type Provider struct {
 	// events and round feed the tx.signed event; both are optional.
 	events *events.Log
 	round  uint64
+	// reg counts block frames Ingest skips.
+	reg *metrics.Registry
 }
 
 // pendingTx is one unsettled submission. signed is its envelope, set
@@ -71,6 +74,15 @@ type Submission struct {
 // SetEvents attaches the event log; nil detaches.
 func (p *Provider) SetEvents(l *events.Log) { p.events = l }
 
+// SetMetrics attaches the registry that counts skipped block frames
+// (node.blocks_ignored_total); nil means a private one.
+func (p *Provider) SetMetrics(reg *metrics.Registry) {
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	p.reg = reg
+}
+
 // SetRound tells the provider which round its next submissions belong
 // to, for event attribution only.
 func (p *Provider) SetRound(r uint64) { p.round = r }
@@ -83,6 +95,7 @@ func NewProvider(member identity.Member, ep *network.Endpoint, collectors, gover
 		collectorIDs: append([]identity.NodeID(nil), collectors...),
 		governorIDs:  append([]identity.NodeID(nil), governors...),
 		pending:      make(map[crypto.Hash]pendingTx),
+		reg:          metrics.NewRegistry(),
 	}
 }
 
@@ -171,6 +184,31 @@ func (p *Provider) Submit(kind string, payload []byte, isValid bool, timestamp i
 		return tx.SignedTx{}, err
 	}
 	return signed, nil
+}
+
+// Ingest consumes drained messages: each block frame is decoded and
+// observed (ObserveBlock), anything else is ignored. A frame that does
+// not decode is skipped and counted in node.blocks_ignored_total, the
+// way a governor counts one. It returns the blocks observed and the
+// argues they triggered.
+func (p *Provider) Ingest(msgs []network.Message, sender Sender) (blocks, argues int, err error) {
+	for _, m := range msgs {
+		if m.Kind != network.KindBlock {
+			continue
+		}
+		b, err := ledger.DecodeBlockBytes(m.Payload)
+		if err != nil {
+			p.reg.CounterVec("node.blocks_ignored_total", "reason").With("decode").Inc()
+			continue
+		}
+		n, err := p.ObserveBlock(b, sender)
+		argues += n
+		if err != nil {
+			return blocks, argues, err
+		}
+		blocks++
+	}
+	return blocks, argues, nil
 }
 
 // ObserveBlock scans a retrieved block for the provider's own

@@ -16,16 +16,18 @@ import (
 // The governor's half of a round (§3.1 processing phase) as steps:
 // screen the uploads, broadcast VRF tickets, elect, propose when
 // leading, adopt the block, run the stake transform (stake.go),
-// checkpoint on the snapshot cadence. They are the protocol and nothing
-// else — no I/O, no clock, no concurrency of their own. A driver hands
-// the governor the messages it drained and a Sender and decides when
-// each step runs: core.Engine steps a whole alliance in lock-step on bus
-// ticks, transport.RunNode one governor as soon as each step's inputs
-// are on file (UploadsComplete, TicketsComplete, Adopt), with a
-// wall-clock deadline for a missing one.
+// checkpoint on the snapshot cadence. They are the protocol and the
+// governor's own replica — no network, no clock, no concurrency of their
+// own: NewGovernor opens the replica and restores its checkpoint, Close
+// releases it. A driver hands the governor the messages it drained and a
+// Sender and decides only when each step runs: core.Engine steps a whole
+// alliance in lock-step on bus ticks, transport.RunNode one governor as
+// soon as each step's inputs are on file (UploadsComplete,
+// TicketsComplete, Adopt), with a wall-clock deadline for a missing one.
 //
-//	Begin → Ingest* → Screen → SendTickets → Ingest* → Elect →
-//	[Propose] → Ingest* → Adopt → (Ingest* → StakeStep)* → MaybeCheckpoint
+//	NewGovernor → (Begin → Ingest* → Screen → SendTickets → Ingest* →
+//	Elect → [Propose] → Ingest* → Adopt → (Ingest* → StakeStep)* →
+//	MaybeCheckpoint)* → Checkpoint → Close
 //
 // Ingest files ticket batches, block frames and stake messages whenever
 // they arrive and the step that needs them consumes them, so a frame
@@ -264,22 +266,21 @@ func (g *Governor) adoptStashed(leader int) error {
 // no-op for an in-memory replica. A nil reputation means the governor's
 // live table; shard re-homing passes the migrated one.
 func (g *Governor) Checkpoint(reputation []byte, prune bool) error {
-	fs, ok := g.store.(*ledger.FileStore)
-	if !ok {
+	if g.fs == nil {
 		return nil
 	}
 	if reputation == nil {
 		reputation = g.table.Snapshot()
 	}
 	app := GovernorState{Round: g.round, Reputation: reputation, Stakes: g.stakes, Nonces: g.nextNonce}.Encode()
-	if _, err := fs.WriteSnapshot(app); err != nil {
+	if _, err := g.fs.WriteSnapshot(app); err != nil {
 		return fmt.Errorf("%s snapshot: %w", g.ID(), err)
 	}
 	g.reg.Counter("ledger.snapshots_total").Inc()
 	if !prune {
 		return nil
 	}
-	n, err := fs.Prune()
+	n, err := g.fs.Prune()
 	g.reg.Counter("ledger.segments_pruned_total").Add(int64(n))
 	if err != nil {
 		return fmt.Errorf("%s prune: %w", g.ID(), err)
@@ -288,16 +289,16 @@ func (g *Governor) Checkpoint(reputation []byte, prune bool) error {
 }
 
 // MaybeCheckpoint is the snapshot cadence, called after every round:
-// once the chain has grown every blocks past the latest snapshot, it
-// checkpoints and prunes. A round that committed nothing leaves the
-// height, and so the decision, unchanged. A no-op when every ≤ 0 or
-// the replica is in memory.
-func (g *Governor) MaybeCheckpoint(every int) error {
-	fs, ok := g.store.(*ledger.FileStore)
-	if !ok || every <= 0 {
+// once the chain has grown SnapshotEvery blocks past the latest
+// snapshot, it checkpoints and prunes. A round that committed nothing
+// leaves the height, and so the decision, unchanged. A no-op when
+// SnapshotEvery ≤ 0 or the replica is in memory.
+func (g *Governor) MaybeCheckpoint() error {
+	every := g.cfg.SnapshotEvery
+	if g.fs == nil || every <= 0 {
 		return nil
 	}
-	if anchor, _, _ := fs.SnapshotAnchor(); fs.Height() < anchor+uint64(every) {
+	if anchor, _, _ := g.fs.SnapshotAnchor(); g.fs.Height() < anchor+uint64(every) {
 		return nil
 	}
 	return g.Checkpoint(nil, true)
@@ -309,11 +310,10 @@ func (g *Governor) MaybeCheckpoint(every int) error {
 // is an error: re-trusting every collector equally would be a silent
 // reputation reset.
 func (g *Governor) restore() error {
-	fs, ok := g.store.(*ledger.FileStore)
-	if !ok {
+	if g.fs == nil {
 		return nil
 	}
-	snap, found := fs.LatestSnapshot()
+	snap, found := g.fs.LatestSnapshot()
 	if !found || len(snap.App) == 0 {
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -64,6 +65,7 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 		}
 		gov, err := NewGovernor(cfg)
 		a.check(err)
+		t.Cleanup(func() { _ = gov.Close() })
 		a.govs = append(a.govs, gov)
 	}
 	return a
@@ -303,43 +305,38 @@ func TestRoundElectReportsLeader(t *testing.T) {
 	}
 }
 
-// fileStores is a newAlliance configure that backs governor j's
-// ledger with a file store in dir/j.
-func fileStores(t *testing.T, dir string) func(j int, cfg *GovernorConfig) {
-	return func(j int, cfg *GovernorConfig) {
-		fs, err := ledger.OpenFileStore(filepath.Join(dir, fmt.Sprint(j)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = fs.Close() })
-		cfg.Store = fs
-	}
+// onDisk is a newAlliance configure that keeps every governor's replica
+// under dir.
+func onDisk(dir string) func(j int, cfg *GovernorConfig) {
+	return func(_ int, cfg *GovernorConfig) { cfg.StateDir = dir }
 }
 
 // TestRoundCheckpointCadence: MaybeCheckpoint snapshots once the chain
-// has grown the cadence past the last snapshot, and a second call at
-// an unchanged height — a round that committed nothing — writes none.
+// has grown SnapshotEvery blocks past the last snapshot, and a second
+// call at an unchanged height — a round that committed nothing — writes
+// none.
 func TestRoundCheckpointCadence(t *testing.T) {
-	a := newAlliance(t, fileStores(t, t.TempDir()))
+	dir := t.TempDir()
+	a := newAlliance(t, func(_ int, cfg *GovernorConfig) { cfg.StateDir, cfg.SnapshotEvery = dir, 2 })
 	snapshots := a.reg.Counter("ledger.snapshots_total")
 	for round, want := range []int64{0, 1, 1, 2} {
 		a.runRound()
-		a.check(a.govs[0].MaybeCheckpoint(2))
+		a.check(a.govs[0].MaybeCheckpoint())
 		if got := snapshots.Value(); got != want {
 			t.Fatalf("after round %d: ledger.snapshots_total = %d, want %d", round+1, got, want)
 		}
 	}
-	a.check(a.govs[0].MaybeCheckpoint(2))
+	a.check(a.govs[0].MaybeCheckpoint())
 	if got := snapshots.Value(); got != 2 {
 		t.Fatalf("second call at height 4: ledger.snapshots_total = %d, want 2", got)
 	}
 }
 
-// TestRoundCheckpointRestoreRoundTrip: Checkpoint, reopen the store,
-// build a governor over it — reputation, stakes and next nonces come
-// back bit for bit, with no call but the constructor.
+// TestRoundCheckpointRestoreRoundTrip: Checkpoint, Close, build a second
+// governor over the same StateDir — reputation, stakes and next nonces
+// come back bit for bit, with no call but the constructor.
 func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
-	open := fileStores(t, t.TempDir())
+	open := onDisk(t.TempDir())
 	a := newAlliance(t, open)
 	a.check(a.govs[1].TransferStake(0, 1, a.bus))
 	a.runRound()
@@ -352,7 +349,7 @@ func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal("a fresh table already equals the checkpointed one; test vacuous")
 	}
 	a.check(a.govs[0].Checkpoint(nil, true))
-	a.check(a.govs[0].Store().(*ledger.FileStore).Close())
+	a.check(a.govs[0].Close())
 
 	b := newAlliance(t, open)
 	if !bytes.Equal(b.govs[0].Table().Snapshot(), want) {
@@ -360,6 +357,74 @@ func TestRoundCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	if got := fmt.Sprint(b.govs[0].Stakes(), b.govs[0].nextNonce); got != "[2 1 1] [0 1 0]" {
 		t.Fatalf("restored stakes and next nonces %s, want [2 1 1] [0 1 0]", got)
+	}
+}
+
+// TestReplicaCorruptCheckpointFailsNewGovernor: a checkpoint that does
+// not decode fails NewGovernor with an error naming the governor, and
+// the replica it opened is closed again.
+func TestReplicaCorruptCheckpointFailsNewGovernor(t *testing.T) {
+	dir := t.TempDir()
+	a := newAlliance(t, onDisk(dir))
+	a.runRound() // gives the replica an open chain segment
+	cfg := a.govs[0].cfg
+	for _, g := range a.govs {
+		a.check(g.Checkpoint(nil, false))
+		a.check(g.Close())
+	}
+	fs, err := ledger.OpenFileStore(filepath.Join(dir, "governor-0.chain"))
+	a.check(err)
+	_, err = fs.WriteSnapshot([]byte("not a governor state"))
+	a.check(err)
+	a.check(fs.Close())
+
+	before := openFiles(t)
+	if _, err := NewGovernor(cfg); err == nil || !strings.Contains(err.Error(), "governor/0") {
+		t.Fatalf("NewGovernor() over a corrupt checkpoint = %v, want an error naming governor/0", err)
+	}
+	if after := openFiles(t); after != before {
+		t.Fatalf("%d open files after the failed NewGovernor, %d before: its replica was left open", after, before)
+	}
+}
+
+// openFiles counts this process's open file descriptors; it skips the
+// test where /proc/self/fd does not exist.
+func openFiles(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(fds)
+}
+
+// TestReplicaCloseTwice: Close is idempotent, on disk and in memory.
+func TestReplicaCloseTwice(t *testing.T) {
+	for _, dir := range []string{t.TempDir(), ""} {
+		a := newAlliance(t, onDisk(dir))
+		a.runRound()
+		for i := 0; i < 2; i++ {
+			if err := a.govs[0].Close(); err != nil {
+				t.Fatalf("StateDir %q: Close() #%d = %v", dir, i+1, err)
+			}
+		}
+	}
+}
+
+// TestReplicaCadenceNeedsStateDir: a snapshot cadence or segment size
+// without a directory to apply it to is refused, not ignored.
+func TestReplicaCadenceNeedsStateDir(t *testing.T) {
+	a := newAlliance(t, nil)
+	for _, set := range []func(*GovernorConfig){
+		func(cfg *GovernorConfig) { cfg.SnapshotEvery = 2 },
+		func(cfg *GovernorConfig) { cfg.SegmentBytes = 512 },
+	} {
+		cfg := a.govs[0].cfg
+		set(&cfg)
+		if _, err := NewGovernor(cfg); err == nil || !strings.Contains(err.Error(), "state directory") {
+			t.Fatalf("SnapshotEvery %d, SegmentBytes %d, no StateDir: NewGovernor() = %v, want an error naming the state directory",
+				cfg.SnapshotEvery, cfg.SegmentBytes, err)
+		}
 	}
 }
 

@@ -1,16 +1,13 @@
 package transport
 
 import (
-	"fmt"
 	"log/slog"
 	"math/rand"
-	"path/filepath"
 	"time"
 
 	"repchain/internal/consensus"
 	"repchain/internal/events"
 	"repchain/internal/identity"
-	"repchain/internal/ledger"
 	"repchain/internal/metrics"
 	"repchain/internal/network"
 	"repchain/internal/node"
@@ -190,10 +187,11 @@ type RuntimeConfig struct {
 	// governor's chain directory each time its chain has grown N
 	// blocks past the last one, and prunes segments behind it,
 	// bounding both restart replay and disk usage. Zero disables
-	// snapshots.
+	// snapshots. A governor refuses it without StateDir.
 	SnapshotEvery int
 	// SegmentBytes overrides the chain segment roll threshold in
-	// bytes; zero keeps the ledger default (4 MiB).
+	// bytes; zero keeps the ledger default (4 MiB). A governor refuses
+	// it without StateDir.
 	SegmentBytes int64
 }
 
@@ -259,10 +257,8 @@ func runProvider(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	prov := node.NewProvider(me, nil, linked, identity.IDs(roster.Governors))
 	prov.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
-	// A block frame that does not decode is skipped, and counted the
-	// way a governor counts one.
-	undecodable := ep.Metrics().CounterVec("node.blocks_ignored_total", "reason").With("decode")
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(me.Index)))
+	prov.SetMetrics(ep.Metrics())
+	rng := rand.New(rand.NewSource(node.Seed(cfg.Seed, me)))
 
 	report := Report{Role: "provider"}
 	sender := frameSender{ep: ep, failures: &report.SendFailures}
@@ -287,22 +283,8 @@ func runProvider(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 		// Adopt the round's block and argue: from the broadcast until a
 		// block shows up or the round ends.
 		_, err := await(ep, cfg.Clock.at(round+1, 0), func() (bool, error) {
-			observed := false
-			for _, f := range ep.Receive() {
-				if f.Kind != network.KindBlock {
-					continue
-				}
-				b, err := ledger.DecodeBlockBytes(f.Payload)
-				if err != nil {
-					undecodable.Inc()
-					continue
-				}
-				if _, err := prov.ObserveBlock(b, sender); err != nil {
-					return false, err
-				}
-				observed = true
-			}
-			return observed, nil
+			blocks, _, err := prov.Ingest(toNetworkMessages(ep.Receive()), sender)
+			return blocks > 0, err
 		})
 		if err != nil {
 			return report, err
@@ -321,7 +303,7 @@ func runCollector(cfg RuntimeConfig, roster *identity.Roster, me identity.Member
 	}
 	defer func() { _ = ep.Close() }()
 
-	coll := node.NewCollector(me, nil, roster, cfg.Validator, node.HonestBehavior{}, cfg.Seed+int64(100+me.Index))
+	coll := node.NewCollector(me, nil, roster, cfg.Validator, node.HonestBehavior{}, node.Seed(cfg.Seed, me))
 	coll.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
 
@@ -347,18 +329,6 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	}
 	defer func() { _ = ep.Close() }()
 
-	var store ledger.Store
-	if cfg.StateDir != "" {
-		fs, err := ledger.OpenFileStoreOptions(
-			filepath.Join(cfg.StateDir, fmt.Sprintf("governor-%d.chain", me.Index)),
-			ledger.StoreOptions{SegmentBytes: cfg.SegmentBytes},
-		)
-		if err != nil {
-			return Report{}, fmt.Errorf("governor chain file: %w", err)
-		}
-		store = fs
-		defer func() { _ = fs.Close() }()
-	}
 	// The deployment spec's stakes seed a chain with no checkpoint; a
 	// restart resumes the checkpointed ones.
 	stakes := make([]uint64, len(roster.Governors))
@@ -369,24 +339,30 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	// The governor is the protocol; this function only decides when each
 	// step runs.
 	gov, err := node.NewGovernor(node.GovernorConfig{
-		Member:      me,
-		Roster:      roster,
-		Params:      cfg.Params,
-		Validator:   cfg.Validator,
-		BlockLimit:  cfg.BlockLimit,
-		ArgueWindow: node.DefaultArgueWindow,
-		Seed:        cfg.Seed + int64(200+me.Index),
-		Stakes:      stakes,
-		Store:       store,
-		MempoolCap:  cfg.MempoolCap,
-		Metrics:     cfg.Metrics,
-		Events:      cfg.Events,
+		Member:        me,
+		Roster:        roster,
+		Params:        cfg.Params,
+		Validator:     cfg.Validator,
+		BlockLimit:    cfg.BlockLimit,
+		ArgueWindow:   node.DefaultArgueWindow,
+		Seed:          node.Seed(cfg.Seed, me),
+		Stakes:        stakes,
+		StateDir:      cfg.StateDir,
+		SegmentBytes:  cfg.SegmentBytes,
+		SnapshotEvery: cfg.SnapshotEvery,
+		MempoolCap:    cfg.MempoolCap,
+		Metrics:       cfg.Metrics,
+		Events:        cfg.Events,
 	})
 	if err != nil {
 		return Report{}, err
 	}
-	// Leave a checkpoint as fresh as the run (a no-op without StateDir).
-	defer func() { _ = gov.Checkpoint(nil, false) }()
+	// Leave a checkpoint as fresh as the run (a no-op without StateDir),
+	// then release the replica.
+	defer func() {
+		_ = gov.Checkpoint(nil, false)
+		_ = gov.Close()
+	}()
 	instrumentEndpoint(ep, cfg)
 
 	// Resume round numbering from a persisted chain (all governors in
@@ -486,7 +462,7 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 		height := gov.Store().Height()
 		cfg.Health.SetHeight(string(cfg.ID), height)
 		heightG.Set(float64(height))
-		if err := gov.MaybeCheckpoint(cfg.SnapshotEvery); err != nil {
+		if err := gov.MaybeCheckpoint(); err != nil {
 			return report, err
 		}
 		report.Rounds++

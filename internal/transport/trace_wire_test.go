@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repchain/internal/codec"
+	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/network"
 	"repchain/internal/node"
@@ -191,11 +192,13 @@ func TestEndpointPropagationOff(t *testing.T) {
 func TestTraceIDOfProviderFrame(t *testing.T) {
 	prov := mustRoster(t, testDeployment(t, 1, 1, 1, 1)).Providers[0]
 	txs := make([]tx.Transaction, 3)
+	ids := make([]crypto.Hash, len(txs))
 	for i := range txs {
 		txs[i] = tx.Transaction{Provider: prov.ID, Seq: uint64(i + 1), Kind: "k", Payload: []byte{1}}
+		ids[i] = txs[i].ID()
 	}
-	signed := tx.SignBatch(txs, prov.PrivateKey)
-	one := tx.SignBatch(txs[:1], prov.PrivateKey)
+	signed := tx.SignLeaves(txs, ids, prov.PrivateKey)
+	one := tx.SignLeaves(txs[:1], ids[:1], prov.PrivateKey)
 	for name, c := range map[string]struct {
 		payload []byte
 		want    string

@@ -64,21 +64,10 @@ func (b *Batch) WireSizeBound() int {
 	return 24 + len(b.Provider) + len(b.Sig) + crypto.HashSize*len(b.Leaves)
 }
 
-// SignBatch signs txs, all authored by txs[0].Provider, as one batch
-// under key: one signature for the lot. The envelopes share the batch.
-func SignBatch(txs []Transaction, key crypto.PrivateKey) []SignedTx {
-	if len(txs) == 0 {
-		return nil
-	}
-	b := newBatch(txs[0].Provider, len(txs))
-	for i, t := range txs {
-		b.Leaves[i] = t.ID()
-	}
-	return b.sign(txs, key)
-}
-
-// SignLeaves is SignBatch for a caller that already holds the IDs:
-// ids[i] must be txs[i].ID(). Neither slice is retained.
+// SignLeaves signs txs, all authored by txs[0].Provider, as one batch
+// under key: one signature over the Merkle root of their IDs, ids[i]
+// being txs[i].ID(). The envelopes share the batch; neither slice is
+// retained.
 func SignLeaves(txs []Transaction, ids []crypto.Hash, key crypto.PrivateKey) []SignedTx {
 	if len(txs) == 0 {
 		return nil

@@ -11,6 +11,16 @@ import (
 	"repchain/internal/identity"
 )
 
+// signBatch signs txs as one batch under key (SignLeaves with the IDs
+// computed here).
+func signBatch(txs []Transaction, key crypto.PrivateKey) []SignedTx {
+	ids := make([]crypto.Hash, len(txs))
+	for i, t := range txs {
+		ids[i] = t.ID()
+	}
+	return SignLeaves(txs, ids, key)
+}
+
 // sampleBatchTxs returns n transactions of provider/0 starting at seq.
 func sampleBatchTxs(n int, seq uint64) []Transaction {
 	txs := make([]Transaction, n)
@@ -44,8 +54,8 @@ func resign(b *Batch, provider identity.NodeID, key crypto.PrivateKey) {
 func TestProviderBatchTamper(t *testing.T) {
 	pub, priv := testKey(t, 1)
 	_, otherKey := testKey(t, 3)
-	batchA := SignBatch(sampleBatchTxs(4, 1), priv)
-	batchB := SignBatch(sampleBatchTxs(4, 100), priv)
+	batchA := signBatch(sampleBatchTxs(4, 1), priv)
+	batchB := signBatch(sampleBatchTxs(4, 100), priv)
 	for _, s := range append(batchA, batchB...) {
 		if err := s.VerifyProvider(pub); err != nil {
 			t.Fatalf("untouched leaf %d: %v", s.Index, err)
@@ -93,7 +103,7 @@ func TestProviderBatchTamper(t *testing.T) {
 // that batch once.
 func TestBatchSignedOnce(t *testing.T) {
 	pub, priv := testKey(t, 1)
-	signed := SignBatch(sampleBatchTxs(32, 1), priv)
+	signed := signBatch(sampleBatchTxs(32, 1), priv)
 	for i, s := range signed {
 		if s.Batch != signed[0].Batch || s.Index != i || s.Batch.Leaves[i] != s.ID() {
 			t.Fatalf("envelope %d: index %d, shared batch %v", i, s.Index, s.Batch == signed[0].Batch)
@@ -122,7 +132,7 @@ func TestBatchSignedOnce(t *testing.T) {
 // its input shares memory.
 func TestBatchTableByContent(t *testing.T) {
 	_, priv := testKey(t, 1)
-	signed := SignBatch(sampleBatchTxs(3, 1), priv)
+	signed := signBatch(sampleBatchTxs(3, 1), priv)
 	copied := cloneBatch(signed[1])
 	mixed := []SignedTx{signed[0], copied, signed[2]}
 	if a, b := EncodeListBytes(signed), EncodeListBytes(mixed); !bytes.Equal(a, b) {
@@ -153,11 +163,11 @@ func TestBatchTableByContent(t *testing.T) {
 func FuzzProviderBatchDecode(f *testing.F) {
 	_, priv := testKey(f, 1)
 	f.Add(EncodeListBytes(nil))
-	f.Add(EncodeListBytes(SignBatch(sampleBatchTxs(1, 1), priv)))
-	thirtyTwo := EncodeListBytes(SignBatch(sampleBatchTxs(32, 1), priv))
+	f.Add(EncodeListBytes(signBatch(sampleBatchTxs(1, 1), priv)))
+	thirtyTwo := EncodeListBytes(signBatch(sampleBatchTxs(32, 1), priv))
 	f.Add(thirtyTwo)
 	f.Add(thirtyTwo[:len(thirtyTwo)/2])
-	two := append(SignBatch(sampleBatchTxs(2, 1), priv), SignBatch(sampleBatchTxs(2, 9), priv)...)
+	two := append(signBatch(sampleBatchTxs(2, 1), priv), signBatch(sampleBatchTxs(2, 9), priv)...)
 	f.Add(EncodeListBytes([]SignedTx{two[2], two[0], two[3], two[1]}))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		list, err := DecodeListBytes(p)

@@ -195,7 +195,7 @@ type SignedTx struct {
 
 // Sign produces the provider envelope for t: a batch of one.
 func Sign(t Transaction, key crypto.PrivateKey) SignedTx {
-	return SignBatch([]Transaction{t}, key)[0]
+	return SignLeaves([]Transaction{t}, []crypto.Hash{t.ID()}, key)[0]
 }
 
 // CheckLeaf reports whether s is the leaf it claims to be — its batch
@@ -304,23 +304,6 @@ func SignLabel(s SignedTx, l Label, collector identity.NodeID, key crypto.Privat
 	lt.EncodeSigning(&e)
 	lt.Sig = key.Sign(e.Bytes())
 	return lt, nil
-}
-
-// VerifyCollector checks the collector signature against pub. This is
-// the collector half of the paper's verify(d, m); link membership is
-// checked separately against the roster.
-func (lt LabeledTx) VerifyCollector(pub crypto.PublicKey) error {
-	if !lt.Label.Valid() {
-		return fmt.Errorf("label %d on %s: %w", lt.Label, lt.ID().Short(), ErrBadLabel)
-	}
-	e := codec.GetEncoder(160 + len(lt.Signed.Tx.Payload))
-	lt.EncodeSigning(e)
-	err := crypto.CachedVerify(pub, e.Bytes(), lt.Sig)
-	e.Release()
-	if err != nil {
-		return fmt.Errorf("collector signature on %s: %w", lt.ID().Short(), ErrBadSignature)
-	}
-	return nil
 }
 
 // ID returns the inner transaction's identifier.

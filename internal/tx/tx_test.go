@@ -181,9 +181,16 @@ func TestSignLabelVerifyCollector(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SignLabel() error = %v", err)
 	}
-	if err := lt.VerifyCollector(collPub); err != nil {
-		t.Fatalf("VerifyCollector() error = %v", err)
+	if err := verifyLabel(lt, collPub); err != nil {
+		t.Fatalf("collector signature: %v", err)
 	}
+}
+
+// verifyLabel checks lt's collector signature over its signing bytes.
+func verifyLabel(lt LabeledTx, pub crypto.PublicKey) error {
+	e := codec.Wrap(nil)
+	lt.EncodeSigning(&e)
+	return pub.Verify(e.Bytes(), lt.Sig)
 }
 
 func TestSignLabelRejectsBadLabel(t *testing.T) {
@@ -205,8 +212,8 @@ func TestVerifyCollectorRejectsLabelFlip(t *testing.T) {
 	}
 	// An equivocating relay flips the label after signing: reject.
 	lt.Label = LabelInvalid
-	if err := lt.VerifyCollector(collPub); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("VerifyCollector(flipped) error = %v, want ErrBadSignature", err)
+	if err := verifyLabel(lt, collPub); !errors.Is(err, crypto.ErrBadSignature) {
+		t.Fatalf("flipped label: collector signature error = %v, want ErrBadSignature", err)
 	}
 }
 
@@ -219,8 +226,8 @@ func TestVerifyCollectorRejectsCollectorSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt.Collector = "collector/9" // claim someone else uploaded it
-	if err := lt.VerifyCollector(collPub); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("VerifyCollector(swapped) error = %v, want ErrBadSignature", err)
+	if err := verifyLabel(lt, collPub); !errors.Is(err, crypto.ErrBadSignature) {
+		t.Fatalf("swapped collector: collector signature error = %v, want ErrBadSignature", err)
 	}
 }
 
