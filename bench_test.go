@@ -6,6 +6,7 @@
 package repchain_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repchain"
@@ -13,7 +14,7 @@ import (
 )
 
 // txPerRound is the measured round's size: the 32-transaction round
-// every budget below and the benchmark share.
+// every budget below and the benchmark's smaller size share.
 const txPerRound = 32
 
 var benchValidator = repchain.ValidatorFunc(func(t repchain.Transaction) bool {
@@ -23,11 +24,11 @@ var benchValidator = repchain.ValidatorFunc(func(t repchain.Transaction) bool {
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
 
-// submitRound submits round i's transactions, three in four valid,
+// submitRound submits round i's n transactions, three in four valid,
 // spread over 8 providers.
-func submitRound(tb testing.TB, i int, submit func(int, string, []byte, bool) (repchain.TxID, error)) {
+func submitRound(tb testing.TB, i, n int, submit func(int, string, []byte, bool) (repchain.TxID, error)) {
 	tb.Helper()
-	for j := 0; j < txPerRound; j++ {
+	for j := 0; j < n; j++ {
 		valid := j%4 != 3
 		payload := []byte{0, byte(j), byte(i), byte(i >> 8)}
 		if valid {
@@ -39,8 +40,9 @@ func submitRound(tb testing.TB, i int, submit func(int, string, []byte, bool) (r
 	}
 }
 
-// chainRound builds a one-committee chain and returns its round i.
-func chainRound(tb testing.TB, opts ...repchain.Option) func(i int) {
+// chainRound builds a one-committee chain and returns its round i of n
+// transactions.
+func chainRound(tb testing.TB, n int, opts ...repchain.Option) func(i int) {
 	tb.Helper()
 	chain, err := repchain.New(append([]repchain.Option{
 		repchain.WithTopology(8, 4, 2),
@@ -54,7 +56,7 @@ func chainRound(tb testing.TB, opts ...repchain.Option) func(i int) {
 	tb.Cleanup(func() { _ = chain.Close() })
 	crypto.DefaultVerifyCache.Purge()
 	return func(i int) {
-		submitRound(tb, i, chain.Submit)
+		submitRound(tb, i, n, chain.Submit)
 		if _, err := chain.RunRound(); err != nil {
 			tb.Fatal(err)
 		}
@@ -79,7 +81,7 @@ func clusterRound(tb testing.TB) func(i int) {
 	tb.Cleanup(func() { _ = cluster.Close() })
 	crypto.DefaultVerifyCache.Purge()
 	return func(i int) {
-		submitRound(tb, i, cluster.Submit)
+		submitRound(tb, i, txPerRound, cluster.Submit)
 		if _, err := cluster.SubmitCross(0, 1, "bench/x", []byte{1, byte(i)}, true); err != nil {
 			tb.Fatal(err)
 		}
@@ -103,13 +105,13 @@ func TestRoundAllocBudgets(t *testing.T) {
 		round    func(testing.TB) func(int)
 	}{
 		{"plain", 3061, func(tb testing.TB) func(int) {
-			return chainRound(tb)
+			return chainRound(tb, txPerRound)
 		}},
 		{"tracing", 4450, func(tb testing.TB) func(int) {
-			return chainRound(tb, repchain.WithEventLog(1<<16))
+			return chainRound(tb, txPerRound, repchain.WithEventLog(1<<16))
 		}},
 		{"mempool", 3061, func(tb testing.TB) func(int) {
-			return chainRound(tb, repchain.WithMempool(256), repchain.WithBlockLimit(64))
+			return chainRound(tb, txPerRound, repchain.WithMempool(256), repchain.WithBlockLimit(64))
 		}},
 		{"committees=4", 4921, clusterRound},
 	}
@@ -132,14 +134,20 @@ func TestRoundAllocBudgets(t *testing.T) {
 	}
 }
 
-// BenchmarkFullProtocolRound is one plain 32-transaction round of the
-// whole stack — signatures, bus, screening, election, block
-// replication — kept ungated for -cpuprofile/-memprofile work.
+// BenchmarkFullProtocolRound is one plain round of the whole stack —
+// signatures, bus, screening, election, block replication — kept
+// ungated for -cpuprofile/-memprofile work. The engine steps a round's
+// nodes inline below 96 drained transactions and fans them out from
+// there, so the two sizes profile one path each.
 func BenchmarkFullProtocolRound(b *testing.B) {
-	round := chainRound(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round(i)
+	for _, n := range []int{txPerRound, 128} {
+		b.Run(fmt.Sprintf("tx=%d", n), func(b *testing.B) {
+			round := chainRound(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round(i)
+			}
+		})
 	}
 }

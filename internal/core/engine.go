@@ -171,6 +171,9 @@ type Engine struct {
 	ingress    *mempool.Pool[ingressTx]
 	closed     bool
 	mpAdmitted *metrics.Counter
+	// drained is how many submissions the current round's drain took;
+	// it sizes the round's fan-outs (workers).
+	drained int
 }
 
 // ingressTx is one staged submission: the provider, the transaction
@@ -482,6 +485,7 @@ func (e *Engine) MempoolDepth() int { return e.ingress.Len() }
 // drained. The rest stays queued for later rounds.
 func (e *Engine) drainIngress() error {
 	drained := e.ingress.Drain(e.cfg.BlockLimit)
+	e.drained = len(drained)
 	if len(drained) == 0 {
 		return nil
 	}
@@ -524,13 +528,14 @@ func (e *Engine) SubmitStakeTransfer(from, to int, amount uint64) error {
 
 // stepGovernors is the engine's lock-step drive of the governors' steps:
 // every live governor ingests its drained endpoint and then runs step,
-// in parallel — each touches only its own endpoint, state and send
-// buffer, so the outcome is independent of the worker count. Down
+// over fanOut's workers — each touches only its own endpoint, state and
+// send buffer, so the outcome is independent of the worker count. Down
 // governors are skipped; their inbox was purged at crash time and the
 // bus drops anything new while they stay down. Every governor verifies
 // every upload's signatures in Ingest; the shared verification cache
-// turns the m-fold duplicate checks into hits, which is why the round's
-// long pole is the upload stage before it, not this.
+// turns the m-fold duplicate checks into hits, but the first governor
+// to reach an upload still pays for it, so on a busy round screening
+// takes longer than the upload stage before it.
 func (e *Engine) stepGovernors(step func(j int, g *node.Governor, out node.Sender) error) error {
 	return e.fanOut(len(e.governors), func(j int, out node.Sender) error {
 		if e.governorDown[j] {
@@ -825,18 +830,25 @@ func (e *Engine) checkAgreement(s uint64) error {
 	ref := -1
 	var refHash crypto.Hash
 	for j := range e.governors {
-		if e.governors[j].Store().Height() < s {
+		store := e.governors[j].Store()
+		height := store.Height()
+		if height < s {
 			continue
 		}
-		b, err := e.governors[j].Store().Get(s)
-		if err != nil {
-			return err
+		// Right after a commit s is the head, whose hash the store keeps.
+		h := store.HeadHash()
+		if height > s {
+			b, err := store.Get(s)
+			if err != nil {
+				return err
+			}
+			h = b.Hash()
 		}
 		if ref < 0 {
-			ref, refHash = j, b.Hash()
+			ref, refHash = j, h
 			continue
 		}
-		if b.Hash() != refHash {
+		if h != refHash {
 			return fmt.Errorf("block %d differs between governors %d and %d: %w", s, ref, j, ErrDisagreement)
 		}
 	}

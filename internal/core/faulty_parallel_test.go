@@ -31,11 +31,12 @@ func faultHash(m network.Message, to identity.NodeID, salt uint64) uint64 {
 	return h
 }
 
-// faultyTrace runs rounds with a deterministic DelayFunc (spreads
-// deliveries across [0, Δ]) and a deterministic DropFunc (loses ~5% of
-// upload traffic) installed together, and records every per-round
-// outcome.
-func faultyTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
+// faultyTrace runs rounds of n transactions with a deterministic
+// DelayFunc (spreads deliveries across [0, Δ]) and a deterministic
+// DropFunc (loses ~5% of upload traffic) installed together, and
+// records every per-round outcome. Rounds of at least fanOutFloor
+// transactions must fan out.
+func faultyTrace(t *testing.T, seed int64, procs, rounds, n int) roundTrace {
 	t.Helper()
 	cfg := defaultConfig()
 	cfg.Seed = seed
@@ -49,8 +50,9 @@ func faultyTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
 	})
 	var tr roundTrace
 	for r := 0; r < rounds; r++ {
-		submitRound(t, e, 12, r, 3)
+		submitRound(t, e, n, r, 3)
 		res, err := e.RunRound()
+		checkFanOut(t, e, procs, n >= fanOutFloor)
 		if err != nil {
 			if errors.Is(err, ErrRoundAborted) {
 				tr.hashes = append(tr.hashes, crypto.Hash{})
@@ -72,14 +74,22 @@ func faultyTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
 // TestParallelMatchesSequentialUnderFaults extends the determinism
 // gate to the faulty path: with delay and drop hooks installed, the
 // parallel pipeline must still be byte-identical to the sequential
-// one — same commits, same leaders, same reputation state.
+// one — same commits, same leaders, same reputation state — both for
+// rounds that step their nodes inline and for rounds that fan out.
 func TestParallelMatchesSequentialUnderFaults(t *testing.T) {
 	const rounds = 6
-	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			want := faultyTrace(t, seed, 1, rounds)
-			got := faultyTrace(t, seed, 4, rounds)
+	for _, tc := range []struct {
+		seed int64
+		n    int
+	}{{1, 12}, {7, 12}, {42, 12}, {1, fanOutFloor + 12}, {42, fanOutFloor + 12}} {
+		seed := tc.seed
+		name := fmt.Sprintf("seed=%d", seed)
+		if tc.n >= fanOutFloor {
+			name += "/" + shapeWide
+		}
+		t.Run(name, func(t *testing.T) {
+			want := faultyTrace(t, seed, 1, rounds, tc.n)
+			got := faultyTrace(t, seed, 4, rounds, tc.n)
 			for r := range want.hashes {
 				if got.hashes[r] != want.hashes[r] || got.leaders[r] != want.leaders[r] {
 					t.Fatalf("GOMAXPROCS=4 round %d diverges under faults", r)

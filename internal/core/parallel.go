@@ -7,16 +7,30 @@ import (
 	"repchain/internal/par"
 )
 
-// fanOut runs fn(i, out) for every i in [0, n) across one goroutine
-// per logical CPU, each call writing to a private sendBuffer, and then
+// fanOutFloor is the drained-transaction count below which a round's
+// node steps all run on the engine goroutine: under it a step is too
+// small to pay for the hand-off. On a 2-core Xeon (8 providers, m = 3,
+// in memory) inline rounds took the same wall time as fanned-out ones
+// up to 64 tx/round and 20–25 % less CPU; from 96 up the fan-out won
+// every run, at 96 and 128 by more than the interquartile spread of
+// the inline runs. DESIGN §4a has the sweep.
+const fanOutFloor = 96
+
+// workers is the goroutine budget of this round's fan-outs: one per
+// logical CPU once the round drained fanOutFloor transactions, else 1.
+// It is read from the drain, so a shard.Cluster committee decides from
+// its own traffic.
+func (e *Engine) workers() int { return par.Procs(e.drained, fanOutFloor) }
+
+// fanOut runs fn(i, out) for every i in [0, n) across e.workers()
+// goroutines, each call writing to a private sendBuffer, and then
 // replays the buffers onto the bus in index order. Every parallel stage
 // of a round sends this way; sendBuffer says why that keeps it
-// byte-identical at any GOMAXPROCS. The Validator must therefore be
+// byte-identical at any worker count. The Validator must therefore be
 // safe for concurrent use (pure functions are).
 func (e *Engine) fanOut(n int, fn func(i int, out node.Sender) error) error {
 	out := make([]sendBuffer, n)
-	// No floor: a node step is always worth a goroutine.
-	if err := par.RunIndexed(par.Procs(0, 0), n, func(i int) error { return fn(i, &out[i]) }); err != nil {
+	if err := par.RunIndexed(e.workers(), n, func(i int) error { return fn(i, &out[i]) }); err != nil {
 		return err
 	}
 	for i := range out {

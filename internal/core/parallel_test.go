@@ -12,6 +12,7 @@ import (
 	"repchain/internal/identity"
 	"repchain/internal/network"
 	"repchain/internal/node"
+	"repchain/internal/par"
 )
 
 // roundTrace captures everything observable about one run that could
@@ -35,18 +36,29 @@ func batchFor(round, n int) []node.Submission {
 	return items
 }
 
-// runTrace executes `rounds` rounds with mixed valid/invalid traffic
-// and one stake transfer, under the given seed and GOMAXPROCS. The
-// mixed shape submits a round one transaction at a time over the
-// providers plus one 24-transaction batch; the one-by-one shape
-// submits 36 transactions one at a time under a block limit of 20, so
-// every drain signs several providers' shares concurrently and the
-// limit splits one of them.
-func runTrace(t *testing.T, seed int64, procs, rounds int, oneByOne bool) roundTrace {
+// Trace shapes. The mixed shape submits a round one transaction at a
+// time over the providers plus one 24-transaction batch; the one-by-one
+// shape submits 36 transactions one at a time under a block limit of
+// 20, so every drain signs several providers' shares concurrently and
+// the limit splits one of them. Both drain fewer than fanOutFloor
+// transactions, so their rounds step every node inline; the wide shape
+// submits fanOutFloor+12 one at a time, so at GOMAXPROCS 4 its rounds
+// fan out.
+const (
+	shapeMixed    = "mixed"
+	shapeOneByOne = "one-by-one"
+	shapeWide     = "wide"
+)
+
+// runTrace executes `rounds` rounds of the given shape with mixed
+// valid/invalid traffic and one stake transfer, under the given seed
+// and GOMAXPROCS, and fails unless the rounds fan out exactly when
+// they should.
+func runTrace(t *testing.T, seed int64, procs, rounds int, shape string) roundTrace {
 	t.Helper()
 	cfg := defaultConfig()
 	cfg.Seed = seed
-	if oneByOne {
+	if shape == shapeOneByOne {
 		cfg.BlockLimit = 20
 	}
 	setProcs(t, procs)
@@ -57,9 +69,12 @@ func runTrace(t *testing.T, seed int64, procs, rounds int, oneByOne bool) roundT
 	e := newTestEngine(t, cfg)
 	var tr roundTrace
 	for r := 0; r < rounds; r++ {
-		if oneByOne {
+		switch shape {
+		case shapeOneByOne:
 			submitRound(t, e, 36, r, 3)
-		} else {
+		case shapeWide:
+			submitRound(t, e, fanOutFloor+12, r, 3)
+		default:
 			submitRound(t, e, 12, r, 3)
 			// A batch big enough that the collectors' VerifyBatch
 			// residuals fan out across goroutines.
@@ -76,6 +91,7 @@ func runTrace(t *testing.T, seed int64, procs, rounds int, oneByOne bool) roundT
 		if err != nil {
 			t.Fatalf("seed %d GOMAXPROCS %d round %d: %v", seed, procs, r, err)
 		}
+		checkFanOut(t, e, procs, shape == shapeWide)
 		tr.hashes = append(tr.hashes, res.Block.Hash())
 		tr.leaders = append(tr.leaders, res.Leader)
 	}
@@ -86,24 +102,38 @@ func runTrace(t *testing.T, seed int64, procs, rounds int, oneByOne bool) roundT
 	return tr
 }
 
+// checkFanOut fails unless the round just run stepped its nodes on
+// `procs` goroutines when wide, and inline otherwise.
+func checkFanOut(t *testing.T, e *Engine, procs int, wide bool) {
+	t.Helper()
+	want := 1
+	if wide {
+		want = procs
+	}
+	if got := e.workers(); got != want {
+		t.Fatalf("round drained %d tx at GOMAXPROCS %d and fanned out over %d workers, want %d", e.drained, procs, got, want)
+	}
+}
+
 // TestParallelMatchesSequential is the tentpole's determinism gate: the
 // pipeline must be byte-identical at GOMAXPROCS 1 and 4. Block hashes
 // transitively commit to screening decisions and records; leaders to
-// the VRF election; reputation snapshots to every weight update.
+// the VRF election; reputation snapshots to every weight update. The
+// wide shape is the one whose node steps run concurrently.
 func TestParallelMatchesSequential(t *testing.T) {
 	const rounds = 5
 	for _, tc := range []struct {
-		seed     int64
-		oneByOne bool
-	}{{1, false}, {7, false}, {42, false}, {1, true}, {42, true}} {
+		seed  int64
+		shape string
+	}{{1, shapeMixed}, {7, shapeMixed}, {42, shapeMixed}, {1, shapeOneByOne}, {42, shapeOneByOne}, {1, shapeWide}, {42, shapeWide}} {
 		seed := tc.seed
 		name := fmt.Sprintf("seed=%d", seed)
-		if tc.oneByOne {
-			name += "/one-by-one"
+		if tc.shape != shapeMixed {
+			name += "/" + tc.shape
 		}
 		t.Run(name, func(t *testing.T) {
-			want := runTrace(t, seed, 1, rounds, tc.oneByOne)
-			got := runTrace(t, seed, 4, rounds, tc.oneByOne)
+			want := runTrace(t, seed, 1, rounds, tc.shape)
+			got := runTrace(t, seed, 4, rounds, tc.shape)
 			for r := range want.hashes {
 				if got.hashes[r] != want.hashes[r] {
 					t.Fatalf("GOMAXPROCS=4 round %d block hash %s, sequential %s",
@@ -125,6 +155,37 @@ func TestParallelMatchesSequential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFanOutWorkers pins the fan-out rule: a round whose drain took
+// fewer than fanOutFloor transactions steps every node on the engine
+// goroutine, and from the floor up it uses par.Procs — whatever was
+// submitted, since a block limit caps the drain.
+func TestFanOutWorkers(t *testing.T) {
+	setProcs(t, 4)
+	for _, tc := range []struct {
+		submitted, limit, want int
+	}{
+		{0, 0, 1},
+		{fanOutFloor - 1, 0, 1},
+		{fanOutFloor, 0, par.Procs(fanOutFloor, 0)},
+		{3 * fanOutFloor, 0, par.Procs(3*fanOutFloor, 0)},
+		{fanOutFloor + 10, fanOutFloor - 1, 1},
+	} {
+		cfg := defaultConfig()
+		cfg.BlockLimit = tc.limit
+		e := newTestEngine(t, cfg)
+		submitRound(t, e, tc.submitted, 0, 3)
+		if _, err := e.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.workers(); got != tc.want {
+			t.Fatalf("%d submitted under block limit %d: %d workers, want %d", tc.submitted, tc.limit, got, tc.want)
+		}
+	}
+	if par.Procs(fanOutFloor, 0) != 4 {
+		t.Fatalf("par.Procs at GOMAXPROCS 4 = %d", par.Procs(fanOutFloor, 0))
 	}
 }
 

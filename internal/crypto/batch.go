@@ -77,6 +77,7 @@ func (c *VerifyCache) VerifyBatch(items []BatchItem) []error {
 	if len(items) == 0 {
 		return errs
 	}
+	c.batchCalls.Inc()
 
 	kinds := make([]batchSlot, len(items))
 	ents := make([]*verifyEntry, len(items))
@@ -287,6 +288,8 @@ func (c *VerifyCache) classifyBatch(kinds []batchSlot, ents []*verifyEntry, alia
 
 // BatchStats is a snapshot of the batch-path counters.
 type BatchStats struct {
+	// Calls counts VerifyBatch calls with at least one item.
+	Calls int64
 	// Hits counts batch items answered by an existing cache entry.
 	Hits int64
 	// Deduped counts duplicate triples coalesced within a single batch.
@@ -299,6 +302,7 @@ type BatchStats struct {
 // BatchStats returns the cumulative batch-path counters.
 func (c *VerifyCache) BatchStats() BatchStats {
 	return BatchStats{
+		Calls:    c.batchCalls.Value(),
 		Hits:     c.batchHits.Value(),
 		Deduped:  c.batchDeduped.Value(),
 		Verified: c.batchVerified.Value(),

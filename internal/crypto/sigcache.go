@@ -38,7 +38,8 @@ type VerifyCache struct {
 	misses metrics.Counter
 
 	// Batch-path accounting (DESIGN.md §4f), exposed via BatchStats as
-	// the sigcache.batch_* gauges.
+	// the sigcache.batch_* gauges (Calls is not published).
+	batchCalls    metrics.Counter
 	batchHits     metrics.Counter
 	batchDeduped  metrics.Counter
 	batchVerified metrics.Counter

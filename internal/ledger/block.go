@@ -174,22 +174,26 @@ func (b Block) Hash() crypto.Hash {
 	return h
 }
 
-// SignAs sets the proposer identity and signs the block hash.
-func (b *Block) SignAs(proposer identity.NodeID, key crypto.PrivateKey) {
+// SignAs sets the proposer identity, signs the block hash and returns
+// it.
+func (b *Block) SignAs(proposer identity.NodeID, key crypto.PrivateKey) crypto.Hash {
 	b.Proposer = proposer
 	h := b.Hash()
 	b.Signature = key.Sign(h[:])
+	return h
 }
 
-// VerifyProposer checks the proposer signature against pub. The check
-// runs through the shared verification cache because every replica
-// verifies the same proposer signature on the same block.
-func (b Block) VerifyProposer(pub crypto.PublicKey) error {
+// VerifyProposer checks the proposer signature against pub and returns
+// the block hash it checked, so a replica hashes the block once for the
+// signature and the chain link. The check runs through the shared
+// verification cache because every replica verifies the same proposer
+// signature on the same block.
+func (b Block) VerifyProposer(pub crypto.PublicKey) (crypto.Hash, error) {
 	h := b.Hash()
 	if err := crypto.CachedVerify(pub, h[:], b.Signature); err != nil {
-		return fmt.Errorf("block %d proposer signature: %w", b.Serial, err)
+		return h, fmt.Errorf("block %d proposer signature: %w", b.Serial, err)
 	}
-	return nil
+	return h, nil
 }
 
 // Encode appends the wire encoding of b to e.
@@ -271,27 +275,26 @@ func DecodeBlockBytes(buf []byte) (Block, error) {
 // genesis), computing the transaction root. limit is b_limit; zero
 // means unlimited.
 func NewBlock(prev *Block, records []Record, limit int) (Block, error) {
-	return NewBlockWithRoot(prev, records, limit, ComputeTxRoot(records))
+	if prev == nil {
+		return NewBlockWithRoot(0, crypto.ZeroHash, records, limit, ComputeTxRoot(records))
+	}
+	return NewBlockWithRoot(prev.Serial, prev.Hash(), records, limit, ComputeTxRoot(records))
 }
 
-// NewBlockWithRoot is NewBlock for proposers that already fed the
-// records through an incremental crypto.MerkleBuilder while packing.
-// root must equal ComputeTxRoot(records); AppendTxRoot over the same
-// record sequence guarantees it.
-func NewBlockWithRoot(prev *Block, records []Record, limit int, root crypto.Hash) (Block, error) {
+// NewBlockWithRoot is NewBlock for proposers that know their chain's
+// height and head hash (Store.Height, Store.HeadHash: 0 and ZeroHash
+// for genesis) and already fed the records through an incremental
+// crypto.MerkleBuilder while packing. root must equal
+// ComputeTxRoot(records); AppendTxRoot over the same record sequence
+// guarantees it.
+func NewBlockWithRoot(height uint64, head crypto.Hash, records []Record, limit int, root crypto.Hash) (Block, error) {
 	if limit > 0 && len(records) > limit {
 		return Block{}, fmt.Errorf("%d records with b_limit %d: %w", len(records), limit, ErrBlockTooLarge)
 	}
-	b := Block{
-		Records: append([]Record(nil), records...),
-		TxRoot:  root,
-	}
-	if prev == nil {
-		b.Serial = 1
-		b.PrevHash = crypto.ZeroHash
-	} else {
-		b.Serial = prev.Serial + 1
-		b.PrevHash = prev.Hash()
-	}
-	return b, nil
+	return Block{
+		Serial:   height + 1,
+		Records:  append([]Record(nil), records...),
+		PrevHash: head,
+		TxRoot:   root,
+	}, nil
 }

@@ -118,13 +118,17 @@ func TestBlockSignVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.SignAs("governor/1", priv)
-	if err := b.VerifyProposer(pub); err != nil {
+	signed := b.SignAs("governor/1", priv)
+	h, err := b.VerifyProposer(pub)
+	if err != nil {
 		t.Fatalf("VerifyProposer() error = %v", err)
+	}
+	if signed != b.Hash() || h != b.Hash() {
+		t.Fatalf("SignAs hash %s, VerifyProposer hash %s, block hash %s", signed.Short(), h.Short(), b.Hash().Short())
 	}
 	// Tamper after signing.
 	b.Serial = 42
-	if err := b.VerifyProposer(pub); err == nil {
+	if _, err := b.VerifyProposer(pub); err == nil {
 		t.Fatal("tampered block verified")
 	}
 }
@@ -219,6 +223,52 @@ func TestMemoryStoreHeadEmpty(t *testing.T) {
 	store := NewMemoryStore()
 	if _, err := store.Head(); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Head() error = %v, want ErrNotFound", err)
+	}
+}
+
+// TestStoreHeadHash: both stores keep their head's hash — ZeroHash on
+// an empty chain, what Block.Hash computes after every append, and
+// across a FileStore reopen — and NewBlockWithRoot over it links.
+func TestStoreHeadHash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain")
+	fs, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, store := range []Store{NewMemoryStore(), fs} {
+		if h := store.HeadHash(); !h.IsZero() {
+			t.Fatalf("%T empty HeadHash() = %s", store, h.Short())
+		}
+		blocks := buildChain(t, store, 3, 2)
+		if got, want := store.HeadHash(), blocks[2].Hash(); got != want {
+			t.Fatalf("%T HeadHash() = %s, head block hashes to %s", store, got.Short(), want.Short())
+		}
+		recs := testRecords(t, 1, 50)
+		next, err := NewBlockWithRoot(store.Height(), store.HeadHash(), recs, 0, ComputeTxRoot(recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := NewBlock(&blocks[2], recs, 0); next.Hash() != want.Hash() {
+			t.Fatalf("%T NewBlockWithRoot over the head differs from NewBlock", store)
+		}
+		if err := store.AppendHashed(next, next.Hash()); err != nil {
+			t.Fatal(err)
+		}
+		if store.HeadHash() != next.Hash() {
+			t.Fatalf("%T HeadHash() after AppendHashed is not the appended block's", store)
+		}
+	}
+	head := fs.HeadHash()
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fs2.Close() }()
+	if fs2.HeadHash() != head {
+		t.Fatalf("reopened HeadHash() = %s, want %s", fs2.HeadHash().Short(), head.Short())
 	}
 }
 

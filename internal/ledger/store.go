@@ -20,18 +20,25 @@ type Store interface {
 	// Append adds b to the chain, enforcing serial ordering and the
 	// previous-hash link.
 	Append(b Block) error
+	// AppendHashed is Append for a caller that already holds h =
+	// b.Hash(), which becomes the new HeadHash without a second encode.
+	AppendHashed(b Block, h crypto.Hash) error
 	// Get returns the block with serial number s (retrieve(s)).
 	Get(s uint64) (Block, error)
 	// Head returns the newest block, or ErrNotFound on an empty chain.
 	Head() (Block, error)
 	// Height returns the newest serial number, zero when empty.
 	Height() uint64
+	// HeadHash returns the newest block's hash, ZeroHash when empty:
+	// the PrevHash the next block carries.
+	HeadHash() crypto.Hash
 }
 
 // MemoryStore keeps the chain in memory.
 type MemoryStore struct {
-	mu     sync.RWMutex
-	blocks []Block // guarded by mu
+	mu       sync.RWMutex
+	blocks   []Block     // guarded by mu
+	headHash crypto.Hash // guarded by mu; hash of the last block
 }
 
 var _ Store = (*MemoryStore)(nil)
@@ -40,10 +47,18 @@ var _ Store = (*MemoryStore)(nil)
 func NewMemoryStore() *MemoryStore { return &MemoryStore{} }
 
 // Append implements Store.
-func (s *MemoryStore) Append(b Block) error {
+func (s *MemoryStore) Append(b Block) error { return s.AppendHashed(b, b.Hash()) }
+
+// AppendHashed implements Store.
+func (s *MemoryStore) AppendHashed(b Block, h crypto.Hash) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return appendChecked(&s.blocks, b)
+	if err := checkLink(b, uint64(len(s.blocks)), s.headHash); err != nil {
+		return err
+	}
+	s.blocks = append(s.blocks, b)
+	s.headHash = h
+	return nil
 }
 
 // Get implements Store.
@@ -70,10 +85,16 @@ func (s *MemoryStore) Height() uint64 {
 	return uint64(len(s.blocks))
 }
 
-// appendChecked enforces the No Skipping and Chain Integrity invariants
-// for the in-memory store.
-func appendChecked(blocks *[]Block, b Block) error {
-	height := uint64(len(*blocks))
+// HeadHash implements Store.
+func (s *MemoryStore) HeadHash() crypto.Hash {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.headHash
+}
+
+// checkLink enforces the No Skipping and Chain Integrity invariants for
+// appending b to a chain of the given height and head hash.
+func checkLink(b Block, height uint64, head crypto.Hash) error {
 	if b.Serial != height+1 {
 		return fmt.Errorf("append serial %d at height %d: %w", b.Serial, height, ErrBadSerial)
 	}
@@ -81,14 +102,10 @@ func appendChecked(blocks *[]Block, b Block) error {
 		if !b.PrevHash.IsZero() {
 			return fmt.Errorf("genesis block with nonzero previous hash: %w", ErrBadPrevHash)
 		}
-	} else {
-		prev := (*blocks)[height-1]
-		if b.PrevHash != prev.Hash() {
-			return fmt.Errorf("block %d previous hash %s, head is %s: %w",
-				b.Serial, b.PrevHash.Short(), prev.Hash().Short(), ErrBadPrevHash)
-		}
+	} else if b.PrevHash != head {
+		return fmt.Errorf("block %d previous hash %s, head is %s: %w",
+			b.Serial, b.PrevHash.Short(), head.Short(), ErrBadPrevHash)
 	}
-	*blocks = append(*blocks, b)
 	return nil
 }
 
@@ -522,22 +539,17 @@ func (fs *FileStore) linkBlock(b Block) error {
 }
 
 // Append implements Store, persisting the block before indexing it.
-func (fs *FileStore) Append(b Block) error {
+func (fs *FileStore) Append(b Block) error { return fs.AppendHashed(b, b.Hash()) }
+
+// AppendHashed implements Store.
+func (fs *FileStore) AppendHashed(b Block, h crypto.Hash) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 
 	// Validate against the head state first so a bad block never
 	// reaches disk.
-	if b.Serial != fs.height+1 {
-		return fmt.Errorf("append serial %d at height %d: %w", b.Serial, fs.height, ErrBadSerial)
-	}
-	if fs.height == 0 {
-		if !b.PrevHash.IsZero() {
-			return fmt.Errorf("genesis block with nonzero previous hash: %w", ErrBadPrevHash)
-		}
-	} else if b.PrevHash != fs.headHash {
-		return fmt.Errorf("block %d previous hash %s, head is %s: %w",
-			b.Serial, b.PrevHash.Short(), fs.headHash.Short(), ErrBadPrevHash)
+	if err := checkLink(b, fs.height, fs.headHash); err != nil {
+		return err
 	}
 
 	enc := b.EncodeBytes()
@@ -556,7 +568,7 @@ func (fs *FileStore) Append(b Block) error {
 	seg.size += frameLen
 
 	fs.height = b.Serial
-	fs.headHash = b.Hash()
+	fs.headHash = h
 	fs.headBlk, fs.headOK = b, true
 	return nil
 }
@@ -686,6 +698,14 @@ func (fs *FileStore) Height() uint64 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.height
+}
+
+// HeadHash implements Store. After a prune that left no block it is the
+// snapshot's head hash.
+func (fs *FileStore) HeadHash() crypto.Hash {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	return fs.headHash
 }
 
 // FirstAvailable implements PrunedStore.

@@ -870,22 +870,17 @@ func (g *Governor) buildBlock(records []ledger.Record) (ledger.Block, error) {
 	}
 	enc.Release()
 	records = fresh
-	head, err := g.store.Head()
-	var prev *ledger.Block
-	if err == nil {
-		prev = &head
-	}
-	b, err := ledger.NewBlockWithRoot(prev, records, g.cfg.BlockLimit, g.merkle.Root())
+	b, err := ledger.NewBlockWithRoot(g.store.Height(), g.store.HeadHash(), records, g.cfg.BlockLimit, g.merkle.Root())
 	if err != nil {
 		return ledger.Block{}, fmt.Errorf("governor %s build block: %w", g.cfg.Member.ID, err)
 	}
-	b.SignAs(g.cfg.Member.ID, g.cfg.Member.PrivateKey)
+	h := b.SignAs(g.cfg.Member.ID, g.cfg.Member.PrivateKey)
 	if g.events != nil {
 		node := string(g.cfg.Member.ID)
 		g.events.Emit(events.TypeBlockPacked, "", g.round, node,
 			slog.Uint64("serial", b.Serial),
 			slog.Int("records", len(b.Records)),
-			slog.String("hash", b.Hash().Short()))
+			slog.String("hash", h.Short()))
 		for _, rec := range b.Records {
 			g.events.Emit(events.TypeTxPacked, rec.Signed.ID().String(), g.round, node,
 				slog.Uint64("serial", b.Serial),
@@ -904,32 +899,38 @@ func (g *Governor) buildBlock(records []ledger.Record) (ledger.Block, error) {
 // proposer was the round's elected leader is the caller's check. A
 // redelivery of an already-committed block (same serial, same hash — a
 // duplicated network message) is accepted idempotently; a different
-// block at a committed serial is a fork and fails with ErrFork.
+// block at a committed serial is a fork and fails with ErrFork. The
+// block is hashed once, for the signature and the chain link both.
 func (g *Governor) AcceptBlock(b ledger.Block) error {
 	proposer, ok := g.cfg.Roster.Member(b.Proposer, identity.RoleGovernor)
 	if !ok {
 		return fmt.Errorf("governor %s: block %d proposed by %q, not a governor: %w",
 			g.cfg.Member.ID, b.Serial, b.Proposer, ErrBadMessage)
 	}
-	if err := b.VerifyProposer(proposer.PublicKey); err != nil {
+	h, err := b.VerifyProposer(proposer.PublicKey)
+	if err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
 	}
 	if limit := g.cfg.BlockLimit; limit > 0 && len(b.Records) > limit {
 		return fmt.Errorf("governor %s: block %d has %d records with b_limit %d: %w",
 			g.cfg.Member.ID, b.Serial, len(b.Records), limit, ledger.ErrBlockTooLarge)
 	}
-	if b.Serial >= 1 && b.Serial <= g.store.Height() {
-		committed, err := g.store.Get(b.Serial)
-		if err != nil {
-			return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
+	if height := g.store.Height(); b.Serial >= 1 && b.Serial <= height {
+		committed := g.store.HeadHash()
+		if b.Serial < height {
+			blk, err := g.store.Get(b.Serial)
+			if err != nil {
+				return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
+			}
+			committed = blk.Hash()
 		}
-		if committed.Hash() == b.Hash() {
+		if committed == h {
 			return nil
 		}
 		return fmt.Errorf("governor %s: block %d hash %s, committed %s: %w",
-			g.cfg.Member.ID, b.Serial, b.Hash().Short(), committed.Hash().Short(), ErrFork)
+			g.cfg.Member.ID, b.Serial, h.Short(), committed.Short(), ErrFork)
 	}
-	if err := g.store.Append(b); err != nil {
+	if err := g.store.AppendHashed(b, h); err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
 	}
 	for _, rec := range b.Records {
@@ -943,7 +944,7 @@ func (g *Governor) AcceptBlock(b ledger.Block) error {
 			slog.Uint64("serial", b.Serial),
 			slog.Int("records", len(b.Records)),
 			slog.String("proposer", string(b.Proposer)),
-			slog.String("hash", b.Hash().Short()))
+			slog.String("hash", h.Short()))
 		for _, rec := range b.Records {
 			g.events.Emit(events.TypeTxCommitted, rec.Signed.ID().String(), g.round, node,
 				slog.Uint64("serial", b.Serial),

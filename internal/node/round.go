@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repchain/internal/consensus"
-	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
@@ -152,10 +151,7 @@ func (g *Governor) Screen() error {
 // current chain head and multicasts the round-tagged batch to every
 // governor (itself included). stake 0 sends an empty batch.
 func (g *Governor) SendTickets(stake uint64, out Sender) error {
-	g.prevHash = crypto.ZeroHash
-	if head, err := g.store.Head(); err == nil {
-		g.prevHash = head.Hash()
-	}
+	g.prevHash = g.store.HeadHash()
 	g.baseHeight = g.store.Height()
 	tickets := consensus.MakeTickets(g.cfg.Member.PrivateKey, g.prevHash, g.round, g.Index(), stake)
 	return out.Multicast(g.ID(), g.governorIDs, network.KindVRF, consensus.EncodeRoundTickets(g.round, tickets))
@@ -172,13 +168,13 @@ func (g *Governor) TicketsComplete(stakes []uint64) bool {
 	return true
 }
 
-// Elect verifies the filed ticket batches against stakes and returns
-// the leader (§3.4.3), consuming the batches, and emits the governor's
-// leader.elected event. A governor with stake 0
-// has nothing to prove: its empty batch is submitted locally, whatever
-// it sent. A staked governor with no batch on file fails the election
-// with a wrapped consensus.ErrIncompleteElection naming it; a batch
-// that fails verification is a hard error.
+// Elect verifies the filed ticket batches against stakes, every proof
+// in one signature batch, and returns the leader (§3.4.3), consuming the
+// batches, and emits the governor's leader.elected event. A governor
+// with stake 0 has nothing to prove: its empty batch is submitted
+// locally, whatever it sent. A staked governor with no batch on file
+// fails the election with a wrapped consensus.ErrIncompleteElection
+// naming it; a batch that fails verification is a hard error.
 func (g *Governor) Elect(stakes []uint64) (int, error) {
 	defer clearTickets(g.tickets, g.filed)
 	el, err := consensus.NewElection(g.round, g.prevHash, g.pubs, stakes)
@@ -186,6 +182,8 @@ func (g *Governor) Elect(stakes []uint64) (int, error) {
 		return -1, err
 	}
 	var missing []identity.NodeID
+	govs := make([]int, 0, len(stakes))
+	batches := make([][]consensus.Ticket, 0, len(stakes))
 	for j, s := range stakes {
 		if s > 0 && !g.filed[j] {
 			missing = append(missing, g.governorIDs[j])
@@ -195,9 +193,10 @@ func (g *Governor) Elect(stakes []uint64) (int, error) {
 		if s > 0 {
 			tickets = g.tickets[j]
 		}
-		if err := el.Submit(j, tickets); err != nil {
-			return -1, fmt.Errorf("%s round %d tickets from %s: %w", g.ID(), g.round, g.governorIDs[j], err)
-		}
+		govs, batches = append(govs, j), append(batches, tickets)
+	}
+	if j, err := el.SubmitAll(govs, batches); err != nil {
+		return -1, fmt.Errorf("%s round %d tickets from %s: %w", g.ID(), g.round, g.governorIDs[j], err)
 	}
 	leader, _, err := el.Leader()
 	if err != nil {

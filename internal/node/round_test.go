@@ -305,6 +305,43 @@ func TestRoundElectReportsLeader(t *testing.T) {
 	}
 }
 
+// TestRoundElectVerifiesOneBatch: each governor checks every ticket of
+// an election in one VerifyBatch call, and a forged batch fails the
+// election naming its sender.
+func TestRoundElectVerifiesOneBatch(t *testing.T) {
+	a := newAlliance(t, nil)
+	calls := func() int64 { return crypto.DefaultVerifyCache.BatchStats().Calls }
+	a.open()
+	for j, g := range a.govs {
+		a.ingest(j)
+		before := calls()
+		if _, err := g.Elect(a.stakes); err != nil {
+			t.Fatal(err)
+		}
+		if n := calls() - before; n != 1 {
+			t.Fatalf("governor %d elected with %d VerifyBatch calls, want 1", j, n)
+		}
+	}
+
+	// Governor 0 gets governor 2's batch made over the wrong head.
+	a.bus.SetDropFunc(func(m network.Message, to identity.NodeID) bool {
+		return m.Kind == network.KindVRF && m.From == a.ids[2] && to == a.ids[0]
+	})
+	a.open()
+	a.bus.SetDropFunc(nil)
+	forged := consensus.MakeTickets(a.govs[2].cfg.Member.PrivateKey, crypto.Sum([]byte("elsewhere")), a.round, 2, a.stakes[2])
+	a.check(a.bus.Multicast(a.ids[2], a.ids[:1], network.KindVRF, consensus.EncodeRoundTickets(a.round, forged)))
+	a.ingest(0)
+	before := calls()
+	_, err := a.govs[0].Elect(a.stakes)
+	if !errors.Is(err, consensus.ErrBadTicket) || !strings.Contains(err.Error(), "tickets from governor/2") {
+		t.Fatalf("Elect() error = %v, want ErrBadTicket naming governor/2", err)
+	}
+	if n := calls() - before; n != 1 {
+		t.Fatalf("failed election made %d VerifyBatch calls, want 1", n)
+	}
+}
+
 // onDisk is a newAlliance configure that keeps every governor's replica
 // under dir.
 func onDisk(dir string) func(j int, cfg *GovernorConfig) {

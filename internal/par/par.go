@@ -14,7 +14,9 @@ import (
 // Procs is the goroutine budget for a fan-out of n independent items:
 // one per logical CPU, or 1 — stay on the caller — when n is below
 // floor, the batch size under which handing work to helpers costs more
-// than it saves.
+// than it saves. The tree has two floors: crypto's parallelVerifyFloor
+// (16 residual signature misses per VerifyBatch) and core's fanOutFloor
+// (transactions drained per round, gating every node-step fan-out).
 func Procs(n, floor int) int {
 	if n < floor {
 		return 1
