@@ -97,7 +97,7 @@ func (e *Engine) CrashGovernor(j int) error {
 	e.governorDown[j] = true
 	g := e.governors[j]
 	e.bus.SetDown(g.ID(), true)
-	g.Endpoint().Purge()
+	e.endpoints[j].Purge()
 	g.Purge()
 	e.emitNodeEvent(events.TypeNodeCrash, string(g.ID()), "crash", true)
 	return nil
@@ -113,7 +113,7 @@ func (e *Engine) RestartGovernor(j int) error {
 	}
 	e.governorDown[j] = false
 	e.bus.SetDown(e.governors[j].ID(), false)
-	e.governors[j].Endpoint().Purge()
+	e.endpoints[j].Purge()
 	e.emitNodeEvent(events.TypeNodeRestart, string(e.governors[j].ID()), "restart", true)
 	return nil
 }
@@ -140,7 +140,7 @@ func (e *Engine) ReconnectGovernor(j int) error {
 		return fmt.Errorf("reconnect governor %d: %w", j, ErrNodeDown)
 	}
 	e.governorDown[j] = false
-	e.governors[j].Endpoint().Purge()
+	e.endpoints[j].Purge()
 	e.emitNodeEvent(events.TypeNodeRestart, string(e.governors[j].ID()), "reconnect", true)
 	return nil
 }

@@ -142,11 +142,13 @@ type Engine struct {
 
 	providers  []*node.Provider
 	collectors []*node.Collector
-	// governors[j] runs governor j's round steps, stake transform
-	// included; the engine only sequences them.
+	// governors[j] sequences its own round from what endpoints[j] drains.
 	governors []*node.Governor
+	endpoints []*network.Endpoint
 
+	// base[j] is governor j's height at New, where its rounds start.
 	round uint64
+	base  []uint64
 
 	// collectorDown and governorDown are the engine's failure-detector
 	// view: a down node is excluded from round fan-outs and quorums
@@ -302,7 +304,7 @@ func New(cfg Config) (_ *Engine, err error) {
 		}
 		gov, err := node.NewGovernor(node.GovernorConfig{
 			Member:        mem,
-			Endpoint:      ep,
+			Clock:         lockstep,
 			Roster:        roster,
 			Params:        cfg.Params,
 			Validator:     cfg.Validator,
@@ -320,11 +322,12 @@ func New(cfg Config) (_ *Engine, err error) {
 		if err != nil {
 			return nil, err
 		}
-		e.governors = append(e.governors, gov)
+		e.governors, e.endpoints = append(e.governors, gov), append(e.endpoints, ep)
+		e.base = append(e.base, gov.Store().Height())
+		// Resume the round counter from a persisted chain so leader
+		// election inputs stay unique across restarts.
+		e.round = max(e.round, gov.Store().Height())
 	}
-	// Resume the round counter from a persisted chain so leader
-	// election inputs stay unique across restarts.
-	e.round = e.governors[0].Store().Height()
 	// Transactions submitted now will be processed by the next round.
 	for _, p := range e.providers {
 		p.SetRound(e.round + 1)
@@ -526,27 +529,39 @@ func (e *Engine) SubmitStakeTransfer(from, to int, amount uint64) error {
 	return e.governors[from].TransferStake(to, amount, e.bus)
 }
 
-// stepGovernors is the engine's lock-step drive of the governors' steps:
-// every live governor ingests its drained endpoint and then runs step,
-// over fanOut's workers — each touches only its own endpoint, state and
-// send buffer, so the outcome is independent of the worker count. Down
-// governors are skipped; their inbox was purged at crash time and the
-// bus drops anything new while they stay down. Every governor verifies
-// every upload's signatures in Ingest; the shared verification cache
-// turns the m-fold duplicate checks into hits, but the first governor
-// to reach an upload still pays for it, so on a busy round screening
-// takes longer than the upload stage before it.
-func (e *Engine) stepGovernors(step func(j int, g *node.Governor, out node.Sender) error) error {
-	return e.fanOut(len(e.governors), func(j int, out node.Sender) error {
+// lockstep is the engine's virtual clock: each deadline falls right
+// after the bus tick that brings its inputs.
+var lockstep = node.Clock{Round: time.Second}
+
+// at is frac of the way through the current round on governor j's
+// clock, which counts rounds from its height at New.
+func (e *Engine) at(j int, frac float64) time.Time { return lockstep.At(e.round-e.base[j], frac) }
+
+// stepGovernors steps every live governor at frac of the round with its
+// drained endpoint, over fanOut's workers: each touches only its own
+// endpoint, state and send buffer. Down governors are skipped (the bus
+// drops their traffic). The shared verification cache makes the m-fold
+// upload checks hits, but the first governor to reach an upload pays,
+// so a busy round's screening outlasts its upload stage. An incomplete
+// election aborts the round once every governor consumed its inbox.
+func (e *Engine) stepGovernors(frac float64) ([]node.Progress, error) {
+	progress := make([]node.Progress, len(e.governors))
+	incomplete := make([]error, len(e.governors))
+	err := e.fanOut(len(e.governors), func(j int, out node.Sender) error {
 		if e.governorDown[j] {
 			return nil
 		}
-		g := e.governors[j]
-		if err := g.Ingest(g.Endpoint().Receive()); err != nil {
-			return err
+		var err error
+		progress[j], err = e.governors[j].Step(e.at(j, frac), e.endpoints[j].Receive(), out)
+		if errors.Is(err, consensus.ErrIncompleteElection) {
+			incomplete[j], err = err, nil
 		}
-		return step(j, g, out)
+		return err
 	})
+	if i := slices.IndexFunc(incomplete, func(err error) bool { return err != nil }); err == nil && i >= 0 {
+		err = fmt.Errorf("%w: %w", incomplete[i], ErrRoundAborted)
+	}
+	return progress, err
 }
 
 // RunRound executes the uploading and processing phases over whatever
@@ -591,162 +606,105 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RoundResult{}, err
 	}
-	// Sign and broadcast staged submissions first: the bus tick only
-	// advances inside rounds, so they go out at the tick a broadcast at
-	// submit time would have used.
+	// Sign and broadcast staged submissions first (the bus tick only
+	// advances inside rounds, so they go out at a submit-time broadcast's
+	// tick), then bring every live replica to a common head: a governor
+	// that rejoined or missed a block catches up, so this round's
+	// election and proposal build on one prev-hash.
 	stageStart := time.Now()
 	if err := e.drainIngress(); err != nil {
 		return RoundResult{}, err
 	}
 	stageStart = e.observeStage("ingest", stageStart)
-	// Bring every live replica to a common head next: a governor that
-	// rejoined after a crash or partition (or missed a block to drops)
-	// catches up here, so this round's election and proposal build on
-	// one prev-hash.
 	if err := e.resyncGovernors(); err != nil {
 		return RoundResult{}, err
 	}
 	stageStart = e.observeStage("resync", stageStart)
 	if err := ctx.Err(); err != nil {
-		// Safe abort: resync is idempotent and the round counter has
-		// not advanced; drained submissions are already on the bus and
-		// will be consumed by the next round.
+		// Safe abort: resync is idempotent, the round counter has not
+		// advanced, and the next round consumes the drained submissions.
 		return RoundResult{}, err
 	}
 	e.round++
-	// Open the round on every node before any fan-out starts; for
-	// collectors and providers the round only attributes events.
-	for _, g := range e.governors {
-		g.Begin(e.round)
+	if err := e.open(); err != nil {
+		return RoundResult{}, err
 	}
-	for _, c := range e.collectors {
-		c.SetRound(e.round)
+	uploads, err := e.upload()
+	if err == nil {
+		// Last safe abort point: uploads are on the bus but no governor
+		// has consumed them, so the next round screens them intact.
+		err = ctx.Err()
 	}
-	for _, p := range e.providers {
-		p.SetRound(e.round + 1)
-	}
-
-	// --- Uploading phase ---
-	e.bus.AdvancePastDelay() // provider broadcasts land
-	missedRounds := e.reg.Counter("chaos.collector_missed_rounds")
-	uploadsBy := make([]int, len(e.collectors))
-	err := e.fanOut(len(e.collectors), func(i int, out node.Sender) error {
-		if e.collectorDown[i] {
-			missedRounds.Inc()
-			return nil
-		}
-		var err error
-		uploadsBy[i], err = e.collectors[i].ProcessBatch(e.collectors[i].Endpoint().Receive(), out)
-		return err
-	})
 	if err != nil {
 		return RoundResult{}, err
 	}
-	uploads := 0
-	for _, n := range uploadsBy {
-		uploads += n
-	}
-	e.bus.AdvancePastDelay() // collector uploads land
 	stageStart = e.observeStage("upload", stageStart)
-	if err := ctx.Err(); err != nil {
-		// Last safe abort point: uploads are on the bus but no governor
-		// has consumed them, so the next round screens them intact.
-		return RoundResult{}, err
-	}
 
-	// --- Processing phase: screening ---
-	if err := e.stepGovernors(func(_ int, g *node.Governor, _ node.Sender) error {
-		return g.Screen()
-	}); err != nil {
+	// --- Processing phase: each governor sequences its own; the engine
+	// steps them at each deadline, after the tick that brings its inputs.
+	if _, err := e.stepGovernors(node.DeadlineScreen); err != nil {
 		return RoundResult{}, err
 	}
+	e.bus.AdvancePastDelay()
 	stageStart = e.observeStage("screen", stageStart)
-
-	// --- Processing phase: leader election ---
-	leader, err := e.electLeader()
+	// Elect: the live governors must agree on the leader, which then packs
+	// the block and sends it to every governor and provider.
+	live := e.liveGovernors()
+	progress, err := e.stepGovernors(node.DeadlineElect)
+	leader := progress[live[0]].Leader
+	for _, j := range live[1:] {
+		if err == nil && progress[j].Leader != leader {
+			err = fmt.Errorf("governor %d elected %d, governor %d elected %d: %w", j, progress[j].Leader, live[0], leader, ErrDisagreement)
+		}
+	}
 	if err != nil {
 		return RoundResult{}, err
 	}
 	stageStart = e.observeStage("elect", stageStart)
-
-	// --- Processing phase: block proposal ---
-	// The leader broadcasts the block to all governors and providers
-	// (providers need it to argue; every node can retrieve it).
-	block, err := e.governors[leader].Propose(e.bus)
-	if err != nil {
+	if _, err := e.governors[leader].Step(e.at(leader, node.DeadlineElect), nil, e.bus); err != nil {
 		return RoundResult{}, err
 	}
 	e.bus.AdvancePastDelay()
 	stageStart = e.observeStage("pack", stageStart)
-
-	// Every live governor (leader included) verifies and appends.
-	// Replicas are independent; the shared cache makes the m identical
-	// proposer signature checks cost one. A governor whose copy of the
-	// block was lost to drops is not an error: it is counted, left one
-	// block behind, and resynced at the next round start. Only a round
-	// where no replica at all holds the block aborts.
-	missedBlock := e.reg.Counter("chaos.governor_missed_block")
-	committedBy := make([]bool, len(e.governors))
-	if err := e.stepGovernors(func(j int, g *node.Governor, _ node.Sender) error {
-		committed, err := g.Adopt()
-		if committedBy[j] = committed; !committed {
-			missedBlock.Inc()
-		}
-		return err
-	}); err != nil {
-		return RoundResult{}, err
-	}
-	if !slices.Contains(committedBy, true) {
-		return RoundResult{}, fmt.Errorf("block %d reached no replica: %w", block.Serial, ErrRoundAborted)
-	}
-	// Agreement check across the replicas that hold the block.
-	if err := e.checkAgreement(block.Serial); err != nil {
-		return RoundResult{}, err
-	}
-	stageStart = e.observeStage("commit", stageStart)
-
-	// Providers observe the block and argue. Argues are buffered per
-	// provider and replayed in provider order so governors receive them
-	// in the same total order at any worker count.
-	arguesBy := make([]int, len(e.providers))
-	err = e.fanOut(len(e.providers), func(k int, out node.Sender) error {
-		var err error
-		_, arguesBy[k], err = e.providers[k].Ingest(e.providers[k].Endpoint().Receive(), out)
-		return err
+	// The providers observe the block and argue.
+	argues, err := e.fanCount(len(e.providers), func(k int, out node.Sender) (int, error) {
+		_, argues, err := e.providers[k].Ingest(e.providers[k].Endpoint().Receive(), out)
+		return argues, err
 	})
 	if err != nil {
 		return RoundResult{}, err
 	}
-	argues := 0
-	for _, n := range arguesBy {
-		argues += n
-	}
 	stageStart = e.observeStage("argue", stageStart)
 
-	result := RoundResult{
-		Serial:  block.Serial,
-		Leader:  leader,
-		Block:   block,
-		Uploads: uploads,
-		Argues:  argues,
+	// Every live governor adopts the block and takes a first stake step.
+	// A governor whose copy was lost to drops is counted, left one block
+	// behind and resynced at the next round start; only a round where no
+	// replica holds the block aborts.
+	if progress, err = e.stepGovernors(node.DeadlineElect); err != nil {
+		return RoundResult{}, err
 	}
+	holders := slices.DeleteFunc(slices.Clone(live), func(j int) bool { return !progress[j].Committed })
+	e.reg.Counter("chaos.governor_missed_block").Add(int64(len(live) - len(holders)))
+	if len(holders) == 0 {
+		return RoundResult{}, fmt.Errorf("block %d reached no replica: %w", e.governors[leader].Store().Height()+1, ErrRoundAborted)
+	}
+	block, err := e.agreedHead(holders[0])
+	if err != nil {
+		return RoundResult{}, err
+	}
+	stageStart = e.observeStage("commit", stageStart)
+	result := RoundResult{Serial: block.Serial, Leader: leader, Block: block, Uploads: uploads, Argues: argues}
 
-	// --- Stake transform: tick until every live governor is done, for at
-	// most its four steps (propose, answer, assemble, apply). What is left
-	// waits for the next round, or a lost block for the next resync.
-	done := slices.Clone(e.governorDown)
-	for step := 0; step < 4; step++ {
-		if err := e.stepGovernors(func(j int, g *node.Governor, out node.Sender) error {
-			var err error
-			done[j], err = g.StakeStep(out)
-			return err
-		}); err != nil {
-			return result, err
-		}
-		if !slices.Contains(done, false) {
+	// Stake transform: a tick and a step more until every live governor is
+	// done, for at most its four steps (propose, answer, assemble, apply);
+	// what is left waits for the next round, a lost block for resync.
+	for step := 1; slices.ContainsFunc(live, func(j int) bool { return !progress[j].StakeDone }); step++ {
+		if e.bus.AdvancePastDelay(); step == 4 {
 			break
 		}
-		e.bus.AdvancePastDelay()
+		if progress, err = e.stepGovernors(node.DeadlineElect); err != nil {
+			return result, err
+		}
 	}
 	for _, g := range e.governors {
 		if sb := g.StakeBlock(); sb != nil && sb.Round == e.round {
@@ -755,105 +713,82 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	}
 	stageStart = e.observeStage("stake", stageStart)
 	e.publishRoundMetrics()
-	// Checkpoint and prune at the SnapshotEvery cadence. A failure is
-	// returned: durability was promised and not delivered.
-	errs := make([]error, len(e.governors))
-	for j, g := range e.governors {
-		errs[j] = g.MaybeCheckpoint()
+	// The round ends: each live governor checkpoints on the SnapshotEvery
+	// cadence. A failure is returned: durability was promised and not
+	// delivered.
+	errs := make([]error, len(live))
+	for i, j := range live {
+		_, errs[i] = e.governors[j].Step(e.at(j, 1), nil, e.bus)
 	}
 	e.observeStage("checkpoint", stageStart)
 	return result, errors.Join(errs...)
 }
 
-// electLeader runs the per-stake-unit VRF election of §3.4.3 over the
-// live governors. Every live governor broadcasts tickets; every live
-// governor independently verifies all tickets and computes the winner;
-// the engine checks they agree. Down and expelled governors are passed
-// stake zero for the round — the paper's election already defines the
-// zero-stake case (an empty batch), so the quorum's elections complete
-// without them. A live governor whose VRF batch was lost to drops
-// leaves every election incomplete; that is an ErrRoundAborted, not a
-// disagreement.
-func (e *Engine) electLeader() (int, error) {
-	live := e.liveGovernors()
-	if len(live) == 0 {
-		return 0, fmt.Errorf("no live governor: %w", ErrRoundAborted)
-	}
-	stakes := e.Stakes()
+// open opens the round on every node: each governor — a down one too,
+// so it rejoins in the others' round — at its first instant, handed the
+// failure detector's verdict; for collectors and providers the round
+// only attributes events.
+func (e *Engine) open() error {
+	verdict := make([]byte, len(e.governors))
 	for j, down := range e.governorDown {
 		if down {
-			stakes[j] = 0
+			verdict[j] = 1
 		}
 	}
-	// resyncGovernors brought all live replicas to one head, so every
-	// governor makes its tickets over the same prev-hash.
-	if err := e.stepGovernors(func(j int, g *node.Governor, out node.Sender) error {
-		return g.SendTickets(stakes[j], out)
-	}); err != nil {
-		return 0, err
-	}
-	e.bus.AdvancePastDelay()
-
-	// An incomplete election is recorded, not returned, so every
-	// governor consumes its inbox whatever the schedule.
-	leaders := make([]int, len(e.governors))
-	incomplete := make([]error, len(e.governors))
-	if err := e.stepGovernors(func(j int, g *node.Governor, _ node.Sender) error {
-		l, err := g.Elect(stakes)
-		if errors.Is(err, consensus.ErrIncompleteElection) {
-			incomplete[j], err = err, nil
-		}
-		leaders[j] = l
-		return err
-	}); err != nil {
-		return 0, err
-	}
-	for _, j := range live {
-		if incomplete[j] != nil {
-			return 0, fmt.Errorf("%w: %w", incomplete[j], ErrRoundAborted)
+	for j, g := range e.governors {
+		msg := []network.Message{{From: g.ID(), Kind: node.KindDown, Payload: verdict}}
+		if _, err := g.Step(e.at(j, 0).Add(time.Nanosecond), msg, e.bus); err != nil {
+			return err
 		}
 	}
-	for _, j := range live[1:] {
-		if leaders[j] != leaders[live[0]] {
-			return 0, fmt.Errorf("governor %d elected %d, governor %d elected %d: %w",
-				j, leaders[j], live[0], leaders[live[0]], ErrDisagreement)
-		}
+	for _, c := range e.collectors {
+		c.SetRound(e.round)
 	}
-	return leaders[live[0]], nil
-}
-
-// checkAgreement asserts that every replica holding a block at serial
-// s stored the identical block (the Agreement property). Replicas that
-// have not reached s — down, or a block behind after a drop — are
-// resynced later and checked then by AcceptBlock's fork detection.
-func (e *Engine) checkAgreement(s uint64) error {
-	ref := -1
-	var refHash crypto.Hash
-	for j := range e.governors {
-		store := e.governors[j].Store()
-		height := store.Height()
-		if height < s {
-			continue
-		}
-		// Right after a commit s is the head, whose hash the store keeps.
-		h := store.HeadHash()
-		if height > s {
-			b, err := store.Get(s)
-			if err != nil {
-				return err
-			}
-			h = b.Hash()
-		}
-		if ref < 0 {
-			ref, refHash = j, h
-			continue
-		}
-		if h != refHash {
-			return fmt.Errorf("block %d differs between governors %d and %d: %w", s, ref, j, ErrDisagreement)
-		}
-	}
-	if ref < 0 {
-		return fmt.Errorf("block %d on no replica: %w", s, ErrRoundAborted)
+	for _, p := range e.providers {
+		p.SetRound(e.round + 1)
 	}
 	return nil
+}
+
+// upload lands the providers' broadcasts, has every live collector
+// label and upload what arrived, lands that, and counts the labels.
+func (e *Engine) upload() (int, error) {
+	e.bus.AdvancePastDelay()
+	missed := e.reg.Counter("chaos.collector_missed_rounds")
+	uploads, err := e.fanCount(len(e.collectors), func(i int, out node.Sender) (int, error) {
+		if e.collectorDown[i] {
+			missed.Inc()
+			return 0, nil
+		}
+		return e.collectors[i].ProcessBatch(e.collectors[i].Endpoint().Receive(), out)
+	})
+	if err == nil {
+		e.bus.AdvancePastDelay()
+	}
+	return uploads, err
+}
+
+// agreedHead returns governor j's newest block once every replica at
+// its serial holds the same (Agreement); one behind is checked by
+// AcceptBlock when resynced.
+func (e *Engine) agreedHead(j int) (ledger.Block, error) {
+	ref := e.governors[j].Store()
+	b, err := ref.Get(ref.Height())
+	for i := 0; i < len(e.governors) && err == nil; i++ {
+		store := e.governors[i].Store()
+		if store.Height() < b.Serial {
+			continue
+		}
+		// Right after a commit the serial is the head, whose hash the store keeps.
+		h := store.HeadHash()
+		if store.Height() > b.Serial {
+			var blk ledger.Block
+			blk, err = store.Get(b.Serial)
+			h = blk.Hash()
+		}
+		if err == nil && h != ref.HeadHash() {
+			err = fmt.Errorf("block %d differs between governors %d and %d: %w", b.Serial, j, i, ErrDisagreement)
+		}
+	}
+	return b, err
 }

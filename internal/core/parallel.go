@@ -79,3 +79,17 @@ func (b *sendBuffer) flush(bus *network.Bus) error {
 	}
 	return nil
 }
+
+// fanCount is fanOut for counting steps; it returns the sum.
+func (e *Engine) fanCount(n int, count func(i int, out node.Sender) (int, error)) (int, error) {
+	counts := make([]int, n)
+	err := e.fanOut(n, func(i int, out node.Sender) (err error) {
+		counts[i], err = count(i, out)
+		return err
+	})
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	return total, err
+}

@@ -9,6 +9,7 @@ import (
 
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
+	"repchain/internal/network"
 	"repchain/internal/node"
 )
 
@@ -386,5 +387,54 @@ func TestRestartAfterPruningStillVerifies(t *testing.T) {
 	}
 	if res.Serial != 9 {
 		t.Fatalf("post-restart serial = %d, want 9", res.Serial)
+	}
+}
+
+// TestReopenedReplicasAtDifferentHeightsAgree: a governor that lost the
+// last block before the chain was closed reopens a block behind the
+// others. Each governor counts rounds from its own height, so the
+// reopened engine numbers rounds from the tallest replica and gives each
+// governor its own clock offset: the short replica resyncs, and every
+// governor elects in the same round and commits the same blocks.
+func TestReopenedReplicasAtDifferentHeightsAgree(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.ChainDir = t.TempDir()
+	e1 := newTestEngine(t, cfg)
+	short := e1.Roster().Governors[0].ID
+	for r := 0; r < 3; r++ {
+		if r == 2 {
+			e1.Bus().SetDropFunc(func(m network.Message, to identity.NodeID) bool {
+				return m.Kind == network.KindBlock && to == short
+			})
+		}
+		submitRound(t, e1, 6, r, 3)
+		if _, err := e1.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newTestEngine(t, cfg)
+	defer func() {
+		if err := e2.Close(); err != nil {
+			t.Errorf("Close() error = %v", err)
+		}
+	}()
+	if h0, h1 := e2.Governor(0).Store().Height(), e2.Governor(1).Store().Height(); h0 != 2 || h1 != 3 || e2.Round() != 3 {
+		t.Fatalf("reopened at heights %d and %d, round %d; want 2, 3 and round 3", h0, h1, e2.Round())
+	}
+	for r := 3; r < 6; r++ {
+		submitRound(t, e2, 6, r, 3)
+		res, err := e2.RunRound()
+		if err != nil || res.Serial != uint64(r+1) {
+			t.Fatalf("round %d after reopening: serial %d, %v", r+1, res.Serial, err)
+		}
+	}
+	for j := 0; j < e2.Governors(); j++ {
+		if s := e2.Governor(j).Store(); s.Height() != 6 || s.HeadHash() != e2.Governor(0).Store().HeadHash() {
+			t.Fatalf("governor %d at height %d off the common chain", j, s.Height())
+		}
 	}
 }

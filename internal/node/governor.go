@@ -44,8 +44,8 @@ func Seed(alliance int64, m identity.Member) int64 {
 type GovernorConfig struct {
 	// Member is the governor's credential and signing key.
 	Member identity.Member
-	// Endpoint is the governor's bus attachment.
-	Endpoint *network.Endpoint
+	// Clock is the round schedule Step reads; Round must be positive.
+	Clock Clock
 	// Roster is the alliance's membership: every key, role, index and
 	// provider–collector link verify() consults.
 	Roster *identity.Roster
@@ -74,7 +74,7 @@ type GovernorConfig struct {
 	// SegmentBytes overrides the replica's segment roll threshold in
 	// bytes; zero keeps the ledger default. Needs StateDir.
 	SegmentBytes int64
-	// SnapshotEvery is MaybeCheckpoint's cadence: a checkpoint each time
+	// SnapshotEvery is the round end's checkpoint cadence: one each time
 	// the chain has grown this many blocks past the last one; zero means
 	// none. Needs StateDir.
 	SnapshotEvery int
@@ -154,8 +154,8 @@ type groupedTx struct {
 // Governor is a governor g_j: it screens uploaded transactions with
 // the reputation mechanism (Algorithm 2), updates reputations
 // (Algorithm 3), elects, leads and adopts blocks, runs the stake
-// transform, and maintains a full replica of the ledger. Its round
-// steps are in round.go, the stake transform's in stake.go.
+// transform, and maintains a full replica of the ledger: Step (round.go)
+// runs its round, stake.go the stake transform.
 type Governor struct {
 	cfg   GovernorConfig
 	table *reputation.Table
@@ -212,10 +212,19 @@ type Governor struct {
 	// list is final (DESIGN.md §4f).
 	merkle *crypto.MerkleBuilder
 
-	// round is the round Begin opened; it also attributes events.
-	round uint64
+	// round is the round begin opened (it also attributes events), phase
+	// where Step left it; base is the height at NewGovernor, so the clock's
+	// first round is round base+1.
+	round, base uint64
+	phase       Phase
+	stakeDone   bool
+	// down is the failure detector's last verdict (KindDown); electing,
+	// the stakes the round's election runs on.
+	down     []byte
+	electing []uint64
 	// prevHash and baseHeight are the chain head the round's tickets
-	// were made over; Adopt reports a commit once the chain outgrows it.
+	// were made over; the round's block is committed once the chain
+	// outgrows it.
 	prevHash   crypto.Hash
 	baseHeight uint64
 	records    []ledger.Record
@@ -260,6 +269,9 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	}
 	if cfg.MempoolCap < 0 {
 		return nil, fmt.Errorf("governor %s: mempool cap %d must be non-negative", cfg.Member.ID, cfg.MempoolCap)
+	}
+	if cfg.Clock.Round <= 0 {
+		return nil, fmt.Errorf("governor %s: clock round %v must be positive", cfg.Member.ID, cfg.Clock.Round)
 	}
 	m := len(cfg.Roster.Governors)
 	stakes := slices.Clone(cfg.Stakes)
@@ -317,6 +329,7 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		upRejected:      reg.CounterVec("node.uploads_rejected_total", "reason"),
 		merkle:          crypto.NewMerkleBuilder(64),
 		round:           store.Height(),
+		base:            store.Height(),
 		tickets:         make([][]consensus.Ticket, m),
 		next:            make([][]consensus.Ticket, m),
 		filed:           make([]bool, m),
@@ -359,9 +372,6 @@ func (g *Governor) Close() error {
 // ID returns the governor's node ID.
 func (g *Governor) ID() identity.NodeID { return g.cfg.Member.ID }
 
-// Index returns the governor's index j.
-func (g *Governor) Index() int { return g.cfg.Member.Index }
-
 // Table exposes the governor's reputation table for inspection.
 func (g *Governor) Table() *reputation.Table { return g.table }
 
@@ -370,9 +380,6 @@ func (g *Governor) Store() ledger.Store { return g.store }
 
 // Stats returns the governor's counters.
 func (g *Governor) Stats() GovernorStats { return g.stats }
-
-// Endpoint returns the governor's bus endpoint.
-func (g *Governor) Endpoint() *network.Endpoint { return g.cfg.Endpoint }
 
 // Phase-1 routing classes for handleBatch.
 const (
@@ -428,7 +435,7 @@ type pendingArgue struct {
 // not linked to the collector) costs one penalty and the remaining
 // items are admitted.
 // An authenticated batch, empty or not, files its round under its
-// collector for UploadsComplete.
+// collector for uploadsIn.
 //
 // Determinism (DESIGN.md §4f): phase 1 walks the messages in arrival
 // order doing only pure work — decoding, identity lookups, and
@@ -803,10 +810,6 @@ func (g *Governor) screenRound() ([]ledger.Record, error) {
 	return records, nil
 }
 
-// mempoolDepth reports how many transactions await screening in the
-// governor's mempool.
-func (g *Governor) mempoolDepth() int { return g.pool.Len() }
-
 // expireOld reveals-as-invalid any unchecked transaction of provider k
 // buried under more than ArgueWindow newer unchecked transactions:
 // "Every unchecked transaction exceeding this limit will be regarded
@@ -952,16 +955,4 @@ func (g *Governor) AcceptBlock(b ledger.Block) error {
 		}
 	}
 	return nil
-}
-
-// pendingUnchecked reports how many unchecked transactions await
-// reveal for provider k.
-func (g *Governor) pendingUnchecked(k int) int {
-	n := 0
-	for _, e := range g.unchecked[k] {
-		if !e.revealed {
-			n++
-		}
-	}
-	return n
 }

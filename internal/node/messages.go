@@ -1,8 +1,10 @@
 // Package node implements the three node roles of the paper's
 // hierarchy — Provider, Collector, Governor — as state machines over
 // the network bus. Each node consumes the bus messages addressed to it
-// and produces the next phase's messages; the core engine sequences
-// the Collecting → Uploading → Processing phases of §3.1.
+// and produces the next phase's messages. A governor sequences its own
+// processing phase behind one transition, Governor.Step; a driver (the
+// core engine, the TCP runtime) paces the Collecting and Uploading
+// phases of §3.1 and hands the governors messages and time.
 package node
 
 import (

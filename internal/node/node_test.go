@@ -21,6 +21,8 @@ type fixture struct {
 	providers  []*Provider
 	collectors []*Collector
 	governor   *Governor
+	// inbox is the governor's bus endpoint.
+	inbox *network.Endpoint
 }
 
 var oracle = tx.ValidatorFunc(func(t tx.Transaction) bool {
@@ -79,13 +81,12 @@ func newFixtureOn(t *testing.T, topo *identity.Topology, behaviors []Behavior, m
 		}
 		fx.collectors = append(fx.collectors, NewCollector(mem, ep, roster, oracle, b, int64(100+c)))
 	}
-	ep, err := fx.bus.Register(roster.Governors[0].ID)
-	if err != nil {
+	if fx.inbox, err = fx.bus.Register(roster.Governors[0].ID); err != nil {
 		t.Fatal(err)
 	}
 	cfg := GovernorConfig{
 		Member:      roster.Governors[0],
-		Endpoint:    ep,
+		Clock:       testClock,
 		Roster:      roster,
 		Params:      reputation.DefaultParams(),
 		Validator:   oracle,
@@ -133,7 +134,7 @@ func (fx *fixture) collect(t *testing.T, c int) {
 // drain feeds the governor its inbox.
 func (fx *fixture) drain(t *testing.T) {
 	t.Helper()
-	if _, err := fx.governor.handleBatch(fx.governor.Endpoint().Receive()); err != nil {
+	if _, err := fx.governor.handleBatch(fx.inbox.Receive()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -494,4 +495,20 @@ func TestHonestBehaviorDefaults(t *testing.T) {
 	if b.ForgeCount(nil) != 0 {
 		t.Fatal("HonestBehavior forges")
 	}
+}
+
+// mempoolDepth reports how many transactions await screening in the
+// governor's mempool.
+func (g *Governor) mempoolDepth() int { return g.pool.Len() }
+
+// pendingUnchecked reports how many unchecked transactions await
+// reveal for provider k.
+func (g *Governor) pendingUnchecked(k int) int {
+	n := 0
+	for _, e := range g.unchecked[k] {
+		if !e.revealed {
+			n++
+		}
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 
 	"repchain/internal/crypto"
 	"repchain/internal/events"
@@ -186,14 +187,18 @@ func (p *Provider) Submit(kind string, payload []byte, isValid bool, timestamp i
 	return signed, nil
 }
 
-// Ingest consumes drained messages: each block frame is decoded and
-// observed (ObserveBlock), anything else is ignored. A frame that does
-// not decode is skipped and counted in node.blocks_ignored_total, the
-// way a governor counts one. It returns the blocks observed and the
+// Ingest consumes drained messages: each block frame a governor sent is
+// decoded and observed (ObserveBlock), anything else is ignored. A frame
+// from anyone else or that does not decode is skipped and counted in
+// node.blocks_ignored_total. It returns the blocks observed and the
 // argues they triggered.
 func (p *Provider) Ingest(msgs []network.Message, sender Sender) (blocks, argues int, err error) {
 	for _, m := range msgs {
 		if m.Kind != network.KindBlock {
+			continue
+		}
+		if !slices.Contains(p.governorIDs, m.From) {
+			p.reg.CounterVec("node.blocks_ignored_total", "reason").With("not_governor").Inc()
 			continue
 		}
 		b, err := ledger.DecodeBlockBytes(m.Payload)

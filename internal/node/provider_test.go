@@ -6,6 +6,8 @@ import (
 	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
+	"repchain/internal/metrics"
+	"repchain/internal/network"
 	"repchain/internal/tx"
 )
 
@@ -119,5 +121,43 @@ func TestProviderStateBounded(t *testing.T) {
 	}
 	if got := prov.SettledValid(); got != total-total/perBlock*((perBlock+2)/3) {
 		t.Fatalf("SettledValid() = %d", got)
+	}
+}
+
+// TestProviderIgnoresForgedBlock: only a governor's block frame speaks
+// for the chain. A collector's forged block that records the provider's
+// valid transaction valid must not settle it, and one that records it
+// invalid and unchecked must not draw an argue; each is counted, and
+// the governor's real block still draws the argue.
+func TestProviderIgnoresForgedBlock(t *testing.T) {
+	fx := newFixture(t, nil)
+	prov := fx.providers[0]
+	reg := metrics.NewRegistry()
+	prov.SetMetrics(reg)
+	signed := prov.Sign("k", []byte{1}, true, 0)
+	frame := func(from identity.Member, status tx.Status) network.Message {
+		t.Helper()
+		rec := ledger.Record{Signed: signed, Label: tx.LabelInvalid, Status: status, Unchecked: status == tx.StatusInvalid}
+		blk, err := ledger.NewBlock(nil, []ledger.Record{rec}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk.SignAs(from.ID, from.PrivateKey)
+		return network.Message{From: from.ID, Kind: network.KindBlock, Payload: blk.EncodeBytes()}
+	}
+	forger := fx.roster.Collectors[0]
+	sink := &countingSender{}
+	blocks, argues, err := prov.Ingest([]network.Message{frame(forger, tx.StatusValid), frame(forger, tx.StatusInvalid)}, sink)
+	if err != nil || blocks != 0 || argues != 0 || sink.n != 0 {
+		t.Fatalf("forged blocks: Ingest() = %d blocks, %d argues, %v; %d sent", blocks, argues, err, sink.n)
+	}
+	if got := prov.PendingValid(); got != 1 {
+		t.Fatalf("PendingValid() = %d after the forged blocks, want 1", got)
+	}
+	if got := reg.CounterVec("node.blocks_ignored_total", "reason").With("not_governor").Value(); got != 2 {
+		t.Fatalf("node.blocks_ignored_total{reason=not_governor} = %d, want 2", got)
+	}
+	if _, argues, err := prov.Ingest([]network.Message{frame(fx.roster.Governors[0], tx.StatusInvalid)}, sink); err != nil || argues != 1 || sink.n != 1 {
+		t.Fatalf("the governor's unchecked-invalid block drew %d argues (%v), want 1", argues, err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repchain/internal/consensus"
 	"repchain/internal/crypto"
@@ -21,25 +22,36 @@ import (
 	"repchain/internal/tx"
 )
 
-// alliance is three governors on a zero-delay bus, stepped round by
-// round: the smallest driver there is. No sockets, no sleeps, no engine.
+// testClock is the node tests' round schedule. Their time is virtual:
+// a harness passes each Step the instant it stands for.
+var testClock = Clock{Round: time.Second}
+
+// alliance is three governors on a zero-delay bus with one provider and
+// one collector, driven only through Step: the smallest driver there
+// is. No sockets, no sleeps, no engine. The lock-step helpers below step
+// every governor at the round's current deadline, as core.Engine does.
 type alliance struct {
-	t        *testing.T
-	bus      *network.Bus
-	ids      []identity.NodeID
-	govs     []*Governor
-	stakes   []uint64
-	reg      *metrics.Registry
-	log      *events.Log
+	t       *testing.T
+	bus     *network.Bus
+	ids     []identity.NodeID
+	govs    []*Governor
+	inboxes []*network.Endpoint
+	reg     *metrics.Registry
+	log     *events.Log
+	// round is the clock round being stepped; down is the failure
+	// detector's verdict open hands every governor.
 	round    uint64
+	down     []bool
 	provider identity.Member
+	prov     *Provider
+	coll     *Collector
 }
 
 // newAlliance builds the alliance; configure, when non-nil, adjusts
 // governor j's configuration before the governor is built.
 func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alliance {
 	t.Helper()
-	a := &alliance{t: t, bus: network.NewBus(0), stakes: []uint64{1, 2, 1}, reg: metrics.NewRegistry(),
+	a := &alliance{t: t, bus: network.NewBus(0), down: make([]bool, 3), reg: metrics.NewRegistry(),
 		log: events.NewLog(256)}
 	seed := make([]byte, crypto.SeedSize)
 	topo, err := identity.NewRegularTopology(identity.TopologySpec{Providers: 1, Collectors: 1, Degree: 1})
@@ -48,15 +60,17 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 	a.check(err)
 	a.provider = roster.Providers[0]
 	a.ids = identity.IDs(roster.Governors)
-	for _, id := range []identity.NodeID{a.provider.ID, roster.Collectors[0].ID} {
-		_, err = a.bus.Register(id)
-		a.check(err)
-	}
+	pep, err := a.bus.Register(a.provider.ID)
+	a.check(err)
+	a.prov = NewProvider(a.provider, pep, identity.IDs(roster.Collectors), a.ids)
+	cep, err := a.bus.Register(roster.Collectors[0].ID)
+	a.check(err)
+	a.coll = NewCollector(roster.Collectors[0], cep, roster, oracle, nil, 100)
 	for j, mem := range roster.Governors {
 		ep, err := a.bus.Register(mem.ID)
 		a.check(err)
 		cfg := GovernorConfig{
-			Member: mem, Endpoint: ep, Roster: roster, Stakes: a.stakes,
+			Member: mem, Clock: testClock, Roster: roster, Stakes: []uint64{1, 2, 1},
 			Params: reputation.DefaultParams(), Validator: oracle, Seed: int64(j), Metrics: a.reg,
 			Events: a.log,
 		}
@@ -66,7 +80,7 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 		gov, err := NewGovernor(cfg)
 		a.check(err)
 		t.Cleanup(func() { _ = gov.Close() })
-		a.govs = append(a.govs, gov)
+		a.govs, a.inboxes = append(a.govs, gov), append(a.inboxes, ep)
 	}
 	return a
 }
@@ -78,31 +92,46 @@ func (a *alliance) check(err error) {
 	}
 }
 
-func (a *alliance) ingest(j int) {
-	a.t.Helper()
-	a.check(a.govs[j].Ingest(a.govs[j].Endpoint().Receive()))
+// at is the instant frac of the way through the current round.
+func (a *alliance) at(frac float64) time.Time { return testClock.At(a.round, frac) }
+
+// try hands governor j extra and then its inbox, and steps it at now.
+func (a *alliance) try(j int, now time.Time, extra ...network.Message) (Progress, error) {
+	return a.govs[j].Step(now, append(extra, a.inboxes[j].Receive()...), a.bus)
 }
 
-// open runs every governor through Begin, Screen and SendTickets.
+func (a *alliance) step(j int, now time.Time, extra ...network.Message) Progress {
+	a.t.Helper()
+	p, err := a.try(j, now, extra...)
+	a.check(err)
+	return p
+}
+
+// open moves every governor into the next round at its screen deadline,
+// with the failure detector's verdict: each screens and sends tickets.
 func (a *alliance) open() {
 	a.t.Helper()
 	a.round++
-	for j, r := range a.govs {
-		r.Begin(a.round)
-		a.ingest(j)
-		a.check(r.Screen())
-		a.check(r.SendTickets(a.stakes[j], a.bus))
+	verdict := make([]byte, len(a.govs))
+	for j, down := range a.down {
+		if down {
+			verdict[j] = 1
+		}
+	}
+	for j := range a.govs {
+		if p := a.step(j, a.at(DeadlineScreen), network.Message{From: a.ids[j], Kind: KindDown, Payload: verdict}); p.Round != a.round || p.Phase < PhaseElect {
+			a.t.Fatalf("governor %d in round %d phase %d after round %d's screen deadline", j, p.Round, p.Phase, a.round)
+		}
 	}
 }
 
-// elect has every governor in js ingest and elect; they must agree.
+// elect steps every governor in js at the election deadline; they must
+// agree on the leader.
 func (a *alliance) elect(js ...int) int {
 	a.t.Helper()
 	leader := -1
 	for _, j := range js {
-		a.ingest(j)
-		l, err := a.govs[j].Elect(a.stakes)
-		a.check(err)
+		l := a.step(j, a.at(DeadlineElect)).Leader
 		if leader >= 0 && l != leader {
 			a.t.Fatalf("governor %d elected %d, others %d", j, l, leader)
 		}
@@ -111,19 +140,27 @@ func (a *alliance) elect(js ...int) int {
 	return leader
 }
 
-func (a *alliance) propose(j int) ledger.Block {
+// propose steps leader j once more: it packs and multicasts the block.
+func (a *alliance) propose(j int) {
 	a.t.Helper()
-	b, err := a.govs[j].Propose(a.bus)
-	a.check(err)
-	return b
+	if p := a.step(j, a.at(DeadlineElect)); p.Phase != PhaseCommit {
+		a.t.Fatalf("governor %d in phase %d after proposing", j, p.Phase)
+	}
 }
 
+// adopt steps governor j in the commit phase: it adopts the block if it
+// is in, then takes a stake step.
 func (a *alliance) adopt(j int) bool {
 	a.t.Helper()
-	a.ingest(j)
-	committed, err := a.govs[j].Adopt()
+	return a.step(j, a.at(DeadlineElect)).Committed
+}
+
+// head is governor j's newest block.
+func (a *alliance) head(j int) ledger.Block {
+	a.t.Helper()
+	b, err := a.govs[j].Store().Get(a.govs[j].Store().Height())
 	a.check(err)
-	return committed
+	return b
 }
 
 // runRound is the whole lock-step driver: one clean round.
@@ -138,23 +175,30 @@ func (a *alliance) runRound() {
 	}
 }
 
-// stake runs every governor's stake steps, each ingesting first, until
-// all report done.
+// stake steps every governor in the commit phase until all report the
+// stake transform done.
 func (a *alliance) stake() {
 	a.t.Helper()
 	for step := 0; step < 6; step++ {
 		done := true
-		for j, r := range a.govs {
-			a.ingest(j)
-			d, err := r.StakeStep(a.bus)
-			a.check(err)
-			done = done && d
+		for j := range a.govs {
+			done = a.step(j, a.at(DeadlineElect)).StakeDone && done
 		}
 		if done {
 			return
 		}
 	}
 	a.t.Fatalf("round %d stake steps still running", a.round)
+}
+
+// end steps every governor at the round's end: the round is over.
+func (a *alliance) end() {
+	a.t.Helper()
+	for j := range a.govs {
+		if p := a.step(j, a.at(1)); p.Phase != PhaseOver {
+			a.t.Fatalf("governor %d in phase %d at the round's end", j, p.Phase)
+		}
+	}
 }
 
 func (a *alliance) stakeIgnored(reason string) int64 {
@@ -165,14 +209,115 @@ func (a *alliance) ignored(reason string) int64 {
 	return a.reg.CounterVec("node.blocks_ignored_total", "reason").With(reason).Value()
 }
 
+// submit has the provider sign n transactions, every other one valid,
+// and the collector label and upload them as round's: the round's
+// traffic up to the governors.
+func (a *alliance) submit(round uint64, n int) {
+	a.t.Helper()
+	items := make([]Submission, n)
+	for i := range items {
+		items[i] = Submission{Kind: "x", Payload: []byte{byte(1 - i%2), byte(i), byte(round)}, Valid: i%2 == 0}
+	}
+	a.check(a.prov.Broadcast(a.prov.SignBatch(items, int64(round)), a.bus))
+	a.coll.SetRound(round)
+	_, err := a.coll.ProcessBatch(a.coll.Endpoint().Receive(), a.bus)
+	a.check(err)
+}
+
+// argue has the provider observe the blocks that reached it and argue.
+func (a *alliance) argue() int {
+	a.t.Helper()
+	_, n, err := a.prov.Ingest(a.prov.Endpoint().Receive(), a.bus)
+	a.check(err)
+	return n
+}
+
+// TestRoundScheduleParity: the two drivers' schedules commit the same
+// chain. One alliance is stepped in lock-step at each deadline, the
+// engine's schedule; the other gets every message in a Step of its own
+// with the time before every deadline, the TCP schedule, so each step
+// runs the moment its inputs are in and only a round's end waits for
+// the clock. Over 12 rounds with a misreporting collector, argues and a
+// stake transfer, both end with the same blocks, reputation tables and
+// stakes on every governor.
+func TestRoundScheduleParity(t *testing.T) {
+	const rounds, perRound = 12, 8
+	lockStep, workBound := newAlliance(t, nil), newAlliance(t, nil)
+	argues := 0
+	for _, a := range []*alliance{lockStep, workBound} {
+		a.coll.behavior = ProbBehavior{Misreport: 0.5}
+	}
+	for r := 1; r <= rounds; r++ {
+		if r == 5 {
+			for _, a := range []*alliance{lockStep, workBound} {
+				a.check(a.govs[1].TransferStake(0, 1, a.bus))
+			}
+		}
+
+		a := lockStep
+		a.submit(a.round+1, perRound)
+		a.open()
+		a.propose(a.elect(0, 1, 2))
+		argues += a.argue()
+		a.stake()
+		a.end()
+
+		a = workBound
+		a.round++
+		a.submit(a.round, perRound)
+		now := a.at(DeadlineScreen).Add(-time.Nanosecond)
+		queues := make([][]network.Message, len(a.govs))
+		due := make([]bool, len(a.govs))
+		for stepped := true; stepped; {
+			stepped = false
+			a.argue()
+			for j, g := range a.govs {
+				queues[j] = append(queues[j], a.inboxes[j].Receive()...)
+				var msgs []network.Message
+				if len(queues[j]) > 0 {
+					msgs, queues[j] = queues[j][:1], queues[j][1:]
+				} else if !due[j] {
+					continue
+				}
+				p, err := g.Step(now, msgs, a.bus)
+				a.check(err)
+				due[j], stepped = !p.WakeAt.After(now), true
+			}
+		}
+	}
+	workBound.round++
+	for j := range workBound.govs {
+		workBound.step(j, workBound.at(0))
+	}
+
+	if argues == 0 || lockStep.govs[0].StakeBlock() == nil {
+		t.Fatalf("%d argues, stake block %v: the schedules were not put to the test", argues, lockStep.govs[0].StakeBlock())
+	}
+	for j := range lockStep.govs {
+		want, got := lockStep.govs[j], workBound.govs[j]
+		if h := got.Store().Height(); h != rounds || want.Store().Height() != rounds {
+			t.Fatalf("governor %d heights %d and %d, want %d", j, want.Store().Height(), h, rounds)
+		}
+		if want.Store().HeadHash() != got.Store().HeadHash() {
+			t.Fatalf("governor %d: the schedules committed different chains", j)
+		}
+		if !bytes.Equal(want.Table().Snapshot(), got.Table().Snapshot()) {
+			t.Fatalf("governor %d: the schedules left different reputation tables", j)
+		}
+		if fmt.Sprint(want.Stakes()) != fmt.Sprint(got.Stakes()) || got.StakeBlock() == nil {
+			t.Fatalf("governor %d stakes %v and %v", j, want.Stakes(), got.Stakes())
+		}
+	}
+}
+
 // TestRoundAdoptsBlockFromWrongPhase is PR 8's fork as a unit test: a
-// block frame that lands in a drain other than the adopt drain must
+// block frame that lands in a Step other than the adopting one must
 // still be committed.
 func TestRoundAdoptsBlockFromWrongPhase(t *testing.T) {
 	a := newAlliance(t, nil)
 
 	// Early: the leader proposes while a slower peer is still collecting
-	// tickets, so the peer's elect drain delivers the block before it
+	// tickets, so the peer's electing Step delivers the block before it
 	// has elected anyone.
 	a.open()
 	leader := a.elect(0)
@@ -182,32 +327,35 @@ func TestRoundAdoptsBlockFromWrongPhase(t *testing.T) {
 		slow = []int{3 - leader}
 	}
 	a.propose(leader)
-	a.elect(slow...) // tickets and block in one drain
+	a.elect(slow...) // tickets and block in one Step
 	for j := range a.govs {
 		if !a.adopt(j) {
-			t.Fatalf("governor %d lost a block that arrived in its elect drain", j)
+			t.Fatalf("governor %d lost a block that arrived in its electing Step", j)
 		}
 	}
 
-	// Late: the victim's copy of round 2's block arrives only after its
-	// Adopt gave up. Round 3's Screen must commit it before SendTickets
-	// reads the head, or the victim's tickets fork it off for good.
+	// Late: the victim's copy of round 2's block arrives only after the
+	// round ended. Round 3's first Step must commit it before the tickets
+	// read the head, or the victim's tickets fork it off for good.
 	a.open()
 	leader = a.elect(0, 1, 2)
 	victim := (leader + 1) % 3
 	a.bus.SetDropFunc(func(m network.Message, to identity.NodeID) bool {
 		return m.Kind == network.KindBlock && to == a.ids[victim]
 	})
-	block := a.propose(leader)
+	a.propose(leader)
 	a.bus.SetDropFunc(nil)
 	for j := range a.govs {
 		if got := a.adopt(j); got != (j != victim) {
-			t.Fatalf("governor %d Adopt() = %v", j, got)
+			t.Fatalf("governor %d committed = %v", j, got)
 		}
 	}
-	late := network.Message{From: a.ids[leader], Kind: network.KindBlock, Payload: block.EncodeBytes()}
-	a.check(a.govs[victim].Ingest([]network.Message{late}))
+	block := a.head(leader)
+	a.check(a.bus.Multicast(a.ids[leader], a.ids[victim:victim+1], network.KindBlock, block.EncodeBytes()))
 	a.runRound()
+	if a.govs[victim].prevHash != block.Hash() {
+		t.Fatal("the victim's round-3 tickets were not made over the late block")
+	}
 	for j, g := range a.govs {
 		if h := g.Store().Height(); h != 3 {
 			t.Fatalf("governor %d height = %d after round 3, want 3", j, h)
@@ -220,8 +368,15 @@ func TestRoundAdoptsBlockFromWrongPhase(t *testing.T) {
 	// A frame from a governor nobody elected, and one that is not a
 	// block at all, are skipped and counted.
 	a.open()
-	impostor := (a.elect(0, 1, 2) + 1) % 3
-	a.propose(impostor)
+	leader = a.elect(0, 1, 2)
+	a.bus.SetDropFunc(func(m network.Message, to identity.NodeID) bool { return m.Kind == network.KindBlock })
+	a.propose(leader)
+	a.bus.SetDropFunc(nil)
+	impostor := (leader + 1) % 3
+	forged, err := ledger.NewBlock(nil, nil, 0)
+	a.check(err)
+	forged.SignAs(a.ids[impostor], a.govs[impostor].cfg.Member.PrivateKey)
+	a.check(a.bus.Multicast(a.ids[impostor], a.ids[:1], network.KindBlock, forged.EncodeBytes()))
 	a.check(a.bus.Multicast(a.ids[impostor], a.ids[:1], network.KindBlock, []byte("junk")))
 	if a.adopt(0) {
 		t.Fatal("governor 0 committed a block from an unelected proposer")
@@ -234,7 +389,7 @@ func TestRoundAdoptsBlockFromWrongPhase(t *testing.T) {
 // TestRoundTicketBatches: a stale-round batch, a malformed one, a
 // duplicate and one from outside the governor list are each counted
 // under their own reason and none of them moves the election; a staked
-// governor's missing batch fails the election by name.
+// governor's missing batch fails the election by name at its deadline.
 func TestRoundTicketBatches(t *testing.T) {
 	a := newAlliance(t, nil)
 	a.runRound()
@@ -261,20 +416,20 @@ func TestRoundTicketBatches(t *testing.T) {
 		return m.Kind == network.KindVRF && m.From == a.ids[1] && to == a.ids[0]
 	})
 	a.open()
-	a.ingest(0)
-	if a.govs[0].TicketsComplete(a.stakes) {
-		t.Fatal("TicketsComplete() with governor/1's batch dropped")
+	early := a.at(DeadlineElect).Add(-time.Nanosecond)
+	if p := a.step(0, early); p.Phase != PhaseElect || !p.WakeAt.Equal(a.at(DeadlineElect)) {
+		t.Fatalf("governor/1's batch dropped: phase %d, wake at %v before the election deadline; want the election awaited", p.Phase, p.WakeAt)
 	}
-	_, err := a.govs[0].Elect(a.stakes)
-	if !errors.Is(err, consensus.ErrIncompleteElection) || !strings.Contains(fmt.Sprint(err), "governor/1") {
-		t.Fatalf("Elect() error = %v, want ErrIncompleteElection naming governor/1", err)
+	p, err := a.try(0, a.at(DeadlineElect))
+	if !errors.Is(err, consensus.ErrIncompleteElection) || !strings.Contains(fmt.Sprint(err), "governor/1") || p.Phase != PhaseOver {
+		t.Fatalf("Step() at the election deadline = phase %d, %v; want the round over with ErrIncompleteElection naming governor/1", p.Phase, err)
 	}
 }
 
-// TestRoundElectReportsLeader: Elect is the one place the election's
-// outcome is reported, so both drivers emit the same thing — each
-// governor, under its own ID, names the node it elected; a failed
-// election reports nothing.
+// TestRoundElectReportsLeader: the election is the one place its outcome
+// is reported, so both drivers emit the same thing — each governor,
+// under its own ID, names the node it elected; a failed election
+// reports nothing.
 func TestRoundElectReportsLeader(t *testing.T) {
 	a := newAlliance(t, nil)
 	a.open()
@@ -294,9 +449,8 @@ func TestRoundElectReportsLeader(t *testing.T) {
 
 	a.bus.SetDropFunc(func(m network.Message, _ identity.NodeID) bool { return m.Kind == network.KindVRF })
 	a.open()
-	a.ingest(0)
-	if _, err := a.govs[0].Elect(a.stakes); !errors.Is(err, consensus.ErrIncompleteElection) {
-		t.Fatalf("Elect() error = %v, want ErrIncompleteElection", err)
+	if _, err := a.try(0, a.at(DeadlineElect)); !errors.Is(err, consensus.ErrIncompleteElection) {
+		t.Fatalf("Step() error = %v, want ErrIncompleteElection", err)
 	}
 	for _, e := range a.log.Events() {
 		if e.Type == events.TypeLeaderElected && e.Round == a.round {
@@ -312,12 +466,9 @@ func TestRoundElectVerifiesOneBatch(t *testing.T) {
 	a := newAlliance(t, nil)
 	calls := func() int64 { return crypto.DefaultVerifyCache.BatchStats().Calls }
 	a.open()
-	for j, g := range a.govs {
-		a.ingest(j)
+	for j := range a.govs {
 		before := calls()
-		if _, err := g.Elect(a.stakes); err != nil {
-			t.Fatal(err)
-		}
+		a.step(j, a.at(DeadlineElect))
 		if n := calls() - before; n != 1 {
 			t.Fatalf("governor %d elected with %d VerifyBatch calls, want 1", j, n)
 		}
@@ -329,13 +480,12 @@ func TestRoundElectVerifiesOneBatch(t *testing.T) {
 	})
 	a.open()
 	a.bus.SetDropFunc(nil)
-	forged := consensus.MakeTickets(a.govs[2].cfg.Member.PrivateKey, crypto.Sum([]byte("elsewhere")), a.round, 2, a.stakes[2])
+	forged := consensus.MakeTickets(a.govs[2].cfg.Member.PrivateKey, crypto.Sum([]byte("elsewhere")), a.round, 2, 1)
 	a.check(a.bus.Multicast(a.ids[2], a.ids[:1], network.KindVRF, consensus.EncodeRoundTickets(a.round, forged)))
-	a.ingest(0)
 	before := calls()
-	_, err := a.govs[0].Elect(a.stakes)
+	_, err := a.try(0, a.at(DeadlineElect))
 	if !errors.Is(err, consensus.ErrBadTicket) || !strings.Contains(err.Error(), "tickets from governor/2") {
-		t.Fatalf("Elect() error = %v, want ErrBadTicket naming governor/2", err)
+		t.Fatalf("Step() error = %v, want ErrBadTicket naming governor/2", err)
 	}
 	if n := calls() - before; n != 1 {
 		t.Fatalf("failed election made %d VerifyBatch calls, want 1", n)
@@ -348,24 +498,26 @@ func onDisk(dir string) func(j int, cfg *GovernorConfig) {
 	return func(_ int, cfg *GovernorConfig) { cfg.StateDir = dir }
 }
 
-// TestRoundCheckpointCadence: MaybeCheckpoint snapshots once the chain
-// has grown SnapshotEvery blocks past the last snapshot, and a second
-// call at an unchanged height — a round that committed nothing — writes
-// none.
+// TestRoundCheckpointCadence: a round's end snapshots once the chain has
+// grown SnapshotEvery blocks past the last snapshot, and the end of a
+// round that committed nothing, at an unchanged height, writes none.
 func TestRoundCheckpointCadence(t *testing.T) {
 	dir := t.TempDir()
 	a := newAlliance(t, func(_ int, cfg *GovernorConfig) { cfg.StateDir, cfg.SnapshotEvery = dir, 2 })
 	snapshots := a.reg.Counter("ledger.snapshots_total")
-	for round, want := range []int64{0, 1, 1, 2} {
+	for round, want := range []int64{0, 3, 3, 6} {
 		a.runRound()
-		a.check(a.govs[0].MaybeCheckpoint())
+		a.end()
 		if got := snapshots.Value(); got != want {
 			t.Fatalf("after round %d: ledger.snapshots_total = %d, want %d", round+1, got, want)
 		}
 	}
-	a.check(a.govs[0].MaybeCheckpoint())
-	if got := snapshots.Value(); got != 2 {
-		t.Fatalf("second call at height 4: ledger.snapshots_total = %d, want 2", got)
+	a.bus.SetDropFunc(func(m network.Message, _ identity.NodeID) bool { return m.Kind == network.KindBlock })
+	a.open()
+	a.propose(a.elect(0, 1, 2))
+	a.end()
+	if got, h := snapshots.Value(), a.govs[0].Store().Height(); got != 6 || h != 4 {
+		t.Fatalf("a round that committed nothing: ledger.snapshots_total = %d at height %d, want 6 at 4", got, h)
 	}
 }
 
@@ -492,14 +644,9 @@ func TestRoundArgueCarryCrossesLeaders(t *testing.T) {
 		if a.round == 3 {
 			t.Fatalf("%d argued transactions still uncommitted after 3 rounds", len(pending))
 		}
-		a.open()
-		leader := a.elect(0, 1, 2)
-		block := a.propose(leader)
-		for j := range a.govs {
-			if !a.adopt(j) {
-				t.Fatalf("governor %d did not commit round %d", j, a.round)
-			}
-		}
+		a.runRound()
+		leader := a.govs[0].leader
+		block := a.head(leader)
 		if len(block.Records) != min(limit, len(pending)) {
 			t.Fatalf("round %d block has %d records, want %d", a.round, len(block.Records), min(limit, len(pending)))
 		}
@@ -509,7 +656,7 @@ func TestRoundArgueCarryCrossesLeaders(t *testing.T) {
 			}
 			delete(pending, rec.Signed.ID())
 		}
-		a.stakes[leader] = 0 // the next round goes to a governor that has not led
+		a.down[leader] = true // the next round goes to a governor that has not led
 	}
 }
 
@@ -530,9 +677,8 @@ func TestRoundAdoptRefusesOversizedBlock(t *testing.T) {
 	a.check(err)
 	block.SignAs(a.ids[leader], a.govs[leader].cfg.Member.PrivateKey)
 	a.check(a.bus.Multicast(a.ids[leader], a.ids[follower:follower+1], network.KindBlock, block.EncodeBytes()))
-	a.ingest(follower)
-	if _, err := a.govs[follower].Adopt(); !errors.Is(err, ledger.ErrBlockTooLarge) {
-		t.Fatalf("Adopt() of a %d-record block with b_limit %d = %v, want ErrBlockTooLarge", len(records), limit, err)
+	if _, err := a.try(follower, a.at(DeadlineElect)); !errors.Is(err, ledger.ErrBlockTooLarge) {
+		t.Fatalf("adopting a %d-record block with b_limit %d = %v, want ErrBlockTooLarge", len(records), limit, err)
 	}
 	if h := a.govs[follower].Store().Height(); h != 0 {
 		t.Fatalf("height %d after refusing the block, want 0", h)
@@ -547,7 +693,7 @@ func TestRoundAdoptRefusesOversizedBlock(t *testing.T) {
 // nonce, a leader re-proposing it by expulsion.
 func TestRoundStakeExpulsion(t *testing.T) {
 	a := newAlliance(t, nil)
-	initial := slices.Clone(a.stakes)
+	initial := a.govs[0].Stakes()
 	a.open()
 	liar := a.elect(0, 1, 2)
 	a.propose(liar)
@@ -577,7 +723,6 @@ func TestRoundStakeExpulsion(t *testing.T) {
 	}
 
 	// The next election excludes the liar; its leader commits the transfer.
-	a.stakes = a.govs[0].Stakes()
 	a.open()
 	leader := a.elect(0, 1, 2)
 	if leader == liar {
@@ -599,7 +744,6 @@ func TestRoundStakeExpulsion(t *testing.T) {
 
 	replayed := consensus.SignStakeTx(payer, payee, 1, 0, a.govs[payer].cfg.Member.PrivateKey)
 	a.check(a.bus.Multicast(a.ids[payer], a.ids, network.KindStakeTx, consensus.EncodeStakeTx(replayed)))
-	a.stakes = a.govs[0].Stakes()
 	a.runRound()
 	if n := a.stakeIgnored("stale_nonce"); n != 3 {
 		t.Fatalf("replayed transfer frame: stale_nonce = %d, want 3", n)
@@ -705,10 +849,8 @@ func TestRoundLateStakeBlock(t *testing.T) {
 	})
 	a.check(a.govs[1].TransferStake(0, 1, a.bus))
 	for step := 0; step < 4; step++ {
-		for j, r := range a.govs {
-			a.ingest(j)
-			_, err := r.StakeStep(a.bus)
-			a.check(err)
+		for j := range a.govs {
+			a.step(j, a.at(DeadlineElect))
 		}
 	}
 	a.bus.SetDropFunc(nil)
@@ -716,29 +858,25 @@ func TestRoundLateStakeBlock(t *testing.T) {
 		t.Fatalf("%d stake blocks held back; the victim should lack the one the others applied", len(late))
 	}
 	a.check(a.bus.Multicast(late[0].From, a.ids[victim:victim+1], network.KindStakeBlock, late[0].Payload))
-	a.runRound() // the victim ingests it after Begin, before Screen
+	a.runRound() // the victim files it in the next round's first Step, before screening
 	for j, r := range a.govs {
-		if got := fmt.Sprint(r.Stakes()); got != "[2 1 1]" {
-			t.Fatalf("governor %d stakes %s, want [2 1 1]", j, got)
+		if got := fmt.Sprint(r.Stakes(), r.electing); got != "[2 1 1] [2 1 1]" {
+			t.Fatalf("governor %d stakes and election stakes %s, want [2 1 1] [2 1 1]", j, got)
 		}
 	}
 }
 
 // TestRoundTicketLookahead: governors are not phase-locked, so a peer
-// that finished round r first sends its round r+1 batch to a governor
-// still in round r. The batch is kept and becomes round r+1's at Begin;
-// a second one from the same peer is a duplicate, and batches for any
-// other round are stale.
+// that opened round r+1 first sends its batch to a governor still in
+// round r, here at its last instant. The batch is kept and becomes round
+// r+1's when that governor opens it; a second one from the same peer is
+// a duplicate, and batches for any other round are stale.
 func TestRoundTicketLookahead(t *testing.T) {
 	a := newAlliance(t, nil)
 	a.runRound()
 	a.round++
 	for _, j := range []int{1, 2} {
-		r := a.govs[j]
-		r.Begin(a.round)
-		a.ingest(j)
-		a.check(r.Screen())
-		a.check(r.SendTickets(a.stakes[j], a.bus))
+		a.step(j, a.at(DeadlineScreen))
 	}
 	for _, junk := range [][]byte{
 		consensus.EncodeRoundTickets(a.round, nil),   // duplicate of governor/1's round-2 batch
@@ -746,17 +884,12 @@ func TestRoundTicketLookahead(t *testing.T) {
 	} {
 		a.check(a.bus.Multicast(a.ids[1], a.ids[:1], network.KindVRF, junk))
 	}
-	a.ingest(0) // governor/0 is still in round 1
 	slow := a.govs[0]
-	slow.Begin(a.round)
-	if !slow.TicketsComplete([]uint64{0, a.stakes[1], a.stakes[2]}) {
-		t.Fatal("Begin dropped the peers' batches filed one round early")
+	if p := a.step(0, testClock.At(a.round-1, 1)); p.Round != 1 || p.Phase != PhaseOver || !slow.nextFiled[1] || !slow.nextFiled[2] {
+		t.Fatalf("governor/0 in round %d phase %d, peers' round-2 batches filed ahead %v; want round 1 over with both", p.Round, p.Phase, slow.nextFiled)
 	}
-	a.check(slow.Screen())
-	a.check(slow.SendTickets(a.stakes[0], a.bus))
-	a.ingest(0)
-	if !slow.TicketsComplete(a.stakes) {
-		t.Fatal("TicketsComplete() false with every batch filed")
+	if p := a.step(0, a.at(DeadlineScreen)); p.Round != 2 || !slow.filed[1] || !slow.filed[2] {
+		t.Fatalf("governor/0 in round %d with batches %v: opening round 2 dropped the peers' batches filed one round early", p.Round, slow.filed)
 	}
 	a.propose(a.elect(0, 1, 2))
 	for j := range a.govs {
@@ -773,8 +906,9 @@ func TestRoundTicketLookahead(t *testing.T) {
 
 // TestRoundUploadsComplete: a collector with nothing to upload still
 // sends one signed empty batch for its round. A verified batch admits
-// nothing when empty and counts toward UploadsComplete for its round and
-// every earlier one; a batch whose signature fails does not count.
+// nothing when empty and counts toward a round's uploads being in for
+// its round and every earlier one; a batch whose signature fails does
+// not count.
 func TestRoundUploadsComplete(t *testing.T) {
 	fx := newFixture(t, nil)
 	r := fx.governor
@@ -785,9 +919,8 @@ func TestRoundUploadsComplete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.Begin(1)
-	if r.UploadsComplete() {
-		t.Fatal("UploadsComplete() before any upload")
+	if r.uploadsIn(1) {
+		t.Fatal("uploadsIn(1) before any upload")
 	}
 	fx.collectors[0].SetRound(1)
 	if n, err := fx.collectors[0].ProcessBatch(nil, fx.bus); err != nil || n != 0 {
@@ -796,31 +929,30 @@ func TestRoundUploadsComplete(t *testing.T) {
 	if got := fx.bus.Stats().SentByKind[network.KindCollectorBatch]; got != 1 {
 		t.Fatalf("an empty drain sent %d batches, want 1", got)
 	}
-	ingest(fx.governor.Endpoint().Receive()...)
+	ingest(fx.inbox.Receive()...)
 	if st := fx.governor.Stats(); st.ForgeriesDetected != 0 || st.ReportsReceived != 0 || fx.governor.mempoolDepth() != 0 {
 		t.Fatalf("empty batch: %+v, mempool %d; want nothing admitted or penalized", st, fx.governor.mempoolDepth())
 	}
-	if r.UploadsComplete() {
-		t.Fatal("UploadsComplete() with collector/1's batch missing")
+	if r.uploadsIn(1) {
+		t.Fatal("uploadsIn(1) with collector/1's batch missing")
 	}
 	forgedSig := identity.Member{ID: coll1.ID, PrivateKey: coll0.PrivateKey}
 	ingest(roundUploadMsg(t, forgedSig, coll1.ID, 1))
 	if st := fx.governor.Stats(); st.ForgeriesDetected != 1 {
 		t.Fatalf("bad-signature batch: %d penalties, want 1", st.ForgeriesDetected)
 	}
-	if r.UploadsComplete() {
-		t.Fatal("a batch that fails its signature counted toward UploadsComplete()")
+	if r.uploadsIn(1) {
+		t.Fatal("a batch that fails its signature counted toward uploadsIn(1)")
 	}
 	ingest(roundUploadMsg(t, coll1, coll1.ID, 1))
-	if !r.UploadsComplete() {
-		t.Fatal("UploadsComplete() false with both round-1 batches verified")
+	if !r.uploadsIn(1) {
+		t.Fatal("uploadsIn(1) false with both round-1 batches verified")
 	}
-	r.Begin(2)
-	if r.UploadsComplete() {
+	if r.uploadsIn(2) {
 		t.Fatal("round-1 batches counted for round 2")
 	}
 	ingest(roundUploadMsg(t, coll0, coll0.ID, 3), roundUploadMsg(t, coll1, coll1.ID, 2))
-	if !r.UploadsComplete() {
-		t.Fatal("UploadsComplete() false with batches for round 2 and later")
+	if !r.uploadsIn(2) {
+		t.Fatal("uploadsIn(2) false with batches for round 2 and later")
 	}
 }

@@ -49,7 +49,7 @@ func (g *Governor) CorruptNextStakeProposal() { g.corrupt = true }
 // every governor (itself included). More than its stake less its filed
 // transfers is refused with a wrapped consensus.ErrInsufficientStake.
 func (g *Governor) TransferStake(to int, amount uint64, out Sender) error {
-	me := g.Index()
+	me := g.cfg.Member.Index
 	nonce := g.nextNonce[me]
 	if i, _ := slices.BinarySearchFunc(g.transfers, consensus.StakeTx{From: me + 1}, transferOrder); i > 0 && g.transfers[i-1].From == me {
 		nonce = g.transfers[i-1].Nonce + 1
@@ -116,7 +116,7 @@ func (g *Governor) fileStake(m network.Message) {
 		}
 	case network.KindStakeSig:
 		en, err := consensus.DecodeEndorsement(m.Payload)
-		switch reason = g.roundReason(err, en.Round, g.Index()); {
+		switch reason = g.roundReason(err, en.Round, g.cfg.Member.Index); {
 		case reason != "":
 		case g.proposal == nil:
 			reason = "not_leader"
@@ -129,7 +129,7 @@ func (g *Governor) fileStake(m network.Message) {
 			g.endorsements[en.Governor] = en
 		}
 	case network.KindStakeBlock:
-		// One that missed its round is applied in the next, before Screen.
+		// One that missed its round is applied in the next, before screening.
 		sb, err := consensus.DecodeStakeBlock(m.Payload)
 		switch {
 		case err != nil:
@@ -190,16 +190,16 @@ func (g *Governor) roundReason(err error, round uint64, leader int) string {
 	return ""
 }
 
-// StakeStep, called after Adopt with Ingest in between, takes the stake
-// transform's next steps — lead: propose; answer the filed proposal;
-// lead: assemble once every endorsement is filed — and reports whether
-// this governor is done for the round (a round with nothing filed is,
-// at once, sending nothing).
-func (g *Governor) StakeStep(out Sender) (bool, error) {
+// stakeStep, run by every Step after the round's election until the
+// round ends, takes the stake transform's next steps — lead: propose;
+// answer the filed proposal; lead: assemble once every endorsement is
+// filed — and reports whether this governor is done for the round (a
+// round with nothing filed is, at once, sending nothing).
+func (g *Governor) stakeStep(out Sender) (bool, error) {
 	if g.leader < 0 || g.expelled[g.leader] != nil || g.applied != nil && g.applied.Round == g.round {
 		return true, nil
 	}
-	me, key, id := g.Index(), g.cfg.Member.PrivateKey, g.ID()
+	me, key, id := g.cfg.Member.Index, g.cfg.Member.PrivateKey, g.ID()
 	if me == g.leader && !g.proposed && len(g.transfers) > 0 {
 		p, err := consensus.ProposeState(g.round, me, g.stakes, g.transfers, key)
 		if err != nil {

@@ -15,70 +15,26 @@ import (
 	"repchain/internal/tx"
 )
 
-// The wall-clock round runtime. Under the paper's synchrony assumption
-// every node owns a loosely synchronized clock. Two marks of a shared
-// round duration R pace the round; the others are deadlines:
-//
-//	t0 + 0.00·R    pace: providers broadcast the round's transactions
-//	t0 + 0.30·R    pace: collectors label and upload what arrived
-//	t0 + 0.55·R    deadline: governors screen, then broadcast VRF tickets
-//	t0 + 0.835·R   deadline: governors elect; the leader broadcasts the block
-//	t0 + 1.00·R    deadline: governors adopt the block and run the stake
-//	               transform; providers adopt it and argue; next round
-//
-// A governor takes each step the moment its inputs are on file — every
-// collector's upload batch for the round, every staked governor's ticket
-// batch, the leader's block — so in the common case the block follows
-// the uploads by the work alone. A deadline only bounds the wait for an
-// input that is late or lost; the gap before each exceeds the network's
-// delivery bound Δ provided the round duration is chosen accordingly.
+// Clock fixes the shared round schedule (node.Clock, whose doc has it):
+// providers broadcast at a round's start and collectors upload at
+// phaseUpload; a governor paces itself.
+type Clock node.Clock
 
-// Clock fixes the shared round schedule.
-type Clock struct {
-	// Epoch is round 1's start time.
-	Epoch time.Time
-	// Round is the round duration R.
-	Round time.Duration
-}
+func (c Clock) at(round uint64, frac float64) time.Time { return node.Clock(c).At(round, frac) }
 
-// Offsets within a round, as fractions of its duration: phaseUpload
-// paces the collectors, the other two are governor deadlines. The third
-// deadline is the next round's start.
-const (
-	phaseUpload    = 0.30
-	deadlineScreen = 0.55
-	deadlineElect  = 0.835
-)
-
-func (c Clock) at(round uint64, frac float64) time.Time {
-	start := c.Epoch.Add(time.Duration(round-1) * c.Round)
-	return start.Add(time.Duration(frac * float64(c.Round)))
-}
+const phaseUpload = 0.30
 
 func sleepUntil(t time.Time) {
 	<-time.After(time.Until(t))
 }
 
-// await calls step, which drains ep and reports whether what it waits
-// for is in, until step says so or the deadline passes; in between it
-// blocks until a frame reaches ep or the deadline does. It returns the
-// time spent in step, not blocked.
-func await(ep *Endpoint, deadline time.Time, step func() (bool, error)) (time.Duration, error) {
-	timer := time.NewTimer(time.Until(deadline))
+// waitFrame blocks until a frame reaches ep or until passes.
+func waitFrame(ep *Endpoint, until time.Time) {
+	timer := time.NewTimer(time.Until(until))
 	defer timer.Stop()
-	var busy time.Duration
-	for {
-		start := time.Now()
-		done, err := step()
-		now := time.Now()
-		busy += now.Sub(start)
-		if err != nil || done || !now.Before(deadline) {
-			return busy, err
-		}
-		select {
-		case <-ep.Arrived():
-		case <-timer.C:
-		}
+	select {
+	case <-ep.Arrived():
+	case <-timer.C:
 	}
 }
 
@@ -171,8 +127,8 @@ type RuntimeConfig struct {
 	// endpoint (decode/auth failures, exhausted deliveries) instead of
 	// silence.
 	Logger *slog.Logger
-	// Health, when non-nil, receives governor chain heights after each
-	// round for the /readyz probe.
+	// Health, when non-nil, receives a governor's chain height after each
+	// step for the /readyz probe.
 	Health *Health
 	// MempoolCap bounds each governor's upload mempool per provider (0 =
 	// unbounded; a provider at its cap has its oldest pending
@@ -282,12 +238,14 @@ func runProvider(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 		report.Submitted += len(signed)
 		// Adopt the round's block and argue: from the broadcast until a
 		// block shows up or the round ends.
-		_, err := await(ep, cfg.Clock.at(round+1, 0), func() (bool, error) {
+		for end := cfg.Clock.at(round+1, 0); ; waitFrame(ep, end) {
 			blocks, _, err := prov.Ingest(toNetworkMessages(ep.Receive()), sender)
-			return blocks > 0, err
-		})
-		if err != nil {
-			return report, err
+			if err != nil {
+				return report, err
+			}
+			if blocks > 0 || !time.Now().Before(end) {
+				break
+			}
 		}
 		report.Rounds++
 	}
@@ -336,10 +294,9 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 		spec, _ := cfg.Deployment.Node(string(g.ID)) // the roster came from these specs
 		stakes[i] = max(spec.Stake, 1)
 	}
-	// The governor is the protocol; this function only decides when each
-	// step runs.
 	gov, err := node.NewGovernor(node.GovernorConfig{
 		Member:        me,
+		Clock:         node.Clock(cfg.Clock),
 		Roster:        roster,
 		Params:        cfg.Params,
 		Validator:     cfg.Validator,
@@ -365,110 +322,63 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	}()
 	instrumentEndpoint(ep, cfg)
 
-	// Resume round numbering from a persisted chain (all governors in
-	// a deployment must restart together so their heights agree).
-	baseRound := gov.Store().Height()
-	cfg.Health.SetHeight(string(cfg.ID), baseRound)
+	// Rounds resume past a persisted chain (a deployment's governors
+	// restart together); the clock stops at the last round's end.
+	base := gov.Store().Height()
+	last, stop := base+uint64(cfg.Rounds), cfg.Clock.at(uint64(cfg.Rounds)+1, 0)
 	report := Report{Role: "governor"}
 	sender := frameSender{ep: ep, failures: &report.SendFailures}
-
-	// Stage latency histograms measure each step's work — ingesting its
-	// inputs as they arrive, then the step — not the wait for them. In
-	// demo mode the registry is shared, so samples from every governor
-	// merge.
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	stages := reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")
+	reg := ep.Metrics() // cfg.Metrics, or the endpoint's own
+	timer := stageTimer{stages: reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")}
 	heightG := reg.Gauge("chain.height")
-	// wait ingests every arrival until done reports true or the deadline
-	// passes, and returns the time spent ingesting and testing. What an
-	// arrival holds that the step does not need, the governor keeps.
-	wait := func(deadline time.Time, done func() (bool, error)) (time.Duration, error) {
-		return await(ep, deadline, func() (bool, error) {
-			if err := gov.Ingest(toNetworkMessages(ep.Receive())); err != nil {
-				return false, err
-			}
-			return done()
-		})
-	}
-	// observe records a step that began at start, after busy spent
-	// ingesting its inputs.
-	observe := func(stage string, busy time.Duration, start time.Time) {
-		stages.With(stage).Observe((busy + time.Since(start)).Seconds())
-	}
-	for r := uint64(1); r <= uint64(cfg.Rounds); r++ {
-		round := baseRound + r
-		gov.Begin(round)
-		// Screen the round's uploads and argues once every collector's
-		// batch is in, then broadcast leader-election tickets over the
-		// chain head. After a restart on a persisted chain this governor
-		// numbers its rounds past the collectors', so the deadline screens.
-		busy, err := wait(cfg.Clock.at(r, deadlineScreen), func() (bool, error) {
-			return gov.UploadsComplete(), nil
-		})
-		if err != nil {
-			return report, err
-		}
+	// The governor sequences its own round: hand it what arrived and the
+	// time, then block until a frame arrives or its next deadline.
+	p := node.Progress{Round: base}
+	for p.Round < last || p.Phase != node.PhaseOver {
+		//repchain:dettaint-ok the wall clock is the deployment's shared round schedule (the paper's synchrony assumption): it tells the governor which round it is in and which deadlines have passed, as the epoch does every node; what a step computes comes from the messages it was handed
 		start := time.Now()
-		if err := gov.Screen(); err != nil {
-			return report, err
+		now := start
+		if now.After(stop) {
+			now = stop
 		}
-		observe("screen", busy, start)
-		stakes := gov.Stakes()
-		if err := gov.SendTickets(stakes[me.Index], sender); err != nil {
-			return report, err
-		}
-
-		// Elect once every staked governor's ticket batch is in, or at the
-		// deadline, which leaves the leader the rest of the round to pack
-		// and multicast. A batch still missing fails the election and
-		// stops the node: rejoining needs state transfer.
-		busy, err = wait(cfg.Clock.at(r, deadlineElect), func() (bool, error) {
-			return gov.TicketsComplete(stakes), nil
-		})
+		next, err := gov.Step(now, toNetworkMessages(ep.Receive()), sender)
 		if err != nil {
 			return report, err
 		}
-		start = time.Now()
-		leader, err := gov.Elect(stakes)
-		if err != nil {
-			return report, err
+		timer.step(p, next, time.Since(start))
+		p = next
+		cfg.Health.SetHeight(string(cfg.ID), gov.Store().Height())
+		heightG.Set(float64(gov.Store().Height()))
+		if p.WakeAt.After(time.Now()) {
+			waitFrame(ep, p.WakeAt)
 		}
-		observe("elect", busy, start)
-
-		// The leader proposes; everyone adopts.
-		if leader == me.Index {
-			start = time.Now()
-			if _, err := gov.Propose(sender); err != nil {
-				return report, err
-			}
-			observe("pack", 0, start)
-		}
-		// Adopt once this round's block is committed, or give up at the
-		// round's end; a frame later than that is committed by the next
-		// round's Screen, before tickets are made over the head.
-		roundEnd := cfg.Clock.at(r+1, 0)
-		busy, err = wait(roundEnd, gov.Adopt)
-		stages.With("commit").Observe(busy.Seconds())
-		if err != nil {
-			return report, err
-		}
-		// The stake transform, for what the round has left of its time.
-		if _, err := wait(roundEnd, func() (bool, error) { return gov.StakeStep(sender) }); err != nil {
-			return report, err
-		}
-		height := gov.Store().Height()
-		cfg.Health.SetHeight(string(cfg.ID), height)
-		heightG.Set(float64(height))
-		if err := gov.MaybeCheckpoint(); err != nil {
-			return report, err
-		}
-		report.Rounds++
 	}
+	report.Rounds = cfg.Rounds
 	report.Height = gov.Store().Height()
 	report.Stats = gov.Stats()
 	report.StakeBlock = gov.StakeBlock()
 	return report, nil
+}
+
+// stageTimer turns a TCP governor's Steps into round.stage_seconds: a
+// Step that moves the governor on ends the sample of the phase it
+// leaves, the time its Steps took (filing inputs, then the step), not
+// the wait between. Stake steps after the commit count toward none.
+type stageTimer struct {
+	stages *metrics.HistogramVec
+	busy   time.Duration
+}
+
+var stageLabels = [...]string{node.PhaseScreen: "screen", node.PhaseElect: "elect", node.PhasePack: "pack", node.PhaseCommit: "commit"}
+
+// step accounts for a Step that took d.
+func (t *stageTimer) step(before, after node.Progress, d time.Duration) {
+	t.busy += d
+	if after.Round == before.Round && after.Phase == before.Phase && after.Committed == before.Committed {
+		return
+	}
+	if label := stageLabels[before.Phase]; label != "" && !before.Committed {
+		t.stages.With(label).Observe(t.busy.Seconds())
+	}
+	t.busy = 0
 }
