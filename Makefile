@@ -95,9 +95,10 @@ crash-consistency:
 # Short coverage-guided fuzz pass over the untrusted decoders: ledger
 # segments and snapshots, the deployment file and the roster built from
 # it, the transport's frame receive path, the provider frame (a list of
-# signed transactions and their provider batches), the
-# collector upload batch, the round-ticket envelope, block frames, the
-# governor-to-governor stake-transform messages, the governor checkpoint
+# signed transactions and their provider batches), the collector upload
+# batch, the round-ticket envelope, block frames and a provider's
+# own-records decode of them (which must accept exactly what the full
+# decode does), the governor-to-governor stake-transform messages, the governor checkpoint
 # state and the reputation table inside it, the provider's argue
 # message, and the cross-shard lock/receipt payloads behind the
 # validator wrapper; and batch signature verification, whose every
@@ -107,7 +108,7 @@ crash-consistency:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzDeploymentRoster transport/FuzzFrameReceive tx/FuzzUploadBatchDecode tx/FuzzProviderBatchDecode \
-		consensus/FuzzRoundTicketsDecode ledger/FuzzBlockDecode consensus/FuzzStakeTransformDecode \
+		consensus/FuzzRoundTicketsDecode ledger/FuzzBlockDecode ledger/FuzzOwnRecordsDecode consensus/FuzzStakeTransformDecode \
 		node/FuzzGovernorStateDecode reputation/FuzzReputationRestore node/FuzzArgueDecode \
 		shard/FuzzXShardValidate crypto/FuzzVerifyBatch; do \
 		$(GO) test ./internal/$${target%/*} -run '^$$' -fuzz "^$${target#*/}$$" -fuzztime $(FUZZTIME) || exit 1; \

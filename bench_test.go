@@ -104,16 +104,16 @@ func TestRoundAllocBudgets(t *testing.T) {
 		measured float64
 		round    func(testing.TB) func(int)
 	}{
-		{"plain", 3061, func(tb testing.TB) func(int) {
+		{"plain", 2559, func(tb testing.TB) func(int) {
 			return chainRound(tb, txPerRound)
 		}},
-		{"tracing", 4450, func(tb testing.TB) func(int) {
+		{"tracing", 3944, func(tb testing.TB) func(int) {
 			return chainRound(tb, txPerRound, repchain.WithEventLog(1<<16))
 		}},
-		{"mempool", 3061, func(tb testing.TB) func(int) {
+		{"mempool", 2559, func(tb testing.TB) func(int) {
 			return chainRound(tb, txPerRound, repchain.WithMempool(256), repchain.WithBlockLimit(64))
 		}},
-		{"committees=4", 4921, clusterRound},
+		{"committees=4", 4369, clusterRound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -234,6 +234,12 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 // Done reports whether the input has been fully consumed.
 func (d *Decoder) Done() bool { return d.off >= len(d.buf) }
 
+// Offset reports how many bytes have been consumed.
+func (d *Decoder) Offset() int { return d.off }
+
+// Since returns the input consumed since offset off, uncopied.
+func (d *Decoder) Since(off int) []byte { return d.buf[off:d.off] }
+
 // Uvarint decodes an unsigned varint. Only the shortest encoding of a
 // value is accepted — its last byte is non-zero unless it is the only
 // one — so every accepted input re-encodes to the same bytes.
@@ -338,8 +344,9 @@ func (d *Decoder) Float64() (float64, error) {
 	return math.Float64frombits(bits), nil
 }
 
-// field returns the next length-prefixed field, uncopied.
-func (d *Decoder) field() ([]byte, error) {
+// Field returns the next length-prefixed field, uncopied: it aliases
+// the input, so a caller that keeps it must copy it.
+func (d *Decoder) Field() ([]byte, error) {
 	n, err := d.Uvarint()
 	if err != nil {
 		return nil, err
@@ -358,7 +365,7 @@ func (d *Decoder) field() ([]byte, error) {
 // Bytes decodes a length-prefixed byte slice. The result is a copy and
 // safe to retain.
 func (d *Decoder) Bytes() ([]byte, error) {
-	b, err := d.field()
+	b, err := d.Field()
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +376,7 @@ func (d *Decoder) Bytes() ([]byte, error) {
 
 // String decodes a length-prefixed string.
 func (d *Decoder) String() (string, error) {
-	b, err := d.field()
+	b, err := d.Field()
 	if err != nil {
 		return "", err
 	}
@@ -380,7 +387,7 @@ func (d *Decoder) String() (string, error) {
 // caller already holds: it returns like itself, allocating nothing,
 // when the field equals it.
 func (d *Decoder) StringLike(like string) (string, error) {
-	b, err := d.field()
+	b, err := d.Field()
 	if err != nil {
 		return "", err
 	}

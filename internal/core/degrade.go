@@ -190,7 +190,7 @@ func (e *Engine) resyncGovernors() error {
 			if err != nil {
 				return fmt.Errorf("resync governor %d block %d: %w", j, serial, err)
 			}
-			if err := g.AcceptBlock(b); err != nil {
+			if err := g.AcceptBlock(b.EncodeBytes()); err != nil {
 				return fmt.Errorf("resync governor %d block %d: %w", j, serial, err)
 			}
 			blocksSynced.Inc()

@@ -19,14 +19,10 @@ import (
 // equivocationForTest produces the encoding of one upload batch in
 // which the collector signs both labels for the same transaction.
 func equivocationForTest(signed tx.SignedTx, coll identity.Member) ([]byte, error) {
-	batch, err := tx.SignUploadBatch(coll.ID, 1, []tx.UploadItem{
+	return tx.SignUploadBatch(coll.ID, 1, []tx.UploadItem{
 		{Signed: signed, Label: tx.LabelValid},
 		{Signed: signed, Label: tx.LabelInvalid},
 	}, coll.PrivateKey)
-	if err != nil {
-		return nil, err
-	}
-	return batch.EncodeBytes(), nil
 }
 
 // TestIrregularTopology runs the engine over an explicit non-regular

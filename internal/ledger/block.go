@@ -73,10 +73,14 @@ type Record struct {
 // EncodeLeaf appends r's transaction-root leaf to e: the transaction,
 // the label, the status and the unchecked flag. The leaf leaves out
 // the record's batch reference; the block hash covers the batch table
-// and every reference (DESIGN.md §4g).
-func (r Record) EncodeLeaf(e *codec.Encoder) {
+// and every reference (DESIGN.md §4g). It returns the length of the
+// transaction's encoding, the leaf's head: the bytes its ID hashes.
+func (r Record) EncodeLeaf(e *codec.Encoder) int {
+	start := e.Len()
 	r.Signed.Tx.EncodeSigning(e)
+	n := e.Len() - start
 	encodeJudgment(e, &r)
+	return n
 }
 
 // encodeJudgment appends the governor's fields of r: the fields a block
@@ -88,13 +92,17 @@ func encodeJudgment(e *codec.Encoder, r *Record) {
 }
 
 // decodeJudgment reads the fields encodeJudgment writes into a record
-// for s.
+// for s. A label or status is checked before its cast, which would map
+// distinct varints onto one value.
 func decodeJudgment(d *codec.Decoder, s tx.SignedTx) (Record, error) {
 	lv, err := d.Varint()
 	if err != nil {
 		return Record{}, fmt.Errorf("record label: %w", err)
 	}
-	sv, err := d.Int()
+	if int64(tx.Label(lv)) != lv {
+		return Record{}, fmt.Errorf("record label %d: %w", lv, ErrDecode)
+	}
+	sv, err := d.Varint()
 	if err != nil {
 		return Record{}, fmt.Errorf("record status: %w", err)
 	}
@@ -103,7 +111,7 @@ func decodeJudgment(d *codec.Decoder, s tx.SignedTx) (Record, error) {
 		return Record{}, fmt.Errorf("record unchecked: %w", err)
 	}
 	st := tx.Status(sv)
-	if st != tx.StatusValid && st != tx.StatusInvalid {
+	if sv != int64(tx.StatusValid) && sv != int64(tx.StatusInvalid) {
 		return Record{}, fmt.Errorf("record status %d: %w", sv, ErrDecode)
 	}
 	return Record{Signed: s, Label: tx.Label(lv), Status: st, Unchecked: unchecked}, nil
@@ -129,23 +137,16 @@ type Block struct {
 	Signature []byte
 }
 
-// AppendTxRoot feeds each record's leaf encoding (EncodeLeaf) into mb
-// in order. Proposers call it with the builder they fill while packing so
-// the root is ready at commit time; enc is a scratch encoder reused
-// across records.
-func AppendTxRoot(mb *crypto.MerkleBuilder, enc *codec.Encoder, records []Record) {
+// ComputeTxRoot returns the Merkle root over the block's records' leaf
+// encodings (EncodeLeaf).
+func ComputeTxRoot(records []Record) crypto.Hash {
+	mb := crypto.NewMerkleBuilder(len(records))
+	enc := codec.GetEncoder(256)
 	for _, r := range records {
 		enc.Reset()
 		r.EncodeLeaf(enc)
 		mb.Add(enc.Bytes())
 	}
-}
-
-// ComputeTxRoot returns the Merkle root over the block's records.
-func ComputeTxRoot(records []Record) crypto.Hash {
-	mb := crypto.NewMerkleBuilder(len(records))
-	enc := codec.GetEncoder(256)
-	AppendTxRoot(mb, enc, records)
 	enc.Release()
 	return mb.Root()
 }
@@ -156,13 +157,16 @@ func ComputeTxRoot(records []Record) crypto.Hash {
 // label, status and unchecked flag — previous hash, transaction root,
 // and proposer; but not the proposer signature, which signs the hash.
 func (b Block) encodeHashable(e *codec.Encoder) {
-	e.PutString("repchain/block/v2")
+	e.PutString(blockTag)
 	e.PutUint64(b.Serial)
 	tx.EncodeList(e, b.Records, func(r *Record) *tx.SignedTx { return &r.Signed }, encodeJudgment)
 	e.PutRaw(b.PrevHash[:])
 	e.PutRaw(b.TxRoot[:])
 	e.PutString(string(b.Proposer))
 }
+
+// blockTag heads every block encoding.
+const blockTag = "repchain/block/v2"
 
 // Hash returns H(B), the value the next block stores in its PrevHash
 // field.
@@ -177,35 +181,42 @@ func (b Block) Hash() crypto.Hash {
 // SignAs sets the proposer identity, signs the block hash and returns
 // it.
 func (b *Block) SignAs(proposer identity.NodeID, key crypto.PrivateKey) crypto.Hash {
-	b.Proposer = proposer
-	h := b.Hash()
-	b.Signature = key.Sign(h[:])
+	h, _ := b.Seal(proposer, key)
 	return h
 }
 
-// VerifyProposer checks the proposer signature against pub and returns
-// the block hash it checked, so a replica hashes the block once for the
-// signature and the chain link. The check runs through the shared
-// verification cache because every replica verifies the same proposer
-// signature on the same block.
-func (b Block) VerifyProposer(pub crypto.PublicKey) (crypto.Hash, error) {
-	h := b.Hash()
-	if err := crypto.CachedVerify(pub, h[:], b.Signature); err != nil {
-		return h, fmt.Errorf("block %d proposer signature: %w", b.Serial, err)
-	}
-	return h, nil
-}
-
-// Encode appends the wire encoding of b to e.
-func (b Block) Encode(e *codec.Encoder) {
+// Seal is SignAs for a proposer about to send the block: it also
+// returns the block's wire encoding, encoding the block once for the
+// hash it signs and the frame it sends.
+func (b *Block) Seal(proposer identity.NodeID, key crypto.PrivateKey) (crypto.Hash, []byte) {
+	b.Proposer = proposer
+	e := codec.GetEncoder(256 * (len(b.Records) + 1))
 	b.encodeHashable(e)
+	h := crypto.Sum(e.Bytes())
+	b.Signature = key.Sign(h[:])
 	e.PutBytes(b.Signature)
+	frame := e.AppendTo(nil)
+	e.Release()
+	return h, frame
 }
 
-// EncodeBytes returns the standalone wire encoding of b.
+// VerifyProposer checks the proposer signature over the block hash h
+// against pub. The check runs through the shared verification cache
+// because every replica verifies the same proposer signature on the
+// same block.
+func (b Block) VerifyProposer(pub crypto.PublicKey, h crypto.Hash) error {
+	if err := crypto.CachedVerify(pub, h[:], b.Signature); err != nil {
+		return fmt.Errorf("block %d proposer signature: %w", b.Serial, err)
+	}
+	return nil
+}
+
+// EncodeBytes returns the standalone wire encoding of b: what the block
+// hash covers, then the proposer signature.
 func (b Block) EncodeBytes() []byte {
 	e := codec.GetEncoder(256 * (len(b.Records) + 1))
-	b.Encode(e)
+	b.encodeHashable(e)
+	e.PutBytes(b.Signature)
 	out := e.AppendTo(nil)
 	e.Release()
 	return out
@@ -215,60 +226,91 @@ func (b Block) EncodeBytes() []byte {
 // each for label, status and the unchecked flag.
 const minJudgmentBytes = 3
 
-// DecodeBlock reads one Block from d.
-func DecodeBlock(d *codec.Decoder) (Block, error) {
-	var b Block
-	tag, err := d.String()
-	if err != nil {
-		return b, err
-	}
-	if tag != "repchain/block/v2" {
-		return b, fmt.Errorf("block tag %q: %w", tag, ErrDecode)
-	}
-	if b.Serial, err = d.Uint64(); err != nil {
-		return b, err
-	}
-	b.Records, err = tx.DecodeList(d, minJudgmentBytes, func(s tx.SignedTx) (Record, error) { return decodeJudgment(d, s) })
-	if err != nil {
-		return b, fmt.Errorf("block records: %w", err)
-	}
-	prev, err := d.Raw(crypto.HashSize)
-	if err != nil {
-		return b, err
-	}
-	if b.PrevHash, err = crypto.HashFromBytes(prev); err != nil {
-		return b, err
-	}
-	root, err := d.Raw(crypto.HashSize)
-	if err != nil {
-		return b, err
-	}
-	if b.TxRoot, err = crypto.HashFromBytes(root); err != nil {
-		return b, err
-	}
-	prop, err := d.String()
-	if err != nil {
-		return b, err
-	}
-	b.Proposer = identity.NodeID(prop)
-	if b.Signature, err = d.Bytes(); err != nil {
-		return b, err
-	}
-	return b, nil
+// Received is what ReceiveBlock hashed from a block frame's bytes
+// rather than from a re-encoding (DESIGN.md §4f). The decoder accepts
+// only input that re-encodes to itself, so each value equals its
+// recomputation from the decoded block.
+type Received struct {
+	// Hash is H(B) (Block.Hash): the hash of the frame's bytes before
+	// the signature.
+	Hash crypto.Hash
+	// Root is ComputeTxRoot over the records' leaves, each one span of
+	// the frame. An honest proposer's TxRoot equals it.
+	Root crypto.Hash
+	// IDs are the records' transaction IDs, in order.
+	IDs []crypto.Hash
 }
 
 // DecodeBlockBytes decodes a standalone block encoding, requiring full
 // consumption of buf.
 func DecodeBlockBytes(buf []byte) (Block, error) {
+	b, _, err := decodeBlock(buf, "", nil)
+	return b, err
+}
+
+// ReceiveBlock is DecodeBlockBytes for a replica adopting a block: it
+// also returns the block's hashes, taken from buf. mb is scratch.
+func ReceiveBlock(buf []byte, mb *crypto.MerkleBuilder) (Block, Received, error) {
+	return decodeBlock(buf, "", mb)
+}
+
+// DecodeOwnRecords is DecodeBlockBytes for a provider observing a block:
+// it materialises only the records of provider's transactions, returned
+// with their IDs, and accepts exactly the frames DecodeBlockBytes does.
+func DecodeOwnRecords(buf []byte, provider identity.NodeID) (Block, []crypto.Hash, error) {
+	b, rcv, err := decodeBlock(buf, provider, nil)
+	return b, rcv.IDs, err
+}
+
+// decodeBlock decodes buf, keeping only the records of provider only
+// when that is set (tx.DecodeList). Given a builder mb, it also hashes
+// the block and each record's leaf from buf.
+func decodeBlock(buf []byte, only identity.NodeID, mb *crypto.MerkleBuilder) (b Block, rcv Received, err error) {
 	d := codec.NewDecoder(buf)
-	b, err := DecodeBlock(d)
+	tag, err := d.String()
 	if err != nil {
-		return Block{}, err
+		return b, rcv, err
+	}
+	if tag != blockTag {
+		return b, rcv, fmt.Errorf("block tag %q: %w", tag, ErrDecode)
+	}
+	if b.Serial, err = d.Uint64(); err != nil {
+		return b, rcv, err
+	}
+	if mb != nil {
+		mb.Reset()
+	}
+	b.Records, rcv.IDs, err = tx.DecodeList(d, minJudgmentBytes, only, func(s tx.SignedTx, start int) (Record, error) {
+		r, err := decodeJudgment(d, s)
+		if err == nil && mb != nil {
+			mb.Add(d.Since(start))
+		}
+		return r, err
+	})
+	if err != nil {
+		return b, rcv, fmt.Errorf("block records: %w", err)
+	}
+	if err := d.RawInto(b.PrevHash[:]); err != nil {
+		return b, rcv, err
+	}
+	if err := d.RawInto(b.TxRoot[:]); err != nil {
+		return b, rcv, err
+	}
+	prop, err := d.String()
+	if err != nil {
+		return b, rcv, err
+	}
+	b.Proposer = identity.NodeID(prop)
+	if mb != nil {
+		rcv.Hash, rcv.Root = crypto.Sum(d.Since(0)), mb.Root()
+	}
+	if b.Signature, err = d.Bytes(); err != nil {
+		return b, rcv, err
 	}
 	if err := d.Expect(); err != nil {
-		return Block{}, fmt.Errorf("block: %w", err)
+		return b, rcv, fmt.Errorf("block: %w", err)
 	}
-	return b, nil
+	return b, rcv, nil
 }
 
 // NewBlock assembles an unsigned block on top of prev (nil for
@@ -285,7 +327,7 @@ func NewBlock(prev *Block, records []Record, limit int) (Block, error) {
 // height and head hash (Store.Height, Store.HeadHash: 0 and ZeroHash
 // for genesis) and already fed the records through an incremental
 // crypto.MerkleBuilder while packing. root must equal
-// ComputeTxRoot(records); AppendTxRoot over the same record sequence
+// ComputeTxRoot(records); feeding the same records' leaves in order
 // guarantees it.
 func NewBlockWithRoot(height uint64, head crypto.Hash, records []Record, limit int, root crypto.Hash) (Block, error) {
 	if limit > 0 && len(records) > limit {

@@ -1,14 +1,18 @@
 package ledger
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repchain/internal/codec"
 	"repchain/internal/crypto"
+	"repchain/internal/identity"
+	"repchain/internal/tx"
 )
 
 // TestQuickDecodeNeverPanics feeds random byte strings to the block
@@ -59,19 +63,13 @@ func TestQuickDecodeMutatedBlock(t *testing.T) {
 // runs on every block frame any deployment member sends, and segment
 // replay on every stored frame — arbitrary bytes: it must never panic,
 // never return more records than the input could hold (the count is
-// attacker-chosen and sizes an allocation), and whatever it accepts
-// must re-encode to a block with the same hash.
+// attacker-chosen and sizes an allocation), whatever it accepts must
+// re-encode to the same bytes, and the hash, root and IDs a replica
+// takes from them must equal their recomputation from the block.
 func FuzzBlockDecode(f *testing.F) {
-	blk, err := NewBlock(nil, testRecords(f, 3, 0), 0)
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range blockSeeds(f) {
+		f.Add(seed)
 	}
-	_, priv := testKey(f, 2)
-	blk.SignAs("governor/0", priv)
-	enc := blk.EncodeBytes()
-	f.Add(enc)
-	f.Add(enc[:len(enc)/2])
-	f.Add(hostileBlockFrame())
 	f.Fuzz(func(t *testing.T, p []byte) {
 		b, err := DecodeBlockBytes(p)
 		if err != nil {
@@ -80,11 +78,88 @@ func FuzzBlockDecode(f *testing.F) {
 		if len(b.Records) > len(p)/minRecordBytes {
 			t.Fatalf("%d records decoded from %d bytes", len(b.Records), len(p))
 		}
-		again, err := DecodeBlockBytes(b.EncodeBytes())
-		if err != nil || again.Hash() != b.Hash() {
-			t.Fatalf("re-encoding of an accepted block does not decode to it: %v", err)
+		if again := b.EncodeBytes(); !bytes.Equal(again, p) {
+			t.Fatalf("accepted input does not re-encode to itself:\n in %x\nout %x", p, again)
+		}
+		_, rcv, err := ReceiveBlock(p, crypto.NewMerkleBuilder(0))
+		if err != nil {
+			t.Fatalf("ReceiveBlock refuses what DecodeBlockBytes accepts: %v", err)
+		}
+		if rcv.Hash != b.Hash() || rcv.Root != ComputeTxRoot(b.Records) || len(rcv.IDs) != len(b.Records) {
+			t.Fatalf("received hash %s root %s with %d IDs; recomputed %s %s for %d records",
+				rcv.Hash.Short(), rcv.Root.Short(), len(rcv.IDs), b.Hash().Short(), ComputeTxRoot(b.Records).Short(), len(b.Records))
+		}
+		for i, rec := range b.Records {
+			if rcv.IDs[i] != rec.Signed.ID() {
+				t.Fatalf("record %d: ID %s, recomputed %s", i, rcv.IDs[i].Short(), rec.Signed.ID().Short())
+			}
 		}
 	})
+}
+
+// FuzzOwnRecordsDecode: a provider's filtered decode accepts exactly
+// the frames the full decode accepts, and returns the same records of
+// its own, with their IDs.
+func FuzzOwnRecordsDecode(f *testing.F) {
+	for _, seed := range blockSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		full, ferr := DecodeBlockBytes(p)
+		for _, provider := range []identity.NodeID{"provider/0", "provider/1"} {
+			own, ids, err := DecodeOwnRecords(p, provider)
+			if (err == nil) != (ferr == nil) {
+				t.Fatalf("%s: filtered decode error %v, full decode error %v", provider, err, ferr)
+			}
+			if err != nil {
+				continue
+			}
+			var want []Record
+			for _, rec := range full.Records {
+				if rec.Signed.Tx.Provider == provider {
+					want = append(want, rec)
+				}
+			}
+			if len(own.Records) != len(want) || len(ids) != len(want) {
+				t.Fatalf("%s: %d records and %d IDs, want %d", provider, len(own.Records), len(ids), len(want))
+			}
+			for i, rec := range own.Records {
+				if !reflect.DeepEqual(rec, want[i]) || ids[i] != want[i].Signed.ID() {
+					t.Fatalf("%s: record %d differs from the full decode's", provider, i)
+				}
+			}
+			own.Records = full.Records
+			if !reflect.DeepEqual(own, full) {
+				t.Fatalf("%s: block fields differ from the full decode's", provider)
+			}
+		}
+	})
+}
+
+// blockSeeds are the block fuzzers' seeds: a signed block of one
+// provider's records, one that interleaves two providers', half of the
+// first, and a hostile count.
+func blockSeeds(f *testing.F) [][]byte {
+	_, priv := testKey(f, 2)
+	_, other := testKey(f, 3)
+	one, err := NewBlock(nil, testRecords(f, 3, 0), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	one.SignAs("governor/0", priv)
+	mixed := testRecords(f, 4, 10)
+	for i := 1; i < len(mixed); i += 2 {
+		t := mixed[i].Signed.Tx
+		t.Provider = "provider/1"
+		mixed[i].Signed = tx.Sign(t, other)
+	}
+	two, err := NewBlock(&one, mixed, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	two.SignAs("governor/1", priv)
+	enc := one.EncodeBytes()
+	return [][]byte{enc, enc[:len(enc)/2], two.EncodeBytes(), hostileBlockFrame()}
 }
 
 // minRecordBytes is the shortest record in a block: a transaction

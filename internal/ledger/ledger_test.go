@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repchain/internal/codec"
 	"repchain/internal/crypto"
 	"repchain/internal/tx"
 )
@@ -118,18 +120,50 @@ func TestBlockSignVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	signed := b.SignAs("governor/1", priv)
-	h, err := b.VerifyProposer(pub)
-	if err != nil {
+	signed, frame := b.Seal("governor/1", priv)
+	if err := b.VerifyProposer(pub, b.Hash()); err != nil {
 		t.Fatalf("VerifyProposer() error = %v", err)
 	}
-	if signed != b.Hash() || h != b.Hash() {
-		t.Fatalf("SignAs hash %s, VerifyProposer hash %s, block hash %s", signed.Short(), h.Short(), b.Hash().Short())
+	if signed != b.Hash() || !bytes.Equal(frame, b.EncodeBytes()) {
+		t.Fatalf("Seal hash %s, block hash %s; frame is the encoding: %v",
+			signed.Short(), b.Hash().Short(), bytes.Equal(frame, b.EncodeBytes()))
+	}
+	// The hashes a replica takes from the frame are the block's.
+	got, rcv, err := ReceiveBlock(frame, crypto.NewMerkleBuilder(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcv.Hash != signed || rcv.Root != got.TxRoot || len(rcv.IDs) != 2 || rcv.IDs[1] != b.Records[1].Signed.ID() {
+		t.Fatalf("received hash %s root %s, block hash %s root %s", rcv.Hash.Short(), rcv.Root.Short(), signed.Short(), got.TxRoot.Short())
 	}
 	// Tamper after signing.
 	b.Serial = 42
-	if _, err := b.VerifyProposer(pub); err == nil {
+	if err := b.VerifyProposer(pub, b.Hash()); err == nil {
 		t.Fatal("tampered block verified")
+	}
+}
+
+// TestDecodeBlockRejectsTruncatedLabel: a record label varint 256 away
+// from a legal one is refused, not cast onto it — else two frames would
+// decode to one block and one hash.
+func TestDecodeBlockRejectsTruncatedLabel(t *testing.T) {
+	recs := testRecords(t, 2, 0)
+	for _, shift := range []int64{256, -256} {
+		e := codec.NewEncoder(0)
+		e.PutString(blockTag)
+		e.PutUint64(1)
+		tx.EncodeList(e, recs, func(r *Record) *tx.SignedTx { return &r.Signed }, func(e *codec.Encoder, r *Record) {
+			e.PutVarint(int64(r.Label) + shift)
+			e.PutInt(int(r.Status))
+			e.PutBool(r.Unchecked)
+		})
+		e.PutRaw(crypto.ZeroHash[:])
+		e.PutRaw(crypto.ZeroHash[:])
+		e.PutString("governor/0")
+		e.PutBytes([]byte("sig"))
+		if _, err := DecodeBlockBytes(e.Bytes()); !errors.Is(err, ErrDecode) {
+			t.Fatalf("label shifted by %d: error = %v, want ErrDecode", shift, err)
+		}
 	}
 }
 

@@ -123,11 +123,11 @@ func screenAndPack(t *testing.T, fx *fixture) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fx.governor.buildBlock(recs)
+	frame, err := fx.governor.buildBlock(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b.EncodeBytes()
+	return frame
 }
 
 // TestUploadBatchTamperRejectsWholeBatch flips every byte of a signed
@@ -243,11 +243,11 @@ func TestLateReportNotRerecorded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := fx.governor.buildBlock(recs)
+			frame, err := fx.governor.buildBlock(recs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fx.governor.AcceptBlock(b); err != nil {
+			if err := fx.governor.AcceptBlock(frame); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -341,7 +341,11 @@ func TestBuildBlockIncrementalRootMatchesRecompute(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no records screened")
 	}
-	b, err := fx.governor.buildBlock(recs)
+	frame, err := fx.governor.buildBlock(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ledger.DecodeBlockBytes(frame)
 	if err != nil {
 		t.Fatal(err)
 	}

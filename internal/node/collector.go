@@ -223,11 +223,11 @@ func (c *Collector) upload(items []tx.UploadItem, sender Sender) error {
 			}
 			size += w
 		}
-		batch, err := tx.SignUploadBatch(c.member.ID, c.round, items[done:end], c.member.PrivateKey)
+		frame, err := tx.SignUploadBatch(c.member.ID, c.round, items[done:end], c.member.PrivateKey)
 		if err != nil {
 			return fmt.Errorf("collector %s label: %w", c.member.ID, err)
 		}
-		if err := sender.Multicast(c.member.ID, c.governorIDs, network.KindCollectorBatch, batch.EncodeBytes()); err != nil {
+		if err := sender.Multicast(c.member.ID, c.governorIDs, network.KindCollectorBatch, frame); err != nil {
 			return fmt.Errorf("collector %s upload: %w", c.member.ID, err)
 		}
 		if done = end; done == len(items) {
@@ -278,12 +278,12 @@ func (c *Collector) ProcessBatch(msgs []network.Message, sender Sender) (int, er
 		if m.Kind != network.KindProviderTx {
 			continue
 		}
-		list, err := tx.DecodeListBytes(m.Payload)
+		list, ids, err := tx.DecodeListBytes(m.Payload)
 		if err != nil {
 			entries = append(entries, providerEntry{class: ptDecodeFail})
 			continue
 		}
-		for _, signed := range list {
+		for k, signed := range list {
 			// verify(p_k, tx): the claimed provider must be the actual
 			// sender and a provider linked with this collector, and the
 			// transaction must be its batch's leaf under a good batch
@@ -294,7 +294,7 @@ func (c *Collector) ProcessBatch(msgs []network.Message, sender Sender) (int, er
 			prov, ok := c.roster.Member(signed.Tx.Provider, identity.RoleProvider)
 			if signed.Tx.Provider == m.From && ok && c.roster.Linked(prov.Index, c.member.Index) {
 				e.class = ptVerify
-				e.sig, _ = checks.provider(signed, prov.PublicKey)
+				e.sig = checks.provider(&list[k], ids[k], prov.PublicKey)
 				if e.sig < 0 {
 					e.class = ptBadLeaf
 				}

@@ -136,6 +136,7 @@ type GovernorStats struct {
 // its reveal: an argue, or expiry after ArgueWindow newer entries.
 type uncheckedEntry struct {
 	provider int
+	id       crypto.Hash
 	signed   tx.SignedTx
 	reports  []reputation.Report
 	revealed bool
@@ -147,8 +148,7 @@ type uncheckedEntry struct {
 type groupedTx struct {
 	signed   tx.SignedTx
 	provider int
-	reports  []reputation.Report
-	labels   map[int]tx.Label // collector -> label, for equivocation detection
+	reports  []reputation.Report // one per reporting collector
 }
 
 // Governor is a governor g_j: it screens uploaded transactions with
@@ -395,15 +395,14 @@ type pendingBatch struct {
 	// reject names an envelope failure found before any cryptography
 	// (an uploads_rejected_total reason); empty when there is none.
 	reject string
-	sig    int    // batch-item index of the batch signature
-	round  uint64 // the round the batch is tagged with
+	sig    int // batch-item index of the batch signature
+	batch  tx.UploadBatch
+	ids    []crypto.Hash // the items' IDs, as the decoder hashed them
 	items  []pendingItem
 }
 
-// pendingItem is one labeled transaction of an authenticated batch.
+// pendingItem checks one labeled transaction of an authenticated batch.
 type pendingItem struct {
-	item        tx.UploadItem
-	id          crypto.Hash
 	providerIdx int
 	provSig     int // batch-item index of its provider batch's signature, -1 = not a roster provider or not the batch's leaf
 	linked      bool
@@ -474,21 +473,22 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 			u.collectorIdx = coll.Index
 			if !isCollector {
 				u.reject = "not_collector"
-			} else if batch, derr := tx.DecodeUploadBatchBytes(m.Payload); derr != nil {
+			} else if batch, rcv, derr := tx.DecodeUploadBatchBytes(m.Payload); derr != nil {
 				u.reject = "decode"
 			} else if batch.Collector != m.From {
 				// The upload must come from the collector that signed it.
 				u.reject = "sender_mismatch"
 			} else {
 				start := checks.arena.Len()
-				batch.EncodeSigning(checks.arena)
+				batch.EncodeSigning(checks.arena, rcv.Digest)
 				u.sig = checks.add(coll.PublicKey, start, batch.Sig)
-				u.round = batch.Round
+				u.batch, u.ids = batch, rcv.IDs
 				u.items = make([]pendingItem, len(batch.Items))
-				for k, it := range batch.Items {
-					pi := pendingItem{item: it, provSig: -1}
-					if prov, ok := g.cfg.Roster.Member(it.Signed.Tx.Provider, identity.RoleProvider); ok {
-						pi.provSig, pi.id = checks.provider(it.Signed, prov.PublicKey)
+				for k := range batch.Items {
+					s := &batch.Items[k].Signed
+					pi := pendingItem{provSig: -1}
+					if prov, ok := g.cfg.Roster.Member(s.Tx.Provider, identity.RoleProvider); ok {
+						pi.provSig = checks.provider(s, rcv.IDs[k], prov.PublicKey)
 						pi.providerIdx = prov.Index
 						pi.linked = g.cfg.Roster.Linked(prov.Index, coll.Index)
 					}
@@ -505,8 +505,8 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 			if derr == nil && msg.Signed.Tx.Provider == m.From {
 				if prov, ok := g.cfg.Roster.Member(m.From, identity.RoleProvider); ok {
 					a.msg = msg
-					var id crypto.Hash
-					a.innerSig, id = checks.provider(msg.Signed, prov.PublicKey)
+					id := msg.Signed.ID()
+					a.innerSig = checks.provider(&msg.Signed, id, prov.PublicKey)
 					if a.rejected = a.innerSig < 0; !a.rejected {
 						start := checks.arena.Len()
 						encodeArgueSigning(checks.arena, id, msg.Serial)
@@ -544,7 +544,7 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 				}
 				continue
 			}
-			g.uploadRound[u.collectorIdx] = max(g.uploadRound[u.collectorIdx], u.round)
+			g.uploadRound[u.collectorIdx] = max(g.uploadRound[u.collectorIdx], u.batch.Round)
 			for k := range u.items {
 				it := &u.items[k]
 				var err error
@@ -554,7 +554,7 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 				case !it.linked:
 					err = g.rejectUpload("item_unlinked", u.collectorIdx)
 				default:
-					err = g.admitUpload(u.collectorIdx, it.providerIdx, it.id, it.item)
+					err = g.admitUpload(u.collectorIdx, it.providerIdx, u.ids[k], &u.batch.Items[k])
 				}
 				if err != nil {
 					return rest, err
@@ -602,7 +602,7 @@ func (g *Governor) penalizeUpload(collectorIdx int) error {
 // admitUpload runs the post-verification tail of upload ingestion for
 // the item whose transaction is id: mempool insertion and report
 // grouping.
-func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, labeled tx.UploadItem) error {
+func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, labeled *tx.UploadItem) error {
 	// A report for a transaction this governor has already screened —
 	// it straggled in a round late — must not open a second mempool
 	// group and put the transaction in a second block.
@@ -629,19 +629,22 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, la
 		grp = &groupedTx{
 			signed:   labeled.Signed,
 			provider: providerIdx,
-			labels:   make(map[int]tx.Label),
+			reports:  make([]reputation.Report, 0, len(g.cfg.Roster.Topology.CollectorsOf(providerIdx))),
 		}
 		g.groups[id] = grp
 	}
-	if prev, dup := grp.labels[collectorIdx]; dup {
-		if prev != labeled.Label {
+	// At most r reports, one per collector: a scan finds a repeat.
+	for _, rp := range grp.reports {
+		if rp.Collector != collectorIdx {
+			continue
+		}
+		if rp.Label != labeled.Label {
 			// Equivocation: two different signed labels for one
 			// transaction. Treat as fabrication.
 			return g.penalizeUpload(collectorIdx)
 		}
 		return nil // idempotent duplicate
 	}
-	grp.labels[collectorIdx] = labeled.Label
 	grp.reports = append(grp.reports, reputation.Report{Collector: collectorIdx, Label: labeled.Label})
 	g.stats.ReportsReceived++
 	return nil
@@ -752,7 +755,7 @@ func (g *Governor) screenRound() ([]ledger.Record, error) {
 		// ID string feeds up to two events below.
 		var txID string
 		if g.events != nil {
-			txID = grp.signed.ID().String()
+			txID = id.String()
 			g.events.Emit(events.TypeUploadScreened, txID, g.round, string(g.cfg.Member.ID),
 				slog.String("tx", txID),
 				slog.Int("collector", dec.Collector),
@@ -798,11 +801,12 @@ func (g *Governor) screenRound() ([]ledger.Record, error) {
 		})
 		entry := &uncheckedEntry{
 			provider: grp.provider,
+			id:       id,
 			signed:   grp.signed,
 			reports:  grp.reports,
 		}
 		g.unchecked[grp.provider] = append(g.unchecked[grp.provider], entry)
-		g.uncheckedByID[grp.signed.ID()] = entry
+		g.uncheckedByID[id] = entry
 		if err := g.expireOld(grp.provider); err != nil {
 			return nil, err
 		}
@@ -827,7 +831,7 @@ func (g *Governor) expireOld(k int) error {
 				return fmt.Errorf("governor %s expiry reveal: %w", g.cfg.Member.ID, err)
 			}
 			if g.events != nil {
-				txID := entry.signed.ID().String()
+				txID := entry.id.String()
 				g.events.Emit(events.TypeReputationReveal, txID, g.round, string(g.cfg.Member.ID),
 					slog.Int("provider", entry.provider),
 					slog.String("reports", events.FormatReports(entry.reports)),
@@ -837,7 +841,7 @@ func (g *Governor) expireOld(k int) error {
 			}
 		}
 		entry.revealed = true
-		delete(g.uncheckedByID, entry.signed.ID())
+		delete(g.uncheckedByID, entry.id)
 		g.stats.Expired++
 	}
 	// Also drop already-revealed heads to bound the queue.
@@ -850,10 +854,10 @@ func (g *Governor) expireOld(k int) error {
 
 // buildBlock assembles and signs the round's block from records (a
 // screenRound result, so at most BlockLimit of them) when this governor
-// leads. Records already committed valid elsewhere in the chain are
-// dropped (several governors may hold the same argue re-validation
-// pending).
-func (g *Governor) buildBlock(records []ledger.Record) (ledger.Block, error) {
+// leads, and returns its frame. Records already committed valid
+// elsewhere in the chain are dropped (several governors may hold the
+// same argue re-validation pending).
+func (g *Governor) buildBlock(records []ledger.Record) ([]byte, error) {
 	// The transaction root is built incrementally while the block is
 	// packed: each record that survives the duplicate filter is hashed
 	// into the Merkle builder as it is placed, so the root is ready the
@@ -863,21 +867,21 @@ func (g *Governor) buildBlock(records []ledger.Record) (ledger.Block, error) {
 	enc := codec.GetEncoder(256)
 	fresh := records[:0]
 	for _, r := range records {
-		if r.Status == tx.StatusValid && g.committedValid[r.Signed.ID()] {
+		enc.Reset()
+		n := r.EncodeLeaf(enc)
+		if r.Status == tx.StatusValid && g.committedValid[crypto.Sum(enc.Bytes()[:n])] {
 			continue
 		}
 		fresh = append(fresh, r)
-		enc.Reset()
-		r.EncodeLeaf(enc)
 		g.merkle.Add(enc.Bytes())
 	}
 	enc.Release()
 	records = fresh
 	b, err := ledger.NewBlockWithRoot(g.store.Height(), g.store.HeadHash(), records, g.cfg.BlockLimit, g.merkle.Root())
 	if err != nil {
-		return ledger.Block{}, fmt.Errorf("governor %s build block: %w", g.cfg.Member.ID, err)
+		return nil, fmt.Errorf("governor %s build block: %w", g.cfg.Member.ID, err)
 	}
-	h := b.SignAs(g.cfg.Member.ID, g.cfg.Member.PrivateKey)
+	h, frame := b.Seal(g.cfg.Member.ID, g.cfg.Member.PrivateKey)
 	if g.events != nil {
 		node := string(g.cfg.Member.ID)
 		g.events.Emit(events.TypeBlockPacked, "", g.round, node,
@@ -891,28 +895,43 @@ func (g *Governor) buildBlock(records []ledger.Record) (ledger.Block, error) {
 				slog.Bool("unchecked", rec.Unchecked))
 		}
 	}
-	return b, nil
+	return frame, nil
 }
 
-// AcceptBlock verifies and appends a proposed block: the proposer must
-// be a roster governor (ErrBadMessage otherwise) and the signature must
-// verify under its roster key, the block must hold at most BlockLimit
-// records (ledger.ErrBlockTooLarge), and the chain links must hold (the
-// store enforces serial order and the previous hash). Whether the
-// proposer was the round's elected leader is the caller's check. A
-// redelivery of an already-committed block (same serial, same hash — a
-// duplicated network message) is accepted idempotently; a different
-// block at a committed serial is a fork and fails with ErrFork. The
-// block is hashed once, for the signature and the chain link both.
-func (g *Governor) AcceptBlock(b ledger.Block) error {
+// AcceptBlock verifies and appends a proposed block, given as its frame
+// (ledger.ReceiveBlock): the proposer must be a roster governor and the
+// frame must decode (ErrBadMessage otherwise), the signature must
+// verify under the proposer's roster key, the records must hash to the
+// block's transaction root (ErrBadMessage otherwise), the block must
+// hold at most BlockLimit records (ledger.ErrBlockTooLarge), and the
+// chain links must hold (the store enforces serial order and the
+// previous hash). Whether the proposer was the round's elected leader
+// is the caller's check. A redelivery of an already-committed block
+// (same serial, same hash — a duplicated network message) is accepted
+// idempotently; a different block at a committed serial is a fork and
+// fails with ErrFork.
+func (g *Governor) AcceptBlock(frame []byte) error {
+	b, rcv, err := ledger.ReceiveBlock(frame, g.merkle)
+	if err != nil {
+		return fmt.Errorf("governor %s: block frame: %v: %w", g.cfg.Member.ID, err, ErrBadMessage)
+	}
+	return g.accept(b, rcv)
+}
+
+// accept is AcceptBlock for a block decoded with the hashes of its frame.
+func (g *Governor) accept(b ledger.Block, rcv ledger.Received) error {
 	proposer, ok := g.cfg.Roster.Member(b.Proposer, identity.RoleGovernor)
 	if !ok {
 		return fmt.Errorf("governor %s: block %d proposed by %q, not a governor: %w",
 			g.cfg.Member.ID, b.Serial, b.Proposer, ErrBadMessage)
 	}
-	h, err := b.VerifyProposer(proposer.PublicKey)
-	if err != nil {
+	h := rcv.Hash // for the signature and the chain link both
+	if err := b.VerifyProposer(proposer.PublicKey, h); err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
+	}
+	if rcv.Root != b.TxRoot {
+		return fmt.Errorf("governor %s: block %d transaction root %s, records hash to %s: %w",
+			g.cfg.Member.ID, b.Serial, b.TxRoot.Short(), rcv.Root.Short(), ErrBadMessage)
 	}
 	if limit := g.cfg.BlockLimit; limit > 0 && len(b.Records) > limit {
 		return fmt.Errorf("governor %s: block %d has %d records with b_limit %d: %w",
@@ -936,9 +955,9 @@ func (g *Governor) AcceptBlock(b ledger.Block) error {
 	if err := g.store.AppendHashed(b, h); err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
 	}
-	for _, rec := range b.Records {
+	for i, rec := range b.Records {
 		if rec.Status == tx.StatusValid {
-			g.committedValid[rec.Signed.ID()] = true
+			g.committedValid[rcv.IDs[i]] = true
 		}
 	}
 	if g.events != nil {
@@ -948,8 +967,8 @@ func (g *Governor) AcceptBlock(b ledger.Block) error {
 			slog.Int("records", len(b.Records)),
 			slog.String("proposer", string(b.Proposer)),
 			slog.String("hash", h.Short()))
-		for _, rec := range b.Records {
-			g.events.Emit(events.TypeTxCommitted, rec.Signed.ID().String(), g.round, node,
+		for i, rec := range b.Records {
+			g.events.Emit(events.TypeTxCommitted, rcv.IDs[i].String(), g.round, node,
 				slog.Uint64("serial", b.Serial),
 				slog.Int("status", int(rec.Status)))
 		}

@@ -48,7 +48,7 @@ func newFixtureOpts(t *testing.T, behaviors []Behavior, mutate func(*GovernorCon
 }
 
 // newFixtureOn is newFixtureOpts over an explicit topology.
-func newFixtureOn(t *testing.T, topo *identity.Topology, behaviors []Behavior, mutate func(*GovernorConfig)) *fixture {
+func newFixtureOn(t testing.TB, topo *identity.Topology, behaviors []Behavior, mutate func(*GovernorConfig)) *fixture {
 	t.Helper()
 	seed := make([]byte, crypto.SeedSize)
 	seed[0] = 0x77
@@ -150,11 +150,11 @@ func uploadMsg(t *testing.T, coll identity.Member, from identity.NodeID, items .
 // roundUploadMsg is uploadMsg for a batch tagged with round.
 func roundUploadMsg(t *testing.T, coll identity.Member, from identity.NodeID, round uint64, items ...tx.UploadItem) network.Message {
 	t.Helper()
-	batch, err := tx.SignUploadBatch(coll.ID, round, items, coll.PrivateKey)
+	frame, err := tx.SignUploadBatch(coll.ID, round, items, coll.PrivateKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return network.Message{From: from, Kind: network.KindCollectorBatch, Payload: batch.EncodeBytes()}
+	return network.Message{From: from, Kind: network.KindCollectorBatch, Payload: frame}
 }
 
 func TestArgueRoundTripAndVerify(t *testing.T) {
@@ -477,11 +477,11 @@ func TestGovernorAcceptBlockChecksProposer(t *testing.T) {
 	}
 	stranger := blk
 	stranger.SignAs("governor/9", govMem.PrivateKey)
-	if err := gov.AcceptBlock(stranger); !errors.Is(err, ErrBadMessage) {
+	if err := gov.AcceptBlock(stranger.EncodeBytes()); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("proposer outside the roster: error = %v, want ErrBadMessage", err)
 	}
 	blk.SignAs(govMem.ID, govMem.PrivateKey)
-	if err := gov.AcceptBlock(blk); err != nil {
+	if err := gov.AcceptBlock(blk.EncodeBytes()); err != nil {
 		t.Fatalf("AcceptBlock() error = %v", err)
 	}
 }

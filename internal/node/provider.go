@@ -188,8 +188,9 @@ func (p *Provider) Submit(kind string, payload []byte, isValid bool, timestamp i
 }
 
 // Ingest consumes drained messages: each block frame a governor sent is
-// decoded and observed (ObserveBlock), anything else is ignored. A frame
-// from anyone else or that does not decode is skipped and counted in
+// observed (ObserveBlock), decoding only the provider's own records
+// (ledger.DecodeOwnRecords), anything else is ignored. A frame from
+// anyone else or that does not decode is skipped and counted in
 // node.blocks_ignored_total. It returns the blocks observed and the
 // argues they triggered.
 func (p *Provider) Ingest(msgs []network.Message, sender Sender) (blocks, argues int, err error) {
@@ -201,12 +202,12 @@ func (p *Provider) Ingest(msgs []network.Message, sender Sender) (blocks, argues
 			p.reg.CounterVec("node.blocks_ignored_total", "reason").With("not_governor").Inc()
 			continue
 		}
-		b, err := ledger.DecodeBlockBytes(m.Payload)
+		b, ids, err := ledger.DecodeOwnRecords(m.Payload, p.member.ID)
 		if err != nil {
 			p.reg.CounterVec("node.blocks_ignored_total", "reason").With("decode").Inc()
 			continue
 		}
-		n, err := p.ObserveBlock(b, sender)
+		n, err := p.observe(b.Serial, b.Records, ids, sender)
 		argues += n
 		if err != nil {
 			return blocks, argues, err
@@ -220,12 +221,22 @@ func (p *Provider) Ingest(msgs []network.Message, sender Sender) (blocks, argues
 // transactions and sends argue messages for valid transactions marked
 // invalid. It returns the number of argues issued.
 func (p *Provider) ObserveBlock(b ledger.Block, sender Sender) (int, error) {
-	argues := 0
+	var own []ledger.Record
+	var ids []crypto.Hash
 	for _, rec := range b.Records {
-		if rec.Signed.Tx.Provider != p.member.ID {
-			continue
+		if rec.Signed.Tx.Provider == p.member.ID {
+			own, ids = append(own, rec), append(ids, rec.Signed.ID())
 		}
-		id := rec.Signed.ID()
+	}
+	return p.observe(b.Serial, own, ids, sender)
+}
+
+// observe is ObserveBlock over the provider's own records of block
+// serial, ids[i] being the ID of records[i].
+func (p *Provider) observe(serial uint64, records []ledger.Record, ids []crypto.Hash, sender Sender) (int, error) {
+	argues := 0
+	for i, rec := range records {
+		id := ids[i]
 		pt, ok := p.pending[id]
 		if !ok {
 			continue
@@ -242,7 +253,7 @@ func (p *Provider) ObserveBlock(b ledger.Block, sender Sender) (int, error) {
 			if pt.argued {
 				continue
 			}
-			msg := NewArgue(pt.signed, b.Serial, p.member.PrivateKey)
+			msg := NewArgue(pt.signed, serial, p.member.PrivateKey)
 			if err := sender.Multicast(p.member.ID, p.governorIDs, network.KindArgue, msg.EncodeBytes()); err != nil {
 				return argues, fmt.Errorf("provider %s argue: %w", p.member.ID, err)
 			}

@@ -368,12 +368,12 @@ func (g *Governor) elect() error {
 // propose is the leader's step: sign B = (s, TXList, h) over the
 // screened records and multicast it to every governor and provider.
 func (g *Governor) propose(out Sender) error {
-	block, err := g.buildBlock(g.records)
+	frame, err := g.buildBlock(g.records)
 	g.records = nil
 	if err != nil {
 		return err
 	}
-	return out.Multicast(g.ID(), g.blockTo, network.KindBlock, block.EncodeBytes())
+	return out.Multicast(g.ID(), g.blockTo, network.KindBlock, frame)
 }
 
 // adoptStashed empties the stash, accepting the blocks proposed by
@@ -384,7 +384,7 @@ func (g *Governor) adoptStashed(leader int) error {
 	stash := g.blocks
 	g.blocks = nil
 	for _, payload := range stash {
-		b, err := ledger.DecodeBlockBytes(payload)
+		b, rcv, err := ledger.ReceiveBlock(payload, g.merkle)
 		if err != nil {
 			g.reg.CounterVec("node.blocks_ignored_total", "reason").With("decode").Inc()
 			continue
@@ -393,7 +393,7 @@ func (g *Governor) adoptStashed(leader int) error {
 			g.reg.CounterVec("node.blocks_ignored_total", "reason").With("not_leader").Inc()
 			continue
 		}
-		if err := g.AcceptBlock(b); err != nil {
+		if err := g.accept(b, rcv); err != nil {
 			return err
 		}
 	}

@@ -17,9 +17,11 @@ type sigChecks struct {
 	spans [][2]int
 	// batches numbers the drain's distinct provider batches, so each is
 	// checked once whichever frames, uploads or argues carry it;
-	// batchItem maps a table position to its item.
+	// batchItem maps a table position to its item; lastItem is last's.
 	batches   tx.BatchTable
 	batchItem []int
+	last      *tx.Batch
+	lastItem  int
 }
 
 func newSigChecks(sizeHint int) *sigChecks {
@@ -36,20 +38,23 @@ func (c *sigChecks) add(pub crypto.PublicKey, start int, sig []byte) int {
 
 // provider returns the index of the check of s's provider batch under
 // pub, the key of s's provider, adding it at the batch's first
-// appearance, and s's ID; the index is -1 when s is not the leaf its
-// batch says it is.
-func (c *sigChecks) provider(s tx.SignedTx, pub crypto.PublicKey) (int, crypto.Hash) {
-	id, err := s.CheckLeaf()
-	if err != nil {
-		return -1, id
+// appearance; the index is -1 when s is not the leaf its batch says it
+// is. id is s's ID as its decoder hashed it.
+func (c *sigChecks) provider(s *tx.SignedTx, id crypto.Hash, pub crypto.PublicKey) int {
+	if s.CheckLeaf(id) != nil {
+		return -1
 	}
-	pos, added := c.batches.Ref(s.Batch)
-	if added {
-		start := c.arena.Len()
-		s.Batch.EncodeSigning(c.arena)
-		c.batchItem = append(c.batchItem, c.add(pub, start, s.Batch.Sig[:]))
+	// A run of items decoded from one batch shares its *Batch.
+	if s.Batch != c.last {
+		pos, added := c.batches.Ref(s.Batch)
+		if added {
+			start := c.arena.Len()
+			s.Batch.EncodeSigning(c.arena)
+			c.batchItem = append(c.batchItem, c.add(pub, start, s.Batch.Sig[:]))
+		}
+		c.last, c.lastItem = s.Batch, c.batchItem[pos]
 	}
-	return c.batchItem[pos], id
+	return c.lastItem
 }
 
 // verify runs every check in one batch and releases the arena; the

@@ -57,11 +57,11 @@ func TestAcceptBlockIdempotentOnRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	blk.SignAs(govMem.ID, govMem.PrivateKey)
-	if err := gov.AcceptBlock(blk); err != nil {
+	if err := gov.AcceptBlock(blk.EncodeBytes()); err != nil {
 		t.Fatal(err)
 	}
 	// A duplicated delivery of the committed block is a no-op.
-	if err := gov.AcceptBlock(blk); err != nil {
+	if err := gov.AcceptBlock(blk.EncodeBytes()); err != nil {
 		t.Fatalf("redelivered block error = %v, want idempotent accept", err)
 	}
 	if h := gov.Store().Height(); h != 1 {
@@ -78,7 +78,7 @@ func TestAcceptBlockIdempotentOnRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	fork.SignAs(govMem.ID, govMem.PrivateKey)
-	if err := gov.AcceptBlock(fork); !errors.Is(err, ErrFork) {
+	if err := gov.AcceptBlock(fork.EncodeBytes()); !errors.Is(err, ErrFork) {
 		t.Fatalf("conflicting block error = %v, want ErrFork", err)
 	}
 }

@@ -16,11 +16,11 @@ import (
 func TraceIDOf(kind string, payload []byte) string {
 	switch kind {
 	case network.KindProviderTx:
-		list, err := tx.DecodeListBytes(payload)
-		if err != nil || len(list) != 1 {
+		_, ids, err := tx.DecodeListBytes(payload)
+		if err != nil || len(ids) != 1 {
 			return ""
 		}
-		return list[0].ID().String()
+		return ids[0].String()
 	case network.KindArgue:
 		a, err := DecodeArgueBytes(payload)
 		if err != nil {

@@ -267,15 +267,16 @@ func (t *Table) validateReports(k int, reports []Report) ([]int, error) {
 		return nil, fmt.Errorf("provider %d: %w", k, ErrNoReports)
 	}
 	positions := make([]int, len(reports))
-	seen := make(map[int]bool, len(reports))
 	for i, r := range reports {
 		if !r.Label.Valid() {
 			return nil, fmt.Errorf("report %d label %d: %w", i, r.Label, tx.ErrBadLabel)
 		}
-		if seen[r.Collector] {
-			return nil, fmt.Errorf("duplicate report from collector %d: %w", r.Collector, ErrNoReports)
+		// At most one report per linked collector: a scan finds a repeat.
+		for _, prev := range reports[:i] {
+			if prev.Collector == r.Collector {
+				return nil, fmt.Errorf("duplicate report from collector %d: %w", r.Collector, ErrNoReports)
+			}
 		}
-		seen[r.Collector] = true
 		pos, err := t.expertPos(k, r.Collector)
 		if err != nil {
 			return nil, err

@@ -307,71 +307,90 @@ func EncodeList[T any](e *codec.Encoder, items []T, signed func(*T) *SignedTx, r
 const minRefBytes = 22
 
 // DecodeList reads a list written by EncodeList from d, calling rest
-// after each element's transaction to read the container's fields for
-// it from d; minRest is their shortest encoding. The input is
-// untrusted: every count is checked against the bytes that remain
-// before anything is allocated for it, and only EncodeList's own output
-// is accepted — no unreferenced batch, first references in table
-// order, no signature on two batches (which no two valid batches
-// share) — so every accepted input re-encodes to the same bytes. The
-// elements of one batch share one *Batch. A leaf index is not checked
-// here: CheckLeaf refuses it per element.
-func DecodeList[T any](d *codec.Decoder, minRest int, rest func(SignedTx) (T, error)) ([]T, error) {
+// after each element's transaction, with the offset in d where that
+// transaction's bytes begin, to read the container's fields for it from
+// d; minRest is their shortest encoding. The input is untrusted: every
+// count is checked against the bytes that remain before anything is
+// allocated for it, and only EncodeList's own output is accepted — no
+// unreferenced batch, first references in table order, no signature on
+// two batches (which no two valid batches share) — so every accepted
+// input re-encodes to the same bytes, and the IDs DecodeList returns
+// are hashed from each transaction's bytes as received (DESIGN.md §4f).
+// With only set, the elements of other providers are checked as
+// strictly — rest reads their fields, given a zero SignedTx — but not
+// kept, hashed or copied. The elements of one batch share one *Batch.
+// A leaf index is not checked here: CheckLeaf refuses it per element.
+func DecodeList[T any](d *codec.Decoder, minRest int, only identity.NodeID, rest func(s SignedTx, start int) (T, error)) ([]T, []crypto.Hash, error) {
 	nb, err := d.UvarintCount(minBatchBytes)
 	if err != nil {
-		return nil, fmt.Errorf("batch count: %v: %w", err, ErrDecode)
+		return nil, nil, fmt.Errorf("batch count: %v: %w", err, ErrDecode)
 	}
 	tbl := BatchTable{batches: make([]*Batch, 0, nb)}
 	var prev identity.NodeID // a provider's batches tend to run together
 	for j := 0; j < nb; j++ {
 		b, err := decodeBatch(d, prev)
 		if err != nil {
-			return nil, fmt.Errorf("batch %d: %w", j, err)
+			return nil, nil, fmt.Errorf("batch %d: %w", j, err)
 		}
 		if tbl.signed(b) {
-			return nil, fmt.Errorf("batch %d repeats a signature: %w", j, ErrDecode)
+			return nil, nil, fmt.Errorf("batch %d repeats a signature: %w", j, ErrDecode)
 		}
 		tbl.Ref(b)
 		prev = b.Provider
 	}
 	n, err := d.UvarintCount(minRefBytes + minRest)
 	if err != nil {
-		return nil, fmt.Errorf("list count: %v: %w", err, ErrDecode)
+		return nil, nil, fmt.Errorf("list count: %v: %w", err, ErrDecode)
 	}
-	out := make([]T, n)
+	var out []T
+	var ids []crypto.Hash
+	if only == "" {
+		out, ids = make([]T, 0, n), make([]crypto.Hash, 0, n)
+	}
 	used := 0 // batches referenced so far
 	kind := ""
-	for i := range out {
+	for i := 0; i < n; i++ {
 		pos, err := d.Uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("element %d batch: %w", i, err)
+			return nil, nil, fmt.Errorf("element %d batch: %w", i, err)
 		}
 		if pos > uint64(used) || pos >= uint64(nb) {
-			return nil, fmt.Errorf("element %d batch %d of %d (%d referenced): %w", i, pos, nb, used, ErrDecode)
+			return nil, nil, fmt.Errorf("element %d batch %d of %d (%d referenced): %w", i, pos, nb, used, ErrDecode)
 		}
 		if pos == uint64(used) {
 			used++
 		}
 		idx, err := d.Uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("element %d index: %w", i, err)
+			return nil, nil, fmt.Errorf("element %d index: %w", i, err)
 		}
-		txn, err := decodeTransaction(d, tbl.batches[pos].Provider, kind)
+		start := d.Offset()
+		txn, err := decodeTransaction(d, tbl.batches[pos].Provider, kind, only)
 		if err != nil {
-			return nil, fmt.Errorf("element %d: %w", i, err)
+			return nil, nil, fmt.Errorf("element %d: %w", i, err)
 		}
-		kind = txn.Kind
-		if out[i], err = rest(SignedTx{Tx: txn, Batch: tbl.batches[pos], Index: int(idx)}); err != nil {
-			return nil, fmt.Errorf("element %d: %w", i, err)
+		var s SignedTx
+		keep := only == "" || txn.Provider == only
+		if keep {
+			kind = txn.Kind
+			ids = append(ids, crypto.Sum(d.Since(start)))
+			s = SignedTx{Tx: txn, Batch: tbl.batches[pos], Index: int(idx)}
+		}
+		v, err := rest(s, start)
+		if err != nil {
+			return nil, nil, fmt.Errorf("element %d: %w", i, err)
+		}
+		if keep {
+			out = append(out, v)
 		}
 	}
 	if used != nb {
-		return nil, fmt.Errorf("%d of %d batches unreferenced: %w", nb-used, nb, ErrDecode)
+		return nil, nil, fmt.Errorf("%d of %d batches unreferenced: %w", nb-used, nb, ErrDecode)
 	}
-	return out, nil
+	return out, ids, nil
 }
 
-func decodeSigned(s SignedTx) (SignedTx, error) { return s, nil }
+func decodeSigned(s SignedTx, _ int) (SignedTx, error) { return s, nil }
 
 // EncodeListBytes returns the standalone list encoding of signed: the
 // provider frame, one per linked collector per broadcast.
@@ -384,15 +403,16 @@ func EncodeListBytes(signed []SignedTx) []byte {
 }
 
 // DecodeListBytes decodes a standalone list encoding, requiring full
-// consumption of b.
-func DecodeListBytes(b []byte) ([]SignedTx, error) {
+// consumption of b, and returns the transactions' IDs as DecodeList
+// hashed them.
+func DecodeListBytes(b []byte) ([]SignedTx, []crypto.Hash, error) {
 	d := codec.NewDecoder(b)
-	list, err := DecodeList(d, 0, decodeSigned)
+	list, ids, err := DecodeList(d, 0, "", decodeSigned)
 	if err != nil {
-		return nil, fmt.Errorf("signed tx list: %w", err)
+		return nil, nil, fmt.Errorf("signed tx list: %w", err)
 	}
 	if err := d.Expect(); err != nil {
-		return nil, fmt.Errorf("signed tx list: %w", err)
+		return nil, nil, fmt.Errorf("signed tx list: %w", err)
 	}
-	return list, nil
+	return list, ids, nil
 }

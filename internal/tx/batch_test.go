@@ -113,11 +113,14 @@ func TestBatchSignedOnce(t *testing.T) {
 	if n := bytes.Count(enc, signed[0].Batch.Sig[:]); n != 1 {
 		t.Fatalf("batch signature encoded %d times, want once", n)
 	}
-	got, err := DecodeListBytes(enc)
+	got, ids, err := DecodeListBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range got {
+		if ids[i] != s.ID() {
+			t.Fatalf("decoded element %d: ID %s, recomputed %s", i, ids[i].Short(), s.ID().Short())
+		}
 		if s.Batch != got[0].Batch {
 			t.Fatalf("decoded element %d does not share the batch", i)
 		}
@@ -159,7 +162,8 @@ func TestBatchTableByContent(t *testing.T) {
 // FuzzProviderBatchDecode feeds the provider-frame decoder — what a
 // collector runs on every frame a provider sends — arbitrary bytes: it
 // must never panic, never decode more leaves or elements than the input
-// could hold, and whatever it accepts must re-encode to the same bytes.
+// could hold, whatever it accepts must re-encode to the same bytes, and
+// every ID it hashed from them must equal the decoded transaction's.
 func FuzzProviderBatchDecode(f *testing.F) {
 	_, priv := testKey(f, 1)
 	f.Add(EncodeListBytes(nil))
@@ -170,9 +174,17 @@ func FuzzProviderBatchDecode(f *testing.F) {
 	two := append(signBatch(sampleBatchTxs(2, 1), priv), signBatch(sampleBatchTxs(2, 9), priv)...)
 	f.Add(EncodeListBytes([]SignedTx{two[2], two[0], two[3], two[1]}))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		list, err := DecodeListBytes(p)
+		list, ids, err := DecodeListBytes(p)
 		if err != nil {
 			return
+		}
+		if len(ids) != len(list) {
+			t.Fatalf("%d IDs for %d elements", len(ids), len(list))
+		}
+		for i, s := range list {
+			if ids[i] != s.ID() {
+				t.Fatalf("element %d: ID %s, recomputed %s", i, ids[i].Short(), s.ID().Short())
+			}
 		}
 		if len(list) > len(p)/minRefBytes {
 			t.Fatalf("%d elements decoded from %d bytes", len(list), len(p))

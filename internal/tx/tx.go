@@ -149,8 +149,10 @@ const txTag = "repchain/tx/v1"
 
 // decodeTransaction reads one transaction from d. A provider or kind
 // equal to the hint passed for it reuses the hint's string: a list's
-// transactions mostly repeat both.
-func decodeTransaction(d *codec.Decoder, provider identity.NodeID, kind string) (Transaction, error) {
+// transactions mostly repeat both. With only set, the kind and payload
+// of a transaction naming another provider are checked but not copied
+// into t, so nothing is allocated for it.
+func decodeTransaction(d *codec.Decoder, provider identity.NodeID, kind string, only identity.NodeID) (Transaction, error) {
 	var t Transaction
 	tag, err := d.StringLike(txTag)
 	if err != nil {
@@ -168,6 +170,12 @@ func decodeTransaction(d *codec.Decoder, provider identity.NodeID, kind string) 
 		return t, err
 	}
 	if t.Timestamp, err = d.Varint(); err != nil {
+		return t, err
+	}
+	if only != "" && t.Provider != only {
+		if _, err = d.Field(); err == nil {
+			_, err = d.Field()
+		}
 		return t, err
 	}
 	if t.Kind, err = d.StringLike(kind); err != nil {
@@ -199,24 +207,23 @@ func Sign(t Transaction, key crypto.PrivateKey) SignedTx {
 }
 
 // CheckLeaf reports whether s is the leaf it claims to be — its batch
-// is its provider's, Index is in range, and the leaf there is s's ID —
-// and returns that ID. Together with the batch signature
-// (Batch.Verify) it is the provider half of the paper's verify(d, m);
-// batch verifiers check the signature once per batch and CheckLeaf
-// once per transaction.
-func (s SignedTx) CheckLeaf() (crypto.Hash, error) {
-	id := s.Tx.ID()
+// is its provider's, Index is in range, and the leaf there is id, s's
+// ID. Together with the batch signature (Batch.Verify) it is the
+// provider half of the paper's verify(d, m); batch verifiers check the
+// signature once per batch and CheckLeaf once per transaction, with the
+// ID DecodeList hashed from the bytes received.
+func (s SignedTx) CheckLeaf(id crypto.Hash) error {
 	b := s.Batch
 	if b == nil || b.Provider != s.Tx.Provider || s.Index < 0 || s.Index >= len(b.Leaves) || b.Leaves[s.Index] != id {
-		return id, fmt.Errorf("provider batch leaf for %s: %w", id.Short(), ErrBadSignature)
+		return fmt.Errorf("provider batch leaf for %s: %w", id.Short(), ErrBadSignature)
 	}
-	return id, nil
+	return nil
 }
 
 // VerifyProvider checks s against its provider's key pub: the leaf,
 // then the batch signature through the shared verification cache.
 func (s SignedTx) VerifyProvider(pub crypto.PublicKey) error {
-	if _, err := s.CheckLeaf(); err != nil {
+	if err := s.CheckLeaf(s.ID()); err != nil {
 		return err
 	}
 	return s.Batch.Verify(pub)
@@ -246,7 +253,7 @@ func (s SignedTx) EncodeBytes() []byte {
 // DecodeSignedTx reads one SignedTx, a list of exactly one element,
 // from d.
 func DecodeSignedTx(d *codec.Decoder) (SignedTx, error) {
-	list, err := DecodeList(d, 0, decodeSigned)
+	list, _, err := DecodeList(d, 0, "", decodeSigned)
 	if err != nil {
 		return SignedTx{}, err
 	}

@@ -49,16 +49,29 @@ func encodeUploadItems(e *codec.Encoder, items []UploadItem) {
 		func(e *codec.Encoder, it *UploadItem) { e.PutVarint(int64(it.Label)) })
 }
 
+// Received is what DecodeUploadBatchBytes hashed from the bytes it was
+// handed (DESIGN.md §4f): the items' transaction IDs, in order, and
+// their list's digest (UploadBatch.Digest).
+type Received struct {
+	IDs    []crypto.Hash
+	Digest crypto.Hash
+}
+
+// Digest returns the SHA-256 of the canonical encoding of b's items,
+// the hash its collector's signature covers.
+func (b UploadBatch) Digest() crypto.Hash {
+	e := codec.GetEncoder(192 * len(b.Items))
+	encodeUploadItems(e, b.Items)
+	digest := crypto.Sum(e.Bytes())
+	e.Release()
+	return digest
+}
+
 // EncodeSigning appends the byte string the collector signs: a domain
-// tag, the collector, the round, the item count, and the SHA-256 of the
-// items' canonical encoding. Hashing the items keeps the signed message
-// (and the verification-cache key derived from it) small at any batch
-// size.
-func (b UploadBatch) EncodeSigning(e *codec.Encoder) {
-	body := codec.GetEncoder(192 * len(b.Items))
-	encodeUploadItems(body, b.Items)
-	digest := crypto.Sum(body.Bytes())
-	body.Release()
+// tag, the collector, the round, the item count, and digest, the items'
+// Digest (or Received.Digest). Hashing the items keeps the signed
+// message (and the verification-cache key derived from it) small.
+func (b UploadBatch) EncodeSigning(e *codec.Encoder, digest crypto.Hash) {
 	e.PutString("repchain/upload-batch/v3")
 	e.PutString(string(b.Collector))
 	e.PutUvarint(b.Round)
@@ -66,28 +79,41 @@ func (b UploadBatch) EncodeSigning(e *codec.Encoder) {
 	e.PutRaw(digest[:])
 }
 
-// SignUploadBatch produces the collector envelope for items uploaded in
-// round.
-func SignUploadBatch(collector identity.NodeID, round uint64, items []UploadItem, key crypto.PrivateKey) (UploadBatch, error) {
+// SignUploadBatch signs items as collector's upload in round and
+// returns the batch's wire encoding. The items are encoded once: the
+// collector signs the digest of the bytes it sends.
+func SignUploadBatch(collector identity.NodeID, round uint64, items []UploadItem, key crypto.PrivateKey) ([]byte, error) {
 	for _, it := range items {
 		if !it.Label.Valid() {
-			return UploadBatch{}, fmt.Errorf("label %d on %s: %w", it.Label, it.Signed.ID().Short(), ErrBadLabel)
+			return nil, fmt.Errorf("label %d on %s: %w", it.Label, it.Signed.ID().Short(), ErrBadLabel)
 		}
 	}
 	b := UploadBatch{Collector: collector, Round: round, Items: items}
-	e := codec.GetEncoder(128)
-	b.EncodeSigning(e)
-	b.Sig = key.Sign(e.Bytes())
+	e := codec.GetEncoder(128 + 192*len(items))
+	start := b.encodeUnsigned(e)
+	msg := codec.GetEncoder(128)
+	b.EncodeSigning(msg, crypto.Sum(e.Bytes()[start:]))
+	e.PutBytes(key.Sign(msg.Bytes()))
+	msg.Release()
+	out := e.AppendTo(nil)
 	e.Release()
-	return b, nil
+	return out, nil
+}
+
+// encodeUnsigned appends b's wire encoding up to its signature and
+// returns the offset in e at which the item list begins.
+func (b UploadBatch) encodeUnsigned(e *codec.Encoder) int {
+	e.PutString(string(b.Collector))
+	e.PutUvarint(b.Round)
+	start := e.Len()
+	encodeUploadItems(e, b.Items)
+	return start
 }
 
 // EncodeBytes returns the standalone wire encoding of b.
 func (b UploadBatch) EncodeBytes() []byte {
 	e := codec.GetEncoder(128 + 192*len(b.Items))
-	e.PutString(string(b.Collector))
-	e.PutUvarint(b.Round)
-	encodeUploadItems(e, b.Items)
+	b.encodeUnsigned(e)
 	e.PutBytes(b.Sig)
 	out := e.AppendTo(nil)
 	e.Release()
@@ -95,38 +121,42 @@ func (b UploadBatch) EncodeBytes() []byte {
 }
 
 // DecodeUploadBatchBytes decodes a standalone UploadBatch encoding,
-// requiring full consumption of p. The input is untrusted: the item
-// count is checked against the bytes that remain before anything is
-// allocated for it.
-func DecodeUploadBatchBytes(p []byte) (UploadBatch, error) {
+// requiring full consumption of p, and returns what it hashed from p:
+// the items' IDs and the digest of their list. The input is untrusted:
+// the item count is checked against the bytes that remain before
+// anything is allocated for it.
+func DecodeUploadBatchBytes(p []byte) (UploadBatch, Received, error) {
 	d := codec.NewDecoder(p)
 	coll, err := d.String()
 	if err != nil {
-		return UploadBatch{}, fmt.Errorf("upload batch collector: %w", err)
+		return UploadBatch{}, Received{}, fmt.Errorf("upload batch collector: %w", err)
 	}
 	round, err := d.Uvarint()
 	if err != nil {
-		return UploadBatch{}, fmt.Errorf("upload batch round: %w", err)
+		return UploadBatch{}, Received{}, fmt.Errorf("upload batch round: %w", err)
 	}
-	items, err := DecodeList(d, 1, func(s SignedTx) (UploadItem, error) {
+	start := d.Offset()
+	items, ids, err := DecodeList(d, 1, "", func(s SignedTx, _ int) (UploadItem, error) {
 		lv, err := d.Varint()
 		if err != nil {
 			return UploadItem{}, fmt.Errorf("label: %w", err)
 		}
-		if !Label(lv).Valid() {
+		// Checked before the cast, which would map lv+256 onto lv.
+		if lv != int64(LabelValid) && lv != int64(LabelInvalid) {
 			return UploadItem{}, fmt.Errorf("label %d: %w", lv, ErrBadLabel)
 		}
 		return UploadItem{Signed: s, Label: Label(lv)}, nil
 	})
 	if err != nil {
-		return UploadBatch{}, fmt.Errorf("upload batch items: %w", err)
+		return UploadBatch{}, Received{}, fmt.Errorf("upload batch items: %w", err)
 	}
+	rcv := Received{IDs: ids, Digest: crypto.Sum(d.Since(start))}
 	b := UploadBatch{Collector: identity.NodeID(coll), Round: round, Items: items}
 	if b.Sig, err = d.Bytes(); err != nil {
-		return UploadBatch{}, fmt.Errorf("upload batch signature: %w", err)
+		return UploadBatch{}, Received{}, fmt.Errorf("upload batch signature: %w", err)
 	}
 	if err := d.Expect(); err != nil {
-		return UploadBatch{}, fmt.Errorf("upload batch: %w", err)
+		return UploadBatch{}, Received{}, fmt.Errorf("upload batch: %w", err)
 	}
-	return b, nil
+	return b, rcv, nil
 }

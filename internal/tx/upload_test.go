@@ -1,6 +1,7 @@
 package tx
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -21,33 +22,40 @@ func sampleBatch(t testing.TB, n int) (UploadBatch, crypto.PublicKey) {
 			items[i].Label = LabelInvalid
 		}
 	}
-	b, err := SignUploadBatch("collector/1", 7, items, collKey)
+	frame, err := SignUploadBatch("collector/1", 7, items, collKey)
 	if err != nil {
 		t.Fatalf("SignUploadBatch() error = %v", err)
+	}
+	b, _, err := DecodeUploadBatchBytes(frame)
+	if err != nil {
+		t.Fatalf("DecodeUploadBatchBytes() error = %v", err)
 	}
 	return b, collPub
 }
 
-// verifyBatch checks b's signature the way a governor does: over
-// EncodeSigning's bytes.
+// verifyBatch checks b's signature over EncodeSigning's bytes, with the
+// digest recomputed from b's items.
 func verifyBatch(b UploadBatch, pub crypto.PublicKey) error {
 	e := codec.NewEncoder(128)
-	b.EncodeSigning(e)
+	b.EncodeSigning(e, b.Digest())
 	return pub.Verify(e.Bytes(), b.Sig)
 }
 
 func TestUploadBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 5} {
 		b, collPub := sampleBatch(t, n)
-		got, err := DecodeUploadBatchBytes(b.EncodeBytes())
+		got, rcv, err := DecodeUploadBatchBytes(b.EncodeBytes())
 		if err != nil {
 			t.Fatalf("n=%d: DecodeUploadBatchBytes() error = %v", n, err)
+		}
+		if rcv.Digest != b.Digest() || len(rcv.IDs) != n {
+			t.Fatalf("n=%d: received digest %s and %d IDs, want %s", n, rcv.Digest.Short(), len(rcv.IDs), b.Digest().Short())
 		}
 		if got.Collector != b.Collector || got.Round != b.Round || len(got.Items) != n {
 			t.Fatalf("n=%d: decoded collector %q round %d with %d items", n, got.Collector, got.Round, len(got.Items))
 		}
 		for i := range got.Items {
-			if got.Items[i].Label != b.Items[i].Label || got.Items[i].Signed.ID() != b.Items[i].Signed.ID() {
+			if got.Items[i].Label != b.Items[i].Label || rcv.IDs[i] != b.Items[i].Signed.ID() {
 				t.Fatalf("n=%d: item %d differs after round trip", n, i)
 			}
 		}
@@ -71,7 +79,7 @@ func TestUploadBatchSignatureCoversEverything(t *testing.T) {
 		"round edit":     func(b *UploadBatch) { b.Round++ },
 	}
 	for name, edit := range edits {
-		got, err := DecodeUploadBatchBytes(b.EncodeBytes())
+		got, _, err := DecodeUploadBatchBytes(b.EncodeBytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +105,26 @@ func TestDecodeUploadBatchRejectsBadLabel(t *testing.T) {
 	e.PutUvarint(1)                                                                // round
 	encodeUploadItems(e, []UploadItem{{Signed: Sign(sampleTx(1), key), Label: 3}}) // illegal label
 	e.PutBytes([]byte("sig"))
-	if _, err := DecodeUploadBatchBytes(e.Bytes()); !errors.Is(err, ErrBadLabel) {
+	if _, _, err := DecodeUploadBatchBytes(e.Bytes()); !errors.Is(err, ErrBadLabel) {
 		t.Fatalf("error = %v, want ErrBadLabel", err)
+	}
+}
+
+// TestDecodeUploadBatchRejectsTruncatedLabel: a label varint 256 away
+// from a legal one is refused, not cast onto it — else two byte strings
+// would decode to one batch.
+func TestDecodeUploadBatchRejectsTruncatedLabel(t *testing.T) {
+	_, key := testKey(t, 1)
+	for _, lv := range []int64{int64(LabelValid) + 256, int64(LabelInvalid) - 256} {
+		e := codec.NewEncoder(0)
+		e.PutString("collector/0")
+		e.PutUvarint(1) // round
+		EncodeList(e, []SignedTx{Sign(sampleTx(1), key)}, func(s *SignedTx) *SignedTx { return s },
+			func(e *codec.Encoder, _ *SignedTx) { e.PutVarint(lv) })
+		e.PutBytes([]byte("sig"))
+		if _, _, err := DecodeUploadBatchBytes(e.Bytes()); !errors.Is(err, ErrBadLabel) {
+			t.Fatalf("label varint %d: error = %v, want ErrBadLabel", lv, err)
+		}
 	}
 }
 
@@ -119,7 +145,7 @@ func TestDecodeUploadBatchBoundsCount(t *testing.T) {
 	for _, count := range []uint64{4, 1 << 20, 1 << 62} {
 		p := overstatedBatch(count)
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := DecodeUploadBatchBytes(p); !errors.Is(err, ErrDecode) {
+			if _, _, err := DecodeUploadBatchBytes(p); !errors.Is(err, ErrDecode) {
 				t.Fatalf("count %d: error = %v, want ErrDecode", count, err)
 			}
 		})
@@ -135,11 +161,11 @@ func TestTruncatedUploadBatchNeverDecodes(t *testing.T) {
 	b, _ := sampleBatch(t, 3)
 	full := b.EncodeBytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeUploadBatchBytes(full[:cut]); err == nil {
+		if _, _, err := DecodeUploadBatchBytes(full[:cut]); err == nil {
 			t.Fatalf("truncated input of %d bytes decoded", cut)
 		}
 	}
-	if _, err := DecodeUploadBatchBytes(append(full, 0xAA)); err == nil {
+	if _, _, err := DecodeUploadBatchBytes(append(full, 0xAA)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -160,8 +186,9 @@ func TestWireSizeBoundCoversEncoding(t *testing.T) {
 
 // FuzzUploadBatchDecode feeds the governor-facing decoder arbitrary
 // bytes: it must never panic, never produce more items than the input
-// could hold, never let an illegal label through, and whatever it
-// accepts must survive its own re-encoding.
+// could hold, never let an illegal label through, whatever it accepts
+// must re-encode to the same bytes, and the digest and IDs it hashed
+// from them must equal their recomputation from the decoded batch.
 func FuzzUploadBatchDecode(f *testing.F) {
 	b, _ := sampleBatch(f, 3)
 	valid := b.EncodeBytes()
@@ -171,20 +198,29 @@ func FuzzUploadBatchDecode(f *testing.F) {
 	f.Add(empty.EncodeBytes())
 	f.Add(overstatedBatch(1 << 40))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		got, err := DecodeUploadBatchBytes(p)
+		got, rcv, err := DecodeUploadBatchBytes(p)
 		if err != nil {
 			return
 		}
 		if len(got.Items) > len(p)/(minRefBytes+1) {
 			t.Fatalf("%d items decoded from %d bytes", len(got.Items), len(p))
 		}
-		for _, it := range got.Items {
+		if len(rcv.IDs) != len(got.Items) {
+			t.Fatalf("%d IDs for %d items", len(rcv.IDs), len(got.Items))
+		}
+		for i, it := range got.Items {
 			if !it.Label.Valid() {
 				t.Fatalf("decoded illegal label %d", it.Label)
 			}
+			if rcv.IDs[i] != it.Signed.ID() {
+				t.Fatalf("item %d: ID %s, recomputed %s", i, rcv.IDs[i].Short(), it.Signed.ID().Short())
+			}
 		}
-		if _, err := DecodeUploadBatchBytes(got.EncodeBytes()); err != nil {
-			t.Fatalf("re-encoding of an accepted batch does not decode: %v", err)
+		if rcv.Digest != got.Digest() {
+			t.Fatalf("received digest %s, recomputed %s", rcv.Digest.Short(), got.Digest().Short())
+		}
+		if again := got.EncodeBytes(); !bytes.Equal(again, p) {
+			t.Fatalf("accepted input does not re-encode to itself:\n in %x\nout %x", p, again)
 		}
 	})
 }
@@ -195,7 +231,7 @@ func BenchmarkUploadBatchRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeUploadBatchBytes(enc); err != nil {
+		if _, _, err := DecodeUploadBatchBytes(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
