@@ -101,8 +101,9 @@ crash-consistency:
 # decode does), the governor-to-governor stake-transform messages, the governor checkpoint
 # state and the reputation table inside it, the provider's argue
 # message, and the cross-shard lock/receipt payloads behind the
-# validator wrapper; and batch signature verification, whose every
-# verdict must equal the single-signature rule's.
+# validator wrapper; batch signature verification, whose every verdict
+# must equal the single-signature rule's with and without key tables;
+# and the comb multiply, which must equal Go's double-scalar multiply.
 # `go test -fuzz` accepts one target per invocation, hence the loop.
 # FUZZTIME=30s in CI; keep it short locally.
 FUZZTIME ?= 10s
@@ -110,8 +111,8 @@ fuzz-smoke:
 	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzDeploymentRoster transport/FuzzFrameReceive tx/FuzzUploadBatchDecode tx/FuzzProviderBatchDecode \
 		consensus/FuzzRoundTicketsDecode ledger/FuzzBlockDecode ledger/FuzzOwnRecordsDecode consensus/FuzzStakeTransformDecode \
 		node/FuzzGovernorStateDecode reputation/FuzzReputationRestore node/FuzzArgueDecode \
-		shard/FuzzXShardValidate crypto/FuzzVerifyBatch; do \
-		$(GO) test ./internal/$${target%/*} -run '^$$' -fuzz "^$${target#*/}$$" -fuzztime $(FUZZTIME) || exit 1; \
+		shard/FuzzXShardValidate crypto/FuzzVerifyBatch crypto/internal/edwards25519/FuzzCombMult; do \
+		$(GO) test ./internal/$${target%/*} -run '^$$' -fuzz "^$${target##*/}$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 # Long-running segmented-store soak (nightly CI): many rounds against
@@ -129,13 +130,13 @@ soak:
 # ROADMAP aim 2's number: non-test Go lines outside benchmark/ and
 # tools/, recorded per PR as go_loc_nontest in BENCH_history.jsonl. The
 # copy of Go's edwards25519 (its README says what was copied) is counted
-# on a second line; its one first-party file, multiscalar.go, stays in
-# the first.
+# on a second line; its first-party files, multiscalar.go and comb.go,
+# stay in the first.
 VENDORED := ./internal/crypto/internal/edwards25519
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './tools/*' -not -path './.*' \
-		\( -not -path '$(VENDORED)/*' -o -name multiscalar.go \) | xargs wc -l | tail -n 1
-	@find $(VENDORED) -name '*.go' -not -name '*_test.go' -not -name multiscalar.go \
+		\( -not -path '$(VENDORED)/*' -o -name multiscalar.go -o -name comb.go \) | xargs wc -l | tail -n 1
+	@find $(VENDORED) -name '*.go' -not -name '*_test.go' -not -name multiscalar.go -not -name comb.go \
 		| xargs wc -l | tail -n 1 | sed 's/total/vendored (Go edwards25519)/'
 
 # Regenerate every evaluation table (EXPERIMENTS.md source).

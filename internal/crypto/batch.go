@@ -43,6 +43,19 @@ import (
 // basepoint and key terms, one doubling chain) than it saves.
 const parallelVerifyFloor = 16
 
+// batchPays reports whether one chunk equation over sigs live
+// signatures under keys distinct keys costs less than checking them one
+// at a time. Alone, each signature takes two comb walks and a fold. The
+// equation replaces each one's B walk and fold with a share of a
+// 128-doubling Straus chain, and adds that chain, one B walk and one
+// walk per key. In units of about 150 field multiplications, it saves
+// 3 per signature and costs 8 plus 2 per key. A sweep at -cpu 1 on a
+// 2-core Xeon (the two paths timed alternately on the same parsed
+// chunk) agrees: the equation costs 1.2–1.4× the single checks for 4
+// signatures over 4 keys, 0.97× for 8 over 8, 0.8× for 8 over 4, 0.85×
+// for 16 to 256 over as many keys, and 0.6× for 16 over 4.
+func batchPays(sigs, keys int) bool { return 3*sigs > 8+2*keys }
+
 // BatchItem is one signature check submitted to VerifyBatch.
 type BatchItem struct {
 	// Pub is the claimed signer.
@@ -137,26 +150,26 @@ func (c *VerifyCache) VerifyBatch(items []BatchItem) []error {
 	return errs
 }
 
-// chunkKey is one distinct public key of a chunk: its point and the
-// coefficient Σ zᵢkᵢ of its term.
+// chunkKey is one distinct public key of a chunk: its verification form
+// and the coefficient Σ zᵢkᵢ of its term.
 type chunkKey struct {
-	point edwards25519.Point
-	sum   edwards25519.Scalar
-	ok    bool // the key decoded
-	used  bool // some signature under it reached the equation
+	form *verifyKey
+	sum  edwards25519.Scalar
+	used bool // some signature under it reached the equation
 }
 
 // verifyChunk checks the signatures items[idx[0]], items[idx[1]], … —
 // each with a PublicKeySize key and a SignatureSize signature — as one
 // batch and writes each verdict to ok[k]: exactly PublicKey.Verify's,
 // whatever else the chunk holds. Signatures whose key, S or R fail to
-// parse fail on their own; the rest go into the batch equation, and if
-// it does not hold they are re-checked one by one.
+// parse fail on their own; the rest go into the batch equation when it
+// pays, and are checked one by one when it does not or does not hold.
 func verifyChunk(items []BatchItem, idx []int, ok []bool) {
 	checks := make([]sigCheck, len(idx))
 	keyOf := make([]int, len(idx))
 	live := make([]int, 0, len(idx))
 	var keys []chunkKey
+	usedKeys := 0
 	keyIndex := make(map[[PublicKeySize]byte]int) // lookup only; keys holds first-occurrence order
 	for k, i := range idx {
 		it := items[i]
@@ -164,26 +177,30 @@ func verifyChunk(items []BatchItem, idx []int, ok []bool) {
 		if !seen {
 			j = len(keys)
 			keyIndex[[PublicKeySize]byte(it.Pub.k)] = j
-			keys = append(keys, chunkKey{})
-			_, err := keys[j].point.SetBytes(it.Pub.k)
-			keys[j].ok = err == nil
+			keys = append(keys, chunkKey{form: it.Pub.form()})
 		}
 		keyOf[k] = j
-		if ok[k] = keys[j].ok && checks[k].parse(it.Pub.k, it.Msg, it.Sig); ok[k] {
-			keys[j].used = true
+		if ok[k] = keys[j].form.ok && checks[k].parse(it.Pub.k, it.Msg, it.Sig); ok[k] {
+			if !keys[j].used {
+				keys[j].used = true
+				usedKeys++
+			}
 			live = append(live, k)
 		}
 	}
-	if len(live) > 1 && batchHolds(items, idx, live, checks, keyOf, keys) {
+	if batchPays(len(live), usedKeys) && batchHolds(items, idx, live, checks, keyOf, keys) {
 		return
 	}
 	for _, k := range live {
-		ok[k] = checks[k].holds(&keys[keyOf[k]].point)
+		ok[k] = checks[k].holds(keys[keyOf[k]].form)
 	}
 }
 
 // batchHolds evaluates the chunk equation over the live signatures:
 // [8](−(Σ zᵢsᵢ)·B + Σ zᵢ·Rᵢ + Σ_A (Σ_{i:Aᵢ=A} zᵢkᵢ)·A) = 0.
+// The B term and each key with a comb table take one table walk; the
+// 128-bit zᵢ·Rᵢ terms, and the keys without a table, share one Straus
+// doubling chain.
 func batchHolds(items []BatchItem, idx, live []int, checks []sigCheck, keyOf []int, keys []chunkKey) bool {
 	z := batchCoefficients(items, idx, live)
 	scalars := make([]edwards25519.Scalar, len(live), len(live)+len(keys))
@@ -195,14 +212,27 @@ func batchHolds(items []BatchItem, idx, live []int, checks []sigCheck, keyOf []i
 		bSum.MultiplyAdd(&z[n], &c.s, &bSum)
 		key.sum.MultiplyAdd(&z[n], &c.k, &key.sum)
 	}
+	// A chunk's few keys fit these stack buffers; append moves a larger
+	// set to the heap.
+	var scalarBuf [16]edwards25519.Scalar
+	var tableBuf [16]*edwards25519.CombTable
+	combScalars := append(scalarBuf[:0], *bSum.Negate(&bSum))
+	combTables := append(tableBuf[:0], edwards25519.BasepointCombTable())
 	for j := range keys {
-		if keys[j].used {
-			scalars = append(scalars, keys[j].sum)
-			points = append(points, &keys[j].point)
+		switch key := &keys[j]; {
+		case !key.used:
+		case key.form.table != nil:
+			combScalars = append(combScalars, key.sum)
+			combTables = append(combTables, key.form.table)
+		default:
+			scalars = append(scalars, key.sum)
+			points = append(points, &key.form.point)
 		}
 	}
-	var p edwards25519.Point
-	p.VarTimeMultiScalarBaseMult(bSum.Negate(&bSum), scalars, points)
+	var p, q edwards25519.Point
+	p.VarTimeCombMult(combScalars, combTables)
+	q.VarTimeMultiScalarMult(scalars, points)
+	p.Add(&p, &q)
 	return p.MultByCofactor(&p).Equal(edwards25519.NewIdentityPoint()) == 1
 }
 

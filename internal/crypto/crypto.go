@@ -21,8 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"repchain/internal/crypto/internal/edwards25519"
 )
 
 // HashSize is the byte length of protocol hashes (SHA-256).
@@ -127,9 +125,12 @@ const (
 	SeedSize       = ed25519.SeedSize
 )
 
-// PublicKey identifies a node and verifies its signatures.
+// PublicKey identifies a node and verifies its signatures. Copies of a
+// key share its verification form (verify.go), built on the key's first
+// verification.
 type PublicKey struct {
 	k ed25519.PublicKey
+	v *verifyKey // nil only in keys built as literals, which verify without a table
 }
 
 // PrivateKey signs on behalf of a node.
@@ -147,7 +148,7 @@ func GenerateKey(rng io.Reader) (PublicKey, PrivateKey, error) {
 	if err != nil {
 		return PublicKey{}, PrivateKey{}, fmt.Errorf("generate ed25519 key: %w", err)
 	}
-	return PublicKey{k: pub}, PrivateKey{k: priv}, nil
+	return newPublicKey(pub), PrivateKey{k: priv}, nil
 }
 
 // KeyFromSeed derives a keypair deterministically from a 32-byte seed.
@@ -161,7 +162,7 @@ func KeyFromSeed(seed []byte) (PublicKey, PrivateKey, error) {
 	if !ok {
 		return PublicKey{}, PrivateKey{}, fmt.Errorf("unexpected public key type: %w", ErrBadInput)
 	}
-	return PublicKey{k: pub}, PrivateKey{k: priv}, nil
+	return newPublicKey(pub), PrivateKey{k: priv}, nil
 }
 
 // Public returns the verifying key for priv.
@@ -170,7 +171,7 @@ func (priv PrivateKey) Public() PublicKey {
 	if !ok {
 		return PublicKey{}
 	}
-	return PublicKey{k: pub}
+	return newPublicKey(pub)
 }
 
 // Sign produces a deterministic Ed25519 signature over msg.
@@ -191,9 +192,8 @@ func (pub PublicKey) Verify(msg, sig []byte) error {
 	if len(sig) != SignatureSize {
 		return fmt.Errorf("signature length %d: %w", len(sig), ErrBadInput)
 	}
-	var a edwards25519.Point
 	var c sigCheck
-	if _, err := a.SetBytes(pub.k); err != nil || !c.parse(pub.k, msg, sig) || !c.holds(&a) {
+	if a := pub.form(); !a.ok || !c.parse(pub.k, msg, sig) || !c.holds(a) {
 		return ErrBadSignature
 	}
 	return nil
@@ -228,7 +228,12 @@ func PublicKeyFromBytes(b []byte) (PublicKey, error) {
 	}
 	k := make(ed25519.PublicKey, PublicKeySize)
 	copy(k, b)
-	return PublicKey{k: k}, nil
+	return newPublicKey(k), nil
+}
+
+// newPublicKey wraps k with a verification form of its own.
+func newPublicKey(k ed25519.PublicKey) PublicKey {
+	return PublicKey{k: k, v: new(verifyKey)}
 }
 
 // PrivateKeyFromBytes parses a raw 64-byte Ed25519 private key.

@@ -3,6 +3,7 @@ package crypto
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -191,6 +192,82 @@ func TestQuickTamperedSignatureFails(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyTableShared: a key builds its comb table on its first
+// verification and every copy of it uses that one table; a key parsed
+// again from its bytes is another key and builds its own; and a key
+// that is not a curve point builds none and fails every check.
+func TestKeyTableShared(t *testing.T) {
+	pub, priv := mustKey(t, 9)
+	msg := []byte("shared table")
+	sig := priv.Sign(msg)
+	copied := pub
+	if pub.v == nil || copied.v != pub.v {
+		t.Fatal("a copied key does not share its original's verification form")
+	}
+	items, _ := batchFixture(t, 8, 1) // eight copies of one more key
+	before := KeyTablesBuilt()
+	for _, k := range []PublicKey{pub, copied, pub} {
+		if err := k.Verify(msg, sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, err := range NewVerifyCache(32).VerifyBatch(items) {
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+	}
+	if got := KeyTablesBuilt() - before; got != 2 || pub.v.table == nil || pub.v.table != copied.v.table {
+		t.Fatalf("%d tables built for two keys and their copies", got)
+	}
+	// Copies verifying at once still build one table between them.
+	fresh, freshPriv := mustKey(t, 10)
+	freshSig := freshPriv.Sign(msg)
+	before = KeyTablesBuilt()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(k PublicKey) {
+			defer wg.Done()
+			if err := k.Verify(msg, freshSig); err != nil {
+				t.Error(err)
+			}
+		}(fresh)
+	}
+	wg.Wait()
+	if got := KeyTablesBuilt() - before; got != 1 {
+		t.Fatalf("%d tables built by concurrent first verifications of one key", got)
+	}
+
+	reparsed, err := PublicKeyFromBytes(pub.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = KeyTablesBuilt()
+	if err := reparsed.Verify(msg, sig); err != nil || KeyTablesBuilt()-before != 1 {
+		t.Fatalf("a reparsed key: Verify %v, %d tables built", err, KeyTablesBuilt()-before)
+	}
+
+	notPoint := nonPointKey(t)
+	before = KeyTablesBuilt()
+	bad := make([]BatchItem, 6)
+	for i := range bad {
+		bad[i] = BatchItem{Pub: notPoint, Msg: []byte{byte(i)}, Sig: sig} // distinct triples: no cache hits
+	}
+	for n := 0; n < 3; n++ {
+		if err := notPoint.Verify(msg, sig); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("Verify under a key that is not a point: %v", err)
+		}
+		for i, err := range NewVerifyCache(32).VerifyBatch(bad) {
+			if !errors.Is(err, ErrBadSignature) {
+				t.Fatalf("VerifyBatch item %d under a key that is not a point: %v", i, err)
+			}
+		}
+	}
+	if KeyTablesBuilt() != before || notPoint.v.table != nil {
+		t.Fatal("a key that is not a point built a table")
 	}
 }
 

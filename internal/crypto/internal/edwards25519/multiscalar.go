@@ -4,16 +4,14 @@ package edwards25519
 // operations batch verification needs on top of it, built only from the
 // copy's own point formulas and tables.
 
-// VarTimeMultiScalarBaseMult sets v = b·B + Σ scalars[i]·points[i], where
-// B is the canonical generator, and returns v.
+// VarTimeMultiScalarMult sets v = Σ scalars[i]·points[i], and returns v.
 //
-// It is Straus's interleaved method: one shared chain of 256 doublings,
-// with each variable point added through a width-5 NAF table built here
-// and B through the precomputed width-8 table. Execution time depends
-// on the inputs.
-func (v *Point) VarTimeMultiScalarBaseMult(b *Scalar, scalars []Scalar, points []*Point) *Point {
+// It is Straus's interleaved method: one shared chain of doublings, as
+// long as the largest scalar is wide, with each point added through a
+// width-5 NAF table built here. Execution time depends on the inputs.
+func (v *Point) VarTimeMultiScalarMult(scalars []Scalar, points []*Point) *Point {
 	if len(scalars) != len(points) {
-		panic("edwards25519: VarTimeMultiScalarBaseMult called with different size inputs")
+		panic("edwards25519: VarTimeMultiScalarMult called with different size inputs")
 	}
 	checkInitialized(points...)
 
@@ -25,12 +23,8 @@ func (v *Point) VarTimeMultiScalarBaseMult(b *Scalar, scalars []Scalar, points [
 		nafs[i] = scalars[i].nonAdjacentForm(5)
 		top = max(top, highestDigit(&nafs[i]))
 	}
-	basepointNafTable := basepointNafTable()
-	bNaf := b.nonAdjacentForm(8)
-	top = max(top, highestDigit(&bNaf))
 
 	multA := &projCached{}
-	multB := &affineCached{}
 	tmp1 := &projP1xP1{}
 	tmp2 := &projP2{}
 	tmp2.Zero()
@@ -46,15 +40,6 @@ func (v *Point) VarTimeMultiScalarBaseMult(b *Scalar, scalars []Scalar, points [
 				tables[j].SelectInto(multA, -d)
 				tmp1.Sub(v, multA)
 			}
-		}
-		if d := bNaf[i]; d > 0 {
-			v.fromP1xP1(tmp1)
-			basepointNafTable.SelectInto(multB, d)
-			tmp1.AddAffine(v, multB)
-		} else if d < 0 {
-			v.fromP1xP1(tmp1)
-			basepointNafTable.SelectInto(multB, -d)
-			tmp1.SubAffine(v, multB)
 		}
 		tmp2.FromP1xP1(tmp1)
 	}

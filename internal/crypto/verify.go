@@ -20,13 +20,63 @@ package crypto
 
 import (
 	"crypto/sha512"
+	"sync"
+	"sync/atomic"
 
 	"repchain/internal/crypto/internal/edwards25519"
 )
 
+// verifyKey is a public key's verification form: its decoded point and,
+// for a prepared key, its comb table (edwards25519.CombTable, 30 KiB),
+// with which [k]A costs one table walk instead of a doubling chain.
+// A prepared key builds it once, on its first verification, and every
+// copy of the key shares it. The scalars it multiplies are public, so
+// the variable-time walk leaks nothing; signing stays on
+// crypto/ed25519's constant-time path.
+type verifyKey struct {
+	once  sync.Once
+	ok    bool // the key decodes to a curve point
+	point edwards25519.Point
+	table *edwards25519.CombTable // nil for a key without a table
+}
+
+// tablesBuilt counts the comb tables built for keys in this process.
+var tablesBuilt atomic.Int64
+
+// KeyTablesBuilt returns how many key comb tables this process has
+// built: one per distinct key object verified, so a count that grows
+// after warm-up means a path verifies under fresh PublicKey values
+// where it should use the roster's.
+func KeyTablesBuilt() int64 { return tablesBuilt.Load() }
+
+// decode fills v from the key bytes, with a comb table when prepared.
+func (v *verifyKey) decode(k []byte, prepared bool) {
+	if _, err := v.point.SetBytes(k); err != nil {
+		return
+	}
+	v.ok = true
+	if prepared {
+		v.table = new(edwards25519.CombTable).FromP3(&v.point)
+		tablesBuilt.Add(1)
+	}
+}
+
+// form returns pub's verification form, building a prepared key's on
+// first use. A key without one (a PublicKey literal) is decoded afresh
+// on every call and gets no table. Callers have checked pub's length.
+func (pub PublicKey) form() *verifyKey {
+	if pub.v == nil {
+		v := new(verifyKey)
+		v.decode(pub.k, false)
+		return v
+	}
+	pub.v.once.Do(func() { pub.v.decode(pub.k, true) })
+	return pub.v
+}
+
 // sigCheck is one signature parsed for the equation: its nonce point R,
 // its scalar S and its challenge k. The key is held by the caller,
-// which decodes each distinct key once.
+// which looks up each distinct key's form once.
 type sigCheck struct {
 	r    edwards25519.Point
 	k, s edwards25519.Scalar
@@ -55,11 +105,20 @@ func (c *sigCheck) parse(pub, msg, sig []byte) bool {
 	return true
 }
 
-// holds reports whether [8]([S]B − [k]A − R) = 0 for the key point a.
-func (c *sigCheck) holds(a *edwards25519.Point) bool {
+// holds reports whether [8]([S]B − [k]A − R) = 0 for the decoded key a:
+// through the basepoint's and a's comb tables when a has one, through
+// one doubling chain otherwise.
+func (c *sigCheck) holds(a *verifyKey) bool {
 	var p edwards25519.Point
-	p.Negate(a)
-	p.VarTimeDoubleScalarBaseMult(&c.k, &p, &c.s)
+	if a.table != nil {
+		var negK edwards25519.Scalar
+		negK.Negate(&c.k)
+		p.VarTimeCombMult([]edwards25519.Scalar{c.s, negK},
+			[]*edwards25519.CombTable{edwards25519.BasepointCombTable(), a.table})
+	} else {
+		p.Negate(&a.point)
+		p.VarTimeDoubleScalarBaseMult(&c.k, &p, &c.s)
+	}
 	p.Subtract(&p, &c.r)
 	return p.MultByCofactor(&p).Equal(edwards25519.NewIdentityPoint()) == 1
 }

@@ -86,6 +86,33 @@ func stdlibVerdict(pub, msg, sig []byte) bool {
 	return ed25519.Verify(ed25519.PublicKey(pub), msg, sig)
 }
 
+// keyForms are the two ways a key verifies: prepared, through comb
+// tables built on its first verification, and without a table, through
+// the doubling chain a PublicKey literal takes. Every verdict must be
+// the same in both.
+var keyForms = []struct {
+	name string
+	of   func(PublicKey) PublicKey
+}{
+	{"prepared", func(p PublicKey) PublicKey { return p }},
+	{"tableless", func(p PublicKey) PublicKey { return PublicKey{k: p.k} }},
+}
+
+// withKeys returns a copy of items with each key put in another form.
+func withKeys(items []BatchItem, of func(PublicKey) PublicKey) []BatchItem {
+	out := slices.Clone(items)
+	for i := range out {
+		out[i].Pub = of(out[i].Pub)
+	}
+	return out
+}
+
+// sameVerdict reports whether a and b are the same verdict: both nil,
+// both ErrBadSignature, or both structural (ErrBadInput).
+func sameVerdict(a, b error) bool {
+	return (a == nil) == (b == nil) && errors.Is(a, ErrBadInput) == errors.Is(b, ErrBadInput)
+}
+
 // curveP is the field prime 2^255 − 19.
 var curveP = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19))
 
@@ -177,30 +204,35 @@ func TestVerifyMatchesStdlib(t *testing.T) {
 		cases = append(cases, tc{r.name, pubEnc, msg, craftSig(a, zero, pubEnc, r.enc, msg)})
 	}
 
-	items := make([]BatchItem, len(cases))
+	prepared := make([]BatchItem, len(cases))
 	for i, c := range cases {
 		pub, err := PublicKeyFromBytes(c.pub)
 		if err != nil {
 			t.Fatal(err)
 		}
-		items[i] = BatchItem{Pub: pub, Msg: c.msg, Sig: c.sig}
+		prepared[i] = BatchItem{Pub: pub, Msg: c.msg, Sig: c.sig}
 	}
-	batch := NewVerifyCache(4 * len(items)).VerifyBatch(items)
-	accepted := 0
-	for i, c := range cases {
-		want := stdlibVerdict(c.pub, c.msg, c.sig)
-		if got := items[i].Pub.Verify(c.msg, c.sig) == nil; got != want {
-			t.Errorf("%s: Verify accepts=%v, crypto/ed25519 accepts=%v", c.name, got, want)
-		}
-		if got := batch[i] == nil; got != want {
-			t.Errorf("%s: VerifyBatch accepts=%v, crypto/ed25519 accepts=%v", c.name, got, want)
-		}
-		if want {
-			accepted++
-		}
-	}
-	if accepted < 48 || accepted == len(cases) {
-		t.Fatalf("%d of %d cases accepted: the mix must hold both verdicts", accepted, len(cases))
+	for _, form := range keyForms {
+		t.Run(form.name, func(t *testing.T) {
+			items := withKeys(prepared, form.of)
+			batch := NewVerifyCache(4 * len(items)).VerifyBatch(items)
+			accepted := 0
+			for i, c := range cases {
+				want := stdlibVerdict(c.pub, c.msg, c.sig)
+				if got := items[i].Pub.Verify(c.msg, c.sig) == nil; got != want {
+					t.Errorf("%s: Verify accepts=%v, crypto/ed25519 accepts=%v", c.name, got, want)
+				}
+				if got := batch[i] == nil; got != want {
+					t.Errorf("%s: VerifyBatch accepts=%v, crypto/ed25519 accepts=%v", c.name, got, want)
+				}
+				if want {
+					accepted++
+				}
+			}
+			if accepted < 48 || accepted == len(cases) {
+				t.Fatalf("%d of %d cases accepted: the mix must hold both verdicts", accepted, len(cases))
+			}
+		})
 	}
 }
 
@@ -236,7 +268,14 @@ func lowOrderResidueSig(t testing.TB, label string) (PublicKey, []byte, []byte) 
 // point is accepted, by Verify and by VerifyBatch alike, where
 // crypto/ed25519 rejects it.
 func TestLowOrderResidueAccepted(t *testing.T) {
+	for _, form := range keyForms {
+		t.Run(form.name, func(t *testing.T) { testLowOrderResidueAccepted(t, form.of) })
+	}
+}
+
+func testLowOrderResidueAccepted(t *testing.T, of func(PublicKey) PublicKey) {
 	pub, msg, sig := lowOrderResidueSig(t, "low-order residue")
+	pub = of(pub)
 	if stdlibVerdict(pub.k, msg, sig) {
 		t.Fatal("crypto/ed25519 accepts the crafted signature; the residue is zero")
 	}
@@ -258,11 +297,13 @@ func TestLowOrderResidueAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pub2 = of(pub2)
 	if err := pub2.Verify(msg2, sig2); err != nil {
 		t.Fatalf("Verify with an order-2 nonce point: %v", err)
 	}
 
 	items, _ := batchFixture(t, 30, 3)
+	items = withKeys(items, of)
 	items = append(items, BatchItem{Pub: pub, Msg: msg, Sig: sig}, BatchItem{Pub: pub2, Msg: msg2, Sig: sig2})
 	for i, err := range NewVerifyCache(64).VerifyBatch(items) {
 		if err != nil {
@@ -301,34 +342,41 @@ func mixedBatch(t testing.TB) []BatchItem {
 	}
 	msg := []byte("non-canonical R")
 	items = append(items, BatchItem{Pub: pub, Msg: msg, Sig: craftSig(a, edwards25519.NewScalar(), pub.k, encodeNearP(1, false), msg)})
-	for y := byte(2); ; y++ { // the first y whose encoding is not a point
-		enc := append([]byte{y}, make([]byte, 31)...)
-		if _, err := new(edwards25519.Point).SetBytes(enc); err != nil {
-			notPoint, err := PublicKeyFromBytes(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			items = append(items, BatchItem{Pub: notPoint, Msg: items[5].Msg, Sig: items[5].Sig})
-			break
-		}
-	}
 	items = append(items,
+		BatchItem{Pub: nonPointKey(t), Msg: items[5].Msg, Sig: items[5].Sig},
 		BatchItem{Pub: items[1].Pub, Msg: items[1].Msg, Sig: items[1].Sig[:40]},
 		BatchItem{Pub: PublicKey{}, Msg: items[2].Msg, Sig: items[2].Sig},
 	)
 	return items
 }
 
+// nonPointKey returns a key whose encoding is not a curve point: the
+// first y < 256 that has no x.
+func nonPointKey(t testing.TB) PublicKey {
+	t.Helper()
+	for y := byte(2); ; y++ {
+		enc := append([]byte{y}, make([]byte, 31)...)
+		if _, err := new(edwards25519.Point).SetBytes(enc); err != nil {
+			pub, err := PublicKeyFromBytes(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pub
+		}
+	}
+}
+
 // TestVerifyBatchSplitInvariant checks that every signature's verdict is
 // PublicKey.Verify's whichever chunk it is checked in: the mixed batch
 // split into 1…n contiguous chunks as VerifyBatch splits it, and
-// VerifyBatch itself at GOMAXPROCS 1 and 4.
+// VerifyBatch itself at GOMAXPROCS 1 and 4; with prepared keys and
+// with keys without a table, whose verdicts must be the same.
 func TestVerifyBatchSplitInvariant(t *testing.T) {
-	items := mixedBatch(t)
-	want := make([]error, len(items))
+	mixed := mixedBatch(t)
+	want := make([]error, len(mixed))
 	var idx []int // the items with well-formed lengths, which reach verifyChunk
 	accepted := 0
-	for i, it := range items {
+	for i, it := range mixed {
 		want[i] = it.Pub.Verify(it.Msg, it.Sig)
 		if !errors.Is(want[i], ErrBadInput) {
 			idx = append(idx, i)
@@ -341,15 +389,23 @@ func TestVerifyBatchSplitInvariant(t *testing.T) {
 		t.Fatalf("%d of %d accepted: the mix must hold both verdicts", accepted, len(idx))
 	}
 
-	for chunks := 1; chunks <= len(idx); chunks++ {
-		ok := make([]bool, len(idx))
-		for ch := 0; ch < chunks; ch++ {
-			lo, hi := ch*len(idx)/chunks, (ch+1)*len(idx)/chunks
-			verifyChunk(items, idx[lo:hi], ok[lo:hi])
+	for _, form := range keyForms {
+		items := withKeys(mixed, form.of)
+		for i, it := range items {
+			if got := it.Pub.Verify(it.Msg, it.Sig); !sameVerdict(got, want[i]) {
+				t.Fatalf("%s: item %d: Verify %v, prepared Verify %v", form.name, i, got, want[i])
+			}
 		}
-		for k, i := range idx {
-			if ok[k] != (want[i] == nil) {
-				t.Fatalf("%d chunks: item %d accepted=%v, Verify says %v", chunks, i, ok[k], want[i])
+		for chunks := 1; chunks <= len(idx); chunks++ {
+			ok := make([]bool, len(idx))
+			for ch := 0; ch < chunks; ch++ {
+				lo, hi := ch*len(idx)/chunks, (ch+1)*len(idx)/chunks
+				verifyChunk(items, idx[lo:hi], ok[lo:hi])
+			}
+			for k, i := range idx {
+				if ok[k] != (want[i] == nil) {
+					t.Fatalf("%s, %d chunks: item %d accepted=%v, Verify says %v", form.name, chunks, i, ok[k], want[i])
+				}
 			}
 		}
 	}
@@ -357,9 +413,11 @@ func TestVerifyBatchSplitInvariant(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			for i, err := range NewVerifyCache(4 * len(items)).VerifyBatch(items) {
-				if (err == nil) != (want[i] == nil) || errors.Is(err, ErrBadInput) != errors.Is(want[i], ErrBadInput) {
-					t.Fatalf("item %d: VerifyBatch %v, Verify %v", i, err, want[i])
+			for _, form := range keyForms {
+				for i, err := range NewVerifyCache(4 * len(mixed)).VerifyBatch(withKeys(mixed, form.of)) {
+					if !sameVerdict(err, want[i]) {
+						t.Fatalf("%s: item %d: VerifyBatch %v, Verify %v", form.name, i, err, want[i])
+					}
 				}
 			}
 		})
@@ -369,15 +427,23 @@ func TestVerifyBatchSplitInvariant(t *testing.T) {
 // FuzzVerifyBatch builds a batch of n signatures over a chosen number
 // of keys, applies the fuzzer's byte flips to keys, signatures and
 // messages, and checks every item's VerifyBatch verdict against
-// PublicKey.Verify's.
+// PublicKey.Verify's, and both, with prepared keys, against the
+// verdicts with keys that have no table.
 func FuzzVerifyBatch(f *testing.F) {
 	f.Add(uint8(8), uint8(2), []byte{})
 	f.Add(uint8(20), uint8(4), []byte{3, 70, 0x40})
 	f.Add(uint8(40), uint8(40), []byte{0, 5, 1, 17, 100, 0x80, 39, 127, 0xff})
 	f.Add(uint8(64), uint8(1), []byte{63, 95, 0x10, 2, 31, 0x80})
+	// The keys are made once, so each keeps its table across inputs.
+	ring, privs := batchFixture(f, 64, 64)
+	pubs := make([]PublicKey, len(ring))
+	for i, it := range ring {
+		pubs[i] = it.Pub
+	}
 	f.Fuzz(func(t *testing.T, n, keys uint8, mut []byte) {
 		size := int(n)%64 + 1
-		items, _ := batchFixture(t, size, int(keys)%size+1)
+		k := int(keys)%size + 1
+		items := signedItems(pubs[:k], privs[:k], size)
 		// Each (item, offset, xor) triple flips one byte of the item's
 		// key ‖ signature ‖ message.
 		for ; len(mut) >= 3; mut = mut[3:] {
@@ -397,9 +463,15 @@ func FuzzVerifyBatch(f *testing.F) {
 			}
 			*it = BatchItem{Pub: p, Msg: msg, Sig: sig}
 		}
+		tableless := withKeys(items, keyForms[1].of)
+		slow := NewVerifyCache(4 * size).VerifyBatch(tableless)
 		for i, err := range NewVerifyCache(4 * size).VerifyBatch(items) {
-			if want := items[i].Pub.Verify(items[i].Msg, items[i].Sig); !errors.Is(err, want) {
-				t.Fatalf("item %d: VerifyBatch %v, Verify %v", i, err, want)
+			want := tableless[i].Pub.Verify(items[i].Msg, items[i].Sig)
+			if got := items[i].Pub.Verify(items[i].Msg, items[i].Sig); !sameVerdict(got, want) {
+				t.Fatalf("item %d: Verify %v, without a table %v", i, got, want)
+			}
+			if !sameVerdict(err, want) || !sameVerdict(slow[i], want) {
+				t.Fatalf("item %d: VerifyBatch %v, without a table %v, Verify %v", i, err, slow[i], want)
 			}
 		}
 	})

@@ -285,11 +285,11 @@ func TestStoreHeadHash(t *testing.T) {
 		if want, _ := NewBlock(&blocks[2], recs, 0); next.Hash() != want.Hash() {
 			t.Fatalf("%T NewBlockWithRoot over the head differs from NewBlock", store)
 		}
-		if err := store.AppendHashed(next, next.Hash()); err != nil {
+		if err := store.AppendFrame(next, next.Hash(), next.EncodeBytes()); err != nil {
 			t.Fatal(err)
 		}
 		if store.HeadHash() != next.Hash() {
-			t.Fatalf("%T HeadHash() after AppendHashed is not the appended block's", store)
+			t.Fatalf("%T HeadHash() after AppendFrame is not the appended block's", store)
 		}
 	}
 	head := fs.HeadHash()
@@ -301,6 +301,70 @@ func TestStoreHeadHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = fs2.Close() }()
+	if fs2.HeadHash() != head {
+		t.Fatalf("reopened HeadHash() = %s, want %s", fs2.HeadHash().Short(), head.Short())
+	}
+}
+
+// TestFileStoreWritesFrameAsGiven: a FileStore stores the frame its
+// caller hands AppendFrame — the proposer's Block.Seal output, or the
+// bytes a replica received — and that frame is exactly the block's
+// re-encoding, so reading it back and reopening give the same chain.
+func TestFileStoreWritesFrameAsGiven(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain")
+	fs, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, priv := testKey(t, 2)
+	var frames [][]byte
+	for i := 0; i < 4; i++ {
+		recs := testRecords(t, 2+i, uint64(10*i+1))
+		b, err := NewBlockWithRoot(fs.Height(), fs.HeadHash(), recs, 0, ComputeTxRoot(recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, frame := b.Seal("governor/0", priv)
+		if i%2 == 1 { // a replica: append what it received
+			rb, rcv, err := ReceiveBlock(frame, crypto.NewMerkleBuilder(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, h = rb, rcv.Hash
+		}
+		if err := fs.AppendFrame(b, h, frame); err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	check := func(fs *FileStore) {
+		t.Helper()
+		for i, want := range frames {
+			serial := uint64(i + 1)
+			stored, _, _, err := fs.readFrameAt(serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fs.Get(serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stored, want) || !bytes.Equal(stored, b.EncodeBytes()) {
+				t.Fatalf("block %d: stored frame is not the appended frame and its re-encoding", serial)
+			}
+		}
+	}
+	check(fs)
+	head := fs.HeadHash()
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fs2.Close() }()
+	check(fs2)
 	if fs2.HeadHash() != head {
 		t.Fatalf("reopened HeadHash() = %s, want %s", fs2.HeadHash().Short(), head.Short())
 	}

@@ -20,9 +20,11 @@ type Store interface {
 	// Append adds b to the chain, enforcing serial ordering and the
 	// previous-hash link.
 	Append(b Block) error
-	// AppendHashed is Append for a caller that already holds h =
-	// b.Hash(), which becomes the new HeadHash without a second encode.
-	AppendHashed(b Block, h crypto.Hash) error
+	// AppendFrame is Append for a caller that holds b's frame
+	// (b.EncodeBytes(): the bytes it received or Block.Seal returned)
+	// and h = b.Hash() taken from it. A durable store writes the frame
+	// as is, and h becomes the new HeadHash, so b is not re-encoded.
+	AppendFrame(b Block, h crypto.Hash, frame []byte) error
 	// Get returns the block with serial number s (retrieve(s)).
 	Get(s uint64) (Block, error)
 	// Head returns the newest block, or ErrNotFound on an empty chain.
@@ -47,10 +49,10 @@ var _ Store = (*MemoryStore)(nil)
 func NewMemoryStore() *MemoryStore { return &MemoryStore{} }
 
 // Append implements Store.
-func (s *MemoryStore) Append(b Block) error { return s.AppendHashed(b, b.Hash()) }
+func (s *MemoryStore) Append(b Block) error { return s.AppendFrame(b, b.Hash(), nil) }
 
-// AppendHashed implements Store.
-func (s *MemoryStore) AppendHashed(b Block, h crypto.Hash) error {
+// AppendFrame implements Store. The frame is not kept.
+func (s *MemoryStore) AppendFrame(b Block, h crypto.Hash, _ []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := checkLink(b, uint64(len(s.blocks)), s.headHash); err != nil {
@@ -539,10 +541,10 @@ func (fs *FileStore) linkBlock(b Block) error {
 }
 
 // Append implements Store, persisting the block before indexing it.
-func (fs *FileStore) Append(b Block) error { return fs.AppendHashed(b, b.Hash()) }
+func (fs *FileStore) Append(b Block) error { return fs.AppendFrame(b, b.Hash(), b.EncodeBytes()) }
 
-// AppendHashed implements Store.
-func (fs *FileStore) AppendHashed(b Block, h crypto.Hash) error {
+// AppendFrame implements Store.
+func (fs *FileStore) AppendFrame(b Block, h crypto.Hash, frame []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 
@@ -552,13 +554,12 @@ func (fs *FileStore) AppendHashed(b Block, h crypto.Hash) error {
 		return err
 	}
 
-	enc := b.EncodeBytes()
-	frameLen := int64(frameHeadSize + len(enc))
+	frameLen := int64(frameHeadSize + len(frame))
 	seg, err := fs.activeSegmentLocked(frameLen, b.Serial)
 	if err != nil {
 		return err
 	}
-	if err := appendFrame(fs.w, enc); err != nil {
+	if err := appendFrame(fs.w, frame); err != nil {
 		return fmt.Errorf("write block frame: %w", err)
 	}
 	if err := fs.w.Flush(); err != nil {
@@ -647,27 +648,9 @@ func (fs *FileStore) Get(serial uint64) (Block, error) {
 //
 //repchain:lockguard-ok read-only index walk; callers hold mu or RLock, and load runs construction-time
 func (fs *FileStore) readBlockAt(serial uint64) (Block, error) {
-	i := sort.Search(len(fs.segments), func(i int) bool { return fs.segments[i].first > serial }) - 1
-	if i < 0 {
-		return Block{}, fmt.Errorf("serial %d below first segment: %w", serial, ErrNotFound)
-	}
-	seg := fs.segments[i]
-	if serial < seg.first || serial > seg.last() {
-		return Block{}, fmt.Errorf("serial %d not indexed in segment %s: %w", serial, filepath.Base(seg.path), ErrCorruptChain)
-	}
-	off := seg.offsets[serial-seg.first]
-	f, err := os.Open(seg.path)
+	payload, seg, off, err := fs.readFrameAt(serial)
 	if err != nil {
-		return Block{}, fmt.Errorf("segment %s: %w", filepath.Base(seg.path), err)
-	}
-	defer func() { _ = f.Close() }()
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return Block{}, fmt.Errorf("segment %s: seek %d: %w", filepath.Base(seg.path), off, err)
-	}
-	payload, _, res := readFrame(bufio.NewReader(f), true)
-	if res != scanEOF {
-		return Block{}, fmt.Errorf("segment %s: corrupt frame for block %d at offset %d: %w",
-			filepath.Base(seg.path), serial, off, ErrCorruptChain)
+		return Block{}, err
 	}
 	b, err := DecodeBlockBytes(payload)
 	if err != nil {
@@ -678,6 +661,36 @@ func (fs *FileStore) readBlockAt(serial uint64) (Block, error) {
 			filepath.Base(seg.path), off, b.Serial, serial, ErrCorruptChain)
 	}
 	return b, nil
+}
+
+// readFrameAt returns block serial's frame as stored, with its segment
+// and offset, under readBlockAt's locking.
+//
+//repchain:lockguard-ok read-only index walk; callers hold mu or RLock, and load runs construction-time
+func (fs *FileStore) readFrameAt(serial uint64) ([]byte, *segmentInfo, int64, error) {
+	i := sort.Search(len(fs.segments), func(i int) bool { return fs.segments[i].first > serial }) - 1
+	if i < 0 {
+		return nil, nil, 0, fmt.Errorf("serial %d below first segment: %w", serial, ErrNotFound)
+	}
+	seg := fs.segments[i]
+	if serial < seg.first || serial > seg.last() {
+		return nil, nil, 0, fmt.Errorf("serial %d not indexed in segment %s: %w", serial, filepath.Base(seg.path), ErrCorruptChain)
+	}
+	off := seg.offsets[serial-seg.first]
+	f, err := os.Open(seg.path)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("segment %s: %w", filepath.Base(seg.path), err)
+	}
+	defer func() { _ = f.Close() }()
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return nil, nil, 0, fmt.Errorf("segment %s: seek %d: %w", filepath.Base(seg.path), off, err)
+	}
+	payload, _, res := readFrame(bufio.NewReader(f), true)
+	if res != scanEOF {
+		return nil, nil, 0, fmt.Errorf("segment %s: corrupt frame for block %d at offset %d: %w",
+			filepath.Base(seg.path), serial, off, ErrCorruptChain)
+	}
+	return payload, seg, off, nil
 }
 
 // Head implements Store.

@@ -915,11 +915,12 @@ func (g *Governor) AcceptBlock(frame []byte) error {
 	if err != nil {
 		return fmt.Errorf("governor %s: block frame: %v: %w", g.cfg.Member.ID, err, ErrBadMessage)
 	}
-	return g.accept(b, rcv)
+	return g.accept(b, rcv, frame)
 }
 
-// accept is AcceptBlock for a block decoded with the hashes of its frame.
-func (g *Governor) accept(b ledger.Block, rcv ledger.Received) error {
+// accept is AcceptBlock for a block decoded from frame with the hashes
+// of its bytes; the store writes frame itself.
+func (g *Governor) accept(b ledger.Block, rcv ledger.Received, frame []byte) error {
 	proposer, ok := g.cfg.Roster.Member(b.Proposer, identity.RoleGovernor)
 	if !ok {
 		return fmt.Errorf("governor %s: block %d proposed by %q, not a governor: %w",
@@ -952,7 +953,7 @@ func (g *Governor) accept(b ledger.Block, rcv ledger.Received) error {
 		return fmt.Errorf("governor %s: block %d hash %s, committed %s: %w",
 			g.cfg.Member.ID, b.Serial, h.Short(), committed.Short(), ErrFork)
 	}
-	if err := g.store.AppendHashed(b, h); err != nil {
+	if err := g.store.AppendFrame(b, h, frame); err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
 	}
 	for i, rec := range b.Records {

@@ -393,7 +393,7 @@ func (g *Governor) adoptStashed(leader int) error {
 			g.reg.CounterVec("node.blocks_ignored_total", "reason").With("not_leader").Inc()
 			continue
 		}
-		if err := g.accept(b, rcv); err != nil {
+		if err := g.accept(b, rcv, payload); err != nil {
 			return err
 		}
 	}

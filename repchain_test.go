@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repchain/internal/consensus"
+	"repchain/internal/crypto"
 	"repchain/internal/ledger"
 	"repchain/internal/tx"
 )
@@ -103,6 +104,43 @@ func TestChainLifecycle(t *testing.T) {
 	}
 	if err := c.VerifyChain(); err != nil {
 		t.Fatalf("VerifyChain() error = %v", err)
+	}
+}
+
+// TestRosterKeysPrepareOnce: every signature check of a chain runs
+// against its roster's keys, so each key builds its comb table once,
+// during warm-up, and none is built after it. A path that made a fresh
+// PublicKey per message would build a table per message here.
+func TestRosterKeysPrepareOnce(t *testing.T) {
+	before := crypto.KeyTablesBuilt()
+	c := newTestChain(t, WithChainDir(t.TempDir()))
+	defer func() { _ = c.Close() }()
+	round := func(r int) {
+		t.Helper()
+		for p := 0; p < 4; p++ { // every provider signs a batch every round
+			if _, err := c.Submit(p, "test/tx", []byte{1, byte(r), byte(p)}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.RunRound(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	for r := 0; r < 4; r++ {
+		round(r)
+	}
+	warm := crypto.KeyTablesBuilt()
+	if built, roster := warm-before, int64(4+4+3); built == 0 || built > roster {
+		t.Fatalf("warm-up built %d key tables for a roster of %d keys", built, roster)
+	}
+	for r := 4; r < 24; r++ {
+		round(r)
+	}
+	if err := c.VerifyChain(); err != nil {
+		t.Fatal(err)
+	}
+	if after := crypto.KeyTablesBuilt(); after != warm {
+		t.Fatalf("%d key tables built after warm-up", after-warm)
 	}
 }
 
