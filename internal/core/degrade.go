@@ -30,6 +30,7 @@ import (
 	"repchain/internal/consensus"
 	"repchain/internal/events"
 	"repchain/internal/network"
+	"repchain/internal/node"
 )
 
 // emitNodeEvent records a node.crash/node.restart transition plus the
@@ -42,7 +43,7 @@ func (e *Engine) emitNodeEvent(typ, node, cause string, quorum bool) {
 	e.events.Emit(typ, "", e.round, node, slog.String("cause", cause))
 	if quorum {
 		e.events.Emit(events.TypeQuorumChange, "", e.round, node,
-			slog.Int("live", len(e.liveGovernors())),
+			slog.Int("live", len(live(e.govs))),
 			slog.Int("total", len(e.governors)),
 			slog.String("cause", cause))
 	}
@@ -52,12 +53,12 @@ func (e *Engine) emitNodeEvent(typ, node, cause string, quorum bool) {
 // in both directions and its queued inbox is discarded, as a real
 // process crash would.
 func (e *Engine) CrashCollector(c int) error {
-	if c < 0 || c >= len(e.collectors) || e.collectorDown[c] {
+	if c < 0 || c >= len(e.collectors) || e.colls[c].down {
 		return fmt.Errorf("crash collector %d: %w", c, ErrNodeDown)
 	}
-	e.collectorDown[c] = true
+	e.colls[c].down = true
 	e.bus.SetDown(e.roster.Collectors[c].ID, true)
-	e.collectors[c].Endpoint().Purge()
+	e.colls[c].ep.Purge()
 	e.reg.Counter("chaos.collector_crashes").Inc()
 	e.emitNodeEvent(events.TypeNodeCrash, string(e.roster.Collectors[c].ID), "crash", false)
 	return nil
@@ -67,12 +68,12 @@ func (e *Engine) CrashCollector(c int) error {
 // purged again — messages sent while it was down never survive a
 // restart — and it participates from the next round on.
 func (e *Engine) RestartCollector(c int) error {
-	if c < 0 || c >= len(e.collectors) || !e.collectorDown[c] {
+	if c < 0 || c >= len(e.collectors) || !e.colls[c].down {
 		return fmt.Errorf("restart collector %d: %w", c, ErrNodeDown)
 	}
-	e.collectorDown[c] = false
+	e.colls[c].down = false
 	e.bus.SetDown(e.roster.Collectors[c].ID, false)
-	e.collectors[c].Endpoint().Purge()
+	e.colls[c].ep.Purge()
 	e.emitNodeEvent(events.TypeNodeRestart, string(e.roster.Collectors[c].ID), "restart", false)
 	return nil
 }
@@ -82,22 +83,22 @@ func (e *Engine) RestartCollector(c int) error {
 // neither screens nor appends until restarted. At least one governor
 // must stay live.
 func (e *Engine) CrashGovernor(j int) error {
-	if j < 0 || j >= len(e.governors) || e.governorDown[j] {
+	if j < 0 || j >= len(e.governors) || e.govs[j].down {
 		return fmt.Errorf("crash governor %d: %w", j, ErrNodeDown)
 	}
 	live := 0
-	for i, down := range e.governorDown {
-		if !down && i != j {
+	for i := range e.govs {
+		if !e.govs[i].down && i != j {
 			live++
 		}
 	}
 	if live == 0 {
 		return fmt.Errorf("crash governor %d: no live governor would remain: %w", j, ErrBadConfig)
 	}
-	e.governorDown[j] = true
+	e.govs[j].down = true
 	g := e.governors[j]
 	e.bus.SetDown(g.ID(), true)
-	e.endpoints[j].Purge()
+	e.govs[j].ep.Purge()
 	g.Purge()
 	e.emitNodeEvent(events.TypeNodeCrash, string(g.ID()), "crash", true)
 	return nil
@@ -108,12 +109,12 @@ func (e *Engine) CrashGovernor(j int) error {
 // the next round (resyncGovernors), so the first post-restart round
 // already proposes on a common head.
 func (e *Engine) RestartGovernor(j int) error {
-	if j < 0 || j >= len(e.governors) || !e.governorDown[j] {
+	if j < 0 || j >= len(e.governors) || !e.govs[j].down {
 		return fmt.Errorf("restart governor %d: %w", j, ErrNodeDown)
 	}
-	e.governorDown[j] = false
+	e.govs[j].down = false
 	e.bus.SetDown(e.governors[j].ID(), false)
-	e.endpoints[j].Purge()
+	e.govs[j].ep.Purge()
 	e.emitNodeEvent(events.TypeNodeRestart, string(e.governors[j].ID()), "restart", true)
 	return nil
 }
@@ -124,10 +125,10 @@ func (e *Engine) RestartGovernor(j int) error {
 // partition itself decides which messages survive. Reconnect with
 // ReconnectGovernor once the partition heals.
 func (e *Engine) IsolateGovernor(j int) error {
-	if j < 0 || j >= len(e.governors) || e.governorDown[j] {
+	if j < 0 || j >= len(e.governors) || e.govs[j].down {
 		return fmt.Errorf("isolate governor %d: %w", j, ErrNodeDown)
 	}
-	e.governorDown[j] = true
+	e.govs[j].down = true
 	e.emitNodeEvent(events.TypeNodeCrash, string(e.governors[j].ID()), "partition", true)
 	return nil
 }
@@ -136,11 +137,11 @@ func (e *Engine) IsolateGovernor(j int) error {
 // Stale messages queued during the partition are purged — the governor
 // resyncs from the chain, not from an expired round's traffic.
 func (e *Engine) ReconnectGovernor(j int) error {
-	if j < 0 || j >= len(e.governors) || !e.governorDown[j] {
+	if j < 0 || j >= len(e.governors) || !e.govs[j].down {
 		return fmt.Errorf("reconnect governor %d: %w", j, ErrNodeDown)
 	}
-	e.governorDown[j] = false
-	e.endpoints[j].Purge()
+	e.govs[j].down = false
+	e.govs[j].ep.Purge()
 	e.emitNodeEvent(events.TypeNodeRestart, string(e.governors[j].ID()), "reconnect", true)
 	return nil
 }
@@ -148,26 +149,27 @@ func (e *Engine) ReconnectGovernor(j int) error {
 // Collectors returns n, the collector count.
 func (e *Engine) Collectors() int { return len(e.collectors) }
 
-// liveGovernors returns the indices not currently marked down, in
-// order.
-func (e *Engine) liveGovernors() []int {
-	out := make([]int, 0, len(e.governors))
-	for j, down := range e.governorDown {
-		if !down {
-			out = append(out, j)
+// live returns the indices of the members not marked down, in order.
+func live(ms []member) []int {
+	out := make([]int, 0, len(ms))
+	for i := range ms {
+		if !ms[i].down {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// resyncGovernors brings every live replica up to the tallest live
-// chain, and the newest stake block, before a round starts, and checks
+// resyncGovernors prepares every live governor for the round: it hands
+// each the failure detector's verdict — a node.KindDown message from
+// itself, with which the election stakes are fixed — brings its replica
+// up to the tallest live chain and the newest stake block, and checks
 // the live governors agree on the stakes the election will run on. A
 // governor that missed blocks — crashed, partitioned, or simply unlucky
 // with drops — verifies each missing block against its proposer's key
 // and appends it, exactly as if the original broadcast had arrived late.
 func (e *Engine) resyncGovernors() error {
-	live := e.liveGovernors()
+	live := live(e.govs)
 	if len(live) == 0 {
 		return fmt.Errorf("no live governor: %w", ErrRoundAborted)
 	}
@@ -209,9 +211,15 @@ func (e *Engine) resyncGovernors() error {
 			evidence[l] = cmp.Or(evidence[l], e.governors[j].Expulsion(l))
 		}
 	}
+	verdict := make([]byte, len(e.govs))
+	for j := range e.govs {
+		if e.govs[j].down {
+			verdict[j] = 1
+		}
+	}
 	for _, j := range live {
 		r, ref := e.governors[j], e.governors[live[0]]
-		var lost []network.Message
+		lost := []network.Message{{From: r.ID(), Kind: node.KindDown, Payload: verdict}}
 		if sb := r.StakeBlock(); newest != nil && (sb == nil || sb.Round < newest.Round) {
 			lost = append(lost, network.Message{Kind: network.KindStakeBlock, Payload: consensus.EncodeStakeBlock(*newest)})
 		}

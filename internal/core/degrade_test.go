@@ -20,7 +20,7 @@ func TestCrashedCollectorRoundProceeds(t *testing.T) {
 	if err := e.CrashCollector(1); err != nil {
 		t.Fatal(err)
 	}
-	if !e.collectorDown[1] {
+	if !e.colls[1].down {
 		t.Fatal("collector 1 not marked down after crash")
 	}
 	submitRound(t, e, 8, 1, 0)

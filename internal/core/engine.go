@@ -18,6 +18,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -140,21 +141,17 @@ type Engine struct {
 	roster *identity.Roster
 	bus    *network.Bus
 
-	providers  []*node.Provider
-	collectors []*node.Collector
-	// governors[j] sequences its own round from what endpoints[j] drains.
-	governors []*node.Governor
-	endpoints []*network.Endpoint
+	// One bus endpoint per node: providerEps[k] is provider k's; members
+	// are how the round loop drives the nodes that sequence their own
+	// round, collectors (colls[c]) then governors (govs[j]).
+	providers   []*node.Provider
+	collectors  []*node.Collector
+	governors   []*node.Governor
+	providerEps []*network.Endpoint
+	members     []member
+	colls, govs []member
 
-	// base[j] is governor j's height at New, where its rounds start.
 	round uint64
-	base  []uint64
-
-	// collectorDown and governorDown are the engine's failure-detector
-	// view: a down node is excluded from round fan-outs and quorums
-	// until restarted (see CrashCollector and friends in degrade.go).
-	collectorDown []bool
-	governorDown  []bool
 
 	// reg collects engine-level operational metrics: protocol anomaly
 	// counters and snapshots of the shared signature-cache statistics.
@@ -163,7 +160,8 @@ type Engine struct {
 	// zero.
 	events *events.Log
 	// stageSeconds is the per-stage round latency histogram family
-	// (label "stage"). Wall-clock observations only — never fed back
+	// (label "stage"), fed by the engine's own stages and each node's
+	// node.StageTimer. Wall-clock observations only — never fed back
 	// into protocol decisions, so determinism is untouched.
 	stageSeconds *metrics.HistogramVec
 
@@ -253,8 +251,6 @@ func New(cfg Config) (_ *Engine, err error) {
 	e.ingress = mempool.New[ingressTx](topo.Providers(), cfg.MempoolCap)
 	e.stageSeconds = e.reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")
 	e.mpAdmitted = e.reg.Counter("mempool.admitted_total")
-	e.collectorDown = make([]bool, topo.Collectors())
-	e.governorDown = make([]bool, cfg.Governors)
 	governorIDs := identity.IDs(roster.Governors)
 
 	// Providers.
@@ -270,7 +266,7 @@ func New(cfg Config) (_ *Engine, err error) {
 		p := node.NewProvider(mem, ep, collectorIDs, governorIDs)
 		p.SetEvents(e.events)
 		p.SetMetrics(e.reg)
-		e.providers = append(e.providers, p)
+		e.providers, e.providerEps = append(e.providers, p), append(e.providerEps, ep)
 	}
 	// Collectors.
 	for c, mem := range roster.Collectors {
@@ -282,9 +278,10 @@ func New(cfg Config) (_ *Engine, err error) {
 		if cfg.Behaviors != nil {
 			behavior = cfg.Behaviors[c]
 		}
-		col := node.NewCollector(mem, ep, roster, cfg.Validator, behavior, node.Seed(cfg.Seed, mem))
+		col := node.NewCollector(mem, lockstep, roster, cfg.Validator, behavior, node.Seed(cfg.Seed, mem))
 		col.SetEvents(e.events)
 		e.collectors = append(e.collectors, col)
+		e.members = append(e.members, member{node: col, ep: ep, timer: node.StageTimer{Stages: e.stageSeconds}})
 	}
 	// Governors. Each opens its replica under ChainDir and reloads its
 	// checkpoint as it is built, so a restart keeps its learned weights,
@@ -322,16 +319,13 @@ func New(cfg Config) (_ *Engine, err error) {
 		if err != nil {
 			return nil, err
 		}
-		e.governors, e.endpoints = append(e.governors, gov), append(e.endpoints, ep)
-		e.base = append(e.base, gov.Store().Height())
+		e.governors = append(e.governors, gov)
+		e.members = append(e.members, member{node: gov, ep: ep, base: gov.Store().Height(), timer: node.StageTimer{Stages: e.stageSeconds}})
 		// Resume the round counter from a persisted chain so leader
 		// election inputs stay unique across restarts.
 		e.round = max(e.round, gov.Store().Height())
 	}
-	// Transactions submitted now will be processed by the next round.
-	for _, p := range e.providers {
-		p.SetRound(e.round + 1)
-	}
+	e.colls, e.govs = e.members[:len(e.collectors)], e.members[len(e.collectors):]
 	return e, nil
 }
 
@@ -382,7 +376,7 @@ func (e *Engine) Governors() int { return len(e.governors) }
 // governors at zero, as the first live governor (or, none live,
 // governor 0) holds it.
 func (e *Engine) Stakes() []uint64 {
-	return e.governors[max(slices.Index(e.governorDown, false), 0)].Stakes()
+	return e.governors[max(slices.IndexFunc(e.govs, func(m member) bool { return !m.down }), 0)].Stakes()
 }
 
 // Round returns the number of completed rounds.
@@ -392,10 +386,10 @@ func (e *Engine) Round() uint64 { return e.round }
 // is zero.
 func (e *Engine) Events() *events.Log { return e.events }
 
-// observeStage records the wall-clock duration of one round stage into
-// the "round.stage_seconds" histogram family and returns a fresh stage
-// start. Purely observational — stage durations never feed back into
-// protocol decisions.
+// observeStage records the wall-clock duration of one engine stage —
+// the drain or the resync — into the "round.stage_seconds" histogram
+// family and returns a fresh stage start. Purely observational — stage
+// durations never feed back into protocol decisions.
 func (e *Engine) observeStage(stage string, start time.Time) time.Time {
 	now := time.Now()
 	e.stageSeconds.With(stage).Observe(now.Sub(start).Seconds())
@@ -514,6 +508,7 @@ func (e *Engine) drainIngress() error {
 	return e.fanOut(groups, func(g int, out node.Sender) error {
 		lo, hi := starts[g], starts[g+1]
 		p := e.providers[drained[lo].provider]
+		p.SetRound(e.round + 1) // the round the drain opens
 		return p.Broadcast(p.SignStaged(txs[lo:hi], ids[lo:hi]), out)
 	})
 }
@@ -533,35 +528,22 @@ func (e *Engine) SubmitStakeTransfer(from, to int, amount uint64) error {
 // after the bus tick that brings its inputs.
 var lockstep = node.Clock{Round: time.Second}
 
-// at is frac of the way through the current round on governor j's
-// clock, which counts rounds from its height at New.
-func (e *Engine) at(j int, frac float64) time.Time { return lockstep.At(e.round-e.base[j], frac) }
+// instants are a round's points on the lockstep clock as fractions of
+// R: its opening (0⁺, its first nanosecond), the three deadlines inside
+// it, and its end.
+var instants = [...]float64{1e-9, node.DeadlineUpload, node.DeadlineScreen, node.DeadlineElect, 1}
 
-// stepGovernors steps every live governor at frac of the round with its
-// drained endpoint, over fanOut's workers: each touches only its own
-// endpoint, state and send buffer. Down governors are skipped (the bus
-// drops their traffic). The shared verification cache makes the m-fold
-// upload checks hits, but the first governor to reach an upload pays,
-// so a busy round's screening outlasts its upload stage. An incomplete
-// election aborts the round once every governor consumed its inbox.
-func (e *Engine) stepGovernors(frac float64) ([]node.Progress, error) {
-	progress := make([]node.Progress, len(e.governors))
-	incomplete := make([]error, len(e.governors))
-	err := e.fanOut(len(e.governors), func(j int, out node.Sender) error {
-		if e.governorDown[j] {
-			return nil
-		}
-		var err error
-		progress[j], err = e.governors[j].Step(e.at(j, frac), e.endpoints[j].Receive(), out)
-		if errors.Is(err, consensus.ErrIncompleteElection) {
-			incomplete[j], err = err, nil
-		}
-		return err
-	})
-	if i := slices.IndexFunc(incomplete, func(err error) bool { return err != nil }); err == nil && i >= 0 {
-		err = fmt.Errorf("%w: %w", incomplete[i], ErrRoundAborted)
-	}
-	return progress, err
+// member is how the round loop drives a collector or governor: the
+// node, its endpoint, the round its clock counts from (a governor's
+// height at New), whether the failure detector holds it down
+// (degrade.go), where its last Step left it, and its timer.
+type member struct {
+	node  node.Stepper
+	ep    *network.Endpoint
+	base  uint64
+	down  bool
+	p     node.Progress
+	timer node.StageTimer
 }
 
 // RunRound executes the uploading and processing phases over whatever
@@ -603,175 +585,141 @@ func (e *Engine) RunRoundCtx(ctx context.Context) (RoundResult, error) {
 }
 
 func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
-	if err := ctx.Err(); err != nil {
-		return RoundResult{}, err
+	// Sign and broadcast staged submissions, then bring every live
+	// replica to a common head. The context is checked before both and
+	// after: the next round consumes the drained submissions.
+	err := ctx.Err()
+	if start := time.Now(); err == nil {
+		err = e.drainIngress()
+		if start = e.observeStage("ingest", start); err == nil {
+			err = e.resyncGovernors()
+			e.observeStage("resync", start)
+		}
 	}
-	// Sign and broadcast staged submissions first (the bus tick only
-	// advances inside rounds, so they go out at a submit-time broadcast's
-	// tick), then bring every live replica to a common head: a governor
-	// that rejoined or missed a block catches up, so this round's
-	// election and proposal build on one prev-hash.
-	stageStart := time.Now()
-	if err := e.drainIngress(); err != nil {
-		return RoundResult{}, err
-	}
-	stageStart = e.observeStage("ingest", stageStart)
-	if err := e.resyncGovernors(); err != nil {
-		return RoundResult{}, err
-	}
-	stageStart = e.observeStage("resync", stageStart)
-	if err := ctx.Err(); err != nil {
-		// Safe abort: resync is idempotent, the round counter has not
-		// advanced, and the next round consumes the drained submissions.
+	if err = cmp.Or(err, ctx.Err()); err != nil {
 		return RoundResult{}, err
 	}
 	e.round++
-	if err := e.open(); err != nil {
+	e.reg.Counter("chaos.collector_missed_rounds").Add(int64(len(e.colls) - len(live(e.colls))))
+	// A deadline inside the round opens with a tick landing what was
+	// sent before it; a pass repeated at one instant ticks if messages
+	// wait. The screen deadline's tick is the last safe abort point.
+	res := RoundResult{Uploads: -e.uploads()}
+	for i, frac := range instants {
+		for again, tick := true, i > 0 && frac < 1; again && err == nil; {
+			if tick {
+				e.bus.AdvancePastDelay()
+			}
+			if err = ctx.Err(); err == nil || frac != node.DeadlineScreen {
+				again, tick, err = e.pass(frac, &res)
+			}
+		}
+	}
+	if res.Uploads += e.uploads(); err == nil {
+		err = e.outcome(&res)
+	}
+	if err != nil {
 		return RoundResult{}, err
 	}
-	uploads, err := e.upload()
+	e.publishRoundMetrics()
+	return res, nil
+}
+
+// pass delivers at instant frac. The providers step first, taking
+// blocks as they come, then every ready member; so a governor adopting a
+// block also sees the argues it set off. Each node touches only its own
+// endpoint, state, timer and send buffer, over fanOut's workers. An
+// incomplete election aborts the round once every governor took its
+// inbox. pass reports whether another pass is due at frac — a member
+// ready — and whether messages wait.
+func (e *Engine) pass(frac float64, res *RoundResult) (again, waiting bool, err error) {
+	ready, providers, _ := e.ready(frac, frac == instants[0])
+	if providers {
+		err = e.fanCount(&res.Argues, len(e.providers), func(k int, out node.Sender) (n int, err error) {
+			if msgs := e.providerEps[k].Receive(); len(msgs) > 0 {
+				defer e.observeStage("argue", time.Now())
+				_, n, err = e.providers[k].Ingest(msgs, out)
+			}
+			return n, err
+		})
+	}
+	incomplete := make([]error, len(ready))
 	if err == nil {
-		// Last safe abort point: uploads are on the bus but no governor
-		// has consumed them, so the next round screens them intact.
-		err = ctx.Err()
+		err = e.fanOut(len(ready), func(j int, out node.Sender) error {
+			m, msgs := &e.members[ready[j]], []network.Message(nil)
+			if !m.down {
+				msgs = m.ep.Receive()
+			}
+			p, err := m.timer.Step(m.p, func() (node.Progress, error) { return m.node.Step(lockstep.At(e.round-m.base, frac), msgs, out) })
+			if m.p = p; errors.Is(err, consensus.ErrIncompleteElection) {
+				incomplete[j], err = err, nil
+			}
+			return err
+		})
 	}
-	if err != nil {
-		return RoundResult{}, err
+	if err = cmp.Or(err, errors.Join(incomplete...)); errors.Is(err, consensus.ErrIncompleteElection) {
+		err = fmt.Errorf("%w: %w", err, ErrRoundAborted)
 	}
-	stageStart = e.observeStage("upload", stageStart)
+	ready, providers, waiting = e.ready(frac, false)
+	return len(ready) > 0 || providers, waiting, err
+}
 
-	// --- Processing phase: each governor sequences its own; the engine
-	// steps them at each deadline, after the tick that brings its inputs.
-	if _, err := e.stepGovernors(node.DeadlineScreen); err != nil {
-		return RoundResult{}, err
-	}
-	e.bus.AdvancePastDelay()
-	stageStart = e.observeStage("screen", stageStart)
-	// Elect: the live governors must agree on the leader, which then packs
-	// the block and sends it to every governor and provider.
-	live := e.liveGovernors()
-	progress, err := e.stepGovernors(node.DeadlineElect)
-	leader := progress[live[0]].Leader
-	for _, j := range live[1:] {
-		if err == nil && progress[j].Leader != leader {
-			err = fmt.Errorf("governor %d elected %d, governor %d elected %d: %w", j, progress[j].Leader, live[0], leader, ErrDisagreement)
+// ready lists the members that step at instant frac: each live one due,
+// or holding messages it takes — when due, or with no deadline left in
+// its round; until then they wait for its deadline, the lock-step
+// schedule — and at the round's opening each down one, without
+// messages, so it keeps the others' round. It also reports whether a
+// provider has messages, and whether messages wait for any taker.
+func (e *Engine) ready(frac float64, opening bool) (ready []int, providers, waiting bool) {
+	providers = slices.ContainsFunc(e.providerEps, func(ep *network.Endpoint) bool { return ep.Pending() > 0 })
+	waiting = providers
+	for i := range e.members {
+		m := &e.members[i]
+		due := !m.down && !m.p.WakeAt.After(lockstep.At(e.round-m.base, frac))
+		waits := !m.down && (due || !m.p.WakeAt.Before(lockstep.At(e.round-m.base, 1))) && m.ep.Pending() > 0
+		if waiting = waiting || waits; due || waits || m.down && opening {
+			ready = append(ready, i)
 		}
 	}
-	if err != nil {
-		return RoundResult{}, err
-	}
-	stageStart = e.observeStage("elect", stageStart)
-	if _, err := e.governors[leader].Step(e.at(leader, node.DeadlineElect), nil, e.bus); err != nil {
-		return RoundResult{}, err
-	}
-	e.bus.AdvancePastDelay()
-	stageStart = e.observeStage("pack", stageStart)
-	// The providers observe the block and argue.
-	argues, err := e.fanCount(len(e.providers), func(k int, out node.Sender) (int, error) {
-		_, argues, err := e.providers[k].Ingest(e.providers[k].Endpoint().Receive(), out)
-		return argues, err
-	})
-	if err != nil {
-		return RoundResult{}, err
-	}
-	stageStart = e.observeStage("argue", stageStart)
+	return ready, providers, waiting
+}
 
-	// Every live governor adopts the block and takes a first stake step.
-	// A governor whose copy was lost to drops is counted, left one block
-	// behind and resynced at the next round start; only a round where no
-	// replica holds the block aborts.
-	if progress, err = e.stepGovernors(node.DeadlineElect); err != nil {
-		return RoundResult{}, err
+// uploads sums the items every collector has uploaded.
+func (e *Engine) uploads() (n int) {
+	for _, c := range e.collectors {
+		n += c.Stats().Uploaded + c.Stats().Forged
 	}
-	holders := slices.DeleteFunc(slices.Clone(live), func(j int) bool { return !progress[j].Committed })
-	e.reg.Counter("chaos.governor_missed_block").Add(int64(len(live) - len(holders)))
-	if len(holders) == 0 {
-		return RoundResult{}, fmt.Errorf("block %d reached no replica: %w", e.governors[leader].Store().Height()+1, ErrRoundAborted)
-	}
-	block, err := e.agreedHead(holders[0])
-	if err != nil {
-		return RoundResult{}, err
-	}
-	stageStart = e.observeStage("commit", stageStart)
-	result := RoundResult{Serial: block.Serial, Leader: leader, Block: block, Uploads: uploads, Argues: argues}
+	return n
+}
 
-	// Stake transform: a tick and a step more until every live governor is
-	// done, for at most its four steps (propose, answer, assemble, apply);
-	// what is left waits for the next round, a lost block for resync.
-	for step := 1; slices.ContainsFunc(live, func(j int) bool { return !progress[j].StakeDone }); step++ {
-		if e.bus.AdvancePastDelay(); step == 4 {
-			break
+// outcome fills in the round's leader, block and stake block once the
+// live governors agree on them: one leader; some replica holds its
+// block — a governor whose copy was lost to drops is counted, left one
+// block behind and resynced at the next round start, and none holding
+// it aborts the round; and every replica at the block's serial holds
+// the same (Agreement; one behind is checked by AcceptBlock when
+// resynced).
+func (e *Engine) outcome(res *RoundResult) error {
+	live := live(e.govs)
+	leader, j := e.govs[live[0]].p.Leader, -1
+	for _, i := range live {
+		switch p := e.govs[i].p; {
+		case p.Leader != leader:
+			return fmt.Errorf("governor %d elected %d, governor %d elected %d: %w", i, p.Leader, live[0], leader, ErrDisagreement)
+		case !p.Committed:
+			e.reg.Counter("chaos.governor_missed_block").Inc()
+		case j < 0:
+			j = i
 		}
-		if progress, err = e.stepGovernors(node.DeadlineElect); err != nil {
-			return result, err
-		}
+	}
+	if j < 0 {
+		return fmt.Errorf("block %d reached no replica: %w", e.governors[leader].Store().Height()+1, ErrRoundAborted)
 	}
 	for _, g := range e.governors {
 		if sb := g.StakeBlock(); sb != nil && sb.Round == e.round {
-			result.StakeBlock = sb
+			res.StakeBlock = sb
 		}
 	}
-	stageStart = e.observeStage("stake", stageStart)
-	e.publishRoundMetrics()
-	// The round ends: each live governor checkpoints on the SnapshotEvery
-	// cadence. A failure is returned: durability was promised and not
-	// delivered.
-	errs := make([]error, len(live))
-	for i, j := range live {
-		_, errs[i] = e.governors[j].Step(e.at(j, 1), nil, e.bus)
-	}
-	e.observeStage("checkpoint", stageStart)
-	return result, errors.Join(errs...)
-}
-
-// open opens the round on every node: each governor — a down one too,
-// so it rejoins in the others' round — at its first instant, handed the
-// failure detector's verdict; for collectors and providers the round
-// only attributes events.
-func (e *Engine) open() error {
-	verdict := make([]byte, len(e.governors))
-	for j, down := range e.governorDown {
-		if down {
-			verdict[j] = 1
-		}
-	}
-	for j, g := range e.governors {
-		msg := []network.Message{{From: g.ID(), Kind: node.KindDown, Payload: verdict}}
-		if _, err := g.Step(e.at(j, 0).Add(time.Nanosecond), msg, e.bus); err != nil {
-			return err
-		}
-	}
-	for _, c := range e.collectors {
-		c.SetRound(e.round)
-	}
-	for _, p := range e.providers {
-		p.SetRound(e.round + 1)
-	}
-	return nil
-}
-
-// upload lands the providers' broadcasts, has every live collector
-// label and upload what arrived, lands that, and counts the labels.
-func (e *Engine) upload() (int, error) {
-	e.bus.AdvancePastDelay()
-	missed := e.reg.Counter("chaos.collector_missed_rounds")
-	uploads, err := e.fanCount(len(e.collectors), func(i int, out node.Sender) (int, error) {
-		if e.collectorDown[i] {
-			missed.Inc()
-			return 0, nil
-		}
-		return e.collectors[i].ProcessBatch(e.collectors[i].Endpoint().Receive(), out)
-	})
-	if err == nil {
-		e.bus.AdvancePastDelay()
-	}
-	return uploads, err
-}
-
-// agreedHead returns governor j's newest block once every replica at
-// its serial holds the same (Agreement); one behind is checked by
-// AcceptBlock when resynced.
-func (e *Engine) agreedHead(j int) (ledger.Block, error) {
 	ref := e.governors[j].Store()
 	b, err := ref.Get(ref.Height())
 	for i := 0; i < len(e.governors) && err == nil; i++ {
@@ -790,5 +738,6 @@ func (e *Engine) agreedHead(j int) (ledger.Block, error) {
 			err = fmt.Errorf("block %d differs between governors %d and %d: %w", b.Serial, j, i, ErrDisagreement)
 		}
 	}
-	return b, err
+	res.Leader, res.Serial, res.Block = leader, b.Serial, b
+	return err
 }

@@ -212,7 +212,8 @@ func TestForeignKeyCollectorRejected(t *testing.T) {
 	}
 	rogue := e.Roster().Collectors[0]
 	rogue.PrivateKey = foreign
-	e.collectors[0] = node.NewCollector(rogue, e.collectors[0].Endpoint(), e.Roster(), cfg.Validator, nil, 1)
+	e.collectors[0] = node.NewCollector(rogue, lockstep, e.Roster(), cfg.Validator, nil, 1)
+	e.colls[0].node = e.collectors[0]
 	for r := 2; r < 4; r++ {
 		submitRound(t, e, 8, r, 0)
 		if _, err := e.RunRound(); err != nil {

@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
+	"repchain/internal/crypto"
 	"repchain/internal/identity"
+	"repchain/internal/tx"
 )
 
 // mempoolConfig bounds the mempools with a block limit small enough
@@ -271,27 +274,61 @@ func TestEngineClosed(t *testing.T) {
 	}
 }
 
-// TestRunRoundCtxCancel checks the documented safe-abort contract: a
-// pre-cancelled context stops the round before any state changes, and
-// the engine commits the staged traffic intact on the next (uncancelled)
-// round.
+// TestRunRoundCtxCancel checks the documented safe-abort contract. A
+// pre-cancelled context stops the round before any state changes; one
+// cancelled while the collectors label (the validator's first call)
+// stops it at the last safe point, once the uploads have landed. Either
+// way the next, uncancelled round commits every staged transaction
+// exactly once, on one head at every governor.
 func TestRunRoundCtxCancel(t *testing.T) {
-	e := newTestEngine(t, defaultConfig())
-	ids := submitRound(t, e, 8, 0, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.RunRoundCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled RunRoundCtx = %v, want context.Canceled", err)
-	}
-	if e.Round() != 0 {
-		t.Fatalf("round counter advanced to %d on cancelled entry", e.Round())
-	}
-	res, err := e.RunRoundCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Block.Records) != len(ids) {
-		t.Fatalf("post-cancel round committed %d records, want %d", len(res.Block.Records), len(ids))
+	for _, tt := range []struct {
+		name string
+		// round is the cancelled round's counter.
+		round uint64
+		early bool
+	}{
+		{"before the drain", 0, true},
+		{"after the uploads", 1, false},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			var once sync.Once
+			cfg := defaultConfig()
+			cfg.Validator = tx.ValidatorFunc(func(t tx.Transaction) bool {
+				once.Do(cancel)
+				return oracleValidator.Validate(t)
+			})
+			e := newTestEngine(t, cfg)
+			ids := submitRound(t, e, 8, 0, 0)
+			if tt.early {
+				cancel()
+			}
+			if _, err := e.RunRoundCtx(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled RunRoundCtx = %v, want context.Canceled", err)
+			}
+			if e.Round() != tt.round {
+				t.Fatalf("round counter at %d after the cancelled round, want %d", e.Round(), tt.round)
+			}
+			res, err := e.RunRoundCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[crypto.Hash]int)
+			for _, rec := range res.Block.Records {
+				if _, ok := ids[rec.Signed.ID()]; !ok {
+					t.Fatalf("committed %s, which was never submitted", rec.Signed.ID().Short())
+				}
+				seen[rec.Signed.ID()]++
+			}
+			if len(seen) != len(ids) || len(res.Block.Records) != len(ids) {
+				t.Fatalf("post-cancel round committed %d records of %d transactions, want each of %d once", len(res.Block.Records), len(seen), len(ids))
+			}
+			for j := 0; j < e.Governors(); j++ {
+				if s := e.Governor(j).Store(); s.Height() != 1 || s.HeadHash() != res.Block.Hash() {
+					t.Fatalf("governor %d at height %d, head %s; want height 1, head %s", j, s.Height(), s.HeadHash().Short(), res.Block.Hash().Short())
+				}
+			}
+		})
 	}
 }
 

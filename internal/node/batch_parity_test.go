@@ -399,7 +399,7 @@ func TestGovernorBatchPenaltyParity(t *testing.T) {
 			{From: prov.ID, Kind: network.KindProviderTx, Payload: tx.EncodeListBytes(good)},
 			{From: prov.ID, Kind: network.KindProviderTx, Payload: tx.EncodeListBytes(forged)},
 		}
-		uploaded, err := fx.collectors[0].ProcessBatch(frames, &countingSender{})
+		uploaded, err := fx.collectors[0].processBatch(frames, &countingSender{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"time"
 
 	"repchain/internal/events"
 	"repchain/internal/identity"
@@ -86,7 +87,7 @@ func (b ProbBehavior) ForgeCount(rng *rand.Rand) int {
 // labels them, and uploads them to every governor (Algorithm 1).
 type Collector struct {
 	member      identity.Member
-	ep          *network.Endpoint
+	clock       Clock
 	roster      *identity.Roster
 	validator   tx.Validator
 	behavior    Behavior
@@ -109,24 +110,24 @@ type Collector struct {
 	// split.
 	budget int
 
-	// events is optional and feeds the tx.labeled and tx.uploaded
-	// events; round attributes them and stamps the upload batches.
+	// events is optional and feeds the tx.labeled and tx.uploaded events.
 	events *events.Log
-	round  uint64
+
+	// round is the clock round of the last Step: the upload batch
+	// carries it, and events are attributed to it. sent is the last
+	// round uploaded; filed holds the frames for the next upload.
+	round, sent uint64
+	filed       []network.Message
 }
 
 // SetEvents attaches the event log; nil detaches.
 func (c *Collector) SetEvents(l *events.Log) { c.events = l }
 
-// SetRound tells the collector which round is executing: its upload
-// batches carry it, and its events are attributed to it.
-func (c *Collector) SetRound(r uint64) { c.round = r }
-
-// NewCollector wires collector member of roster to the bus; it uploads
-// to every governor of the roster.
+// NewCollector builds collector member of roster on clock, whose Round
+// must be positive; it uploads to every governor of the roster.
 func NewCollector(
 	member identity.Member,
-	ep *network.Endpoint,
+	clock Clock,
 	roster *identity.Roster,
 	validator tx.Validator,
 	behavior Behavior,
@@ -141,7 +142,7 @@ func NewCollector(
 	}
 	return &Collector{
 		member:      member,
-		ep:          ep,
+		clock:       clock,
 		roster:      roster,
 		validator:   validator,
 		behavior:    behavior,
@@ -236,7 +237,29 @@ func (c *Collector) upload(items []tx.UploadItem, sender Sender) error {
 	}
 }
 
-// Provider-tx phase-1 classes for ProcessBatch.
+// Step moves the collector to the clock's round at now and files the
+// provider frames in msgs. At the round's upload deadline, or the first
+// Step past it, it uploads everything filed as one signed batch
+// (processBatch); a frame filed after that, or in a round the collector
+// missed, goes up with the next. WakeAt is the next upload deadline.
+func (c *Collector) Step(now time.Time, msgs []network.Message, out Sender) (Progress, error) {
+	c.round = max(c.round, c.clock.index(now))
+	c.filed = append(c.filed, msgs...)
+	deadline := c.clock.At(c.round, DeadlineUpload)
+	if c.sent < c.round && !now.Before(deadline) {
+		c.sent = c.round
+		_, err := c.processBatch(c.filed, out)
+		if c.filed = c.filed[:0]; err != nil {
+			return Progress{}, err
+		}
+	}
+	if c.sent == c.round {
+		return Progress{Round: c.round, WakeAt: c.clock.At(c.round+1, DeadlineUpload)}, nil
+	}
+	return Progress{Round: c.round, Phase: PhaseUpload, WakeAt: deadline}, nil
+}
+
+// Provider-tx phase-1 classes for processBatch.
 const (
 	ptDecodeFail uint8 = iota // malformed frame
 	ptMismatch                // claimed provider is not the sender, or not a provider linked with this collector
@@ -252,22 +275,17 @@ type providerEntry struct {
 	sig    int // batch-item index of its batch's signature (ptVerify)
 }
 
-// ProcessBatch runs Algorithm 1 plus the behaviour model over one
-// drain of the collector's inbox: it verifies the provider
-// transactions in msgs, labels them, appends the round's forgeries,
-// and uploads the lot through sender as one signed batch. It returns
-// the number of items uploaded (including forgeries). Both drivers —
-// the engine's upload stage and the TCP runtime — call it once per
-// round.
+// processBatch runs Algorithm 1 plus the behaviour model over the
+// frames a round filed: it verifies the provider transactions in msgs,
+// labels them, appends the round's forgeries, and uploads the lot
+// through sender as one signed batch. It returns the number of items
+// uploaded (including forgeries). Step calls it once per round.
 //
-// Distinct collectors may run ProcessBatch concurrently: each touches
-// only its own RNG and counters. The engine exploits this by handing
-// every collector a private buffering sender and replaying the
-// buffered uploads onto the bus in collector order, so the wire
-// ordering — and therefore every downstream screening decision — is
-// identical at any worker count. A single collector is not safe for
-// concurrent invocation.
-func (c *Collector) ProcessBatch(msgs []network.Message, sender Sender) (int, error) {
+// Distinct collectors may Step concurrently (each touches only its own
+// RNG and counters); the engine replays their buffered uploads in
+// collector order, so the wire order is the same at any worker count.
+// A single collector is not safe for concurrent invocation.
+func (c *Collector) processBatch(msgs []network.Message, sender Sender) (int, error) {
 	// Phase 1, in arrival order: decode every provider frame and
 	// structurally screen its transactions, gathering one signature
 	// check per distinct provider batch and checking each transaction's
@@ -362,6 +380,3 @@ func (c *Collector) Stats() CollectorStats {
 		Forged:    c.forged,
 	}
 }
-
-// Endpoint returns the collector's bus endpoint.
-func (c *Collector) Endpoint() *network.Endpoint { return c.ep }

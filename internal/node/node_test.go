@@ -20,6 +20,7 @@ type fixture struct {
 
 	providers  []*Provider
 	collectors []*Collector
+	collEps    []*network.Endpoint
 	governor   *Governor
 	// inbox is the governor's bus endpoint.
 	inbox *network.Endpoint
@@ -79,7 +80,8 @@ func newFixtureOn(t testing.TB, topo *identity.Topology, behaviors []Behavior, m
 		if behaviors != nil {
 			b = behaviors[c]
 		}
-		fx.collectors = append(fx.collectors, NewCollector(mem, ep, roster, oracle, b, int64(100+c)))
+		fx.collectors = append(fx.collectors, NewCollector(mem, testClock, roster, oracle, b, int64(100+c)))
+		fx.collEps = append(fx.collEps, ep)
 	}
 	if fx.inbox, err = fx.bus.Register(roster.Governors[0].ID); err != nil {
 		t.Fatal(err)
@@ -123,10 +125,10 @@ func (fx *fixture) runUpload(t *testing.T, k int, valid bool) tx.SignedTx {
 	return signed
 }
 
-// collect runs collector c over its inbox, uploading onto the bus.
+// collect runs collector c's upload over its inbox, onto the bus.
 func (fx *fixture) collect(t *testing.T, c int) {
 	t.Helper()
-	if _, err := fx.collectors[c].ProcessBatch(fx.collectors[c].Endpoint().Receive(), fx.bus); err != nil {
+	if _, err := fx.collectors[c].processBatch(fx.collEps[c].Receive(), fx.bus); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -68,7 +68,7 @@ func TestFlippedBytesRefusedInFlight(t *testing.T) {
 
 	frame := flipIn(t, tx.EncodeListBytes(signed), mark)
 	sink := &countingSender{}
-	if _, err := a.coll.ProcessBatch([]network.Message{{From: a.provider.ID, Kind: network.KindProviderTx, Payload: frame}}, sink); err != nil {
+	if _, err := a.coll.processBatch([]network.Message{{From: a.provider.ID, Kind: network.KindProviderTx, Payload: frame}}, sink); err != nil {
 		t.Fatal(err)
 	}
 	if st := a.coll.Stats(); st.Discarded != 1 || st.Uploaded != 0 {
@@ -90,8 +90,7 @@ func TestFlippedBytesRefusedInFlight(t *testing.T) {
 	// The round's block carries the transaction; two governors get a
 	// copy changed in flight, one in a record, one in the block tag.
 	a.check(a.prov.Broadcast(signed, a.bus))
-	a.coll.SetRound(1)
-	_, err = a.coll.ProcessBatch(a.coll.Endpoint().Receive(), a.bus)
+	_, err = a.coll.Step(testClock.At(1, DeadlineUpload), a.collEp.Receive(), a.bus)
 	a.check(err)
 	a.open()
 	leader := a.elect(0, 1, 2)

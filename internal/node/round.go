@@ -10,19 +10,22 @@ import (
 	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/ledger"
+	"repchain/internal/metrics"
 	"repchain/internal/network"
 )
 
-// The governor's round (§3.1 processing phase) is one transition, Step:
-// a driver hands it the messages it drained, the time and a Sender, and
-// Step runs, in the paper's order, every step whose inputs are in or
-// whose deadline has passed — open the round, screen, broadcast VRF
-// tickets, elect, propose when leading, adopt the block, run the stake
-// transform (stake.go), checkpoint on the snapshot cadence. It does no
-// network I/O, reads no clock and starts no goroutine. core.Engine steps
-// an alliance in lock-step, each deadline right after the bus tick that
-// brings its inputs; transport.RunNode steps one governor whenever a
-// frame arrives or its next deadline passes.
+// A governor's and a collector's round (§3.1) are each one transition,
+// Step: a driver hands the node the messages it drained, the time and a
+// Sender, and Step runs every step whose inputs are in or whose deadline
+// has passed. For a governor, in the paper's order: open the round,
+// screen, broadcast VRF tickets, elect, propose when leading, adopt the
+// block, run the stake transform (stake.go), checkpoint on the snapshot
+// cadence. A collector (collector.go) files provider frames and uploads
+// them at its deadline. Step does no network I/O, reads no clock and
+// starts no goroutine. core.Engine steps an alliance in lock-step, each
+// deadline right after the bus tick that brings its inputs;
+// transport.RunNode steps one node whenever a frame arrives or its next
+// deadline passes.
 //
 //	NewGovernor → Step* → Checkpoint → Close
 //
@@ -30,21 +33,23 @@ import (
 // synchronized clock, and a shared round duration R paces the round:
 //
 //	t0 + 0.00·R    providers broadcast the round's transactions
-//	t0 + 0.30·R    collectors label and upload what arrived
+//	t0 + 0.30·R    deadline: collectors label and upload what arrived
 //	t0 + 0.55·R    deadline: governors screen, then broadcast VRF tickets
 //	t0 + 0.835·R   deadline: governors elect; the leader broadcasts the block
 //	t0 + 1.00·R    deadline: the round ends; a governor gives up on a
 //	               missing block and stops the stake transform
 //
-// The first two marks pace the providers and collectors. A deadline only
-// bounds the wait for an input that is late or lost; the gap before each
-// exceeds the network's delivery bound Δ provided R is chosen
-// accordingly. A round spans (start, end]; the first Step after its end
-// finishes it — one short of its commit phase is abandoned — and opens
-// the clock's round.
+// Only the first mark paces a driver, the providers'; the nodes keep the
+// rest. The collectors' deadline is their upload cutoff; a governor's
+// only bounds the wait for an input that is late or lost. The gap before
+// each exceeds the network's delivery bound Δ provided R is chosen
+// accordingly. A round spans (start, end]; the
+// first Step after its end finishes it — one short of its commit phase
+// is abandoned — and opens the clock's round.
 
 // Deadlines within a round, as fractions of R from its start.
 const (
+	DeadlineUpload = 0.30
 	DeadlineScreen = 0.55
 	DeadlineElect  = 0.835
 )
@@ -52,7 +57,7 @@ const (
 // Clock fixes the shared round schedule.
 type Clock struct {
 	// Epoch starts the clock's first round; for a governor, the round
-	// after its replica's head at NewGovernor.
+	// after its replica's head at NewGovernor, for a collector round 1.
 	Epoch time.Time
 	// Round is the round duration R.
 	Round time.Duration
@@ -72,43 +77,95 @@ func (c Clock) index(now time.Time) uint64 {
 	return uint64((d + c.Round - 1) / c.Round)
 }
 
-// Phase is where a governor stands in its round: over (a new governor's
-// phase; also after a failed election), awaiting the uploads, awaiting
-// the tickets, leading with its block to propose, awaiting the block
-// while the stake transform runs.
+// Phase is where a node stands in its round: over (a new node's phase;
+// also after a failed election, or a collector's upload), a collector
+// filing frames for its upload, a governor awaiting the uploads,
+// awaiting the tickets, leading with its block to propose, awaiting the
+// block while the stake transform runs.
 type Phase uint8
 
 // The phases, in order.
 const (
 	PhaseOver Phase = iota
+	PhaseUpload
 	PhaseScreen
 	PhaseElect
 	PhasePack
 	PhaseCommit
 )
 
-// KindDown is a failure detector's verdict, handed to Step as a message
-// from the governor itself: a byte per governor, 1 for each held down.
+// KindDown is a failure detector's verdict, handed to the governor (Step
+// or Ingest) as a message from itself: a byte per governor, 1 for each
+// held down.
 // The next election runs with those at stake 0.
 const KindDown = "detector.down"
 
-// Progress is where a Step left the governor.
+// Progress is where a Step left the node. A collector reports only
+// Round, Phase and WakeAt.
 type Progress struct {
 	Round     uint64
 	Phase     Phase
 	Leader    int  // -1 before the election
 	Committed bool // the round's block is on this replica
 	StakeDone bool // the last stake step had nothing left to do
-	// WakeAt is when the governor next has something to do unless a
-	// message arrives; now when a step is held for the next Step.
+	// WakeAt is when the node next has something to do unless a message
+	// arrives; now when a step is held for the next Step.
 	WakeAt time.Time
+}
+
+// Stepper is a node that sequences its own round: a Collector or a
+// Governor.
+type Stepper interface {
+	Step(now time.Time, msgs []network.Message, out Sender) (Progress, error)
+}
+
+// StageTimer turns one node's Steps into round.stage_seconds samples
+// under either driver: a Step that moves the node to another stage ends
+// the sample of the stage it left, the time its Steps took there. The
+// stages: a collector's upload; a governor's screen, elect, pack, commit
+// (with the first stake step), stake, and checkpoint (the round's end).
+type StageTimer struct {
+	Stages *metrics.HistogramVec
+	busy   time.Duration
+}
+
+var stageLabels = [...]string{PhaseUpload: "upload", PhaseScreen: "screen", PhaseElect: "elect", PhasePack: "pack", PhaseCommit: "commit"}
+
+// stage labels the work a Step from p does; "" for none.
+func (p Progress) stage() string {
+	if p.Phase == PhaseCommit && p.Committed {
+		return "stake"
+	}
+	return stageLabels[p.Phase]
+}
+
+// Step times step, one Step of the node from before, accounts for it
+// and returns what it returned.
+func (t *StageTimer) Step(before Progress, step func() (Progress, error)) (Progress, error) {
+	start := time.Now()
+	after, err := step()
+	if d := time.Since(start); before.Phase == PhaseCommit && after.Phase == PhaseOver {
+		t.observe(before.stage())
+		t.busy = d
+		t.observe("checkpoint")
+	} else if t.busy += d; after.Round != before.Round || after.stage() != before.stage() {
+		t.observe(before.stage())
+	}
+	return after, err
+}
+
+func (t *StageTimer) observe(stage string) {
+	if stage != "" {
+		t.Stages.With(stage).Observe(t.busy.Seconds())
+	}
+	t.busy = 0
 }
 
 // Step moves the governor to the clock's round at now, files msgs, runs
 // every step that is due and reports where that leaves the governor.
-// Electing ends a Step, and so does proposing, with the next step due at
-// once: a driver can time them apart, and the block is out before the
-// stake transform. An incomplete election, a wrapped
+// Electing ends the leader's Step, and so does proposing, with the next
+// step due at once: a driver can time them apart, and the block is out
+// before the stake transform. An incomplete election, a wrapped
 // consensus.ErrIncompleteElection, ends the round.
 func (g *Governor) Step(now time.Time, msgs []network.Message, out Sender) (Progress, error) {
 	var err error
@@ -155,10 +212,10 @@ func (g *Governor) advance(now time.Time, out Sender) (time.Time, error) {
 		if err := g.elect(); err != nil {
 			return now, err
 		}
-		g.phase = PhaseCommit
-		if g.leader == g.cfg.Member.Index {
-			g.phase = PhasePack
+		if g.phase = PhaseCommit; g.leader != g.cfg.Member.Index {
+			return time.Time{}, nil
 		}
+		g.phase = PhasePack
 		return now, nil
 	case PhasePack:
 		g.phase = PhaseCommit

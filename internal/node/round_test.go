@@ -45,6 +45,7 @@ type alliance struct {
 	provider identity.Member
 	prov     *Provider
 	coll     *Collector
+	collEp   *network.Endpoint
 }
 
 // newAlliance builds the alliance; configure, when non-nil, adjusts
@@ -63,9 +64,9 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 	pep, err := a.bus.Register(a.provider.ID)
 	a.check(err)
 	a.prov = NewProvider(a.provider, pep, identity.IDs(roster.Collectors), a.ids)
-	cep, err := a.bus.Register(roster.Collectors[0].ID)
+	a.collEp, err = a.bus.Register(roster.Collectors[0].ID)
 	a.check(err)
-	a.coll = NewCollector(roster.Collectors[0], cep, roster, oracle, nil, 100)
+	a.coll = NewCollector(roster.Collectors[0], testClock, roster, oracle, nil, 100)
 	for j, mem := range roster.Governors {
 		ep, err := a.bus.Register(mem.ID)
 		a.check(err)
@@ -209,19 +210,31 @@ func (a *alliance) ignored(reason string) int64 {
 	return a.reg.CounterVec("node.blocks_ignored_total", "reason").With(reason).Value()
 }
 
-// submit has the provider sign n transactions, every other one valid,
-// and the collector label and upload them as round's: the round's
-// traffic up to the governors.
-func (a *alliance) submit(round uint64, n int) {
+// broadcast has the provider sign n transactions for round, every
+// other one valid, and broadcast them in frames frames.
+func (a *alliance) broadcast(round uint64, n, frames int) {
 	a.t.Helper()
-	items := make([]Submission, n)
-	for i := range items {
-		items[i] = Submission{Kind: "x", Payload: []byte{byte(1 - i%2), byte(i), byte(round)}, Valid: i%2 == 0}
+	for f := 0; f < frames; f++ {
+		items := make([]Submission, n/frames)
+		for i := range items {
+			k := f*len(items) + i
+			items[i] = Submission{Kind: "x", Payload: []byte{byte(1 - k%2), byte(k), byte(round)}, Valid: k%2 == 0}
+		}
+		a.check(a.prov.Broadcast(a.prov.SignBatch(items, int64(round)), a.bus))
 	}
-	a.check(a.prov.Broadcast(a.prov.SignBatch(items, int64(round)), a.bus))
-	a.coll.SetRound(round)
-	_, err := a.coll.ProcessBatch(a.coll.Endpoint().Receive(), a.bus)
+}
+
+// submit broadcasts n transactions in frames frames and steps the
+// collector at round's upload deadline: the round's traffic up to the
+// governors.
+func (a *alliance) submit(round uint64, n, frames int) {
+	a.t.Helper()
+	a.broadcast(round, n, frames)
+	p, err := a.coll.Step(testClock.At(round, DeadlineUpload), a.collEp.Receive(), a.bus)
 	a.check(err)
+	if p.Round != round || p.Phase != PhaseOver {
+		a.t.Fatalf("collector in round %d phase %d after round %d's upload deadline", p.Round, p.Phase, round)
+	}
 }
 
 // argue has the provider observe the blocks that reached it and argue.
@@ -236,12 +249,12 @@ func (a *alliance) argue() int {
 // chain. One alliance is stepped in lock-step at each deadline, the
 // engine's schedule; the other gets every message in a Step of its own
 // with the time before every deadline, the TCP schedule, so each step
-// runs the moment its inputs are in and only a round's end waits for
-// the clock. Over 12 rounds with a misreporting collector, argues and a
-// stake transfer, both end with the same blocks, reputation tables and
-// stakes on every governor.
+// runs the moment its inputs are in and only the collector's upload and
+// a round's end wait for the clock. Over 12 rounds with a misreporting
+// collector, argues and a stake transfer, both end with the same
+// blocks, reputation tables and stakes on every governor.
 func TestRoundScheduleParity(t *testing.T) {
-	const rounds, perRound = 12, 8
+	const rounds, perRound, frames = 12, 8, 2
 	lockStep, workBound := newAlliance(t, nil), newAlliance(t, nil)
 	argues := 0
 	for _, a := range []*alliance{lockStep, workBound} {
@@ -255,7 +268,7 @@ func TestRoundScheduleParity(t *testing.T) {
 		}
 
 		a := lockStep
-		a.submit(a.round+1, perRound)
+		a.submit(a.round+1, perRound, frames)
 		a.open()
 		a.propose(a.elect(0, 1, 2))
 		argues += a.argue()
@@ -264,7 +277,21 @@ func TestRoundScheduleParity(t *testing.T) {
 
 		a = workBound
 		a.round++
-		a.submit(a.round, perRound)
+		a.broadcast(a.round, perRound, frames)
+		// The collector files one frame per Step before its deadline and
+		// uploads at the Step its WakeAt asks for.
+		var p Progress
+		for _, m := range a.collEp.Receive() {
+			var err error
+			p, err = a.coll.Step(a.at(0.1), []network.Message{m}, a.bus)
+			a.check(err)
+			if p.Phase != PhaseUpload || !p.WakeAt.Equal(a.at(DeadlineUpload)) {
+				t.Fatalf("collector in phase %d waking at %v after filing a frame, want the upload deadline", p.Phase, p.WakeAt)
+			}
+		}
+		if p, err := a.coll.Step(p.WakeAt, nil, a.bus); err != nil || p.Phase != PhaseOver {
+			t.Fatalf("collector in phase %d after its upload deadline: %v", p.Phase, err)
+		}
 		now := a.at(DeadlineScreen).Add(-time.Nanosecond)
 		queues := make([][]network.Message, len(a.govs))
 		due := make([]bool, len(a.govs))
@@ -307,6 +334,56 @@ func TestRoundScheduleParity(t *testing.T) {
 		if fmt.Sprint(want.Stakes()) != fmt.Sprint(got.Stakes()) || got.StakeBlock() == nil {
 			t.Fatalf("governor %d stakes %v and %v", j, want.Stakes(), got.Stakes())
 		}
+	}
+}
+
+// TestCollectorLateFrame: a provider frame that reaches the collector
+// after its round's upload waits for the next round's batch and goes up
+// there exactly once — neither dropped nor uploaded twice — while the
+// round it missed uploaded only what came in time.
+func TestCollectorLateFrame(t *testing.T) {
+	a := newAlliance(t, nil)
+	step := func(at time.Time, want Phase) Progress {
+		t.Helper()
+		p, err := a.coll.Step(at, a.collEp.Receive(), a.bus)
+		a.check(err)
+		if p.Phase != want {
+			t.Fatalf("collector in round %d phase %d at %v, want phase %d", p.Round, p.Phase, at, want)
+		}
+		return p
+	}
+	a.broadcast(1, 2, 1)
+	onTime := step(testClock.At(1, 0.1), PhaseUpload)
+	step(onTime.WakeAt, PhaseOver)
+	a.broadcast(1, 4, 1) // lands after round 1's upload
+	late := step(testClock.At(1, 0.5), PhaseOver)
+	if !late.WakeAt.Equal(testClock.At(2, DeadlineUpload)) {
+		t.Fatalf("collector wakes at %v after a late frame, want round 2's upload deadline", late.WakeAt)
+	}
+	step(testClock.At(2, 0.1), PhaseUpload)
+	step(late.WakeAt, PhaseOver)
+	step(testClock.At(3, DeadlineUpload), PhaseOver)
+
+	sizes := map[uint64]int{}
+	seen := map[crypto.Hash]int{}
+	for _, m := range a.inboxes[0].Receive() {
+		batch, rcv, err := tx.DecodeUploadBatchBytes(m.Payload)
+		a.check(err)
+		sizes[batch.Round] = len(batch.Items)
+		for _, id := range rcv.IDs {
+			seen[id]++
+		}
+	}
+	if sizes[1] != 2 || sizes[2] != 4 || sizes[3] != 0 || len(sizes) != 3 {
+		t.Fatalf("upload batch sizes by round %v, want round 1: 2, round 2: 4, round 3: 0", sizes)
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("transaction %s uploaded %d times", id.Short(), n)
+		}
+	}
+	if len(seen) != 6 || a.coll.Stats().Uploaded != 6 {
+		t.Fatalf("%d distinct transactions uploaded, stats %+v; want 6", len(seen), a.coll.Stats())
 	}
 }
 
@@ -922,9 +999,8 @@ func TestRoundUploadsComplete(t *testing.T) {
 	if r.uploadsIn(1) {
 		t.Fatal("uploadsIn(1) before any upload")
 	}
-	fx.collectors[0].SetRound(1)
-	if n, err := fx.collectors[0].ProcessBatch(nil, fx.bus); err != nil || n != 0 {
-		t.Fatalf("ProcessBatch(nil) = %d, %v", n, err)
+	if p, err := fx.collectors[0].Step(testClock.At(1, DeadlineUpload), nil, fx.bus); err != nil || p.Phase != PhaseOver {
+		t.Fatalf("Step at the upload deadline with nothing filed = %+v, %v", p, err)
 	}
 	if got := fx.bus.Stats().SentByKind[network.KindCollectorBatch]; got != 1 {
 		t.Fatalf("an empty drain sent %d batches, want 1", got)

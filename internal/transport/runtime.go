@@ -16,17 +16,11 @@ import (
 )
 
 // Clock fixes the shared round schedule (node.Clock, whose doc has it):
-// providers broadcast at a round's start and collectors upload at
-// phaseUpload; a governor paces itself.
+// providers broadcast at a round's start; collectors and governors keep
+// their own deadlines on it.
 type Clock node.Clock
 
 func (c Clock) at(round uint64, frac float64) time.Time { return node.Clock(c).At(round, frac) }
-
-const phaseUpload = 0.30
-
-func sleepUntil(t time.Time) {
-	<-time.After(time.Until(t))
-}
 
 // waitFrame blocks until a frame reaches ep or until passes.
 func waitFrame(ep *Endpoint, until time.Time) {
@@ -220,7 +214,7 @@ func runProvider(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	sender := frameSender{ep: ep, failures: &report.SendFailures}
 	for round := uint64(1); round <= uint64(cfg.Rounds); round++ {
 		prov.SetRound(round)
-		sleepUntil(cfg.Clock.at(round, 0))
+		<-time.After(time.Until(cfg.Clock.at(round, 0)))
 		items := make([]node.Submission, cfg.TxPerRound)
 		for i := range items {
 			valid := rng.Float64() < cfg.ValidFrac
@@ -261,23 +255,15 @@ func runCollector(cfg RuntimeConfig, roster *identity.Roster, me identity.Member
 	}
 	defer func() { _ = ep.Close() }()
 
-	coll := node.NewCollector(me, nil, roster, cfg.Validator, node.HonestBehavior{}, node.Seed(cfg.Seed, me))
+	coll := node.NewCollector(me, node.Clock(cfg.Clock), roster, cfg.Validator, node.HonestBehavior{}, node.Seed(cfg.Seed, me))
 	coll.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
 
 	report := Report{Role: "collector"}
-	sender := frameSender{ep: ep, failures: &report.SendFailures}
-	for round := uint64(1); round <= uint64(cfg.Rounds); round++ {
-		coll.SetRound(round)
-		sleepUntil(cfg.Clock.at(round, phaseUpload))
-		n, err := coll.ProcessBatch(toNetworkMessages(ep.Receive()), sender)
-		if err != nil {
-			return report, err
-		}
-		report.Uploads += n
-		report.Rounds++
-	}
-	return report, nil
+	err = stepLoop(cfg, ep, coll, 0, &report, func() {})
+	st := coll.Stats()
+	report.Uploads = st.Uploaded + st.Forged
+	return report, err
 }
 
 func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member) (Report, error) {
@@ -323,62 +309,44 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	instrumentEndpoint(ep, cfg)
 
 	// Rounds resume past a persisted chain (a deployment's governors
-	// restart together); the clock stops at the last round's end.
-	base := gov.Store().Height()
-	last, stop := base+uint64(cfg.Rounds), cfg.Clock.at(uint64(cfg.Rounds)+1, 0)
+	// restart together).
 	report := Report{Role: "governor"}
+	heightG := ep.Metrics().Gauge("chain.height")
+	err = stepLoop(cfg, ep, gov, gov.Store().Height(), &report, func() {
+		cfg.Health.SetHeight(string(cfg.ID), gov.Store().Height())
+		heightG.Set(float64(gov.Store().Height()))
+	})
+	report.Height = gov.Store().Height()
+	report.Stats = gov.Stats()
+	report.StakeBlock = gov.StakeBlock()
+	return report, err
+}
+
+// stepLoop is the one loop of a node that sequences its own round, a
+// collector or a governor: hand it what arrived and the time, then block
+// until a frame arrives or its next deadline, until it finishes round
+// base+cfg.Rounds; the clock stops at that round's end. Each Step is
+// timed into round.stage_seconds; stepped runs after it.
+func stepLoop(cfg RuntimeConfig, ep *Endpoint, n node.Stepper, base uint64, report *Report, stepped func()) error {
+	last, stop := base+uint64(cfg.Rounds), cfg.Clock.at(uint64(cfg.Rounds)+1, 0)
 	sender := frameSender{ep: ep, failures: &report.SendFailures}
-	reg := ep.Metrics() // cfg.Metrics, or the endpoint's own
-	timer := stageTimer{stages: reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")}
-	heightG := reg.Gauge("chain.height")
-	// The governor sequences its own round: hand it what arrived and the
-	// time, then block until a frame arrives or its next deadline.
+	timer := node.StageTimer{Stages: ep.Metrics().HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")}
 	p := node.Progress{Round: base}
 	for p.Round < last || p.Phase != node.PhaseOver {
-		//repchain:dettaint-ok the wall clock is the deployment's shared round schedule (the paper's synchrony assumption): it tells the governor which round it is in and which deadlines have passed, as the epoch does every node; what a step computes comes from the messages it was handed
-		start := time.Now()
-		now := start
+		//repchain:dettaint-ok the wall clock is the deployment's shared round schedule (the paper's synchrony assumption): it tells the node which round it is in and which deadlines have passed, as the epoch does every node; what a step computes comes from the messages it was handed
+		now := time.Now()
 		if now.After(stop) {
 			now = stop
 		}
-		next, err := gov.Step(now, toNetworkMessages(ep.Receive()), sender)
-		if err != nil {
-			return report, err
+		var err error
+		if p, err = timer.Step(p, func() (node.Progress, error) { return n.Step(now, toNetworkMessages(ep.Receive()), sender) }); err != nil {
+			return err
 		}
-		timer.step(p, next, time.Since(start))
-		p = next
-		cfg.Health.SetHeight(string(cfg.ID), gov.Store().Height())
-		heightG.Set(float64(gov.Store().Height()))
+		stepped()
 		if p.WakeAt.After(time.Now()) {
 			waitFrame(ep, p.WakeAt)
 		}
 	}
 	report.Rounds = cfg.Rounds
-	report.Height = gov.Store().Height()
-	report.Stats = gov.Stats()
-	report.StakeBlock = gov.StakeBlock()
-	return report, nil
-}
-
-// stageTimer turns a TCP governor's Steps into round.stage_seconds: a
-// Step that moves the governor on ends the sample of the phase it
-// leaves, the time its Steps took (filing inputs, then the step), not
-// the wait between. Stake steps after the commit count toward none.
-type stageTimer struct {
-	stages *metrics.HistogramVec
-	busy   time.Duration
-}
-
-var stageLabels = [...]string{node.PhaseScreen: "screen", node.PhaseElect: "elect", node.PhasePack: "pack", node.PhaseCommit: "commit"}
-
-// step accounts for a Step that took d.
-func (t *stageTimer) step(before, after node.Progress, d time.Duration) {
-	t.busy += d
-	if after.Round == before.Round && after.Phase == before.Phase && after.Committed == before.Committed {
-		return
-	}
-	if label := stageLabels[before.Phase]; label != "" && !before.Committed {
-		t.stages.With(label).Observe(t.busy.Seconds())
-	}
-	t.busy = 0
+	return nil
 }
