@@ -6,9 +6,10 @@
 // A round follows §3.1's three phases:
 //
 //	Collecting  — providers stage transactions (callers invoke
-//	              SubmitTx before RunRound); the round drains them,
-//	              and each provider signs what it drained once and
-//	              broadcasts it to its linked collectors;
+//	              SubmitTx before RunRound); the round drains them into
+//	              each provider's queue, and each provider's Step signs
+//	              its share once at the round's opening and broadcasts
+//	              it to its linked collectors;
 //	Uploading   — collectors label and upload to all governors;
 //	Processing  — governors screen with the reputation mechanism,
 //	              elect a leader by per-stake-unit VRF, and the leader
@@ -141,13 +142,12 @@ type Engine struct {
 	roster *identity.Roster
 	bus    *network.Bus
 
-	// One bus endpoint per node: providerEps[k] is provider k's; members
-	// are how the round loop drives the nodes that sequence their own
-	// round, collectors (colls[c]) then governors (govs[j]).
+	// members are how the round loop drives the nodes, each with its bus
+	// endpoint: providers, then collectors (colls[c]), then governors
+	// (govs[j]).
 	providers   []*node.Provider
 	collectors  []*node.Collector
 	governors   []*node.Governor
-	providerEps []*network.Endpoint
 	members     []member
 	colls, govs []member
 
@@ -165,9 +165,9 @@ type Engine struct {
 	// into protocol decisions, so determinism is untouched.
 	stageSeconds *metrics.HistogramVec
 
-	// ingress holds staged, still unsigned submissions; each round's
-	// collecting phase drains it in arrival order and signs what it
-	// drained. closed gates SubmitTx and RunRound after Close.
+	// ingress holds staged, still unqueued submissions; each round's
+	// collecting phase drains it in arrival order into the providers'
+	// queues. closed gates SubmitTx and RunRound after Close.
 	ingress    *mempool.Pool[ingressTx]
 	closed     bool
 	mpAdmitted *metrics.Counter
@@ -177,7 +177,7 @@ type Engine struct {
 }
 
 // ingressTx is one staged submission: the provider, the transaction
-// awaiting its signature and broadcast, and its ID.
+// awaiting its drain, and its ID.
 type ingressTx struct {
 	provider int
 	tx       tx.Transaction
@@ -263,10 +263,11 @@ func New(cfg Config) (_ *Engine, err error) {
 		for _, c := range topo.CollectorsOf(k) {
 			collectorIDs = append(collectorIDs, roster.Collectors[c].ID)
 		}
-		p := node.NewProvider(mem, ep, collectorIDs, governorIDs)
+		p := node.NewProvider(mem, &lockstep, collectorIDs, governorIDs)
 		p.SetEvents(e.events)
 		p.SetMetrics(e.reg)
-		e.providers, e.providerEps = append(e.providers, p), append(e.providerEps, ep)
+		e.providers = append(e.providers, p)
+		e.members = append(e.members, member{node: p, ep: ep, timer: node.StageTimer{Stages: e.stageSeconds}})
 	}
 	// Collectors.
 	for c, mem := range roster.Collectors {
@@ -325,7 +326,8 @@ func New(cfg Config) (_ *Engine, err error) {
 		// election inputs stay unique across restarts.
 		e.round = max(e.round, gov.Store().Height())
 	}
-	e.colls, e.govs = e.members[:len(e.collectors)], e.members[len(e.collectors):]
+	provs := len(e.providers)
+	e.colls, e.govs = e.members[provs:provs+len(e.collectors)], e.members[provs+len(e.collectors):]
 	return e, nil
 }
 
@@ -435,10 +437,11 @@ func (e *Engine) SubmitTx(k int, kind string, payload []byte, isValid bool) (tx.
 }
 
 // SubmitBatch has provider k stage a batch of transactions in the
-// ingress mempool; the next round's collecting phase signs and
-// broadcasts them. It admits exactly the prefix the provider's cap has
-// room for and returns it, with an ErrBacklog-wrapping error when
-// that is not the whole batch. The refused suffix is rejected before
+// ingress mempool; the next round's collecting phase queues them with
+// the provider, which signs and broadcasts them at the round's opening.
+// It admits exactly the prefix the provider's cap has room for and
+// returns it, with an ErrBacklog-wrapping error when that is not the
+// whole batch. The refused suffix is rejected before
 // anything is staged, so a backpressured caller can simply run a round
 // and resubmit it — no seq is consumed and nothing is recorded for it.
 // ctx is checked once, before staging: a cancelled batch admits
@@ -473,44 +476,15 @@ func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission
 func (e *Engine) MempoolDepth() int { return e.ingress.Len() }
 
 // drainIngress takes the oldest staged submissions, at most BlockLimit
-// of them (all with no limit), groups them by provider in order of
-// first appearance, each provider's in its own order, and has every
-// provider sign its group as one batch and broadcast it as one frame,
-// in that order. Signing runs on the fan-out; the frames reach the bus
-// in group order at any worker count. However a client split its
-// submissions, a round costs one signature per provider that has any
-// drained. The rest stays queued for later rounds.
-func (e *Engine) drainIngress() error {
+// of them (all with no limit), and queues each with its provider, in
+// drain order: each provider signs its share as one batch at the
+// round's opening. The rest stays staged for later rounds.
+func (e *Engine) drainIngress() {
 	drained := e.ingress.Drain(e.cfg.BlockLimit)
 	e.drained = len(drained)
-	if len(drained) == 0 {
-		return nil
-	}
-	rank := make([]int, len(e.providers)) // 1 + group index; 0 unseen
-	groups := 0
 	for _, d := range drained {
-		if rank[d.provider] == 0 {
-			groups++
-			rank[d.provider] = groups
-		}
+		e.providers[d.provider].Queue(d.tx, d.id)
 	}
-	slices.SortStableFunc(drained, func(a, b ingressTx) int { return rank[a.provider] - rank[b.provider] })
-	txs := make([]tx.Transaction, len(drained))
-	ids := make([]crypto.Hash, len(drained))
-	starts := make([]int, 0, groups+1)
-	for i, d := range drained {
-		txs[i], ids[i] = d.tx, d.id
-		if i == 0 || d.provider != drained[i-1].provider {
-			starts = append(starts, i)
-		}
-	}
-	starts = append(starts, len(drained))
-	return e.fanOut(groups, func(g int, out node.Sender) error {
-		lo, hi := starts[g], starts[g+1]
-		p := e.providers[drained[lo].provider]
-		p.SetRound(e.round + 1) // the round the drain opens
-		return p.Broadcast(p.SignStaged(txs[lo:hi], ids[lo:hi]), out)
-	})
 }
 
 // SubmitStakeTransfer is governor `from`'s TransferStake step: "governors
@@ -533,10 +507,10 @@ var lockstep = node.Clock{Round: time.Second}
 // it, and its end.
 var instants = [...]float64{1e-9, node.DeadlineUpload, node.DeadlineScreen, node.DeadlineElect, 1}
 
-// member is how the round loop drives a collector or governor: the
-// node, its endpoint, the round its clock counts from (a governor's
-// height at New), whether the failure detector holds it down
-// (degrade.go), where its last Step left it, and its timer.
+// member is how the round loop drives a node: the node, its endpoint,
+// the round its clock counts from (a governor's height at New), whether
+// the failure detector holds it down (degrade.go), where its last Step
+// left it, and its timer.
 type member struct {
 	node  node.Stepper
 	ep    *network.Endpoint
@@ -585,16 +559,15 @@ func (e *Engine) RunRoundCtx(ctx context.Context) (RoundResult, error) {
 }
 
 func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
-	// Sign and broadcast staged submissions, then bring every live
-	// replica to a common head. The context is checked before both and
-	// after: the next round consumes the drained submissions.
+	// Queue staged submissions with their providers, then bring every
+	// live replica to a common head. The context is checked before both
+	// and after: the next round signs the drained submissions.
 	err := ctx.Err()
 	if start := time.Now(); err == nil {
-		err = e.drainIngress()
-		if start = e.observeStage("ingest", start); err == nil {
-			err = e.resyncGovernors()
-			e.observeStage("resync", start)
-		}
+		e.drainIngress()
+		start = e.observeStage("ingest", start)
+		err = e.resyncGovernors()
+		e.observeStage("resync", start)
 	}
 	if err = cmp.Or(err, ctx.Err()); err != nil {
 		return RoundResult{}, err
@@ -604,18 +577,18 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	// A deadline inside the round opens with a tick landing what was
 	// sent before it; a pass repeated at one instant ticks if messages
 	// wait. The screen deadline's tick is the last safe abort point.
-	res := RoundResult{Uploads: -e.uploads()}
+	res := RoundResult{Uploads: -e.uploads(), Argues: -e.argues()}
 	for i, frac := range instants {
 		for again, tick := true, i > 0 && frac < 1; again && err == nil; {
 			if tick {
 				e.bus.AdvancePastDelay()
 			}
 			if err = ctx.Err(); err == nil || frac != node.DeadlineScreen {
-				again, tick, err = e.pass(frac, &res)
+				again, tick, err = e.pass(frac)
 			}
 		}
 	}
-	if res.Uploads += e.uploads(); err == nil {
+	if res.Uploads, res.Argues = res.Uploads+e.uploads(), res.Argues+e.argues(); err == nil {
 		err = e.outcome(&res)
 	}
 	if err != nil {
@@ -625,34 +598,27 @@ func (e *Engine) runRoundCtx(ctx context.Context) (RoundResult, error) {
 	return res, nil
 }
 
-// pass delivers at instant frac. The providers step first, taking
-// blocks as they come, then every ready member; so a governor adopting a
-// block also sees the argues it set off. Each node touches only its own
-// endpoint, state, timer and send buffer, over fanOut's workers. An
-// incomplete election aborts the round once every governor took its
-// inbox. pass reports whether another pass is due at frac — a member
-// ready — and whether messages wait.
-func (e *Engine) pass(frac float64, res *RoundResult) (again, waiting bool, err error) {
-	ready, providers, _ := e.ready(frac, frac == instants[0])
-	if providers {
-		err = e.fanCount(&res.Argues, len(e.providers), func(k int, out node.Sender) (n int, err error) {
-			if msgs := e.providerEps[k].Receive(); len(msgs) > 0 {
-				defer e.observeStage("argue", time.Now())
-				_, n, err = e.providers[k].Ingest(msgs, out)
-			}
-			return n, err
-		})
-	}
+// pass delivers at instant frac: it steps every ready node, the
+// providers first, taking blocks as they come, then the collectors and
+// governors; so a governor adopting a block also sees the argues it set
+// off. Each node touches only its own endpoint, state, timer and send
+// buffer, over fanOut's workers. An incomplete election aborts the
+// round once every governor took its inbox. pass reports whether
+// another pass is due at frac — a node ready — and whether messages
+// wait.
+func (e *Engine) pass(frac float64) (again, waiting bool, err error) {
+	ready, _ := e.ready(frac, frac == instants[0])
 	incomplete := make([]error, len(ready))
-	if err == nil {
-		err = e.fanOut(len(ready), func(j int, out node.Sender) error {
-			m, msgs := &e.members[ready[j]], []network.Message(nil)
+	split, _ := slices.BinarySearch(ready, len(e.providers))
+	for lo, hi := 0, split; lo < len(ready) && err == nil; lo, hi = hi, len(ready) {
+		err = e.fanOut(hi-lo, func(j int, out node.Sender) error {
+			m, msgs := &e.members[ready[lo+j]], []network.Message(nil)
 			if !m.down {
 				msgs = m.ep.Receive()
 			}
 			p, err := m.timer.Step(m.p, func() (node.Progress, error) { return m.node.Step(lockstep.At(e.round-m.base, frac), msgs, out) })
 			if m.p = p; errors.Is(err, consensus.ErrIncompleteElection) {
-				incomplete[j], err = err, nil
+				incomplete[lo+j], err = err, nil
 			}
 			return err
 		})
@@ -660,19 +626,17 @@ func (e *Engine) pass(frac float64, res *RoundResult) (again, waiting bool, err 
 	if err = cmp.Or(err, errors.Join(incomplete...)); errors.Is(err, consensus.ErrIncompleteElection) {
 		err = fmt.Errorf("%w: %w", err, ErrRoundAborted)
 	}
-	ready, providers, waiting = e.ready(frac, false)
-	return len(ready) > 0 || providers, waiting, err
+	ready, waiting = e.ready(frac, false)
+	return len(ready) > 0, waiting, err
 }
 
-// ready lists the members that step at instant frac: each live one due,
+// ready lists the nodes that step at instant frac: each live one due,
 // or holding messages it takes — when due, or with no deadline left in
 // its round; until then they wait for its deadline, the lock-step
 // schedule — and at the round's opening each down one, without
-// messages, so it keeps the others' round. It also reports whether a
-// provider has messages, and whether messages wait for any taker.
-func (e *Engine) ready(frac float64, opening bool) (ready []int, providers, waiting bool) {
-	providers = slices.ContainsFunc(e.providerEps, func(ep *network.Endpoint) bool { return ep.Pending() > 0 })
-	waiting = providers
+// messages, so it keeps the others' round. It also reports whether
+// messages wait for any taker.
+func (e *Engine) ready(frac float64, opening bool) (ready []int, waiting bool) {
 	for i := range e.members {
 		m := &e.members[i]
 		due := !m.down && !m.p.WakeAt.After(lockstep.At(e.round-m.base, frac))
@@ -681,13 +645,21 @@ func (e *Engine) ready(frac float64, opening bool) (ready []int, providers, wait
 			ready = append(ready, i)
 		}
 	}
-	return ready, providers, waiting
+	return ready, waiting
 }
 
 // uploads sums the items every collector has uploaded.
 func (e *Engine) uploads() (n int) {
 	for _, c := range e.collectors {
 		n += c.Stats().Uploaded + c.Stats().Forged
+	}
+	return n
+}
+
+// argues sums the argues every provider has sent.
+func (e *Engine) argues() (n int) {
+	for _, p := range e.providers {
+		n += p.Argues()
 	}
 	return n
 }

@@ -79,16 +79,3 @@ func (b *sendBuffer) flush(bus *network.Bus) error {
 	}
 	return nil
 }
-
-// fanCount is fanOut for counting steps; it adds their counts to total.
-func (e *Engine) fanCount(total *int, n int, count func(i int, out node.Sender) (int, error)) error {
-	counts := make([]int, n)
-	err := e.fanOut(n, func(i int, out node.Sender) (err error) {
-		counts[i], err = count(i, out)
-		return err
-	})
-	for _, c := range counts {
-		*total += c
-	}
-	return err
-}

@@ -95,8 +95,8 @@ func BenchmarkProviderIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if n, _, err := prov.Ingest(msgs, fx.bus); err != nil || n != 1 {
-			b.Fatalf("Ingest() = %d blocks, %v", n, err)
+		if n, err := prov.ingest(msgs, fx.bus); err != nil || n != 1 {
+			b.Fatalf("ingest() = %d blocks, %v", n, err)
 		}
 	}
 }

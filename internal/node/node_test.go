@@ -61,15 +61,14 @@ func newFixtureOn(t testing.TB, topo *identity.Topology, behaviors []Behavior, m
 
 	govIDs := []identity.NodeID{roster.Governors[0].ID}
 	for k, mem := range roster.Providers {
-		ep, err := fx.bus.Register(mem.ID)
-		if err != nil {
+		if _, err := fx.bus.Register(mem.ID); err != nil {
 			t.Fatal(err)
 		}
 		var collIDs []identity.NodeID
 		for _, c := range topo.CollectorsOf(k) {
 			collIDs = append(collIDs, roster.Collectors[c].ID)
 		}
-		fx.providers = append(fx.providers, NewProvider(mem, ep, collIDs, govIDs))
+		fx.providers = append(fx.providers, NewProvider(mem, &testClock, collIDs, govIDs))
 	}
 	for c, mem := range roster.Collectors {
 		ep, err := fx.bus.Register(mem.ID)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
+	"time"
 
 	"repchain/internal/crypto"
 	"repchain/internal/events"
@@ -30,7 +31,9 @@ var _ Sender = (*network.Bus)(nil)
 // whenever one of its valid transactions is marked invalid (§3.1).
 type Provider struct {
 	member identity.Member
-	ep     *network.Endpoint
+	// clock paces Step; nil for a provider driven by hand (Submit,
+	// ObserveBlock, SetRound).
+	clock *Clock
 	// collectorIDs are the linked collectors, in index order.
 	collectorIDs []identity.NodeID
 	governorIDs  []identity.NodeID
@@ -43,19 +46,28 @@ type Provider struct {
 	// settled transaction leaves nothing behind.
 	pending map[crypto.Hash]pendingTx
 	// settled counts transactions observed in blocks with their final
-	// status (valid, or invalid-and-confirmed).
+	// status (valid, or invalid-and-confirmed); argues counts the argues
+	// sent.
 	settledValid   int
 	settledInvalid int
+	argues         int
 
-	// events and round feed the tx.signed event; both are optional.
+	// queued holds the transactions Queue handed over, with their IDs,
+	// for the next round's opening to sign; phase is where Step left
+	// the round.
+	queued    []tx.Transaction
+	queuedIDs []crypto.Hash
+	phase     Phase
+
+	// events and round feed the tx.signed event; events is optional.
 	events *events.Log
 	round  uint64
-	// reg counts block frames Ingest skips.
+	// reg counts block frames ingest skips.
 	reg *metrics.Registry
 }
 
 // pendingTx is one unsettled submission. signed is its envelope, set
-// once SignStaged has signed it; only a signed transaction can reach a
+// once signStaged has signed it; only a signed transaction can reach a
 // block, so only those are argued.
 type pendingTx struct {
 	signed tx.SignedTx
@@ -63,9 +75,8 @@ type pendingTx struct {
 	argued bool
 }
 
-// Submission is one transaction handed to Stage or SignBatch: the
-// application kind and payload plus the provider's ground truth about
-// validity.
+// Submission is one transaction handed to Stage: the application kind
+// and payload plus the provider's ground truth about validity.
 type Submission struct {
 	Kind    string
 	Payload []byte
@@ -84,15 +95,18 @@ func (p *Provider) SetMetrics(reg *metrics.Registry) {
 	p.reg = reg
 }
 
-// SetRound tells the provider which round its next submissions belong
-// to, for event attribution only.
+// SetRound tells a provider driven by hand which round its next
+// submissions belong to, for event attribution only; Step sets it from
+// the clock.
 func (p *Provider) SetRound(r uint64) { p.round = r }
 
-// NewProvider wires a provider node to the bus.
-func NewProvider(member identity.Member, ep *network.Endpoint, collectors, governors []identity.NodeID) *Provider {
+// NewProvider builds provider member, linked with collectors, whose
+// blocks come from governors. A nil clock makes a provider driven by
+// hand — Submit, ObserveBlock, SetRound — on which Step fails.
+func NewProvider(member identity.Member, clock *Clock, collectors, governors []identity.NodeID) *Provider {
 	return &Provider{
 		member:       member,
-		ep:           ep,
+		clock:        clock,
 		collectorIDs: append([]identity.NodeID(nil), collectors...),
 		governorIDs:  append([]identity.NodeID(nil), governors...),
 		pending:      make(map[crypto.Hash]pendingTx),
@@ -106,25 +120,12 @@ func (p *Provider) ID() identity.NodeID { return p.member.ID }
 // Index returns the provider's index k.
 func (p *Provider) Index() int { return p.member.Index }
 
-// Sign builds and signs one transaction: SignBatch for a single
-// submission.
-func (p *Provider) Sign(kind string, payload []byte, isValid bool, timestamp int64) tx.SignedTx {
-	return p.SignBatch([]Submission{{Kind: kind, Payload: payload, Valid: isValid}}, timestamp)[0]
-}
-
-// SignBatch builds a batch of transactions and signs it once — one
-// Ed25519 signature over the Merkle root of the batch's transaction
-// IDs (tx.SignLeaves) — without broadcasting: Stage, then SignStaged.
-func (p *Provider) SignBatch(items []Submission, timestamp int64) []tx.SignedTx {
-	return p.SignStaged(p.Stage(items, timestamp))
-}
-
 // Stage builds one transaction per item under the provider's next
 // seqs and timestamp, hashes each once and records it pending with the
 // provider's ground truth, without signing. It returns the
-// transactions and their IDs, in order, for a later SignStaged: a
-// caller that queues submissions stages them at admission, so the
-// timestamp reflects submission, and signs whatever one drain takes.
+// transactions and their IDs, in order, for Queue: a caller that
+// queues submissions stages them at admission, so the timestamp
+// reflects submission, and queues whatever one drain takes.
 func (p *Provider) Stage(items []Submission, timestamp int64) ([]tx.Transaction, []crypto.Hash) {
 	txs := make([]tx.Transaction, len(items))
 	ids := make([]crypto.Hash, len(items))
@@ -143,11 +144,18 @@ func (p *Provider) Stage(items []Submission, timestamp int64) ([]tx.Transaction,
 	return txs, ids
 }
 
-// SignStaged signs staged transactions as one batch — ids are their
-// IDs as Stage returned them, in the provider's own order — and
-// emits their tx.signed events in that order. Providers are
-// independent: distinct providers may sign concurrently.
-func (p *Provider) SignStaged(txs []tx.Transaction, ids []crypto.Hash) []tx.SignedTx {
+// Queue hands Step a staged transaction t with ID id, as Stage returned
+// them, to sign and broadcast at its next round's opening, after any
+// queued before.
+func (p *Provider) Queue(t tx.Transaction, id crypto.Hash) {
+	p.queued, p.queuedIDs = append(p.queued, t), append(p.queuedIDs, id)
+}
+
+// signStaged signs staged transactions as one batch — one Ed25519
+// signature over the Merkle root of their IDs (tx.SignLeaves), ids as
+// Stage returned them — and emits their tx.signed events in order.
+// Providers are independent: distinct providers may sign concurrently.
+func (p *Provider) signStaged(txs []tx.Transaction, ids []crypto.Hash) []tx.SignedTx {
 	out := tx.SignLeaves(txs, ids, p.member.PrivateKey)
 	for i, signed := range out {
 		pt := p.pending[ids[i]]
@@ -161,39 +169,74 @@ func (p *Provider) SignStaged(txs []tx.Transaction, ids []crypto.Hash) []tx.Sign
 	return out
 }
 
-// Broadcast multicasts already-signed transactions to the provider's
-// linked collectors as one frame per collector (broadcast_provider).
-// The frame carries each of their batches once.
-func (p *Provider) Broadcast(signed []tx.SignedTx, sender Sender) error {
-	if len(signed) == 0 {
-		return nil
-	}
-	if err := sender.Multicast(p.member.ID, p.collectorIDs, network.KindProviderTx, tx.EncodeListBytes(signed)); err != nil {
+// broadcast multicasts signed transactions to the provider's linked
+// collectors as one frame per collector (broadcast_provider), which
+// carries each of their batches once.
+func (p *Provider) broadcast(signed []tx.SignedTx, out Sender) error {
+	if err := out.Multicast(p.member.ID, p.collectorIDs, network.KindProviderTx, tx.EncodeListBytes(signed)); err != nil {
 		return fmt.Errorf("provider %s broadcast: %w", p.member.ID, err)
 	}
 	return nil
 }
 
-// Submit signs and immediately broadcasts a transaction to the
+// Submit signs a transaction and broadcasts it at once to the
 // provider's linked collectors: a batch of one. isValid is the
 // provider's own ground truth, used later to decide argues. timestamp
-// is the logical or wall clock reading. Sign + Broadcast fused — the
-// path of a client over TCP that submits one transaction at a time.
+// is the logical or wall clock reading. The path of a client driving
+// a provider by hand, one transaction at a time.
 func (p *Provider) Submit(kind string, payload []byte, isValid bool, timestamp int64, sender Sender) (tx.SignedTx, error) {
-	signed := p.Sign(kind, payload, isValid, timestamp)
-	if err := p.Broadcast([]tx.SignedTx{signed}, sender); err != nil {
+	signed := p.signStaged(p.Stage([]Submission{{Kind: kind, Payload: payload, Valid: isValid}}, timestamp))
+	if err := p.broadcast(signed, sender); err != nil {
 		return tx.SignedTx{}, err
 	}
-	return signed, nil
+	return signed[0], nil
 }
 
-// Ingest consumes drained messages: each block frame a governor sent is
+// Step moves the provider to the clock's round at now and takes the
+// block frames in msgs (ingest). The Step that opens a round with
+// transactions queued ends in PhaseSign, due at once, so a StageTimer
+// times the signing apart; the next signs them as one batch and
+// broadcasts it, one frame per linked collector, and the provider
+// awaits the block (PhaseArgue) until one arrives or the round ends.
+// Otherwise its round is over: WakeAt is the next round's opening. A
+// provider without a clock fails.
+func (p *Provider) Step(now time.Time, msgs []network.Message, out Sender) (Progress, error) {
+	if p.clock == nil {
+		return Progress{}, fmt.Errorf("provider %s: Step without a clock", p.member.ID)
+	}
+	switch round := p.clock.index(now); {
+	case round > p.round:
+		p.round, p.phase = round, PhaseOver
+		if len(p.queued) > 0 {
+			p.phase = PhaseSign
+		}
+	case p.phase == PhaseSign:
+		signed := p.signStaged(p.queued, p.queuedIDs)
+		p.queued, p.queuedIDs, p.phase = p.queued[:0], p.queuedIDs[:0], PhaseArgue
+		if err := p.broadcast(signed, out); err != nil {
+			return Progress{}, err
+		}
+	}
+	blocks, err := p.ingest(msgs, out)
+	switch end := p.clock.At(p.round, 1); {
+	case err != nil:
+		return Progress{}, err
+	case p.phase == PhaseSign:
+		return Progress{Round: p.round, Phase: p.phase, WakeAt: now}, nil
+	case p.phase == PhaseArgue && blocks == 0 && now.Before(end):
+		return Progress{Round: p.round, Phase: p.phase, WakeAt: end}, nil
+	default:
+		p.phase = PhaseOver
+		return Progress{Round: p.round, WakeAt: end.Add(time.Nanosecond)}, nil
+	}
+}
+
+// ingest takes drained messages: each block frame a governor sent is
 // observed (ObserveBlock), decoding only the provider's own records
 // (ledger.DecodeOwnRecords), anything else is ignored. A frame from
 // anyone else or that does not decode is skipped and counted in
-// node.blocks_ignored_total. It returns the blocks observed and the
-// argues they triggered.
-func (p *Provider) Ingest(msgs []network.Message, sender Sender) (blocks, argues int, err error) {
+// node.blocks_ignored_total. It returns the blocks observed.
+func (p *Provider) ingest(msgs []network.Message, sender Sender) (blocks int, err error) {
 	for _, m := range msgs {
 		if m.Kind != network.KindBlock {
 			continue
@@ -207,14 +250,12 @@ func (p *Provider) Ingest(msgs []network.Message, sender Sender) (blocks, argues
 			p.reg.CounterVec("node.blocks_ignored_total", "reason").With("decode").Inc()
 			continue
 		}
-		n, err := p.observe(b.Serial, b.Records, ids, sender)
-		argues += n
-		if err != nil {
-			return blocks, argues, err
+		if _, err := p.observe(b.Serial, b.Records, ids, sender); err != nil {
+			return blocks, err
 		}
 		blocks++
 	}
-	return blocks, argues, nil
+	return blocks, nil
 }
 
 // ObserveBlock scans a retrieved block for the provider's own
@@ -260,6 +301,7 @@ func (p *Provider) observe(serial uint64, records []ledger.Record, ids []crypto.
 			pt.argued = true
 			p.pending[id] = pt
 			argues++
+			p.argues++
 		default:
 			// Checked invalid (the governor verified it), or unchecked
 			// and invalid by the provider's own account: settled.
@@ -287,5 +329,5 @@ func (p *Provider) PendingValid() int {
 // appeared in a block with status valid.
 func (p *Provider) SettledValid() int { return p.settledValid }
 
-// Endpoint returns the provider's bus endpoint.
-func (p *Provider) Endpoint() *network.Endpoint { return p.ep }
+// Argues returns how many argues the provider has sent.
+func (p *Provider) Argues() int { return p.argues }

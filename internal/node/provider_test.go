@@ -2,6 +2,7 @@ package node
 
 import (
 	"testing"
+	"time"
 
 	"repchain/internal/events"
 	"repchain/internal/identity"
@@ -10,6 +11,20 @@ import (
 	"repchain/internal/network"
 	"repchain/internal/tx"
 )
+
+// signBatch stages items and signs them as one batch, as a provider's
+// Step does with what was queued for its round.
+func signBatch(p *Provider, items []Submission, timestamp int64) []tx.SignedTx {
+	return p.signStaged(p.Stage(items, timestamp))
+}
+
+// queue stages items and queues them for the provider's next round.
+func queue(p *Provider, items []Submission, timestamp int64) {
+	txs, ids := p.Stage(items, timestamp)
+	for i := range txs {
+		p.Queue(txs[i], ids[i])
+	}
+}
 
 // TestSignBatchMatchesSign pins the batch path to the per-transaction
 // one: same Seq run, same IDs, same pending ground truth and the same
@@ -31,15 +46,16 @@ func TestSignBatchMatchesSign(t *testing.T) {
 	batch.SetEvents(logBatch)
 
 	// A first signature each, so the batch does not start at Seq 1.
-	one.Sign("warm", []byte{1}, true, 5)
-	batch.Sign("warm", []byte{1}, true, 5)
+	warm := []Submission{{Kind: "warm", Payload: []byte{1}, Valid: true}}
+	signBatch(one, warm, 5)
+	signBatch(batch, warm, 5)
 	var want []tx.SignedTx
 	for _, it := range items {
-		want = append(want, one.Sign(it.Kind, it.Payload, it.Valid, 9))
+		want = append(want, signBatch(one, []Submission{it}, 9)[0])
 	}
-	got := batch.SignBatch(items, 9)
+	got := signBatch(batch, items, 9)
 	if len(got) != n {
-		t.Fatalf("SignBatch returned %d transactions, want %d", len(got), n)
+		t.Fatalf("signBatch returned %d transactions, want %d", len(got), n)
 	}
 	for i := range want {
 		if got[i].Tx.Seq != want[i].Tx.Seq || got[i].Tx.Seq != uint64(i+2) {
@@ -99,7 +115,7 @@ func TestProviderStateBounded(t *testing.T) {
 			items[i] = Submission{Kind: "k", Payload: []byte{byte(i % 3), byte(i), byte(i >> 8), byte(done >> 8)}, Valid: i%3 != 0}
 		}
 		var recs, vindicated []ledger.Record
-		for i, signed := range prov.SignBatch(items, int64(done)) {
+		for i, signed := range signBatch(prov, items, int64(done)) {
 			switch i % 3 {
 			case 0: // invalid by the provider's own account, recorded unchecked
 				recs = append(recs, ledger.Record{Signed: signed, Label: tx.LabelInvalid, Status: tx.StatusInvalid, Unchecked: true})
@@ -134,7 +150,7 @@ func TestProviderIgnoresForgedBlock(t *testing.T) {
 	prov := fx.providers[0]
 	reg := metrics.NewRegistry()
 	prov.SetMetrics(reg)
-	signed := prov.Sign("k", []byte{1}, true, 0)
+	signed := signBatch(prov, []Submission{{Kind: "k", Payload: []byte{1}, Valid: true}}, 0)[0]
 	frame := func(from identity.Member, status tx.Status) network.Message {
 		t.Helper()
 		rec := ledger.Record{Signed: signed, Label: tx.LabelInvalid, Status: status, Unchecked: status == tx.StatusInvalid}
@@ -147,9 +163,9 @@ func TestProviderIgnoresForgedBlock(t *testing.T) {
 	}
 	forger := fx.roster.Collectors[0]
 	sink := &countingSender{}
-	blocks, argues, err := prov.Ingest([]network.Message{frame(forger, tx.StatusValid), frame(forger, tx.StatusInvalid)}, sink)
-	if err != nil || blocks != 0 || argues != 0 || sink.n != 0 {
-		t.Fatalf("forged blocks: Ingest() = %d blocks, %d argues, %v; %d sent", blocks, argues, err, sink.n)
+	blocks, err := prov.ingest([]network.Message{frame(forger, tx.StatusValid), frame(forger, tx.StatusInvalid)}, sink)
+	if err != nil || blocks != 0 || prov.Argues() != 0 || sink.n != 0 {
+		t.Fatalf("forged blocks: ingest() = %d blocks, %d argues, %v; %d sent", blocks, prov.Argues(), err, sink.n)
 	}
 	if got := prov.PendingValid(); got != 1 {
 		t.Fatalf("PendingValid() = %d after the forged blocks, want 1", got)
@@ -157,7 +173,70 @@ func TestProviderIgnoresForgedBlock(t *testing.T) {
 	if got := reg.CounterVec("node.blocks_ignored_total", "reason").With("not_governor").Value(); got != 2 {
 		t.Fatalf("node.blocks_ignored_total{reason=not_governor} = %d, want 2", got)
 	}
-	if _, argues, err := prov.Ingest([]network.Message{frame(fx.roster.Governors[0], tx.StatusInvalid)}, sink); err != nil || argues != 1 || sink.n != 1 {
-		t.Fatalf("the governor's unchecked-invalid block drew %d argues (%v), want 1", argues, err)
+	if _, err := prov.ingest([]network.Message{frame(fx.roster.Governors[0], tx.StatusInvalid)}, sink); err != nil || prov.Argues() != 1 || sink.n != 1 {
+		t.Fatalf("the governor's unchecked-invalid block drew %d argues (%v), want 1", prov.Argues(), err)
+	}
+}
+
+// TestProviderStep walks a provider's round through Step. The Step that
+// opens a round with transactions queued signs nothing yet and is due
+// again at once; the next signs them as one batch, sends each linked
+// collector one frame and awaits the block; the block ends the round,
+// and the provider wakes at the next round's opening. A round opened
+// with nothing queued is over at once, and one whose block never comes
+// ends at its end. A provider without a clock cannot Step.
+func TestProviderStep(t *testing.T) {
+	fx := newFixture(t, nil)
+	prov := fx.providers[0]
+	gov := fx.roster.Governors[0]
+	opening := func(r uint64) time.Time { return testClock.At(r, 0).Add(time.Nanosecond) }
+	step := func(now time.Time, want Phase, wake time.Time, msgs ...network.Message) {
+		t.Helper()
+		p, err := prov.Step(now, msgs, fx.bus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Phase != want || !p.WakeAt.Equal(wake) {
+			t.Fatalf("Step at %v: round %d phase %d waking at %v, want phase %d waking at %v", now, p.Round, p.Phase, p.WakeAt, want, wake)
+		}
+	}
+
+	queue(prov, []Submission{{Kind: "k", Payload: []byte{1}, Valid: true}, {Kind: "k", Payload: []byte{1, 2}, Valid: true}}, 0)
+	step(opening(1), PhaseSign, opening(1))
+	if n := fx.collEps[0].Pending(); n != 0 {
+		t.Fatalf("%d frames sent by the opening Step, want none", n)
+	}
+	step(opening(1), PhaseArgue, testClock.At(1, 1))
+	for c, ep := range fx.collEps {
+		msgs := ep.Receive()
+		if len(msgs) != 1 {
+			t.Fatalf("collector %d got %d frames, want 1", c, len(msgs))
+		}
+		list, _, err := tx.DecodeListBytes(msgs[0].Payload)
+		if err != nil || len(list) != 2 || list[0].Batch != list[1].Batch {
+			t.Fatalf("collector %d: a frame of %d transactions (%v), want one batch of 2", c, len(list), err)
+		}
+	}
+	rec := ledger.Record{Signed: signBatch(prov, []Submission{{Kind: "k", Payload: []byte{3}, Valid: true}}, 0)[0],
+		Label: tx.LabelInvalid, Status: tx.StatusInvalid, Unchecked: true}
+	blk, err := ledger.NewBlock(nil, []ledger.Record{rec}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk.SignAs(gov.ID, gov.PrivateKey)
+	block := network.Message{From: gov.ID, Kind: network.KindBlock, Payload: blk.EncodeBytes()}
+	step(testClock.At(1, DeadlineElect), PhaseOver, opening(2), block)
+	if prov.Argues() != 1 || fx.inbox.Pending() != 1 {
+		t.Fatalf("%d argues, %d at the governor; want 1", prov.Argues(), fx.inbox.Pending())
+	}
+
+	step(opening(2), PhaseOver, opening(3))
+	queue(prov, []Submission{{Kind: "k", Payload: []byte{4}, Valid: true}}, 0)
+	step(opening(3), PhaseSign, opening(3))
+	step(opening(3), PhaseArgue, testClock.At(3, 1))
+	step(testClock.At(3, 1), PhaseOver, opening(4))
+
+	if _, err := NewProvider(fx.roster.Providers[1], nil, nil, nil).Step(opening(1), nil, fx.bus); err == nil {
+		t.Fatal("a provider without a clock stepped")
 	}
 }

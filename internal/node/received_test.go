@@ -64,7 +64,7 @@ func flipIn(t *testing.T, frame, mark []byte) []byte {
 func TestFlippedBytesRefusedInFlight(t *testing.T) {
 	a := newAlliance(t, nil)
 	mark := []byte("\x01in-flight") // valid under oracle
-	signed := a.prov.SignBatch([]Submission{{Kind: "x", Payload: mark, Valid: true}}, 1)
+	signed := signBatch(a.prov, []Submission{{Kind: "x", Payload: mark, Valid: true}}, 1)
 
 	frame := flipIn(t, tx.EncodeListBytes(signed), mark)
 	sink := &countingSender{}
@@ -89,7 +89,7 @@ func TestFlippedBytesRefusedInFlight(t *testing.T) {
 
 	// The round's block carries the transaction; two governors get a
 	// copy changed in flight, one in a record, one in the block tag.
-	a.check(a.prov.Broadcast(signed, a.bus))
+	a.check(a.prov.broadcast(signed, a.bus))
 	_, err = a.coll.Step(testClock.At(1, DeadlineUpload), a.collEp.Receive(), a.bus)
 	a.check(err)
 	a.open()

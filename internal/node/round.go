@@ -14,14 +14,16 @@ import (
 	"repchain/internal/network"
 )
 
-// A governor's and a collector's round (§3.1) are each one transition,
-// Step: a driver hands the node the messages it drained, the time and a
-// Sender, and Step runs every step whose inputs are in or whose deadline
-// has passed. For a governor, in the paper's order: open the round,
-// screen, broadcast VRF tickets, elect, propose when leading, adopt the
-// block, run the stake transform (stake.go), checkpoint on the snapshot
-// cadence. A collector (collector.go) files provider frames and uploads
-// them at its deadline. Step does no network I/O, reads no clock and
+// Each role's round (§3.1) is one transition, Step: a driver hands the
+// node the messages it drained, the time and a Sender, and Step runs
+// every step whose inputs are in or whose deadline has passed. For a
+// governor, in the paper's order: open the round, screen, broadcast VRF
+// tickets, elect, propose when leading, adopt the block, run the stake
+// transform (stake.go), checkpoint on the snapshot cadence. A provider
+// (provider.go) signs and broadcasts what was queued for it at the
+// round's opening, then takes the block and argues; a collector
+// (collector.go) files provider frames and uploads them at its
+// deadline. Step does no network I/O, reads no clock and
 // starts no goroutine. core.Engine steps an alliance in lock-step, each
 // deadline right after the bus tick that brings its inputs;
 // transport.RunNode steps one node whenever a frame arrives or its next
@@ -39,11 +41,11 @@ import (
 //	t0 + 1.00·R    deadline: the round ends; a governor gives up on a
 //	               missing block and stops the stake transform
 //
-// Only the first mark paces a driver, the providers'; the nodes keep the
-// rest. The collectors' deadline is their upload cutoff; a governor's
-// only bounds the wait for an input that is late or lost. The gap before
-// each exceeds the network's delivery bound Δ provided R is chosen
-// accordingly. A round spans (start, end]; the
+// The nodes keep every mark; no driver paces one. A provider opens its
+// round at the first mark; the collectors' deadline is their upload
+// cutoff; a governor's only bounds the wait for an input that is late
+// or lost. The gap before each exceeds the network's delivery bound Δ
+// provided R is chosen accordingly. A round spans (start, end]; the
 // first Step after its end finishes it — one short of its commit phase
 // is abandoned — and opens the clock's round.
 
@@ -78,20 +80,23 @@ func (c Clock) index(now time.Time) uint64 {
 }
 
 // Phase is where a node stands in its round: over (a new node's phase;
-// also after a failed election, or a collector's upload), a collector
-// filing frames for its upload, a governor awaiting the uploads,
-// awaiting the tickets, leading with its block to propose, awaiting the
-// block while the stake transform runs.
+// also after a failed election, a collector's upload, or a provider's
+// block), a provider with its batch to sign, a collector filing frames
+// for its upload, a governor awaiting the uploads, awaiting the tickets,
+// leading with its block to propose, awaiting the block while the stake
+// transform runs, a provider awaiting the block to argue over.
 type Phase uint8
 
 // The phases, in order.
 const (
 	PhaseOver Phase = iota
+	PhaseSign
 	PhaseUpload
 	PhaseScreen
 	PhaseElect
 	PhasePack
 	PhaseCommit
+	PhaseArgue
 )
 
 // KindDown is a failure detector's verdict, handed to the governor (Step
@@ -100,8 +105,8 @@ const (
 // The next election runs with those at stake 0.
 const KindDown = "detector.down"
 
-// Progress is where a Step left the node. A collector reports only
-// Round, Phase and WakeAt.
+// Progress is where a Step left the node. A provider or a collector
+// reports only Round, Phase and WakeAt.
 type Progress struct {
 	Round     uint64
 	Phase     Phase
@@ -113,8 +118,8 @@ type Progress struct {
 	WakeAt time.Time
 }
 
-// Stepper is a node that sequences its own round: a Collector or a
-// Governor.
+// Stepper is a node that sequences its own round: a Provider, a
+// Collector or a Governor.
 type Stepper interface {
 	Step(now time.Time, msgs []network.Message, out Sender) (Progress, error)
 }
@@ -122,14 +127,16 @@ type Stepper interface {
 // StageTimer turns one node's Steps into round.stage_seconds samples
 // under either driver: a Step that moves the node to another stage ends
 // the sample of the stage it left, the time its Steps took there. The
-// stages: a collector's upload; a governor's screen, elect, pack, commit
-// (with the first stake step), stake, and checkpoint (the round's end).
+// stages: a provider's sign and argue (its block intake); a collector's
+// upload; a governor's screen, elect, pack, commit (with the first stake
+// step), stake, and checkpoint (the round's end).
 type StageTimer struct {
 	Stages *metrics.HistogramVec
 	busy   time.Duration
 }
 
-var stageLabels = [...]string{PhaseUpload: "upload", PhaseScreen: "screen", PhaseElect: "elect", PhasePack: "pack", PhaseCommit: "commit"}
+var stageLabels = [...]string{PhaseSign: "sign", PhaseUpload: "upload", PhaseScreen: "screen", PhaseElect: "elect",
+	PhasePack: "pack", PhaseCommit: "commit", PhaseArgue: "argue"}
 
 // stage labels the work a Step from p does; "" for none.
 func (p Progress) stage() string {

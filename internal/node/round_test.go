@@ -44,6 +44,7 @@ type alliance struct {
 	down     []bool
 	provider identity.Member
 	prov     *Provider
+	provEp   *network.Endpoint
 	coll     *Collector
 	collEp   *network.Endpoint
 }
@@ -61,9 +62,9 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 	a.check(err)
 	a.provider = roster.Providers[0]
 	a.ids = identity.IDs(roster.Governors)
-	pep, err := a.bus.Register(a.provider.ID)
+	a.provEp, err = a.bus.Register(a.provider.ID)
 	a.check(err)
-	a.prov = NewProvider(a.provider, pep, identity.IDs(roster.Collectors), a.ids)
+	a.prov = NewProvider(a.provider, &testClock, identity.IDs(roster.Collectors), a.ids)
 	a.collEp, err = a.bus.Register(roster.Collectors[0].ID)
 	a.check(err)
 	a.coll = NewCollector(roster.Collectors[0], testClock, roster, oracle, nil, 100)
@@ -210,26 +211,43 @@ func (a *alliance) ignored(reason string) int64 {
 	return a.reg.CounterVec("node.blocks_ignored_total", "reason").With(reason).Value()
 }
 
-// broadcast has the provider sign n transactions for round, every
-// other one valid, and broadcast them in frames frames.
-func (a *alliance) broadcast(round uint64, n, frames int) {
+// roundItems are n transactions for round, every other one valid.
+func roundItems(round uint64, n int) []Submission {
+	out := make([]Submission, n)
+	for k := range out {
+		out[k] = Submission{Kind: "x", Payload: []byte{byte(1 - k%2), byte(k), byte(round)}, Valid: k%2 == 0}
+	}
+	return out
+}
+
+// broadcast has the provider sign n transactions for round and
+// broadcast them as one frame, outside its Step: as often as a test
+// likes within a round.
+func (a *alliance) broadcast(round uint64, n int) {
 	a.t.Helper()
-	for f := 0; f < frames; f++ {
-		items := make([]Submission, n/frames)
-		for i := range items {
-			k := f*len(items) + i
-			items[i] = Submission{Kind: "x", Payload: []byte{byte(1 - k%2), byte(k), byte(round)}, Valid: k%2 == 0}
+	a.check(a.prov.broadcast(signBatch(a.prov, roundItems(round, n), int64(round)), a.bus))
+}
+
+// sign queues n transactions for round and steps the provider at the
+// round's opening, 0⁺, until it has signed and broadcast them.
+func (a *alliance) sign(round uint64, n int) {
+	a.t.Helper()
+	queue(a.prov, roundItems(round, n), int64(round))
+	for _, want := range []Phase{PhaseSign, PhaseArgue} {
+		p, err := a.prov.Step(testClock.At(round, 0).Add(time.Nanosecond), a.provEp.Receive(), a.bus)
+		a.check(err)
+		if p.Round != round || p.Phase != want {
+			a.t.Fatalf("provider in round %d phase %d at round %d's opening, want phase %d", p.Round, p.Phase, round, want)
 		}
-		a.check(a.prov.Broadcast(a.prov.SignBatch(items, int64(round)), a.bus))
 	}
 }
 
-// submit broadcasts n transactions in frames frames and steps the
+// submit has the provider sign n transactions for round and steps the
 // collector at round's upload deadline: the round's traffic up to the
 // governors.
-func (a *alliance) submit(round uint64, n, frames int) {
+func (a *alliance) submit(round uint64, n int) {
 	a.t.Helper()
-	a.broadcast(round, n, frames)
+	a.sign(round, n)
 	p, err := a.coll.Step(testClock.At(round, DeadlineUpload), a.collEp.Receive(), a.bus)
 	a.check(err)
 	if p.Round != round || p.Phase != PhaseOver {
@@ -237,26 +255,37 @@ func (a *alliance) submit(round uint64, n, frames int) {
 	}
 }
 
-// argue has the provider observe the blocks that reached it and argue.
-func (a *alliance) argue() int {
+// argue steps the provider at now with the block frames that reached
+// it, all in one Step or, with each set, one per Step; it returns the
+// argues they drew.
+func (a *alliance) argue(now time.Time, each bool) int {
 	a.t.Helper()
-	_, n, err := a.prov.Ingest(a.prov.Endpoint().Receive(), a.bus)
-	a.check(err)
-	return n
+	before, msgs := a.prov.Argues(), a.provEp.Receive()
+	for len(msgs) > 0 {
+		n := len(msgs)
+		if each {
+			n = 1
+		}
+		_, err := a.prov.Step(now, msgs[:n], a.bus)
+		a.check(err)
+		msgs = msgs[n:]
+	}
+	return a.prov.Argues() - before
 }
 
 // TestRoundScheduleParity: the two drivers' schedules commit the same
 // chain. One alliance is stepped in lock-step at each deadline, the
 // engine's schedule; the other gets every message in a Step of its own
 // with the time before every deadline, the TCP schedule, so each step
-// runs the moment its inputs are in and only the collector's upload and
-// a round's end wait for the clock. Over 12 rounds with a misreporting
-// collector, argues and a stake transfer, both end with the same
-// blocks, reputation tables and stakes on every governor.
+// runs the moment its inputs are in and only the provider's signing, the
+// collector's upload and a round's end wait for the clock. Over 12
+// rounds with a misreporting collector, argues and a stake transfer,
+// both draw the same argues and end with the same blocks, reputation
+// tables and stakes on every governor.
 func TestRoundScheduleParity(t *testing.T) {
-	const rounds, perRound, frames = 12, 8, 2
+	const rounds, perRound = 12, 8
 	lockStep, workBound := newAlliance(t, nil), newAlliance(t, nil)
-	argues := 0
+	argues, workArgues := 0, 0
 	for _, a := range []*alliance{lockStep, workBound} {
 		a.coll.behavior = ProbBehavior{Misreport: 0.5}
 	}
@@ -268,17 +297,17 @@ func TestRoundScheduleParity(t *testing.T) {
 		}
 
 		a := lockStep
-		a.submit(a.round+1, perRound, frames)
+		a.submit(a.round+1, perRound)
 		a.open()
 		a.propose(a.elect(0, 1, 2))
-		argues += a.argue()
+		argues += a.argue(a.at(DeadlineElect), false)
 		a.stake()
 		a.end()
 
 		a = workBound
 		a.round++
-		a.broadcast(a.round, perRound, frames)
-		// The collector files one frame per Step before its deadline and
+		a.sign(a.round, perRound)
+		// The collector files the frame in a Step before its deadline and
 		// uploads at the Step its WakeAt asks for.
 		var p Progress
 		for _, m := range a.collEp.Receive() {
@@ -297,7 +326,7 @@ func TestRoundScheduleParity(t *testing.T) {
 		due := make([]bool, len(a.govs))
 		for stepped := true; stepped; {
 			stepped = false
-			a.argue()
+			workArgues += a.argue(now, true)
 			for j, g := range a.govs {
 				queues[j] = append(queues[j], a.inboxes[j].Receive()...)
 				var msgs []network.Message
@@ -319,6 +348,9 @@ func TestRoundScheduleParity(t *testing.T) {
 
 	if argues == 0 || lockStep.govs[0].StakeBlock() == nil {
 		t.Fatalf("%d argues, stake block %v: the schedules were not put to the test", argues, lockStep.govs[0].StakeBlock())
+	}
+	if workArgues != argues {
+		t.Fatalf("the work-bound schedule drew %d argues, the lock-step one %d", workArgues, argues)
 	}
 	for j := range lockStep.govs {
 		want, got := lockStep.govs[j], workBound.govs[j]
@@ -352,10 +384,10 @@ func TestCollectorLateFrame(t *testing.T) {
 		}
 		return p
 	}
-	a.broadcast(1, 2, 1)
+	a.broadcast(1, 2)
 	onTime := step(testClock.At(1, 0.1), PhaseUpload)
 	step(onTime.WakeAt, PhaseOver)
-	a.broadcast(1, 4, 1) // lands after round 1's upload
+	a.broadcast(1, 4) // lands after round 1's upload
 	late := step(testClock.At(1, 0.5), PhaseOver)
 	if !late.WakeAt.Equal(testClock.At(2, DeadlineUpload)) {
 		t.Fatalf("collector wakes at %v after a late frame, want round 2's upload deadline", late.WakeAt)

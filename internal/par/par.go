@@ -26,14 +26,16 @@ func Procs(n, floor int) int {
 }
 
 // RunIndexed executes fn(0..n-1) across at most `workers` goroutines,
-// the caller among them: a call never waits on a helper being
-// scheduled, and with workers ≤ 1 (or n == 1) it is the plain
-// sequential loop on the calling goroutine.
+// the caller among them: the caller waits only for indices a helper is
+// running, never on a helper being scheduled — a helper that starts
+// after the caller claimed the last index finds none and exits on its
+// own. With workers ≤ 1 (or n == 1) it is the plain sequential loop on
+// the calling goroutine.
 //
 // Error semantics are deterministic under any schedule: the returned
 // error is the one produced by the lowest failing index, and once any
-// fn fails no new index is claimed (mirroring the sequential early
-// exit as closely as a parallel schedule can).
+// fn fails no new index runs — the rest are retired unrun (mirroring
+// the sequential early exit as closely as a parallel schedule can).
 func RunIndexed(workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
@@ -49,27 +51,23 @@ func RunIndexed(workers, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
+	var done sync.WaitGroup // one count per index
+	done.Add(n)
 	work := func() {
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			if !failed.Load() {
+				if errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+				}
 			}
-			if errs[i] = fn(i); errs[i] != nil {
-				failed.Store(true)
-			}
+			done.Done()
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+		go work()
 	}
 	work()
-	wg.Wait()
+	done.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

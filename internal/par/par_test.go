@@ -101,3 +101,20 @@ func TestRunIndexedCallerWorks(t *testing.T) {
 		t.Fatalf("Procs below the floor = %d, want 1", got)
 	}
 }
+
+// TestRunIndexedLeavesIdleHelpers: the caller waits for the indices,
+// not for its helpers. On one P, with fn never yielding, the caller
+// runs every index itself and returns while the helpers it started are
+// still queued — each exits on its own once scheduled, finding no index.
+func TestRunIndexedLeavesIdleHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ran atomic.Int64
+	before := runtime.NumGoroutine()
+	if err := RunIndexed(4, 3, func(int) error { ran.Add(1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// Three indices cap the workers at three: the caller and two helpers.
+	if queued := runtime.NumGoroutine() - before; queued != 2 || ran.Load() != 3 {
+		t.Fatalf("RunIndexed returned with %d helpers still queued and %d indices run, want 2 and 3", queued, ran.Load())
+	}
+}

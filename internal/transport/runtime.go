@@ -16,8 +16,8 @@ import (
 )
 
 // Clock fixes the shared round schedule (node.Clock, whose doc has it):
-// providers broadcast at a round's start; collectors and governors keep
-// their own deadlines on it.
+// every node keeps its own deadlines on it, a provider's being its
+// round's start.
 type Clock node.Clock
 
 func (c Clock) at(round uint64, frac float64) time.Time { return node.Clock(c).At(round, frac) }
@@ -204,48 +204,40 @@ func runProvider(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	for _, c := range roster.Topology.CollectorsOf(me.Index) {
 		linked = append(linked, roster.Collectors[c].ID)
 	}
-	prov := node.NewProvider(me, nil, linked, identity.IDs(roster.Governors))
+	prov := node.NewProvider(me, (*node.Clock)(&cfg.Clock), linked, identity.IDs(roster.Governors))
 	prov.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
 	prov.SetMetrics(ep.Metrics())
 	rng := rand.New(rand.NewSource(node.Seed(cfg.Seed, me)))
 
+	// The demo generator stages each round's transactions, timestamped
+	// with the round's start, once the round before has signed its own:
+	// the Step that opens the round signs them.
 	report := Report{Role: "provider"}
-	sender := frameSender{ep: ep, failures: &report.SendFailures}
-	for round := uint64(1); round <= uint64(cfg.Rounds); round++ {
-		prov.SetRound(round)
-		<-time.After(time.Until(cfg.Clock.at(round, 0)))
+	var staged uint64 // rounds staged so far
+	err = stepLoop(cfg, ep, prov, 0, &report, func(p node.Progress) {
+		if p.Phase == node.PhaseSign || staged > p.Round || staged == uint64(cfg.Rounds) {
+			return
+		}
+		staged++
 		items := make([]node.Submission, cfg.TxPerRound)
 		for i := range items {
 			valid := rng.Float64() < cfg.ValidFrac
-			payload := []byte{0, byte(i), byte(round)}
+			payload := []byte{0, byte(i), byte(staged)}
 			if valid {
 				payload[0] = 1
 			}
 			items[i] = node.Submission{Kind: "tcp/demo", Payload: payload, Valid: valid}
 		}
-		//repchain:dettaint-ok the submission timestamp is client input the provider signs into its own transactions; replicas treat it as opaque payload, not replica-derived state
-		signed := prov.SignBatch(items, time.Now().UnixNano())
-		if err := prov.Broadcast(signed, sender); err != nil {
-			return report, err
+		txs, ids := prov.Stage(items, cfg.Clock.at(staged, 0).UnixNano())
+		for i := range txs {
+			prov.Queue(txs[i], ids[i])
 		}
-		report.Submitted += len(signed)
-		// Adopt the round's block and argue: from the broadcast until a
-		// block shows up or the round ends.
-		for end := cfg.Clock.at(round+1, 0); ; waitFrame(ep, end) {
-			blocks, _, err := prov.Ingest(toNetworkMessages(ep.Receive()), sender)
-			if err != nil {
-				return report, err
-			}
-			if blocks > 0 || !time.Now().Before(end) {
-				break
-			}
-		}
-		report.Rounds++
-	}
+		report.Submitted += len(txs)
+	})
 	report.SettledValid = prov.SettledValid()
 	report.PendingValid = prov.PendingValid()
-	return report, nil
+	return report, err
 }
 
 func runCollector(cfg RuntimeConfig, roster *identity.Roster, me identity.Member) (Report, error) {
@@ -260,7 +252,7 @@ func runCollector(cfg RuntimeConfig, roster *identity.Roster, me identity.Member
 	instrumentEndpoint(ep, cfg)
 
 	report := Report{Role: "collector"}
-	err = stepLoop(cfg, ep, coll, 0, &report, func() {})
+	err = stepLoop(cfg, ep, coll, 0, &report, func(node.Progress) {})
 	st := coll.Stats()
 	report.Uploads = st.Uploaded + st.Forged
 	return report, err
@@ -312,7 +304,7 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	// restart together).
 	report := Report{Role: "governor"}
 	heightG := ep.Metrics().Gauge("chain.height")
-	err = stepLoop(cfg, ep, gov, gov.Store().Height(), &report, func() {
+	err = stepLoop(cfg, ep, gov, gov.Store().Height(), &report, func(node.Progress) {
 		cfg.Health.SetHeight(string(cfg.ID), gov.Store().Height())
 		heightG.Set(float64(gov.Store().Height()))
 	})
@@ -322,12 +314,12 @@ func runGovernor(cfg RuntimeConfig, roster *identity.Roster, me identity.Member)
 	return report, err
 }
 
-// stepLoop is the one loop of a node that sequences its own round, a
-// collector or a governor: hand it what arrived and the time, then block
-// until a frame arrives or its next deadline, until it finishes round
-// base+cfg.Rounds; the clock stops at that round's end. Each Step is
-// timed into round.stage_seconds; stepped runs after it.
-func stepLoop(cfg RuntimeConfig, ep *Endpoint, n node.Stepper, base uint64, report *Report, stepped func()) error {
+// stepLoop is the one loop of every node: hand it what arrived and the
+// time, then block until a frame arrives or its next deadline, until it
+// finishes round base+cfg.Rounds; the clock stops at that round's end.
+// Each Step is timed into round.stage_seconds; stepped runs after it,
+// with where it left the node.
+func stepLoop(cfg RuntimeConfig, ep *Endpoint, n node.Stepper, base uint64, report *Report, stepped func(node.Progress)) error {
 	last, stop := base+uint64(cfg.Rounds), cfg.Clock.at(uint64(cfg.Rounds)+1, 0)
 	sender := frameSender{ep: ep, failures: &report.SendFailures}
 	timer := node.StageTimer{Stages: ep.Metrics().HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")}
@@ -342,7 +334,7 @@ func stepLoop(cfg RuntimeConfig, ep *Endpoint, n node.Stepper, base uint64, repo
 		if p, err = timer.Step(p, func() (node.Progress, error) { return n.Step(now, toNetworkMessages(ep.Receive()), sender) }); err != nil {
 			return err
 		}
-		stepped()
+		stepped(p)
 		if p.WakeAt.After(time.Now()) {
 			waitFrame(ep, p.WakeAt)
 		}

@@ -414,7 +414,8 @@ func startNodes(t *testing.T, base RuntimeConfig, skip identity.NodeID) (wait fu
 
 // TestRuntimeFullAlliance runs a whole alliance over loopback TCP and
 // checks every governor reaches the same height with the providers'
-// valid transactions settled.
+// valid transactions settled, and that each provider timed its signing
+// and its block intake once a round.
 func TestRuntimeFullAlliance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock run")
@@ -441,14 +442,19 @@ func TestRuntimeFullAlliance(t *testing.T) {
 		reports = make(map[string]Report)
 		failed  error
 	)
-	collectorRegs := make(map[string]*metrics.Registry)
+	collectorRegs, providerRegs := make(map[string]*metrics.Registry), make(map[string]*metrics.Registry)
 	for _, spec := range d.Nodes {
 		cfg := base
 		cfg.ID = identity.NodeID(spec.ID)
-		if spec.Role == "collector" {
-			// A registry of its own, so the collector's frames can be counted.
+		// A registry of its own, so a collector's frames and a provider's
+		// stages can be counted.
+		switch spec.Role {
+		case "collector":
 			cfg.Metrics = metrics.NewRegistry()
 			collectorRegs[spec.ID] = cfg.Metrics
+		case "provider":
+			cfg.Metrics = metrics.NewRegistry()
+			providerRegs[spec.ID] = cfg.Metrics
 		}
 		wg.Add(1)
 		go func(id string, cfg RuntimeConfig) {
@@ -497,6 +503,14 @@ func TestRuntimeFullAlliance(t *testing.T) {
 	for _, id := range []string{"governor/0", "governor/1"} {
 		if got := reports[id].Stats.ReportsReceived; got != uploads {
 			t.Errorf("%s received %d reports, want the %d labels uploaded", id, got, uploads)
+		}
+	}
+	for id, reg := range providerRegs {
+		stages := reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")
+		for _, stage := range []string{"sign", "argue"} {
+			if got := stages.With(stage).Count(); got != rounds {
+				t.Errorf("%s: %d round.stage_seconds{stage=%q} samples, want one a round (%d)", id, got, stage, rounds)
+			}
 		}
 	}
 }

@@ -98,7 +98,7 @@ func TestProviderBatchTamper(t *testing.T) {
 	}
 }
 
-// TestBatchSignedOnce: every envelope of a SignBatch call shares one
+// TestBatchSignedOnce: every envelope of one signed batch shares one
 // batch whose leaves are the IDs in order, and a list of them encodes
 // that batch once.
 func TestBatchSignedOnce(t *testing.T) {
