@@ -212,6 +212,7 @@ func (p *Provider) Step(now time.Time, msgs []network.Message, out Sender) (Prog
 		}
 	case p.phase == PhaseSign:
 		signed := p.signStaged(p.queued, p.queuedIDs)
+		clear(p.queued) // the envelopes hold copies: keep no payload past its round
 		p.queued, p.queuedIDs, p.phase = p.queued[:0], p.queuedIDs[:0], PhaseArgue
 		if err := p.broadcast(signed, out); err != nil {
 			return Progress{}, err

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -91,8 +92,9 @@ func (s *countingSender) Multicast(identity.NodeID, []identity.NodeID, string, [
 }
 
 // TestProviderStateBounded pins the unbounded-state fix: every
-// submitted transaction — valid, invalid-and-recorded, and argued then
-// vindicated — leaves nothing behind once a block settles it.
+// transaction signed through Queue and Step — valid,
+// invalid-and-recorded, and argued then vindicated — leaves nothing
+// behind once a block settles it, neither pending nor in the queue.
 func TestProviderStateBounded(t *testing.T) {
 	const total, perBlock = 10_000, 500
 	prov := newFixture(t, nil).providers[0]
@@ -114,8 +116,19 @@ func TestProviderStateBounded(t *testing.T) {
 		for i := range items {
 			items[i] = Submission{Kind: "k", Payload: []byte{byte(i % 3), byte(i), byte(i >> 8), byte(done >> 8)}, Valid: i%3 != 0}
 		}
+		txs, ids := prov.Stage(items, int64(done))
+		for i := range txs {
+			prov.Queue(txs[i], ids[i])
+		}
+		opening := testClock.At(uint64(done/perBlock+1), 0).Add(time.Nanosecond)
+		for range 2 { // open the round, then sign
+			if _, err := prov.Step(opening, nil, &countingSender{}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var recs, vindicated []ledger.Record
-		for i, signed := range signBatch(prov, items, int64(done)) {
+		for i, id := range ids {
+			signed := prov.pending[id].signed
 			switch i % 3 {
 			case 0: // invalid by the provider's own account, recorded unchecked
 				recs = append(recs, ledger.Record{Signed: signed, Label: tx.LabelInvalid, Status: tx.StatusInvalid, Unchecked: true})
@@ -131,6 +144,9 @@ func TestProviderStateBounded(t *testing.T) {
 	}
 	if len(prov.pending) != 0 {
 		t.Fatalf("%d pending entries left after every transaction settled", len(prov.pending))
+	}
+	if slices.ContainsFunc(prov.queued[:cap(prov.queued)], func(t tx.Transaction) bool { return t.Payload != nil }) {
+		t.Fatal("the signing queue still holds signed transactions")
 	}
 	if want := total / perBlock * (perBlock / 3); sink.n != want {
 		t.Fatalf("argued %d times, want %d", sink.n, want)

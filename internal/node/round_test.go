@@ -211,28 +211,30 @@ func (a *alliance) ignored(reason string) int64 {
 	return a.reg.CounterVec("node.blocks_ignored_total", "reason").With(reason).Value()
 }
 
-// roundItems are n transactions for round, every other one valid.
-func roundItems(round uint64, n int) []Submission {
+// roundItems are round's transactions from, from+1, …, n of them,
+// every other one valid.
+func roundItems(round uint64, from, n int) []Submission {
 	out := make([]Submission, n)
-	for k := range out {
-		out[k] = Submission{Kind: "x", Payload: []byte{byte(1 - k%2), byte(k), byte(round)}, Valid: k%2 == 0}
+	for i := range out {
+		k := from + i
+		out[i] = Submission{Kind: "x", Payload: []byte{byte(1 - k%2), byte(k), byte(round)}, Valid: k%2 == 0}
 	}
 	return out
 }
 
-// broadcast has the provider sign n transactions for round and
-// broadcast them as one frame, outside its Step: as often as a test
-// likes within a round.
-func (a *alliance) broadcast(round uint64, n int) {
+// broadcast has the provider sign round's transactions from, …,
+// from+n−1 and broadcast them as one frame, outside its Step: as often
+// as a test likes within a round.
+func (a *alliance) broadcast(round uint64, from, n int) {
 	a.t.Helper()
-	a.check(a.prov.broadcast(signBatch(a.prov, roundItems(round, n), int64(round)), a.bus))
+	a.check(a.prov.broadcast(signBatch(a.prov, roundItems(round, from, n), int64(round)), a.bus))
 }
 
 // sign queues n transactions for round and steps the provider at the
 // round's opening, 0⁺, until it has signed and broadcast them.
 func (a *alliance) sign(round uint64, n int) {
 	a.t.Helper()
-	queue(a.prov, roundItems(round, n), int64(round))
+	queue(a.prov, roundItems(round, 0, n), int64(round))
 	for _, want := range []Phase{PhaseSign, PhaseArgue} {
 		p, err := a.prov.Step(testClock.At(round, 0).Add(time.Nanosecond), a.provEp.Receive(), a.bus)
 		a.check(err)
@@ -242,12 +244,21 @@ func (a *alliance) sign(round uint64, n int) {
 	}
 }
 
-// submit has the provider sign n transactions for round and steps the
-// collector at round's upload deadline: the round's traffic up to the
-// governors.
+// send has the provider send n transactions for round in two frames
+// signed apart: the first half signed by its Step at the round's
+// opening, the rest by broadcast right after.
+func (a *alliance) send(round uint64, n int) {
+	a.t.Helper()
+	a.sign(round, n/2)
+	a.broadcast(round, n/2, n-n/2)
+}
+
+// submit has the provider send n transactions for round in two frames
+// and steps the collector at round's upload deadline with both: the
+// round's traffic up to the governors.
 func (a *alliance) submit(round uint64, n int) {
 	a.t.Helper()
-	a.sign(round, n)
+	a.send(round, n)
 	p, err := a.coll.Step(testClock.At(round, DeadlineUpload), a.collEp.Receive(), a.bus)
 	a.check(err)
 	if p.Round != round || p.Phase != PhaseOver {
@@ -278,7 +289,9 @@ func (a *alliance) argue(now time.Time, each bool) int {
 // engine's schedule; the other gets every message in a Step of its own
 // with the time before every deadline, the TCP schedule, so each step
 // runs the moment its inputs are in and only the provider's signing, the
-// collector's upload and a round's end wait for the clock. Over 12
+// collector's upload and a round's end wait for the clock. Each round
+// the provider sends two frames signed apart, which the lock-step
+// collector files in one Step and the work-bound one in two. Over 12
 // rounds with a misreporting collector, argues and a stake transfer,
 // both draw the same argues and end with the same blocks, reputation
 // tables and stakes on every governor.
@@ -306,11 +319,15 @@ func TestRoundScheduleParity(t *testing.T) {
 
 		a = workBound
 		a.round++
-		a.sign(a.round, perRound)
-		// The collector files the frame in a Step before its deadline and
+		a.send(a.round, perRound)
+		// The collector files one frame per Step before its deadline and
 		// uploads at the Step its WakeAt asks for.
 		var p Progress
-		for _, m := range a.collEp.Receive() {
+		frames := a.collEp.Receive()
+		if len(frames) != 2 {
+			t.Fatalf("collector got %d frames in round %d, want the provider's two", len(frames), a.round)
+		}
+		for _, m := range frames {
 			var err error
 			p, err = a.coll.Step(a.at(0.1), []network.Message{m}, a.bus)
 			a.check(err)
@@ -384,10 +401,10 @@ func TestCollectorLateFrame(t *testing.T) {
 		}
 		return p
 	}
-	a.broadcast(1, 2)
+	a.broadcast(1, 0, 2)
 	onTime := step(testClock.At(1, 0.1), PhaseUpload)
 	step(onTime.WakeAt, PhaseOver)
-	a.broadcast(1, 4) // lands after round 1's upload
+	a.broadcast(1, 0, 4) // lands after round 1's upload
 	late := step(testClock.At(1, 0.5), PhaseOver)
 	if !late.WakeAt.Equal(testClock.At(2, DeadlineUpload)) {
 		t.Fatalf("collector wakes at %v after a late frame, want round 2's upload deadline", late.WakeAt)
