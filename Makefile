@@ -3,13 +3,13 @@
 GO ?= go
 BENCHTIME ?= 1s
 
-.PHONY: all ci build test test-short race vet fmt-check lint tools-test vuln bench benchmark-smoke crash-consistency fuzz-smoke soak loc experiments examples demo apidiff clean
+.PHONY: all ci build test test-short race vet fmt-check fma-check lint tools-test vuln bench benchmark-smoke crash-consistency fuzz-smoke soak loc experiments examples demo apidiff clean
 
 all: build vet test race lint
 
 # Mirrors .github/workflows/ci.yml so contributors can reproduce a CI
 # failure locally before pushing.
-ci: build vet fmt-check test race lint tools-test
+ci: build vet fmt-check fma-check test race lint tools-test
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,21 @@ vet:
 # Fails when any file is not gofmt-clean (prints the offenders).
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# Bit-identical reputation on every architecture (DESIGN.md §4f): Go
+# may fuse x*y ± z into one multiply-add, rounded once, on arm64,
+# ppc64le, s390x and riscv64 — never on amd64 — unless the product is
+# an explicit float64(...). This cross-compiles the packages that
+# compute and replicate reputation and the chain for those four and
+# fails on any fused multiply-add in their assembly (a failed build
+# fails too). The compiler replays -S output from its cache.
+FMA_PKGS := ./internal/rwm ./internal/reputation ./internal/node ./internal/consensus ./internal/ledger
+fma-check:
+	@status=0; for arch in arm64 ppc64le s390x riscv64; do \
+		out="$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1)" || { echo "$$out"; exit 1; }; \
+		found="$$(printf '%s\n' "$$out" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]' || true)"; \
+		if [ -n "$$found" ]; then echo "fused multiply-add on $$arch:"; echo "$$found"; status=1; fi; \
+	done; exit $$status
 
 # Determinism-and-concurrency lint gate (DESIGN.md §4e, §4j): the
 # custom go/analysis-style passes in tools/ — lockguard, errwrapcheck,

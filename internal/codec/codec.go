@@ -344,8 +344,10 @@ func (d *Decoder) Float64() (float64, error) {
 	return math.Float64frombits(bits), nil
 }
 
-// Field returns the next length-prefixed field, uncopied: it aliases
-// the input, so a caller that keeps it must copy it.
+// Field returns the next length-prefixed field, uncopied: a view that
+// aliases the input, capped at its own length so that an append to it
+// copies instead of writing over the input. A caller that keeps it past
+// the input's lifetime, or whose input may be overwritten, copies it.
 func (d *Decoder) Field() ([]byte, error) {
 	n, err := d.Uvarint()
 	if err != nil {
@@ -357,8 +359,9 @@ func (d *Decoder) Field() ([]byte, error) {
 	if uint64(d.Remaining()) < n {
 		return nil, ErrTruncated
 	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
+	end := d.off + int(n)
+	b := d.buf[d.off:end:end]
+	d.off = end
 	return b, nil
 }
 

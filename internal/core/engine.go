@@ -427,9 +427,10 @@ func (e *Engine) publishRoundMetrics() {
 	e.reg.Gauge("codec.pool_misses").Set(float64(ps.Misses))
 }
 
-// SubmitTx is SubmitBatch for one transaction.
+// SubmitTx is SubmitBatch for one transaction, returning the staged
+// transaction itself.
 func (e *Engine) SubmitTx(k int, kind string, payload []byte, isValid bool) (tx.Transaction, error) {
-	staged, err := e.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: isValid}})
+	staged, _, err := e.stage(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: isValid}})
 	if len(staged) == 0 {
 		return tx.Transaction{}, err
 	}
@@ -440,21 +441,29 @@ func (e *Engine) SubmitTx(k int, kind string, payload []byte, isValid bool) (tx.
 // ingress mempool; the next round's collecting phase queues them with
 // the provider, which signs and broadcasts them at the round's opening.
 // It admits exactly the prefix the provider's cap has room for and
-// returns it, with an ErrBacklog-wrapping error when that is not the
-// whole batch. The refused suffix is rejected before
+// returns that prefix's transaction IDs, as staging hashed them, with an
+// ErrBacklog-wrapping error when that is not the whole batch. The
+// refused suffix is rejected before
 // anything is staged, so a backpressured caller can simply run a round
 // and resubmit it — no seq is consumed and nothing is recorded for it.
 // ctx is checked once, before staging: a cancelled batch admits
 // nothing.
-func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission) ([]tx.Transaction, error) {
+func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission) ([]crypto.Hash, error) {
+	_, ids, err := e.stage(ctx, k, items)
+	return ids, err
+}
+
+// stage is SubmitBatch, returning the admitted transactions with their
+// IDs.
+func (e *Engine) stage(ctx context.Context, k int, items []node.Submission) ([]tx.Transaction, []crypto.Hash, error) {
 	if e.closed {
-		return nil, fmt.Errorf("submit: %w", ErrClosed)
+		return nil, nil, fmt.Errorf("submit: %w", ErrClosed)
 	}
 	if k < 0 || k >= len(e.providers) {
-		return nil, fmt.Errorf("provider %d of %d: %w", k, len(e.providers), ErrUnknownProvider)
+		return nil, nil, fmt.Errorf("provider %d of %d: %w", k, len(e.providers), ErrUnknownProvider)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var backlog error
 	if room := e.ingress.Room(k); room < len(items) {
@@ -464,11 +473,11 @@ func (e *Engine) SubmitBatch(ctx context.Context, k int, items []node.Submission
 	txs, ids := e.providers[k].Stage(items, int64(e.bus.Now()))
 	for i := range txs {
 		if _, err := e.ingress.Add(k, ingressTx{provider: k, tx: txs[i], id: ids[i]}); err != nil {
-			return nil, err // unreachable within Room; defensive
+			return nil, nil, err // unreachable within Room; defensive
 		}
 	}
 	e.mpAdmitted.Add(int64(len(txs)))
-	return txs, backlog
+	return txs, ids, backlog
 }
 
 // MempoolDepth reports how many staged submissions await the next

@@ -151,7 +151,7 @@ func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got[i].ID() != want.ID() || got[i].Seq != want.Seq {
+				if got[i] != want.ID() { // the ID covers the sequence number
 					t.Fatalf("round %d provider %d item %d differs from SubmitTx", r, k, i)
 				}
 			}
@@ -199,12 +199,12 @@ func TestSubmitBatchAdmitsPrefix(t *testing.T) {
 		t.Fatal("cancelled batch left state behind")
 	}
 
-	got, err := e.SubmitBatch(context.Background(), 0, items)
-	if !errors.Is(err, ErrBacklog) || len(got) != 5 {
+	got, ids, err := e.stage(context.Background(), 0, items)
+	if !errors.Is(err, ErrBacklog) || len(got) != 5 || len(ids) != 5 {
 		t.Fatalf("SubmitBatch admitted %d, err %v; want the 5-tx prefix and ErrBacklog", len(got), err)
 	}
 	for i, s := range got {
-		if s.Seq != uint64(i+1) || !bytes.Equal(s.Payload, items[i].Payload) {
+		if s.Seq != uint64(i+1) || !bytes.Equal(s.Payload, items[i].Payload) || ids[i] != s.ID() {
 			t.Fatalf("admitted item %d has seq %d", i, s.Seq)
 		}
 	}
@@ -218,7 +218,7 @@ func TestSubmitBatchAdmitsPrefix(t *testing.T) {
 	if _, err := e.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	rest, err := e.SubmitBatch(context.Background(), 0, items[5:10])
+	rest, _, err := e.stage(context.Background(), 0, items[5:10])
 	if err != nil || len(rest) != 5 || rest[0].Seq != 6 {
 		t.Fatalf("resumed batch: %d admitted, first seq %d, err %v; want 5 from seq 6", len(rest), rest[0].Seq, err)
 	}

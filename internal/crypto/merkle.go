@@ -1,5 +1,7 @@
 package crypto
 
+import "math/bits"
+
 // Merkle tree over transaction lists. The paper's block carries
 // h = H(B_prev) for chain integrity; we additionally commit to the
 // transaction list with a Merkle root (documented extension, DESIGN.md
@@ -57,79 +59,70 @@ func MerkleRoot(leaves [][]byte) Hash {
 	return level[0]
 }
 
+// MerkleRootHashes is MerkleRoot over the hashes' bytes as leaves,
+// computed without allocating: a provider batch's signed root over its
+// transaction IDs is checked per batch per upload.
+func MerkleRootHashes(leaves []Hash) Hash {
+	var b MerkleBuilder
+	for i := range leaves {
+		b.push(merkleLeaf(leaves[i][:]))
+	}
+	return b.Root()
+}
+
 // MerkleBuilder computes the same commitment as MerkleRoot but
 // incrementally: leaves are appended one at a time while a block is
 // being packed, and the root is available in O(log n) once packing
 // finishes, instead of re-hashing every leaf at commit.
 //
-// The builder stores one slice of completed nodes per level. Appending
-// a leaf hashes it onto level 0; whenever a level's length becomes
-// even, the new pair is combined and pushed to the level above, so at
-// every moment level k holds the roots of the completed 2^k-leaf
-// subtrees in order. Root folds the at-most-one dangling node per level
-// with the odd-duplication rule, which reproduces MerkleRoot exactly
-// (equivalence sketch in DESIGN.md §4f, exhaustive test in
+// After n leaves, level k of the tree holds ⌊n/2^k⌋ completed 2^k-leaf
+// subtrees, of which only the last can still lack its right sibling —
+// exactly when that count is odd, that is when bit k of n is set. So
+// the builder keeps one pending root per level: appending a leaf
+// carries it up through the set low bits of n, pairing it with each
+// pending root, as a binary counter carries. Root folds the pending
+// roots with the odd-duplication rule, which reproduces MerkleRoot
+// exactly (equivalence sketch in DESIGN.md §4f, exhaustive test in
 // merkle_builder_test.go).
 //
-// After a Reset the builder reuses its level and scratch storage, so
-// steady-state Add performs no heap allocation. A builder is not safe
-// for concurrent use.
+// A builder needs no heap beyond its leaf-tagging scratch, so
+// steady-state Add performs no allocation; the zero value is an empty
+// builder. A builder is not safe for concurrent use.
 type MerkleBuilder struct {
-	// levels[k] holds the completed 2^k-subtree roots, in leaf order.
-	levels [][]Hash
+	// pending[k] is the last completed 2^k-subtree root; it is waiting
+	// for a sibling when bit k of n is set.
+	pending [64]Hash
 	// scratch is the reusable leaf-tagging buffer.
 	scratch []byte
 	// n is the number of leaves added since the last Reset.
-	n int
+	n uint64
 }
 
-// NewMerkleBuilder returns a builder with level-0 capacity preallocated
-// for sizeHint leaves.
-func NewMerkleBuilder(sizeHint int) *MerkleBuilder {
-	b := &MerkleBuilder{scratch: make([]byte, 0, 256)}
-	if sizeHint > 0 {
-		b.levels = append(b.levels, make([]Hash, 0, sizeHint))
-	}
-	return b
-}
+// NewMerkleBuilder returns an empty builder.
+func NewMerkleBuilder() *MerkleBuilder { return &MerkleBuilder{} }
 
-// Reset discards all leaves but keeps the allocated levels and scratch
-// buffer for reuse.
-func (b *MerkleBuilder) Reset() {
-	for i := range b.levels {
-		b.levels[i] = b.levels[i][:0]
-	}
-	b.levels = b.levels[:0]
-	b.n = 0
-}
+// Reset discards all leaves but keeps the scratch buffer for reuse.
+func (b *MerkleBuilder) Reset() { b.n = 0 }
 
 // Len reports the number of leaves added since the last Reset.
-func (b *MerkleBuilder) Len() int { return b.n }
+func (b *MerkleBuilder) Len() int { return int(b.n) }
 
 // Add appends one leaf payload to the tree.
 func (b *MerkleBuilder) Add(leaf []byte) {
 	b.scratch = append(b.scratch[:0], merkleLeafTag)
 	b.scratch = append(b.scratch, leaf...)
-	b.push(0, Sum(b.scratch))
-	b.n++
+	b.push(Sum(b.scratch))
 }
 
-// push appends a completed node to the given level, combining upward
-// whenever the append completes a pair.
-func (b *MerkleBuilder) push(level int, h Hash) {
-	if level == len(b.levels) {
-		if level < cap(b.levels) {
-			// Reactivate a level truncated by Reset, keeping its
-			// allocated node storage.
-			b.levels = b.levels[:level+1]
-		} else {
-			b.levels = append(b.levels, nil)
-		}
+// push appends a leaf hash, combining it upward with every pending root
+// it completes a pair with.
+func (b *MerkleBuilder) push(h Hash) {
+	k := 0
+	for ; b.n>>k&1 == 1; k++ {
+		h = merkleNode(b.pending[k], h)
 	}
-	b.levels[level] = append(b.levels[level], h)
-	if l := b.levels[level]; len(l)%2 == 0 {
-		b.push(level+1, merkleNode(l[len(l)-2], l[len(l)-1]))
-	}
+	b.pending[k] = h
+	b.n++
 }
 
 // Root returns the Merkle root over the leaves added so far, ZeroHash
@@ -140,23 +133,23 @@ func (b *MerkleBuilder) Root() Hash {
 		return ZeroHash
 	}
 	// Fold levels bottom-up. carry is the root of the trailing partial
-	// subtree formed below the current level; a dangling (odd) stored
-	// node absorbs it, and per the odd-duplication rule a dangling node
-	// or carry without a partner pairs with itself.
+	// subtree formed below the current level; a pending root absorbs it,
+	// and per the odd-duplication rule a pending root or carry without a
+	// partner pairs with itself.
+	top := bits.Len64(b.n) - 1
 	var carry Hash
 	have := false
-	for lvl, stored := range b.levels {
-		odd := len(stored)%2 == 1
+	for k := 0; k <= top; k++ {
+		odd := b.n>>k&1 == 1
 		switch {
 		case odd && have:
-			carry = merkleNode(stored[len(stored)-1], carry)
-		case odd && lvl == len(b.levels)-1:
+			carry = merkleNode(b.pending[k], carry)
+		case odd && k == top:
 			// The top level always holds exactly one node; with no
 			// carry pending it is the root itself.
-			return stored[0]
+			return b.pending[k]
 		case odd:
-			last := stored[len(stored)-1]
-			carry = merkleNode(last, last)
+			carry = merkleNode(b.pending[k], b.pending[k])
 			have = true
 		case have:
 			carry = merkleNode(carry, carry)

@@ -8,7 +8,7 @@ import (
 func TestMerkleBuilderMatchesMerkleRoot(t *testing.T) {
 	for n := 0; n <= 65; n++ {
 		leaves := makeLeaves(n)
-		b := NewMerkleBuilder(n)
+		b := NewMerkleBuilder()
 		for _, l := range leaves {
 			b.Add(l)
 		}
@@ -21,9 +21,28 @@ func TestMerkleBuilderMatchesMerkleRoot(t *testing.T) {
 	}
 }
 
+// TestMerkleRootHashes checks the allocation-free root over hash leaves
+// against MerkleRoot over the same bytes, at every size up to 65.
+func TestMerkleRootHashes(t *testing.T) {
+	for n := 0; n <= 65; n++ {
+		hashes := make([]Hash, n)
+		leaves := make([][]byte, n)
+		for i := range hashes {
+			hashes[i] = Sum([]byte(fmt.Sprintf("leaf-%d", i)))
+			leaves[i] = hashes[i][:]
+		}
+		if got, want := MerkleRootHashes(hashes), MerkleRoot(leaves); got != want {
+			t.Fatalf("n=%d: MerkleRootHashes %s, MerkleRoot %s", n, got.Short(), want.Short())
+		}
+		if allocs := testing.AllocsPerRun(10, func() { MerkleRootHashes(hashes) }); allocs != 0 {
+			t.Fatalf("n=%d: MerkleRootHashes allocates %.1f times, want 0", n, allocs)
+		}
+	}
+}
+
 func TestMerkleBuilderRootIsNonDestructive(t *testing.T) {
 	leaves := makeLeaves(13)
-	b := NewMerkleBuilder(0)
+	b := NewMerkleBuilder()
 	for i, l := range leaves {
 		b.Add(l)
 		if got, want := b.Root(), MerkleRoot(leaves[:i+1]); got != want {
@@ -33,7 +52,7 @@ func TestMerkleBuilderRootIsNonDestructive(t *testing.T) {
 }
 
 func TestMerkleBuilderResetReuse(t *testing.T) {
-	b := NewMerkleBuilder(4)
+	b := NewMerkleBuilder()
 	for round := 0; round < 4; round++ {
 		n := 1 + round*7
 		leaves := makeLeaves(n)
@@ -52,7 +71,7 @@ func TestMerkleBuilderResetReuse(t *testing.T) {
 }
 
 func TestMerkleBuilderAddNoAllocsSteadyState(t *testing.T) {
-	b := NewMerkleBuilder(0)
+	b := NewMerkleBuilder()
 	leaf := []byte("steady-state leaf payload, fixed size")
 	// Warm the level and scratch storage well past what the measured
 	// runs will need.
@@ -73,7 +92,7 @@ func TestMerkleBuilderAddNoAllocsSteadyState(t *testing.T) {
 
 func BenchmarkMerkleIncremental(b *testing.B) {
 	leaves := makeLeaves(512)
-	mb := NewMerkleBuilder(512)
+	mb := NewMerkleBuilder()
 	var root Hash
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -49,7 +49,7 @@ func TestMerkleRootContentSensitive(t *testing.T) {
 
 // builderRoot feeds leaves through a fresh MerkleBuilder.
 func builderRoot(leaves [][]byte) Hash {
-	b := NewMerkleBuilder(len(leaves))
+	b := NewMerkleBuilder()
 	for _, l := range leaves {
 		b.Add(l)
 	}

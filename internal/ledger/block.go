@@ -140,7 +140,7 @@ type Block struct {
 // ComputeTxRoot returns the Merkle root over the block's records' leaf
 // encodings (EncodeLeaf).
 func ComputeTxRoot(records []Record) crypto.Hash {
-	mb := crypto.NewMerkleBuilder(len(records))
+	var mb crypto.MerkleBuilder
 	enc := codec.GetEncoder(256)
 	for _, r := range records {
 		enc.Reset()
@@ -304,7 +304,7 @@ func decodeBlock(buf []byte, only identity.NodeID, mb *crypto.MerkleBuilder) (b 
 	if mb != nil {
 		rcv.Hash, rcv.Root = crypto.Sum(d.Since(0)), mb.Root()
 	}
-	if b.Signature, err = d.Bytes(); err != nil {
+	if b.Signature, err = d.Field(); err != nil {
 		return b, rcv, err
 	}
 	if err := d.Expect(); err != nil {

@@ -81,7 +81,7 @@ func FuzzBlockDecode(f *testing.F) {
 		if again := b.EncodeBytes(); !bytes.Equal(again, p) {
 			t.Fatalf("accepted input does not re-encode to itself:\n in %x\nout %x", p, again)
 		}
-		_, rcv, err := ReceiveBlock(p, crypto.NewMerkleBuilder(0))
+		_, rcv, err := ReceiveBlock(p, crypto.NewMerkleBuilder())
 		if err != nil {
 			t.Fatalf("ReceiveBlock refuses what DecodeBlockBytes accepts: %v", err)
 		}

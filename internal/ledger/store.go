@@ -15,17 +15,22 @@ import (
 )
 
 // Store is a chain of blocks with the paper's retrieve(s) primitive.
-// Implementations are safe for concurrent use.
+// Implementations are safe for concurrent use. A store keeps blocks as
+// frames, its own copy of each: nothing it returns aliases bytes a caller
+// handed it (DESIGN.md §4f, "Bytes at rest, views in flight").
 type Store interface {
 	// Append adds b to the chain, enforcing serial ordering and the
 	// previous-hash link.
 	Append(b Block) error
 	// AppendFrame is Append for a caller that holds b's frame
 	// (b.EncodeBytes(): the bytes it received or Block.Seal returned)
-	// and h = b.Hash() taken from it. A durable store writes the frame
-	// as is, and h becomes the new HeadHash, so b is not re-encoded.
+	// and h = b.Hash() taken from it. The store keeps a copy of the frame
+	// as is, and h becomes the new HeadHash, so b is not re-encoded;
+	// neither frame nor b is retained.
 	AppendFrame(b Block, h crypto.Hash, frame []byte) error
-	// Get returns the block with serial number s (retrieve(s)).
+	// Get returns the block with serial number s (retrieve(s)), decoded
+	// from the store's frame: its byte fields are views into that frame,
+	// which a caller must not modify.
 	Get(s uint64) (Block, error)
 	// Head returns the newest block, or ErrNotFound on an empty chain.
 	Head() (Block, error)
@@ -36,10 +41,42 @@ type Store interface {
 	HeadHash() crypto.Hash
 }
 
-// MemoryStore keeps the chain in memory.
+// frameHead is a store's newest block: its frame, the store's own, and
+// the block decoded from it when first asked for, so a head nobody reads
+// is never decoded.
+type frameHead struct {
+	serial uint64
+	frame  []byte
+	once   sync.Once
+	b      Block
+	err    error
+}
+
+// block returns the head block, decoding it on the first call.
+func (h *frameHead) block() (Block, error) {
+	h.once.Do(func() { h.b, h.err = decodeAt(h.frame, h.serial) })
+	return h.b, h.err
+}
+
+// decodeAt decodes frame, which the store filed as block serial.
+func decodeAt(frame []byte, serial uint64) (Block, error) {
+	b, err := DecodeBlockBytes(frame)
+	if err != nil {
+		return Block{}, fmt.Errorf("block %d: %w", serial, err)
+	}
+	if b.Serial != serial {
+		return Block{}, fmt.Errorf("frame filed as block %d holds serial %d: %w", serial, b.Serial, ErrCorruptChain)
+	}
+	return b, nil
+}
+
+// MemoryStore keeps the chain in memory, as the blocks' frames: a frame
+// is smaller than its decoded block and holds no pointers for the
+// garbage collector to trace. Get decodes the frame it serves.
 type MemoryStore struct {
 	mu       sync.RWMutex
-	blocks   []Block     // guarded by mu
+	frames   [][]byte    // guarded by mu; block s's frame at s-1
+	head     *frameHead  // guarded by mu; nil on an empty chain
 	headHash crypto.Hash // guarded by mu; hash of the last block
 }
 
@@ -49,16 +86,22 @@ var _ Store = (*MemoryStore)(nil)
 func NewMemoryStore() *MemoryStore { return &MemoryStore{} }
 
 // Append implements Store.
-func (s *MemoryStore) Append(b Block) error { return s.AppendFrame(b, b.Hash(), nil) }
+func (s *MemoryStore) Append(b Block) error { return s.appendOwned(b, b.Hash(), b.EncodeBytes()) }
 
-// AppendFrame implements Store. The frame is not kept.
-func (s *MemoryStore) AppendFrame(b Block, h crypto.Hash, _ []byte) error {
+// AppendFrame implements Store.
+func (s *MemoryStore) AppendFrame(b Block, h crypto.Hash, frame []byte) error {
+	return s.appendOwned(b, h, bytes.Clone(frame))
+}
+
+// appendOwned is AppendFrame for a frame no one else holds.
+func (s *MemoryStore) appendOwned(b Block, h crypto.Hash, frame []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := checkLink(b, uint64(len(s.blocks)), s.headHash); err != nil {
+	if err := checkLink(b, uint64(len(s.frames)), s.headHash); err != nil {
 		return err
 	}
-	s.blocks = append(s.blocks, b)
+	s.frames = append(s.frames, frame)
+	s.head = &frameHead{serial: b.Serial, frame: frame}
 	s.headHash = h
 	return nil
 }
@@ -67,24 +110,30 @@ func (s *MemoryStore) AppendFrame(b Block, h crypto.Hash, _ []byte) error {
 func (s *MemoryStore) Get(serial uint64) (Block, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return getChecked(s.blocks, serial)
+	if serial == 0 || serial > uint64(len(s.frames)) {
+		return Block{}, fmt.Errorf("serial %d at height %d: %w", serial, len(s.frames), ErrNotFound)
+	}
+	if serial == s.head.serial {
+		return s.head.block()
+	}
+	return decodeAt(s.frames[serial-1], serial)
 }
 
 // Head implements Store.
 func (s *MemoryStore) Head() (Block, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.blocks) == 0 {
+	if s.head == nil {
 		return Block{}, fmt.Errorf("empty chain: %w", ErrNotFound)
 	}
-	return s.blocks[len(s.blocks)-1], nil
+	return s.head.block()
 }
 
 // Height implements Store.
 func (s *MemoryStore) Height() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return uint64(len(s.blocks))
+	return uint64(len(s.frames))
 }
 
 // HeadHash implements Store.
@@ -109,13 +158,6 @@ func checkLink(b Block, height uint64, head crypto.Hash) error {
 			b.Serial, b.PrevHash.Short(), head.Short(), ErrBadPrevHash)
 	}
 	return nil
-}
-
-func getChecked(blocks []Block, serial uint64) (Block, error) {
-	if serial == 0 || serial > uint64(len(blocks)) {
-		return Block{}, fmt.Errorf("serial %d at height %d: %w", serial, len(blocks), ErrNotFound)
-	}
-	return blocks[serial-1], nil
 }
 
 // PrunedStore is implemented by stores that may have discarded a
@@ -228,10 +270,10 @@ type RecoveryInfo struct {
 // (chain-<first>.seg) and atomic state snapshots
 // (snapshot-<height>.snap).
 //
-// FileStore does not keep the chain in memory: it holds the head block
-// plus the per-segment frame offsets its open scan builds, reads every
-// other block from disk on demand, and on open decodes only the log
-// suffix above the latest valid snapshot.
+// FileStore does not keep the chain in memory: it holds the head block's
+// frame plus the per-segment frame offsets its open scan builds, reads
+// every other block from disk on demand, and on open decodes only the
+// log suffix above the latest valid snapshot.
 type FileStore struct {
 	mu   sync.RWMutex
 	dir  string
@@ -243,8 +285,7 @@ type FileStore struct {
 
 	height   uint64      // guarded by mu
 	headHash crypto.Hash // guarded by mu; hash of block height
-	headBlk  Block       // guarded by mu; the block at height
-	headOK   bool        // guarded by mu; headBlk holds a real block
+	head     *frameHead  // guarded by mu; the block at height, nil when pruned or empty
 	pruned   uint64      // guarded by mu; serials ≤ pruned are gone
 
 	snap     Snapshot // guarded by mu; latest durable snapshot
@@ -383,13 +424,16 @@ func (fs *FileStore) load() error {
 	// newest segments (pruning never removes the active one), but if
 	// the whole suffix sat below the horizon it was only indexed, not
 	// decoded.
-	if !fs.headOK && fs.height > fs.pruned {
-		b, err := fs.readBlockAt(fs.height)
+	if fs.head == nil && fs.height > fs.pruned {
+		payload, _, _, err := fs.readFrameAt(fs.height)
+		if err == nil {
+			fs.head = &frameHead{serial: fs.height, frame: payload}
+			_, err = fs.head.block()
+		}
 		if err != nil {
 			return fmt.Errorf("read head block: %w", err)
 		}
-		fs.headBlk, fs.headOK = b, true
-		fs.headHash = b.Hash()
+		fs.headHash = fs.head.b.Hash()
 	}
 	return nil
 }
@@ -451,7 +495,7 @@ func (fs *FileStore) scanSegment(seg *segmentInfo, horizon uint64, lastSeg bool)
 				filepath.Base(seg.path), serial, off, ErrCorruptChain)
 		}
 		if verify {
-			if err := fs.linkBlock(blk); err != nil {
+			if err := fs.linkBlock(blk, payload); err != nil {
 				return fmt.Errorf("segment %s: block %d at offset %d: %w",
 					filepath.Base(seg.path), serial, off, err)
 			}
@@ -519,11 +563,11 @@ func (fs *FileStore) dropTornCreation(path string) bool {
 
 func allZero(b []byte) bool { return len(bytes.TrimLeft(b, "\x00")) == 0 }
 
-// linkBlock verifies a replayed block against the running head state
-// and adopts it as the new head.
+// linkBlock verifies a replayed block, decoded from frame, against the
+// running head state and adopts it as the new head.
 //
 //repchain:lockguard-ok construction-time only: called from scanSegment during load
-func (fs *FileStore) linkBlock(b Block) error {
+func (fs *FileStore) linkBlock(b Block, frame []byte) error {
 	if b.Serial != fs.height+1 {
 		return fmt.Errorf("serial %d at height %d: %w", b.Serial, fs.height, ErrCorruptChain)
 	}
@@ -536,15 +580,20 @@ func (fs *FileStore) linkBlock(b Block) error {
 	}
 	fs.height = b.Serial
 	fs.headHash = b.Hash()
-	fs.headBlk, fs.headOK = b, true
+	fs.head = &frameHead{serial: b.Serial, frame: frame}
 	return nil
 }
 
 // Append implements Store, persisting the block before indexing it.
-func (fs *FileStore) Append(b Block) error { return fs.AppendFrame(b, b.Hash(), b.EncodeBytes()) }
+func (fs *FileStore) Append(b Block) error { return fs.appendOwned(b, b.Hash(), b.EncodeBytes()) }
 
 // AppendFrame implements Store.
 func (fs *FileStore) AppendFrame(b Block, h crypto.Hash, frame []byte) error {
+	return fs.appendOwned(b, h, bytes.Clone(frame))
+}
+
+// appendOwned is AppendFrame for a frame no one else holds.
+func (fs *FileStore) appendOwned(b Block, h crypto.Hash, frame []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 
@@ -570,7 +619,7 @@ func (fs *FileStore) AppendFrame(b Block, h crypto.Hash, frame []byte) error {
 
 	fs.height = b.Serial
 	fs.headHash = h
-	fs.headBlk, fs.headOK = b, true
+	fs.head = &frameHead{serial: b.Serial, frame: frame}
 	return nil
 }
 
@@ -638,7 +687,7 @@ func (fs *FileStore) Get(serial uint64) (Block, error) {
 		return Block{}, fmt.Errorf("serial %d at or below prune horizon %d: %w", serial, fs.pruned, ErrPruned)
 	}
 	if serial == fs.height {
-		return fs.headBlk, nil
+		return fs.head.block()
 	}
 	return fs.readBlockAt(serial)
 }
@@ -652,13 +701,9 @@ func (fs *FileStore) readBlockAt(serial uint64) (Block, error) {
 	if err != nil {
 		return Block{}, err
 	}
-	b, err := DecodeBlockBytes(payload)
+	b, err := decodeAt(payload, serial)
 	if err != nil {
-		return Block{}, fmt.Errorf("segment %s: block %d at offset %d: %w", filepath.Base(seg.path), serial, off, err)
-	}
-	if b.Serial != serial {
-		return Block{}, fmt.Errorf("segment %s: frame at offset %d holds serial %d, want %d: %w",
-			filepath.Base(seg.path), off, b.Serial, serial, ErrCorruptChain)
+		return Block{}, fmt.Errorf("segment %s at offset %d: %w", filepath.Base(seg.path), off, err)
 	}
 	return b, nil
 }
@@ -700,10 +745,10 @@ func (fs *FileStore) Head() (Block, error) {
 	if fs.height == 0 {
 		return Block{}, fmt.Errorf("empty chain: %w", ErrNotFound)
 	}
-	if !fs.headOK {
+	if fs.head == nil {
 		return Block{}, fmt.Errorf("head block %d behind prune horizon: %w", fs.height, ErrPruned)
 	}
-	return fs.headBlk, nil
+	return fs.head.block()
 }
 
 // Height implements Store.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repchain/internal/events"
@@ -301,6 +302,7 @@ func (c *Collector) processBatch(msgs []network.Message, sender Sender) (int, er
 			entries = append(entries, providerEntry{class: ptDecodeFail})
 			continue
 		}
+		entries = slices.Grow(entries, len(list))
 		for k, signed := range list {
 			// verify(p_k, tx): the claimed provider must be the actual
 			// sender and a provider linked with this collector, and the
@@ -326,7 +328,7 @@ func (c *Collector) processBatch(msgs []network.Message, sender Sender) (int, er
 	// and the behaviour RNG is consumed once per verified transaction,
 	// then once for the forgeries, so labels are a function of arrival
 	// order alone.
-	var out []tx.UploadItem
+	out := make([]tx.UploadItem, 0, len(entries))
 	for _, e := range entries {
 		switch e.class {
 		case ptDecodeFail:

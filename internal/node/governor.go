@@ -149,6 +149,8 @@ type groupedTx struct {
 	signed   tx.SignedTx
 	provider int
 	reports  []reputation.Report // one per reporting collector
+	// open is set while the group is pending in groups.
+	open bool
 }
 
 // Governor is a governor g_j: it screens uploaded transactions with
@@ -175,6 +177,11 @@ type Governor struct {
 	// screening order — arrival order — kept in pool.
 	groups map[crypto.Hash]*groupedTx
 	pool   *mempool.Pool[crypto.Hash]
+	// spare holds screened groups, report slices and all, for admitUpload
+	// to reuse; admitted, the groups opened since the round began, which
+	// begin makes copy their payloads if still pending (DESIGN.md §4f).
+	spare, admitted []*groupedTx
+
 	argues []ArgueMsg
 	// uploadRound[c] is the latest round collector c's verified upload
 	// batches were tagged with.
@@ -327,7 +334,7 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		scrChecked:      make([]*metrics.Counter, cfg.Roster.Topology.Collectors()),
 		mpEvicted:       reg.Counter("mempool.evicted_total"),
 		upRejected:      reg.CounterVec("node.uploads_rejected_total", "reason"),
-		merkle:          crypto.NewMerkleBuilder(64),
+		merkle:          crypto.NewMerkleBuilder(),
 		round:           store.Height(),
 		base:            store.Height(),
 		tickets:         make([][]consensus.Ticket, m),
@@ -618,7 +625,10 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, la
 		// evicted to admit the newer arrival.
 		if g.pool.Room(providerIdx) == 0 {
 			if old, ok := g.pool.EvictOldest(providerIdx); ok {
-				delete(g.groups, old)
+				if grp, ok := g.groups[old]; ok {
+					grp.open = false
+					delete(g.groups, old)
+				}
 				g.stats.EvictedTxs++
 				g.mpEvicted.Inc()
 			}
@@ -626,11 +636,7 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, la
 		if _, err := g.pool.Add(providerIdx, id); err != nil {
 			return fmt.Errorf("governor %s mempool: %w", g.cfg.Member.ID, err)
 		}
-		grp = &groupedTx{
-			signed:   labeled.Signed,
-			provider: providerIdx,
-			reports:  make([]reputation.Report, 0, len(g.cfg.Roster.Topology.CollectorsOf(providerIdx))),
-		}
+		grp = g.openGroup(labeled.Signed, providerIdx)
 		g.groups[id] = grp
 	}
 	// At most r reports, one per collector: a scan finds a repeat.
@@ -648,6 +654,35 @@ func (g *Governor) admitUpload(collectorIdx, providerIdx int, id crypto.Hash, la
 	grp.reports = append(grp.reports, reputation.Report{Collector: collectorIdx, Label: labeled.Label})
 	g.stats.ReportsReceived++
 	return nil
+}
+
+// openGroup returns a pending group for s from provider k, reusing a
+// screened one when there is one, so a transaction's group and report
+// slice cost no allocation once the governor has screened a round.
+func (g *Governor) openGroup(s tx.SignedTx, k int) *groupedTx {
+	var grp *groupedTx
+	if n := len(g.spare); n > 0 {
+		grp, g.spare = g.spare[n-1], g.spare[:n-1]
+	} else {
+		grp = &groupedTx{reports: make([]reputation.Report, 0, len(g.cfg.Roster.Topology.CollectorsOf(k)))}
+	}
+	*grp = groupedTx{signed: s, provider: k, reports: grp.reports[:0], open: true}
+	g.admitted = append(g.admitted, grp)
+	return grp
+}
+
+// ownCarried gives every upload still pending as its round ends its own
+// copy of its payload, so that no upload frame outlives its round for
+// the sake of a carried transaction. (A group screened and reopened in
+// one round is listed twice and copies twice.)
+func (g *Governor) ownCarried() {
+	for _, grp := range g.admitted {
+		if grp.open {
+			grp.signed = grp.signed.Own()
+		}
+	}
+	clear(g.admitted)
+	g.admitted = g.admitted[:0]
 }
 
 // processArgues resolves queued argues (Algorithm 2 lines 34–39): the
@@ -677,7 +712,7 @@ func (g *Governor) processArgues() error {
 		if g.cfg.Validator.Validate(a.Signed.Tx) {
 			status = tx.StatusValid
 			g.pendingRecords = append(g.pendingRecords, ledger.Record{
-				Signed: a.Signed,
+				Signed: a.Signed.Own(), // may wait rounds for room in a block
 				Label:  tx.LabelValid,
 				Status: tx.StatusValid,
 			})
@@ -735,12 +770,20 @@ func (g *Governor) screenRound() ([]ledger.Record, error) {
 		uploads = limit - len(records)
 	}
 
-	for _, id := range g.pool.Drain(uploads) {
-		grp, ok := g.groups[id]
+	drained := g.pool.Drain(uploads)
+	records = slices.Grow(records, len(drained))
+	for _, id := range drained {
+		pending, ok := g.groups[id]
 		if !ok {
 			continue
 		}
 		delete(g.groups, id)
+		// Screening works on a copy: the group goes back for reuse now,
+		// emptied so that it pins no upload frame; only admitUpload, after
+		// this loop, reuses it and its report slice.
+		grp := *pending
+		*pending = groupedTx{reports: pending.reports}
+		g.spare = append(g.spare, pending)
 		if silent := len(g.cfg.Roster.Topology.CollectorsOf(grp.provider)) - len(grp.reports); silent > 0 {
 			g.stats.SilentReports += silent
 		}
@@ -799,11 +842,14 @@ func (g *Governor) screenRound() ([]ledger.Record, error) {
 			Status:    tx.StatusInvalid,
 			Unchecked: true,
 		})
+		// The argue window keeps the entry for up to U newer ones: it
+		// copies the payload and the reports rather than pin the upload
+		// frame and share the group's reused report slice.
 		entry := &uncheckedEntry{
 			provider: grp.provider,
 			id:       id,
-			signed:   grp.signed,
-			reports:  grp.reports,
+			signed:   grp.signed.Own(),
+			reports:  slices.Clone(grp.reports),
 		}
 		g.unchecked[grp.provider] = append(g.unchecked[grp.provider], entry)
 		g.uncheckedByID[id] = entry

@@ -249,10 +249,12 @@ func (g *Governor) advance(now time.Time, out Sender) (time.Time, error) {
 	return at(1).Add(time.Nanosecond), nil
 }
 
-// begin opens round `round`: the previous round's ticket batches and
-// stake messages go, batches filed ahead for this one become its own,
-// stashed block frames stay (the previous leader's may be among them).
+// begin opens round `round`: uploads still pending copy their payloads
+// (ownCarried), the previous round's ticket batches and stake messages
+// go, batches filed ahead for this one become its own, stashed block
+// frames stay (the previous leader's may be among them).
 func (g *Governor) begin(round uint64) {
+	g.ownCarried()
 	ahead := round == g.round+1
 	g.round, g.phase, g.stakeDone = round, PhaseScreen, false
 	g.prevLeader, g.leader = g.leader, -1
@@ -275,6 +277,7 @@ func (g *Governor) Purge() {
 }
 
 func (g *Governor) clearRound() {
+	g.records = nil // only a leader packs them, in their round
 	clearTickets(g.tickets, g.filed)
 	g.proposal, g.proposed, g.answered, g.assembled = nil, false, false, false
 	clear(g.endorsements)

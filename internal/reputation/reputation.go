@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repchain/internal/identity"
 	"repchain/internal/metrics"
@@ -130,6 +131,11 @@ type Table struct {
 	misreport []float64
 	forge     []float64
 
+	// positions and outcomes are scratch that validateReports and
+	// RecordRevealed reuse, so screening a transaction allocates nothing.
+	positions []int
+	outcomes  []rwm.Outcome
+
 	m tableMetrics
 }
 
@@ -165,7 +171,7 @@ func (t *Table) SetMetrics(reg *metrics.Registry) {
 		// L_tx ∈ [0, 2] and γ_tx ∈ [β², 1] (rwm.Gamma), so the
 		// buckets cover every value.
 		revealLoss:  reg.Histogram("reputation.reveal_loss", linearBounds(0, 2, 20)),
-		revealGamma: reg.Histogram("reputation.reveal_gamma", linearBounds(t.params.Beta*t.params.Beta, 1, 20)),
+		revealGamma: reg.Histogram("reputation.reveal_gamma", linearBounds(float64(t.params.Beta*t.params.Beta), 1, 20)),
 	}
 }
 
@@ -173,7 +179,7 @@ func (t *Table) SetMetrics(reg *metrics.Registry) {
 func linearBounds(lo, hi float64, n int) []float64 {
 	b := make([]float64, n)
 	for i := range b {
-		b[i] = lo + (hi-lo)*float64(i+1)/float64(n)
+		b[i] = lo + float64((hi-lo)*float64(i+1)/float64(n))
 	}
 	return b
 }
@@ -258,7 +264,8 @@ func (t *Table) Instance(k int) (*rwm.Instance, error) {
 }
 
 // validateReports checks report sanity against the topology and
-// returns the expert positions of the reporters in instance order.
+// returns the expert positions of the reporters in instance order, in
+// the table's scratch: valid until the next call.
 func (t *Table) validateReports(k int, reports []Report) ([]int, error) {
 	if k < 0 || k >= len(t.perProvider) {
 		return nil, fmt.Errorf("provider %d: %w", k, ErrUnknownProvider)
@@ -266,7 +273,7 @@ func (t *Table) validateReports(k int, reports []Report) ([]int, error) {
 	if len(reports) == 0 {
 		return nil, fmt.Errorf("provider %d: %w", k, ErrNoReports)
 	}
-	positions := make([]int, len(reports))
+	positions := t.positions[:0]
 	for i, r := range reports {
 		if !r.Label.Valid() {
 			return nil, fmt.Errorf("report %d label %d: %w", i, r.Label, tx.ErrBadLabel)
@@ -281,8 +288,9 @@ func (t *Table) validateReports(k int, reports []Report) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		positions[i] = pos
+		positions = append(positions, pos)
 	}
+	t.positions = positions
 	return positions, nil
 }
 
@@ -313,9 +321,14 @@ func (t *Table) Screen(rng *rand.Rand, k int, reports []Report) (Decision, error
 		return d, nil
 	}
 	// -1 draw: toss a (1 − f·Pr) coin for checking.
-	d.Check = rng.Float64() < 1-t.params.F*prob
+	d.Check = rng.Float64() < t.params.checkThreshold(prob)
 	return d, nil
 }
+
+// checkThreshold is 1 − f·Pr, the check coin's bar for a -1 draw made
+// with probability prob: the draw is checked when a uniform variate
+// falls below it.
+func (p Params) checkThreshold(prob float64) float64 { return 1 - float64(p.F*prob) }
 
 // CheckProbability returns the exact probability that a transaction
 // from provider k with the given reports is verified:
@@ -338,10 +351,10 @@ func (t *Table) CheckProbability(k int, reports []Report) (float64, error) {
 	var sumSqInvalid float64
 	for i, p := range probs {
 		if reports[i].Label == tx.LabelInvalid {
-			sumSqInvalid += p * p
+			sumSqInvalid += float64(p * p)
 		}
 	}
-	return 1 - t.params.F*sumSqInvalid, nil
+	return 1 - float64(t.params.F*sumSqInvalid), nil
 }
 
 // RecordForgery applies Algorithm 3 case 1: a transaction with an
@@ -401,7 +414,8 @@ func (t *Table) RecordRevealed(k int, reports []Report, status tx.Status) (Revea
 		return RevealResult{}, err
 	}
 	in := t.perProvider[k]
-	outcomes := make([]rwm.Outcome, in.Experts())
+	outcomes := slices.Grow(t.outcomes[:0], in.Experts())[:in.Experts()]
+	t.outcomes = outcomes
 	for i := range outcomes {
 		outcomes[i] = rwm.OutcomeAbsent
 	}
@@ -452,8 +466,8 @@ func (t *Table) LogRevenue(c int) (float64, error) {
 		}
 		logSum += math.Log(t.perProvider[k].Weight(pos))
 	}
-	logSum += t.misreport[c] * math.Log(t.params.Mu)
-	logSum += t.forge[c] * math.Log(t.params.Nu)
+	logSum += float64(t.misreport[c] * math.Log(t.params.Mu))
+	logSum += float64(t.forge[c] * math.Log(t.params.Nu))
 	return logSum, nil
 }
 

@@ -89,6 +89,13 @@ func (o Outcome) String() string {
 	}
 }
 
+// Every product (a halving too, which the compiler turns into one)
+// that feeds a sum in this package and in package reputation is an
+// explicit float64(...): Go then rounds it before the sum, instead of
+// fusing the two into one multiply-add as it may on arm64, ppc64le,
+// s390x and riscv64, so every replica computes bit-identical weights
+// on every architecture (make fma-check).
+
 // Gamma computes γ_t for the given β and expected loss L ∈ [0, 2]:
 //
 //	γ_t = max{ (β−1)/L + (β+1)/2 , (β²+β)/2 }
@@ -96,11 +103,11 @@ func (o Outcome) String() string {
 // When L = 0 no weight is multiplied by γ_t; the floor value is
 // returned for completeness.
 func Gamma(beta, loss float64) float64 {
-	floor := (beta*beta + beta) / 2
+	floor := (float64(beta*beta) + beta) / 2
 	if loss <= 0 {
 		return floor
 	}
-	g := (beta-1)/loss + (beta+1)/2
+	g := (beta-1)/loss + float64((beta+1)/2)
 	if g < floor {
 		return floor
 	}
@@ -115,7 +122,7 @@ func RecommendedBeta(experts int, horizon int) float64 {
 	if experts < 2 || horizon < 1 {
 		return 0.9
 	}
-	b := 1 - 4*math.Sqrt(math.Log2(float64(experts))/float64(horizon))
+	b := 1 - float64(4*math.Sqrt(math.Log2(float64(experts))/float64(horizon)))
 	if b < 0.1 {
 		return 0.1
 	}
@@ -189,15 +196,9 @@ const minWeight = 1e-300
 // participating experts (those that reported the transaction),
 // proportional to weight. The slice is indexed like participants.
 func (in *Instance) Probabilities(participants []int) ([]float64, error) {
-	if len(participants) == 0 {
-		return nil, ErrNoParticipants
-	}
-	var total float64
-	for _, i := range participants {
-		total += in.weights[i]
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("participating weight sum %v: %w", total, ErrNoParticipants)
+	total, err := in.total(participants)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]float64, len(participants))
 	for k, i := range participants {
@@ -206,25 +207,43 @@ func (in *Instance) Probabilities(participants []int) ([]float64, error) {
 	return out, nil
 }
 
+// total returns the participants' weight sum W, the draw's denominator.
+func (in *Instance) total(participants []int) (float64, error) {
+	if len(participants) == 0 {
+		return 0, ErrNoParticipants
+	}
+	var total float64
+	for _, i := range participants {
+		total += in.weights[i]
+	}
+	if total <= 0 {
+		return 0, fmt.Errorf("participating weight sum %v: %w", total, ErrNoParticipants)
+	}
+	return total, nil
+}
+
 // Pick draws one participating expert with probability proportional to
 // weight, returning its expert index and the probability with which it
-// was chosen (the Pr_{j,i,k,tx} of Algorithm 2).
+// was chosen (the Pr_{j,i,k,tx} of Algorithm 2). It computes each
+// probability as Probabilities does, in the same order, without
+// allocating for them.
 func (in *Instance) Pick(rng *rand.Rand, participants []int) (expert int, prob float64, err error) {
-	probs, err := in.Probabilities(participants)
+	total, err := in.total(participants)
 	if err != nil {
 		return 0, 0, err
 	}
 	u := rng.Float64()
 	var acc float64
-	for k, p := range probs {
+	for _, i := range participants {
+		p := in.weights[i] / total
 		acc += p
 		if u < acc {
-			return participants[k], p, nil
+			return i, p, nil
 		}
 	}
 	// Floating-point slack: return the last participant.
-	last := len(participants) - 1
-	return participants[last], probs[last], nil
+	last := participants[len(participants)-1]
+	return last, in.weights[last] / total, nil
 }
 
 // RevealResult reports what one reveal did.

@@ -13,7 +13,6 @@ import (
 	"repchain/internal/identity"
 	"repchain/internal/metrics"
 	"repchain/internal/node"
-	"repchain/internal/tx"
 )
 
 // seedStride separates committee seed spaces. Engines derive per-node
@@ -230,19 +229,29 @@ func (cl *Cluster) Members(i int) []int {
 
 // SubmitTx routes a same-shard submission from global provider k to
 // its home committee, returning that committee's index and the staged
-// transaction: SubmitBatch for one transaction.
-func (cl *Cluster) SubmitTx(k int, kind string, payload []byte, valid bool) (int, tx.Transaction, error) {
-	c, staged, err := cl.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: valid}})
-	if len(staged) == 0 {
-		return c, tx.Transaction{}, err
+// transaction's ID: SubmitBatch for one transaction.
+func (cl *Cluster) SubmitTx(k int, kind string, payload []byte, valid bool) (int, crypto.Hash, error) {
+	c, ids, err := cl.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: valid}})
+	if len(ids) == 0 {
+		return c, crypto.Hash{}, err
 	}
-	return c, staged[0], nil
+	return c, ids[0], nil
+}
+
+// submitOne stages one submission with eng's provider k and returns its
+// ID.
+func submitOne(eng *core.Engine, k int, kind string, payload []byte, valid bool) (crypto.Hash, error) {
+	ids, err := eng.SubmitBatch(context.Background(), k, []node.Submission{{Kind: kind, Payload: payload, Valid: valid}})
+	if len(ids) == 0 {
+		return crypto.Hash{}, err
+	}
+	return ids[0], nil
 }
 
 // SubmitBatch routes a batch of same-shard submissions from global
 // provider k to its home committee, returning that committee's index
-// and the admitted prefix (core.Engine.SubmitBatch).
-func (cl *Cluster) SubmitBatch(ctx context.Context, k int, items []node.Submission) (int, []tx.Transaction, error) {
+// and the admitted prefix's IDs (core.Engine.SubmitBatch).
+func (cl *Cluster) SubmitBatch(ctx context.Context, k int, items []node.Submission) (int, []crypto.Hash, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {

@@ -153,12 +153,12 @@ func runCrossScenario(t *testing.T, seed int64, procs int) ([][]crypto.Hash, map
 			if err != nil {
 				t.Fatal(err)
 			}
-			locks[lock.ID()] = true
+			locks[lock] = true
 			lock, err = cl.SubmitCross(3, 6, "wire", payload(true, byte(r), 2), true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			locks[lock.ID()] = true
+			locks[lock] = true
 		}
 		if _, err := cl.RunRound(); err != nil {
 			t.Fatal(err)
@@ -243,7 +243,7 @@ func TestK4CrossShardCommitsWithoutForks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				locks[lock.ID()] = slot.Committee
+				locks[lock] = slot.Committee
 			}
 		}
 		if _, err := cl.RunRound(); err != nil {

@@ -191,26 +191,26 @@ type pendingReceipt struct {
 // `from` locks it on its home committee for delivery to global
 // provider `to`'s committee. When both live on the same committee the
 // inner transaction is submitted directly — there is nothing to lock.
-// It returns the staged phase-one (or direct) transaction.
-func (cl *Cluster) SubmitCross(from, to int, kind string, payload []byte, valid bool) (tx.Transaction, error) {
+// It returns the staged phase-one (or direct) transaction's ID.
+func (cl *Cluster) SubmitCross(from, to int, kind string, payload []byte, valid bool) (crypto.Hash, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return tx.Transaction{}, core.ErrClosed
+		return crypto.Hash{}, core.ErrClosed
 	}
 	src, err := cl.homeLocked(from)
 	if err != nil {
-		return tx.Transaction{}, err
+		return crypto.Hash{}, err
 	}
 	dst, err := cl.homeLocked(to)
 	if err != nil {
-		return tx.Transaction{}, err
+		return crypto.Hash{}, err
 	}
 	if src.Committee == dst.Committee {
-		return cl.engines[src.Committee].SubmitTx(src.Local, kind, payload, valid)
+		return submitOne(cl.engines[src.Committee], src.Local, kind, payload, valid)
 	}
 	lock := encodeLock(lockEnvelope{DstProvider: to, Kind: kind, Payload: payload})
-	return cl.engines[src.Committee].SubmitTx(src.Local, KindLock, lock, valid)
+	return submitOne(cl.engines[src.Committee], src.Local, KindLock, lock, valid)
 }
 
 // injectReceipts submits every due pending receipt to its destination

@@ -85,10 +85,12 @@ func encodeWire(f Frame) *codec.Encoder {
 
 // decodeFrame decodes the rest of an authenticated body whose sender ID
 // has been read from d. Its caller wants a verdict, so no read stops it.
+// The payload is a view into d's input, not a copy: readLoop reads each
+// frame into a buffer of its own and never reuses it.
 func decodeFrame(d *codec.Decoder, f *Frame) error {
 	var errs [7]error
 	f.Kind, errs[0] = d.String()
-	f.Payload, errs[1] = d.Bytes()
+	f.Payload, errs[1] = d.Field()
 	f.Counter, errs[2] = d.Uint64()
 	if d.Remaining() > 0 {
 		f.Trace = new(TraceCtx)

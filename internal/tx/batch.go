@@ -28,15 +28,7 @@ type Batch struct {
 // EncodeSigning appends the bytes the provider signs: a domain tag,
 // the provider, the leaf count and the Merkle root of the leaves.
 func (b *Batch) EncodeSigning(e *codec.Encoder) {
-	var one [1][]byte // a batch of one needs no heap for its leaf list
-	leaves := one[:]
-	if len(b.Leaves) != 1 {
-		leaves = make([][]byte, len(b.Leaves))
-	}
-	for i := range b.Leaves {
-		leaves[i] = b.Leaves[i][:]
-	}
-	root := crypto.MerkleRoot(leaves)
+	root := crypto.MerkleRootHashes(b.Leaves)
 	e.PutString("repchain/provider-batch/v1")
 	e.PutString(string(b.Provider))
 	e.PutUvarint(uint64(len(b.Leaves)))
@@ -318,7 +310,10 @@ const minRefBytes = 22
 // are hashed from each transaction's bytes as received (DESIGN.md §4f).
 // With only set, the elements of other providers are checked as
 // strictly — rest reads their fields, given a zero SignedTx — but not
-// kept, hashed or copied. The elements of one batch share one *Batch.
+// kept or hashed. The elements of one batch share one *Batch. A kept
+// transaction's payload is a view into d's input, copied by nothing:
+// what keeps an element longer than its input lives copies the payload
+// (DESIGN.md §4f, "Bytes at rest, views in flight").
 // A leaf index is not checked here: CheckLeaf refuses it per element.
 func DecodeList[T any](d *codec.Decoder, minRest int, only identity.NodeID, rest func(s SignedTx, start int) (T, error)) ([]T, []crypto.Hash, error) {
 	nb, err := d.UvarintCount(minBatchBytes)

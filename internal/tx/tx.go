@@ -23,6 +23,7 @@
 package tx
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -149,8 +150,9 @@ const txTag = "repchain/tx/v1"
 
 // decodeTransaction reads one transaction from d. A provider or kind
 // equal to the hint passed for it reuses the hint's string: a list's
-// transactions mostly repeat both. With only set, the kind and payload
-// of a transaction naming another provider are checked but not copied
+// transactions mostly repeat both. The payload is a view into d's input
+// (codec.Decoder.Field), not a copy. With only set, the kind and payload
+// of a transaction naming another provider are checked but not read
 // into t, so nothing is allocated for it.
 func decodeTransaction(d *codec.Decoder, provider identity.NodeID, kind string, only identity.NodeID) (Transaction, error) {
 	var t Transaction
@@ -181,7 +183,7 @@ func decodeTransaction(d *codec.Decoder, provider identity.NodeID, kind string, 
 	if t.Kind, err = d.StringLike(kind); err != nil {
 		return t, err
 	}
-	if t.Payload, err = d.Bytes(); err != nil {
+	if t.Payload, err = d.Field(); err != nil {
 		return t, err
 	}
 	return t, nil
@@ -199,6 +201,14 @@ type SignedTx struct {
 	Batch *Batch
 	// Index is Tx's position among Batch.Leaves.
 	Index int
+}
+
+// Own returns s with a copy of its payload. A decoded payload is a view
+// into the bytes it was decoded from (DecodeList): whatever keeps s
+// longer than those bytes live calls Own first.
+func (s SignedTx) Own() SignedTx {
+	s.Tx.Payload = bytes.Clone(s.Tx.Payload)
+	return s
 }
 
 // Sign produces the provider envelope for t: a batch of one.
@@ -320,7 +330,9 @@ func (lt LabeledTx) ID() crypto.Hash { return lt.Signed.ID() }
 // application-level rule deciding whether a transaction is valid.
 // Collectors call it when labeling; governors call it when screening.
 type Validator interface {
-	// Validate reports whether t is a valid transaction.
+	// Validate reports whether t is a valid transaction. t.Payload is
+	// read-only: it is a view into the frame t arrived in, whose bytes
+	// the collectors and governors of one process share.
 	Validate(t Transaction) bool
 }
 

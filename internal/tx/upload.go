@@ -152,7 +152,7 @@ func DecodeUploadBatchBytes(p []byte) (UploadBatch, Received, error) {
 	}
 	rcv := Received{IDs: ids, Digest: crypto.Sum(d.Since(start))}
 	b := UploadBatch{Collector: identity.NodeID(coll), Round: round, Items: items}
-	if b.Sig, err = d.Bytes(); err != nil {
+	if b.Sig, err = d.Field(); err != nil {
 		return UploadBatch{}, Received{}, fmt.Errorf("upload batch signature: %w", err)
 	}
 	if err := d.Expect(); err != nil {

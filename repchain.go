@@ -73,7 +73,8 @@ var (
 )
 
 // Validator re-exports the validate(tx) contract: applications decide
-// what a valid transaction is.
+// what a valid transaction is. Validate must not modify the payload it
+// is handed: in process, the collectors and governors share its bytes.
 type Validator = tx.Validator
 
 // ValidatorFunc adapts a function to Validator.
