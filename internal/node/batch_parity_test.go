@@ -119,11 +119,11 @@ func TestOneBatchMatchesBatchesOfOne(t *testing.T) {
 // encoding of the block it would propose.
 func screenAndPack(t *testing.T, fx *fixture) []byte {
 	t.Helper()
-	recs, err := fx.governor.screenRound()
+	recs, ids, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := fx.governor.buildBlock(recs)
+	frame, err := fx.governor.buildBlock(recs, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +239,11 @@ func TestLateReportNotRerecorded(t *testing.T) {
 			if _, err := fx.governor.handleBatch([]network.Message{uploadMsg(t, coll, coll.ID, item)}); err != nil {
 				t.Fatal(err)
 			}
-			recs, err := fx.governor.screenRound()
+			recs, ids, err := fx.governor.screenRound()
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame, err := fx.governor.buildBlock(recs)
+			frame, err := fx.governor.buildBlock(recs, ids)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,14 +334,14 @@ func TestBuildBlockIncrementalRootMatchesRecompute(t *testing.T) {
 	for seq := uint64(0); seq < 5; seq++ {
 		fx.runUpload(t, int(seq%2), seq%2 == 0)
 	}
-	recs, err := fx.governor.screenRound()
+	recs, ids, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) == 0 {
 		t.Fatal("no records screened")
 	}
-	frame, err := fx.governor.buildBlock(recs)
+	frame, err := fx.governor.buildBlock(recs, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

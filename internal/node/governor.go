@@ -182,15 +182,17 @@ type Governor struct {
 	// begin makes copy their payloads if still pending (DESIGN.md §4f).
 	spare, admitted []*groupedTx
 
-	argues []ArgueMsg
+	argues []queuedArgue
 	// uploadRound[c] is the latest round collector c's verified upload
 	// batches were tagged with.
 	uploadRound []uint64
 
 	// pendingRecords carries argue re-validations that did not fit the
-	// round's BlockLimit into later rounds. Every governor processes
-	// every argue, so the carry is the same on every governor.
+	// round's BlockLimit into later rounds, pendingIDs their transaction
+	// IDs. Every governor processes every argue, so the carry is the same
+	// on every governor.
 	pendingRecords []ledger.Record
+	pendingIDs     []crypto.Hash
 
 	// unchecked is the per-provider argue window (U) queue.
 	unchecked     map[int][]*uncheckedEntry
@@ -203,6 +205,14 @@ type Governor struct {
 	// processedArgues prevents double-processing one argue delivered
 	// by several providers or rounds.
 	processedArgues map[crypto.Hash]bool
+
+	// Scratch of processArgues and screenRound, reused every round: the
+	// validate(tx) calls their second pass fans out, the drained
+	// transactions between screenRound's passes, and the window
+	// expiries whose events wait for their transaction's turn.
+	vals      validations
+	screening []screenItem
+	expired   []*uncheckedEntry
 
 	stats  GovernorStats
 	events *events.Log
@@ -234,7 +244,10 @@ type Governor struct {
 	// outgrows it.
 	prevHash   crypto.Hash
 	baseHeight uint64
-	records    []ledger.Record
+	// records are the round's screened records, for the leader to pack,
+	// and recordIDs their transaction IDs.
+	records   []ledger.Record
+	recordIDs []crypto.Hash
 	// tickets[j] is the first batch governor j sent for this round, and
 	// next[j] the first for the round after, from a peer already there.
 	tickets, next    [][]consensus.Ticket
@@ -329,6 +342,7 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		uncheckedByID:   make(map[crypto.Hash]*uncheckedEntry),
 		committedValid:  make(map[crypto.Hash]bool),
 		processedArgues: make(map[crypto.Hash]bool),
+		vals:            validations{v: cfg.Validator},
 		uploadRound:     make([]uint64, cfg.Roster.Topology.Collectors()),
 		events:          cfg.Events,
 		scrChecked:      make([]*metrics.Counter, cfg.Roster.Topology.Collectors()),
@@ -417,7 +431,7 @@ type pendingItem struct {
 
 // pendingArgue is the argue counterpart of pendingBatch.
 type pendingArgue struct {
-	msg      ArgueMsg
+	queuedArgue
 	innerSig int // batch-item index of the inner transaction's provider batch signature
 	argueSig int // batch-item index of the argue signature
 	rejected bool
@@ -511,12 +525,11 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 			// Only the authoring provider may argue its own transaction.
 			if derr == nil && msg.Signed.Tx.Provider == m.From {
 				if prov, ok := g.cfg.Roster.Member(m.From, identity.RoleProvider); ok {
-					a.msg = msg
-					id := msg.Signed.ID()
-					a.innerSig = checks.provider(&msg.Signed, id, prov.PublicKey)
+					a.msg, a.id = msg, msg.Signed.ID()
+					a.innerSig = checks.provider(&msg.Signed, a.id, prov.PublicKey)
 					if a.rejected = a.innerSig < 0; !a.rejected {
 						start := checks.arena.Len()
-						encodeArgueSigning(checks.arena, id, msg.Serial)
+						encodeArgueSigning(checks.arena, a.id, msg.Serial)
 						a.argueSig = checks.add(prov.PublicKey, start, msg.Sig)
 					}
 				}
@@ -573,7 +586,7 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 				g.stats.ArguesRejected++
 				continue
 			}
-			g.argues = append(g.argues, a.msg)
+			g.argues = append(g.argues, a.queuedArgue)
 		}
 	}
 	return rest, nil
@@ -685,6 +698,13 @@ func (g *Governor) ownCarried() {
 	g.admitted = g.admitted[:0]
 }
 
+// queuedArgue is an authenticated argue awaiting processArgues, with
+// the ID of its transaction.
+type queuedArgue struct {
+	msg ArgueMsg
+	id  crypto.Hash
+}
+
 // processArgues resolves queued argues (Algorithm 2 lines 34–39): the
 // governor re-validates the disputed transaction; a valid one is
 // appended (tx, valid) to a later block. When the governor itself
@@ -693,29 +713,40 @@ func (g *Governor) ownCarried() {
 // records the leader's screening, so a governor that happened to check
 // the transaction locally must still be ready to re-include it when it
 // next leads.
+//
+// It runs in three passes, like screenRound: the filter in arrival
+// order, the re-validations across cores, then the records, reveals and
+// events in arrival order.
 func (g *Governor) processArgues() error {
+	kept := g.argues[:0]
+	g.vals.begin(len(g.argues))
 	for _, a := range g.argues {
-		id := a.Signed.ID()
-		if g.processedArgues[id] || g.committedValid[id] {
+		if g.processedArgues[a.id] || g.committedValid[a.id] {
 			g.stats.ArguesRejected++
 			continue
 		}
-		g.processedArgues[id] = true
+		g.processedArgues[a.id] = true
+		kept = append(kept, a)
+		g.vals.add(&kept[len(kept)-1].msg.Signed.Tx)
+	}
+	g.vals.run()
+	for i, a := range kept {
 		var txID string
 		if g.events != nil {
-			txID = id.String()
+			txID = a.id.String()
 			g.events.Emit(events.TypeTxArgued, txID, g.round, string(g.cfg.Member.ID),
-				slog.Uint64("serial", a.Serial))
+				slog.Uint64("serial", a.msg.Serial))
 		}
 
 		status := tx.StatusInvalid
-		if g.cfg.Validator.Validate(a.Signed.Tx) {
+		if g.vals.valid(i) {
 			status = tx.StatusValid
 			g.pendingRecords = append(g.pendingRecords, ledger.Record{
-				Signed: a.Signed.Own(), // may wait rounds for room in a block
+				Signed: a.msg.Signed.Own(), // may wait rounds for room in a block
 				Label:  tx.LabelValid,
 				Status: tx.StatusValid,
 			})
+			g.pendingIDs = append(g.pendingIDs, a.id)
 			g.stats.ArguesAccepted++
 			g.stats.Mistakes++ // recorded invalid, actually valid
 		} else {
@@ -723,7 +754,7 @@ func (g *Governor) processArgues() error {
 		}
 		// Case-3 reveal only applies where this governor holds the
 		// unchecked entry (it knows who reported what).
-		if entry, ok := g.uncheckedByID[id]; ok && !entry.revealed {
+		if entry, ok := g.uncheckedByID[a.id]; ok && !entry.revealed {
 			if len(entry.reports) > 0 {
 				res, err := g.table.RecordRevealed(entry.provider, entry.reports, status)
 				if err != nil {
@@ -740,91 +771,173 @@ func (g *Governor) processArgues() error {
 				}
 			}
 			entry.revealed = true
-			delete(g.uncheckedByID, id)
+			delete(g.uncheckedByID, a.id)
 		}
 	}
+	clear(g.argues)
 	g.argues = g.argues[:0]
 	return nil
 }
 
+// screenItem is one drained transaction between screenRound's passes:
+// its group, its draw and, for a checked draw, the index of its verdict
+// in vals or, for an unchecked one, the end of its window expiries in
+// expired.
+type screenItem struct {
+	grp     *groupedTx
+	id      crypto.Hash
+	dec     reputation.Decision
+	check   int
+	expired int
+}
+
 // screenRound runs Algorithm 2 over a batch drained from the
 // governor's mempool and returns the records destined for the next
-// block: pending argue re-validations first, then the screened uploads,
-// at most BlockLimit in all. Whatever does not fit stays queued — the
-// re-validations in pendingRecords, the uploads in the pool — on every
-// governor alike, so the next leader, whoever it is, commits it.
-// Reputation updates (cases 2 and 3) happen inline.
+// block, with their transaction IDs: pending argue re-validations
+// first, then the screened uploads, at most BlockLimit in all. Whatever
+// does not fit stays queued — the re-validations in pendingRecords, the
+// uploads in the pool — on every governor alike, so the next leader,
+// whoever it is, commits it. Reputation updates (cases 2 and 3) happen
+// here too.
 //
 // The drain is the determinism pivot: entries come out in upload
 // arrival order, which the bus fixes by sequence number, so screening
 // consumes the governor's RNG stream identically at any worker count.
-func (g *Governor) screenRound() ([]ledger.Record, error) {
-	records := g.pendingRecords
-	g.pendingRecords = nil
+// It runs in three passes (DESIGN §4a): the draws in drain order (draw,
+// check coin, and an unchecked draw's argue window, whose expiries move
+// the weights later draws read), validate(tx) for every checked draw
+// across cores, then the checked updates, counters, records and events
+// in drain order. The reorder is exact: a draw never reads the
+// misreport scores, the only thing a checked update changes.
+func (g *Governor) screenRound() ([]ledger.Record, []crypto.Hash, error) {
+	// The IDs go into the last round's recordIDs, the carried ones out of
+	// pendingIDs, so neither slice is made anew each round.
+	records, ids := g.pendingRecords, append(g.recordIDs[:0], g.pendingIDs...)
+	g.pendingRecords, g.pendingIDs = nil, g.pendingIDs[:0]
 	uploads := 0 // Drain(0) takes everything
 	if limit := g.cfg.BlockLimit; limit > 0 {
 		if len(records) >= limit {
-			g.pendingRecords = records[limit:]
-			return records[:limit:limit], nil
+			g.pendingRecords, g.pendingIDs = records[limit:], append(g.pendingIDs, ids[limit:]...)
+			return records[:limit:limit], ids[:limit], nil
 		}
 		uploads = limit - len(records)
 	}
 
 	drained := g.pool.Drain(uploads)
 	records = slices.Grow(records, len(drained))
+	ids = slices.Grow(ids, len(drained))
+	g.screening = slices.Grow(g.screening, len(drained))
+	g.vals.begin(len(drained))
+	derr := g.drawAll(drained)
+	g.vals.run()
+	records, ids, err := g.applyScreened(records, ids)
+	// The screened groups go back for admitUpload to reuse, emptied so
+	// that they pin no upload frame.
+	for i := range g.screening {
+		grp := g.screening[i].grp
+		*grp = groupedTx{reports: grp.reports}
+		g.spare = append(g.spare, grp)
+	}
+	clear(g.screening)
+	g.screening = g.screening[:0]
+	clear(g.expired)
+	g.expired = g.expired[:0]
+	if err == nil {
+		err = derr
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return records, ids, nil
+}
+
+// drawAll is screenRound's first pass: in drain order, it takes each
+// drained transaction's group, draws for it, and queues a checked draw's
+// transaction in vals or opens an unchecked one's argue window. It stops
+// at the first failure; the transactions before it are in screening.
+func (g *Governor) drawAll(drained []crypto.Hash) error {
 	for _, id := range drained {
 		pending, ok := g.groups[id]
 		if !ok {
 			continue
 		}
 		delete(g.groups, id)
-		// Screening works on a copy: the group goes back for reuse now,
-		// emptied so that it pins no upload frame; only admitUpload, after
-		// this loop, reuses it and its report slice.
-		grp := *pending
-		*pending = groupedTx{reports: pending.reports}
-		g.spare = append(g.spare, pending)
-		if silent := len(g.cfg.Roster.Topology.CollectorsOf(grp.provider)) - len(grp.reports); silent > 0 {
+		it := screenItem{grp: pending, id: id}
+		if silent := len(g.cfg.Roster.Topology.CollectorsOf(it.grp.provider)) - len(it.grp.reports); silent > 0 {
 			g.stats.SilentReports += silent
 		}
-		dec, err := g.table.Screen(g.rng, grp.provider, grp.reports)
-		if err != nil {
-			return nil, fmt.Errorf("governor %s screen: %w", g.cfg.Member.ID, err)
+		var err error
+		if it.dec, err = g.table.Screen(g.rng, it.grp.provider, it.grp.reports); err != nil {
+			return fmt.Errorf("governor %s screen: %w", g.cfg.Member.ID, err)
 		}
-		if dec.Check {
-			g.scrChecked[dec.Collector].Inc()
+		if it.dec.Check {
+			it.check = g.vals.add(&it.grp.signed.Tx)
+		} else {
+			// The argue window keeps the entry for up to U newer ones: it
+			// copies the payload and the reports rather than pin the upload
+			// frame and share the group's reused report slice.
+			entry := &uncheckedEntry{
+				provider: it.grp.provider,
+				id:       id,
+				signed:   it.grp.signed.Own(),
+				reports:  slices.Clone(it.grp.reports),
+			}
+			g.unchecked[it.grp.provider] = append(g.unchecked[it.grp.provider], entry)
+			g.uncheckedByID[id] = entry
+			err = g.expireOld(it.grp.provider)
+			it.expired = len(g.expired)
+		}
+		g.screening = append(g.screening, it)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyScreened is screenRound's third pass: in drain order, it applies
+// each screened transaction's checked update, counts it, appends its
+// record and ID to records and ids, and emits its events — with an
+// unchecked one's window expiries — where one in-order pass would.
+func (g *Governor) applyScreened(records []ledger.Record, ids []crypto.Hash) ([]ledger.Record, []crypto.Hash, error) {
+	expiredFrom := 0
+	for i := range g.screening {
+		it := &g.screening[i]
+		if it.dec.Check {
+			g.scrChecked[it.dec.Collector].Inc()
 		}
 		// One hex encode per transaction, and none with the log off: the
 		// ID string feeds up to two events below.
 		var txID string
 		if g.events != nil {
-			txID = id.String()
+			txID = it.id.String()
 			g.events.Emit(events.TypeUploadScreened, txID, g.round, string(g.cfg.Member.ID),
 				slog.String("tx", txID),
-				slog.Int("collector", dec.Collector),
-				slog.Bool("checked", dec.Check),
-				slog.Int("label", int(dec.Label)))
+				slog.Int("collector", it.dec.Collector),
+				slog.Bool("checked", it.dec.Check),
+				slog.Int("label", int(it.dec.Label)))
 		}
-		if dec.Check {
+		if it.dec.Check {
 			g.stats.Checked++
-			valid := g.cfg.Validator.Validate(grp.signed.Tx)
+			valid := g.vals.valid(it.check)
 			status := tx.StatusFor(valid)
-			if err := g.table.RecordChecked(grp.provider, grp.reports, status); err != nil {
-				return nil, fmt.Errorf("governor %s checked update: %w", g.cfg.Member.ID, err)
+			if err := g.table.RecordChecked(it.grp.provider, it.grp.reports, status); err != nil {
+				return nil, nil, fmt.Errorf("governor %s checked update: %w", g.cfg.Member.ID, err)
 			}
 			if g.events != nil {
 				g.events.Emit(events.TypeReputationChecked, txID, g.round, string(g.cfg.Member.ID),
-					slog.Int("provider", grp.provider),
-					slog.String("reports", events.FormatReports(grp.reports)),
+					slog.Int("provider", it.grp.provider),
+					slog.String("reports", events.FormatReports(it.grp.reports)),
 					slog.Int("status", int(status)),
 					slog.String("tx", txID))
 			}
 			if valid {
 				records = append(records, ledger.Record{
-					Signed: grp.signed,
-					Label:  dec.Label,
+					Signed: it.grp.signed,
+					Label:  it.dec.Label,
 					Status: tx.StatusValid,
 				})
+				ids = append(ids, it.id)
 				g.stats.ValidRecorded++
 			} else {
 				// "For each transaction that is verified by g_j, g_j
@@ -833,37 +946,29 @@ func (g *Governor) screenRound() ([]ledger.Record, error) {
 			}
 			continue
 		}
-		// Unchecked: record (tx, invalid, unchecked) and open the
+		// Unchecked: record (tx, invalid, unchecked); drawAll opened the
 		// argue window.
 		g.stats.Unchecked++
 		records = append(records, ledger.Record{
-			Signed:    grp.signed,
-			Label:     dec.Label,
+			Signed:    it.grp.signed,
+			Label:     it.dec.Label,
 			Status:    tx.StatusInvalid,
 			Unchecked: true,
 		})
-		// The argue window keeps the entry for up to U newer ones: it
-		// copies the payload and the reports rather than pin the upload
-		// frame and share the group's reused report slice.
-		entry := &uncheckedEntry{
-			provider: grp.provider,
-			id:       id,
-			signed:   grp.signed.Own(),
-			reports:  slices.Clone(grp.reports),
+		ids = append(ids, it.id)
+		for _, entry := range g.expired[expiredFrom:it.expired] {
+			g.emitExpiry(entry)
 		}
-		g.unchecked[grp.provider] = append(g.unchecked[grp.provider], entry)
-		g.uncheckedByID[id] = entry
-		if err := g.expireOld(grp.provider); err != nil {
-			return nil, err
-		}
+		expiredFrom = it.expired
 	}
-	return records, nil
+	return records, ids, nil
 }
 
 // expireOld reveals-as-invalid any unchecked transaction of provider k
 // buried under more than ArgueWindow newer unchecked transactions:
 // "Every unchecked transaction exceeding this limit will be regarded
-// as invalid permanently."
+// as invalid permanently." With the event log on, it lists each reveal
+// in expired for applyScreened to emit in turn.
 func (g *Governor) expireOld(k int) error {
 	q := g.unchecked[k]
 	for len(q) > g.cfg.ArgueWindow {
@@ -877,13 +982,7 @@ func (g *Governor) expireOld(k int) error {
 				return fmt.Errorf("governor %s expiry reveal: %w", g.cfg.Member.ID, err)
 			}
 			if g.events != nil {
-				txID := entry.id.String()
-				g.events.Emit(events.TypeReputationReveal, txID, g.round, string(g.cfg.Member.ID),
-					slog.Int("provider", entry.provider),
-					slog.String("reports", events.FormatReports(entry.reports)),
-					slog.Int("status", int(tx.StatusInvalid)),
-					slog.String("tx", txID),
-					slog.String("cause", "window_expiry"))
+				g.expired = append(g.expired, entry)
 			}
 		}
 		entry.revealed = true
@@ -898,12 +997,23 @@ func (g *Governor) expireOld(k int) error {
 	return nil
 }
 
-// buildBlock assembles and signs the round's block from records (a
-// screenRound result, so at most BlockLimit of them) when this governor
-// leads, and returns its frame. Records already committed valid
-// elsewhere in the chain are dropped (several governors may hold the
-// same argue re-validation pending).
-func (g *Governor) buildBlock(records []ledger.Record) ([]byte, error) {
+// emitExpiry emits the reputation.reveal event of entry's window expiry.
+func (g *Governor) emitExpiry(entry *uncheckedEntry) {
+	txID := entry.id.String()
+	g.events.Emit(events.TypeReputationReveal, txID, g.round, string(g.cfg.Member.ID),
+		slog.Int("provider", entry.provider),
+		slog.String("reports", events.FormatReports(entry.reports)),
+		slog.Int("status", int(tx.StatusInvalid)),
+		slog.String("tx", txID),
+		slog.String("cause", "window_expiry"))
+}
+
+// buildBlock assembles and signs the round's block from records and
+// their transaction IDs (a screenRound result, so at most BlockLimit of
+// them) when this governor leads, and returns its frame. Records already
+// committed valid elsewhere in the chain are dropped (several governors
+// may hold the same argue re-validation pending).
+func (g *Governor) buildBlock(records []ledger.Record, ids []crypto.Hash) ([]byte, error) {
 	// The transaction root is built incrementally while the block is
 	// packed: each record that survives the duplicate filter is hashed
 	// into the Merkle builder as it is placed, so the root is ready the
@@ -912,12 +1022,12 @@ func (g *Governor) buildBlock(records []ledger.Record) ([]byte, error) {
 	g.merkle.Reset()
 	enc := codec.GetEncoder(256)
 	fresh := records[:0]
-	for _, r := range records {
-		enc.Reset()
-		n := r.EncodeLeaf(enc)
-		if r.Status == tx.StatusValid && g.committedValid[crypto.Sum(enc.Bytes()[:n])] {
+	for i, r := range records {
+		if r.Status == tx.StatusValid && g.committedValid[ids[i]] {
 			continue
 		}
+		enc.Reset()
+		r.EncodeLeaf(enc)
 		fresh = append(fresh, r)
 		g.merkle.Add(enc.Bytes())
 	}

@@ -26,7 +26,7 @@ func TestGovernorEvictOldestOnFullShard(t *testing.T) {
 		t.Fatalf("mempoolDepth() = %d after eviction, want 1", got)
 	}
 	// Screening sees only the survivor.
-	recs, err := fx.governor.screenRound()
+	recs, _, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestGovernorShardedDrainCapped(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		fx.runUpload(t, i%2, true)
 	}
-	recs, err := fx.governor.screenRound()
+	recs, _, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestGovernorShardedDrainCapped(t *testing.T) {
 	if fx.governor.mempoolDepth() != 2 {
 		t.Fatalf("mempoolDepth() = %d, want 2 carried over", fx.governor.mempoolDepth())
 	}
-	recs, err = fx.governor.screenRound()
+	recs, _, err = fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}

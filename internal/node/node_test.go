@@ -214,7 +214,7 @@ func TestCollectorConcealment(t *testing.T) {
 func TestCollectorMisreport(t *testing.T) {
 	fx := newFixture(t, []Behavior{ProbBehavior{Misreport: 1}, nil})
 	fx.runUpload(t, 0, true)
-	recs, err := fx.governor.screenRound()
+	recs, _, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCollectorMisreport(t *testing.T) {
 	// and the misreporter's score drops.
 	for i := 0; i < 30; i++ {
 		fx.runUpload(t, 0, true)
-		if _, err := fx.governor.screenRound(); err != nil {
+		if _, _, err := fx.governor.screenRound(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,7 +287,7 @@ func TestGovernorDetectsForgedUpload(t *testing.T) {
 		t.Fatalf("forger's forge score = %v, want negative", fx.governor.Table().Forge(0))
 	}
 	// The forged transaction must not be grouped for screening.
-	recs, err := fx.governor.screenRound()
+	recs, _, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestGovernorScreeningRecordsShape(t *testing.T) {
 	fx := newFixture(t, nil)
 	validTx := fx.runUpload(t, 0, true)
 	invalidTx := fx.runUpload(t, 1, false)
-	recs, err := fx.governor.screenRound()
+	recs, _, err := fx.governor.screenRound()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestGovernorArgueWindowExpiry(t *testing.T) {
 	// roughly half the -1 draws skip verification.
 	for i := 0; i < 60; i++ {
 		fx.runUpload(t, 0, true)
-		if _, err := fx.governor.screenRound(); err != nil {
+		if _, _, err := fx.governor.screenRound(); err != nil {
 			t.Fatal(err)
 		}
 	}

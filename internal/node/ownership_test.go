@@ -58,7 +58,7 @@ func runScribbled(t *testing.T, scribble bool) scribbleOutcome {
 		if _, err := g.handleBatch(uploads); err != nil {
 			t.Fatal(err)
 		}
-		records, err := g.screenRound()
+		records, _, err := g.screenRound()
 		if err != nil {
 			t.Fatal(err)
 		}

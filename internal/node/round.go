@@ -277,7 +277,7 @@ func (g *Governor) Purge() {
 }
 
 func (g *Governor) clearRound() {
-	g.records = nil // only a leader packs them, in their round
+	g.records, g.recordIDs = nil, g.recordIDs[:0] // only a leader packs them, in their round
 	clearTickets(g.tickets, g.filed)
 	g.proposal, g.proposed, g.answered, g.assembled = nil, false, false, false
 	clear(g.endorsements)
@@ -357,8 +357,8 @@ func (g *Governor) screen() error {
 	if err := g.processArgues(); err != nil {
 		return err
 	}
-	records, err := g.screenRound()
-	g.records = records
+	var err error
+	g.records, g.recordIDs, err = g.screenRound()
 	return err
 }
 
@@ -435,8 +435,8 @@ func (g *Governor) elect() error {
 // propose is the leader's step: sign B = (s, TXList, h) over the
 // screened records and multicast it to every governor and provider.
 func (g *Governor) propose(out Sender) error {
-	frame, err := g.buildBlock(g.records)
-	g.records = nil
+	frame, err := g.buildBlock(g.records, g.recordIDs)
+	g.records, g.recordIDs = nil, g.recordIDs[:0]
 	if err != nil {
 		return err
 	}

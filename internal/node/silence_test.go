@@ -16,7 +16,7 @@ func TestGovernorCountsSilentReports(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		fx.runUpload(t, 0, true)
 	}
-	if _, err := fx.governor.screenRound(); err != nil {
+	if _, _, err := fx.governor.screenRound(); err != nil {
 		t.Fatal(err)
 	}
 	st := fx.governor.Stats()
@@ -36,7 +36,7 @@ func TestGovernorCountsSilentReports(t *testing.T) {
 func TestSilenceDecayOffByDefault(t *testing.T) {
 	fx := newFixture(t, []Behavior{HonestBehavior{}, ProbBehavior{Conceal: 1}})
 	fx.runUpload(t, 0, true)
-	if _, err := fx.governor.screenRound(); err != nil {
+	if _, _, err := fx.governor.screenRound(); err != nil {
 		t.Fatal(err)
 	}
 	w, err := fx.governor.Table().Weight(0, 1)

@@ -1,6 +1,7 @@
 // Package par is the one indexed fan-out every parallel stage runs on:
-// the engine's per-node round steps (core.Engine.fanOut) and the
-// residual misses of a signature batch (crypto.VerifyCache.VerifyBatch).
+// the engine's per-node round steps (core.Engine.fanOut), the residual
+// misses of a signature batch (crypto.VerifyCache.VerifyBatch) and a
+// governor's validate(tx) calls (node's validations).
 // A leaf package so both layers can import it; there is no pool to size
 // or stop — helpers live for one call.
 package par
@@ -14,9 +15,10 @@ import (
 // Procs is the goroutine budget for a fan-out of n independent items:
 // one per logical CPU, or 1 — stay on the caller — when n is below
 // floor, the batch size under which handing work to helpers costs more
-// than it saves. The tree has two floors: crypto's parallelVerifyFloor
-// (16 residual signature misses per VerifyBatch) and core's fanOutFloor
-// (transactions drained per round, gating every node-step fan-out).
+// than it saves. The tree has three floors: crypto's parallelVerifyFloor
+// (16 residual signature misses per VerifyBatch), core's fanOutFloor
+// (transactions drained per round, gating every node-step fan-out) and
+// node's validateFloor (16 validate(tx) calls in one governor's pass).
 func Procs(n, floor int) int {
 	if n < floor {
 		return 1
@@ -48,30 +50,44 @@ func RunIndexed(workers, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var done sync.WaitGroup // one count per index
-	done.Add(n)
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			if !failed.Load() {
-				if errs[i] = fn(i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-			done.Done()
-		}
-	}
+	r := &run{fn: fn, n: n, first: n}
+	r.done.Add(n)
 	for w := 1; w < workers; w++ {
-		go work()
+		go r.work()
 	}
-	work()
-	done.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	r.work()
+	r.done.Wait()
+	return r.err
+}
+
+// run is the state one parallel RunIndexed call shares with its
+// helpers, in one allocation.
+type run struct {
+	fn     func(i int) error
+	n      int
+	next   atomic.Int64
+	failed atomic.Bool
+	done   sync.WaitGroup // one count per index
+	// mu serialises the updates of first, the lowest failing index so
+	// far, and err, its error; done orders them before the caller's read.
+	mu    sync.Mutex
+	first int
+	err   error
+}
+
+// work claims and runs indices until none is left.
+func (r *run) work() {
+	for i := int(r.next.Add(1)) - 1; i < r.n; i = int(r.next.Add(1)) - 1 {
+		if !r.failed.Load() {
+			if err := r.fn(i); err != nil {
+				r.failed.Store(true)
+				r.mu.Lock()
+				if i < r.first {
+					r.first, r.err = i, err
+				}
+				r.mu.Unlock()
+			}
 		}
+		r.done.Done()
 	}
-	return nil
 }

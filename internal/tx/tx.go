@@ -332,7 +332,9 @@ func (lt LabeledTx) ID() crypto.Hash { return lt.Signed.ID() }
 type Validator interface {
 	// Validate reports whether t is a valid transaction. t.Payload is
 	// read-only: it is a view into the frame t arrived in, whose bytes
-	// the collectors and governors of one process share.
+	// the collectors and governors of one process share. Validate may
+	// run on several goroutines at once — a governor spreads a round's
+	// calls across cores — so it must be safe for concurrent use.
 	Validate(t Transaction) bool
 }
 

@@ -75,6 +75,8 @@ var (
 // Validator re-exports the validate(tx) contract: applications decide
 // what a valid transaction is. Validate must not modify the payload it
 // is handed: in process, the collectors and governors share its bytes.
+// It may run on several goroutines at once, each governor spreading
+// its calls across cores, so it must be safe for concurrent use.
 type Validator = tx.Validator
 
 // ValidatorFunc adapts a function to Validator.
