@@ -244,28 +244,32 @@ type Received struct {
 // DecodeBlockBytes decodes a standalone block encoding, requiring full
 // consumption of buf.
 func DecodeBlockBytes(buf []byte) (Block, error) {
-	b, _, err := decodeBlock(buf, "", nil)
+	b, _, err := decodeBlock(buf, "", nil, nil, nil)
 	return b, err
 }
 
 // ReceiveBlock is DecodeBlockBytes for a replica adopting a block: it
-// also returns the block's hashes, taken from buf. mb is scratch.
-func ReceiveBlock(buf []byte, mb *crypto.MerkleBuilder) (Block, Received, error) {
-	return decodeBlock(buf, "", mb)
+// also returns the block's hashes, taken from buf. mb is scratch, and so
+// are records and ids: the block's records are appended to records and
+// their IDs to ids (tx.DecodeList).
+func ReceiveBlock(buf []byte, mb *crypto.MerkleBuilder, records []Record, ids []crypto.Hash) (Block, Received, error) {
+	return decodeBlock(buf, "", mb, records, ids)
 }
 
 // DecodeOwnRecords is DecodeBlockBytes for a provider observing a block:
-// it materialises only the records of provider's transactions, returned
-// with their IDs, and accepts exactly the frames DecodeBlockBytes does.
-func DecodeOwnRecords(buf []byte, provider identity.NodeID) (Block, []crypto.Hash, error) {
-	b, rcv, err := decodeBlock(buf, provider, nil)
+// it materialises only the records of provider's transactions, appended
+// to records, with their IDs, appended to ids, and accepts exactly the
+// frames DecodeBlockBytes does.
+func DecodeOwnRecords(buf []byte, provider identity.NodeID, records []Record, ids []crypto.Hash) (Block, []crypto.Hash, error) {
+	b, rcv, err := decodeBlock(buf, provider, nil, records, ids)
 	return b, rcv.IDs, err
 }
 
 // decodeBlock decodes buf, keeping only the records of provider only
-// when that is set (tx.DecodeList). Given a builder mb, it also hashes
-// the block and each record's leaf from buf.
-func decodeBlock(buf []byte, only identity.NodeID, mb *crypto.MerkleBuilder) (b Block, rcv Received, err error) {
+// when that is set, appended to records and their IDs to ids
+// (tx.DecodeList). Given a builder mb, it also hashes the block and each
+// record's leaf from buf.
+func decodeBlock(buf []byte, only identity.NodeID, mb *crypto.MerkleBuilder, records []Record, ids []crypto.Hash) (b Block, rcv Received, err error) {
 	d := codec.NewDecoder(buf)
 	tag, err := d.String()
 	if err != nil {
@@ -280,7 +284,7 @@ func decodeBlock(buf []byte, only identity.NodeID, mb *crypto.MerkleBuilder) (b 
 	if mb != nil {
 		mb.Reset()
 	}
-	b.Records, rcv.IDs, err = tx.DecodeList(d, minJudgmentBytes, only, func(s tx.SignedTx, start int) (Record, error) {
+	b.Records, rcv.IDs, err = tx.DecodeList(d, minJudgmentBytes, only, records, ids, func(s tx.SignedTx, start int) (Record, error) {
 		r, err := decodeJudgment(d, s)
 		if err == nil && mb != nil {
 			mb.Add(d.Since(start))

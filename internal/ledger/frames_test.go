@@ -34,7 +34,7 @@ func sealedChain(t *testing.T, n int) [][]byte {
 func appendReceived(t *testing.T, s Store, frames [][]byte) {
 	t.Helper()
 	for _, frame := range frames {
-		b, rcv, err := ReceiveBlock(frame, crypto.NewMerkleBuilder())
+		b, rcv, err := ReceiveBlock(frame, crypto.NewMerkleBuilder(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func FuzzBlockDecode(f *testing.F) {
 		if again := b.EncodeBytes(); !bytes.Equal(again, p) {
 			t.Fatalf("accepted input does not re-encode to itself:\n in %x\nout %x", p, again)
 		}
-		_, rcv, err := ReceiveBlock(p, crypto.NewMerkleBuilder())
+		_, rcv, err := ReceiveBlock(p, crypto.NewMerkleBuilder(), nil, nil)
 		if err != nil {
 			t.Fatalf("ReceiveBlock refuses what DecodeBlockBytes accepts: %v", err)
 		}
@@ -107,7 +107,7 @@ func FuzzOwnRecordsDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		full, ferr := DecodeBlockBytes(p)
 		for _, provider := range []identity.NodeID{"provider/0", "provider/1"} {
-			own, ids, err := DecodeOwnRecords(p, provider)
+			own, ids, err := DecodeOwnRecords(p, provider, nil, nil)
 			if (err == nil) != (ferr == nil) {
 				t.Fatalf("%s: filtered decode error %v, full decode error %v", provider, err, ferr)
 			}

@@ -129,7 +129,7 @@ func TestBlockSignVerify(t *testing.T) {
 			signed.Short(), b.Hash().Short(), bytes.Equal(frame, b.EncodeBytes()))
 	}
 	// The hashes a replica takes from the frame are the block's.
-	got, rcv, err := ReceiveBlock(frame, crypto.NewMerkleBuilder())
+	got, rcv, err := ReceiveBlock(frame, crypto.NewMerkleBuilder(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestFileStoreWritesFrameAsGiven(t *testing.T) {
 		}
 		h, frame := b.Seal("governor/0", priv)
 		if i%2 == 1 { // a replica: append what it received
-			rb, rcv, err := ReceiveBlock(frame, crypto.NewMerkleBuilder())
+			rb, rcv, err := ReceiveBlock(frame, crypto.NewMerkleBuilder(), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

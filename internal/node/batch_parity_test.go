@@ -123,7 +123,7 @@ func screenAndPack(t *testing.T, fx *fixture) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := fx.governor.buildBlock(recs, ids)
+	frame, err := fx.governor.pack(recs, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +243,7 @@ func TestLateReportNotRerecorded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame, err := fx.governor.buildBlock(recs, ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fx.governor.AcceptBlock(frame); err != nil {
+			if _, err := fx.governor.pack(recs, ids); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -341,7 +337,7 @@ func TestBuildBlockIncrementalRootMatchesRecompute(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no records screened")
 	}
-	frame, err := fx.governor.buildBlock(recs, ids)
+	frame, err := fx.governor.pack(recs, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"repchain/internal/crypto"
 	"repchain/internal/events"
 	"repchain/internal/identity"
 	"repchain/internal/network"
@@ -119,6 +120,16 @@ type Collector struct {
 	// round uploaded; filed holds the frames for the next upload.
 	round, sent uint64
 	filed       []network.Message
+
+	// Scratch of processBatch, reused every round (DESIGN.md §4f): each
+	// frame's transactions and their IDs as decoded, the entries between
+	// its phases, the items it uploads and the signature checks. The
+	// upload copies what it sends, and processBatch empties the rest.
+	list    []tx.SignedTx
+	listIDs []crypto.Hash
+	entries []providerEntry
+	items   []tx.UploadItem
+	checks  sigChecks
 }
 
 // SetEvents attaches the event log; nil detaches.
@@ -291,17 +302,19 @@ func (c *Collector) processBatch(msgs []network.Message, sender Sender) (int, er
 	// structurally screen its transactions, gathering one signature
 	// check per distinct provider batch and checking each transaction's
 	// leaf. Phase 2 runs the checks as one batch.
-	var entries []providerEntry
-	checks := newSigChecks(96 * len(msgs))
+	entries := c.entries[:0]
+	checks := &c.checks
+	checks.begin(96 * len(msgs))
 	for _, m := range msgs {
 		if m.Kind != network.KindProviderTx {
 			continue
 		}
-		list, ids, err := tx.DecodeListBytes(m.Payload)
+		list, ids, err := tx.DecodeListBytes(m.Payload, c.list[:0], c.listIDs[:0])
 		if err != nil {
 			entries = append(entries, providerEntry{class: ptDecodeFail})
 			continue
 		}
+		c.list, c.listIDs = list, ids
 		entries = slices.Grow(entries, len(list))
 		for k, signed := range list {
 			// verify(p_k, tx): the claimed provider must be the actual
@@ -328,7 +341,7 @@ func (c *Collector) processBatch(msgs []network.Message, sender Sender) (int, er
 	// and the behaviour RNG is consumed once per verified transaction,
 	// then once for the forgeries, so labels are a function of arrival
 	// order alone.
-	out := make([]tx.UploadItem, 0, len(entries))
+	out := slices.Grow(c.items[:0], len(entries))
 	for _, e := range entries {
 		switch e.class {
 		case ptDecodeFail:
@@ -349,18 +362,21 @@ func (c *Collector) processBatch(msgs []network.Message, sender Sender) (int, er
 	}
 	honest := len(out)
 	out = append(out, c.forge()...)
-	if err := c.upload(out, sender); err != nil {
-		return 0, err
-	}
-	c.uploaded += honest
-	c.forged += len(out) - honest
-	if c.events != nil {
+	err := c.upload(out, sender)
+	if err == nil && c.events != nil {
 		for _, item := range out[:honest] {
 			c.events.Emit(events.TypeTxUploaded, item.Signed.ID().String(), c.round, string(c.member.ID),
 				slog.Int("governors", len(c.governorIDs)))
 		}
 	}
-	return len(out), nil
+	n := len(out)
+	c.list, c.entries, c.items = emptied(c.list), emptied(entries), emptied(out)
+	if err != nil {
+		return 0, err
+	}
+	c.uploaded += honest
+	c.forged += n - honest
+	return n, nil
 }
 
 // CollectorStats reports a collector's activity counters.

@@ -168,7 +168,7 @@ type Governor struct {
 	reg *metrics.Registry
 
 	// The roster's governors in index order — their IDs and keys — and a
-	// block's recipients: the governors, then the providers.
+	// block's recipients: the other governors, then the providers.
 	governorIDs []identity.NodeID
 	pubs        []crypto.PublicKey
 	blockTo     []identity.NodeID
@@ -183,6 +183,8 @@ type Governor struct {
 	spare, admitted []*groupedTx
 
 	argues []queuedArgue
+	// in is handleBatch's scratch.
+	in intake
 	// uploadRound[c] is the latest round collector c's verified upload
 	// batches were tagged with.
 	uploadRound []uint64
@@ -224,7 +226,7 @@ type Governor struct {
 	mpEvicted  *metrics.Counter
 	upRejected *metrics.CounterVec
 
-	// merkle is the incremental transaction-root builder buildBlock
+	// merkle is the incremental transaction-root builder pack
 	// feeds while packing, so the root is ready the moment the record
 	// list is final (DESIGN.md §4f).
 	merkle *crypto.MerkleBuilder
@@ -253,8 +255,11 @@ type Governor struct {
 	tickets, next    [][]consensus.Ticket
 	filed, nextFiled []bool
 	// blocks stashes block frames until the step that knows which
-	// leader's signature to demand of them.
+	// leader's signature to demand of them; adopting and adoptingIDs are
+	// where receive decodes one, reused every round.
 	blocks             [][]byte
+	adopting           []ledger.Record
+	adoptingIDs        []crypto.Hash
 	leader, prevLeader int
 
 	// Stake state (stake.go): the committed vector and each payer's next
@@ -326,6 +331,7 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		}
 		store = fs
 	}
+	peers := slices.DeleteFunc(identity.IDs(cfg.Roster.Governors), func(id identity.NodeID) bool { return id == cfg.Member.ID })
 	g := &Governor{
 		cfg:             cfg,
 		table:           table,
@@ -335,7 +341,7 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 		reg:             reg,
 		governorIDs:     identity.IDs(cfg.Roster.Governors),
 		pubs:            make([]crypto.PublicKey, m),
-		blockTo:         append(identity.IDs(cfg.Roster.Governors), identity.IDs(cfg.Roster.Providers)...),
+		blockTo:         append(peers, identity.IDs(cfg.Roster.Providers)...),
 		groups:          make(map[crypto.Hash]*groupedTx),
 		pool:            mempool.New[crypto.Hash](cfg.Roster.Topology.Providers(), cfg.MempoolCap),
 		unchecked:       make(map[int][]*uncheckedEntry),
@@ -437,6 +443,38 @@ type pendingArgue struct {
 	rejected bool
 }
 
+// intake is handleBatch's scratch, reused every Step (DESIGN.md §4f):
+// each message's class and slot, the uploads with the items, IDs and
+// checks decoded into them, the argues and the signature checks. What a
+// governor keeps past the Step copies out of it (admitUpload, the queued
+// argues), and empty drops the views it holds, so it pins no frame.
+type intake struct {
+	kinds  []uint8
+	slots  []int
+	ups    []pendingBatch
+	args   []pendingArgue
+	checks sigChecks
+}
+
+// empty clears what the Step decoded, keeping the memory: each upload
+// slot up to ups' capacity stays empty but for its slices.
+func (in *intake) empty() {
+	for i := range in.ups {
+		u := &in.ups[i]
+		*u = pendingBatch{batch: tx.UploadBatch{Items: emptied(u.batch.Items)}, ids: u.ids[:0], items: u.items[:0]}
+	}
+	clear(in.args)
+	in.ups, in.args = in.ups[:0], in.args[:0]
+}
+
+// emptied clears s up to its capacity and returns it with length 0: a
+// slice kept for reuse then pins nothing it pointed to.
+func emptied[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
+}
+
 // handleBatch ingests a batch of delivered messages through one
 // crypto.VerifyBatch pass and returns the messages it did not consume,
 // in arrival order. It is the governor's only ingest path: collector
@@ -471,10 +509,11 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 	if len(msgs) == 0 {
 		return nil, nil
 	}
-	kinds := make([]uint8, len(msgs))
-	slots := make([]int, len(msgs))
-	var ups []pendingBatch
-	var args []pendingArgue
+	in := &g.in
+	defer in.empty()
+	kinds := slices.Grow(in.kinds[:0], len(msgs))[:len(msgs)]
+	slots := slices.Grow(in.slots[:0], len(msgs))[:len(msgs)]
+	in.kinds, in.slots = kinds, slots
 
 	// The signing messages of an upload batch are shorter than its
 	// payload, so the governor-bound payload bytes size the arena.
@@ -484,27 +523,30 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 			size += len(m.Payload)
 		}
 	}
-	checks := newSigChecks(size)
+	checks := &in.checks
+	checks.begin(size)
 
 	for i, m := range msgs {
 		switch m.Kind {
 		case network.KindCollectorBatch:
-			u := pendingBatch{sig: -1}
+			kinds[i], slots[i] = pmUpload, len(in.ups)
+			in.ups = slices.Grow(in.ups, 1)[:len(in.ups)+1] // the slot keeps its slices
+			u := &in.ups[len(in.ups)-1]
+			u.sig = -1
 			coll, isCollector := g.cfg.Roster.Member(m.From, identity.RoleCollector)
 			u.collectorIdx = coll.Index
 			if !isCollector {
 				u.reject = "not_collector"
-			} else if batch, rcv, derr := tx.DecodeUploadBatchBytes(m.Payload); derr != nil {
+			} else if batch, rcv, derr := tx.DecodeUploadBatchBytes(m.Payload, u.batch.Items, u.ids); derr != nil {
 				u.reject = "decode"
-			} else if batch.Collector != m.From {
+			} else if u.batch, u.ids = batch, rcv.IDs; batch.Collector != m.From {
 				// The upload must come from the collector that signed it.
 				u.reject = "sender_mismatch"
 			} else {
 				start := checks.arena.Len()
 				batch.EncodeSigning(checks.arena, rcv.Digest)
 				u.sig = checks.add(coll.PublicKey, start, batch.Sig)
-				u.batch, u.ids = batch, rcv.IDs
-				u.items = make([]pendingItem, len(batch.Items))
+				u.items = slices.Grow(u.items, len(batch.Items))[:len(batch.Items)]
 				for k := range batch.Items {
 					s := &batch.Items[k].Signed
 					pi := pendingItem{provSig: -1}
@@ -516,9 +558,6 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 					u.items[k] = pi
 				}
 			}
-			kinds[i] = pmUpload
-			slots[i] = len(ups)
-			ups = append(ups, u)
 		case network.KindArgue:
 			a := pendingArgue{innerSig: -1, argueSig: -1, rejected: true}
 			msg, derr := DecodeArgueBytes(m.Payload)
@@ -534,9 +573,8 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 					}
 				}
 			}
-			kinds[i] = pmArgue
-			slots[i] = len(args)
-			args = append(args, a)
+			kinds[i], slots[i] = pmArgue, len(in.args)
+			in.args = append(in.args, a)
 		default:
 			kinds[i] = pmRest
 		}
@@ -550,7 +588,7 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 		case pmRest:
 			rest = append(rest, m)
 		case pmUpload:
-			u := &ups[slots[i]]
+			u := &in.ups[slots[i]]
 			if u.reject == "" && verdicts[u.sig] != nil {
 				u.reject = "batch_sig"
 			}
@@ -581,7 +619,7 @@ func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error
 				}
 			}
 		case pmArgue:
-			a := &args[slots[i]]
+			a := &in.args[slots[i]]
 			if a.rejected || verdicts[a.innerSig] != nil || verdicts[a.argueSig] != nil {
 				g.stats.ArguesRejected++
 				continue
@@ -1008,12 +1046,14 @@ func (g *Governor) emitExpiry(entry *uncheckedEntry) {
 		slog.String("cause", "window_expiry"))
 }
 
-// buildBlock assembles and signs the round's block from records and
-// their transaction IDs (a screenRound result, so at most BlockLimit of
-// them) when this governor leads, and returns its frame. Records already
-// committed valid elsewhere in the chain are dropped (several governors
-// may hold the same argue re-validation pending).
-func (g *Governor) buildBlock(records []ledger.Record, ids []crypto.Hash) ([]byte, error) {
+// pack assembles and signs the round's block from records and their
+// transaction IDs (a screenRound result, so at most BlockLimit of them)
+// when this governor leads, commits it and returns its frame. Records
+// already committed valid elsewhere in the chain are dropped (several
+// governors may hold the same argue re-validation pending). The leader
+// commits the frame it sealed under the hash it signed, so no node
+// decodes a block it proposed (DESIGN.md §4f).
+func (g *Governor) pack(records []ledger.Record, ids []crypto.Hash) ([]byte, error) {
 	// The transaction root is built incrementally while the block is
 	// packed: each record that survives the duplicate filter is hashed
 	// into the Merkle builder as it is placed, so the root is ready the
@@ -1021,19 +1061,18 @@ func (g *Governor) buildBlock(records []ledger.Record, ids []crypto.Hash) ([]byt
 	// re-walked for hashing (DESIGN.md §4f).
 	g.merkle.Reset()
 	enc := codec.GetEncoder(256)
-	fresh := records[:0]
+	fresh, freshIDs := records[:0], ids[:0]
 	for i, r := range records {
 		if r.Status == tx.StatusValid && g.committedValid[ids[i]] {
 			continue
 		}
 		enc.Reset()
 		r.EncodeLeaf(enc)
-		fresh = append(fresh, r)
+		fresh, freshIDs = append(fresh, r), append(freshIDs, ids[i])
 		g.merkle.Add(enc.Bytes())
 	}
 	enc.Release()
-	records = fresh
-	b, err := ledger.NewBlockWithRoot(g.store.Height(), g.store.HeadHash(), records, g.cfg.BlockLimit, g.merkle.Root())
+	b, err := ledger.NewBlockWithRoot(g.store.Height(), g.store.HeadHash(), fresh, g.cfg.BlockLimit, g.merkle.Root())
 	if err != nil {
 		return nil, fmt.Errorf("governor %s build block: %w", g.cfg.Member.ID, err)
 	}
@@ -1044,14 +1083,14 @@ func (g *Governor) buildBlock(records []ledger.Record, ids []crypto.Hash) ([]byt
 			slog.Uint64("serial", b.Serial),
 			slog.Int("records", len(b.Records)),
 			slog.String("hash", h.Short()))
-		for _, rec := range b.Records {
-			g.events.Emit(events.TypeTxPacked, rec.Signed.ID().String(), g.round, node,
+		for i, rec := range b.Records {
+			g.events.Emit(events.TypeTxPacked, freshIDs[i].String(), g.round, node,
 				slog.Uint64("serial", b.Serial),
 				slog.Int("status", int(rec.Status)),
 				slog.Bool("unchecked", rec.Unchecked))
 		}
 	}
-	return frame, nil
+	return frame, g.commit(b, h, freshIDs, frame)
 }
 
 // AcceptBlock verifies and appends a proposed block, given as its frame
@@ -1067,11 +1106,25 @@ func (g *Governor) buildBlock(records []ledger.Record, ids []crypto.Hash) ([]byt
 // idempotently; a different block at a committed serial is a fork and
 // fails with ErrFork.
 func (g *Governor) AcceptBlock(frame []byte) error {
-	b, rcv, err := ledger.ReceiveBlock(frame, g.merkle)
-	if err != nil {
-		return fmt.Errorf("governor %s: block frame: %v: %w", g.cfg.Member.ID, err, ErrBadMessage)
+	b, rcv, err := g.receive(frame)
+	if err == nil {
+		err = g.accept(b, rcv, frame)
+	} else {
+		err = fmt.Errorf("governor %s: block frame: %v: %w", g.cfg.Member.ID, err, ErrBadMessage)
 	}
-	return g.accept(b, rcv, frame)
+	g.adopting = emptied(g.adopting)
+	return err
+}
+
+// receive decodes a block frame into adopting and adoptingIDs, the
+// governor's scratch: the block's records are views into frame held in
+// that scratch, which a caller empties once done (DESIGN.md §4f).
+func (g *Governor) receive(frame []byte) (ledger.Block, ledger.Received, error) {
+	b, rcv, err := ledger.ReceiveBlock(frame, g.merkle, g.adopting[:0], g.adoptingIDs[:0])
+	if err == nil {
+		g.adopting, g.adoptingIDs = b.Records, rcv.IDs
+	}
+	return b, rcv, err
 }
 
 // accept is AcceptBlock for a block decoded from frame with the hashes
@@ -1109,12 +1162,20 @@ func (g *Governor) accept(b ledger.Block, rcv ledger.Received, frame []byte) err
 		return fmt.Errorf("governor %s: block %d hash %s, committed %s: %w",
 			g.cfg.Member.ID, b.Serial, h.Short(), committed.Short(), ErrFork)
 	}
+	return g.commit(b, h, rcv.IDs, frame)
+}
+
+// commit is the one commit path, a proposer's (pack) and a receiver's
+// (accept) alike: it appends block b, of hash h, to the replica as
+// frame, files each valid record's ID (ids[i] is b.Records[i]'s) in
+// committedValid and emits block.committed and tx.committed.
+func (g *Governor) commit(b ledger.Block, h crypto.Hash, ids []crypto.Hash, frame []byte) error {
 	if err := g.store.AppendFrame(b, h, frame); err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
 	}
 	for i, rec := range b.Records {
 		if rec.Status == tx.StatusValid {
-			g.committedValid[rcv.IDs[i]] = true
+			g.committedValid[ids[i]] = true
 		}
 	}
 	if g.events != nil {
@@ -1125,7 +1186,7 @@ func (g *Governor) accept(b ledger.Block, rcv ledger.Received, frame []byte) err
 			slog.String("proposer", string(b.Proposer)),
 			slog.String("hash", h.Short()))
 		for i, rec := range b.Records {
-			g.events.Emit(events.TypeTxCommitted, rcv.IDs[i].String(), g.round, node,
+			g.events.Emit(events.TypeTxCommitted, ids[i].String(), g.round, node,
 				slog.Uint64("serial", b.Serial),
 				slog.Int("status", int(rec.Status)))
 		}

@@ -2,6 +2,8 @@ package node
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repchain/internal/crypto"
@@ -119,5 +121,101 @@ func TestScribbledFramesLeaveGovernorStateUnchanged(t *testing.T) {
 	same("argued record", want.pending, got.pending)
 	if !bytes.Equal(want.snapshot, got.snapshot) {
 		t.Fatal("reputation snapshot changed with the overwritten frames")
+	}
+}
+
+// keptState encodes what governor g keeps past a round, keyed by kind
+// and transaction ID: its pending groups, the argue records it carries
+// and its argue-window entries, each with its reports.
+func keptState(g *Governor) map[string][]byte {
+	out := make(map[string][]byte)
+	for id, grp := range g.groups {
+		out["group "+id.String()] = fmt.Appendf(grp.signed.EncodeBytes(), "%v", grp.reports)
+	}
+	for i, rec := range g.pendingRecords {
+		out["carried "+g.pendingIDs[i].String()] = rec.Signed.EncodeBytes()
+	}
+	for _, q := range g.unchecked {
+		for _, e := range q {
+			out["entry "+e.id.String()] = fmt.Appendf(e.signed.EncodeBytes(), "%v", e.reports)
+		}
+	}
+	return out
+}
+
+// TestScratchReuseLeavesKeptStateUnchanged drives a governor through
+// rounds that carry uploads and argue records across rounds (a block
+// limit of one every other round) and fill argue windows (lying
+// collectors). Each round decodes its uploads, argues and block into
+// the scratch the round before used (DESIGN.md §4f): whatever the
+// governor kept from that round — groups, carried records, argue-window
+// entries — must read the same after the intake and after the adoption.
+func TestScratchReuseLeavesKeptStateUnchanged(t *testing.T) {
+	fx := newFixtureOpts(t, []Behavior{ProbBehavior{Misreport: 1}, ProbBehavior{Misreport: 1}}, func(cfg *GovernorConfig) {
+		cfg.Params.F = 0.95
+	})
+	g := fx.governor
+	signed := make(map[crypto.Hash]tx.SignedTx)
+	var kept map[string][]byte
+	seen := make(map[string]int) // comparisons by kind
+	same := func(r int, where string) {
+		t.Helper()
+		for key, got := range keptState(g) {
+			if want, ok := kept[key]; ok {
+				if !bytes.Equal(got, want) {
+					t.Fatalf("round %d: %s changed %s", r, key, where)
+				}
+				seen[strings.Fields(key)[0]]++
+			}
+		}
+	}
+	for r := 0; r < 20; r++ {
+		for k := range fx.providers {
+			for i := 0; i < 3; i++ {
+				s, err := fx.providers[k].Submit("test", []byte{1, byte(r), byte(k), byte(i)}, true, 0, fx.bus)
+				if err != nil {
+					t.Fatal(err)
+				}
+				signed[s.ID()] = s
+			}
+		}
+		for c := range fx.collectors {
+			fx.collect(t, c)
+		}
+		msgs := fx.inbox.Receive()
+		if r%2 == 1 && len(g.unchecked[0]) >= 3 {
+			// Three argues a block limit of one carries into later rounds.
+			for _, e := range g.unchecked[0][len(g.unchecked[0])-3:] {
+				msg := NewArgue(signed[e.id], 1, fx.roster.Providers[0].PrivateKey)
+				msgs = append(msgs, network.Message{From: fx.roster.Providers[0].ID, Kind: network.KindArgue, Payload: msg.EncodeBytes()})
+			}
+		}
+		g.cfg.BlockLimit = r % 2
+		if _, err := g.handleBatch(msgs); err != nil {
+			t.Fatal(err)
+		}
+		same(r, "when the next intake reused the scratch")
+		if err := g.processArgues(); err != nil {
+			t.Fatal(err)
+		}
+		records, ids, err := g.screenRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := g.pack(records, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AcceptBlock(frame); err != nil { // a redelivery, decoded into the adoption scratch
+			t.Fatal(err)
+		}
+		same(r, "when the next adoption reused the scratch")
+		g.begin(g.round + 1)
+		kept = keptState(g)
+	}
+	for _, kind := range []string{"group", "carried", "entry"} {
+		if seen[kind] == 0 {
+			t.Fatalf("no %s was kept across a round: the run does not exercise it (%v)", kind, seen)
+		}
 	}
 }

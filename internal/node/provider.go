@@ -28,7 +28,9 @@ var _ Sender = (*network.Bus)(nil)
 // Provider is a data provider p_k. It signs transactions together with
 // a timestamp and broadcasts them to the r collectors it is linked
 // with; as an *active* provider it retrieves every block and argues
-// whenever one of its valid transactions is marked invalid (§3.1).
+// whenever one of its valid transactions is marked invalid (§3.1). It
+// keeps only what it may argue: its valid transactions, until a block
+// settles each.
 type Provider struct {
 	member identity.Member
 	// clock paces Step; nil for a provider driven by hand (Submit,
@@ -39,18 +41,17 @@ type Provider struct {
 	governorIDs  []identity.NodeID
 
 	seq uint64
-	// pending tracks transactions not yet settled by a block, each with
-	// the provider's own knowledge of its validity — supplied by the
-	// workload generator at submission time, used to decide whether to
-	// argue — and whether it has been argued already. One map, so a
-	// settled transaction leaves nothing behind.
+	// pending tracks the valid transactions — by the provider's own
+	// account, supplied at submission — that no block has settled yet,
+	// and whether each has been argued already. An invalid one is never
+	// argued, and one a governor discards never reaches a block to settle
+	// it, so none is kept. One map, so a settled transaction leaves
+	// nothing behind.
 	pending map[crypto.Hash]pendingTx
-	// settled counts transactions observed in blocks with their final
-	// status (valid, or invalid-and-confirmed); argues counts the argues
-	// sent.
-	settledValid   int
-	settledInvalid int
-	argues         int
+	// settledValid counts transactions observed in blocks as valid;
+	// argues counts the argues sent.
+	settledValid int
+	argues       int
 
 	// queued holds the transactions Queue handed over, with their IDs,
 	// for the next round's opening to sign; phase is where Step left
@@ -64,14 +65,17 @@ type Provider struct {
 	round  uint64
 	// reg counts block frames ingest skips.
 	reg *metrics.Registry
+	// own and ownIDs are ingest's scratch, reused for every block: the
+	// provider's records of one, as decoded, and their IDs.
+	own    []ledger.Record
+	ownIDs []crypto.Hash
 }
 
-// pendingTx is one unsettled submission. signed is its envelope, set
-// once signStaged has signed it; only a signed transaction can reach a
-// block, so only those are argued.
+// pendingTx is one unsettled valid submission. signed is its envelope,
+// set once signStaged has signed it; only a signed transaction can
+// reach a block, so only those are argued.
 type pendingTx struct {
 	signed tx.SignedTx
-	valid  bool
 	argued bool
 }
 
@@ -121,8 +125,8 @@ func (p *Provider) ID() identity.NodeID { return p.member.ID }
 func (p *Provider) Index() int { return p.member.Index }
 
 // Stage builds one transaction per item under the provider's next
-// seqs and timestamp, hashes each once and records it pending with the
-// provider's ground truth, without signing. It returns the
+// seqs and timestamp, hashes each once and records each valid one
+// pending, without signing: only those may be argued. It returns the
 // transactions and their IDs, in order, for Queue: a caller that
 // queues submissions stages them at admission, so the timestamp
 // reflects submission, and queues whatever one drain takes.
@@ -139,7 +143,9 @@ func (p *Provider) Stage(items []Submission, timestamp int64) ([]tx.Transaction,
 			Payload:   it.Payload,
 		}
 		ids[i] = txs[i].ID()
-		p.pending[ids[i]] = pendingTx{valid: it.Valid}
+		if it.Valid {
+			p.pending[ids[i]] = pendingTx{}
+		}
 	}
 	return txs, ids
 }
@@ -158,9 +164,10 @@ func (p *Provider) Queue(t tx.Transaction, id crypto.Hash) {
 func (p *Provider) signStaged(txs []tx.Transaction, ids []crypto.Hash) []tx.SignedTx {
 	out := tx.SignLeaves(txs, ids, p.member.PrivateKey)
 	for i, signed := range out {
-		pt := p.pending[ids[i]]
-		pt.signed = signed
-		p.pending[ids[i]] = pt
+		if pt, ok := p.pending[ids[i]]; ok {
+			pt.signed = signed
+			p.pending[ids[i]] = pt
+		}
 		if p.events != nil {
 			p.events.Emit(events.TypeTxSigned, ids[i].String(), p.round, string(p.member.ID),
 				slog.String("kind", txs[i].Kind))
@@ -246,12 +253,14 @@ func (p *Provider) ingest(msgs []network.Message, sender Sender) (blocks int, er
 			p.reg.CounterVec("node.blocks_ignored_total", "reason").With("not_governor").Inc()
 			continue
 		}
-		b, ids, err := ledger.DecodeOwnRecords(m.Payload, p.member.ID)
+		b, ids, err := ledger.DecodeOwnRecords(m.Payload, p.member.ID, p.own[:0], p.ownIDs[:0])
 		if err != nil {
 			p.reg.CounterVec("node.blocks_ignored_total", "reason").With("decode").Inc()
 			continue
 		}
-		if _, err := p.observe(b.Serial, b.Records, ids, sender); err != nil {
+		_, err = p.observe(b.Serial, b.Records, ids, sender)
+		p.own, p.ownIDs = emptied(b.Records), ids[:0]
+		if err != nil {
 			return blocks, err
 		}
 		blocks++
@@ -288,7 +297,7 @@ func (p *Provider) observe(serial uint64, records []ledger.Record, ids []crypto.
 			p.settledValid++
 			delete(p.pending, id)
 		case rec.Status != tx.StatusInvalid:
-		case rec.Unchecked && pt.valid:
+		case rec.Unchecked:
 			// Marked invalid without verification, and the provider
 			// knows it was valid: argue, once (the active-provider duty
 			// of the Validity property).
@@ -304,9 +313,7 @@ func (p *Provider) observe(serial uint64, records []ledger.Record, ids []crypto.
 			argues++
 			p.argues++
 		default:
-			// Checked invalid (the governor verified it), or unchecked
-			// and invalid by the provider's own account: settled.
-			p.settledInvalid++
+			// Checked invalid: the governor verified it, settled.
 			delete(p.pending, id)
 		}
 	}
@@ -316,15 +323,7 @@ func (p *Provider) observe(serial uint64, records []ledger.Record, ids []crypto.
 // PendingValid returns how many of the provider's valid transactions
 // have not yet appeared valid in any block — the quantity the Validity
 // property drives to zero.
-func (p *Provider) PendingValid() int {
-	n := 0
-	for _, pt := range p.pending {
-		if pt.valid {
-			n++
-		}
-	}
-	return n
-}
+func (p *Provider) PendingValid() int { return len(p.pending) }
 
 // SettledValid returns how many of the provider's transactions have
 // appeared in a block with status valid.

@@ -83,18 +83,25 @@ func TestSignBatchMatchesSign(t *testing.T) {
 	}
 }
 
-// countingSender counts multicasts and drops them.
-type countingSender struct{ n int }
+// countingSender counts multicasts and drops them, keeping the last
+// payload.
+type countingSender struct {
+	n    int
+	last []byte
+}
 
-func (s *countingSender) Multicast(identity.NodeID, []identity.NodeID, string, []byte) error {
-	s.n++
+func (s *countingSender) Multicast(_ identity.NodeID, _ []identity.NodeID, _ string, payload []byte) error {
+	s.n, s.last = s.n+1, payload
 	return nil
 }
 
-// TestProviderStateBounded pins the unbounded-state fix: every
-// transaction signed through Queue and Step — valid,
+// TestProviderStateBounded pins a provider's state to what it may argue.
+// Every transaction signed through Queue and Step — valid,
 // invalid-and-recorded, and argued then vindicated — leaves nothing
-// behind once a block settles it, neither pending nor in the queue.
+// behind once a block settles it, neither pending nor in the queue. And
+// over 200 rounds with a quarter of each round invalid, which governors
+// check and discard so that no block ever names them, pending holds no
+// more than the valid submissions still in flight.
 func TestProviderStateBounded(t *testing.T) {
 	const total, perBlock = 10_000, 500
 	prov := newFixture(t, nil).providers[0]
@@ -111,24 +118,33 @@ func TestProviderStateBounded(t *testing.T) {
 		}
 		prev = &blk
 	}
+	// sign stages and queues items for round and steps the provider
+	// through the round's opening; it returns the envelopes it broadcast.
+	sign := func(round uint64, items []Submission) []tx.SignedTx {
+		t.Helper()
+		txs, ids := prov.Stage(items, int64(round))
+		for i := range txs {
+			prov.Queue(txs[i], ids[i])
+		}
+		frames := &countingSender{}
+		for range 2 { // open the round, then sign
+			if _, err := prov.Step(testClock.At(round, 0).Add(time.Nanosecond), nil, frames); err != nil {
+				t.Fatal(err)
+			}
+		}
+		signed, _, err := tx.DecodeListBytes(frames.last, nil, nil)
+		if err != nil || len(signed) != len(items) {
+			t.Fatalf("round %d broadcast %d of %d transactions: %v", round, len(signed), len(items), err)
+		}
+		return signed
+	}
 	for done := 0; done < total; done += perBlock {
 		items := make([]Submission, perBlock)
 		for i := range items {
 			items[i] = Submission{Kind: "k", Payload: []byte{byte(i % 3), byte(i), byte(i >> 8), byte(done >> 8)}, Valid: i%3 != 0}
 		}
-		txs, ids := prov.Stage(items, int64(done))
-		for i := range txs {
-			prov.Queue(txs[i], ids[i])
-		}
-		opening := testClock.At(uint64(done/perBlock+1), 0).Add(time.Nanosecond)
-		for range 2 { // open the round, then sign
-			if _, err := prov.Step(opening, nil, &countingSender{}); err != nil {
-				t.Fatal(err)
-			}
-		}
 		var recs, vindicated []ledger.Record
-		for i, id := range ids {
-			signed := prov.pending[id].signed
+		for i, signed := range sign(uint64(done/perBlock+1), items) {
 			switch i % 3 {
 			case 0: // invalid by the provider's own account, recorded unchecked
 				recs = append(recs, ledger.Record{Signed: signed, Label: tx.LabelInvalid, Status: tx.StatusInvalid, Unchecked: true})
@@ -153,6 +169,29 @@ func TestProviderStateBounded(t *testing.T) {
 	}
 	if got := prov.SettledValid(); got != total-total/perBlock*((perBlock+2)/3) {
 		t.Fatalf("SettledValid() = %d", got)
+	}
+
+	// Each round's block settles the round before's valid transactions
+	// and names none of its invalid ones.
+	const rounds, perRound = 200, 16
+	var landing []ledger.Record
+	for r := 1; r <= rounds; r++ {
+		items := make([]Submission, perRound)
+		for i := range items {
+			items[i] = Submission{Kind: "k", Payload: []byte{byte(i), byte(r), byte(r >> 8)}, Valid: i%4 != 0}
+		}
+		signed := sign(uint64(total/perBlock+r), items)
+		commit(landing)
+		landing = landing[:0]
+		for i, s := range signed {
+			if items[i].Valid {
+				landing = append(landing, ledger.Record{Signed: s, Label: tx.LabelValid, Status: tx.StatusValid})
+			}
+		}
+		if inFlight := len(landing); len(prov.pending) > inFlight || prov.PendingValid() != inFlight {
+			t.Fatalf("round %d: %d pending entries, PendingValid() = %d, with %d valid transactions in flight",
+				r, len(prov.pending), prov.PendingValid(), inFlight)
+		}
 	}
 }
 
@@ -228,7 +267,7 @@ func TestProviderStep(t *testing.T) {
 		if len(msgs) != 1 {
 			t.Fatalf("collector %d got %d frames, want 1", c, len(msgs))
 		}
-		list, _, err := tx.DecodeListBytes(msgs[0].Payload)
+		list, _, err := tx.DecodeListBytes(msgs[0].Payload, nil, nil)
 		if err != nil || len(list) != 2 || list[0].Batch != list[1].Batch {
 			t.Fatalf("collector %d: a frame of %d transactions (%v), want one batch of 2", c, len(list), err)
 		}

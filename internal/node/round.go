@@ -9,7 +9,6 @@ import (
 	"repchain/internal/consensus"
 	"repchain/internal/events"
 	"repchain/internal/identity"
-	"repchain/internal/ledger"
 	"repchain/internal/metrics"
 	"repchain/internal/network"
 )
@@ -18,13 +17,13 @@ import (
 // node the messages it drained, the time and a Sender, and Step runs
 // every step whose inputs are in or whose deadline has passed. For a
 // governor, in the paper's order: open the round, screen, broadcast VRF
-// tickets, elect, propose when leading, adopt the block, run the stake
-// transform (stake.go), checkpoint on the snapshot cadence. A provider
-// (provider.go) signs and broadcasts what was queued for it at the
-// round's opening, then takes the block and argues; a collector
-// (collector.go) files provider frames and uploads them at its
-// deadline. Step does no network I/O, reads no clock and
-// starts no goroutine. core.Engine steps an alliance in lock-step, each
+// tickets, elect, propose and commit when leading, else adopt the block,
+// run the stake transform (stake.go), checkpoint on the snapshot
+// cadence. A provider (provider.go) signs and broadcasts what was queued
+// for it at the round's opening, then takes the block and argues; a
+// collector (collector.go) files provider frames and uploads them at its
+// deadline. Step does no network I/O, reads no clock and starts no
+// goroutine. core.Engine steps an alliance in lock-step, each
 // deadline right after the bus tick that brings its inputs;
 // transport.RunNode steps one node whenever a frame arrives or its next
 // deadline passes.
@@ -37,7 +36,8 @@ import (
 //	t0 + 0.00·R    providers broadcast the round's transactions
 //	t0 + 0.30·R    deadline: collectors label and upload what arrived
 //	t0 + 0.55·R    deadline: governors screen, then broadcast VRF tickets
-//	t0 + 0.835·R   deadline: governors elect; the leader broadcasts the block
+//	t0 + 0.835·R   deadline: governors elect; the leader commits its block,
+//	               then multicasts it to the other governors and the providers
 //	t0 + 1.00·R    deadline: the round ends; a governor gives up on a
 //	               missing block and stops the stake transform
 //
@@ -128,8 +128,9 @@ type Stepper interface {
 // under either driver: a Step that moves the node to another stage ends
 // the sample of the stage it left, the time its Steps took there. The
 // stages: a provider's sign and argue (its block intake); a collector's
-// upload; a governor's screen, elect, pack, commit (with the first stake
-// step), stake, and checkpoint (the round's end).
+// upload; a governor's screen, elect, pack (with the leader's commit),
+// commit (with the first stake step), stake, and checkpoint (the round's
+// end).
 type StageTimer struct {
 	Stages *metrics.HistogramVec
 	busy   time.Duration
@@ -433,9 +434,10 @@ func (g *Governor) elect() error {
 }
 
 // propose is the leader's step: sign B = (s, TXList, h) over the
-// screened records and multicast it to every governor and provider.
+// screened records, commit it, and multicast it to the other governors
+// and the providers.
 func (g *Governor) propose(out Sender) error {
-	frame, err := g.buildBlock(g.records, g.recordIDs)
+	frame, err := g.pack(g.records, g.recordIDs)
 	g.records, g.recordIDs = nil, g.recordIDs[:0]
 	if err != nil {
 		return err
@@ -451,16 +453,18 @@ func (g *Governor) adoptStashed(leader int) error {
 	stash := g.blocks
 	g.blocks = nil
 	for _, payload := range stash {
-		b, rcv, err := ledger.ReceiveBlock(payload, g.merkle)
-		if err != nil {
+		b, rcv, err := g.receive(payload)
+		switch {
+		case err != nil:
 			g.reg.CounterVec("node.blocks_ignored_total", "reason").With("decode").Inc()
-			continue
-		}
-		if leader < 0 || b.Proposer != g.governorIDs[leader] {
+			err = nil
+		case leader < 0 || b.Proposer != g.governorIDs[leader]:
 			g.reg.CounterVec("node.blocks_ignored_total", "reason").With("not_leader").Inc()
-			continue
+		default:
+			err = g.accept(b, rcv, payload)
 		}
-		if err := g.accept(b, rcv, payload); err != nil {
+		g.adopting = emptied(g.adopting)
+		if err != nil {
 			return err
 		}
 	}

@@ -416,7 +416,7 @@ func TestCollectorLateFrame(t *testing.T) {
 	sizes := map[uint64]int{}
 	seen := map[crypto.Hash]int{}
 	for _, m := range a.inboxes[0].Receive() {
-		batch, rcv, err := tx.DecodeUploadBatchBytes(m.Payload)
+		batch, rcv, err := tx.DecodeUploadBatchBytes(m.Payload, nil, nil)
 		a.check(err)
 		sizes[batch.Round] = len(batch.Items)
 		for _, id := range rcv.IDs {
@@ -492,23 +492,82 @@ func TestRoundAdoptsBlockFromWrongPhase(t *testing.T) {
 	}
 
 	// A frame from a governor nobody elected, and one that is not a
-	// block at all, are skipped and counted.
+	// block at all, are skipped and counted by a governor that awaits the
+	// block: one that is neither the impostor nor the leader, which holds
+	// its block from its pack Step.
 	a.open()
 	leader = a.elect(0, 1, 2)
 	a.bus.SetDropFunc(func(m network.Message, to identity.NodeID) bool { return m.Kind == network.KindBlock })
 	a.propose(leader)
 	a.bus.SetDropFunc(nil)
-	impostor := (leader + 1) % 3
+	impostor, target := (leader+1)%3, (leader+2)%3
 	forged, err := ledger.NewBlock(nil, nil, 0)
 	a.check(err)
 	forged.SignAs(a.ids[impostor], a.govs[impostor].cfg.Member.PrivateKey)
-	a.check(a.bus.Multicast(a.ids[impostor], a.ids[:1], network.KindBlock, forged.EncodeBytes()))
-	a.check(a.bus.Multicast(a.ids[impostor], a.ids[:1], network.KindBlock, []byte("junk")))
-	if a.adopt(0) {
-		t.Fatal("governor 0 committed a block from an unelected proposer")
+	a.check(a.bus.Multicast(a.ids[impostor], a.ids[target:target+1], network.KindBlock, forged.EncodeBytes()))
+	a.check(a.bus.Multicast(a.ids[impostor], a.ids[target:target+1], network.KindBlock, []byte("junk")))
+	if a.adopt(target) {
+		t.Fatalf("governor %d committed a block from an unelected proposer", target)
 	}
 	if a.ignored("decode") != 1 || a.ignored("not_leader") != 1 {
 		t.Fatalf("ignored decode=%d not_leader=%d, want 1 and 1", a.ignored("decode"), a.ignored("not_leader"))
+	}
+}
+
+// TestLeaderCommitsWhatItSealed: the leader's pack Step commits the
+// block it sealed, under the hash it signed, and sends it to the other
+// governors and the provider only: no governor receives a block frame
+// from itself, so per round m−1 of them receive and decode one. The
+// leader's block.committed and tx.committed events carry the serial,
+// hash and statuses every other governor's do.
+func TestLeaderCommitsWhatItSealed(t *testing.T) {
+	a := newAlliance(t, nil)
+	received := 0 // block frames delivered to governors
+	a.bus.SetDropFunc(func(m network.Message, to identity.NodeID) bool {
+		if m.Kind == network.KindBlock && slices.Contains(a.ids, to) {
+			if received++; m.From == to {
+				t.Errorf("governor %s sent its block to itself", to)
+			}
+		}
+		return false
+	})
+	commits := func(j int) string {
+		var b strings.Builder
+		for _, e := range a.log.Select(events.Filter{Node: string(a.ids[j]), Round: a.round}) {
+			if e.Type == events.TypeBlockCommitted || e.Type == events.TypeTxCommitted {
+				fmt.Fprintln(&b, e.Type, e.Trace, e.Attrs)
+			}
+		}
+		return b.String()
+	}
+	const rounds = 4
+	for r := 1; r <= rounds; r++ {
+		a.submit(a.round+1, 8)
+		a.open()
+		leader := a.elect(0, 1, 2)
+		height := a.govs[leader].Store().Height()
+		a.propose(leader)
+		store := a.govs[leader].Store()
+		if store.Height() != height+1 || store.HeadHash() != a.head(leader).Hash() {
+			t.Fatalf("round %d: leader at height %d after its pack Step, want %d under its block's hash", a.round, store.Height(), height+1)
+		}
+		for j := range a.govs {
+			if !a.adopt(j) || a.govs[j].Store().HeadHash() != store.HeadHash() {
+				t.Fatalf("round %d: governor %d does not hold the leader's block", a.round, j)
+			}
+		}
+		want := commits(leader)
+		if !strings.Contains(want, events.TypeTxCommitted) {
+			t.Fatalf("round %d: the leader's commit events %q hold no record", a.round, want)
+		}
+		for j := range a.govs {
+			if got := commits(j); got != want {
+				t.Fatalf("round %d: governor %d's commit events\n%s\nthe leader's\n%s", a.round, j, got, want)
+			}
+		}
+	}
+	if want := rounds * (len(a.govs) - 1); received != want {
+		t.Fatalf("%d block frames reached governors in %d rounds, want %d", received, rounds, want)
 	}
 }
 

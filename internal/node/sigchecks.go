@@ -10,7 +10,8 @@ import (
 // crypto.VerifyBatch call. Signing messages go back to back into one
 // pooled arena; only (start, end) spans are kept while it may still
 // reallocate, and the messages are sliced out at verify (DESIGN.md
-// §4f).
+// §4f). A node keeps one: begin readies it for a drain, verify empties
+// it.
 type sigChecks struct {
 	arena *codec.Encoder
 	items []crypto.BatchItem
@@ -24,8 +25,10 @@ type sigChecks struct {
 	lastItem  int
 }
 
-func newSigChecks(sizeHint int) *sigChecks {
-	return &sigChecks{arena: codec.GetEncoder(sizeHint)}
+// begin readies c for a drain whose signing messages take about
+// sizeHint bytes.
+func (c *sigChecks) begin(sizeHint int) {
+	c.arena = codec.GetEncoder(sizeHint)
 }
 
 // add records a check of sig under pub over the arena bytes from start
@@ -57,8 +60,9 @@ func (c *sigChecks) provider(s *tx.SignedTx, id crypto.Hash, pub crypto.PublicKe
 	return c.lastItem
 }
 
-// verify runs every check in one batch and releases the arena; the
-// verdicts are indexed like the checks.
+// verify runs every check in one batch, releases the arena and empties
+// c for the next drain, keeping its slices; the verdicts are indexed
+// like the checks.
 func (c *sigChecks) verify() []error {
 	buf := c.arena.Bytes()
 	for k := range c.items {
@@ -68,5 +72,9 @@ func (c *sigChecks) verify() []error {
 	// can go back to the pool right after.
 	verdicts := crypto.VerifyBatch(c.items)
 	c.arena.Release()
+	// Emptied, c pins no frame's signature or batch past the drain.
+	clear(c.items)
+	c.arena, c.items, c.spans, c.batchItem, c.last = nil, c.items[:0], c.spans[:0], c.batchItem[:0], nil
+	c.batches.Reset()
 	return verdicts
 }

@@ -16,7 +16,7 @@ import (
 func TraceIDOf(kind string, payload []byte) string {
 	switch kind {
 	case network.KindProviderTx:
-		_, ids, err := tx.DecodeListBytes(payload)
+		_, ids, err := tx.DecodeListBytes(payload, nil, nil)
 		if err != nil || len(ids) != 1 {
 			return ""
 		}

@@ -877,7 +877,7 @@ func TestRuntimeProviderOneFramePerCollector(t *testing.T) {
 				t.Fatalf("TxPerRound %d: collector %d got %d frames, want %d", perRound, c, len(frames), rounds)
 			}
 			for _, f := range frames {
-				list, _, err := tx.DecodeListBytes(f.Payload)
+				list, _, err := tx.DecodeListBytes(f.Payload, nil, nil)
 				if f.Kind != network.KindProviderTx || err != nil || len(list) != perRound {
 					t.Fatalf("TxPerRound %d: frame %s of %d transactions (%v)", perRound, f.Kind, len(list), err)
 				}

@@ -72,7 +72,7 @@ func providerFrame(t *testing.T, n int) []byte {
 // transactions costs the allocations of a list of 2.
 func TestDecodedPayloadsViewTheFrame(t *testing.T) {
 	frame := providerFrame(t, 8)
-	list, _, err := DecodeListBytes(frame)
+	list, _, err := DecodeListBytes(frame, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDecodedPayloadsViewTheFrame(t *testing.T) {
 	allocs := func(n int) float64 {
 		frame := providerFrame(t, n)
 		return testing.AllocsPerRun(50, func() {
-			if _, _, err := DecodeListBytes(frame); err != nil {
+			if _, _, err := DecodeListBytes(frame, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -242,6 +242,13 @@ func (t *BatchTable) Ref(b *Batch) (pos int, added bool) {
 	return n, true
 }
 
+// Reset empties t, keeping its memory for the next table.
+func (t *BatchTable) Reset() {
+	clear(t.batches)
+	t.batches = t.batches[:0]
+	clear(t.index)
+}
+
 // signed reports whether an entry carries b's signature.
 func (t *BatchTable) signed(b *Batch) bool {
 	pos, _ := t.lookup(b, func(*Batch) bool { return true })
@@ -301,9 +308,12 @@ const minRefBytes = 22
 // DecodeList reads a list written by EncodeList from d, calling rest
 // after each element's transaction, with the offset in d where that
 // transaction's bytes begin, to read the container's fields for it from
-// d; minRest is their shortest encoding. The input is untrusted: every
-// count is checked against the bytes that remain before anything is
-// allocated for it, and only EncodeList's own output is accepted — no
+// d; minRest is their shortest encoding. It appends the elements to out
+// and their IDs to ids and returns both, so a caller that passes last
+// round's slices cut to length 0 decodes without allocating them (nil,
+// nil on an error). The input is untrusted: every count is checked
+// against the bytes that remain before anything is allocated for it,
+// and only EncodeList's own output is accepted — no
 // unreferenced batch, first references in table order, no signature on
 // two batches (which no two valid batches share) — so every accepted
 // input re-encodes to the same bytes, and the IDs DecodeList returns
@@ -315,7 +325,7 @@ const minRefBytes = 22
 // what keeps an element longer than its input lives copies the payload
 // (DESIGN.md §4f, "Bytes at rest, views in flight").
 // A leaf index is not checked here: CheckLeaf refuses it per element.
-func DecodeList[T any](d *codec.Decoder, minRest int, only identity.NodeID, rest func(s SignedTx, start int) (T, error)) ([]T, []crypto.Hash, error) {
+func DecodeList[T any](d *codec.Decoder, minRest int, only identity.NodeID, out []T, ids []crypto.Hash, rest func(s SignedTx, start int) (T, error)) ([]T, []crypto.Hash, error) {
 	nb, err := d.UvarintCount(minBatchBytes)
 	if err != nil {
 		return nil, nil, fmt.Errorf("batch count: %v: %w", err, ErrDecode)
@@ -337,10 +347,8 @@ func DecodeList[T any](d *codec.Decoder, minRest int, only identity.NodeID, rest
 	if err != nil {
 		return nil, nil, fmt.Errorf("list count: %v: %w", err, ErrDecode)
 	}
-	var out []T
-	var ids []crypto.Hash
 	if only == "" {
-		out, ids = make([]T, 0, n), make([]crypto.Hash, 0, n)
+		out, ids = slices.Grow(out, n), slices.Grow(ids, n)
 	}
 	used := 0 // batches referenced so far
 	kind := ""
@@ -398,11 +406,11 @@ func EncodeListBytes(signed []SignedTx) []byte {
 }
 
 // DecodeListBytes decodes a standalone list encoding, requiring full
-// consumption of b, and returns the transactions' IDs as DecodeList
-// hashed them.
-func DecodeListBytes(b []byte) ([]SignedTx, []crypto.Hash, error) {
+// consumption of b, appending the transactions to list and their IDs,
+// as DecodeList hashed them, to ids.
+func DecodeListBytes(b []byte, list []SignedTx, ids []crypto.Hash) ([]SignedTx, []crypto.Hash, error) {
 	d := codec.NewDecoder(b)
-	list, ids, err := DecodeList(d, 0, "", decodeSigned)
+	list, ids, err := DecodeList(d, 0, "", list, ids, decodeSigned)
 	if err != nil {
 		return nil, nil, fmt.Errorf("signed tx list: %w", err)
 	}

@@ -113,7 +113,7 @@ func TestBatchSignedOnce(t *testing.T) {
 	if n := bytes.Count(enc, signed[0].Batch.Sig[:]); n != 1 {
 		t.Fatalf("batch signature encoded %d times, want once", n)
 	}
-	got, ids, err := DecodeListBytes(enc)
+	got, ids, err := DecodeListBytes(enc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func FuzzProviderBatchDecode(f *testing.F) {
 	two := append(signBatch(sampleBatchTxs(2, 1), priv), signBatch(sampleBatchTxs(2, 9), priv)...)
 	f.Add(EncodeListBytes([]SignedTx{two[2], two[0], two[3], two[1]}))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		list, ids, err := DecodeListBytes(p)
+		list, ids, err := DecodeListBytes(p, nil, nil)
 		if err != nil {
 			return
 		}

@@ -263,7 +263,7 @@ func (s SignedTx) EncodeBytes() []byte {
 // DecodeSignedTx reads one SignedTx, a list of exactly one element,
 // from d.
 func DecodeSignedTx(d *codec.Decoder) (SignedTx, error) {
-	list, _, err := DecodeList(d, 0, "", decodeSigned)
+	list, _, err := DecodeList(d, 0, "", nil, nil, decodeSigned)
 	if err != nil {
 		return SignedTx{}, err
 	}

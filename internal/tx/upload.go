@@ -122,10 +122,12 @@ func (b UploadBatch) EncodeBytes() []byte {
 
 // DecodeUploadBatchBytes decodes a standalone UploadBatch encoding,
 // requiring full consumption of p, and returns what it hashed from p:
-// the items' IDs and the digest of their list. The input is untrusted:
-// the item count is checked against the bytes that remain before
-// anything is allocated for it.
-func DecodeUploadBatchBytes(p []byte) (UploadBatch, Received, error) {
+// the items' IDs and the digest of their list. The items are appended
+// to items and their IDs to ids (DecodeList), so a caller can decode
+// into last round's slices. The input is untrusted: the item count is
+// checked against the bytes that remain before anything is allocated
+// for it.
+func DecodeUploadBatchBytes(p []byte, items []UploadItem, ids []crypto.Hash) (UploadBatch, Received, error) {
 	d := codec.NewDecoder(p)
 	coll, err := d.String()
 	if err != nil {
@@ -136,7 +138,7 @@ func DecodeUploadBatchBytes(p []byte) (UploadBatch, Received, error) {
 		return UploadBatch{}, Received{}, fmt.Errorf("upload batch round: %w", err)
 	}
 	start := d.Offset()
-	items, ids, err := DecodeList(d, 1, "", func(s SignedTx, _ int) (UploadItem, error) {
+	items, ids, err = DecodeList(d, 1, "", items, ids, func(s SignedTx, _ int) (UploadItem, error) {
 		lv, err := d.Varint()
 		if err != nil {
 			return UploadItem{}, fmt.Errorf("label: %w", err)

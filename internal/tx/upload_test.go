@@ -26,9 +26,9 @@ func sampleBatch(t testing.TB, n int) (UploadBatch, crypto.PublicKey) {
 	if err != nil {
 		t.Fatalf("SignUploadBatch() error = %v", err)
 	}
-	b, _, err := DecodeUploadBatchBytes(frame)
+	b, _, err := DecodeUploadBatchBytes(frame, nil, nil)
 	if err != nil {
-		t.Fatalf("DecodeUploadBatchBytes() error = %v", err)
+		t.Fatalf("DecodeUploadBatchBytes(, nil, nil) error = %v", err)
 	}
 	return b, collPub
 }
@@ -44,9 +44,9 @@ func verifyBatch(b UploadBatch, pub crypto.PublicKey) error {
 func TestUploadBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 5} {
 		b, collPub := sampleBatch(t, n)
-		got, rcv, err := DecodeUploadBatchBytes(b.EncodeBytes())
+		got, rcv, err := DecodeUploadBatchBytes(b.EncodeBytes(), nil, nil)
 		if err != nil {
-			t.Fatalf("n=%d: DecodeUploadBatchBytes() error = %v", n, err)
+			t.Fatalf("n=%d: DecodeUploadBatchBytes(, nil, nil) error = %v", n, err)
 		}
 		if rcv.Digest != b.Digest() || len(rcv.IDs) != n {
 			t.Fatalf("n=%d: received digest %s and %d IDs, want %s", n, rcv.Digest.Short(), len(rcv.IDs), b.Digest().Short())
@@ -79,7 +79,7 @@ func TestUploadBatchSignatureCoversEverything(t *testing.T) {
 		"round edit":     func(b *UploadBatch) { b.Round++ },
 	}
 	for name, edit := range edits {
-		got, _, err := DecodeUploadBatchBytes(b.EncodeBytes())
+		got, _, err := DecodeUploadBatchBytes(b.EncodeBytes(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestDecodeUploadBatchRejectsBadLabel(t *testing.T) {
 	e.PutUvarint(1)                                                                // round
 	encodeUploadItems(e, []UploadItem{{Signed: Sign(sampleTx(1), key), Label: 3}}) // illegal label
 	e.PutBytes([]byte("sig"))
-	if _, _, err := DecodeUploadBatchBytes(e.Bytes()); !errors.Is(err, ErrBadLabel) {
+	if _, _, err := DecodeUploadBatchBytes(e.Bytes(), nil, nil); !errors.Is(err, ErrBadLabel) {
 		t.Fatalf("error = %v, want ErrBadLabel", err)
 	}
 }
@@ -122,7 +122,7 @@ func TestDecodeUploadBatchRejectsTruncatedLabel(t *testing.T) {
 		EncodeList(e, []SignedTx{Sign(sampleTx(1), key)}, func(s *SignedTx) *SignedTx { return s },
 			func(e *codec.Encoder, _ *SignedTx) { e.PutVarint(lv) })
 		e.PutBytes([]byte("sig"))
-		if _, _, err := DecodeUploadBatchBytes(e.Bytes()); !errors.Is(err, ErrBadLabel) {
+		if _, _, err := DecodeUploadBatchBytes(e.Bytes(), nil, nil); !errors.Is(err, ErrBadLabel) {
 			t.Fatalf("label varint %d: error = %v, want ErrBadLabel", lv, err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestDecodeUploadBatchBoundsCount(t *testing.T) {
 	for _, count := range []uint64{4, 1 << 20, 1 << 62} {
 		p := overstatedBatch(count)
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, err := DecodeUploadBatchBytes(p); !errors.Is(err, ErrDecode) {
+			if _, _, err := DecodeUploadBatchBytes(p, nil, nil); !errors.Is(err, ErrDecode) {
 				t.Fatalf("count %d: error = %v, want ErrDecode", count, err)
 			}
 		})
@@ -161,11 +161,11 @@ func TestTruncatedUploadBatchNeverDecodes(t *testing.T) {
 	b, _ := sampleBatch(t, 3)
 	full := b.EncodeBytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := DecodeUploadBatchBytes(full[:cut]); err == nil {
+		if _, _, err := DecodeUploadBatchBytes(full[:cut], nil, nil); err == nil {
 			t.Fatalf("truncated input of %d bytes decoded", cut)
 		}
 	}
-	if _, _, err := DecodeUploadBatchBytes(append(full, 0xAA)); err == nil {
+	if _, _, err := DecodeUploadBatchBytes(append(full, 0xAA), nil, nil); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -198,7 +198,7 @@ func FuzzUploadBatchDecode(f *testing.F) {
 	f.Add(empty.EncodeBytes())
 	f.Add(overstatedBatch(1 << 40))
 	f.Fuzz(func(t *testing.T, p []byte) {
-		got, rcv, err := DecodeUploadBatchBytes(p)
+		got, rcv, err := DecodeUploadBatchBytes(p, nil, nil)
 		if err != nil {
 			return
 		}
@@ -231,7 +231,7 @@ func BenchmarkUploadBatchRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeUploadBatchBytes(enc); err != nil {
+		if _, _, err := DecodeUploadBatchBytes(enc, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
