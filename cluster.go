@@ -137,7 +137,7 @@ func (c *Cluster) RunRoundCtx(ctx context.Context) ([]RoundSummary, error) {
 		summaries[i] = RoundSummary{
 			Serial:         res.Serial,
 			Leader:         res.Leader,
-			Records:        len(res.Block.Records),
+			Records:        res.Records,
 			Uploads:        res.Uploads,
 			Argues:         res.Argues,
 			StakeCommitted: res.StakeBlock != nil,

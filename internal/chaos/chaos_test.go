@@ -121,7 +121,7 @@ func runTrace(t *testing.T, plan chaos.Plan, seed int64, procs int) trace {
 		res, err := e.RunRound()
 		switch {
 		case err == nil:
-			tr.rounds = append(tr.rounds, fmt.Sprintf("commit:%d:%x", res.Serial, res.Block.Hash()))
+			tr.rounds = append(tr.rounds, fmt.Sprintf("commit:%d:%x", res.Serial, res.Hash))
 			if r >= int(plan.FaultUntil) && healed < 0 {
 				healed = r
 			}

@@ -190,8 +190,9 @@ type RoundResult struct {
 	Serial uint64
 	// Leader is the elected governor's index.
 	Leader int
-	// Block is the committed block.
-	Block ledger.Block
+	// Hash is the committed block's hash, and Records its record count.
+	Hash    crypto.Hash
+	Records int
 	// Uploads counts the labeled transactions collectors uploaded this
 	// round (items, not batches).
 	Uploads int
@@ -701,24 +702,26 @@ func (e *Engine) outcome(res *RoundResult) error {
 			res.StakeBlock = sb
 		}
 	}
+	// Governor j committed the block this round, so it is j's head: no
+	// replica decodes it here.
 	ref := e.governors[j].Store()
-	b, err := ref.Get(ref.Height())
+	serial, head := ref.Height(), ref.HeadHash()
+	var err error
 	for i := 0; i < len(e.governors) && err == nil; i++ {
 		store := e.governors[i].Store()
-		if store.Height() < b.Serial {
+		if store.Height() < serial {
 			continue
 		}
-		// Right after a commit the serial is the head, whose hash the store keeps.
 		h := store.HeadHash()
-		if store.Height() > b.Serial {
+		if store.Height() > serial {
 			var blk ledger.Block
-			blk, err = store.Get(b.Serial)
+			blk, err = store.Get(serial)
 			h = blk.Hash()
 		}
-		if err == nil && h != ref.HeadHash() {
-			err = fmt.Errorf("block %d differs between governors %d and %d: %w", b.Serial, j, i, ErrDisagreement)
+		if err == nil && h != head {
+			err = fmt.Errorf("block %d differs between governors %d and %d: %w", serial, j, i, ErrDisagreement)
 		}
 	}
-	res.Leader, res.Serial, res.Block = leader, b.Serial, b
+	res.Leader, res.Serial, res.Hash, res.Records = leader, serial, head, e.governors[j].CommittedRecords()
 	return err
 }

@@ -54,6 +54,20 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 // submitRound submits n transactions spread across providers, with
 // validFrac of them valid, and returns the submitted IDs with their
 // ground truth.
+// committedBlock reads round res's block from its leader's replica and
+// fails unless it is the block res names.
+func committedBlock(t *testing.T, e *Engine, res RoundResult) ledger.Block {
+	t.Helper()
+	b, err := e.Governor(res.Leader).Store().Get(res.Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Hash() != res.Hash || len(b.Records) != res.Records {
+		t.Fatalf("block %d is %s with %d records; the round reported %s with %d", res.Serial, b.Hash().Short(), len(b.Records), res.Hash.Short(), res.Records)
+	}
+	return b
+}
+
 func submitRound(t *testing.T, e *Engine, n int, round int, invalidEvery int) map[crypto.Hash]bool {
 	t.Helper()
 	out := make(map[crypto.Hash]bool, n)
@@ -336,7 +350,7 @@ func TestDeterministicReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hashes = append(hashes, res.Block.Hash())
+			hashes = append(hashes, res.Hash)
 		}
 		return hashes
 	}
@@ -364,10 +378,11 @@ func TestBlockLimitCarryover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Block.Records) > 5 {
-				t.Fatalf("seed %d: block %d has %d records, limit 5", seed, res.Serial, len(res.Block.Records))
+			b := committedBlock(t, e, res)
+			if len(b.Records) > 5 {
+				t.Fatalf("seed %d: block %d has %d records, limit 5", seed, res.Serial, len(b.Records))
 			}
-			for _, rec := range res.Block.Records {
+			for _, rec := range b.Records {
 				delete(pending, rec.Signed.ID())
 			}
 		}
@@ -510,8 +525,8 @@ func TestEmptyRoundsStillCommitBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("empty RunRound() error = %v", err)
 		}
-		if len(res.Block.Records) != 0 {
-			t.Fatalf("empty round produced %d records", len(res.Block.Records))
+		if res.Records != 0 {
+			t.Fatalf("empty round produced %d records", res.Records)
 		}
 	}
 	if e.Governor(0).Store().Height() != 3 {
@@ -590,6 +605,6 @@ func ExampleEngine() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("serial:", res.Serial, "records:", len(res.Block.Records))
+	fmt.Println("serial:", res.Serial, "records:", res.Records)
 	// Output: serial: 1 records: 1
 }

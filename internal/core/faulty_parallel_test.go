@@ -61,7 +61,7 @@ func faultyTrace(t *testing.T, seed int64, procs, rounds, n int) roundTrace {
 			}
 			t.Fatalf("seed %d GOMAXPROCS %d round %d: %v", seed, procs, r, err)
 		}
-		tr.hashes = append(tr.hashes, res.Block.Hash())
+		tr.hashes = append(tr.hashes, res.Hash)
 		tr.leaders = append(tr.leaders, res.Leader)
 	}
 	tr.stakes = e.Stakes()
@@ -139,7 +139,7 @@ func TestDelayFuncStressesDrainOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delay %d: %v", delay, err)
 		}
-		return res.Block.Hash()
+		return res.Hash
 	}
 	if run(0) != run(2) {
 		t.Fatal("block hash depends on uniform delivery delay")

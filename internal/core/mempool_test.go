@@ -47,7 +47,7 @@ func runMempoolTrace(t *testing.T, seed int64, procs, rounds int) roundTrace {
 		if err != nil {
 			t.Fatalf("seed %d GOMAXPROCS %d round %d: %v", seed, procs, r, err)
 		}
-		tr.hashes = append(tr.hashes, res.Block.Hash())
+		tr.hashes = append(tr.hashes, res.Hash)
 		tr.leaders = append(tr.leaders, res.Leader)
 	}
 	tr.stakes = e.Stakes()
@@ -164,10 +164,10 @@ func TestSubmitBatchMatchesSubmitTx(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Block.Hash() != b.Block.Hash() || len(b.Block.Records) == 0 {
-			t.Fatalf("round %d: batch block %s (%d records), per-tx %s", r, b.Block.Hash().Short(), len(b.Block.Records), a.Block.Hash().Short())
+		if a.Hash != b.Hash || b.Records == 0 {
+			t.Fatalf("round %d: batch block %s (%d records), per-tx %s", r, b.Hash.Short(), b.Records, a.Hash.Short())
 		}
-		for i, rec := range b.Block.Records {
+		for i, rec := range committedBlock(t, batch, b).Records {
 			k := slices.IndexFunc(batch.Roster().Providers, func(m identity.Member) bool { return m.ID == rec.Signed.Tx.Provider })
 			if err := rec.Signed.VerifyProvider(batch.Roster().Providers[k].PublicKey); err != nil {
 				t.Fatalf("round %d record %d: %v", r, i, err)
@@ -238,7 +238,7 @@ func TestMempoolCarryover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(res.Block.Records); n != 4 {
+	if n := res.Records; n != 4 {
 		t.Fatalf("round 1 committed %d records, want BlockLimit=4", n)
 	}
 	if e.MempoolDepth() != 6 {
@@ -250,7 +250,7 @@ func TestMempoolCarryover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		committed += len(res.Block.Records)
+		committed += res.Records
 	}
 	if committed != 10 {
 		t.Fatalf("committed %d of 10 submissions across rounds", committed)
@@ -314,18 +314,18 @@ func TestRunRoundCtxCancel(t *testing.T) {
 				t.Fatal(err)
 			}
 			seen := make(map[crypto.Hash]int)
-			for _, rec := range res.Block.Records {
+			for _, rec := range committedBlock(t, e, res).Records {
 				if _, ok := ids[rec.Signed.ID()]; !ok {
 					t.Fatalf("committed %s, which was never submitted", rec.Signed.ID().Short())
 				}
 				seen[rec.Signed.ID()]++
 			}
-			if len(seen) != len(ids) || len(res.Block.Records) != len(ids) {
-				t.Fatalf("post-cancel round committed %d records of %d transactions, want each of %d once", len(res.Block.Records), len(seen), len(ids))
+			if len(seen) != len(ids) || res.Records != len(ids) {
+				t.Fatalf("post-cancel round committed %d records of %d transactions, want each of %d once", res.Records, len(seen), len(ids))
 			}
 			for j := 0; j < e.Governors(); j++ {
-				if s := e.Governor(j).Store(); s.Height() != 1 || s.HeadHash() != res.Block.Hash() {
-					t.Fatalf("governor %d at height %d, head %s; want height 1, head %s", j, s.Height(), s.HeadHash().Short(), res.Block.Hash().Short())
+				if s := e.Governor(j).Store(); s.Height() != 1 || s.HeadHash() != res.Hash {
+					t.Fatalf("governor %d at height %d, head %s; want height 1, head %s", j, s.Height(), s.HeadHash().Short(), res.Hash.Short())
 				}
 			}
 		})

@@ -16,13 +16,22 @@ import (
 // the inline runs. DESIGN §4a has the sweep.
 const fanOutFloor = 96
 
-// workers is the goroutine budget of this round's fan-outs: one per
-// logical CPU once the round drained fanOutFloor transactions, else 1.
-// It is read from the drain, so a shard.Cluster committee decides from
-// its own traffic.
-func (e *Engine) workers() int { return par.Procs(e.drained, fanOutFloor) }
+// workers is the goroutine budget of a pass over n ready nodes: 1, all
+// on the engine goroutine, while the round drained fewer than
+// fanOutFloor transactions or GOMAXPROCS is 1, else n, one per node. Go
+// runs at most GOMAXPROCS of them at once, so a node that parks — on
+// another node's in-flight verify-cache entry, or joining its own
+// validate or VerifyBatch helpers — hands its core to another ready
+// node instead of idling it. The budget is read from the drain, so a
+// shard.Cluster committee decides from its own traffic.
+func (e *Engine) workers(n int) int {
+	if par.Procs(e.drained, fanOutFloor) == 1 {
+		return 1
+	}
+	return n
+}
 
-// fanOut runs fn(i, out) for every i in [0, n) across e.workers()
+// fanOut runs fn(i, out) for every i in [0, n) on e.workers(n)
 // goroutines, each call writing to a private sendBuffer, and then
 // replays the buffers onto the bus in index order. Every parallel stage
 // of a round sends this way; sendBuffer says why that keeps it
@@ -30,7 +39,7 @@ func (e *Engine) workers() int { return par.Procs(e.drained, fanOutFloor) }
 // safe for concurrent use (pure functions are).
 func (e *Engine) fanOut(n int, fn func(i int, out node.Sender) error) error {
 	out := make([]sendBuffer, n)
-	if err := par.RunIndexed(e.workers(), n, func(i int) error { return fn(i, &out[i]) }); err != nil {
+	if err := par.RunIndexed(e.workers(n), n, func(i int) error { return fn(i, &out[i]) }); err != nil {
 		return err
 	}
 	for i := range out {

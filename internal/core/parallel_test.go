@@ -5,14 +5,16 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repchain/internal/consensus"
 	"repchain/internal/crypto"
 	"repchain/internal/identity"
 	"repchain/internal/network"
 	"repchain/internal/node"
-	"repchain/internal/par"
 )
 
 // roundTrace captures everything observable about one run that could
@@ -92,7 +94,7 @@ func runTrace(t *testing.T, seed int64, procs, rounds int, shape string) roundTr
 			t.Fatalf("seed %d GOMAXPROCS %d round %d: %v", seed, procs, r, err)
 		}
 		checkFanOut(t, e, procs, shape == shapeWide)
-		tr.hashes = append(tr.hashes, res.Block.Hash())
+		tr.hashes = append(tr.hashes, res.Hash)
 		tr.leaders = append(tr.leaders, res.Leader)
 	}
 	tr.stakes = e.Stakes()
@@ -102,16 +104,18 @@ func runTrace(t *testing.T, seed int64, procs, rounds int, shape string) roundTr
 	return tr
 }
 
-// checkFanOut fails unless the round just run stepped its nodes on
-// `procs` goroutines when wide, and inline otherwise.
+// checkFanOut fails unless the round just run stepped each ready node
+// on its own goroutine when wide at GOMAXPROCS above 1, and every node
+// inline otherwise.
 func checkFanOut(t *testing.T, e *Engine, procs int, wide bool) {
 	t.Helper()
+	n := len(e.members)
 	want := 1
-	if wide {
-		want = procs
+	if wide && procs > 1 {
+		want = n
 	}
-	if got := e.workers(); got != want {
-		t.Fatalf("round drained %d tx at GOMAXPROCS %d and fanned out over %d workers, want %d", e.drained, procs, got, want)
+	if got := e.workers(n); got != want {
+		t.Fatalf("round drained %d tx at GOMAXPROCS %d and stepped %d ready nodes on %d goroutines, want %d", e.drained, procs, n, got, want)
 	}
 }
 
@@ -159,20 +163,26 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestFanOutWorkers pins the fan-out rule: a round whose drain took
-// fewer than fanOutFloor transactions steps every node on the engine
-// goroutine, and from the floor up it uses par.Procs — whatever was
-// submitted, since a block limit caps the drain.
+// fewer than fanOutFloor transactions, or any round at GOMAXPROCS 1,
+// steps every node on the engine goroutine; otherwise a pass runs each
+// ready node on its own goroutine, however few cores there are —
+// whatever was submitted, since a block limit caps the drain. It then
+// holds every step of a wide pass until all have started, which only
+// one goroutine per node gets through.
 func TestFanOutWorkers(t *testing.T) {
-	setProcs(t, 4)
+	const ready = 7
 	for _, tc := range []struct {
-		submitted, limit, want int
+		procs, submitted, limit int
+		inline                  bool
 	}{
-		{0, 0, 1},
-		{fanOutFloor - 1, 0, 1},
-		{fanOutFloor, 0, par.Procs(fanOutFloor, 0)},
-		{3 * fanOutFloor, 0, par.Procs(3*fanOutFloor, 0)},
-		{fanOutFloor + 10, fanOutFloor - 1, 1},
+		{4, 0, 0, true},
+		{4, fanOutFloor - 1, 0, true},
+		{4, fanOutFloor, 0, false},
+		{2, 3 * fanOutFloor, 0, false},
+		{4, fanOutFloor + 10, fanOutFloor - 1, true},
+		{1, 3 * fanOutFloor, 0, true},
 	} {
+		setProcs(t, tc.procs)
 		cfg := defaultConfig()
 		cfg.BlockLimit = tc.limit
 		e := newTestEngine(t, cfg)
@@ -180,12 +190,96 @@ func TestFanOutWorkers(t *testing.T) {
 		if _, err := e.RunRound(); err != nil {
 			t.Fatal(err)
 		}
-		if got := e.workers(); got != tc.want {
-			t.Fatalf("%d submitted under block limit %d: %d workers, want %d", tc.submitted, tc.limit, got, tc.want)
+		want := ready
+		if tc.inline {
+			want = 1
+		}
+		if got := e.workers(ready); got != want {
+			t.Fatalf("%d submitted under block limit %d at GOMAXPROCS %d: %d goroutines for %d ready nodes, want %d",
+				tc.submitted, tc.limit, tc.procs, got, ready, want)
+		}
+		if tc.inline {
+			continue
+		}
+		var started sync.WaitGroup
+		started.Add(ready)
+		all := make(chan struct{})
+		go func() { started.Wait(); close(all) }()
+		err := e.fanOut(ready, func(int, node.Sender) error {
+			started.Done()
+			select {
+			case <-all:
+				return nil
+			case <-time.After(10 * time.Second):
+				return fmt.Errorf("a step waited 10 s for the other %d to start", ready-1)
+			}
+		})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", tc.procs, err)
 		}
 	}
-	if par.Procs(fanOutFloor, 0) != 4 {
-		t.Fatalf("par.Procs at GOMAXPROCS 4 = %d", par.Procs(fanOutFloor, 0))
+}
+
+// TestFanOutPastGOMAXPROCS runs wide rounds whose passes hold more ready
+// nodes than GOMAXPROCS — 8 providers, then 8 collectors and 3
+// governors — against the inline run at GOMAXPROCS 1: heads, reputation
+// snapshots, governor stats and every node's event stream must match
+// at GOMAXPROCS 2 and 4.
+func TestFanOutPastGOMAXPROCS(t *testing.T) {
+	type run struct {
+		heads     []crypto.Hash
+		snapshots [][]byte
+		stats     []node.GovernorStats
+		streams   map[string][]string
+	}
+	trace := func(procs int) run {
+		setProcs(t, procs)
+		cfg := defaultConfig()
+		cfg.Spec = identity.TopologySpec{Providers: 8, Collectors: 8, Degree: 2}
+		cfg.EventCapacity = 1 << 16
+		e := newTestEngine(t, cfg)
+		r := run{streams: map[string][]string{}}
+		for round := 0; round < 4; round++ {
+			submitRound(t, e, fanOutFloor+12, round, 3)
+			res, err := e.RunRound()
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d round %d: %v", procs, round, err)
+			}
+			checkFanOut(t, e, procs, true)
+			r.heads = append(r.heads, res.Hash)
+		}
+		for j := 0; j < e.Governors(); j++ {
+			r.snapshots = append(r.snapshots, e.Governor(j).Table().Snapshot())
+			r.stats = append(r.stats, e.Governor(j).Stats())
+		}
+		if e.Events().Dropped() != 0 {
+			t.Fatalf("event ring dropped %d events", e.Events().Dropped())
+		}
+		for _, ev := range e.Events().Events() {
+			ev.Seq, ev.Wall = 0, 0
+			r.streams[ev.Node] = append(r.streams[ev.Node], fmt.Sprint(ev))
+		}
+		return r
+	}
+	want := trace(1)
+	for _, procs := range []int{2, 4} {
+		got := trace(procs)
+		if !slices.Equal(got.heads, want.heads) {
+			t.Fatalf("GOMAXPROCS %d heads %v, inline %v", procs, got.heads, want.heads)
+		}
+		for j := range want.snapshots {
+			if !bytes.Equal(got.snapshots[j], want.snapshots[j]) || got.stats[j] != want.stats[j] {
+				t.Fatalf("GOMAXPROCS %d governor %d: stats %+v, inline %+v, or its reputation diverged", procs, j, got.stats[j], want.stats[j])
+			}
+		}
+		if len(got.streams) != len(want.streams) {
+			t.Fatalf("GOMAXPROCS %d: events from %d nodes, inline %d", procs, len(got.streams), len(want.streams))
+		}
+		for id, stream := range want.streams {
+			if !slices.Equal(got.streams[id], stream) {
+				t.Fatalf("GOMAXPROCS %d: %s's event stream diverged from the inline run's", procs, id)
+			}
+		}
 	}
 }
 

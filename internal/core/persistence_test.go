@@ -69,7 +69,7 @@ func TestPersistentChainSurvivesRestart(t *testing.T) {
 	if res.Serial != 5 {
 		t.Fatalf("post-restart serial = %d, want 5", res.Serial)
 	}
-	if res.Block.PrevHash != headBefore.Hash() {
+	if committedBlock(t, e2, res).PrevHash != headBefore.Hash() {
 		t.Fatal("post-restart block does not link to the persisted head")
 	}
 	for j := 0; j < e2.Governors(); j++ {

@@ -254,11 +254,15 @@ func (c *Collector) upload(items []tx.UploadItem, sender Sender) error {
 // Step past it, it uploads everything filed as one signed batch
 // (processBatch); a frame filed after that, or in a round the collector
 // missed, goes up with the next. WakeAt is the next upload deadline.
+// The Step that opens a round only files, so a driver times the upload
+// as the round's upload stage even when the deadline opens the round:
+// the upload is then held for the next Step, due at once.
 func (c *Collector) Step(now time.Time, msgs []network.Message, out Sender) (Progress, error) {
+	opens := c.clock.index(now) > c.round
 	c.round = max(c.round, c.clock.index(now))
 	c.filed = append(c.filed, msgs...)
 	deadline := c.clock.At(c.round, DeadlineUpload)
-	if c.sent < c.round && !now.Before(deadline) {
+	if c.sent < c.round && !opens && !now.Before(deadline) {
 		c.sent = c.round
 		_, err := c.processBatch(c.filed, out)
 		if c.filed = c.filed[:0]; err != nil {

@@ -247,9 +247,12 @@ type Governor struct {
 	prevHash   crypto.Hash
 	baseHeight uint64
 	// records are the round's screened records, for the leader to pack,
-	// and recordIDs their transaction IDs.
-	records   []ledger.Record
-	recordIDs []crypto.Hash
+	// and recordIDs their transaction IDs: scratch reused every round,
+	// emptied once packed or the round ends. committedRecords counts
+	// the records of the block commit appended last.
+	records          []ledger.Record
+	recordIDs        []crypto.Hash
+	committedRecords int
 	// tickets[j] is the first batch governor j sent for this round, and
 	// next[j] the first for the round after, from a peer already there.
 	tickets, next    [][]consensus.Ticket
@@ -407,6 +410,11 @@ func (g *Governor) Store() ledger.Store { return g.store }
 
 // Stats returns the governor's counters.
 func (g *Governor) Stats() GovernorStats { return g.stats }
+
+// CommittedRecords is the record count of the block the governor
+// committed last, so a driver need not decode its head; 0 before its
+// first commit.
+func (g *Governor) CommittedRecords() int { return g.committedRecords }
 
 // Phase-1 routing classes for handleBatch.
 const (
@@ -848,15 +856,17 @@ type screenItem struct {
 // in drain order. The reorder is exact: a draw never reads the
 // misreport scores, the only thing a checked update changes.
 func (g *Governor) screenRound() ([]ledger.Record, []crypto.Hash, error) {
-	// The IDs go into the last round's recordIDs, the carried ones out of
-	// pendingIDs, so neither slice is made anew each round.
-	records, ids := g.pendingRecords, append(g.recordIDs[:0], g.pendingIDs...)
-	g.pendingRecords, g.pendingIDs = nil, g.pendingIDs[:0]
+	// The records and IDs go into the governor's scratch, the carried
+	// ones first, so no slice is made anew each round; a carry past the
+	// block limit is copied back out rather than left in the scratch.
+	records, ids := append(g.records[:0], g.pendingRecords...), append(g.recordIDs[:0], g.pendingIDs...)
+	g.pendingRecords, g.pendingIDs = emptied(g.pendingRecords), g.pendingIDs[:0]
 	uploads := 0 // Drain(0) takes everything
 	if limit := g.cfg.BlockLimit; limit > 0 {
 		if len(records) >= limit {
-			g.pendingRecords, g.pendingIDs = records[limit:], append(g.pendingIDs, ids[limit:]...)
-			return records[:limit:limit], ids[:limit], nil
+			g.pendingRecords, g.pendingIDs = append(g.pendingRecords, records[limit:]...), append(g.pendingIDs, ids[limit:]...)
+			clear(records[limit:])
+			return records[:limit], ids[:limit], nil
 		}
 		uploads = limit - len(records)
 	}
@@ -1173,6 +1183,7 @@ func (g *Governor) commit(b ledger.Block, h crypto.Hash, ids []crypto.Hash, fram
 	if err := g.store.AppendFrame(b, h, frame); err != nil {
 		return fmt.Errorf("governor %s: %w", g.cfg.Member.ID, err)
 	}
+	g.committedRecords = len(b.Records)
 	for i, rec := range b.Records {
 		if rec.Status == tx.StatusValid {
 			g.committedValid[ids[i]] = true

@@ -147,9 +147,11 @@ func keptState(g *Governor) map[string][]byte {
 // rounds that carry uploads and argue records across rounds (a block
 // limit of one every other round) and fill argue windows (lying
 // collectors). Each round decodes its uploads, argues and block into
-// the scratch the round before used (DESIGN.md §4f): whatever the
-// governor kept from that round — groups, carried records, argue-window
-// entries — must read the same after the intake and after the adoption.
+// the scratch the round before used, and screens into its records
+// scratch, emptied when the round ends (DESIGN.md §4f): whatever the
+// governor kept from that round — groups, records carried under the
+// block limit, argue-window entries — must read the same after the
+// intake, after the adoption and after the round's end.
 func TestScratchReuseLeavesKeptStateUnchanged(t *testing.T) {
 	fx := newFixtureOpts(t, []Behavior{ProbBehavior{Misreport: 1}, ProbBehavior{Misreport: 1}}, func(cfg *GovernorConfig) {
 		cfg.Params.F = 0.95
@@ -158,6 +160,7 @@ func TestScratchReuseLeavesKeptStateUnchanged(t *testing.T) {
 	signed := make(map[crypto.Hash]tx.SignedTx)
 	var kept map[string][]byte
 	seen := make(map[string]int) // comparisons by kind
+	limited := 0                 // rounds that carried records past the block limit
 	same := func(r int, where string) {
 		t.Helper()
 		for key, got := range keptState(g) {
@@ -198,11 +201,14 @@ func TestScratchReuseLeavesKeptStateUnchanged(t *testing.T) {
 		if err := g.processArgues(); err != nil {
 			t.Fatal(err)
 		}
-		records, ids, err := g.screenRound()
-		if err != nil {
+		var err error
+		if g.records, g.recordIDs, err = g.screenRound(); err != nil {
 			t.Fatal(err)
 		}
-		frame, err := g.pack(records, ids)
+		if g.cfg.BlockLimit > 0 && len(g.pendingRecords) > 0 {
+			limited++
+		}
+		frame, err := g.pack(g.records, g.recordIDs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,8 +216,13 @@ func TestScratchReuseLeavesKeptStateUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		same(r, "when the next adoption reused the scratch")
-		g.begin(g.round + 1)
 		kept = keptState(g)
+		g.begin(g.round + 1)
+		same(r, "when the round's end emptied the records scratch")
+		kept = keptState(g)
+	}
+	if limited == 0 {
+		t.Fatal("no round carried records past its block limit: the run does not exercise the carry")
 	}
 	for _, kind := range []string{"group", "carried", "entry"} {
 		if seen[kind] == 0 {

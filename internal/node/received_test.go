@@ -90,7 +90,7 @@ func TestFlippedBytesRefusedInFlight(t *testing.T) {
 	// The round's block carries the transaction; two governors get a
 	// copy changed in flight, one in a record, one in the block tag.
 	a.check(a.prov.broadcast(signed, a.bus))
-	_, err = a.coll.Step(testClock.At(1, DeadlineUpload), a.collEp.Receive(), a.bus)
+	_, err = stepDue(a.coll, testClock.At(1, DeadlineUpload), a.collEp.Receive(), a.bus)
 	a.check(err)
 	a.open()
 	leader := a.elect(0, 1, 2)

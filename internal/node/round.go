@@ -278,7 +278,7 @@ func (g *Governor) Purge() {
 }
 
 func (g *Governor) clearRound() {
-	g.records, g.recordIDs = nil, g.recordIDs[:0] // only a leader packs them, in their round
+	g.records, g.recordIDs = emptied(g.records), g.recordIDs[:0] // only a leader packs them, in their round
 	clearTickets(g.tickets, g.filed)
 	g.proposal, g.proposed, g.answered, g.assembled = nil, false, false, false
 	clear(g.endorsements)
@@ -438,7 +438,7 @@ func (g *Governor) elect() error {
 // and the providers.
 func (g *Governor) propose(out Sender) error {
 	frame, err := g.pack(g.records, g.recordIDs)
-	g.records, g.recordIDs = nil, g.recordIDs[:0]
+	g.records, g.recordIDs = emptied(g.records), g.recordIDs[:0]
 	if err != nil {
 		return err
 	}

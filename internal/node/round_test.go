@@ -259,11 +259,22 @@ func (a *alliance) send(round uint64, n int) {
 func (a *alliance) submit(round uint64, n int) {
 	a.t.Helper()
 	a.send(round, n)
-	p, err := a.coll.Step(testClock.At(round, DeadlineUpload), a.collEp.Receive(), a.bus)
+	p, err := stepDue(a.coll, testClock.At(round, DeadlineUpload), a.collEp.Receive(), a.bus)
 	a.check(err)
 	if p.Round != round || p.Phase != PhaseOver {
 		a.t.Fatalf("collector in round %d phase %d after round %d's upload deadline", p.Round, p.Phase, round)
 	}
+}
+
+// stepDue steps collector c at now with msgs, and again while a Step is
+// due at now, as a driver does: the Step that opens a round holds an
+// upload already due for the next.
+func stepDue(c *Collector, now time.Time, msgs []network.Message, out Sender) (Progress, error) {
+	p, err := c.Step(now, msgs, out)
+	for err == nil && !p.WakeAt.After(now) {
+		p, err = c.Step(now, nil, out)
+	}
+	return p, err
 }
 
 // argue steps the provider at now with the block frames that reached
@@ -394,7 +405,7 @@ func TestCollectorLateFrame(t *testing.T) {
 	a := newAlliance(t, nil)
 	step := func(at time.Time, want Phase) Progress {
 		t.Helper()
-		p, err := a.coll.Step(at, a.collEp.Receive(), a.bus)
+		p, err := stepDue(a.coll, at, a.collEp.Receive(), a.bus)
 		a.check(err)
 		if p.Phase != want {
 			t.Fatalf("collector in round %d phase %d at %v, want phase %d", p.Round, p.Phase, at, want)
@@ -433,6 +444,35 @@ func TestCollectorLateFrame(t *testing.T) {
 	}
 	if len(seen) != 6 || a.coll.Stats().Uploaded != 6 {
 		t.Fatalf("%d distinct transactions uploaded, stats %+v; want 6", len(seen), a.coll.Stats())
+	}
+}
+
+// TestCollectorUploadTimedAsUpload steps a collector on core.Engine's
+// schedule — at each instant of a round while a Step is due, so after
+// its first round it is next stepped at the upload deadline, in the
+// Step that opens the round — and checks that each round's upload is
+// one round.stage_seconds{stage="upload"} sample.
+func TestCollectorUploadTimedAsUpload(t *testing.T) {
+	a := newAlliance(t, nil)
+	timer := StageTimer{Stages: a.reg.HistogramVec("round.stage_seconds", metrics.DefBuckets, "stage")}
+	const rounds = 3
+	var p Progress
+	for round := uint64(1); round <= rounds; round++ {
+		a.broadcast(round, 0, 4)
+		for _, frac := range []float64{1e-9, DeadlineUpload, DeadlineScreen, DeadlineElect, 1} {
+			now := testClock.At(round, frac)
+			for !p.WakeAt.After(now) {
+				var err error
+				p, err = timer.Step(p, func() (Progress, error) { return a.coll.Step(now, a.collEp.Receive(), a.bus) })
+				a.check(err)
+			}
+		}
+		if p.Round != round || p.Phase != PhaseOver {
+			t.Fatalf("collector in round %d phase %d after round %d", p.Round, p.Phase, round)
+		}
+	}
+	if up := timer.Stages.With("upload"); up.Count() != rounds || up.Sum() <= 0 {
+		t.Fatalf("%d upload samples summing to %v s over %d rounds, want one a round", up.Count(), up.Sum(), rounds)
 	}
 }
 
@@ -1107,7 +1147,7 @@ func TestRoundUploadsComplete(t *testing.T) {
 	if r.uploadsIn(1) {
 		t.Fatal("uploadsIn(1) before any upload")
 	}
-	if p, err := fx.collectors[0].Step(testClock.At(1, DeadlineUpload), nil, fx.bus); err != nil || p.Phase != PhaseOver {
+	if p, err := stepDue(fx.collectors[0], testClock.At(1, DeadlineUpload), nil, fx.bus); err != nil || p.Phase != PhaseOver {
 		t.Fatalf("Step at the upload deadline with nothing filed = %+v, %v", p, err)
 	}
 	if got := fx.bus.Stats().SentByKind[network.KindCollectorBatch]; got != 1 {

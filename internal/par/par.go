@@ -17,7 +17,8 @@ import (
 // floor, the batch size under which handing work to helpers costs more
 // than it saves. The tree has three floors: crypto's parallelVerifyFloor
 // (16 residual signature misses per VerifyBatch), core's fanOutFloor
-// (transactions drained per round, gating every node-step fan-out) and
+// (transactions drained per round, gating every node-step fan-out,
+// which then runs one goroutine per ready node) and
 // node's validateFloor (16 validate(tx) calls in one governor's pass).
 func Procs(n, floor int) int {
 	if n < floor {

@@ -89,7 +89,7 @@ func TestClusterK1MatchesBareEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bare = append(bare, res.Block.Hash())
+		bare = append(bare, res.Hash)
 	}
 
 	cl, err := New(Config{Base: baseConfig(42), Committees: 1})

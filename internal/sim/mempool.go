@@ -75,10 +75,10 @@ func E13MempoolBackpressure(seed int64, scale int) (Table, error) {
 			return Table{}, err
 		}
 		drained := staged - e.MempoolDepth()
-		committed += len(res.Block.Records)
+		committed += res.Records
 		round++
 		t.Rows = append(t.Rows, []string{
-			d(round), d(staged), d(drained), d(len(res.Block.Records)), d(backlogged),
+			d(round), d(staged), d(drained), d(res.Records), d(backlogged),
 		})
 		if round > 4*burst/blockLimit+8 {
 			return Table{}, fmt.Errorf("burst failed to drain after %d rounds", round)
