@@ -3,6 +3,8 @@ package repchain
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"repchain/internal/core"
@@ -232,6 +234,131 @@ func TestClusterFacade(t *testing.T) {
 	}
 	if cm0.MetricsSnapshot().Counters["engine.rounds_total"] == 0 {
 		t.Fatal("committee snapshot lacks engine metrics")
+	}
+}
+
+// TestClusterRehome moves a provider between two committees through
+// the facade: Home reports the destination, the mover's collectors
+// arrive there with the reputation they had learned, a transaction it
+// submits afterwards commits on the destination, and the destination's
+// governors go on updating the migrated scores.
+func TestClusterRehome(t *testing.T) {
+	cluster, err := NewCluster(
+		WithTopology(8, 16, 2), // collector degree 1: a provider moves with its collectors
+		WithGovernors(3),
+		WithCommittees(2),
+		WithSeed(7),
+		WithEventLog(1<<14),
+		WithValidator(ValidatorFunc(func(t Transaction) bool {
+			return len(t.Payload) > 0 && t.Payload[0] == 1
+		})),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	run := func(rounds int, providers ...int) {
+		t.Helper()
+		for r := 0; r < rounds; r++ {
+			for _, p := range providers {
+				valid := (p+r)%3 != 2
+				if _, err := cluster.Submit(p, "train", goldenPayload(valid, byte(p), byte(r)), valid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := cluster.RunRound(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	committee := func(i int) *Committee {
+		t.Helper()
+		cm, err := cluster.Committee(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cm.Index() != i {
+			t.Fatalf("Committee(%d).Index() = %d", i, cm.Index())
+		}
+		return cm
+	}
+	reputations := func(cm *Committee, collectors ...int) [][]float64 {
+		t.Helper()
+		out := make([][]float64, len(collectors))
+		for n, c := range collectors {
+			v, err := cm.CollectorReputation(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[n] = v
+		}
+		return out
+	}
+	run(6, 0, 1, 2, 3, 4, 5, 6, 7)
+
+	// Provider 2 is committee 0's second provider (the evens), so its
+	// collectors there are 2 and 3. On committee 1 it follows the four
+	// odds: its collectors become 8 and 9.
+	const mover = 2
+	learned := reputations(committee(0), 2, 3)
+	if learned[0][1] == 0 {
+		t.Fatalf("collector 2 learned no misreport score in 6 rounds: %v", learned)
+	}
+	if err := cluster.Rehome(mover, 1); err != nil {
+		t.Fatal(err)
+	}
+	if home, err := cluster.Home(mover); err != nil || home != 1 {
+		t.Fatalf("Home(%d) = %d, %v after Rehome, want committee 1", mover, home, err)
+	}
+	dst := committee(1)
+	if got := dst.Providers(); len(got) != 5 || got[4] != mover {
+		t.Fatalf("committee 1 providers = %v, want the odds then %d", got, mover)
+	}
+	migrated := reputations(dst, 8, 9)
+	for n := range learned {
+		if !slices.Equal(migrated[n], learned[n]) {
+			t.Fatalf("collector %d arrived with %v, had learned %v", 8+n, migrated[n], learned[n])
+		}
+	}
+
+	id, err := cluster.Submit(mover, "moved", goldenPayload(true, 9, 9), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(4, mover)
+	committedOn := func(cm *Committee) bool {
+		t.Helper()
+		for s := uint64(1); s <= cm.Height(); s++ {
+			records, err := cm.Block(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range records {
+				if r.ID == id {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if !committedOn(dst) || committedOn(committee(0)) {
+		t.Fatal("the mover's transaction did not commit on committee 1 alone")
+	}
+	after := reputations(dst, 8, 9)
+	if after[0][1] <= migrated[0][1] && after[1][1] <= migrated[1][1] {
+		t.Fatalf("misreport scores %v did not move on from the migrated %v", after, migrated)
+	}
+	if err := cluster.VerifyChain(); err != nil {
+		t.Fatal(err)
+	}
+	m := cluster.Metrics()
+	if !slices.ContainsFunc(strings.Split(m, "\n"), func(line string) bool {
+		return slices.Equal(strings.Fields(line), []string{"shard.rehomes_total", "1"})
+	}) {
+		t.Fatalf("cluster metrics lack one rehome:\n%s", m)
+	}
+	if len(dst.Events()) == 0 {
+		t.Fatal("no events on committee 1 with WithEventLog")
 	}
 }
 

@@ -231,9 +231,6 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 // Remaining reports how many bytes are left to decode.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-// Done reports whether the input has been fully consumed.
-func (d *Decoder) Done() bool { return d.off >= len(d.buf) }
-
 // Offset reports how many bytes have been consumed.
 func (d *Decoder) Offset() int { return d.off }
 

@@ -146,9 +146,6 @@ func (e *Engine) ReconnectGovernor(j int) error {
 	return nil
 }
 
-// Collectors returns n, the collector count.
-func (e *Engine) Collectors() int { return len(e.collectors) }
-
 // live returns the indices of the members not marked down, in order.
 func live(ms []member) []int {
 	out := make([]int, 0, len(ms))

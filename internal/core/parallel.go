@@ -21,9 +21,9 @@ const fanOutFloor = 96
 // fanOutFloor transactions or GOMAXPROCS is 1, else n, one per node. Go
 // runs at most GOMAXPROCS of them at once, so a node that parks — on
 // another node's in-flight verify-cache entry, or joining its own
-// validate or VerifyBatch helpers — hands its core to another ready
-// node instead of idling it. The budget is read from the drain, so a
-// shard.Cluster committee decides from its own traffic.
+// validate(tx) helpers — hands its core to another ready node instead
+// of idling it. The budget is read from the drain, so a shard.Cluster
+// committee decides from its own traffic.
 func (e *Engine) workers(n int) int {
 	if par.Procs(e.drained, fanOutFloor) == 1 {
 		return 1

@@ -349,9 +349,9 @@ func TestVerifyAllocBudgets(t *testing.T) {
 		verify   func(testing.TB, int, int) func()
 		m        int
 	}{
-		{"batch/m=8", 44, allMissBatch, 8},
-		{"batch/m=64", 222, allMissBatch, 64},
-		{"batch/m=512", 1569, allMissBatch, 512},
+		{"batch/m=8", 35, allMissBatch, 8},
+		{"batch/m=64", 208, allMissBatch, 64},
+		{"batch/m=512", 1555, allMissBatch, 512},
 		{"sequential/m=8", 24, allMissSequential, 8},
 		{"sequential/m=64", 192, allMissSequential, 64},
 	} {

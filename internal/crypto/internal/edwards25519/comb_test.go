@@ -113,25 +113,6 @@ func TestCombMatchesDoubleScalarMult(t *testing.T) {
 	}
 }
 
-// TestMultiScalarMatchesDoubleScalarMult checks the Straus multiply
-// against a sum of VarTimeDoubleScalarBaseMult terms.
-func TestMultiScalarMatchesDoubleScalarMult(t *testing.T) {
-	zero := NewScalar()
-	var scalars []Scalar
-	var points []*Point
-	want := NewIdentityPoint()
-	for _, p := range combPoints(t) {
-		for _, s := range combScalars(t) {
-			scalars = append(scalars, *s)
-			points = append(points, p)
-			want.Add(want, new(Point).VarTimeDoubleScalarBaseMult(s, p, zero))
-		}
-	}
-	if got := new(Point).VarTimeMultiScalarMult(scalars, points); got.Equal(want) != 1 {
-		t.Fatal("Straus sum differs from the sum of its terms")
-	}
-}
-
 // FuzzCombMult checks a·P + b·B through the comb tables against
 // VarTimeDoubleScalarBaseMult for scalars the fuzzer picks (its bytes
 // reduced mod ℓ) and P = [p]B, plus a point of order 8 when torsion is

@@ -10,13 +10,15 @@ package crypto
 //   - [8]([S]B − [k]A − R) = 0, with k = SHA-512(R ‖ A ‖ M) mod ℓ.
 //
 // The last clause is crypto/ed25519's equation [S]B − [k]A = R
-// multiplied by the cofactor, the rule ZIP-215 adopted so that a batch
-// check and a single check agree on every input. The two rules differ
-// on one shape only: a residue [S]B − [k]A − R that is a nonzero point
-// of small order, which this rule accepts and crypto/ed25519 rejects.
-// Honest signers never produce one; TestLowOrderResidueAccepted builds
-// one. PublicKey.Verify and VerifyBatch both apply this rule, so a
-// signature's verdict never depends on the batch it is checked in.
+// multiplied by the cofactor, the rule ZIP-215 adopted. The two rules
+// differ on one shape only: a residue [S]B − [k]A − R that is a nonzero
+// point of small order, which this rule accepts and crypto/ed25519
+// rejects. Honest signers never produce one; TestLowOrderResidueAccepted
+// builds one. The rule was adopted so that a batch equation and a
+// single check would agree. No batch equation is left, but the rule
+// stays because no verdict may move: a cofactorless check would reject
+// the signatures TestLowOrderResidueAccepted accepts. PublicKey.Verify
+// is the one check; VerifyCache and VerifyBatch call it on every miss.
 
 import (
 	"crypto/sha512"
@@ -74,9 +76,9 @@ func (pub PublicKey) form() *verifyKey {
 	return pub.v
 }
 
-// sigCheck is one signature parsed for the equation: its nonce point R,
-// its scalar S and its challenge k. The key is held by the caller,
-// which looks up each distinct key's form once.
+// sigCheck is one signature parsed for the check: its nonce point R,
+// its scalar S and its challenge k. The key's form is held by the
+// caller, PublicKey.Verify.
 type sigCheck struct {
 	r    edwards25519.Point
 	k, s edwards25519.Scalar

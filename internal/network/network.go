@@ -175,11 +175,8 @@ func NewBus(maxDelay int) *Bus {
 	}
 }
 
-// MaxDelay returns Δ.
-func (b *Bus) MaxDelay() int { return b.maxDelay }
-
 // SetDelayFunc installs a per-recipient delay hook. Returned delays
-// are clamped to [0, MaxDelay], preserving synchrony.
+// are clamped to [0, Δ], preserving synchrony.
 func (b *Bus) SetDelayFunc(f DelayFunc) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

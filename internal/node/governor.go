@@ -208,10 +208,10 @@ type Governor struct {
 	// by several providers or rounds.
 	processedArgues map[crypto.Hash]bool
 
-	// Scratch of processArgues and screenRound, reused every round: the
-	// validate(tx) calls their second pass fans out, the drained
-	// transactions between screenRound's passes, and the window
-	// expiries whose events wait for their transaction's turn.
+	// Scratch of screenRound, reused every round: the validate(tx) calls
+	// its second pass fans out, the drained transactions between its
+	// passes, and the window expiries whose events wait for their
+	// transaction's turn.
 	vals      validations
 	screening []screenItem
 	expired   []*uncheckedEntry
@@ -760,23 +760,15 @@ type queuedArgue struct {
 // the transaction locally must still be ready to re-include it when it
 // next leads.
 //
-// It runs in three passes, like screenRound: the filter in arrival
-// order, the re-validations across cores, then the records, reveals and
-// events in arrival order.
+// It runs in one pass, in arrival order: an argue pass holds about one
+// argue, too few to fan validate(tx) out as screenRound does.
 func (g *Governor) processArgues() error {
-	kept := g.argues[:0]
-	g.vals.begin(len(g.argues))
 	for _, a := range g.argues {
 		if g.processedArgues[a.id] || g.committedValid[a.id] {
 			g.stats.ArguesRejected++
 			continue
 		}
 		g.processedArgues[a.id] = true
-		kept = append(kept, a)
-		g.vals.add(&kept[len(kept)-1].msg.Signed.Tx)
-	}
-	g.vals.run()
-	for i, a := range kept {
 		var txID string
 		if g.events != nil {
 			txID = a.id.String()
@@ -785,7 +777,7 @@ func (g *Governor) processArgues() error {
 		}
 
 		status := tx.StatusInvalid
-		if g.vals.valid(i) {
+		if g.cfg.Validator.Validate(a.msg.Signed.Tx) {
 			status = tx.StatusValid
 			g.pendingRecords = append(g.pendingRecords, ledger.Record{
 				Signed: a.msg.Signed.Own(), // may wait rounds for room in a block

@@ -16,15 +16,17 @@ import (
 // out), overhead that no end-to-end metric has yet shown beyond noise.
 const validateFloor = 16
 
-// validations is one governor's validate(tx) calls for one pass of its
-// round (DESIGN §4a): the pass begins, adds the transactions it means
-// to validate, in its own order and where they stay until run returns,
-// and reads each verdict by the index add returned once run has
-// validated them, across cores from validateFloor up. validate(tx)
-// reads nothing of the governor, so the verdicts, and all the pass then
-// does with them in its own order, are the same at any worker count. A
-// governor owns one and reuses it every pass, so once its slice has
-// grown a pass allocates nothing per transaction.
+// validations is one governor's validate(tx) calls for the screen pass
+// of its round, screenRound's checked draws (DESIGN §4a); argues are
+// too few a pass to fan out and processArgues validates them inline.
+// The pass begins, adds the transactions it means to validate, in its
+// own order and where they stay until run returns, and reads each
+// verdict by the index add returned once run has validated them,
+// across cores from validateFloor up. validate(tx) reads nothing of the
+// governor, so the verdicts, and all the pass then does with them in
+// its own order, are the same at any worker count. A governor owns one
+// and reuses it every pass, so once its slice has grown a pass
+// allocates nothing per transaction.
 type validations struct {
 	v     tx.Validator
 	calls []validation

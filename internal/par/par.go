@@ -1,7 +1,6 @@
 // Package par is the one indexed fan-out every parallel stage runs on:
-// the engine's per-node round steps (core.Engine.fanOut), the residual
-// misses of a signature batch (crypto.VerifyCache.VerifyBatch) and a
-// governor's validate(tx) calls (node's validations).
+// the engine's per-node round steps (core.Engine.fanOut) and a
+// governor's screen-pass validate(tx) calls (node's validations).
 // A leaf package so both layers can import it; there is no pool to size
 // or stop — helpers live for one call.
 package par
@@ -15,16 +14,15 @@ import (
 // Procs is the goroutine budget for a fan-out of n independent items:
 // one per logical CPU, or 1 — stay on the caller — when n is below
 // floor, the batch size under which handing work to helpers costs more
-// than it saves. The tree has three floors: crypto's parallelVerifyFloor
-// (16 residual signature misses per VerifyBatch), core's fanOutFloor
+// than it saves. The tree has two floors: core's fanOutFloor
 // (transactions drained per round, gating every node-step fan-out,
-// which then runs one goroutine per ready node) and
-// node's validateFloor (16 validate(tx) calls in one governor's pass).
+// which then runs one goroutine per ready node) and node's
+// validateFloor (16 validate(tx) calls in one governor's screen pass).
 func Procs(n, floor int) int {
 	if n < floor {
 		return 1
 	}
-	//repchain:dettaint-ok every fan-out writes results by index and the engine replays sends in node order; VerifyBatch also chunks by this count, so which batch equations run depends on it, but its verdicts do not, up to the 2^-128-per-chunk bound of DESIGN §4f (TestVerifyBatchSplitInvariant)
+	//repchain:dettaint-ok every fan-out writes results by index and the engine replays sends in node order (TestParallelMatchesSequential, TestValidateFanOutKeepsOrder)
 	return runtime.GOMAXPROCS(0)
 }
 

@@ -175,9 +175,6 @@ func New(n int, beta float64) (*Instance, error) {
 	return in, nil
 }
 
-// Beta returns the instance's β parameter.
-func (in *Instance) Beta() float64 { return in.beta }
-
 // Experts returns the number of experts.
 func (in *Instance) Experts() int { return len(in.weights) }
 
