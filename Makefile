@@ -99,11 +99,15 @@ benchmark-smoke:
 # torn segment creation, mid-segment corruption, kill-during-snapshot,
 # forged snapshots, and a file at the chain path, plus the governor's
 # checkpoint round trip and the engine-level restart-from-snapshot
-# paths. Mirrors the CI crash-consistency job.
+# paths. Snapshot writes run behind the round, so their tests run once
+# more under the race detector, appends and reads racing the write.
+# Mirrors the CI crash-consistency job.
+BEHIND := SnapshotBehind|SnapshotOver|SnapshotWriteFailure|SnapshotInFlight|CheckpointBehind|CheckpointWriteFailure
 crash-consistency:
 	$(GO) test -count=1 ./internal/ledger \
 		-run 'Torn|Truncated|Corrupt|KillDuring|Snapshot|RegularFile|Prune'
 	$(GO) test -count=1 ./internal/node -run 'Checkpoint|Restore|Replica'
+	$(GO) test -race -count=1 ./internal/ledger ./internal/node -run '$(BEHIND)'
 	$(GO) test -count=1 ./internal/core -run 'Snapshot|Restart|Persist'
 	$(GO) test -count=1 ./internal/transport -run 'Persistence|StakeTransfer'
 

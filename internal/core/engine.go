@@ -172,8 +172,10 @@ type Engine struct {
 	closed     bool
 	mpAdmitted *metrics.Counter
 	// drained is how many submissions the current round's drain took;
-	// it sizes the round's fan-outs (workers).
-	drained int
+	// it sizes the round's fan-outs (workers). drainBuf is the drain's
+	// scratch, reused every round and cleared after it.
+	drained  int
+	drainBuf []ingressTx
 }
 
 // ingressTx is one staged submission: the provider, the transaction
@@ -490,11 +492,12 @@ func (e *Engine) MempoolDepth() int { return e.ingress.Len() }
 // drain order: each provider signs its share as one batch at the
 // round's opening. The rest stays staged for later rounds.
 func (e *Engine) drainIngress() {
-	drained := e.ingress.Drain(e.cfg.BlockLimit)
-	e.drained = len(drained)
-	for _, d := range drained {
+	e.drainBuf = e.ingress.AppendDrain(e.drainBuf[:0], e.cfg.BlockLimit)
+	e.drained = len(e.drainBuf)
+	for _, d := range e.drainBuf {
 		e.providers[d.provider].Queue(d.tx, d.id)
 	}
+	clear(e.drainBuf) // pins no transaction past its round
 }
 
 // SubmitStakeTransfer is governor `from`'s TransferStake step: "governors

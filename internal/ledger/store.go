@@ -3,10 +3,13 @@ package ledger
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -290,8 +293,29 @@ type FileStore struct {
 
 	snap     Snapshot // guarded by mu; latest durable snapshot
 	haveSnap bool     // guarded by mu
+	gens     []uint64 // guarded by mu; heights of the snapshot files on disk, ascending
+
+	// write is the snapshot write started last, until a call that
+	// returns its outcome collects it; written is its done channel,
+	// kept after the collection for the calls that only wait.
+	write   *snapshotWrite // guarded by mu
+	written chan struct{}  // guarded by mu; nil before the first write
 
 	recovery RecoveryInfo // set at open, immutable afterwards
+}
+
+// snapshotWrite is one snapshot's durable write, run by a goroutine
+// behind the caller (StartSnapshot).
+type snapshotWrite struct {
+	snap Snapshot
+	// pruneBelow is, for a write with a prune, the first serial of the
+	// segment that was the last at the capture, so what the prune deletes
+	// does not depend on how far appends got meanwhile; 0 for no prune.
+	pruneBelow uint64
+
+	done   chan struct{} // closed once the fields below are final
+	pruned int
+	err    error
 }
 
 var (
@@ -356,6 +380,8 @@ func (fs *FileStore) load() error {
 	}
 	sort.Slice(segFirsts, func(i, j int) bool { return segFirsts[i] < segFirsts[j] })
 
+	slices.Sort(snapHeights)
+	fs.gens = slices.Clone(snapHeights)
 	snap, haveSnap, skipped := loadLatestSnapshot(fs.dir, snapHeights)
 	fs.snap, fs.haveSnap = snap, haveSnap
 	fs.recovery.SnapshotsSkipped = skipped
@@ -655,8 +681,8 @@ func (fs *FileStore) activeSegmentLocked(frameLen int64, serial uint64) (*segmen
 	return seg, nil
 }
 
-// sealActiveLocked flushes, fsyncs, and closes the active segment.
-// Callers hold mu.
+// sealActiveLocked flushes, fsyncs, and closes the active segment, if
+// any. Callers hold mu.
 func (fs *FileStore) sealActiveLocked() error {
 	if fs.active == nil {
 		return nil
@@ -766,22 +792,28 @@ func (fs *FileStore) HeadHash() crypto.Hash {
 	return fs.headHash
 }
 
-// FirstAvailable implements PrunedStore.
+// FirstAvailable implements PrunedStore. It waits for the snapshot
+// write in flight, whose prune may move it.
 func (fs *FileStore) FirstAvailable() uint64 {
+	fs.settle()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.pruned + 1
 }
 
-// SnapshotAnchor implements PrunedStore.
+// SnapshotAnchor implements PrunedStore. It waits for the snapshot
+// write in flight.
 func (fs *FileStore) SnapshotAnchor() (uint64, crypto.Hash, bool) {
+	fs.settle()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.snap.Height, fs.snap.Head, fs.haveSnap
 }
 
-// LatestSnapshot returns the newest durable snapshot, if any.
+// LatestSnapshot returns the newest durable snapshot, if any, once the
+// snapshot write in flight has finished.
 func (fs *FileStore) LatestSnapshot() (Snapshot, bool) {
+	fs.settle()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	if !fs.haveSnap {
@@ -796,105 +828,221 @@ func (fs *FileStore) LatestSnapshot() (Snapshot, bool) {
 func (fs *FileStore) Recovery() RecoveryInfo { return fs.recovery }
 
 // WriteSnapshot captures the current height, head hash, and the given
-// application state as a durable recovery point. The active segment is
-// fsynced first so the snapshot never claims a height the log could
-// lose, then the snapshot file is written atomically (temp + fsync +
-// rename + directory fsync). Older snapshot generations beyond
-// snapshotKeep are deleted.
+// application state as a durable recovery point: StartSnapshot without
+// a prune, then its outcome.
 func (fs *FileStore) WriteSnapshot(app []byte) (Snapshot, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.active != nil {
-		if err := fs.w.Flush(); err != nil {
-			return Snapshot{}, fmt.Errorf("flush before snapshot: %w", err)
-		}
-		if err := fs.active.Sync(); err != nil {
-			return Snapshot{}, fmt.Errorf("sync before snapshot: %w", err)
-		}
-	}
-	snap := Snapshot{
-		Height: fs.height,
-		Head:   fs.headHash,
-		App:    append([]byte(nil), app...),
-	}
-	if err := writeSnapshotFile(fs.dir, snap); err != nil {
+	w, err := fs.startSnapshot(app, false)
+	if err != nil {
 		return Snapshot{}, err
 	}
-	fs.snap, fs.haveSnap = snap, true
-	fs.gcSnapshotsLocked()
-	return snap, nil
+	fs.mu.Lock()
+	if fs.write == w {
+		fs.write = nil
+	}
+	fs.mu.Unlock()
+	<-w.done
+	return w.snap, w.err
 }
 
-// gcSnapshotsLocked deletes snapshot generations beyond snapshotKeep.
-// Deletion failures are ignored: stale snapshots are harmless, newer
-// ones always win at open. Callers hold mu.
-func (fs *FileStore) gcSnapshotsLocked() {
-	entries, err := os.ReadDir(fs.dir)
-	if err != nil {
-		return
+// StartSnapshot captures the current height, head hash, and the given
+// application state as the next recovery point and returns while a
+// goroutine makes it durable. Under the lock it only flushes the active
+// segment and captures; the goroutine then fsyncs that segment, so the
+// snapshot never claims a height the log could lose, writes the
+// snapshot file atomically (temp + fsync + rename + directory fsync),
+// publishes it, deletes generations beyond snapshotKeep and, with
+// prune set, prunes the segments sealed before the capture. At most
+// one write is in flight: a write still running is waited for first,
+// and its error returned. WaitSnapshot returns the outcome; every call
+// that reads or changes snapshot or prune state waits for it.
+func (fs *FileStore) StartSnapshot(app []byte, prune bool) error {
+	_, err := fs.startSnapshot(app, prune)
+	return err
+}
+
+// startSnapshot is StartSnapshot, returning the write it started.
+func (fs *FileStore) startSnapshot(app []byte, prune bool) (*snapshotWrite, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for done := fs.runningLocked(); done != nil; done = fs.runningLocked() {
+		fs.mu.Unlock()
+		<-done
+		fs.mu.Lock()
 	}
-	var heights []uint64
-	for _, e := range entries {
-		if h, ok := parseSnapshotName(e.Name()); ok && h < fs.snap.Height {
-			heights = append(heights, h)
+	if w := fs.write; w != nil {
+		if fs.write = nil; w.err != nil {
+			return nil, w.err
 		}
 	}
-	sort.Slice(heights, func(i, j int) bool { return heights[i] > heights[j] })
-	for _, h := range heights[min(len(heights), snapshotKeep-1):] {
+	if fs.active != nil {
+		if err := fs.w.Flush(); err != nil {
+			return nil, fmt.Errorf("flush before snapshot: %w", err)
+		}
+	}
+	w := &snapshotWrite{
+		snap: Snapshot{Height: fs.height, Head: fs.headHash, App: bytes.Clone(app)},
+		done: make(chan struct{}),
+	}
+	if n := len(fs.segments); prune && n > 0 {
+		w.pruneBelow = fs.segments[n-1].first
+	}
+	fs.write, fs.written = w, w.done
+	go fs.persist(w, fs.active)
+	return w, nil
+}
+
+// WaitSnapshot waits for the snapshot write in flight and returns how
+// many segments its prune deleted and its error; 0 and nil when no
+// write is left to collect.
+func (fs *FileStore) WaitSnapshot() (pruned int, err error) {
+	if w := fs.collect(); w != nil {
+		return w.pruned, w.err
+	}
+	return 0, nil
+}
+
+// collect waits for the snapshot write in flight and takes the last
+// write from the store; nil when there is none or another call took it.
+func (fs *FileStore) collect() *snapshotWrite {
+	fs.mu.Lock()
+	w, done := fs.write, fs.written
+	fs.write = nil
+	fs.mu.Unlock()
+	if done != nil {
+		<-done
+	}
+	return w
+}
+
+// runningLocked returns the done channel of the snapshot write still
+// running, nil when none is. Callers hold mu.
+func (fs *FileStore) runningLocked() chan struct{} {
+	select {
+	case <-fs.written: // a nil channel is never ready
+		return nil
+	default:
+		return fs.written
+	}
+}
+
+// settle waits for the snapshot write in flight, leaving its outcome
+// for a call that returns it.
+func (fs *FileStore) settle() {
+	fs.mu.RLock()
+	done := fs.written
+	fs.mu.RUnlock()
+	if done != nil {
+		<-done
+	}
+}
+
+// persist is StartSnapshot's goroutine. The store lock is held only to
+// publish: the snapshot, the generations to delete and the segments to
+// prune. A segment sealed since the capture was fsynced by its seal,
+// so finding active closed is no failure.
+func (fs *FileStore) persist(w *snapshotWrite, active *os.File) {
+	defer close(w.done)
+	if active != nil {
+		if err := active.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
+			w.err = fmt.Errorf("sync before snapshot: %w", err)
+			return
+		}
+	}
+	if w.err = writeSnapshotFile(fs.dir, w.snap); w.err != nil {
+		return
+	}
+	fs.mu.Lock()
+	fs.snap, fs.haveSnap = w.snap, true
+	stale := fs.retireGenerationsLocked(w.snap.Height)
+	doomed := fs.detachPrunableLocked(w.pruneBelow)
+	fs.mu.Unlock()
+	// Deletion failures are ignored: stale snapshots are harmless, newer
+	// ones always win at open, and the next open lists them again.
+	for _, h := range stale {
 		_ = os.Remove(filepath.Join(fs.dir, snapshotName(h)))
 	}
+	w.pruned, w.err = removeSegments(fs.dir, doomed)
+}
+
+// retireGenerationsLocked files a snapshot just written at height h
+// among the generations on disk and takes out, to be deleted, the
+// older ones beyond snapshotKeep. Callers hold mu.
+func (fs *FileStore) retireGenerationsLocked(h uint64) []uint64 {
+	i, found := slices.BinarySearch(fs.gens, h)
+	if !found {
+		fs.gens = slices.Insert(fs.gens, i, h)
+	}
+	cut := max(i-(snapshotKeep-1), 0)
+	stale := slices.Clone(fs.gens[:cut])
+	fs.gens = slices.Delete(fs.gens, 0, cut)
+	return stale
 }
 
 // Prune deletes sealed segments that lie entirely at or below the
-// latest snapshot height and returns how many were removed. The active
+// latest snapshot height and returns how many were removed, after the
+// snapshot write in flight, whose error it returns. The active
 // segment is never pruned — it holds the head block — so Head and
 // every Get above the horizon keep working. Safety invariant: a block
 // is only ever deleted once a durable snapshot at or above it exists,
 // so the recovery state (snapshot + surviving suffix) always
 // reproduces the chain head.
 func (fs *FileStore) Prune() (int, error) {
+	if _, err := fs.WaitSnapshot(); err != nil {
+		return 0, err
+	}
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.haveSnap {
-		return 0, nil
-	}
-	removed := 0
-	for len(fs.segments) > 1 {
-		seg := fs.segments[0]
-		if seg.count() == 0 || seg.last() > fs.snap.Height {
-			break
-		}
-		if err := os.Remove(seg.path); err != nil {
-			return removed, fmt.Errorf("prune segment: %w", err)
-		}
-		fs.pruned = seg.last()
-		fs.segments = fs.segments[1:]
-		removed++
-	}
-	if removed > 0 {
-		if err := syncDir(fs.dir); err != nil {
-			return removed, fmt.Errorf("prune sync: %w", err)
-		}
-	}
-	return removed, nil
+	doomed := fs.detachPrunableLocked(math.MaxUint64)
+	fs.mu.Unlock()
+	return removeSegments(fs.dir, doomed)
 }
 
-// Close flushes, fsyncs, and closes the active segment.
-func (fs *FileStore) Close() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.active == nil {
+// detachPrunableLocked drops the sealed segments that start below
+// serial below and lie wholly at or below the latest durable snapshot
+// from the index, moving the prune horizon past them, and returns them
+// for removeSegments. Get refuses their serials from here on, so their
+// files may go outside the lock. Callers hold mu.
+func (fs *FileStore) detachPrunableLocked(below uint64) []*segmentInfo {
+	if !fs.haveSnap {
 		return nil
 	}
-	if err := fs.w.Flush(); err != nil {
-		return fmt.Errorf("flush chain segment: %w", err)
+	n := 0
+	for n < len(fs.segments)-1 {
+		if seg := fs.segments[n]; seg.first >= below || seg.count() == 0 || seg.last() > fs.snap.Height {
+			break
+		}
+		n++
 	}
-	if err := fs.active.Sync(); err != nil {
-		return fmt.Errorf("sync chain segment: %w", err)
+	if n == 0 {
+		return nil
 	}
-	if err := fs.active.Close(); err != nil {
-		return fmt.Errorf("close chain segment: %w", err)
+	doomed := slices.Clone(fs.segments[:n])
+	fs.pruned = doomed[n-1].last()
+	fs.segments = slices.Delete(fs.segments, 0, n)
+	return doomed
+}
+
+// removeSegments deletes detached segment files in serial order, so
+// what a failure leaves on disk is still a contiguous run, and fsyncs
+// the directory. It returns how many it deleted.
+func removeSegments(dir string, doomed []*segmentInfo) (int, error) {
+	for i, seg := range doomed {
+		if err := os.Remove(seg.path); err != nil {
+			return i, fmt.Errorf("prune segment: %w", err)
+		}
 	}
-	fs.active, fs.w = nil, nil
-	return nil
+	if len(doomed) > 0 {
+		if err := syncDir(dir); err != nil {
+			return len(doomed), fmt.Errorf("prune sync: %w", err)
+		}
+	}
+	return len(doomed), nil
+}
+
+// Close waits for the snapshot write in flight, returning its error
+// if no call has, then flushes, fsyncs, and closes the active segment.
+func (fs *FileStore) Close() error {
+	_, err := fs.WaitSnapshot()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return errors.Join(err, fs.sealActiveLocked())
 }

@@ -83,19 +83,23 @@ func (p *Pool[T]) Len() int { return len(p.fifo) }
 
 // Drain removes and returns up to max entries, oldest first; max <= 0
 // drains everything.
-func (p *Pool[T]) Drain(max int) []T {
+func (p *Pool[T]) Drain(max int) []T { return p.AppendDrain(nil, max) }
+
+// AppendDrain is Drain appending to dst, so a caller that drains every
+// round can pass its last round's slice, emptied, and allocate nothing.
+func (p *Pool[T]) AppendDrain(dst []T, max int) []T {
 	if max <= 0 || max > len(p.fifo) {
 		max = len(p.fifo)
 	}
-	out := make([]T, max)
-	for i, it := range p.fifo[:max] {
-		out[i] = it.val
+	dst = slices.Grow(dst, max)
+	for _, it := range p.fifo[:max] {
+		dst = append(dst, it.val)
 		if p.per != nil {
 			p.per[it.key]--
 		}
 	}
 	p.fifo = slices.Delete(p.fifo, 0, max)
-	return out
+	return dst
 }
 
 // EvictOldest removes and returns key's oldest entry, reporting false

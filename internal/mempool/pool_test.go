@@ -3,6 +3,7 @@ package mempool
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -49,6 +50,35 @@ func TestDrainCapLeavesTail(t *testing.T) {
 	second := p.Drain(0)
 	if second[0] != 4 || second[1] != 5 {
 		t.Fatalf("second drain %v, want [4 5]", second)
+	}
+}
+
+// TestAppendDrainReusesScratch: AppendDrain appends to the caller's
+// slice, frees the drained keys' room, and a second round drained into
+// the first's emptied slice allocates nothing.
+func TestAppendDrainReusesScratch(t *testing.T) {
+	p := New[int](2, 3)
+	fill := func() {
+		for i := 0; i < 4; i++ {
+			if _, err := p.Add(i%2, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill()
+	got := p.AppendDrain([]int{-1}, 3)
+	if want := []int{-1, 0, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("AppendDrain = %v, want %v", got, want)
+	}
+	if p.Room(0) != 3 || p.Room(1) != 2 {
+		t.Fatalf("room after drain = %d, %d, want 3, 2", p.Room(0), p.Room(1))
+	}
+	scratch := p.AppendDrain(got[:0], 0)
+	if allocs := testing.AllocsPerRun(10, func() {
+		fill()
+		scratch = p.AppendDrain(scratch[:0], 0)
+	}); allocs != 0 || len(scratch) != 4 {
+		t.Fatalf("draining %d into scratch made %v allocations, want 4 and 0", len(scratch), allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -208,10 +209,11 @@ type Governor struct {
 	// by several providers or rounds.
 	processedArgues map[crypto.Hash]bool
 
-	// Scratch of screenRound, reused every round: the validate(tx) calls
-	// its second pass fans out, the drained transactions between its
-	// passes, and the window expiries whose events wait for their
-	// transaction's turn.
+	// Scratch of screenRound, reused every round: the IDs it drains from
+	// the pool, the validate(tx) calls its second pass fans out, the
+	// drained transactions between its passes, and the window expiries
+	// whose events wait for their transaction's turn.
+	drained   []crypto.Hash
 	vals      validations
 	screening []screenItem
 	expired   []*uncheckedEntry
@@ -386,17 +388,18 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	return g, nil
 }
 
-// Close releases the governor's replica without checkpointing it;
-// Checkpoint first to make the run durable. Idempotent, and a no-op in
-// memory.
+// Close waits for the checkpoint write in flight and releases the
+// governor's replica without checkpointing it; Checkpoint first to make
+// the run durable. Idempotent, and a no-op in memory.
 func (g *Governor) Close() error {
 	if g.fs == nil {
 		return nil
 	}
-	if err := g.fs.Close(); err != nil {
-		return fmt.Errorf("%s: %w", g.ID(), err)
+	err := g.settleCheckpoint()
+	if cerr := g.fs.Close(); cerr != nil {
+		err = errors.Join(err, fmt.Errorf("%s: %w", g.ID(), cerr))
 	}
-	return nil
+	return err
 }
 
 // ID returns the governor's node ID.
@@ -863,7 +866,8 @@ func (g *Governor) screenRound() ([]ledger.Record, []crypto.Hash, error) {
 		uploads = limit - len(records)
 	}
 
-	drained := g.pool.Drain(uploads)
+	g.drained = g.pool.AppendDrain(g.drained[:0], uploads)
+	drained := g.drained
 	records = slices.Grow(records, len(drained))
 	ids = slices.Grow(ids, len(drained))
 	g.screening = slices.Grow(g.screening, len(drained))

@@ -473,46 +473,67 @@ func (g *Governor) adoptStashed(leader int) error {
 
 // Checkpoint makes the governor's recovery state durable: a ledger
 // snapshot at the current head carrying GovernorState, after which —
-// when prune is set — chain segments wholly behind it are deleted. A
-// no-op for an in-memory replica. A nil reputation means the governor's
-// live table; shard re-homing passes the migrated one.
+// when prune is set — chain segments wholly behind it are deleted. It
+// returns once the snapshot is on disk. A no-op for an in-memory
+// replica. A nil reputation means the governor's live table; shard
+// re-homing passes the migrated one.
 func (g *Governor) Checkpoint(reputation []byte, prune bool) error {
 	if g.fs == nil {
 		return nil
 	}
-	if reputation == nil {
-		reputation = g.table.Snapshot()
+	if err := g.settleCheckpoint(); err != nil {
+		return err
 	}
-	app := GovernorState{Round: g.round, Reputation: reputation, Stakes: g.stakes, Nonces: g.nextNonce}.Encode()
-	if _, err := g.fs.WriteSnapshot(app); err != nil {
-		return fmt.Errorf("%s snapshot: %w", g.ID(), err)
+	if err := g.startCheckpoint(reputation, prune); err != nil {
+		return err
 	}
-	g.reg.Counter("ledger.snapshots_total").Inc()
-	if !prune {
-		return nil
-	}
-	n, err := g.fs.Prune()
-	g.reg.Counter("ledger.segments_pruned_total").Add(int64(n))
-	if err != nil {
-		return fmt.Errorf("%s prune: %w", g.ID(), err)
-	}
-	return nil
+	return g.settleCheckpoint()
 }
 
-// maybeCheckpoint is the snapshot cadence, run as each round ends: once
-// the chain has grown SnapshotEvery blocks past the latest snapshot, it
-// checkpoints and prunes. A round that committed nothing leaves the
-// height, and so the decision, unchanged. A no-op when SnapshotEvery ≤ 0
-// or the replica is in memory.
+// maybeCheckpoint is the snapshot cadence, run as each round ends: it
+// collects the checkpoint write still behind the last one, then, once
+// the chain has grown SnapshotEvery blocks past the latest snapshot,
+// starts a checkpoint with a prune and returns while its write runs
+// behind the next round. A round that committed nothing leaves the
+// height, and so the decision, unchanged. A no-op when SnapshotEvery ≤
+// 0 or the replica is in memory.
 func (g *Governor) maybeCheckpoint() error {
 	every := g.cfg.SnapshotEvery
 	if g.fs == nil || every <= 0 {
 		return nil
 	}
+	if err := g.settleCheckpoint(); err != nil {
+		return err
+	}
 	if anchor, _, _ := g.fs.SnapshotAnchor(); g.fs.Height() < anchor+uint64(every) {
 		return nil
 	}
-	return g.Checkpoint(nil, true)
+	return g.startCheckpoint(nil, true)
+}
+
+// startCheckpoint captures the governor's state at its head and starts
+// the snapshot write (ledger.FileStore.StartSnapshot).
+func (g *Governor) startCheckpoint(reputation []byte, prune bool) error {
+	if reputation == nil {
+		reputation = g.table.Snapshot()
+	}
+	app := GovernorState{Round: g.round, Reputation: reputation, Stakes: g.stakes, Nonces: g.nextNonce}.Encode()
+	if err := g.fs.StartSnapshot(app, prune); err != nil {
+		return fmt.Errorf("%s snapshot: %w", g.ID(), err)
+	}
+	g.reg.Counter("ledger.snapshots_total").Inc()
+	return nil
+}
+
+// settleCheckpoint waits for the checkpoint write in flight, if any,
+// counts the segments it pruned and returns its error.
+func (g *Governor) settleCheckpoint() error {
+	n, err := g.fs.WaitSnapshot()
+	g.reg.Counter("ledger.segments_pruned_total").Add(int64(n))
+	if err != nil {
+		return fmt.Errorf("%s snapshot: %w", g.ID(), err)
+	}
+	return nil
 }
 
 // restore, run by NewGovernor, loads the latest Checkpoint into the

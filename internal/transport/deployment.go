@@ -55,6 +55,11 @@ type Deployment struct {
 	Nodes []NodeSpec `json:"nodes"`
 	// Links maps provider index to linked collector indices.
 	Links [][]int `json:"links"`
+
+	// roster is the membership NewDeployment was given or LoadDeployment
+	// parsed, shared by every node run from this deployment so that each
+	// key builds its verification table once; nil for a literal.
+	roster *identity.Roster
 }
 
 // NewDeployment renders a roster into the JSON model, assigning
@@ -62,7 +67,7 @@ type Deployment struct {
 // collectors, governors. The unused first parameter is the benchmark
 // harness's seam (identity.RegisterAll).
 func NewDeployment(_ *identity.Manager, roster *identity.Roster, host string, basePort int) (*Deployment, error) {
-	d := &Deployment{}
+	d := &Deployment{roster: roster}
 	for _, role := range [][]identity.Member{roster.Providers, roster.Collectors, roster.Governors} {
 		for _, mem := range role {
 			var stake uint64
@@ -98,29 +103,46 @@ func LoadDeployment(path string) (*Deployment, error) {
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("parse deployment: %w", err)
 	}
-	if err := d.Validate(); err != nil {
+	roster, err := d.validate()
+	if err != nil {
 		return nil, err
 	}
+	d.roster = roster
 	return &d, nil
 }
 
 // Validate checks that every node has an address and that the nodes
 // and links form a roster (Roster).
 func (d *Deployment) Validate() error {
-	for i, n := range d.Nodes {
-		if n.Addr == "" {
-			return fmt.Errorf("node %d %q has no address: %w", i, n.ID, ErrBadDeployment)
-		}
-	}
-	_, err := d.Roster()
+	_, err := d.validate()
 	return err
 }
 
-// Roster builds the alliance's membership from the deployment: every
-// node's role, index and keys (a private key only where the file holds
-// one) over the topology of Links. Each node's ID must be its role and
-// index, and each role's indices 0…k−1.
+// validate is Validate, returning the roster it parsed.
+func (d *Deployment) validate() (*identity.Roster, error) {
+	for i, n := range d.Nodes {
+		if n.Addr == "" {
+			return nil, fmt.Errorf("node %d %q has no address: %w", i, n.ID, ErrBadDeployment)
+		}
+	}
+	return d.parseRoster()
+}
+
+// Roster returns the alliance's membership: the roster the deployment
+// was built from or loaded into, read-only and shared by every caller,
+// or, for a Deployment literal, one parsed from Nodes and Links anew.
 func (d *Deployment) Roster() (*identity.Roster, error) {
+	if d.roster != nil {
+		return d.roster, nil
+	}
+	return d.parseRoster()
+}
+
+// parseRoster builds the membership from Nodes and Links: every node's
+// role, index and keys (a private key only where the file holds one)
+// over the topology of Links. Each node's ID must be its role and
+// index, and each role's indices 0…k−1.
+func (d *Deployment) parseRoster() (*identity.Roster, error) {
 	members := make([]identity.Member, len(d.Nodes))
 	var counts [identity.RoleGovernor + 1]int
 	for i, n := range d.Nodes {

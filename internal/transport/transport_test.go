@@ -180,6 +180,38 @@ func TestDeploymentValidateRejects(t *testing.T) {
 	}
 }
 
+// TestDeploymentRosterParsedOnce: every Roster call on a built or
+// loaded deployment returns the one roster, so nodes run from it share
+// their keys' verification tables; a literal still parses its fields.
+func TestDeploymentRosterParsedOnce(t *testing.T) {
+	d := testDeployment(t, 2, 2, 1, 2)
+	if mustRoster(t, d) != mustRoster(t, d) {
+		t.Fatal("NewDeployment's Roster() differs between calls")
+	}
+	data, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "roster.json")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDeployment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mustRoster(t, loaded)
+	if r != mustRoster(t, loaded) {
+		t.Fatal("LoadDeployment's Roster() differs between calls")
+	}
+	literal := &Deployment{Nodes: loaded.Nodes, Links: loaded.Links}
+	if lr := mustRoster(t, literal); lr == r || !slices.EqualFunc(lr.Governors, r.Governors, func(a, b identity.Member) bool {
+		return a.ID == b.ID && a.PublicKey.Equal(b.PublicKey)
+	}) {
+		t.Fatal("a literal's Roster() is not a fresh parse of the same members")
+	}
+}
+
 func TestDeploymentAccessors(t *testing.T) {
 	d := testDeployment(t, 2, 2, 1, 2)
 	spec, err := d.Node("governor/1")
