@@ -104,16 +104,16 @@ func TestRoundAllocBudgets(t *testing.T) {
 		measured float64
 		round    func(testing.TB) func(int)
 	}{
-		{"plain", 1197, func(tb testing.TB) func(int) {
+		{"plain", 1116, func(tb testing.TB) func(int) {
 			return chainRound(tb, txPerRound)
 		}},
-		{"tracing", 2583, func(tb testing.TB) func(int) {
+		{"tracing", 2502, func(tb testing.TB) func(int) {
 			return chainRound(tb, txPerRound, repchain.WithEventLog(1<<16))
 		}},
-		{"mempool", 1197, func(tb testing.TB) func(int) {
+		{"mempool", 1116, func(tb testing.TB) func(int) {
 			return chainRound(tb, txPerRound, repchain.WithMempool(256), repchain.WithBlockLimit(64))
 		}},
-		{"committees=4", 2581, clusterRound},
+		{"committees=4", 2280, clusterRound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

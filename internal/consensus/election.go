@@ -2,7 +2,6 @@ package consensus
 
 import (
 	"fmt"
-	"slices"
 
 	"repchain/internal/codec"
 	"repchain/internal/crypto"
@@ -140,59 +139,36 @@ func NewElection(round uint64, prevHash crypto.Hash, pubs []crypto.PublicKey, st
 
 // Submit records governor j's ticket batch, verifying every proof and
 // that exactly one ticket per stake unit was produced. A governor with
-// zero stake submits an empty batch.
+// zero stake submits an empty batch. On an error nothing is recorded.
 func (e *Election) Submit(j int, tickets []Ticket) error {
-	_, err := e.SubmitAll([]int{j}, [][]Ticket{tickets})
-	return err
-}
-
-// SubmitAll is Submit for several governors at once — govs[i] submits
-// batches[i] — with every proof checked in one crypto.VerifyBatch call,
-// so a governor pays one cache pass per election, not one per peer. The
-// error is the one a Submit per governor in govs order would have
-// returned first, and bad is the governor it names (-1 on success). On
-// an error nothing is recorded.
-func (e *Election) SubmitAll(govs []int, batches [][]Ticket) (bad int, err error) {
-	// Submit one by one stops at the first malformed batch, so only the
-	// proofs before it could have failed first.
-	checked := len(govs)
-	var malformed error
-	for i, j := range govs {
-		if malformed = e.checkBatch(j, batches[i], govs[:i]); malformed != nil {
-			checked = i
-			break
+	if err := e.checkBatch(j, tickets); err != nil {
+		return err
+	}
+	for _, t := range tickets {
+		alpha := crypto.VRFAlpha(e.prevHash, e.round, t.Governor, t.Unit)
+		if crypto.VRFVerify(e.pubs[j], alpha, crypto.VRFOutput{Output: t.Output, Proof: t.Proof}) != nil {
+			return fmt.Errorf("ticket g%d/u%d: %w", t.Governor, t.Unit, ErrBadTicket)
 		}
 	}
-	if i, err := e.verifyTickets(govs[:checked], batches[:checked]); err != nil {
-		return govs[i], err
-	}
-	if malformed != nil {
-		return govs[checked], malformed
-	}
-	// Scan for the minimum in submission and ticket order so ties
-	// (identical outputs) resolve exactly as the sequential path always
-	// has.
-	for i, j := range govs {
-		for _, t := range batches[i] {
-			if !e.haveBest || t.Output.Less(e.best.Output) {
-				e.best = t
-				e.haveBest = true
-			}
+	// Ties (identical outputs) go to the earliest ticket submitted.
+	for _, t := range tickets {
+		if !e.haveBest || t.Output.Less(e.best.Output) {
+			e.best = t
+			e.haveBest = true
 		}
-		e.submitted[j] = true
-		e.remaining--
 	}
-	return -1, nil
+	e.submitted[j] = true
+	e.remaining--
+	return nil
 }
 
 // checkBatch checks governor j's batch against its stake, everything
-// but the proofs; earlier lists the governors submitting before it in
-// the same call.
-func (e *Election) checkBatch(j int, tickets []Ticket, earlier []int) error {
+// but the proofs.
+func (e *Election) checkBatch(j int, tickets []Ticket) error {
 	if j < 0 || j >= len(e.pubs) {
 		return fmt.Errorf("governor %d: %w", j, ErrBadTicket)
 	}
-	if e.submitted[j] || slices.Contains(earlier, j) {
+	if e.submitted[j] {
 		return fmt.Errorf("governor %d double submission: %w", j, ErrBadTicket)
 	}
 	if uint64(len(tickets)) != e.stakes[j] {
@@ -213,40 +189,6 @@ func (e *Election) checkBatch(j int, tickets []Ticket, earlier []int) error {
 		seen[t.Unit] = true
 	}
 	return nil
-}
-
-// verifyTickets checks every VRF proof of the given well-formed batches
-// (batches[i] is govs[i]'s) through one crypto.VerifyBatch pass: proof
-// checks are ordinary signature checks over VRFProofMessage(alpha), so
-// the whole election is classified against the verification cache under
-// a single lock. On a failure it returns the index of the batch holding
-// the first failing ticket, in batch and ticket order, and its error.
-func (e *Election) verifyTickets(govs []int, batches [][]Ticket) (int, error) {
-	n := 0
-	for _, b := range batches {
-		n += len(b)
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	items := make([]crypto.BatchItem, 0, n)
-	for i, j := range govs {
-		for _, t := range batches[i] {
-			alpha := crypto.VRFAlpha(e.prevHash, e.round, t.Governor, t.Unit)
-			items = append(items, crypto.BatchItem{Pub: e.pubs[j], Msg: crypto.VRFProofMessage(alpha), Sig: t.Proof})
-		}
-	}
-	errs := crypto.VerifyBatch(items)
-	k := 0
-	for i := range govs {
-		for _, t := range batches[i] {
-			if errs[k] != nil || crypto.Sum(t.Proof) != t.Output {
-				return i, fmt.Errorf("ticket g%d/u%d: %w", t.Governor, t.Unit, ErrBadTicket)
-			}
-			k++
-		}
-	}
-	return 0, nil
 }
 
 // Complete reports whether every governor has submitted.

@@ -181,6 +181,16 @@ func TestElectionSubmitErrors(t *testing.T) {
 	if err := el.Submit(0, dup); !errors.Is(err, ErrBadTicket) {
 		t.Fatalf("duplicate unit error = %v", err)
 	}
+	// A bad proof is named by its ticket.
+	forged := slices.Clone(good)
+	forged[1].Proof = slices.Clone(forged[1].Proof)
+	forged[1].Proof[5] ^= 1
+	if err := el.Submit(0, forged); !errors.Is(err, ErrBadTicket) || err.Error() != "ticket g0/u1: "+ErrBadTicket.Error() {
+		t.Fatalf("forged proof error = %v", err)
+	}
+	if el.remaining != 2 {
+		t.Fatalf("failed submissions recorded %d batches", 2-el.remaining)
+	}
 	// Good submission, then double submission rejected.
 	if err := el.Submit(0, good); err != nil {
 		t.Fatal(err)
@@ -191,88 +201,6 @@ func TestElectionSubmitErrors(t *testing.T) {
 	// Leader before completion fails.
 	if _, _, err := el.Leader(); !errors.Is(err, ErrIncompleteElection) {
 		t.Fatalf("early Leader() error = %v", err)
-	}
-}
-
-// TestElectionSubmitAllOneBatch: SubmitAll checks a whole election's
-// proofs in one VerifyBatch call, elects what Submit one by one elects,
-// and names the governor whose error Submit one by one would have
-// returned first.
-func TestElectionSubmitAllOneBatch(t *testing.T) {
-	fx := newElectionFixture(t, []uint64{1, 1, 1})
-	const round = 9
-	govs := []int{0, 1, 2}
-	batches := func() [][]Ticket {
-		out := make([][]Ticket, len(fx.stakes))
-		for j := range out {
-			out[j] = MakeTickets(fx.privs[j], fx.prev, round, j, fx.stakes[j])
-		}
-		return out
-	}
-	badProof := func(ts []Ticket) []Ticket {
-		ts = slices.Clone(ts)
-		ts[0].Proof = slices.Clone(ts[0].Proof)
-		ts[0].Proof[5] ^= 1
-		return ts
-	}
-	elect := func() *Election {
-		el, err := NewElection(round, fx.prev, fx.pubs, fx.stakes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return el
-	}
-	// oneByOne is the reference: the first error of a Submit per
-	// governor, and the governor it came from.
-	oneByOne := func(bs [][]Ticket) (int, error) {
-		el := elect()
-		for i, j := range govs {
-			if err := el.Submit(j, bs[i]); err != nil {
-				return j, err
-			}
-		}
-		return -1, nil
-	}
-
-	el := elect()
-	before := crypto.DefaultVerifyCache.BatchStats().Calls
-	if bad, err := el.SubmitAll(govs, batches()); err != nil || bad != -1 {
-		t.Fatalf("SubmitAll() = %d, %v", bad, err)
-	}
-	if calls := crypto.DefaultVerifyCache.BatchStats().Calls - before; calls != 1 {
-		t.Fatalf("SubmitAll made %d VerifyBatch calls, want 1", calls)
-	}
-	got, _, err := el.Leader()
-	if want, _ := fx.run(t, round); err != nil || got != want {
-		t.Fatalf("SubmitAll leader %d (%v), Submit one by one %d", got, err, want)
-	}
-
-	for _, tc := range []struct {
-		name    string
-		mutate  func(bs [][]Ticket)
-		wantBad int
-	}{
-		{"bad proof at g0, malformed batch at g1", func(bs [][]Ticket) {
-			bs[0], bs[1] = badProof(bs[0]), nil
-		}, 0},
-		{"bad proof only at g2", func(bs [][]Ticket) { bs[2] = badProof(bs[2]) }, 2},
-		{"malformed batch at g0, bad proof at g1", func(bs [][]Ticket) {
-			bs[0], bs[1] = bs[1], badProof(bs[1])
-		}, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bs := batches()
-			tc.mutate(bs)
-			wantBad, wantErr := oneByOne(bs)
-			el := elect()
-			bad, err := el.SubmitAll(govs, bs)
-			if !errors.Is(err, ErrBadTicket) || bad != tc.wantBad || bad != wantBad || err.Error() != wantErr.Error() {
-				t.Fatalf("SubmitAll() = %d, %v; one by one %d, %v; want governor %d", bad, err, wantBad, wantErr, tc.wantBad)
-			}
-			if el.Complete() || el.remaining != len(govs) {
-				t.Fatalf("a failed SubmitAll recorded %d batches", len(govs)-el.remaining)
-			}
-		})
 	}
 }
 

@@ -421,10 +421,6 @@ func (e *Engine) publishRoundMetrics() {
 	hits, misses := crypto.DefaultVerifyCache.Stats()
 	e.reg.Gauge("sigcache.hits").Set(float64(hits))
 	e.reg.Gauge("sigcache.misses").Set(float64(misses))
-	bs := crypto.DefaultVerifyCache.BatchStats()
-	e.reg.Gauge("sigcache.batch_hits").Set(float64(bs.Hits))
-	e.reg.Gauge("sigcache.batch_deduped").Set(float64(bs.Deduped))
-	e.reg.Gauge("sigcache.batch_verified").Set(float64(bs.Verified))
 	ps := codec.EncoderPoolStats()
 	e.reg.Gauge("codec.pool_gets").Set(float64(ps.Gets))
 	e.reg.Gauge("codec.pool_misses").Set(float64(ps.Misses))

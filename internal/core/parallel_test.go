@@ -78,8 +78,8 @@ func runTrace(t *testing.T, seed int64, procs, rounds int, shape string) roundTr
 			submitRound(t, e, fanOutFloor+12, r, 3)
 		default:
 			submitRound(t, e, 12, r, 3)
-			// A batch big enough that the collectors' VerifyBatch
-			// residuals fan out across goroutines.
+			// One provider batch of 24 under one signature, which each
+			// node that meets it checks once.
 			if _, err := e.SubmitBatch(context.Background(), r%4, batchFor(r, 24)); err != nil {
 				t.Fatal(err)
 			}

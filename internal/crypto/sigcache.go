@@ -36,13 +36,6 @@ type VerifyCache struct {
 
 	hits   metrics.Counter
 	misses metrics.Counter
-
-	// Batch-path accounting (DESIGN.md §4f), exposed via BatchStats as
-	// the sigcache.batch_* gauges (Calls is not published).
-	batchCalls    metrics.Counter
-	batchHits     metrics.Counter
-	batchDeduped  metrics.Counter
-	batchVerified metrics.Counter
 }
 
 // verifyEntry is one cached verdict. ready is closed once ok holds the
@@ -161,6 +154,33 @@ func (c *VerifyCache) Purge() {
 // governor (and any other verifier) in the process, the dedup store
 // behind CachedVerify.
 var DefaultVerifyCache = NewVerifyCache(DefaultVerifyCacheSize)
+
+// BatchItem is one signature check submitted to VerifyBatch.
+type BatchItem struct {
+	// Pub is the claimed signer.
+	Pub PublicKey
+	// Msg is the signed byte string, only read during the call.
+	Msg []byte
+	// Sig is the Ed25519 signature to check.
+	Sig []byte
+}
+
+// VerifyBatch checks each item with Verify, in order, and returns one
+// verdict per item: a batch is accounted, coalesced and cached exactly
+// as the same checks made one by one.
+func (c *VerifyCache) VerifyBatch(items []BatchItem) []error {
+	errs := make([]error, len(items))
+	for i, it := range items {
+		errs[i] = c.Verify(it.Pub, it.Msg, it.Sig)
+	}
+	return errs
+}
+
+// VerifyBatch checks items through DefaultVerifyCache; see
+// VerifyCache.VerifyBatch.
+func VerifyBatch(items []BatchItem) []error {
+	return DefaultVerifyCache.VerifyBatch(items)
+}
 
 // CachedVerify verifies sig over msg against pub through
 // DefaultVerifyCache. Protocol verify paths that are repeated

@@ -18,7 +18,7 @@ package crypto
 // single check would agree. No batch equation is left, but the rule
 // stays because no verdict may move: a cofactorless check would reject
 // the signatures TestLowOrderResidueAccepted accepts. PublicKey.Verify
-// is the one check; VerifyCache and VerifyBatch call it on every miss.
+// is the one check; VerifyCache.Verify calls it on every miss.
 
 import (
 	"crypto/sha512"

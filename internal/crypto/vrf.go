@@ -40,9 +40,7 @@ type VRFOutput struct {
 }
 
 // VRFProofMessage returns the exact byte string a VRF proof signs for
-// input alpha: the domain tag followed by alpha. Batch verifiers use it
-// to express proof checks as ordinary signature checks over the same
-// bytes VRFVerify would build.
+// input alpha: the domain tag followed by alpha.
 func VRFProofMessage(alpha []byte) []byte {
 	msg := make([]byte, 0, len(vrfDomainTag)+len(alpha))
 	msg = append(msg, vrfDomainTag...)

@@ -353,7 +353,7 @@ func TestBuildBlockIncrementalRootMatchesRecompute(t *testing.T) {
 // TestGovernorBatchPenaltyParity: in an authenticated upload, the k
 // items of one bad provider batch cost exactly k forge penalties — what
 // k bad batches of one cost — and the upload's other items are
-// admitted. The governor submits one signature check per distinct
+// admitted. The governor makes one signature check per distinct
 // batch, and a collector discards each item of a bad batch.
 func TestGovernorBatchPenaltyParity(t *testing.T) {
 	const k = 3
@@ -384,11 +384,13 @@ func TestGovernorBatchPenaltyParity(t *testing.T) {
 				items = append(items, tx.UploadItem{Signed: forged[i], Label: tx.LabelValid})
 			}
 		}
-		before := crypto.DefaultVerifyCache.BatchStats()
+		hits, misses := crypto.DefaultVerifyCache.Stats()
+		before := hits + misses
 		if _, err := fx.governor.handleBatch([]network.Message{uploadMsg(t, coll, coll.ID, items...)}); err != nil {
 			t.Fatal(err)
 		}
-		after := crypto.DefaultVerifyCache.BatchStats()
+		hits, misses = crypto.DefaultVerifyCache.Stats()
+		after := hits + misses
 
 		// The collector side: the same transactions in provider frames.
 		frames := []network.Message{
@@ -406,7 +408,7 @@ func TestGovernorBatchPenaltyParity(t *testing.T) {
 			stats:    fx.governor.Stats(),
 			table:    fx.governor.Table().Snapshot(),
 			rejected: reg.CounterVec("node.uploads_rejected_total", "reason").With("item_provider_sig").Value(),
-			checks:   (after.Hits + after.Deduped + after.Verified) - (before.Hits + before.Deduped + before.Verified),
+			checks:   after - before,
 		}
 	}
 	// One batch of k under the collector's key, claiming the provider.

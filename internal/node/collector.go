@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"slices"
 	"time"
 
 	"repchain/internal/crypto"
@@ -122,12 +121,11 @@ type Collector struct {
 	filed       []network.Message
 
 	// Scratch of processBatch, reused every round (DESIGN.md §4f): each
-	// frame's transactions and their IDs as decoded, the entries between
-	// its phases, the items it uploads and the signature checks. The
-	// upload copies what it sends, and processBatch empties the rest.
+	// frame's transactions and their IDs as decoded, the items it
+	// uploads and the signature checks. The upload copies what it sends,
+	// and processBatch empties the rest.
 	list    []tx.SignedTx
 	listIDs []crypto.Hash
-	entries []providerEntry
 	items   []tx.UploadItem
 	checks  sigChecks
 }
@@ -275,95 +273,53 @@ func (c *Collector) Step(now time.Time, msgs []network.Message, out Sender) (Pro
 	return Progress{Round: c.round, Phase: PhaseUpload, WakeAt: deadline}, nil
 }
 
-// Provider-tx phase-1 classes for processBatch.
-const (
-	ptDecodeFail uint8 = iota // malformed frame
-	ptMismatch                // claimed provider is not the sender, or not a provider linked with this collector
-	ptBadLeaf                 // not the leaf its batch says it is
-	ptVerify                  // batch signature checked through the batch
-)
-
-// providerEntry is one phase-1 outcome: a provider transaction, or a
-// frame that did not decode.
-type providerEntry struct {
-	class  uint8
-	signed tx.SignedTx
-	sig    int // batch-item index of its batch's signature (ptVerify)
-}
-
 // processBatch runs Algorithm 1 plus the behaviour model over the
 // frames a round filed: it verifies the provider transactions in msgs,
 // labels them, appends the round's forgeries, and uploads the lot
 // through sender as one signed batch. It returns the number of items
 // uploaded (including forgeries). Step calls it once per round.
 //
-// Distinct collectors may Step concurrently (each touches only its own
-// RNG and counters); the engine replays their buffered uploads in
-// collector order, so the wire order is the same at any worker count.
-// A single collector is not safe for concurrent invocation.
+// Transactions are checked and labeled in arrival order, so counters
+// advance and the behaviour RNG is consumed once per verified
+// transaction, then once for the forgeries: labels are a function of
+// arrival order alone. Distinct collectors may Step concurrently (each
+// touches only its own RNG and counters); the engine replays their
+// buffered uploads in collector order, so the wire order is the same at
+// any worker count. A single collector is not safe for concurrent
+// invocation.
 func (c *Collector) processBatch(msgs []network.Message, sender Sender) (int, error) {
-	// Phase 1, in arrival order: decode every provider frame and
-	// structurally screen its transactions, gathering one signature
-	// check per distinct provider batch and checking each transaction's
-	// leaf. Phase 2 runs the checks as one batch.
-	entries := c.entries[:0]
-	checks := &c.checks
-	checks.begin(96 * len(msgs))
+	out := c.items[:0]
 	for _, m := range msgs {
 		if m.Kind != network.KindProviderTx {
 			continue
 		}
 		list, ids, err := tx.DecodeListBytes(m.Payload, c.list[:0], c.listIDs[:0])
 		if err != nil {
-			entries = append(entries, providerEntry{class: ptDecodeFail})
+			c.discarded++
 			continue
 		}
 		c.list, c.listIDs = list, ids
-		entries = slices.Grow(entries, len(list))
-		for k, signed := range list {
+		for k := range list {
+			c.received++
 			// verify(p_k, tx): the claimed provider must be the actual
 			// sender and a provider linked with this collector, and the
 			// transaction must be its batch's leaf under a good batch
 			// signature. A transaction from an unlinked provider would
 			// cost this collector the governors' forge penalty, since
 			// they check the link on upload.
-			e := providerEntry{class: ptMismatch, signed: signed}
-			prov, ok := c.roster.Member(signed.Tx.Provider, identity.RoleProvider)
-			if signed.Tx.Provider == m.From && ok && c.roster.Linked(prov.Index, c.member.Index) {
-				e.class = ptVerify
-				e.sig = checks.provider(&list[k], ids[k], prov.PublicKey)
-				if e.sig < 0 {
-					e.class = ptBadLeaf
-				}
-			}
-			entries = append(entries, e)
-		}
-	}
-	verdicts := checks.verify()
-
-	// Phase 2 replays the verdicts in arrival order: counters advance
-	// and the behaviour RNG is consumed once per verified transaction,
-	// then once for the forgeries, so labels are a function of arrival
-	// order alone.
-	out := slices.Grow(c.items[:0], len(entries))
-	for _, e := range entries {
-		switch e.class {
-		case ptDecodeFail:
-			c.discarded++
-		case ptMismatch, ptBadLeaf:
-			c.received++
-			c.discarded++
-		case ptVerify:
-			c.received++
-			if verdicts[e.sig] != nil {
+			s := &list[k]
+			prov, ok := c.roster.Member(s.Tx.Provider, identity.RoleProvider)
+			if s.Tx.Provider != m.From || !ok || !c.roster.Linked(prov.Index, c.member.Index) ||
+				c.checks.provider(s, ids[k], prov.PublicKey) != nil {
 				c.discarded++
 				continue
 			}
-			if item, ok := c.label(e.signed); ok {
+			if item, ok := c.label(*s); ok {
 				out = append(out, item)
 			}
 		}
 	}
+	c.checks.reset()
 	honest := len(out)
 	out = append(out, c.forge()...)
 	err := c.upload(out, sender)
@@ -374,7 +330,7 @@ func (c *Collector) processBatch(msgs []network.Message, sender Sender) (int, er
 		}
 	}
 	n := len(out)
-	c.list, c.entries, c.items = emptied(c.list), emptied(entries), emptied(out)
+	c.list, c.items = emptied(c.list), emptied(out)
 	if err != nil {
 		return 0, err
 	}

@@ -419,63 +419,14 @@ func (g *Governor) Stats() GovernorStats { return g.stats }
 // first commit.
 func (g *Governor) CommittedRecords() int { return g.committedRecords }
 
-// Phase-1 routing classes for handleBatch.
-const (
-	pmRest uint8 = iota // not a governor message: hand back to caller
-	pmUpload
-	pmArgue
-)
-
-// pendingBatch carries one classified collector upload batch between
-// the signature-batching phase and the in-order replay phase.
-type pendingBatch struct {
-	collectorIdx int
-	// reject names an envelope failure found before any cryptography
-	// (an uploads_rejected_total reason); empty when there is none.
-	reject string
-	sig    int // batch-item index of the batch signature
-	batch  tx.UploadBatch
-	ids    []crypto.Hash // the items' IDs, as the decoder hashed them
-	items  []pendingItem
-}
-
-// pendingItem checks one labeled transaction of an authenticated batch.
-type pendingItem struct {
-	providerIdx int
-	provSig     int // batch-item index of its provider batch's signature, -1 = not a roster provider or not the batch's leaf
-	linked      bool
-}
-
-// pendingArgue is the argue counterpart of pendingBatch.
-type pendingArgue struct {
-	queuedArgue
-	innerSig int // batch-item index of the inner transaction's provider batch signature
-	argueSig int // batch-item index of the argue signature
-	rejected bool
-}
-
 // intake is handleBatch's scratch, reused every Step (DESIGN.md §4f):
-// each message's class and slot, the uploads with the items, IDs and
-// checks decoded into them, the argues and the signature checks. What a
-// governor keeps past the Step copies out of it (admitUpload, the queued
-// argues), and empty drops the views it holds, so it pins no frame.
+// the items and IDs an upload decodes into, and the signature checks.
+// What a governor keeps past the Step copies out of it (admitUpload, the
+// queued argues), and handleBatch empties it, so it pins no frame.
 type intake struct {
-	kinds  []uint8
-	slots  []int
-	ups    []pendingBatch
-	args   []pendingArgue
+	items  []tx.UploadItem
+	ids    []crypto.Hash
 	checks sigChecks
-}
-
-// empty clears what the Step decoded, keeping the memory: each upload
-// slot up to ups' capacity stays empty but for its slices.
-func (in *intake) empty() {
-	for i := range in.ups {
-		u := &in.ups[i]
-		*u = pendingBatch{batch: tx.UploadBatch{Items: emptied(u.batch.Items)}, ids: u.ids[:0], items: u.items[:0]}
-	}
-	clear(in.args)
-	in.ups, in.args = in.ups[:0], in.args[:0]
 }
 
 // emptied clears s up to its capacity and returns it with length 0: a
@@ -486,14 +437,46 @@ func emptied[T any](s []T) []T {
 	return s[:0]
 }
 
-// handleBatch ingests a batch of delivered messages through one
-// crypto.VerifyBatch pass and returns the messages it did not consume,
-// in arrival order. It is the governor's only ingest path: collector
-// upload batches run verify(c_i, Tx) per the paper — the collector's
-// signature over the batch under its roster key, and for each item its
-// leaf in its provider batch, that batch's signature (checked once per
-// distinct batch) and the provider's link — and provider argues are
-// queued.
+// handleBatch ingests a batch of delivered messages in arrival order and
+// returns the messages it did not consume, in that order. It is the
+// governor's only ingest path: each collector upload batch runs
+// verify(c_i, Tx) per the paper (handleUpload) and each provider argue
+// that authenticates is queued (checkArgue). Every signature is checked
+// once, where its message arrives, through crypto.CachedVerify, and a
+// provider batch once per Step whichever uploads or argues carry it; so
+// forge penalties, admission shedding, mempool insertion, report
+// grouping and argue queuing happen in item order, and the governor's
+// state is a function of the item sequence alone — one batch of N and N
+// batches of one leave it byte-identical (DESIGN.md §4f).
+func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error) {
+	defer func() {
+		g.in.items = emptied(g.in.items)
+		g.in.checks.reset()
+	}()
+	var rest []network.Message
+	for _, m := range msgs {
+		switch m.Kind {
+		case network.KindCollectorBatch:
+			if err := g.handleUpload(m); err != nil {
+				return rest, err
+			}
+		case network.KindArgue:
+			if a, ok := g.checkArgue(m); ok {
+				g.argues = append(g.argues, a)
+			} else {
+				g.stats.ArguesRejected++
+			}
+		default:
+			rest = append(rest, m)
+		}
+	}
+	return rest, nil
+}
+
+// handleUpload runs verify(c_i, Tx) on one collector upload batch: the
+// collector's signature over the batch under its roster key, and for
+// each item its leaf in its provider batch, that batch's signature and
+// the provider's link; it admits each item that passes.
 //
 // Attribution (Algorithm 3 case 1): a batch from a sender that is not a
 // roster collector is refused unscored. Any other batch that fails as a
@@ -502,143 +485,68 @@ func emptied[T any](s []T) []T {
 // Inside an authenticated batch each bad item (provider not in the
 // roster, not its batch's leaf, its batch's signature fails, provider
 // not linked to the collector) costs one penalty and the remaining
-// items are admitted.
-// An authenticated batch, empty or not, files its round under its
-// collector for uploadsIn.
-//
-// Determinism (DESIGN.md §4f): phase 1 walks the messages in arrival
-// order doing only pure work — decoding, identity lookups, and
-// appending signature-check items into a pooled arena encoder. Phase 2
-// verifies every signature in one batch (cache hits skipped, in-batch
-// duplicates coalesced). Phase 3 replays the verdicts in arrival
-// order, batch by batch and item by item: forge penalties, admission
-// shedding, mempool insertion, report grouping, and argue queuing all
-// happen in that order, so the governor's state is a function of the
-// item sequence alone — one batch of N and N batches of one leave it
-// byte-identical.
-func (g *Governor) handleBatch(msgs []network.Message) ([]network.Message, error) {
-	if len(msgs) == 0 {
-		return nil, nil
+// items are admitted. An authenticated batch, empty or not, files its
+// round under its collector for uploadsIn.
+func (g *Governor) handleUpload(m network.Message) error {
+	coll, isCollector := g.cfg.Roster.Member(m.From, identity.RoleCollector)
+	if !isCollector {
+		// An uploader outside the collector role cannot be scored.
+		g.countRejected("not_collector")
+		return nil
 	}
 	in := &g.in
-	defer in.empty()
-	kinds := slices.Grow(in.kinds[:0], len(msgs))[:len(msgs)]
-	slots := slices.Grow(in.slots[:0], len(msgs))[:len(msgs)]
-	in.kinds, in.slots = kinds, slots
-
-	// The signing messages of an upload batch are shorter than its
-	// payload, so the governor-bound payload bytes size the arena.
-	size := 0
-	for _, m := range msgs {
-		if m.Kind == network.KindCollectorBatch || m.Kind == network.KindArgue {
-			size += len(m.Payload)
-		}
+	batch, rcv, err := tx.DecodeUploadBatchBytes(m.Payload, in.items[:0], in.ids[:0])
+	switch {
+	case err != nil:
+		return g.rejectUpload("decode", coll.Index)
+	case batch.Collector != m.From:
+		// The upload must come from the collector that signed it.
+		return g.rejectUpload("sender_mismatch", coll.Index)
 	}
-	checks := &in.checks
-	checks.begin(size)
-
-	for i, m := range msgs {
-		switch m.Kind {
-		case network.KindCollectorBatch:
-			kinds[i], slots[i] = pmUpload, len(in.ups)
-			in.ups = slices.Grow(in.ups, 1)[:len(in.ups)+1] // the slot keeps its slices
-			u := &in.ups[len(in.ups)-1]
-			u.sig = -1
-			coll, isCollector := g.cfg.Roster.Member(m.From, identity.RoleCollector)
-			u.collectorIdx = coll.Index
-			if !isCollector {
-				u.reject = "not_collector"
-			} else if batch, rcv, derr := tx.DecodeUploadBatchBytes(m.Payload, u.batch.Items, u.ids); derr != nil {
-				u.reject = "decode"
-			} else if u.batch, u.ids = batch, rcv.IDs; batch.Collector != m.From {
-				// The upload must come from the collector that signed it.
-				u.reject = "sender_mismatch"
-			} else {
-				start := checks.arena.Len()
-				batch.EncodeSigning(checks.arena, rcv.Digest)
-				u.sig = checks.add(coll.PublicKey, start, batch.Sig)
-				u.items = slices.Grow(u.items, len(batch.Items))[:len(batch.Items)]
-				for k := range batch.Items {
-					s := &batch.Items[k].Signed
-					pi := pendingItem{provSig: -1}
-					if prov, ok := g.cfg.Roster.Member(s.Tx.Provider, identity.RoleProvider); ok {
-						pi.provSig = checks.provider(s, rcv.IDs[k], prov.PublicKey)
-						pi.providerIdx = prov.Index
-						pi.linked = g.cfg.Roster.Linked(prov.Index, coll.Index)
-					}
-					u.items[k] = pi
-				}
-			}
-		case network.KindArgue:
-			a := pendingArgue{innerSig: -1, argueSig: -1, rejected: true}
-			msg, derr := DecodeArgueBytes(m.Payload)
-			// Only the authoring provider may argue its own transaction.
-			if derr == nil && msg.Signed.Tx.Provider == m.From {
-				if prov, ok := g.cfg.Roster.Member(m.From, identity.RoleProvider); ok {
-					a.msg, a.id = msg, msg.Signed.ID()
-					a.innerSig = checks.provider(&msg.Signed, a.id, prov.PublicKey)
-					if a.rejected = a.innerSig < 0; !a.rejected {
-						start := checks.arena.Len()
-						encodeArgueSigning(checks.arena, a.id, msg.Serial)
-						a.argueSig = checks.add(prov.PublicKey, start, msg.Sig)
-					}
-				}
-			}
-			kinds[i], slots[i] = pmArgue, len(in.args)
-			in.args = append(in.args, a)
+	in.items, in.ids = batch.Items, rcv.IDs
+	batch.EncodeSigning(in.checks.signing(), rcv.Digest)
+	if in.checks.verify(coll.PublicKey, batch.Sig) != nil {
+		return g.rejectUpload("batch_sig", coll.Index)
+	}
+	g.uploadRound[coll.Index] = max(g.uploadRound[coll.Index], batch.Round)
+	for k := range batch.Items {
+		s := &batch.Items[k].Signed
+		prov, ok := g.cfg.Roster.Member(s.Tx.Provider, identity.RoleProvider)
+		switch {
+		case !ok || in.checks.provider(s, rcv.IDs[k], prov.PublicKey) != nil:
+			err = g.rejectUpload("item_provider_sig", coll.Index)
+		case !g.cfg.Roster.Linked(prov.Index, coll.Index):
+			err = g.rejectUpload("item_unlinked", coll.Index)
 		default:
-			kinds[i] = pmRest
+			err = g.admitUpload(coll.Index, prov.Index, rcv.IDs[k], &batch.Items[k])
+		}
+		if err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
-	verdicts := checks.verify()
-
-	var rest []network.Message
-	for i, m := range msgs {
-		switch kinds[i] {
-		case pmRest:
-			rest = append(rest, m)
-		case pmUpload:
-			u := &in.ups[slots[i]]
-			if u.reject == "" && verdicts[u.sig] != nil {
-				u.reject = "batch_sig"
-			}
-			if u.reject != "" {
-				g.countRejected(u.reject)
-				// An uploader outside the collector role cannot be scored.
-				if u.reject != "not_collector" {
-					if err := g.penalizeUpload(u.collectorIdx); err != nil {
-						return rest, err
-					}
-				}
-				continue
-			}
-			g.uploadRound[u.collectorIdx] = max(g.uploadRound[u.collectorIdx], u.batch.Round)
-			for k := range u.items {
-				it := &u.items[k]
-				var err error
-				switch {
-				case it.provSig < 0 || verdicts[it.provSig] != nil:
-					err = g.rejectUpload("item_provider_sig", u.collectorIdx)
-				case !it.linked:
-					err = g.rejectUpload("item_unlinked", u.collectorIdx)
-				default:
-					err = g.admitUpload(u.collectorIdx, it.providerIdx, u.ids[k], &u.batch.Items[k])
-				}
-				if err != nil {
-					return rest, err
-				}
-			}
-		case pmArgue:
-			a := &in.args[slots[i]]
-			if a.rejected || verdicts[a.innerSig] != nil || verdicts[a.argueSig] != nil {
-				g.stats.ArguesRejected++
-				continue
-			}
-			g.argues = append(g.argues, a.queuedArgue)
-		}
+// checkArgue authenticates a provider's argue: only the authoring
+// provider may argue its own transaction, which must be its batch's
+// leaf under a good batch signature, and the argue's own signature must
+// hold.
+func (g *Governor) checkArgue(m network.Message) (queuedArgue, bool) {
+	msg, err := DecodeArgueBytes(m.Payload)
+	if err != nil || msg.Signed.Tx.Provider != m.From {
+		return queuedArgue{}, false
 	}
-	return rest, nil
+	prov, ok := g.cfg.Roster.Member(m.From, identity.RoleProvider)
+	if !ok {
+		return queuedArgue{}, false
+	}
+	id := msg.Signed.ID()
+	checks := &g.in.checks
+	if checks.provider(&msg.Signed, id, prov.PublicKey) != nil {
+		return queuedArgue{}, false
+	}
+	encodeArgueSigning(checks.signing(), id, msg.Serial)
+	return queuedArgue{msg: msg, id: id}, checks.verify(prov.PublicKey, msg.Sig) == nil
 }
 
 // countRejected records one refused upload (a whole batch or one item)

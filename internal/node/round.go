@@ -391,8 +391,8 @@ func (g *Governor) ticketsIn() bool {
 	return true
 }
 
-// elect verifies the filed batches against the election stakes, every
-// proof in one signature batch, consumes them, sets the leader (§3.4.3)
+// elect verifies the filed batches against the election stakes in
+// governor order, consumes them, sets the leader (§3.4.3)
 // and emits leader.elected. A stake-0 governor's batch is taken as empty
 // whatever it sent; a staked one missing fails with a wrapped
 // consensus.ErrIncompleteElection naming it; a bad batch is a hard error.
@@ -403,8 +403,6 @@ func (g *Governor) elect() error {
 		return err
 	}
 	var missing []identity.NodeID
-	govs := make([]int, 0, len(g.electing))
-	batches := make([][]consensus.Ticket, 0, len(g.electing))
 	for j, s := range g.electing {
 		if s > 0 && !g.filed[j] {
 			missing = append(missing, g.governorIDs[j])
@@ -414,10 +412,9 @@ func (g *Governor) elect() error {
 		if s > 0 {
 			tickets = g.tickets[j]
 		}
-		govs, batches = append(govs, j), append(batches, tickets)
-	}
-	if j, err := el.SubmitAll(govs, batches); err != nil {
-		return fmt.Errorf("%s round %d tickets from %s: %w", g.ID(), g.round, g.governorIDs[j], err)
+		if err := el.Submit(j, tickets); err != nil {
+			return fmt.Errorf("%s round %d tickets from %s: %w", g.ID(), g.round, g.governorIDs[j], err)
+		}
 	}
 	leader, _, err := el.Leader()
 	if err != nil {

@@ -6,75 +6,55 @@ import (
 	"repchain/internal/tx"
 )
 
-// sigChecks gathers the signature checks of one drain for a single
-// crypto.VerifyBatch call. Signing messages go back to back into one
-// pooled arena; only (start, end) spans are kept while it may still
-// reallocate, and the messages are sliced out at verify (DESIGN.md
-// §4f). A node keeps one: begin readies it for a drain, verify empties
-// it.
+// sigChecks is a node's signature-check scratch for one Step: the
+// encoder its signing messages go into, and the verdict on each
+// distinct provider batch the Step meets, so a batch that arrives in
+// several frames, uploads or argues is encoded, hashed and checked once
+// (DESIGN.md §4f). Every check goes through crypto.CachedVerify. reset
+// empties the memo at the Step's end, so it pins no frame.
 type sigChecks struct {
-	arena *codec.Encoder
-	items []crypto.BatchItem
-	spans [][2]int
-	// batches numbers the drain's distinct provider batches, so each is
-	// checked once whichever frames, uploads or argues carry it;
-	// batchItem maps a table position to its item; lastItem is last's.
-	batches   tx.BatchTable
-	batchItem []int
-	last      *tx.Batch
-	lastItem  int
+	enc      codec.Encoder
+	batches  tx.BatchTable
+	verdicts []error // indexed like batches
+	last     *tx.Batch
+	lastErr  error
 }
 
-// begin readies c for a drain whose signing messages take about
-// sizeHint bytes.
-func (c *sigChecks) begin(sizeHint int) {
-	c.arena = codec.GetEncoder(sizeHint)
+// signing empties the encoder for the next signing message and returns
+// it.
+func (c *sigChecks) signing() *codec.Encoder {
+	c.enc.Reset()
+	return &c.enc
 }
 
-// add records a check of sig under pub over the arena bytes from start
-// to its end, and returns the check's index.
-func (c *sigChecks) add(pub crypto.PublicKey, start int, sig []byte) int {
-	c.items = append(c.items, crypto.BatchItem{Pub: pub, Sig: sig})
-	c.spans = append(c.spans, [2]int{start, c.arena.Len()})
-	return len(c.items) - 1
+// verify checks sig under pub over the message last encoded.
+func (c *sigChecks) verify(pub crypto.PublicKey, sig []byte) error {
+	return crypto.CachedVerify(pub, c.enc.Bytes(), sig)
 }
 
-// provider returns the index of the check of s's provider batch under
-// pub, the key of s's provider, adding it at the batch's first
-// appearance; the index is -1 when s is not the leaf its batch says it
-// is. id is s's ID as its decoder hashed it.
-func (c *sigChecks) provider(s *tx.SignedTx, id crypto.Hash, pub crypto.PublicKey) int {
-	if s.CheckLeaf(id) != nil {
-		return -1
+// provider checks s against pub, the key of s's provider: s must be the
+// leaf its batch says it is (id is s's ID as its decoder hashed it), and
+// the batch's signature, checked at the batch's first appearance in the
+// Step, must hold.
+func (c *sigChecks) provider(s *tx.SignedTx, id crypto.Hash, pub crypto.PublicKey) error {
+	if err := s.CheckLeaf(id); err != nil {
+		return err
 	}
-	// A run of items decoded from one batch shares its *Batch.
+	// A run of items decoded from one batch shares its *Batch; CheckLeaf
+	// refused a nil one.
 	if s.Batch != c.last {
 		pos, added := c.batches.Ref(s.Batch)
 		if added {
-			start := c.arena.Len()
-			s.Batch.EncodeSigning(c.arena)
-			c.batchItem = append(c.batchItem, c.add(pub, start, s.Batch.Sig[:]))
+			s.Batch.EncodeSigning(c.signing())
+			c.verdicts = append(c.verdicts, c.verify(pub, s.Batch.Sig[:]))
 		}
-		c.last, c.lastItem = s.Batch, c.batchItem[pos]
+		c.last, c.lastErr = s.Batch, c.verdicts[pos]
 	}
-	return c.lastItem
+	return c.lastErr
 }
 
-// verify runs every check in one batch, releases the arena and empties
-// c for the next drain, keeping its slices; the verdicts are indexed
-// like the checks.
-func (c *sigChecks) verify() []error {
-	buf := c.arena.Bytes()
-	for k := range c.items {
-		c.items[k].Msg = buf[c.spans[k][0]:c.spans[k][1]]
-	}
-	// The batch hashes every message while classifying, so the arena
-	// can go back to the pool right after.
-	verdicts := crypto.VerifyBatch(c.items)
-	c.arena.Release()
-	// Emptied, c pins no frame's signature or batch past the drain.
-	clear(c.items)
-	c.arena, c.items, c.spans, c.batchItem, c.last = nil, c.items[:0], c.spans[:0], c.batchItem[:0], nil
+// reset empties the memo for the next Step, keeping its memory.
+func (c *sigChecks) reset() {
 	c.batches.Reset()
-	return verdicts
+	c.verdicts, c.last, c.lastErr = c.verdicts[:0], nil, nil
 }
