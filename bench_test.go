@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repchain"
-	"repchain/internal/crypto"
 )
 
 // txPerRound is the measured round's size: the 32-transaction round
@@ -54,7 +53,6 @@ func chainRound(tb testing.TB, n int, opts ...repchain.Option) func(i int) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { _ = chain.Close() })
-	crypto.DefaultVerifyCache.Purge()
 	return func(i int) {
 		submitRound(tb, i, n, chain.Submit)
 		if _, err := chain.RunRound(); err != nil {
@@ -79,7 +77,6 @@ func clusterRound(tb testing.TB) func(i int) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { _ = cluster.Close() })
-	crypto.DefaultVerifyCache.Purge()
 	return func(i int) {
 		submitRound(tb, i, txPerRound, cluster.Submit)
 		if _, err := cluster.SubmitCross(0, 1, "bench/x", []byte{1, byte(i)}, true); err != nil {
@@ -104,16 +101,16 @@ func TestRoundAllocBudgets(t *testing.T) {
 		measured float64
 		round    func(testing.TB) func(int)
 	}{
-		{"plain", 1116, func(tb testing.TB) func(int) {
+		{"plain", 1089, func(tb testing.TB) func(int) {
 			return chainRound(tb, txPerRound)
 		}},
-		{"tracing", 2502, func(tb testing.TB) func(int) {
+		{"tracing", 2474, func(tb testing.TB) func(int) {
 			return chainRound(tb, txPerRound, repchain.WithEventLog(1<<16))
 		}},
-		{"mempool", 1116, func(tb testing.TB) func(int) {
+		{"mempool", 1089, func(tb testing.TB) func(int) {
 			return chainRound(tb, txPerRound, repchain.WithMempool(256), repchain.WithBlockLimit(64))
 		}},
-		{"committees=4", 2280, clusterRound},
+		{"committees=4", 2212, clusterRound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

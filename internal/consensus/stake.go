@@ -86,7 +86,7 @@ func SignStakeTx(from, to int, amount, nonce uint64, key crypto.PrivateKey) Stak
 }
 
 // Verify checks the transfer's signature against the paying
-// governor's public key, through the shared verification cache (all m
+// governor's public key, through the key's verdict memo (all m
 // governors verify the same broadcast transfer).
 func (t StakeTx) Verify(pub crypto.PublicKey) error {
 	if err := crypto.CachedVerify(pub, t.signingBytes(), t.Sig); err != nil {

@@ -403,12 +403,12 @@ func (e *Engine) observeStage(stage string, start time.Time) time.Time {
 
 // Metrics exposes the engine's operational metrics registry: the
 // DESIGN.md §4c catalogue's protocol, screening, mempool and chaos
-// series, plus per-round snapshots of the process-wide
-// signature-verification cache and encoder pool.
+// series, plus per-round snapshots of the process-wide verdict-memo
+// counters (crypto.VerifyStats) and encoder pool.
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
 // publishRoundMetrics updates the per-round gauges and counters after a
-// committed round. The verification cache and encoder pool are
+// committed round. The verdict-memo counters and encoder pool are
 // process-wide, so under several live engines their gauges reflect
 // combined activity.
 func (e *Engine) publishRoundMetrics() {
@@ -418,7 +418,7 @@ func (e *Engine) publishRoundMetrics() {
 		height = max(height, g.Store().Height())
 	}
 	e.reg.Gauge("chain.height").Set(float64(height))
-	hits, misses := crypto.DefaultVerifyCache.Stats()
+	hits, misses := crypto.VerifyStats()
 	e.reg.Gauge("sigcache.hits").Set(float64(hits))
 	e.reg.Gauge("sigcache.misses").Set(float64(misses))
 	ps := codec.EncoderPoolStats()

@@ -46,8 +46,8 @@ func signedItems(pubs []PublicKey, privs []PrivateKey, n int) []BatchItem {
 
 func TestVerifyBatchAllValid(t *testing.T) {
 	items, _ := batchFixture(t, 64, 4)
-	c := NewVerifyCache(256)
-	errs := c.VerifyBatch(items)
+	stats := statsSince()
+	errs := VerifyBatch(items)
 	if len(errs) != len(items) {
 		t.Fatalf("got %d verdicts for %d items", len(errs), len(items))
 	}
@@ -56,7 +56,7 @@ func TestVerifyBatchAllValid(t *testing.T) {
 			t.Fatalf("item %d: unexpected error %v", i, err)
 		}
 	}
-	if hits, misses := c.Stats(); misses != 64 || hits != 0 {
+	if hits, misses := stats(); misses != 64 || hits != 0 {
 		t.Fatalf("%d misses %d hits, want 64 misses / 0 hits", misses, hits)
 	}
 }
@@ -71,15 +71,14 @@ func TestVerifyBatchSingleBadSig(t *testing.T) {
 	items[bad].Sig = append([]byte(nil), items[bad].Sig...)
 	items[bad].Sig[5] ^= 0x40
 
-	// Reference: the sequential per-signature path on a fresh cache.
-	ref := NewVerifyCache(1024)
+	// Reference: the uncached per-signature path.
 	want := make([]error, n)
 	for i, it := range items {
-		want[i] = ref.Verify(it.Pub, it.Msg, it.Sig)
+		want[i] = it.Pub.Verify(it.Msg, it.Sig)
 	}
 
-	c := NewVerifyCache(1024)
-	got := c.VerifyBatch(items)
+	stats := statsSince()
+	got := VerifyBatch(items)
 	for i := range items {
 		if (got[i] == nil) != (want[i] == nil) {
 			t.Fatalf("item %d: batch %v, sequential %v", i, got[i], want[i])
@@ -93,18 +92,18 @@ func TestVerifyBatchSingleBadSig(t *testing.T) {
 			t.Fatalf("item %d: error %v; only index %d should fail", i, err, bad)
 		}
 	}
-	if _, misses := c.Stats(); misses != n {
+	if _, misses := stats(); misses != n {
 		t.Fatalf("batch verified %d, want %d", misses, n)
 	}
 }
 
 // TestVerifyBatchStructuralErrors checks that malformed keys and
-// signatures fail identically to PublicKey.Verify, bypassing the cache.
+// signatures fail identically to PublicKey.Verify, bypassing the memo.
 func TestVerifyBatchStructuralErrors(t *testing.T) {
 	items, _ := batchFixture(t, 4, 1)
 	items[1].Sig = items[1].Sig[:10] // truncated signature
 	items[2].Pub = PublicKey{}       // zero key
-	errs := NewVerifyCache(16).VerifyBatch(items)
+	errs := VerifyBatch(items)
 	for _, i := range []int{1, 2} {
 		if errs[i] == nil || !errors.Is(errs[i], ErrBadInput) {
 			t.Fatalf("item %d: error %v, want ErrBadInput", i, errs[i])
@@ -125,14 +124,14 @@ func TestVerifyBatchDeduplicates(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		items = append(items, base...)
 	}
-	c := NewVerifyCache(64)
-	errs := c.VerifyBatch(items)
+	stats := statsSince()
+	errs := VerifyBatch(items)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("item %d: unexpected error %v", i, err)
 		}
 	}
-	if hits, misses := c.Stats(); misses != 8 || hits != 16 {
+	if hits, misses := stats(); misses != 8 || hits != 16 {
 		t.Fatalf("%d misses %d hits, want 8 distinct triples verified and 16 duplicates hit", misses, hits)
 	}
 }
@@ -144,7 +143,7 @@ func TestVerifyBatchDeduplicatesFailure(t *testing.T) {
 	items[0].Sig = append([]byte(nil), items[0].Sig...)
 	items[0].Sig[3] ^= 0x01
 	items = append(items, items[0], items[1], items[0])
-	errs := NewVerifyCache(16).VerifyBatch(items)
+	errs := VerifyBatch(items)
 	for _, i := range []int{0, 2, 4} {
 		if !errors.Is(errs[i], ErrBadSignature) {
 			t.Fatalf("item %d: error %v, want ErrBadSignature", i, errs[i])
@@ -157,60 +156,59 @@ func TestVerifyBatchDeduplicatesFailure(t *testing.T) {
 	}
 }
 
-// TestVerifyBatchUsesCache pre-warms the cache through the sequential
-// path and checks the batch path performs zero new verifications.
+// TestVerifyBatchUsesCache pre-warms the keys' memos through the
+// sequential path and checks the batch path performs zero new
+// verifications.
 func TestVerifyBatchUsesCache(t *testing.T) {
 	items, _ := batchFixture(t, 32, 4)
-	c := NewVerifyCache(128)
 	for _, it := range items {
-		if err := c.Verify(it.Pub, it.Msg, it.Sig); err != nil {
+		if err := CachedVerify(it.Pub, it.Msg, it.Sig); err != nil {
 			t.Fatalf("warm: %v", err)
 		}
 	}
-	_, misses0 := c.Stats()
-	errs := c.VerifyBatch(items)
+	stats := statsSince()
+	errs := VerifyBatch(items)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("item %d: unexpected error %v", i, err)
 		}
 	}
-	if hits1, misses1 := c.Stats(); misses1 != misses0 || hits1 != 32 {
-		t.Fatalf("warm batch: %d verifications and %d hits, want 0 and 32", misses1-misses0, hits1)
+	if hits, misses := stats(); misses != 0 || hits != 32 {
+		t.Fatalf("warm batch: %d verifications and %d hits, want 0 and 32", misses, hits)
 	}
 }
 
 // TestVerifyBatchInsertsIntoCache checks batch-verified triples land in
-// the cache so a later sequential Verify hits.
+// the keys' memos so a later sequential CachedVerify hits.
 func TestVerifyBatchInsertsIntoCache(t *testing.T) {
 	items, _ := batchFixture(t, 16, 2)
-	c := NewVerifyCache(64)
-	c.VerifyBatch(items)
-	hits0, misses0 := c.Stats()
+	VerifyBatch(items)
+	stats := statsSince()
 	for i, it := range items {
-		if err := c.Verify(it.Pub, it.Msg, it.Sig); err != nil {
+		if err := CachedVerify(it.Pub, it.Msg, it.Sig); err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
 	}
-	hits1, misses1 := c.Stats()
-	if misses1 != misses0 || hits1-hits0 != 16 {
-		t.Fatalf("re-verify after batch: %d hits %d misses, want 16 hits 0 misses",
-			hits1-hits0, misses1-misses0)
+	if hits, misses := stats(); misses != 0 || hits != 16 {
+		t.Fatalf("re-verify after batch: %d hits %d misses, want 16 hits 0 misses", hits, misses)
 	}
 }
 
-// TestVerifyBatchConcurrent hammers one cache from many goroutines with
-// overlapping batches; the race detector guards the locking discipline.
+// TestVerifyBatchConcurrent hammers one key's memo from many goroutines
+// with overlapping batches over more triples than one generation holds,
+// so entries rotate out while others are in flight; the race detector
+// guards the locking discipline.
 func TestVerifyBatchConcurrent(t *testing.T) {
-	items, _ := batchFixture(t, 64, 4)
-	c := NewVerifyCache(32) // small: forces eviction alongside in-flight entries
+	const window, stride = 320, 40
+	items, _ := batchFixture(t, memoGeneration+128, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sub := items[(g*8)%32 : (g*8)%32+32]
-			for r := 0; r < 4; r++ {
-				for i, err := range c.VerifyBatch(sub) {
+			sub := items[g*stride : g*stride+window]
+			for r := 0; r < 2; r++ {
+				for i, err := range VerifyBatch(sub) {
 					if err != nil {
 						t.Errorf("goroutine %d item %d: %v", g, i, err)
 						return
@@ -234,16 +232,6 @@ func TestVerifyBatchConcurrent(t *testing.T) {
 // on a helper being scheduled. No helper outlives its call.
 func TestVerifyBatchOverlappingBatches(t *testing.T) {
 	const window, bad, goroutines = 128, 100, 8
-	base, _ := batchFixture(t, 2*window, 8)
-	base[bad].Sig = append([]byte(nil), base[bad].Sig...)
-	base[bad].Sig[3] ^= 0x40
-	want := make([]error, len(base))
-	for i, it := range base {
-		want[i] = it.Pub.Verify(it.Msg, it.Sig)
-	}
-	if !errors.Is(want[bad], ErrBadSignature) {
-		t.Fatalf("planted signature verdict = %v", want[bad])
-	}
 	shapes := []struct {
 		name   string
 		stride int // offset between consecutive goroutines' windows
@@ -256,14 +244,25 @@ func TestVerifyBatchOverlappingBatches(t *testing.T) {
 		for _, shape := range shapes {
 			t.Run(fmt.Sprintf("procs=%d/%s", procs, shape.name), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				// Fresh keys: their memos start empty.
+				base, _ := batchFixture(t, 2*window, 8)
+				base[bad].Sig = append([]byte(nil), base[bad].Sig...)
+				base[bad].Sig[3] ^= 0x40
+				want := make([]error, len(base))
+				for i, it := range base {
+					want[i] = it.Pub.Verify(it.Msg, it.Sig)
+				}
+				if !errors.Is(want[bad], ErrBadSignature) {
+					t.Fatalf("planted signature verdict = %v", want[bad])
+				}
 				before := runtime.NumGoroutine()
-				c := NewVerifyCache(4 * window)
+				stats := statsSince()
 				var wg sync.WaitGroup
 				for g := 0; g < goroutines; g++ {
 					wg.Add(1)
 					go func(off int) {
 						defer wg.Done()
-						for i, err := range c.VerifyBatch(base[off : off+window]) {
+						for i, err := range VerifyBatch(base[off : off+window]) {
 							if !errors.Is(err, want[off+i]) {
 								t.Errorf("window %d item %d: verdict %v, per-signature path %v", off, i, err, want[off+i])
 							}
@@ -271,7 +270,7 @@ func TestVerifyBatchOverlappingBatches(t *testing.T) {
 					}(g % 3 * shape.stride)
 				}
 				wg.Wait()
-				hits, misses := c.Stats()
+				hits, misses := stats()
 				if misses != int64(shape.unique) || hits+misses != goroutines*window {
 					t.Fatalf("%d misses %d hits, want %d unique triples verified once out of %d lookups",
 						misses, hits, shape.unique, goroutines*window)
@@ -287,7 +286,7 @@ func TestVerifyBatchOverlappingBatches(t *testing.T) {
 }
 
 func TestVerifyBatchEmpty(t *testing.T) {
-	if errs := NewVerifyCache(16).VerifyBatch(nil); len(errs) != 0 {
+	if errs := VerifyBatch(nil); len(errs) != 0 {
 		t.Fatalf("nil batch returned %d verdicts", len(errs))
 	}
 }
@@ -298,47 +297,58 @@ func TestVerifyBatchEmpty(t *testing.T) {
 // a triple one of them is still checking counts as the other's hit.
 // Malformed items touch neither count.
 func TestVerifyBatchAccounting(t *testing.T) {
-	base, _ := batchFixture(t, 48, 4)
-	// Items 0–31 with 0–7 repeated, and a malformed item.
-	items := append(slices.Clone(base[:32]), base[:8]...)
-	items = append(items, BatchItem{Pub: base[0].Pub, Msg: base[0].Msg, Sig: base[0].Sig[:9]})
+	// fixture returns 48 items under fresh keys, and a batch of items
+	// 0–31 with 0–7 repeated and a malformed item.
+	fixture := func(t *testing.T) (base, items []BatchItem) {
+		base, _ = batchFixture(t, 48, 4)
+		items = append(slices.Clone(base[:32]), base[:8]...)
+		return base, append(items, BatchItem{Pub: base[0].Pub, Msg: base[0].Msg, Sig: base[0].Sig[:9]})
+	}
 	t.Run("one goroutine", func(t *testing.T) {
-		c := NewVerifyCache(128)
-		c.VerifyBatch(items)
-		if hits, misses := c.Stats(); misses != 32 || hits != 8 {
+		_, items := fixture(t)
+		stats := statsSince()
+		VerifyBatch(items)
+		if hits, misses := stats(); misses != 32 || hits != 8 {
 			t.Fatalf("%d misses %d hits, want 32 and 8", misses, hits)
 		}
 	})
 	t.Run("two overlapping goroutines", func(t *testing.T) {
-		c := NewVerifyCache(128)
+		base, items := fixture(t)
+		stats := statsSince()
 		var wg sync.WaitGroup
 		for _, batch := range [][]BatchItem{items, base[16:48]} {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c.VerifyBatch(batch)
+				VerifyBatch(batch)
 			}()
 		}
 		wg.Wait()
 		// 40 + 32 well-formed lookups of 48 distinct triples.
-		if hits, misses := c.Stats(); misses != 48 || hits != 40+32-48 {
+		if hits, misses := stats(); misses != 48 || hits != 40+32-48 {
 			t.Fatalf("%d misses %d hits, want 48 and %d", misses, hits, 40+32-48)
 		}
 	})
+}
+
+// forgetAll clears the memos of items' keys.
+func forgetAll(items []BatchItem) {
+	for _, it := range items {
+		forget(it.Pub)
+	}
 }
 
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
 
 // allMissBatch returns one VerifyBatch of m signatures under the given
-// number of keys that all miss: the cache is purged first, so every
-// call performs m verifications.
+// number of keys that all miss: the keys' memos are cleared first, so
+// every call performs m verifications.
 func allMissBatch(tb testing.TB, m, keys int) func() {
 	items, _ := batchFixture(tb, m, keys)
-	c := NewVerifyCache(m * 2)
 	return func() {
-		c.Purge()
-		if errs := c.VerifyBatch(items); errs[0] != nil {
+		forgetAll(items)
+		if errs := VerifyBatch(items); errs[0] != nil {
 			tb.Fatal(errs[0])
 		}
 	}
@@ -347,11 +357,10 @@ func allMissBatch(tb testing.TB, m, keys int) func() {
 // allMissSequential is allMissBatch's per-signature loop.
 func allMissSequential(tb testing.TB, m, keys int) func() {
 	items, _ := batchFixture(tb, m, keys)
-	c := NewVerifyCache(m * 2)
 	return func() {
-		c.Purge()
+		forgetAll(items)
 		for _, it := range items {
-			if err := c.Verify(it.Pub, it.Msg, it.Sig); err != nil {
+			if err := CachedVerify(it.Pub, it.Msg, it.Sig); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -369,11 +378,11 @@ func TestVerifyAllocBudgets(t *testing.T) {
 		verify   func(testing.TB, int, int) func()
 		m        int
 	}{
-		{"batch/m=8", 25, allMissBatch, 8},
-		{"batch/m=64", 193, allMissBatch, 64},
-		{"batch/m=512", 1537, allMissBatch, 512},
-		{"sequential/m=8", 24, allMissSequential, 8},
-		{"sequential/m=64", 192, allMissSequential, 64},
+		{"batch/m=8", 9, allMissBatch, 8},
+		{"batch/m=64", 65, allMissBatch, 64},
+		{"batch/m=512", 513, allMissBatch, 512},
+		{"sequential/m=8", 8, allMissSequential, 8},
+		{"sequential/m=64", 64, allMissSequential, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if raceEnabled {

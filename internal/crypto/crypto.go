@@ -233,7 +233,7 @@ func PublicKeyFromBytes(b []byte) (PublicKey, error) {
 
 // newPublicKey wraps k with a verification form of its own.
 func newPublicKey(k ed25519.PublicKey) PublicKey {
-	return PublicKey{k: k, v: new(verifyKey)}
+	return PublicKey{k: k, v: newVerifyKey()}
 }
 
 // PrivateKeyFromBytes parses a raw 64-byte Ed25519 private key.

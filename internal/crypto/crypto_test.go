@@ -214,7 +214,7 @@ func TestKeyTableShared(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, err := range NewVerifyCache(32).VerifyBatch(items) {
+	for i, err := range VerifyBatch(items) {
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
@@ -254,13 +254,14 @@ func TestKeyTableShared(t *testing.T) {
 	before = KeyTablesBuilt()
 	bad := make([]BatchItem, 6)
 	for i := range bad {
-		bad[i] = BatchItem{Pub: notPoint, Msg: []byte{byte(i)}, Sig: sig} // distinct triples: no cache hits
+		bad[i] = BatchItem{Pub: notPoint, Msg: []byte{byte(i)}, Sig: sig} // distinct triples: no memo hits
 	}
 	for n := 0; n < 3; n++ {
+		forget(notPoint)
 		if err := notPoint.Verify(msg, sig); !errors.Is(err, ErrBadSignature) {
 			t.Fatalf("Verify under a key that is not a point: %v", err)
 		}
-		for i, err := range NewVerifyCache(32).VerifyBatch(bad) {
+		for i, err := range VerifyBatch(bad) {
 			if !errors.Is(err, ErrBadSignature) {
 				t.Fatalf("VerifyBatch item %d under a key that is not a point: %v", i, err)
 			}

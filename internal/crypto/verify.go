@@ -18,7 +18,8 @@ package crypto
 // single check would agree. No batch equation is left, but the rule
 // stays because no verdict may move: a cofactorless check would reject
 // the signatures TestLowOrderResidueAccepted accepts. PublicKey.Verify
-// is the one check; VerifyCache.Verify calls it on every miss.
+// is the one check; CachedVerify calls it on every miss of a key's
+// verdict memo.
 
 import (
 	"crypto/sha512"
@@ -30,16 +31,24 @@ import (
 
 // verifyKey is a public key's verification form: its decoded point and,
 // for a prepared key, its comb table (edwards25519.CombTable, 30 KiB),
-// with which [k]A costs one table walk instead of a doubling chain.
-// A prepared key builds it once, on its first verification, and every
-// copy of the key shares it. The scalars it multiplies are public, so
-// the variable-time walk leaks nothing; signing stays on
-// crypto/ed25519's constant-time path.
+// with which [k]A costs one table walk instead of a doubling chain,
+// and its verdict memo. A prepared key builds the table once, on its
+// first verification, and every copy of the key shares the form. The
+// scalars it multiplies are public, so the variable-time walk leaks
+// nothing; signing stays on crypto/ed25519's constant-time path.
 type verifyKey struct {
 	once  sync.Once
 	ok    bool // the key decodes to a curve point
 	point edwards25519.Point
 	table *edwards25519.CombTable // nil for a key without a table
+	memo  memo
+}
+
+// newVerifyKey returns a prepared key's empty verification form.
+func newVerifyKey() *verifyKey {
+	v := new(verifyKey)
+	v.memo.settled.L = &v.memo.mu
+	return v
 }
 
 // tablesBuilt counts the comb tables built for keys in this process.
@@ -74,6 +83,109 @@ func (pub PublicKey) form() *verifyKey {
 	}
 	pub.v.once.Do(func() { pub.v.decode(pub.k, true) })
 	return pub.v
+}
+
+// memoGeneration caps each of a memo's two generations.
+const memoGeneration = 512
+
+// memo is a key's recent verdicts, pass and fail, keyed by
+// SumParts(msg, sig): the key is implied. A new entry goes into cur; a
+// full cur becomes old, and the previous old is dropped. An entry is
+// pending while its first caller checks the signature; later callers
+// wait on settled, count as hits and check nothing. Its owner settles
+// a pending entry even after it rotates out, and its waiters hold it.
+type memo struct {
+	mu       sync.Mutex
+	settled  sync.Cond         // broadcast when an entry settles; L is &mu
+	cur, old map[Hash]*verdict // guarded by mu
+}
+
+// verdict is one memoised check; ok is its result once done.
+type verdict struct {
+	done, ok bool // guarded by mu
+}
+
+var verifyHits, verifyMisses atomic.Int64
+
+// VerifyStats returns how many CachedVerify lookups in this process
+// found a verdict (hits, waits on a pending one included) and how many
+// checked the signature (misses).
+func VerifyStats() (hits, misses int64) { return verifyHits.Load(), verifyMisses.Load() }
+
+// claim returns the verdict memoised under h, waiting for a pending
+// one to settle. When h has none, it files a pending entry under h and
+// returns it: the caller then checks the signature and settles it.
+func (m *memo) claim(h Hash) (pending *verdict, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.cur[h]
+	if e == nil {
+		e = m.old[h]
+	}
+	if e != nil {
+		verifyHits.Add(1)
+		for !e.done {
+			m.settled.Wait()
+		}
+		return nil, e.ok
+	}
+	if len(m.cur) >= memoGeneration {
+		clear(m.old) // reused as the next cur
+		m.cur, m.old = m.old, m.cur
+	}
+	if m.cur == nil {
+		m.cur = make(map[Hash]*verdict)
+	}
+	e = new(verdict)
+	m.cur[h] = e
+	verifyMisses.Add(1)
+	return e, false
+}
+
+// settle records the pending entry e's verdict and wakes its waiters.
+func (m *memo) settle(e *verdict, ok bool) {
+	m.mu.Lock()
+	e.done, e.ok = true, ok
+	m.mu.Unlock()
+	m.settled.Broadcast()
+}
+
+// CachedVerify is PublicKey.Verify with pub's verdicts memoised on its
+// verification form, which every node of an alliance shares through
+// the roster: the checks that every governor repeats (uploads, argues,
+// tickets, block and stake signatures) cost one each. Structural
+// failures and keys built as literals are checked directly, uncounted.
+func CachedVerify(pub PublicKey, msg, sig []byte) error {
+	if pub.v == nil || len(pub.k) != PublicKeySize || len(sig) != SignatureSize {
+		return pub.Verify(msg, sig)
+	}
+	m := &pub.v.memo
+	e, ok := m.claim(SumParts(msg, sig))
+	if e != nil {
+		ok = pub.Verify(msg, sig) == nil
+		m.settle(e, ok)
+	}
+	if !ok {
+		return ErrBadSignature
+	}
+	return nil
+}
+
+// BatchItem is one signature check submitted to VerifyBatch: Sig by
+// Pub over Msg, which is only read during the call.
+type BatchItem struct {
+	Pub      PublicKey
+	Msg, Sig []byte
+}
+
+// VerifyBatch checks each item with CachedVerify, in order, and returns
+// one verdict per item.
+func VerifyBatch(items []BatchItem) []error {
+	errs := make([]error, len(items))
+	for i, it := range items {
+		errs[i] = CachedVerify(it.Pub, it.Msg, it.Sig)
+	}
+	return errs
 }
 
 // sigCheck is one signature parsed for the check: its nonce point R,

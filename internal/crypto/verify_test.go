@@ -214,7 +214,7 @@ func TestVerifyMatchesStdlib(t *testing.T) {
 	for _, form := range keyForms {
 		t.Run(form.name, func(t *testing.T) {
 			items := withKeys(prepared, form.of)
-			batch := NewVerifyCache(4 * len(items)).VerifyBatch(items)
+			batch := VerifyBatch(items)
 			accepted := 0
 			for i, c := range cases {
 				want := stdlibVerdict(c.pub, c.msg, c.sig)
@@ -304,7 +304,7 @@ func testLowOrderResidueAccepted(t *testing.T, of func(PublicKey) PublicKey) {
 	items, _ := batchFixture(t, 30, 3)
 	items = withKeys(items, of)
 	items = append(items, BatchItem{Pub: pub, Msg: msg, Sig: sig}, BatchItem{Pub: pub2, Msg: msg2, Sig: sig2})
-	for i, err := range NewVerifyCache(64).VerifyBatch(items) {
+	for i, err := range VerifyBatch(items) {
 		if err != nil {
 			t.Fatalf("VerifyBatch item %d: %v", i, err)
 		}
@@ -388,7 +388,7 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 
 	for _, form := range keyForms {
 		items := withKeys(mixed, form.of)
-		for i, err := range NewVerifyCache(4 * len(items)).VerifyBatch(items) {
+		for i, err := range VerifyBatch(items) {
 			if got := items[i].Pub.Verify(items[i].Msg, items[i].Sig); !sameVerdict(got, want[i]) {
 				t.Fatalf("%s: item %d: Verify %v, prepared Verify %v", form.name, i, got, want[i])
 			}
@@ -409,7 +409,8 @@ func FuzzVerifyBatch(f *testing.F) {
 	f.Add(uint8(20), uint8(4), []byte{3, 70, 0x40})
 	f.Add(uint8(40), uint8(40), []byte{0, 5, 1, 17, 100, 0x80, 39, 127, 0xff})
 	f.Add(uint8(64), uint8(1), []byte{63, 95, 0x10, 2, 31, 0x80})
-	// The keys are made once, so each keeps its table across inputs.
+	// The keys are made once, so each keeps its table and its verdict
+	// memo across inputs: a memoised verdict is the verdict.
 	ring, privs := batchFixture(f, 64, 64)
 	pubs := make([]PublicKey, len(ring))
 	for i, it := range ring {
@@ -439,8 +440,8 @@ func FuzzVerifyBatch(f *testing.F) {
 			*it = BatchItem{Pub: p, Msg: msg, Sig: sig}
 		}
 		tableless := withKeys(items, keyForms[1].of)
-		slow := NewVerifyCache(4 * size).VerifyBatch(tableless)
-		for i, err := range NewVerifyCache(4 * size).VerifyBatch(items) {
+		slow := VerifyBatch(tableless)
+		for i, err := range VerifyBatch(items) {
 			want := tableless[i].Pub.Verify(items[i].Msg, items[i].Sig)
 			if got := items[i].Pub.Verify(items[i].Msg, items[i].Sig); !sameVerdict(got, want) {
 				t.Fatalf("item %d: Verify %v, without a table %v", i, got, want)

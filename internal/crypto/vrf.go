@@ -57,9 +57,9 @@ func VRFEval(priv PrivateKey, alpha []byte) VRFOutput {
 // VRFVerify checks that out was produced by the holder of pub at input
 // alpha. It returns ErrBadProof if the proof does not verify or the
 // output does not match the proof. The underlying signature check runs
-// through the shared verification cache: every governor verifies every
-// other governor's tickets, so each proof is re-checked m−1 times per
-// round with identical inputs.
+// through CachedVerify: every governor verifies every other governor's
+// tickets, so each proof is re-checked m−1 times per round with
+// identical inputs.
 func VRFVerify(pub PublicKey, alpha []byte, out VRFOutput) error {
 	if err := CachedVerify(pub, VRFProofMessage(alpha), out.Proof); err != nil {
 		return fmt.Errorf("vrf proof: %w", ErrBadProof)

@@ -201,9 +201,9 @@ func (b *Block) Seal(proposer identity.NodeID, key crypto.PrivateKey) (crypto.Ha
 }
 
 // VerifyProposer checks the proposer signature over the block hash h
-// against pub. The check runs through the shared verification cache
-// because every replica verifies the same proposer signature on the
-// same block.
+// against pub. The check runs through the key's verdict memo
+// (crypto.CachedVerify) because every replica verifies the same
+// proposer signature on the same block.
 func (b Block) VerifyProposer(pub crypto.PublicKey, h crypto.Hash) error {
 	if err := crypto.CachedVerify(pub, h[:], b.Signature); err != nil {
 		return fmt.Errorf("block %d proposer signature: %w", b.Serial, err)

@@ -384,12 +384,12 @@ func TestGovernorBatchPenaltyParity(t *testing.T) {
 				items = append(items, tx.UploadItem{Signed: forged[i], Label: tx.LabelValid})
 			}
 		}
-		hits, misses := crypto.DefaultVerifyCache.Stats()
+		hits, misses := crypto.VerifyStats()
 		before := hits + misses
 		if _, err := fx.governor.handleBatch([]network.Message{uploadMsg(t, coll, coll.ID, items...)}); err != nil {
 			t.Fatal(err)
 		}
-		hits, misses = crypto.DefaultVerifyCache.Stats()
+		hits, misses = crypto.VerifyStats()
 		after := hits + misses
 
 		// The collector side: the same transactions in provider frames.

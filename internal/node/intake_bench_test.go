@@ -37,8 +37,8 @@ func steadyRound(b *testing.B) (*fixture, [][]tx.SignedTx) {
 // uploads: every collector's signed batch of its linked providers'
 // transactions, r·256 items in all, through handleBatch — decode,
 // collector and provider batch signatures, leaf checks and admission.
-// The verification cache is warm, as for every governor of a round but
-// the first, so the signature checks are cache hits.
+// The keys' verdict memos are warm, as for every governor of a round
+// but the first, so the signature checks are memo hits.
 func BenchmarkGovernorUploadIntake(b *testing.B) {
 	fx, signed := steadyRound(b)
 	var msgs []network.Message

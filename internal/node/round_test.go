@@ -727,12 +727,12 @@ func TestRoundElectReportsLeader(t *testing.T) {
 }
 
 // TestRoundElectVerifiesOneBatch: each governor looks every filed
-// ticket up in the verification cache exactly once, and a forged batch
+// ticket up in its signer's verdict memo exactly once, and a forged batch
 // fails the election naming its sender.
 func TestRoundElectVerifiesOneBatch(t *testing.T) {
 	a := newAlliance(t, nil)
 	lookups := func() int64 {
-		hits, misses := crypto.DefaultVerifyCache.Stats()
+		hits, misses := crypto.VerifyStats()
 		return hits + misses
 	}
 	a.open()
@@ -1223,5 +1223,61 @@ func TestRoundUploadsComplete(t *testing.T) {
 	ingest(roundUploadMsg(t, coll0, coll0.ID, 3), roundUploadMsg(t, coll1, coll1.ID, 2))
 	if !r.uploadsIn(2) {
 		t.Fatal("uploadsIn(2) false with batches for round 2 and later")
+	}
+}
+
+// TestVerifyMemoScope: a verdict is memoised on its signer's roster
+// key. Within one alliance each filed ticket misses once, at the first
+// governor to elect, and hits at every other, and the block misses
+// once, at the first governor to adopt it. A second alliance built from
+// the same seed in the same process holds key objects of its own, so
+// its first round's tickets, the same bytes as the first alliance's,
+// miss again. CI runs it at -cpu 1,4.
+func TestVerifyMemoScope(t *testing.T) {
+	var tickets [2][]byte
+	for n := range tickets {
+		a := newAlliance(t, nil)
+		a.bus.SetDropFunc(func(m network.Message, _ identity.NodeID) bool {
+			if m.Kind == network.KindVRF {
+				tickets[n] = append(tickets[n], m.Payload...)
+			}
+			return false
+		})
+		a.open()
+		filed := int64(0)
+		for _, s := range a.govs[0].electing {
+			filed += int64(s)
+		}
+		delta := func(step func()) (hits, misses int64) {
+			h0, m0 := crypto.VerifyStats()
+			step()
+			h, m := crypto.VerifyStats()
+			return h - h0, m - m0
+		}
+		leader := -1
+		for j := range a.govs {
+			want := int64(0) // misses: the first governor to elect checks every ticket
+			if j == 0 {
+				want = filed
+			}
+			hits, misses := delta(func() { leader = a.step(j, a.at(DeadlineElect)).Leader })
+			if misses != want || hits != filed-want {
+				t.Fatalf("alliance %d: governor %d elected with %d misses and %d hits of %d tickets, want %d misses",
+					n, j, misses, hits, filed, want)
+			}
+		}
+		a.propose(leader)
+		var hits, misses int64
+		for j := range a.govs {
+			h, m := delta(func() { a.adopt(j) })
+			hits, misses = hits+h, misses+m
+		}
+		if misses != 1 || hits != int64(len(a.govs))-2 {
+			t.Fatalf("alliance %d: the block's adopters made %d misses and %d hits, want 1 and %d",
+				n, misses, hits, len(a.govs)-2)
+		}
+	}
+	if len(tickets[0]) == 0 || !bytes.Equal(tickets[0], tickets[1]) {
+		t.Fatal("the two alliances filed different tickets")
 	}
 }

@@ -36,7 +36,7 @@ func (b *Batch) EncodeSigning(e *codec.Encoder) {
 }
 
 // Verify checks the batch signature against the provider key pub
-// through the shared verification cache: every governor verifies the
+// through the key's verdict memo: every governor verifies the
 // same batch on every upload, and the first check pays for all m.
 func (b *Batch) Verify(pub crypto.PublicKey) error {
 	e := codec.GetEncoder(96)

@@ -231,7 +231,7 @@ func (s SignedTx) CheckLeaf(id crypto.Hash) error {
 }
 
 // VerifyProvider checks s against its provider's key pub: the leaf,
-// then the batch signature through the shared verification cache.
+// then the batch signature through the key's verdict memo.
 func (s SignedTx) VerifyProvider(pub crypto.PublicKey) error {
 	if err := s.CheckLeaf(s.ID()); err != nil {
 		return err

@@ -70,7 +70,7 @@ func (b UploadBatch) Digest() crypto.Hash {
 // EncodeSigning appends the byte string the collector signs: a domain
 // tag, the collector, the round, the item count, and digest, the items'
 // Digest (or Received.Digest). Hashing the items keeps the signed
-// message (and the verification-cache key derived from it) small.
+// message (and the verdict-memo key derived from it) small.
 func (b UploadBatch) EncodeSigning(e *codec.Encoder, digest crypto.Hash) {
 	e.PutString("repchain/upload-batch/v3")
 	e.PutString(string(b.Collector))

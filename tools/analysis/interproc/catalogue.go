@@ -93,7 +93,6 @@ var sinks = []sinkSpec{
 	// protocol's commitment; any nondeterminism here forks honest nodes.
 	{pkg: "repchain/internal/crypto", recv: "PrivateKey", name: "Sign", label: "crypto.Sign message bytes"},
 	{pkg: "repchain/internal/crypto", recv: "PublicKey", name: "Verify", args: []int{1}, label: "crypto.Verify message bytes"},
-	{pkg: "repchain/internal/crypto", recv: "VerifyCache", name: "VerifyBatch", label: "crypto batch-verify items"},
 	{pkg: "repchain/internal/crypto", name: "VerifyBatch", label: "crypto batch-verify items"},
 	// Hash inputs: block hashes and Merkle roots must be replayable.
 	{pkg: "repchain/internal/crypto", recv: "MerkleBuilder", name: "Add", label: "Merkle leaf bytes"},
