@@ -149,13 +149,12 @@ soak:
 # ROADMAP aim 2's number: non-test Go lines outside benchmark/ and
 # tools/, recorded per PR as go_loc_nontest in BENCH_history.jsonl. The
 # copy of Go's edwards25519 (its README says what was copied) is counted
-# on a second line; its first-party files, multiscalar.go (the cofactor
-# multiplication) and comb.go, stay in the first.
+# on a second line; its first-party file, comb.go, stays in the first.
 VENDORED := ./internal/crypto/internal/edwards25519
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './tools/*' -not -path './.*' \
-		\( -not -path '$(VENDORED)/*' -o -name multiscalar.go -o -name comb.go \) | xargs wc -l | tail -n 1
-	@find $(VENDORED) -name '*.go' -not -name '*_test.go' -not -name multiscalar.go -not -name comb.go \
+		\( -not -path '$(VENDORED)/*' -o -name comb.go \) | xargs wc -l | tail -n 1
+	@find $(VENDORED) -name '*.go' -not -name '*_test.go' -not -name comb.go \
 		| xargs wc -l | tail -n 1 | sed 's/total/vendored (Go edwards25519)/'
 
 # Regenerate every evaluation table (EXPERIMENTS.md source).

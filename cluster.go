@@ -273,7 +273,7 @@ func (cm *Committee) Stats(governor int) GovernorStats {
 }
 
 // Metrics renders the committee's operational metrics — protocol
-// counters, signature-cache statistics and round-stage histograms —
+// counters, verdict-memo statistics and round-stage histograms —
 // one per line, sorted by name.
 func (cm *Committee) Metrics() string { return cm.engine().Metrics().Dump() }
 

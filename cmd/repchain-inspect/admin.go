@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -34,7 +33,7 @@ func adminGet(addr, path string) (io.ReadCloser, error) {
 
 // runMetrics implements `repchain-inspect metrics`: scrape
 // /metrics.json from a running node and print a readable snapshot.
-func runMetrics(args []string) error {
+func runMetrics(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	admin := fs.String("admin", "127.0.0.1:9180", "admin endpoint of a running repchain-node")
 	raw := fs.Bool("raw", false, "dump the JSON snapshot verbatim")
@@ -48,35 +47,35 @@ func runMetrics(args []string) error {
 	defer body.Close()
 
 	if *raw {
-		_, err := io.Copy(os.Stdout, body)
+		_, err := io.Copy(w, body)
 		return err
 	}
 	var snap metrics.Snapshot
 	if err := json.NewDecoder(body).Decode(&snap); err != nil {
 		return fmt.Errorf("decode snapshot: %w", err)
 	}
-	printSnapshot(snap)
+	printSnapshot(w, snap)
 	return nil
 }
 
-func printSnapshot(snap metrics.Snapshot) {
+func printSnapshot(w io.Writer, snap metrics.Snapshot) {
 	if len(snap.Counters) > 0 {
-		fmt.Println("counters:")
+		fmt.Fprintln(w, "counters:")
 		for _, name := range sortedNames(snap.Counters) {
-			fmt.Printf("  %-44s %d\n", name, snap.Counters[name])
+			fmt.Fprintf(w, "  %-44s %d\n", name, snap.Counters[name])
 		}
 	}
 	if len(snap.Gauges) > 0 {
-		fmt.Println("gauges:")
+		fmt.Fprintln(w, "gauges:")
 		for _, name := range sortedNames(snap.Gauges) {
-			fmt.Printf("  %-44s %g\n", name, snap.Gauges[name])
+			fmt.Fprintf(w, "  %-44s %g\n", name, snap.Gauges[name])
 		}
 	}
 	if len(snap.Histograms) > 0 {
-		fmt.Println("histograms:")
+		fmt.Fprintln(w, "histograms:")
 		for _, name := range sortedNames(snap.Histograms) {
 			h := snap.Histograms[name]
-			fmt.Printf("  %-44s count=%d sum=%.6g p50=%.6g p95=%.6g\n",
+			fmt.Fprintf(w, "  %-44s count=%d sum=%.6g p50=%.6g p95=%.6g\n",
 				name, h.Count, h.Sum, h.Quantile(0.5), h.Quantile(0.95))
 		}
 	}
@@ -94,7 +93,7 @@ func sortedNames[V any](m map[string]V) []string {
 // runTrace implements `repchain-inspect trace <txhash>`: fetch the
 // transaction's events from /events?trace= and print them sign to
 // commit in recording order.
-func runTrace(args []string) error {
+func runTrace(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	admin := fs.String("admin", "127.0.0.1:9180", "admin endpoint of a running repchain-node")
 	if err := fs.Parse(args); err != nil {
@@ -116,16 +115,16 @@ func runTrace(args []string) error {
 	if len(evs) == 0 {
 		return fmt.Errorf("no events recorded for %q (is the event log on, and the hash at least 8 hex chars?)", txID)
 	}
-	fmt.Printf("trace %s: %d events\n", evs[0].Trace, len(evs))
+	fmt.Fprintf(w, "trace %s: %d events\n", evs[0].Trace, len(evs))
 	for _, e := range evs {
-		printEvent("  ", e)
+		printEvent(w, "  ", e)
 	}
 	return nil
 }
 
 // printEvent prints one event on one line: wall clock when recorded,
 // seq, round, type, node and attrs.
-func printEvent(indent string, e events.Event) {
+func printEvent(w io.Writer, indent string, e events.Event) {
 	attrs := make([]string, 0, len(e.Attrs))
 	for _, a := range e.Attrs {
 		attrs = append(attrs, a.Key+"="+a.Value)
@@ -134,6 +133,6 @@ func printEvent(indent string, e events.Event) {
 	if e.Wall != 0 {
 		wall = time.Unix(0, e.Wall).Format("15:04:05.000000") + " "
 	}
-	fmt.Printf("%s%sseq %-6d round %-4d %-20s %-22s %s\n",
+	fmt.Fprintf(w, "%s%sseq %-6d round %-4d %-20s %-22s %s\n",
 		indent, wall, e.Seq, e.Round, e.Type, e.Node, strings.Join(attrs, " "))
 }

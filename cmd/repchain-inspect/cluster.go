@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
@@ -33,7 +33,7 @@ func parseAdmins(admins string) ([]fleet.Node, error) {
 // endpoint and print a fleet health report and merged metrics, or —
 // with `trace <txhash>` — the stitched cross-node trace with per-hop
 // transport latency.
-func runCluster(args []string) error {
+func runCluster(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	admins := fs.String("admins", "127.0.0.1:9180", "comma-separated admin endpoints of the cluster's nodes")
 	asJSON := fs.Bool("json", false, "emit the report as JSON (for artifacts and tooling)")
@@ -52,7 +52,7 @@ func runCluster(args []string) error {
 			if fs.NArg() != 2 {
 				return fmt.Errorf("usage: repchain-inspect cluster -admins ... trace <txhash-or-prefix>")
 			}
-			return printMergedTrace(cluster, fs.Arg(1), *asJSON)
+			return printMergedTrace(w, cluster, fs.Arg(1), *asJSON)
 		default:
 			return fmt.Errorf("unknown cluster subcommand %q (want: trace)", fs.Arg(0))
 		}
@@ -61,19 +61,19 @@ func runCluster(args []string) error {
 	health := cluster.Health()
 	merged := cluster.MergedMetrics()
 	if *asJSON {
-		return json.NewEncoder(os.Stdout).Encode(struct {
+		return json.NewEncoder(w).Encode(struct {
 			Health  fleet.HealthReport `json:"health"`
 			Traces  []string           `json:"traces"`
 			Metrics any                `json:"metrics"`
 		}{health, cluster.TraceIDs(), merged})
 	}
 
-	fmt.Printf("cluster health: %d/100\n", health.Score)
+	fmt.Fprintf(w, "cluster health: %d/100\n", health.Score)
 	for _, f := range health.Findings {
-		fmt.Printf("  ! %s\n", f)
+		fmt.Fprintf(w, "  ! %s\n", f)
 	}
 	if len(health.Findings) == 0 {
-		fmt.Println("  no findings")
+		fmt.Fprintln(w, "  no findings")
 	}
 	sharded := false
 	for _, cm := range health.Committees {
@@ -82,47 +82,47 @@ func runCluster(args []string) error {
 			break
 		}
 	}
-	fmt.Printf("heights (max within-committee skew %d):\n", health.HeightSkew)
+	fmt.Fprintf(w, "heights (max within-committee skew %d):\n", health.HeightSkew)
 	for _, name := range sortedNames(health.Heights) {
 		if sharded {
-			fmt.Printf("  %-28s %d (committee %d)\n", name, health.Heights[name], health.Committees[name])
+			fmt.Fprintf(w, "  %-28s %d (committee %d)\n", name, health.Heights[name], health.Committees[name])
 			continue
 		}
-		fmt.Printf("  %-28s %d\n", name, health.Heights[name])
+		fmt.Fprintf(w, "  %-28s %d\n", name, health.Heights[name])
 	}
 	if len(health.PeerLags) > 0 {
-		fmt.Println("per-peer transport latency (recv - send timestamps):")
+		fmt.Fprintln(w, "per-peer transport latency (recv - send timestamps):")
 		for _, l := range health.PeerLags {
-			fmt.Printf("  %-22s -> %-22s n=%-5d mean=%-12s max=%s\n",
+			fmt.Fprintf(w, "  %-22s -> %-22s n=%-5d mean=%-12s max=%s\n",
 				l.From, l.To, l.Count, time.Duration(l.MeanNS), time.Duration(l.MaxNS))
 		}
 	}
 	for _, s := range health.SlowRounds {
-		fmt.Printf("slow round: node=%s round=%d gap=%s p95=%s\n",
+		fmt.Fprintf(w, "slow round: node=%s round=%d gap=%s p95=%s\n",
 			s.Node, s.Round, time.Duration(s.GapNS), time.Duration(s.P95NS))
 	}
 	if ids := cluster.TraceIDs(); len(ids) > 0 {
-		fmt.Printf("traces: %d distinct transaction(s) stitchable across the fleet\n", len(ids))
+		fmt.Fprintf(w, "traces: %d distinct transaction(s) stitchable across the fleet\n", len(ids))
 	}
 	return nil
 }
 
-func printMergedTrace(cluster *fleet.Cluster, id string, asJSON bool) error {
+func printMergedTrace(w io.Writer, cluster *fleet.Cluster, id string, asJSON bool) error {
 	mt := cluster.MergedTrace(id)
 	if len(mt.Events) == 0 {
 		return fmt.Errorf("no events for trace %q anywhere in the fleet (propagation enabled, and the hash at least 8 hex chars?)", id)
 	}
 	if asJSON {
-		return json.NewEncoder(os.Stdout).Encode(mt)
+		return json.NewEncoder(w).Encode(mt)
 	}
-	fmt.Printf("trace %s: %d events across the fleet\n", mt.Trace, len(mt.Events))
+	fmt.Fprintf(w, "trace %s: %d events across the fleet\n", mt.Trace, len(mt.Events))
 	for _, e := range mt.Events {
-		printEvent("  ", e)
+		printEvent(w, "  ", e)
 	}
 	if len(mt.Hops) > 0 {
-		fmt.Println("transport hops:")
+		fmt.Fprintln(w, "transport hops:")
 		for _, h := range mt.Hops {
-			fmt.Printf("  %-22s -> %-22s %-14s %s\n", h.From, h.To, h.Kind, time.Duration(h.LatencyNS))
+			fmt.Fprintf(w, "  %-22s -> %-22s %-14s %s\n", h.From, h.To, h.Kind, time.Duration(h.LatencyNS))
 		}
 	}
 	return nil
@@ -130,7 +130,7 @@ func printMergedTrace(cluster *fleet.Cluster, id string, asJSON bool) error {
 
 // runEvents implements `repchain-inspect events`: dump or tail a
 // node's structured consensus event stream with round/node filters.
-func runEvents(args []string) error {
+func runEvents(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("events", flag.ExitOnError)
 	admin := fs.String("admin", "127.0.0.1:9180", "admin endpoint of a running repchain-node")
 	node := fs.String("node", "", "only events from this node ID")
@@ -163,7 +163,7 @@ func runEvents(args []string) error {
 			if e.Seq > after {
 				after = e.Seq
 			}
-			printEvent("", e)
+			printEvent(w, "", e)
 		}
 		if !*follow {
 			return nil

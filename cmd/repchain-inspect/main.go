@@ -30,25 +30,25 @@ func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "metrics":
-			if err := runMetrics(os.Args[2:]); err != nil {
+			if err := runMetrics(os.Args[2:], os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "repchain-inspect metrics:", err)
 				os.Exit(1)
 			}
 			return
 		case "trace":
-			if err := runTrace(os.Args[2:]); err != nil {
+			if err := runTrace(os.Args[2:], os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "repchain-inspect trace:", err)
 				os.Exit(1)
 			}
 			return
 		case "cluster":
-			if err := runCluster(os.Args[2:]); err != nil {
+			if err := runCluster(os.Args[2:], os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "repchain-inspect cluster:", err)
 				os.Exit(1)
 			}
 			return
 		case "events":
-			if err := runEvents(os.Args[2:]); err != nil {
+			if err := runEvents(os.Args[2:], os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "repchain-inspect events:", err)
 				os.Exit(1)
 			}

@@ -99,7 +99,7 @@ type Config struct {
 	Seed int64
 	// Validator is validate(tx), shared by collectors and governors.
 	Validator tx.Validator
-	// Behaviors assigns a behaviour per collector index; nil entries
+	// Behaviors assigns a behaviour per collector index; zero entries
 	// (or a nil slice) mean honest.
 	Behaviors []node.Behavior
 	// ChainDir, when non-empty, backs every governor's ledger replica
@@ -154,7 +154,8 @@ type Engine struct {
 	round uint64
 
 	// reg collects engine-level operational metrics: protocol anomaly
-	// counters and snapshots of the shared signature-cache statistics.
+	// counters and snapshots of the per-key verdict memos' statistics
+	// (crypto.VerifyStats).
 	reg *metrics.Registry
 	// events is the shared event log; nil when Config.EventCapacity is
 	// zero.

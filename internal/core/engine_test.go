@@ -92,7 +92,7 @@ func TestNewValidation(t *testing.T) {
 		{"nil validator", func(c *Config) { c.Validator = nil }},
 		{"bad params", func(c *Config) { c.Params.F = 2 }},
 		{"bad topology", func(c *Config) { c.Spec.Degree = 99 }},
-		{"behaviour count", func(c *Config) { c.Behaviors = []node.Behavior{nil} }},
+		{"behaviour count", func(c *Config) { c.Behaviors = []node.Behavior{{}} }},
 		{"stake count", func(c *Config) { c.Stakes = []uint64{1} }},
 		{"snapshot cadence without chain dir", func(c *Config) { c.SnapshotEvery = 2 }},
 		{"segment bytes without chain dir", func(c *Config) { c.SegmentBytes = 512 }},
@@ -222,8 +222,8 @@ func TestPropertyAlmostNoCreation(t *testing.T) {
 	cfg := defaultConfig()
 	// Collector 0 forges aggressively.
 	cfg.Behaviors = []node.Behavior{
-		node.ProbBehavior{Forge: 1},
-		nil, nil, nil,
+		{Forge: 1},
+		{}, {}, {},
 	}
 	e := newTestEngine(t, cfg)
 	submitted := make(map[crypto.Hash]bool)
@@ -264,10 +264,10 @@ func TestPropertyValidity(t *testing.T) {
 	cfg.Params.F = 0.9 // aggressive skipping: many unchecked
 	// Three of four collectors always lie; collector 3 is honest.
 	cfg.Behaviors = []node.Behavior{
-		node.ProbBehavior{Misreport: 1},
-		node.ProbBehavior{Misreport: 1},
-		node.ProbBehavior{Misreport: 1},
-		nil,
+		{Misreport: 1},
+		{Misreport: 1},
+		{Misreport: 1},
+		{},
 	}
 	e := newTestEngine(t, cfg)
 	for r := 0; r < 4; r++ {
@@ -294,10 +294,10 @@ func TestArgueRestoresTransactionsAndPunishesLiars(t *testing.T) {
 	cfg.Spec = identity.TopologySpec{Providers: 2, Collectors: 4, Degree: 4}
 	cfg.Params.F = 0.9
 	cfg.Behaviors = []node.Behavior{
-		node.ProbBehavior{Misreport: 1}, // always lies
-		node.ProbBehavior{Misreport: 1},
-		node.ProbBehavior{Misreport: 1},
-		nil, // honest
+		{Misreport: 1}, // always lies
+		{Misreport: 1},
+		{Misreport: 1},
+		{}, // honest
 	}
 	// Only transactions governor 0's own screening left unchecked reveal
 	// to it, and which those are is a draw: over 300 seeds, six
@@ -480,10 +480,10 @@ func TestRevenueSharesFavourHonestUnderAdversaries(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.Spec = identity.TopologySpec{Providers: 4, Collectors: 4, Degree: 4}
 	cfg.Behaviors = []node.Behavior{
-		nil,
-		node.ProbBehavior{Misreport: 0.5},
-		node.ProbBehavior{Conceal: 0.5},
-		node.ProbBehavior{Forge: 0.8},
+		{},
+		{Misreport: 0.5},
+		{Conceal: 0.5},
+		{Forge: 0.8},
 	}
 	e := newTestEngine(t, cfg)
 	for r := 0; r < 10; r++ {

@@ -149,10 +149,10 @@ func TestNoDuplicateValidRecords(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.Params.F = 0.9
 	cfg.Behaviors = []node.Behavior{
-		node.ProbBehavior{Misreport: 1},
-		node.ProbBehavior{Misreport: 1},
-		node.ProbBehavior{Misreport: 1},
-		nil,
+		{Misreport: 1},
+		{Misreport: 1},
+		{Misreport: 1},
+		{},
 	}
 	e := newTestEngine(t, cfg)
 	for r := 0; r < 6; r++ {
@@ -212,7 +212,7 @@ func TestForeignKeyCollectorRejected(t *testing.T) {
 	}
 	rogue := e.Roster().Collectors[0]
 	rogue.PrivateKey = foreign
-	e.collectors[0] = node.NewCollector(rogue, lockstep, e.Roster(), cfg.Validator, nil, 1)
+	e.collectors[0] = node.NewCollector(rogue, lockstep, e.Roster(), cfg.Validator, node.Behavior{}, 1)
 	e.colls[0].node = e.collectors[0]
 	for r := 2; r < 4; r++ {
 		submitRound(t, e, 8, r, 0)

@@ -20,8 +20,8 @@ const fanOutFloor = 96
 // on the engine goroutine, while the round drained fewer than
 // fanOutFloor transactions or GOMAXPROCS is 1, else n, one per node. Go
 // runs at most GOMAXPROCS of them at once, so a node that parks — on
-// another node's in-flight verify-cache entry, or joining its own
-// validate(tx) helpers — hands its core to another ready node instead
+// a signature another node is checking, pending in the key's verdict
+// memo, or joining its own validate(tx) helpers — hands its core to another ready node instead
 // of idling it. The budget is read from the drain, so a shard.Cluster
 // committee decides from its own traffic.
 func (e *Engine) workers(n int) int {

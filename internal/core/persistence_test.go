@@ -88,8 +88,8 @@ func TestReputationSurvivesRestart(t *testing.T) {
 	cfg.Spec = identity.TopologySpec{Providers: 2, Collectors: 4, Degree: 4}
 	cfg.Params.F = 0.9
 	cfg.Behaviors = []node.Behavior{
-		node.ProbBehavior{Misreport: 1},
-		nil, nil, nil,
+		{Misreport: 1},
+		{}, {}, {},
 	}
 
 	e1 := newTestEngine(t, cfg)

@@ -29,12 +29,12 @@ func TestSoakHundredRounds(t *testing.T) {
 		Seed:        777,
 		Validator:   oracleValidator,
 		Behaviors: []node.Behavior{
-			nil,
-			node.ProbBehavior{Misreport: 0.3},
-			node.ProbBehavior{Conceal: 0.4},
-			node.ProbBehavior{Forge: 0.2},
-			node.ProbBehavior{Misreport: 0.1, Conceal: 0.1},
-			nil,
+			{},
+			{Misreport: 0.3},
+			{Conceal: 0.4},
+			{Forge: 0.2},
+			{Misreport: 0.1, Conceal: 0.1},
+			{},
 		},
 	}
 	cfg.Params.F = 0.7

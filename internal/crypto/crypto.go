@@ -182,7 +182,7 @@ func (priv PrivateKey) Sign(msg []byte) []byte {
 // IsZero reports whether the key is uninitialized.
 func (priv PrivateKey) IsZero() bool { return len(priv.k) == 0 }
 
-// Verify checks sig over msg by the tree's one verification rule
+// Verify checks sig over msg by crypto/ed25519's verification rule
 // (verify.go). It returns ErrBadSignature when the signature is invalid
 // and ErrBadInput when the material is malformed.
 func (pub PublicKey) Verify(msg, sig []byte) error {
@@ -192,8 +192,7 @@ func (pub PublicKey) Verify(msg, sig []byte) error {
 	if len(sig) != SignatureSize {
 		return fmt.Errorf("signature length %d: %w", len(sig), ErrBadInput)
 	}
-	var c sigCheck
-	if a := pub.form(); !a.ok || !c.parse(pub.k, msg, sig) || !c.holds(a) {
+	if a := pub.form(); !a.ok || !a.accepts(pub.k, msg, sig) {
 		return ErrBadSignature
 	}
 	return nil

@@ -60,13 +60,8 @@ func torsion8(t testing.TB) *edwards25519.Point {
 	return nil
 }
 
-// craftSig signs msg as the holder of the scalar a for the key encoding
-// pub, with the nonce point encoded as rEnc and its discrete log r
-// (r is only meaningful when rEnc encodes [r]B): S = r + k·a with
-// k = SHA-512(rEnc ‖ pub ‖ msg). Unlike crypto/ed25519 it lets the key
-// and the nonce point carry small-order components, and R be encoded
-// non-canonically.
-func craftSig(a, r *edwards25519.Scalar, pub, rEnc, msg []byte) []byte {
+// challenge returns k = SHA-512(rEnc ‖ pub ‖ msg) mod ℓ.
+func challenge(pub, rEnc, msg []byte) *edwards25519.Scalar {
 	h := sha512.New()
 	h.Write(rEnc)
 	h.Write(pub)
@@ -75,8 +70,53 @@ func craftSig(a, r *edwards25519.Scalar, pub, rEnc, msg []byte) []byte {
 	if err != nil {
 		panic(err)
 	}
-	s := edwards25519.NewScalar().MultiplyAdd(k, a, r)
+	return k
+}
+
+// craftSig signs msg as the holder of the scalar a for the key encoding
+// pub, with the nonce point encoded as rEnc and its discrete log r
+// (r is only meaningful when rEnc encodes [r]B): S = r + k·a with
+// k = challenge(pub, rEnc, msg). Unlike crypto/ed25519 it lets the key
+// and the nonce point carry small-order components, and R be encoded
+// non-canonically.
+func craftSig(a, r *edwards25519.Scalar, pub, rEnc, msg []byte) []byte {
+	s := edwards25519.NewScalar().MultiplyAdd(challenge(pub, rEnc, msg), a, r)
 	return append(append([]byte(nil), rEnc...), s.Bytes()...)
+}
+
+// torsionedKey returns the scalar a and the encoding of the key A + T₈,
+// for A = [a]B and an order-8 point T₈. A signature made with a under it
+// leaves the residue [S]B − [k]A' − R = −[k]T₈, zero exactly when k is
+// a multiple of 8.
+func torsionedKey(t testing.TB, label string) (*edwards25519.Scalar, []byte) {
+	t.Helper()
+	a := testScalar(label + " key")
+	pubPoint := mulBase(a)
+	return a, pubPoint.Add(pubPoint, torsion8(t)).Bytes()
+}
+
+// torsionedKeySigs returns eight signatures by the torsioned key of
+// label, one for each value of k mod 8; crypto/ed25519 accepts only the
+// one with k ≡ 0. The classes matter one by one: a comb walked with
+// −k mod ℓ over A' in place of k over −A' shifts the result by
+// [ℓ mod 8]T₈ = [5]T₈, so it accepts k ≡ 5 instead.
+func torsionedKeySigs(t testing.TB, label string) (pub []byte, msgs, sigs [][]byte) {
+	t.Helper()
+	a, pub := torsionedKey(t, label)
+	r := testScalar(label + " nonce")
+	rEnc := mulBase(r).Bytes()
+	msgs, sigs = make([][]byte, 8), make([][]byte, 8)
+	for n, found := 0, 0; found < 8; n++ {
+		if n == 1000 {
+			t.Fatal("no signature for some class of k mod 8 in 1000 messages")
+		}
+		msg := []byte(fmt.Sprintf("%s %d", label, n))
+		if class := challenge(pub, rEnc, msg).Bytes()[0] & 7; msgs[class] == nil {
+			msgs[class], sigs[class] = msg, craftSig(a, r, pub, rEnc, msg)
+			found++
+		}
+	}
+	return pub, msgs, sigs
 }
 
 // stdlibVerdict is crypto/ed25519's verdict, the reference the tree's
@@ -104,6 +144,16 @@ func withKeys(items []BatchItem, of func(PublicKey) PublicKey) []BatchItem {
 		out[i].Pub = of(out[i].Pub)
 	}
 	return out
+}
+
+// matchesStdlib reports whether err is crypto/ed25519's verdict on it:
+// ErrBadInput where a length is wrong (crypto/ed25519 panics on a short
+// key), else nil exactly when ed25519.Verify accepts.
+func matchesStdlib(it BatchItem, err error) bool {
+	if len(it.Pub.k) != PublicKeySize || len(it.Sig) != SignatureSize {
+		return errors.Is(err, ErrBadInput)
+	}
+	return (err == nil) == stdlibVerdict(it.Pub.k, it.Msg, it.Sig)
 }
 
 // sameVerdict reports whether a and b are the same verdict: both nil,
@@ -139,11 +189,13 @@ func addOrder(s []byte) []byte {
 	return out
 }
 
-// TestVerifyMatchesStdlib checks that the tree's rule gives
-// crypto/ed25519's verdict, alone and in a batch, on everything but a
-// small-order residue: honest signatures over random keys and messages,
-// single-byte flips of A, R, S and the message, S ≥ ℓ, and R encoded
-// non-canonically (y ≥ p, or the sign bit set on x = 0).
+// TestVerifyMatchesStdlib checks that Verify, CachedVerify and
+// VerifyBatch give crypto/ed25519's verdict, with prepared keys and with
+// keys without a table: on honest signatures over random keys and
+// messages, single-byte flips of A, R, S and the message, S ≥ ℓ, R
+// encoded non-canonically (y ≥ p, or the sign bit set on x = 0),
+// small-order nonce points, and keys with a small-order component, one
+// signature for each value of k mod 8 and lowOrderResidueSig's.
 func TestVerifyMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	type tc struct {
@@ -181,7 +233,7 @@ func TestVerifyMatchesStdlib(t *testing.T) {
 
 	// Nonce points that are all small-order, with r = 0: the equation
 	// [S]B − [k]A − R = 0 would hold but for R's encoding, or for R
-	// itself when it is not the identity.
+	// itself when it is not the identity: a residue −R of small order.
 	a := testScalar("matches-stdlib key")
 	pubEnc := mulBase(a).Bytes()
 	zero := edwards25519.NewScalar()
@@ -196,11 +248,20 @@ func TestVerifyMatchesStdlib(t *testing.T) {
 		{"R = identity with sign bit (x = 0)", identitySigned},
 		{"R = identity as y = p+1", encodeNearP(1, false)},
 		{"R = order-4 point as y = p", encodeNearP(0, false)},
+		{"R = order-2 point, canonical", encodeNearP(-1, false)},
 		{"R = order-2 point with sign bit (x = 0)", encodeNearP(-1, true)},
 		{"R = y = p+18 with sign bit", encodeNearP(18, true)},
 	} {
 		msg := []byte(r.name)
 		cases = append(cases, tc{r.name, pubEnc, msg, craftSig(a, zero, pubEnc, r.enc, msg)})
+	}
+	torsioned, msgs, sigs := torsionedKeySigs(t, "matches-stdlib torsioned")
+	for class := range msgs {
+		cases = append(cases, tc{fmt.Sprintf("torsioned key, k ≡ %d mod 8", class), torsioned, msgs[class], sigs[class]})
+	}
+	for n := 0; n < 3; n++ {
+		pub, msg, sig := lowOrderResidueSig(t, fmt.Sprintf("matches-stdlib residue %d", n))
+		cases = append(cases, tc{fmt.Sprintf("low-order residue %d", n), pub.k, msg, sig})
 	}
 
 	prepared := make([]BatchItem, len(cases))
@@ -214,12 +275,19 @@ func TestVerifyMatchesStdlib(t *testing.T) {
 	for _, form := range keyForms {
 		t.Run(form.name, func(t *testing.T) {
 			items := withKeys(prepared, form.of)
+			cached := make([]error, len(items))
+			for i, it := range items {
+				cached[i] = CachedVerify(it.Pub, it.Msg, it.Sig)
+			}
 			batch := VerifyBatch(items)
 			accepted := 0
 			for i, c := range cases {
 				want := stdlibVerdict(c.pub, c.msg, c.sig)
 				if got := items[i].Pub.Verify(c.msg, c.sig) == nil; got != want {
 					t.Errorf("%s: Verify accepts=%v, crypto/ed25519 accepts=%v", c.name, got, want)
+				}
+				if got := cached[i] == nil; got != want {
+					t.Errorf("%s: CachedVerify accepts=%v, crypto/ed25519 accepts=%v", c.name, got, want)
 				}
 				if got := batch[i] == nil; got != want {
 					t.Errorf("%s: VerifyBatch accepts=%v, crypto/ed25519 accepts=%v", c.name, got, want)
@@ -237,15 +305,13 @@ func TestVerifyMatchesStdlib(t *testing.T) {
 
 // lowOrderResidueSig returns a key and a signature over msg whose
 // residue [S]B − [k]A − R is a nonzero point of small order: the key is
-// A + T₈ for an order-8 point T₈, signed with A's scalar, so the
-// residue is −[k]T₈. It retries messages until k is not a multiple of
-// 8, i.e. until crypto/ed25519 rejects.
+// torsionedKey's, signed with A's scalar, so the residue is −[k]T₈. It
+// retries messages until k is not a multiple of 8, i.e. until
+// crypto/ed25519 rejects.
 func lowOrderResidueSig(t testing.TB, label string) (PublicKey, []byte, []byte) {
 	t.Helper()
-	a, r := testScalar(label+" key"), testScalar(label+" nonce")
-	pubPoint := mulBase(a)
-	pubPoint.Add(pubPoint, torsion8(t))
-	pubEnc := pubPoint.Bytes()
+	a, pubEnc := torsionedKey(t, label)
+	r := testScalar(label + " nonce")
 	rEnc := mulBase(r).Bytes()
 	for n := 0; n < 64; n++ {
 		msg := []byte(fmt.Sprintf("%s %d", label, n))
@@ -262,51 +328,48 @@ func lowOrderResidueSig(t testing.TB, label string) (PublicKey, []byte, []byte) 
 	return PublicKey{}, nil, nil
 }
 
-// TestLowOrderResidueAccepted pins the one documented difference from
-// crypto/ed25519: a signature whose residue is a nonzero small-order
-// point is accepted, by Verify and by VerifyBatch alike, where
-// crypto/ed25519 rejects it.
-func TestLowOrderResidueAccepted(t *testing.T) {
+// TestLowOrderResidueRejected checks that a signature whose residue is
+// a nonzero small-order point is rejected, as crypto/ed25519 rejects
+// it, by Verify, CachedVerify and VerifyBatch alike, with prepared keys
+// and keys without a table: a key with an order-8 component, and an
+// order-2 nonce point with r = 0.
+func TestLowOrderResidueRejected(t *testing.T) {
 	for _, form := range keyForms {
-		t.Run(form.name, func(t *testing.T) { testLowOrderResidueAccepted(t, form.of) })
+		t.Run(form.name, func(t *testing.T) { testLowOrderResidueRejected(t, form.of) })
 	}
 }
 
-func testLowOrderResidueAccepted(t *testing.T, of func(PublicKey) PublicKey) {
+func testLowOrderResidueRejected(t *testing.T, of func(PublicKey) PublicKey) {
 	pub, msg, sig := lowOrderResidueSig(t, "low-order residue")
-	pub = of(pub)
-	if stdlibVerdict(pub.k, msg, sig) {
-		t.Fatal("crypto/ed25519 accepts the crafted signature; the residue is zero")
-	}
-	if err := pub.Verify(msg, sig); err != nil {
-		t.Fatalf("Verify: %v, want the cofactored rule to accept", err)
-	}
 
 	// An honest key and an order-2 nonce point R with r = 0: the
 	// residue is −R.
 	a := testScalar("order-2 nonce key")
-	pubEnc := mulBase(a).Bytes()
-	order2 := encodeNearP(-1, false) // y = p − 1, x = 0
-	msg2 := []byte("order-2 nonce")
-	sig2 := craftSig(a, edwards25519.NewScalar(), pubEnc, order2, msg2)
-	if stdlibVerdict(pubEnc, msg2, sig2) {
-		t.Fatal("crypto/ed25519 accepts an order-2 nonce point")
-	}
-	pub2, err := PublicKeyFromBytes(pubEnc)
+	pub2, err := PublicKeyFromBytes(mulBase(a).Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub2 = of(pub2)
-	if err := pub2.Verify(msg2, sig2); err != nil {
-		t.Fatalf("Verify with an order-2 nonce point: %v", err)
-	}
+	msg2 := []byte("order-2 nonce")
+	sig2 := craftSig(a, edwards25519.NewScalar(), pub2.k, encodeNearP(-1, false), msg2) // y = p − 1, x = 0
 
-	items, _ := batchFixture(t, 30, 3)
-	items = withKeys(items, of)
-	items = append(items, BatchItem{Pub: pub, Msg: msg, Sig: sig}, BatchItem{Pub: pub2, Msg: msg2, Sig: sig2})
+	honest, _ := batchFixture(t, 30, 3)
+	residues := []BatchItem{{Pub: pub, Msg: msg, Sig: sig}, {Pub: pub2, Msg: msg2, Sig: sig2}}
+	for i, it := range residues {
+		if stdlibVerdict(it.Pub.k, it.Msg, it.Sig) {
+			t.Fatalf("residue %d: crypto/ed25519 accepts; the residue is zero", i)
+		}
+		it.Pub = of(it.Pub)
+		if err := it.Pub.Verify(it.Msg, it.Sig); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("residue %d: Verify %v, want %v", i, err, ErrBadSignature)
+		}
+		if err := CachedVerify(it.Pub, it.Msg, it.Sig); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("residue %d: CachedVerify %v, want %v", i, err, ErrBadSignature)
+		}
+	}
+	items := withKeys(append(honest, residues...), of)
 	for i, err := range VerifyBatch(items) {
-		if err != nil {
-			t.Fatalf("VerifyBatch item %d: %v", i, err)
+		if want := i < len(honest); (err == nil) != want {
+			t.Fatalf("VerifyBatch item %d: %v, want accepted=%v", i, err, want)
 		}
 	}
 }
@@ -368,13 +431,16 @@ func nonPointKey(t testing.TB) PublicKey {
 // TestVerifyBatchMatchesVerify checks that one VerifyBatch call over
 // the mixed batch returns, item by item, PublicKey.Verify's verdict,
 // with prepared keys and with keys without a table, whose verdicts must
-// be the same. CI runs it at -cpu 1,4.
+// be the same, and that each is crypto/ed25519's. CI runs it at -cpu 1,4.
 func TestVerifyBatchMatchesVerify(t *testing.T) {
 	mixed := mixedBatch(t)
 	want := make([]error, len(mixed))
 	wellFormed, accepted := 0, 0
 	for i, it := range mixed {
 		want[i] = it.Pub.Verify(it.Msg, it.Sig)
+		if !matchesStdlib(it, want[i]) {
+			t.Fatalf("item %d: Verify %v, crypto/ed25519 gives the other verdict", i, want[i])
+		}
 		if !errors.Is(want[i], ErrBadInput) {
 			wellFormed++
 		}
@@ -403,7 +469,7 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 // of keys, applies the fuzzer's byte flips to keys, signatures and
 // messages, and checks every item's VerifyBatch verdict against
 // PublicKey.Verify's, and both, with prepared keys, against the
-// verdicts with keys that have no table.
+// verdicts with keys that have no table and against crypto/ed25519's.
 func FuzzVerifyBatch(f *testing.F) {
 	f.Add(uint8(8), uint8(2), []byte{})
 	f.Add(uint8(20), uint8(4), []byte{3, 70, 0x40})
@@ -443,6 +509,9 @@ func FuzzVerifyBatch(f *testing.F) {
 		slow := VerifyBatch(tableless)
 		for i, err := range VerifyBatch(items) {
 			want := tableless[i].Pub.Verify(items[i].Msg, items[i].Sig)
+			if !matchesStdlib(items[i], want) {
+				t.Fatalf("item %d: Verify %v, crypto/ed25519 gives the other verdict", i, want)
+			}
 			if got := items[i].Pub.Verify(items[i].Msg, items[i].Sig); !sameVerdict(got, want) {
 				t.Fatalf("item %d: Verify %v, without a table %v", i, got, want)
 			}

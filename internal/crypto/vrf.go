@@ -19,15 +19,13 @@ import "fmt"
 // publicly verifiable against the signer's public key; and outputs are
 // unpredictable without the secret key because they are hashes of an
 // unforgeable signature. Ed25519 is not a strictly *unique* signature
-// scheme — a signer with a modified implementation could grind
-// non-canonical nonces — and the cofactored verification rule
-// (verify.go) leaves that as it was: the further proofs it accepts for
-// a key (the nonce point shifted by a small-order point, S recomputed
-// for it) also need the secret scalar, so still only the key holder can
-// make a second proof for an input. The paper's threat model (§3.4.3) assumes
-// governors "will not perform malicious behaviors rather than hiding
-// transactions", under which determinism suffices. DESIGN.md records
-// this substitution.
+// scheme: the verification rule (verify.go, crypto/ed25519's) refuses
+// a nonce point shifted by a small-order point, but a key holder with a
+// modified signer can still grind nonces — any r yields a valid proof —
+// and so choose among outputs for an input; only the key holder can.
+// The paper's threat model (§3.4.3) assumes governors "will not perform
+// malicious behaviors rather than hiding transactions", under which
+// determinism suffices. DESIGN.md records this substitution.
 const vrfDomainTag = "repchain/vrf/v1\x00"
 
 // VRFOutput bundles a VRF evaluation: the pseudorandom output and the

@@ -282,7 +282,7 @@ func TestLateReportNotRerecorded(t *testing.T) {
 func TestChunkInvariance(t *testing.T) {
 	const txs = 20
 	run := func(perBatch int) (block, table []byte, batches int64) {
-		fx := newFixture(t, []Behavior{ProbBehavior{Misreport: 0.3, Forge: 1}, nil})
+		fx := newFixture(t, []Behavior{{Misreport: 0.3, Forge: 1}, {}})
 		for i := 0; i < txs; i++ {
 			if _, err := fx.providers[i%2].Submit("test", []byte{byte(i % 2), 0xAA}, i%2 == 1, 0, fx.bus); err != nil {
 				t.Fatal(err)

@@ -24,35 +24,11 @@ type Reaction struct {
 	Label tx.Label
 }
 
-// Behavior decides how a collector treats transactions. The honest
-// behaviour reports every transaction with the validator's label;
-// adversarial behaviours implement the misbehaviour classes of §4.2.
-type Behavior interface {
-	// React is called once per verified transaction with the honest
-	// label.
-	React(honest tx.Label, rng *rand.Rand) Reaction
-	// ForgeCount returns how many forged transactions to inject this
-	// round (misbehaviour class 3).
-	ForgeCount(rng *rand.Rand) int
-}
-
-// HonestBehavior always reports the validator's label and never
-// forges.
-type HonestBehavior struct{}
-
-var _ Behavior = HonestBehavior{}
-
-// React implements Behavior.
-func (HonestBehavior) React(honest tx.Label, _ *rand.Rand) Reaction {
-	return Reaction{Report: true, Label: honest}
-}
-
-// ForgeCount implements Behavior.
-func (HonestBehavior) ForgeCount(*rand.Rand) int { return 0 }
-
-// ProbBehavior misbehaves with fixed probabilities, covering all three
-// misbehaviour classes of §4.2.
-type ProbBehavior struct {
+// Behavior is how a collector treats transactions: it misbehaves with
+// fixed probabilities, covering the three misbehaviour classes of §4.2.
+// The zero value is honest: it reports every transaction with the
+// validator's label, never forges, and draws nothing from the RNG.
+type Behavior struct {
 	// Misreport is the probability of flipping the honest label.
 	Misreport float64
 	// Conceal is the probability of not uploading a transaction.
@@ -62,10 +38,11 @@ type ProbBehavior struct {
 	Forge float64
 }
 
-var _ Behavior = ProbBehavior{}
-
-// React implements Behavior.
-func (b ProbBehavior) React(honest tx.Label, rng *rand.Rand) Reaction {
+// React is called once per verified transaction with the honest label.
+func (b Behavior) React(honest tx.Label, rng *rand.Rand) Reaction {
+	if b == (Behavior{}) {
+		return Reaction{Report: true, Label: honest}
+	}
 	if rng.Float64() < b.Conceal {
 		return Reaction{Report: false}
 	}
@@ -76,8 +53,9 @@ func (b ProbBehavior) React(honest tx.Label, rng *rand.Rand) Reaction {
 	return Reaction{Report: true, Label: label}
 }
 
-// ForgeCount implements Behavior.
-func (b ProbBehavior) ForgeCount(rng *rand.Rand) int {
+// ForgeCount returns how many forged transactions to inject this round
+// (misbehaviour class 3).
+func (b Behavior) ForgeCount(rng *rand.Rand) int {
 	if b.Forge > 0 && rng.Float64() < b.Forge {
 		return 1
 	}
@@ -143,9 +121,6 @@ func NewCollector(
 	behavior Behavior,
 	seed int64,
 ) *Collector {
-	if behavior == nil {
-		behavior = HonestBehavior{}
-	}
 	var providerIDs []identity.NodeID
 	for _, k := range roster.Topology.ProvidersOf(member.Index) {
 		providerIDs = append(providerIDs, roster.Providers[k].ID)

@@ -201,7 +201,7 @@ func TestCollectorHonestUpload(t *testing.T) {
 }
 
 func TestCollectorConcealment(t *testing.T) {
-	fx := newFixture(t, []Behavior{ProbBehavior{Conceal: 1}, nil})
+	fx := newFixture(t, []Behavior{{Conceal: 1}, {}})
 	fx.runUpload(t, 0, true)
 	if fx.collectors[0].Stats().Concealed != 1 {
 		t.Fatal("concealer did not conceal")
@@ -212,7 +212,7 @@ func TestCollectorConcealment(t *testing.T) {
 }
 
 func TestCollectorMisreport(t *testing.T) {
-	fx := newFixture(t, []Behavior{ProbBehavior{Misreport: 1}, nil})
+	fx := newFixture(t, []Behavior{{Misreport: 1}, {}})
 	fx.runUpload(t, 0, true)
 	recs, _, err := fx.governor.screenRound()
 	if err != nil {
@@ -277,7 +277,7 @@ func TestCollectorDiscardsSpoofedSender(t *testing.T) {
 }
 
 func TestGovernorDetectsForgedUpload(t *testing.T) {
-	fx := newFixture(t, []Behavior{ProbBehavior{Forge: 1}, ProbBehavior{}})
+	fx := newFixture(t, []Behavior{{Forge: 1}, {}})
 	fx.runUpload(t, 0, true)
 	st := fx.governor.Stats()
 	if st.ForgeriesDetected == 0 {
@@ -379,7 +379,7 @@ func TestGovernorArgueWindowExpiry(t *testing.T) {
 	// label -1 with f close to 1... simpler: use misreporting
 	// collectors and high f so some land unchecked; then flood past
 	// the window and verify expiry reveals them invalid.
-	fx := newFixture(t, []Behavior{ProbBehavior{Misreport: 1}, ProbBehavior{Misreport: 1}})
+	fx := newFixture(t, []Behavior{{Misreport: 1}, {Misreport: 1}})
 	// All collectors lie: valid txs labeled -1. f = 0.5 default means
 	// roughly half the -1 draws skip verification.
 	for i := 0; i < 60; i++ {
@@ -487,14 +487,16 @@ func TestGovernorAcceptBlockChecksProposer(t *testing.T) {
 	}
 }
 
+// TestHonestBehaviorDefaults checks that the zero Behavior is honest
+// and draws nothing: a nil RNG would panic on the first draw.
 func TestHonestBehaviorDefaults(t *testing.T) {
-	var b HonestBehavior
+	var b Behavior
 	r := b.React(tx.LabelInvalid, nil)
 	if !r.Report || r.Label != tx.LabelInvalid {
-		t.Fatalf("HonestBehavior.React = %+v", r)
+		t.Fatalf("zero Behavior.React = %+v", r)
 	}
 	if b.ForgeCount(nil) != 0 {
-		t.Fatal("HonestBehavior forges")
+		t.Fatal("zero Behavior forges")
 	}
 }
 

@@ -26,7 +26,7 @@ type scribbleOutcome struct {
 // once its round has ended (the argues', once processed).
 func runScribbled(t *testing.T, scribble bool) scribbleOutcome {
 	t.Helper()
-	fx := newFixtureOpts(t, []Behavior{ProbBehavior{Misreport: 1}, ProbBehavior{Misreport: 1}}, func(cfg *GovernorConfig) {
+	fx := newFixtureOpts(t, []Behavior{{Misreport: 1}, {Misreport: 1}}, func(cfg *GovernorConfig) {
 		cfg.Params.F = 0.95
 		cfg.ArgueWindow = 64
 	})
@@ -153,7 +153,7 @@ func keptState(g *Governor) map[string][]byte {
 // block limit, argue-window entries — must read the same after the
 // intake, after the adoption and after the round's end.
 func TestScratchReuseLeavesKeptStateUnchanged(t *testing.T) {
-	fx := newFixtureOpts(t, []Behavior{ProbBehavior{Misreport: 1}, ProbBehavior{Misreport: 1}}, func(cfg *GovernorConfig) {
+	fx := newFixtureOpts(t, []Behavior{{Misreport: 1}, {Misreport: 1}}, func(cfg *GovernorConfig) {
 		cfg.Params.F = 0.95
 	})
 	g := fx.governor

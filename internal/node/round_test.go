@@ -67,7 +67,7 @@ func newAlliance(t *testing.T, configure func(j int, cfg *GovernorConfig)) *alli
 	a.prov = NewProvider(a.provider, &testClock, identity.IDs(roster.Collectors), a.ids)
 	a.collEp, err = a.bus.Register(roster.Collectors[0].ID)
 	a.check(err)
-	a.coll = NewCollector(roster.Collectors[0], testClock, roster, oracle, nil, 100)
+	a.coll = NewCollector(roster.Collectors[0], testClock, roster, oracle, Behavior{}, 100)
 	for j, mem := range roster.Governors {
 		ep, err := a.bus.Register(mem.ID)
 		a.check(err)
@@ -311,7 +311,7 @@ func TestRoundScheduleParity(t *testing.T) {
 	lockStep, workBound := newAlliance(t, nil), newAlliance(t, nil)
 	argues, workArgues := 0, 0
 	for _, a := range []*alliance{lockStep, workBound} {
-		a.coll.behavior = ProbBehavior{Misreport: 0.5}
+		a.coll.behavior = Behavior{Misreport: 0.5}
 	}
 	for r := 1; r <= rounds; r++ {
 		if r == 5 {

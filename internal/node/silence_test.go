@@ -12,7 +12,7 @@ import (
 // behavior, so every transaction reaches the governor with exactly one
 // of its two linked collectors reporting.
 func TestGovernorCountsSilentReports(t *testing.T) {
-	fx := newFixture(t, []Behavior{HonestBehavior{}, ProbBehavior{Conceal: 1}})
+	fx := newFixture(t, []Behavior{{}, {Conceal: 1}})
 	for i := 0; i < 3; i++ {
 		fx.runUpload(t, 0, true)
 	}
@@ -34,7 +34,7 @@ func TestGovernorCountsSilentReports(t *testing.T) {
 // collectors that reported, so a silent collector keeps its weight
 // even on a checked transaction.
 func TestSilenceDecayOffByDefault(t *testing.T) {
-	fx := newFixture(t, []Behavior{HonestBehavior{}, ProbBehavior{Conceal: 1}})
+	fx := newFixture(t, []Behavior{{}, {Conceal: 1}})
 	fx.runUpload(t, 0, true)
 	if _, _, err := fx.governor.screenRound(); err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func validatedAlliance(t *testing.T, validator func(j int) tx.Validator) *allian
 		cfg.Events = log
 	})
 	a.log = log
-	a.coll.behavior = ProbBehavior{Misreport: 0.5}
+	a.coll.behavior = Behavior{Misreport: 0.5}
 	a.coll.validator = validator(-1)
 	a.coll.SetEvents(log)
 	return a

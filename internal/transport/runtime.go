@@ -247,7 +247,7 @@ func runCollector(cfg RuntimeConfig, roster *identity.Roster, me identity.Member
 	}
 	defer func() { _ = ep.Close() }()
 
-	coll := node.NewCollector(me, node.Clock(cfg.Clock), roster, cfg.Validator, node.HonestBehavior{}, node.Seed(cfg.Seed, me))
+	coll := node.NewCollector(me, node.Clock(cfg.Clock), roster, cfg.Validator, node.Behavior{}, node.Seed(cfg.Seed, me))
 	coll.SetEvents(cfg.Events)
 	instrumentEndpoint(ep, cfg)
 

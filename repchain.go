@@ -298,11 +298,7 @@ func WithCollectorBehaviors(behaviors ...CollectorBehavior) Option {
 	return func(o *options) error {
 		o.Base.Behaviors = nil
 		for _, b := range behaviors {
-			if b == (CollectorBehavior{}) {
-				o.Base.Behaviors = append(o.Base.Behaviors, node.HonestBehavior{})
-			} else {
-				o.Base.Behaviors = append(o.Base.Behaviors, node.ProbBehavior(b))
-			}
+			o.Base.Behaviors = append(o.Base.Behaviors, node.Behavior(b))
 		}
 		return nil
 	}
