@@ -116,6 +116,60 @@ func TestSnapshotWriteFailureReportedOnce(t *testing.T) {
 	}
 }
 
+// TestSnapshotInFlightCaptureHeight: CaptureHeight reads the latest
+// capture without waiting — the uncollected write's, whether it runs,
+// is done or failed — and the durable snapshot's once the write is
+// collected, or after a failed one.
+func TestSnapshotInFlightCaptureHeight(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "chain")
+	fs := openSmall(t, dir)
+	defer func() { _ = fs.Close() }()
+	want := func(when string, h uint64) {
+		t.Helper()
+		if got := fs.CaptureHeight(); got != h {
+			t.Fatalf("CaptureHeight() %s = %d, want %d", when, got, h)
+		}
+	}
+	blocks := buildChain(t, fs, 3, 2)
+	want("before any snapshot", 0)
+
+	if err := fs.StartSnapshot([]byte("at-3"), true); err != nil {
+		t.Fatal(err)
+	}
+	head := extendChain(t, fs, blocks[2], 4, 500)
+	want("with the write uncollected", 3)
+	if _, err := fs.WaitSnapshot(); err != nil {
+		t.Fatalf("WaitSnapshot() error = %v", err)
+	}
+	want("after the write is collected", 3)
+
+	tmp := filepath.Join(dir, snapshotName(7)+".tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.StartSnapshot([]byte("at-7"), true); err != nil {
+		t.Fatal(err)
+	}
+	extendChain(t, fs, head, 1, 600)
+	if snap, _ := fs.LatestSnapshot(); snap.Height != 3 {
+		t.Fatalf("LatestSnapshot() height %d after a failed write, want 3", snap.Height)
+	}
+	want("with a failed write uncollected", 7)
+	if _, err := fs.WaitSnapshot(); err == nil || !strings.Contains(err.Error(), tmp) {
+		t.Fatalf("WaitSnapshot() error = %v, want the failure at %s", err, tmp)
+	}
+	want("after a failed write is collected", 3)
+
+	// A write that never finishes while the read runs: the read does not
+	// wait for it.
+	running := &snapshotWrite{snap: Snapshot{Height: 8}, done: make(chan struct{})}
+	fs.mu.Lock()
+	fs.write, fs.written = running, running.done
+	fs.mu.Unlock()
+	want("with a write running", 8)
+	close(running.done)
+}
+
 // TestSnapshotInFlightSurvivesClose: Close waits for the snapshot
 // write it finds running, so the snapshot is on disk at reopen.
 func TestSnapshotInFlightSurvivesClose(t *testing.T) {

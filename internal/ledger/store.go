@@ -810,6 +810,21 @@ func (fs *FileStore) SnapshotAnchor() (uint64, crypto.Hash, bool) {
 	return fs.snap.Height, fs.snap.Head, fs.haveSnap
 }
 
+// CaptureHeight returns, without waiting, the height of the latest
+// snapshot capture: that of the write started last while no call has
+// collected it, whether it is running, done or failed; else that of the
+// latest durable snapshot; 0 with neither. A snapshot cadence compares
+// it with Height to learn whether the next capture is due before it
+// collects the write (WaitSnapshot).
+func (fs *FileStore) CaptureHeight() uint64 {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	if fs.write != nil {
+		return fs.write.snap.Height
+	}
+	return fs.snap.Height
+}
+
 // LatestSnapshot returns the newest durable snapshot, if any, once the
 // snapshot write in flight has finished.
 func (fs *FileStore) LatestSnapshot() (Snapshot, bool) {
@@ -854,7 +869,9 @@ func (fs *FileStore) WriteSnapshot(app []byte) (Snapshot, error) {
 // prune set, prunes the segments sealed before the capture. At most
 // one write is in flight: a write still running is waited for first,
 // and its error returned. WaitSnapshot returns the outcome; every call
-// that reads or changes snapshot or prune state waits for it.
+// that reads or changes snapshot or prune state waits for it, except
+// CaptureHeight, so a caller may leave the write uncollected until its
+// next capture is due.
 func (fs *FileStore) StartSnapshot(app []byte, prune bool) error {
 	_, err := fs.startSnapshot(app, prune)
 	return err

@@ -388,9 +388,10 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	return g, nil
 }
 
-// Close waits for the checkpoint write in flight and releases the
-// governor's replica without checkpointing it; Checkpoint first to make
-// the run durable. Idempotent, and a no-op in memory.
+// Close waits for the checkpoint write in flight, returning its error
+// if no round end or Checkpoint has, and releases the governor's replica
+// without checkpointing it; Checkpoint first to make the run durable.
+// Idempotent, and a no-op in memory.
 func (g *Governor) Close() error {
 	if g.fs == nil {
 		return nil

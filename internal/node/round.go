@@ -487,23 +487,22 @@ func (g *Governor) Checkpoint(reputation []byte, prune bool) error {
 	return g.settleCheckpoint()
 }
 
-// maybeCheckpoint is the snapshot cadence, run as each round ends: it
-// collects the checkpoint write still behind the last one, then, once
-// the chain has grown SnapshotEvery blocks past the latest snapshot,
-// starts a checkpoint with a prune and returns while its write runs
-// behind the next round. A round that committed nothing leaves the
+// maybeCheckpoint is the snapshot cadence, run as each round ends: once
+// the chain has grown SnapshotEvery blocks past the latest capture —
+// the write in flight or, with none, the latest snapshot — it collects
+// that write, returning its error, and starts a checkpoint with a prune
+// that runs behind the next round. The rounds in between neither wait
+// for a write nor see its failure, which surfaces at the next due round
+// end, Checkpoint or Close. A round that committed nothing leaves the
 // height, and so the decision, unchanged. A no-op when SnapshotEvery ≤
 // 0 or the replica is in memory.
 func (g *Governor) maybeCheckpoint() error {
 	every := g.cfg.SnapshotEvery
-	if g.fs == nil || every <= 0 {
+	if g.fs == nil || every <= 0 || g.fs.Height() < g.fs.CaptureHeight()+uint64(every) {
 		return nil
 	}
 	if err := g.settleCheckpoint(); err != nil {
 		return err
-	}
-	if anchor, _, _ := g.fs.SnapshotAnchor(); g.fs.Height() < anchor+uint64(every) {
-		return nil
 	}
 	return g.startCheckpoint(nil, true)
 }

@@ -147,8 +147,9 @@ func WithChainDir(dir string) Option {
 // reputation tables, stake vector) into every governor's chain
 // directory each time its chain grows n blocks past the last one and
 // prunes chain segments fully behind the snapshot, so restart cost scales with n instead of chain
-// height and disk stays bounded. Without WithChainDir, New and
-// NewCluster reject it.
+// height and disk stays bounded. A snapshot write that fails is
+// reported by the round whose end the next snapshot is due at, or by
+// Close. Without WithChainDir, New and NewCluster reject it.
 func WithSnapshotEvery(n int) Option {
 	return func(o *options) error {
 		if n <= 0 {
