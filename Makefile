@@ -111,27 +111,16 @@ crash-consistency:
 	$(GO) test -count=1 ./internal/core -run 'Snapshot|Restart|Persist'
 	$(GO) test -count=1 ./internal/transport -run 'Persistence|StakeTransfer'
 
-# Short coverage-guided fuzz pass over the untrusted decoders: ledger
-# segments and snapshots, the deployment file and the roster built from
-# it, the transport's frame receive path, the provider frame (a list of
-# signed transactions and their provider batches), the collector upload
-# batch, the round-ticket envelope, block frames and a provider's
-# own-records decode of them (which must accept exactly what the full
-# decode does), the governor-to-governor stake-transform messages, the governor checkpoint
-# state and the reputation table inside it, the provider's argue
-# message, and the cross-shard lock/receipt payloads behind the
-# validator wrapper; batch signature verification, whose every verdict
-# must equal the single-signature rule's with and without key tables;
-# and the comb multiply, which must equal Go's double-scalar multiply.
-# `go test -fuzz` accepts one target per invocation, hence the loop.
-# FUZZTIME=30s in CI; keep it short locally.
+# Short coverage-guided fuzz pass over every fuzz target under
+# internal/, each found by its `func Fuzz…` line, so a new decoder
+# fuzzer cannot miss the pass. `go test -fuzz` accepts one target per
+# invocation, hence the loop. FUZZTIME=30s in CI; keep it short locally.
 FUZZTIME ?= 10s
+FUZZ_TARGETS = $(shell grep -rEo --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' internal | sed -E 's%/[^/]*:func %/%' | sort)
 fuzz-smoke:
-	@for target in ledger/FuzzSegmentOpen ledger/FuzzSnapshotLoad transport/FuzzDeploymentRoster transport/FuzzFrameReceive tx/FuzzUploadBatchDecode tx/FuzzProviderBatchDecode \
-		consensus/FuzzRoundTicketsDecode ledger/FuzzBlockDecode ledger/FuzzOwnRecordsDecode consensus/FuzzStakeTransformDecode \
-		node/FuzzGovernorStateDecode reputation/FuzzReputationRestore node/FuzzArgueDecode \
-		shard/FuzzXShardValidate crypto/FuzzVerifyBatch crypto/internal/edwards25519/FuzzCombMult; do \
-		$(GO) test ./internal/$${target%/*} -run '^$$' -fuzz "^$${target##*/}$$" -fuzztime $(FUZZTIME) || exit 1; \
+	@test -n "$(FUZZ_TARGETS)" || { echo "no fuzz targets found under internal/"; exit 1; }
+	@for target in $(FUZZ_TARGETS); do \
+		$(GO) test ./$${target%/*} -run '^$$' -fuzz "^$${target##*/}$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
 # Long-running segmented-store soak (nightly CI): many rounds against

@@ -8,7 +8,7 @@ import (
 // designLimit is DESIGN.md's size ratchet in bytes. A change may shrink
 // the document but not grow it past this; the limit is only ever lowered,
 // to the document's size when it is next reviewed as a whole.
-const designLimit = 91_975
+const designLimit = 91_956
 
 // TestDesignWithinRatchet fails when DESIGN.md grows past designLimit.
 func TestDesignWithinRatchet(t *testing.T) {

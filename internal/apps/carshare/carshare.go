@@ -45,43 +45,25 @@ type RideRequest struct {
 
 // Encode returns the canonical payload bytes.
 func (r RideRequest) Encode() []byte {
-	e := codec.NewEncoder(64)
+	e := codec.Wrap(make([]byte, 0, 64))
 	e.PutString("carshare/v1")
 	e.PutString(r.Rider)
 	e.PutString(r.Origin)
 	e.PutString(r.Destination)
 	e.PutVarint(r.PickupAt)
 	e.PutVarint(r.FareCents)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return e.Bytes()
 }
 
 // Decode parses a ride-request payload.
 func Decode(b []byte) (RideRequest, error) {
 	d := codec.NewDecoder(b)
-	tag, err := d.String()
-	if err != nil || tag != "carshare/v1" {
-		return RideRequest{}, fmt.Errorf("payload tag: %w", ErrDecode)
+	if tag := d.String(); tag != "carshare/v1" {
+		d.Fail(fmt.Errorf("payload tag %q", tag))
 	}
-	var r RideRequest
-	if r.Rider, err = d.String(); err != nil {
-		return RideRequest{}, fmt.Errorf("rider: %w", err)
-	}
-	if r.Origin, err = d.String(); err != nil {
-		return RideRequest{}, fmt.Errorf("origin: %w", err)
-	}
-	if r.Destination, err = d.String(); err != nil {
-		return RideRequest{}, fmt.Errorf("destination: %w", err)
-	}
-	if r.PickupAt, err = d.Varint(); err != nil {
-		return RideRequest{}, fmt.Errorf("pickup: %w", err)
-	}
-	if r.FareCents, err = d.Varint(); err != nil {
-		return RideRequest{}, fmt.Errorf("fare: %w", err)
-	}
-	if err := d.Expect(); err != nil {
-		return RideRequest{}, fmt.Errorf("ride request: %w", err)
+	r := RideRequest{Rider: d.String(), Origin: d.String(), Destination: d.String(), PickupAt: d.Varint(), FareCents: d.Varint()}
+	if err := d.Finish("ride request", ErrDecode); err != nil {
+		return RideRequest{}, err
 	}
 	return r, nil
 }

@@ -1,6 +1,7 @@
 package carshare
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -38,6 +39,29 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(b); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+}
+
+// FuzzAppPayloadDecode feeds the ride-request decoder — a validator
+// runs it on every payload a provider submits — arbitrary bytes: it
+// must never panic, what it refuses it refuses with ErrDecode, and what
+// it accepts must re-encode to the same bytes.
+func FuzzAppPayloadDecode(f *testing.F) {
+	valid := validRequest().Encode()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(RideRequest{}.Encode())
+	f.Fuzz(func(t *testing.T, p []byte) {
+		r, err := Decode(p)
+		if err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("refused without ErrDecode: %v", err)
+			}
+			return
+		}
+		if again := r.Encode(); !bytes.Equal(again, p) {
+			t.Fatalf("accepted payload re-encodes to\n% x\nwant\n% x", again, p)
+		}
+	})
 }
 
 func TestQuickRoundTrip(t *testing.T) {

@@ -42,7 +42,7 @@ type Application struct {
 
 // Encode returns the canonical payload bytes.
 func (a Application) Encode() []byte {
-	e := codec.NewEncoder(96)
+	e := codec.Wrap(make([]byte, 0, 96))
 	e.PutString("insurance/v1")
 	e.PutString(a.Applicant)
 	e.PutInt(a.Age)
@@ -53,50 +53,29 @@ func (a Application) Encode() []byte {
 	for _, c := range a.Conditions {
 		e.PutString(c)
 	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return e.Bytes()
 }
+
+// maxConditions bounds the conditions one application may declare.
+const maxConditions = 64
 
 // Decode parses an application payload.
 func Decode(b []byte) (Application, error) {
 	d := codec.NewDecoder(b)
-	tag, err := d.String()
-	if err != nil || tag != "insurance/v1" {
-		return Application{}, fmt.Errorf("payload tag: %w", ErrDecode)
+	if tag := d.String(); tag != "insurance/v1" {
+		d.Fail(fmt.Errorf("payload tag %q", tag))
 	}
-	var a Application
-	if a.Applicant, err = d.String(); err != nil {
-		return Application{}, fmt.Errorf("applicant: %w", err)
-	}
-	if a.Age, err = d.Int(); err != nil {
-		return Application{}, fmt.Errorf("age: %w", err)
-	}
-	if a.Smoker, err = d.Bool(); err != nil {
-		return Application{}, fmt.Errorf("smoker: %w", err)
-	}
-	if a.AnnualIncomeCents, err = d.Varint(); err != nil {
-		return Application{}, fmt.Errorf("income: %w", err)
-	}
-	if a.CoverageCents, err = d.Varint(); err != nil {
-		return Application{}, fmt.Errorf("coverage: %w", err)
-	}
-	n, err := d.Int()
-	if err != nil {
-		return Application{}, fmt.Errorf("condition count: %w", err)
-	}
-	if n < 0 || n > 64 {
-		return Application{}, fmt.Errorf("condition count %d: %w", n, ErrDecode)
+	a := Application{Applicant: d.String(), Age: d.Int(), Smoker: d.Bool(), AnnualIncomeCents: d.Varint(), CoverageCents: d.Varint()}
+	// Each condition takes at least its length byte.
+	n := d.Count(1)
+	if n > maxConditions {
+		d.Fail(fmt.Errorf("condition count %d", n))
 	}
 	for i := 0; i < n; i++ {
-		c, err := d.String()
-		if err != nil {
-			return Application{}, fmt.Errorf("condition %d: %w", i, err)
-		}
-		a.Conditions = append(a.Conditions, c)
+		a.Conditions = append(a.Conditions, d.String())
 	}
-	if err := d.Expect(); err != nil {
-		return Application{}, fmt.Errorf("application: %w", err)
+	if err := d.Finish("application", ErrDecode); err != nil {
+		return Application{}, err
 	}
 	return a, nil
 }

@@ -1,6 +1,7 @@
 package insurance
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -40,6 +41,32 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(b); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+}
+
+// FuzzAppPayloadDecode feeds the application decoder — a validator
+// runs it on every payload a provider submits — arbitrary bytes: it
+// must never panic, what it refuses it refuses with ErrDecode, and what
+// it accepts must re-encode to the same bytes.
+func FuzzAppPayloadDecode(f *testing.F) {
+	valid := eligibleApp().Encode()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(Application{Conditions: make([]string, maxConditions+1)}.Encode())
+	f.Fuzz(func(t *testing.T, p []byte) {
+		a, err := Decode(p)
+		if err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("refused without ErrDecode: %v", err)
+			}
+			return
+		}
+		if len(a.Conditions) > maxConditions {
+			t.Fatalf("%d conditions accepted", len(a.Conditions))
+		}
+		if again := a.Encode(); !bytes.Equal(again, p) {
+			t.Fatalf("accepted payload re-encodes to\n% x\nwant\n% x", again, p)
+		}
+	})
 }
 
 func TestQuickRoundTrip(t *testing.T) {

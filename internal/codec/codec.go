@@ -16,11 +16,16 @@
 //   - booleans: a single 0x00 or 0x01 byte
 //   - float64: IEEE-754 bits as a fixed 8-byte big-endian word
 //
-// Encoders never fail; decoders validate lengths and report
-// ErrCorrupt or ErrTruncated on malformed input.
+// Encoders never fail. A Decoder keeps the first failure of its reads
+// (ErrTruncated, ErrCorrupt or ErrTooLarge, with its offset), so every
+// decoder of a message reads straight through and ends with Finish,
+// which wraps that failure in the decoder's own package's sentinel. The
+// one rule that comes with it: a value read is used as an index or a
+// size only after Count bounded it or Err reported no failure.
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,15 +55,6 @@ const MaxLen = 1 << 26 // 64 MiB
 // ready to use.
 type Encoder struct {
 	buf []byte
-}
-
-// NewEncoder returns an encoder with capacity preallocated for sizeHint
-// bytes.
-func NewEncoder(sizeHint int) *Encoder {
-	if sizeHint < 0 {
-		sizeHint = 0
-	}
-	return &Encoder{buf: make([]byte, 0, sizeHint)}
 }
 
 // Bytes returns the encoded buffer. The returned slice aliases the
@@ -220,10 +216,26 @@ func (e *Encoder) PutRaw(b []byte) {
 }
 
 // Decoder consumes a deterministic byte encoding produced by Encoder.
+// It keeps its first failure: a read that fails records it with the
+// offset it failed at, and from then on every read returns the zero
+// value, every count 0, and the offset stops moving.
 type Decoder struct {
-	buf []byte
-	off int
+	buf   []byte
+	off   int
+	first failure // first.err is nil until a read fails
 }
+
+// failure is a Decoder's first failure and the offset it happened at.
+// It is kept by value, so recording one allocates nothing and no
+// pointer into the Decoder escapes with it.
+type failure struct {
+	off int
+	err error
+}
+
+func (f failure) Error() string { return fmt.Sprintf("offset %d: %v", f.off, f.err) }
+
+func (f failure) Unwrap() error { return f.err }
 
 // NewDecoder returns a decoder over b. The decoder does not copy b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
@@ -237,193 +249,204 @@ func (d *Decoder) Offset() int { return d.off }
 // Since returns the input consumed since offset off, uncopied.
 func (d *Decoder) Since(off int) []byte { return d.buf[off:d.off] }
 
-// Uvarint decodes an unsigned varint. Only the shortest encoding of a
-// value is accepted — its last byte is non-zero unless it is the only
-// one — so every accepted input re-encodes to the same bytes.
-func (d *Decoder) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	switch {
-	case n > 1 && d.buf[d.off+n-1] == 0:
-		return 0, fmt.Errorf("overlong varint at offset %d: %w", d.off, ErrCorrupt)
-	case n > 0:
-		d.off += n
-		return v, nil
-	case n == 0:
-		return 0, ErrTruncated
-	default:
-		return 0, fmt.Errorf("varint overflow at offset %d: %w", d.off, ErrCorrupt)
+// Err returns the first failure recorded, or nil.
+func (d *Decoder) Err() error {
+	if d.first.err == nil {
+		return nil
+	}
+	return d.first
+}
+
+// Fail records err, with the current offset, unless a failure is
+// recorded already. A decoder's own checks on the values it read — a
+// tag, a range before a cast — report through it, so they take their
+// place in the same first-error order as the reads.
+func (d *Decoder) Fail(err error) {
+	if d.first.err == nil {
+		d.first = failure{off: d.off, err: err}
 	}
 }
 
+// Expect fails, wrapping ErrCorrupt, unless the input is fully
+// consumed, and returns the first failure: a message is refused when
+// padded or concatenated.
+func (d *Decoder) Expect() error {
+	if d.first.err == nil && d.Remaining() != 0 {
+		d.Fail(fmt.Errorf("%d trailing bytes: %w", d.Remaining(), ErrCorrupt))
+	}
+	return d.Err()
+}
+
+// Finish is Expect as a message decoder's last step: it returns nil, or
+// the first failure under what and wrapped in sentinel, the decoder's
+// own package's error, so that errors.Is matches sentinel and every
+// error in the failure's chain. Nothing is formatted until the error is
+// printed, so refusing hostile input costs no formatting.
+func (d *Decoder) Finish(what string, sentinel error) error {
+	if err := d.Expect(); err != nil {
+		return &refusal{what: what, sentinel: sentinel, err: err}
+	}
+	return nil
+}
+
+// refusal is a failure as Finish reports it.
+type refusal struct {
+	what          string
+	sentinel, err error
+}
+
+func (r *refusal) Error() string { return r.what + ": " + r.sentinel.Error() + ": " + r.err.Error() }
+
+func (r *refusal) Unwrap() []error { return []error{r.sentinel, r.err} }
+
+// Failures with a fixed message are values, so recording one allocates
+// nothing.
+var (
+	errOverlong = fmt.Errorf("overlong varint: %w", ErrCorrupt)
+	errOverflow = fmt.Errorf("varint overflow: %w", ErrCorrupt)
+	errCount    = fmt.Errorf("element count does not fit the remaining input: %w", ErrCorrupt)
+)
+
+// take consumes the next n bytes, uncopied and capped at their own
+// length, or returns nil.
+func (d *Decoder) take(n int) []byte {
+	if d.first.err != nil {
+		return nil
+	}
+	if d.Remaining() < n {
+		d.Fail(ErrTruncated)
+		return nil
+	}
+	end := d.off + n
+	b := d.buf[d.off:end:end]
+	d.off = end
+	return b
+}
+
+// Uvarint decodes an unsigned varint. Only the shortest encoding of a
+// value is accepted — its last byte is non-zero unless it is the only
+// one — so every accepted input re-encodes to the same bytes.
+func (d *Decoder) Uvarint() uint64 {
+	if d.first.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.off:])
+	switch {
+	case n > 1 && d.buf[d.off+n-1] == 0:
+		d.Fail(errOverlong)
+	case n > 0:
+		d.off += n
+		return v
+	case n == 0:
+		d.Fail(ErrTruncated)
+	default:
+		d.Fail(errOverflow)
+	}
+	return 0
+}
+
 // Varint decodes a zig-zag signed varint.
-func (d *Decoder) Varint() (int64, error) {
-	ux, err := d.Uvarint()
+func (d *Decoder) Varint() int64 {
+	ux := d.Uvarint()
 	v := int64(ux >> 1)
 	if ux&1 != 0 {
 		v = ^v
 	}
-	return v, err
+	return v
 }
-
-// errCount refuses an element count the remaining input cannot hold.
-// It is a value, so refusing a hostile count allocates nothing.
-var errCount = fmt.Errorf("element count does not fit the remaining input: %w", ErrCorrupt)
 
 // Count decodes an element count written by Encoder.PutInt and fails,
 // wrapping ErrCorrupt, unless that many elements of at least
 // minElemBytes bytes each fit in the input that remains. Decoders call
 // it before allocating for the elements, so a hostile count cannot
 // size an allocation beyond the bytes it arrived with.
-func (d *Decoder) Count(minElemBytes int) (int, error) {
-	n, err := d.Varint()
-	if err != nil {
-		return 0, err
-	}
+func (d *Decoder) Count(minElemBytes int) int {
+	n := d.Varint()
 	if n < 0 {
-		return 0, errCount
+		d.Fail(errCount)
+		return 0
 	}
 	return d.fit(uint64(n), minElemBytes)
 }
 
 // UvarintCount is Count for a count written by Encoder.PutUvarint.
-func (d *Decoder) UvarintCount(minElemBytes int) (int, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return d.fit(n, minElemBytes)
+func (d *Decoder) UvarintCount(minElemBytes int) int {
+	return d.fit(d.Uvarint(), minElemBytes)
 }
 
-func (d *Decoder) fit(n uint64, minElemBytes int) (int, error) {
+func (d *Decoder) fit(n uint64, minElemBytes int) int {
 	if n > uint64(d.Remaining()/minElemBytes) {
-		return 0, errCount
+		d.Fail(errCount)
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
 // Uint64 decodes an unsigned varint. Convenience alias mirroring
 // Encoder.PutUint64.
-func (d *Decoder) Uint64() (uint64, error) { return d.Uvarint() }
+func (d *Decoder) Uint64() uint64 { return d.Uvarint() }
 
 // Int decodes a signed varint into an int.
-func (d *Decoder) Int() (int, error) {
-	v, err := d.Varint()
-	if err != nil {
-		return 0, err
-	}
-	return int(v), nil
-}
+func (d *Decoder) Int() int { return int(d.Varint()) }
 
 // Bool decodes a single boolean byte.
-func (d *Decoder) Bool() (bool, error) {
-	if d.Remaining() < 1 {
-		return false, ErrTruncated
+func (d *Decoder) Bool() bool {
+	b := d.take(1)
+	if len(b) == 1 && b[0] > 1 {
+		d.Fail(fmt.Errorf("boolean byte %#x: %w", b[0], ErrCorrupt))
 	}
-	b := d.buf[d.off]
-	d.off++
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("boolean byte %#x: %w", b, ErrCorrupt)
-	}
+	return len(b) == 1 && b[0] == 1
 }
 
 // Float64 decodes a fixed 8-byte IEEE-754 value.
-func (d *Decoder) Float64() (float64, error) {
-	if d.Remaining() < 8 {
-		return 0, ErrTruncated
+func (d *Decoder) Float64() float64 {
+	b := d.take(8)
+	if b == nil {
+		return 0
 	}
-	bits := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return math.Float64frombits(bits), nil
+	return math.Float64frombits(binary.BigEndian.Uint64(b))
 }
 
 // Field returns the next length-prefixed field, uncopied: a view that
 // aliases the input, capped at its own length so that an append to it
 // copies instead of writing over the input. A caller that keeps it past
 // the input's lifetime, or whose input may be overwritten, copies it.
-func (d *Decoder) Field() ([]byte, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
+func (d *Decoder) Field() []byte {
+	n := d.Uvarint()
 	if n > MaxLen {
-		return nil, fmt.Errorf("length %d: %w", n, ErrTooLarge)
+		d.Fail(fmt.Errorf("length %d: %w", n, ErrTooLarge))
+		return nil
 	}
-	if uint64(d.Remaining()) < n {
-		return nil, ErrTruncated
-	}
-	end := d.off + int(n)
-	b := d.buf[d.off:end:end]
-	d.off = end
-	return b, nil
+	return d.take(int(n))
 }
 
 // Bytes decodes a length-prefixed byte slice. The result is a copy and
 // safe to retain.
-func (d *Decoder) Bytes() ([]byte, error) {
-	b, err := d.Field()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out, nil
-}
+func (d *Decoder) Bytes() []byte { return bytes.Clone(d.Field()) }
 
 // String decodes a length-prefixed string.
-func (d *Decoder) String() (string, error) {
-	b, err := d.Field()
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
+func (d *Decoder) String() string { return string(d.Field()) }
 
 // StringLike is String for a field that often repeats a string the
 // caller already holds: it returns like itself, allocating nothing,
 // when the field equals it.
-func (d *Decoder) StringLike(like string) (string, error) {
-	b, err := d.Field()
-	if err != nil {
-		return "", err
-	}
+func (d *Decoder) StringLike(like string) string {
+	b := d.Field()
 	if string(b) == like {
-		return like, nil
+		return like
 	}
-	return string(b), nil
+	return string(b)
 }
 
 // Raw decodes n bytes with no length prefix. The result is a copy.
-func (d *Decoder) Raw(n int) ([]byte, error) {
+func (d *Decoder) Raw(n int) []byte {
 	if n < 0 {
-		return nil, fmt.Errorf("negative length %d: %w", n, ErrCorrupt)
+		d.Fail(fmt.Errorf("negative length %d: %w", n, ErrCorrupt))
+		return nil
 	}
-	out := make([]byte, n)
-	if err := d.RawInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return bytes.Clone(d.take(n))
 }
 
-// RawInto decodes len(dst) bytes with no length prefix into dst.
-func (d *Decoder) RawInto(dst []byte) error {
-	if d.Remaining() < len(dst) {
-		return ErrTruncated
-	}
-	d.off += copy(dst, d.buf[d.off:])
-	return nil
-}
-
-// Expect verifies that the input is fully consumed, returning ErrCorrupt
-// with the number of trailing bytes otherwise. Message decoders call it
-// last to reject padded or concatenated inputs.
-func (d *Decoder) Expect() error {
-	if rem := d.Remaining(); rem != 0 {
-		return fmt.Errorf("%d trailing bytes: %w", rem, ErrCorrupt)
-	}
-	return nil
-}
+// RawInto decodes len(dst) bytes with no length prefix into dst, which
+// it leaves as it is after a failure.
+func (d *Decoder) RawInto(dst []byte) { copy(dst, d.take(len(dst))) }

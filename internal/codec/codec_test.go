@@ -22,14 +22,10 @@ func TestUvarintRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			e := NewEncoder(16)
+			e := Wrap(nil)
 			e.PutUvarint(tt.v)
 			d := NewDecoder(e.Bytes())
-			got, err := d.Uvarint()
-			if err != nil {
-				t.Fatalf("Uvarint() error = %v", err)
-			}
-			if got != tt.v {
+			if got := d.Uvarint(); got != tt.v {
 				t.Fatalf("Uvarint() = %d, want %d", got, tt.v)
 			}
 			if err := d.Expect(); err != nil {
@@ -52,14 +48,11 @@ func TestVarintRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			e := NewEncoder(16)
+			e := Wrap(nil)
 			e.PutVarint(tt.v)
-			got, err := NewDecoder(e.Bytes()).Varint()
-			if err != nil {
-				t.Fatalf("Varint() error = %v", err)
-			}
-			if got != tt.v {
-				t.Fatalf("Varint() = %d, want %d", got, tt.v)
+			d := NewDecoder(e.Bytes())
+			if got := d.Varint(); d.Err() != nil || got != tt.v {
+				t.Fatalf("Varint() = %d, %v, want %d", got, d.Err(), tt.v)
 			}
 		})
 	}
@@ -67,21 +60,18 @@ func TestVarintRoundTrip(t *testing.T) {
 
 func TestBoolRoundTrip(t *testing.T) {
 	for _, v := range []bool{true, false} {
-		e := NewEncoder(1)
+		e := Wrap(nil)
 		e.PutBool(v)
-		got, err := NewDecoder(e.Bytes()).Bool()
-		if err != nil {
-			t.Fatalf("Bool() error = %v", err)
-		}
-		if got != v {
-			t.Fatalf("Bool() = %v, want %v", got, v)
+		d := NewDecoder(e.Bytes())
+		if got := d.Bool(); d.Err() != nil || got != v {
+			t.Fatalf("Bool() = %v, %v, want %v", got, d.Err(), v)
 		}
 	}
 }
 
 func TestBoolRejectsOtherBytes(t *testing.T) {
-	_, err := NewDecoder([]byte{7}).Bool()
-	if !errors.Is(err, ErrCorrupt) {
+	d := NewDecoder([]byte{7})
+	if got, err := d.Bool(), d.Err(); got || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Bool() error = %v, want ErrCorrupt", err)
 	}
 }
@@ -101,10 +91,11 @@ func TestFloat64RoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			e := NewEncoder(8)
+			e := Wrap(nil)
 			e.PutFloat64(tt.v)
-			got, err := NewDecoder(e.Bytes()).Float64()
-			if err != nil {
+			d := NewDecoder(e.Bytes())
+			got := d.Float64()
+			if err := d.Expect(); err != nil {
 				t.Fatalf("Float64() error = %v", err)
 			}
 			if math.Float64bits(got) != math.Float64bits(tt.v) {
@@ -115,7 +106,7 @@ func TestFloat64RoundTrip(t *testing.T) {
 }
 
 func TestFloat64NaNCanonical(t *testing.T) {
-	a, b := NewEncoder(8), NewEncoder(8)
+	a, b := Wrap(nil), Wrap(nil)
 	a.PutFloat64(math.NaN())
 	b.PutFloat64(math.Float64frombits(0x7FF8000000000001)) // another NaN payload
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -134,10 +125,11 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			e := NewEncoder(0)
+			e := Wrap(nil)
 			e.PutBytes(tt.v)
-			got, err := NewDecoder(e.Bytes()).Bytes()
-			if err != nil {
+			d := NewDecoder(e.Bytes())
+			got := d.Bytes()
+			if err := d.Expect(); err != nil {
 				t.Fatalf("Bytes() error = %v", err)
 			}
 			if !bytes.Equal(got, tt.v) {
@@ -148,11 +140,12 @@ func TestBytesRoundTrip(t *testing.T) {
 }
 
 func TestBytesIsACopy(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutBytes([]byte("abc"))
 	buf := e.Bytes()
-	got, err := NewDecoder(buf).Bytes()
-	if err != nil {
+	d := NewDecoder(buf)
+	got := d.Bytes()
+	if err := d.Expect(); err != nil {
 		t.Fatalf("Bytes() error = %v", err)
 	}
 	buf[len(buf)-1] = 'z'
@@ -162,10 +155,11 @@ func TestBytesIsACopy(t *testing.T) {
 }
 
 func TestStringRoundTrip(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutString("héllo, 世界")
-	got, err := NewDecoder(e.Bytes()).String()
-	if err != nil {
+	d := NewDecoder(e.Bytes())
+	got := d.String()
+	if err := d.Expect(); err != nil {
 		t.Fatalf("String() error = %v", err)
 	}
 	if got != "héllo, 世界" {
@@ -174,32 +168,32 @@ func TestStringRoundTrip(t *testing.T) {
 }
 
 func TestTruncatedInputs(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutString("some payload")
 	full := e.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		d := NewDecoder(full[:cut])
-		if _, err := d.String(); err == nil {
+		if _ = d.String(); d.Err() == nil {
 			t.Fatalf("String() on %d-byte prefix succeeded, want error", cut)
 		}
 	}
 }
 
 func TestLengthLimit(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutUvarint(MaxLen + 1)
-	_, err := NewDecoder(e.Bytes()).Bytes()
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("Bytes() error = %v, want ErrTooLarge", err)
+	d := NewDecoder(e.Bytes())
+	if d.Bytes(); !errors.Is(d.Err(), ErrTooLarge) {
+		t.Fatalf("Bytes() error = %v, want ErrTooLarge", d.Err())
 	}
 }
 
 func TestLengthPrefixBeyondInput(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutUvarint(1000) // claims 1000 bytes follow; none do
-	_, err := NewDecoder(e.Bytes()).Bytes()
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Bytes() error = %v, want ErrTruncated", err)
+	d := NewDecoder(e.Bytes())
+	if d.Bytes(); !errors.Is(d.Err(), ErrTruncated) {
+		t.Fatalf("Bytes() error = %v, want ErrTruncated", d.Err())
 	}
 }
 
@@ -216,20 +210,22 @@ func TestCountBoundedByRemainingInput(t *testing.T) {
 		{1 << 20, 16, 1, false},
 		{-1, 8, 1, false},
 	} {
-		e := NewEncoder(0)
+		e := Wrap(nil)
 		e.PutInt(tc.count)
 		e.PutRaw(make([]byte, tc.rest))
-		n, err := NewDecoder(e.Bytes()).Count(tc.min)
+		d := NewDecoder(e.Bytes())
+		n, err := d.Count(tc.min), d.Err()
 		if tc.ok != (err == nil) || tc.ok && n != tc.count || !tc.ok && !errors.Is(err, ErrCorrupt) {
 			t.Errorf("Count(%d) of %d over %d bytes = %d, %v", tc.min, tc.count, tc.rest, n, err)
 		}
 		if tc.count < 0 {
 			continue
 		}
-		u := NewEncoder(0)
+		u := Wrap(nil)
 		u.PutUvarint(uint64(tc.count))
 		u.PutRaw(make([]byte, tc.rest))
-		n, err = NewDecoder(u.Bytes()).UvarintCount(tc.min)
+		d = NewDecoder(u.Bytes())
+		n, err = d.UvarintCount(tc.min), d.Err()
 		if tc.ok != (err == nil) || tc.ok && n != tc.count || !tc.ok && !errors.Is(err, ErrCorrupt) {
 			t.Errorf("UvarintCount(%d) of %d over %d bytes = %d, %v", tc.min, tc.count, tc.rest, n, err)
 		}
@@ -237,10 +233,11 @@ func TestCountBoundedByRemainingInput(t *testing.T) {
 }
 
 func TestRawRoundTrip(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutRaw([]byte{9, 8, 7})
-	got, err := NewDecoder(e.Bytes()).Raw(3)
-	if err != nil {
+	d := NewDecoder(e.Bytes())
+	got := d.Raw(3)
+	if err := d.Expect(); err != nil {
 		t.Fatalf("Raw() error = %v", err)
 	}
 	if !bytes.Equal(got, []byte{9, 8, 7}) {
@@ -249,16 +246,16 @@ func TestRawRoundTrip(t *testing.T) {
 }
 
 func TestRawNegative(t *testing.T) {
-	_, err := NewDecoder([]byte{1}).Raw(-1)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Raw(-1) error = %v, want ErrCorrupt", err)
+	d := NewDecoder([]byte{1})
+	if got := d.Raw(-1); got != nil || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("Raw(-1) = %v, %v, want ErrCorrupt", got, d.Err())
 	}
 }
 
 func TestExpectTrailing(t *testing.T) {
 	d := NewDecoder([]byte{0, 1, 2})
-	if _, err := d.Bool(); err != nil {
-		t.Fatalf("Bool() error = %v", err)
+	if d.Bool(); d.Err() != nil {
+		t.Fatalf("Bool() error = %v", d.Err())
 	}
 	if err := d.Expect(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Expect() error = %v, want ErrCorrupt", err)
@@ -266,12 +263,12 @@ func TestExpectTrailing(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutString("first")
 	e.Reset()
 	e.PutString("x")
-	got, err := NewDecoder(e.Bytes()).String()
-	if err != nil || got != "x" {
+	d := NewDecoder(e.Bytes())
+	if got, err := d.String(), d.Expect(); err != nil || got != "x" {
 		t.Fatalf("after Reset: got %q, %v", got, err)
 	}
 }
@@ -280,7 +277,7 @@ func TestReset(t *testing.T) {
 // encodes and decodes to identical values.
 func TestQuickMixedRoundTrip(t *testing.T) {
 	f := func(u uint64, i int64, b bool, fl float64, bs []byte, s string) bool {
-		e := NewEncoder(0)
+		e := Wrap(nil)
 		e.PutUvarint(u)
 		e.PutVarint(i)
 		e.PutBool(b)
@@ -289,34 +286,11 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 		e.PutString(s)
 
 		d := NewDecoder(e.Bytes())
-		gu, err := d.Uvarint()
-		if err != nil || gu != u {
-			return false
-		}
-		gi, err := d.Varint()
-		if err != nil || gi != i {
-			return false
-		}
-		gb, err := d.Bool()
-		if err != nil || gb != b {
-			return false
-		}
-		gf, err := d.Float64()
-		if err != nil {
-			return false
-		}
+		gu, gi, gb, gf, gbs, gs := d.Uvarint(), d.Varint(), d.Bool(), d.Float64(), d.Bytes(), d.String()
 		if fl == fl && math.Float64bits(gf) != math.Float64bits(fl) {
 			return false
 		}
-		gbs, err := d.Bytes()
-		if err != nil || !bytes.Equal(gbs, bs) {
-			return false
-		}
-		gs, err := d.String()
-		if err != nil || gs != s {
-			return false
-		}
-		return d.Expect() == nil
+		return d.Expect() == nil && gu == u && gi == i && gb == b && bytes.Equal(gbs, bs) && gs == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -328,7 +302,7 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 func TestQuickDeterminism(t *testing.T) {
 	f := func(u uint64, s string, bs []byte) bool {
 		enc := func() []byte {
-			e := NewEncoder(0)
+			e := Wrap(nil)
 			e.PutUvarint(u)
 			e.PutString(s)
 			e.PutBytes(bs)
@@ -340,5 +314,57 @@ func TestQuickDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecoderKeepsFirstError: after a failed read every read returns its
+// zero value and every count 0, the offset stops moving, and Err and
+// Expect report the first failure, which Finish wraps; a later Fail
+// does not replace it.
+func TestDecoderKeepsFirstError(t *testing.T) {
+	e := Wrap(nil)
+	e.PutUvarint(5)
+	e.PutRaw([]byte{7}) // not a boolean byte
+	e.PutString("abc")
+	e.PutUvarint(1)
+	e.PutFloat64(2.5)
+	d := NewDecoder(e.Bytes())
+	if got := d.Uvarint(); got != 5 || d.Err() != nil {
+		t.Fatalf("Uvarint() = %d, %v before the failure", got, d.Err())
+	}
+	if d.Bool() || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("Bool() on byte 7: error %v, want ErrCorrupt", d.Err())
+	}
+	first, off := d.Err(), d.Offset()
+	d.Fail(ErrTooLarge)
+	dst := []byte{9, 9}
+	d.RawInto(dst)
+	reads := []any{
+		d.Uvarint(), d.Varint(), d.Uint64(), d.Int(), d.Bool(), d.Float64(),
+		d.Count(1), d.UvarintCount(1), len(d.Field()), len(d.Bytes()), d.String(),
+		d.StringLike("abc"), len(d.Raw(1)), dst[0],
+	}
+	want := []any{
+		uint64(0), int64(0), uint64(0), 0, false, 0.0,
+		0, 0, 0, 0, "",
+		"", 0, byte(9),
+	}
+	for i := range reads {
+		if reads[i] != want[i] {
+			t.Errorf("read %d after the failure = %v, want %v", i, reads[i], want[i])
+		}
+	}
+	if d.Offset() != off {
+		t.Errorf("offset moved from %d to %d after the failure", off, d.Offset())
+	}
+	if d.Err() != first || d.Expect() != first || errors.Is(first, ErrTooLarge) {
+		t.Errorf("Err() = %v, Expect() = %v, want the first failure %v", d.Err(), d.Expect(), first)
+	}
+	sentinel := errors.New("message: bad")
+	if err := d.Finish("message", sentinel); !errors.Is(err, sentinel) || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Finish() = %v, want it to match the sentinel and ErrCorrupt", err)
+	}
+	if err := NewDecoder(nil).Finish("empty", sentinel); err != nil {
+		t.Errorf("Finish() on empty input = %v", err)
 	}
 }

@@ -7,17 +7,8 @@ import (
 	"testing"
 )
 
-func TestNewEncoderNegativeSizeHint(t *testing.T) {
-	e := NewEncoder(-64)
-	e.PutUvarint(42)
-	d := NewDecoder(e.Bytes())
-	if v, err := d.Uvarint(); err != nil || v != 42 {
-		t.Fatalf("got %d, %v", v, err)
-	}
-}
-
 // TestVarintExtremes round-trips the signed boundary values through
-// every path (heap encoder, Wrap, AppendTo).
+// every path (Wrap over nil and over a buffer, AppendTo).
 func TestVarintExtremes(t *testing.T) {
 	values := []int64{
 		0, 1, -1, 63, 64, -64, -65,
@@ -25,28 +16,24 @@ func TestVarintExtremes(t *testing.T) {
 		math.MaxInt64, math.MaxInt64 - 1,
 		math.MinInt64, math.MinInt64 + 1,
 	}
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	for _, v := range values {
 		e.PutVarint(v)
 	}
-	w := Wrap(nil)
+	w := Wrap(make([]byte, 0, 8))
 	for _, v := range values {
 		w.PutVarint(v)
 	}
 	if !bytes.Equal(e.Bytes(), w.Bytes()) {
-		t.Fatal("Wrap encoding differs from NewEncoder encoding")
+		t.Fatal("encoding differs with the buffer Wrap was given")
 	}
 	if out := e.AppendTo([]byte{0xFF}); !bytes.Equal(out[1:], e.Bytes()) || out[0] != 0xFF {
 		t.Fatal("AppendTo did not append a faithful copy")
 	}
 	d := NewDecoder(e.Bytes())
 	for i, v := range values {
-		got, err := d.Varint()
-		if err != nil {
-			t.Fatalf("value %d (%d): %v", i, v, err)
-		}
-		if got != v {
-			t.Fatalf("value %d: got %d, want %d", i, got, v)
+		if got := d.Varint(); got != v {
+			t.Fatalf("value %d: got %d (%v), want %d", i, got, d.Err(), v)
 		}
 	}
 	if err := d.Expect(); err != nil {
@@ -56,37 +43,36 @@ func TestVarintExtremes(t *testing.T) {
 
 func TestUvarintExtremes(t *testing.T) {
 	values := []uint64{0, 1, 127, 128, 16383, 16384, math.MaxUint64, math.MaxUint64 - 1}
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	for _, v := range values {
 		e.PutUvarint(v)
 	}
 	d := NewDecoder(e.Bytes())
 	for i, v := range values {
-		got, err := d.Uvarint()
-		if err != nil {
-			t.Fatalf("value %d (%d): %v", i, v, err)
+		if got := d.Uvarint(); got != v {
+			t.Fatalf("value %d: got %d (%v), want %d", i, got, d.Err(), v)
 		}
-		if got != v {
-			t.Fatalf("value %d: got %d, want %d", i, got, v)
-		}
+	}
+	if err := d.Expect(); err != nil {
+		t.Fatal(err)
 	}
 	// Overlong encodings of 0 and 1 would decode to values that
 	// re-encode to other bytes.
 	for _, b := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}} {
-		if _, err := NewDecoder(b).Uvarint(); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Uvarint(% x) error = %v, want ErrCorrupt", b, err)
+		if d := NewDecoder(b); d.Uvarint() != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+			t.Fatalf("Uvarint(% x) error = %v, want ErrCorrupt", b, d.Err())
 		}
-		if _, err := NewDecoder(b).Varint(); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Varint(% x) error = %v, want ErrCorrupt", b, err)
+		if d := NewDecoder(b); d.Varint() != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+			t.Fatalf("Varint(% x) error = %v, want ErrCorrupt", b, d.Err())
 		}
 	}
 }
 
 // TestStrictPrefixTruncation checks that every strict prefix of a
-// mixed encoding fails cleanly — either an error on some read or a
-// non-nil Expect — and never panics or over-reads.
+// mixed encoding fails cleanly — a failure some read recorded or
+// Expect's — and never panics or over-reads.
 func TestStrictPrefixTruncation(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutVarint(math.MinInt64)
 	e.PutUvarint(math.MaxUint64)
 	e.PutBytes([]byte("payload"))
@@ -97,27 +83,13 @@ func TestStrictPrefixTruncation(t *testing.T) {
 	full := e.Bytes()
 
 	decodeAll := func(d *Decoder) error {
-		if _, err := d.Varint(); err != nil {
-			return err
-		}
-		if _, err := d.Uvarint(); err != nil {
-			return err
-		}
-		if _, err := d.Bytes(); err != nil {
-			return err
-		}
-		if _, err := d.String(); err != nil {
-			return err
-		}
-		if _, err := d.Bool(); err != nil {
-			return err
-		}
-		if _, err := d.Float64(); err != nil {
-			return err
-		}
-		if _, err := d.Raw(4); err != nil {
-			return err
-		}
+		d.Varint()
+		d.Uvarint()
+		d.Bytes()
+		_ = d.String()
+		d.Bool()
+		d.Float64()
+		d.Raw(4)
 		return d.Expect()
 	}
 	if err := decodeAll(NewDecoder(full)); err != nil {
@@ -133,37 +105,37 @@ func TestStrictPrefixTruncation(t *testing.T) {
 // TestBytesLengthOffByOne checks the one-too-short and one-too-long
 // length-prefix edges.
 func TestBytesLengthOffByOne(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutBytes(make([]byte, 16))
 	buf := append([]byte(nil), e.Bytes()...)
 
 	// One byte short of the declared length.
-	if _, err := NewDecoder(buf[:len(buf)-1]).Bytes(); err == nil {
+	if d := NewDecoder(buf[:len(buf)-1]); d.Bytes() != nil || d.Err() == nil {
 		t.Fatal("short payload decoded")
 	}
 	// Length prefix one larger than the payload carried.
 	buf[0]++ // single-byte uvarint 16 -> 17
-	if _, err := NewDecoder(buf).Bytes(); err == nil {
+	if d := NewDecoder(buf); d.Bytes() != nil || d.Err() == nil {
 		t.Fatal("over-declared length decoded")
 	}
 }
 
 func TestDecoderRemaining(t *testing.T) {
-	e := NewEncoder(0)
+	e := Wrap(nil)
 	e.PutUvarint(1)
 	e.PutRaw([]byte{9, 9, 9})
 	d := NewDecoder(e.Bytes())
 	if got := d.Remaining(); got != e.Len() {
 		t.Fatalf("fresh Remaining %d, want %d", got, e.Len())
 	}
-	if _, err := d.Uvarint(); err != nil {
-		t.Fatal(err)
+	if d.Uvarint(); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if got := d.Remaining(); got != 3 {
 		t.Fatalf("Remaining %d after uvarint, want 3", got)
 	}
-	if _, err := d.Raw(3); err != nil {
-		t.Fatal(err)
+	if d.Raw(3); d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	if got := d.Remaining(); got != 0 {
 		t.Fatalf("Remaining %d at end, want 0", got)
@@ -223,7 +195,7 @@ func TestWrapAppendsToDst(t *testing.T) {
 // the reused-encoder encode path. The buffer is an explicitly reused
 // value (never sync.Pool — GC may empty pools mid-test).
 func TestEncodeNoAllocsSteadyState(t *testing.T) {
-	e := NewEncoder(512)
+	e := Wrap(make([]byte, 0, 512))
 	payload := bytes.Repeat([]byte{7}, 64)
 	allocs := testing.AllocsPerRun(200, func() {
 		e.Reset()

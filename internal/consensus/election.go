@@ -54,8 +54,8 @@ func (t Ticket) Encode(e *codec.Encoder) {
 // against it before anything is allocated.
 const minTicketBytes = 1 + 1 + crypto.HashSize + 1
 
-func (r *reader) ticket() Ticket {
-	return Ticket{Governor: r.int(), Unit: r.int(), Output: r.hash(), Proof: r.bytes()}
+func readTicket(d *codec.Decoder) Ticket {
+	return Ticket{Governor: d.Int(), Unit: d.Int(), Output: readHash(d), Proof: d.Bytes()}
 }
 
 // EncodeTickets encodes a ticket batch as one payload.
@@ -70,10 +70,10 @@ func EncodeTickets(ts []Ticket) []byte {
 
 // DecodeTickets decodes a ticket batch, requiring full consumption.
 func DecodeTickets(b []byte) ([]Ticket, error) {
-	return decodeWhole(b, "tickets", func(r *reader) []Ticket {
-		ts := make([]Ticket, r.count(minTicketBytes))
+	return decodeWhole(b, "tickets", func(d *codec.Decoder) []Ticket {
+		ts := make([]Ticket, d.Count(minTicketBytes))
 		for i := range ts {
-			ts[i] = r.ticket()
+			ts[i] = readTicket(d)
 		}
 		return ts
 	})
@@ -92,10 +92,10 @@ func EncodeRoundTickets(round uint64, ts []Ticket) []byte {
 
 // DecodeRoundTickets opens an EncodeRoundTickets envelope.
 func DecodeRoundTickets(b []byte) (uint64, []Ticket, error) {
-	r := reader{d: codec.NewDecoder(b)}
-	round, inner := r.u64(), r.bytes()
-	if r.err != nil || r.d.Expect() != nil {
-		return 0, nil, fmt.Errorf("ticket envelope: %w", ErrDecode)
+	d := codec.NewDecoder(b)
+	round, inner := d.Uint64(), d.Bytes()
+	if err := d.Finish("ticket envelope", ErrDecode); err != nil {
+		return 0, nil, err
 	}
 	ts, err := DecodeTickets(inner)
 	return round, ts, err

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // FuzzRoundTicketsDecode feeds the governor-facing ticket envelope
 // arbitrary bytes: it must never panic, never produce more tickets than
 // the input could hold (the count is attacker-chosen and sizes an
-// allocation), and whatever it accepts must re-encode to itself.
+// allocation), whatever it accepts must re-encode to itself, and what
+// it refuses it refuses with ErrDecode.
 func FuzzRoundTicketsDecode(f *testing.F) {
 	_, priv := testKey(f, 61)
 	valid := EncodeRoundTickets(7, MakeTickets(priv, HashState([]uint64{1, 2}), 7, 1, 3))
@@ -22,15 +24,18 @@ func FuzzRoundTicketsDecode(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(EncodeRoundTickets(0, nil))
 	// A few bytes claiming half a million tickets.
-	count := codec.NewEncoder(0)
+	count := &codec.Encoder{}
 	count.PutInt(1 << 19)
-	overstated := codec.NewEncoder(0)
+	overstated := &codec.Encoder{}
 	overstated.PutUint64(1)
 	overstated.PutBytes(count.Bytes())
 	f.Add(overstated.Bytes())
 	f.Fuzz(func(t *testing.T, p []byte) {
 		round, ts, err := DecodeRoundTickets(p)
 		if err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("refused without ErrDecode: %v", err)
+			}
 			return
 		}
 		if len(ts) > len(p)/minTicketBytes {
@@ -103,8 +108,9 @@ func TestQuickTamperedTicketRejected(t *testing.T) {
 // NEW_STATE proposal, endorsement, stake block and expulsion evidence,
 // all sent governor to governor — arbitrary bytes: none may panic or
 // return more elements than the input could hold (each count is
-// attacker-chosen and sizes an allocation), and whatever one accepts
-// must re-encode to bytes that decode to the same value.
+// attacker-chosen and sizes an allocation), whatever one accepts must
+// re-encode to bytes that decode to the same value, and what one
+// refuses it refuses with ErrDecode.
 func FuzzStakeTransformDecode(f *testing.F) {
 	p := StateProposal{
 		Round: 3, Leader: 1, NewState: []uint64{5, 6, 7},
@@ -129,10 +135,14 @@ func FuzzStakeTransformDecode(f *testing.F) {
 			}
 			again, err := DecodeProposal(EncodeProposal(p))
 			roundTrips(t, "proposal", p, again, err)
+		} else {
+			refused(t, "proposal", err)
 		}
 		if en, err := DecodeEndorsement(b); err == nil {
 			again, err := DecodeEndorsement(EncodeEndorsement(en))
 			roundTrips(t, "endorsement", en, again, err)
+		} else {
+			refused(t, "endorsement", err)
 		}
 		if sb, err := DecodeStakeBlock(b); err == nil {
 			if len(sb.NewState) > len(b)/minStakeBytes || len(sb.Endorsements) > len(b)/minEndorsementBytes {
@@ -140,12 +150,23 @@ func FuzzStakeTransformDecode(f *testing.F) {
 			}
 			again, err := DecodeStakeBlock(EncodeStakeBlock(sb))
 			roundTrips(t, "stake block", sb, again, err)
+		} else {
+			refused(t, "stake block", err)
 		}
 		if ev, err := DecodeEvidence(b); err == nil {
 			again, err := DecodeEvidence(EncodeEvidence(ev))
 			roundTrips(t, "evidence", ev, again, err)
+		} else {
+			refused(t, "evidence", err)
 		}
 	})
+}
+
+func refused(t *testing.T, what string, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrDecode) {
+		t.Fatalf("%s refused without ErrDecode: %v", what, err)
+	}
 }
 
 func roundTrips(t *testing.T, what string, want, got any, err error) {
@@ -158,7 +179,7 @@ func roundTrips(t *testing.T, what string, want, got any, err error) {
 // hostileProposal is 7 bytes: no stakes, then a claim of 2^20
 // transfers.
 func hostileProposal() []byte {
-	e := codec.NewEncoder(0)
+	e := &codec.Encoder{}
 	e.PutUint64(1)
 	e.PutInt(0)
 	e.PutInt(0)
@@ -168,7 +189,7 @@ func hostileProposal() []byte {
 
 // hostileStakeBlock is 6 bytes claiming 2^20 stakes.
 func hostileStakeBlock() []byte {
-	e := codec.NewEncoder(0)
+	e := &codec.Encoder{}
 	e.PutUint64(1)
 	e.PutInt(0)
 	e.PutInt(1 << 20)

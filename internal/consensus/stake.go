@@ -46,9 +46,9 @@ var (
 
 // HashState returns the canonical commitment to a stake vector.
 func HashState(state []uint64) crypto.Hash {
-	e := codec.NewEncoder(8 * (len(state) + 1))
+	e := codec.Wrap(make([]byte, 0, 8*(len(state)+1)))
 	e.PutString("repchain/stakestate/v1")
-	putState(e, state)
+	putState(&e, state)
 	return crypto.Sum(e.Bytes())
 }
 

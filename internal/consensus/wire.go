@@ -1,8 +1,6 @@
 package consensus
 
 import (
-	"fmt"
-
 	"repchain/internal/codec"
 	"repchain/internal/crypto"
 )
@@ -24,74 +22,23 @@ func encode(sizeHint int, put func(*codec.Encoder)) []byte {
 	return e.Bytes()
 }
 
-// reader reads fields in order and keeps the first error; after it,
-// every read returns the zero value and every count 0.
-type reader struct {
-	d   *codec.Decoder
-	err error
+// decodeWhole runs dec over all of b: dec reads straight through, and
+// the decoder's first failure, if any, is reported once, at the end.
+func decodeWhole[T any](b []byte, what string, dec func(*codec.Decoder) T) (T, error) {
+	d := codec.NewDecoder(b)
+	v := dec(d)
+	return v, d.Finish(what, ErrDecode)
 }
 
-func (r *reader) u64() (v uint64) {
-	if r.err == nil {
-		v, r.err = r.d.Uint64()
-	}
-	return v
-}
-
-func (r *reader) int() (v int) {
-	if r.err == nil {
-		v, r.err = r.d.Int()
-	}
-	return v
-}
-
-func (r *reader) bytes() (v []byte) {
-	if r.err == nil {
-		v, r.err = r.d.Bytes()
-	}
-	return v
-}
-
-func (r *reader) str() (v string) {
-	if r.err == nil {
-		v, r.err = r.d.String()
-	}
-	return v
-}
-
-func (r *reader) count(minElemBytes int) (n int) {
-	if r.err == nil {
-		n, r.err = r.d.Count(minElemBytes)
-	}
-	return n
-}
-
-func (r *reader) hash() (h crypto.Hash) {
-	if r.err == nil {
-		var raw []byte
-		raw, r.err = r.d.Raw(crypto.HashSize)
-		copy(h[:], raw)
-	}
+func readHash(d *codec.Decoder) (h crypto.Hash) {
+	d.RawInto(h[:])
 	return h
 }
 
-// decodeWhole runs dec over all of b.
-func decodeWhole[T any](b []byte, what string, dec func(*reader) T) (T, error) {
-	r := reader{d: codec.NewDecoder(b)}
-	v := dec(&r)
-	if r.err == nil {
-		r.err = r.d.Expect()
-	}
-	if r.err != nil {
-		return v, fmt.Errorf("%s: %w: %w", what, ErrDecode, r.err)
-	}
-	return v, nil
-}
-
-func (r *reader) state() []uint64 {
-	s := make([]uint64, r.count(minStakeBytes))
+func readState(d *codec.Decoder) []uint64 {
+	s := make([]uint64, d.Count(minStakeBytes))
 	for i := range s {
-		s[i] = r.u64()
+		s[i] = d.Uint64()
 	}
 	return s
 }
@@ -108,11 +55,11 @@ func EncodeStakeTx(t StakeTx) []byte { return encode(96, t.Encode) }
 
 // DecodeStakeTx parses EncodeStakeTx's output.
 func DecodeStakeTx(b []byte) (StakeTx, error) {
-	return decodeWhole(b, "stake tx", (*reader).stakeTx)
+	return decodeWhole(b, "stake tx", readStakeTx)
 }
 
-func (r *reader) stakeTx() StakeTx {
-	return StakeTx{From: r.int(), To: r.int(), Amount: r.u64(), Nonce: r.u64(), Sig: r.bytes()}
+func readStakeTx(d *codec.Decoder) StakeTx {
+	return StakeTx{From: d.Int(), To: d.Int(), Amount: d.Uint64(), Nonce: d.Uint64(), Sig: d.Bytes()}
 }
 
 // EncodeProposal returns a NEW_STATE proposal's wire encoding.
@@ -127,16 +74,16 @@ func (p StateProposal) encode(e *codec.Encoder) {
 
 // DecodeProposal parses EncodeProposal's output.
 func DecodeProposal(b []byte) (StateProposal, error) {
-	return decodeWhole(b, "proposal", (*reader).proposal)
+	return decodeWhole(b, "proposal", readProposal)
 }
 
-func (r *reader) proposal() StateProposal {
-	p := StateProposal{Round: r.u64(), Leader: r.int(), NewState: r.state()}
-	p.Txs = make([]StakeTx, r.count(minStakeTxBytes))
+func readProposal(d *codec.Decoder) StateProposal {
+	p := StateProposal{Round: d.Uint64(), Leader: d.Int(), NewState: readState(d)}
+	p.Txs = make([]StakeTx, d.Count(minStakeTxBytes))
 	for i := range p.Txs {
-		p.Txs[i] = r.stakeTx()
+		p.Txs[i] = readStakeTx(d)
 	}
-	p.Sig = r.bytes()
+	p.Sig = d.Bytes()
 	return p
 }
 
@@ -152,11 +99,11 @@ func (en Endorsement) encode(e *codec.Encoder) {
 
 // DecodeEndorsement parses EncodeEndorsement's output.
 func DecodeEndorsement(b []byte) (Endorsement, error) {
-	return decodeWhole(b, "endorsement", (*reader).endorsement)
+	return decodeWhole(b, "endorsement", readEndorsement)
 }
 
-func (r *reader) endorsement() Endorsement {
-	return Endorsement{Round: r.u64(), Governor: r.int(), StateHash: r.hash(), Sig: r.bytes()}
+func readEndorsement(d *codec.Decoder) Endorsement {
+	return Endorsement{Round: d.Uint64(), Governor: d.Int(), StateHash: readHash(d), Sig: d.Bytes()}
 }
 
 // EncodeStakeBlock returns a stake block's wire encoding.
@@ -174,11 +121,11 @@ func EncodeStakeBlock(sb StakeBlock) []byte {
 
 // DecodeStakeBlock parses EncodeStakeBlock's output.
 func DecodeStakeBlock(b []byte) (StakeBlock, error) {
-	return decodeWhole(b, "stake block", func(r *reader) StakeBlock {
-		sb := StakeBlock{Round: r.u64(), Leader: r.int(), NewState: r.state()}
-		sb.Endorsements = make([]Endorsement, r.count(minEndorsementBytes))
+	return decodeWhole(b, "stake block", func(d *codec.Decoder) StakeBlock {
+		sb := StakeBlock{Round: d.Uint64(), Leader: d.Int(), NewState: readState(d)}
+		sb.Endorsements = make([]Endorsement, d.Count(minEndorsementBytes))
 		for i := range sb.Endorsements {
-			sb.Endorsements[i] = r.endorsement()
+			sb.Endorsements[i] = readEndorsement(d)
 		}
 		return sb
 	})
@@ -196,7 +143,7 @@ func EncodeEvidence(ev Evidence) []byte {
 
 // DecodeEvidence parses EncodeEvidence's output.
 func DecodeEvidence(b []byte) (Evidence, error) {
-	return decodeWhole(b, "evidence", func(r *reader) Evidence {
-		return Evidence{Accuser: r.int(), Proposal: r.proposal(), Reason: r.str(), Sig: r.bytes()}
+	return decodeWhole(b, "evidence", func(d *codec.Decoder) Evidence {
+		return Evidence{Accuser: d.Int(), Proposal: readProposal(d), Reason: d.String(), Sig: d.Bytes()}
 	})
 }

@@ -94,27 +94,16 @@ func encodeJudgment(e *codec.Encoder, r *Record) {
 // decodeJudgment reads the fields encodeJudgment writes into a record
 // for s. A label or status is checked before its cast, which would map
 // distinct varints onto one value.
-func decodeJudgment(d *codec.Decoder, s tx.SignedTx) (Record, error) {
-	lv, err := d.Varint()
-	if err != nil {
-		return Record{}, fmt.Errorf("record label: %w", err)
-	}
+func decodeJudgment(d *codec.Decoder, s tx.SignedTx) Record {
+	lv := d.Varint()
 	if int64(tx.Label(lv)) != lv {
-		return Record{}, fmt.Errorf("record label %d: %w", lv, ErrDecode)
+		d.Fail(fmt.Errorf("record label %d", lv))
 	}
-	sv, err := d.Varint()
-	if err != nil {
-		return Record{}, fmt.Errorf("record status: %w", err)
-	}
-	unchecked, err := d.Bool()
-	if err != nil {
-		return Record{}, fmt.Errorf("record unchecked: %w", err)
-	}
-	st := tx.Status(sv)
+	sv, unchecked := d.Varint(), d.Bool()
 	if sv != int64(tx.StatusValid) && sv != int64(tx.StatusInvalid) {
-		return Record{}, fmt.Errorf("record status %d: %w", sv, ErrDecode)
+		d.Fail(fmt.Errorf("record status %d", sv))
 	}
-	return Record{Signed: s, Label: tx.Label(lv), Status: st, Unchecked: unchecked}, nil
+	return Record{Signed: s, Label: tx.Label(lv), Status: tx.Status(sv), Unchecked: unchecked}
 }
 
 // Block is the paper's B = (s, TXList, h), extended with a Merkle
@@ -269,50 +258,32 @@ func DecodeOwnRecords(buf []byte, provider identity.NodeID, records []Record, id
 // when that is set, appended to records and their IDs to ids
 // (tx.DecodeList). Given a builder mb, it also hashes the block and each
 // record's leaf from buf.
-func decodeBlock(buf []byte, only identity.NodeID, mb *crypto.MerkleBuilder, records []Record, ids []crypto.Hash) (b Block, rcv Received, err error) {
+func decodeBlock(buf []byte, only identity.NodeID, mb *crypto.MerkleBuilder, records []Record, ids []crypto.Hash) (Block, Received, error) {
 	d := codec.NewDecoder(buf)
-	tag, err := d.String()
-	if err != nil {
-		return b, rcv, err
+	if tag := d.String(); tag != blockTag {
+		d.Fail(fmt.Errorf("block tag %q", tag))
 	}
-	if tag != blockTag {
-		return b, rcv, fmt.Errorf("block tag %q: %w", tag, ErrDecode)
-	}
-	if b.Serial, err = d.Uint64(); err != nil {
-		return b, rcv, err
-	}
+	b := Block{Serial: d.Uint64()}
+	var rcv Received
 	if mb != nil {
 		mb.Reset()
 	}
-	b.Records, rcv.IDs, err = tx.DecodeList(d, minJudgmentBytes, only, records, ids, func(s tx.SignedTx, start int) (Record, error) {
-		r, err := decodeJudgment(d, s)
-		if err == nil && mb != nil {
+	b.Records, rcv.IDs = tx.DecodeList(d, minJudgmentBytes, only, records, ids, func(s tx.SignedTx, start int) Record {
+		r := decodeJudgment(d, s)
+		if mb != nil {
 			mb.Add(d.Since(start))
 		}
-		return r, err
+		return r
 	})
-	if err != nil {
-		return b, rcv, fmt.Errorf("block records: %w", err)
-	}
-	if err := d.RawInto(b.PrevHash[:]); err != nil {
-		return b, rcv, err
-	}
-	if err := d.RawInto(b.TxRoot[:]); err != nil {
-		return b, rcv, err
-	}
-	prop, err := d.String()
-	if err != nil {
-		return b, rcv, err
-	}
-	b.Proposer = identity.NodeID(prop)
+	d.RawInto(b.PrevHash[:])
+	d.RawInto(b.TxRoot[:])
+	b.Proposer = identity.NodeID(d.String())
 	if mb != nil {
 		rcv.Hash, rcv.Root = crypto.Sum(d.Since(0)), mb.Root()
 	}
-	if b.Signature, err = d.Field(); err != nil {
-		return b, rcv, err
-	}
-	if err := d.Expect(); err != nil {
-		return b, rcv, fmt.Errorf("block: %w", err)
+	b.Signature = d.Field()
+	if err := d.Finish("block", ErrDecode); err != nil {
+		return Block{}, Received{}, err
 	}
 	return b, rcv, nil
 }

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -64,8 +65,9 @@ func TestQuickDecodeMutatedBlock(t *testing.T) {
 // replay on every stored frame — arbitrary bytes: it must never panic,
 // never return more records than the input could hold (the count is
 // attacker-chosen and sizes an allocation), whatever it accepts must
-// re-encode to the same bytes, and the hash, root and IDs a replica
-// takes from them must equal their recomputation from the block.
+// re-encode to the same bytes, the hash, root and IDs a replica takes
+// from them must equal their recomputation from the block, and what it
+// refuses it refuses with ErrDecode.
 func FuzzBlockDecode(f *testing.F) {
 	for _, seed := range blockSeeds(f) {
 		f.Add(seed)
@@ -73,6 +75,9 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		b, err := DecodeBlockBytes(p)
 		if err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("refused without ErrDecode: %v", err)
+			}
 			return
 		}
 		if len(b.Records) > len(p)/minRecordBytes {
@@ -98,8 +103,8 @@ func FuzzBlockDecode(f *testing.F) {
 }
 
 // FuzzOwnRecordsDecode: a provider's filtered decode accepts exactly
-// the frames the full decode accepts, and returns the same records of
-// its own, with their IDs.
+// the frames the full decode accepts, refusing the others with
+// ErrDecode, and returns the same records of its own, with their IDs.
 func FuzzOwnRecordsDecode(f *testing.F) {
 	for _, seed := range blockSeeds(f) {
 		f.Add(seed)
@@ -112,6 +117,9 @@ func FuzzOwnRecordsDecode(f *testing.F) {
 				t.Fatalf("%s: filtered decode error %v, full decode error %v", provider, err, ferr)
 			}
 			if err != nil {
+				if !errors.Is(err, ErrDecode) {
+					t.Fatalf("%s: refused without ErrDecode: %v", provider, err)
+				}
 				continue
 			}
 			var want []Record
@@ -169,7 +177,7 @@ const minRecordBytes = 22 + minJudgmentBytes
 
 // hostileBlockFrame is 24 bytes claiming 2^20 records.
 func hostileBlockFrame() []byte {
-	e := codec.NewEncoder(0)
+	e := &codec.Encoder{}
 	e.PutString("repchain/block/v2")
 	e.PutUint64(1)
 	e.PutUvarint(0) // no batches

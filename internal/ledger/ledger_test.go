@@ -149,7 +149,7 @@ func TestBlockSignVerify(t *testing.T) {
 func TestDecodeBlockRejectsTruncatedLabel(t *testing.T) {
 	recs := testRecords(t, 2, 0)
 	for _, shift := range []int64{256, -256} {
-		e := codec.NewEncoder(0)
+		e := &codec.Encoder{}
 		e.PutString(blockTag)
 		e.PutUint64(1)
 		tx.EncodeList(e, recs, func(r *Record) *tx.SignedTx { return &r.Signed }, func(e *codec.Encoder, r *Record) {

@@ -7,9 +7,10 @@ import (
 )
 
 // DefBuckets is the default latency bucket layout in seconds, tuned
-// for protocol round stages that run from tens of microseconds (a
+// for protocol round stages that run from ten microseconds (a
 // screening draw) to whole seconds (a TCP round with retries).
 var DefBuckets = []float64{
+	0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -86,6 +87,27 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	// Median of a uniformly-attributed bucket interpolates to its middle.
 	if got := s.Quantile(0.5); math.Abs(got-1.5) > 1e-9 {
 		t.Fatalf("Quantile(0.5) = %v, want 1.5", got)
+	}
+}
+
+// TestDefBucketsResolveMicroseconds: stages of tens of microseconds
+// fall in different default buckets, so a quantile over them is not
+// read off one bucket spanning 0 to 100 µs.
+func TestDefBucketsResolveMicroseconds(t *testing.T) {
+	bucket := func(v float64) int {
+		h := NewHistogram(DefBuckets)
+		h.Observe(v)
+		return slices.Index(h.Snapshot().Counts, 1)
+	}
+	if a, b := bucket(30e-6), bucket(70e-6); a == b {
+		t.Fatalf("30 µs and 70 µs share default bucket %d", a)
+	}
+	h := NewHistogram(DefBuckets)
+	for i := 0; i < 8; i++ {
+		h.Observe(30e-6)
+	}
+	if q := h.Snapshot().Quantile(0.5); q >= 50e-6 {
+		t.Fatalf("median of 30 µs samples reads %v s, want below 50 µs", q)
 	}
 }
 

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -58,8 +59,9 @@ func TestQuickMutatedArgueRejected(t *testing.T) {
 }
 
 // FuzzArgueDecode feeds the argue decoder — whose input any provider
-// can send a governor — arbitrary bytes: it must never panic, and
-// whatever it accepts must re-encode to the same bytes.
+// can send a governor — arbitrary bytes: it must never panic, whatever
+// it accepts must re-encode to the same bytes, and what it refuses it
+// refuses with ErrBadMessage.
 func FuzzArgueDecode(f *testing.F) {
 	_, priv, err := crypto.KeyFromSeed(make([]byte, crypto.SeedSize))
 	if err != nil {
@@ -70,6 +72,9 @@ func FuzzArgueDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		a, err := DecodeArgueBytes(b)
 		if err != nil {
+			if !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("refused without ErrBadMessage: %v", err)
+			}
 			return
 		}
 		if again := a.EncodeBytes(); !bytes.Equal(again, b) {
@@ -81,13 +86,14 @@ func FuzzArgueDecode(f *testing.F) {
 // FuzzGovernorStateDecode feeds the checkpoint decoder — whose input a
 // peer will supply once catch-up serves checkpoints — arbitrary bytes:
 // it must never panic, never return more stakes and nonces than the
-// input could hold (each count sizes an allocation), and whatever it
-// accepts must re-encode to a state that decodes the same.
+// input could hold (each count sizes an allocation), whatever it
+// accepts must re-encode to a state that decodes the same, and what it
+// refuses it refuses with ErrBadMessage.
 func FuzzGovernorStateDecode(f *testing.F) {
 	f.Add(GovernorState{Round: 7, Reputation: []byte("rep"), Stakes: []uint64{3, 2}, Nonces: []uint64{1, 0}}.Encode())
 	f.Add(GovernorState{Round: 7, Reputation: []byte("rep"), Stakes: []uint64{3, 2}}.Encode()) // no nonces kept
 	f.Add(GovernorState{}.Encode())
-	hostile := codec.NewEncoder(0)
+	hostile := &codec.Encoder{}
 	hostile.PutString(govStateTag)
 	hostile.PutUint64(1)
 	hostile.PutBytes(nil)
@@ -96,6 +102,9 @@ func FuzzGovernorStateDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeGovernorState(b)
 		if err != nil {
+			if !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("refused without ErrBadMessage: %v", err)
+			}
 			return
 		}
 		if len(s.Stakes)+len(s.Nonces) > len(b) {

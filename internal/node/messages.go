@@ -92,20 +92,9 @@ func (a ArgueMsg) EncodeBytes() []byte {
 // consumption of b.
 func DecodeArgueBytes(b []byte) (ArgueMsg, error) {
 	d := codec.NewDecoder(b)
-	signed, err := tx.DecodeSignedTx(d)
-	if err != nil {
-		return ArgueMsg{}, fmt.Errorf("argue: %w", err)
+	a := ArgueMsg{Signed: tx.DecodeSignedTx(d), Serial: d.Uint64(), Sig: d.Bytes()}
+	if err := d.Finish("argue", ErrBadMessage); err != nil {
+		return ArgueMsg{}, err
 	}
-	serial, err := d.Uint64()
-	if err != nil {
-		return ArgueMsg{}, fmt.Errorf("argue serial: %w", err)
-	}
-	sig, err := d.Bytes()
-	if err != nil {
-		return ArgueMsg{}, fmt.Errorf("argue sig: %w", err)
-	}
-	if err := d.Expect(); err != nil {
-		return ArgueMsg{}, fmt.Errorf("argue: %w", err)
-	}
-	return ArgueMsg{Signed: signed, Serial: serial, Sig: sig}, nil
+	return a, nil
 }

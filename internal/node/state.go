@@ -51,42 +51,30 @@ func putUint64s(e *codec.Encoder, vs []uint64) {
 	}
 }
 
-func decodeUint64s(d *codec.Decoder) ([]uint64, error) {
-	n, err := d.UvarintCount(1)
-	vs := make([]uint64, n)
-	for i := 0; err == nil && i < n; i++ {
-		vs[i], err = d.Uint64()
+func decodeUint64s(d *codec.Decoder) []uint64 {
+	vs := make([]uint64, d.UvarintCount(1))
+	for i := range vs {
+		vs[i] = d.Uint64()
 	}
-	return vs, err
+	return vs
 }
 
 // DecodeGovernorState parses an encoded GovernorState.
 func DecodeGovernorState(b []byte) (GovernorState, error) {
 	d := codec.NewDecoder(b)
-	var s GovernorState
-	tag, err := d.String()
-	if err != nil {
-		return s, fmt.Errorf("governor state tag: %w", ErrBadMessage)
+	if tag := d.String(); tag != govStateTag {
+		d.Fail(fmt.Errorf("governor state tag %q", tag))
 	}
-	if tag != govStateTag {
-		return s, fmt.Errorf("governor state tag %q: %w", tag, ErrBadMessage)
-	}
-	if s.Round, err = d.Uint64(); err != nil {
-		return s, fmt.Errorf("governor state round: %w", ErrBadMessage)
-	}
-	if s.Reputation, err = d.Bytes(); err != nil {
-		return s, fmt.Errorf("governor state reputation: %w", ErrBadMessage)
-	}
-	if s.Stakes, err = decodeUint64s(d); err != nil {
-		return s, fmt.Errorf("governor state stakes: %v: %w", err, ErrBadMessage)
-	}
+	s := GovernorState{Round: d.Uint64(), Reputation: d.Bytes(), Stakes: decodeUint64s(d)}
 	// The nonces are optional, but then one per stake and last.
 	if d.Remaining() != 0 {
-		s.Nonces, err = decodeUint64s(d)
-		if err != nil || len(s.Nonces) != len(s.Stakes) || len(s.Nonces) == 0 || d.Remaining() != 0 {
-			return s, fmt.Errorf("governor state: %d nonces for %d stakes, %d bytes left, %v: %w",
-				len(s.Nonces), len(s.Stakes), d.Remaining(), err, ErrBadMessage)
+		s.Nonces = decodeUint64s(d)
+		if len(s.Nonces) != len(s.Stakes) || len(s.Nonces) == 0 {
+			d.Fail(fmt.Errorf("%d nonces for %d stakes", len(s.Nonces), len(s.Stakes)))
 		}
+	}
+	if err := d.Finish("governor state", ErrBadMessage); err != nil {
+		return GovernorState{}, err
 	}
 	return s, nil
 }

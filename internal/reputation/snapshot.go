@@ -18,14 +18,14 @@ const snapshotTag = "repchain/reptable/v1"
 // mutable state: every per-provider weight vector with its loss
 // accounting, and the misreport/forge scores.
 func (t *Table) Snapshot() []byte {
-	e := codec.NewEncoder(1024)
+	e := codec.Wrap(make([]byte, 0, 1024))
 	e.PutString(snapshotTag)
 	e.PutFloat64(t.params.Beta)
 	e.PutFloat64(t.params.F)
 	e.PutFloat64(t.params.Mu)
 	e.PutFloat64(t.params.Nu)
 	e.PutInt(len(t.perProvider))
-	for k, in := range t.perProvider {
+	for _, in := range t.perProvider {
 		e.PutInt(in.Experts())
 		for pos := 0; pos < in.Experts(); pos++ {
 			e.PutFloat64(in.Weight(pos))
@@ -33,16 +33,13 @@ func (t *Table) Snapshot() []byte {
 		}
 		e.PutFloat64(in.GovernorLoss())
 		e.PutInt(in.Rounds())
-		_ = k
 	}
 	e.PutInt(len(t.misreport))
 	for c := range t.misreport {
 		e.PutFloat64(t.misreport[c])
 		e.PutFloat64(t.forge[c])
 	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return e.Bytes()
 }
 
 // RestoreSnapshot loads a Snapshot into a freshly built table. The
@@ -54,89 +51,58 @@ func (t *Table) Snapshot() []byte {
 // unchanged.
 func (t *Table) RestoreSnapshot(b []byte) error {
 	d := codec.NewDecoder(b)
-	tag, err := d.String()
-	if err != nil || tag != snapshotTag {
-		return fmt.Errorf("snapshot tag %q: %w", tag, ErrBadParams)
+	if tag := d.String(); tag != snapshotTag {
+		d.Fail(fmt.Errorf("snapshot tag %q", tag))
 	}
 	for _, want := range []float64{t.params.Beta, t.params.F, t.params.Mu, t.params.Nu} {
-		got, err := d.Float64()
-		if err != nil {
-			return fmt.Errorf("snapshot params: %w", err)
-		}
-		if got != want {
-			return fmt.Errorf("snapshot parameter %v, table has %v: %w", got, want, ErrBadParams)
+		if got := d.Float64(); got != want {
+			d.Fail(fmt.Errorf("snapshot parameter %v, table has %v", got, want))
 		}
 	}
-	np, err := d.Int()
-	if err != nil {
-		return fmt.Errorf("snapshot provider count: %w", err)
-	}
-	if np != len(t.perProvider) {
-		return fmt.Errorf("snapshot has %d providers, table has %d: %w", np, len(t.perProvider), ErrBadParams)
+	if np := d.Int(); np != len(t.perProvider) {
+		d.Fail(fmt.Errorf("snapshot has %d providers, table has %d", np, len(t.perProvider)))
 	}
 	type column struct {
 		weights, losses []float64
 		govLoss         float64
 		rounds          int
 	}
-	columns := make([]column, np)
+	// The table's own sizes, never a count read, size the columns.
+	columns := make([]column, len(t.perProvider))
 	for k := range columns {
-		ne, err := d.Int()
-		if err != nil {
-			return fmt.Errorf("snapshot provider %d expert count: %w", k, err)
-		}
-		if ne != t.perProvider[k].Experts() {
-			return fmt.Errorf("snapshot provider %d has %d experts, table has %d: %w",
-				k, ne, t.perProvider[k].Experts(), ErrBadParams)
+		ne := t.perProvider[k].Experts()
+		if got := d.Int(); got != ne {
+			d.Fail(fmt.Errorf("snapshot provider %d has %d experts, table has %d", k, got, ne))
 		}
 		col := &columns[k]
 		col.weights = make([]float64, ne)
 		col.losses = make([]float64, ne)
 		for pos := 0; pos < ne; pos++ {
-			if col.weights[pos], err = d.Float64(); err != nil {
-				return fmt.Errorf("snapshot weight: %w", err)
-			}
+			col.weights[pos] = d.Float64()
 			if w := col.weights[pos]; !(w > 0 && w <= 1) {
-				return fmt.Errorf("snapshot provider %d weight %v not in (0, 1]: %w", k, w, ErrBadParams)
+				d.Fail(fmt.Errorf("snapshot provider %d weight %v not in (0, 1]", k, w))
 			}
-			if col.losses[pos], err = d.Float64(); err != nil {
-				return fmt.Errorf("snapshot expert loss: %w", err)
-			}
-			if err := checkLoss("expert", col.losses[pos]); err != nil {
-				return fmt.Errorf("snapshot provider %d: %w", k, err)
-			}
+			col.losses[pos] = d.Float64()
+			checkLoss(d, k, "expert", col.losses[pos])
 		}
-		if col.govLoss, err = d.Float64(); err != nil {
-			return fmt.Errorf("snapshot governor loss: %w", err)
-		}
-		if err := checkLoss("governor", col.govLoss); err != nil {
-			return fmt.Errorf("snapshot provider %d: %w", k, err)
-		}
-		if col.rounds, err = d.Int(); err != nil {
-			return fmt.Errorf("snapshot rounds: %w", err)
-		}
-		if col.rounds < 0 {
-			return fmt.Errorf("snapshot provider %d: %d rounds: %w", k, col.rounds, ErrBadParams)
+		col.govLoss = d.Float64()
+		checkLoss(d, k, "governor", col.govLoss)
+		if col.rounds = d.Int(); col.rounds < 0 {
+			d.Fail(fmt.Errorf("snapshot provider %d: %d rounds", k, col.rounds))
 		}
 	}
-	nc, err := d.Int()
-	if err != nil {
-		return fmt.Errorf("snapshot collector count: %w", err)
-	}
-	if nc != len(t.misreport) {
-		return fmt.Errorf("snapshot has %d collectors, table has %d: %w", nc, len(t.misreport), ErrBadParams)
+	nc := len(t.misreport)
+	if got := d.Int(); got != nc {
+		d.Fail(fmt.Errorf("snapshot has %d collectors, table has %d", got, nc))
 	}
 	scores := make([]float64, 2*nc) // misreport, forge per collector
 	for i := range scores {
-		if scores[i], err = d.Float64(); err != nil {
-			return fmt.Errorf("snapshot score: %w", err)
-		}
-		if math.IsNaN(scores[i]) || math.IsInf(scores[i], 0) {
-			return fmt.Errorf("snapshot collector %d score %v: %w", i/2, scores[i], ErrBadParams)
+		if scores[i] = d.Float64(); math.IsNaN(scores[i]) || math.IsInf(scores[i], 0) {
+			d.Fail(fmt.Errorf("snapshot collector %d score %v", i/2, scores[i]))
 		}
 	}
-	if err := d.Expect(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
+	if err := d.Finish("snapshot", ErrBadParams); err != nil {
+		return err
 	}
 	for k, col := range columns {
 		if err := t.perProvider[k].Restore(col.weights, col.losses, col.govLoss, col.rounds); err != nil {
@@ -149,11 +115,10 @@ func (t *Table) RestoreSnapshot(b []byte) error {
 	return nil
 }
 
-// checkLoss refuses a loss the update rules cannot produce: losses
-// only ever accumulate L_tx ∈ [0, 2].
-func checkLoss(what string, l float64) error {
+// checkLoss refuses provider k's loss l when the update rules cannot
+// produce it: losses only ever accumulate L_tx ∈ [0, 2].
+func checkLoss(d *codec.Decoder, k int, what string, l float64) {
 	if !(l >= 0) || math.IsInf(l, 1) {
-		return fmt.Errorf("%s loss %v: %w", what, l, ErrBadParams)
+		d.Fail(fmt.Errorf("snapshot provider %d: %s loss %v", k, what, l))
 	}
-	return nil
 }

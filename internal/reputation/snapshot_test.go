@@ -164,8 +164,8 @@ func TestRestoreSnapshotRejectsMismatches(t *testing.T) {
 
 // FuzzReputationRestore feeds the checkpoint restore — whose input is a
 // file a crash or an attacker may have written — arbitrary bytes. It
-// must never panic; a refused input must leave the table as built; an
-// accepted one must re-snapshot to the same bytes and keep Lemma 2:
+// must never panic; a refused input must be refused with ErrBadParams
+// and leave the table as built; an accepted one must re-snapshot to the same bytes and keep Lemma 2:
 // every set of -1 reports is checked with probability at least 1 − f.
 func FuzzReputationRestore(f *testing.F) {
 	f.Add(buildDirtyTable(f).Snapshot())
@@ -187,6 +187,9 @@ func FuzzReputationRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tab := fullTable(t, 4, DefaultParams())
 		if err := tab.RestoreSnapshot(b); err != nil {
+			if !errors.Is(err, ErrBadParams) {
+				t.Fatalf("refused without ErrBadParams: %v", err)
+			}
 			if !bytes.Equal(tab.Snapshot(), fresh) {
 				t.Fatalf("refused snapshot (%v) changed the table", err)
 			}

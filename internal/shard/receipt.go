@@ -40,34 +40,22 @@ type lockEnvelope struct {
 }
 
 func encodeLock(env lockEnvelope) []byte {
-	e := codec.NewEncoder(64 + len(env.Payload))
+	e := codec.Wrap(make([]byte, 0, 64+len(env.Payload)))
 	e.PutString(lockTag)
 	e.PutInt(env.DstProvider)
 	e.PutString(env.Kind)
 	e.PutBytes(env.Payload)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return e.Bytes()
 }
 
 func decodeLock(b []byte) (lockEnvelope, error) {
 	d := codec.NewDecoder(b)
-	var env lockEnvelope
-	tag, err := d.String()
-	if err != nil || tag != lockTag {
-		return env, fmt.Errorf("lock tag %q: %w", tag, codec.ErrCorrupt)
+	if tag := d.String(); tag != lockTag {
+		d.Fail(fmt.Errorf("lock tag %q", tag))
 	}
-	if env.DstProvider, err = d.Int(); err != nil {
-		return env, fmt.Errorf("lock destination: %w", err)
-	}
-	if env.Kind, err = d.String(); err != nil {
-		return env, fmt.Errorf("lock kind: %w", err)
-	}
-	if env.Payload, err = d.Bytes(); err != nil {
-		return env, fmt.Errorf("lock payload: %w", err)
-	}
-	if err := d.Expect(); err != nil {
-		return env, fmt.Errorf("lock envelope: %w", err)
+	env := lockEnvelope{DstProvider: d.Int(), Kind: d.String(), Payload: d.Bytes()}
+	if err := d.Finish("lock envelope", codec.ErrCorrupt); err != nil {
+		return lockEnvelope{}, err
 	}
 	return env, nil
 }
@@ -87,47 +75,30 @@ type receiptEnvelope struct {
 }
 
 func encodeReceipt(env receiptEnvelope) []byte {
-	e := codec.NewEncoder(96 + len(env.Payload))
+	e := codec.Wrap(make([]byte, 0, 96+len(env.Payload)))
 	e.PutString(receiptTag)
 	e.PutInt(env.SrcCommittee)
 	e.PutUint64(env.SrcSerial)
 	e.PutBytes(env.LockID[:])
 	e.PutString(env.Kind)
 	e.PutBytes(env.Payload)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return e.Bytes()
 }
 
 func decodeReceipt(b []byte) (receiptEnvelope, error) {
 	d := codec.NewDecoder(b)
-	var env receiptEnvelope
-	tag, err := d.String()
-	if err != nil || tag != receiptTag {
-		return env, fmt.Errorf("receipt tag %q: %w", tag, codec.ErrCorrupt)
+	if tag := d.String(); tag != receiptTag {
+		d.Fail(fmt.Errorf("receipt tag %q", tag))
 	}
-	if env.SrcCommittee, err = d.Int(); err != nil {
-		return env, fmt.Errorf("receipt source committee: %w", err)
+	env := receiptEnvelope{SrcCommittee: d.Int(), SrcSerial: d.Uint64()}
+	if id := d.Field(); len(id) == len(env.LockID) {
+		copy(env.LockID[:], id)
+	} else {
+		d.Fail(fmt.Errorf("receipt lock id length %d", len(id)))
 	}
-	if env.SrcSerial, err = d.Uint64(); err != nil {
-		return env, fmt.Errorf("receipt source serial: %w", err)
-	}
-	id, err := d.Bytes()
-	if err != nil {
-		return env, fmt.Errorf("receipt lock id: %w", err)
-	}
-	if len(id) != len(env.LockID) {
-		return env, fmt.Errorf("receipt lock id length %d: %w", len(id), codec.ErrCorrupt)
-	}
-	copy(env.LockID[:], id)
-	if env.Kind, err = d.String(); err != nil {
-		return env, fmt.Errorf("receipt kind: %w", err)
-	}
-	if env.Payload, err = d.Bytes(); err != nil {
-		return env, fmt.Errorf("receipt payload: %w", err)
-	}
-	if err := d.Expect(); err != nil {
-		return env, fmt.Errorf("receipt envelope: %w", err)
+	env.Kind, env.Payload = d.String(), d.Bytes()
+	if err := d.Finish("receipt envelope", codec.ErrCorrupt); err != nil {
+		return receiptEnvelope{}, err
 	}
 	return env, nil
 }

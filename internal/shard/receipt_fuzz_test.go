@@ -2,8 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repchain/internal/codec"
 	"repchain/internal/crypto"
 	"repchain/internal/tx"
 )
@@ -11,8 +13,9 @@ import (
 // FuzzXShardValidate feeds the validator wrapper — on every chain since
 // Chain became the K=1 cluster — an arbitrary provider-authored payload
 // under both reserved kinds: it must never panic, a malformed envelope
-// is invalid, a well-formed one gets exactly the inner transaction's
-// verdict, and whatever decodes survives its own re-encoding.
+// is invalid and refused with codec.ErrCorrupt, a well-formed one gets
+// exactly the inner transaction's verdict, and whatever decodes
+// survives its own re-encoding.
 func FuzzXShardValidate(f *testing.F) {
 	inner := tx.ValidatorFunc(func(t tx.Transaction) bool {
 		return t.Kind == "app" && len(t.Payload) > 0 && t.Payload[0] == 1
@@ -35,14 +38,21 @@ func FuzzXShardValidate(f *testing.F) {
 		var innerTx tx.Transaction
 		if isLock {
 			kind = KindLock
-			if env, err := decodeLock(p); err == nil {
+			env, err := decodeLock(p)
+			if err == nil {
 				wellFormed, innerTx = true, tx.Transaction{Kind: env.Kind, Payload: env.Payload}
 				again, err := decodeLock(encodeLock(env))
 				if err != nil || again.DstProvider != env.DstProvider || again.Kind != env.Kind || !bytes.Equal(again.Payload, env.Payload) {
 					t.Fatalf("lock %+v re-encodes to %+v, %v", env, again, err)
 				}
+			} else if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("lock refused without codec.ErrCorrupt: %v", err)
 			}
-		} else if env, err := decodeReceipt(p); err == nil {
+		} else if env, err := decodeReceipt(p); err != nil {
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("receipt refused without codec.ErrCorrupt: %v", err)
+			}
+		} else {
 			wellFormed, innerTx = true, tx.Transaction{Kind: env.Kind, Payload: env.Payload}
 			again, err := decodeReceipt(encodeReceipt(env))
 			if err != nil || again.SrcCommittee != env.SrcCommittee || again.SrcSerial != env.SrcSerial ||

@@ -83,25 +83,6 @@ func encodeWire(f Frame) *codec.Encoder {
 	return e
 }
 
-// decodeFrame decodes the rest of an authenticated body whose sender ID
-// has been read from d. Its caller wants a verdict, so no read stops it.
-// The payload is a view into d's input, not a copy: readLoop reads each
-// frame into a buffer of its own and never reuses it.
-func decodeFrame(d *codec.Decoder, f *Frame) error {
-	var errs [7]error
-	f.Kind, errs[0] = d.String()
-	f.Payload, errs[1] = d.Field()
-	f.Counter, errs[2] = d.Uint64()
-	if d.Remaining() > 0 {
-		f.Trace = new(TraceCtx)
-		f.Trace.Trace, errs[3] = d.String()
-		f.Trace.Parent, errs[4] = d.Uint64()
-		f.Trace.SentNS, errs[5] = d.Varint()
-	}
-	errs[6] = d.Expect()
-	return errors.Join(errs[:]...)
-}
-
 // peer is another member as this endpoint sees it: its address and the
 // two directional MAC keys, held as keyed HMAC states that Reset reuses.
 type peer struct {
@@ -373,11 +354,10 @@ func (ep *Endpoint) open(raw []byte) (f Frame, reason string) {
 	}
 	body, tag := raw[:len(raw)-tagSize], raw[len(raw)-tagSize:]
 	d := codec.NewDecoder(body)
-	from, err := d.String()
-	if err != nil {
+	f.From = identity.NodeID(d.String())
+	if d.Err() != nil {
 		return f, rejectDecode
 	}
-	f.From = identity.NodeID(from)
 	if f.From == ep.self {
 		return f, rejectSelf
 	}
@@ -392,7 +372,13 @@ func (ep *Endpoint) open(raw []byte) (f Frame, reason string) {
 	if !hmac.Equal(p.recvMAC.Sum(p.recvSum[:0]), tag) {
 		return f, rejectBadTag
 	}
-	if err := decodeFrame(d, &f); err != nil {
+	// The payload is a view into raw, not a copy: readLoop reads each
+	// frame into a buffer of its own and never reuses it.
+	f.Kind, f.Payload, f.Counter = d.String(), d.Field(), d.Uint64()
+	if d.Remaining() > 0 {
+		f.Trace = &TraceCtx{Trace: d.String(), Parent: d.Uint64(), SentNS: d.Varint()}
+	}
+	if d.Expect() != nil {
 		return f, rejectDecode
 	}
 	if f.Counter <= p.lastCtr {

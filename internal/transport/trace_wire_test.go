@@ -24,7 +24,7 @@ func TestFrameWireLayout(t *testing.T) {
 	a := endpoints(t, d, "governor/0")[0]
 	key := frameKey(t, d, "governor/0", "governor/1")
 	for name, f := range authFrames {
-		body := codec.NewEncoder(64)
+		body := &codec.Encoder{}
 		body.PutString(string(f.From))
 		body.PutString(f.Kind)
 		body.PutBytes(f.Payload)

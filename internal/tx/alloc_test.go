@@ -20,7 +20,7 @@ func TestEncodeSigningNoAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := codec.NewEncoder(512)
+	e := &codec.Encoder{}
 	allocs := testing.AllocsPerRun(200, func() {
 		e.Reset()
 		signed.Tx.EncodeSigning(e)

@@ -131,28 +131,16 @@ const minBatchBytes = 3 + crypto.SignatureSize
 
 // decodeBatch reads one batch from d; a provider equal to like reuses
 // its string.
-func decodeBatch(d *codec.Decoder, like identity.NodeID) (*Batch, error) {
-	prov, err := d.StringLike(string(like))
-	if err != nil {
-		return nil, fmt.Errorf("batch provider: %w", err)
-	}
-	n, err := d.UvarintCount(crypto.HashSize)
-	if err != nil {
-		return nil, fmt.Errorf("batch leaf count: %v: %w", err, ErrDecode)
-	}
-	b := newBatch(identity.NodeID(prov), n)
+func decodeBatch(d *codec.Decoder, like identity.NodeID) *Batch {
+	b := newBatch(identity.NodeID(d.StringLike(string(like))), d.UvarintCount(crypto.HashSize))
 	for i := range b.Leaves {
-		if err := d.RawInto(b.Leaves[i][:]); err != nil {
-			return nil, fmt.Errorf("batch leaf %d: %w", i, err)
-		}
+		d.RawInto(b.Leaves[i][:])
 	}
-	if n, err := d.Uvarint(); err != nil || n != crypto.SignatureSize {
-		return nil, fmt.Errorf("batch signature length %d (%v): %w", n, err, ErrDecode)
+	if n := d.Uvarint(); n != crypto.SignatureSize {
+		d.Fail(fmt.Errorf("batch signature length %d", n))
 	}
-	if err := d.RawInto(b.Sig[:]); err != nil {
-		return nil, fmt.Errorf("batch signature: %w", err)
-	}
-	return b, nil
+	d.RawInto(b.Sig[:])
+	return b
 }
 
 // BatchTable numbers the distinct batches of a list of signed
@@ -310,10 +298,11 @@ const minRefBytes = 22
 // transaction's bytes begin, to read the container's fields for it from
 // d; minRest is their shortest encoding. It appends the elements to out
 // and their IDs to ids and returns both, so a caller that passes last
-// round's slices cut to length 0 decodes without allocating them (nil,
-// nil on an error). The input is untrusted: every count is checked
-// against the bytes that remain before anything is allocated for it,
-// and only EncodeList's own output is accepted — no
+// round's slices cut to length 0 decodes without allocating them. A
+// malformed list is d's failure (codec.Decoder.Err), and then the
+// slices hold nothing to use. The input is untrusted: every count is
+// checked against the bytes that remain before anything is allocated
+// for it, and only EncodeList's own output is accepted — no
 // unreferenced batch, first references in table order, no signature on
 // two batches (which no two valid batches share) — so every accepted
 // input re-encodes to the same bytes, and the IDs DecodeList returns
@@ -325,53 +314,37 @@ const minRefBytes = 22
 // what keeps an element longer than its input lives copies the payload
 // (DESIGN.md §4f, "Bytes at rest, views in flight").
 // A leaf index is not checked here: CheckLeaf refuses it per element.
-func DecodeList[T any](d *codec.Decoder, minRest int, only identity.NodeID, out []T, ids []crypto.Hash, rest func(s SignedTx, start int) (T, error)) ([]T, []crypto.Hash, error) {
-	nb, err := d.UvarintCount(minBatchBytes)
-	if err != nil {
-		return nil, nil, fmt.Errorf("batch count: %v: %w", err, ErrDecode)
-	}
+func DecodeList[T any](d *codec.Decoder, minRest int, only identity.NodeID, out []T, ids []crypto.Hash, rest func(s SignedTx, start int) T) ([]T, []crypto.Hash) {
+	nb := d.UvarintCount(minBatchBytes)
 	tbl := BatchTable{batches: make([]*Batch, 0, nb)}
 	var prev identity.NodeID // a provider's batches tend to run together
-	for j := 0; j < nb; j++ {
-		b, err := decodeBatch(d, prev)
-		if err != nil {
-			return nil, nil, fmt.Errorf("batch %d: %w", j, err)
-		}
+	for j := 0; j < nb && d.Err() == nil; j++ {
+		b := decodeBatch(d, prev)
 		if tbl.signed(b) {
-			return nil, nil, fmt.Errorf("batch %d repeats a signature: %w", j, ErrDecode)
+			d.Fail(fmt.Errorf("batch %d repeats a signature", j))
 		}
 		tbl.Ref(b)
 		prev = b.Provider
 	}
-	n, err := d.UvarintCount(minRefBytes + minRest)
-	if err != nil {
-		return nil, nil, fmt.Errorf("list count: %v: %w", err, ErrDecode)
-	}
+	n := d.UvarintCount(minRefBytes + minRest)
 	if only == "" {
 		out, ids = slices.Grow(out, n), slices.Grow(ids, n)
 	}
 	used := 0 // batches referenced so far
 	kind := ""
-	for i := 0; i < n; i++ {
-		pos, err := d.Uvarint()
-		if err != nil {
-			return nil, nil, fmt.Errorf("element %d batch: %w", i, err)
-		}
-		if pos > uint64(used) || pos >= uint64(nb) {
-			return nil, nil, fmt.Errorf("element %d batch %d of %d (%d referenced): %w", i, pos, nb, used, ErrDecode)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		// pos indexes the table only once it is known to be in it.
+		pos := d.Uvarint()
+		if pos > uint64(used) || pos >= uint64(len(tbl.batches)) {
+			d.Fail(fmt.Errorf("element %d batch %d of %d (%d referenced)", i, pos, len(tbl.batches), used))
+			break
 		}
 		if pos == uint64(used) {
 			used++
 		}
-		idx, err := d.Uvarint()
-		if err != nil {
-			return nil, nil, fmt.Errorf("element %d index: %w", i, err)
-		}
+		idx := d.Uvarint()
 		start := d.Offset()
-		txn, err := decodeTransaction(d, tbl.batches[pos].Provider, kind, only)
-		if err != nil {
-			return nil, nil, fmt.Errorf("element %d: %w", i, err)
-		}
+		txn := decodeTransaction(d, tbl.batches[pos].Provider, kind, only)
 		var s SignedTx
 		keep := only == "" || txn.Provider == only
 		if keep {
@@ -379,21 +352,18 @@ func DecodeList[T any](d *codec.Decoder, minRest int, only identity.NodeID, out 
 			ids = append(ids, crypto.Sum(d.Since(start)))
 			s = SignedTx{Tx: txn, Batch: tbl.batches[pos], Index: int(idx)}
 		}
-		v, err := rest(s, start)
-		if err != nil {
-			return nil, nil, fmt.Errorf("element %d: %w", i, err)
-		}
+		v := rest(s, start)
 		if keep {
 			out = append(out, v)
 		}
 	}
 	if used != nb {
-		return nil, nil, fmt.Errorf("%d of %d batches unreferenced: %w", nb-used, nb, ErrDecode)
+		d.Fail(fmt.Errorf("%d of %d batches unreferenced", nb-used, nb))
 	}
-	return out, ids, nil
+	return out, ids
 }
 
-func decodeSigned(s SignedTx, _ int) (SignedTx, error) { return s, nil }
+func decodeSigned(s SignedTx, _ int) SignedTx { return s }
 
 // EncodeListBytes returns the standalone list encoding of signed: the
 // provider frame, one per linked collector per broadcast.
@@ -410,12 +380,9 @@ func EncodeListBytes(signed []SignedTx) []byte {
 // as DecodeList hashed them, to ids.
 func DecodeListBytes(b []byte, list []SignedTx, ids []crypto.Hash) ([]SignedTx, []crypto.Hash, error) {
 	d := codec.NewDecoder(b)
-	list, ids, err := DecodeList(d, 0, "", list, ids, decodeSigned)
-	if err != nil {
-		return nil, nil, fmt.Errorf("signed tx list: %w", err)
-	}
-	if err := d.Expect(); err != nil {
-		return nil, nil, fmt.Errorf("signed tx list: %w", err)
+	list, ids = DecodeList(d, 0, "", list, ids, decodeSigned)
+	if err := d.Finish("signed tx list", ErrDecode); err != nil {
+		return nil, nil, err
 	}
 	return list, ids, nil
 }

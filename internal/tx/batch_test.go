@@ -42,7 +42,7 @@ func cloneBatch(s SignedTx) SignedTx {
 // resign signs b afresh, as provider, under key.
 func resign(b *Batch, provider identity.NodeID, key crypto.PrivateKey) {
 	b.Provider = provider
-	e := codec.NewEncoder(96)
+	e := &codec.Encoder{}
 	b.EncodeSigning(e)
 	copy(b.Sig[:], key.Sign(e.Bytes()))
 }
@@ -162,8 +162,9 @@ func TestBatchTableByContent(t *testing.T) {
 // FuzzProviderBatchDecode feeds the provider-frame decoder — what a
 // collector runs on every frame a provider sends — arbitrary bytes: it
 // must never panic, never decode more leaves or elements than the input
-// could hold, whatever it accepts must re-encode to the same bytes, and
-// every ID it hashed from them must equal the decoded transaction's.
+// could hold, whatever it accepts must re-encode to the same bytes,
+// every ID it hashed from them must equal the decoded transaction's,
+// and what it refuses it refuses with ErrDecode.
 func FuzzProviderBatchDecode(f *testing.F) {
 	_, priv := testKey(f, 1)
 	f.Add(EncodeListBytes(nil))
@@ -176,6 +177,9 @@ func FuzzProviderBatchDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		list, ids, err := DecodeListBytes(p, nil, nil)
 		if err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("refused without ErrDecode: %v", err)
+			}
 			return
 		}
 		if len(ids) != len(list) {

@@ -154,39 +154,19 @@ const txTag = "repchain/tx/v1"
 // (codec.Decoder.Field), not a copy. With only set, the kind and payload
 // of a transaction naming another provider are checked but not read
 // into t, so nothing is allocated for it.
-func decodeTransaction(d *codec.Decoder, provider identity.NodeID, kind string, only identity.NodeID) (Transaction, error) {
-	var t Transaction
-	tag, err := d.StringLike(txTag)
-	if err != nil {
-		return t, err
+func decodeTransaction(d *codec.Decoder, provider identity.NodeID, kind string, only identity.NodeID) (t Transaction) {
+	if tag := d.StringLike(txTag); tag != txTag {
+		d.Fail(fmt.Errorf("transaction tag %q", tag))
 	}
-	if tag != txTag {
-		return t, fmt.Errorf("transaction tag %q: %w", tag, ErrDecode)
-	}
-	prov, err := d.StringLike(string(provider))
-	if err != nil {
-		return t, err
-	}
-	t.Provider = identity.NodeID(prov)
-	if t.Seq, err = d.Uint64(); err != nil {
-		return t, err
-	}
-	if t.Timestamp, err = d.Varint(); err != nil {
-		return t, err
-	}
+	t.Provider = identity.NodeID(d.StringLike(string(provider)))
+	t.Seq, t.Timestamp = d.Uint64(), d.Varint()
 	if only != "" && t.Provider != only {
-		if _, err = d.Field(); err == nil {
-			_, err = d.Field()
-		}
-		return t, err
+		d.Field()
+		d.Field()
+		return t
 	}
-	if t.Kind, err = d.StringLike(kind); err != nil {
-		return t, err
-	}
-	if t.Payload, err = d.Field(); err != nil {
-		return t, err
-	}
-	return t, nil
+	t.Kind, t.Payload = d.StringLike(kind), d.Field()
+	return t
 }
 
 // SignedTx is the broadcast_provider envelope: a transaction plus the
@@ -262,27 +242,22 @@ func (s SignedTx) EncodeBytes() []byte {
 
 // DecodeSignedTx reads one SignedTx, a list of exactly one element,
 // from d.
-func DecodeSignedTx(d *codec.Decoder) (SignedTx, error) {
-	list, _, err := DecodeList(d, 0, "", nil, nil, decodeSigned)
-	if err != nil {
-		return SignedTx{}, err
-	}
+func DecodeSignedTx(d *codec.Decoder) SignedTx {
+	list, _ := DecodeList(d, 0, "", nil, nil, decodeSigned)
 	if len(list) != 1 {
-		return SignedTx{}, fmt.Errorf("signed tx: list of %d: %w", len(list), ErrDecode)
+		d.Fail(fmt.Errorf("signed tx: list of %d", len(list)))
+		return SignedTx{}
 	}
-	return list[0], nil
+	return list[0]
 }
 
 // DecodeSignedTxBytes decodes a standalone SignedTx encoding,
 // requiring full consumption of b.
 func DecodeSignedTxBytes(b []byte) (SignedTx, error) {
 	d := codec.NewDecoder(b)
-	s, err := DecodeSignedTx(d)
-	if err != nil {
+	s := DecodeSignedTx(d)
+	if err := d.Finish("signed tx", ErrDecode); err != nil {
 		return SignedTx{}, err
-	}
-	if err := d.Expect(); err != nil {
-		return SignedTx{}, fmt.Errorf("signed tx: %w", err)
 	}
 	return s, nil
 }

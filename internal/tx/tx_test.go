@@ -154,7 +154,7 @@ func TestSignedTxRoundTrip(t *testing.T) {
 }
 
 func TestDecodeSignedTxRejectsBadTag(t *testing.T) {
-	e := codec.NewEncoder(0)
+	e := &codec.Encoder{}
 	e.PutString("wrong/tag")
 	_, err := DecodeSignedTxBytes(e.Bytes())
 	if !errors.Is(err, ErrDecode) {

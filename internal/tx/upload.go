@@ -129,36 +129,20 @@ func (b UploadBatch) EncodeBytes() []byte {
 // for it.
 func DecodeUploadBatchBytes(p []byte, items []UploadItem, ids []crypto.Hash) (UploadBatch, Received, error) {
 	d := codec.NewDecoder(p)
-	coll, err := d.String()
-	if err != nil {
-		return UploadBatch{}, Received{}, fmt.Errorf("upload batch collector: %w", err)
-	}
-	round, err := d.Uvarint()
-	if err != nil {
-		return UploadBatch{}, Received{}, fmt.Errorf("upload batch round: %w", err)
-	}
+	b := UploadBatch{Collector: identity.NodeID(d.String()), Round: d.Uvarint()}
 	start := d.Offset()
-	items, ids, err = DecodeList(d, 1, "", items, ids, func(s SignedTx, _ int) (UploadItem, error) {
-		lv, err := d.Varint()
-		if err != nil {
-			return UploadItem{}, fmt.Errorf("label: %w", err)
-		}
+	b.Items, ids = DecodeList(d, 1, "", items, ids, func(s SignedTx, _ int) UploadItem {
 		// Checked before the cast, which would map lv+256 onto lv.
+		lv := d.Varint()
 		if lv != int64(LabelValid) && lv != int64(LabelInvalid) {
-			return UploadItem{}, fmt.Errorf("label %d: %w", lv, ErrBadLabel)
+			d.Fail(fmt.Errorf("label %d: %w", lv, ErrBadLabel))
 		}
-		return UploadItem{Signed: s, Label: Label(lv)}, nil
+		return UploadItem{Signed: s, Label: Label(lv)}
 	})
-	if err != nil {
-		return UploadBatch{}, Received{}, fmt.Errorf("upload batch items: %w", err)
-	}
 	rcv := Received{IDs: ids, Digest: crypto.Sum(d.Since(start))}
-	b := UploadBatch{Collector: identity.NodeID(coll), Round: round, Items: items}
-	if b.Sig, err = d.Field(); err != nil {
-		return UploadBatch{}, Received{}, fmt.Errorf("upload batch signature: %w", err)
-	}
-	if err := d.Expect(); err != nil {
-		return UploadBatch{}, Received{}, fmt.Errorf("upload batch: %w", err)
+	b.Sig = d.Field()
+	if err := d.Finish("upload batch", ErrDecode); err != nil {
+		return UploadBatch{}, Received{}, err
 	}
 	return b, rcv, nil
 }

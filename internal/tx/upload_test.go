@@ -36,7 +36,7 @@ func sampleBatch(t testing.TB, n int) (UploadBatch, crypto.PublicKey) {
 // verifyBatch checks b's signature over EncodeSigning's bytes, with the
 // digest recomputed from b's items.
 func verifyBatch(b UploadBatch, pub crypto.PublicKey) error {
-	e := codec.NewEncoder(128)
+	e := &codec.Encoder{}
 	b.EncodeSigning(e, b.Digest())
 	return pub.Verify(e.Bytes(), b.Sig)
 }
@@ -100,7 +100,7 @@ func TestSignUploadBatchRejectsBadLabel(t *testing.T) {
 
 func TestDecodeUploadBatchRejectsBadLabel(t *testing.T) {
 	_, key := testKey(t, 1)
-	e := codec.NewEncoder(0)
+	e := &codec.Encoder{}
 	e.PutString("collector/0")
 	e.PutUvarint(1)                                                                // round
 	encodeUploadItems(e, []UploadItem{{Signed: Sign(sampleTx(1), key), Label: 3}}) // illegal label
@@ -116,7 +116,7 @@ func TestDecodeUploadBatchRejectsBadLabel(t *testing.T) {
 func TestDecodeUploadBatchRejectsTruncatedLabel(t *testing.T) {
 	_, key := testKey(t, 1)
 	for _, lv := range []int64{int64(LabelValid) + 256, int64(LabelInvalid) - 256} {
-		e := codec.NewEncoder(0)
+		e := &codec.Encoder{}
 		e.PutString("collector/0")
 		e.PutUvarint(1) // round
 		EncodeList(e, []SignedTx{Sign(sampleTx(1), key)}, func(s *SignedTx) *SignedTx { return s },
@@ -130,7 +130,7 @@ func TestDecodeUploadBatchRejectsTruncatedLabel(t *testing.T) {
 
 // overstatedBatch claims count items but carries none.
 func overstatedBatch(count uint64) []byte {
-	e := codec.NewEncoder(0)
+	e := &codec.Encoder{}
 	e.PutString("collector/0")
 	e.PutUvarint(1) // round
 	e.PutUvarint(0) // no provider batches
@@ -176,7 +176,7 @@ func TestWireSizeBoundCoversEncoding(t *testing.T) {
 		tr := sampleTx(1<<63 + 5)
 		tr.Timestamp, tr.Payload = -1<<62, payload
 		it := UploadItem{Signed: Sign(tr, key), Label: LabelInvalid}
-		e := codec.NewEncoder(0)
+		e := &codec.Encoder{}
 		encodeUploadItems(e, []UploadItem{it})
 		if bound := it.WireSizeBound() + it.Signed.Batch.WireSizeBound(); e.Len() > bound {
 			t.Fatalf("payload %d bytes: encoded %d > bound %d", len(payload), e.Len(), bound)
@@ -187,8 +187,9 @@ func TestWireSizeBoundCoversEncoding(t *testing.T) {
 // FuzzUploadBatchDecode feeds the governor-facing decoder arbitrary
 // bytes: it must never panic, never produce more items than the input
 // could hold, never let an illegal label through, whatever it accepts
-// must re-encode to the same bytes, and the digest and IDs it hashed
-// from them must equal their recomputation from the decoded batch.
+// must re-encode to the same bytes, the digest and IDs it hashed from
+// them must equal their recomputation from the decoded batch, and what
+// it refuses it refuses with ErrDecode.
 func FuzzUploadBatchDecode(f *testing.F) {
 	b, _ := sampleBatch(f, 3)
 	valid := b.EncodeBytes()
@@ -200,6 +201,9 @@ func FuzzUploadBatchDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		got, rcv, err := DecodeUploadBatchBytes(p, nil, nil)
 		if err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("refused without ErrDecode: %v", err)
+			}
 			return
 		}
 		if len(got.Items) > len(p)/(minRefBytes+1) {
